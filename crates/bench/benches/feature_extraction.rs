@@ -19,6 +19,8 @@ use magellan_features::{
     generate_features, PreparedPair,
 };
 use magellan_par::ParConfig;
+use magellan_textsim::seqsim::{jaro_winkler_chars, levenshtein_chars};
+use magellan_textsim::setsim::monge_elkan_jw_chars;
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
@@ -136,5 +138,60 @@ fn bench_feature_extraction(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(feature_extraction, bench_feature_extraction);
+/// The sequence kernels the prepared path runs per pair, on the strings
+/// the workload's candidate pairs actually compare: names (two or three
+/// words), cities (one or two) and states (two letters), decoded once as
+/// the prepared cache holds them.
+fn bench_seqsim(c: &mut Criterion) {
+    let (s, pairs) = workload();
+    let pairs = &pairs[..pairs.len().min(if smoke() { 500 } else { 20_000 })];
+    let mut g = c.benchmark_group("seqsim");
+    g.sample_size(if smoke() { 2 } else { 10 });
+    for attr in ["name", "city", "state"] {
+        let decoded = |t: &magellan_table::Table, r: u32| -> Vec<char> {
+            let col = t.schema().try_index_of(attr).expect("attribute");
+            let v = t.value(r as usize, col).display_string();
+            v.trim().to_lowercase().chars().collect()
+        };
+        let sides: Vec<(Vec<char>, Vec<char>)> = pairs
+            .iter()
+            .map(|&(ra, rb)| (decoded(&s.table_a, ra), decoded(&s.table_b, rb)))
+            .collect();
+        g.bench_function(format!("levenshtein/{attr}").as_str(), |b| {
+            let mut rows = Vec::new();
+            b.iter(|| {
+                for (x, y) in &sides {
+                    black_box(levenshtein_chars(black_box(x), y, &mut rows));
+                }
+            })
+        });
+        g.bench_function(format!("jaro_winkler/{attr}").as_str(), |b| {
+            b.iter(|| {
+                for (x, y) in &sides {
+                    black_box(jaro_winkler_chars(black_box(x), y));
+                }
+            })
+        });
+        if attr == "name" {
+            let bag = |chars: &[char]| -> Vec<Vec<char>> {
+                chars
+                    .split(|c| !c.is_alphanumeric())
+                    .filter(|t| !t.is_empty())
+                    .map(<[char]>::to_vec)
+                    .collect()
+            };
+            let bags: Vec<_> = sides.iter().map(|(x, y)| (bag(x), bag(y))).collect();
+            g.bench_function("monge_elkan/name", |b| {
+                b.iter(|| {
+                    for (x, y) in &bags {
+                        black_box(monge_elkan_jw_chars(black_box(x), y));
+                    }
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(feature_extraction, bench_feature_extraction, bench_seqsim);
 criterion_main!(feature_extraction);

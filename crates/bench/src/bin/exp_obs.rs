@@ -32,7 +32,7 @@ use magellan_obs::{log, Obs};
 const MAX_OVERHEAD: f64 = 0.50;
 
 /// Phase spans every production trace must carry.
-const REQUIRED_SPANS: [&str; 6] = ["run", "blocking", "matching", "extract", "predict", "chunk"];
+const REQUIRED_SPANS: [&str; 5] = ["run", "blocking", "matching", "score", "chunk"];
 
 fn scenario(n: usize) -> EmScenario {
     persons(&ScenarioConfig {

@@ -12,7 +12,18 @@
 //! produces **bit-identical matches for any worker count**, which is what
 //! lets the lab stage (small samples, one core) hand a workflow to the
 //! production stage (full tables, many cores) without re-validating it.
-
+//!
+//! ## Demand-driven matching
+//!
+//! The matching phase is one fused parallel pass: per
+//! candidate pair the matcher decides through
+//! [`magellan_ml::Classifier::decide`], which asks for a feature only when
+//! a tree tests it and stops walking trees once the rest cannot move the
+//! decision, then the rule layer reads the same lazily filled row. No
+//! feature matrix is built. The decisions equal those of the eager
+//! [`EmWorkflow::execute`] — extract every feature, score every tree —
+//! which stays as the oracle the executor is tested against
+//! (`crates/core/tests/lazy_eager.rs`; DESIGN.md §7.3).
 //!
 //! ## Self-healing runs ([`ProductionExecutor::run_with_recovery`])
 //!
@@ -36,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use magellan_block::CandidateSet;
 use magellan_faults::{run_with_retry, FaultPlan, RetryPolicy, SimClock};
-use magellan_features::extract_feature_matrix_par;
+use magellan_features::PreparedPair;
 use magellan_obs::{EvVal, ObsSnapshot};
 use magellan_par::{ParConfig, ParStats};
 use magellan_table::Table;
@@ -46,17 +57,18 @@ use crate::error::MagellanError;
 use crate::workflow::EmWorkflow;
 
 /// Stable region ids keying per-region chunk-fault streams, so a fault
-/// plan injects independently into blocking, extraction, and prediction.
+/// plan injects independently into blocking and matching. The matching
+/// pass keeps the id feature extraction had when it was a region of its
+/// own; 3 (prediction) is retired.
 const REGION_BLOCKING: u64 = 1;
 const REGION_EXTRACT: u64 = 2;
-const REGION_PREDICT: u64 = 3;
 
 /// Per-phase timings of a production run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
     /// Blocking wall-clock.
     pub blocking: Duration,
-    /// Feature extraction + prediction wall-clock.
+    /// Matching (record preparation + the fused scoring pass) wall-clock.
     pub matching: Duration,
 }
 
@@ -73,7 +85,7 @@ impl PhaseTimings {
 pub struct PhaseCounters {
     /// Blocking-phase counters (candidate generation / sim-join probes).
     pub blocking: ParStats,
-    /// Matching-phase counters (feature extraction + prediction, merged).
+    /// Matching-phase counters (the fused scoring pass).
     pub matching: ParStats,
 }
 
@@ -97,8 +109,8 @@ impl PhaseCounters {
         total.worker_busy
     }
 
-    /// Prepared-cache counters of the matching phase's feature
-    /// extraction: records prepared, tokenize calls spent and saved
+    /// Prepared-cache counters of the matching phase's record
+    /// preparation: records prepared, tokenize calls spent and saved
     /// versus the per-pair scalar path, lookups/hits, and the shared
     /// interner's vocabulary size (see [`magellan_par::CacheStats`]).
     pub fn feature_cache(&self) -> magellan_par::CacheStats {
@@ -317,10 +329,10 @@ impl ProductionExecutor {
     /// Run the workflow over full tables.
     ///
     /// Every phase runs on the `magellan-par` pool: blocking via
-    /// [`magellan_block::Blocker::block_par`], feature extraction via
-    /// [`extract_feature_matrix_par`], prediction via
-    /// [`magellan_par::map_indexed`]. The matches are identical for any
-    /// `n_workers` (see `crates/core/tests/par_determinism.rs`).
+    /// [`magellan_block::Blocker::block_par`], matching via the fused
+    /// demand-driven pass (see the module docs). The matches are
+    /// identical for any `n_workers` (see
+    /// `crates/core/tests/par_determinism.rs`).
     pub fn run(
         &self,
         workflow: &EmWorkflow,
@@ -343,34 +355,9 @@ impl ProductionExecutor {
         let t1 = Instant::now();
         let pairs = candidates.pairs();
         let _phase = magellan_obs::span("matching", 0);
-        let (matrix, extract_stats) = {
-            let _region = magellan_obs::span("extract", 0);
-            let out = extract_feature_matrix_par(pairs, a, b, &workflow.features, &cfg)?;
-            out.1.publish("extract");
-            out
-        };
-        let (predicted, predict_stats) = {
-            let _region = magellan_obs::span("predict", 0);
-            let out = magellan_par::map_indexed(matrix.len(), &cfg, |i| {
-                workflow.matcher.predict_proba(&matrix.rows[i]) >= workflow.threshold
-            });
-            out.1.publish("predict");
-            out
-        };
-        // The rule layer is a cheap per-row pass over the already-extracted
-        // matrix; it stays serial so its decisions are trivially ordered.
-        let decisions: Vec<(u32, u32)> = workflow
-            .rule_layer
-            .apply(&matrix, &predicted)
-            .into_iter()
-            .zip(pairs.iter().copied())
-            .filter_map(|(d, p)| d.then_some(p))
-            .collect();
+        let (decisions, matching_stats) = match_candidates(workflow, a, b, pairs, &cfg)?;
         let matching = t1.elapsed();
         drop(_phase);
-
-        let mut matching_stats = extract_stats;
-        matching_stats.merge(&predict_stats);
 
         magellan_obs::counter_add("magellan_core_candidates_total", pairs.len() as u64);
         magellan_obs::counter_add("magellan_core_matches_total", decisions.len() as u64);
@@ -527,42 +514,14 @@ impl ProductionExecutor {
 
         // --- matching phase ---------------------------------------------
         let matching_span = magellan_obs::span("matching", 0);
-        let extract_cfg = self
+        let cfg = self
             .par_cfg()
             .with_faults(opts.faults.chunk_faults(REGION_EXTRACT));
-        let predict_cfg = self
-            .par_cfg()
-            .with_faults(opts.faults.chunk_faults(REGION_PREDICT));
         let t1 = Instant::now();
         let pairs = candidates.pairs();
         let (decisions, matching_stats) =
             retry_phase(&opts.retry, &mut clock, &mut tel, Phase::Matching, || {
-                let (matrix, extract_stats) = {
-                    let _region = magellan_obs::span("extract", 0);
-                    let out =
-                        extract_feature_matrix_par(pairs, a, b, &workflow.features, &extract_cfg)
-                            .map_err(MagellanError::from)?;
-                    out.1.publish("extract");
-                    out
-                };
-                let (predicted, predict_stats) = {
-                    let _region = magellan_obs::span("predict", 0);
-                    let out = magellan_par::map_indexed(matrix.len(), &predict_cfg, |i| {
-                        workflow.matcher.predict_proba(&matrix.rows[i]) >= workflow.threshold
-                    });
-                    out.1.publish("predict");
-                    out
-                };
-                let decisions: Vec<(u32, u32)> = workflow
-                    .rule_layer
-                    .apply(&matrix, &predicted)
-                    .into_iter()
-                    .zip(pairs.iter().copied())
-                    .filter_map(|(d, p)| d.then_some(p))
-                    .collect();
-                let mut stats = extract_stats;
-                stats.merge(&predict_stats);
-                Ok((decisions, stats))
+                match_candidates(workflow, a, b, pairs, &cfg).map_err(Into::into)
             })?;
         tel.absorb_stats(&matching_stats);
         let matching = t1.elapsed();
@@ -607,6 +566,85 @@ impl ProductionExecutor {
             obs: Self::finish_obs(&obs),
         })
     }
+}
+
+/// The matching phase of both entry points: prepare the records the
+/// candidates reference (serially — interner ids are assigned in first-seen
+/// order), then decide every pair in one parallel region and return the
+/// matched pairs in candidate order.
+///
+/// Per pair, a memo of `n_features` values is filled on demand:
+/// [`magellan_ml::Classifier::decide`] asks for the features its trees
+/// test, then the bound rule layer asks for the features its conditions
+/// reach, and a feature asked for twice is computed once. Every value is
+/// the one [`PreparedPair::compute_row`] would have put in the eager
+/// matrix, so the decisions equal [`EmWorkflow::execute`]'s. Each chunk's
+/// output is a pure function of its pair range, which keeps the pool's
+/// determinism and recovery contracts; the demand counters are sums over
+/// pairs, so they too are identical for any worker count.
+fn match_candidates(
+    workflow: &EmWorkflow,
+    a: &Table,
+    b: &Table,
+    pairs: &[(u32, u32)],
+    cfg: &ParConfig,
+) -> magellan_table::Result<(Vec<(u32, u32)>, ParStats)> {
+    let mut prepared = PreparedPair::new(a, b);
+    let plan = prepared.plan(&workflow.features)?;
+    let cache = prepared.prepare_counted(&plan, pairs);
+    let names: Vec<&str> = workflow.features.iter().map(|f| f.name.as_str()).collect();
+    let rules = workflow.rule_layer.bind(&names);
+    let n_features = plan.len();
+
+    let _region = magellan_obs::span("score", 0);
+    let (chunks, mut stats) = magellan_par::chunk_map(pairs.len(), cfg, |range| {
+        let mut memo = vec![0.0f64; n_features];
+        let mut known = vec![false; n_features];
+        let mut lev_rows = Vec::new();
+        let mut matched = Vec::new();
+        let (mut demanded, mut walked) = (0u64, 0u64);
+        for &(ra, rb) in &pairs[range] {
+            known.fill(false);
+            let mut feat = |j: usize| {
+                if !known[j] {
+                    known[j] = true;
+                    demanded += 1;
+                    memo[j] = prepared.compute_feature(
+                        &plan,
+                        j,
+                        ra as usize,
+                        rb as usize,
+                        &mut lev_rows,
+                    );
+                }
+                memo[j]
+            };
+            let predicted =
+                workflow
+                    .matcher
+                    .decide(workflow.threshold, n_features, &mut feat, &mut walked);
+            if rules.apply_lazy(&mut feat, predicted).0 {
+                matched.push((ra, rb));
+            }
+        }
+        (matched, demanded, walked)
+    });
+
+    let mut decisions = Vec::new();
+    let (mut demanded, mut walked) = (0u64, 0u64);
+    for (matched, d, w) in chunks {
+        decisions.extend(matched);
+        demanded += d;
+        walked += w;
+    }
+    let possible = (pairs.len() * n_features) as u64;
+    magellan_obs::counter_add("magellan_core_features_demanded_total", demanded);
+    magellan_obs::counter_add("magellan_core_features_skipped_total", possible - demanded);
+    magellan_obs::counter_add("magellan_core_trees_walked_total", walked);
+    cache.publish();
+    stats.cache = cache;
+    stats.publish("score");
+    Ok((decisions, stats))
 }
 
 /// Retry a checkpoint-store operation under the policy, charging backoff
@@ -752,9 +790,8 @@ mod tests {
         assert_eq!(report.counters.blocking.n_workers, 3);
         assert_eq!(report.counters.blocking.items, 200);
         assert!(report.counters.blocking.chunks_total >= 1);
-        // Matching counters fold extraction + prediction: both regions walk
-        // every candidate pair once.
-        assert_eq!(report.counters.matching.items, 2 * report.n_candidates);
+        // The fused scoring pass walks every candidate pair once.
+        assert_eq!(report.counters.matching.items, report.n_candidates);
         assert_eq!(report.counters.matching.worker_busy.len(), 3);
         assert!(report.counters.pairs_per_sec() >= 0.0);
         assert!(report.counters.chunks_stolen() <= report.counters.blocking.chunks_total

@@ -6,6 +6,12 @@
 //! an ordered list of [`MatchRule`]s evaluated over the *feature vector*
 //! of a pair after the matcher has predicted; the first firing rule
 //! overrides the prediction.
+//!
+//! Rules name features; rows hold columns. [`RuleLayer::bind`] resolves
+//! the names against a feature list **once per run** into a
+//! [`BoundRules`], which is what evaluates rows — eagerly from a slice or
+//! lazily through a feature callback (the production executor's fused
+//! pass, where a feature a rule never reaches is never computed).
 
 use magellan_features::FeatureMatrix;
 
@@ -96,42 +102,46 @@ impl RuleLayer {
         RuleLayer { rules }
     }
 
-    /// Apply to one feature row + prediction. Returns the (possibly
-    /// overridden) prediction and the name of the rule that fired, if any.
-    pub fn apply_row<'a>(
-        &'a self,
-        names: &[String],
-        row: &[f64],
-        predicted: bool,
-    ) -> (bool, Option<&'a str>) {
+    /// Resolve every condition's feature name to its column in `names`.
+    ///
+    /// A rule naming a feature that is not in `names` can never fire (a
+    /// rule cannot fire on evidence that does not exist); it is left out
+    /// of the bound layer and one warning per unknown name is logged here,
+    /// once, instead of the rule silently never firing row after row.
+    pub fn bind<S: AsRef<str>>(&self, names: &[S]) -> BoundRules<'_> {
+        let mut rules = Vec::with_capacity(self.rules.len());
         for rule in &self.rules {
-            let fires = rule.conditions.iter().all(|(fname, op, t)| {
-                match names.iter().position(|n| n == fname) {
-                    Some(i) => {
-                        let x = row[i];
-                        !x.is_nan() && op.eval(x, *t)
-                    }
-                    None => false,
+            let mut conditions = Vec::with_capacity(rule.conditions.len());
+            for (fname, op, t) in &rule.conditions {
+                match names.iter().position(|n| n.as_ref() == fname) {
+                    Some(col) => conditions.push((col, *op, *t)),
+                    None => magellan_obs::log!(
+                        warn,
+                        "rule {:?} names unknown feature {fname:?} and will never fire",
+                        rule.name
+                    ),
                 }
-            });
-            if fires {
-                return (
-                    matches!(rule.action, RuleAction::Accept),
-                    Some(rule.name.as_str()),
-                );
+            }
+            if conditions.len() == rule.conditions.len() {
+                rules.push(BoundRule {
+                    name: &rule.name,
+                    action: rule.action,
+                    conditions,
+                });
             }
         }
-        (predicted, None)
+        BoundRules { rules }
     }
 
     /// Apply to a whole feature matrix + prediction vector.
     pub fn apply(&self, matrix: &FeatureMatrix, predictions: &[bool]) -> Vec<bool> {
         assert_eq!(matrix.len(), predictions.len(), "length mismatch");
+        let bound = self.bind(&matrix.names);
         matrix
             .rows
             .iter()
             .zip(predictions)
-            .map(|(row, &p)| self.apply_row(&matrix.names, row, p).0)
+            .map(|(row, &p)| bound.apply_row(row, p).0)
             .collect()
     }
 
@@ -143,6 +153,49 @@ impl RuleLayer {
     /// True when the layer has no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
+    }
+}
+
+/// A [`RuleLayer`] resolved against one feature list (see
+/// [`RuleLayer::bind`]): conditions hold column indices, not names.
+#[derive(Debug, Clone)]
+pub struct BoundRules<'a> {
+    rules: Vec<BoundRule<'a>>,
+}
+
+#[derive(Debug, Clone)]
+struct BoundRule<'a> {
+    name: &'a str,
+    action: RuleAction,
+    conditions: Vec<(usize, Cmp, f64)>,
+}
+
+impl<'a> BoundRules<'a> {
+    /// Apply to one pair whose feature `i` is `feat(i)`, plus the
+    /// matcher's prediction. Returns the (possibly overridden) prediction
+    /// and the name of the rule that fired, if any. Conditions are tested
+    /// in order and a rule stops at its first failing condition, so `feat`
+    /// is asked only for the features the outcome depends on.
+    pub fn apply_lazy(
+        &self,
+        mut feat: impl FnMut(usize) -> f64,
+        predicted: bool,
+    ) -> (bool, Option<&'a str>) {
+        for rule in &self.rules {
+            let fires = rule.conditions.iter().all(|&(col, op, t)| {
+                let x = feat(col);
+                !x.is_nan() && op.eval(x, t)
+            });
+            if fires {
+                return (matches!(rule.action, RuleAction::Accept), Some(rule.name));
+            }
+        }
+        (predicted, None)
+    }
+
+    /// [`BoundRules::apply_lazy`] over a materialised feature row.
+    pub fn apply_row(&self, row: &[f64], predicted: bool) -> (bool, Option<&'a str>) {
+        self.apply_lazy(|i| row[i], predicted)
     }
 }
 
@@ -202,11 +255,7 @@ mod tests {
             MatchRule::accept("first", vec![("name_sim".into(), Cmp::Ge, 0.9)]),
             MatchRule::reject("second", vec![("name_sim".into(), Cmp::Ge, 0.9)]),
         ]);
-        let (out, fired) = layer.apply_row(
-            &["name_sim".into()],
-            &[0.95],
-            false,
-        );
+        let (out, fired) = layer.bind(&["name_sim"]).apply_row(&[0.95], false);
         assert!(out);
         assert_eq!(fired, Some("first"));
     }
@@ -217,7 +266,7 @@ mod tests {
             "nan guard",
             vec![("name_sim".into(), Cmp::Le, 1.0)],
         )]);
-        let (out, fired) = layer.apply_row(&["name_sim".into()], &[f64::NAN], true);
+        let (out, fired) = layer.bind(&["name_sim"]).apply_row(&[f64::NAN], true);
         assert!(out, "NaN must not fire the rule");
         assert!(fired.is_none());
     }
@@ -228,9 +277,39 @@ mod tests {
             "ghost",
             vec![("no_such_feature".into(), Cmp::Ge, 0.0)],
         )]);
-        let (out, fired) = layer.apply_row(&["name_sim".into()], &[0.5], true);
+        let (out, fired) = layer.bind(&["name_sim"]).apply_row(&[0.5], true);
         assert!(out);
         assert!(fired.is_none());
+    }
+
+    #[test]
+    fn lazy_application_asks_only_for_what_decides() {
+        let layer = RuleLayer::new(vec![
+            MatchRule::reject("ghost", vec![("no_such_feature".into(), Cmp::Ge, 0.0)]),
+            MatchRule::accept(
+                "both",
+                vec![
+                    ("price_sim".into(), Cmp::Ge, 0.5),
+                    ("name_sim".into(), Cmp::Ge, 0.9),
+                ],
+            ),
+        ]);
+        let bound = layer.bind(&["name_sim", "price_sim"]);
+        let mut asked = Vec::new();
+        // price_sim fails first: name_sim is never asked for.
+        let (out, fired) = bound.apply_lazy(
+            |i| {
+                asked.push(i);
+                [0.95, 0.1][i]
+            },
+            false,
+        );
+        assert!(!out);
+        assert!(fired.is_none());
+        assert_eq!(asked, [1]);
+        let (out, fired) = bound.apply_lazy(|i| [0.95, 0.9][i], false);
+        assert!(out);
+        assert_eq!(fired, Some("both"));
     }
 
     #[test]

@@ -135,14 +135,13 @@ fn report_snapshot_matches_ambient_recorder() {
 fn trace_nests_at_least_four_span_levels() {
     let s = scenario();
     let (_, snap) = run_pinned(4, &s);
-    // run → matching → extract/predict → chunk is four levels even
-    // fault-free.
+    // run → matching → score → chunk is four levels even fault-free.
     assert!(
         snap.max_depth() >= 4,
         "expected ≥4 nested span levels, got {}",
         snap.max_depth()
     );
-    for name in ["run", "blocking", "matching", "extract", "predict", "chunk"] {
+    for name in ["run", "blocking", "matching", "score", "chunk"] {
         assert!(
             !snap.spans_named(name).is_empty(),
             "missing {name:?} spans in the trace"
@@ -151,7 +150,7 @@ fn trace_nests_at_least_four_span_levels() {
     // Chunk spans are parented under phases, and the Chrome export
     // carries every span name.
     let trace = snap.to_chrome_trace();
-    for name in ["run", "blocking", "extract", "predict", "chunk"] {
+    for name in ["run", "blocking", "score", "chunk"] {
         assert!(trace.contains(&format!("\"name\":\"{name}\"")));
     }
     // The export is valid JSON with the trace_event envelope.
@@ -178,7 +177,7 @@ fn faulted_pinned_exports_are_byte_identical_and_show_retries() {
     assert!(!snap1.events_named("retry_scheduled").is_empty());
     assert!(!snap1.events_named("checkpoint_written").is_empty());
     // With retries the blocking path alone nests run → blocking → chunk
-    // → retry; the matching path adds the extract/predict level.
+    // → retry; the matching path adds the score level.
     assert!(snap1.max_depth() >= 4, "depth {}", snap1.max_depth());
 
     for workers in [2, 8] {

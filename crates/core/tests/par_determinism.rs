@@ -294,7 +294,7 @@ fn production_run_is_worker_count_invariant() {
         // Counter surface: phases report their ParStats.
         assert_eq!(report.counters.blocking.n_workers, w);
         assert_eq!(report.counters.blocking.items, 120);
-        assert_eq!(report.counters.matching.items, 2 * report.n_candidates);
+        assert_eq!(report.counters.matching.items, report.n_candidates);
         assert_eq!(report.counters.matching.worker_busy.len(), w);
         assert!(report.counters.pairs_per_sec() >= 0.0);
         assert!(

@@ -15,8 +15,9 @@
 //! matching-stage matrices — reuse earlier work), and computes feature
 //! rows from the prepared shapes:
 //!
-//! * trimmed + lowercased strings for the sequence measures;
-//! * ordered token *bags* for Monge–Elkan;
+//! * trimmed + lowercased strings, **decoded to `char`s once**, for the
+//!   sequence measures (which then run on slices without allocating);
+//! * ordered *bags* of decoded tokens for Monge–Elkan;
 //! * **sorted, deduplicated interned `u32` token sets** (one shared
 //!   [`TokenInterner`] across both tables) for the set measures, which
 //!   then run as allocation-free merge intersections
@@ -91,10 +92,10 @@ impl PrepSpec {
 enum PrepValue {
     /// The value was null (every measure yields `NaN`).
     Null,
-    /// Trimmed lowercased string.
-    Str(String),
-    /// Ordered token bag.
-    Bag(Vec<String>),
+    /// Trimmed lowercased string, decoded.
+    Str(Vec<char>),
+    /// Ordered bag of decoded tokens.
+    Bag(Vec<Vec<char>>),
     /// Sorted deduplicated interned token set.
     Set(Vec<u32>),
     /// Parsed float.
@@ -226,6 +227,47 @@ fn prepare_pairs_for(
     stats.interner_tokens = interner.len();
 }
 
+/// One preparation call's [`CacheStats`]: the counters it moved, the
+/// tokenizer calls it saved versus the scalar path over `n_pairs` pairs,
+/// and the interner's size after it.
+fn cache_delta(
+    before: &CacheStats,
+    after: &CacheStats,
+    plan: &FeaturePlan,
+    n_pairs: usize,
+) -> CacheStats {
+    let spent = after.tokenize_calls - before.tokenize_calls;
+    CacheStats {
+        records_prepared: after.records_prepared - before.records_prepared,
+        tokenize_calls: spent,
+        tokenize_calls_saved: plan.scalar_tokenize_calls(n_pairs).saturating_sub(spent),
+        lookups: after.lookups - before.lookups,
+        hits: after.hits - before.hits,
+        interner_tokens: after.interner_tokens,
+    }
+}
+
+/// Evaluate planned feature `j` of one pair from prepared sides. `rows`
+/// is scratch for [`seqsim::levenshtein_chars`].
+fn compute_feature_from(
+    left: &PreparedSide,
+    right: &PreparedSide,
+    plan: &FeaturePlan,
+    j: usize,
+    ra: usize,
+    rb: usize,
+    rows: &mut Vec<usize>,
+) -> f64 {
+    let e = &plan.entries[j];
+    let va = left.cols[e.l_slot].cells[ra]
+        .as_ref()
+        .expect("left record prepared");
+    let vb = right.cols[e.r_slot].cells[rb]
+        .as_ref()
+        .expect("right record prepared");
+    compute_prepared(e.kind, va, vb, rows)
+}
+
 /// Evaluate one planned feature row from prepared sides.
 fn compute_row_from(
     left: &PreparedSide,
@@ -234,17 +276,10 @@ fn compute_row_from(
     ra: usize,
     rb: usize,
 ) -> Vec<f64> {
-    let mut row = Vec::with_capacity(plan.entries.len());
-    for e in &plan.entries {
-        let va = left.cols[e.l_slot].cells[ra]
-            .as_ref()
-            .expect("left record prepared");
-        let vb = right.cols[e.r_slot].cells[rb]
-            .as_ref()
-            .expect("right record prepared");
-        row.push(compute_prepared(e.kind, va, vb));
-    }
-    row
+    let mut rows = Vec::new();
+    (0..plan.entries.len())
+        .map(|j| compute_feature_from(left, right, plan, j, ra, rb, &mut rows))
+        .collect()
 }
 
 /// A feature list resolved against a [`PreparedPair`]: per feature, the
@@ -335,6 +370,20 @@ impl<'t> PreparedPair<'t> {
         prepare_pairs_for(a, b, interner, left, right, stats, plan, pairs);
     }
 
+    /// [`PreparedPair::prepare_for_pairs`], returning what this call did
+    /// as a [`CacheStats`] delta — records prepared, tokenize calls spent
+    /// and saved versus the scalar path, lookups/hits (hits = reuse of
+    /// earlier preparation), the shared interner's vocabulary size — and
+    /// folding the savings into the cumulative
+    /// [`PreparedPair::cache_stats`].
+    pub fn prepare_counted(&mut self, plan: &FeaturePlan, pairs: &[(u32, u32)]) -> CacheStats {
+        let before = self.stats;
+        self.prepare_for_pairs(plan, pairs);
+        let delta = cache_delta(&before, &self.stats, plan, pairs.len());
+        self.stats.tokenize_calls_saved += delta.tokenize_calls_saved;
+        delta
+    }
+
     /// Evaluate a planned feature row for one prepared pair.
     ///
     /// # Panics
@@ -342,6 +391,25 @@ impl<'t> PreparedPair<'t> {
     /// [`PreparedPair::prepare_for_pairs`] first).
     pub fn compute_row(&self, plan: &FeaturePlan, ra: usize, rb: usize) -> Vec<f64> {
         compute_row_from(&self.left, &self.right, plan, ra, rb)
+    }
+
+    /// Evaluate planned feature `j` alone for one prepared pair — the
+    /// value [`PreparedPair::compute_row`] puts at position `j`, bit for
+    /// bit. `rows` is scratch for the edit-distance fallback on strings
+    /// beyond 64 characters; pass the same buffer to every call of a batch.
+    ///
+    /// # Panics
+    /// As [`PreparedPair::compute_row`], and if `j` is not a feature of
+    /// the plan.
+    pub fn compute_feature(
+        &self,
+        plan: &FeaturePlan,
+        j: usize,
+        ra: usize,
+        rb: usize,
+        rows: &mut Vec<usize>,
+    ) -> f64 {
+        compute_feature_from(&self.left, &self.right, plan, j, ra, rb, rows)
     }
 
     /// Cumulative cache counters since construction.
@@ -481,16 +549,7 @@ impl StreamingPreparedPair {
             } = self;
             prepare_pairs_for(a, b, interner, left, right, stats, &plan, pairs);
         }
-        let after = self.stats;
-        let spent = after.tokenize_calls - before.tokenize_calls;
-        let cache = CacheStats {
-            records_prepared: after.records_prepared - before.records_prepared,
-            tokenize_calls: spent,
-            tokenize_calls_saved: plan.scalar_tokenize_calls(pairs.len()).saturating_sub(spent),
-            lookups: after.lookups - before.lookups,
-            hits: after.hits - before.hits,
-            interner_tokens: after.interner_tokens,
-        };
+        let cache = cache_delta(&before, &self.stats, &plan, pairs.len());
         self.stats.tokenize_calls_saved += cache.tokenize_calls_saved;
 
         let (left, right) = (&self.left, &self.right);
@@ -539,12 +598,13 @@ fn prepare_column(
                     .map(PrepValue::Num)
                     .unwrap_or(PrepValue::NotNum),
                 PrepSpec::LowerStr => {
-                    PrepValue::Str(v.display_string().trim().to_lowercase())
+                    PrepValue::Str(v.display_string().trim().to_lowercase().chars().collect())
                 }
                 PrepSpec::WordBag => {
                     let s = v.display_string().trim().to_lowercase();
                     stats.tokenize_calls += 1;
-                    PrepValue::Bag(AlphanumericTokenizer::new().tokenize(&s))
+                    let toks = AlphanumericTokenizer::new().tokenize(&s);
+                    PrepValue::Bag(toks.iter().map(|t| t.chars().collect()).collect())
                 }
                 PrepSpec::WordSet => {
                     let s = v.display_string().trim().to_lowercase();
@@ -568,7 +628,12 @@ fn prepare_column(
 
 /// The prepared-shape evaluation of one feature kind — mirrors
 /// [`crate::Feature::compute`] case for case so results are bit-identical.
-fn compute_prepared(kind: FeatureKind, va: &PrepValue, vb: &PrepValue) -> f64 {
+fn compute_prepared(
+    kind: FeatureKind,
+    va: &PrepValue,
+    vb: &PrepValue,
+    rows: &mut Vec<usize>,
+) -> f64 {
     if matches!(va, PrepValue::Null) || matches!(vb, PrepValue::Null) {
         return f64::NAN;
     }
@@ -594,9 +659,9 @@ fn compute_prepared(kind: FeatureKind, va: &PrepValue, vb: &PrepValue) -> f64 {
             };
             match kind {
                 FeatureKind::ExactMatch => f64::from(sa == sb),
-                FeatureKind::LevSim => seqsim::levenshtein_sim(sa, sb),
-                FeatureKind::Jaro => seqsim::jaro(sa, sb),
-                FeatureKind::JaroWinkler => seqsim::jaro_winkler(sa, sb),
+                FeatureKind::LevSim => seqsim::levenshtein_sim_chars(sa, sb, rows),
+                FeatureKind::Jaro => seqsim::jaro_chars(sa, sb),
+                FeatureKind::JaroWinkler => seqsim::jaro_winkler_chars(sa, sb),
                 _ => unreachable!(),
             }
         }
@@ -605,7 +670,7 @@ fn compute_prepared(kind: FeatureKind, va: &PrepValue, vb: &PrepValue) -> f64 {
                 debug_assert!(false, "monge-elkan over non-bag prep");
                 return f64::NAN;
             };
-            setsim::monge_elkan_jw(ba, bb)
+            setsim::monge_elkan_jw_chars(ba, bb)
         }
         FeatureKind::Jaccard(_)
         | FeatureKind::Cosine(_)
@@ -647,22 +712,7 @@ pub fn extract_with_prepared(
     cfg: &ParConfig,
 ) -> magellan_table::Result<(FeatureMatrix, ParStats)> {
     let plan = prepared.plan(features)?;
-    let before = prepared.cache_stats();
-    prepared.prepare_for_pairs(&plan, pairs);
-    let after = prepared.cache_stats();
-
-    let spent = after.tokenize_calls - before.tokenize_calls;
-    let cache = CacheStats {
-        records_prepared: after.records_prepared - before.records_prepared,
-        tokenize_calls: spent,
-        tokenize_calls_saved: plan.scalar_tokenize_calls(pairs.len()).saturating_sub(spent),
-        lookups: after.lookups - before.lookups,
-        hits: after.hits - before.hits,
-        interner_tokens: after.interner_tokens,
-    };
-    // Also fold the per-call savings into the cumulative counters so
-    // `PreparedPair::cache_stats` reports workload totals.
-    prepared.stats.tokenize_calls_saved += cache.tokenize_calls_saved;
+    let cache = prepared.prepare_counted(&plan, pairs);
 
     let shared: &PreparedPair<'_> = prepared;
     let (rows, mut stats) = magellan_par::map_indexed(pairs.len(), cfg, |p| {

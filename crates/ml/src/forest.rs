@@ -63,6 +63,9 @@ impl Default for RandomForestLearner {
 #[derive(Debug, Clone)]
 pub struct RandomForestClassifier {
     trees: Vec<DecisionTreeClassifier>,
+    /// Per tree, its smallest and largest leaf probability — the bounds
+    /// [`Classifier::decide`] stops early on.
+    leaf_range: Vec<(f64, f64)>,
 }
 
 impl RandomForestClassifier {
@@ -73,7 +76,12 @@ impl RandomForestClassifier {
         if trees.is_empty() {
             return Err("a forest needs at least one tree".to_owned());
         }
-        Ok(RandomForestClassifier { trees })
+        Ok(Self::new(trees))
+    }
+
+    fn new(trees: Vec<DecisionTreeClassifier>) -> Self {
+        let leaf_range = trees.iter().map(|t| t.leaf_proba_range()).collect();
+        RandomForestClassifier { trees, leaf_range }
     }
 
     /// The individual trees (Falcon walks these for blocking rules).
@@ -136,6 +144,50 @@ impl Classifier for RandomForestClassifier {
         // Hard prediction = majority vote, matching the paper's semantics.
         self.vote_fraction(row) >= 0.5
     }
+
+    /// Walks trees in order, asking `feat` only for the features on each
+    /// tree's path, and stops as soon as the trees still unwalked cannot
+    /// move the decision.
+    ///
+    /// The stop is exact, not approximate. `predict_proba` adds the leaf
+    /// probabilities left to right and divides by the tree count. After
+    /// tree `k` the partial sum `s` is the very float that sum holds at
+    /// that point; `hi` continues it with the same left-to-right additions
+    /// using every remaining tree's *largest* leaf probability, `lo` using
+    /// the smallest. Floating-point addition and division by a positive
+    /// count are monotone in each argument, so by induction over the
+    /// remaining trees `lo ≤ full sum ≤ hi` and
+    /// `lo / n ≤ predict_proba ≤ hi / n` hold bit for bit, whatever leaves
+    /// the remaining trees would reach. After the last tree both bounds
+    /// are the full sum.
+    fn decide(
+        &self,
+        threshold: f64,
+        _n_features: usize,
+        feat: &mut dyn FnMut(usize) -> f64,
+        walked: &mut u64,
+    ) -> bool {
+        let n = self.trees.len() as f64;
+        let mut sum = 0.0;
+        for (k, tree) in self.trees.iter().enumerate() {
+            sum += tree.walk(&mut *feat).1;
+            *walked += 1;
+            let (mut lo, mut hi) = (sum, sum);
+            for &(min, max) in &self.leaf_range[k + 1..] {
+                lo += min;
+                hi += max;
+            }
+            if lo / n >= threshold {
+                return true;
+            }
+            if hi / n < threshold {
+                return false;
+            }
+        }
+        // After the last tree `lo == hi == sum`, so neither test holding
+        // means the threshold is NaN; answer as the eager comparison does.
+        sum / n >= threshold
+    }
 }
 
 impl Learner for RandomForestLearner {
@@ -192,7 +244,7 @@ impl RandomForestLearner {
             };
             learner.fit_tree(&bag)
         });
-        RandomForestClassifier { trees }
+        RandomForestClassifier::new(trees)
     }
 }
 

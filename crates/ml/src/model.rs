@@ -11,6 +11,27 @@ pub trait Classifier: Send + Sync {
     fn predict(&self, row: &[f64]) -> bool {
         self.predict_proba(row) >= 0.5
     }
+
+    /// `self.predict_proba(row) >= threshold` for a row that is read
+    /// through `feat` instead of materialised: `feat(i)` is feature `i` of
+    /// the `n_features`-wide row. Models that can decide without the whole
+    /// row (trees, forests) override this to ask only for the features
+    /// they test, so a caller whose `feat` computes on demand pays only for
+    /// those; the decision is the same for every implementation.
+    ///
+    /// `walked` is incremented by the number of committee members
+    /// consulted (1 for a single model).
+    fn decide(
+        &self,
+        threshold: f64,
+        n_features: usize,
+        feat: &mut dyn FnMut(usize) -> f64,
+        walked: &mut u64,
+    ) -> bool {
+        let row: Vec<f64> = (0..n_features).map(feat).collect();
+        *walked += 1;
+        self.predict_proba(&row) >= threshold
+    }
 }
 
 /// A learning algorithm that produces a [`Classifier`] from data.
@@ -56,6 +77,20 @@ impl Classifier for ConstantClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_decide_reads_the_whole_row() {
+        let c = ConstantClassifier { proba: 0.6 };
+        let (mut asked, mut walked) = (Vec::new(), 0);
+        let mut feat = |i: usize| {
+            asked.push(i);
+            i as f64
+        };
+        assert!(c.decide(0.6, 3, &mut feat, &mut walked));
+        assert!(!c.decide(0.7, 3, &mut feat, &mut walked));
+        assert_eq!(asked, [0, 1, 2, 0, 1, 2]);
+        assert_eq!(walked, 2);
+    }
 
     #[test]
     fn constant_classifier_predicts_constantly() {

@@ -167,17 +167,24 @@ impl DecisionTreeClassifier {
 
     /// Walk an example to its leaf; returns the leaf's arena index.
     pub fn leaf_for(&self, row: &[f64]) -> usize {
+        self.walk(|f| row[f]).0
+    }
+
+    /// Walk to a leaf reading feature values through `feat` — only the
+    /// features on the path are asked for. Returns the leaf's arena index
+    /// and its smoothed probability.
+    pub(crate) fn walk(&self, mut feat: impl FnMut(usize) -> f64) -> (usize, f64) {
         let mut i = 0;
         loop {
             match &self.nodes[i] {
-                Node::Leaf { .. } => return i,
+                Node::Leaf { n, n_pos } => return (i, leaf_proba(*n, *n_pos)),
                 Node::Split {
                     feature,
                     threshold,
                     left,
                     right,
                 } => {
-                    let x = row[*feature];
+                    let x = feat(*feature);
                     i = if x.is_nan() || x <= *threshold {
                         *left
                     } else {
@@ -186,6 +193,20 @@ impl DecisionTreeClassifier {
                 }
             }
         }
+    }
+
+    /// Smallest and largest leaf probability of the tree — what bounds a
+    /// forest's score before the tree is walked.
+    pub(crate) fn leaf_proba_range(&self) -> (f64, f64) {
+        self.nodes
+            .iter()
+            .filter_map(|node| match node {
+                Node::Leaf { n, n_pos } => Some(leaf_proba(*n, *n_pos)),
+                Node::Split { .. } => None,
+            })
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
+                (lo.min(p), hi.max(p))
+            })
     }
 
     /// Render the tree as an indented rule list (Fig. 4 style).
@@ -232,11 +253,24 @@ impl Classifier for DecisionTreeClassifier {
     /// leaf 0.98 — while leaving the hard prediction untouched:
     /// `(n_pos + 1) / (n + 2) ≥ 0.5  ⟺  2·n_pos ≥ n`.
     fn predict_proba(&self, row: &[f64]) -> f64 {
-        match &self.nodes[self.leaf_for(row)] {
-            Node::Leaf { n, n_pos } => (*n_pos as f64 + 1.0) / (*n as f64 + 2.0),
-            Node::Split { .. } => unreachable!("leaf_for returns a leaf"),
-        }
+        self.walk(|f| row[f]).1
     }
+
+    fn decide(
+        &self,
+        threshold: f64,
+        _n_features: usize,
+        feat: &mut dyn FnMut(usize) -> f64,
+        walked: &mut u64,
+    ) -> bool {
+        *walked += 1;
+        self.walk(feat).1 >= threshold
+    }
+}
+
+/// Laplace-smoothed probability of a leaf with `n_pos` positives among `n`.
+fn leaf_proba(n: usize, n_pos: usize) -> f64 {
+    (n_pos as f64 + 1.0) / (n as f64 + 2.0)
 }
 
 impl Learner for DecisionTreeLearner {

@@ -3,56 +3,200 @@
 //! All `*_sim` functions return values in `[0, 1]` with 1 meaning identical;
 //! raw scores (edit distances, alignment scores) are exposed separately
 //! where the raw value is meaningful to feature generators.
+//!
+//! Levenshtein and Jaro(–Winkler) have **one implementation each, over
+//! `&[char]`** ([`levenshtein_chars`], [`jaro_chars`],
+//! [`jaro_winkler_chars`]): batch callers decode a record's characters once
+//! and call these per pair without allocating; the `&str` functions decode
+//! once and delegate, so both routes run the same code and return the same
+//! bits.
 
-/// Levenshtein (edit) distance with unit costs, O(|a|·|b|) time and
-/// O(min) space.
+/// Decode a string's characters once.
+fn decode(s: &str) -> Vec<char> {
+    s.chars().collect()
+}
+
+/// Levenshtein (edit) distance with unit costs.
 pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
-    if short.is_empty() {
-        return long.len();
+    levenshtein_chars(&decode(a), &decode(b), &mut Vec::new())
+}
+
+/// Levenshtein distance over decoded characters.
+///
+/// The shorter side is the pattern. With at most 64 pattern characters the
+/// distance comes from the bit-parallel recurrence of Myers as refined by
+/// Hyyrö: one `u64` holds the vertical deltas of a whole DP column, so each
+/// text character costs a handful of word operations instead of a pattern's
+/// worth of cells. Longer patterns run the classic DP in `rows`, a
+/// caller-owned buffer that is resized as needed and never read across
+/// calls (pass the same `Vec` to every call of a batch and it allocates
+/// once). Both forms compute the same integer.
+pub fn levenshtein_chars(a: &[char], b: &[char], rows: &mut Vec<usize>) -> usize {
+    let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if pattern.is_empty() {
+        return text.len();
     }
-    let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut cur = vec![0usize; short.len() + 1];
-    for (i, lc) in long.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, sc) in short.iter().enumerate() {
-            let sub = prev[j] + usize::from(lc != sc);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+    if pattern.len() <= 64 {
+        levenshtein_bitparallel(pattern, text)
+    } else {
+        levenshtein_dp(pattern, text, rows)
+    }
+}
+
+/// Myers/Hyyrö bit-vector edit distance, `1 ≤ pattern.len() ≤ 64`.
+///
+/// Bit `j` of `pv`/`mv` says whether the DP column's cell `j + 1` is one
+/// more/less than cell `j`; `score` tracks the bottom cell. The first DP
+/// row is `0, 1, 2, …` (global alignment), which is the `| 1` shifted into
+/// the horizontal positive delta.
+fn levenshtein_bitparallel(pattern: &[char], text: &[char]) -> usize {
+    let m = pattern.len();
+    debug_assert!((1..=64).contains(&m));
+    // Match masks of the pattern's distinct characters; a character absent
+    // from the table matches nowhere (mask 0).
+    let mut table = [('\0', 0u64); 64];
+    let mut distinct = 0;
+    for (j, &c) in pattern.iter().enumerate() {
+        let bit = 1u64 << j;
+        match table[..distinct].iter_mut().find(|(tc, _)| *tc == c) {
+            Some((_, mask)) => *mask |= bit,
+            None => {
+                table[distinct] = (c, bit);
+                distinct += 1;
+            }
         }
-        std::mem::swap(&mut prev, &mut cur);
     }
-    prev[short.len()]
+    let table = &table[..distinct];
+    let top = 1u64 << (m - 1);
+    let mut pv = u64::MAX;
+    let mut mv = 0u64;
+    let mut score = m;
+    for &c in text {
+        let eq = table
+            .iter()
+            .find_map(|&(tc, mask)| (tc == c).then_some(mask))
+            .unwrap_or(0);
+        let xv = eq | mv;
+        let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
+        let mut ph = mv | !(xh | pv);
+        let mut mh = pv & xh;
+        if ph & top != 0 {
+            score += 1;
+        }
+        if mh & top != 0 {
+            score -= 1;
+        }
+        ph = (ph << 1) | 1;
+        mh <<= 1;
+        pv = mh | !(xv | ph);
+        mv = ph & xv;
+    }
+    score
+}
+
+/// The classic DP over one reused row (`diag` carries the cell the row
+/// overwrote), for patterns beyond a machine word.
+fn levenshtein_dp(pattern: &[char], text: &[char], row: &mut Vec<usize>) -> usize {
+    row.clear();
+    row.extend(0..=pattern.len());
+    for (i, tc) in text.iter().enumerate() {
+        let mut diag = row[0];
+        row[0] = i + 1;
+        for (j, pc) in pattern.iter().enumerate() {
+            let up = row[j + 1];
+            row[j + 1] = (diag + usize::from(tc != pc)).min(up + 1).min(row[j] + 1);
+            diag = up;
+        }
+    }
+    row[pattern.len()]
 }
 
 /// Normalized Levenshtein similarity: `1 - dist / max_len`; 1.0 for two
 /// empty strings.
 pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
+    levenshtein_sim_chars(&decode(a), &decode(b), &mut Vec::new())
+}
+
+/// [`levenshtein_sim`] over decoded characters (`rows` as in
+/// [`levenshtein_chars`]).
+pub fn levenshtein_sim_chars(a: &[char], b: &[char], rows: &mut Vec<usize>) -> f64 {
+    let max_len = a.len().max(b.len());
     if max_len == 0 {
         return 1.0;
     }
-    1.0 - levenshtein(a, b) as f64 / max_len as f64
+    1.0 - levenshtein_chars(a, b, rows) as f64 / max_len as f64
 }
 
 /// Jaro similarity in `[0, 1]`.
 pub fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
+    jaro_chars(&decode(a), &decode(b))
+}
+
+/// Jaro similarity over decoded characters.
+///
+/// When both sides have at most 64 characters the "already matched" flags
+/// of both sides are two `u64` masks and transpositions are counted by
+/// walking the masks' set bits in step — no allocation; longer inputs keep
+/// the flags in vectors. The matching order, the counts and the final
+/// expression are the same in both forms.
+pub fn jaro_chars(a: &[char], b: &[char]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
+    let (m, transpositions) = if a.len() <= 64 && b.len() <= 64 {
+        jaro_matches_masks(a, b)
+    } else {
+        jaro_matches_vecs(a, b)
+    };
+    if m == 0 {
+        return 0.0;
+    }
+    let m = m as f64;
+    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+}
+
+/// The half-open range of `b` positions a character at `a[i]` may match.
+fn jaro_window(i: usize, window: usize, b_len: usize) -> std::ops::Range<usize> {
+    i.saturating_sub(window)..(i + window + 1).min(b_len)
+}
+
+/// `(matches, transpositions)` with both flag sets in machine words.
+fn jaro_matches_masks(a: &[char], b: &[char]) -> (usize, usize) {
+    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+    let mut a_matched = 0u64;
+    let mut b_used = 0u64;
+    for (i, ca) in a.iter().enumerate() {
+        for j in jaro_window(i, window, b.len()) {
+            if b_used & (1 << j) == 0 && b[j] == *ca {
+                b_used |= 1 << j;
+                a_matched |= 1 << i;
+                break;
+            }
+        }
+    }
+    // The k-th matched character of `a` against the k-th used one of `b`.
+    let mut out_of_order = 0;
+    let (mut am, mut bm) = (a_matched, b_used);
+    while am != 0 {
+        if a[am.trailing_zeros() as usize] != b[bm.trailing_zeros() as usize] {
+            out_of_order += 1;
+        }
+        am &= am - 1;
+        bm &= bm - 1;
+    }
+    (a_matched.count_ones() as usize, out_of_order / 2)
+}
+
+/// `(matches, transpositions)` for inputs beyond a machine word.
+fn jaro_matches_vecs(a: &[char], b: &[char]) -> (usize, usize) {
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
     let mut b_used = vec![false; b.len()];
     let mut matches_a: Vec<char> = Vec::new();
     for (i, ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
+        for j in jaro_window(i, window, b.len()) {
             if !b_used[j] && b[j] == *ca {
                 b_used[j] = true;
                 matches_a.push(*ca);
@@ -60,23 +204,9 @@ pub fn jaro(a: &str, b: &str) -> f64 {
             }
         }
     }
-    let m = matches_a.len();
-    if m == 0 {
-        return 0.0;
-    }
-    let matches_b: Vec<char> = b
-        .iter()
-        .zip(&b_used)
-        .filter_map(|(c, used)| used.then_some(*c))
-        .collect();
-    let transpositions = matches_a
-        .iter()
-        .zip(&matches_b)
-        .filter(|(x, y)| x != y)
-        .count()
-        / 2;
-    let m = m as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+    let matches_b = b.iter().zip(&b_used).filter_map(|(c, used)| used.then_some(c));
+    let out_of_order = matches_a.iter().zip(matches_b).filter(|(x, y)| x != y).count();
+    (matches_a.len(), out_of_order / 2)
 }
 
 /// Jaro–Winkler similarity with the standard prefix scale `p = 0.1` and a
@@ -85,14 +215,23 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
     jaro_winkler_with(a, b, 0.1)
 }
 
+/// [`jaro_winkler`] over decoded characters.
+pub fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
+    jaro_winkler_chars_with(a, b, 0.1)
+}
+
 /// Jaro–Winkler with an explicit prefix scale (must be ≤ 0.25 to keep the
 /// result in `[0, 1]`).
 pub fn jaro_winkler_with(a: &str, b: &str, prefix_scale: f64) -> f64 {
+    jaro_winkler_chars_with(&decode(a), &decode(b), prefix_scale)
+}
+
+fn jaro_winkler_chars_with(a: &[char], b: &[char], prefix_scale: f64) -> f64 {
     debug_assert!((0.0..=0.25).contains(&prefix_scale));
-    let j = jaro(a, b);
+    let j = jaro_chars(a, b);
     let prefix = a
-        .chars()
-        .zip(b.chars())
+        .iter()
+        .zip(b)
         .take(4)
         .take_while(|(x, y)| x == y)
         .count();
@@ -238,9 +377,171 @@ pub fn exact_match(a: &str, b: &str) -> f64 {
     f64::from(a == b)
 }
 
+/// The textbook forms the slice kernels replaced, kept verbatim as the
+/// oracle their results are compared against bit for bit.
+#[cfg(test)]
+mod reference {
+    pub fn levenshtein(a: &str, b: &str) -> usize {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
+        if short.is_empty() {
+            return long.len();
+        }
+        let mut prev: Vec<usize> = (0..=short.len()).collect();
+        let mut cur = vec![0usize; short.len() + 1];
+        for (i, lc) in long.iter().enumerate() {
+            cur[0] = i + 1;
+            for (j, sc) in short.iter().enumerate() {
+                let sub = prev[j] + usize::from(lc != sc);
+                cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+            }
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        prev[short.len()]
+    }
+
+    pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
+        let max_len = a.chars().count().max(b.chars().count());
+        if max_len == 0 {
+            return 1.0;
+        }
+        1.0 - levenshtein(a, b) as f64 / max_len as f64
+    }
+
+    pub fn jaro(a: &str, b: &str) -> f64 {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+        let mut b_used = vec![false; b.len()];
+        let mut matches_a: Vec<char> = Vec::new();
+        for (i, ca) in a.iter().enumerate() {
+            let lo = i.saturating_sub(window);
+            let hi = (i + window + 1).min(b.len());
+            for j in lo..hi {
+                if !b_used[j] && b[j] == *ca {
+                    b_used[j] = true;
+                    matches_a.push(*ca);
+                    break;
+                }
+            }
+        }
+        let m = matches_a.len();
+        if m == 0 {
+            return 0.0;
+        }
+        let matches_b: Vec<char> = b
+            .iter()
+            .zip(&b_used)
+            .filter_map(|(c, used)| used.then_some(*c))
+            .collect();
+        let transpositions = matches_a
+            .iter()
+            .zip(&matches_b)
+            .filter(|(x, y)| x != y)
+            .count()
+            / 2;
+        let m = m as f64;
+        (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+    }
+
+    pub fn jaro_winkler(a: &str, b: &str) -> f64 {
+        let j = jaro(a, b);
+        let prefix = a
+            .chars()
+            .zip(b.chars())
+            .take(4)
+            .take_while(|(x, y)| x == y)
+            .count();
+        j + prefix as f64 * 0.1 * (1.0 - j)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Lengths on both sides of the 64-character word the bit-parallel
+    /// forms are limited to, and short ones.
+    fn length() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            Just(0usize),
+            Just(1usize),
+            Just(63usize),
+            Just(64usize),
+            Just(65usize),
+            Just(130usize),
+            0usize..12
+        ]
+    }
+
+    fn over(alphabet: &'static [char]) -> impl Strategy<Value = Vec<char>> {
+        length()
+            .prop_flat_map(move |n| proptest::collection::vec(0..alphabet.len(), n..n + 1))
+            .prop_map(move |ix| ix.into_iter().map(|i| alphabet[i]).collect())
+    }
+
+    /// One side of a pair: all-equal, heavily repeated, multi-byte UTF-8
+    /// (decoded length ≠ byte length) and all-different strings.
+    fn side() -> impl Strategy<Value = Vec<char>> {
+        prop_oneof![
+            over(&['a']),
+            over(&['a', 'b']),
+            over(&['a', 'b', 'c', 'é', '日', '𝄞']),
+            (length(), 0u32..3).prop_map(|(n, block)| {
+                (0..n as u32)
+                    .map(|i| char::from_u32(0x4E00 + block * 40 + i).expect("CJK block"))
+                    .collect()
+            }),
+        ]
+    }
+
+    proptest! {
+        /// Slice kernels, and the `&str` functions over them, return the
+        /// textbook forms' exact integers and exact `f64` bits.
+        #[test]
+        fn slice_kernels_match_the_textbook_forms(a in side(), b in side()) {
+            let (sa, sb): (String, String) = (a.iter().collect(), b.iter().collect());
+            // One buffer for every call: nothing may leak between calls.
+            let mut rows = vec![7usize; 3];
+            let want = reference::levenshtein(&sa, &sb);
+            prop_assert_eq!(levenshtein_chars(&a, &b, &mut rows), want);
+            prop_assert_eq!(levenshtein_chars(&b, &a, &mut rows), want);
+            prop_assert_eq!(levenshtein(&sa, &sb), want);
+            let checks = [
+                (levenshtein_sim_chars(&a, &b, &mut rows), reference::levenshtein_sim(&sa, &sb)),
+                (levenshtein_sim(&sa, &sb), reference::levenshtein_sim(&sa, &sb)),
+                (jaro_chars(&a, &b), reference::jaro(&sa, &sb)),
+                (jaro_chars(&b, &a), reference::jaro(&sb, &sa)),
+                (jaro(&sa, &sb), reference::jaro(&sa, &sb)),
+                (jaro_winkler_chars(&a, &b), reference::jaro_winkler(&sa, &sb)),
+                (jaro_winkler(&sa, &sb), reference::jaro_winkler(&sa, &sb)),
+            ];
+            for (k, (got, want)) in checks.into_iter().enumerate() {
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "check {}: {} vs {}", k, got, want);
+            }
+        }
+    }
+
+    /// The DP beyond 64 pattern characters and the bit-parallel form agree
+    /// where both apply.
+    #[test]
+    fn long_pattern_dp_agrees_with_bitparallel() {
+        let a: Vec<char> = "the quick brown fox jumps over the lazy dog".chars().collect();
+        let b: Vec<char> = "a quick brown dog jumps over the lazy fox!".chars().collect();
+        let (p, t) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
+        assert_eq!(
+            levenshtein_dp(p, t, &mut Vec::new()),
+            levenshtein_bitparallel(p, t)
+        );
+    }
 
     #[test]
     fn levenshtein_known_values() {

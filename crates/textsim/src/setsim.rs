@@ -116,9 +116,54 @@ pub fn monge_elkan<S: AsRef<str>>(
     total / a.len() as f64
 }
 
-/// Monge–Elkan with the default Jaro–Winkler secondary measure.
+/// Monge–Elkan with the default Jaro–Winkler secondary measure. Decodes
+/// each token once and runs [`monge_elkan_jw_chars`].
 pub fn monge_elkan_jw<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    monge_elkan(a, b, crate::seqsim::jaro_winkler)
+    let decode = |bag: &[S]| -> Vec<Vec<char>> {
+        bag.iter().map(|t| t.as_ref().chars().collect()).collect()
+    };
+    monge_elkan_jw_chars(&decode(a), &decode(b))
+}
+
+/// [`monge_elkan_jw`] over pre-decoded tokens; allocates nothing for
+/// tokens of at most 64 characters.
+///
+/// The inner maximum stops at the first token scoring 1.0, and equal
+/// tokens score 1.0 without running Jaro at all. Both shortcuts return
+/// the bits of the full scan ([`monge_elkan`] with
+/// [`crate::seqsim::jaro_winkler`]):
+///
+/// * `jaro(x, x)` matches every character to itself with no
+///   transpositions, so it evaluates `(1 + 1 + 1) / 3`, which is exactly
+///   1.0, and the Winkler prefix term is multiplied by `1 − 1`;
+/// * Jaro–Winkler never exceeds 1.0 (Jaro is at most 1, the prefix term
+///   adds at most `0.4 · (1 − jaro)`, and rounding is monotone), so once
+///   some token scores 1.0 the maximum over the rest is 1.0 as well.
+pub fn monge_elkan_jw_chars<T: AsRef<[char]>>(a: &[T], b: &[T]) -> f64 {
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    if a.is_empty() || b.is_empty() {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    for ta in a {
+        let ta = ta.as_ref();
+        let mut best = f64::NEG_INFINITY;
+        for tb in b {
+            let tb = tb.as_ref();
+            if ta == tb {
+                best = 1.0;
+                break;
+            }
+            best = best.max(crate::seqsim::jaro_winkler_chars(ta, tb));
+            if best >= 1.0 {
+                break;
+            }
+        }
+        total += best;
+    }
+    total / a.len() as f64
 }
 
 #[cfg(test)]
@@ -178,6 +223,22 @@ mod tests {
         let many = toks("smith john w");
         assert_eq!(monge_elkan_jw(&one, &many), 1.0);
         assert!(monge_elkan_jw(&many, &one) < 1.0);
+    }
+
+    proptest::proptest! {
+        /// The equal-token and first-1.0 shortcuts return the full scan's
+        /// bits, with duplicate tokens, equal tokens and empty sides.
+        #[test]
+        fn monge_elkan_jw_shortcuts_match_the_full_scan(
+            x in "[ab]{0,3}( [abé]{1,4}){0,4}",
+            y in "[ab]{0,3}( [abé]{1,4}){0,4}",
+        ) {
+            // Appending a side to itself forces duplicate and equal tokens.
+            for (a, b) in [(toks(&x), toks(&y)), (toks(&format!("{x} {y} {x}")), toks(&y))] {
+                let full = monge_elkan(&a, &b, crate::seqsim::jaro_winkler);
+                proptest::prop_assert_eq!(monge_elkan_jw(&a, &b).to_bits(), full.to_bits());
+            }
+        }
     }
 
     #[test]
