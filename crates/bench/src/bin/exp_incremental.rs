@@ -23,7 +23,7 @@ use magellan_core::{StreamSession, TextGen};
 use magellan_faults::{SimClock, StreamOp, StreamPlan};
 use magellan_features::{Feature, FeatureKind, TokSpecF};
 use magellan_ml::{Dataset, FlatForest, RandomForestLearner};
-use magellan_par::ParConfig;
+use magellan_par::{JoinStats, ParConfig};
 use magellan_simjoin::{IncrementalJoin, RecordMutation, SetSimMeasure, Side};
 use magellan_textsim::tokenize::WhitespaceTokenizer;
 
@@ -183,6 +183,7 @@ fn main() {
     let mut total_ops = 0usize;
     let mut pairs_added = 0u64;
     let mut pairs_removed = 0u64;
+    let mut cascade = JoinStats::default();
     let mut step = 0u64;
     for _ in 0..batches {
         let batch = synth_batch(&engines[0].1, &plan, vocab, step, churn);
@@ -192,8 +193,9 @@ fn main() {
             let cfg = ParConfig::workers(*w);
             if *w == 1 {
                 let t = Instant::now();
-                let (deltas, _) = engine.apply_batch(&batch, &tok, &cfg);
+                let (deltas, stats) = engine.apply_batch(&batch, &tok, &cfg);
                 t_delta.push(t.elapsed().as_secs_f64());
+                cascade.merge(&stats);
                 for d in &deltas {
                     match d {
                         magellan_simjoin::PairDelta::Added(_) => pairs_added += 1,
@@ -247,6 +249,15 @@ fn main() {
         txt,
         "deltas: +{pairs_added} -{pairs_removed} pairs over {total_ops} mutations; live={}",
         engines[0].1.n_live_pairs()
+    )
+    .unwrap();
+    writeln!(
+        txt,
+        "delta cascade: {} probes, {:.1} candidates/probe ({} killed by position), {:.2} verify_steps/verified",
+        cascade.delta_probes,
+        cascade.candidates as f64 / cascade.delta_probes.max(1) as f64,
+        cascade.killed_by_position,
+        cascade.verify_steps as f64 / cascade.verified.max(1) as f64,
     )
     .unwrap();
     writeln!(

@@ -8,9 +8,8 @@
 //! incremental tiers grown underneath it:
 //!
 //! * [`magellan_simjoin::IncrementalJoin`] — delta-maintained candidate
-//!   generation (tombstoned CSR + tail overlay, signed pair deltas);
-//! * [`magellan_block::CandidateSet::apply_deltas`] — the candidate set
-//!   patched in one merge pass;
+//!   generation (tombstoned CSR + tail overlay, signed pair deltas); its
+//!   live view *is* the session's candidate set;
 //! * [`magellan_features::StreamingPreparedPair`] — per-record cache
 //!   invalidation, so only dirty records re-tokenize;
 //! * [`magellan_ml::FlatForest::rescore_dirty`] — model scores recomputed
@@ -39,7 +38,6 @@
 
 use std::collections::BTreeMap;
 
-use magellan_block::CandidateSet;
 use magellan_faults::{SimClock, StreamOp, StreamPlan};
 use magellan_features::{Feature, StreamingPreparedPair};
 use magellan_ml::FlatForest;
@@ -132,8 +130,10 @@ pub struct StreamSession {
     store: StreamingPreparedPair,
     features: Vec<Feature>,
     forest: FlatForest,
-    candidates: CandidateSet,
     scores: BTreeMap<(usize, usize), f64>,
+    /// Scores at or above `threshold`, kept in step with every insert,
+    /// replace and removal so a tick never walks `scores` to count them.
+    live_matches: usize,
     threshold: f64,
     par: ParConfig,
     batches: u64,
@@ -166,8 +166,8 @@ impl StreamSession {
             store: StreamingPreparedPair::new(a, b),
             features,
             forest,
-            candidates: CandidateSet::default(),
             scores: BTreeMap::new(),
+            live_matches: 0,
             threshold,
             par,
             batches: 0,
@@ -187,7 +187,7 @@ impl StreamSession {
 
     /// Live candidate pairs (the join's delta-maintained view).
     pub fn n_candidates(&self) -> usize {
-        self.candidates.len()
+        self.engine.n_live_pairs()
     }
 
     /// The live matched view: `(left rid, right rid) → probability` for
@@ -200,7 +200,8 @@ impl StreamSession {
             .collect()
     }
 
-    /// Number of live matched pairs.
+    /// Number of live matched pairs, counted by a walk over every score
+    /// (a tick reports the running count instead).
     pub fn n_matches(&self) -> usize {
         self.scores.values().filter(|&&p| p >= self.threshold).count()
     }
@@ -211,8 +212,9 @@ impl StreamSession {
     }
 
     /// Apply one mutation batch through the whole incremental pipeline:
-    /// delta join → candidate patch → dirty-pair featurization → dirty-pair
-    /// rescore. Cost is O(batch × affected neighborhoods), never O(corpus).
+    /// delta join → score retirement → dirty-pair featurization →
+    /// dirty-pair rescore. Cost is O(batch × affected neighborhoods), never
+    /// O(corpus) or O(live view).
     pub fn ingest(&mut self, batch: &[RecordMutation]) -> Result<StreamBatchReport, MagellanError> {
         self.batches += 1;
         let _span = magellan_obs::span("stream_batch", self.batches);
@@ -256,14 +258,18 @@ impl StreamSession {
         debug_assert_eq!(self.store.tables().1.nrows(), self.engine.n_records(Side::Right));
         drop(mirror_span);
 
-        // 3. Patch the candidate set and retire dead scores.
+        // 3. Retire dead scores (the engine's live view already is the
+        //    patched candidate set).
         let patch_span = magellan_obs::span("patch_candidates", 0);
-        let applied = self.candidates.apply_deltas(&deltas);
         let mut dirty: Vec<(usize, usize)> = Vec::new();
+        let mut pairs_removed = 0;
         for d in &deltas {
             match d {
                 PairDelta::Removed { l, r } => {
-                    self.scores.remove(&(*l, *r));
+                    pairs_removed += 1;
+                    if let Some(p) = self.scores.remove(&(*l, *r)) {
+                        self.live_matches -= usize::from(p >= self.threshold);
+                    }
                 }
                 PairDelta::Added(p) => dirty.push((p.l, p.r)),
             }
@@ -285,20 +291,24 @@ impl StreamSession {
                 .zip(matrix.rows)
                 .collect();
             for ((l, r), p) in self.forest.rescore_dirty(&keyed, &self.par) {
-                self.scores.insert((l, r), p);
+                self.live_matches += usize::from(p >= self.threshold);
+                if let Some(old) = self.scores.insert((l, r), p) {
+                    self.live_matches -= usize::from(old >= self.threshold);
+                }
             }
         }
         drop(rescore_span);
+        debug_assert_eq!(self.live_matches, self.n_matches());
 
         let report = StreamBatchReport {
             batch: self.batches,
             mutations: batch.len(),
-            pairs_added: applied.added,
-            pairs_removed: applied.removed,
+            pairs_added: dirty.len(),
+            pairs_removed,
             dirty_pairs: dirty.len(),
             compactions: stats.compactions as u64,
-            live_candidates: self.candidates.len(),
-            live_matches: self.n_matches(),
+            live_candidates: self.engine.n_live_pairs(),
+            live_matches: self.live_matches,
         };
         magellan_obs::counter_add("magellan_stream_batches_total", 1);
         magellan_obs::counter_add("magellan_stream_mutations_total", batch.len() as u64);
@@ -610,9 +620,9 @@ impl StreamSession {
             ])
             .map_err(MagellanError::Table)?;
         }
-        let candidates: CandidateSet = live
-            .iter()
-            .map(|&(l, r, _)| (l as u32, r as u32))
+        let scores: BTreeMap<(usize, usize), f64> = scores
+            .into_iter()
+            .map(|(l, r, bits)| ((l, r), f64::from_bits(bits)))
             .collect();
         Ok(StreamSession {
             engine,
@@ -620,11 +630,8 @@ impl StreamSession {
             store: StreamingPreparedPair::new(a, b),
             features,
             forest,
-            candidates,
-            scores: scores
-                .into_iter()
-                .map(|(l, r, bits)| ((l, r), f64::from_bits(bits)))
-                .collect(),
+            live_matches: scores.values().filter(|&&p| p >= threshold).count(),
+            scores,
             threshold,
             par,
             batches,
@@ -794,6 +801,68 @@ mod tests {
         // And the resumed view still equals its own oracle.
         let oracle = resumed.rebuild_oracle().unwrap();
         assert_eq!(vr.len(), oracle.len());
+    }
+
+    /// The running counters are the scans they replace: after every batch
+    /// of a seeded stream, and again across a checkpoint round trip.
+    #[test]
+    fn running_counts_agree_with_the_scans() {
+        let mut s = session(1);
+        let plan = StreamPlan::churn(31);
+        let gen = TextGen {
+            vocab: 14,
+            min_tokens: 4,
+            max_tokens: 7,
+        };
+        let mut clock = SimClock::new();
+        let mut peak = 0;
+        for _ in 0..60 {
+            let report = s.run_plan_batch(&plan, &gen, 6, &mut clock, 1.0).unwrap();
+            assert_eq!(report.live_matches, s.n_matches());
+            assert_eq!(report.live_candidates, s.n_candidates());
+            assert_eq!(s.n_candidates(), s.engine().n_live_pairs());
+            assert_eq!(report.pairs_added, report.dirty_pairs);
+            peak = peak.max(report.live_matches);
+        }
+        assert!(peak > 0, "stream never produced a match — fixture too sparse");
+        let mut resumed = StreamSession::restore_from_text(
+            &s.checkpoint_text(),
+            SetSimMeasure::Jaccard(0.4),
+            stream_features(),
+            fixture_forest(3),
+            0.5,
+            ParConfig::serial(),
+        )
+        .unwrap();
+        assert_eq!(resumed.n_matches(), s.n_matches());
+        assert_eq!(resumed.n_candidates(), s.n_candidates());
+        let report = resumed.run_plan_batch(&plan, &gen, 6, &mut clock, 1.0).unwrap();
+        assert_eq!(report.live_matches, resumed.n_matches());
+        assert_eq!(report.live_candidates, resumed.engine().n_live_pairs());
+    }
+
+    /// Re-writing a matched record to a non-matching text and back moves
+    /// the match counter down and up again.
+    #[test]
+    fn match_counter_follows_a_record_out_and_back() {
+        let mut s = session(1);
+        let text = |t: &str| Some(t.to_owned());
+        let insert = |side, t| RecordMutation::Insert { side, text: text(t) };
+        let update = |t| RecordMutation::Update {
+            side: Side::Left,
+            rid: 0,
+            text: text(t),
+        };
+        let title = "tok1 tok2 tok3 tok4 tok5";
+        let seeded = s
+            .ingest(&[insert(Side::Left, title), insert(Side::Right, title)])
+            .unwrap();
+        assert_eq!((seeded.live_candidates, seeded.live_matches), (1, 1));
+        let away = s.ingest(&[update("tok6 tok7 tok8 tok9")]).unwrap();
+        assert_eq!((away.pairs_removed, away.live_candidates, away.live_matches), (1, 0, 0));
+        let back = s.ingest(&[update(title)]).unwrap();
+        assert_eq!((back.pairs_added, back.live_candidates, back.live_matches), (1, 1, 1));
+        assert_eq!(s.matched_pairs().len(), 1);
     }
 
     /// Corruption in any checkpoint section is a fatal, precise error.

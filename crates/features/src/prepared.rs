@@ -204,12 +204,8 @@ fn prepare_pairs_for(
 ) {
     left.ensure_rows(a.nrows());
     right.ensure_rows(b.nrows());
-    let mut l_ref = vec![false; a.nrows()];
-    let mut r_ref = vec![false; b.nrows()];
-    for &(ra, rb) in pairs {
-        l_ref[ra as usize] = true;
-        r_ref[rb as usize] = true;
-    }
+    let l_rows = referenced_rows(pairs.iter().map(|p| p.0), a.nrows());
+    let r_rows = referenced_rows(pairs.iter().map(|p| p.1), b.nrows());
     // Distinct slots per side (several features can share one slot).
     let mut l_slots: Vec<usize> = plan.entries.iter().map(|e| e.l_slot).collect();
     l_slots.sort_unstable();
@@ -219,12 +215,37 @@ fn prepare_pairs_for(
     r_slots.dedup();
 
     for &s in &l_slots {
-        prepare_column(&mut left.cols[s], a, &l_ref, interner, stats);
+        prepare_column(&mut left.cols[s], a, &l_rows, interner, stats);
     }
     for &s in &r_slots {
-        prepare_column(&mut right.cols[s], b, &r_ref, interner, stats);
+        prepare_column(&mut right.cols[s], b, &r_rows, interner, stats);
     }
     stats.interner_tokens = interner.len();
+}
+
+/// A pair list this many times shorter than the table is sorted instead
+/// of marked into a table-sized bitmap.
+const SPARSE_ROWS_PER_PAIR: usize = 8;
+
+/// The distinct row ids a pair list references on one side, ascending.
+/// A batch-sized list marks a bitmap and sweeps it; a stream tick's few
+/// dozen pairs against a table of thousands are sorted instead, so the
+/// call costs O(pairs), not O(rows). Same list either way.
+fn referenced_rows(ids: impl ExactSizeIterator<Item = u32>, nrows: usize) -> Vec<u32> {
+    if ids.len() * SPARSE_ROWS_PER_PAIR < nrows {
+        let mut rows: Vec<u32> = ids.collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows
+    } else {
+        let mut referenced = vec![false; nrows];
+        for r in ids {
+            referenced[r as usize] = true;
+        }
+        (0..nrows as u32)
+            .filter(|&r| referenced[r as usize])
+            .collect()
+    }
 }
 
 /// One preparation call's [`CacheStats`]: the counters it moved, the
@@ -437,7 +458,7 @@ impl<'t> PreparedPair<'t> {
 ///
 /// The shared [`TokenInterner`] is append-only, so already-prepared id
 /// sets stay valid as new records grow the vocabulary (same argument as
-/// the incremental join's interner-order prefix index).
+/// the incremental join's prefix index, whose keys mirror interner ids).
 #[derive(Debug)]
 pub struct StreamingPreparedPair {
     a: Table,
@@ -571,18 +592,16 @@ impl StreamingPreparedPair {
 }
 
 /// Fill one combination's cells for every referenced, still-unprepared
-/// record.
+/// record (`rows` ascending: interner ids are assigned in visit order).
 fn prepare_column(
     column: &mut PrepColumn,
     table: &Table,
-    referenced: &[bool],
+    rows: &[u32],
     interner: &mut TokenInterner,
     stats: &mut CacheStats,
 ) {
-    for (r, &wanted) in referenced.iter().enumerate() {
-        if !wanted {
-            continue;
-        }
+    for &r in rows {
+        let r = r as usize;
         stats.lookups += 1;
         if column.cells[r].is_some() {
             stats.hits += 1;
@@ -973,6 +992,69 @@ mod tests {
                 assert_eq!(cv.to_bits(), sv.to_bits(), "grown extract diverged");
             }
         }
+    }
+
+    /// Few pairs against a long table walk the pairs (sorted row ids), many
+    /// walk the table (bitmap sweep): the same referenced rows either way,
+    /// hence the same cache counters, interner and cells.
+    #[test]
+    fn sparse_and_dense_preparation_agree() {
+        let rows = |n: usize, tag: &str| {
+            Table::from_rows(
+                tag,
+                &[("id", Dtype::Str), ("name", Dtype::Str)],
+                (0..n)
+                    .map(|i| {
+                        let name = match i % 7 {
+                            0 => Value::Null,
+                            _ => format!("w{} w{} shared", i % 11, i % 5).into(),
+                        };
+                        vec![format!("{tag}{i}").into(), name]
+                    })
+                    .collect(),
+            )
+            .unwrap()
+        };
+        let (a, b) = (rows(300, "a"), rows(200, "b"));
+        let features = vec![
+            Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word)),
+            Feature::new("name", "name", FeatureKind::JaroWinkler),
+        ];
+        // Unsorted, with repeated rows on both sides.
+        let few: Vec<(u32, u32)> = vec![(250, 3), (7, 199), (250, 40), (8, 3), (0, 0), (7, 3)];
+        // The same pairs listed often enough to count as batch-sized.
+        let many: Vec<(u32, u32)> = few.iter().cycle().take(few.len() * 20).copied().collect();
+        assert!(few.len() * SPARSE_ROWS_PER_PAIR < b.nrows(), "`few` must take the sorted route");
+        assert!(many.len() * SPARSE_ROWS_PER_PAIR >= a.nrows(), "`many` must take the bitmap route");
+        for side in [0, 1] {
+            let ids = |pairs: &[(u32, u32)]| -> Vec<u32> {
+                pairs.iter().map(|p| [p.0, p.1][side]).collect()
+            };
+            let n = [a.nrows(), b.nrows()][side];
+            assert_eq!(
+                referenced_rows(ids(&few).into_iter(), n),
+                referenced_rows(ids(&many).into_iter(), n),
+            );
+        }
+
+        let cfg = ParConfig::serial();
+        let (mut sparse, mut dense) = (PreparedPair::new(&a, &b), PreparedPair::new(&a, &b));
+        let (ms, ss) = extract_with_prepared(&mut sparse, &few, &features, &cfg).unwrap();
+        let (md, sd) = extract_with_prepared(&mut dense, &many, &features, &cfg).unwrap();
+        let counted = |c: &CacheStats| (c.lookups, c.hits, c.records_prepared, c.tokenize_calls);
+        assert_eq!(counted(&ss.cache), counted(&sd.cache));
+        assert_eq!(ss.cache.lookups, 2 * (4 + 4), "two slots over 4 + 4 distinct rows");
+        assert_eq!(sparse.interner_len(), dense.interner_len());
+        for (rs, rd) in ms.rows.iter().zip(&md.rows) {
+            for (vs, vd) in rs.iter().zip(rd) {
+                assert_eq!(vs.to_bits(), vd.to_bits());
+            }
+        }
+        // A second call hits every cell on both routes.
+        let (_, ss2) = extract_with_prepared(&mut sparse, &few, &features, &cfg).unwrap();
+        let (_, sd2) = extract_with_prepared(&mut dense, &many, &features, &cfg).unwrap();
+        assert_eq!(counted(&ss2.cache), counted(&sd2.cache));
+        assert_eq!(ss2.cache.hits, ss2.cache.lookups);
     }
 
     #[test]

@@ -31,19 +31,41 @@
 //!
 //! ## Token order and determinism
 //!
-//! The batch engine orders tokens rarest-first, but the prefix-filter
-//! lemma needs only *some* total order shared by both sides — prefix
-//! lengths depend on set size and threshold alone. The incremental tier
-//! therefore orders tokens by **append-only interner id**, which is
-//! stable under vocabulary growth: new tokens get fresh ids and no
-//! existing record's sorted id set ever changes under it. Every measure's
-//! similarity is a pure symmetric function of `(|x|, |y|, |x ∩ y|)`, and
-//! verification computes the exact overlap, so the live view is
-//! **bit-identical** — same pair set, same `f64` bits — to a from-scratch
-//! [`crate::join::set_sim_join`] over the surviving records, after any
-//! batch, at any worker count, regardless of compaction timing.
+//! The prefix-filter lemma needs only *some* total order shared by both
+//! sides — prefix lengths depend on set size and threshold alone — but
+//! the order decides what a prefix costs: candidates are the postings
+//! under the probe's prefix tokens, so the prefix should hold the rare
+//! ones. The batch engine sorts tokens by document frequency; a standing
+//! index cannot (frequencies move under mutation, and re-ranking rewrites
+//! every stored set). The incremental tier orders tokens
+//! **latest-first-seen first**: a record's set is stored as ascending
+//! `u32::MAX − interner id` keys. Because the interner is append-only, a
+//! new token gets a key *below* every existing one, so no stored set,
+//! prefix or posting ever changes under vocabulary growth; and because a
+//! token's first sighting comes early in proportion to how common it is
+//! (Zipf/Heaps), old means frequent and the prefix leans rare without a
+//! frequency table, an epoch or a re-sort at compaction. A stream that
+//! introduces its frequent tokens late only loses filter selectivity —
+//! speed, never correctness: every measure's similarity is a pure
+//! symmetric function of `(|x|, |y|, |x ∩ y|)`, the filters are
+//! conservative under any shared order and verification computes the exact
+//! overlap, so the live view is **bit-identical** — same pair set, same
+//! `f64` bits — to a from-scratch [`crate::join::set_sim_join`] over the
+//! surviving records, after any batch, at any worker count, regardless of
+//! compaction timing.
+//!
+//! ## Probing
+//!
+//! A delta probe runs the batch engine's own cascade (`join::probe_one`:
+//! size window → accumulating positional filter → suffix-resumed bounded
+//! verification). The tier only supplies what is live (`Standing`, a
+//! `join::ProbeTarget`): a token's CSR window minus stale records,
+//! then its tail list minus generation mismatches. A live record has its
+//! current version in exactly one of the two, so it contributes at most
+//! one posting per token, which is all the cascade's counters rely on.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use magellan_par::{chunk_map, JoinStats, ParConfig};
@@ -51,8 +73,9 @@ use magellan_textsim::intern::TokenInterner;
 use magellan_textsim::tokenize::Tokenizer;
 
 use crate::index::PrefixIndex;
-use crate::join::{set_sim_join, JoinPair, SetSimMeasure};
-use crate::verify::{overlap_sorted_bounded_with, verify_kernel};
+use crate::join::{
+    probe_one, set_sim_join, JoinPair, ProbeTarget, SetSimMeasure, PROBE_SCRATCH, PROBE_STAMPS,
+};
 
 /// Which collection a mutation targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,6 +138,7 @@ pub enum PairDelta {
 #[derive(Debug, Clone, Copy)]
 struct TailPosting {
     rid: u32,
+    pos: u32,
     size: u32,
     gen: u32,
 }
@@ -124,20 +148,36 @@ struct TailPosting {
 struct SideState {
     /// Live text per rid (`None` = null or tombstoned).
     texts: Vec<Option<String>>,
-    /// Sorted deduplicated interner-id set per rid (empty ⇔ never
-    /// matches; deletes clear it).
+    /// Ascending deduplicated key set per rid (key = `u32::MAX` − interner
+    /// id, see the module docs; empty ⇔ never matches; deletes clear it).
     tokens: Vec<Vec<u32>>,
     /// Mutation generation per rid: bumped on every delete/update, pinned
     /// into tail postings so stale ones are skipped without unlinking.
     gens: Vec<u32>,
-    /// Alive flag per rid (`false` = tombstoned by a delete).
-    alive: Vec<bool>,
+    /// Number of `Some`s in `texts`.
+    n_alive: usize,
 }
 
 impl SideState {
-    fn n_alive(&self) -> usize {
-        self.alive.iter().filter(|a| **a).count()
+    /// Append a record and return its rid.
+    fn push(&mut self, text: Option<String>, tokens: Vec<u32>) -> usize {
+        self.n_alive += usize::from(text.is_some());
+        self.texts.push(text);
+        self.tokens.push(tokens);
+        self.gens.push(0);
+        self.texts.len() - 1
     }
+}
+
+/// A text's token set under the tier's order: ascending
+/// `u32::MAX − interner id`, so later-seen (rarer) tokens come first.
+fn key_set(interner: &mut TokenInterner, tokenizer: &dyn Tokenizer, text: &str) -> Vec<u32> {
+    let mut set = interner.intern_set(&tokenizer.tokenize(text));
+    set.reverse();
+    for id in &mut set {
+        *id = u32::MAX - *id;
+    }
+    set
 }
 
 /// The two-level standing index for one side.
@@ -177,9 +217,18 @@ impl SideIndex {
     /// staleness reset, generation bumped. Pure layout — no probe output
     /// changes across a compaction.
     fn compact(&mut self, state: &SideState, measure: SetSimMeasure) {
-        self.csr = PrefixIndex::build(&state.tokens, |s| measure.prefix_len(s));
+        // Keys crowd the top of the `u32` range; basing the CSR at the
+        // smallest one in use keeps its offsets vocabulary-sized.
+        let base = state
+            .tokens
+            .iter()
+            .filter_map(|set| set.first().copied())
+            .min()
+            .unwrap_or(0);
+        self.csr = PrefixIndex::build(&state.tokens, base, |s| measure.prefix_len(s));
         self.csr_len = state.tokens.len();
-        self.csr_stale = vec![false; self.csr_len];
+        self.csr_stale.clear();
+        self.csr_stale.resize(self.csr_len, false);
         self.dead_csr_postings = 0;
         self.dead_tail_postings = 0;
         self.tail.clear();
@@ -191,9 +240,10 @@ impl SideIndex {
     fn push_tail(&mut self, rid: usize, state: &SideState, measure: SetSimMeasure) {
         let set = &state.tokens[rid];
         let plen = measure.prefix_len(set.len()).min(set.len());
-        for &tok in &set[..plen] {
+        for (pos, &tok) in set[..plen].iter().enumerate() {
             self.tail.entry(tok).or_default().push(TailPosting {
                 rid: rid as u32,
+                pos: pos as u32,
                 size: set.len() as u32,
                 gen: state.gens[rid],
             });
@@ -202,20 +252,66 @@ impl SideIndex {
     }
 }
 
-/// Per-probe candidate-dedup scratch (stamp-validated, reused per chunk).
-struct DeltaScratch {
-    /// `seen[rid] == stamp` ⇔ rid already collected for this probe.
-    seen: Vec<u32>,
-    /// Candidates in first-touch order.
-    cand: Vec<u32>,
+/// One side's standing index as a probe target: what is live under a
+/// token is its CSR window minus stale records, then its tail list minus
+/// superseded versions.
+struct Standing<'a> {
+    state: &'a SideState,
+    index: &'a SideIndex,
+    measure: SetSimMeasure,
+    /// Sorted rids never offered as partners (the other direction's probe
+    /// emits those pairs). Every one was mutated this batch, so its live
+    /// version sits in the tail and only the tail scan consults this.
+    skip: &'a [usize],
 }
 
-impl DeltaScratch {
-    fn new(n: usize) -> Self {
-        DeltaScratch {
-            seen: vec![u32::MAX; n],
-            cand: Vec::new(),
+impl ProbeTarget for Standing<'_> {
+    #[inline]
+    fn for_each_posting(
+        &self,
+        tok: u32,
+        lo: usize,
+        hi: usize,
+        stats: &mut JoinStats,
+        mut f: impl FnMut(u32, u32, u32),
+    ) {
+        let (win, outside) = self.index.csr.size_window(tok, lo, hi);
+        stats.killed_by_size += outside;
+        for p in win {
+            if self.index.csr_stale[p.rid as usize] {
+                stats.tombstones_skipped += 1;
+                continue;
+            }
+            f(p.rid, p.pos, p.size);
         }
+        // Tail overlay: small, unsorted, scanned with per-posting
+        // generation and size checks.
+        let Some(list) = self.index.tail.get(&tok) else {
+            return;
+        };
+        stats.tail_postings_scanned += list.len();
+        for p in list {
+            let rid = p.rid as usize;
+            if p.gen != self.state.gens[rid] {
+                stats.tombstones_skipped += 1;
+                continue;
+            }
+            let size = p.size as usize;
+            if size < lo || size > hi {
+                stats.killed_by_size += 1;
+                continue;
+            }
+            if self.skip.binary_search(&rid).is_ok() {
+                continue;
+            }
+            f(p.rid, p.pos, p.size);
+        }
+    }
+
+    #[inline]
+    fn record(&self, rid: usize) -> (&[u32], usize) {
+        let y = &self.state.tokens[rid];
+        (y, self.measure.prefix_len(y.len()).min(y.len()))
     }
 }
 
@@ -327,8 +423,8 @@ impl IncrementalJoin {
     /// Live (non-tombstoned) records on a side.
     pub fn n_alive(&self, side: Side) -> usize {
         match side {
-            Side::Left => self.left.n_alive(),
-            Side::Right => self.right.n_alive(),
+            Side::Left => self.left.n_alive,
+            Side::Right => self.right.n_alive,
         }
     }
 
@@ -406,14 +502,11 @@ impl IncrementalJoin {
     ) -> SideState {
         let mut state = SideState::default();
         for text in texts {
-            let (tokens, alive) = match &text {
-                Some(t) => (interner.intern_set(&tokenizer.tokenize(t)), true),
-                None => (Vec::new(), false),
+            let tokens = match &text {
+                Some(t) => key_set(interner, tokenizer, t),
+                None => Vec::new(),
             };
-            state.tokens.push(tokens);
-            state.gens.push(0);
-            state.alive.push(alive);
-            state.texts.push(text);
+            state.push(text, tokens);
         }
         state
     }
@@ -443,9 +536,8 @@ impl IncrementalJoin {
                 RecordMutation::Delete { side, rid } => (*side, *rid, None, false),
                 RecordMutation::Update { side, rid, text } => (*side, *rid, text.clone(), false),
             };
-            let alive = !matches!(op, RecordMutation::Delete { .. }) && text.is_some();
             let tokens = match &text {
-                Some(t) => self.interner.intern_set(&tokenizer.tokenize(t)),
+                Some(t) => key_set(&mut self.interner, tokenizer, t),
                 None => Vec::new(),
             };
             let (state, index, touched) = match side {
@@ -453,11 +545,7 @@ impl IncrementalJoin {
                 Side::Right => (&mut self.right, &mut self.right_index, &mut touched_right),
             };
             let rid = if is_insert {
-                state.texts.push(None);
-                state.tokens.push(Vec::new());
-                state.gens.push(0);
-                state.alive.push(false);
-                state.texts.len() - 1
+                state.push(None, Vec::new())
             } else {
                 assert!(rid < state.texts.len(), "mutation of unknown rid {rid}");
                 rid
@@ -474,10 +562,11 @@ impl IncrementalJoin {
                 let old_plen = self.measure.prefix_len(old.len()).min(old.len());
                 index.dead_tail_postings += old_plen;
             }
+            state.n_alive =
+                state.n_alive + usize::from(text.is_some()) - usize::from(state.texts[rid].is_some());
             state.texts[rid] = text;
             state.tokens[rid] = tokens;
             state.gens[rid] = state.gens[rid].wrapping_add(1);
-            state.alive[rid] = alive;
             if !state.tokens[rid].is_empty() {
                 index.push_tail(rid, state, self.measure);
             }
@@ -511,7 +600,8 @@ impl IncrementalJoin {
         // against the opposing standing index (CSR + tail). Touched-right
         // probes skip touched-left partners: the touched-left probes
         // already see them through the tail, so each new×new pair is
-        // emitted exactly once.
+        // emitted exactly once. (Touched-left records left with no tokens
+        // have no postings to skip.)
         let probe_left: Vec<usize> = touched_left
             .iter()
             .copied()
@@ -522,20 +612,18 @@ impl IncrementalJoin {
             .copied()
             .filter(|&rid| !self.right.tokens[rid].is_empty())
             .collect();
-        let mut touched_left_flag = vec![false; self.left.tokens.len()];
-        for &rid in &touched_left {
-            touched_left_flag[rid] = true;
-        }
 
         let measure = self.measure;
         let mut added = probe_batch(
             &probe_left,
             true,
             &self.left,
-            &self.right,
-            &self.right_index,
-            measure,
-            None,
+            &Standing {
+                state: &self.right,
+                index: &self.right_index,
+                measure,
+                skip: &[],
+            },
             cfg,
             &mut stats,
         );
@@ -543,10 +631,12 @@ impl IncrementalJoin {
             &probe_right,
             false,
             &self.right,
-            &self.left,
-            &self.left_index,
-            measure,
-            Some(&touched_left_flag),
+            &Standing {
+                state: &self.left,
+                index: &self.left_index,
+                measure,
+                skip: &probe_left,
+            },
             cfg,
             &mut stats,
         ));
@@ -607,157 +697,48 @@ impl IncrementalJoin {
 /// (record, standing state), so chunk order is irrelevant; per-chunk
 /// outputs are merged in chunk order and the caller sorts by `(l, r)` —
 /// bit-identical at any worker count.
-#[allow(clippy::too_many_arguments)]
 fn probe_batch(
     probes: &[usize],
     probe_is_left: bool,
     probe_state: &SideState,
-    opp_state: &SideState,
-    opp_index: &SideIndex,
-    measure: SetSimMeasure,
-    skip_partner: Option<&[bool]>,
+    standing: &Standing<'_>,
     cfg: &ParConfig,
     stats: &mut JoinStats,
 ) -> Vec<JoinPair> {
     if probes.is_empty() {
         return Vec::new();
     }
+    let stamp_base = PROBE_STAMPS.fetch_add(probes.len() as u64, Ordering::Relaxed);
     let (chunks, _) = chunk_map(probes.len(), cfg, |range| {
-        let mut scratch = DeltaScratch::new(opp_state.tokens.len());
-        let mut out = Vec::new();
-        let mut js = JoinStats::default();
-        for p in range {
-            probe_delta_one(
-                probes[p],
-                p as u32,
-                probe_is_left,
-                &probe_state.tokens[probes[p]],
-                opp_state,
-                opp_index,
-                measure,
-                skip_partner,
-                &mut scratch,
-                &mut out,
-                &mut js,
-            );
-        }
-        (out, js)
+        PROBE_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            scratch.ensure(standing.state.tokens.len());
+            let mut out = Vec::new();
+            let mut js = JoinStats::default();
+            for p in range {
+                probe_one(
+                    probes[p],
+                    stamp_base + p as u64,
+                    &probe_state.tokens[probes[p]],
+                    standing,
+                    standing.measure,
+                    !probe_is_left,
+                    &mut scratch,
+                    &mut out,
+                    &mut js,
+                );
+            }
+            (out, js)
+        })
     });
     let mut out = Vec::new();
     for (pairs, js) in chunks {
         out.extend(pairs);
         stats.merge(&js);
     }
+    // Every listed probe has a non-empty set, so each one was a probe.
+    stats.delta_probes += probes.len();
     out
-}
-
-/// Probe one record through the two-level standing index:
-/// size-windowed CSR postings (tombstones skipped via the staleness
-/// bitmap) plus the tail overlay (tombstones skipped via generation
-/// mismatch), then exact bounded verification of the deduplicated
-/// candidates. Pure in (record, standing state) — counters included.
-#[allow(clippy::too_many_arguments)]
-fn probe_delta_one(
-    probe_rid: usize,
-    stamp: u32,
-    probe_is_left: bool,
-    x: &[u32],
-    opp_state: &SideState,
-    opp_index: &SideIndex,
-    measure: SetSimMeasure,
-    skip_partner: Option<&[bool]>,
-    scratch: &mut DeltaScratch,
-    out: &mut Vec<JoinPair>,
-    stats: &mut JoinStats,
-) {
-    let sx = x.len();
-    if sx == 0 {
-        return;
-    }
-    stats.delta_probes += 1;
-    stats.probes += 1;
-    let (lo, hi) = measure.size_bounds(sx);
-    let probe_len = measure.prefix_len(sx).min(sx);
-    scratch.cand.clear();
-
-    for &tok in &x[..probe_len] {
-        // Standing CSR: the size filter is the usual binary-searched
-        // contiguous window; staleness is one bitmap read per survivor.
-        let win = opp_index.csr.size_window(tok, lo, hi);
-        stats.killed_by_size += opp_index.csr.postings(tok).len() - win.len();
-        for p in win {
-            let rid = p.rid as usize;
-            if opp_index.csr_stale[rid] {
-                stats.tombstones_skipped += 1;
-                continue;
-            }
-            if skip_partner.is_some_and(|s| s[rid]) {
-                continue;
-            }
-            if scratch.seen[rid] != stamp {
-                scratch.seen[rid] = stamp;
-                scratch.cand.push(rid as u32);
-                stats.candidates += 1;
-            }
-        }
-        // Tail overlay: small, unsorted, scanned with per-posting size
-        // and generation checks.
-        if let Some(list) = opp_index.tail.get(&tok) {
-            stats.tail_postings_scanned += list.len();
-            for p in list {
-                let rid = p.rid as usize;
-                if p.gen != opp_state.gens[rid] {
-                    stats.tombstones_skipped += 1;
-                    continue;
-                }
-                let size = p.size as usize;
-                if size < lo || size > hi {
-                    stats.killed_by_size += 1;
-                    continue;
-                }
-                if skip_partner.is_some_and(|s| s[rid]) {
-                    continue;
-                }
-                if scratch.seen[rid] != stamp {
-                    scratch.seen[rid] = stamp;
-                    scratch.cand.push(rid as u32);
-                    stats.candidates += 1;
-                }
-            }
-        }
-    }
-
-    // Exact bounded verification over full sets. The delta path skips
-    // the positional filter (batches are small and candidates few); the
-    // suffix counter still reports merges the bound abandoned early.
-    for &rid in &scratch.cand {
-        let rid = rid as usize;
-        let y = &opp_state.tokens[rid];
-        let sy = y.len();
-        let need = measure.min_overlap(sx, sy);
-        stats.verified += 1;
-        let kernel = verify_kernel(x, y);
-        match kernel {
-            magellan_textsim::kernels::Kernel::Gallop => stats.kernel_gallop += 1,
-            magellan_textsim::kernels::Kernel::Bitset => stats.kernel_bitset += 1,
-            _ => stats.kernel_merge += 1,
-        }
-        match overlap_sorted_bounded_with(kernel, x, y, need, &mut stats.verify_steps) {
-            None => stats.killed_by_suffix += 1,
-            Some(overlap) => {
-                let (l, r) = if probe_is_left {
-                    (probe_rid, rid)
-                } else {
-                    (rid, probe_rid)
-                };
-                out.push(JoinPair {
-                    l,
-                    r,
-                    sim: measure.similarity(sx, sy, overlap),
-                });
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -820,7 +801,46 @@ mod tests {
             ];
             eng.apply_batch(&batch, &tok, &cfg);
             assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok), "{measure:?} mixed");
+            // The alive counter agrees with a scan (nulls and deletes both
+            // leave `None`).
+            for side in [Side::Left, Side::Right] {
+                let scanned = eng.texts(side).iter().filter(|t| t.is_some()).count();
+                assert_eq!(eng.n_alive(side), scanned, "{measure:?} {side:?}");
+            }
         }
+    }
+
+    /// Latest-first-seen first: a never-seen token sorts before every
+    /// stored one, so it leads its record's prefix, moves no stored set,
+    /// and probes cleanly past a CSR packed before it existed (its key is
+    /// below the pack's base).
+    #[test]
+    fn fresh_tokens_lead_the_prefix_and_still_join() {
+        let tok = WhitespaceTokenizer::new();
+        let cfg = ParConfig::serial();
+        let mut eng = IncrementalJoin::new(SetSimMeasure::Jaccard(0.5))
+            .with_compaction_threshold(1e-9);
+        eng.apply_batch(
+            &[ins(Side::Left, "a b c d"), ins(Side::Right, "a b c d")],
+            &tok,
+            &cfg,
+        );
+        let before = eng.left.tokens[0].clone();
+        // Re-write left 0 (which packs the left side), then bring in new
+        // tokens.
+        eng.apply_batch(
+            &[RecordMutation::Update { side: Side::Left, rid: 0, text: Some("a b c d".into()) }],
+            &tok,
+            &cfg,
+        );
+        assert!(eng.index_generation(Side::Left) > 0, "the seed must be packed");
+        eng.apply_batch(&[ins(Side::Left, "a b x y")], &tok, &cfg);
+        assert_eq!(eng.left.tokens[0], before, "vocabulary growth moved a stored set");
+        let newest = &eng.left.tokens[1];
+        assert!(newest[1] < before[0], "x and y must sort before a..d: {newest:?}");
+        let (deltas, _) = eng.apply_batch(&[ins(Side::Right, "b x y")], &tok, &cfg);
+        assert_eq!(deltas.len(), 1, "{deltas:?}");
+        assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok));
     }
 
     /// Deltas really are signed: replaying them over the previous view

@@ -6,7 +6,10 @@
 //! rarest-first token ids**, the map needs no hashing at all: a CSR
 //! (compressed sparse row) layout stores one contiguous [`Posting`] buffer
 //! plus a token-id-indexed offsets array, so a probe is a single bounds
-//! check and two array reads instead of a `HashMap` probe.
+//! check and two array reads instead of a `HashMap` probe. Callers whose
+//! ids are dense over `base..` rather than `0..` (the incremental tier's
+//! descending keys) name that `base` at build, and the offsets array
+//! covers only the ids in use.
 //!
 //! Within each token's postings list the entries are sorted by
 //! **record size** (ties by record id, which preserves build order), so
@@ -32,7 +35,10 @@ pub struct Posting {
 /// probed with the prefixes of the other side.
 #[derive(Debug, Default)]
 pub struct PrefixIndex {
-    /// `offsets[t]..offsets[t + 1]` delimits token `t`'s postings.
+    /// Smallest token id the offsets cover; ids below it have no postings.
+    base: u32,
+    /// `offsets[t - base]..offsets[t - base + 1]` delimits token `t`'s
+    /// postings.
     offsets: Vec<u32>,
     /// All postings, grouped by token, each group sorted by `(size, rid)`.
     postings: Vec<Posting>,
@@ -44,31 +50,37 @@ pub struct PrefixIndex {
 
 impl PrefixIndex {
     /// Build the index. `prefix_len_of(size)` gives the number of leading
-    /// (rarest) tokens of a record of that size to index.
-    pub fn build(records: &[Vec<u32>], prefix_len_of: impl Fn(usize) -> usize) -> Self {
+    /// (rarest) tokens of a record of that size to index. `base` is a
+    /// lower bound on every indexed token id (0 for dense join-local ids):
+    /// the offsets array spans `base..=max indexed id`.
+    ///
+    /// # Panics
+    /// If an indexed prefix token is below `base`.
+    pub fn build(records: &[Vec<u32>], base: u32, prefix_len_of: impl Fn(usize) -> usize) -> Self {
         // Pass 0: per-record prefix lengths and the token-id universe.
         let mut prefix_lens = Vec::with_capacity(records.len());
-        let mut max_token: u32 = 0;
+        let mut max_token: u32 = base;
         let mut n_postings = 0usize;
         for rec in records {
             let plen = prefix_len_of(rec.len()).min(rec.len());
             prefix_lens.push(plen as u32);
             n_postings += plen;
             for &tok in &rec[..plen] {
+                assert!(tok >= base, "indexed token {tok} below base {base}");
                 max_token = max_token.max(tok);
             }
         }
         let n_tokens = if n_postings == 0 {
             0
         } else {
-            max_token as usize + 1
+            (max_token - base) as usize + 1
         };
 
         // Pass 1: postings count per token → CSR offsets (prefix sum).
         let mut offsets = vec![0u32; n_tokens + 1];
         for (rec, &plen) in records.iter().zip(&prefix_lens) {
             for &tok in &rec[..plen as usize] {
-                offsets[tok as usize + 1] += 1;
+                offsets[(tok - base) as usize + 1] += 1;
             }
         }
         for t in 0..n_tokens {
@@ -87,13 +99,13 @@ impl PrefixIndex {
         ];
         for (rid, (rec, &plen)) in records.iter().zip(&prefix_lens).enumerate() {
             for (pos, &tok) in rec[..plen as usize].iter().enumerate() {
-                let slot = cursor[tok as usize] as usize;
-                postings[slot] = Posting {
+                let t = (tok - base) as usize;
+                postings[cursor[t] as usize] = Posting {
                     rid: rid as u32,
                     pos: pos as u32,
                     size: rec.len() as u32,
                 };
-                cursor[tok as usize] += 1;
+                cursor[t] += 1;
             }
         }
 
@@ -107,6 +119,7 @@ impl PrefixIndex {
         }
 
         PrefixIndex {
+            base,
             offsets,
             postings,
             prefix_lens,
@@ -118,11 +131,15 @@ impl PrefixIndex {
     /// Probe tokens are **pre-clamped against the index's token-id range**:
     /// an out-of-vocabulary token (one the indexed side never put in a
     /// prefix — common when the probe side has its own rare tokens, which
-    /// get large rarest-first ids) returns the empty slice without any
-    /// lookup machinery, and can never panic or rehash.
+    /// get large rarest-first ids; or, below `base`, a token born after the
+    /// build) returns the empty slice without any lookup machinery, and
+    /// can never panic or rehash.
     #[inline]
     pub fn postings(&self, token: u32) -> &[Posting] {
-        let t = token as usize;
+        let Some(t) = token.checked_sub(self.base) else {
+            return &[];
+        };
+        let t = t as usize;
         if t + 1 >= self.offsets.len() {
             return &[];
         }
@@ -131,15 +148,17 @@ impl PrefixIndex {
 
     /// The contiguous sub-list of a token's postings whose record sizes
     /// fall inside `[lo, hi]` — the size filter as two binary searches
-    /// over the size-sorted list instead of one branch per candidate.
+    /// over the size-sorted list instead of one branch per candidate —
+    /// and how many of the token's postings fell outside it (the filter's
+    /// kill count).
     #[inline]
-    pub fn size_window(&self, token: u32, lo: usize, hi: usize) -> &[Posting] {
+    pub fn size_window(&self, token: u32, lo: usize, hi: usize) -> (&[Posting], usize) {
         let list = self.postings(token);
         let lo = lo.min(u32::MAX as usize) as u32;
         let hi = hi.min(u32::MAX as usize) as u32;
         let a = list.partition_point(|p| p.size < lo);
         let b = list.partition_point(|p| p.size <= hi);
-        &list[a..b]
+        (&list[a..b], list.len() - (b - a))
     }
 
     /// Indexed prefix length of a record (already clamped to its size).
@@ -149,7 +168,7 @@ impl PrefixIndex {
     }
 
     /// Number of token-id slots the CSR offsets cover (= max indexed
-    /// token id + 1; an upper bound on distinct indexed tokens).
+    /// token id − `base` + 1; an upper bound on distinct indexed tokens).
     pub fn n_token_slots(&self) -> usize {
         self.offsets.len().saturating_sub(1)
     }
@@ -168,7 +187,7 @@ impl PrefixIndex {
 
     /// Heap bytes held by the index's three arrays — the number the
     /// sharded join budgets against. Matches [`estimate_index_bytes`]
-    /// exactly for the same record set.
+    /// exactly for the same record set built at base 0.
     pub fn index_bytes(&self) -> usize {
         self.postings.len() * std::mem::size_of::<Posting>()
             + self.offsets.len() * std::mem::size_of::<u32>()
@@ -176,10 +195,10 @@ impl PrefixIndex {
     }
 }
 
-/// Bytes [`PrefixIndex::build`] would allocate for `records` — computed
-/// without building, so shard planning can size K before paying for any
-/// index. Exact (same arrays, same element counts), not an estimate of
-/// actual RSS.
+/// Bytes [`PrefixIndex::build`] at base 0 would allocate for `records` —
+/// computed without building, so shard planning can size K before paying
+/// for any index. Exact (same arrays, same element counts), not an
+/// estimate of actual RSS.
 pub fn estimate_index_bytes(
     records: &[Vec<u32>],
     prefix_len_of: impl Fn(usize) -> usize,
@@ -215,7 +234,7 @@ mod tests {
     fn indexes_only_prefixes() {
         let records = vec![vec![1, 2, 3, 4], vec![2, 5], vec![]];
         // Constant prefix length of 2.
-        let idx = PrefixIndex::build(&records, |_| 2);
+        let idx = PrefixIndex::build(&records, 0, |_| 2);
         assert_eq!(pairs(idx.postings(1)), &[(0, 0)]);
         // Token 2: record 1 (size 2) sorts before record 0 (size 4).
         assert_eq!(pairs(idx.postings(2)), &[(1, 0), (0, 1)]);
@@ -233,7 +252,7 @@ mod tests {
     #[test]
     fn prefix_longer_than_record_is_clamped() {
         let records = vec![vec![7]];
-        let idx = PrefixIndex::build(&records, |_| 10);
+        let idx = PrefixIndex::build(&records, 0, |_| 10);
         assert_eq!(pairs(idx.postings(7)), &[(0, 0)]);
         assert_eq!(idx.prefix_len(0), 1);
     }
@@ -242,7 +261,7 @@ mod tests {
     fn size_dependent_prefix() {
         let records = vec![vec![1, 2, 3, 4], vec![1, 2]];
         // Half the record, at least 1.
-        let idx = PrefixIndex::build(&records, |s| (s / 2).max(1));
+        let idx = PrefixIndex::build(&records, 0, |s| (s / 2).max(1));
         assert_eq!(idx.postings(1).len(), 2);
         assert_eq!(idx.postings(2).len(), 1); // only the 4-token record indexes position 1
     }
@@ -252,19 +271,37 @@ mod tests {
     #[test]
     fn out_of_vocabulary_probe_tokens_are_clamped() {
         let records = vec![vec![0, 1], vec![1, 2]];
-        let idx = PrefixIndex::build(&records, |_| 2);
+        let idx = PrefixIndex::build(&records, 0, |_| 2);
         assert!(idx.postings(3).is_empty());
         assert!(idx.postings(1_000_000).is_empty());
         assert!(idx.postings(u32::MAX).is_empty());
-        assert!(idx.size_window(u32::MAX, 0, usize::MAX).is_empty());
+        assert!(idx.size_window(u32::MAX, 0, usize::MAX).0.is_empty());
         // And the empty index clamps everything.
-        let empty = PrefixIndex::build(&[], |_| 2);
+        let empty = PrefixIndex::build(&[], 0, |_| 2);
         assert!(empty.postings(0).is_empty());
         assert_eq!(empty.n_token_slots(), 0);
         // An index whose only records are empty also has zero slots.
-        let blank = PrefixIndex::build(&[vec![], vec![]], |_| 3);
+        let blank = PrefixIndex::build(&[vec![], vec![]], 0, |_| 3);
         assert!(blank.postings(0).is_empty());
         assert_eq!(blank.n_postings(), 0);
+    }
+
+    /// A based index covers only `base..=max`: same postings as the
+    /// base-0 build, offsets sized by the ids in use, ids below the base
+    /// clamp to the empty slice like ids above the range.
+    #[test]
+    fn based_index_is_dense_over_the_ids_in_use() {
+        let top = u32::MAX;
+        let records = vec![vec![top - 3, top - 1, top], vec![top - 2, top - 1]];
+        let idx = PrefixIndex::build(&records, top - 3, |_| 2);
+        assert_eq!(idx.n_token_slots(), 3);
+        assert_eq!(pairs(idx.postings(top - 3)), &[(0, 0)]);
+        assert_eq!(pairs(idx.postings(top - 2)), &[(1, 0)]);
+        assert_eq!(pairs(idx.postings(top - 1)), &[(1, 1), (0, 1)]);
+        assert!(idx.postings(top).is_empty(), "beyond both prefixes");
+        assert!(idx.postings(top - 4).is_empty(), "below the base");
+        assert!(idx.postings(0).is_empty());
+        assert!(idx.size_window(top - 4, 0, usize::MAX).0.is_empty());
     }
 
     #[test]
@@ -276,16 +313,21 @@ mod tests {
             vec![9, 15, 16, 17, 18, 19, 20, 21],
             vec![9, 22],
         ];
-        let idx = PrefixIndex::build(&records, |_| 1);
+        let idx = PrefixIndex::build(&records, 0, |_| 1);
         let sizes: Vec<u32> = idx.postings(9).iter().map(|p| p.size).collect();
         assert_eq!(sizes, vec![2, 2, 5, 8]);
         // Ties broken by rid, ascending.
         assert_eq!(idx.postings(9)[0].rid, 1);
         assert_eq!(idx.postings(9)[1].rid, 3);
-        // Windows are binary-searched contiguous ranges.
-        assert_eq!(idx.size_window(9, 2, 5).len(), 3);
-        assert_eq!(idx.size_window(9, 3, 4).len(), 0);
-        assert_eq!(idx.size_window(9, 6, usize::MAX).len(), 1);
-        assert_eq!(idx.size_window(9, 0, usize::MAX).len(), 4);
+        // Windows are binary-searched contiguous ranges; the rest is the
+        // size filter's kill count.
+        let sizes = |lo, hi| {
+            let (win, outside) = idx.size_window(9, lo, hi);
+            (win.len(), outside)
+        };
+        assert_eq!(sizes(2, 5), (3, 1));
+        assert_eq!(sizes(3, 4), (0, 4));
+        assert_eq!(sizes(6, usize::MAX), (1, 3));
+        assert_eq!(sizes(0, usize::MAX), (4, 0));
     }
 }

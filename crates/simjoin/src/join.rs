@@ -305,8 +305,12 @@ pub fn join_tokenized_stats(
 ) -> (Vec<JoinPair>, JoinStats) {
     measure.validate();
     let plan = ProbePlan::choose(coll, side);
-    let index = PrefixIndex::build(plan.indexed, |s| measure.prefix_len(s));
+    let index = PrefixIndex::build(plan.indexed, 0, |s| measure.prefix_len(s));
     magellan_obs::span_res_add("csr_index_bytes", index.index_bytes() as u64);
+    let target = Packed {
+        records: plan.indexed,
+        index: &index,
+    };
     let stamp_base = PROBE_STAMPS.fetch_add(plan.probe.len() as u64, Ordering::Relaxed);
     let mut out = Vec::new();
     let mut stats = JoinStats::default();
@@ -318,8 +322,7 @@ pub fn join_tokenized_stats(
                 p,
                 stamp_base + p as u64,
                 x,
-                plan.indexed,
-                &index,
+                &target,
                 measure,
                 plan.swap,
                 &mut scratch,
@@ -338,16 +341,71 @@ pub fn join_tokenized_stats(
     (out, stats)
 }
 
-/// Probe a single record against the prefix index through the
-/// size → positional → suffix cascade. Pure in `(probe record, index)`:
+/// Where a probe's postings and candidate records come from: one packed
+/// index for the batch and sharded joins, CSR + staleness bitmap + tail
+/// overlay for the incremental tier. [`probe_one`] is the only cascade;
+/// the target only says what is live.
+pub(crate) trait ProbeTarget {
+    /// Feed `f` the `(rid, pos, size)` of every **live** posting of `tok`
+    /// whose record size lies in `[lo, hi]`, counting what was skipped
+    /// into `stats`. A record contributes at most one posting per token,
+    /// which is what lets the cascade's collision counter stand for
+    /// `|x-prefix ∩ y-prefix|`.
+    fn for_each_posting(
+        &self,
+        tok: u32,
+        lo: usize,
+        hi: usize,
+        stats: &mut JoinStats,
+        f: impl FnMut(u32, u32, u32),
+    );
+
+    /// Sorted token set of indexed record `rid` and its indexed prefix
+    /// length (already clamped to the set size).
+    fn record(&self, rid: usize) -> (&[u32], usize);
+}
+
+/// The batch target: every posting of a packed [`PrefixIndex`] is live.
+pub(crate) struct Packed<'a> {
+    pub(crate) records: &'a [Vec<u32>],
+    pub(crate) index: &'a PrefixIndex,
+}
+
+impl ProbeTarget for Packed<'_> {
+    #[inline]
+    fn for_each_posting(
+        &self,
+        tok: u32,
+        lo: usize,
+        hi: usize,
+        stats: &mut JoinStats,
+        mut f: impl FnMut(u32, u32, u32),
+    ) {
+        // The size filter as two binary searches over the size-sorted
+        // postings list: one contiguous in-window range.
+        let (win, outside) = self.index.size_window(tok, lo, hi);
+        stats.killed_by_size += outside;
+        for p in win {
+            f(p.rid, p.pos, p.size);
+        }
+    }
+
+    #[inline]
+    fn record(&self, rid: usize) -> (&[u32], usize) {
+        (&self.records[rid], self.index.prefix_len(rid))
+    }
+}
+
+/// Probe a single record against a [`ProbeTarget`] through the
+/// size → positional → suffix cascade. Pure in `(probe record, target)`:
 /// emitted pairs and every counter increment are chunking-independent.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn probe_one(
+#[inline]
+pub(crate) fn probe_one<T: ProbeTarget>(
     probe_rid: usize,
     stamp: u64,
     x: &[u32],
-    indexed: &[Vec<u32>],
-    index: &PrefixIndex,
+    target: &T,
     measure: SetSimMeasure,
     swap: bool,
     scratch: &mut Scratch,
@@ -365,48 +423,44 @@ pub(crate) fn probe_one(
 
     // Stage 1 + 2: collect prefix collisions, size windows first, then
     // the accumulating positional bound per collision.
-    let size_lo = lo.min(u32::MAX as usize) as u32;
-    let size_hi = hi.min(u32::MAX as usize) as u32;
-    // `min_overlap` memo: postings are size-sorted, so runs of candidates
-    // share a size — recompute the (float-ceil) bound only on size change.
+    // `min_overlap` memo: packed postings are size-sorted, so runs of
+    // candidates share a size — recompute the (float-ceil) bound only on
+    // size change.
     let mut memo_sy = u32::MAX;
     let mut memo_need = 0u32;
+    let (mut candidates, mut killed_by_position) = (0usize, 0usize);
     for (px, &tok) in x[..probe_len].iter().enumerate() {
-        let list = index.postings(tok);
-        // The size filter as two binary searches over the size-sorted
-        // postings list: one contiguous in-window range.
-        let a = list.partition_point(|p| p.size < size_lo);
-        let b = list.partition_point(|p| p.size <= size_hi);
-        stats.killed_by_size += list.len() - (b - a);
-        for p in &list[a..b] {
-            let slot = &mut scratch.slots[p.rid as usize];
+        target.for_each_posting(tok, lo, hi, stats, |rid, pos, size| {
+            let slot = &mut scratch.slots[rid as usize];
             if slot.stamp != stamp {
                 slot.stamp = stamp;
                 slot.cnt = 0;
-                if p.size != memo_sy {
-                    memo_sy = p.size;
-                    memo_need = measure.min_overlap(sx, p.size as usize) as u32;
+                if size != memo_sy {
+                    memo_sy = size;
+                    memo_need = measure.min_overlap(sx, size as usize) as u32;
                 }
                 slot.need = memo_need;
-                stats.candidates += 1;
-                scratch.touched.push(p.rid);
+                candidates += 1;
+                scratch.touched.push(rid);
             } else if slot.cnt == DEAD {
-                continue;
+                return;
             }
             slot.cnt += 1;
             slot.px = px as u32;
-            slot.py = p.pos;
+            slot.py = pos;
             // Positional bound: every uncounted shared token exceeds the
             // current collision token (anything smaller in both sets is
             // already a counted prefix collision), so it must live in
             // both remainders.
-            let rem = (sx - px - 1).min((p.size - p.pos - 1) as usize);
+            let rem = (sx - px - 1).min((size - pos - 1) as usize);
             if (slot.cnt as usize) + rem < slot.need as usize {
                 slot.cnt = DEAD;
-                stats.killed_by_position += 1;
+                killed_by_position += 1;
             }
-        }
+        });
     }
+    stats.candidates += candidates;
+    stats.killed_by_position += killed_by_position;
 
     // Stage 3: suffix-resumed bounded verification of the survivors.
     // `cnt` already equals |x[..probe_len] ∩ y[..plen_y]| — only the
@@ -420,9 +474,8 @@ pub(crate) fn probe_one(
             continue;
         }
         let rid = rid as usize;
-        let y = &indexed[rid];
+        let (y, plen_y) = target.record(rid);
         let sy = y.len();
-        let plen_y = index.prefix_len(rid);
         let cnt = st.cnt as usize;
         let need = st.need as usize;
         let (rest_x, rest_y) = if x[probe_len - 1] <= y[plen_y - 1] {
@@ -510,8 +563,12 @@ pub fn join_tokenized_par_side(
 ) -> (Vec<JoinPair>, ParStats) {
     measure.validate();
     let plan = ProbePlan::choose(coll, side);
-    let index = PrefixIndex::build(plan.indexed, |s| measure.prefix_len(s));
+    let index = PrefixIndex::build(plan.indexed, 0, |s| measure.prefix_len(s));
     magellan_obs::span_res_add("csr_index_bytes", index.index_bytes() as u64);
+    let target = Packed {
+        records: plan.indexed,
+        index: &index,
+    };
     let stamp_base = PROBE_STAMPS.fetch_add(plan.probe.len() as u64, Ordering::Relaxed);
     let (chunks, mut stats) = magellan_par::chunk_map(plan.probe.len(), cfg, |range| {
         // Reuse the worker's thread-local scratch: stamps make stale
@@ -530,8 +587,7 @@ pub fn join_tokenized_par_side(
                     p,
                     stamp_base + p as u64,
                     &plan.probe[p],
-                    plan.indexed,
-                    &index,
+                    &target,
                     measure,
                     plan.swap,
                     &mut scratch,

@@ -36,7 +36,8 @@
 //!
 //! The **incremental tier** ([`incremental`]) maintains the same join
 //! under record insert/delete/update: tombstoned CSR postings + a tail
-//! overlay, periodic compaction, and delta probes that emit signed
+//! overlay, periodic compaction, and delta probes — the batch engine's own
+//! filter cascade, under a latest-first-seen token order — that emit signed
 //! [`incremental::PairDelta`]s in O(delta) — with the live view held
 //! bit-identical to a from-scratch batch join after every batch.
 //!

@@ -30,7 +30,9 @@ use magellan_par::{JoinStats, ParConfig, ParStats};
 
 use crate::collection::TokenizedCollection;
 use crate::index::{estimate_index_bytes, PrefixIndex};
-use crate::join::{probe_one, JoinPair, ProbePlan, ProbeSide, SetSimMeasure, PROBE_SCRATCH, PROBE_STAMPS};
+use crate::join::{
+    probe_one, JoinPair, Packed, ProbePlan, ProbeSide, SetSimMeasure, PROBE_SCRATCH, PROBE_STAMPS,
+};
 
 /// Memory + partitioning telemetry of one sharded join run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -198,7 +200,11 @@ pub fn join_tokenized_sharded(
         // build its index — the only index alive at this point.
         let build_span = magellan_obs::span("shard_build", s as u64);
         let local: Vec<Vec<u32>> = rids.iter().map(|&r| plan.indexed[r as usize].clone()).collect();
-        let index = PrefixIndex::build(&local, |sz| measure.prefix_len(sz));
+        let index = PrefixIndex::build(&local, 0, |sz| measure.prefix_len(sz));
+        let target = Packed {
+            records: &local,
+            index: &index,
+        };
         let bytes = index.index_bytes();
         magellan_obs::span_res_add("shard_index_bytes", bytes as u64);
         drop(build_span);
@@ -224,8 +230,7 @@ pub fn join_tokenized_sharded(
                         p,
                         shard_stamp_base + p as u64,
                         &plan.probe[p],
-                        &local,
-                        &index,
+                        &target,
                         measure,
                         plan.swap,
                         &mut scratch,

@@ -4,11 +4,20 @@
 //! must stay **bit-identical** (same `(l, r)` pair set, exact same f64
 //! similarity bits) to a from-scratch batch join over the current
 //! records, and the signed deltas must replay to the same view.
+//!
+//! The delta probe runs the batch engine's size → positional → suffix
+//! cascade over CSR + tail, so the generated texts are shaped to reach it:
+//! sets of up to 12 tokens over a 12-token vocabulary (prefixes collide
+//! many times per pair), the same rid re-written twice in a batch, updates
+//! to never-seen tokens whose partner arrives a batch later, compaction
+//! policies from "every batch" to "never", and a kill/restore mid-stream.
 
 use std::collections::BTreeMap;
 
-use magellan_par::ParConfig;
-use magellan_simjoin::{IncrementalJoin, PairDelta, RecordMutation, SetSimMeasure, Side};
+use magellan_par::{JoinStats, ParConfig};
+use magellan_simjoin::{
+    set_sim_join_stats, IncrementalJoin, JoinPair, PairDelta, RecordMutation, SetSimMeasure, Side,
+};
 use magellan_textsim::tokenize::WhitespaceTokenizer;
 use proptest::prelude::*;
 
@@ -19,17 +28,44 @@ enum Op {
     Insert(bool, Option<String>),
     Delete(bool, u16),
     Update(bool, u16, Option<String>),
+    /// The same rid re-written twice within one batch.
+    UpdateTwice(bool, u16, Option<String>, Option<String>),
+    /// Re-write a record to a text of never-seen tokens; the same text
+    /// arrives on the other side at the head of the *next* batch, so the
+    /// pair must join through tokens younger than every packed index.
+    Fresh(bool, u16),
+    /// Kill the engine and restore it from texts + view + generations (a
+    /// fresh interner assigns different ids, a fresh pack a different
+    /// layout).
+    Restore,
+}
+
+/// Mostly 1–12 tokens over a 12-token vocabulary (heavy prefix sharing);
+/// some short/empty strings for the no-token edge.
+fn text() -> impl Strategy<Value = Option<String>> {
+    proptest::option::weighted(
+        0.9,
+        prop_oneof![
+            3 => proptest::collection::vec(0u8..12, 1..=12).prop_map(|ids| {
+                ids.iter().map(|i| format!("t{i}")).collect::<Vec<_>>().join(" ")
+            }),
+            1 => "[ab]{0,3}( [ab]{1,3}){0,3}",
+        ],
+    )
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
-    let text = || proptest::option::weighted(0.9, "[ab]{0,3}( [ab]{1,3}){0,3}");
     proptest::collection::vec(
         prop_oneof![
-            3 => (any::<bool>(), text()).prop_map(|(s, t)| Op::Insert(s, t)),
-            1 => (any::<bool>(), any::<u16>()).prop_map(|(s, v)| Op::Delete(s, v)),
-            2 => (any::<bool>(), any::<u16>(), text()).prop_map(|(s, v, t)| Op::Update(s, v, t)),
+            6 => (any::<bool>(), text()).prop_map(|(s, t)| Op::Insert(s, t)),
+            2 => (any::<bool>(), any::<u16>()).prop_map(|(s, v)| Op::Delete(s, v)),
+            3 => (any::<bool>(), any::<u16>(), text()).prop_map(|(s, v, t)| Op::Update(s, v, t)),
+            1 => (any::<bool>(), any::<u16>(), text(), text())
+                .prop_map(|(s, v, t, u)| Op::UpdateTwice(s, v, t, u)),
+            1 => (any::<bool>(), any::<u16>()).prop_map(|(s, v)| Op::Fresh(s, v)),
+            1 => Just(Op::Restore),
         ],
-        1..40,
+        1..48,
     )
 }
 
@@ -41,79 +77,149 @@ fn side_of(left: bool) -> Side {
     }
 }
 
+/// What materialization carries from one batch to the next.
+#[derive(Default)]
+struct Feed {
+    /// Partner inserts owed by earlier [`Op::Fresh`]es.
+    pending: Vec<RecordMutation>,
+    /// Fresh texts minted so far (each gets its own token names).
+    minted: usize,
+}
+
 /// Resolve abstract ops against the engine's current population; ops
 /// against an empty side are dropped (nothing to delete/update yet).
-fn materialize(engine: &IncrementalJoin, ops: &[Op]) -> Vec<RecordMutation> {
-    let mut out = Vec::with_capacity(ops.len());
+fn materialize(engine: &IncrementalJoin, ops: &[Op], feed: &mut Feed) -> Vec<RecordMutation> {
+    let mut out = std::mem::take(&mut feed.pending);
     // Count records as the batch will see them applied *sequentially*:
     // an insert earlier in the batch is a valid victim later in it.
-    let mut n_l = engine.n_records(Side::Left);
-    let mut n_r = engine.n_records(Side::Right);
+    let mut n = [engine.n_records(Side::Right), engine.n_records(Side::Left)];
+    for m in &out {
+        if let RecordMutation::Insert { side, .. } = m {
+            n[usize::from(*side == Side::Left)] += 1;
+        }
+    }
     for op in ops {
+        let update = |left: bool, v: u16, text: &Option<String>| RecordMutation::Update {
+            side: side_of(left),
+            rid: v as usize % n[usize::from(left)],
+            text: text.clone(),
+        };
         match op {
             Op::Insert(left, text) => {
-                if *left {
-                    n_l += 1;
-                } else {
-                    n_r += 1;
-                }
+                n[usize::from(*left)] += 1;
                 out.push(RecordMutation::Insert {
                     side: side_of(*left),
                     text: text.clone(),
                 });
             }
-            Op::Delete(left, v) => {
-                let n = if *left { n_l } else { n_r };
-                if n > 0 {
-                    out.push(RecordMutation::Delete {
-                        side: side_of(*left),
-                        rid: *v as usize % n,
-                    });
-                }
+            Op::Delete(left, v) if n[usize::from(*left)] > 0 => out.push(RecordMutation::Delete {
+                side: side_of(*left),
+                rid: *v as usize % n[usize::from(*left)],
+            }),
+            Op::Update(left, v, text) if n[usize::from(*left)] > 0 => {
+                out.push(update(*left, *v, text));
             }
-            Op::Update(left, v, text) => {
-                let n = if *left { n_l } else { n_r };
-                if n > 0 {
-                    out.push(RecordMutation::Update {
-                        side: side_of(*left),
-                        rid: *v as usize % n,
-                        text: text.clone(),
-                    });
-                }
+            Op::UpdateTwice(left, v, first, second) if n[usize::from(*left)] > 0 => {
+                out.push(update(*left, *v, first));
+                out.push(update(*left, *v, second));
             }
+            Op::Fresh(left, v) if n[usize::from(*left)] > 0 => {
+                let k = feed.minted;
+                feed.minted += 1;
+                let text = Some(format!("new{k}a new{k}b new{k}c"));
+                out.push(update(*left, *v, &text));
+                feed.pending.push(RecordMutation::Insert {
+                    side: side_of(!*left),
+                    text,
+                });
+            }
+            _ => {}
         }
     }
     out
 }
 
+fn restored(
+    engine: &IncrementalJoin,
+    tok: &WhitespaceTokenizer,
+    threshold: f64,
+) -> IncrementalJoin {
+    IncrementalJoin::restore(
+        engine.measure(),
+        tok,
+        engine.texts(Side::Left).to_vec(),
+        engine.texts(Side::Right).to_vec(),
+        engine.live_pairs(),
+        engine.index_generation(Side::Left),
+        engine.index_generation(Side::Right),
+    )
+    .with_compaction_threshold(threshold)
+}
+
+fn bits(pairs: &[JoinPair]) -> Vec<(usize, usize, u64)> {
+    pairs.iter().map(|p| (p.l, p.r, p.sim.to_bits())).collect()
+}
+
+/// The cascade counters that depend on the live records alone, not on
+/// where their postings sit (CSR or tail) or in what order they are met.
+fn layout_free(s: &JoinStats) -> [usize; 7] {
+    [
+        s.probes,
+        s.candidates,
+        s.killed_by_position,
+        s.killed_by_suffix,
+        s.verified,
+        s.verify_steps,
+        s.pairs,
+    ]
+}
+
+const MEASURES: [SetSimMeasure; 4] = [
+    SetSimMeasure::Jaccard(0.5),
+    SetSimMeasure::Cosine(0.6),
+    SetSimMeasure::Dice(0.5),
+    SetSimMeasure::OverlapSize(1),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random mutation sequences × 4 measures × worker counts {1, 4}:
-    /// after **every** batch the live view equals the from-scratch
-    /// rebuild bit-for-bit, the deltas replay to the live view, and the
-    /// worker count changes neither the deltas nor the view.
+    /// Random mutation sequences × 4 measures × worker counts {1, 4}
+    /// × a compaction policy: after **every** batch the live view equals
+    /// the from-scratch rebuild bit-for-bit, the deltas replay to the
+    /// live view, the worker count changes neither the deltas nor one
+    /// counter, and an engine killed and restored along the way emits the
+    /// same deltas as the one that never stopped.
     #[test]
-    fn live_view_always_equals_from_scratch_rebuild(op_seq in ops()) {
+    fn live_view_always_equals_from_scratch_rebuild(
+        op_seq in ops(),
+        policy in 0usize..3,
+    ) {
         let tok = WhitespaceTokenizer::new();
-        let measures = [
-            SetSimMeasure::Jaccard(0.5),
-            SetSimMeasure::Cosine(0.6),
-            SetSimMeasure::Dice(0.5),
-            SetSimMeasure::OverlapSize(1),
-        ];
-        for measure in measures {
-            let mut serial = IncrementalJoin::new(measure);
-            let mut par = IncrementalJoin::new(measure);
+        // Compact after any batch that killed a posting / the default /
+        // only when the tail outgrows the CSR.
+        let threshold = [1e-9, 0.25, 1e9][policy];
+        for measure in MEASURES {
+            let fresh = || IncrementalJoin::new(measure).with_compaction_threshold(threshold);
+            let (mut serial, mut par, mut resumed) = (fresh(), fresh(), fresh());
+            let mut feed = Feed::default();
             let mut replayed: BTreeMap<(usize, usize), u64> = BTreeMap::new();
             for chunk in op_seq.chunks(7) {
-                let batch = materialize(&serial, chunk);
-                let batch_par = materialize(&par, chunk);
-                prop_assert_eq!(&batch, &batch_par, "materialization must not depend on engine");
-                let (deltas, _) = serial.apply_batch(&batch, &tok, &ParConfig::serial());
-                let (deltas_par, _) = par.apply_batch(&batch, &tok, &ParConfig::workers(4));
+                let batch = materialize(&serial, chunk, &mut feed);
+                if chunk.iter().any(|op| matches!(op, Op::Restore)) {
+                    resumed = restored(&resumed, &tok, threshold);
+                }
+                let (deltas, stats) = serial.apply_batch(&batch, &tok, &ParConfig::serial());
+                let (deltas_par, stats_par) = par.apply_batch(&batch, &tok, &ParConfig::workers(4));
+                let (deltas_resumed, _) = resumed.apply_batch(&batch, &tok, &ParConfig::serial());
                 prop_assert_eq!(&deltas, &deltas_par,
                     "worker count changed the deltas for {:?}", measure);
+                prop_assert_eq!(&stats, &stats_par,
+                    "worker count changed the counters for {:?}", measure);
+                prop_assert_eq!(&deltas, &deltas_resumed,
+                    "a restore changed the deltas for {:?}", measure);
+                prop_assert_eq!(stats.candidates, stats.killed_by_position + stats.verified);
+                prop_assert_eq!(stats.verified, stats.killed_by_suffix + stats.pairs);
 
                 // Replay the signed deltas into an independent view.
                 for d in &deltas {
@@ -131,41 +237,181 @@ proptest! {
 
                 // The live view is bit-identical to a batch join from
                 // scratch over the current records.
-                let live = serial.live_pairs();
-                let rebuilt = serial.rebuild_from_scratch(&tok);
-                prop_assert_eq!(live.len(), rebuilt.len(), "cardinality for {:?}", measure);
-                for (a, b) in live.iter().zip(&rebuilt) {
-                    prop_assert_eq!((a.l, a.r), (b.l, b.r), "pair set for {:?}", measure);
-                    prop_assert_eq!(a.sim.to_bits(), b.sim.to_bits(),
-                        "similarity bits for {:?}", measure);
-                }
+                let live = bits(&serial.live_pairs());
+                prop_assert_eq!(&live, &bits(&serial.rebuild_from_scratch(&tok)),
+                    "live view vs rebuild for {:?}", measure);
+                prop_assert_eq!(&live, &bits(&resumed.live_pairs()),
+                    "restored view for {:?}", measure);
                 // And the replayed deltas reconstruct exactly that view.
-                prop_assert_eq!(replayed.len(), live.len());
-                for p in &live {
-                    prop_assert_eq!(replayed.get(&(p.l, p.r)), Some(&p.sim.to_bits()));
-                }
+                let replayed_view: Vec<_> =
+                    replayed.iter().map(|(&(l, r), &b)| (l, r, b)).collect();
+                prop_assert_eq!(&replayed_view, &live);
             }
         }
     }
 
     /// Eager compaction (threshold ~0) and lazy compaction (threshold ∞)
-    /// agree with each other and the rebuild under the same mutations.
+    /// agree with each other under the same mutations: every view, every
+    /// delta, and every cascade counter that is not about layout — a
+    /// candidate is collected, killed or verified the same whether its
+    /// posting sits in the CSR or in the tail.
     #[test]
     fn compaction_policy_never_changes_the_view(op_seq in ops()) {
         let tok = WhitespaceTokenizer::new();
         let measure = SetSimMeasure::Jaccard(0.4);
         let mut eager = IncrementalJoin::new(measure).with_compaction_threshold(1e-9);
         let mut lazy = IncrementalJoin::new(measure).with_compaction_threshold(1e9);
+        let mut feed = Feed::default();
         for chunk in op_seq.chunks(5) {
-            let batch = materialize(&eager, chunk);
-            eager.apply_batch(&batch, &tok, &ParConfig::serial());
-            lazy.apply_batch(&batch, &tok, &ParConfig::serial());
-            let (ve, vl) = (eager.live_pairs(), lazy.live_pairs());
-            prop_assert_eq!(ve.len(), vl.len());
-            for (a, b) in ve.iter().zip(&vl) {
-                prop_assert_eq!((a.l, a.r), (b.l, b.r));
-                prop_assert_eq!(a.sim.to_bits(), b.sim.to_bits());
-            }
+            let batch = materialize(&eager, chunk, &mut feed);
+            let (de, se) = eager.apply_batch(&batch, &tok, &ParConfig::serial());
+            let (dl, sl) = lazy.apply_batch(&batch, &tok, &ParConfig::serial());
+            prop_assert_eq!(&de, &dl);
+            prop_assert_eq!(layout_free(&se), layout_free(&sl));
+            prop_assert_eq!(bits(&eager.live_pairs()), bits(&lazy.live_pairs()));
         }
     }
+}
+
+/// A tiny deterministic generator for the fixed-seed tests below.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 33) as usize % n
+    }
+}
+
+/// The oracle's text shape does reach every stage it is there to cover:
+/// positional kills, abandoned and completed suffix merges, stale postings
+/// in both levels, tail scans and compactions all occur on a fixed stream.
+#[test]
+fn oracle_shape_reaches_every_cascade_stage() {
+    let tok = WhitespaceTokenizer::new();
+    let mut rng = Lcg(29);
+    let mut text = move || {
+        let n = 1 + rng.below(12);
+        let toks: Vec<String> = (0..n).map(|_| format!("t{}", rng.below(12))).collect();
+        (
+            Some(toks.join(" ")),
+            rng.below(1 << 16) as u16,
+            rng.below(2) == 0,
+        )
+    };
+    let mut eng = IncrementalJoin::new(SetSimMeasure::Jaccard(0.5));
+    let mut feed = Feed::default();
+    let mut sum = JoinStats::default();
+    for b in 0..40 {
+        let chunk: Vec<Op> = (0..8)
+            .map(|i| {
+                let (t, v, left) = text();
+                match (b + i) % 4 {
+                    0 | 1 => Op::Insert(left, t),
+                    2 => Op::Update(left, v, t),
+                    _ => Op::Delete(left, v),
+                }
+            })
+            .collect();
+        let batch = materialize(&eng, &chunk, &mut feed);
+        let (_, stats) = eng.apply_batch(&batch, &tok, &ParConfig::serial());
+        sum.merge(&stats);
+    }
+    assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok));
+    for (what, n) in [
+        ("positional kills", sum.killed_by_position),
+        ("abandoned suffix merges", sum.killed_by_suffix),
+        ("pairs", sum.pairs),
+        ("tombstones skipped", sum.tombstones_skipped),
+        ("tail postings scanned", sum.tail_postings_scanned),
+        ("compactions", sum.compactions),
+    ] {
+        assert!(n > 0, "the fixed stream produced no {what}: {sum:?}");
+    }
+}
+
+/// A count, not a timing, guards the token order and the cascade: on
+/// product-shaped titles (brand / adjective / kind from small pools plus a
+/// near-unique model number) a delta probe collects about as few
+/// candidates as the batch engine's rarest-first probe over the same
+/// records, and resumed merges stay near one step each. Under ascending
+/// interner ids the prefix holds the two earliest-seen (most shared)
+/// tokens and the first bound fails by a wide margin; without the
+/// positional and suffix stages the other two do.
+#[test]
+fn delta_probe_is_as_selective_as_the_batch_engine() {
+    let tok = WhitespaceTokenizer::new();
+    let measure = SetSimMeasure::Jaccard(0.6);
+    let mut rng = Lcg(7);
+    // Both catalogs describe products drawn from one list, so titles pair
+    // up; one listing in four drops the adjective, so sizes differ.
+    let mut product = move || {
+        let (brand, adj, kind) = (rng.below(40), rng.below(25), rng.below(30));
+        let adj = if rng.below(4) == 0 {
+            String::new()
+        } else {
+            format!(" adj{adj}")
+        };
+        format!("brand{brand}{adj} kind{kind} m{}", rng.below(1500))
+    };
+    let catalog: Vec<String> = (0..2_400).map(|_| product()).collect();
+    let mut rng = Lcg(11);
+    let title = |rng: &mut Lcg| Some(catalog[rng.below(catalog.len())].clone());
+
+    let cfg = ParConfig::serial();
+    let mut eng = IncrementalJoin::new(measure);
+    let seed: Vec<RecordMutation> = (0..4_000)
+        .map(|i| RecordMutation::Insert {
+            side: side_of(i % 2 == 0),
+            text: title(&mut rng),
+        })
+        .collect();
+    eng.apply_batch(&seed, &tok, &cfg);
+
+    let mut churn = JoinStats::default();
+    for _ in 0..10 {
+        let batch: Vec<RecordMutation> = (0..20)
+            .map(|_| {
+                let side = side_of(rng.below(2) == 0);
+                let rid = rng.below(eng.n_records(side));
+                match rng.below(4) {
+                    0 => RecordMutation::Insert {
+                        side,
+                        text: title(&mut rng),
+                    },
+                    1 => RecordMutation::Delete { side, rid },
+                    _ => RecordMutation::Update {
+                        side,
+                        rid,
+                        text: title(&mut rng),
+                    },
+                }
+            })
+            .collect();
+        let (_, stats) = eng.apply_batch(&batch, &tok, &cfg);
+        churn.merge(&stats);
+    }
+    assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok));
+
+    let (_, batch) =
+        set_sim_join_stats(eng.texts(Side::Left), eng.texts(Side::Right), &tok, measure);
+    let per_delta_probe = churn.candidates as f64 / churn.delta_probes as f64;
+    let per_batch_probe = batch.candidates as f64 / batch.probes as f64;
+    assert!(
+        per_delta_probe <= 1.25 * per_batch_probe,
+        "a delta probe collects {per_delta_probe:.1} candidates, the batch engine {per_batch_probe:.1}"
+    );
+    let steps = churn.verify_steps as f64 / churn.verified as f64;
+    assert!(
+        steps <= 2.0,
+        "{steps:.2} merge steps per verified candidate"
+    );
+    assert!(
+        churn.killed_by_position > 0,
+        "the positional filter never fired"
+    );
+    assert_eq!(churn.candidates, churn.killed_by_position + churn.verified);
 }
