@@ -1,9 +1,15 @@
 //! Sim-join vs naive cross product — the scalability claim behind
 //! `py_stringsimjoin` (and behind executing blocking rules as join plans).
+//!
+//! Set `BENCH_SMOKE=1` to shrink the `tokenize_collection` group (100 000
+//! × 6 000 product titles) to a seconds-scale run; it asserts the build
+//! bit-identical to the preserved one before timing either way.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use magellan_bench::legacy;
+use magellan_datagen::{domains, DirtModel, ScenarioConfig};
 use magellan_textsim::setsim;
-use magellan_textsim::tokenize::{Tokenizer, WhitespaceTokenizer};
+use magellan_textsim::tokenize::{AlphanumericTokenizer, Tokenizer, WhitespaceTokenizer};
 use magellan_simjoin::{
     join_tokenized, join_tokenized_hashmap, set_sim_join, set_sim_join_parallel, SetSimMeasure,
     TokenizedCollection,
@@ -147,5 +153,50 @@ fn bench_engine_grid(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_join_vs_naive, bench_parallel, bench_engine_grid);
+/// Records/s of `TokenizedCollection::build` on the `products` titles —
+/// the text → token-id encoding every blocker pays before its join —
+/// against the preserved `String`-per-token, HashMap-ranked build.
+fn bench_tokenize_collection(c: &mut Criterion) {
+    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let (rows_left, rows_right) = if smoke { (8_000, 400) } else { (100_000, 6_000) };
+    let scenario = domains::products(&ScenarioConfig {
+        size_a: rows_left,
+        size_b: rows_right,
+        n_matches: rows_right / 2,
+        dirt: DirtModel::light(),
+        seed: 77,
+    });
+    let left = scenario.table_a.column_strs("title").expect("products have titles");
+    let right = scenario.table_b.column_strs("title").expect("products have titles");
+    let tok = AlphanumericTokenizer::as_set();
+    let coll = legacy::assert_build_is_bit_identical(&left, &right, &tok, &[]);
+    let old = legacy::tokenized_collection(&left, &right, &legacy::alphanumeric_set, &[]);
+    assert_eq!(old.left, coll.left, "preserved tokenizer diverged");
+
+    let mut g = c.benchmark_group("tokenize_collection");
+    g.sample_size(if smoke { 2 } else { 10 });
+    let id = format!("{rows_left}x{rows_right}");
+    g.bench_with_input(BenchmarkId::new("build", &id), &id, |b, _| {
+        b.iter(|| black_box(TokenizedCollection::build(black_box(&left), &right, &tok)))
+    });
+    g.bench_with_input(BenchmarkId::new("preserved_build", &id), &id, |b, _| {
+        b.iter(|| {
+            black_box(legacy::tokenized_collection(
+                black_box(&left),
+                &right,
+                &legacy::alphanumeric_set,
+                &[],
+            ))
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_join_vs_naive,
+    bench_parallel,
+    bench_engine_grid,
+    bench_tokenize_collection
+);
 criterion_main!(benches);

@@ -74,6 +74,9 @@ pub fn registry() -> Vec<MetricSpec> {
     vec![
         // simjoin: CSR prefix join ≥2× over the hashmap join at w=1.
         m("simjoin", "skewed_speedup_w1", HigherIsBetter, 0.35, Some(2.0)),
+        // token path: collection build ≥1.5× over the preserved
+        // String-per-token, HashMap-ranked build.
+        m("simjoin", "tokenize_collection.speedup_vs_legacy", HigherIsBetter, 0.35, Some(1.5)),
         // feature cache: prepared extraction ≥3× over scalar at w=1.
         m("feature_extraction", "results.0.speedup", HigherIsBetter, 0.35, Some(3.0)),
         // incremental engine: delta batch ≥10× over full rebuild.

@@ -4,6 +4,12 @@
 //! engine it replaced, across a collection-size × threshold ×
 //! token-frequency-skew grid, plus the pruning-cascade kill rates.
 //!
+//! A last row, `tokenize_collection`, times what runs *before* any join:
+//! `TokenizedCollection::build` over the `products` titles (100 000 ×
+//! 6 000, the end-to-end benchmark's `block_heavy` shape) against the
+//! preserved `String`-per-token, HashMap-ranked build
+//! ([`magellan_bench::legacy`]), after asserting the two are bit-identical.
+//!
 //! Writes `results/exp_simjoin.txt` (human-readable table) and
 //! `BENCH_simjoin.json` at the repo root (the ISSUE's before/after
 //! record; "before" = `join_tokenized_hashmap`, byte-for-byte the seed
@@ -12,12 +18,14 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use magellan_bench::legacy;
+use magellan_datagen::{domains, DirtModel, ScenarioConfig};
 use magellan_par::ParConfig;
 use magellan_simjoin::{
     join_tokenized_hashmap, join_tokenized_par_side, join_tokenized_stats, ProbeSide,
     SetSimMeasure, TokenizedCollection,
 };
-use magellan_textsim::tokenize::WhitespaceTokenizer;
+use magellan_textsim::tokenize::{AlphanumericTokenizer, WhitespaceTokenizer};
 use magellan_textsim::kernels::set_mode;
 use magellan_textsim::KernelMode;
 
@@ -152,6 +160,73 @@ fn make_long_strings(n: usize, seed: u64, vocab: usize) -> Vec<Option<String>> {
             )
         })
         .collect()
+}
+
+/// The `tokenize_collection` row: records/s of the collection build on
+/// product titles, against the preserved build. Returns the row's JSON
+/// object.
+fn tokenize_collection_row(smoke: bool, reps: usize, txt: &mut String) -> String {
+    let (rows_left, rows_right) = if smoke { (8_000, 400) } else { (100_000, 6_000) };
+    let scenario = domains::products(&ScenarioConfig {
+        size_a: rows_left,
+        size_b: rows_right,
+        n_matches: rows_right / 2,
+        dirt: DirtModel::light(),
+        seed: 77,
+    });
+    let left = scenario.table_a.column_strs("title").expect("products have titles");
+    let right = scenario.table_b.column_strs("title").expect("products have titles");
+    let tok = AlphanumericTokenizer::as_set();
+    let records = (left.len() + right.len()) as f64;
+
+    // Bit-identity before timing: records, vocabulary, interner ids.
+    let coll = legacy::assert_build_is_bit_identical(&left, &right, &tok, &[]);
+    let build_old = || legacy::tokenized_collection(&left, &right, &legacy::alphanumeric_set, &[]);
+    assert_eq!(build_old().left, coll.left, "preserved tokenizer diverged");
+
+    // Rep by rep, so host drift lands on both sides.
+    let (mut t_new, mut t_old) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        t_new.push(best_secs(1, || {
+            std::hint::black_box(TokenizedCollection::build(&left, &right, &tok));
+        }));
+        t_old.push(best_secs(1, || {
+            std::hint::black_box(build_old());
+        }));
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v[v.len() / 2]
+    };
+    let (t_new, t_old) = (median(&mut t_new), median(&mut t_old));
+    let speedup = t_old / t_new;
+
+    writeln!(txt).unwrap();
+    writeln!(
+        txt,
+        "[tokenize_collection] products titles {rows_left} x {rows_right}, alnum set tokens, vocab={}",
+        coll.vocab_size
+    )
+    .unwrap();
+    writeln!(
+        txt,
+        "build: preserved {:.0} records/s ({t_old:.3}s) vs now {:.0} records/s ({t_new:.3}s) -> {speedup:.2}x (floor: 1.5x)",
+        records / t_old,
+        records / t_new
+    )
+    .unwrap();
+    if !smoke {
+        assert!(
+            speedup >= 1.5,
+            "collection build only {speedup:.2}x over the preserved build (floor 1.5x)"
+        );
+    }
+    format!(
+        "{{\"rows_left\": {rows_left}, \"rows_right\": {rows_right}, \"vocab\": {}, \"records_per_sec\": {:.0}, \"legacy_records_per_sec\": {:.0}, \"speedup_vs_legacy\": {speedup:.2}}}",
+        coll.vocab_size,
+        records / t_new,
+        records / t_old,
+    )
 }
 
 struct Grid {
@@ -431,10 +506,11 @@ fn main() {
             "adaptive kernel tier lost to the scalar reference on net: geomean {kernel_geomean:.3}x"
         );
     }
+    let tokenize_collection = tokenize_collection_row(smoke, reps, &mut txt);
     magellan_obs::log!(info, "{txt}");
 
     let json = format!(
-        "{{\n  \"experiment\": \"simjoin\",\n  \"workload\": {{\"rows_per_side\": {n}, \"vocab\": 800, \"reps\": {reps}, \"smoke\": {smoke}}},\n  \"skewed_speedup_w1\": {skewed_speedup_w1:.2},\n  \"grids\": [\n{json_grids}\n  ]\n}}\n"
+        "{{\n  \"experiment\": \"simjoin\",\n  \"workload\": {{\"rows_per_side\": {n}, \"vocab\": 800, \"reps\": {reps}, \"smoke\": {smoke}}},\n  \"skewed_speedup_w1\": {skewed_speedup_w1:.2},\n  \"tokenize_collection\": {tokenize_collection},\n  \"grids\": [\n{json_grids}\n  ]\n}}\n"
     );
 
     // Best-effort writes (CI smoke may run from a read-only checkout).

@@ -5,6 +5,7 @@
 //! in `benches/`. Shared harness helpers live here.
 
 pub mod benchdiff;
+pub mod legacy;
 
 use std::collections::HashSet;
 

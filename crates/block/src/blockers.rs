@@ -39,19 +39,6 @@ pub trait Blocker: Send + Sync {
     }
 }
 
-/// Pull the string rendering of an attribute for each row (`None` for
-/// nulls). Numeric attributes render through their display form, which is
-/// what equality blocking on e.g. zip codes wants.
-fn column_strings(t: &Table, attr: &str) -> magellan_table::Result<Vec<Option<String>>> {
-    let idx = t.schema().try_index_of(attr)?;
-    Ok(t.rows()
-        .map(|r| {
-            let v = t.value(r, idx);
-            (!v.is_null()).then(|| v.display_string())
-        })
-        .collect())
-}
-
 /// Equality on `(l_attr, r_attr)` after lowercasing and trimming. Nulls
 /// never match (a null key would otherwise explode the candidate set).
 #[derive(Debug, Clone)]
@@ -87,8 +74,8 @@ impl Blocker for AttrEquivalenceBlocker {
         b: &Table,
         cfg: &ParConfig,
     ) -> magellan_table::Result<(CandidateSet, ParStats)> {
-        let la = column_strings(a, &self.l_attr)?;
-        let rb = column_strings(b, &self.r_attr)?;
+        let la = a.column_strs(&self.l_attr)?;
+        let rb = b.column_strs(&self.r_attr)?;
         let mut buckets: HashMap<String, Vec<u32>> = HashMap::new();
         for (r, v) in rb.iter().enumerate() {
             if let Some(v) = v {
@@ -157,8 +144,8 @@ impl Blocker for HashBlocker {
                 reason: "hash blocker needs at least one bucket".to_owned(),
             });
         }
-        let la = column_strings(a, &self.l_attr)?;
-        let rb = column_strings(b, &self.r_attr)?;
+        let la = a.column_strs(&self.l_attr)?;
+        let rb = b.column_strs(&self.r_attr)?;
         let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
         for (r, v) in rb.iter().enumerate() {
             if let Some(v) = v {
@@ -240,8 +227,8 @@ impl Blocker for OverlapBlocker {
         b: &Table,
         cfg: &ParConfig,
     ) -> magellan_table::Result<(CandidateSet, ParStats)> {
-        let la = column_strings(a, &self.l_attr)?;
-        let rb = column_strings(b, &self.r_attr)?;
+        let la = a.column_strs(&self.l_attr)?;
+        let rb = b.column_strs(&self.r_attr)?;
         let tokenizer: Box<dyn Tokenizer> = match self.qgram {
             Some(q) => Box::new(magellan_textsim::tokenize::QgramTokenizer::as_set(q)),
             None => Box::new(AlphanumericTokenizer::as_set()),
@@ -311,8 +298,8 @@ impl Blocker for SimJoinBlocker {
         b: &Table,
         cfg: &ParConfig,
     ) -> magellan_table::Result<(CandidateSet, ParStats)> {
-        let la = column_strings(a, &self.l_attr)?;
-        let rb = column_strings(b, &self.r_attr)?;
+        let la = a.column_strs(&self.l_attr)?;
+        let rb = b.column_strs(&self.r_attr)?;
         let tokenizer: Box<dyn Tokenizer> = match self.qgram {
             Some(q) => Box::new(magellan_textsim::tokenize::QgramTokenizer::as_set(q)),
             None => Box::new(AlphanumericTokenizer::as_set()),
@@ -366,8 +353,8 @@ impl Blocker for SortedNeighborhoodBlocker {
         b: &Table,
         cfg: &ParConfig,
     ) -> magellan_table::Result<(CandidateSet, ParStats)> {
-        let la = column_strings(a, &self.l_attr)?;
-        let rb = column_strings(b, &self.r_attr)?;
+        let la = a.column_strs(&self.l_attr)?;
+        let rb = b.column_strs(&self.r_attr)?;
         // (key, side, row): side 0 = A, 1 = B. Nulls are skipped.
         let mut entries: Vec<(String, u8, u32)> = Vec::with_capacity(la.len() + rb.len());
         for (r, v) in la.iter().enumerate() {

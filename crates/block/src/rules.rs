@@ -55,6 +55,15 @@ impl TokSpec {
         }
     }
 
+    /// [`TokSpec::tokenize_set`] straight into sorted deduplicated token
+    /// ids (no `String` per token).
+    fn intern_set(&self, interner: &mut TokenInterner, s: &str) -> Vec<u32> {
+        match self {
+            TokSpec::Word => interner.intern_tokens(&AlphanumericTokenizer::as_set(), s),
+            TokSpec::Qgram(q) => interner.intern_tokens(&QgramTokenizer::as_set(*q), s),
+        }
+    }
+
     /// Display name used in printed rules (`word`, `3gram`).
     pub fn label(&self) -> String {
         match self {
@@ -192,16 +201,6 @@ impl RuleBasedBlocker {
         RuleBasedBlocker { rules }
     }
 
-    fn column_strings(t: &Table, attr: &str) -> magellan_table::Result<Vec<Option<String>>> {
-        let idx = t.schema().try_index_of(attr)?;
-        Ok(t.rows()
-            .map(|r| {
-                let v = t.value(r, idx);
-                (!v.is_null()).then(|| v.display_string())
-            })
-            .collect())
-    }
-
     /// Build each distinct `(l_attr, r_attr, tokenization)` combination's
     /// [`TokenizedCollection`] exactly once, shared by every predicate of
     /// every rule through one [`TokenInterner`]. Before this cache, a rule
@@ -226,8 +225,8 @@ impl RuleBasedBlocker {
                 if collections.contains_key(&key) {
                     continue;
                 }
-                let la = Self::column_strings(a, &pred.l_attr)?;
-                let rb = Self::column_strings(b, &pred.r_attr)?;
+                let la = a.column_strs(&pred.l_attr)?;
+                let rb = b.column_strs(&pred.r_attr)?;
                 let tok = ts.tokenizer();
                 collections.insert(
                     key,
@@ -452,9 +451,7 @@ impl PreparedRuleEval {
                         };
                         cells[r] = Some(match sh {
                             RulePrep::Lower => RuleCell::Lower(s.trim().to_lowercase()),
-                            RulePrep::Set(ts) => {
-                                RuleCell::Ids(interner.intern_set(&ts.tokenize_set(s)))
-                            }
+                            RulePrep::Set(ts) => RuleCell::Ids(ts.intern_set(interner, s)),
                         });
                     }
                     cells

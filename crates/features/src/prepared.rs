@@ -33,12 +33,13 @@
 //! are unchanged). `fvtable` pins this with a bitwise equivalence test,
 //! and the golden e2e + chaos suites pin it end to end.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use magellan_par::{CacheStats, ParConfig, ParStats};
-use magellan_table::{Table, Value};
+use magellan_table::{Table, Value, ValueRef};
 use magellan_textsim::intern::{self, TokenInterner};
-use magellan_textsim::tokenize::{AlphanumericTokenizer, Tokenizer};
+use magellan_textsim::tokenize::{AlphanumericTokenizer, QgramTokenizer, Tokenizer};
 use magellan_textsim::{numeric, seqsim, setsim};
 
 use crate::feature::{Feature, FeatureKind, TokSpecF};
@@ -87,17 +88,21 @@ impl PrepSpec {
     }
 }
 
-/// One prepared cell: an attribute value in one shape.
+/// One prepared cell: an attribute value in one shape. Boxed slices, not
+/// `Vec`s: a cell is written once, and three words instead of four keep a
+/// cell plus its row index below the four words of the dense
+/// `Option<PrepValue>` layout this replaced, on tables where every row is
+/// referenced.
 #[derive(Debug, Clone)]
 enum PrepValue {
     /// The value was null (every measure yields `NaN`).
     Null,
     /// Trimmed lowercased string, decoded.
-    Str(Vec<char>),
+    Str(Box<[char]>),
     /// Ordered bag of decoded tokens.
-    Bag(Vec<Vec<char>>),
+    Bag(Box<[Box<[char]>]>),
     /// Sorted deduplicated interned token set.
-    Set(Vec<u32>),
+    Set(Box<[u32]>),
     /// Parsed float.
     Num(f64),
     /// Non-null but not parseable as a number (numeric measures → `NaN`).
@@ -105,12 +110,58 @@ enum PrepValue {
 }
 
 /// One `(column, shape)` combination's cells, lazily filled per record.
+///
+/// Sparse: blocking leaves a few thousand of a long table's rows in the
+/// candidate set, so the per-row part is a zero-initialised `u32` index
+/// (untouched pages of it are never faulted in) over a compact vector of
+/// the cells actually prepared.
 #[derive(Debug)]
 struct PrepColumn {
     col: usize,
     spec: PrepSpec,
-    /// `None` = not yet prepared; `Some(_)` = prepared exactly once.
-    cells: Vec<Option<PrepValue>>,
+    /// Per row: `0` = not prepared, else `1 +` its index into `values`.
+    slot_of: Vec<u32>,
+    /// The prepared cells, each prepared exactly once.
+    values: Vec<PrepValue>,
+    /// Indexes of `values` given up by [`PrepColumn::invalidate`], reused
+    /// first so a long stream of updates does not grow the vector.
+    free: Vec<u32>,
+}
+
+impl PrepColumn {
+    fn get(&self, row: usize) -> Option<&PrepValue> {
+        match self.slot_of[row] {
+            0 => None,
+            slot => Some(&self.values[slot as usize - 1]),
+        }
+    }
+
+    fn put(&mut self, row: usize, value: PrepValue) {
+        debug_assert_eq!(self.slot_of[row], 0, "a cell is prepared once");
+        let at = match self.free.pop() {
+            Some(at) => {
+                self.values[at as usize] = value;
+                at
+            }
+            None => {
+                self.values.push(value);
+                self.values.len() as u32 - 1
+            }
+        };
+        self.slot_of[row] = at + 1;
+    }
+
+    /// Forget the row's cell (rows past the index were never prepared).
+    /// True if there was one.
+    fn invalidate(&mut self, row: usize) -> bool {
+        let Some(slot) = self.slot_of.get_mut(row).filter(|s| **s != 0) else {
+            return false;
+        };
+        let at = std::mem::take(slot) - 1;
+        self.values[at as usize] = PrepValue::Null;
+        self.free.push(at);
+        true
+    }
 }
 
 /// All prepared combinations of one table.
@@ -126,7 +177,9 @@ impl PreparedSide {
             self.cols.push(PrepColumn {
                 col,
                 spec,
-                cells: vec![None; nrows],
+                slot_of: vec![0; nrows],
+                values: Vec::new(),
+                free: Vec::new(),
             });
             self.cols.len() - 1
         })
@@ -136,8 +189,8 @@ impl PreparedSide {
     /// (appended records start unprepared).
     fn ensure_rows(&mut self, nrows: usize) {
         for c in &mut self.cols {
-            if c.cells.len() < nrows {
-                c.cells.resize(nrows, None);
+            if c.slot_of.len() < nrows {
+                c.slot_of.resize(nrows, 0);
             }
         }
     }
@@ -146,15 +199,10 @@ impl PreparedSide {
     /// granularity of the streaming tier. Returns the number of cells
     /// actually cleared (0 = the record was never prepared).
     fn invalidate(&mut self, rid: usize) -> usize {
-        let mut cleared = 0;
-        for c in &mut self.cols {
-            if let Some(cell) = c.cells.get_mut(rid) {
-                if cell.take().is_some() {
-                    cleared += 1;
-                }
-            }
-        }
-        cleared
+        self.cols
+            .iter_mut()
+            .map(|c| usize::from(c.invalidate(rid)))
+            .sum()
     }
 }
 
@@ -280,12 +328,8 @@ fn compute_feature_from(
     rows: &mut Vec<usize>,
 ) -> f64 {
     let e = &plan.entries[j];
-    let va = left.cols[e.l_slot].cells[ra]
-        .as_ref()
-        .expect("left record prepared");
-    let vb = right.cols[e.r_slot].cells[rb]
-        .as_ref()
-        .expect("right record prepared");
+    let va = left.cols[e.l_slot].get(ra).expect("left record prepared");
+    let vb = right.cols[e.r_slot].get(rb).expect("right record prepared");
     compute_prepared(e.kind, va, vb, rows)
 }
 
@@ -591,6 +635,26 @@ impl StreamingPreparedPair {
     }
 }
 
+/// `v.display_string().trim().to_lowercase()` — the normalization the
+/// scalar path applies before every string measure — borrowing the cell
+/// when it is a string that is already in that form.
+///
+/// Only an ASCII value is recognised as such. Unicode lowercasing can
+/// *produce* ASCII (U+212A KELVIN SIGN → `k`, U+0130 `İ` → `i` + U+0307),
+/// so any other value goes through `str::to_lowercase` before a tokenizer
+/// sees it, exactly as before.
+fn lower_trimmed(v: ValueRef<'_>) -> Cow<'_, str> {
+    let ValueRef::Str(s) = v else {
+        return Cow::Owned(v.display_string().trim().to_lowercase());
+    };
+    let s = s.trim();
+    if s.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
+        Cow::Borrowed(s)
+    } else {
+        Cow::Owned(s.to_lowercase())
+    }
+}
+
 /// Fill one combination's cells for every referenced, still-unprepared
 /// record (`rows` ascending: interner ids are assigned in visit order).
 fn prepare_column(
@@ -603,7 +667,7 @@ fn prepare_column(
     for &r in rows {
         let r = r as usize;
         stats.lookups += 1;
-        if column.cells[r].is_some() {
+        if column.get(r).is_some() {
             stats.hits += 1;
             continue;
         }
@@ -616,31 +680,28 @@ fn prepare_column(
                     .as_float()
                     .map(PrepValue::Num)
                     .unwrap_or(PrepValue::NotNum),
-                PrepSpec::LowerStr => {
-                    PrepValue::Str(v.display_string().trim().to_lowercase().chars().collect())
-                }
+                PrepSpec::LowerStr => PrepValue::Str(lower_trimmed(v).chars().collect()),
                 PrepSpec::WordBag => {
-                    let s = v.display_string().trim().to_lowercase();
                     stats.tokenize_calls += 1;
-                    let toks = AlphanumericTokenizer::new().tokenize(&s);
-                    PrepValue::Bag(toks.iter().map(|t| t.chars().collect()).collect())
+                    let mut bag: Vec<Box<[char]>> = Vec::new();
+                    AlphanumericTokenizer::new()
+                        .for_each_token(&lower_trimmed(v), &mut |t| bag.push(t.chars().collect()));
+                    PrepValue::Bag(bag.into())
                 }
-                PrepSpec::WordSet => {
-                    let s = v.display_string().trim().to_lowercase();
+                PrepSpec::WordSet | PrepSpec::QgramSet(_) => {
                     stats.tokenize_calls += 1;
-                    let toks = AlphanumericTokenizer::as_set().tokenize(&s);
-                    PrepValue::Set(interner.intern_set(&toks))
-                }
-                PrepSpec::QgramSet(q) => {
-                    let s = v.display_string().trim().to_lowercase();
-                    stats.tokenize_calls += 1;
-                    let toks =
-                        magellan_textsim::tokenize::QgramTokenizer::as_set(q).tokenize(&s);
-                    PrepValue::Set(interner.intern_set(&toks))
+                    let text = lower_trimmed(v);
+                    let set = match column.spec {
+                        PrepSpec::QgramSet(q) => {
+                            interner.intern_tokens(&QgramTokenizer::as_set(q), &text)
+                        }
+                        _ => interner.intern_tokens(&AlphanumericTokenizer::as_set(), &text),
+                    };
+                    PrepValue::Set(set.into())
                 }
             }
         };
-        column.cells[r] = Some(cell);
+        column.put(r, cell);
         stats.records_prepared += 1;
     }
 }
@@ -850,6 +911,74 @@ mod tests {
         assert!(stats.cache.interner_tokens > 0);
     }
 
+    /// `str::to_lowercase` runs *before* the ASCII-alphanumeric split, and
+    /// Unicode lowercasing can produce ASCII: the Kelvin sign becomes `k`
+    /// (a token character), `İ` becomes `i` + a combining dot (a token
+    /// boundary after an `i`). The borrowed, byte-level route is for ASCII
+    /// cells only; these must still agree with the scalar path bit for bit,
+    /// and intern the same tokens.
+    #[test]
+    fn unicode_cells_lowercase_before_they_tokenize() {
+        let names = [
+            "\u{212a}elvin 5\u{212a} probe",
+            "\u{130}stanbul \u{130}",
+            "STRASSE stra\u{df}e",
+            "e\u{301}clair i\u{307}",
+            " tab\tand\rCR ",
+            "\u{a0}nbsp\u{a0}",
+            "Plain ASCII Title 42",
+            "plain ascii title 42",
+        ];
+        let table = |tag: &str| {
+            Table::from_rows(
+                tag,
+                &[("id", Dtype::Str), ("name", Dtype::Str), ("city", Dtype::Str), ("age", Dtype::Int)],
+                names
+                    .iter()
+                    .enumerate()
+                    .map(|(i, n)| {
+                        vec![format!("{tag}{i}").into(), (*n).into(), (*n).into(), Value::Int(i as i64)]
+                    })
+                    .collect(),
+            )
+            .unwrap()
+        };
+        let (a, b) = (table("a"), table("b"));
+        let features = all_kind_features();
+        let pairs = all_pairs(&a, &b);
+        let scalar = extract_feature_matrix_scalar(&pairs, &a, &b, &features).unwrap();
+        let mut prepared = PreparedPair::new(&a, &b);
+        let (cached, _) =
+            extract_with_prepared(&mut prepared, &pairs, &features, &ParConfig::serial()).unwrap();
+        for (i, (cr, sr)) in cached.rows.iter().zip(&scalar.rows).enumerate() {
+            for (j, (cv, sv)) in cr.iter().zip(sr).enumerate() {
+                assert_eq!(
+                    cv.to_bits(),
+                    sv.to_bits(),
+                    "pair {:?} feature {} diverged: {cv} vs {sv}",
+                    pairs[i],
+                    cached.names[j]
+                );
+            }
+        }
+        // `k` from the Kelvin sign joined its neighbours into one token;
+        // the same words in either case are the same tokens.
+        let word_set = |r: usize| {
+            let col = &prepared.left.cols[prepared.left.index[&(1, PrepSpec::WordSet)]];
+            match col.get(r) {
+                Some(PrepValue::Set(ids)) => ids
+                    .iter()
+                    .map(|&id| prepared.interner.resolve(id).to_owned())
+                    .collect::<Vec<_>>(),
+                other => panic!("row {r} not a word set: {other:?}"),
+            }
+        };
+        let mut kelvin = word_set(0);
+        kelvin.sort();
+        assert_eq!(kelvin, ["5k", "kelvin", "probe"]);
+        assert_eq!(word_set(6), word_set(7));
+    }
+
     /// Parallel prepared extraction is bit-identical to serial for any
     /// worker count (prepared data is immutable during the pair map).
     #[test]
@@ -1055,6 +1184,34 @@ mod tests {
         let (_, sd2) = extract_with_prepared(&mut dense, &many, &features, &cfg).unwrap();
         assert_eq!(counted(&ss2.cache), counted(&sd2.cache));
         assert_eq!(ss2.cache.hits, ss2.cache.lookups);
+    }
+
+    /// The sparse cell store: one compact value per prepared row, rows past
+    /// the index read as unprepared, and an invalidated slot is the next
+    /// one filled — a stream of updates does not grow the store.
+    #[test]
+    fn sparse_cells_reuse_invalidated_slots() {
+        // A cell and its row index fit in the old dense layout's cell.
+        assert!(std::mem::size_of::<PrepValue>() + 4 <= 4 * std::mem::size_of::<usize>());
+        let mut side = PreparedSide::default();
+        let slot = side.slot(0, PrepSpec::Num, 1_000);
+        let col = &mut side.cols[slot];
+        assert!(col.get(999).is_none() && col.values.is_empty());
+        col.put(999, PrepValue::Num(1.0));
+        col.put(3, PrepValue::Num(2.0));
+        assert!(matches!(col.get(999), Some(PrepValue::Num(x)) if *x == 1.0));
+        assert!(matches!(col.get(3), Some(PrepValue::Num(x)) if *x == 2.0));
+        assert!(!col.invalidate(4) && !col.invalidate(5_000), "never prepared");
+        for round in 0..50 {
+            assert!(col.invalidate(999));
+            assert!(col.get(999).is_none());
+            col.put(999, PrepValue::Num(f64::from(round)));
+        }
+        assert_eq!(col.values.len(), 2);
+        assert!(matches!(col.get(3), Some(PrepValue::Num(x)) if *x == 2.0));
+        side.ensure_rows(2_000);
+        assert!(side.cols[slot].get(1_999).is_none());
+        assert_eq!(side.invalidate(3), 1);
     }
 
     #[test]

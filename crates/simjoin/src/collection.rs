@@ -15,8 +15,6 @@
 //! seen. The rarest-first remap is a pure permutation of interner ids, so
 //! join results are independent of which interner is supplied.
 
-use std::collections::HashMap;
-
 use magellan_textsim::tokenize::Tokenizer;
 use magellan_textsim::TokenInterner;
 
@@ -59,55 +57,57 @@ impl TokenizedCollection {
     ) -> Self {
         let _span = magellan_obs::span("tokenize_collection", 0);
         // Tokenize once per record into sorted deduped interner-id sets.
-        let tokenize_side = |side: &[Option<S>], interner: &mut TokenInterner| {
+        let mut tokenize_side = |side: &[Option<S>]| -> Vec<Vec<u32>> {
             side.iter()
                 .map(|s| match s {
-                    Some(s) => interner.intern_set(&tokenizer.tokenize(s.as_ref())),
+                    Some(s) => interner.intern_tokens(tokenizer, s.as_ref()),
                     None => Vec::new(),
                 })
-                .collect::<Vec<Vec<u32>>>()
+                .collect()
         };
-        let lrecs = tokenize_side(left, interner);
-        let rrecs = tokenize_side(right, interner);
+        let mut left = tokenize_side(left);
+        let mut right = tokenize_side(right);
 
-        // Document frequency over the union of both sides, keyed by
-        // interner id (cheap u32 hashing instead of string hashing).
-        let mut df: HashMap<u32, u32> = HashMap::new();
-        for rec in lrecs.iter().chain(rrecs.iter()) {
+        // Document frequency over the union of both sides. Interner ids are
+        // dense, so the counts (and the ranks below) are plain vectors
+        // indexed by id; ids a pre-seeded interner holds but no record here
+        // uses keep a count of zero and stay out of the vocabulary.
+        let mut df = vec![0u32; interner.len()];
+        for rec in left.iter().chain(&right) {
             for &t in rec {
-                *df.entry(t).or_insert(0) += 1;
+                df[t as usize] += 1;
             }
         }
         // Rarest-first, lexicographic tiebreak for determinism. Resolving
         // through the interner recovers the exact ordering the string
         // vocabulary would produce, whatever ids the interner assigned.
-        let mut vocab: Vec<(u32, u32)> = df.into_iter().collect();
-        vocab.sort_unstable_by(|a, b| {
-            a.1.cmp(&b.1)
-                .then_with(|| interner.resolve(a.0).cmp(interner.resolve(b.0)))
+        let mut vocab: Vec<u32> = (0..df.len() as u32)
+            .filter(|&id| df[id as usize] > 0)
+            .collect();
+        vocab.sort_unstable_by(|&a, &b| {
+            df[a as usize]
+                .cmp(&df[b as usize])
+                .then_with(|| interner.resolve(a).cmp(interner.resolve(b)))
         });
-        let mut rank: HashMap<u32, u32> = HashMap::with_capacity(vocab.len());
-        for (i, (id, _)) in vocab.iter().enumerate() {
-            rank.insert(*id, i as u32);
+        // The counts have served; the same vector now holds each id's rank.
+        let mut rank = df;
+        for (i, &id) in vocab.iter().enumerate() {
+            rank[id as usize] = i as u32;
         }
-
-        let map_side = |recs: &[Vec<u32>]| -> Vec<Vec<u32>> {
-            recs.iter()
-                .map(|rec| {
-                    let mut ids_rec: Vec<u32> = rec.iter().map(|t| rank[t]).collect();
-                    ids_rec.sort_unstable();
-                    ids_rec
-                })
-                .collect()
-        };
+        for rec in left.iter_mut().chain(&mut right) {
+            for t in rec.iter_mut() {
+                *t = rank[*t as usize];
+            }
+            rec.sort_unstable();
+        }
         magellan_obs::span_res_add("interner_vocab_bytes", interner.vocab_bytes() as u64);
         magellan_obs::gauge_max(
             "magellan_textsim_interner_vocab_bytes",
             interner.vocab_bytes() as f64,
         );
         TokenizedCollection {
-            left: map_side(&lrecs),
-            right: map_side(&rrecs),
+            left,
+            right,
             vocab_size: vocab.len(),
         }
     }

@@ -172,7 +172,7 @@ impl SideState {
 /// A text's token set under the tier's order: ascending
 /// `u32::MAX − interner id`, so later-seen (rarer) tokens come first.
 fn key_set(interner: &mut TokenInterner, tokenizer: &dyn Tokenizer, text: &str) -> Vec<u32> {
-    let mut set = interner.intern_set(&tokenizer.tokenize(text));
+    let mut set = interner.intern_tokens(tokenizer, text);
     set.reverse();
     for id in &mut set {
         *id = u32::MAX - *id;

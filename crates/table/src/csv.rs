@@ -20,114 +20,225 @@ use crate::Result;
 /// columns, independent of file size.
 const CSV_BATCH_ROWS: usize = 8192;
 
-/// Physical-line reader that charges every failure to a 1-based line
-/// number. Unlike [`BufRead::lines`], invalid UTF-8 is a [`TableError::Csv`]
-/// naming the offending line and byte offset — not an opaque I/O error —
-/// so a half-corrupted million-row file is diagnosable. Terminators
-/// (`\n` / `\r\n`) are stripped.
-struct CsvLines<R: Read> {
-    reader: BufReader<R>,
-    /// 1-based number of the last line returned.
-    line_no: usize,
-}
-
-impl<R: Read> CsvLines<R> {
-    fn new(reader: R) -> Self {
-        CsvLines {
-            reader: BufReader::new(reader),
-            line_no: 0,
-        }
-    }
-
-    /// The next physical line, or `None` at end of input.
-    fn next_line(&mut self) -> Result<Option<String>> {
-        let mut buf = Vec::new();
-        let n = self.reader.read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            return Ok(None);
-        }
-        self.line_no += 1;
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-        }
-        match String::from_utf8(buf) {
-            Ok(s) => Ok(Some(s)),
-            Err(e) => Err(TableError::Csv {
-                line: self.line_no,
-                message: format!(
-                    "invalid UTF-8 at byte {} of the line",
-                    e.utf8_error().valid_up_to()
-                ),
-            }),
-        }
+fn csv_error(line: usize, message: impl Into<String>) -> TableError {
+    TableError::Csv {
+        line,
+        message: message.into(),
     }
 }
 
-/// Parse one CSV record starting at `line_no` (1-based, for diagnostics).
-/// Returns the fields. The input must be a full logical record; embedded
-/// newlines inside quotes are handled by the caller feeding joined lines.
-fn parse_record(line: &str, line_no: usize) -> Result<Vec<String>> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(ch) = chars.next() {
-        if in_quotes {
-            match ch {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        cur.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                _ => cur.push(ch),
-            }
-        } else {
-            match ch {
-                ',' => fields.push(std::mem::take(&mut cur)),
-                '"' => {
-                    if !cur.is_empty() {
-                        return Err(TableError::Csv {
-                            line: line_no,
-                            message: "quote inside unquoted field".to_owned(),
-                        });
-                    }
-                    in_quotes = true;
-                }
-                _ => cur.push(ch),
-            }
-        }
-    }
-    if in_quotes {
-        return Err(TableError::Csv {
-            line: line_no,
-            message: "unterminated quoted field".to_owned(),
-        });
-    }
-    fields.push(cur);
-    Ok(fields)
-}
-
-/// True if the record ends inside an open quoted field (i.e. the physical
-/// line must be joined with the next one).
-fn ends_inside_quotes(line: &str) -> bool {
-    let mut in_quotes = false;
-    let mut chars = line.chars().peekable();
-    while let Some(ch) = chars.next() {
-        if ch == '"' {
-            if in_quotes && chars.peek() == Some(&'"') {
-                chars.next();
+/// Whether `line` ends inside a quoted field, entering it in state
+/// `in_quotes`. A doubled quote inside a quoted field is an escaped quote;
+/// every other quote toggles.
+fn quote_state_after(line: &[u8], mut in_quotes: bool) -> bool {
+    let mut i = 0;
+    while i < line.len() {
+        if line[i] == b'"' {
+            if in_quotes && line.get(i + 1) == Some(&b'"') {
+                i += 1;
             } else {
                 in_quotes = !in_quotes;
             }
         }
+        i += 1;
     }
     in_quotes
+}
+
+/// Record reader over raw bytes: one reused buffer holds the current
+/// logical record, and its fields are handed out as `&str` slices of that
+/// buffer (or, for a record with quotes, of one reused unescape buffer) —
+/// no per-line `String`, no per-field `String`.
+///
+/// Every failure is charged to a 1-based *physical* line number. Invalid
+/// UTF-8 is a [`TableError::Csv`] naming the offending line and byte
+/// offset — not an opaque I/O error — so a half-corrupted million-row file
+/// is diagnosable. A line terminator (`\n` / `\r\n`) ends a record and is
+/// dropped, unless it falls inside a quoted field: there it is data and is
+/// kept as read.
+struct CsvRecords<R: Read> {
+    reader: BufReader<R>,
+    /// 1-based number of the last physical line read.
+    line_no: usize,
+    /// The current logical record, terminator stripped.
+    record: Vec<u8>,
+    /// Whether `record` contains a quote at all (most do not, and split on
+    /// commas alone).
+    quoted: bool,
+    /// Field contents of a quoted record, quotes resolved.
+    unescaped: String,
+    /// Byte range of each field in `record` or `unescaped`.
+    spans: Vec<(usize, usize)>,
+}
+
+/// The fields of one record, borrowed from the reader's buffers.
+struct Fields<'a> {
+    text: &'a str,
+    spans: &'a [(usize, usize)],
+}
+
+impl<'a> Fields<'a> {
+    fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.spans.iter().map(|&(from, to)| &self.text[from..to])
+    }
+}
+
+impl<R: Read> CsvRecords<R> {
+    fn new(reader: R) -> Self {
+        CsvRecords {
+            reader: BufReader::new(reader),
+            line_no: 0,
+            record: Vec::new(),
+            quoted: false,
+            unescaped: String::new(),
+            spans: Vec::new(),
+        }
+    }
+
+    /// Append the next physical line to `record`, terminator included.
+    /// Returns where its content (the line without terminator) ends, or
+    /// `None` at end of input.
+    fn read_line(&mut self) -> Result<Option<usize>> {
+        let start = self.record.len();
+        if self.reader.read_until(b'\n', &mut self.record)? == 0 {
+            return Ok(None);
+        }
+        self.line_no += 1;
+        let mut end = self.record.len();
+        if self.record[end - 1] == b'\n' {
+            end -= 1;
+            if end > start && self.record[end - 1] == b'\r' {
+                end -= 1;
+            }
+        }
+        match std::str::from_utf8(&self.record[start..end]) {
+            Ok(_) => Ok(Some(end)),
+            Err(e) => Err(csv_error(
+                self.line_no,
+                format!("invalid UTF-8 at byte {} of the line", e.valid_up_to()),
+            )),
+        }
+    }
+
+    /// The header's fields: those of the first *physical* line, whatever
+    /// its quotes.
+    fn header(&mut self) -> Result<Fields<'_>> {
+        let Some(end) = self.read_line()? else {
+            return Err(csv_error(1, "empty input (missing header)"));
+        };
+        self.record.truncate(end);
+        self.quoted = self.record.contains(&b'"');
+        self.fields()
+    }
+
+    /// Read the next logical record — physical lines up to the first one
+    /// that ends outside a quoted field — and return the number of its last
+    /// line (what its errors are charged to), or `None` at end of input.
+    ///
+    /// A blank line is skippable noise under a multi-column header, but
+    /// under a single-column one it *is* a record (one null cell) — exactly
+    /// what the writer emits for such a row.
+    fn next_record(&mut self, ncols: usize) -> Result<Option<usize>> {
+        loop {
+            self.record.clear();
+            self.quoted = false;
+            let mut in_quotes = false;
+            loop {
+                let start = self.record.len();
+                let Some(end) = self.read_line()? else {
+                    if start == 0 {
+                        return Ok(None);
+                    }
+                    return Err(csv_error(
+                        self.line_no,
+                        "unterminated quoted field at end of input",
+                    ));
+                };
+                let line = &self.record[start..end];
+                if in_quotes || line.contains(&b'"') {
+                    self.quoted = true;
+                    in_quotes = quote_state_after(line, in_quotes);
+                }
+                if !in_quotes {
+                    self.record.truncate(end);
+                    break;
+                }
+            }
+            if !(self.record.is_empty() && ncols > 1) {
+                return Ok(Some(self.line_no));
+            }
+        }
+    }
+
+    /// Split the current record into fields. Errors are charged to the
+    /// record's last physical line.
+    fn fields(&mut self) -> Result<Fields<'_>> {
+        let record = std::str::from_utf8(&self.record).expect("validated line by line");
+        self.spans.clear();
+        if !self.quoted {
+            let mut from = 0;
+            for (i, &b) in record.as_bytes().iter().enumerate() {
+                if b == b',' {
+                    self.spans.push((from, i));
+                    from = i + 1;
+                }
+            }
+            self.spans.push((from, record.len()));
+            return Ok(Fields {
+                text: record,
+                spans: &self.spans,
+            });
+        }
+
+        // Copy the record into `unescaped` run by run, leaving out the
+        // quotes that delimit and the commas that separate. Both are ASCII,
+        // so every run boundary is a char boundary.
+        let out = &mut self.unescaped;
+        out.clear();
+        let bytes = record.as_bytes();
+        let (mut field_from, mut run_from) = (0, 0);
+        let mut in_quotes = false;
+        let mut i = 0;
+        while i < bytes.len() {
+            match bytes[i] {
+                b'"' if in_quotes && bytes.get(i + 1) == Some(&b'"') => {
+                    // Escaped quote: keep the first of the pair.
+                    out.push_str(&record[run_from..=i]);
+                    i += 1;
+                    run_from = i + 1;
+                }
+                b'"' => {
+                    out.push_str(&record[run_from..i]);
+                    run_from = i + 1;
+                    if !in_quotes && out.len() > field_from {
+                        return Err(csv_error(self.line_no, "quote inside unquoted field"));
+                    }
+                    in_quotes = !in_quotes;
+                }
+                b',' if !in_quotes => {
+                    out.push_str(&record[run_from..i]);
+                    run_from = i + 1;
+                    self.spans.push((field_from, out.len()));
+                    field_from = out.len();
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        if in_quotes {
+            return Err(csv_error(self.line_no, "unterminated quoted field"));
+        }
+        out.push_str(&record[run_from..]);
+        self.spans.push((field_from, out.len()));
+        Ok(Fields {
+            text: &self.unescaped,
+            spans: &self.spans,
+        })
+    }
 }
 
 /// Read a headered CSV into a table, parsing every cell according to the
@@ -137,57 +248,33 @@ pub fn read_csv<R: Read>(
     name: impl Into<String>,
     schema: Schema,
 ) -> Result<Table> {
-    let mut lines = CsvLines::new(reader);
-    let header_line = lines.next_line()?.ok_or(TableError::Csv {
-        line: 1,
-        message: "empty input (missing header)".to_owned(),
-    })?;
-    let header = parse_record(&header_line, 1)?;
+    let mut records = CsvRecords::new(reader);
+    let header: Vec<&str> = records.header()?.iter().collect();
     let expected: Vec<&str> = schema.names();
     if header != expected {
-        return Err(TableError::Csv {
-            line: 1,
-            message: format!("header {header:?} does not match schema {expected:?}"),
-        });
+        return Err(csv_error(
+            1,
+            format!("header {header:?} does not match schema {expected:?}"),
+        ));
     }
 
     // Streaming ingest: records are parsed straight into a bounded
     // columnar batch (one reused row buffer, no per-file row Vec) and
     // flushed into the table's columns every CSV_BATCH_ROWS rows.
     let mut table = Table::new(name, schema);
+    let ncols = table.ncols();
     let mut builder = ColumnarBuilder::new(table.schema().clone(), CSV_BATCH_ROWS);
-    let mut row_buf: Vec<Value> = Vec::with_capacity(table.ncols());
-    let mut pending: Option<String> = None;
-    while let Some(line) = lines.next_line()? {
-        let line_no = lines.line_no;
-        let record = match pending.take() {
-            Some(mut buf) => {
-                buf.push('\n');
-                buf.push_str(&line);
-                buf
-            }
-            None => line,
-        };
-        if ends_inside_quotes(&record) {
-            pending = Some(record);
-            continue;
-        }
-        // A blank line is skippable noise for multi-column schemas, but
-        // for a single-column schema it *is* a record (one null cell) —
-        // exactly what the writer emits for such a row.
-        if record.is_empty() && table.ncols() > 1 {
-            continue;
-        }
-        let fields = parse_record(&record, line_no)?;
-        if fields.len() != table.ncols() {
-            return Err(TableError::Csv {
-                line: line_no,
-                message: format!(
-                    "record has {} fields, schema has {} columns",
-                    fields.len(),
-                    table.ncols()
+    let mut row_buf: Vec<Value> = Vec::with_capacity(ncols);
+    while let Some(line_no) = records.next_record(ncols)? {
+        let fields = records.fields()?;
+        if fields.len() != ncols {
+            return Err(csv_error(
+                line_no,
+                format!(
+                    "record has {} fields, schema has {ncols} columns",
+                    fields.len()
                 ),
-            });
+            ));
         }
         row_buf.clear();
         for (field, decl) in fields.iter().zip(builder.schema().fields()) {
@@ -197,12 +284,6 @@ pub fn read_csv<R: Read>(
         if builder.is_full() {
             table.append_batch(builder.take_batch())?;
         }
-    }
-    if pending.is_some() {
-        return Err(TableError::Csv {
-            line: lines.line_no,
-            message: "unterminated quoted field at end of input".to_owned(),
-        });
     }
     table.append_batch(builder.take_batch())?;
     Ok(table)
@@ -229,10 +310,7 @@ fn parse_cell(raw: &str, dtype: Dtype, line_no: usize) -> Result<Value> {
         Dtype::Float => raw.parse::<f64>().map(Value::Float).ok(),
         Dtype::Str => Some(Value::Str(raw.to_owned())),
     };
-    parsed.ok_or_else(|| TableError::Csv {
-        line: line_no,
-        message: format!("cannot parse `{raw}` as {dtype}"),
-    })
+    parsed.ok_or_else(|| csv_error(line_no, format!("cannot parse `{raw}` as {dtype}")))
 }
 
 /// Read a headered CSV and *infer* each column's dtype from its contents:
@@ -240,51 +318,24 @@ fn parse_cell(raw: &str, dtype: Dtype, line_no: usize) -> Result<Value> {
 /// if every non-empty cell parses as `f64`, else `Bool` if every cell is
 /// `true`/`false`, else `Str`. All-empty columns default to `Str`.
 pub fn read_csv_infer<R: Read>(reader: R, name: impl Into<String>) -> Result<Table> {
-    let mut lines = CsvLines::new(reader);
-    let header_line = lines.next_line()?.ok_or(TableError::Csv {
-        line: 1,
-        message: "empty input (missing header)".to_owned(),
-    })?;
-    let header = parse_record(&header_line, 1)?;
+    let mut lines = CsvRecords::new(reader);
+    let header: Vec<String> = lines.header()?.iter().map(str::to_owned).collect();
 
     // Materialize all records first (type inference needs a full pass).
     let mut records: Vec<Vec<String>> = Vec::new();
-    let mut pending: Option<String> = None;
-    while let Some(line) = lines.next_line()? {
-        let line_no = lines.line_no;
-        let record = match pending.take() {
-            Some(mut buf) => {
-                buf.push('\n');
-                buf.push_str(&line);
-                buf
-            }
-            None => line,
-        };
-        if ends_inside_quotes(&record) {
-            pending = Some(record);
-            continue;
-        }
-        if record.is_empty() && header.len() > 1 {
-            continue; // blank line (single-column schemas treat it as a null cell)
-        }
-        let fields = parse_record(&record, line_no)?;
+    while let Some(line_no) = lines.next_record(header.len())? {
+        let fields = lines.fields()?;
         if fields.len() != header.len() {
-            return Err(TableError::Csv {
-                line: line_no,
-                message: format!(
+            return Err(csv_error(
+                line_no,
+                format!(
                     "record has {} fields, header has {} columns",
                     fields.len(),
                     header.len()
                 ),
-            });
+            ));
         }
-        records.push(fields);
-    }
-    if pending.is_some() {
-        return Err(TableError::Csv {
-            line: lines.line_no,
-            message: "unterminated quoted field at end of input".to_owned(),
-        });
+        records.push(fields.iter().map(str::to_owned).collect());
     }
 
     let infer = |col: usize| -> Dtype {
@@ -327,9 +378,11 @@ pub fn read_csv_infer<R: Read>(reader: R, name: impl Into<String>) -> Result<Tab
     Ok(table)
 }
 
-/// Quote a field if it contains a delimiter, quote, or newline.
+/// Quote a field if it contains a delimiter, a quote, or either byte of a
+/// line terminator (an unquoted trailing `\r` would be read back as part of
+/// one).
 fn escape(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
+    if field.contains([',', '"', '\n', '\r']) {
         let mut out = String::with_capacity(field.len() + 2);
         out.push('"');
         for ch in field.chars() {
@@ -526,5 +579,342 @@ mod tests {
         let t = read_csv_infer(data.as_bytes(), "T").unwrap();
         assert_eq!(t.schema().field(1).dtype, Dtype::Str);
         assert!(t.value_by_name(0, "b").unwrap().is_null());
+    }
+
+    /// A quoted field keeps a line terminator exactly as written, and a
+    /// field ending in a bare `\r` is quoted so the reader cannot take it
+    /// for half of one. (Both came back changed: `"x\r\ny"` as `"x\ny"`,
+    /// `"tail\r"` as `"tail"`.)
+    #[test]
+    fn carriage_returns_survive_a_round_trip() {
+        let cells = ["x\r\ny", "tail\r", "\r", "a\rb", "\r\n", "q\"\r\n\"q"];
+        let t = Table::from_rows(
+            "T",
+            &[("id", Dtype::Str), ("name", Dtype::Str), ("n", Dtype::Int)],
+            cells
+                .iter()
+                .map(|c| vec![(*c).into(), (*c).into(), Value::Int(1)])
+                .collect(),
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        write_csv(&t, &mut buf).unwrap();
+        for back in [
+            read_csv(buf.as_slice(), "T", schema()).unwrap(),
+            read_csv_infer(buf.as_slice(), "T").unwrap(),
+        ] {
+            assert_eq!(back.nrows(), cells.len());
+            for (r, cell) in cells.iter().enumerate() {
+                assert_eq!(back.value(r, 0).as_str(), Some(*cell), "row {r}");
+                assert_eq!(back.value(r, 1).as_str(), Some(*cell), "row {r}");
+            }
+        }
+        // Outside quotes `\r\n` is still just a terminator.
+        let t = read_csv("id,name,n\r\na,\"x\r\ny\",1\r\n".as_bytes(), "T", schema()).unwrap();
+        assert_eq!(t.value(0, 1).as_str(), Some("x\r\ny"));
+    }
+
+    /// The reader this module had before it parsed bytes — a `String` per
+    /// physical line, `char`-peekable state machines, a `Vec<String>` per
+    /// record — kept as the oracle for [`CsvRecords`]. Its one change is
+    /// the carriage-return fix: a line that ends inside quotes is re-joined
+    /// with the terminator it had, not with `\n`.
+    mod oracle {
+        use super::super::*;
+
+        pub struct CsvLines<R: Read> {
+            reader: BufReader<R>,
+            pub line_no: usize,
+        }
+
+        impl<R: Read> CsvLines<R> {
+            pub fn new(reader: R) -> Self {
+                CsvLines {
+                    reader: BufReader::new(reader),
+                    line_no: 0,
+                }
+            }
+
+            /// The next physical line and the terminator stripped off it.
+            pub fn next_line(&mut self) -> Result<Option<(String, &'static str)>> {
+                let mut buf = Vec::new();
+                let n = self.reader.read_until(b'\n', &mut buf)?;
+                if n == 0 {
+                    return Ok(None);
+                }
+                self.line_no += 1;
+                let mut terminator = "";
+                if buf.last() == Some(&b'\n') {
+                    buf.pop();
+                    terminator = "\n";
+                    if buf.last() == Some(&b'\r') {
+                        buf.pop();
+                        terminator = "\r\n";
+                    }
+                }
+                match String::from_utf8(buf) {
+                    Ok(s) => Ok(Some((s, terminator))),
+                    Err(e) => Err(TableError::Csv {
+                        line: self.line_no,
+                        message: format!(
+                            "invalid UTF-8 at byte {} of the line",
+                            e.utf8_error().valid_up_to()
+                        ),
+                    }),
+                }
+            }
+        }
+
+        pub fn parse_record(line: &str, line_no: usize) -> Result<Vec<String>> {
+            let mut fields = Vec::new();
+            let mut cur = String::new();
+            let mut chars = line.chars().peekable();
+            let mut in_quotes = false;
+            while let Some(ch) = chars.next() {
+                if in_quotes {
+                    match ch {
+                        '"' => {
+                            if chars.peek() == Some(&'"') {
+                                chars.next();
+                                cur.push('"');
+                            } else {
+                                in_quotes = false;
+                            }
+                        }
+                        _ => cur.push(ch),
+                    }
+                } else {
+                    match ch {
+                        ',' => fields.push(std::mem::take(&mut cur)),
+                        '"' => {
+                            if !cur.is_empty() {
+                                return Err(TableError::Csv {
+                                    line: line_no,
+                                    message: "quote inside unquoted field".to_owned(),
+                                });
+                            }
+                            in_quotes = true;
+                        }
+                        _ => cur.push(ch),
+                    }
+                }
+            }
+            if in_quotes {
+                return Err(TableError::Csv {
+                    line: line_no,
+                    message: "unterminated quoted field".to_owned(),
+                });
+            }
+            fields.push(cur);
+            Ok(fields)
+        }
+
+        pub fn ends_inside_quotes(line: &str) -> bool {
+            let mut in_quotes = false;
+            let mut chars = line.chars().peekable();
+            while let Some(ch) = chars.next() {
+                if ch == '"' {
+                    if in_quotes && chars.peek() == Some(&'"') {
+                        chars.next();
+                    } else {
+                        in_quotes = !in_quotes;
+                    }
+                }
+            }
+            in_quotes
+        }
+
+        /// The old `read_csv` over an all-string schema of `ncols` columns:
+        /// the header's fields and every row's cells (`None` = null).
+        #[allow(clippy::type_complexity)]
+        pub fn read(data: &[u8], ncols: usize) -> Result<(Vec<String>, Vec<Vec<Option<String>>>)> {
+            let mut lines = CsvLines::new(data);
+            let (header_line, _) = lines.next_line()?.ok_or(TableError::Csv {
+                line: 1,
+                message: "empty input (missing header)".to_owned(),
+            })?;
+            let header = parse_record(&header_line, 1)?;
+            let mut rows = Vec::new();
+            let mut pending: Option<String> = None;
+            while let Some((line, terminator)) = lines.next_line()? {
+                let line_no = lines.line_no;
+                let mut record = match pending.take() {
+                    Some(mut buf) => {
+                        buf.push_str(&line);
+                        buf
+                    }
+                    None => line,
+                };
+                if ends_inside_quotes(&record) {
+                    record.push_str(terminator);
+                    pending = Some(record);
+                    continue;
+                }
+                if record.is_empty() && ncols > 1 {
+                    continue;
+                }
+                let fields = parse_record(&record, line_no)?;
+                if fields.len() != ncols {
+                    return Err(TableError::Csv {
+                        line: line_no,
+                        message: format!(
+                            "record has {} fields, schema has {} columns",
+                            fields.len(),
+                            ncols
+                        ),
+                    });
+                }
+                rows.push(
+                    fields
+                        .into_iter()
+                        .map(|f| (!f.is_empty()).then_some(f))
+                        .collect(),
+                );
+            }
+            if pending.is_some() {
+                return Err(TableError::Csv {
+                    line: lines.line_no,
+                    message: "unterminated quoted field at end of input".to_owned(),
+                });
+            }
+            Ok((header, rows))
+        }
+    }
+
+    /// `read_csv` over an all-string schema, in the oracle's terms. The
+    /// header is read as data (its check against the schema is not the
+    /// parser's business), so any header line is accepted.
+    #[allow(clippy::type_complexity)]
+    fn read_as_cells(data: &[u8], ncols: usize) -> Result<(Vec<String>, Vec<Vec<Option<String>>>)> {
+        let mut records = CsvRecords::new(data);
+        let header: Vec<String> = records.header()?.iter().map(str::to_owned).collect();
+        let mut rows = Vec::new();
+        while let Some(line_no) = records.next_record(ncols)? {
+            let fields = records.fields()?;
+            if fields.len() != ncols {
+                return Err(csv_error(
+                    line_no,
+                    format!("record has {} fields, schema has {ncols} columns", fields.len()),
+                ));
+            }
+            rows.push(
+                fields
+                    .iter()
+                    .map(|f| (!f.is_empty()).then(|| f.to_owned()))
+                    .collect(),
+            );
+        }
+        Ok((header, rows))
+    }
+
+    /// `Ok` cells or the `(line, message)` of a CSV error.
+    #[allow(clippy::type_complexity)]
+    fn outcome(
+        r: Result<(Vec<String>, Vec<Vec<Option<String>>>)>,
+    ) -> std::result::Result<(Vec<String>, Vec<Vec<Option<String>>>), (usize, String)> {
+        r.map_err(|e| match e {
+            TableError::Csv { line, message } => (line, message),
+            other => panic!("not a CSV error: {other}"),
+        })
+    }
+
+    fn assert_matches_oracle(data: &[u8]) {
+        for ncols in [1, 3] {
+            assert_eq!(
+                outcome(read_as_cells(data, ncols)),
+                outcome(oracle::read(data, ncols)),
+                "ncols {ncols}, input {:?}",
+                String::from_utf8_lossy(data)
+            );
+        }
+    }
+
+    #[test]
+    fn reader_matches_oracle_on_pinned_inputs() {
+        let cases: &[&[u8]] = &[
+            b"",
+            b"\n",
+            b"a,b,c",
+            b"a,b,c\n",
+            b"a,b,c\r\n1,2,3\r\n",
+            b"a,b,c\n1,2,3",
+            b"a,b,c\n1,2,3\r",
+            b"a,b,c\n\n\r\n1,2,3\n\n",
+            b"a,b,c\n,,\n",
+            b"a,b,c\n\"\",\"\",\"\"\n",
+            b"a,b,c\n\"x,y\",\"say \"\"hi\"\"\",z\n",
+            b"a,b,c\n\"multi\nline\",\"crlf\r\nline\",\"cr\rline\"\n",
+            b"a,b,c\n\"ab\"cd,e,f\n",
+            b"a,b,c\nab\"cd,e,f\n",
+            b"a,b,c\nab\"cd\nef\",x,y\n1,2,3\n",
+            b"a,b,c\n\"\" \"x\",e,f\n",
+            b"a,b,c\n\"\"\"\",\"\"\"x\",\"\"\n",
+            b"a,b,c\n1,2\n",
+            b"a,b,c\n1,2,3,4\n",
+            b"a,b,c\n1,\"never closed,2\n3,4,5\n",
+            b"a,\"b,c\n1,2,3\n",
+            b"a\"b,c\n",
+            b"a,b,c\n1,\xff\xfe,3\n",
+            b"a,b,c\n1,\"open\n2,\xc3,3\"\n",
+            b"a,b,c\n1,\"open\n2,\xc3",
+            b"\xc0\x80,b,c\n1,2,3\n",
+            "a,b,c\n\u{e9}t\u{e9},\"\u{3bb},\u{2603}\",\u{212a}\n".as_bytes(),
+        ];
+        for data in cases {
+            assert_matches_oracle(data);
+        }
+    }
+
+    /// The pieces random inputs are assembled from: field text, separators,
+    /// every quote shape, all three terminators, multi-byte characters and
+    /// bytes that are not UTF-8.
+    const PIECES: &[&[u8]] = &[
+        b"a", b"bc", b" ", b",", b",", b"\"", b"\"", b"\"\"", b"\n", b"\n", b"\r\n", b"\r",
+        "\u{e9}".as_bytes(), "\u{2603}".as_bytes(), b"\xff", b"\xc3",
+    ];
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Anything at all: mostly errors, on which line and message agree.
+        #[test]
+        fn reader_matches_oracle_on_soup(
+            picks in proptest::collection::vec(0usize..PIECES.len(), 0..40),
+        ) {
+            let mut data = b"h1,h2,h3\n".to_vec();
+            for p in picks {
+                data.extend_from_slice(PIECES[p]);
+            }
+            assert_matches_oracle(&data);
+        }
+
+        /// Rows the writer's own quoting produced, under either terminator,
+        /// with an occasional stray quote or missing last terminator.
+        #[test]
+        fn reader_matches_oracle_on_written_rows(
+            rows in proptest::collection::vec(
+                proptest::collection::vec("[ab ,\"\n\r\u{e9}]{0,5}", 3),
+                0..6,
+            ),
+            crlf in any::<bool>(),
+            stray in 0usize..8,
+            cut in any::<bool>(),
+        ) {
+            let mut data = String::from("h1,h2,h3\n");
+            for (i, row) in rows.iter().enumerate() {
+                let cells: Vec<String> = row.iter().map(|c| escape(c)).collect();
+                data.push_str(&cells.join(","));
+                if i == stray {
+                    data.push('"');
+                }
+                data.push_str(if crlf { "\r\n" } else { "\n" });
+            }
+            if cut {
+                data.pop();
+            }
+            assert_matches_oracle(data.as_bytes());
+        }
     }
 }

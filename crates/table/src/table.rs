@@ -1,6 +1,7 @@
 //! The in-memory table: the generic data structure every Magellan-rs tool
 //! exchanges (the pandas-DataFrame role in the paper's design).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -459,6 +460,22 @@ impl Table {
         Ok(map)
     }
 
+    /// The string rendering of attribute `attr` for each row, `None` for
+    /// nulls — the column a tokenizer, key normalizer or sort key reads.
+    /// String cells are **borrowed** from the column (in RAM or mapped);
+    /// only other dtypes are rendered, through their display form (what
+    /// equality blocking on e.g. zip codes wants).
+    pub fn column_strs(&self, attr: &str) -> Result<Vec<Option<Cow<'_, str>>>> {
+        let view = self.col_view(self.schema.try_index_of(attr)?);
+        Ok((0..self.nrows)
+            .map(|r| match view.get(r) {
+                ValueRef::Null => None,
+                ValueRef::Str(s) => Some(Cow::Borrowed(s)),
+                v => Some(Cow::Owned(v.display_string())),
+            })
+            .collect())
+    }
+
     /// Iterate row indices.
     pub fn rows(&self) -> impl Iterator<Item = usize> {
         0..self.nrows
@@ -575,6 +592,35 @@ mod tests {
         let idx = t.key_index("id").unwrap();
         assert_eq!(idx.len(), 3);
         assert_eq!(idx["a2"], 1);
+    }
+
+    #[test]
+    fn column_strs_borrows_strings_and_renders_the_rest() {
+        let t = people();
+        let names = t.column_strs("name").unwrap();
+        assert_eq!(names[0].as_deref(), Some("Dave Smith"));
+        assert!(names.iter().all(|n| matches!(n, Some(Cow::Borrowed(_)))));
+        let ages = t.column_strs("age").unwrap();
+        assert_eq!(ages[0].as_deref(), Some("40"));
+        assert!(ages[1].is_none(), "nulls stay None");
+        assert!(matches!(ages[2], Some(Cow::Owned(_))));
+        assert!(t.column_strs("zzz").is_err());
+
+        // Same cells, still borrowed, from a mapped table.
+        let path = std::env::temp_dir().join(format!("column_strs_{}.emtbl", std::process::id()));
+        crate::emtbl::write_path(&t, &path).unwrap();
+        let mapped = crate::emtbl::open_table(&path).unwrap();
+        assert_eq!(mapped.storage(), Storage::Mapped);
+        assert_eq!(mapped.column_strs("name").unwrap(), names);
+        assert_eq!(mapped.column_strs("age").unwrap(), ages);
+        assert!(mapped
+            .column_strs("name")
+            .unwrap()
+            .iter()
+            .all(|n| matches!(n, Some(Cow::Borrowed(_)))));
+        assert_eq!(mapped.storage(), Storage::Mapped, "nothing was materialized");
+        drop(mapped);
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

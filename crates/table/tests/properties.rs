@@ -15,8 +15,12 @@ fn cell(dtype: Dtype) -> BoxedStrategy<Value> {
         ]
         .boxed(),
         Dtype::Str => prop_oneof![
-            // Exercise the CSV quoting paths: commas, quotes, newlines.
-            4 => "[a-z ,\"\n]{0,12}".prop_map(Value::Str),
+            // Exercise the CSV quoting paths: commas, quotes, newlines,
+            // and carriage returns inside a field and at its end (both
+            // used to come back changed).
+            4 => "[a-z ,\"\n\r]{0,12}".prop_map(Value::Str),
+            1 => Just(Value::Str("x\r\ny".to_owned())),
+            1 => Just(Value::Str("tail\r".to_owned())),
             1 => Just(Value::Null)
         ]
         .boxed(),

@@ -20,28 +20,128 @@
 //! * id *order* carries no meaning (insertion order), which is fine:
 //!   no measure below depends on which ids are smaller, only on equality.
 //!
+//! ## The hasher, and what may depend on it
+//!
+//! Every token of every record is looked up here, so the table hashes
+//! with [`TokenHasher`] — one multiply per 8 input bytes — instead of the
+//! standard library's SipHash. Tokens come from outside the program, so
+//! each interner draws its own random seed, and the length is mixed in so
+//! that padding a token cannot steer it into a chosen bucket (the
+//! `hostile_token_families_spread` test pins both on the buckets and tags
+//! `hashbrown` derives). This is a cheaper and weaker guarantee than
+//! SipHash's: it stops accidental and naive collisions, not an adversary
+//! who can observe timing and search for multiplicative collisions.
+//!
+//! **Nothing observable depends on the seed or on any hash value**: ids
+//! are handed out in first-intern order, the map is never iterated, and
+//! [`TokenInterner::vocab_bytes`] counts strings, not buckets. Two
+//! interners fed the same tokens in the same order are equal id for id
+//! (`ids_do_not_depend_on_the_seed`).
+//!
 //! The `*_ids` kernels intentionally mirror the arithmetic of their
 //! [`crate::setsim`] counterparts expression-for-expression so the
 //! bit-identity holds even where floating-point evaluation order could
 //! matter (e.g. cosine's `(|A| as f64) * (|B| as f64)` product).
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+
+use crate::tokenize::Tokenizer;
+
+/// The 64 × 64 → 128-bit product folded back to 64 bits: every input bit
+/// reaches every output bit, high and low.
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let wide = u128::from(a) * u128::from(b);
+    (wide as u64) ^ ((wide >> 64) as u64)
+}
+
+// Odd multipliers with no structure of their own: hex digits of π.
+const MIX_WORD: u64 = 0x243f_6a88_85a3_08d3;
+const MIX_LEN: u64 = 0x082e_fa98_ec4e_6c89;
+const MIX_FINISH: u64 = 0x4528_21e6_38d0_1377;
+
+/// Word-at-a-time multiplicative hasher for token strings (see the module
+/// docs for what it does and does not defend against).
+#[derive(Debug, Clone, Copy)]
+struct TokenHasher {
+    state: u64,
+}
+
+impl Hasher for TokenHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // The length goes in first: the tail word below is zero-padded, so
+        // without it `"ab"` and `"ab\0"` would collide.
+        let mut h = self.state ^ (bytes.len() as u64).wrapping_mul(MIX_LEN);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let w = u64::from_le_bytes(w.try_into().expect("chunks of 8"));
+            h = folded_multiply(h ^ w, MIX_WORD);
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            h = folded_multiply(h ^ u64::from_le_bytes(w), MIX_WORD);
+        }
+        self.state = h;
+    }
+
+    /// `str::hash` appends a `0xff` byte to keep composite keys
+    /// prefix-free; a lone string key needs no terminator.
+    fn write_u8(&mut self, _terminator: u8) {}
+
+    fn finish(&self) -> u64 {
+        folded_multiply(self.state, MIX_FINISH)
+    }
+}
+
+/// Builds every [`TokenHasher`] of one interner from that interner's seed.
+#[derive(Debug, Clone, Copy)]
+struct TokenHashSeed(u64);
+
+impl BuildHasher for TokenHashSeed {
+    type Hasher = TokenHasher;
+
+    fn build_hasher(&self) -> TokenHasher {
+        TokenHasher { state: self.0 }
+    }
+}
 
 /// A token → dense `u32` id table, append-only.
 ///
 /// Ids are assigned in first-intern order. The interner is the single
 /// shared vocabulary for one prepared workload (both tables of an EM
 /// task), so ids are comparable across sides.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TokenInterner {
-    ids: HashMap<String, u32>,
+    ids: HashMap<String, u32, TokenHashSeed>,
     tokens: Vec<String>,
+    /// Reused by [`TokenInterner::intern_tokens`] so a record's ids are
+    /// collected without a growth allocation.
+    scratch: Vec<u32>,
+}
+
+impl Default for TokenInterner {
+    fn default() -> Self {
+        // The standard library's per-process random keys, read through the
+        // one door it offers.
+        Self::with_seed(RandomState::new().build_hasher().finish())
+    }
 }
 
 impl TokenInterner {
     /// Empty interner.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn with_seed(seed: u64) -> Self {
+        TokenInterner {
+            ids: HashMap::with_hasher(TokenHashSeed(seed)),
+            tokens: Vec::new(),
+            scratch: Vec::new(),
+        }
     }
 
     /// Id of `token`, interning it if new.
@@ -94,6 +194,33 @@ impl TokenInterner {
         ids.sort_unstable();
         ids.dedup();
         ids
+    }
+
+    /// Tokenize `s` straight into its **sorted, deduplicated** id set:
+    /// `intern_set(&tokenizer.tokenize(s))` without a `String` per token —
+    /// the tokenizer visits, each token is looked up as a borrowed `&str`,
+    /// and the one allocation is the exact-size result. New tokens get
+    /// their ids in visit order, as they would from `intern_set`.
+    ///
+    /// ```
+    /// use magellan_textsim::tokenize::AlphanumericTokenizer;
+    /// use magellan_textsim::TokenInterner;
+    ///
+    /// let tok = AlphanumericTokenizer::as_set();
+    /// let mut interner = TokenInterner::new();
+    /// let a = interner.intern_tokens(&tok, "Dave Smith");
+    /// let b = interner.intern_tokens(&tok, "smith, dave jr");
+    /// assert_eq!((a, b), (vec![0, 1], vec![0, 1, 2]));
+    /// ```
+    pub fn intern_tokens<T: Tokenizer + ?Sized>(&mut self, tokenizer: &T, s: &str) -> Vec<u32> {
+        let mut ids = std::mem::take(&mut self.scratch);
+        ids.clear();
+        tokenizer.for_each_token(s, &mut |t| ids.push(self.intern(t)));
+        ids.sort_unstable();
+        ids.dedup();
+        let set = ids.as_slice().to_vec();
+        self.scratch = ids;
+        set
     }
 
     /// Vocabulary generation: advances by exactly one per *new* token
@@ -332,5 +459,95 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn hash_of(seed: u64, token: &[u8]) -> u64 {
+        // What `HashMap<String, _, TokenHashSeed>` computes for a `str` key.
+        let mut h = TokenHashSeed(seed).build_hasher();
+        h.write(token);
+        h.write_u8(0xff);
+        h.finish()
+    }
+
+    /// `hashbrown` picks a bucket from the low bits of a hash and tags the
+    /// slot with its top 7. How evenly `hash` spreads `tokens` over both:
+    /// (distinct low-16-bit values, smallest and largest top-7-bit class).
+    fn spread(tokens: &[Vec<u8>], hash: impl Fn(&[u8]) -> u64) -> (usize, usize, usize) {
+        let mut buckets = vec![false; 1 << 16];
+        let mut tags = [0usize; 128];
+        for t in tokens {
+            let h = hash(t);
+            buckets[(h & 0xffff) as usize] = true;
+            tags[(h >> 57) as usize] += 1;
+        }
+        (
+            buckets.iter().filter(|b| **b).count(),
+            *tags.iter().min().unwrap(),
+            *tags.iter().max().unwrap(),
+        )
+    }
+
+    /// Two families a token column from outside the program could hold —
+    /// 100 000 tokens sharing their first 8 bytes (one identical first
+    /// word), and 100 000 that differ only in trailing NUL padding (the
+    /// zero-padded tail word hides it) — land within 2× of a uniform draw
+    /// on both the bucket bits and the tag bits. Fixed seed, no timing. A
+    /// plain multiply-rotate fold with no length in it fails the second
+    /// family, which is why `write` mixes the length in.
+    #[test]
+    fn hostile_token_families_spread() {
+        const N: usize = 100_000;
+        let shared_prefix: Vec<Vec<u8>> = (0..N)
+            .map(|i| format!("prefix__{i}").into_bytes())
+            .collect();
+        let nul_padded: Vec<Vec<u8>> = (0..N)
+            .map(|i| {
+                let mut t = format!("t{}", i / 100).into_bytes();
+                t.resize(t.len() + i % 100, 0);
+                t
+            })
+            .collect();
+        // A uniform draw of N values leaves 2^16·(1 − e^(−N/2^16)) ≈ 51 287
+        // of the 2^16 buckets occupied and puts N/128 ≈ 781 in each tag.
+        let uniform_buckets = 51_287;
+        let uniform_tag = N / 128;
+        for (family, tokens) in [("shared prefix", &shared_prefix), ("NUL padded", &nul_padded)] {
+            let (buckets, min_tag, max_tag) = spread(tokens, |t| hash_of(0x5eed, t));
+            assert!(buckets * 2 >= uniform_buckets, "{family}: {buckets} buckets");
+            assert!(min_tag * 2 >= uniform_tag, "{family}: smallest tag class {min_tag}");
+            assert!(max_tag <= uniform_tag * 2, "{family}: largest tag class {max_tag}");
+        }
+
+        // The fold this hasher would be without the length (FxHash's shape).
+        let plain_fold = |t: &[u8]| {
+            let mut h = 0x5eedu64;
+            for w in t.chunks(8) {
+                let mut word = [0u8; 8];
+                word[..w.len()].copy_from_slice(w);
+                h = (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(MIX_WORD);
+            }
+            h
+        };
+        let (buckets, _, _) = spread(&nul_padded, plain_fold);
+        assert!(buckets * 2 < uniform_buckets, "the plain fold kept {buckets} buckets apart");
+    }
+
+    /// Ids, id sets and `vocab_bytes` are functions of the tokens and
+    /// their order alone — never of the seed.
+    #[test]
+    fn ids_do_not_depend_on_the_seed() {
+        use crate::tokenize::AlphanumericTokenizer;
+        let titles: Vec<String> = (0..500)
+            .map(|i| format!("Brand{} model {} {} edition", i % 7, i % 31, i * 37 % 101))
+            .collect();
+        let build = |seed: u64| {
+            let mut it = TokenInterner::with_seed(seed);
+            let tok = AlphanumericTokenizer::as_set();
+            let sets: Vec<Vec<u32>> = titles.iter().map(|t| it.intern_tokens(&tok, t)).collect();
+            let vocab: Vec<String> = (0..it.len() as u32).map(|id| it.resolve(id).to_owned()).collect();
+            (sets, vocab, it.vocab_bytes())
+        };
+        assert_eq!(build(1), build(0xdead_beef_0bad_cafe));
+        assert_eq!(build(1), build(0));
     }
 }

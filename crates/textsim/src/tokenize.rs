@@ -4,13 +4,54 @@
 //! *set* mode (dedupe while preserving first-occurrence order), matching
 //! `py_stringmatching`'s `return_set` flag. Set mode is what the set-based
 //! similarity measures and the sim-join prefix filters consume.
+//!
+//! Each tokenizer is written once, as a *visitor*
+//! ([`Tokenizer::for_each_token`]) that hands every token to a callback as
+//! a borrowed `&str` and allocates nothing on ASCII input;
+//! [`Tokenizer::tokenize`] is the provided method that collects the visit.
+//! Batch consumers never materialize token strings: they go through
+//! [`crate::TokenInterner::intern_tokens`], which turns the visit straight
+//! into token ids.
 
 use std::collections::HashSet;
 
 /// A named tokenizer turning a string into tokens.
 pub trait Tokenizer: Send + Sync {
-    /// Tokenize `s`.
-    fn tokenize(&self, s: &str) -> Vec<String>;
+    /// Visit the tokens of `s` in order of occurrence. The `&str` handed
+    /// to `f` is only valid for that call (it may live in a stack buffer).
+    ///
+    /// In bag mode exactly the tokens of `s` are visited. In set mode
+    /// **duplicates may be visited too** (deduplicating here would cost
+    /// every caller a per-string table, and id consumers sort + dedup
+    /// anyway), but *first occurrences* come in the order
+    /// [`Tokenizer::tokenize`] returns them — the order interner ids are
+    /// assigned in.
+    ///
+    /// ```
+    /// use magellan_textsim::tokenize::{AlphanumericTokenizer, Tokenizer};
+    ///
+    /// let tok = AlphanumericTokenizer::as_set();
+    /// let mut longest = 0;
+    /// tok.for_each_token("O'Brien-Smith, J.R. (2nd)", &mut |t| longest = longest.max(t.len()));
+    /// assert_eq!(longest, 5); // "brien", "smith": lowercased on the fly, no String made
+    /// assert_eq!(tok.tokenize("Dave dave DAVE smith"), ["dave", "smith"]);
+    /// ```
+    fn for_each_token(&self, s: &str, f: &mut dyn FnMut(&str));
+
+    /// True in set mode: [`Tokenizer::tokenize`] keeps only the first
+    /// occurrence of each token.
+    fn return_set(&self) -> bool;
+
+    /// Tokenize `s` into owned tokens.
+    fn tokenize(&self, s: &str) -> Vec<String> {
+        let mut toks = Vec::new();
+        self.for_each_token(s, &mut |t| toks.push(t.to_owned()));
+        if self.return_set() {
+            dedupe(toks)
+        } else {
+            toks
+        }
+    }
 
     /// A short, stable name used in generated feature names, e.g. `"3gram"`
     /// (so features print as `jaccard(3gram(A.name), 3gram(B.name))`).
@@ -20,19 +61,19 @@ pub trait Tokenizer: Send + Sync {
 /// Dedupe tokens preserving first occurrence.
 fn dedupe(tokens: Vec<String>) -> Vec<String> {
     let mut seen: HashSet<&str> = HashSet::with_capacity(tokens.len());
-    let mut keep = vec![false; tokens.len()];
-    for (i, t) in tokens.iter().enumerate() {
-        // Safety note not needed: we only compare, lifetime bounded to loop.
-        if seen.insert(t.as_str()) {
-            keep[i] = true;
-        }
-    }
+    let keep: Vec<bool> = tokens.iter().map(|t| seen.insert(t.as_str())).collect();
     tokens
         .into_iter()
         .zip(keep)
         .filter_map(|(t, k)| k.then_some(t))
         .collect()
 }
+
+/// Tokens up to this many bytes are lowercased in a stack buffer.
+const STACK_TOKEN_BYTES: usize = 64;
+/// Padded ASCII strings up to this many bytes are q-grammed from a stack
+/// buffer.
+const STACK_PADDED_BYTES: usize = 128;
 
 /// Split on Unicode whitespace.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,13 +95,12 @@ impl WhitespaceTokenizer {
 }
 
 impl Tokenizer for WhitespaceTokenizer {
-    fn tokenize(&self, s: &str) -> Vec<String> {
-        let toks: Vec<String> = s.split_whitespace().map(str::to_owned).collect();
-        if self.return_set {
-            dedupe(toks)
-        } else {
-            toks
-        }
+    fn for_each_token(&self, s: &str, f: &mut dyn FnMut(&str)) {
+        s.split_whitespace().for_each(f);
+    }
+
+    fn return_set(&self) -> bool {
+        self.return_set
     }
 
     fn name(&self) -> String {
@@ -87,17 +127,14 @@ impl DelimiterTokenizer {
 }
 
 impl Tokenizer for DelimiterTokenizer {
-    fn tokenize(&self, s: &str) -> Vec<String> {
-        let toks: Vec<String> = s
-            .split(|c: char| self.delimiters.contains(&c))
+    fn for_each_token(&self, s: &str, f: &mut dyn FnMut(&str)) {
+        s.split(|c: char| self.delimiters.contains(&c))
             .filter(|t| !t.is_empty())
-            .map(str::to_owned)
-            .collect();
-        if self.return_set {
-            dedupe(toks)
-        } else {
-            toks
-        }
+            .for_each(f);
+    }
+
+    fn return_set(&self) -> bool {
+        self.return_set
     }
 
     fn name(&self) -> String {
@@ -128,24 +165,42 @@ impl AlphanumericTokenizer {
 }
 
 impl Tokenizer for AlphanumericTokenizer {
-    fn tokenize(&self, s: &str) -> Vec<String> {
-        let mut toks = Vec::new();
-        let mut cur = String::new();
-        for ch in s.chars() {
-            if ch.is_ascii_alphanumeric() {
-                cur.extend(ch.to_lowercase());
-            } else if !cur.is_empty() {
-                toks.push(std::mem::take(&mut cur));
+    /// A byte scan: every byte of a multi-byte character is `>= 0x80` and
+    /// so never ASCII-alphanumeric, which makes the byte runs exactly the
+    /// `char` runs, on any `&str`. A run without an upper-case byte is
+    /// handed out as a slice of `s`; otherwise it is lowercased into a
+    /// stack buffer (on the heap beyond [`STACK_TOKEN_BYTES`]).
+    fn for_each_token(&self, s: &str, f: &mut dyn FnMut(&str)) {
+        let bytes = s.as_bytes();
+        let mut buf = [0u8; STACK_TOKEN_BYTES];
+        let mut i = 0;
+        while i < bytes.len() {
+            if !bytes[i].is_ascii_alphanumeric() {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            let mut upper = false;
+            while i < bytes.len() && bytes[i].is_ascii_alphanumeric() {
+                upper |= bytes[i].is_ascii_uppercase();
+                i += 1;
+            }
+            // Both ends sit next to ASCII bytes, so they are char boundaries.
+            let run = &s[start..i];
+            if !upper {
+                f(run);
+            } else if let Some(low) = buf.get_mut(..run.len()) {
+                low.copy_from_slice(run.as_bytes());
+                low.make_ascii_lowercase();
+                f(std::str::from_utf8(low).expect("an ASCII run is UTF-8"));
+            } else {
+                f(&run.to_ascii_lowercase());
             }
         }
-        if !cur.is_empty() {
-            toks.push(cur);
-        }
-        if self.return_set {
-            dedupe(toks)
-        } else {
-            toks
-        }
+    }
+
+    fn return_set(&self) -> bool {
+        self.return_set
     }
 
     fn name(&self) -> String {
@@ -195,27 +250,52 @@ impl QgramTokenizer {
 }
 
 impl Tokenizer for QgramTokenizer {
-    fn tokenize(&self, s: &str) -> Vec<String> {
-        let mut chars: Vec<char> = Vec::with_capacity(s.len() + 2 * (self.q - 1));
-        if self.padded {
-            chars.extend(std::iter::repeat_n('#', self.q - 1));
+    /// Over ASCII input a q-gram is a window of `q` *bytes*: of `s` itself
+    /// when unpadded, else of the padded string assembled in a stack
+    /// buffer (on the heap beyond [`STACK_PADDED_BYTES`]). Any other input
+    /// is decoded to `char`s once and each window re-encoded into one
+    /// reused `String`.
+    fn for_each_token(&self, s: &str, f: &mut dyn FnMut(&str)) {
+        let q = self.q;
+        let pad = if self.padded { q - 1 } else { 0 };
+        if s.is_ascii() {
+            let mut byte_windows = |text: &str| {
+                for start in 0..(text.len() + 1).saturating_sub(q) {
+                    f(&text[start..start + q]);
+                }
+            };
+            if pad == 0 {
+                return byte_windows(s);
+            }
+            let total = s.len() + 2 * pad;
+            let mut stack = [0u8; STACK_PADDED_BYTES];
+            let mut heap = Vec::new();
+            let padded = match stack.get_mut(..total) {
+                Some(buf) => buf,
+                None => {
+                    heap.resize(total, 0u8);
+                    &mut heap[..]
+                }
+            };
+            padded[..pad].fill(b'#');
+            padded[pad..pad + s.len()].copy_from_slice(s.as_bytes());
+            padded[pad + s.len()..].fill(b'$');
+            return byte_windows(std::str::from_utf8(padded).expect("ASCII is UTF-8"));
         }
+        let mut chars: Vec<char> = Vec::with_capacity(s.len() + 2 * pad);
+        chars.extend(std::iter::repeat_n('#', pad));
         chars.extend(s.chars());
-        if self.padded {
-            chars.extend(std::iter::repeat_n('$', self.q - 1));
+        chars.extend(std::iter::repeat_n('$', pad));
+        let mut gram = String::with_capacity(4 * q);
+        for w in chars.windows(q) {
+            gram.clear();
+            gram.extend(w);
+            f(&gram);
         }
-        if chars.len() < self.q {
-            return Vec::new();
-        }
-        let toks: Vec<String> = chars
-            .windows(self.q)
-            .map(|w| w.iter().collect())
-            .collect();
-        if self.return_set {
-            dedupe(toks)
-        } else {
-            toks
-        }
+    }
+
+    fn return_set(&self) -> bool {
+        self.return_set
     }
 
     fn name(&self) -> String {
