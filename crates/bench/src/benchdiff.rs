@@ -77,6 +77,15 @@ pub fn registry() -> Vec<MetricSpec> {
         // token path: collection build ≥1.5× over the preserved
         // String-per-token, HashMap-ranked build.
         m("simjoin", "tokenize_collection.speedup_vs_legacy", HigherIsBetter, 0.35, Some(1.5)),
+        // top-k join ≥2× over the threshold join + sort + truncate it is
+        // defined as (Falcon's pair-sampling query).
+        m(
+            "simjoin",
+            "topk.speedup_vs_sort_and_take",
+            HigherIsBetter,
+            0.35,
+            Some(2.0),
+        ),
         // feature cache: prepared extraction ≥3× over scalar at w=1.
         m("feature_extraction", "results.0.speedup", HigherIsBetter, 0.35, Some(3.0)),
         // incremental engine: delta batch ≥10× over full rebuild.

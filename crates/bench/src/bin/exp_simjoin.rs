@@ -10,6 +10,11 @@
 //! preserved `String`-per-token, HashMap-ranked build
 //! ([`magellan_bench::legacy`]), after asserting the two are bit-identical.
 //!
+//! The `topk` row times a top-k query — the 300 most similar pairs of two
+//! `addresses` tables at Jaccard ≥ 0.2, what Falcon's pair sampling asks —
+//! through [`join_tokenized_topk`] against the threshold join + sort +
+//! truncate it is defined as, after asserting the two are bit-identical.
+//!
 //! Writes `results/exp_simjoin.txt` (human-readable table) and
 //! `BENCH_simjoin.json` at the repo root (the ISSUE's before/after
 //! record; "before" = `join_tokenized_hashmap`, byte-for-byte the seed
@@ -19,17 +24,23 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use magellan_bench::legacy;
+use magellan_block::debugger::concat_columns;
 use magellan_datagen::{domains, DirtModel, ScenarioConfig};
 use magellan_par::ParConfig;
 use magellan_simjoin::{
-    join_tokenized_hashmap, join_tokenized_par_side, join_tokenized_stats, ProbeSide,
-    SetSimMeasure, TokenizedCollection,
+    join_tokenized, join_tokenized_hashmap, join_tokenized_par_side, join_tokenized_stats,
+    join_tokenized_topk, ProbeSide, SetSimMeasure, TokenizedCollection,
 };
 use magellan_textsim::tokenize::{AlphanumericTokenizer, WhitespaceTokenizer};
 use magellan_textsim::kernels::set_mode;
 use magellan_textsim::KernelMode;
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
+
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples[samples.len() / 2]
+}
 
 fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut samples: Vec<f64> = (0..reps)
@@ -39,8 +50,7 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
             t.elapsed().as_secs_f64()
         })
         .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
+    median(&mut samples)
 }
 
 /// Best-of-reps: the minimum is the standard noise-robust estimator for
@@ -194,10 +204,6 @@ fn tokenize_collection_row(smoke: bool, reps: usize, txt: &mut String) -> String
             std::hint::black_box(build_old());
         }));
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[v.len() / 2]
-    };
     let (t_new, t_old) = (median(&mut t_new), median(&mut t_old));
     let speedup = t_old / t_new;
 
@@ -226,6 +232,87 @@ fn tokenize_collection_row(smoke: bool, reps: usize, txt: &mut String) -> String
         coll.vocab_size,
         records / t_new,
         records / t_old,
+    )
+}
+
+/// The `topk` row: pairs kept per second by the top-k join on the
+/// concatenated `addresses` columns, and its speed-up over join + sort +
+/// truncate. Returns the row's JSON object.
+fn topk_row(smoke: bool, reps: usize, txt: &mut String) -> String {
+    let rows = if smoke { 500 } else { 2_000 };
+    // Falcon's shape: a sample of 600 on 2 000 rows, half of it plausible.
+    let (k, floor) = (rows * 3 / 20, SetSimMeasure::Jaccard(0.2));
+    let scenario = domains::addresses(&ScenarioConfig {
+        size_a: rows,
+        size_b: rows,
+        n_matches: rows * 3 / 10,
+        dirt: DirtModel::light(),
+        seed: 77,
+    });
+    let non_key: Vec<usize> = (1..scenario.table_a.ncols()).collect();
+    let coll = TokenizedCollection::build(
+        &concat_columns(&scenario.table_a, &non_key),
+        &concat_columns(&scenario.table_b, &non_key),
+        &AlphanumericTokenizer::as_set(),
+    );
+    let sort_and_take = || {
+        let mut joined = join_tokenized(&coll, floor);
+        joined.sort_by(|x, y| y.sim.partial_cmp(&x.sim).expect("similarities are finite"));
+        joined.truncate(k);
+        joined
+    };
+
+    // Bit-identity before timing, smoke runs included.
+    let (top, stats) = join_tokenized_topk(&coll, floor, k, |_, _| true);
+    let bits = |ps: &[magellan_simjoin::JoinPair]| -> Vec<(usize, usize, u64)> {
+        ps.iter().map(|p| (p.l, p.r, p.sim.to_bits())).collect()
+    };
+    assert_eq!(
+        bits(&top),
+        bits(&sort_and_take()),
+        "top-k diverged from sort-and-take"
+    );
+    let (n_floor, full) = {
+        let (joined, full) = join_tokenized_stats(&coll, floor, ProbeSide::Auto);
+        (joined.len(), full)
+    };
+
+    // Rep by rep, so host drift lands on both sides.
+    let (mut t_topk, mut t_sort) = (Vec::new(), Vec::new());
+    for _ in 0..reps.max(5) {
+        t_topk.push(best_secs(3, || {
+            std::hint::black_box(join_tokenized_topk(&coll, floor, k, |_, _| true));
+        }));
+        t_sort.push(best_secs(3, || {
+            std::hint::black_box(sort_and_take());
+        }));
+    }
+    let (t_topk, t_sort) = (median(&mut t_topk), median(&mut t_sort));
+    let speedup = t_sort / t_topk;
+
+    writeln!(txt).unwrap();
+    writeln!(
+        txt,
+        "[topk] addresses {rows} x {rows}, all non-key columns, k={k}, floor jaccard 0.2 ({n_floor} pairs at the floor)"
+    )
+    .unwrap();
+    writeln!(
+        txt,
+        "join+sort+truncate {t_sort:.5}s (verified {}) vs top-k {t_topk:.5}s (verified {}, candidates {}) -> {speedup:.2}x (floor: 2x)",
+        full.verified, stats.verified, stats.candidates
+    )
+    .unwrap();
+    if !smoke {
+        assert!(
+            speedup >= 2.0,
+            "top-k join only {speedup:.2}x over join + sort + truncate (floor 2x)"
+        );
+    }
+    format!(
+        "{{\"rows_per_side\": {rows}, \"k\": {k}, \"floor\": 0.2, \"pairs_at_floor\": {n_floor}, \"verified\": {}, \"threshold_join_verified\": {}, \"pairs_kept_per_sec\": {:.0}, \"speedup_vs_sort_and_take\": {speedup:.2}}}",
+        stats.verified,
+        full.verified,
+        top.len() as f64 / t_topk,
     )
 }
 
@@ -507,10 +594,11 @@ fn main() {
         );
     }
     let tokenize_collection = tokenize_collection_row(smoke, reps, &mut txt);
+    let topk = topk_row(smoke, reps, &mut txt);
     magellan_obs::log!(info, "{txt}");
 
     let json = format!(
-        "{{\n  \"experiment\": \"simjoin\",\n  \"workload\": {{\"rows_per_side\": {n}, \"vocab\": 800, \"reps\": {reps}, \"smoke\": {smoke}}},\n  \"skewed_speedup_w1\": {skewed_speedup_w1:.2},\n  \"tokenize_collection\": {tokenize_collection},\n  \"grids\": [\n{json_grids}\n  ]\n}}\n"
+        "{{\n  \"experiment\": \"simjoin\",\n  \"workload\": {{\"rows_per_side\": {n}, \"vocab\": 800, \"reps\": {reps}, \"smoke\": {smoke}}},\n  \"skewed_speedup_w1\": {skewed_speedup_w1:.2},\n  \"tokenize_collection\": {tokenize_collection},\n  \"topk\": {topk},\n  \"grids\": [\n{json_grids}\n  ]\n}}\n"
     );
 
     // Best-effort writes (CI smoke may run from a read-only checkout).

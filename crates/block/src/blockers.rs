@@ -1,5 +1,6 @@
 //! The blocker implementations.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -74,10 +75,39 @@ impl Blocker for AttrEquivalenceBlocker {
         b: &Table,
         cfg: &ParConfig,
     ) -> magellan_table::Result<(CandidateSet, ParStats)> {
-        let la = a.column_strs(&self.l_attr)?;
-        let rb = b.column_strs(&self.r_attr)?;
+        let join = EqualityJoin::build(a, &self.l_attr, b, &self.r_attr)?;
+        // Per-left-row probe: pure per index, so chunk outputs merged in
+        // chunk order reproduce the serial pair stream exactly.
+        let (chunks, stats) = magellan_par::chunk_map(join.n_left(), cfg, |range| {
+            let mut pairs = Vec::new();
+            for l in range {
+                pairs.extend(join.partners(l).iter().map(|&r| (l as u32, r)));
+            }
+            pairs
+        });
+        Ok((CandidateSet::new(chunks.into_iter().flatten().collect()), stats))
+    }
+}
+
+/// The equi-join behind [`AttrEquivalenceBlocker`] and the rule blocker's
+/// exact-match predicates: right rows bucketed by their key after
+/// `trim().to_lowercase()`, left keys normalized the same way at lookup.
+/// Cells are read in their display form; nulls have no partners.
+pub(crate) struct EqualityJoin<'a> {
+    l_keys: Vec<Option<Cow<'a, str>>>,
+    buckets: HashMap<String, Vec<u32>>,
+}
+
+impl<'a> EqualityJoin<'a> {
+    pub(crate) fn build(
+        a: &'a Table,
+        l_attr: &str,
+        b: &Table,
+        r_attr: &str,
+    ) -> magellan_table::Result<Self> {
+        let l_keys = a.column_strs(l_attr)?;
         let mut buckets: HashMap<String, Vec<u32>> = HashMap::new();
-        for (r, v) in rb.iter().enumerate() {
+        for (r, v) in b.column_strs(r_attr)?.iter().enumerate() {
             if let Some(v) = v {
                 buckets
                     .entry(v.trim().to_lowercase())
@@ -85,20 +115,20 @@ impl Blocker for AttrEquivalenceBlocker {
                     .push(r as u32);
             }
         }
-        // Per-left-row probe: pure per index, so chunk outputs merged in
-        // chunk order reproduce the serial pair stream exactly.
-        let (chunks, stats) = magellan_par::chunk_map(la.len(), cfg, |range| {
-            let mut pairs = Vec::new();
-            for l in range {
-                if let Some(v) = &la[l] {
-                    if let Some(rs) = buckets.get(&v.trim().to_lowercase()) {
-                        pairs.extend(rs.iter().map(|&r| (l as u32, r)));
-                    }
-                }
-            }
-            pairs
-        });
-        Ok((CandidateSet::new(chunks.into_iter().flatten().collect()), stats))
+        Ok(EqualityJoin { l_keys, buckets })
+    }
+
+    /// Rows on the left side.
+    pub(crate) fn n_left(&self) -> usize {
+        self.l_keys.len()
+    }
+
+    /// The right rows whose key equals left row `l`'s, ascending.
+    pub(crate) fn partners(&self, l: usize) -> &[u32] {
+        self.l_keys[l]
+            .as_ref()
+            .and_then(|v| self.buckets.get(&v.trim().to_lowercase()))
+            .map_or(&[], Vec::as_slice)
     }
 }
 

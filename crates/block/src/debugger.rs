@@ -8,7 +8,9 @@
 //! returns the top-k most similar surviving pairs — if those look like
 //! matches, the blocker is too aggressive and should be loosened.
 
-use magellan_simjoin::{set_sim_join, set_sim_join_stats, JoinStats, SetSimMeasure};
+use magellan_simjoin::{
+    join_tokenized_topk, set_sim_join, JoinStats, SetSimMeasure, TokenizedCollection,
+};
 use magellan_table::Table;
 use magellan_textsim::tokenize::AlphanumericTokenizer;
 
@@ -35,29 +37,41 @@ pub struct DroppedPair {
 pub struct DebugReport {
     /// Top-k most similar pairs the blocker dropped.
     pub dropped: Vec<DroppedPair>,
-    /// Per-stage kill counters of the permissive sim-join that searched
-    /// for the dropped pairs.
+    /// Per-stage kill counters of the top-k join that searched for the
+    /// dropped pairs (the work it did, under its rising threshold).
     pub join: JoinStats,
 }
 
-/// Concatenate the display forms of `attrs` for each row.
+/// The display forms of columns `cols` of each row, space-separated —
+/// the one string a whole-record similarity reads. Nulls are skipped; a
+/// row with nothing but nulls is `None`.
+pub fn concat_columns(t: &Table, cols: &[usize]) -> Vec<Option<String>> {
+    use std::fmt::Write;
+    t.rows()
+        .map(|r| {
+            let (mut row, mut any) = (String::new(), false);
+            for &c in cols {
+                let v = t.value(r, c);
+                if v.is_null() {
+                    continue;
+                }
+                if any {
+                    row.push(' ');
+                }
+                any = true;
+                write!(row, "{v}").expect("writing to a String cannot fail");
+            }
+            any.then_some(row)
+        })
+        .collect()
+}
+
 fn concat_attrs(t: &Table, attrs: &[&str]) -> magellan_table::Result<Vec<Option<String>>> {
-    let idxs: Vec<usize> = attrs
+    let cols: Vec<usize> = attrs
         .iter()
         .map(|a| t.schema().try_index_of(a))
         .collect::<magellan_table::Result<_>>()?;
-    Ok(t.rows()
-        .map(|r| {
-            let parts: Vec<String> = idxs
-                .iter()
-                .filter_map(|&i| {
-                    let v = t.value(r, i);
-                    (!v.is_null()).then(|| v.display_string())
-                })
-                .collect();
-            (!parts.is_empty()).then(|| parts.join(" "))
-        })
-        .collect())
+    Ok(concat_columns(t, &cols))
 }
 
 /// Find the `k` most similar pairs **not** in the candidate set.
@@ -88,25 +102,23 @@ pub fn debug_blocker_report(
 ) -> magellan_table::Result<DebugReport> {
     let la = concat_attrs(a, attrs)?;
     let rb = concat_attrs(b, attrs)?;
-    let tok = AlphanumericTokenizer::as_set();
-    let (joined, join) =
-        set_sim_join_stats(&la, &rb, &tok, SetSimMeasure::Jaccard(min_sim.max(1e-6)));
-    let mut dropped: Vec<DroppedPair> = joined
+    let coll = TokenizedCollection::build(&la, &rb, &AlphanumericTokenizer::as_set());
+    // The debugger's question is a top-k join over the pairs blocking
+    // dropped, most similar first, ties by row ids.
+    let (top, join) = join_tokenized_topk(
+        &coll,
+        SetSimMeasure::Jaccard(min_sim.max(1e-6)),
+        k,
+        |l, r| !candidates.contains((l as u32, r as u32)),
+    );
+    let dropped = top
         .into_iter()
-        .filter(|p| !candidates.contains((p.l as u32, p.r as u32)))
         .map(|p| DroppedPair {
             l_row: p.l,
             r_row: p.r,
             sim: p.sim,
         })
         .collect();
-    dropped.sort_by(|x, y| {
-        y.sim
-            .partial_cmp(&x.sim)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| (x.l_row, x.r_row).cmp(&(y.l_row, y.r_row)))
-    });
-    dropped.truncate(k);
     Ok(DebugReport { dropped, join })
 }
 

@@ -19,23 +19,9 @@ use magellan_table::Table;
 
 use crate::active::active_learn;
 use crate::rules::extract_blocking_rules;
-use crate::workflow::{biased_pool, blocking_features, sample_pairs, FalconConfig, FalconReport};
-
-/// Mean of non-NaN features: the unsupervised similarity proxy.
-fn proxy(row: &[f64]) -> f64 {
-    let (mut s, mut n) = (0.0, 0usize);
-    for &v in row {
-        if !v.is_nan() {
-            s += v;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        s / n as f64
-    }
-}
+use crate::workflow::{
+    biased_pool, blocking_features, proxy, sample_pairs, FalconConfig, FalconReport,
+};
 
 /// Run Smurf-lite: label-free blocking-rule learning, then Falcon's
 /// matching stage. The report's `questions_blocking` is always 0 — that

@@ -1,12 +1,13 @@
 //! The end-to-end Falcon workflow (Fig. 3 of the paper).
 
+use magellan_block::debugger::concat_columns;
 use magellan_block::{Blocker, CandidateSet, OverlapBlocker, RuleBasedBlocker};
 use magellan_core::labeling::Labeler;
 use magellan_features::{
     extract_with_prepared, generate_features, Feature, FeatureKind, PreparedPair,
 };
 use magellan_par::ParConfig;
-use magellan_simjoin::{set_sim_join, SetSimMeasure};
+use magellan_simjoin::{join_tokenized_topk, SetSimMeasure, TokenizedCollection};
 use magellan_table::Table;
 use magellan_textsim::tokenize::AlphanumericTokenizer;
 use rand::rngs::StdRng;
@@ -86,33 +87,11 @@ impl FalconReport {
     }
 }
 
-/// Concatenated display strings of all non-key attributes, per row.
-pub fn concat_strings(t: &Table, key: &str) -> Vec<Option<String>> {
-    let idxs: Vec<usize> = t
-        .schema()
-        .fields()
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.name != key)
-        .map(|(i, _)| i)
-        .collect();
-    t.rows()
-        .map(|r| {
-            let parts: Vec<String> = idxs
-                .iter()
-                .filter_map(|&i| {
-                    let v = t.value(r, i);
-                    (!v.is_null()).then(|| v.display_string())
-                })
-                .collect();
-            (!parts.is_empty()).then(|| parts.join(" "))
-        })
-        .collect()
-}
-
-/// Fig. 3 step 1: sample pairs — half *plausible* (low-threshold join over
-/// the concatenated attributes, so the sample contains real matches at low
-/// match density) and half uniform random.
+/// Fig. 3 step 1: sample pairs — half *plausible* (the `n / 2` most
+/// similar pairs, by word Jaccard over every non-key attribute, among those
+/// at 0.2 or above — so the sample contains real matches at low match
+/// density; ties by row ids) and half uniform random. With an empty table
+/// there is nothing to draw from and the sample is empty.
 pub fn sample_pairs(
     a: &Table,
     b: &Table,
@@ -121,17 +100,22 @@ pub fn sample_pairs(
     n: usize,
     seed: u64,
 ) -> Vec<(u32, u32)> {
-    let la = concat_strings(a, a_key);
-    let rb = concat_strings(b, b_key);
-    let tok = AlphanumericTokenizer::as_set();
-    let mut joined = set_sim_join(&la, &rb, &tok, SetSimMeasure::Jaccard(0.2));
-    // Highest-similarity plausible pairs first.
-    joined.sort_by(|x, y| y.sim.partial_cmp(&x.sim).unwrap_or(std::cmp::Ordering::Equal));
-    let mut pairs: Vec<(u32, u32)> = joined
-        .iter()
-        .take(n / 2)
-        .map(|p| (p.l as u32, p.r as u32))
-        .collect();
+    let non_key = |t: &Table, key: &str| -> Vec<usize> {
+        let fields = t.schema().fields().iter().enumerate();
+        fields
+            .filter(|(_, f)| f.name != key)
+            .map(|(i, _)| i)
+            .collect()
+    };
+    let la = concat_columns(a, &non_key(a, a_key));
+    let rb = concat_columns(b, &non_key(b, b_key));
+    let coll = TokenizedCollection::build(&la, &rb, &AlphanumericTokenizer::as_set());
+    let (plausible, _) =
+        join_tokenized_topk(&coll, SetSimMeasure::Jaccard(0.2), n / 2, |_, _| true);
+    let mut pairs: Vec<(u32, u32)> = plausible.iter().map(|p| (p.l as u32, p.r as u32)).collect();
+    if a.is_empty() || b.is_empty() {
+        return pairs;
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut seen: std::collections::HashSet<(u32, u32)> = pairs.iter().copied().collect();
     let mut guard = 0;
@@ -148,6 +132,23 @@ pub fn sample_pairs(
     pairs
 }
 
+/// Mean of a row's non-NaN features: the label-free similarity proxy
+/// behind [`biased_pool`] and Smurf's pseudo-labels.
+pub(crate) fn proxy(row: &[f64]) -> f64 {
+    let (mut s, mut k) = (0.0, 0usize);
+    for &v in row {
+        if !v.is_nan() {
+            s += v;
+            k += 1;
+        }
+    }
+    if k == 0 {
+        0.0
+    } else {
+        s / k as f64
+    }
+}
+
 /// Bound an active-learning pool to `cap` rows: half the slots go to the
 /// highest-proxy (most plausibly matching) pairs, half to a uniform random
 /// sample. A uniform-only subsample of a large candidate set at EM's match
@@ -160,24 +161,12 @@ pub fn biased_pool(
     if matrix.len() <= cap {
         return matrix.clone();
     }
-    let proxy = |row: &[f64]| -> f64 {
-        let (mut s, mut k) = (0.0, 0usize);
-        for &v in row {
-            if !v.is_nan() {
-                s += v;
-                k += 1;
-            }
-        }
-        if k == 0 {
-            0.0
-        } else {
-            s / k as f64
-        }
-    };
+    // One key per row; the sort is stable, so equal keys keep row order.
+    let keys: Vec<f64> = matrix.rows.iter().map(|r| proxy(r)).collect();
     let mut by_proxy: Vec<usize> = (0..matrix.len()).collect();
     by_proxy.sort_by(|&i, &j| {
-        proxy(&matrix.rows[j])
-            .partial_cmp(&proxy(&matrix.rows[i]))
+        keys[j]
+            .partial_cmp(&keys[i])
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     let top = cap / 2;

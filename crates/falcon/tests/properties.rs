@@ -115,3 +115,35 @@ proptest! {
         }
     }
 }
+
+/// The sample is `n` distinct in-range pairs (fewer only when the cross
+/// product runs out), for the degenerate sizes too; an empty table has
+/// nothing to sample from (regression: the random half used to panic on
+/// `gen_range(0..0)`).
+#[test]
+fn sample_pairs_handles_tiny_requests_and_empty_tables() {
+    let s = persons(&ScenarioConfig {
+        size_a: 40,
+        size_b: 30,
+        n_matches: 10,
+        dirt: DirtModel::light(),
+        seed: 9,
+    });
+    let (a, b) = (&s.table_a, &s.table_b);
+    for n in [0, 1, 2, 7, 50] {
+        let pairs = sample_pairs(a, b, "id", "id", n, 3);
+        assert_eq!(pairs.len(), n, "n = {n}");
+        let distinct: std::collections::HashSet<_> = pairs.iter().collect();
+        assert_eq!(distinct.len(), n);
+        assert!(pairs
+            .iter()
+            .all(|&(l, r)| (l as usize) < a.nrows() && (r as usize) < b.nrows()));
+    }
+    let none = a.filter(|_| false);
+    assert_eq!(none.nrows(), 0);
+    for n in [0, 1, 50] {
+        assert!(sample_pairs(&none, b, "id", "id", n, 3).is_empty());
+        assert!(sample_pairs(a, &none, "id", "id", n, 3).is_empty());
+        assert!(sample_pairs(&none, &none, "id", "id", n, 3).is_empty());
+    }
+}

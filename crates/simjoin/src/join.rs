@@ -109,6 +109,34 @@ impl SetSimMeasure {
         }
     }
 
+    /// The same measure at threshold `sim` where that is higher than its
+    /// own (`sim` is a similarity this measure reported): what a top-k run
+    /// probes with once its k-th best pair has that similarity.
+    pub(crate) fn at_least(self, sim: f64) -> Self {
+        match self {
+            SetSimMeasure::Jaccard(t) => SetSimMeasure::Jaccard(t.max(sim)),
+            SetSimMeasure::Cosine(t) => SetSimMeasure::Cosine(t.max(sim)),
+            SetSimMeasure::Dice(t) => SetSimMeasure::Dice(t.max(sim)),
+            SetSimMeasure::OverlapSize(c) => SetSimMeasure::OverlapSize(c.max(sim as usize)),
+        }
+    }
+
+    /// The threshold halfway from this measure's up to the largest
+    /// similarity a pair of `coll` can have (1 for the normalized measures,
+    /// the smaller side's longest record for an overlap size).
+    pub(crate) fn halfway_up(self, coll: &TokenizedCollection) -> Self {
+        match self {
+            SetSimMeasure::Jaccard(t) => SetSimMeasure::Jaccard((t + 1.0) / 2.0),
+            SetSimMeasure::Cosine(t) => SetSimMeasure::Cosine((t + 1.0) / 2.0),
+            SetSimMeasure::Dice(t) => SetSimMeasure::Dice((t + 1.0) / 2.0),
+            SetSimMeasure::OverlapSize(c) => {
+                let longest = |side: &[Vec<u32>]| side.iter().map(Vec::len).max().unwrap_or(0);
+                let top = longest(&coll.left).min(longest(&coll.right));
+                SetSimMeasure::OverlapSize(c.max((c + top) / 2))
+            }
+        }
+    }
+
     /// Does a pair with the given sizes and exact overlap qualify?
     pub(crate) fn qualifies(&self, sx: usize, sy: usize, overlap: usize) -> bool {
         overlap >= self.min_overlap(sx, sy)

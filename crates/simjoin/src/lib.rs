@@ -57,6 +57,7 @@ pub mod index;
 pub mod join;
 pub mod reference;
 pub mod shard;
+pub mod topk;
 pub mod verify;
 
 pub use collection::TokenizedCollection;
@@ -68,4 +69,5 @@ pub use join::{
 pub use magellan_par::JoinStats;
 pub use reference::join_tokenized_hashmap;
 pub use shard::{join_tokenized_sharded, shards_for_budget, ShardStats};
+pub use topk::join_tokenized_topk;
 pub use verify::{overlap_sorted_bounded, overlap_sorted_bounded_with};
