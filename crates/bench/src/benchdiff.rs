@@ -88,6 +88,15 @@ pub fn registry() -> Vec<MetricSpec> {
         ),
         // feature cache: prepared extraction ≥3× over scalar at w=1.
         m("feature_extraction", "results.0.speedup", HigherIsBetter, 0.35, Some(3.0)),
+        // run-aware scoring: one `Scorer` over a sorted pair list ≥1.3×
+        // over the pairwise reference on the same prepared records.
+        m(
+            "feature_extraction",
+            "run_scoring.speedup_vs_pairwise",
+            HigherIsBetter,
+            0.35,
+            Some(1.3),
+        ),
         // incremental engine: delta batch ≥10× over full rebuild.
         m("incremental", "delta_vs_rebuild_speedup", HigherIsBetter, 0.35, Some(10.0)),
         m("incremental", "updates_per_sec", HigherIsBetter, 0.60, None),

@@ -1,6 +1,8 @@
 //! Feature-extraction cache experiment: pairs/sec of the interned
 //! tokenize-once-per-record prepared path vs. the per-pair scalar path it
-//! replaced, at 1/2/4/8 workers, plus the cache telemetry.
+//! replaced, at 1/2/4/8 workers, plus the cache telemetry, plus the
+//! run-aware `Scorer` vs. the pairwise reference over the same prepared
+//! records (`run_scoring`).
 //!
 //! Writes `results/exp_feature_cache.txt` (human-readable table) and
 //! `BENCH_feature_extraction.json` at the repo root (the ISSUE's
@@ -16,11 +18,9 @@ use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, ScenarioConfig};
 use magellan_features::{
     extract_feature_matrix_par, extract_feature_matrix_scalar_par, extract_with_prepared,
-    generate_features, PreparedPair,
+    generate_features, PreparedPair, Scorer,
 };
 use magellan_par::ParConfig;
-use magellan_textsim::kernels::set_mode;
-use magellan_textsim::KernelMode;
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
@@ -141,28 +141,53 @@ fn main() {
         )
         .unwrap();
     }
-    // Kernel-tier delta at 1 worker: pin the scalar reference kernels
-    // under the interned id-measure path, time it, restore adaptive
-    // dispatch. Outputs are bit-identical either way.
-    let serial = ParConfig::workers(1);
-    set_mode(KernelMode::ScalarReference);
-    let t_kscalar = median_secs(reps, || {
-        std::hint::black_box(
-            extract_feature_matrix_par(&pairs, a, b, &features, &serial).unwrap(),
-        );
+    // Run-aware scoring at 1 worker: one `Scorer` over the whole (sorted)
+    // pair list against the pairwise reference, over the same prepared
+    // records. Same bits, checked before timing.
+    let mut prepared = PreparedPair::new(a, b);
+    let plan = prepared.plan(&features).expect("plan");
+    prepared.prepare_for_pairs(&plan, &pairs);
+    let pairwise = || -> Vec<Vec<f64>> {
+        pairs
+            .iter()
+            .map(|&(ra, rb)| prepared.compute_row(&plan, ra as usize, rb as usize))
+            .collect()
+    };
+    let scored = || -> Vec<Vec<f64>> {
+        let mut scorer = Scorer::new(&prepared, &plan);
+        pairs
+            .iter()
+            .map(|&(ra, rb)| scorer.row(ra as usize, rb as usize))
+            .collect()
+    };
+    for (sr, pr) in scored().iter().zip(&pairwise()) {
+        for (sv, pv) in sr.iter().zip(pr) {
+            assert_eq!(
+                sv.to_bits(),
+                pv.to_bits(),
+                "scorer diverged from the pairwise reference"
+            );
+        }
+    }
+    let t_pairwise = median_secs(reps, || {
+        std::hint::black_box(pairwise());
     });
-    set_mode(KernelMode::Adaptive);
-    let t_kadaptive = median_secs(reps, || {
-        std::hint::black_box(
-            extract_feature_matrix_par(&pairs, a, b, &features, &serial).unwrap(),
-        );
+    let t_scored = median_secs(reps, || {
+        std::hint::black_box(scored());
     });
-    let kernel_speedup = t_kscalar / t_kadaptive;
+    let left_rows = pairs
+        .iter()
+        .map(|p| p.0)
+        .collect::<std::collections::HashSet<_>>()
+        .len();
+    let (ps_pairwise, ps_scored) = (n_pairs as f64 / t_pairwise, n_pairs as f64 / t_scored);
+    let scoring_speedup = ps_scored / ps_pairwise;
 
     writeln!(txt).unwrap();
     writeln!(
         txt,
-        "kernel tier (w=1): scalar-kernel {t_kscalar:.3}s vs adaptive {t_kadaptive:.3}s -> {kernel_speedup:.2}x"
+        "run scoring (w=1, {:.1} pairs per left row): pairwise {ps_pairwise:.0} p/s vs scorer {ps_scored:.0} p/s -> {scoring_speedup:.2}x (floor: 1.3x)",
+        n_pairs as f64 / left_rows.max(1) as f64
     )
     .unwrap();
     writeln!(
@@ -173,7 +198,7 @@ fn main() {
     magellan_obs::log!(info, "{txt}");
 
     let json = format!(
-        "{{\n  \"experiment\": \"feature_extraction\",\n  \"workload\": {{\"rows_a\": {}, \"rows_b\": {}, \"n_features\": {}, \"n_pairs\": {n_pairs}, \"reps\": {reps}, \"smoke\": {smoke}}},\n  \"cache\": {{\"records_prepared\": {}, \"tokenize_calls\": {}, \"tokenize_calls_saved\": {}, \"interner_tokens\": {}}},\n  \"kernel_speedup_w1\": {kernel_speedup:.2},\n  \"results\": [\n{json_rows}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"feature_extraction\",\n  \"workload\": {{\"rows_a\": {}, \"rows_b\": {}, \"n_features\": {}, \"n_pairs\": {n_pairs}, \"reps\": {reps}, \"smoke\": {smoke}}},\n  \"cache\": {{\"records_prepared\": {}, \"tokenize_calls\": {}, \"tokenize_calls_saved\": {}, \"interner_tokens\": {}}},\n  \"run_scoring\": {{\"pairs_per_left_row\": {:.1}, \"pairwise_pairs_per_sec\": {ps_pairwise:.0}, \"scorer_pairs_per_sec\": {ps_scored:.0}, \"speedup_vs_pairwise\": {scoring_speedup:.2}}},\n  \"results\": [\n{json_rows}\n  ]\n}}\n",
         a.nrows(),
         b.nrows(),
         features.len(),
@@ -181,6 +206,7 @@ fn main() {
         cache_stats.cache.tokenize_calls,
         cache_stats.cache.tokenize_calls_saved,
         cache_stats.cache.interner_tokens,
+        n_pairs as f64 / left_rows.max(1) as f64,
     );
 
     // Best-effort writes (CI smoke may run from a read-only checkout).

@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use magellan_block::CandidateSet;
 use magellan_faults::{run_with_retry, FaultPlan, RetryPolicy, SimClock};
-use magellan_features::PreparedPair;
+use magellan_features::{PreparedPair, Scorer, ScorerCounts};
 use magellan_obs::{EvVal, ObsSnapshot};
 use magellan_par::{ParConfig, ParStats};
 use magellan_table::Table;
@@ -573,15 +573,19 @@ impl ProductionExecutor {
 /// order), then decide every pair in one parallel region and return the
 /// matched pairs in candidate order.
 ///
-/// Per pair, a memo of `n_features` values is filled on demand:
+/// Each chunk scores through one [`Scorer`], which holds the pair's memo —
 /// [`magellan_ml::Classifier::decide`] asks for the features its trees
 /// test, then the bound rule layer asks for the features its conditions
-/// reach, and a feature asked for twice is computed once. Every value is
-/// the one [`PreparedPair::compute_row`] would have put in the eager
-/// matrix, so the decisions equal [`EmWorkflow::execute`]'s. Each chunk's
-/// output is a pure function of its pair range, which keeps the pool's
-/// determinism and recovery contracts; the demand counters are sums over
-/// pairs, so they too are identical for any worker count.
+/// reach, and a feature asked for twice is computed once — and, the
+/// candidates being sorted by left row, the left record's side of the work
+/// from one pair to the next. Every value is the one
+/// [`PreparedPair::compute_row`] would have put in the eager matrix, so the
+/// decisions equal [`EmWorkflow::execute`]'s. Each chunk's output is a pure
+/// function of its pair range, which keeps the pool's determinism and
+/// recovery contracts; the counters are sums over chunks taken after the
+/// region (a retried chunk counts once), so they too are identical for any
+/// worker count under a fixed chunk size, and the demand counters for any
+/// chunk size.
 fn match_candidates(
     workflow: &EmWorkflow,
     a: &Table,
@@ -598,27 +602,12 @@ fn match_candidates(
 
     let _region = magellan_obs::span("score", 0);
     let (chunks, mut stats) = magellan_par::chunk_map(pairs.len(), cfg, |range| {
-        let mut memo = vec![0.0f64; n_features];
-        let mut known = vec![false; n_features];
-        let mut lev_rows = Vec::new();
+        let mut scorer = Scorer::new(&prepared, &plan);
         let mut matched = Vec::new();
-        let (mut demanded, mut walked) = (0u64, 0u64);
+        let mut walked = 0u64;
         for &(ra, rb) in &pairs[range] {
-            known.fill(false);
-            let mut feat = |j: usize| {
-                if !known[j] {
-                    known[j] = true;
-                    demanded += 1;
-                    memo[j] = prepared.compute_feature(
-                        &plan,
-                        j,
-                        ra as usize,
-                        rb as usize,
-                        &mut lev_rows,
-                    );
-                }
-                memo[j]
-            };
+            scorer.begin_pair(ra as usize, rb as usize);
+            let mut feat = |j: usize| scorer.feature(j);
             let predicted =
                 workflow
                     .matcher
@@ -627,20 +616,23 @@ fn match_candidates(
                 matched.push((ra, rb));
             }
         }
-        (matched, demanded, walked)
+        (matched, scorer.computed(), walked, scorer.counts())
     });
 
     let mut decisions = Vec::new();
     let (mut demanded, mut walked) = (0u64, 0u64);
-    for (matched, d, w) in chunks {
+    let mut scored = ScorerCounts::default();
+    for (matched, d, w, c) in chunks {
         decisions.extend(matched);
         demanded += d;
         walked += w;
+        scored += c;
     }
     let possible = (pairs.len() * n_features) as u64;
     magellan_obs::counter_add("magellan_core_features_demanded_total", demanded);
     magellan_obs::counter_add("magellan_core_features_skipped_total", possible - demanded);
     magellan_obs::counter_add("magellan_core_trees_walked_total", walked);
+    scored.publish();
     cache.publish();
     stats.cache = cache;
     stats.publish("score");

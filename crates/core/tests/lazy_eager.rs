@@ -16,7 +16,11 @@
 //!   where an approximate early stop would flip the decision;
 //! * per run, for `ProductionExecutor::run` at 1/2/4/8 workers and
 //!   `run_with_recovery` killed after blocking and resumed, under rule
-//!   layers whose rules name features no tree tests.
+//!   layers whose rules name features no tree tests;
+//! * per run, that *what is demanded* is as it was before a demanded
+//!   feature got cheaper: the executor scores through a run-aware
+//!   `Scorer`, and the three demand counters equal the values recorded
+//!   with the pairwise memo in its place ([`PARENT_DEMAND`]).
 
 use magellan_block::{Blocker, OverlapBlocker};
 use magellan_core::checkpoint::{MemStore, Phase};
@@ -255,6 +259,24 @@ fn rule_layers(features: &[Feature], blind: &[usize]) -> Vec<RuleLayer> {
     ]
 }
 
+/// `(trees, rule layer, features demanded, features skipped, trees walked)`
+/// at the calibrated threshold, recorded at commit 9d6f3f4 — before the
+/// scorer — by this test's own loop.
+const PARENT_DEMAND: [(usize, usize, u64, u64, u64); 12] = [
+    (1, 0, 5176, 22712, 1743),
+    (1, 1, 7523, 20365, 1743),
+    (1, 2, 6919, 20969, 1743),
+    (5, 0, 2204, 25684, 1980),
+    (5, 1, 4508, 23380, 1980),
+    (5, 2, 3947, 23941, 1980),
+    (12, 0, 9230, 18658, 5711),
+    (12, 1, 11499, 16389, 5711),
+    (12, 2, 10973, 16915, 5711),
+    (16, 0, 7586, 20302, 5985),
+    (16, 1, 9855, 18033, 5985),
+    (16, 2, 9329, 18559, 5985),
+];
+
 #[test]
 fn executor_equals_the_eager_oracle() {
     let s = scenario();
@@ -267,13 +289,17 @@ fn executor_equals_the_eager_oracle() {
     let n_features = features.len() as u64;
 
     let mut rule_overrides = 0;
+    let mut demand = Vec::new();
     for (n_trees, max_depth, seed) in [(1, 12, 3), (5, 2, 4), (12, 16, 5), (16, 7, 6)] {
         let forest = forest(&rows, &labels, &blind, n_trees, max_depth, seed);
         let attainable = forest.predict_proba(&rows[rows.len() / 2]);
         wf.matcher = Box::new(forest);
-        for threshold in [0.0, 1.0, 0.5, calibrated, attainable] {
+        for (t, threshold) in [0.0, 1.0, 0.5, calibrated, attainable]
+            .into_iter()
+            .enumerate()
+        {
             wf.threshold = threshold;
-            for rule_layer in rule_layers(&features, &blind) {
+            for (layer, rule_layer) in rule_layers(&features, &blind).into_iter().enumerate() {
                 wf.rule_layer = RuleLayer::empty();
                 let unruled = wf.execute(a, b).expect("oracle").matches();
                 wf.rule_layer = rule_layer;
@@ -304,6 +330,9 @@ fn executor_equals_the_eager_oracle() {
                         (demanded, walked),
                         "{what}, {workers} workers"
                     );
+                    if t == 3 && workers == 1 {
+                        demand.push((n_trees, layer, demanded, skipped, walked));
+                    }
                 }
 
                 let exec = ProductionExecutor::new(2);
@@ -325,4 +354,5 @@ fn executor_equals_the_eager_oracle() {
         }
     }
     assert!(rule_overrides > 0, "no rule layer ever changed a decision");
+    assert_eq!(demand, PARENT_DEMAND, "demand moved");
 }

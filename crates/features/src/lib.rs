@@ -24,10 +24,11 @@
 //! Batch extraction runs through the [`prepared`] layer: a
 //! [`prepared::PreparedPair`] cache tokenizes each referenced record
 //! **once** per distinct `(attribute, tokenizer)` combination, interning
-//! tokens into dense `u32` ids so the set measures become allocation-free
-//! merge intersections — bit-identical to the per-pair scalar path, which
-//! is kept as [`fvtable::extract_feature_matrix_scalar`] for reference and
-//! benchmarking.
+//! tokens into dense `u32` ids, and a [`prepared::Scorer`] per chunk of
+//! the pair list keeps the left record's side of each measure while
+//! consecutive pairs share it — bit-identical to the per-pair scalar path,
+//! which is kept as [`fvtable::extract_feature_matrix_scalar`] for
+//! reference and benchmarking.
 
 #![warn(missing_docs)]
 
@@ -43,5 +44,7 @@ pub use fvtable::{
     extract_feature_matrix, extract_feature_matrix_par, extract_feature_matrix_scalar,
     extract_feature_matrix_scalar_par, FeatureMatrix,
 };
-pub use prepared::{extract_with_prepared, FeaturePlan, PreparedPair, StreamingPreparedPair};
+pub use prepared::{
+    extract_with_prepared, FeaturePlan, PreparedPair, Scorer, ScorerCounts, StreamingPreparedPair,
+};
 pub use types::{infer_attr_type, AttrType};

@@ -17,12 +17,28 @@
 //!
 //! * trimmed + lowercased strings, **decoded to `char`s once**, for the
 //!   sequence measures (which then run on slices without allocating);
-//! * ordered *bags* of decoded tokens for Monge–Elkan;
+//! * ordered *bags* of interned token ids for Monge–Elkan, each distinct
+//!   token's decoded characters stored once beside the interner;
 //! * **sorted, deduplicated interned `u32` token sets** (one shared
-//!   [`TokenInterner`] across both tables) for the set measures, which
-//!   then run as allocation-free merge intersections
-//!   ([`magellan_textsim::intern`]);
+//!   [`TokenInterner`] across both tables) for the set measures;
 //! * parsed floats for the numeric measures.
+//!
+//! ## Two ways to evaluate a pair
+//!
+//! [`PreparedPair::compute_row`] / [`PreparedPair::compute_feature`] are
+//! **the reference**: one pair at a time, each measure through the
+//! pairwise kernel of `magellan-textsim`. Nothing in production calls
+//! them; every oracle (and the end-to-end benchmark's traced replay)
+//! compares against them.
+//!
+//! [`Scorer`] is **what runs**: the executor's matching pass,
+//! [`extract_with_prepared`] and [`StreamingPreparedPair::extract`] all
+//! loop through one per chunk. A candidate list is sorted by `(l, r)`, so
+//! consecutive pairs share their left record; the scorer keeps that
+//! record's side of each measure (stamped id sets, an edit-distance
+//! pattern) while it repeats, and a memo in front of Jaro–Winkler for the
+//! token pairs Monge–Elkan keeps meeting. Every value has the reference's
+//! bits for any pair order (DESIGN.md §7.7; `tests/scorer_oracle.rs`).
 //!
 //! ## Bit-identity with the scalar path
 //!
@@ -35,6 +51,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use magellan_par::{CacheStats, ParConfig, ParStats};
 use magellan_table::{Table, Value, ValueRef};
@@ -44,6 +61,11 @@ use magellan_textsim::{numeric, seqsim, setsim};
 
 use crate::feature::{Feature, FeatureKind, TokSpecF};
 use crate::fvtable::FeatureMatrix;
+
+mod scorer;
+
+use scorer::Scratch;
+pub use scorer::{Scorer, ScorerCounts};
 
 /// The shape a feature needs an attribute value prepared into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,14 +121,46 @@ enum PrepValue {
     Null,
     /// Trimmed lowercased string, decoded.
     Str(Box<[char]>),
-    /// Ordered bag of decoded tokens.
-    Bag(Box<[Box<[char]>]>),
+    /// Ordered bag of interned token ids (duplicates kept); the tokens'
+    /// characters are in [`TokenChars`].
+    Bag(Box<[u32]>),
     /// Sorted deduplicated interned token set.
     Set(Box<[u32]>),
     /// Parsed float.
     Num(f64),
     /// Non-null but not parseable as a number (numeric measures → `NaN`).
     NotNum,
+}
+
+/// The decoded characters of every token that occurs in a bag, by interner
+/// id: one pool and a `(start, len)` span per id. Filled the first time a
+/// bag shows the token and never rewritten — the interner is append-only —
+/// so invalidating a record leaves it alone.
+#[derive(Debug, Default)]
+struct TokenChars {
+    pool: Vec<char>,
+    /// Per interner id; `(_, 0)` = not a bag token (so far).
+    spans: Vec<(u32, u32)>,
+}
+
+impl TokenChars {
+    fn note(&mut self, id: u32, token: &str) {
+        let id = id as usize;
+        if self.spans.len() <= id {
+            self.spans.resize(id + 1, (0, 0));
+        }
+        if self.spans[id].1 == 0 {
+            let start = self.pool.len();
+            self.pool.extend(token.chars());
+            let span = |n: usize| u32::try_from(n).expect("bag tokens hold under 2^32 characters");
+            self.spans[id] = (span(start), span(self.pool.len() - start));
+        }
+    }
+
+    fn get(&self, id: u32) -> &[char] {
+        let (start, len) = self.spans[id as usize];
+        &self.pool[start as usize..][..len as usize]
+    }
 }
 
 /// One `(column, shape)` combination's cells, lazily filled per record.
@@ -204,71 +258,204 @@ impl PreparedSide {
             .map(|c| usize::from(c.invalidate(rid)))
             .sum()
     }
-}
 
-/// Resolve a feature list against two schemas, registering slots — the
-/// shared core of [`PreparedPair::plan`] and [`StreamingPreparedPair`].
-fn plan_features(
-    a: &Table,
-    b: &Table,
-    left: &mut PreparedSide,
-    right: &mut PreparedSide,
-    features: &[Feature],
-) -> magellan_table::Result<FeaturePlan> {
-    let mut entries = Vec::with_capacity(features.len());
-    let mut n_token_features = 0;
-    for f in features {
-        let li = a.schema().try_index_of(&f.l_attr)?;
-        let ri = b.schema().try_index_of(&f.r_attr)?;
-        let spec = PrepSpec::of(f.kind);
-        if spec.tokenizes() {
-            n_token_features += 1;
+    /// The record's cell in one combination.
+    fn cell(&self, slot: usize, row: usize, side: &str) -> &PrepValue {
+        match self.cols[slot].get(row) {
+            Some(v) => v,
+            None => panic!("{side} record {row} was not prepared for this plan"),
         }
-        entries.push(PlanEntry {
-            kind: f.kind,
-            l_slot: left.slot(li, spec, a.nrows()),
-            r_slot: right.slot(ri, spec, b.nrows()),
-        });
     }
-    Ok(FeaturePlan {
-        entries,
-        names: features.iter().map(|f| f.name.clone()).collect(),
-        n_token_features,
-    })
 }
 
-/// Prepare every record the pairs reference for every slot the plan
-/// reads — shared by the borrowing and owning caches.
-#[allow(clippy::too_many_arguments)]
-fn prepare_pairs_for(
-    a: &Table,
-    b: &Table,
-    interner: &mut TokenInterner,
-    left: &mut PreparedSide,
-    right: &mut PreparedSide,
-    stats: &mut CacheStats,
-    plan: &FeaturePlan,
-    pairs: &[(u32, u32)],
-) {
-    left.ensure_rows(a.nrows());
-    right.ensure_rows(b.nrows());
-    let l_rows = referenced_rows(pairs.iter().map(|p| p.0), a.nrows());
-    let r_rows = referenced_rows(pairs.iter().map(|p| p.1), b.nrows());
-    // Distinct slots per side (several features can share one slot).
-    let mut l_slots: Vec<usize> = plan.entries.iter().map(|e| e.l_slot).collect();
-    l_slots.sort_unstable();
-    l_slots.dedup();
-    let mut r_slots: Vec<usize> = plan.entries.iter().map(|e| e.r_slot).collect();
-    r_slots.sort_unstable();
-    r_slots.dedup();
+/// Everything prepared over one table pair — what [`PreparedPair`] (which
+/// borrows its tables) and [`StreamingPreparedPair`] (which owns them)
+/// share, and what a [`Scorer`] reads.
+#[derive(Debug, Default)]
+struct Cells {
+    interner: TokenInterner,
+    tokens: TokenChars,
+    left: PreparedSide,
+    right: PreparedSide,
+    stats: CacheStats,
+    /// Buffers of the scorers that are not running: a chunk's [`Scorer`]
+    /// takes one (or makes one) and puts it back when it is dropped. They
+    /// live here, not in the chunk, for two measured reasons. A stream
+    /// tick scores a few dozen pairs, which must not pay for a
+    /// vocabulary-sized stamp table per chunk. And buffers allocated and
+    /// freed chunk by chunk sit *between* the chunks' output rows; what
+    /// they leave behind in the allocator's caches is handed to whatever is
+    /// allocated next, and when that outlives the matrix it pins the heap
+    /// (`match_heavy`'s peak RSS read +20 % that way).
+    idle: Mutex<Vec<Scratch>>,
+}
 
-    for &s in &l_slots {
-        prepare_column(&mut left.cols[s], a, &l_rows, interner, stats);
+impl Cells {
+    /// Resolve a feature list against two schemas, registering slots.
+    fn plan(
+        &mut self,
+        a: &Table,
+        b: &Table,
+        features: &[Feature],
+    ) -> magellan_table::Result<FeaturePlan> {
+        let mut entries = Vec::with_capacity(features.len());
+        let mut n_token_features = 0;
+        // Per-run and per-pair state the scorer keeps, one piece per
+        // distinct key, in first-use order.
+        let mut set_slots: Vec<usize> = Vec::new();
+        let mut set_pairs: Vec<(usize, usize)> = Vec::new();
+        let mut lev_slots: Vec<usize> = Vec::new();
+        fn ordinal<K: PartialEq>(seen: &mut Vec<K>, key: K) -> usize {
+            seen.iter().position(|k| *k == key).unwrap_or_else(|| {
+                seen.push(key);
+                seen.len() - 1
+            })
+        }
+        for f in features {
+            let li = a.schema().try_index_of(&f.l_attr)?;
+            let ri = b.schema().try_index_of(&f.r_attr)?;
+            let spec = PrepSpec::of(f.kind);
+            if spec.tokenizes() {
+                n_token_features += 1;
+            }
+            let l_slot = self.left.slot(li, spec, a.nrows());
+            let r_slot = self.right.slot(ri, spec, b.nrows());
+            let (l_state, inter) = match spec {
+                PrepSpec::WordSet | PrepSpec::QgramSet(_) => (
+                    ordinal(&mut set_slots, l_slot),
+                    ordinal(&mut set_pairs, (l_slot, r_slot)),
+                ),
+                _ if f.kind == FeatureKind::LevSim => (ordinal(&mut lev_slots, l_slot), 0),
+                _ => (0, 0),
+            };
+            entries.push(PlanEntry {
+                kind: f.kind,
+                l_slot,
+                r_slot,
+                l_state,
+                inter,
+            });
+        }
+        Ok(FeaturePlan {
+            entries,
+            names: features.iter().map(|f| f.name.clone()).collect(),
+            n_token_features,
+            n_set_slots: set_slots.len(),
+            n_set_pairs: set_pairs.len(),
+            n_lev_slots: lev_slots.len(),
+            monge_elkan: features.iter().any(|f| f.kind == FeatureKind::MongeElkanJw),
+        })
     }
-    for &s in &r_slots {
-        prepare_column(&mut right.cols[s], b, &r_rows, interner, stats);
+
+    /// Prepare every record the pairs reference for every slot the plan
+    /// reads. Cells already prepared are counted as hits.
+    fn prepare(&mut self, a: &Table, b: &Table, plan: &FeaturePlan, pairs: &[(u32, u32)]) {
+        self.left.ensure_rows(a.nrows());
+        self.right.ensure_rows(b.nrows());
+        let l_rows = referenced_rows(pairs.iter().map(|p| p.0), a.nrows());
+        let r_rows = referenced_rows(pairs.iter().map(|p| p.1), b.nrows());
+        // Distinct slots per side (several features can share one slot).
+        let mut l_slots: Vec<usize> = plan.entries.iter().map(|e| e.l_slot).collect();
+        l_slots.sort_unstable();
+        l_slots.dedup();
+        let mut r_slots: Vec<usize> = plan.entries.iter().map(|e| e.r_slot).collect();
+        r_slots.sort_unstable();
+        r_slots.dedup();
+
+        let Cells {
+            interner,
+            tokens,
+            left,
+            right,
+            stats,
+            ..
+        } = self;
+        for &s in &l_slots {
+            prepare_column(&mut left.cols[s], a, &l_rows, interner, tokens, stats);
+        }
+        for &s in &r_slots {
+            prepare_column(&mut right.cols[s], b, &r_rows, interner, tokens, stats);
+        }
+        stats.interner_tokens = interner.len();
     }
-    stats.interner_tokens = interner.len();
+
+    /// [`Cells::prepare`], returning what this call did as a [`CacheStats`]
+    /// delta — the counters it moved, the tokenizer calls it saved versus
+    /// the scalar path over the pairs, the interner's size after it — and
+    /// folding the savings into the cumulative stats.
+    fn prepare_counted(
+        &mut self,
+        a: &Table,
+        b: &Table,
+        plan: &FeaturePlan,
+        pairs: &[(u32, u32)],
+    ) -> CacheStats {
+        let before = self.stats;
+        self.prepare(a, b, plan, pairs);
+        let after = self.stats;
+        let spent = after.tokenize_calls - before.tokenize_calls;
+        let delta = CacheStats {
+            records_prepared: after.records_prepared - before.records_prepared,
+            tokenize_calls: spent,
+            tokenize_calls_saved: plan
+                .scalar_tokenize_calls(pairs.len())
+                .saturating_sub(spent),
+            lookups: after.lookups - before.lookups,
+            hits: after.hits - before.hits,
+            interner_tokens: after.interner_tokens,
+        };
+        self.stats.tokenize_calls_saved += delta.tokenize_calls_saved;
+        delta
+    }
+
+    /// Plan the features, prepare the records the pairs reference, then
+    /// compute one feature row per pair on the pool, a [`Scorer`] per
+    /// chunk. The scorers' counts and this call's cache delta are
+    /// published once the region is over (no-ops without a recorder); the
+    /// delta also rides along in the returned [`ParStats`].
+    fn extract(
+        &mut self,
+        a: &Table,
+        b: &Table,
+        pairs: &[(u32, u32)],
+        features: &[Feature],
+        cfg: &ParConfig,
+    ) -> magellan_table::Result<(FeatureMatrix, ParStats)> {
+        let plan = self.plan(a, b, features)?;
+        let cache = self.prepare_counted(a, b, &plan, pairs);
+        let cells = &*self;
+        let (chunks, mut stats) = magellan_par::chunk_map(pairs.len(), cfg, |range| {
+            let mut scorer = Scorer::over(cells, &plan);
+            let rows: Vec<Vec<f64>> = pairs[range]
+                .iter()
+                .map(|&(ra, rb)| scorer.row(ra as usize, rb as usize))
+                .collect();
+            (rows, scorer.counts())
+        });
+        let mut rows = Vec::with_capacity(pairs.len());
+        let mut counts = ScorerCounts::default();
+        for (chunk, c) in chunks {
+            rows.extend(chunk);
+            counts += c;
+        }
+        counts.publish();
+        cache.publish();
+        stats.cache = cache;
+        Ok((
+            FeatureMatrix {
+                names: plan.names,
+                rows,
+                pairs: pairs.to_vec(),
+            },
+            stats,
+        ))
+    }
+
+    /// The scorer buffers not in use. A push or a pop leaves the pool valid
+    /// whatever panicked while it was locked.
+    fn idle(&self) -> MutexGuard<'_, Vec<Scratch>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A pair list this many times shorter than the table is sorted instead
@@ -296,57 +483,6 @@ fn referenced_rows(ids: impl ExactSizeIterator<Item = u32>, nrows: usize) -> Vec
     }
 }
 
-/// One preparation call's [`CacheStats`]: the counters it moved, the
-/// tokenizer calls it saved versus the scalar path over `n_pairs` pairs,
-/// and the interner's size after it.
-fn cache_delta(
-    before: &CacheStats,
-    after: &CacheStats,
-    plan: &FeaturePlan,
-    n_pairs: usize,
-) -> CacheStats {
-    let spent = after.tokenize_calls - before.tokenize_calls;
-    CacheStats {
-        records_prepared: after.records_prepared - before.records_prepared,
-        tokenize_calls: spent,
-        tokenize_calls_saved: plan.scalar_tokenize_calls(n_pairs).saturating_sub(spent),
-        lookups: after.lookups - before.lookups,
-        hits: after.hits - before.hits,
-        interner_tokens: after.interner_tokens,
-    }
-}
-
-/// Evaluate planned feature `j` of one pair from prepared sides. `rows`
-/// is scratch for [`seqsim::levenshtein_chars`].
-fn compute_feature_from(
-    left: &PreparedSide,
-    right: &PreparedSide,
-    plan: &FeaturePlan,
-    j: usize,
-    ra: usize,
-    rb: usize,
-    rows: &mut Vec<usize>,
-) -> f64 {
-    let e = &plan.entries[j];
-    let va = left.cols[e.l_slot].get(ra).expect("left record prepared");
-    let vb = right.cols[e.r_slot].get(rb).expect("right record prepared");
-    compute_prepared(e.kind, va, vb, rows)
-}
-
-/// Evaluate one planned feature row from prepared sides.
-fn compute_row_from(
-    left: &PreparedSide,
-    right: &PreparedSide,
-    plan: &FeaturePlan,
-    ra: usize,
-    rb: usize,
-) -> Vec<f64> {
-    let mut rows = Vec::new();
-    (0..plan.entries.len())
-        .map(|j| compute_feature_from(left, right, plan, j, ra, rb, &mut rows))
-        .collect()
-}
-
 /// A feature list resolved against a [`PreparedPair`]: per feature, the
 /// computation kind plus the prepared-slot each side reads from.
 #[derive(Debug, Clone)]
@@ -355,6 +491,15 @@ pub struct FeaturePlan {
     names: Vec<String>,
     /// Features whose scalar evaluation tokenizes both sides.
     n_token_features: usize,
+    /// Distinct left slots the set features read (one stamp buffer each).
+    n_set_slots: usize,
+    /// Distinct `(left slot, right slot)` pairs the set features read (one
+    /// intersection count per pair of records each).
+    n_set_pairs: usize,
+    /// Distinct left slots `LevSim` features read (one pattern each).
+    n_lev_slots: usize,
+    /// Does any feature need the Jaro–Winkler memo?
+    monge_elkan: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -362,6 +507,11 @@ struct PlanEntry {
     kind: FeatureKind,
     l_slot: usize,
     r_slot: usize,
+    /// Which of the scorer's per-run left states this feature uses: a
+    /// stamp buffer for a set feature, a pattern for `LevSim`.
+    l_state: usize,
+    /// Set features: which per-pair intersection count.
+    inter: usize,
 }
 
 impl FeaturePlan {
@@ -393,10 +543,7 @@ impl FeaturePlan {
 pub struct PreparedPair<'t> {
     a: &'t Table,
     b: &'t Table,
-    interner: TokenInterner,
-    left: PreparedSide,
-    right: PreparedSide,
-    stats: CacheStats,
+    cells: Cells,
 }
 
 impl<'t> PreparedPair<'t> {
@@ -406,10 +553,7 @@ impl<'t> PreparedPair<'t> {
         PreparedPair {
             a,
             b,
-            interner: TokenInterner::new(),
-            left: PreparedSide::default(),
-            right: PreparedSide::default(),
-            stats: CacheStats::default(),
+            cells: Cells::default(),
         }
     }
 
@@ -417,22 +561,14 @@ impl<'t> PreparedPair<'t> {
     /// `(attribute, shape)` combinations. Errors on unknown attributes,
     /// exactly like the unprepared extractor.
     pub fn plan(&mut self, features: &[Feature]) -> magellan_table::Result<FeaturePlan> {
-        plan_features(self.a, self.b, &mut self.left, &mut self.right, features)
+        self.cells.plan(self.a, self.b, features)
     }
 
     /// Prepare every record the given pairs reference, for every slot the
     /// plan reads. Cells already prepared (by this or an earlier plan)
     /// are counted as cache hits and not recomputed.
     pub fn prepare_for_pairs(&mut self, plan: &FeaturePlan, pairs: &[(u32, u32)]) {
-        let PreparedPair {
-            a,
-            b,
-            interner,
-            left,
-            right,
-            stats,
-        } = self;
-        prepare_pairs_for(a, b, interner, left, right, stats, plan, pairs);
+        self.cells.prepare(self.a, self.b, plan, pairs);
     }
 
     /// [`PreparedPair::prepare_for_pairs`], returning what this call did
@@ -442,26 +578,29 @@ impl<'t> PreparedPair<'t> {
     /// folding the savings into the cumulative
     /// [`PreparedPair::cache_stats`].
     pub fn prepare_counted(&mut self, plan: &FeaturePlan, pairs: &[(u32, u32)]) -> CacheStats {
-        let before = self.stats;
-        self.prepare_for_pairs(plan, pairs);
-        let delta = cache_delta(&before, &self.stats, plan, pairs.len());
-        self.stats.tokenize_calls_saved += delta.tokenize_calls_saved;
-        delta
+        self.cells.prepare_counted(self.a, self.b, plan, pairs)
     }
 
-    /// Evaluate a planned feature row for one prepared pair.
+    /// **Reference.** Evaluate a planned feature row for one prepared
+    /// pair, every measure through its pairwise kernel. Production scores
+    /// through a [`Scorer`], whose values are compared with these bit for
+    /// bit.
     ///
     /// # Panics
     /// If the pair's records were not prepared for this plan (call
     /// [`PreparedPair::prepare_for_pairs`] first).
     pub fn compute_row(&self, plan: &FeaturePlan, ra: usize, rb: usize) -> Vec<f64> {
-        compute_row_from(&self.left, &self.right, plan, ra, rb)
+        let mut rows = Vec::new();
+        (0..plan.len())
+            .map(|j| self.compute_feature(plan, j, ra, rb, &mut rows))
+            .collect()
     }
 
-    /// Evaluate planned feature `j` alone for one prepared pair — the
-    /// value [`PreparedPair::compute_row`] puts at position `j`, bit for
-    /// bit. `rows` is scratch for the edit-distance fallback on strings
-    /// beyond 64 characters; pass the same buffer to every call of a batch.
+    /// **Reference.** Evaluate planned feature `j` alone for one prepared
+    /// pair — the value [`PreparedPair::compute_row`] puts at position
+    /// `j`, bit for bit. `rows` is scratch for the edit-distance fallback
+    /// on strings beyond 64 characters; pass the same buffer to every call
+    /// of a batch.
     ///
     /// # Panics
     /// As [`PreparedPair::compute_row`], and if `j` is not a feature of
@@ -474,17 +613,20 @@ impl<'t> PreparedPair<'t> {
         rb: usize,
         rows: &mut Vec<usize>,
     ) -> f64 {
-        compute_feature_from(&self.left, &self.right, plan, j, ra, rb, rows)
+        let e = &plan.entries[j];
+        let va = self.cells.left.cell(e.l_slot, ra, "left");
+        let vb = self.cells.right.cell(e.r_slot, rb, "right");
+        compute_prepared(e.kind, va, vb, &self.cells.tokens, rows)
     }
 
     /// Cumulative cache counters since construction.
     pub fn cache_stats(&self) -> CacheStats {
-        self.stats
+        self.cells.stats
     }
 
     /// Distinct tokens interned so far.
     pub fn interner_len(&self) -> usize {
-        self.interner.len()
+        self.cells.interner.len()
     }
 
     /// The tables this cache was built over.
@@ -501,16 +643,14 @@ impl<'t> PreparedPair<'t> {
 /// incremental feature path O(dirty pairs) instead of O(all pairs).
 ///
 /// The shared [`TokenInterner`] is append-only, so already-prepared id
-/// sets stay valid as new records grow the vocabulary (same argument as
-/// the incremental join's prefix index, whose keys mirror interner ids).
+/// sets and bags stay valid as new records grow the vocabulary (same
+/// argument as the incremental join's prefix index, whose keys mirror
+/// interner ids).
 #[derive(Debug)]
 pub struct StreamingPreparedPair {
     a: Table,
     b: Table,
-    interner: TokenInterner,
-    left: PreparedSide,
-    right: PreparedSide,
-    stats: CacheStats,
+    cells: Cells,
     cells_invalidated: u64,
 }
 
@@ -520,10 +660,7 @@ impl StreamingPreparedPair {
         StreamingPreparedPair {
             a,
             b,
-            interner: TokenInterner::new(),
-            left: PreparedSide::default(),
-            right: PreparedSide::default(),
-            stats: CacheStats::default(),
+            cells: Cells::default(),
             cells_invalidated: 0,
         }
     }
@@ -561,7 +698,11 @@ impl StreamingPreparedPair {
     /// Drop every prepared shape of one record, forcing re-preparation on
     /// next use. Returns the number of cells actually cleared.
     pub fn invalidate_record(&mut self, left: bool, rid: usize) -> usize {
-        let side = if left { &mut self.left } else { &mut self.right };
+        let side = if left {
+            &mut self.cells.left
+        } else {
+            &mut self.cells.right
+        };
         let cleared = side.invalidate(rid);
         self.cells_invalidated += cleared as u64;
         cleared
@@ -576,12 +717,12 @@ impl StreamingPreparedPair {
 
     /// Cumulative cache counters since construction.
     pub fn cache_stats(&self) -> CacheStats {
-        self.stats
+        self.cells.stats
     }
 
     /// Distinct tokens interned so far.
     pub fn interner_len(&self) -> usize {
-        self.interner.len()
+        self.cells.interner.len()
     }
 
     /// Extract a feature matrix for the given pairs, reusing every cell
@@ -594,44 +735,7 @@ impl StreamingPreparedPair {
         features: &[Feature],
         cfg: &ParConfig,
     ) -> magellan_table::Result<(FeatureMatrix, ParStats)> {
-        let plan = plan_features(
-            &self.a,
-            &self.b,
-            &mut self.left,
-            &mut self.right,
-            features,
-        )?;
-        let before = self.stats;
-        {
-            let StreamingPreparedPair {
-                a,
-                b,
-                interner,
-                left,
-                right,
-                stats,
-                ..
-            } = self;
-            prepare_pairs_for(a, b, interner, left, right, stats, &plan, pairs);
-        }
-        let cache = cache_delta(&before, &self.stats, &plan, pairs.len());
-        self.stats.tokenize_calls_saved += cache.tokenize_calls_saved;
-
-        let (left, right) = (&self.left, &self.right);
-        let (rows, mut stats) = magellan_par::map_indexed(pairs.len(), cfg, |p| {
-            let (ra, rb) = pairs[p];
-            compute_row_from(left, right, &plan, ra as usize, rb as usize)
-        });
-        cache.publish();
-        stats.cache = cache;
-        Ok((
-            FeatureMatrix {
-                names: plan.names.clone(),
-                rows,
-                pairs: pairs.to_vec(),
-            },
-            stats,
-        ))
+        self.cells.extract(&self.a, &self.b, pairs, features, cfg)
     }
 }
 
@@ -662,6 +766,7 @@ fn prepare_column(
     table: &Table,
     rows: &[u32],
     interner: &mut TokenInterner,
+    tokens: &mut TokenChars,
     stats: &mut CacheStats,
 ) {
     for &r in rows {
@@ -683,9 +788,12 @@ fn prepare_column(
                 PrepSpec::LowerStr => PrepValue::Str(lower_trimmed(v).chars().collect()),
                 PrepSpec::WordBag => {
                     stats.tokenize_calls += 1;
-                    let mut bag: Vec<Box<[char]>> = Vec::new();
-                    AlphanumericTokenizer::new()
-                        .for_each_token(&lower_trimmed(v), &mut |t| bag.push(t.chars().collect()));
+                    let mut bag: Vec<u32> = Vec::new();
+                    AlphanumericTokenizer::new().for_each_token(&lower_trimmed(v), &mut |t| {
+                        let id = interner.intern(t);
+                        tokens.note(id, t);
+                        bag.push(id);
+                    });
                     PrepValue::Bag(bag.into())
                 }
                 PrepSpec::WordSet | PrepSpec::QgramSet(_) => {
@@ -706,71 +814,116 @@ fn prepare_column(
     }
 }
 
-/// The prepared-shape evaluation of one feature kind — mirrors
-/// [`crate::Feature::compute`] case for case so results are bit-identical.
+/// The kinds with nothing to keep between the pairs of a run: numeric
+/// measures, exact match and the two Jaro forms (whose greedy matching has
+/// no side that can be prepared ahead). One body for the reference and the
+/// scorer; `None` for the kinds each evaluates its own way.
+fn compute_stateless(kind: FeatureKind, va: &PrepValue, vb: &PrepValue) -> Option<f64> {
+    Some(match kind {
+        FeatureKind::ExactNum | FeatureKind::AbsDiff | FeatureKind::RelDiff => {
+            let (PrepValue::Num(x), PrepValue::Num(y)) = (va, vb) else {
+                return Some(f64::NAN);
+            };
+            match kind {
+                FeatureKind::ExactNum => numeric::exact_match_num(*x, *y),
+                FeatureKind::AbsDiff => numeric::abs_diff_sim(*x, *y),
+                _ => numeric::rel_diff_sim(*x, *y),
+            }
+        }
+        FeatureKind::ExactMatch | FeatureKind::Jaro | FeatureKind::JaroWinkler => {
+            let (sa, sb) = str_cells(va, vb)?;
+            match kind {
+                FeatureKind::ExactMatch => f64::from(sa == sb),
+                FeatureKind::Jaro => seqsim::jaro_chars(sa, sb),
+                _ => seqsim::jaro_winkler_chars(sa, sb),
+            }
+        }
+        _ => return None,
+    })
+}
+
+/// Both cells of a string feature. `None` (callers answer `NaN`) would be
+/// a bug: a plan reads each feature from the slot of its own shape.
+fn str_cells<'c>(va: &'c PrepValue, vb: &'c PrepValue) -> Option<(&'c [char], &'c [char])> {
+    match (va, vb) {
+        (PrepValue::Str(sa), PrepValue::Str(sb)) => Some((sa, sb)),
+        _ => {
+            debug_assert!(false, "string feature over non-string prep");
+            None
+        }
+    }
+}
+
+/// Both cells of a Monge–Elkan feature (see [`str_cells`] on `None`).
+fn bag_cells<'c>(va: &'c PrepValue, vb: &'c PrepValue) -> Option<(&'c [u32], &'c [u32])> {
+    match (va, vb) {
+        (PrepValue::Bag(ba), PrepValue::Bag(bb)) => Some((ba, bb)),
+        _ => {
+            debug_assert!(false, "monge-elkan over non-bag prep");
+            None
+        }
+    }
+}
+
+/// Both cells of a set feature — `None` also when either tokenization is
+/// empty: the scalar path returns `NaN` there, preserved exactly.
+fn set_cells<'c>(va: &'c PrepValue, vb: &'c PrepValue) -> Option<(&'c [u32], &'c [u32])> {
+    match (va, vb) {
+        (PrepValue::Set(ia), PrepValue::Set(ib)) => {
+            (!ia.is_empty() && !ib.is_empty()).then_some((&**ia, &**ib))
+        }
+        _ => {
+            debug_assert!(false, "set feature over non-set prep");
+            None
+        }
+    }
+}
+
+/// The reference evaluation of one feature kind over two prepared cells —
+/// mirrors [`crate::Feature::compute`] case for case so results are
+/// bit-identical. Reached only through [`PreparedPair::compute_feature`].
 fn compute_prepared(
     kind: FeatureKind,
     va: &PrepValue,
     vb: &PrepValue,
+    tokens: &TokenChars,
     rows: &mut Vec<usize>,
 ) -> f64 {
     if matches!(va, PrepValue::Null) || matches!(vb, PrepValue::Null) {
         return f64::NAN;
     }
+    if let Some(v) = compute_stateless(kind, va, vb) {
+        return v;
+    }
     match kind {
-        FeatureKind::ExactNum | FeatureKind::AbsDiff | FeatureKind::RelDiff => {
-            let (PrepValue::Num(x), PrepValue::Num(y)) = (va, vb) else {
+        FeatureKind::LevSim => {
+            let Some((sa, sb)) = str_cells(va, vb) else {
                 return f64::NAN;
             };
-            match kind {
-                FeatureKind::ExactNum => numeric::exact_match_num(*x, *y),
-                FeatureKind::AbsDiff => numeric::abs_diff_sim(*x, *y),
-                FeatureKind::RelDiff => numeric::rel_diff_sim(*x, *y),
-                _ => unreachable!(),
-            }
-        }
-        FeatureKind::ExactMatch
-        | FeatureKind::LevSim
-        | FeatureKind::Jaro
-        | FeatureKind::JaroWinkler => {
-            let (PrepValue::Str(sa), PrepValue::Str(sb)) = (va, vb) else {
-                debug_assert!(false, "string feature over non-string prep");
-                return f64::NAN;
-            };
-            match kind {
-                FeatureKind::ExactMatch => f64::from(sa == sb),
-                FeatureKind::LevSim => seqsim::levenshtein_sim_chars(sa, sb, rows),
-                FeatureKind::Jaro => seqsim::jaro_chars(sa, sb),
-                FeatureKind::JaroWinkler => seqsim::jaro_winkler_chars(sa, sb),
-                _ => unreachable!(),
-            }
+            seqsim::levenshtein_sim_chars(sa, sb, rows)
         }
         FeatureKind::MongeElkanJw => {
-            let (PrepValue::Bag(ba), PrepValue::Bag(bb)) = (va, vb) else {
-                debug_assert!(false, "monge-elkan over non-bag prep");
+            let Some((ba, bb)) = bag_cells(va, vb) else {
                 return f64::NAN;
             };
-            setsim::monge_elkan_jw_chars(ba, bb)
+            // Equal ids are equal tokens, which score 1.0 without Jaro.
+            setsim::monge_elkan_upto_one(ba.len(), bb.len(), |i, j| {
+                if ba[i] == bb[j] {
+                    1.0
+                } else {
+                    seqsim::jaro_winkler_chars(tokens.get(ba[i]), tokens.get(bb[j]))
+                }
+            })
         }
-        FeatureKind::Jaccard(_)
-        | FeatureKind::Cosine(_)
-        | FeatureKind::Dice(_)
-        | FeatureKind::OverlapCoeff(_) => {
-            let (PrepValue::Set(ia), PrepValue::Set(ib)) = (va, vb) else {
-                debug_assert!(false, "set feature over non-set prep");
+        _ => {
+            let Some((ia, ib)) = set_cells(va, vb) else {
                 return f64::NAN;
             };
-            // The scalar path returns NaN when either tokenization is
-            // empty — preserved exactly.
-            if ia.is_empty() || ib.is_empty() {
-                return f64::NAN;
-            }
             match kind {
                 FeatureKind::Jaccard(_) => intern::jaccard_ids(ia, ib),
                 FeatureKind::Cosine(_) => intern::cosine_ids(ia, ib),
                 FeatureKind::Dice(_) => intern::dice_ids(ia, ib),
-                FeatureKind::OverlapCoeff(_) => intern::overlap_coefficient_ids(ia, ib),
-                _ => unreachable!(),
+                _ => intern::overlap_coefficient_ids(ia, ib),
             }
         }
     }
@@ -778,8 +931,9 @@ fn compute_prepared(
 
 /// Extract a feature matrix through a shared [`PreparedPair`] cache: plan
 /// the features, prepare the referenced records once each, then evaluate
-/// pair rows on the `magellan-par` pool (bit-identical to
-/// [`crate::extract_feature_matrix`] for any worker count).
+/// pair rows on the `magellan-par` pool, one [`Scorer`] per chunk
+/// (bit-identical to [`crate::extract_feature_matrix_scalar`] for any
+/// worker count).
 ///
 /// The returned [`ParStats`] carries this call's [`CacheStats`] delta —
 /// records prepared, tokenize calls spent and saved versus the scalar
@@ -791,27 +945,9 @@ pub fn extract_with_prepared(
     features: &[Feature],
     cfg: &ParConfig,
 ) -> magellan_table::Result<(FeatureMatrix, ParStats)> {
-    let plan = prepared.plan(features)?;
-    let cache = prepared.prepare_counted(&plan, pairs);
-
-    let shared: &PreparedPair<'_> = prepared;
-    let (rows, mut stats) = magellan_par::map_indexed(pairs.len(), cfg, |p| {
-        let (ra, rb) = pairs[p];
-        shared.compute_row(&plan, ra as usize, rb as usize)
-    });
-    // Publish this call's cache delta as `magellan_features_cache_*`
-    // registry metrics (no-op when observability is disabled); the struct
-    // keeps riding along in `ParStats` for reports.
-    cache.publish();
-    stats.cache = cache;
-    Ok((
-        FeatureMatrix {
-            names: plan.names.clone(),
-            rows,
-            pairs: pairs.to_vec(),
-        },
-        stats,
-    ))
+    prepared
+        .cells
+        .extract(prepared.a, prepared.b, pairs, features, cfg)
 }
 
 #[cfg(test)]
@@ -964,11 +1100,11 @@ mod tests {
         // `k` from the Kelvin sign joined its neighbours into one token;
         // the same words in either case are the same tokens.
         let word_set = |r: usize| {
-            let col = &prepared.left.cols[prepared.left.index[&(1, PrepSpec::WordSet)]];
+            let col = &prepared.cells.left.cols[prepared.cells.left.index[&(1, PrepSpec::WordSet)]];
             match col.get(r) {
                 Some(PrepValue::Set(ids)) => ids
                     .iter()
-                    .map(|&id| prepared.interner.resolve(id).to_owned())
+                    .map(|&id| prepared.cells.interner.resolve(id).to_owned())
                     .collect::<Vec<_>>(),
                 other => panic!("row {r} not a word set: {other:?}"),
             }

@@ -69,6 +69,10 @@ use std::time::{Duration, Instant};
 use magellan_obs::EvVal;
 
 pub use magellan_faults::ChunkFaults;
+/// The recorder this pool installs on its workers. Re-exported so a crate
+/// that runs its regions here can publish what they counted without a
+/// dependency edge of its own.
+pub use magellan_obs as obs;
 
 /// The payload of a fault-plan-injected chunk panic. Public so panic
 /// hooks (see [`silence_contained_panics`]) can recognize and mute it.

@@ -261,52 +261,74 @@ pub fn intersect_size_sorted(a: &[u32], b: &[u32]) -> usize {
     n
 }
 
+/// Jaccard `|A ∩ B| / |A ∪ B|` from the three integers a set measure
+/// depends on. The `*_counts` functions are the one place each measure's
+/// guards and floating-point expression are written; the `*_ids` functions
+/// below and the run-aware scorer of `magellan-features` (which counts
+/// `|A ∩ B|` its own way) both end here, so they return the same bits.
+pub fn jaccard_counts(a_len: usize, b_len: usize, inter: usize) -> f64 {
+    if a_len == 0 && b_len == 0 {
+        return 1.0;
+    }
+    let union = a_len + b_len - inter;
+    inter as f64 / union as f64
+}
+
+/// Dice `2|A ∩ B| / (|A| + |B|)` from set sizes and intersection size.
+pub fn dice_counts(a_len: usize, b_len: usize, inter: usize) -> f64 {
+    if a_len == 0 && b_len == 0 {
+        return 1.0;
+    }
+    2.0 * inter as f64 / (a_len + b_len) as f64
+}
+
+/// Set cosine `|A ∩ B| / sqrt(|A|·|B|)` from set sizes and intersection
+/// size (the denominator multiplies the two lengths as `f64`s exactly like
+/// [`crate::setsim::cosine`]).
+pub fn cosine_counts(a_len: usize, b_len: usize, inter: usize) -> f64 {
+    if a_len == 0 && b_len == 0 {
+        return 1.0;
+    }
+    if a_len == 0 || b_len == 0 {
+        return 0.0;
+    }
+    inter as f64 / ((a_len as f64) * (b_len as f64)).sqrt()
+}
+
+/// Overlap coefficient `|A ∩ B| / min(|A|, |B|)` from set sizes and
+/// intersection size.
+pub fn overlap_coefficient_counts(a_len: usize, b_len: usize, inter: usize) -> f64 {
+    if a_len == 0 && b_len == 0 {
+        return 1.0;
+    }
+    if a_len == 0 || b_len == 0 {
+        return 0.0;
+    }
+    inter as f64 / a_len.min(b_len) as f64
+}
+
 /// Jaccard `|A ∩ B| / |A ∪ B|` over sorted deduplicated id sets.
 /// Bit-identical to [`crate::setsim::jaccard`] on the same token sets.
 pub fn jaccard_ids(a: &[u32], b: &[u32]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let inter = crate::kernels::intersect_auto(a, b);
-    let union = a.len() + b.len() - inter;
-    inter as f64 / union as f64
+    jaccard_counts(a.len(), b.len(), crate::kernels::intersect_auto(a, b))
 }
 
 /// Dice `2|A ∩ B| / (|A| + |B|)` over sorted deduplicated id sets.
 /// Bit-identical to [`crate::setsim::dice`].
 pub fn dice_ids(a: &[u32], b: &[u32]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let inter = crate::kernels::intersect_auto(a, b);
-    2.0 * inter as f64 / (a.len() + b.len()) as f64
+    dice_counts(a.len(), b.len(), crate::kernels::intersect_auto(a, b))
 }
 
 /// Set cosine `|A ∩ B| / sqrt(|A|·|B|)` over sorted deduplicated id sets.
-/// Bit-identical to [`crate::setsim::cosine`] (the denominator multiplies
-/// the two lengths as `f64`s exactly like the string version).
+/// Bit-identical to [`crate::setsim::cosine`].
 pub fn cosine_ids(a: &[u32], b: &[u32]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let inter = crate::kernels::intersect_auto(a, b);
-    inter as f64 / ((a.len() as f64) * (b.len() as f64)).sqrt()
+    cosine_counts(a.len(), b.len(), crate::kernels::intersect_auto(a, b))
 }
 
 /// Overlap coefficient `|A ∩ B| / min(|A|, |B|)` over sorted deduplicated
 /// id sets. Bit-identical to [`crate::setsim::overlap_coefficient`].
 pub fn overlap_coefficient_ids(a: &[u32], b: &[u32]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let inter = crate::kernels::intersect_auto(a, b);
-    inter as f64 / a.len().min(b.len()) as f64
+    overlap_coefficient_counts(a.len(), b.len(), crate::kernels::intersect_auto(a, b))
 }
 
 /// Raw overlap size `|A ∩ B|` over sorted deduplicated id sets.

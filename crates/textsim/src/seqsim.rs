@@ -44,14 +44,7 @@ pub fn levenshtein_chars(a: &[char], b: &[char], rows: &mut Vec<usize>) -> usize
 }
 
 /// Myers/Hyyrö bit-vector edit distance, `1 ≤ pattern.len() ≤ 64`.
-///
-/// Bit `j` of `pv`/`mv` says whether the DP column's cell `j + 1` is one
-/// more/less than cell `j`; `score` tracks the bottom cell. The first DP
-/// row is `0, 1, 2, …` (global alignment), which is the `| 1` shifted into
-/// the horizontal positive delta.
 fn levenshtein_bitparallel(pattern: &[char], text: &[char]) -> usize {
-    let m = pattern.len();
-    debug_assert!((1..=64).contains(&m));
     // Match masks of the pattern's distinct characters; a character absent
     // from the table matches nowhere (mask 0).
     let mut table = [('\0', 0u64); 64];
@@ -67,15 +60,31 @@ fn levenshtein_bitparallel(pattern: &[char], text: &[char]) -> usize {
         }
     }
     let table = &table[..distinct];
+    myers_columns(pattern.len(), text, |c| {
+        table
+            .iter()
+            .find_map(|&(tc, mask)| (tc == c).then_some(mask))
+            .unwrap_or(0)
+    })
+}
+
+/// The Myers/Hyyrö recurrence over the DP columns of `text`, for a pattern
+/// of `1 ≤ m ≤ 64` characters whose match mask against a text character is
+/// `eq(c)` (bit `j` set iff pattern character `j` equals `c`).
+///
+/// Bit `j` of `pv`/`mv` says whether the DP column's cell `j + 1` is one
+/// more/less than cell `j`; `score` tracks the bottom cell. The first DP
+/// row is `0, 1, 2, …` (global alignment), which is the `| 1` shifted into
+/// the horizontal positive delta.
+#[inline]
+fn myers_columns(m: usize, text: &[char], eq: impl Fn(char) -> u64) -> usize {
+    debug_assert!((1..=64).contains(&m));
     let top = 1u64 << (m - 1);
     let mut pv = u64::MAX;
     let mut mv = 0u64;
     let mut score = m;
     for &c in text {
-        let eq = table
-            .iter()
-            .find_map(|&(tc, mask)| (tc == c).then_some(mask))
-            .unwrap_or(0);
+        let eq = eq(c);
         let xv = eq | mv;
         let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
         let mut ph = mv | !(xh | pv);
@@ -92,6 +101,61 @@ fn levenshtein_bitparallel(pattern: &[char], text: &[char]) -> usize {
         mv = ph & xv;
     }
     score
+}
+
+/// One side of many Levenshtein comparisons, prepared once: the match
+/// masks of an ASCII string of 1–64 characters in a table indexed by
+/// character, so a comparison is [`myers_columns`] with one load per text
+/// character and no per-call table build.
+///
+/// The prepared string is the *pattern* whichever side is longer. The
+/// recurrence computes the exact edit distance for any text length, and
+/// edit distance is symmetric, so the integer equals
+/// [`levenshtein_chars`]' (which makes the shorter side the pattern).
+#[derive(Debug, Clone)]
+pub struct LevPattern {
+    masks: [u64; 128],
+    len: usize,
+}
+
+impl Default for LevPattern {
+    fn default() -> Self {
+        LevPattern {
+            masks: [0; 128],
+            len: 0,
+        }
+    }
+}
+
+impl LevPattern {
+    /// Make `pattern` the prepared side, replacing the previous one. False
+    /// (and nothing is prepared) unless it is ASCII and 1–64 characters;
+    /// the caller then compares through [`levenshtein_sim_chars`].
+    pub fn set(&mut self, pattern: &[char]) -> bool {
+        self.len = 0;
+        if !(1..=64).contains(&pattern.len()) || !pattern.iter().all(char::is_ascii) {
+            return false;
+        }
+        self.masks = [0; 128];
+        for (j, &c) in pattern.iter().enumerate() {
+            self.masks[c as usize] |= 1u64 << j;
+        }
+        self.len = pattern.len();
+        true
+    }
+
+    /// [`levenshtein_sim_chars`] of the prepared string and `text`, bit
+    /// for bit. A text character outside ASCII matches nowhere.
+    ///
+    /// # Panics
+    /// If the last [`LevPattern::set`] returned false.
+    pub fn sim(&self, text: &[char]) -> f64 {
+        assert!(self.len > 0, "no pattern prepared");
+        let dist = myers_columns(self.len, text, |c| {
+            self.masks.get(c as usize).copied().unwrap_or(0)
+        });
+        distance_to_sim(dist, self.len.max(text.len()))
+    }
 }
 
 /// The classic DP over one reused row (`diag` carries the cell the row
@@ -124,7 +188,12 @@ pub fn levenshtein_sim_chars(a: &[char], b: &[char], rows: &mut Vec<usize>) -> f
     if max_len == 0 {
         return 1.0;
     }
-    1.0 - levenshtein_chars(a, b, rows) as f64 / max_len as f64
+    distance_to_sim(levenshtein_chars(a, b, rows), max_len)
+}
+
+/// `1 - dist / max_len`, `max_len ≥ 1`.
+fn distance_to_sim(dist: usize, max_len: usize) -> f64 {
+    1.0 - dist as f64 / max_len as f64
 }
 
 /// Jaro similarity in `[0, 1]`.
@@ -526,6 +595,18 @@ mod tests {
             ];
             for (k, (got, want)) in checks.into_iter().enumerate() {
                 prop_assert_eq!(got.to_bits(), want.to_bits(), "check {}: {} vs {}", k, got, want);
+            }
+            // Either side as a prepared pattern, longer or shorter than the
+            // text, in a table another pattern has used.
+            let mut pattern = LevPattern::default();
+            for (p, t, sp, st) in [(&a, &b, &sa, &sb), (&b, &a, &sb, &sa)] {
+                prop_assert!(pattern.set(&['b', 'a', 'z', 'a']));
+                let fits = (1..=64).contains(&p.len()) && p.iter().all(char::is_ascii);
+                prop_assert_eq!(pattern.set(p), fits);
+                if fits {
+                    let want = reference::levenshtein_sim(sp, st);
+                    prop_assert_eq!(pattern.sim(t).to_bits(), want.to_bits(), "pattern {:?}", sp);
+                }
             }
         }
     }

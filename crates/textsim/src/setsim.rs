@@ -126,44 +126,54 @@ pub fn monge_elkan_jw<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
 }
 
 /// [`monge_elkan_jw`] over pre-decoded tokens; allocates nothing for
-/// tokens of at most 64 characters.
-///
-/// The inner maximum stops at the first token scoring 1.0, and equal
-/// tokens score 1.0 without running Jaro at all. Both shortcuts return
-/// the bits of the full scan ([`monge_elkan`] with
-/// [`crate::seqsim::jaro_winkler`]):
-///
-/// * `jaro(x, x)` matches every character to itself with no
-///   transpositions, so it evaluates `(1 + 1 + 1) / 3`, which is exactly
-///   1.0, and the Winkler prefix term is multiplied by `1 − 1`;
-/// * Jaro–Winkler never exceeds 1.0 (Jaro is at most 1, the prefix term
-///   adds at most `0.4 · (1 − jaro)`, and rounding is monotone), so once
-///   some token scores 1.0 the maximum over the rest is 1.0 as well.
+/// tokens of at most 64 characters. Equal tokens score 1.0 without running
+/// Jaro at all — `jaro(x, x)` matches every character to itself with no
+/// transpositions, so it evaluates `(1 + 1 + 1) / 3`, which is exactly 1.0,
+/// and the Winkler prefix term is multiplied by `1 − 1`.
 pub fn monge_elkan_jw_chars<T: AsRef<[char]>>(a: &[T], b: &[T]) -> f64 {
-    if a.is_empty() && b.is_empty() {
+    monge_elkan_upto_one(a.len(), b.len(), |i, j| {
+        let (ta, tb) = (a[i].as_ref(), b[j].as_ref());
+        if ta == tb {
+            1.0
+        } else {
+            crate::seqsim::jaro_winkler_chars(ta, tb)
+        }
+    })
+}
+
+/// The Monge–Elkan loop over token *positions*, for a secondary measure
+/// that never exceeds 1.0: `sim(i, j)` scores token `i` of the left bag
+/// against token `j` of the right one, in the order [`monge_elkan`] would
+/// ask. However the tokens are stored (decoded slices, interned ids with a
+/// memo in front of Jaro–Winkler), the sum and the division are these.
+///
+/// The inner maximum stops at the first 1.0: once some token scores 1.0
+/// the maximum over the rest is 1.0 as well, so the result has the bits of
+/// the full scan. Jaro–Winkler qualifies — Jaro is at most 1, the prefix
+/// term adds at most `0.4 · (1 − jaro)`, and rounding is monotone.
+pub fn monge_elkan_upto_one(
+    a_len: usize,
+    b_len: usize,
+    mut sim: impl FnMut(usize, usize) -> f64,
+) -> f64 {
+    if a_len == 0 && b_len == 0 {
         return 1.0;
     }
-    if a.is_empty() || b.is_empty() {
+    if a_len == 0 || b_len == 0 {
         return 0.0;
     }
     let mut total = 0.0;
-    for ta in a {
-        let ta = ta.as_ref();
+    for i in 0..a_len {
         let mut best = f64::NEG_INFINITY;
-        for tb in b {
-            let tb = tb.as_ref();
-            if ta == tb {
-                best = 1.0;
-                break;
-            }
-            best = best.max(crate::seqsim::jaro_winkler_chars(ta, tb));
+        for j in 0..b_len {
+            best = best.max(sim(i, j));
             if best >= 1.0 {
                 break;
             }
         }
         total += best;
     }
-    total / a.len() as f64
+    total / a_len as f64
 }
 
 #[cfg(test)]
