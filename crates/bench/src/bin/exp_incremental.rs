@@ -23,25 +23,18 @@ use magellan_core::{StreamSession, TextGen};
 use magellan_faults::{SimClock, StreamOp, StreamPlan};
 use magellan_features::{Feature, FeatureKind, TokSpecF};
 use magellan_ml::{Dataset, FlatForest, RandomForestLearner};
+use magellan_obs::splitmix64;
 use magellan_par::{JoinStats, ParConfig};
 use magellan_simjoin::{IncrementalJoin, RecordMutation, SetSimMeasure, Side};
 use magellan_textsim::tokenize::WhitespaceTokenizer;
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic 3–8-token record text.
 fn synth_text(seed: u64, vocab: u64) -> String {
-    let n = 3 + mix64(seed) % 6;
+    let n = 3 + splitmix64(seed) % 6;
     (0..n)
-        .map(|i| format!("tok{}", mix64(seed ^ (i + 1)) % vocab))
+        .map(|i| format!("tok{}", splitmix64(seed ^ (i + 1)) % vocab))
         .collect::<Vec<_>>()
         .join(" ")
 }

@@ -1,8 +1,9 @@
-//! Sim-join engine experiment: pairs/sec of the adaptive CSR engine
-//! (flat postings, accumulating positional + suffix pruning, bounded
-//! galloping verification, cost-based probe side) vs the pre-CSR HashMap
-//! engine it replaced, across a collection-size × threshold ×
-//! token-frequency-skew grid, plus the pruning-cascade kill rates.
+//! Sim-join engine experiment: pairs/sec of the CSR engine (flat
+//! postings, accumulating positional + suffix pruning, one bounded
+//! verifier that gallops on ≥16× skew, cost-based probe side) vs the
+//! pre-CSR HashMap engine it replaced, across a collection-size ×
+//! threshold × token-frequency-skew grid, plus the pruning-cascade kill
+//! rates.
 //!
 //! A last row, `tokenize_collection`, times what runs *before* any join:
 //! `TokenizedCollection::build` over the `products` titles (100 000 ×
@@ -32,8 +33,6 @@ use magellan_simjoin::{
     join_tokenized_topk, ProbeSide, SetSimMeasure, TokenizedCollection,
 };
 use magellan_textsim::tokenize::{AlphanumericTokenizer, WhitespaceTokenizer};
-use magellan_textsim::kernels::set_mode;
-use magellan_textsim::KernelMode;
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
@@ -55,9 +54,9 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
 
 /// Best-of-reps: the minimum is the standard noise-robust estimator for
 /// a deterministic workload (every sample is the true cost plus
-/// non-negative scheduler/cache noise). Used for the kernel-tier A/B,
-/// where the effect size is small enough for median noise to flip the
-/// sign of the comparison.
+/// non-negative scheduler/cache noise). Used inside the rep-by-rep A/B
+/// rows (`tokenize_collection`, `topk`), whose medians are taken over
+/// these.
 fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     (0..reps)
         .map(|_| {
@@ -99,14 +98,11 @@ fn make_strings(n: usize, seed: u64, vocab: usize, skew: f64) -> Vec<Option<Stri
 /// perturbed twin of its left record (every token kept with p = 0.7,
 /// else redrawn), so Jaccard lands around 0.54 and a 0.5 threshold
 /// makes almost every verification *succeed* — the per-element failure
-/// bound cannot early-exit a succeeding merge, so both modes walk the
-/// full multi-hundred-step merge. This is the worst case for any
-/// adaptive dispatch that strays from the scalar reference (the
-/// block-branchless merge measured 0.89× here, the bitset kernel
-/// 0.62× on a dense variant), which makes it the regression guard for
-/// the PR 9 selection retune: adaptive must *tie* the reference on
-/// full-length merges, where the 3–8-token grids resolve in 1–2 scalar
-/// steps and could mask a bad multi-block policy.
+/// bound cannot early-exit a succeeding merge, so the verifier walks the
+/// full multi-hundred-step merge, where the 3–8-token grids resolve in
+/// 1–2 steps. This is the grid on which a block-branchless merge
+/// (0.89×) and a bitset kernel (0.62×, dense variant) lost to the plain
+/// walk and were retired (DESIGN.md §7.2).
 fn make_wide_pairs(
     n: usize,
     seed: u64,
@@ -150,7 +146,7 @@ fn make_wide_pairs(
 
 /// Long records (120–167 tokens) for the size-skew grid: probing a short
 /// record against these puts a ≥16× length ratio on the verification
-/// operands, the shape the galloping kernel exists for.
+/// operands, the shape the verifier gallops on.
 fn make_long_strings(n: usize, seed: u64, vocab: usize) -> Vec<Option<String>> {
     let mut state = seed;
     let mut next = move || {
@@ -328,8 +324,7 @@ struct Grid {
     long_right: bool,
     /// Both sides 250 wide records, right a perturbed twin of left
     /// (see [`make_wide_pairs`]): every verification runs a
-    /// multi-hundred-step merge to completion, exercising the
-    /// branchless merge kernel instead of the single-block scalar path.
+    /// multi-hundred-step merge to completion.
     wide: bool,
 }
 
@@ -345,13 +340,13 @@ fn main() {
         Grid { name: "skewed_loose", skew: 3.0, threshold: 0.5, measure: jaccard, measure_name: "jaccard", vocab: 800, long_right: false, wide: false },
         Grid { name: "uniform", skew: 0.0, threshold: 0.7, measure: jaccard, measure_name: "jaccard", vocab: 800, long_right: false, wide: false },
         // ≥16× record-length skew: 3–8-token probes against 120–167-token
-        // indexed records. Regression guard for the galloping verify
-        // kernel — the symmetric grids above never reach the gallop ratio.
+        // indexed records. Regression guard for the verifier's gallop —
+        // the symmetric grids above never reach the gallop ratio.
         Grid { name: "size_skew16", skew: 0.0, threshold: 2.0, measure: overlap, measure_name: "overlap_size", vocab: 4000, long_right: true, wide: false },
         // 150–249-token near-duplicate pairs over a 1M-token vocabulary:
         // nearly every verification succeeds and runs a full
-        // multi-hundred-step merge — the shape where a bad multi-block
-        // dispatch policy shows up undiluted (see `make_wide_pairs`).
+        // multi-hundred-step merge — the shape where the cost of the walk
+        // itself shows up undiluted (see `make_wide_pairs`).
         Grid { name: "wide_sparse", skew: 0.0, threshold: 0.5, measure: jaccard, measure_name: "jaccard", vocab: 1_000_000, long_right: false, wide: true },
     ];
     let tok = WhitespaceTokenizer::new();
@@ -368,10 +363,9 @@ fn main() {
     writeln!(txt, "host exposes {cores} core(s); the w>1 rows measure threading overhead on a 1-core host").unwrap();
 
     let mut skewed_speedup_w1 = 0.0;
-    let mut kernel_speedups: Vec<(&str, f64)> = Vec::new();
     for grid in &grids {
         // Wide sides stay at 250 records even in smoke: the grid's
-        // premise (sparse multi-block spans after rarest-first
+        // premise (sparse multi-hundred-token spans after rarest-first
         // remapping) needs the full-size token universe.
         let (left, right) = if grid.wide {
             make_wide_pairs(250, 101, grid.vocab)
@@ -399,19 +393,21 @@ fn main() {
         let n_pairs = csr_pairs.len();
         if grid.long_right {
             // The whole point of this grid: the ≥16× operand skew must
-            // actually reach the galloping kernel.
+            // actually be galloped over (about 6 steps per verification;
+            // a linear walk of the same operands takes about 100).
             assert!(
-                stats.kernel_gallop > 0,
-                "size-skew grid never fired the gallop kernel"
+                stats.verify_steps < 20 * stats.verified,
+                "size-skew grid walked its long sides: {} steps for {} verifications",
+                stats.verify_steps,
+                stats.verified
             );
         }
         if grid.wide {
             // The whole point of this grid: verifications must actually
-            // run multi-block merges (merge-family attribution, not
-            // gallop), or the regression guard guards nothing.
+            // run long balanced merges (about 100 steps each).
             assert!(
-                stats.kernel_merge > 0,
-                "wide grid never ran a balanced multi-block merge"
+                stats.verify_steps > 50 * stats.verified,
+                "wide grid never ran a long balanced merge"
             );
         }
 
@@ -436,46 +432,12 @@ fn main() {
             100.0 * stats.suffix_kill_rate(),
         )
         .unwrap();
-        writeln!(
-            txt,
-            "kernel split: merge={} gallop={} bitset={}",
-            stats.kernel_merge, stats.kernel_gallop, stats.kernel_bitset
-        )
-        .unwrap();
 
         let t_hash = median_secs(reps, || {
             std::hint::black_box(join_tokenized_hashmap(&coll, measure));
         });
         let ps_hash = n_pairs as f64 / t_hash;
 
-        // Kernel-tier delta at 1 worker: pin the scalar reference kernels,
-        // time the same CSR join, restore adaptive dispatch. Outputs are
-        // bit-identical either way — this isolates the kernel speedup.
-        // Interleave the two modes rep-by-rep so scheduler/frequency
-        // drift lands on both sides equally, and take best-of-N per
-        // mode (see `best_secs` for why min, not median).
-        let serial = ParConfig::workers(1);
-        let kernel_reps = (reps * 3).max(15);
-        let mut t_csr_scalar = f64::INFINITY;
-        let mut t_csr_adaptive = f64::INFINITY;
-        for _ in 0..kernel_reps {
-            set_mode(KernelMode::ScalarReference);
-            t_csr_scalar = t_csr_scalar.min(best_secs(1, || {
-                std::hint::black_box(join_tokenized_par_side(&coll, measure, ProbeSide::Auto, &serial));
-            }));
-            set_mode(KernelMode::Adaptive);
-            t_csr_adaptive = t_csr_adaptive.min(best_secs(1, || {
-                std::hint::black_box(join_tokenized_par_side(&coll, measure, ProbeSide::Auto, &serial));
-            }));
-        }
-        let kernel_speedup = t_csr_scalar / t_csr_adaptive;
-        kernel_speedups.push((grid.name, kernel_speedup));
-        writeln!(
-            txt,
-            "kernel tier (w=1): scalar-kernel {:.3}s vs adaptive {:.3}s -> {kernel_speedup:.2}x",
-            t_csr_scalar, t_csr_adaptive
-        )
-        .unwrap();
         writeln!(txt, "{:>3}  {:>15}  {:>15}  {:>8}", "w", "hashmap p/s", "csr p/s", "speedup")
             .unwrap();
 
@@ -534,7 +496,7 @@ fn main() {
         }
         write!(
             json_grids,
-            "    {{\"grid\": \"{}\", \"skew\": {}, \"measure\": \"{}\", \"threshold\": {}, \"vocab\": {}, \"n_pairs\": {n_pairs}, \"hashmap_pairs_per_sec\": {ps_hash:.0}, \"speedup_w1\": {speedup_w1:.2}, \"kernel_speedup_w1\": {kernel_speedup:.2},\n     \"join_stats\": {{\"probes\": {}, \"candidates\": {}, \"killed_by_size\": {}, \"killed_by_position\": {}, \"killed_by_suffix\": {}, \"verified\": {}, \"verify_steps\": {}, \"kernel_merge\": {}, \"kernel_gallop\": {}, \"kernel_bitset\": {}, \"position_kill_rate\": {:.4}, \"suffix_kill_rate\": {:.4}}},\n     \"csr\": [\n{json_rows}\n     ]}}",
+            "    {{\"grid\": \"{}\", \"skew\": {}, \"measure\": \"{}\", \"threshold\": {}, \"vocab\": {}, \"n_pairs\": {n_pairs}, \"hashmap_pairs_per_sec\": {ps_hash:.0}, \"speedup_w1\": {speedup_w1:.2},\n     \"join_stats\": {{\"probes\": {}, \"candidates\": {}, \"killed_by_size\": {}, \"killed_by_position\": {}, \"killed_by_suffix\": {}, \"verified\": {}, \"verify_steps\": {}, \"position_kill_rate\": {:.4}, \"suffix_kill_rate\": {:.4}}},\n     \"csr\": [\n{json_rows}\n     ]}}",
             grid.name,
             grid.skew,
             grid.measure_name,
@@ -547,9 +509,6 @@ fn main() {
             stats.killed_by_suffix,
             stats.verified,
             stats.verify_steps,
-            stats.kernel_merge,
-            stats.kernel_gallop,
-            stats.kernel_bitset,
             stats.position_kill_rate(),
             stats.suffix_kill_rate(),
         )
@@ -563,36 +522,6 @@ fn main() {
     )
     .unwrap();
 
-    // Kernel-tier acceptance (non-smoke): the adaptive selector must
-    // never lose to the pinned scalar reference. After the PR 9 retune
-    // the tie is structural — adaptive only dispatches the reference's
-    // own code paths (scalar walk everywhere balanced, gallop on ≥16×
-    // skew, which the reference also takes) — so the true ratio is 1.0
-    // on every grid and the floors bound timer noise, not a real
-    // effect: 0.95 per grid, 0.97 geomean. During development this
-    // caught real regressions (blocked merge 0.89×, bitset 0.62× on
-    // the wide grid), which is exactly what the floors are for.
-    let kernel_geomean =
-        (kernel_speedups.iter().map(|(_, s)| s.ln()).sum::<f64>() / kernel_speedups.len() as f64)
-            .exp();
-    writeln!(
-        txt,
-        "kernel tier acceptance: per-grid {:?}, geomean {kernel_geomean:.3}x (floors: 0.95 per grid, 0.97 geomean)",
-        kernel_speedups
-    )
-    .unwrap();
-    if !smoke {
-        for (name, s) in &kernel_speedups {
-            assert!(
-                *s >= 0.95,
-                "adaptive kernels lost to the scalar reference on grid {name}: {s:.3}x"
-            );
-        }
-        assert!(
-            kernel_geomean >= 0.97,
-            "adaptive kernel tier lost to the scalar reference on net: geomean {kernel_geomean:.3}x"
-        );
-    }
     let tokenize_collection = tokenize_collection_row(smoke, reps, &mut txt);
     let topk = topk_row(smoke, reps, &mut txt);
     magellan_obs::log!(info, "{txt}");

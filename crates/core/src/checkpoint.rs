@@ -448,16 +448,9 @@ fn corrupt_at(off: usize, msg: impl fmt::Display) -> MagellanError {
     }
 }
 
-/// 64-bit FNV-1a over `bytes` — the tiny, dependency-free integrity hash
-/// behind every checkpoint's `sum fnv1a` trailer.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// 64-bit FNV-1a — the integrity hash behind every checkpoint's
+/// `sum fnv1a` trailer and `emckpt v2` segment.
+pub use magellan_obs::fnv1a;
 
 /// Append a `sum fnv1a <16 hex>\n` trailer covering everything currently
 /// in `text`.

@@ -41,6 +41,7 @@ use std::collections::BTreeMap;
 use magellan_faults::{SimClock, StreamOp, StreamPlan};
 use magellan_features::{Feature, StreamingPreparedPair};
 use magellan_ml::FlatForest;
+use magellan_obs::splitmix64;
 use magellan_par::ParConfig;
 use magellan_simjoin::{
     IncrementalJoin, JoinPair, PairDelta, RecordMutation, SetSimMeasure, Side,
@@ -73,25 +74,17 @@ impl Default for TextGen {
     }
 }
 
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 impl TextGen {
     /// The record text for one stream-plan text seed.
     pub fn text(&self, seed: u64) -> String {
         let span = (self.max_tokens - self.min_tokens + 1) as u64;
-        let n = self.min_tokens as u64 + mix64(seed) % span;
+        let n = self.min_tokens as u64 + splitmix64(seed) % span;
         let mut out = String::new();
         for i in 0..n {
             if i > 0 {
                 out.push(' ');
             }
-            let tok = mix64(seed ^ (i + 1)) % self.vocab as u64;
+            let tok = splitmix64(seed ^ (i + 1)) % self.vocab as u64;
             out.push_str(&format!("tok{tok}"));
         }
         out

@@ -462,9 +462,7 @@ pub(crate) fn score_matches(
 
 /// Stable FNV-1a hash of a task name, used to key task spans.
 pub(crate) fn name_key(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    magellan_obs::fnv1a(name.as_bytes())
 }
 
 impl CloudMatcher {

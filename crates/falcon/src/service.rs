@@ -651,11 +651,7 @@ struct WorkloadRun {
 }
 
 fn unit64(x: u64) -> f64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+    (magellan_obs::splitmix64(x) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Run one tenant's workload. Pure in `(submission, cfg)` — notably

@@ -55,10 +55,6 @@ fn topk_sampling_verifies_a_fraction_of_the_threshold_join() {
     );
     assert_eq!(stats.candidates, stats.killed_by_position + stats.verified);
     assert_eq!(stats.verified, stats.killed_by_suffix + stats.pairs);
-    assert_eq!(
-        stats.kernel_merge + stats.kernel_gallop + stats.kernel_bitset,
-        stats.verified
-    );
     assert!(stats.pairs >= top.len() && stats.pairs < joined.len());
 }
 

@@ -30,15 +30,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-/// SplitMix64 — the statelesss mixing function behind every fault
-/// decision. Public only for tests that want to pin decision streams.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
+use magellan_obs::splitmix64;
 
 /// Mix a seed with a list of site identifiers into one decision word.
 fn mix(seed: u64, ids: &[u64]) -> u64 {

@@ -96,8 +96,11 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 /// Default bound on buffered event records per thread registration.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 16;
 
-/// SplitMix64 — the stateless mixer behind deterministic span IDs.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64's output function of `x` — the workspace's one stateless
+/// 64-bit mixer. Span ids, fault decisions, shard assignment and the
+/// seeded generators of the stream and service tiers all hang off these
+/// bits, so they are pinned by known-answer tests.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -105,11 +108,14 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a name: stable across runs and platforms.
-fn hash_name(name: &str) -> u64 {
+/// 64-bit FNV-1a over `bytes`: stable across runs and platforms. The
+/// workspace's one byte hash — span-name keys, q-gram signatures and the
+/// `emtbl` / `emckpt` checksums are all this function, so its bits are
+/// part of the on-disk formats.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
+    for &b in bytes {
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
@@ -117,7 +123,7 @@ fn hash_name(name: &str) -> u64 {
 
 /// Deterministic span id: a pure function of `(parent, name, key)`.
 pub fn span_id(parent: u64, name: &str, key: u64) -> u64 {
-    let mut h = splitmix64(parent ^ hash_name(name));
+    let mut h = splitmix64(parent ^ fnv1a(name.as_bytes()));
     h = splitmix64(h ^ key);
     // Reserve 0 for "no parent".
     h.max(1)
@@ -781,6 +787,16 @@ mod tests {
         assert_eq!(obs.now_ns(), 1_500_000_000);
         obs.set_time_ns(2_000_000_000);
         assert_eq!(obs.now_ns(), 2_000_000_000);
+    }
+
+    #[test]
+    fn hash_known_answers() {
+        // FNV-1a's offset basis and the reference vector for "a".
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        // The first two outputs of the reference SplitMix64 seeded with 0.
+        assert_eq!(splitmix64(0), 0xE220A8397B1DCDAF);
+        assert_eq!(splitmix64(0x9E3779B97F4A7C15), 0x6E789E6AA1B965F4);
     }
 
     #[test]

@@ -305,29 +305,15 @@ pub struct JoinStats {
     /// Candidates whose exact overlap was fully computed (the only ones
     /// that pay a complete verification).
     pub verified: usize,
-    /// Token comparison steps spent inside verification merges
-    /// (bounded, galloping, and plain phases combined).
+    /// Token comparison steps spent inside verification merges (the
+    /// bounded walk, its galloping seeks and its unbounded tail
+    /// combined) — a pure function of the operands.
     pub verify_steps: usize,
     /// Qualifying pairs emitted.
     pub pairs: usize,
     /// Regions in which cost-based probe-side selection swapped the
     /// probe side (indexed the left collection, probed with the right).
     pub probe_swaps: usize,
-    /// Verification merges answered by the merge family (the scalar
-    /// reference walk — which after the PR 9 retune serves every
-    /// balanced shape — or the block-branchless kernel if a caller
-    /// dispatches it explicitly). Selection is a pure function of the
-    /// operand lengths, so this splits [`JoinStats::verified`]
-    /// deterministically.
-    pub kernel_merge: usize,
-    /// Verification merges answered by the galloping kernel (operand
-    /// skew at or beyond the shared `GALLOP_RATIO`).
-    pub kernel_gallop: usize,
-    /// Verification merges answered by the bitset/popcount kernel.
-    /// Zero under the default policy (the kernel measured slower than
-    /// the scalar walk at every tested shape); stays dispatchable for
-    /// callers that select it explicitly.
-    pub kernel_bitset: usize,
     /// Edit-join candidates killed by the q-gram signature prefilter
     /// before any banded-DP cell was computed.
     pub killed_by_qgram_sig: usize,
@@ -380,9 +366,6 @@ impl JoinStats {
         obs.counter_add("magellan_simjoin_verify_steps_total", self.verify_steps as u64);
         obs.counter_add("magellan_simjoin_pairs_total", self.pairs as u64);
         obs.counter_add("magellan_simjoin_probe_swaps_total", self.probe_swaps as u64);
-        obs.counter_add("magellan_simjoin_kernel_merge_total", self.kernel_merge as u64);
-        obs.counter_add("magellan_simjoin_kernel_gallop_total", self.kernel_gallop as u64);
-        obs.counter_add("magellan_simjoin_kernel_bitset_total", self.kernel_bitset as u64);
         obs.counter_add(
             "magellan_simjoin_killed_by_qgram_sig_total",
             self.killed_by_qgram_sig as u64,
@@ -422,9 +405,6 @@ impl JoinStats {
         self.verify_steps += other.verify_steps;
         self.pairs += other.pairs;
         self.probe_swaps += other.probe_swaps;
-        self.kernel_merge += other.kernel_merge;
-        self.kernel_gallop += other.kernel_gallop;
-        self.kernel_bitset += other.kernel_bitset;
         self.killed_by_qgram_sig += other.killed_by_qgram_sig;
         self.qgram_sig_checked += other.qgram_sig_checked;
         self.delta_probes += other.delta_probes;
@@ -951,9 +931,6 @@ mod tests {
                 verify_steps: 400,
                 pairs: 8,
                 probe_swaps: 1,
-                kernel_merge: 30,
-                kernel_gallop: 10,
-                kernel_bitset: 4,
                 killed_by_qgram_sig: 6,
                 qgram_sig_checked: 12,
                 delta_probes: 4,
@@ -992,9 +969,6 @@ mod tests {
                 verify_steps: 100,
                 pairs: 4,
                 probe_swaps: 0,
-                kernel_merge: 25,
-                kernel_gallop: 5,
-                kernel_bitset: 2,
                 killed_by_qgram_sig: 2,
                 qgram_sig_checked: 4,
                 delta_probes: 1,
@@ -1032,9 +1006,6 @@ mod tests {
         assert_eq!(a.join.verify_steps, 500);
         assert_eq!(a.join.pairs, 12);
         assert_eq!(a.join.probe_swaps, 1);
-        assert_eq!(a.join.kernel_merge, 55);
-        assert_eq!(a.join.kernel_gallop, 15);
-        assert_eq!(a.join.kernel_bitset, 6);
         assert_eq!(a.join.killed_by_qgram_sig, 8);
         assert_eq!(a.join.qgram_sig_checked, 16);
         assert_eq!(a.join.delta_probes, 5);

@@ -113,25 +113,6 @@ impl TokenizedCollection {
     }
 }
 
-/// Exact intersection size of two sorted id sets (merge walk).
-pub fn overlap_sorted(a: &[u32], b: &[u32]) -> usize {
-    let mut i = 0;
-    let mut j = 0;
-    let mut n = 0;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,14 +167,6 @@ mod tests {
         let c = TokenizedCollection::build(&left, &some(&["x"]), &tok);
         assert!(c.left[0].is_empty());
         assert_eq!(c.left[1], c.right[0]);
-    }
-
-    #[test]
-    fn overlap_sorted_matches_naive() {
-        assert_eq!(overlap_sorted(&[1, 3, 5], &[2, 3, 5, 7]), 2);
-        assert_eq!(overlap_sorted(&[], &[1]), 0);
-        assert_eq!(overlap_sorted(&[4], &[4]), 1);
-        assert_eq!(overlap_sorted(&[1, 2, 3], &[1, 2, 3]), 3);
     }
 
     #[test]

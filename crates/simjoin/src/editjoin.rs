@@ -142,12 +142,7 @@ fn qgrams(s: &str, q: usize) -> Vec<String> {
 fn qgram_signature(grams: &[String]) -> [u64; 2] {
     let mut sig = [0u64; 2];
     for g in grams {
-        let mut h = 0xcbf29ce484222325u64;
-        for byte in g.as_bytes() {
-            h ^= *byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        let bit = (h % 128) as usize;
+        let bit = (magellan_obs::fnv1a(g.as_bytes()) % 128) as usize;
         sig[bit / 64] |= 1u64 << (bit % 64);
     }
     sig

@@ -37,7 +37,7 @@ use magellan_textsim::tokenize::Tokenizer;
 use crate::collection::TokenizedCollection;
 use crate::filters;
 use crate::index::PrefixIndex;
-use crate::verify::{overlap_sorted_bounded_with, verify_kernel};
+use crate::verify::overlap_sorted_bounded;
 
 /// A similarity measure + threshold for a set-similarity join.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -512,17 +512,7 @@ pub(crate) fn probe_one<T: ProbeTarget>(
             (&x[st.px as usize + 1..], &y[plen_y..])
         };
         stats.verified += 1;
-        // Selection telemetry: which kernel answers this merge is a pure
-        // function of the operand lengths (and the process-wide mode), so
-        // the split is worker-count invariant like every other counter.
-        let kernel = verify_kernel(rest_x, rest_y);
-        match kernel {
-            magellan_textsim::kernels::Kernel::Gallop => stats.kernel_gallop += 1,
-            magellan_textsim::kernels::Kernel::Bitset => stats.kernel_bitset += 1,
-            _ => stats.kernel_merge += 1,
-        }
-        match overlap_sorted_bounded_with(
-            kernel,
+        match overlap_sorted_bounded(
             rest_x,
             rest_y,
             need.saturating_sub(cnt),
@@ -555,16 +545,7 @@ pub fn set_sim_join_parallel<S: AsRef<str> + Sync>(
 ) -> Vec<JoinPair> {
     measure.validate();
     let coll = TokenizedCollection::build(left, right, tokenizer);
-    join_tokenized_parallel(&coll, measure, n_workers)
-}
-
-/// Multi-threaded variant of [`join_tokenized`].
-pub fn join_tokenized_parallel(
-    coll: &TokenizedCollection,
-    measure: SetSimMeasure,
-    n_workers: usize,
-) -> Vec<JoinPair> {
-    join_tokenized_par(coll, measure, &ParConfig::workers(n_workers)).0
+    join_tokenized_par(&coll, measure, &ParConfig::workers(n_workers)).0
 }
 
 /// Work-stealing probe-side join: probe records are chunked, chunks are
@@ -605,8 +586,8 @@ pub fn join_tokenized_par_side(
         PROBE_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
             scratch.ensure(plan.indexed.len());
-            // Nested under the pool's `chunk` span: kernel dispatch and
-            // verification merges are this scope's self-time in profiles.
+            // Nested under the pool's `chunk` span: candidate generation
+            // and verification merges are this scope's self-time in profiles.
             let _verify = magellan_obs::span("verify", range.start as u64);
             let mut out = Vec::new();
             let mut js = JoinStats::default();
@@ -863,10 +844,18 @@ mod tests {
         assert_eq!(serial.verified, serial.killed_by_suffix + out.len());
         assert_eq!(serial.pairs, out.len());
         assert!(serial.probes > 0 && serial.verify_steps > 0);
-        // Every verification merge is attributed to exactly one kernel.
+        // Recorded at the commit before the verifier was collapsed to one
+        // walk: the collapse moved no counter.
         assert_eq!(
-            serial.kernel_merge + serial.kernel_gallop + serial.kernel_bitset,
-            serial.verified
+            (
+                serial.candidates,
+                serial.killed_by_position,
+                serial.killed_by_suffix,
+                serial.verified,
+                serial.verify_steps,
+                serial.pairs
+            ),
+            (4412, 1615, 2341, 2797, 2943, 456)
         );
         for workers in [1, 4] {
             let (pout, pstats) =
@@ -882,10 +871,7 @@ mod tests {
                     pj.killed_by_suffix,
                     pj.verified,
                     pj.verify_steps,
-                    pj.pairs,
-                    pj.kernel_merge,
-                    pj.kernel_gallop,
-                    pj.kernel_bitset
+                    pj.pairs
                 ),
                 (
                     serial.probes,
@@ -895,18 +881,15 @@ mod tests {
                     serial.killed_by_suffix,
                     serial.verified,
                     serial.verify_steps,
-                    serial.pairs,
-                    serial.kernel_merge,
-                    serial.kernel_gallop,
-                    serial.kernel_bitset
+                    serial.pairs
                 ),
                 "workers={workers}"
             );
         }
     }
 
-    /// Regression: a ≥16× record-length skew must reach the galloping
-    /// verify kernel (the symmetric soups above never do — their operand
+    /// Regression: a ≥16× record-length skew must be verified by
+    /// galloping (the symmetric soups above never are — their operand
     /// ratios stay under `GALLOP_RATIO`), and the result must still match
     /// the reference engine bit-for-bit.
     #[test]
@@ -936,10 +919,19 @@ mod tests {
         let coll = TokenizedCollection::build(&left, &right, &tok);
         let measure = SetSimMeasure::OverlapSize(2);
         let (pairs, stats) = join_tokenized_stats(&coll, measure, ProbeSide::Left);
-        assert!(
-            stats.kernel_gallop > 0,
-            "size-skew workload must fire the gallop kernel (verified={})",
-            stats.verified
+        // Recorded at the commit before the verifier was collapsed to one
+        // walk, where 504 of these 850 verifications galloped; a linear
+        // walk of the same operands takes 24 344 steps.
+        assert_eq!(
+            (
+                stats.candidates,
+                stats.killed_by_position,
+                stats.killed_by_suffix,
+                stats.verified,
+                stats.verify_steps,
+                stats.pairs
+            ),
+            (1001, 151, 418, 850, 5055, 432)
         );
         assert_eq!(
             pairs,

@@ -19,13 +19,13 @@
 //! 4. **verify**: compute the exact similarity on the surviving candidates
 //!    ([`join`], [`verify`]).
 //!
-//! The join is an **adaptive CSR engine**: a flat token-id-indexed
-//! postings layout with size-sorted lists ([`index`]), PPJoin-style
-//! accumulating positional + suffix pruning, bounded galloping
-//! verification ([`verify`]), and cost-based probe-side selection
-//! ([`join::ProbeSide`]) — all under an output-identical contract pinned
-//! against the preserved pre-CSR engine ([`reference`]). Per-stage kill
-//! counters surface through [`magellan_par::JoinStats`].
+//! The join is a **CSR engine**: a flat token-id-indexed postings layout
+//! with size-sorted lists ([`index`]), PPJoin-style accumulating
+//! positional + suffix pruning, one bounded verifier that gallops when a
+//! side is ≥ 16× the other ([`verify`]), and cost-based probe-side
+//! selection ([`join::ProbeSide`]) — all under an output-identical
+//! contract pinned against the preserved pre-CSR engine ([`reference`]).
+//! Per-stage kill counters surface through [`magellan_par::JoinStats`].
 //!
 //! The **out-of-core tier** ([`shard`]) hash-partitions the indexed side
 //! into K shards (splitmix64 of each record's rarest token), builds and
@@ -70,4 +70,4 @@ pub use magellan_par::JoinStats;
 pub use reference::join_tokenized_hashmap;
 pub use shard::{join_tokenized_sharded, shards_for_budget, ShardStats};
 pub use topk::join_tokenized_topk;
-pub use verify::{overlap_sorted_bounded, overlap_sorted_bounded_with};
+pub use verify::overlap_sorted_bounded;

@@ -13,7 +13,9 @@
 
 use std::collections::HashMap;
 
-use crate::collection::{overlap_sorted, TokenizedCollection};
+use magellan_textsim::intern::intersect_size_sorted;
+
+use crate::collection::TokenizedCollection;
 use crate::join::{JoinPair, SetSimMeasure};
 
 /// HashMap-based prefix index: token id → `(rid, pos)` postings.
@@ -77,7 +79,7 @@ pub fn join_tokenized_hashmap(
                 if ubound < measure.min_overlap(sx, sy) {
                     continue;
                 }
-                let overlap = overlap_sorted(x, y);
+                let overlap = intersect_size_sorted(x, y);
                 if measure.qualifies(sx, sy, overlap) {
                     out.push(JoinPair {
                         l,

@@ -73,19 +73,11 @@ impl ShardStats {
     }
 }
 
-/// The finalizer step of splitmix64 — a cheap, well-mixed 64-bit hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Which shard an indexed record belongs to: hash of its rarest token.
 /// Empty records (nulls) park in shard 0 and never produce postings.
 fn shard_of(rec: &[u32], n_shards: usize) -> usize {
     match rec.first() {
-        Some(&tok) => (splitmix64(u64::from(tok)) % n_shards as u64) as usize,
+        Some(&tok) => (magellan_obs::splitmix64(u64::from(tok)) % n_shards as u64) as usize,
         None => 0,
     }
 }

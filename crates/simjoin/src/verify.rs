@@ -19,36 +19,25 @@
 //! token of the short side, exponential search + binary search locate
 //! its position in the long side in O(log gap) steps.
 //!
-//! ## Kernel dispatch (PR 6)
-//!
-//! The balanced merge itself now comes in two flavors behind
-//! [`overlap_sorted_bounded`]:
-//!
-//! * the **preserved scalar reference** ([`overlap_sorted_bounded_scalar`])
-//!   — the PR 4 branchy merge, verbatim; and
-//! * a **block-branchless merge** that advances both cursors with
-//!   unconditional `usize::from` compare outcomes (the
-//!   `magellan_textsim::kernels` merge kernel) and re-checks the failure
-//!   bound only once per [`BOUND_CHECK_INTERVAL`]-step block.
-//!
-//! Coarsening the bound check is *output-invisible*: the mid-merge bound
-//! exits are purely a speed device — the final `n >= need` decision (and
-//! the exact overlap on success) is computed identically, so the
-//! `Option<usize>` result matches the scalar reference on every input.
-//! Only `steps` telemetry (a deterministic function of the inputs in
-//! both modes) differs between the two. Dispatch honors the process-wide
-//! [`magellan_textsim::kernels::mode`] switch so benches and the oracle
-//! harness can pin the scalar path.
-
-use magellan_textsim::kernels::{self, Kernel, KernelMode};
+//! This is the one bounded verifier. A block-branchless merge and a
+//! bitset/popcount variant were measured inside the join against this
+//! walk and lost (0.89× and 0.62×, DESIGN.md §7.2), so there is nothing
+//! to select between and no mode to set.
 
 /// Size ratio beyond which the merge switches to galloping search.
-/// Equal to [`magellan_textsim::kernels::GALLOP_RATIO`] so the two
-/// tiers' selection telemetry composes.
-pub const GALLOP_RATIO: usize = kernels::GALLOP_RATIO;
+pub const GALLOP_RATIO: usize = 16;
 
-/// Steps the block-branchless merge runs between failure-bound checks.
-pub const BOUND_CHECK_INTERVAL: usize = 32;
+/// `(short, long)` when one side is at least [`GALLOP_RATIO`]× the other.
+#[inline]
+fn skewed<'a>(a: &'a [u32], b: &'a [u32]) -> Option<(&'a [u32], &'a [u32])> {
+    if a.len() >= GALLOP_RATIO.saturating_mul(b.len().max(1)) {
+        Some((b, a))
+    } else if b.len() >= GALLOP_RATIO.saturating_mul(a.len().max(1)) {
+        Some((a, b))
+    } else {
+        None
+    }
+}
 
 /// Exact intersection size of two sorted deduped id sets **if** it can
 /// still reach `need`; `None` as soon as the running upper bound
@@ -59,175 +48,11 @@ pub const BOUND_CHECK_INTERVAL: usize = 32;
 ///
 /// `need == 0` trivially succeeds but still computes the exact overlap
 /// (callers report similarities from it).
-///
-/// Dispatches between the galloping kernel, the block-branchless merge,
-/// and (when the process-wide kernel mode pins the scalar reference)
-/// [`overlap_sorted_bounded_scalar`]. All three agree on the result for
-/// every input; see the module docs for why.
 #[inline]
 pub fn overlap_sorted_bounded(a: &[u32], b: &[u32], need: usize, steps: &mut usize) -> Option<usize> {
-    overlap_sorted_bounded_with(verify_kernel(a, b), a, b, need, steps)
-}
-
-/// [`overlap_sorted_bounded`] with the kernel choice supplied by the
-/// caller. The join's verify stage already calls [`verify_kernel`] once
-/// for its selection telemetry — this entry lets it reuse that choice
-/// instead of re-deriving it per candidate (the dispatch arithmetic was
-/// a measurable fraction of verification on tiny word-set operands).
-#[inline]
-pub fn overlap_sorted_bounded_with(
-    kernel: Kernel,
-    a: &[u32],
-    b: &[u32],
-    need: usize,
-    steps: &mut usize,
-) -> Option<usize> {
-    match kernel {
-        Kernel::Scalar => overlap_sorted_bounded_scalar(a, b, need, steps),
-        Kernel::Gallop => {
-            if a.len() <= b.len() {
-                gallop_overlap(a, b, need, steps)
-            } else {
-                gallop_overlap(b, a, need, steps)
-            }
-        }
-        Kernel::Bitset => bitset_overlap(a, b, need, steps),
-        Kernel::Merge => merge_overlap_blocked(a, b, need, steps),
-    }
-}
-
-/// Bounded overlap by the bitset/popcount kernel: the exact overlap is
-/// computed word-parallel over the overlapping id span (no early exit —
-/// rasterization is so much cheaper per element that a bound could only
-/// slow it down), then compared against `need`. Exactness comes from
-/// [`kernels::intersect_bitset`]'s kernel contract, so the result
-/// matches the scalar reference on every input. Steps telemetry charges
-/// one step per rasterized element — a pure function of the operands,
-/// like every other kernel's count.
-#[inline]
-fn bitset_overlap(a: &[u32], b: &[u32], need: usize, steps: &mut usize) -> Option<usize> {
-    *steps += a.len() + b.len();
-    let n = kernels::intersect_bitset(a, b);
-    if n >= need {
-        Some(n)
-    } else {
-        None
-    }
-}
-
-/// Which verification kernel [`overlap_sorted_bounded`] will use for
-/// these operands — a pure function of the operand lengths and the
-/// process-wide kernel mode, so the selection counters built from it
-/// ([`magellan_par::JoinStats`]) are deterministic.
-///
-/// Operands whose whole merge fits inside one
-/// [`BOUND_CHECK_INTERVAL`]-step block select the scalar reference:
-/// block-coarsening the bound check cannot save anything there, and a
-/// head-to-head grid measurement (PR 9) confirmed the per-element bound
-/// — which resolves typical word-set verifications in ~1–2 steps —
-/// beats running the branchless block to completion.
-#[inline]
-pub fn verify_kernel(a: &[u32], b: &[u32]) -> Kernel {
-    if kernels::mode() == KernelMode::ScalarReference {
-        return Kernel::Scalar;
-    }
-    // Single-block operands first: one add + compare answers the
-    // overwhelmingly common word-set shape before any ratio arithmetic
-    // runs. They stay on the scalar reference — measured head-to-head
-    // (PR 9), its per-element failure bound resolves these merges in
-    // ~1–2 steps, which beats running the branchless block to the end;
-    // the branchless merge only wins once the merge is long enough to
-    // amortize (multi-block shapes below).
-    if a.len() + b.len() <= BOUND_CHECK_INTERVAL {
-        Kernel::Scalar
-    } else if a.len() >= GALLOP_RATIO.saturating_mul(b.len().max(1))
-        || b.len() >= GALLOP_RATIO.saturating_mul(a.len().max(1))
-    {
-        Kernel::Gallop
-    } else {
-        // Balanced multi-block operands also stay on the scalar
-        // reference. This is a measured decision (PR 9), not an
-        // oversight: LLVM already compiles the reference's three-way
-        // `match` into branchless select/cmov code, so the
-        // "block-branchless" merge buys nothing and pays for its block
-        // bookkeeping (0.89× at whole-join level on a wide sparse
-        // near-duplicate grid whose verifications all run the merge to
-        // completion), and rasterizing to a bitmap loses the
-        // per-element failure bound entirely (0.62× on wide dense
-        // grids). Both kernels remain dispatchable through
-        // [`overlap_sorted_bounded_with`] and contract-tested against
-        // the reference; the adaptive policy just never selects a
-        // kernel that measures slower than the path it replaces.
-        Kernel::Scalar
-    }
-}
-
-/// Bounded overlap by block-branchless merge: both cursors advance by
-/// unconditional compare outcomes ([`kernels::intersect_merge`]'s inner
-/// step) and the failure bound is re-checked once per
-/// [`BOUND_CHECK_INTERVAL`] steps. Same result contract as
-/// [`overlap_sorted_bounded_scalar`] on every input.
-#[inline]
-fn merge_overlap_blocked(a: &[u32], b: &[u32], need: usize, steps: &mut usize) -> Option<usize> {
-    let (la, lb) = (a.len(), b.len());
-    let mut i = 0;
-    let mut j = 0;
-    let mut n: usize = 0;
-    while i < la && j < lb {
-        if n >= need {
-            // Qualification settled: finish branchless, no bound checks,
-            // for the exact overlap the similarity needs.
-            while i < la && j < lb {
-                let x = a[i];
-                let y = b[j];
-                n += usize::from(x == y);
-                i += usize::from(x <= y);
-                j += usize::from(y <= x);
-                *steps += 1;
-            }
-            return Some(n);
-        }
-        // Upper bound: matched so far plus the best case on the shorter
-        // remainder. Checked per block, not per element — the final
-        // `n >= need` decision below is what guarantees correctness.
-        if n + (la - i).min(lb - j) < need {
-            return None;
-        }
-        let mut k = 0;
-        while i < la && j < lb && k < BOUND_CHECK_INTERVAL {
-            let x = a[i];
-            let y = b[j];
-            n += usize::from(x == y);
-            i += usize::from(x <= y);
-            j += usize::from(y <= x);
-            k += 1;
-        }
-        *steps += k;
-    }
-    if n >= need {
-        Some(n)
-    } else {
-        None
-    }
-}
-
-/// The **preserved scalar reference** for bounded verification: the PR 4
-/// branchy merge with per-element bound bookkeeping, verbatim. The
-/// kernel-dispatch tests hold [`overlap_sorted_bounded`] to this
-/// function's result on every input.
-#[inline]
-pub fn overlap_sorted_bounded_scalar(
-    a: &[u32],
-    b: &[u32],
-    need: usize,
-    steps: &mut usize,
-) -> Option<usize> {
     // Gallop when one side dwarfs the other; the bound logic is the same.
-    if a.len() >= GALLOP_RATIO.saturating_mul(b.len().max(1)) {
-        return gallop_overlap(b, a, need, steps);
-    }
-    if b.len() >= GALLOP_RATIO.saturating_mul(a.len().max(1)) {
-        return gallop_overlap(a, b, need, steps);
+    if let Some((short, long)) = skewed(a, b) {
+        return gallop_overlap(short, long, need, steps);
     }
 
     let mut i = 0;
@@ -267,10 +92,7 @@ pub fn overlap_sorted_bounded_scalar(
 /// Unbounded merge tail used once success is guaranteed.
 #[inline]
 fn overlap_tail(a: &[u32], b: &[u32], steps: &mut usize) -> usize {
-    if a.len() >= GALLOP_RATIO.saturating_mul(b.len().max(1))
-        || b.len() >= GALLOP_RATIO.saturating_mul(a.len().max(1))
-    {
-        let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if let Some((short, long)) = skewed(a, b) {
         return gallop_overlap(short, long, 0, steps).unwrap_or(0);
     }
     let mut i = 0;
@@ -320,32 +142,10 @@ fn gallop_overlap(short: &[u32], long: &[u32], need: usize, steps: &mut usize) -
         }
         // Upper bound: matched so far + remaining short tokens (long
         // remainder is never the binding constraint under gallop entry,
-        // but take the min anyway for correctness near exhaustion).
+        // but take the min anyway for correctness near exhaustion). Once
+        // `n` reaches `need` it cannot fire, and the seek simply runs on
+        // to the exact overlap the similarity needs.
         let rem = (short.len() - k - 1).min(long.len() - base.min(long.len()));
-        if n >= need {
-            // Success: finish exactly, still galloping, no bound checks.
-            for &t2 in &short[k + 1..] {
-                if base >= long.len() {
-                    break;
-                }
-                let tail = &long[base..];
-                let mut hi2 = 1usize;
-                while hi2 < tail.len() && tail[hi2 - 1] < t2 {
-                    *steps += 1;
-                    hi2 <<= 1;
-                }
-                let lo2 = (hi2 >> 1).min(tail.len());
-                let hi2 = hi2.min(tail.len());
-                let off2 = lo2 + tail[lo2..hi2].partition_point(|&v| v < t2);
-                *steps += 1;
-                base += off2;
-                if base < long.len() && long[base] == t2 {
-                    n += 1;
-                    base += 1;
-                }
-            }
-            return Some(n);
-        }
         if n + rem < need {
             return None;
         }
@@ -360,7 +160,7 @@ fn gallop_overlap(short: &[u32], long: &[u32], need: usize, steps: &mut usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collection::overlap_sorted;
+    use magellan_textsim::intern::intersect_size_sorted;
 
     fn bounded(a: &[u32], b: &[u32], need: usize) -> Option<usize> {
         let mut steps = 0;
@@ -371,7 +171,7 @@ mod tests {
     fn exact_when_need_reachable() {
         let a = [1, 3, 5, 7, 9];
         let b = [3, 4, 5, 6, 7];
-        assert_eq!(overlap_sorted(&a, &b), 3);
+        assert_eq!(intersect_size_sorted(&a, &b), 3);
         for need in 0..=3 {
             assert_eq!(bounded(&a, &b, need), Some(3), "need={need}");
         }
@@ -399,7 +199,7 @@ mod tests {
         // One side 100× the other triggers the gallop path.
         let long: Vec<u32> = (0..3200).map(|i| i * 3).collect();
         let short = vec![3, 9, 100, 3000, 9000, 9597];
-        let exact = overlap_sorted(&short, &long);
+        let exact = intersect_size_sorted(&short, &long);
         assert_eq!(exact, 5); // 3, 9, 3000, 9000, 9597 are multiples of 3 in range
         for need in 0..=exact {
             assert_eq!(bounded(&short, &long, need), Some(exact), "need={need}");
@@ -431,60 +231,12 @@ mod tests {
             a.dedup();
             b.sort_unstable();
             b.dedup();
-            let exact = overlap_sorted(&a, &b);
-            for need in [0, 1, exact / 2, exact, exact + 1, exact + 5] {
-                let got = bounded(&a, &b, need);
-                if need <= exact {
-                    assert_eq!(got, Some(exact), "trial={trial} need={need}");
-                } else {
-                    assert_eq!(got, None, "trial={trial} need={need}");
-                }
-                // Kernel contract: the adaptive dispatch result equals the
-                // preserved scalar reference on every (input, need).
-                let mut s = 0;
-                assert_eq!(
-                    got,
-                    overlap_sorted_bounded_scalar(&a, &b, need, &mut s),
-                    "dispatch diverged from scalar: trial={trial} need={need}"
-                );
+            let exact = intersect_size_sorted(&a, &b);
+            for need in 0..=exact + 1 {
+                let want = (need <= exact).then_some(exact);
+                assert_eq!(bounded(&a, &b, need), want, "trial={trial} need={need}");
+                assert_eq!(bounded(&b, &a, need), want, "swapped trial={trial} need={need}");
             }
         }
-    }
-
-    #[test]
-    fn blocked_merge_agrees_with_scalar_across_block_boundaries() {
-        // Shapes sized around BOUND_CHECK_INTERVAL so the block-coarsened
-        // bound check is exercised right at its edges.
-        for la in [1, 31, 32, 33, 63, 64, 65, 200] {
-            let a: Vec<u32> = (0..la as u32).map(|v| v * 2).collect();
-            let b: Vec<u32> = (0..la as u32).map(|v| v * 3).collect();
-            let exact = overlap_sorted(&a, &b);
-            for need in [0, 1, exact, exact + 1, la] {
-                let mut s1 = 0;
-                let mut s2 = 0;
-                assert_eq!(
-                    overlap_sorted_bounded(&a, &b, need, &mut s1),
-                    overlap_sorted_bounded_scalar(&a, &b, need, &mut s2),
-                    "la={la} need={need}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn verify_kernel_selection_is_length_pure() {
-        // Single-block operands stay on the scalar reference.
-        assert_eq!(verify_kernel(&[1, 2, 3], &[4, 5]), Kernel::Scalar);
-        assert_eq!(verify_kernel(&[], &[]), Kernel::Scalar);
-        // Balanced multi-block operands stay scalar too — dense or
-        // sparse, the reference walk measured fastest (see
-        // `verify_kernel`); only a ≥16× length ratio changes kernels.
-        let mid: Vec<u32> = (0..20).collect();
-        assert_eq!(verify_kernel(&mid, &mid), Kernel::Scalar);
-        let sparse: Vec<u32> = (0..20).map(|i| i * 1000).collect();
-        assert_eq!(verify_kernel(&sparse, &sparse), Kernel::Scalar);
-        let long: Vec<u32> = (0..100).collect();
-        assert_eq!(verify_kernel(&[1], &long), Kernel::Gallop);
-        assert_eq!(verify_kernel(&long, &[1]), Kernel::Gallop);
     }
 }

@@ -42,6 +42,8 @@ use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
+use magellan_obs::fnv1a;
+
 use crate::column::Column;
 use crate::error::TableError;
 use crate::schema::{Field, Schema};
@@ -56,18 +58,6 @@ pub const MAGIC: &[u8; 8] = b"emtbl v1";
 /// (large enough to amortize per-batch work, small enough to bound the
 /// working set of a streaming CSV ingest).
 pub const DEFAULT_BATCH_ROWS: usize = 8192;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 fn pad8(n: usize) -> usize {
     n.div_ceil(8) * 8

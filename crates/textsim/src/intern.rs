@@ -234,16 +234,19 @@ impl TokenInterner {
     }
 }
 
+/// True when `s` is sorted ascending with no duplicates — the input
+/// invariant of [`intersect_size_sorted`] and every `*_ids` measure.
+pub fn is_sorted_dedup(s: &[u32]) -> bool {
+    s.windows(2).all(|w| w[0] < w[1])
+}
+
 /// `|a ∩ b|` of two sorted deduplicated id slices (merge walk, no
-/// hashing, no allocation).
-///
-/// This is the **scalar reference kernel**: the [`crate::kernels`] tier
-/// answers the same question with branchless/galloping/bitset kernels
-/// and is held bit-identical to this walk by the kernel-oracle harness.
-/// The similarity measures below go through the adaptive tier
-/// ([`crate::kernels::intersect_auto`]); this function stays the
-/// preserved oracle.
+/// hashing, no allocation) — the one unbounded overlap walk in the
+/// workspace. The `*_ids` measures below call it for every operand
+/// shape; the joins' bounded verifier (`magellan_simjoin::verify`) is
+/// tested against it.
 pub fn intersect_size_sorted(a: &[u32], b: &[u32]) -> usize {
+    debug_assert!(is_sorted_dedup(a) && is_sorted_dedup(b));
     let mut i = 0;
     let mut j = 0;
     let mut n = 0;
@@ -310,30 +313,30 @@ pub fn overlap_coefficient_counts(a_len: usize, b_len: usize, inter: usize) -> f
 /// Jaccard `|A ∩ B| / |A ∪ B|` over sorted deduplicated id sets.
 /// Bit-identical to [`crate::setsim::jaccard`] on the same token sets.
 pub fn jaccard_ids(a: &[u32], b: &[u32]) -> f64 {
-    jaccard_counts(a.len(), b.len(), crate::kernels::intersect_auto(a, b))
+    jaccard_counts(a.len(), b.len(), intersect_size_sorted(a, b))
 }
 
 /// Dice `2|A ∩ B| / (|A| + |B|)` over sorted deduplicated id sets.
 /// Bit-identical to [`crate::setsim::dice`].
 pub fn dice_ids(a: &[u32], b: &[u32]) -> f64 {
-    dice_counts(a.len(), b.len(), crate::kernels::intersect_auto(a, b))
+    dice_counts(a.len(), b.len(), intersect_size_sorted(a, b))
 }
 
 /// Set cosine `|A ∩ B| / sqrt(|A|·|B|)` over sorted deduplicated id sets.
 /// Bit-identical to [`crate::setsim::cosine`].
 pub fn cosine_ids(a: &[u32], b: &[u32]) -> f64 {
-    cosine_counts(a.len(), b.len(), crate::kernels::intersect_auto(a, b))
+    cosine_counts(a.len(), b.len(), intersect_size_sorted(a, b))
 }
 
 /// Overlap coefficient `|A ∩ B| / min(|A|, |B|)` over sorted deduplicated
 /// id sets. Bit-identical to [`crate::setsim::overlap_coefficient`].
 pub fn overlap_coefficient_ids(a: &[u32], b: &[u32]) -> f64 {
-    overlap_coefficient_counts(a.len(), b.len(), crate::kernels::intersect_auto(a, b))
+    overlap_coefficient_counts(a.len(), b.len(), intersect_size_sorted(a, b))
 }
 
 /// Raw overlap size `|A ∩ B|` over sorted deduplicated id sets.
 pub fn overlap_size_ids(a: &[u32], b: &[u32]) -> usize {
-    crate::kernels::intersect_auto(a, b)
+    intersect_size_sorted(a, b)
 }
 
 #[cfg(test)]
@@ -394,8 +397,8 @@ mod tests {
             let (tx, ty) = (toks(x), toks(y));
             let mut it = TokenInterner::new();
             let (ix, iy) = (it.intern_set(&tx), it.intern_set(&ty));
-            assert!(crate::kernels::is_sorted_dedup(&ix));
-            assert!(crate::kernels::is_sorted_dedup(&iy));
+            assert!(is_sorted_dedup(&ix));
+            assert!(is_sorted_dedup(&iy));
             assert_eq!(
                 jaccard_ids(&ix, &iy).to_bits(),
                 setsim::jaccard(&tx, &ty).to_bits(),
@@ -422,14 +425,13 @@ mod tests {
 
     /// Regression: an empty probe slice (every token OOV-clamped away
     /// upstream, e.g. a record whose tokens are all unseen during a
-    /// prepared-cache probe) must hit the documented guards, not the
-    /// kernels — jaccard/dice on `([], [])` is defined as 1.0, cosine and
-    /// overlap-coefficient on a single empty side as 0.0, and the raw
-    /// overlap size as 0, regardless of which kernel the adaptive tier
-    /// would otherwise pick for the non-empty side's shape.
+    /// prepared-cache probe) must hit the documented guards — jaccard/dice
+    /// on `([], [])` is defined as 1.0, cosine and overlap-coefficient on a
+    /// single empty side as 0.0, and the raw overlap size as 0, whatever
+    /// the non-empty side's shape.
     #[test]
     fn empty_probe_slice_after_oov_clamp() {
-        let dense: Vec<u32> = (0..256).collect(); // shape that selects the bitset kernel
+        let dense: Vec<u32> = (0..256).collect();
         let empty: [u32; 0] = [];
         for other in [&dense[..], &empty[..]] {
             assert_eq!(overlap_size_ids(&empty, other), 0);
@@ -452,9 +454,9 @@ mod tests {
     }
 
     /// Regression: `intern_set` upholds the sorted-dedup invariant the
-    /// kernel tier assumes, even for pathological bags (all-duplicate,
-    /// reverse-insertion-order, single token), and the measures agree
-    /// with the scalar reference on those sets.
+    /// overlap walk assumes, even for pathological bags (all-duplicate,
+    /// reverse-insertion-order, single token), and the overlap agrees
+    /// with the string-level measure on those bags.
     #[test]
     fn duplicate_free_invariant_feeds_kernels() {
         let mut it = TokenInterner::new();
@@ -470,14 +472,14 @@ mod tests {
         ];
         let sets: Vec<Vec<u32>> = bags.iter().map(|b| it.intern_set(b)).collect();
         for s in &sets {
-            assert!(crate::kernels::is_sorted_dedup(s), "invariant broken: {s:?}");
+            assert!(is_sorted_dedup(s), "invariant broken: {s:?}");
         }
-        for x in &sets {
-            for y in &sets {
+        for (x, bx) in sets.iter().zip(&bags) {
+            for (y, by) in sets.iter().zip(&bags) {
                 assert_eq!(
                     overlap_size_ids(x, y),
-                    intersect_size_sorted(x, y),
-                    "adaptive tier diverged from scalar oracle on {x:?} vs {y:?}"
+                    setsim::overlap_size(bx, by),
+                    "id walk diverged from the string measure on {bx:?} vs {by:?}"
                 );
             }
         }

@@ -28,7 +28,6 @@
 
 pub mod corpsim;
 pub mod intern;
-pub mod kernels;
 pub mod numeric;
 pub mod seqsim;
 pub mod setsim;
@@ -36,7 +35,6 @@ pub mod tokenize;
 
 pub use corpsim::TfIdfModel;
 pub use intern::TokenInterner;
-pub use kernels::{Kernel, KernelCounters, KernelMode};
 pub use tokenize::{
     AlphanumericTokenizer, DelimiterTokenizer, QgramTokenizer, Tokenizer, WhitespaceTokenizer,
 };

@@ -1,37 +1,21 @@
-//! The kernel-oracle harness: the enforcement arm of the kernel tier's
-//! bit-identity contract (DESIGN.md §7.2).
+//! The overlap-walk oracle (DESIGN.md §7.2).
 //!
-//! One grid — **kernel × input-shape class × seed × worker count** —
-//! checks every intersection kernel against the preserved scalar
-//! reference ([`kernels::intersect_scalar`], byte-identical to the PR 3
-//! `intern::intersect_size_sorted` walk) and checks **exact-`f64`
-//! equality** of all four similarity measures built on the counts.
-//!
-//! ## Registering a kernel
-//!
-//! Add the variant to [`kernels::Kernel`], route it in
-//! [`kernels::dispatch`], and it is in the grid: `REGISTRY` enumerates
-//! `Kernel` exhaustively, so a new variant that skips `dispatch` fails
-//! to compile and one that diverges from the scalar count fails here on
-//! the first adversarial shape.
+//! One grid — **input-shape class × seed × worker count** — holds the
+//! one unbounded overlap walk ([`intern::intersect_size_sorted`]) and the
+//! five `*_ids` measures built on it to the string-level [`setsim`]
+//! functions over the same sets, at **exact-`f64` equality**
+//! (`to_bits`).
 //!
 //! ## Seeds and workers
 //!
 //! The CI `kernel-oracle` job sets `KERNEL_ORACLE_SEEDS=4` (default 2);
 //! each seed redraws every randomized shape class. The worker axis runs
-//! the identical pair set on 1/2/4/8 threads — this is what proves the
-//! bitset kernel's thread-local rasterization scratch never leaks state
-//! across calls or threads.
+//! the identical pair set on 1/2/4/8 threads: the walk keeps no state,
+//! and this is the test that says so.
 
-use magellan_textsim::intern;
-use magellan_textsim::kernels::{self, Kernel, KernelMode};
+use magellan_textsim::{intern, setsim};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-
-/// Every kernel under contract. Exhaustive over [`Kernel`] — extend this
-/// array when registering a new kernel (the match below won't let you
-/// forget the dispatch route).
-const REGISTRY: [Kernel; 4] = [Kernel::Scalar, Kernel::Merge, Kernel::Gallop, Kernel::Bitset];
 
 /// The adversarial input-shape classes from the issue grid. Each class
 /// draws a *pair* of sorted deduplicated id sets.
@@ -45,12 +29,12 @@ enum Shape {
     FullOverlap,
     /// Value ranges that never touch.
     Disjoint,
-    /// ≥16× length skew (the gallop trigger) with sparse overlap.
+    /// ≥16× length skew (where the joins' verifier gallops) with sparse overlap.
     Skew16x,
-    /// Dense runs hugging the top of the `u32` range (span arithmetic
-    /// overflow bait for the bitset kernel).
+    /// Dense runs hugging the top of the `u32` range (overflow bait for
+    /// any span arithmetic).
     DenseU32Range,
-    /// Unconstrained sparse soup (the merge default).
+    /// Unconstrained sparse soup.
     SparseRandom,
 }
 
@@ -150,61 +134,28 @@ fn draw_pair(shape: Shape, rng: &mut TestRng) -> (Vec<u32>, Vec<u32>) {
     }
 }
 
-/// The four similarity measures as pure functions of
-/// `(|A|, |B|, |A ∩ B|)`, arithmetic mirrored expression-for-expression
-/// from `intern::*_ids` — the expected values the measures must hit
-/// bit-for-bit when fed each kernel's count.
-fn measures(la: usize, lb: usize, inter: usize) -> [f64; 4] {
-    let jaccard = if la == 0 && lb == 0 {
-        1.0
-    } else {
-        inter as f64 / (la + lb - inter) as f64
-    };
-    let dice = if la == 0 && lb == 0 {
-        1.0
-    } else {
-        2.0 * inter as f64 / (la + lb) as f64
-    };
-    let cosine = if la == 0 && lb == 0 {
-        1.0
-    } else if la == 0 || lb == 0 {
-        0.0
-    } else {
-        inter as f64 / ((la as f64) * (lb as f64)).sqrt()
-    };
-    let overlap = if la == 0 && lb == 0 {
-        1.0
-    } else if la == 0 || lb == 0 {
-        0.0
-    } else {
-        inter as f64 / la.min(lb) as f64
-    };
-    [jaccard, dice, cosine, overlap]
+/// The string-level view of an id set: zero-padded decimals, so string
+/// order is id order and [`setsim`] sees the same set.
+fn as_tokens(ids: &[u32]) -> Vec<String> {
+    ids.iter().map(|id| format!("{id:010}")).collect()
 }
 
-/// One grid cell check: every registered kernel (both argument orders)
-/// against the scalar count, then all four measures at exact-`f64`
-/// equality through the production `intern::*_ids` entry points.
+/// One grid cell check: the walk (both argument orders) and the five
+/// `intern::*_ids` entry points against the string-level measures.
 fn check_pair(a: &[u32], b: &[u32]) {
-    assert!(kernels::is_sorted_dedup(a) && kernels::is_sorted_dedup(b));
-    let want = kernels::intersect_scalar(a, b);
-    for k in REGISTRY {
-        assert_eq!(
-            kernels::dispatch(k, a, b),
-            want,
-            "{k:?} diverged on |a|={} |b|={}",
-            a.len(),
-            b.len()
-        );
-        assert_eq!(kernels::dispatch(k, b, a), want, "{k:?} not symmetric");
-    }
-    assert_eq!(kernels::intersect_auto(a, b), want, "adaptive dispatch diverged");
-    let [jac, dice, cos, ovl] = measures(a.len(), b.len(), want);
-    assert_eq!(intern::jaccard_ids(a, b).to_bits(), jac.to_bits());
-    assert_eq!(intern::dice_ids(a, b).to_bits(), dice.to_bits());
-    assert_eq!(intern::cosine_ids(a, b).to_bits(), cos.to_bits());
-    assert_eq!(intern::overlap_coefficient_ids(a, b).to_bits(), ovl.to_bits());
+    assert!(intern::is_sorted_dedup(a) && intern::is_sorted_dedup(b));
+    let (ta, tb) = (as_tokens(a), as_tokens(b));
+    let want = setsim::overlap_size(&ta, &tb);
+    assert_eq!(intern::intersect_size_sorted(a, b), want, "|a|={} |b|={}", a.len(), b.len());
+    assert_eq!(intern::intersect_size_sorted(b, a), want, "not symmetric");
     assert_eq!(intern::overlap_size_ids(a, b), want);
+    assert_eq!(intern::jaccard_ids(a, b).to_bits(), setsim::jaccard(&ta, &tb).to_bits());
+    assert_eq!(intern::dice_ids(a, b).to_bits(), setsim::dice(&ta, &tb).to_bits());
+    assert_eq!(intern::cosine_ids(a, b).to_bits(), setsim::cosine(&ta, &tb).to_bits());
+    assert_eq!(
+        intern::overlap_coefficient_ids(a, b).to_bits(),
+        setsim::overlap_coefficient(&ta, &tb).to_bits()
+    );
 }
 
 /// Materialize the full pair set for one seed (every shape × case).
@@ -219,7 +170,7 @@ fn grid_pairs(seed: u64) -> Vec<(Vec<u32>, Vec<u32>)> {
     pairs
 }
 
-/// The core grid: kernel × shape class × seed, single-threaded.
+/// The core grid: shape class × seed, single-threaded.
 #[test]
 fn oracle_grid_single_worker() {
     for seed in seeds() {
@@ -230,9 +181,8 @@ fn oracle_grid_single_worker() {
 }
 
 /// The worker axis: the identical pair set checked concurrently on
-/// 1/2/4/8 threads. Every thread runs every kernel on its chunk; this
-/// is the test that would catch cross-call or cross-thread state leaks
-/// in the bitset kernel's thread-local scratch.
+/// 1/2/4/8 threads; this is the test that would catch cross-call or
+/// cross-thread state if the walk ever grew any.
 #[test]
 fn oracle_grid_worker_counts() {
     let pairs: Vec<_> = seeds().into_iter().flat_map(grid_pairs).collect();
@@ -248,24 +198,6 @@ fn oracle_grid_worker_counts() {
             }
         });
     }
-}
-
-/// The mode switch is output-invisible: the whole grid answers
-/// identically with the adaptive tier pinned to the scalar reference.
-#[test]
-fn oracle_grid_scalar_mode_invisible() {
-    let pairs = grid_pairs(seeds()[0]);
-    let adaptive: Vec<u64> = pairs
-        .iter()
-        .map(|(a, b)| intern::jaccard_ids(a, b).to_bits())
-        .collect();
-    kernels::set_mode(KernelMode::ScalarReference);
-    let pinned: Vec<u64> = pairs
-        .iter()
-        .map(|(a, b)| intern::jaccard_ids(a, b).to_bits())
-        .collect();
-    kernels::set_mode(KernelMode::Adaptive);
-    assert_eq!(adaptive, pinned);
 }
 
 proptest! {
@@ -285,13 +217,9 @@ proptest! {
         a.extend(b.iter().step_by(share + 1).copied());
         let a = sorted_dedup(a);
         check_pair(&a, &b);
-        prop_assert_eq!(
-            kernels::intersect_auto(&a, &b),
-            kernels::intersect_scalar(&a, &b)
-        );
     }
 
-    /// Dense low-range pairs (the bitset selector's home turf).
+    /// Dense low-range pairs (long runs of consecutive ids).
     #[test]
     fn oracle_random_dense_pairs(
         start_a in 0u32..512,
