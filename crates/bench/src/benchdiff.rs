@@ -86,6 +86,8 @@ pub fn registry() -> Vec<MetricSpec> {
             0.35,
             Some(2.0),
         ),
+        // position-aware size window: touched / verified, an exact count.
+        m("simjoin", "short_titles.candidates_per_verified", LowerIsBetter, 0.35, Some(1.5)),
         // feature cache: prepared extraction ≥3× over scalar at w=1.
         m("feature_extraction", "results.0.speedup", HigherIsBetter, 0.35, Some(3.0)),
         // run-aware scoring: one `Scorer` over a sorted pair list ≥1.3×

@@ -11,6 +11,9 @@
 //! preserved `String`-per-token, HashMap-ranked build
 //! ([`magellan_bench::legacy`]), after asserting the two are bit-identical.
 //!
+//! The `short_titles` row joins that collection as `block_heavy` does and
+//! holds the position-aware size window (DESIGN.md §7.1) by an exact count.
+//!
 //! The `topk` row times a top-k query — the 300 most similar pairs of two
 //! `addresses` tables at Jaccard ≥ 0.2, what Falcon's pair sampling asks —
 //! through [`join_tokenized_topk`] against the threshold join + sort +
@@ -29,8 +32,8 @@ use magellan_block::debugger::concat_columns;
 use magellan_datagen::{domains, DirtModel, ScenarioConfig};
 use magellan_par::ParConfig;
 use magellan_simjoin::{
-    join_tokenized, join_tokenized_hashmap, join_tokenized_par_side, join_tokenized_stats,
-    join_tokenized_topk, ProbeSide, SetSimMeasure, TokenizedCollection,
+    join_tokenized, join_tokenized_hashmap, join_tokenized_par_side, join_tokenized_sharded,
+    join_tokenized_stats, join_tokenized_topk, ProbeSide, SetSimMeasure, TokenizedCollection,
 };
 use magellan_textsim::tokenize::{AlphanumericTokenizer, WhitespaceTokenizer};
 
@@ -170,8 +173,12 @@ fn make_long_strings(n: usize, seed: u64, vocab: usize) -> Vec<Option<String>> {
 
 /// The `tokenize_collection` row: records/s of the collection build on
 /// product titles, against the preserved build. Returns the row's JSON
-/// object.
-fn tokenize_collection_row(smoke: bool, reps: usize, txt: &mut String) -> String {
+/// object and the collection.
+fn tokenize_collection_row(
+    smoke: bool,
+    reps: usize,
+    txt: &mut String,
+) -> (String, TokenizedCollection) {
     let (rows_left, rows_right) = if smoke { (8_000, 400) } else { (100_000, 6_000) };
     let scenario = domains::products(&ScenarioConfig {
         size_a: rows_left,
@@ -223,11 +230,61 @@ fn tokenize_collection_row(smoke: bool, reps: usize, txt: &mut String) -> String
             "collection build only {speedup:.2}x over the preserved build (floor 1.5x)"
         );
     }
-    format!(
+    let json = format!(
         "{{\"rows_left\": {rows_left}, \"rows_right\": {rows_right}, \"vocab\": {}, \"records_per_sec\": {:.0}, \"legacy_records_per_sec\": {:.0}, \"speedup_vs_legacy\": {speedup:.2}}}",
         coll.vocab_size,
         records / t_new,
         records / t_old,
+    );
+    (json, coll)
+}
+
+/// The cascade counters of one join as a JSON object.
+fn join_stats_json(s: &magellan_par::JoinStats) -> String {
+    format!(
+        "{{\"probes\": {}, \"candidates\": {}, \"killed_by_size\": {}, \"killed_by_position\": {}, \"killed_by_suffix\": {}, \"verified\": {}, \"verify_steps\": {}, \"position_kill_rate\": {:.4}, \"suffix_kill_rate\": {:.4}}}",
+        s.probes,
+        s.candidates,
+        s.killed_by_size,
+        s.killed_by_position,
+        s.killed_by_suffix,
+        s.verified,
+        s.verify_steps,
+        s.position_kill_rate(),
+        s.suffix_kill_rate(),
+    )
+}
+
+/// The `short_titles` row: `block_heavy`'s join (K ∈ {1, 4}, one worker).
+/// Gated, smoke runs too, by a count: records touched per record verified.
+fn short_titles_row(coll: &TokenizedCollection, reps: usize, txt: &mut String) -> String {
+    let cfg = ParConfig::serial();
+    let join =
+        |k| join_tokenized_sharded(coll, SetSimMeasure::Jaccard(0.7), ProbeSide::Auto, k, &cfg);
+    let (nl, nr) = (coll.left.len(), coll.right.len());
+    writeln!(txt, "\n[short_titles] products titles {nl} x {nr}, jaccard=0.7, 1 worker").unwrap();
+    let mut shards = Vec::new();
+    let mut ratio = 0.0;
+    for k in [1usize, 4] {
+        let js = join(k).1.join;
+        ratio = js.candidates as f64 / js.verified.max(1) as f64;
+        assert!(ratio <= 1.5, "K={k}: {ratio:.1} records touched per record verified");
+        let t = median_secs(reps, || {
+            std::hint::black_box(join(k));
+        });
+        let row = format!(
+            "{{\"shards\": {k}, \"pairs\": {}, \"probes_per_sec\": {:.0}, \"join_stats\": {}}}",
+            js.pairs,
+            js.probes as f64 / t,
+            join_stats_json(&js)
+        );
+        writeln!(txt, "{row} ({t:.4}s)").unwrap();
+        shards.push(format!("      {row}"));
+    }
+    writeln!(txt, "candidates / verified = {ratio:.3} (ceiling: 1.5)").unwrap();
+    format!(
+        "{{\"rows_left\": {nl}, \"rows_right\": {nr}, \"measure\": \"jaccard\", \"threshold\": 0.7, \"workers\": 1, \"candidates_per_verified\": {ratio:.3},\n     \"by_shards\": [\n{}\n     ]}}",
+        shards.join(",\n")
     )
 }
 
@@ -418,20 +475,7 @@ fn main() {
             grid.name, grid.skew, grid.measure_name, grid.threshold
         )
         .unwrap();
-        writeln!(
-            txt,
-            "cascade: probes={} candidates={} killed_by_size={} killed_by_position={} killed_by_suffix={} verified={} verify_steps={} (pos kill {:.1}%, suffix kill {:.1}%)",
-            stats.probes,
-            stats.candidates,
-            stats.killed_by_size,
-            stats.killed_by_position,
-            stats.killed_by_suffix,
-            stats.verified,
-            stats.verify_steps,
-            100.0 * stats.position_kill_rate(),
-            100.0 * stats.suffix_kill_rate(),
-        )
-        .unwrap();
+        writeln!(txt, "cascade: {}", join_stats_json(&stats)).unwrap();
 
         let t_hash = median_secs(reps, || {
             std::hint::black_box(join_tokenized_hashmap(&coll, measure));
@@ -459,13 +503,14 @@ fn main() {
             if w == 1 {
                 speedup_w1 = speedup;
             }
+            let probes_ps = stats.probes as f64 / t_csr;
             writeln!(txt, "{w:>3}  {ps_hash:>15.0}  {ps_csr:>15.0}  {speedup:>7.2}x").unwrap();
             if !json_rows.is_empty() {
                 json_rows.push_str(",\n");
             }
             write!(
                 json_rows,
-                "      {{\"workers\": {w}, \"csr_pairs_per_sec\": {ps_csr:.0}, \"speedup_vs_hashmap\": {speedup:.2}}}"
+                "      {{\"workers\": {w}, \"csr_pairs_per_sec\": {ps_csr:.0}, \"probes_per_sec\": {probes_ps:.0}, \"speedup_vs_hashmap\": {speedup:.2}}}"
             )
             .unwrap();
         }
@@ -496,21 +541,13 @@ fn main() {
         }
         write!(
             json_grids,
-            "    {{\"grid\": \"{}\", \"skew\": {}, \"measure\": \"{}\", \"threshold\": {}, \"vocab\": {}, \"n_pairs\": {n_pairs}, \"hashmap_pairs_per_sec\": {ps_hash:.0}, \"speedup_w1\": {speedup_w1:.2},\n     \"join_stats\": {{\"probes\": {}, \"candidates\": {}, \"killed_by_size\": {}, \"killed_by_position\": {}, \"killed_by_suffix\": {}, \"verified\": {}, \"verify_steps\": {}, \"position_kill_rate\": {:.4}, \"suffix_kill_rate\": {:.4}}},\n     \"csr\": [\n{json_rows}\n     ]}}",
+            "    {{\"grid\": \"{}\", \"skew\": {}, \"measure\": \"{}\", \"threshold\": {}, \"vocab\": {}, \"n_pairs\": {n_pairs}, \"hashmap_pairs_per_sec\": {ps_hash:.0}, \"speedup_w1\": {speedup_w1:.2},\n     \"join_stats\": {},\n     \"csr\": [\n{json_rows}\n     ]}}",
             grid.name,
             grid.skew,
             grid.measure_name,
             grid.threshold,
             grid.vocab,
-            stats.probes,
-            stats.candidates,
-            stats.killed_by_size,
-            stats.killed_by_position,
-            stats.killed_by_suffix,
-            stats.verified,
-            stats.verify_steps,
-            stats.position_kill_rate(),
-            stats.suffix_kill_rate(),
+            join_stats_json(&stats),
         )
         .unwrap();
     }
@@ -522,12 +559,13 @@ fn main() {
     )
     .unwrap();
 
-    let tokenize_collection = tokenize_collection_row(smoke, reps, &mut txt);
+    let (tokenize_collection, titles) = tokenize_collection_row(smoke, reps, &mut txt);
+    let short_titles = short_titles_row(&titles, reps, &mut txt);
     let topk = topk_row(smoke, reps, &mut txt);
     magellan_obs::log!(info, "{txt}");
 
     let json = format!(
-        "{{\n  \"experiment\": \"simjoin\",\n  \"workload\": {{\"rows_per_side\": {n}, \"vocab\": 800, \"reps\": {reps}, \"smoke\": {smoke}}},\n  \"skewed_speedup_w1\": {skewed_speedup_w1:.2},\n  \"tokenize_collection\": {tokenize_collection},\n  \"topk\": {topk},\n  \"grids\": [\n{json_grids}\n  ]\n}}\n"
+        "{{\n  \"experiment\": \"simjoin\",\n  \"workload\": {{\"rows_per_side\": {n}, \"vocab\": 800, \"reps\": {reps}, \"smoke\": {smoke}}},\n  \"skewed_speedup_w1\": {skewed_speedup_w1:.2},\n  \"tokenize_collection\": {tokenize_collection},\n  \"short_titles\": {short_titles},\n  \"topk\": {topk},\n  \"grids\": [\n{json_grids}\n  ]\n}}\n"
     );
 
     // Best-effort writes (CI smoke may run from a read-only checkout).

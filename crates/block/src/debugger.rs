@@ -90,8 +90,10 @@ pub fn debug_blocker(
 }
 
 /// [`debug_blocker`] also returning the permissive join's [`JoinStats`]
-/// so users see which pruning stage killed the candidates that contained
-/// the missed matches.
+/// so users see which pruning stage kept out the records around the
+/// missed matches: `killed_by_size` counts postings never touched (size
+/// inadmissible, at the latest from the probe position they were met at),
+/// `killed_by_position` / `killed_by_suffix` touched records dropped.
 pub fn debug_blocker_report(
     candidates: &CandidateSet,
     a: &Table,

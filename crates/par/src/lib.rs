@@ -287,16 +287,17 @@ impl CacheStats {
 pub struct JoinStats {
     /// Probe records processed (non-empty token sets on the probe side).
     pub probes: usize,
-    /// Distinct `(probe, indexed)` candidate pairs generated by prefix
-    /// collisions that fell inside the size window.
+    /// Indexed records actually touched: distinct `(probe, indexed)` pairs
+    /// with a prefix collision inside the size window of that probe
+    /// position (a record first met too late to qualify is not one).
     pub candidates: usize,
     /// Posting entries skipped wholesale by the binary-searched size
     /// window (postings are size-sorted per token, so these are never
-    /// even branched on).
+    /// even branched on), as narrowed at their probe position.
     pub killed_by_size: usize,
-    /// Candidates abandoned by the accumulating positional filter: their
-    /// `shared-so-far + remaining-tokens` upper bound fell below the
-    /// required overlap during prefix probing.
+    /// Touched candidates abandoned by the accumulating positional
+    /// filter: their `shared-so-far + remaining-tokens` upper bound fell
+    /// below the required overlap during prefix probing.
     pub killed_by_position: usize,
     /// Candidates abandoned *inside* the bounded suffix merge: the
     /// running upper bound proved the required overlap unreachable
@@ -415,7 +416,8 @@ impl JoinStats {
         self.compactions += other.compactions;
     }
 
-    /// Fraction of generated candidates killed by the positional filter.
+    /// Fraction of *touched* candidates killed by the positional filter:
+    /// small, the position-narrowed size window keeps most out untouched.
     pub fn position_kill_rate(&self) -> f64 {
         ratio(self.killed_by_position, self.candidates)
     }

@@ -150,14 +150,14 @@ impl PrefixIndex {
     /// fall inside `[lo, hi]` — the size filter as two binary searches
     /// over the size-sorted list instead of one branch per candidate —
     /// and how many of the token's postings fell outside it (the filter's
-    /// kill count).
+    /// kill count). `hi < lo` is the empty window.
     #[inline]
     pub fn size_window(&self, token: u32, lo: usize, hi: usize) -> (&[Posting], usize) {
         let list = self.postings(token);
         let lo = lo.min(u32::MAX as usize) as u32;
         let hi = hi.min(u32::MAX as usize) as u32;
         let a = list.partition_point(|p| p.size < lo);
-        let b = list.partition_point(|p| p.size <= hi);
+        let b = list.partition_point(|p| p.size <= hi).max(a);
         (&list[a..b], list.len() - (b - a))
     }
 
@@ -329,5 +329,6 @@ mod tests {
         assert_eq!(sizes(3, 4), (0, 4));
         assert_eq!(sizes(6, usize::MAX), (1, 3));
         assert_eq!(sizes(0, usize::MAX), (4, 0));
+        assert_eq!(sizes(6, 3), (0, 4));
     }
 }

@@ -2,10 +2,13 @@
 //!
 //! The engine runs a four-stage pruning cascade per probe record:
 //!
-//! 1. **Size filter** — each probe token's CSR postings list is
-//!    size-sorted, so the admissible partner sizes are a binary-searched
-//!    contiguous window ([`PrefixIndex::size_window`]); out-of-window
-//!    postings are skipped wholesale.
+//! 1. **Position-aware size filter** — each probe token's CSR postings
+//!    list is size-sorted, so the admissible partner sizes are a
+//!    binary-searched contiguous window ([`PrefixIndex::size_window`]);
+//!    out-of-window postings are skipped wholesale. Its upper end falls
+//!    with the probe position (a record first met at `px` shares at most
+//!    `|x| − px` tokens); a live candidate a later window excludes catches
+//!    up on the withheld collisions before stage 3 (DESIGN.md §7.1).
 //! 2. **Accumulating positional filter** (PPJoin-style) — per-candidate
 //!    overlap counters accumulate across *all* prefix collisions; after
 //!    each collision the candidate's remaining-token upper bound
@@ -140,6 +143,28 @@ impl SetSimMeasure {
     /// Does a pair with the given sizes and exact overlap qualify?
     pub(crate) fn qualifies(&self, sx: usize, sy: usize, overlap: usize) -> bool {
         overlap >= self.min_overlap(sx, sy)
+    }
+
+    /// The size filter by probe position: `cap(o)` bounds from above the
+    /// partner sizes `sy ≤ hi` of a set of size `sx` that can qualify on at
+    /// most `o` shared tokens — `min_overlap(sx, sy) ≤ o` solved for `sy`:
+    /// Jaccard `o·(1+t)/t − sx`, Dice `2o/t − sx`, cosine `o²/(t²·sx)`, no
+    /// narrowing for `OverlapSize`. Rounded **up** ([`filters`]' ceil slack
+    /// on `o`, a relative `1e-9` on the coefficients): a cap too large
+    /// costs a per-posting test, one too small loses a pair.
+    pub(crate) fn size_cap(&self, sx: usize, hi: usize) -> impl Fn(usize) -> usize {
+        const LOOSE: f64 = 1.0 + 1e-9;
+        let (quad, lin, off) = match *self {
+            SetSimMeasure::Jaccard(t) => (0.0, LOOSE * (1.0 + t) / t, -(sx as f64)),
+            SetSimMeasure::Dice(t) => (0.0, LOOSE * 2.0 / t, -(sx as f64)),
+            SetSimMeasure::Cosine(t) => (LOOSE / (t * t * sx as f64), 0.0, 0.0),
+            SetSimMeasure::OverlapSize(_) => (0.0, 0.0, f64::INFINITY),
+        };
+        // Float → int casts saturate: +∞ lands on `hi`, a negative on 0.
+        move |o| {
+            let o = o as f64 + 2e-9;
+            (((quad * o + lin) * o + off) as usize).min(hi)
+        }
     }
 }
 
@@ -391,6 +416,12 @@ pub(crate) trait ProbeTarget {
     /// Sorted token set of indexed record `rid` and its indexed prefix
     /// length (already clamped to the set size).
     fn record(&self, rid: usize) -> (&[u32], usize);
+
+    /// `false` only if `tok` has no posting at all, live or not: the
+    /// probe then skips working out the token's window.
+    fn may_hold(&self, _tok: u32) -> bool {
+        true
+    }
 }
 
 /// The batch target: every posting of a packed [`PrefixIndex`] is live.
@@ -422,6 +453,11 @@ impl ProbeTarget for Packed<'_> {
     fn record(&self, rid: usize) -> (&[u32], usize) {
         (&self.records[rid], self.index.prefix_len(rid))
     }
+
+    #[inline]
+    fn may_hold(&self, tok: u32) -> bool {
+        !self.index.postings(tok).is_empty()
+    }
 }
 
 /// Probe a single record against a [`ProbeTarget`] through the
@@ -447,10 +483,14 @@ pub(crate) fn probe_one<T: ProbeTarget>(
     stats.probes += 1;
     let (lo, hi) = measure.size_bounds(sx);
     let probe_len = measure.prefix_len(sx).min(sx);
+    let cap = measure.size_cap(sx, hi);
     scratch.touched.clear();
 
     // Stage 1 + 2: collect prefix collisions, size windows first, then
-    // the accumulating positional bound per collision.
+    // the accumulating positional bound per collision. The window ends
+    // at `cap(sx - px)`: a record first met at `px` shares no token before
+    // `x[px]` (it would sit in both prefixes and have collided), so at
+    // most `sx - px`, and a size that needs more is dead on arrival.
     // `min_overlap` memo: packed postings are size-sorted, so runs of
     // candidates share a size — recompute the (float-ceil) bound only on
     // size change.
@@ -458,7 +498,10 @@ pub(crate) fn probe_one<T: ProbeTarget>(
     let mut memo_need = 0u32;
     let (mut candidates, mut killed_by_position) = (0usize, 0usize);
     for (px, &tok) in x[..probe_len].iter().enumerate() {
-        target.for_each_posting(tok, lo, hi, stats, |rid, pos, size| {
+        if !target.may_hold(tok) {
+            continue;
+        }
+        target.for_each_posting(tok, lo, cap(sx - px), stats, |rid, pos, size| {
             let slot = &mut scratch.slots[rid as usize];
             if slot.stamp != stamp {
                 slot.stamp = stamp;
@@ -496,7 +539,15 @@ pub(crate) fn probe_one<T: ProbeTarget>(
     // wx/wy the last prefix tokens: if wx ≤ wy every uncounted shared
     // token is > wx, hence in x's suffix and past y's last collision;
     // symmetrically otherwise.
-    for &rid in &scratch.touched {
+    //
+    // That argument is for records *not met before*: a live one larger
+    // than the last window (they only shrink) was denied its later
+    // collisions and **catches up** first. Postings delivered all before
+    // the first window that excluded it and the slot holds the last, so
+    // merging the prefix remainders from there finds exactly the withheld
+    // ones, in order, each under stage 2's bound.
+    let last_cap = cap(sx - (probe_len - 1));
+    'survivors: for &rid in &scratch.touched {
         let st = scratch.slots[rid as usize];
         if st.cnt == DEAD {
             continue;
@@ -504,12 +555,30 @@ pub(crate) fn probe_one<T: ProbeTarget>(
         let rid = rid as usize;
         let (y, plen_y) = target.record(rid);
         let sy = y.len();
-        let cnt = st.cnt as usize;
         let need = st.need as usize;
+        let (mut cnt, mut px, mut py) = (st.cnt as usize, st.px as usize, st.py as usize);
+        if sy > last_cap {
+            let (xp, yp) = (&x[..probe_len], &y[..plen_y]);
+            let (mut i, mut j) = (px + 1, py + 1);
+            while i < xp.len() && j < yp.len() {
+                match xp[i].cmp(&yp[j]) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        (cnt, px, py) = (cnt + 1, i, j);
+                        if cnt + (sx - i - 1).min(sy - j - 1) < need {
+                            stats.killed_by_position += 1;
+                            continue 'survivors;
+                        }
+                        (i, j) = (i + 1, j + 1);
+                    }
+                }
+            }
+        }
         let (rest_x, rest_y) = if x[probe_len - 1] <= y[plen_y - 1] {
-            (&x[probe_len..], &y[st.py as usize + 1..])
+            (&x[probe_len..], &y[py + 1..])
         } else {
-            (&x[st.px as usize + 1..], &y[plen_y..])
+            (&x[px + 1..], &y[plen_y..])
         };
         stats.verified += 1;
         match overlap_sorted_bounded(
@@ -844,8 +913,9 @@ mod tests {
         assert_eq!(serial.verified, serial.killed_by_suffix + out.len());
         assert_eq!(serial.pairs, out.len());
         assert!(serial.probes > 0 && serial.verify_steps > 0);
-        // Recorded at the commit before the verifier was collapsed to one
-        // walk: the collapse moved no counter.
+        // The last four as at a575b26, before the verifier collapsed to one
+        // walk. The first two read (4412, 1615) there and at bd9d566: since
+        // the size window narrows, 869 dead at first touch go untouched.
         assert_eq!(
             (
                 serial.candidates,
@@ -855,7 +925,7 @@ mod tests {
                 serial.verify_steps,
                 serial.pairs
             ),
-            (4412, 1615, 2341, 2797, 2943, 456)
+            (3543, 746, 2341, 2797, 2943, 456)
         );
         for workers in [1, 4] {
             let (pout, pstats) =
@@ -885,6 +955,34 @@ mod tests {
                 ),
                 "workers={workers}"
             );
+        }
+    }
+
+    /// Hostile thresholds included, a size above `cap(sx - px)` needs more
+    /// than `sx - px` shared tokens (`min_overlap` rises with the size: the
+    /// nearest excluded sizes decide), and the window opens at `hi` and only
+    /// shrinks, which the catch-up's test relies on.
+    #[test]
+    fn size_cap_excludes_only_unreachable_sizes() {
+        let mut measures = [1, 2, 7].map(SetSimMeasure::OverlapSize).to_vec();
+        for t in [1e-9, 0.05, 0.2, 0.5, 0.7, 0.9, 1.0] {
+            measures.extend([SetSimMeasure::Jaccard(t), SetSimMeasure::Cosine(t)]);
+            measures.push(SetSimMeasure::Dice(t));
+        }
+        let sizes = |m| (1..=300usize).map(move |sx| (m, sx));
+        for (m, sx) in measures.iter().flat_map(sizes) {
+            let hi = m.size_bounds(sx).1;
+            let cap = m.size_cap(sx, hi);
+            assert_eq!(cap(sx), hi, "{m:?} sx={sx}: position 0 sees all of it");
+            for px in 0..m.prefix_len(sx).min(sx) {
+                let (o, c) = (sx - px, cap(sx - px));
+                assert!(c <= cap(o + 1), "{m:?} sx={sx} px={px}: window grew");
+                let near = (1..=(hi - c).min(32)).map(|d| c + d);
+                for sy in near.chain([c + (hi - c) / 2, hi]).filter(|&sy| sy > c) {
+                    let need = m.min_overlap(sx, sy);
+                    assert!(need > o, "{m:?} sx={sx} px={px}: {sy} capped at {c}");
+                }
+            }
         }
     }
 

@@ -47,7 +47,8 @@ use crate::join::{
 /// `candidates == killed_by_position + verified` and
 /// `verified == killed_by_suffix + pairs` hold as they do for a threshold
 /// join. Postings passed over because they lie beyond a record's prefix at
-/// the raised bound are not counted anywhere.
+/// the raised bound are not counted anywhere, unless the size window (as
+/// narrowed at the probe position) skips them first: `killed_by_size`.
 ///
 /// ```
 /// use magellan_simjoin::{join_tokenized_topk, SetSimMeasure, TokenizedCollection};
@@ -270,6 +271,11 @@ impl ProbeTarget for Raised<'_> {
     fn record(&self, rid: usize) -> (&[u32], usize) {
         let y = self.packed.record(rid).0;
         (y, self.bound.prefix_len(y.len()).min(y.len()))
+    }
+
+    #[inline]
+    fn may_hold(&self, tok: u32) -> bool {
+        self.packed.may_hold(tok)
     }
 }
 
