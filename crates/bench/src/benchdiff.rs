@@ -86,8 +86,12 @@ pub fn registry() -> Vec<MetricSpec> {
             0.35,
             Some(2.0),
         ),
-        // position-aware size window: touched / verified, an exact count.
-        m("simjoin", "short_titles.candidates_per_verified", LowerIsBetter, 0.35, Some(1.5)),
+        // position-aware size window: records touched per probe at K = 1,
+        // an exact count (214 before the window narrowed).
+        m("simjoin", "short_titles.candidates_per_probe", LowerIsBetter, 0.35, Some(3.0)),
+        // remainder bitmaps in the positional filter: records verified per
+        // pair, an exact count (67.8 before stage 2 compared them).
+        m("simjoin", "short_titles.verified_per_pair", LowerIsBetter, 0.35, Some(1.1)),
         // feature cache: prepared extraction ≥3× over scalar at w=1.
         m("feature_extraction", "results.0.speedup", HigherIsBetter, 0.35, Some(3.0)),
         // run-aware scoring: one `Scorer` over a sorted pair list ≥1.3×

@@ -246,10 +246,11 @@ fn main() {
     .unwrap();
     writeln!(
         txt,
-        "delta cascade: {} probes, {:.1} candidates/probe ({} killed by position), {:.2} verify_steps/verified",
+        "delta cascade: {} probes, {:.1} candidates/probe ({} killed by position), {:.2} verified/pair, {:.2} verify_steps/verified",
         cascade.delta_probes,
         cascade.candidates as f64 / cascade.delta_probes.max(1) as f64,
         cascade.killed_by_position,
+        cascade.verified as f64 / cascade.pairs.max(1) as f64,
         cascade.verify_steps as f64 / cascade.verified.max(1) as f64,
     )
     .unwrap();

@@ -12,7 +12,8 @@
 //! ([`magellan_bench::legacy`]), after asserting the two are bit-identical.
 //!
 //! The `short_titles` row joins that collection as `block_heavy` does and
-//! holds the position-aware size window (DESIGN.md §7.1) by an exact count.
+//! holds the position-aware size window and the remainder bitmaps
+//! (DESIGN.md §7.1) by two exact counts.
 //!
 //! The `topk` row times a top-k query — the 300 most similar pairs of two
 //! `addresses` tables at Jaccard ≥ 0.2, what Falcon's pair sampling asks —
@@ -256,7 +257,9 @@ fn join_stats_json(s: &magellan_par::JoinStats) -> String {
 }
 
 /// The `short_titles` row: `block_heavy`'s join (K ∈ {1, 4}, one worker).
-/// Gated, smoke runs too, by a count: records touched per record verified.
+/// Gated, smoke runs too, by two counts: records touched per probe (what
+/// the position-narrowed size window keeps out) and records verified per
+/// pair (what the remainder bitmaps keep out), both at K = 1.
 fn short_titles_row(coll: &TokenizedCollection, reps: usize, txt: &mut String) -> String {
     let cfg = ParConfig::serial();
     let join =
@@ -264,11 +267,18 @@ fn short_titles_row(coll: &TokenizedCollection, reps: usize, txt: &mut String) -
     let (nl, nr) = (coll.left.len(), coll.right.len());
     writeln!(txt, "\n[short_titles] products titles {nl} x {nr}, jaccard=0.7, 1 worker").unwrap();
     let mut shards = Vec::new();
-    let mut ratio = 0.0;
+    let (mut per_probe, mut per_pair) = (0.0, 0.0);
     for k in [1usize, 4] {
         let js = join(k).1.join;
-        ratio = js.candidates as f64 / js.verified.max(1) as f64;
-        assert!(ratio <= 1.5, "K={k}: {ratio:.1} records touched per record verified");
+        if k == 1 {
+            per_probe = js.candidates as f64 / js.probes.max(1) as f64;
+            assert!(per_probe <= 3.0, "{per_probe:.2} records touched per probe");
+        }
+        per_pair = js.verified as f64 / js.pairs.max(1) as f64;
+        assert!(
+            per_pair <= 1.1,
+            "K={k}: {per_pair:.2} records verified per pair"
+        );
         let t = median_secs(reps, || {
             std::hint::black_box(join(k));
         });
@@ -281,9 +291,14 @@ fn short_titles_row(coll: &TokenizedCollection, reps: usize, txt: &mut String) -
         writeln!(txt, "{row} ({t:.4}s)").unwrap();
         shards.push(format!("      {row}"));
     }
-    writeln!(txt, "candidates / verified = {ratio:.3} (ceiling: 1.5)").unwrap();
+    writeln!(
+        txt,
+        "candidates / probes = {per_probe:.3} at K = 1 (ceiling: 3)"
+    )
+    .unwrap();
+    writeln!(txt, "verified / pairs = {per_pair:.3} (ceiling: 1.1)").unwrap();
     format!(
-        "{{\"rows_left\": {nl}, \"rows_right\": {nr}, \"measure\": \"jaccard\", \"threshold\": 0.7, \"workers\": 1, \"candidates_per_verified\": {ratio:.3},\n     \"by_shards\": [\n{}\n     ]}}",
+        "{{\"rows_left\": {nl}, \"rows_right\": {nr}, \"measure\": \"jaccard\", \"threshold\": 0.7, \"workers\": 1, \"candidates_per_probe\": {per_probe:.3}, \"verified_per_pair\": {per_pair:.3},\n     \"by_shards\": [\n{}\n     ]}}",
         shards.join(",\n")
     )
 }

@@ -29,10 +29,11 @@ pub struct DroppedPair {
 
 /// [`debug_blocker`] output plus the permissive join's pruning-cascade
 /// telemetry: which filter stage (size window / positional / suffix)
-/// killed the candidates around the missed matches. A debugger session
-/// where most kills are positional, say, tells the user the blocker's
-/// token prefixes barely overlap — loosening the threshold (not the
-/// attribute choice) is the fix.
+/// killed the candidates around the missed matches. The positional stage
+/// sees the records' remainders through 32-bit bitmaps, so it now takes
+/// most of what the suffix merge used to: a session where most kills are
+/// positional says the records share a prefix token and too little of
+/// the rest — loosening the threshold (not the attribute choice) is the fix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DebugReport {
     /// Top-k most similar pairs the blocker dropped.
@@ -93,7 +94,9 @@ pub fn debug_blocker(
 /// so users see which pruning stage kept out the records around the
 /// missed matches: `killed_by_size` counts postings never touched (size
 /// inadmissible, at the latest from the probe position they were met at),
-/// `killed_by_position` / `killed_by_suffix` touched records dropped.
+/// `killed_by_position` touched records dropped at a prefix collision (by
+/// the remainders' sizes or bitmaps), `killed_by_suffix` those dropped in
+/// the merge.
 pub fn debug_blocker_report(
     candidates: &CandidateSet,
     a: &Table,

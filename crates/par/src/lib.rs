@@ -297,14 +297,19 @@ pub struct JoinStats {
     pub killed_by_size: usize,
     /// Touched candidates abandoned by the accumulating positional
     /// filter: their `shared-so-far + remaining-tokens` upper bound fell
-    /// below the required overlap during prefix probing.
+    /// below the required overlap during prefix probing. The remaining
+    /// tokens are bounded by the remainders' sizes and by their 32-bit
+    /// bitmaps (remainders whose bitmaps differ in `h` bits share at most
+    /// `(rx + ry − h) / 2`), so this includes the bitmap kills.
     pub killed_by_position: usize,
     /// Candidates abandoned *inside* the bounded suffix merge: the
     /// running upper bound proved the required overlap unreachable
     /// before the merge finished.
     pub killed_by_suffix: usize,
-    /// Candidates whose exact overlap was fully computed (the only ones
-    /// that pay a complete verification).
+    /// Candidates handed to the suffix merge (the only ones that fetch
+    /// the indexed record). With the bitmaps in the positional filter this
+    /// tracks `pairs`: 1.3 per pair on `stream_churn`'s titles, where it
+    /// was 97 per pair without them.
     pub verified: usize,
     /// Token comparison steps spent inside verification merges (the
     /// bounded walk, its galloping seeks and its unbounded tail
@@ -423,7 +428,8 @@ impl JoinStats {
     }
 
     /// Fraction of generated candidates killed mid-verification by the
-    /// bounded suffix merge.
+    /// bounded suffix merge: near 0 where the positional filter's bitmaps,
+    /// which summarise the same remainders, already decided them.
     pub fn suffix_kill_rate(&self) -> f64 {
         ratio(self.killed_by_suffix, self.candidates)
     }

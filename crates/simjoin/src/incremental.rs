@@ -72,7 +72,7 @@ use magellan_par::{chunk_map, JoinStats, ParConfig};
 use magellan_textsim::intern::TokenInterner;
 use magellan_textsim::tokenize::Tokenizer;
 
-use crate::index::PrefixIndex;
+use crate::index::{for_each_rest, PrefixIndex};
 use crate::join::{
     probe_one, set_sim_join, JoinPair, ProbeTarget, SetSimMeasure, PROBE_SCRATCH, PROBE_STAMPS,
 };
@@ -140,6 +140,7 @@ struct TailPosting {
     rid: u32,
     pos: u32,
     size: u32,
+    rest: u32,
     gen: u32,
 }
 
@@ -240,14 +241,15 @@ impl SideIndex {
     fn push_tail(&mut self, rid: usize, state: &SideState, measure: SetSimMeasure) {
         let set = &state.tokens[rid];
         let plen = measure.prefix_len(set.len()).min(set.len());
-        for (pos, &tok) in set[..plen].iter().enumerate() {
+        for_each_rest(set, plen, |pos, tok, rest| {
             self.tail.entry(tok).or_default().push(TailPosting {
                 rid: rid as u32,
                 pos: pos as u32,
                 size: set.len() as u32,
+                rest,
                 gen: state.gens[rid],
             });
-        }
+        });
         self.n_tail_postings += plen;
     }
 }
@@ -273,7 +275,7 @@ impl ProbeTarget for Standing<'_> {
         lo: usize,
         hi: usize,
         stats: &mut JoinStats,
-        mut f: impl FnMut(u32, u32, u32),
+        mut f: impl FnMut(u32, u32, u32, u32),
     ) {
         let (win, outside) = self.index.csr.size_window(tok, lo, hi);
         stats.killed_by_size += outside;
@@ -282,7 +284,7 @@ impl ProbeTarget for Standing<'_> {
                 stats.tombstones_skipped += 1;
                 continue;
             }
-            f(p.rid, p.pos, p.size);
+            f(p.rid, p.pos, p.size, p.rest);
         }
         // Tail overlay: small, unsorted, scanned with per-posting
         // generation and size checks.
@@ -304,7 +306,7 @@ impl ProbeTarget for Standing<'_> {
             if self.skip.binary_search(&rid).is_ok() {
                 continue;
             }
-            f(p.rid, p.pos, p.size);
+            f(p.rid, p.pos, p.size, p.rest);
         }
     }
 

@@ -28,6 +28,41 @@ pub struct Posting {
     /// Token-set size of the record (denormalized so the size filter
     /// never dereferences the record itself).
     pub size: u32,
+    /// One bit per token of the record *after* `pos` (bit
+    /// `t.wrapping_mul(0x9E37_79B9) >> 27` of token `t`): two remainders
+    /// whose bitmaps differ in `h` bits differ in at least `h` tokens, which
+    /// is what lets the positional filter bound their overlap without
+    /// dereferencing the record (DESIGN.md §7.1).
+    pub rest: u32,
+}
+
+/// The remainder-bitmap bit of token `t`: one fixed, unseeded
+/// multiplicative hash onto 32 bits, the same on every side of every join.
+#[inline]
+pub(crate) fn token_bit(t: u32) -> u32 {
+    1 << (t.wrapping_mul(0x9E37_79B9) >> 27)
+}
+
+/// One reverse pass over `rec`: `f(pos, rec[pos], rest)` for each
+/// `pos < plen`, last first, where `rest` is the bitmap of `rec[pos + 1..]`.
+#[inline]
+pub(crate) fn for_each_rest(rec: &[u32], plen: usize, mut f: impl FnMut(usize, u32, u32)) {
+    let (prefix, suffix) = rec.split_at(plen);
+    let mut rest = suffix.iter().fold(0, |m, &t| m | token_bit(t));
+    for (pos, &tok) in prefix.iter().enumerate().rev() {
+        f(pos, tok, rest);
+        rest |= token_bit(tok);
+    }
+}
+
+/// `n` as one of the index's `u32` fields (a record id, a position or size,
+/// an offset into the postings), or a panic naming the limit.
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| {
+        panic!(
+            "a PrefixIndex holds at most u32::MAX records, tokens per record and postings; got {n}"
+        )
+    })
 }
 
 /// Inverted index from token id to the records whose *prefix* contains
@@ -55,7 +90,9 @@ impl PrefixIndex {
     /// the offsets array spans `base..=max indexed id`.
     ///
     /// # Panics
-    /// If an indexed prefix token is below `base`.
+    /// If an indexed prefix token is below `base`, or a count outgrows the
+    /// `u32` fields (more than `u32::MAX` records, tokens in a record or
+    /// postings in all).
     pub fn build(records: &[Vec<u32>], base: u32, prefix_len_of: impl Fn(usize) -> usize) -> Self {
         // Pass 0: per-record prefix lengths and the token-id universe.
         let mut prefix_lens = Vec::with_capacity(records.len());
@@ -63,7 +100,7 @@ impl PrefixIndex {
         let mut n_postings = 0usize;
         for rec in records {
             let plen = prefix_len_of(rec.len()).min(rec.len());
-            prefix_lens.push(plen as u32);
+            prefix_lens.push(narrow(plen));
             n_postings += plen;
             for &tok in &rec[..plen] {
                 assert!(tok >= base, "indexed token {tok} below base {base}");
@@ -76,7 +113,9 @@ impl PrefixIndex {
             (max_token - base) as usize + 1
         };
 
-        // Pass 1: postings count per token → CSR offsets (prefix sum).
+        // Pass 1: postings count per token → CSR offsets (prefix sum), none
+        // of which exceeds the total.
+        narrow(n_postings);
         let mut offsets = vec![0u32; n_tokens + 1];
         for (rec, &plen) in records.iter().zip(&prefix_lens) {
             for &tok in &rec[..plen as usize] {
@@ -87,35 +126,46 @@ impl PrefixIndex {
             offsets[t + 1] += offsets[t];
         }
 
-        // Pass 2: scatter into the flat buffer (records in rid order).
+        // Pass 2: scatter into the flat buffer, records in (size, rid) order
+        // (a counting sort by size), so every list comes out ordered for the
+        // size window's binary search — a total order, since each record
+        // contributes one posting per token. A record's postings go back to
+        // front, each carrying the bitmap of what follows it.
+        let mut by_size = vec![0usize; records.iter().map(Vec::len).max().unwrap_or(0) + 2];
+        for rec in records {
+            by_size[rec.len() + 1] += 1;
+        }
+        for s in 1..by_size.len() {
+            by_size[s] += by_size[s - 1];
+        }
+        let mut order = vec![0; records.len()];
+        for (rid, rec) in records.iter().enumerate() {
+            order[by_size[rec.len()]] = rid;
+            by_size[rec.len()] += 1;
+        }
         let mut cursor = offsets.clone();
         let mut postings = vec![
             Posting {
                 rid: 0,
                 pos: 0,
-                size: 0
+                size: 0,
+                rest: 0
             };
             n_postings
         ];
-        for (rid, (rec, &plen)) in records.iter().zip(&prefix_lens).enumerate() {
-            for (pos, &tok) in rec[..plen as usize].iter().enumerate() {
+        for rid in order {
+            let rec = &records[rid];
+            let (rid, size) = (narrow(rid), narrow(rec.len()));
+            for_each_rest(rec, prefix_lens[rid as usize] as usize, |pos, tok, rest| {
                 let t = (tok - base) as usize;
                 postings[cursor[t] as usize] = Posting {
-                    rid: rid as u32,
-                    pos: pos as u32,
-                    size: rec.len() as u32,
+                    rid,
+                    pos: narrow(pos),
+                    size,
+                    rest,
                 };
                 cursor[t] += 1;
-            }
-        }
-
-        // Pass 3: order each list by (size, rid) so the length filter is a
-        // binary-searched contiguous range. The (size, rid) key is a total
-        // order (each record contributes one posting per token), so the
-        // layout is deterministic.
-        for t in 0..n_tokens {
-            let (lo, hi) = (offsets[t] as usize, offsets[t + 1] as usize);
-            postings[lo..hi].sort_unstable_by_key(|p| (p.size, p.rid));
+            });
         }
 
         PrefixIndex {
@@ -247,6 +297,14 @@ mod tests {
         assert_eq!(idx.n_postings(), 4);
         assert_eq!(idx.prefix_len(0), 2);
         assert_eq!(idx.prefix_len(2), 0);
+    }
+
+    /// Every `u32` field of the index is narrowed through one check.
+    #[test]
+    #[should_panic(expected = "at most u32::MAX records, tokens per record and postings")]
+    fn narrowing_past_u32_panics_naming_the_limit() {
+        assert_eq!(narrow(u32::MAX as usize), u32::MAX);
+        narrow(u32::MAX as usize + 1);
     }
 
     #[test]

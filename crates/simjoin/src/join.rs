@@ -11,15 +11,19 @@
 //!    up on the withheld collisions before stage 3 (DESIGN.md §7.1).
 //! 2. **Accumulating positional filter** (PPJoin-style) — per-candidate
 //!    overlap counters accumulate across *all* prefix collisions; after
-//!    each collision the candidate's remaining-token upper bound
-//!    (`cnt + min(remaining_x, remaining_y)`) is checked against the
-//!    required `min_overlap` and the candidate is abandoned the moment it
-//!    cannot qualify.
+//!    each collision the candidate's remaining-token upper bound is
+//!    checked against the required `min_overlap` and the candidate is
+//!    abandoned the moment it cannot qualify. The bound is
+//!    `cnt + min(rx, ry, (rx + ry − h) / 2)` for remainders of `rx` and
+//!    `ry` tokens whose 32-bit bitmaps differ in `h` bits: each posting
+//!    carries its record's ([`crate::index::Posting::rest`]), the probe's
+//!    is built once, at its first delivered posting (DESIGN.md §7.1).
 //! 3. **Suffix-resumed bounded verification** — for survivors, the
 //!    counted prefix overlap is *resumed* (not recomputed): only the
 //!    token ranges that can still hold uncounted shared tokens are
 //!    merged, through [`crate::verify::overlap_sorted_bounded`], which
-//!    early-exits on failure and gallops on heavy set-size skew.
+//!    early-exits on failure and gallops on heavy set-size skew. Stage 2
+//!    sees the remainders' bitmaps, so what reaches it mostly qualifies.
 //! 4. **Cost-based probe-side selection** — the smaller collection (by
 //!    total tokens) is indexed and the larger probed, with pair
 //!    orientation remapped so output is **bit-identical** either way
@@ -39,7 +43,7 @@ use magellan_textsim::tokenize::Tokenizer;
 
 use crate::collection::TokenizedCollection;
 use crate::filters;
-use crate::index::PrefixIndex;
+use crate::index::{for_each_rest, PrefixIndex};
 use crate::verify::overlap_sorted_bounded;
 
 /// A similarity measure + threshold for a set-similarity join.
@@ -261,6 +265,8 @@ pub(crate) struct Scratch {
     slots: Vec<Slot>,
     /// Candidates touched by the current probe, in first-touch order.
     touched: Vec<u32>,
+    /// `rest[px]`: the bitmap of the probe's tokens after `px`.
+    rest: Vec<u32>,
 }
 
 impl Scratch {
@@ -268,6 +274,7 @@ impl Scratch {
         let mut s = Scratch {
             slots: Vec::new(),
             touched: Vec::new(),
+            rest: Vec::new(),
         };
         s.ensure(n_indexed);
         s
@@ -399,18 +406,19 @@ pub fn join_tokenized_stats(
 /// overlay for the incremental tier. [`probe_one`] is the only cascade;
 /// the target only says what is live.
 pub(crate) trait ProbeTarget {
-    /// Feed `f` the `(rid, pos, size)` of every **live** posting of `tok`
-    /// whose record size lies in `[lo, hi]`, counting what was skipped
-    /// into `stats`. A record contributes at most one posting per token,
-    /// which is what lets the cascade's collision counter stand for
-    /// `|x-prefix ∩ y-prefix|`.
+    /// Feed `f` the `(rid, pos, size, rest)` of every **live** posting of
+    /// `tok` whose record size lies in `[lo, hi]`, counting what was
+    /// skipped into `stats`. A record contributes at most one posting per
+    /// token, which is what lets the cascade's collision counter stand for
+    /// `|x-prefix ∩ y-prefix|`; `rest` is the bitmap of its tokens after
+    /// `pos` ([`crate::index::Posting::rest`]).
     fn for_each_posting(
         &self,
         tok: u32,
         lo: usize,
         hi: usize,
         stats: &mut JoinStats,
-        f: impl FnMut(u32, u32, u32),
+        f: impl FnMut(u32, u32, u32, u32),
     );
 
     /// Sorted token set of indexed record `rid` and its indexed prefix
@@ -438,14 +446,14 @@ impl ProbeTarget for Packed<'_> {
         lo: usize,
         hi: usize,
         stats: &mut JoinStats,
-        mut f: impl FnMut(u32, u32, u32),
+        mut f: impl FnMut(u32, u32, u32, u32),
     ) {
         // The size filter as two binary searches over the size-sorted
         // postings list: one contiguous in-window range.
         let (win, outside) = self.index.size_window(tok, lo, hi);
         stats.killed_by_size += outside;
         for p in win {
-            f(p.rid, p.pos, p.size);
+            f(p.rid, p.pos, p.size, p.rest);
         }
     }
 
@@ -497,11 +505,15 @@ pub(crate) fn probe_one<T: ProbeTarget>(
     let mut memo_sy = u32::MAX;
     let mut memo_need = 0u32;
     let (mut candidates, mut killed_by_position) = (0usize, 0usize);
+    // The probe's remainder bitmaps, built at the first posting delivered:
+    // a probe over near-empty lists never pays for them.
+    let rest_x = &mut scratch.rest;
+    let mut have_rest = false;
     for (px, &tok) in x[..probe_len].iter().enumerate() {
         if !target.may_hold(tok) {
             continue;
         }
-        target.for_each_posting(tok, lo, cap(sx - px), stats, |rid, pos, size| {
+        target.for_each_posting(tok, lo, cap(sx - px), stats, |rid, pos, size, rest| {
             let slot = &mut scratch.slots[rid as usize];
             if slot.stamp != stamp {
                 slot.stamp = stamp;
@@ -522,8 +534,17 @@ pub(crate) fn probe_one<T: ProbeTarget>(
             // Positional bound: every uncounted shared token exceeds the
             // current collision token (anything smaller in both sets is
             // already a counted prefix collision), so it must live in
-            // both remainders.
-            let rem = (sx - px - 1).min((size - pos - 1) as usize);
+            // both remainders. They share at most min(rx, ry) tokens, and
+            // each bit their bitmaps differ in is set by a token only one
+            // of them holds, so at most (rx + ry − h) / 2.
+            if !have_rest {
+                have_rest = true;
+                rest_x.resize(probe_len, 0);
+                for_each_rest(x, probe_len, |p, _, bits| rest_x[p] = bits);
+            }
+            let (rx, ry) = (sx - px - 1, (size - pos - 1) as usize);
+            let h = (rest_x[px] ^ rest).count_ones() as usize;
+            let rem = rx.min(ry).min((rx + ry - h) / 2);
             if (slot.cnt as usize) + rem < slot.need as usize {
                 slot.cnt = DEAD;
                 killed_by_position += 1;
@@ -545,7 +566,8 @@ pub(crate) fn probe_one<T: ProbeTarget>(
     // collisions and **catches up** first. Postings delivered all before
     // the first window that excluded it and the slot holds the last, so
     // merging the prefix remainders from there finds exactly the withheld
-    // ones, in order, each under stage 2's bound.
+    // ones, in order, each under stage 2's bound (its `min(rx, ry)` form:
+    // no posting, so no bitmap, is in hand there).
     let last_cap = cap(sx - (probe_len - 1));
     'survivors: for &rid in &scratch.touched {
         let st = scratch.slots[rid as usize];
@@ -913,9 +935,10 @@ mod tests {
         assert_eq!(serial.verified, serial.killed_by_suffix + out.len());
         assert_eq!(serial.pairs, out.len());
         assert!(serial.probes > 0 && serial.verify_steps > 0);
-        // The last four as at a575b26, before the verifier collapsed to one
-        // walk. The first two read (4412, 1615) there and at bd9d566: since
-        // the size window narrows, 869 dead at first touch go untouched.
+        // `pairs` as at a575b26, `candidates` as at 0a37532 (4412 before the
+        // size window narrowed). At 0a37532 the middle four read (746, 2341,
+        // 2797, 2943): since stage 2 compares the remainders' bitmaps, all
+        // 2341 that died in the merge die at a collision instead.
         assert_eq!(
             (
                 serial.candidates,
@@ -925,7 +948,7 @@ mod tests {
                 serial.verify_steps,
                 serial.pairs
             ),
-            (3543, 746, 2341, 2797, 2943, 456)
+            (3543, 3087, 0, 456, 324, 456)
         );
         for workers in [1, 4] {
             let (pout, pstats) =
@@ -1017,9 +1040,11 @@ mod tests {
         let coll = TokenizedCollection::build(&left, &right, &tok);
         let measure = SetSimMeasure::OverlapSize(2);
         let (pairs, stats) = join_tokenized_stats(&coll, measure, ProbeSide::Left);
-        // Recorded at the commit before the verifier was collapsed to one
-        // walk, where 504 of these 850 verifications galloped; a linear
-        // walk of the same operands takes 24 344 steps.
+        // `candidates` and `pairs` as at a575b26. At 0a37532 the middle four
+        // read (151, 418, 850, 5055), 703 of the 850 verifications galloped
+        // and a linear walk of the same operands took 24 344 steps. Stage 2's
+        // bitmaps now kill 41 of the non-galloping ones at a collision: 703
+        // of 809 gallop, against 24 129 linear steps.
         assert_eq!(
             (
                 stats.candidates,
@@ -1029,7 +1054,7 @@ mod tests {
                 stats.verify_steps,
                 stats.pairs
             ),
-            (1001, 151, 418, 850, 5055, 432)
+            (1001, 192, 377, 809, 4840, 432)
         );
         assert_eq!(
             pairs,

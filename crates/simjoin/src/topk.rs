@@ -251,18 +251,18 @@ impl ProbeTarget for Raised<'_> {
         lo: usize,
         hi: usize,
         stats: &mut JoinStats,
-        mut f: impl FnMut(u32, u32, u32),
+        mut f: impl FnMut(u32, u32, u32, u32),
     ) {
         // Postings are size-sorted: one prefix length per run of a size.
         let (mut memo_size, mut memo_plen) = (u32::MAX, 0u32);
         self.packed
-            .for_each_posting(tok, lo, hi, stats, |rid, pos, size| {
+            .for_each_posting(tok, lo, hi, stats, |rid, pos, size, rest| {
                 if size != memo_size {
                     memo_size = size;
                     memo_plen = self.bound.prefix_len(size as usize) as u32;
                 }
                 if pos < memo_plen {
-                    f(rid, pos, size);
+                    f(rid, pos, size, rest);
                 }
             });
     }

@@ -286,16 +286,87 @@ impl Lcg {
     }
 }
 
+/// A product title: brand, adjective and kind from small pools plus a
+/// near-unique model number. Both catalogs of a test draw from one list,
+/// so titles pair up; one listing in four drops the adjective, and with
+/// `colours > 0` one in eight adds a colour, so sizes differ.
+fn product(rng: &mut Lcg, colours: usize) -> String {
+    let (brand, adj, kind) = (rng.below(40), rng.below(25), rng.below(30));
+    let adj = if rng.below(4) == 0 {
+        String::new()
+    } else {
+        format!(" adj{adj}")
+    };
+    let title = format!("brand{brand}{adj} kind{kind} m{}", rng.below(1500));
+    if colours > 0 && rng.below(8) == 0 {
+        format!("{title} colour{}", rng.below(colours))
+    } else {
+        title
+    }
+}
+
+/// A Jaccard-0.6 engine seeded with `seeded` titles from `catalog` (sides
+/// alternating), then `ticks` batches of 20 mutations — a quarter inserts,
+/// a quarter deletes, half re-writes — with the live view checked against
+/// the rebuild at the end; returns the engine and the churn's counters.
+fn product_stream(
+    catalog: &[String],
+    rng: &mut Lcg,
+    seeded: usize,
+    ticks: usize,
+) -> (IncrementalJoin, JoinStats) {
+    let tok = WhitespaceTokenizer::new();
+    let cfg = ParConfig::serial();
+    let title = |rng: &mut Lcg| Some(catalog[rng.below(catalog.len())].clone());
+    let mut eng = IncrementalJoin::new(SetSimMeasure::Jaccard(0.6));
+    let seed: Vec<RecordMutation> = (0..seeded)
+        .map(|i| RecordMutation::Insert {
+            side: side_of(i % 2 == 0),
+            text: title(rng),
+        })
+        .collect();
+    eng.apply_batch(&seed, &tok, &cfg);
+
+    let mut churn = JoinStats::default();
+    for _ in 0..ticks {
+        let batch: Vec<RecordMutation> = (0..20)
+            .map(|_| {
+                let side = side_of(rng.below(2) == 0);
+                let rid = rng.below(eng.n_records(side));
+                match rng.below(4) {
+                    0 => RecordMutation::Insert {
+                        side,
+                        text: title(rng),
+                    },
+                    1 => RecordMutation::Delete { side, rid },
+                    _ => RecordMutation::Update {
+                        side,
+                        rid,
+                        text: title(rng),
+                    },
+                }
+            })
+            .collect();
+        let (_, stats) = eng.apply_batch(&batch, &tok, &cfg);
+        churn.merge(&stats);
+    }
+    assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok));
+    (eng, churn)
+}
+
 /// The oracle's text shape does reach every stage it is there to cover:
 /// positional kills, abandoned and completed suffix merges, stale postings
 /// in both levels, tail scans and compactions all occur on a fixed stream.
+/// Its records draw up to 48 words from 40, so remainders fill most of the
+/// 32-bit bitmaps stage 2 compares and candidates still reach the merge
+/// (over 12 words, as at 0a37532, the bitmaps settle every one of them).
 #[test]
 fn oracle_shape_reaches_every_cascade_stage() {
     let tok = WhitespaceTokenizer::new();
     let mut rng = Lcg(29);
     let mut text = move || {
-        let n = 1 + rng.below(12);
-        let toks: Vec<String> = (0..n).map(|_| format!("t{}", rng.below(12))).collect();
+        let n = 1 + rng.below(48);
+        let toks: Vec<String> = (0..n).map(|_| format!("t{}", rng.below(40))).collect();
         (
             Some(toks.join(" ")),
             rng.below(1 << 16) as u16,
@@ -346,55 +417,8 @@ fn delta_probe_is_as_selective_as_the_batch_engine() {
     let tok = WhitespaceTokenizer::new();
     let measure = SetSimMeasure::Jaccard(0.6);
     let mut rng = Lcg(7);
-    // Both catalogs describe products drawn from one list, so titles pair
-    // up; one listing in four drops the adjective, so sizes differ.
-    let mut product = move || {
-        let (brand, adj, kind) = (rng.below(40), rng.below(25), rng.below(30));
-        let adj = if rng.below(4) == 0 {
-            String::new()
-        } else {
-            format!(" adj{adj}")
-        };
-        format!("brand{brand}{adj} kind{kind} m{}", rng.below(1500))
-    };
-    let catalog: Vec<String> = (0..2_400).map(|_| product()).collect();
-    let mut rng = Lcg(11);
-    let title = |rng: &mut Lcg| Some(catalog[rng.below(catalog.len())].clone());
-
-    let cfg = ParConfig::serial();
-    let mut eng = IncrementalJoin::new(measure);
-    let seed: Vec<RecordMutation> = (0..4_000)
-        .map(|i| RecordMutation::Insert {
-            side: side_of(i % 2 == 0),
-            text: title(&mut rng),
-        })
-        .collect();
-    eng.apply_batch(&seed, &tok, &cfg);
-
-    let mut churn = JoinStats::default();
-    for _ in 0..10 {
-        let batch: Vec<RecordMutation> = (0..20)
-            .map(|_| {
-                let side = side_of(rng.below(2) == 0);
-                let rid = rng.below(eng.n_records(side));
-                match rng.below(4) {
-                    0 => RecordMutation::Insert {
-                        side,
-                        text: title(&mut rng),
-                    },
-                    1 => RecordMutation::Delete { side, rid },
-                    _ => RecordMutation::Update {
-                        side,
-                        rid,
-                        text: title(&mut rng),
-                    },
-                }
-            })
-            .collect();
-        let (_, stats) = eng.apply_batch(&batch, &tok, &cfg);
-        churn.merge(&stats);
-    }
-    assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok));
+    let catalog: Vec<String> = (0..2_400).map(|_| product(&mut rng, 0)).collect();
+    let (eng, churn) = product_stream(&catalog, &mut Lcg(11), 4_000, 10);
 
     let (_, batch) =
         set_sim_join_stats(eng.texts(Side::Left), eng.texts(Side::Right), &tok, measure);
@@ -414,4 +438,30 @@ fn delta_probe_is_as_selective_as_the_batch_engine() {
         "the positional filter never fired"
     );
     assert_eq!(churn.candidates, churn.killed_by_position + churn.verified);
+}
+
+/// Count guard on the `stream_churn` shape: 3–5-token product titles at
+/// Jaccard 0.6 (two-token prefixes, so a record sharing either of a probe's
+/// two rarest tokens is a candidate), 6 000 seeded, then 400 mutations in
+/// ticks of 20 — a quarter inserts, a quarter deletes, half re-writes.
+/// `candidates`, `killed_by_size` and `pairs` are the literals recorded at
+/// 0a37532, where the churn verified 8 880 records for those 171 pairs
+/// (52 per pair). With the remainders' bitmaps in stage 2 it verifies 198.
+#[test]
+fn stream_churn_shape_verifies_about_what_it_pairs() {
+    let mut rng = Lcg(2501);
+    let catalog: Vec<String> = (0..6_000).map(|_| product(&mut rng, 12)).collect();
+    let (_, churn) = product_stream(&catalog, &mut rng, 6_000, 20);
+    assert_eq!(churn.candidates, churn.killed_by_position + churn.verified);
+    assert_eq!(churn.verified, churn.killed_by_suffix + churn.pairs);
+    assert_eq!(
+        (churn.candidates, churn.killed_by_size, churn.pairs),
+        (12_016, 5_394, 171)
+    );
+    assert!(
+        2 * churn.verified <= 3 * churn.pairs,
+        "{} records verified for {} pairs",
+        churn.verified,
+        churn.pairs
+    );
 }

@@ -5,10 +5,11 @@
 
 use magellan_par::ParConfig;
 use magellan_simjoin::editjoin::edit_distance_join;
+use magellan_simjoin::index::PrefixIndex;
 use magellan_simjoin::{
     join_tokenized_hashmap, join_tokenized_par_side, join_tokenized_sharded, join_tokenized_stats,
-    set_sim_join, IncrementalJoin, JoinPair, ProbeSide, RecordMutation, SetSimMeasure, Side,
-    TokenizedCollection,
+    join_tokenized_topk, set_sim_join, IncrementalJoin, JoinPair, ProbeSide, RecordMutation,
+    SetSimMeasure, Side, TokenizedCollection,
 };
 use magellan_textsim::seqsim::levenshtein;
 use magellan_textsim::setsim;
@@ -55,18 +56,27 @@ fn naive_set(
 /// `block_heavy` title shape (short sets, two-token prefixes, nearly every
 /// collision with a record that cannot qualify), where a size window that
 /// narrows with the probe position does most of the filtering and a live
-/// candidate has to catch up on the collisions it was denied.
+/// candidate has to catch up on the collisions it was denied. Half are
+/// high-reuse titles — brand, kind and model from pools of three or four,
+/// an adjective three times in four — so records repeat or differ in one
+/// token, and stage 2's remainder bitmaps decide most candidates.
 fn short_records() -> impl Strategy<Value = Vec<Option<String>>> {
+    let words = proptest::collection::vec(0u8..6, 1..=5).prop_map(|toks| {
+        toks.iter()
+            .map(|t| format!("w{t}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    });
+    let titles = (0u8..3, 0u8..4, 0u8..3, 0u8..4).prop_map(|(b, a, k, m)| {
+        let adj = if a == 3 {
+            String::new()
+        } else {
+            format!(" a{a}")
+        };
+        format!("b{b}{adj} k{k} m{m}")
+    });
     proptest::collection::vec(
-        proptest::option::weighted(
-            0.9,
-            proptest::collection::vec(0u8..6, 1..=5).prop_map(|toks| {
-                toks.iter()
-                    .map(|t| format!("w{t}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            }),
-        ),
+        proptest::option::weighted(0.9, prop_oneof![words, titles]),
         1..40,
     )
 }
@@ -112,6 +122,10 @@ fn naive_pairs(
         }
     }
     oracle
+}
+
+fn bits(pairs: &[JoinPair]) -> Vec<(usize, usize, u64)> {
+    pairs.iter().map(|p| (p.l, p.r, p.sim.to_bits())).collect()
 }
 
 proptest! {
@@ -191,9 +205,10 @@ proptest! {
 
     /// The same oracle over [`short_records`]: all four measures × probe
     /// sides × workers {1, 4} × shards {1, 4}, the cascade identities on
-    /// every run, and one mutation sequence (insert everything in three
-    /// batches, then re-write and delete a third of each side) whose live
-    /// view must equal the oracle over the surviving texts.
+    /// every run, top-k bounds against the oracle sorted by similarity,
+    /// and one mutation sequence (insert everything in three batches, then
+    /// re-write and delete a third of each side) whose live view must
+    /// equal the oracle over the surviving texts.
     #[test]
     fn short_records_equal_naive_oracle(left in short_records(), right in short_records()) {
         let tok = WhitespaceTokenizer::new();
@@ -204,6 +219,15 @@ proptest! {
             SetSimMeasure::OverlapSize(2),
         ] {
             let oracle = naive_pairs(&left, &right, measure);
+            let mut ranked = oracle.clone();
+            ranked.sort_by(|x, y| y.sim.total_cmp(&x.sim));
+            for k in [1, 7, ranked.len()] {
+                let (top, js) = join_tokenized_topk(&coll, measure, k, |_, _| true);
+                prop_assert_eq!(bits(&top), bits(&ranked[..k.min(ranked.len())]),
+                    "top-{} {:?}", k, measure);
+                prop_assert_eq!(js.candidates, js.killed_by_position + js.verified);
+                prop_assert_eq!(js.verified, js.killed_by_suffix + js.pairs);
+            }
             for side in [ProbeSide::Auto, ProbeSide::Left, ProbeSide::Right] {
                 for workers in [1usize, 4] {
                     for shards in [1usize, 4] {
@@ -298,23 +322,109 @@ fn short_titles(seed: u64, n: usize) -> Vec<Option<String>> {
         .collect()
 }
 
-/// Count guard for the position-aware size window, on the shape it is
-/// there for. All six counters were recorded at bd9d566, where the window
-/// ended at `hi` for every probe position:
-/// `(8134, 6680, 819, 1454, 2389, 635)`. The four the narrowing must not
-/// move are pinned to those literals — a catch-up that misses a collision
-/// moves `verify_steps` first — and the records touched, 5.6 per record
-/// verified there, stay under 2.
+/// Count guard for the position-aware size window and the remainder
+/// bitmaps, on the shape they are there for. At bd9d566, where the window
+/// ended at `hi` for every probe position, `(candidates, killed_by_position,
+/// killed_by_suffix, verified, verify_steps, pairs)` read
+/// `(8134, 6680, 819, 1454, 2389, 635)`; at 0a37532, with the window
+/// narrowed, `(1474, 20, 819, 1454, 2389, 635)` and `killed_by_size` 7245.
+/// `candidates`, `killed_by_size` and `pairs` are pinned to the 0a37532
+/// literals; stage 2 now compares the remainders' bitmaps, so the 819
+/// records the merge rejected there are rejected at a collision.
 #[test]
 fn short_titles_touch_few_records_they_do_not_verify() {
     let tok = WhitespaceTokenizer::new();
     let coll = TokenizedCollection::build(&short_titles(51, 400), &short_titles(53, 300), &tok);
     let (_, s) = join_tokenized_stats(&coll, SetSimMeasure::Jaccard(0.7), ProbeSide::Auto);
+    assert_eq!((s.candidates, s.killed_by_size, s.pairs), (1474, 7245, 635));
     assert_eq!(
-        (s.killed_by_suffix, s.verified, s.verify_steps, s.pairs),
-        (819, 1454, 2389, 635)
+        (
+            s.killed_by_position,
+            s.killed_by_suffix,
+            s.verified,
+            s.verify_steps
+        ),
+        (839, 0, 635, 1389)
     );
-    // 6 660 records dead at first touch are no longer touched.
-    assert_eq!((s.candidates, s.killed_by_position), (1474, 20));
-    assert!(s.candidates < 2 * s.verified);
+    assert!(10 * s.verified <= 11 * s.pairs);
+}
+
+/// The bit token `t` sets in a remainder bitmap, as `Posting::rest`
+/// documents it.
+fn bit(t: u32) -> u32 {
+    1 << (t.wrapping_mul(0x9E37_79B9) >> 27)
+}
+
+/// A sorted id set of one class: 0 small ids, 1 ids that all set one bit,
+/// 2 small ids plus one larger id per bit (remainders that fill all 32),
+/// 3 keys near `u32::MAX` (the incremental tier's `u32::MAX − id` order).
+fn id_set(class: u8, raw: &[u32]) -> Vec<u32> {
+    let one_bit: Vec<u32> = (0..).filter(|&t| bit(t) == 1).take(64).collect();
+    let mut set: Vec<u32> = raw
+        .iter()
+        .map(|&r| match class {
+            1 => one_bit[r as usize],
+            3 => u32::MAX - r,
+            _ => r,
+        })
+        .collect();
+    if class == 2 {
+        let mut seen = 0u32;
+        for t in 1_000.. {
+            if seen & bit(t) == 0 {
+                seen |= bit(t);
+                set.push(t);
+            }
+            if seen == u32::MAX {
+                break;
+            }
+        }
+    }
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
+/// Each position's remainder bitmap, as an index over the set stores it.
+fn rests(set: &[u32]) -> Vec<u32> {
+    let Some(&base) = set.first() else {
+        return Vec::new();
+    };
+    let idx = PrefixIndex::build(&[set.to_vec()], base, |n| n);
+    set.iter().map(|&t| idx.postings(t)[0].rest).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Stage 2's remainder bound on sorted id sets: every posting carries
+    /// the documented bitmap of the tokens after it, and at every collision
+    /// `x[px] == y[py]` the two bitmaps differ in `h ≤ rx + ry` bits and the
+    /// remainders share at most `(rx + ry − h) / 2` tokens, empty
+    /// remainders (`rx = 0` or `ry = 0`) included.
+    #[test]
+    fn remainder_bitmap_bound_holds_at_every_collision(
+        class in 0u8..4,
+        a in proptest::collection::vec(0u32..64, 0..48),
+        b in proptest::collection::vec(0u32..64, 0..48),
+    ) {
+        let (x, y) = (id_set(class, &a), id_set(class, &b));
+        let (bx, by) = (rests(&x), rests(&y));
+        for (set, rest) in [(&x, &bx), (&y, &by)] {
+            for (p, &r) in rest.iter().enumerate() {
+                prop_assert_eq!(r, set[p + 1..].iter().fold(0, |m, &t| m | bit(t)));
+            }
+        }
+        for (px, py) in (0..x.len()).flat_map(|px| (0..y.len()).map(move |py| (px, py))) {
+            if x[px] != y[py] {
+                continue;
+            }
+            let (rx, ry) = (x.len() - px - 1, y.len() - py - 1);
+            let h = (bx[px] ^ by[py]).count_ones() as usize;
+            let shared = x[px + 1..].iter().filter(|t| y[py + 1..].binary_search(t).is_ok()).count();
+            prop_assert!(h <= rx + ry, "class {} h={} rx={} ry={}", class, h, rx, ry);
+            prop_assert!(shared <= (rx + ry - h) / 2,
+                "class {} at ({}, {}): {} shared, bound {}", class, px, py, shared, (rx + ry - h) / 2);
+        }
+    }
 }
