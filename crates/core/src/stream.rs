@@ -36,8 +36,6 @@
 //! [`StreamSession::restore_from_text`] and replays the remaining
 //! [`magellan_faults::StreamPlan`] suffix to the identical view.
 
-use std::collections::BTreeMap;
-
 use magellan_faults::{SimClock, StreamOp, StreamPlan};
 use magellan_features::{Feature, StreamingPreparedPair};
 use magellan_ml::FlatForest;
@@ -116,16 +114,19 @@ pub struct StreamBatchReport {
 ///
 /// Owns the delta join engine, the streaming feature store (two
 /// single-attribute `(id, text)` tables), a flattened random forest, and
-/// the score map. See the module docs for the determinism contract.
+/// the candidates' scores. See the module docs for the determinism contract.
 pub struct StreamSession {
     engine: IncrementalJoin,
     tokenizer: AlphanumericTokenizer,
     store: StreamingPreparedPair,
     features: Vec<Feature>,
     forest: FlatForest,
-    scores: BTreeMap<(usize, usize), f64>,
-    /// Scores at or above `threshold`, kept in step with every insert,
-    /// replace and removal so a tick never walks `scores` to count them.
+    /// Model score of every live candidate, laid out like the engine's
+    /// view: left rid → `(right rid, probability)`, unsorted (readers
+    /// sort), so retiring a pair scans one record's few partners.
+    scores: Vec<Vec<(u32, f64)>>,
+    /// Scores at or above `threshold`, kept in step with every insert
+    /// and removal so a tick never walks `scores` to count them.
     live_matches: usize,
     threshold: f64,
     par: ParConfig,
@@ -159,7 +160,7 @@ impl StreamSession {
             store: StreamingPreparedPair::new(a, b),
             features,
             forest,
-            scores: BTreeMap::new(),
+            scores: Vec::new(),
             live_matches: 0,
             threshold,
             par,
@@ -186,17 +187,31 @@ impl StreamSession {
     /// The live matched view: `(left rid, right rid) → probability` for
     /// every candidate whose score clears the threshold, sorted by pair.
     pub fn matched_pairs(&self) -> Vec<((usize, usize), f64)> {
-        self.scores
-            .iter()
-            .filter(|(_, &p)| p >= self.threshold)
-            .map(|(&k, &p)| (k, p))
-            .collect()
+        let mut out = self.sorted_scores();
+        out.retain(|&(_, p)| p >= self.threshold);
+        out
     }
 
     /// Number of live matched pairs, counted by a walk over every score
     /// (a tick reports the running count instead).
     pub fn n_matches(&self) -> usize {
-        self.scores.values().filter(|&&p| p >= self.threshold).count()
+        self.scores
+            .iter()
+            .flatten()
+            .filter(|&&(_, p)| p >= self.threshold)
+            .count()
+    }
+
+    /// Every score, `(l, r)`-sorted: each left record's list sorted on
+    /// read.
+    fn sorted_scores(&self) -> Vec<((usize, usize), f64)> {
+        let mut out = Vec::with_capacity(self.engine.n_live_pairs());
+        for (l, partners) in self.scores.iter().enumerate() {
+            let from = out.len();
+            out.extend(partners.iter().map(|&(r, p)| ((l, r as usize), p)));
+            out[from..].sort_unstable_by_key(|&(k, _)| k);
+        }
+        out
     }
 
     /// The underlying delta join engine (generations, pause telemetry).
@@ -254,13 +269,17 @@ impl StreamSession {
         // 3. Retire dead scores (the engine's live view already is the
         //    patched candidate set).
         let patch_span = magellan_obs::span("patch_candidates", 0);
+        self.scores
+            .resize_with(self.engine.n_records(Side::Left), Vec::new);
         let mut dirty: Vec<(usize, usize)> = Vec::new();
         let mut pairs_removed = 0;
         for d in &deltas {
-            match d {
+            match *d {
                 PairDelta::Removed { l, r } => {
                     pairs_removed += 1;
-                    if let Some(p) = self.scores.remove(&(*l, *r)) {
+                    let partners = &mut self.scores[l];
+                    if let Some(at) = partners.iter().position(|&(x, _)| x as usize == r) {
+                        let (_, p) = partners.swap_remove(at);
                         self.live_matches -= usize::from(p >= self.threshold);
                     }
                 }
@@ -283,11 +302,11 @@ impl StreamSession {
                 .copied()
                 .zip(matrix.rows)
                 .collect();
+            // `Removed` precedes `Added` in a batch's deltas, so no dirty
+            // pair still holds a score.
             for ((l, r), p) in self.forest.rescore_dirty(&keyed, &self.par) {
                 self.live_matches += usize::from(p >= self.threshold);
-                if let Some(old) = self.scores.insert((l, r), p) {
-                    self.live_matches -= usize::from(old >= self.threshold);
-                }
+                self.scores[l].push((r as u32, p));
             }
         }
         drop(rescore_span);
@@ -468,8 +487,9 @@ impl StreamSession {
         for p in &live {
             out.push_str(&format!("{} {} {:016x}\n", p.l, p.r, p.sim.to_bits()));
         }
-        out.push_str(&format!("scores {}\n", self.scores.len()));
-        for (&(l, r), &p) in &self.scores {
+        let scores = self.sorted_scores();
+        out.push_str(&format!("scores {}\n", scores.len()));
+        for ((l, r), p) in scores {
             out.push_str(&format!("{l} {r} {:016x}\n", p.to_bits()));
         }
         out.push_str("end\n");
@@ -579,6 +599,20 @@ impl StreamSession {
             }
         }
 
+        // What the engine and the score lists index by rid must be what
+        // `checkpoint_text` writes, or the restore would panic or keep a
+        // pair twice.
+        check_live(&live, &left_texts, &right_texts)?;
+        if !live
+            .iter()
+            .map(|&(l, r, _)| (l, r))
+            .eq(scores.iter().map(|&(l, r, _)| (l, r)))
+        {
+            return Err(stream_corrupt(
+                "the `scores` pairs differ from the `live` pairs",
+            ));
+        }
+
         let tokenizer = AlphanumericTokenizer::as_set();
         let live_pairs: Vec<JoinPair> = live
             .iter()
@@ -613,24 +647,56 @@ impl StreamSession {
             ])
             .map_err(MagellanError::Table)?;
         }
-        let scores: BTreeMap<(usize, usize), f64> = scores
-            .into_iter()
-            .map(|(l, r, bits)| ((l, r), f64::from_bits(bits)))
-            .collect();
+        let mut score_lists: Vec<Vec<(u32, f64)>> = vec![Vec::new(); left_texts.len()];
+        let mut live_matches = 0;
+        for (l, r, bits) in scores {
+            let p = f64::from_bits(bits);
+            live_matches += usize::from(p >= threshold);
+            score_lists[l].push((r as u32, p));
+        }
         Ok(StreamSession {
             engine,
             tokenizer,
             store: StreamingPreparedPair::new(a, b),
             features,
             forest,
-            live_matches: scores.values().filter(|&&p| p >= threshold).count(),
-            scores,
+            scores: score_lists,
+            live_matches,
             threshold,
             par,
             batches,
             ops,
         })
     }
+}
+
+/// A checkpointed live view is what `checkpoint_text` writes: strictly
+/// `(l, r)`-ascending pairs of records that exist and are not null.
+fn check_live(
+    live: &[(usize, usize, u64)],
+    left: &[Option<String>],
+    right: &[Option<String>],
+) -> Result<(), MagellanError> {
+    for (i, &(l, r, _)) in live.iter().enumerate() {
+        if l >= left.len() || r >= right.len() {
+            return Err(stream_corrupt(format!(
+                "live pair ({l}, {r}) is outside {} x {} records",
+                left.len(),
+                right.len()
+            )));
+        }
+        if i > 0 && (live[i - 1].0, live[i - 1].1) >= (l, r) {
+            return Err(stream_corrupt(format!(
+                "live pairs are not strictly ascending at ({l}, {r})"
+            )));
+        }
+        if left[l].is_none() || right[r].is_none() {
+            return Err(stream_corrupt(format!(
+                "live pair ({l}, {r}) has a null record"
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn hex_to_string(hex: &str) -> Result<String, MagellanError> {
@@ -858,22 +924,142 @@ mod tests {
         assert_eq!(s.matched_pairs().len(), 1);
     }
 
+    /// `emstream v1` bytes are pinned: the FNV-1a digest of
+    /// `checkpoint_text()` after a fixed churn, recorded at 5a5d677, where
+    /// the scores sat in a `BTreeMap` and the engine's view in another.
+    /// However the live state is laid out, the text sorts it the same way.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let s = churned();
+        let text = s.checkpoint_text();
+        let digest = crate::checkpoint::fnv1a(text.as_bytes());
+        assert_eq!(
+            (s.n_candidates(), s.n_matches(), text.len(), digest),
+            (84, 19, 7_361, 0x7829_5930_7ee6_7fe0)
+        );
+        assert_eq!(restore(&text).unwrap().checkpoint_text(), text);
+    }
+
+    /// 40 batches of 8 over a 14-word vocabulary: dozens of live pairs.
+    fn churned() -> StreamSession {
+        let mut s = session(1);
+        let plan = StreamPlan::churn(41);
+        let gen = TextGen {
+            vocab: 14,
+            min_tokens: 4,
+            max_tokens: 7,
+        };
+        let mut clock = SimClock::new();
+        for _ in 0..40 {
+            s.run_plan_batch(&plan, &gen, 8, &mut clock, 1.0).unwrap();
+        }
+        s
+    }
+
+    fn restore(text: &str) -> Result<StreamSession, MagellanError> {
+        StreamSession::restore_from_text(
+            text,
+            SetSimMeasure::Jaccard(0.4),
+            stream_features(),
+            fixture_forest(3),
+            0.5,
+            ParConfig::serial(),
+        )
+    }
+
+    /// Restore checks what it indexes by rid. Each edit below is re-sealed
+    /// with a fresh checksum, so the trailer cannot be what rejects it.
+    #[test]
+    fn restore_rejects_pair_lists_it_could_not_index() {
+        let good = churned().checkpoint_text();
+        let reseal = |edit: &dyn Fn(&mut Vec<String>)| {
+            let payload = verify_checksum(&good).unwrap();
+            let mut lines: Vec<String> = payload.lines().map(str::to_owned).collect();
+            edit(&mut lines);
+            let mut text = lines.join("\n") + "\n";
+            append_checksum(&mut text);
+            text
+        };
+        assert_eq!(reseal(&|_| {}), good);
+        let header = |lines: &[String], tag: &str| {
+            let prefix = format!("{tag} ");
+            let at = lines.iter().position(|l| l.starts_with(&prefix)).unwrap();
+            (at, lines[at][prefix.len()..].parse::<usize>().unwrap())
+        };
+        // Point rid field `i` of the first pair under `tag` one past the
+        // last record counted by the `texts` header.
+        let past_the_end = |tag: &'static str, i: usize, texts: &'static str| {
+            move |lines: &mut Vec<String>| {
+                let at = header(lines, tag).0 + 1;
+                let mut f: Vec<String> = lines[at].split(' ').map(str::to_owned).collect();
+                f[i] = header(lines, texts).1.to_string();
+                lines[at] = f.join(" ");
+            }
+        };
+        // Repeat the first pair under `tag`, counting it in the header.
+        let repeat_first = |tag: &'static str| {
+            move |lines: &mut Vec<String>| {
+                let (at, n) = header(lines, tag);
+                lines[at] = format!("{tag} {}", n + 1);
+                let dup = lines[at + 1].clone();
+                lines.insert(at + 1, dup);
+            }
+        };
+        type Edit<'a> = Box<dyn Fn(&mut Vec<String>) + 'a>;
+        let cases: Vec<(&str, Edit)> = vec![
+            ("outside", Box::new(past_the_end("live", 0, "ltexts"))),
+            ("outside", Box::new(past_the_end("live", 1, "rtexts"))),
+            ("differ", Box::new(past_the_end("scores", 0, "ltexts"))),
+            (
+                "not strictly ascending",
+                Box::new(|lines: &mut Vec<String>| {
+                    let at = header(lines, "live").0;
+                    lines.swap(at + 1, at + 2);
+                }),
+            ),
+            ("not strictly ascending", Box::new(repeat_first("live"))),
+            ("differ", Box::new(repeat_first("scores"))),
+            (
+                "null record",
+                Box::new(|lines: &mut Vec<String>| {
+                    let (live, _) = header(lines, "live");
+                    let l: usize = lines[live + 1].split(' ').next().unwrap().parse().unwrap();
+                    let (texts, _) = header(lines, "ltexts");
+                    lines[texts + 1 + l] = "t -".to_owned();
+                }),
+            ),
+            (
+                "differ",
+                Box::new(|lines: &mut Vec<String>| {
+                    let (at, n) = header(lines, "scores");
+                    lines[at] = format!("scores {}", n - 1);
+                    lines.remove(at + 1);
+                }),
+            ),
+        ];
+        for (expect, edit) in &cases {
+            match restore(&reseal(edit.as_ref())) {
+                Err(MagellanError::Checkpoint {
+                    message,
+                    transient: false,
+                }) => {
+                    assert!(
+                        message.contains(expect),
+                        "expected `{expect}`, got `{message}`"
+                    );
+                }
+                Err(e) => panic!("expected a checkpoint error `{expect}`, got {e:?}"),
+                Ok(_) => panic!("an edit the restore should reject (`{expect}`) went through"),
+            }
+        }
+    }
+
     /// Corruption in any checkpoint section is a fatal, precise error.
     #[test]
     fn corrupt_checkpoints_are_fatal() {
         let mut s = session(1);
         drive(&mut s, 5, 3, 5);
         let good = s.checkpoint_text();
-        let restore = |t: &str| {
-            StreamSession::restore_from_text(
-                t,
-                SetSimMeasure::Jaccard(0.4),
-                stream_features(),
-                fixture_forest(3),
-                0.5,
-                ParConfig::serial(),
-            )
-        };
         assert!(restore(&good).is_ok());
         assert!(restore("").is_err());
         assert!(restore("emckpt v1\n").is_err());

@@ -63,8 +63,23 @@
 //! then its tail list minus generation mismatches. A live record has its
 //! current version in exactly one of the two, so it contributes at most
 //! one posting per token, which is all the cascade's counters rely on.
+//!
+//! ## Live view
+//!
+//! Rids are dense and never reused, so the view needs no map: it is one
+//! partner list per left rid, `(right rid, similarity)`, with a list of
+//! left partners per right rid beside it, both vectors growing by one
+//! empty list per insert. A batch's `Removed` set is its touched records'
+//! lists: each touched left list is drained (every partner unlinks it
+//! from its own list by `swap_remove`), then each touched right list, which
+//! by then holds only pairs whose left end was untouched, so a pair with
+//! both ends re-written is emitted once. The removed pairs are sorted once
+//! and the added ones pushed onto the lists. A record has a handful of
+//! partners, so the lists stay unsorted and [`IncrementalJoin::live_pairs`]
+//! sorts each on read — the cold path of checkpoints and oracles, never a
+//! tick.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -162,6 +177,10 @@ struct SideState {
 impl SideState {
     /// Append a record and return its rid.
     fn push(&mut self, text: Option<String>, tokens: Vec<u32>) -> usize {
+        assert!(
+            self.texts.len() < u32::MAX as usize,
+            "postings and partner lists store rids as u32"
+        );
         self.n_alive += usize::from(text.is_some());
         self.texts.push(text);
         self.tokens.push(tokens);
@@ -361,13 +380,14 @@ pub struct IncrementalJoin {
     /// Standing index over the **right** records (probed by new/changed
     /// left records).
     right_index: SideIndex,
-    /// The live qualifying-pair view: `(l, r) → exact similarity`.
-    live: BTreeMap<(usize, usize), f64>,
-    /// Adjacency: left rid → right partners (for O(pairs-of-record)
-    /// removal, the "restrict work to affected neighborhoods" shape).
-    by_left: HashMap<usize, BTreeSet<usize>>,
-    /// Adjacency: right rid → left partners.
-    by_right: HashMap<usize, BTreeSet<usize>>,
+    /// The live view, left-major: left rid → `(right partner, exact
+    /// similarity)` for every qualifying pair, in no particular order.
+    by_left: Vec<Vec<(u32, f64)>>,
+    /// Right rid → left partners: the same pairs from the other end, so a
+    /// mutated right record finds its pairs without a scan.
+    by_right: Vec<Vec<u32>>,
+    /// Number of pairs in the live view.
+    n_live: usize,
     compaction_threshold: f64,
     /// Wall-clock pause of every compaction so far (bench: pause p99).
     compaction_pauses: Vec<Duration>,
@@ -384,9 +404,9 @@ impl IncrementalJoin {
             right: SideState::default(),
             left_index: SideIndex::default(),
             right_index: SideIndex::default(),
-            live: BTreeMap::new(),
-            by_left: HashMap::new(),
-            by_right: HashMap::new(),
+            by_left: Vec::new(),
+            by_right: Vec::new(),
+            n_live: 0,
             compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
             compaction_pauses: Vec::new(),
         }
@@ -444,17 +464,26 @@ impl IncrementalJoin {
     }
 
     /// The live view as `(l, r)`-sorted pairs — the same shape (and, by
-    /// the determinism contract, the same bits) as the batch join.
+    /// the determinism contract, the same bits) as the batch join. Each
+    /// record's partner list is sorted here, on read: O(view), for
+    /// checkpoints and oracles, not for a tick.
     pub fn live_pairs(&self) -> Vec<JoinPair> {
-        self.live
-            .iter()
-            .map(|(&(l, r), &sim)| JoinPair { l, r, sim })
-            .collect()
+        let mut out = Vec::with_capacity(self.n_live);
+        for (l, partners) in self.by_left.iter().enumerate() {
+            let from = out.len();
+            out.extend(partners.iter().map(|&(r, sim)| JoinPair {
+                l,
+                r: r as usize,
+                sim,
+            }));
+            out[from..].sort_unstable_by_key(|p| p.r);
+        }
+        out
     }
 
     /// Number of live qualifying pairs.
     pub fn n_live_pairs(&self) -> usize {
-        self.live.len()
+        self.n_live
     }
 
     /// Wall-clock pauses of all compactions so far, in event order.
@@ -473,6 +502,12 @@ impl IncrementalJoin {
     /// view (exact `f64` bits), and the per-side index generations. The
     /// indexes are re-packed from the records (layout is not part of the
     /// contract); the generations are pinned to the stored values.
+    ///
+    /// # Panics
+    ///
+    /// If `live` is not strictly `(l, r)`-ascending or names a rid whose
+    /// text is missing or `None` — what [`IncrementalJoin::live_pairs`]
+    /// returns never is; a caller restoring untrusted input checks first.
     pub fn restore(
         measure: SetSimMeasure,
         tokenizer: &dyn Tokenizer,
@@ -489,12 +524,38 @@ impl IncrementalJoin {
         eng.right_index.compact(&eng.right, measure);
         eng.left_index.generation = left_generation;
         eng.right_index.generation = right_generation;
-        for p in live {
-            eng.live.insert((p.l, p.r), p.sim);
-            eng.by_left.entry(p.l).or_default().insert(p.r);
-            eng.by_right.entry(p.r).or_default().insert(p.l);
+        eng.grow_view();
+        for (i, p) in live.iter().enumerate() {
+            assert!(
+                i == 0 || (live[i - 1].l, live[i - 1].r) < (p.l, p.r),
+                "restored view is not strictly (l, r)-ascending at ({}, {})",
+                p.l,
+                p.r
+            );
+            let alive =
+                |texts: &[Option<String>], rid: usize| texts.get(rid).is_some_and(Option::is_some);
+            assert!(
+                alive(&eng.left.texts, p.l) && alive(&eng.right.texts, p.r),
+                "restored pair ({}, {}) names a missing or null record",
+                p.l,
+                p.r
+            );
+            eng.link(p);
         }
         eng
+    }
+
+    /// One empty partner list per record ever inserted, on each side.
+    fn grow_view(&mut self) {
+        self.by_left.resize_with(self.left.texts.len(), Vec::new);
+        self.by_right.resize_with(self.right.texts.len(), Vec::new);
+    }
+
+    /// Add a qualifying pair to the live view (it must not be there yet).
+    fn link(&mut self, p: &JoinPair) {
+        self.by_left[p.l].push((p.r as u32, p.sim));
+        self.by_right[p.r].push(p.l as u32);
+        self.n_live += 1;
     }
 
     fn restore_side(
@@ -530,8 +591,8 @@ impl IncrementalJoin {
 
         // Phase 1: apply the record mutations, tombstoning superseded
         // postings and pushing the new versions into the tail overlays.
-        let mut touched_left: BTreeSet<usize> = BTreeSet::new();
-        let mut touched_right: BTreeSet<usize> = BTreeSet::new();
+        let mut touched_left: Vec<usize> = Vec::new();
+        let mut touched_right: Vec<usize> = Vec::new();
         for op in batch {
             let (side, rid, text, is_insert) = match op {
                 RecordMutation::Insert { side, text } => (*side, usize::MAX, text.clone(), true),
@@ -572,31 +633,33 @@ impl IncrementalJoin {
             if !state.tokens[rid].is_empty() {
                 index.push_tail(rid, state, self.measure);
             }
-            touched.insert(rid);
+            touched.push(rid);
         }
+        for touched in [&mut touched_left, &mut touched_right] {
+            touched.sort_unstable();
+            touched.dedup();
+        }
+        self.grow_view();
 
         // Phase 2: `Removed` deltas — every pre-batch live pair touching
-        // a mutated record, straight off the adjacency (no index scan).
-        let mut removed: BTreeSet<(usize, usize)> = BTreeSet::new();
+        // a mutated record, straight off the partner lists (no index
+        // scan). The left pass unlinks what it drains, so the right pass
+        // meets only pairs whose left end was untouched: each pair once.
+        let mut removed: Vec<(usize, usize)> = Vec::new();
         for &l in &touched_left {
-            if let Some(rs) = self.by_left.get(&l) {
-                removed.extend(rs.iter().map(|&r| (l, r)));
+            for (r, _) in self.by_left[l].drain(..) {
+                unlink(&mut self.by_right[r as usize], |&x| x as usize == l);
+                removed.push((l, r as usize));
             }
         }
         for &r in &touched_right {
-            if let Some(ls) = self.by_right.get(&r) {
-                removed.extend(ls.iter().map(|&l| (l, r)));
+            for l in self.by_right[r].drain(..) {
+                unlink(&mut self.by_left[l as usize], |&(x, _)| x as usize == r);
+                removed.push((l as usize, r));
             }
         }
-        for &(l, r) in &removed {
-            self.live.remove(&(l, r));
-            if let Some(s) = self.by_left.get_mut(&l) {
-                s.remove(&r);
-            }
-            if let Some(s) = self.by_right.get_mut(&r) {
-                s.remove(&l);
-            }
-        }
+        removed.sort_unstable();
+        self.n_live -= removed.len();
 
         // Phase 3: `Added` deltas — probe the surviving touched records
         // against the opposing standing index (CSR + tail). Touched-right
@@ -645,9 +708,7 @@ impl IncrementalJoin {
         added.sort_unstable_by_key(|p| (p.l, p.r));
 
         for p in &added {
-            self.live.insert((p.l, p.r), p.sim);
-            self.by_left.entry(p.l).or_default().insert(p.r);
-            self.by_right.entry(p.r).or_default().insert(p.l);
+            self.link(p);
         }
 
         // Phase 4: compaction check. Compaction is a pure layout event —
@@ -692,6 +753,16 @@ impl IncrementalJoin {
         deltas.extend(added.into_iter().map(PairDelta::Added));
         (deltas, stats)
     }
+}
+
+/// Drop the one entry of a partner list that `is_it` picks (order is not
+/// kept: the lists are sorted on read).
+fn unlink<T>(list: &mut Vec<T>, is_it: impl Fn(&T) -> bool) {
+    let at = list
+        .iter()
+        .position(is_it)
+        .expect("the live view's partner lists name each pair from both ends");
+    list.swap_remove(at);
 }
 
 /// Probe a list of new/changed records against the opposing standing
@@ -745,6 +816,8 @@ fn probe_batch(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use magellan_textsim::tokenize::WhitespaceTokenizer;
 
@@ -810,6 +883,123 @@ mod tests {
                 assert_eq!(eng.n_alive(side), scanned, "{measure:?} {side:?}");
             }
         }
+    }
+
+    fn update(side: Side, rid: usize, text: &str) -> RecordMutation {
+        RecordMutation::Update {
+            side,
+            rid,
+            text: Some(text.to_owned()),
+        }
+    }
+
+    type Pairs = Vec<(usize, usize)>;
+
+    /// A batch's deltas as its `Removed` and its `Added` pairs.
+    fn split(deltas: &[PairDelta]) -> (Pairs, Pairs) {
+        let (mut removed, mut added) = (Vec::new(), Vec::new());
+        for d in deltas {
+            match *d {
+                PairDelta::Removed { l, r } => removed.push((l, r)),
+                PairDelta::Added(p) => added.push((p.l, p.r)),
+            }
+        }
+        (removed, added)
+    }
+
+    /// The removal walk empties touched left records' lists first, so a
+    /// pair with both ends re-written is found from the left only: one
+    /// `Removed`, and the batch's `Removed`s come out `(l, r)`-ascending
+    /// whichever end found them.
+    #[test]
+    fn removal_walk_emits_each_pair_once_in_order() {
+        let tok = WhitespaceTokenizer::new();
+        let cfg = ParConfig::serial();
+        let mut eng = IncrementalJoin::new(SetSimMeasure::Jaccard(0.5));
+        let seed: Vec<RecordMutation> = [Side::Left, Side::Right]
+            .into_iter()
+            .cycle()
+            .take(6)
+            .map(|side| ins(side, "a b c"))
+            .collect();
+        eng.apply_batch(&seed, &tok, &cfg);
+        assert_eq!(eng.n_live_pairs(), 9);
+        // Right 2 and left 1 move to a text only they share, so (1, 2) has
+        // both ends touched; right 0 moves to one nobody shares. Only the
+        // right pass finds (0, 0), (0, 2), (2, 0) and (2, 2).
+        let (deltas, stats) = eng.apply_batch(
+            &[
+                update(Side::Right, 2, "x y"),
+                update(Side::Left, 1, "x y"),
+                update(Side::Right, 0, "p q"),
+            ],
+            &tok,
+            &cfg,
+        );
+        let (removed, added) = split(&deltas);
+        assert_eq!(
+            removed,
+            [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2)]
+        );
+        assert_eq!(removed.iter().filter(|&&p| p == (1, 2)).count(), 1);
+        assert!(removed.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(stats.delta_pairs_removed, removed.len());
+        assert_eq!(added, [(1, 2)]);
+        assert_eq!(eng.n_live_pairs(), 3);
+        assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok));
+    }
+
+    /// A rid re-written twice in one batch loses its old pairs once, and
+    /// only its last version pairs.
+    #[test]
+    fn a_rid_rewritten_twice_in_a_batch_is_walked_once() {
+        let tok = WhitespaceTokenizer::new();
+        let cfg = ParConfig::serial();
+        let mut eng = IncrementalJoin::new(SetSimMeasure::Jaccard(0.5));
+        eng.apply_batch(
+            &[
+                ins(Side::Left, "a b c"),
+                ins(Side::Right, "a b c"),
+                ins(Side::Right, "d e f"),
+            ],
+            &tok,
+            &cfg,
+        );
+        let (deltas, _) = eng.apply_batch(
+            &[
+                update(Side::Left, 0, "d e f"),
+                update(Side::Left, 0, "a b c"),
+            ],
+            &tok,
+            &cfg,
+        );
+        assert_eq!(split(&deltas), (vec![(0, 0)], vec![(0, 0)]));
+        assert_eq!(eng.n_live_pairs(), 1);
+        assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok));
+    }
+
+    /// A record inserted and deleted in the same batch never joins the
+    /// view, so the batch emits nothing.
+    #[test]
+    fn insert_then_delete_in_one_batch_emits_nothing() {
+        let tok = WhitespaceTokenizer::new();
+        let cfg = ParConfig::serial();
+        let mut eng = IncrementalJoin::new(SetSimMeasure::Jaccard(0.5));
+        eng.apply_batch(
+            &[ins(Side::Left, "a b c"), ins(Side::Right, "a b c")],
+            &tok,
+            &cfg,
+        );
+        let delete = RecordMutation::Delete {
+            side: Side::Right,
+            rid: 1,
+        };
+        let (deltas, stats) = eng.apply_batch(&[ins(Side::Right, "a b c"), delete], &tok, &cfg);
+        assert!(deltas.is_empty(), "{deltas:?}");
+        assert_eq!((stats.delta_pairs_added, stats.delta_pairs_removed), (0, 0));
+        assert_eq!(eng.n_live_pairs(), 1);
+        assert_eq!((eng.n_records(Side::Right), eng.n_alive(Side::Right)), (2, 1));
+        assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok));
     }
 
     /// Latest-first-seen first: a never-seen token sorts before every

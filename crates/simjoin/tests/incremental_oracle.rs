@@ -307,13 +307,15 @@ fn product(rng: &mut Lcg, colours: usize) -> String {
 
 /// A Jaccard-0.6 engine seeded with `seeded` titles from `catalog` (sides
 /// alternating), then `ticks` batches of 20 mutations — a quarter inserts,
-/// a quarter deletes, half re-writes — with the live view checked against
-/// the rebuild at the end; returns the engine and the churn's counters.
+/// a quarter deletes, half re-writes — each batch's deltas handed to
+/// `on_tick`, with the live view checked against the rebuild at the end;
+/// returns the engine and the churn's counters.
 fn product_stream(
     catalog: &[String],
     rng: &mut Lcg,
     seeded: usize,
     ticks: usize,
+    mut on_tick: impl FnMut(&[PairDelta]),
 ) -> (IncrementalJoin, JoinStats) {
     let tok = WhitespaceTokenizer::new();
     let cfg = ParConfig::serial();
@@ -347,7 +349,8 @@ fn product_stream(
                 }
             })
             .collect();
-        let (_, stats) = eng.apply_batch(&batch, &tok, &cfg);
+        let (deltas, stats) = eng.apply_batch(&batch, &tok, &cfg);
+        on_tick(&deltas);
         churn.merge(&stats);
     }
     assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok));
@@ -418,7 +421,7 @@ fn delta_probe_is_as_selective_as_the_batch_engine() {
     let measure = SetSimMeasure::Jaccard(0.6);
     let mut rng = Lcg(7);
     let catalog: Vec<String> = (0..2_400).map(|_| product(&mut rng, 0)).collect();
-    let (eng, churn) = product_stream(&catalog, &mut Lcg(11), 4_000, 10);
+    let (eng, churn) = product_stream(&catalog, &mut Lcg(11), 4_000, 10, |_| {});
 
     let (_, batch) =
         set_sim_join_stats(eng.texts(Side::Left), eng.texts(Side::Right), &tok, measure);
@@ -451,7 +454,7 @@ fn delta_probe_is_as_selective_as_the_batch_engine() {
 fn stream_churn_shape_verifies_about_what_it_pairs() {
     let mut rng = Lcg(2501);
     let catalog: Vec<String> = (0..6_000).map(|_| product(&mut rng, 12)).collect();
-    let (_, churn) = product_stream(&catalog, &mut rng, 6_000, 20);
+    let (_, churn) = product_stream(&catalog, &mut rng, 6_000, 20, |_| {});
     assert_eq!(churn.candidates, churn.killed_by_position + churn.verified);
     assert_eq!(churn.verified, churn.killed_by_suffix + churn.pairs);
     assert_eq!(
@@ -463,5 +466,85 @@ fn stream_churn_shape_verifies_about_what_it_pairs() {
         "{} records verified for {} pairs",
         churn.verified,
         churn.pairs
+    );
+}
+
+/// The delta stream itself is pinned, not only its counts: 1 000 ticks of
+/// the `stream_churn` shape, every tick's `PairDelta`s (kind, position,
+/// pair, similarity bits) and then every field of the summed `JoinStats`
+/// folded into one FNV-1a digest. The literals were recorded at 5a5d677,
+/// where the live view was a `BTreeMap` beside two `HashMap<usize,
+/// BTreeSet>` adjacencies; how the view is stored must not move them.
+#[test]
+fn churn_delta_stream_digest_is_pinned() {
+    let mut rng = Lcg(2611);
+    let catalog: Vec<String> = (0..6_000).map(|_| product(&mut rng, 12)).collect();
+    let mut bytes: Vec<u8> = Vec::new();
+    let mut removed = 0usize;
+    let word = |x: u64, bytes: &mut Vec<u8>| bytes.extend_from_slice(&x.to_le_bytes());
+    let (eng, churn) = product_stream(&catalog, &mut rng, 6_000, 1_000, |deltas| {
+        word(deltas.len() as u64, &mut bytes);
+        for d in deltas {
+            let fields = match *d {
+                PairDelta::Removed { l, r } => {
+                    removed += 1;
+                    [0, l as u64, r as u64, 0]
+                }
+                PairDelta::Added(p) => [1, p.l as u64, p.r as u64, p.sim.to_bits()],
+            };
+            for x in fields {
+                word(x, &mut bytes);
+            }
+        }
+    });
+    let JoinStats {
+        probes,
+        candidates,
+        killed_by_size,
+        killed_by_position,
+        killed_by_suffix,
+        verified,
+        verify_steps,
+        pairs,
+        probe_swaps,
+        killed_by_qgram_sig,
+        qgram_sig_checked,
+        delta_probes,
+        delta_pairs_added,
+        delta_pairs_removed,
+        tombstones_skipped,
+        tail_postings_scanned,
+        compactions,
+    } = churn;
+    for x in [
+        probes,
+        candidates,
+        killed_by_size,
+        killed_by_position,
+        killed_by_suffix,
+        verified,
+        verify_steps,
+        pairs,
+        probe_swaps,
+        killed_by_qgram_sig,
+        qgram_sig_checked,
+        delta_probes,
+        delta_pairs_added,
+        delta_pairs_removed,
+        tombstones_skipped,
+        tail_postings_scanned,
+        compactions,
+    ] {
+        word(x as u64, &mut bytes);
+    }
+    assert_eq!(removed, churn.delta_pairs_removed);
+    assert_eq!(
+        (
+            churn.delta_pairs_added,
+            removed,
+            eng.n_live_pairs(),
+            magellan_obs::fnv1a(&bytes)
+        ),
+        (9_541, 7_879, 3_291, 0x186f_1e7e_28b1_85ff)
     );
 }
