@@ -5,9 +5,8 @@
 //!    "get the table queryable + one full scan of every cell" from cold:
 //!    CSV must be re-parsed row by row, `emtbl` is opened (mmapped) and
 //!    sliced zero-copy. Acceptance: `emtbl` scan throughput ≥ 2× CSV.
-//! 2. **`emckpt v2` vs v1 size** — serialize the blocking phase's
-//!    candidate set in both checkpoint formats. Acceptance: binary v2
-//!    ≤ 0.5× the v1 text bytes.
+//! 2. **`emckpt` size** — serialize the blocking phase's candidate set
+//!    as a checkpoint. Acceptance: ≤ 4.0 bytes per candidate pair.
 //! 3. **Hash-sharded blocking under a memory budget** — join with the
 //!    1M-row side *forced to be the indexed side* (`ProbeSide::Right`),
 //!    under a budget the monolithic index exceeds. Acceptance: the
@@ -72,7 +71,7 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("scratch dir");
 
     let mut txt = String::new();
-    writeln!(txt, "Out-of-core storage tier — emtbl scan, emckpt v2, sharded blocking").unwrap();
+    writeln!(txt, "Out-of-core storage tier — emtbl scan, emckpt size, sharded blocking").unwrap();
     writeln!(txt, "corpus: products {rows_indexed} x {rows_probe}, smoke = {smoke}").unwrap();
 
     // -- corpus ------------------------------------------------------------
@@ -165,25 +164,24 @@ fn main() {
     )
     .unwrap();
 
-    // -- 2. emckpt v2 vs v1 on the blocking candidate set ------------------
+    // -- 2. emckpt bytes per pair on the blocking candidate set -------------
     let candidates: Vec<(u32, u32)> = pairs.iter().map(|p| (p.l as u32, p.r as u32)).collect();
     let ckpt = Checkpoint::Blocked { candidates };
-    let v1_bytes = ckpt.to_text().len();
-    let v2 = ckpt.to_bytes();
-    let v2_bytes = v2.len();
-    let back = Checkpoint::from_bytes(&v2).expect("v2 parses");
-    assert_eq!(back, ckpt, "v2 round-trip diverged");
-    let ckpt_ratio = v2_bytes as f64 / v1_bytes as f64;
+    let ckpt_bytes = ckpt.to_bytes().len();
+    let back = Checkpoint::from_bytes(&ckpt.to_bytes()).expect("checkpoint parses");
+    assert_eq!(back, ckpt, "checkpoint round-trip diverged");
+    let bytes_per_pair = ckpt_bytes as f64 / pairs.len().max(1) as f64;
     writeln!(
         txt,
-        "emckpt: v1 text {v1_bytes}B vs v2 binary {v2_bytes}B -> {ckpt_ratio:.3}x"
+        "emckpt: {ckpt_bytes}B for {} pairs -> {bytes_per_pair:.2} B/pair",
+        pairs.len()
     )
     .unwrap();
 
     // -- acceptance --------------------------------------------------------
     writeln!(
         txt,
-        "acceptance: scan {scan_speedup:.1}x (floor 2x), ckpt {ckpt_ratio:.3}x (ceiling 0.5x), peak {} <= budget {} < monolithic {}",
+        "acceptance: scan {scan_speedup:.1}x (floor 2x), ckpt {bytes_per_pair:.2} B/pair (ceiling 4.0), peak {} <= budget {} < monolithic {}",
         sstats.peak_index_bytes, budget, monolithic_bytes
     )
     .unwrap();
@@ -193,8 +191,8 @@ fn main() {
             "emtbl reload+scan did not clear 2x CSV: {scan_speedup:.2}x"
         );
         assert!(
-            ckpt_ratio <= 0.5,
-            "emckpt v2 is not <= 0.5x of v1: {ckpt_ratio:.3}x"
+            bytes_per_pair <= 4.0,
+            "emckpt spends more than 4.0 bytes per pair: {bytes_per_pair:.2}"
         );
         assert!(
             monolithic_bytes > budget,
@@ -209,7 +207,7 @@ fn main() {
     magellan_obs::log!(info, "{txt}");
 
     let json = format!(
-        "{{\n  \"experiment\": \"outofcore\",\n  \"workload\": {{\"rows_indexed\": {rows_indexed}, \"rows_probe\": {rows_probe}, \"scenario\": \"products\", \"smoke\": {smoke}}},\n  \"scan\": {{\"csv_secs\": {t_csv:.3}, \"emtbl_secs\": {t_map:.3}, \"emtbl_mode\": \"{map_mode}\", \"speedup\": {scan_speedup:.2}, \"csv_bytes\": {csv_bytes}, \"emtbl_bytes\": {tbl_bytes}}},\n  \"checkpoint\": {{\"pairs\": {}, \"v1_bytes\": {v1_bytes}, \"v2_bytes\": {v2_bytes}, \"ratio\": {ckpt_ratio:.3}}},\n  \"shards\": {{\"budget_bytes\": {budget}, \"monolithic_index_bytes\": {monolithic_bytes}, \"k\": {k}, \"peak_index_bytes\": {}, \"total_index_bytes\": {}, \"sharded_secs\": {t_shard:.2}, \"monolithic_secs\": {t_mono:.2}}}\n}}\n",
+        "{{\n  \"experiment\": \"outofcore\",\n  \"workload\": {{\"rows_indexed\": {rows_indexed}, \"rows_probe\": {rows_probe}, \"scenario\": \"products\", \"smoke\": {smoke}}},\n  \"scan\": {{\"csv_secs\": {t_csv:.3}, \"emtbl_secs\": {t_map:.3}, \"emtbl_mode\": \"{map_mode}\", \"speedup\": {scan_speedup:.2}, \"csv_bytes\": {csv_bytes}, \"emtbl_bytes\": {tbl_bytes}}},\n  \"checkpoint\": {{\"pairs\": {}, \"bytes\": {ckpt_bytes}, \"bytes_per_pair\": {bytes_per_pair:.3}}},\n  \"shards\": {{\"budget_bytes\": {budget}, \"monolithic_index_bytes\": {monolithic_bytes}, \"k\": {k}, \"peak_index_bytes\": {}, \"total_index_bytes\": {}, \"sharded_secs\": {t_shard:.2}, \"monolithic_secs\": {t_mono:.2}}}\n}}\n",
         pairs.len(),
         sstats.peak_index_bytes,
         sstats.total_index_bytes,

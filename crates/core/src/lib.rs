@@ -60,10 +60,7 @@ pub mod workflow;
 
 pub use magellan_par as par;
 
-pub use checkpoint::{
-    append_checksum, fnv1a, verify_checksum, Checkpoint, CheckpointStore, FileStore, FlakyStore,
-    MemStore, Phase,
-};
+pub use checkpoint::{Checkpoint, CheckpointStore, FileStore, FlakyStore, MemStore, Phase};
 pub use error::MagellanError;
 
 pub use labeling::{Label, Labeler, NoisyLabeler, OracleLabeler, RecordingLabeler};

@@ -28,12 +28,12 @@
 //!
 //! ## Durability
 //!
-//! [`StreamSession::checkpoint_text`] serializes the session as
-//! `emstream v1` — record texts, the live candidate view (similarity
-//! bits), all model scores (probability bits), per-side index generations,
-//! and the stream cursor — under the same FNV-1a trailer convention as
-//! `emckpt v1`. A daemon killed mid-stream resumes via
-//! [`StreamSession::restore_from_text`] and replays the remaining
+//! [`StreamSession::checkpoint_bytes`] serializes the session as
+//! `emstream v2`, a [`magellan_table::segment`] file — record texts, the
+//! live candidate view (similarity bits), each live pair's model score
+//! (probability bits), per-side index generations, and the stream cursor.
+//! A daemon killed mid-stream resumes via
+//! [`StreamSession::restore_from_bytes`] and replays the remaining
 //! [`magellan_faults::StreamPlan`] suffix to the identical view.
 
 use magellan_faults::{SimClock, StreamOp, StreamPlan};
@@ -44,10 +44,10 @@ use magellan_par::ParConfig;
 use magellan_simjoin::{
     IncrementalJoin, JoinPair, PairDelta, RecordMutation, SetSimMeasure, Side,
 };
+use magellan_table::segment::{self, Fields, SegmentError, SegmentReader};
 use magellan_table::{Dtype, Schema, Table, Value};
 use magellan_textsim::tokenize::AlphanumericTokenizer;
 
-use crate::checkpoint::{append_checksum, verify_checksum};
 use crate::error::MagellanError;
 
 /// Deterministic synthetic record text for seeded streams: `n_tokens`
@@ -137,6 +137,18 @@ pub struct StreamSession {
 fn stream_schema() -> Schema {
     Schema::from_pairs(&[("id", Dtype::Str), ("text", Dtype::Str)])
         .expect("static stream schema is valid")
+}
+
+/// One side's records as an `(id, text)` table, row `rid` named
+/// `{prefix}{rid}` like the rows `ingest` mirrors.
+fn text_table(name: &str, prefix: char, texts: &[Option<String>]) -> Result<Table, MagellanError> {
+    let mut t = Table::with_capacity(name, stream_schema(), texts.len());
+    for (rid, text) in texts.iter().enumerate() {
+        let text = text.clone().map(Value::Str).unwrap_or(Value::Null);
+        t.push_row(vec![Value::Str(format!("{prefix}{rid}")), text])
+            .map_err(MagellanError::Table)?;
+    }
+    Ok(t)
 }
 
 impl StreamSession {
@@ -413,22 +425,8 @@ impl StreamSession {
     /// the live view right, not to serve queries.
     pub fn rebuild_oracle(&self) -> Result<Vec<((usize, usize), f64)>, MagellanError> {
         let pairs = self.engine.rebuild_from_scratch(&self.tokenizer);
-        let mut a = Table::with_capacity("oracle_left", stream_schema(), 0);
-        for (rid, t) in self.engine.texts(Side::Left).iter().enumerate() {
-            a.push_row(vec![
-                Value::Str(format!("l{rid}")),
-                t.clone().map(Value::Str).unwrap_or(Value::Null),
-            ])
-            .map_err(MagellanError::Table)?;
-        }
-        let mut b = Table::with_capacity("oracle_right", stream_schema(), 0);
-        for (rid, t) in self.engine.texts(Side::Right).iter().enumerate() {
-            b.push_row(vec![
-                Value::Str(format!("r{rid}")),
-                t.clone().map(Value::Str).unwrap_or(Value::Null),
-            ])
-            .map_err(MagellanError::Table)?;
-        }
+        let a = text_table("oracle_left", 'l', self.engine.texts(Side::Left))?;
+        let b = text_table("oracle_right", 'r', self.engine.texts(Side::Right))?;
         let pairs_u32: Vec<(u32, u32)> =
             pairs.iter().map(|p| (p.l as u32, p.r as u32)).collect();
         let mut cold = StreamingPreparedPair::new(a, b);
@@ -447,237 +445,239 @@ impl StreamSession {
     }
 
     // -----------------------------------------------------------------
-    // Checkpointing (`emstream v1`)
+    // Checkpointing (`emstream v2`)
     // -----------------------------------------------------------------
 
-    /// Serialize the session as `emstream v1` text: stream cursors, index
-    /// generations, both sides' record texts (hex-encoded, null-aware),
-    /// the live candidate view with exact similarity bits, and every model
-    /// score with exact probability bits — all under the shared FNV-1a
-    /// trailer. Model, features, measure, and threshold are *not* stored;
-    /// the resuming caller supplies the identical configuration, exactly
-    /// like the service layer reattaches label engines on resume.
-    pub fn checkpoint_text(&self) -> String {
-        let mut out = String::from("emstream v1\n");
-        out.push_str(&format!("cursor batches {} ops {}\n", self.batches, self.ops));
-        out.push_str(&format!(
-            "gens left {} right {} vocab {}\n",
-            self.engine.index_generation(Side::Left),
-            self.engine.index_generation(Side::Right),
-            self.engine.vocab_generation(),
-        ));
-        for (tag, side) in [("ltexts", Side::Left), ("rtexts", Side::Right)] {
-            let texts = self.engine.texts(side);
-            out.push_str(&format!("{tag} {}\n", texts.len()));
-            for t in texts {
-                match t {
-                    Some(s) => {
-                        out.push_str("t ");
-                        for b in s.as_bytes() {
-                            out.push_str(&format!("{b:02x}"));
-                        }
-                        out.push('\n');
-                    }
-                    None => out.push_str("t -\n"),
-                }
-            }
-        }
+    /// Serialize the session as `emstream v2`:
+    ///
+    /// ```text
+    /// magic     "emstream v2"
+    /// 1 cursor  batches, ops, left gen, right gen, vocab gen   (u64 each)
+    /// 2 ltexts  count:u64, per record len:u64 + UTF-8 bytes (len u64::MAX = null)
+    /// 3 rtexts  the same for the right side
+    /// 4 live    count:u64, per pair l:u64, r:u64, sim bits:u64, (l, r)-ascending
+    /// 5 scores  count:u64, per live pair (same order) probability bits:u64
+    /// END
+    /// ```
+    ///
+    /// Model, features, measure, and threshold are *not* stored; the
+    /// resuming caller supplies the identical configuration, exactly like
+    /// the service layer reattaches label engines on resume.
+    pub fn checkpoint_bytes(&self) -> Vec<u8> {
         let live = self.engine.live_pairs();
-        out.push_str(&format!("live {}\n", live.len()));
-        for p in &live {
-            out.push_str(&format!("{} {} {:016x}\n", p.l, p.r, p.sim.to_bits()));
-        }
         let scores = self.sorted_scores();
-        out.push_str(&format!("scores {}\n", scores.len()));
-        for ((l, r), p) in scores {
-            out.push_str(&format!("{l} {r} {:016x}\n", p.to_bits()));
+        debug_assert!(live.iter().map(|p| (p.l, p.r)).eq(scores.iter().map(|&(k, _)| k)));
+        SavedStream {
+            batches: self.batches,
+            ops: self.ops,
+            left_gen: self.engine.index_generation(Side::Left),
+            right_gen: self.engine.index_generation(Side::Right),
+            vocab_gen: self.engine.vocab_generation(),
+            left: self.engine.texts(Side::Left).to_vec(),
+            right: self.engine.texts(Side::Right).to_vec(),
+            live,
+            scores: scores.iter().map(|(_, p)| p.to_bits()).collect(),
         }
-        out.push_str("end\n");
-        append_checksum(&mut out);
-        out
+        .encode()
     }
 
-    /// Restore a session from `emstream v1` text plus the (identical)
+    /// Restore a session from `emstream v2` bytes plus the (identical)
     /// configuration it was created with. Index generations are pinned to
     /// the stored values, so generation monotonicity survives the crash;
     /// the live view and all score bits restore exactly.
-    pub fn restore_from_text(
-        text: &str,
+    pub fn restore_from_bytes(
+        data: &[u8],
         measure: SetSimMeasure,
         features: Vec<Feature>,
         forest: FlatForest,
         threshold: f64,
         par: ParConfig,
     ) -> Result<StreamSession, MagellanError> {
-        let magic = text.lines().next().ok_or_else(|| stream_corrupt("empty checkpoint"))?;
-        if magic.trim() != "emstream v1" {
-            return Err(stream_corrupt(format!("bad magic `{magic}`")));
-        }
-        let payload = verify_checksum(text)?;
-        let mut lines = payload.lines();
-        lines.next(); // magic
-        let cursor = lines
-            .next()
-            .ok_or_else(|| stream_corrupt("missing cursor line"))?;
-        let c: Vec<&str> = cursor.split_whitespace().collect();
-        if c.len() != 5 || c[0] != "cursor" || c[1] != "batches" || c[3] != "ops" {
-            return Err(stream_corrupt(format!("bad cursor line `{cursor}`")));
-        }
-        let batches: u64 = c[2].parse().map_err(|_| stream_corrupt("bad batches"))?;
-        let ops: u64 = c[4].parse().map_err(|_| stream_corrupt("bad ops"))?;
-        let gens = lines.next().ok_or_else(|| stream_corrupt("missing gens line"))?;
-        let g: Vec<&str> = gens.split_whitespace().collect();
-        if g.len() != 7 || g[0] != "gens" {
-            return Err(stream_corrupt(format!("bad gens line `{gens}`")));
-        }
-        let lgen: u64 = g[2].parse().map_err(|_| stream_corrupt("bad left gen"))?;
-        let rgen: u64 = g[4].parse().map_err(|_| stream_corrupt("bad right gen"))?;
-
-        let mut read_texts = |tag: &str| -> Result<Vec<Option<String>>, MagellanError> {
-            let header = lines
-                .next()
-                .ok_or_else(|| stream_corrupt(format!("missing `{tag}` header")))?;
-            let n: usize = header
-                .strip_prefix(tag)
-                .and_then(|v| v.trim().parse().ok())
-                .ok_or_else(|| stream_corrupt(format!("bad `{tag}` header `{header}`")))?;
-            let mut texts = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                let line = lines
-                    .next()
-                    .ok_or_else(|| stream_corrupt("truncated text list"))?;
-                let body = line
-                    .strip_prefix("t ")
-                    .ok_or_else(|| stream_corrupt(format!("bad text line `{line}`")))?;
-                if body == "-" {
-                    texts.push(None);
-                } else {
-                    texts.push(Some(hex_to_string(body)?));
-                }
-            }
-            Ok(texts)
-        };
-        let left_texts = read_texts("ltexts")?;
-        let right_texts = read_texts("rtexts")?;
-
-        let mut read_pairs = |tag: &str| -> Result<Vec<(usize, usize, u64)>, MagellanError> {
-            let header = lines
-                .next()
-                .ok_or_else(|| stream_corrupt(format!("missing `{tag}` header")))?;
-            let n: usize = header
-                .strip_prefix(tag)
-                .and_then(|v| v.trim().parse().ok())
-                .ok_or_else(|| stream_corrupt(format!("bad `{tag}` header `{header}`")))?;
-            let mut out = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                let line = lines.next().ok_or_else(|| stream_corrupt("truncated pair list"))?;
-                let f: Vec<&str> = line.split_whitespace().collect();
-                let parsed = (|| {
-                    if f.len() != 3 {
-                        return None;
-                    }
-                    Some((
-                        f[0].parse::<usize>().ok()?,
-                        f[1].parse::<usize>().ok()?,
-                        u64::from_str_radix(f[2], 16).ok()?,
-                    ))
-                })()
-                .ok_or_else(|| stream_corrupt(format!("bad pair line `{line}`")))?;
-                out.push(parsed);
-            }
-            Ok(out)
-        };
-        let live = read_pairs("live")?;
-        let scores = read_pairs("scores")?;
-        match lines.next() {
-            Some(l) if l.trim() == "end" => {}
-            other => {
-                return Err(stream_corrupt(format!(
-                    "expected `end`, got `{}`",
-                    other.unwrap_or("<eof>")
-                )))
-            }
-        }
-
+        let saved = SavedStream::decode(data).map_err(stream_corrupt)?;
         // What the engine and the score lists index by rid must be what
-        // `checkpoint_text` writes, or the restore would panic or keep a
+        // `checkpoint_bytes` writes, or the restore would panic or keep a
         // pair twice.
-        check_live(&live, &left_texts, &right_texts)?;
-        if !live
-            .iter()
-            .map(|&(l, r, _)| (l, r))
-            .eq(scores.iter().map(|&(l, r, _)| (l, r)))
-        {
-            return Err(stream_corrupt(
-                "the `scores` pairs differ from the `live` pairs",
-            ));
+        check_live(&saved.live, &saved.left, &saved.right)?;
+        if saved.scores.len() != saved.live.len() {
+            return Err(stream_corrupt(format!(
+                "{} scores for {} live pairs: the lists differ in length",
+                saved.scores.len(),
+                saved.live.len()
+            )));
         }
-
+        let mut scores = vec![Vec::new(); saved.left.len()];
+        let mut live_matches = 0;
+        for (p, &bits) in saved.live.iter().zip(&saved.scores) {
+            let prob = f64::from_bits(bits);
+            live_matches += usize::from(prob >= threshold);
+            scores[p.l].push((p.r as u32, prob));
+        }
+        let store = StreamingPreparedPair::new(
+            text_table("stream_left", 'l', &saved.left)?,
+            text_table("stream_right", 'r', &saved.right)?,
+        );
         let tokenizer = AlphanumericTokenizer::as_set();
-        let live_pairs: Vec<JoinPair> = live
-            .iter()
-            .map(|&(l, r, bits)| JoinPair {
-                l,
-                r,
-                sim: f64::from_bits(bits),
-            })
-            .collect();
         let engine = IncrementalJoin::restore(
             measure,
             &tokenizer,
-            left_texts.clone(),
-            right_texts.clone(),
-            live_pairs,
-            lgen,
-            rgen,
+            saved.left,
+            saved.right,
+            saved.live,
+            saved.left_gen,
+            saved.right_gen,
         );
-        let mut a = Table::with_capacity("stream_left", stream_schema(), left_texts.len());
-        for (rid, t) in left_texts.iter().enumerate() {
-            a.push_row(vec![
-                Value::Str(format!("l{rid}")),
-                t.clone().map(Value::Str).unwrap_or(Value::Null),
-            ])
-            .map_err(MagellanError::Table)?;
-        }
-        let mut b = Table::with_capacity("stream_right", stream_schema(), right_texts.len());
-        for (rid, t) in right_texts.iter().enumerate() {
-            b.push_row(vec![
-                Value::Str(format!("r{rid}")),
-                t.clone().map(Value::Str).unwrap_or(Value::Null),
-            ])
-            .map_err(MagellanError::Table)?;
-        }
-        let mut score_lists: Vec<Vec<(u32, f64)>> = vec![Vec::new(); left_texts.len()];
-        let mut live_matches = 0;
-        for (l, r, bits) in scores {
-            let p = f64::from_bits(bits);
-            live_matches += usize::from(p >= threshold);
-            score_lists[l].push((r as u32, p));
-        }
         Ok(StreamSession {
             engine,
             tokenizer,
-            store: StreamingPreparedPair::new(a, b),
+            store,
             features,
             forest,
-            scores: score_lists,
+            scores,
             live_matches,
             threshold,
             par,
-            batches,
-            ops,
+            batches: saved.batches,
+            ops: saved.ops,
         })
     }
 }
 
-/// A checkpointed live view is what `checkpoint_text` writes: strictly
+const STREAM_MAGIC: &str = "emstream v2";
+
+const SEG_CURSOR: u32 = 1;
+const SEG_LTEXTS: u32 = 2;
+const SEG_RTEXTS: u32 = 3;
+const SEG_LIVE: u32 = 4;
+const SEG_SCORES: u32 = 5;
+
+/// The contents of an `emstream v2` file. Decoding checks each segment
+/// on its own; how the segments agree is the restore's to check.
+struct SavedStream {
+    batches: u64,
+    ops: u64,
+    left_gen: u64,
+    right_gen: u64,
+    /// Written for the record; the interner is rebuilt on restore.
+    vocab_gen: u64,
+    left: Vec<Option<String>>,
+    right: Vec<Option<String>>,
+    live: Vec<JoinPair>,
+    /// Probability bits of each live pair, in `live` order.
+    scores: Vec<u64>,
+}
+
+impl SavedStream {
+    fn encode(&self) -> Vec<u8> {
+        let cursor = words([
+            self.batches,
+            self.ops,
+            self.left_gen,
+            self.right_gen,
+            self.vocab_gen,
+        ]);
+        let texts = |texts: &[Option<String>]| {
+            let mut out = (texts.len() as u64).to_le_bytes().to_vec();
+            for t in texts {
+                match t {
+                    Some(s) => {
+                        out.extend_from_slice(&(s.len() as u64).to_le_bytes());
+                        out.extend_from_slice(s.as_bytes());
+                    }
+                    None => out.extend_from_slice(&u64::MAX.to_le_bytes()),
+                }
+            }
+            out
+        };
+        let live = words(
+            std::iter::once(self.live.len() as u64).chain(
+                self.live
+                    .iter()
+                    .flat_map(|p| [p.l as u64, p.r as u64, p.sim.to_bits()]),
+            ),
+        );
+        let scores =
+            words(std::iter::once(self.scores.len() as u64).chain(self.scores.iter().copied()));
+        segment::encode(
+            STREAM_MAGIC,
+            &[
+                (SEG_CURSOR, &cursor),
+                (SEG_LTEXTS, &texts(&self.left)),
+                (SEG_RTEXTS, &texts(&self.right)),
+                (SEG_LIVE, &live),
+                (SEG_SCORES, &scores),
+            ],
+        )
+    }
+
+    fn decode(data: &[u8]) -> Result<SavedStream, SegmentError> {
+        let mut file = SegmentReader::open(data, STREAM_MAGIC)?;
+        let mut cursor = file.expect(SEG_CURSOR)?.fields();
+        let (batches, ops) = (cursor.u64()?, cursor.u64()?);
+        let (left_gen, right_gen, vocab_gen) = (cursor.u64()?, cursor.u64()?, cursor.u64()?);
+        cursor.end()?;
+        let left = read_texts(file.expect(SEG_LTEXTS)?.fields())?;
+        let right = read_texts(file.expect(SEG_RTEXTS)?.fields())?;
+        let mut f = file.expect(SEG_LIVE)?.fields();
+        let n = f.count(24)?;
+        let mut live = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (l, r) = (f.u64()? as usize, f.u64()? as usize);
+            live.push(JoinPair {
+                l,
+                r,
+                sim: f64::from_bits(f.u64()?),
+            });
+        }
+        f.end()?;
+        let mut f = file.expect(SEG_SCORES)?.fields();
+        let scores = (0..f.count(8)?).map(|_| f.u64()).collect::<Result<_, _>>()?;
+        f.end()?;
+        file.finish()?;
+        Ok(SavedStream {
+            batches,
+            ops,
+            left_gen,
+            right_gen,
+            vocab_gen,
+            left,
+            right,
+            live,
+            scores,
+        })
+    }
+}
+
+/// Little-endian `u64` words, the unit of most `emstream` payloads.
+fn words(ws: impl IntoIterator<Item = u64>) -> Vec<u8> {
+    ws.into_iter().flat_map(u64::to_le_bytes).collect()
+}
+
+fn read_texts(mut f: Fields<'_>) -> Result<Vec<Option<String>>, SegmentError> {
+    let n = f.count(8)?;
+    let mut texts = Vec::with_capacity(n);
+    for _ in 0..n {
+        let len = f.u64()?;
+        if len == u64::MAX {
+            texts.push(None);
+            continue;
+        }
+        let bytes = f.take(usize::try_from(len).unwrap_or(usize::MAX))?;
+        let text = std::str::from_utf8(bytes)
+            .map_err(|_| f.error("checkpointed text is not UTF-8"))?;
+        texts.push(Some(text.to_owned()));
+    }
+    f.end()?;
+    Ok(texts)
+}
+
+/// A checkpointed live view is what `checkpoint_bytes` writes: strictly
 /// `(l, r)`-ascending pairs of records that exist and are not null.
 fn check_live(
-    live: &[(usize, usize, u64)],
+    live: &[JoinPair],
     left: &[Option<String>],
     right: &[Option<String>],
 ) -> Result<(), MagellanError> {
-    for (i, &(l, r, _)) in live.iter().enumerate() {
+    for (i, &JoinPair { l, r, .. }) in live.iter().enumerate() {
         if l >= left.len() || r >= right.len() {
             return Err(stream_corrupt(format!(
                 "live pair ({l}, {r}) is outside {} x {} records",
@@ -685,7 +685,7 @@ fn check_live(
                 right.len()
             )));
         }
-        if i > 0 && (live[i - 1].0, live[i - 1].1) >= (l, r) {
+        if i > 0 && (live[i - 1].l, live[i - 1].r) >= (l, r) {
             return Err(stream_corrupt(format!(
                 "live pairs are not strictly ascending at ({l}, {r})"
             )));
@@ -697,19 +697,6 @@ fn check_live(
         }
     }
     Ok(())
-}
-
-fn hex_to_string(hex: &str) -> Result<String, MagellanError> {
-    if hex.len() % 2 != 0 {
-        return Err(stream_corrupt("odd-length hex text"));
-    }
-    let mut bytes = Vec::with_capacity(hex.len() / 2);
-    for i in (0..hex.len()).step_by(2) {
-        let b = u8::from_str_radix(&hex[i..i + 2], 16)
-            .map_err(|_| stream_corrupt(format!("bad hex byte `{}`", &hex[i..i + 2])))?;
-        bytes.push(b);
-    }
-    String::from_utf8(bytes).map_err(|_| stream_corrupt("checkpointed text is not UTF-8"))
 }
 
 fn stream_corrupt(msg: impl std::fmt::Display) -> MagellanError {
@@ -832,11 +819,11 @@ mod tests {
         // Killed run: 6 batches, checkpoint, "crash", restore, 8 more.
         let mut first = session(1);
         drive(&mut first, 23, 6, 7);
-        let ckpt = first.checkpoint_text();
+        let ckpt = first.checkpoint_bytes();
         let gen_l = first.engine().index_generation(Side::Left);
         let gen_r = first.engine().index_generation(Side::Right);
         drop(first);
-        let mut resumed = StreamSession::restore_from_text(
+        let mut resumed = StreamSession::restore_from_bytes(
             &ckpt,
             SetSimMeasure::Jaccard(0.4),
             stream_features(),
@@ -884,8 +871,8 @@ mod tests {
             peak = peak.max(report.live_matches);
         }
         assert!(peak > 0, "stream never produced a match — fixture too sparse");
-        let mut resumed = StreamSession::restore_from_text(
-            &s.checkpoint_text(),
+        let mut resumed = StreamSession::restore_from_bytes(
+            &s.checkpoint_bytes(),
             SetSimMeasure::Jaccard(0.4),
             stream_features(),
             fixture_forest(3),
@@ -924,20 +911,50 @@ mod tests {
         assert_eq!(s.matched_pairs().len(), 1);
     }
 
-    /// `emstream v1` bytes are pinned: the FNV-1a digest of
-    /// `checkpoint_text()` after a fixed churn, recorded at 5a5d677, where
-    /// the scores sat in a `BTreeMap` and the engine's view in another.
-    /// However the live state is laid out, the text sorts it the same way.
+    /// A digest of the session's state that does not depend on any file
+    /// format: both sides' texts, the live view with sim bits, every
+    /// score's bits, the index and vocab generations, and the cursors.
+    fn state_digest(s: &StreamSession) -> u64 {
+        let mut words = Vec::new();
+        for side in [Side::Left, Side::Right] {
+            words.push(s.engine().texts(side).len() as u64);
+            for t in s.engine().texts(side) {
+                let bytes = t.as_deref().map_or(&[][..], str::as_bytes);
+                words.push(t.as_ref().map_or(u64::MAX, |t| t.len() as u64));
+                words.extend(bytes.iter().map(|&b| u64::from(b)));
+            }
+        }
+        let live = s.engine().live_pairs();
+        words.push(live.len() as u64);
+        words.extend(live.iter().flat_map(|p| [p.l as u64, p.r as u64, p.sim.to_bits()]));
+        let scores = s.sorted_scores();
+        words.push(scores.len() as u64);
+        words.extend(scores.iter().flat_map(|&((l, r), p)| [l as u64, r as u64, p.to_bits()]));
+        let engine = s.engine();
+        let (gl, gr) = (engine.index_generation(Side::Left), engine.index_generation(Side::Right));
+        words.extend([gl, gr, engine.vocab_generation(), s.batches(), s.ops()]);
+        words.iter().fold(0, |h, &w| splitmix64(h ^ w))
+    }
+
+    /// The state a checkpoint carries is pinned twice. The state digest
+    /// was recorded at bcdb0e1 over the `emstream v1` text restore and
+    /// holds before and after an `emstream v2` round trip; the file's
+    /// length and digest pin the v2 bytes themselves.
     #[test]
     fn checkpoint_bytes_are_pinned() {
         let s = churned();
-        let text = s.checkpoint_text();
-        let digest = crate::checkpoint::fnv1a(text.as_bytes());
+        let bytes = s.checkpoint_bytes();
+        let file_digest = bytes
+            .chunks(8)
+            .fold(0u64, |h, w| splitmix64(h ^ u64::from_le_bytes(w.try_into().unwrap())));
         assert_eq!(
-            (s.n_candidates(), s.n_matches(), text.len(), digest),
-            (84, 19, 7_361, 0x7829_5930_7ee6_7fe0)
+            (s.n_candidates(), s.n_matches(), state_digest(&s)),
+            (84, 19, 0x37be_0210_bef3_c2b1)
         );
-        assert_eq!(restore(&text).unwrap().checkpoint_text(), text);
+        assert_eq!((bytes.len(), file_digest), (5_240, 0xbb86_b98a_a62f_d608));
+        let back = restore(&bytes).unwrap();
+        assert_eq!(state_digest(&back), 0x37be_0210_bef3_c2b1);
+        assert_eq!(back.checkpoint_bytes(), bytes);
     }
 
     /// 40 batches of 8 over a 14-word vocabulary: dozens of live pairs.
@@ -956,9 +973,9 @@ mod tests {
         s
     }
 
-    fn restore(text: &str) -> Result<StreamSession, MagellanError> {
-        StreamSession::restore_from_text(
-            text,
+    fn restore(bytes: &[u8]) -> Result<StreamSession, MagellanError> {
+        StreamSession::restore_from_bytes(
+            bytes,
             SetSimMeasure::Jaccard(0.4),
             stream_features(),
             fixture_forest(3),
@@ -968,72 +985,40 @@ mod tests {
     }
 
     /// Restore checks what it indexes by rid. Each edit below is re-sealed
-    /// with a fresh checksum, so the trailer cannot be what rejects it.
+    /// through the codec writer, so a checksum cannot be what rejects it.
     #[test]
     fn restore_rejects_pair_lists_it_could_not_index() {
-        let good = churned().checkpoint_text();
-        let reseal = |edit: &dyn Fn(&mut Vec<String>)| {
-            let payload = verify_checksum(&good).unwrap();
-            let mut lines: Vec<String> = payload.lines().map(str::to_owned).collect();
-            edit(&mut lines);
-            let mut text = lines.join("\n") + "\n";
-            append_checksum(&mut text);
-            text
+        let good = churned().checkpoint_bytes();
+        let reseal = |edit: &dyn Fn(&mut SavedStream)| {
+            let mut saved = SavedStream::decode(&good).unwrap();
+            edit(&mut saved);
+            saved.encode()
         };
         assert_eq!(reseal(&|_| {}), good);
-        let header = |lines: &[String], tag: &str| {
-            let prefix = format!("{tag} ");
-            let at = lines.iter().position(|l| l.starts_with(&prefix)).unwrap();
-            (at, lines[at][prefix.len()..].parse::<usize>().unwrap())
-        };
-        // Point rid field `i` of the first pair under `tag` one past the
-        // last record counted by the `texts` header.
-        let past_the_end = |tag: &'static str, i: usize, texts: &'static str| {
-            move |lines: &mut Vec<String>| {
-                let at = header(lines, tag).0 + 1;
-                let mut f: Vec<String> = lines[at].split(' ').map(str::to_owned).collect();
-                f[i] = header(lines, texts).1.to_string();
-                lines[at] = f.join(" ");
-            }
-        };
-        // Repeat the first pair under `tag`, counting it in the header.
-        let repeat_first = |tag: &'static str| {
-            move |lines: &mut Vec<String>| {
-                let (at, n) = header(lines, tag);
-                lines[at] = format!("{tag} {}", n + 1);
-                let dup = lines[at + 1].clone();
-                lines.insert(at + 1, dup);
-            }
-        };
-        type Edit<'a> = Box<dyn Fn(&mut Vec<String>) + 'a>;
+        type Edit = Box<dyn Fn(&mut SavedStream)>;
         let cases: Vec<(&str, Edit)> = vec![
-            ("outside", Box::new(past_the_end("live", 0, "ltexts"))),
-            ("outside", Box::new(past_the_end("live", 1, "rtexts"))),
-            ("differ", Box::new(past_the_end("scores", 0, "ltexts"))),
+            ("outside", Box::new(|s| s.live[0].l = s.left.len())),
+            ("outside", Box::new(|s| s.live[0].r = s.right.len())),
+            ("not strictly ascending", Box::new(|s| s.live.swap(0, 1))),
             (
                 "not strictly ascending",
-                Box::new(|lines: &mut Vec<String>| {
-                    let at = header(lines, "live").0;
-                    lines.swap(at + 1, at + 2);
+                Box::new(|s| {
+                    s.live.insert(0, s.live[0]);
+                    s.scores.insert(0, s.scores[0]);
                 }),
             ),
-            ("not strictly ascending", Box::new(repeat_first("live"))),
-            ("differ", Box::new(repeat_first("scores"))),
             (
                 "null record",
-                Box::new(|lines: &mut Vec<String>| {
-                    let (live, _) = header(lines, "live");
-                    let l: usize = lines[live + 1].split(' ').next().unwrap().parse().unwrap();
-                    let (texts, _) = header(lines, "ltexts");
-                    lines[texts + 1 + l] = "t -".to_owned();
+                Box::new(|s| {
+                    let l = s.live[0].l;
+                    s.left[l] = None;
                 }),
             ),
+            ("differ", Box::new(|s| s.scores.push(s.scores[0]))),
             (
                 "differ",
-                Box::new(|lines: &mut Vec<String>| {
-                    let (at, n) = header(lines, "scores");
-                    lines[at] = format!("scores {}", n - 1);
-                    lines.remove(at + 1);
+                Box::new(|s| {
+                    s.scores.pop();
                 }),
             ),
         ];
@@ -1054,18 +1039,34 @@ mod tests {
         }
     }
 
-    /// Corruption in any checkpoint section is a fatal, precise error.
+    /// Corruption in any checkpoint section is a fatal, precise error, and
+    /// an `emstream v1` text checkpoint is refused by name.
     #[test]
     fn corrupt_checkpoints_are_fatal() {
         let mut s = session(1);
         drive(&mut s, 5, 3, 5);
-        let good = s.checkpoint_text();
+        let good = s.checkpoint_bytes();
         assert!(restore(&good).is_ok());
-        assert!(restore("").is_err());
-        assert!(restore("emckpt v1\n").is_err());
-        let torn = &good[..good.len() / 2];
-        assert!(restore(torn).is_err());
-        let tampered = good.replace("cursor batches 3", "cursor batches 4");
-        assert!(restore(&tampered).is_err(), "checksum must catch tampering");
+        assert!(restore(b"").is_err());
+        let v1 = restore(b"emstream v1\ncursor batches 3 ops 15\n").err().unwrap();
+        assert!(v1.fatal() && v1.to_string().contains("found `emstream v1`"), "{v1}");
+        assert!(restore(&good[..good.len() / 2]).is_err());
+        // The cursor's `batches` word, flipped under its stale checksum.
+        let mut tampered = good.clone();
+        tampered[16 + 16] ^= 0x01;
+        let e = restore(&tampered).err().unwrap();
+        assert!(e.to_string().contains("checksum mismatch"), "{e}");
+        // A text that is not UTF-8, sealed by the codec so only the
+        // decoder sees it.
+        let mut r = SegmentReader::open(&good, STREAM_MAGIC).unwrap();
+        let mut segs: Vec<(u32, Vec<u8>)> =
+            [SEG_CURSOR, SEG_LTEXTS, SEG_RTEXTS, SEG_LIVE, SEG_SCORES]
+                .iter()
+                .map(|&t| (t, r.expect(t).unwrap().payload.to_vec()))
+                .collect();
+        segs[1].1 = [words([1, 1]), vec![0xff]].concat();
+        let segs: Vec<(u32, &[u8])> = segs.iter().map(|(t, p)| (*t, p.as_slice())).collect();
+        let e = restore(&segment::encode(STREAM_MAGIC, &segs)).err().unwrap();
+        assert!(e.to_string().contains("not UTF-8"), "{e}");
     }
 }

@@ -36,10 +36,11 @@
 
 use std::collections::BTreeMap;
 
-use magellan_core::checkpoint::{append_checksum, verify_checksum, CheckpointStore};
+use magellan_core::checkpoint::CheckpointStore;
 use magellan_core::MagellanError;
 use magellan_faults::{run_with_retry, Budget, FaultPlan, RetryPolicy, SimClock};
 use magellan_obs::{EvVal, Histogram};
+use magellan_table::segment::{self, SegmentError, SegmentReader};
 
 use crate::cloud::{
     engine_span_name, execute_labeling, name_key, resolve_fragment, score_matches, sim_ns,
@@ -733,19 +734,26 @@ fn run_workload(
 }
 
 // ---------------------------------------------------------------------
-// Service checkpoint (`emsvc v1`)
+// Service checkpoint (`emsvc v2`)
 // ---------------------------------------------------------------------
 
-/// Serialize completed workload runs as `emsvc v1` text (same checksum
-/// trailer convention as `emckpt v1`). All floats are stored as IEEE-754
+const SVC_MAGIC: &str = "emsvc v2";
+
+/// One segment: `count:u64`, then per completed run its submission
+/// index, eight integers and six IEEE-754 bit patterns (15 × u64).
+const SEG_RUNS: u32 = 1;
+
+const RUN_WORDS: usize = 15;
+
+/// Serialize completed workload runs as `emsvc v2`. Floats are stored as
 /// bit patterns so restoration is byte-identical.
-fn runs_to_text(runs: &BTreeMap<usize, WorkloadRun>) -> String {
-    let mut out = String::from("emsvc v1\n");
-    out.push_str(&format!("runs {}\n", runs.len()));
-    for (i, r) in runs {
+fn runs_to_bytes(runs: &BTreeMap<usize, WorkloadRun>) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(8 + runs.len() * RUN_WORDS * 8);
+    payload.extend_from_slice(&(runs.len() as u64).to_le_bytes());
+    for (&i, r) in runs {
         let o = &r.outcome;
-        out.push_str(&format!(
-            "run {i} {} {} {} {} {} {} {} {} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x}\n",
+        let ints = [
+            i,
             r.questions_blocking,
             r.questions_matching,
             o.questions,
@@ -754,17 +762,20 @@ fn runs_to_text(runs: &BTreeMap<usize, WorkloadRun>) -> String {
             o.crowd_degraded_questions,
             o.rows.0,
             o.rows.1,
-            o.precision.to_bits(),
-            o.recall.to_bits(),
-            o.crowd_cost.to_bits(),
-            o.compute_cost.to_bits(),
-            o.label_time_s.to_bits(),
-            o.machine_time_s.to_bits(),
-        ));
+        ];
+        let floats = [
+            o.precision,
+            o.recall,
+            o.crowd_cost,
+            o.compute_cost,
+            o.label_time_s,
+            o.machine_time_s,
+        ];
+        for w in ints.map(|v| v as u64).into_iter().chain(floats.map(f64::to_bits)) {
+            payload.extend_from_slice(&w.to_le_bytes());
+        }
     }
-    out.push_str("end\n");
-    append_checksum(&mut out);
-    out
+    segment::encode(SVC_MAGIC, &[(SEG_RUNS, &payload)])
 }
 
 fn svc_corrupt(msg: impl std::fmt::Display) -> MagellanError {
@@ -774,47 +785,30 @@ fn svc_corrupt(msg: impl std::fmt::Display) -> MagellanError {
     }
 }
 
-/// Parse `emsvc v1` text back into the completed-run map. Names and
-/// label engines are reattached from the submissions at resume time, so
-/// only the deterministic numbers are stored.
-fn runs_from_text(
-    text: &str,
+/// Parse `emsvc v2` back into the completed-run map. Names and label
+/// engines are reattached from the submissions at resume time, so only
+/// the deterministic numbers are stored.
+fn runs_from_bytes(
+    data: &[u8],
     subs: &[TenantSubmission<'_>],
 ) -> Result<BTreeMap<usize, WorkloadRun>, MagellanError> {
-    let magic = text.lines().next().ok_or_else(|| svc_corrupt("empty"))?;
-    if magic.trim() != "emsvc v1" {
-        return Err(svc_corrupt(format!("bad magic `{magic}`")));
-    }
-    let payload = verify_checksum(text)?;
-    let mut lines = payload.lines();
-    lines.next(); // magic
-    let n: usize = lines
-        .next()
-        .and_then(|l| l.strip_prefix("runs "))
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| svc_corrupt("missing `runs <n>` line"))?;
+    let read = || -> Result<Vec<u64>, SegmentError> {
+        let mut file = SegmentReader::open(data, SVC_MAGIC)?;
+        let mut f = file.expect(SEG_RUNS)?.fields();
+        let n = f.count(RUN_WORDS * 8)? * RUN_WORDS;
+        let words = (0..n).map(|_| f.u64()).collect::<Result<_, _>>()?;
+        f.end()?;
+        file.finish()?;
+        Ok(words)
+    };
     let mut runs = BTreeMap::new();
-    for _ in 0..n {
-        let line = lines.next().ok_or_else(|| svc_corrupt("truncated run list"))?;
-        let f: Vec<&str> = line.split_whitespace().collect();
-        if f.len() != 16 || f[0] != "run" {
-            return Err(svc_corrupt(format!("bad run line `{line}`")));
-        }
-        let idx: usize = f[1].parse().map_err(|_| svc_corrupt("bad run index"))?;
+    for row in read().map_err(svc_corrupt)?.chunks_exact(RUN_WORDS) {
+        let idx = row[0] as usize;
+        let ints: Vec<usize> = row[1..9].iter().map(|&w| w as usize).collect();
+        let bits = &row[9..];
         let sub = subs
             .get(idx)
             .ok_or_else(|| svc_corrupt(format!("run index {idx} out of range")))?;
-        let ints: Vec<usize> = f[2..10]
-            .iter()
-            .map(|v| v.parse().map_err(|_| svc_corrupt(format!("bad integer in `{line}`"))))
-            .collect::<Result<_, _>>()?;
-        let bits: Vec<u64> = f[10..16]
-            .iter()
-            .map(|v| {
-                u64::from_str_radix(v, 16)
-                    .map_err(|_| svc_corrupt(format!("bad float bits in `{line}`")))
-            })
-            .collect::<Result<_, _>>()?;
         let crowd = match &sub.workload {
             Workload::Em(spec) => matches!(spec.labeling, crate::cloud::LabelingMode::Crowd { .. }),
             Workload::Synthetic(s) => s.crowd,
@@ -846,10 +840,7 @@ fn runs_from_text(
             },
         );
     }
-    match lines.next() {
-        Some(l) if l.trim() == "end" => Ok(runs),
-        _ => Err(svc_corrupt("missing `end` terminator")),
-    }
+    Ok(runs)
 }
 
 // ---------------------------------------------------------------------
@@ -911,7 +902,7 @@ impl MatchService {
     }
 
     /// Run with durable checkpointing: each completed tenant workload is
-    /// appended to an `emsvc v1` checkpoint in `store` (saved under the
+    /// appended to an `emsvc v2` checkpoint in `store` (saved under the
     /// retry policy), and a fresh run against a store holding a prior
     /// checkpoint skips re-running those workloads — the resumed report
     /// is bit-identical to an uninterrupted run.
@@ -953,9 +944,9 @@ impl MatchService {
         // Resume: restore completed workload runs from the store.
         let mut runs: BTreeMap<usize, WorkloadRun> = match store.as_mut() {
             Some(s) => {
-                let loaded = run_with_retry(&cfg.retry, &mut io_clock, |_| s.load())?;
+                let loaded = run_with_retry(&cfg.retry, &mut io_clock, |_| s.load_bytes())?;
                 match loaded {
-                    Some(text) => runs_from_text(&text, subs)?,
+                    Some(bytes) => runs_from_bytes(&bytes, subs)?,
                     None => BTreeMap::new(),
                 }
             }
@@ -1044,8 +1035,8 @@ impl MatchService {
                         runs.insert(i, r.clone());
                         fresh_runs += 1;
                         if let Some(s) = store.as_mut() {
-                            let text = runs_to_text(&runs);
-                            run_with_retry(&cfg.retry, &mut io_clock, |_| s.save(&text))?;
+                            let bytes = runs_to_bytes(&runs);
+                            run_with_retry(&cfg.retry, &mut io_clock, |_| s.save_bytes(&bytes))?;
                         }
                         if cfg.kill_after_tenants == Some(fresh_runs) {
                             magellan_obs::event(
@@ -1703,29 +1694,39 @@ mod tests {
     fn corrupt_service_checkpoints_are_fatal_not_half_parsed() {
         let subs = vec![synth(0, 0.0, false, TenantQuota::unlimited())];
         let svc = MatchService::new(ServiceConfig::default()).unwrap();
+        let resume = |bytes: &[u8]| {
+            let mut store = MemStore::default();
+            store.save_bytes(bytes).unwrap();
+            svc.run_with_checkpoint(&subs, &mut store).unwrap_err()
+        };
 
-        // No checksum trailer at all.
-        let mut store = MemStore::default();
-        store.save("emsvc v1\nruns 0\nend\n").unwrap();
-        let err = svc.run_with_checkpoint(&subs, &mut store).unwrap_err();
-        assert!(err.fatal() && err.to_string().contains("checksum"));
-
-        // A digit flipped under a stale checksum.
         let mut runs = BTreeMap::new();
         runs.insert(0usize, run_workload(&subs[0], &svc.config).unwrap());
-        let good = runs_to_text(&runs);
-        assert!(runs_from_text(&good, &subs).is_ok());
-        let tampered = good.replacen("run 0", "run 9", 1);
-        let mut store = MemStore::default();
-        store.save(&tampered).unwrap();
-        let err = svc.run_with_checkpoint(&subs, &mut store).unwrap_err();
-        assert!(err.fatal() && err.to_string().contains("checksum mismatch"));
+        let good = runs_to_bytes(&runs);
+        assert!(runs_from_bytes(&good, &subs).is_ok());
 
-        // Bad magic is diagnosed as such, before the checksum.
-        let mut store = MemStore::default();
-        store.save("emckpt v1\n").unwrap();
-        let err = svc.run_with_checkpoint(&subs, &mut store).unwrap_err();
-        assert!(err.to_string().contains("bad magic"));
+        // A torn write: the runs segment cut before its checksum.
+        let err = resume(&good[..good.len() - 24 - 8]);
+        assert!(err.fatal() && err.to_string().contains("checksum"), "{err}");
+
+        // The run index flipped under a stale checksum.
+        let mut tampered = good.clone();
+        tampered[16 + 16 + 8] = 9;
+        let err = resume(&tampered);
+        assert!(err.fatal() && err.to_string().contains("checksum mismatch"), "{err}");
+
+        // Re-sealed, the same edit reaches the range check.
+        let payload = &good[16 + 16..good.len() - 24 - 8];
+        let mut edited = payload.to_vec();
+        edited[8] = 9;
+        let err = resume(&segment::encode(SVC_MAGIC, &[(SEG_RUNS, &edited)]));
+        assert!(err.to_string().contains("run index 9 out of range"), "{err}");
+
+        // Bad magic is diagnosed as such, naming what was found.
+        let err = resume(b"emckpt v1\n");
+        assert!(err.to_string().contains("bad magic"), "{err}");
+        let err = resume(b"emsvc v1\nruns 0\nend\n");
+        assert!(err.fatal() && err.to_string().contains("found `emsvc v1`"), "{err}");
     }
 
     #[test]
@@ -1736,8 +1737,8 @@ mod tests {
         for (i, sub) in subs.iter().enumerate() {
             runs.insert(i, run_workload(sub, &cfg).unwrap());
         }
-        let text = runs_to_text(&runs);
-        let back = runs_from_text(&text, &subs).unwrap();
+        let bytes = runs_to_bytes(&runs);
+        let back = runs_from_bytes(&bytes, &subs).unwrap();
         assert_eq!(back.len(), 3);
         for (i, r) in &runs {
             let b = &back[i];

@@ -109,9 +109,9 @@ pub fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// 64-bit FNV-1a over `bytes`: stable across runs and platforms. The
-/// workspace's one byte hash — span-name keys, q-gram signatures and the
-/// `emtbl` / `emckpt` checksums are all this function, so its bits are
-/// part of the on-disk formats.
+/// workspace's small-key hash — span-name keys, tenant-name keys and
+/// q-gram signatures. No file format checksums with it: every on-disk
+/// format is framed and checksummed by `magellan_table::segment`.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -10,19 +10,21 @@
 //! identical semantics. Either way no row is ever materialized: the chunk
 //! executor slices straight into the mapped buffer.
 //!
-//! ## Layout (`emtbl v1`, little-endian, all segments 8-byte aligned)
+//! ## Layout (`emtbl v2`, little-endian)
+//!
+//! An `emtbl v2` file is a [`crate::segment`] file — the framing, the
+//! checksums and the 8-byte alignment of every payload are the codec's —
+//! with one schema segment and one segment per column:
 //!
 //! ```text
-//! magic    8B  "emtbl v1"
-//! nrows    8B  u64
-//! ncols    4B  u32
-//! per col:     u32 name_len, name bytes (UTF-8), u8 dtype code
-//! pad to 8B
-//! checksum 8B  FNV-1a of everything above
-//! per col:     u64 payload_len (padded), payload, u64 FNV-1a(payload)
+//! magic            "emtbl v2"
+//! 1 schema         nrows:u64, ncols:u32, per col: name_len:u32, name (UTF-8), dtype:u8
+//! 2 column × ncols payload below
+//! END
 //! ```
 //!
-//! Column payloads (each sub-section padded to 8 bytes):
+//! Column payloads (the validity bitmap padded to 8 bytes, so the data
+//! section that follows casts in place):
 //!
 //! | dtype | payload                                                    |
 //! |-------|------------------------------------------------------------|
@@ -32,9 +34,12 @@
 //! | str   | validity bitmap, `(nrows+1) × u64` offsets, string heap    |
 //!
 //! Null cells are zero in the data section and clear in the validity
-//! bitmap; a null string and an empty string differ only in validity.
-//! Every segment carries its own FNV-1a checksum so a torn write or a
-//! flipped byte is detected at open time, not as silent garbage rows.
+//! bitmap; a null string and an empty string differ only in validity. A
+//! torn write or a flipped byte fails a segment checksum at open time,
+//! and what passes the checksum is still checked before it is sliced:
+//! the row count against the file's length, each payload's size against
+//! the schema, string offsets for monotonicity and every string cell for
+//! UTF-8.
 
 use std::fmt;
 use std::fs::File;
@@ -42,17 +47,19 @@ use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use magellan_obs::fnv1a;
-
 use crate::column::Column;
 use crate::error::TableError;
 use crate::schema::{Field, Schema};
+use crate::segment::{SegmentReader, SegmentWriter};
 use crate::table::Table;
 use crate::value::{Dtype, Value, ValueRef};
 use crate::Result;
 
-/// File magic of the current format version.
-pub const MAGIC: &[u8; 8] = b"emtbl v1";
+/// Format name and version: the file's [`crate::segment`] magic.
+pub const MAGIC: &str = "emtbl v2";
+
+const SEG_SCHEMA: u32 = 1;
+const SEG_COLUMN: u32 = 2;
 
 /// Default row count per ingest batch for [`ColumnarBuilder`] users
 /// (large enough to amortize per-batch work, small enough to bound the
@@ -98,23 +105,20 @@ fn set_bit(bits: &mut [u8], i: usize) {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Serialize a table into `emtbl v1` bytes on `w`. Buffers one column
+/// Serialize a table into `emtbl v2` bytes on `w`. Buffers one column
 /// payload at a time, never the whole file.
 pub fn write<W: Write>(table: &Table, w: &mut W) -> Result<()> {
     let nrows = table.nrows();
-    let mut header = Vec::with_capacity(64);
-    header.extend_from_slice(MAGIC);
-    header.extend_from_slice(&(nrows as u64).to_le_bytes());
-    header.extend_from_slice(&(table.ncols() as u32).to_le_bytes());
+    let mut schema = Vec::with_capacity(64);
+    schema.extend_from_slice(&(nrows as u64).to_le_bytes());
+    schema.extend_from_slice(&(table.ncols() as u32).to_le_bytes());
     for f in table.schema().fields() {
-        header.extend_from_slice(&(f.name.len() as u32).to_le_bytes());
-        header.extend_from_slice(f.name.as_bytes());
-        header.push(dtype_code(f.dtype));
+        schema.extend_from_slice(&(f.name.len() as u32).to_le_bytes());
+        schema.extend_from_slice(f.name.as_bytes());
+        schema.push(dtype_code(f.dtype));
     }
-    header.resize(pad8(header.len()), 0);
-    let sum = fnv1a(&header);
-    header.extend_from_slice(&sum.to_le_bytes());
-    w.write_all(&header)?;
+    let mut out = SegmentWriter::new(w, MAGIC)?;
+    out.segment(SEG_SCHEMA, &schema)?;
 
     let vbytes = pad8(nrows.div_ceil(8));
     for c in 0..table.ncols() {
@@ -159,16 +163,13 @@ pub fn write<W: Write>(table: &Table, w: &mut W) -> Result<()> {
                 }
             }
         }
-        payload.resize(pad8(payload.len()), 0);
-        let sum = fnv1a(&payload);
-        w.write_all(&(payload.len() as u64).to_le_bytes())?;
-        w.write_all(&payload)?;
-        w.write_all(&sum.to_le_bytes())?;
+        out.segment(SEG_COLUMN, &payload)?;
     }
+    out.finish()?;
     Ok(())
 }
 
-/// Write a table as an `emtbl v1` file at `path` (create/truncate,
+/// Write a table as an `emtbl v2` file at `path` (create/truncate,
 /// flushed and fsynced — the write-once half of the storage tier).
 pub fn write_path(table: &Table, path: impl AsRef<Path>) -> Result<()> {
     let file = File::create(path)?;
@@ -371,142 +372,93 @@ impl MappedTable {
 
     fn parse(buf: Buf, mode: &'static str) -> Result<MappedTable> {
         let b = buf.bytes();
-        let rd_u64 = |at: usize| -> Result<u64> {
-            let end = at.checked_add(8).filter(|&e| e <= b.len());
-            let end = end.ok_or_else(|| err(format!("truncated at byte {at}")))?;
-            Ok(u64::from_le_bytes(b[at..end].try_into().expect("8 bytes")))
-        };
-        if b.len() < 20 || &b[..8] != MAGIC {
-            return Err(err("not an emtbl v1 file (bad magic)"));
-        }
-        let nrows = rd_u64(8)? as usize;
-        let ncols =
-            u32::from_le_bytes(b[16..20].try_into().expect("4 bytes")) as usize;
-        let mut at = 20usize;
-        let mut fields = Vec::with_capacity(ncols);
+        let mut file = SegmentReader::open(b, MAGIC)?;
+        let mut head = file.expect(SEG_SCHEMA)?.fields();
+        let nrows = head.u64()?;
+        let ncols = head.u32()? as usize;
+        let mut fields = Vec::with_capacity(ncols.min(head.remaining()));
         for i in 0..ncols {
-            if at + 4 > b.len() {
-                return Err(err(format!("truncated header at column {i}")));
-            }
-            let nlen =
-                u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes")) as usize;
-            at += 4;
-            if at + nlen + 1 > b.len() {
-                return Err(err(format!("truncated header at column {i}")));
-            }
-            let name = std::str::from_utf8(&b[at..at + nlen])
+            let nlen = head.u32()? as usize;
+            let name = std::str::from_utf8(head.take(nlen)?)
                 .map_err(|_| err(format!("column {i} name is not UTF-8")))?;
-            at += nlen;
-            let dtype = code_dtype(b[at])
-                .ok_or_else(|| err(format!("column {i} has unknown dtype code {}", b[at])))?;
-            at += 1;
+            let code = head.u8()?;
+            let dtype = code_dtype(code)
+                .ok_or_else(|| err(format!("column {i} has unknown dtype code {code}")))?;
             fields.push(Field::new(name, dtype));
         }
-        let header_end = pad8(at);
-        if header_end + 8 > b.len() {
-            return Err(err("truncated header checksum"));
-        }
-        let want = rd_u64(header_end)?;
-        let got = fnv1a(&b[..header_end]);
-        if want != got {
-            return Err(err(format!(
-                "header checksum mismatch (stored {want:016x}, computed {got:016x})"
-            )));
-        }
+        head.end()?;
         let schema = Schema::new(fields)?;
 
+        // Every column holds at least a validity bit per row, so a row
+        // count the file cannot hold is refused before any size is
+        // computed from it.
+        let nrows = usize::try_from(nrows)
+            .ok()
+            .filter(|&n| n.div_ceil(8).checked_mul(ncols).is_some_and(|need| need <= b.len()))
+            .ok_or_else(|| {
+                err(format!(
+                    "{nrows} rows of {ncols} columns cannot fit a {}-byte file",
+                    b.len()
+                ))
+            })?;
         let vbytes = pad8(nrows.div_ceil(8));
+        let data_bytes = nrows.checked_mul(8);
+        let offset_bytes = nrows.checked_add(1).and_then(|n| n.checked_mul(8));
         let mut cols = Vec::with_capacity(ncols);
-        at = header_end + 8;
-        for (i, f) in schema.fields().iter().enumerate() {
-            let plen = rd_u64(at)? as usize;
-            at += 8;
-            let pstart = at;
-            let pend = pstart
-                .checked_add(plen)
-                .filter(|&e| e + 8 <= b.len())
-                .ok_or_else(|| err(format!("truncated segment for column `{}`", f.name)))?;
-            let want = rd_u64(pend)?;
-            let got = fnv1a(&b[pstart..pend]);
-            if want != got {
-                return Err(err(format!(
-                    "checksum mismatch in column `{}` (stored {want:016x}, computed {got:016x})",
-                    f.name
-                )));
+        for f in schema.fields() {
+            let seg = file.expect(SEG_COLUMN)?;
+            let (start, plen) = (seg.offset, seg.payload.len());
+            let is_str = f.dtype == Dtype::Str;
+            // The fixed-width sections fill the payload; only a string
+            // column has a heap after them.
+            let data_len = match f.dtype {
+                Dtype::Bool => Some(vbytes),
+                Dtype::Int | Dtype::Float => data_bytes,
+                Dtype::Str => offset_bytes,
             }
-            let validity = pstart..pstart + vbytes;
-            let (data, heap) = match f.dtype {
-                Dtype::Bool => {
-                    let need = 2 * vbytes;
-                    if plen != pad8(need) {
-                        return Err(err(format!("column `{}` has wrong segment size", f.name)));
-                    }
-                    (validity.end..validity.end + vbytes, 0..0)
+            .filter(|&d| {
+                vbytes
+                    .checked_add(d)
+                    .is_some_and(|need| need == plen || (is_str && need <= plen))
+            })
+            .ok_or_else(|| err(format!("column `{}` has wrong segment size", f.name)))?;
+            let validity = start..start + vbytes;
+            let data = validity.end..validity.end + data_len;
+            let heap = data.end..start + plen;
+            if is_str {
+                let offsets: &[u64] = cast_slice(&b[data.clone()]);
+                if offsets[0] != 0 {
+                    return Err(err(format!("column `{}` offsets do not start at 0", f.name)));
                 }
-                Dtype::Int | Dtype::Float => {
-                    let need = vbytes + nrows * 8;
-                    if plen != pad8(need) {
-                        return Err(err(format!("column `{}` has wrong segment size", f.name)));
+                for w in offsets.windows(2) {
+                    if w[1] < w[0] {
+                        return Err(err(format!("column `{}` offsets are not monotonic", f.name)));
                     }
-                    (validity.end..validity.end + nrows * 8, 0..0)
                 }
-                Dtype::Str => {
-                    let obytes = (nrows + 1) * 8;
-                    if plen < vbytes + obytes {
-                        return Err(err(format!("column `{}` has wrong segment size", f.name)));
-                    }
-                    let data = validity.end..validity.end + obytes;
-                    let heap_padded = plen - vbytes - obytes;
-                    let offsets: &[u64] = cast_slice(&b[data.clone()]);
-                    if offsets[0] != 0 {
-                        return Err(err(format!("column `{}` offsets do not start at 0", f.name)));
-                    }
-                    for w in offsets.windows(2) {
-                        if w[1] < w[0] {
-                            return Err(err(format!(
-                                "column `{}` offsets are not monotonic",
-                                f.name
-                            )));
-                        }
-                    }
-                    let heap_len = offsets[nrows] as usize;
-                    if pad8(heap_len) != heap_padded {
-                        return Err(err(format!(
-                            "column `{}` heap length disagrees with offsets",
-                            f.name
-                        )));
-                    }
-                    let heap = data.end..data.end + heap_len;
-                    // Validate every cell is UTF-8 once, here, so the hot
-                    // accessors can slice with from_utf8_unchecked.
-                    let heap_bytes = &b[heap.clone()];
-                    for (r, w) in offsets.windows(2).enumerate() {
-                        let s = &heap_bytes[w[0] as usize..w[1] as usize];
-                        if std::str::from_utf8(s).is_err() {
-                            return Err(err(format!(
-                                "column `{}` row {r} is not UTF-8",
-                                f.name
-                            )));
-                        }
-                    }
-                    (data, heap)
+                if offsets[nrows] != heap.len() as u64 {
+                    return Err(err(format!(
+                        "column `{}` heap length disagrees with offsets",
+                        f.name
+                    )));
                 }
-            };
-            let _ = i;
+                // Validate every cell is UTF-8 once, here, so the hot
+                // accessors can slice with from_utf8_unchecked.
+                let heap_bytes = &b[heap.clone()];
+                for (r, w) in offsets.windows(2).enumerate() {
+                    let s = &heap_bytes[w[0] as usize..w[1] as usize];
+                    if std::str::from_utf8(s).is_err() {
+                        return Err(err(format!("column `{}` row {r} is not UTF-8", f.name)));
+                    }
+                }
+            }
             cols.push(ColMeta {
                 dtype: f.dtype,
                 validity,
                 data,
                 heap,
             });
-            at = pend + 8;
         }
-        if at != b.len() {
-            return Err(err(format!(
-                "{} trailing bytes after the last column segment",
-                b.len() - at
-            )));
-        }
+        file.finish()?;
         Ok(MappedTable {
             schema,
             nrows,
@@ -898,38 +850,79 @@ mod tests {
         assert_eq!(back.schema(), t.schema());
     }
 
+    fn parse(bytes: &[u8]) -> Result<MappedTable> {
+        MappedTable::parse(to_buf(bytes), "read")
+    }
+
+    /// A schema segment's payload: `nrows`, then `(name, dtype code)`s.
+    fn schema(nrows: u64, cols: &[(&str, u8)]) -> Vec<u8> {
+        let mut p = nrows.to_le_bytes().to_vec();
+        p.extend_from_slice(&(cols.len() as u32).to_le_bytes());
+        for (name, code) in cols {
+            p.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            p.extend_from_slice(name.as_bytes());
+            p.push(*code);
+        }
+        p
+    }
+
+    /// What the segment checksums cannot vouch for: a payload sealed
+    /// with a valid checksum must still agree with the schema.
     #[test]
     fn corruption_is_detected() {
-        let t = sample();
         let mut bytes = Vec::new();
-        write(&t, &mut bytes).unwrap();
-
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xff;
-        assert!(MappedTable::parse(to_buf(&bad), "read").is_err());
-
-        // A flipped byte anywhere in a payload fails that column's checksum.
-        let mut bad = bytes.clone();
-        let mid = bytes.len() / 2;
-        bad[mid] ^= 0x01;
-        assert!(MappedTable::parse(to_buf(&bad), "read").is_err());
-
-        // Every strict prefix is rejected (torn write).
-        for cut in [1, 8, 20, bytes.len() / 3, bytes.len() - 1] {
-            assert!(
-                MappedTable::parse(to_buf(&bytes[..cut]), "read").is_err(),
-                "prefix of {cut} bytes parsed"
-            );
+        write(&sample(), &mut bytes).unwrap();
+        parse(&bytes).unwrap();
+        for cut in 0..bytes.len() {
+            assert!(parse(&bytes[..cut]).is_err(), "prefix of {cut} bytes parsed");
         }
+        // Sound framing, wrong contents: each case is sealed by the codec,
+        // so only the structural checks can refuse it.
+        let file = |nrows, cols: &[(&str, u8)], column: Option<(&[u64], &[u8])>| {
+            let schema = schema(nrows, cols);
+            let column = column.map(|(words, heap)| {
+                let words: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+                [&words[..], heap].concat()
+            });
+            let mut segs = vec![(SEG_SCHEMA, &schema[..])];
+            segs.extend(column.as_deref().map(|c| (SEG_COLUMN, c)));
+            crate::segment::encode(MAGIC, &segs)
+        };
+        for (bytes, want) in [
+            (file(1, &[("x", 9)], None), "unknown dtype code 9"),
+            (file(0, &[("a", 1), ("a", 1)], None), "duplicate"),
+            (file(0, &[("a", 1)], None), "expected segment 2, found segment 0"),
+            (file(1, &[("x", 1)], Some((&[1], b""))), "wrong segment size"),
+            (file(2, &[("s", 3)], Some((&[3, 0, 2, 1], b""))), "not monotonic"),
+            (file(1, &[("s", 3)], Some((&[1, 0, 5], b""))), "heap length disagrees"),
+            (file(1, &[("s", 3)], Some((&[1, 0, 2], &[0xc3, 0x28]))), "row 0 is not UTF-8"),
+        ] {
+            let e = parse(&bytes).unwrap_err().to_string();
+            assert!(e.contains(want), "expected `{want}`, got `{e}`");
+        }
+    }
 
-        // Trailing garbage is rejected too.
-        let mut bad = bytes.clone();
-        bad.extend_from_slice(&[0u8; 8]);
-        assert!(MappedTable::parse(to_buf(&bad), "read").is_err());
+    /// A valid checksum over a schema claiming 2^61 rows of one `Int`
+    /// column: the row count is refused before `nrows * 8` is computed
+    /// (which overflowed, and panicked in debug builds).
+    #[test]
+    fn hostile_row_count_is_a_format_error() {
+        let file = |nrows| crate::segment::encode(MAGIC, &[(SEG_SCHEMA, &schema(nrows, &[("x", 1)]))]);
+        match parse(&file(1 << 61)) {
+            Err(TableError::Format(m)) => assert!(m.contains("cannot fit"), "{m}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+        // A count the file can hold reads on, to the missing column.
+        let e = parse(&file(1)).unwrap_err().to_string();
+        assert!(e.contains("expected segment 2"), "{e}");
+    }
 
-        // The untouched bytes still parse.
-        assert!(MappedTable::parse(to_buf(&bytes), "read").is_ok());
+    /// An `emtbl v1` file is refused by name, not misread.
+    #[test]
+    fn v1_files_are_refused_by_version() {
+        let v1 = [&b"emtbl v1"[..], &3u64.to_le_bytes(), &[0; 12]].concat();
+        let e = parse(&v1).unwrap_err().to_string();
+        assert!(e.contains("bad magic") && e.contains("found `emtbl v1`"), "{e}");
     }
 
     fn to_buf(bytes: &[u8]) -> Buf {
@@ -949,7 +942,7 @@ mod tests {
         let t = sample();
         let mut bytes = Vec::new();
         write(&t, &mut bytes).unwrap();
-        let map = MappedTable::parse(to_buf(&bytes), "read").unwrap();
+        let map = parse(&bytes).unwrap();
         match map.column_slice(2) {
             ColumnSlice::Int { data, .. } => assert_eq!(data, &[40, 0, -7]),
             other => panic!("expected int slice, got {other:?}"),

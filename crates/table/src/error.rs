@@ -61,8 +61,8 @@ pub enum TableError {
         /// Description of the problem.
         message: String,
     },
-    /// An on-disk `emtbl` file is malformed, truncated, or failed a
-    /// checksum.
+    /// An on-disk `emtbl` file is malformed, truncated, of another
+    /// version, or failed a checksum.
     Format(String),
     /// Underlying I/O failure.
     Io(std::io::Error),
@@ -116,6 +116,12 @@ impl std::error::Error for TableError {
 impl From<std::io::Error> for TableError {
     fn from(e: std::io::Error) -> Self {
         TableError::Io(e)
+    }
+}
+
+impl From<crate::segment::SegmentError> for TableError {
+    fn from(e: crate::segment::SegmentError) -> Self {
+        TableError::Format(e.to_string())
     }
 }
 

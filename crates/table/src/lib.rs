@@ -16,8 +16,10 @@
 //! trusting it (the paper's "self-containment" principle). Both halves of
 //! that design are reproduced here, including the validation paths.
 //!
-//! The crate also provides RFC-4180-subset CSV I/O ([`csv`]) and dataset
-//! profiling ([`profile`]) used by the how-to guide's data-exploration step.
+//! The crate also provides RFC-4180-subset CSV I/O ([`csv`]), dataset
+//! profiling ([`profile`]) used by the how-to guide's data-exploration step,
+//! and [`segment`], the one framing every binary file of the workspace is
+//! read and written through (`emtbl` here, the checkpoints upstream).
 
 #![warn(missing_docs)]
 
@@ -28,6 +30,7 @@ pub mod emtbl;
 pub mod error;
 pub mod profile;
 pub mod schema;
+pub mod segment;
 pub mod table;
 pub mod value;
 
