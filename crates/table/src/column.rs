@@ -1,14 +1,16 @@
 //! Typed, nullable column storage.
 
+use crate::emtbl::ColumnSlice;
 use crate::error::TableError;
-use crate::value::{Dtype, Value, ValueRef};
+use crate::value::{Dtype, ValueRef};
 use crate::Result;
 
-/// A single column of a [`crate::Table`]: one typed vector of nullable
-/// cells. Column-oriented storage keeps the hot EM loops (tokenize a string
-/// attribute, compare a numeric attribute) cache-friendly and allocation-free.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Column {
+/// A single column of a [`crate::Table`]. Numbers and booleans are one
+/// typed vector of nullable cells; strings are laid out the way an `emtbl`
+/// file stores them ([`StrColumn`]), so a cell costs no allocation of its
+/// own and a column is written out or dropped in a handful of blocks.
+#[derive(Debug, Clone)]
+pub(crate) enum Column {
     /// Boolean column.
     Bool(Vec<Option<bool>>),
     /// Integer column.
@@ -16,22 +18,123 @@ pub enum Column {
     /// Float column.
     Float(Vec<Option<f64>>),
     /// String column.
-    Str(Vec<Option<String>>),
+    Str(StrColumn),
+}
+
+/// A string column: a validity bitmap (bit `r % 8` of byte `r / 8`, as in
+/// `emtbl`), a `(start, len)` span per row and one heap the spans point
+/// into. Where the file has offsets the spans let a cell be overwritten:
+/// the new text is appended and the old bytes are dead. Once dead bytes
+/// outnumber both the live ones and the rows, the heap is rebuilt in row
+/// order, which keeps [`StrColumn::set`] amortised O(1).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StrColumn {
+    valid: Vec<u8>,
+    spans: Vec<(usize, usize)>,
+    heap: String,
+    dead: usize,
+}
+
+impl StrColumn {
+    pub(crate) fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// The validity bitmap; bits past the last row are clear.
+    pub(crate) fn validity(&self) -> &[u8] {
+        &self.valid
+    }
+
+    pub(crate) fn get(&self, row: usize) -> Option<&str> {
+        let (start, len) = self.spans[row];
+        (self.valid[row / 8] & (1 << (row % 8)) != 0).then(|| &self.heap[start..start + len])
+    }
+
+    pub(crate) fn push(&mut self, cell: Option<&str>) {
+        let row = self.spans.len();
+        if row.is_multiple_of(8) {
+            self.valid.push(0);
+        }
+        self.spans.push((self.heap.len(), 0));
+        self.set(row, cell);
+    }
+
+    pub(crate) fn set(&mut self, row: usize, cell: Option<&str>) {
+        self.dead += self.spans[row].1;
+        self.spans[row] = (self.heap.len(), cell.map_or(0, str::len));
+        let mask = 1 << (row % 8);
+        match cell {
+            Some(s) => {
+                self.valid[row / 8] |= mask;
+                self.heap.push_str(s);
+            }
+            None => self.valid[row / 8] &= !mask,
+        }
+        if self.dead > (self.heap.len() - self.dead).max(self.spans.len()) {
+            self.compact();
+        }
+    }
+
+    /// Rebuild the heap with only the live bytes, in row order.
+    fn compact(&mut self) {
+        let mut heap = String::with_capacity(self.heap.len() - self.dead);
+        for span in &mut self.spans {
+            let (start, len) = *span;
+            *span = (heap.len(), len);
+            heap.push_str(&self.heap[start..start + len]);
+        }
+        self.heap = heap;
+        self.dead = 0;
+    }
 }
 
 impl Column {
-    /// An empty column of the given dtype with reserved capacity.
-    pub fn with_capacity(dtype: Dtype, cap: usize) -> Self {
+    /// An empty column of the given dtype with room for `cap` rows.
+    pub(crate) fn with_capacity(dtype: Dtype, cap: usize) -> Self {
         match dtype {
             Dtype::Bool => Column::Bool(Vec::with_capacity(cap)),
             Dtype::Int => Column::Int(Vec::with_capacity(cap)),
             Dtype::Float => Column::Float(Vec::with_capacity(cap)),
-            Dtype::Str => Column::Str(Vec::with_capacity(cap)),
+            Dtype::Str => Column::Str(StrColumn {
+                valid: Vec::with_capacity(cap.div_ceil(8)),
+                spans: Vec::with_capacity(cap),
+                ..StrColumn::default()
+            }),
         }
     }
 
+    /// A copy of a mapped column; a string column's heap and bitmap are
+    /// copied whole and its offsets become spans.
+    pub(crate) fn from_slice(dtype: Dtype, slice: ColumnSlice<'_>) -> Self {
+        let ColumnSlice::Str {
+            validity,
+            offsets,
+            heap,
+        } = slice
+        else {
+            let mut col = Column::with_capacity(dtype, slice.len());
+            col.extend((0..slice.len()).map(|r| slice.get(r)));
+            return col;
+        };
+        let rows = offsets.len() - 1;
+        let mut valid = validity[..rows.div_ceil(8)].to_vec();
+        if rows % 8 != 0 {
+            valid[rows / 8] &= (1 << (rows % 8)) - 1;
+        }
+        let spans = offsets
+            .windows(2)
+            .map(|w| (w[0] as usize, (w[1] - w[0]) as usize))
+            .collect();
+        Column::Str(StrColumn {
+            valid,
+            spans,
+            heap: heap.to_owned(),
+            dead: 0,
+        })
+    }
+
     /// The dtype of the column.
-    pub fn dtype(&self) -> Dtype {
+    pub(crate) fn dtype(&self) -> Dtype {
         match self {
             Column::Bool(_) => Dtype::Bool,
             Column::Int(_) => Dtype::Int,
@@ -41,135 +144,69 @@ impl Column {
     }
 
     /// Number of cells.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Column::Bool(v) => v.len(),
             Column::Int(v) => v.len(),
             Column::Float(v) => v.len(),
-            Column::Str(v) => v.len(),
+            Column::Str(s) => s.len(),
         }
     }
 
-    /// True if the column has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Borrow the cell at `row`.
-    pub fn get(&self, row: usize) -> ValueRef<'_> {
+    pub(crate) fn get(&self, row: usize) -> ValueRef<'_> {
         match self {
             Column::Bool(v) => v[row].map_or(ValueRef::Null, ValueRef::Bool),
             Column::Int(v) => v[row].map_or(ValueRef::Null, ValueRef::Int),
             Column::Float(v) => v[row].map_or(ValueRef::Null, ValueRef::Float),
-            Column::Str(v) => v[row]
-                .as_deref()
-                .map_or(ValueRef::Null, ValueRef::Str),
+            Column::Str(s) => s.get(row).map_or(ValueRef::Null, ValueRef::Str),
         }
     }
 
-    /// Append a value, enforcing the dtype. `Value::Null` fits any column.
-    pub fn push(&mut self, value: Value, column_name: &str) -> Result<()> {
-        match (self, value) {
-            (Column::Bool(v), Value::Bool(b)) => v.push(Some(b)),
-            (Column::Int(v), Value::Int(i)) => v.push(Some(i)),
-            (Column::Float(v), Value::Float(f)) => v.push(Some(f)),
-            // Int literals are accepted into float columns; EM feature tables
-            // are float-typed but generators often produce whole numbers.
-            (Column::Float(v), Value::Int(i)) => v.push(Some(i as f64)),
-            (Column::Str(v), Value::Str(s)) => v.push(Some(s)),
-            (Column::Bool(v), Value::Null) => v.push(None),
-            (Column::Int(v), Value::Null) => v.push(None),
-            (Column::Float(v), Value::Null) => v.push(None),
-            (Column::Str(v), Value::Null) => v.push(None),
-            (col, value) => {
-                return Err(TableError::TypeMismatch {
+    /// Whether `value` fits the column: its own dtype, an int into a float
+    /// column (EM feature tables are float-typed but generators often
+    /// produce whole numbers), or a null.
+    pub(crate) fn check(&self, value: ValueRef<'_>, column_name: &str) -> Result<()> {
+        match value.dtype() {
+            Some(d) if d != self.dtype() && !(d == Dtype::Int && self.dtype() == Dtype::Float) => {
+                Err(TableError::TypeMismatch {
                     column: column_name.to_owned(),
-                    expected: col.dtype(),
-                    found: value.dtype().expect("null handled above"),
+                    expected: self.dtype(),
+                    found: d,
                 })
             }
+            _ => Ok(()),
+        }
+    }
+
+    /// Append a cell that passed [`Column::check`] (a cell that did not is
+    /// stored as a null).
+    pub(crate) fn push(&mut self, value: ValueRef<'_>) {
+        match self {
+            Column::Bool(v) => v.push(value.as_bool()),
+            Column::Int(v) => v.push(value.as_int()),
+            Column::Float(v) => v.push(value.as_float()),
+            Column::Str(s) => s.push(value.as_str()),
+        }
+    }
+
+    /// Append cells that passed [`Column::check`].
+    pub(crate) fn extend<'a>(&mut self, cells: impl IntoIterator<Item = ValueRef<'a>>) {
+        for cell in cells {
+            self.push(cell);
+        }
+    }
+
+    /// Overwrite the cell at `row`, enforcing the dtype.
+    pub(crate) fn set(&mut self, row: usize, value: ValueRef<'_>, column_name: &str) -> Result<()> {
+        self.check(value, column_name)?;
+        match self {
+            Column::Bool(v) => v[row] = value.as_bool(),
+            Column::Int(v) => v[row] = value.as_int(),
+            Column::Float(v) => v[row] = value.as_float(),
+            Column::Str(s) => s.set(row, value.as_str()),
         }
         Ok(())
-    }
-
-    /// Overwrite the cell at `row`.
-    pub fn set(&mut self, row: usize, value: Value, column_name: &str) -> Result<()> {
-        match (self, value) {
-            (Column::Bool(v), Value::Bool(b)) => v[row] = Some(b),
-            (Column::Int(v), Value::Int(i)) => v[row] = Some(i),
-            (Column::Float(v), Value::Float(f)) => v[row] = Some(f),
-            (Column::Float(v), Value::Int(i)) => v[row] = Some(i as f64),
-            (Column::Str(v), Value::Str(s)) => v[row] = Some(s),
-            (Column::Bool(v), Value::Null) => v[row] = None,
-            (Column::Int(v), Value::Null) => v[row] = None,
-            (Column::Float(v), Value::Null) => v[row] = None,
-            (Column::Str(v), Value::Null) => v[row] = None,
-            (col, value) => {
-                return Err(TableError::TypeMismatch {
-                    column: column_name.to_owned(),
-                    expected: col.dtype(),
-                    found: value.dtype().expect("null handled above"),
-                })
-            }
-        }
-        Ok(())
-    }
-
-    /// Append all cells of a same-dtype column (the batch-flush path of
-    /// streaming ingest). Panics on dtype mismatch — callers validate.
-    pub fn append(&mut self, other: Column) {
-        match (self, other) {
-            (Column::Bool(v), Column::Bool(mut o)) => v.append(&mut o),
-            (Column::Int(v), Column::Int(mut o)) => v.append(&mut o),
-            (Column::Float(v), Column::Float(mut o)) => v.append(&mut o),
-            (Column::Str(v), Column::Str(mut o)) => v.append(&mut o),
-            _ => panic!("Column::append dtype mismatch (caller must validate)"),
-        }
-    }
-
-    /// Number of null cells.
-    pub fn null_count(&self) -> usize {
-        match self {
-            Column::Bool(v) => v.iter().filter(|c| c.is_none()).count(),
-            Column::Int(v) => v.iter().filter(|c| c.is_none()).count(),
-            Column::Float(v) => v.iter().filter(|c| c.is_none()).count(),
-            Column::Str(v) => v.iter().filter(|c| c.is_none()).count(),
-        }
-    }
-
-    /// A new column containing the cells at `rows`, in order. Indices may
-    /// repeat (sampling with replacement) and must be in bounds.
-    pub fn take(&self, rows: &[usize]) -> Column {
-        match self {
-            Column::Bool(v) => Column::Bool(rows.iter().map(|&r| v[r]).collect()),
-            Column::Int(v) => Column::Int(rows.iter().map(|&r| v[r]).collect()),
-            Column::Float(v) => Column::Float(rows.iter().map(|&r| v[r]).collect()),
-            Column::Str(v) => Column::Str(rows.iter().map(|&r| v[r].clone()).collect()),
-        }
-    }
-
-    /// Direct access to string cells (hot path for tokenizers/blockers).
-    pub fn as_str_slice(&self) -> Option<&[Option<String>]> {
-        match self {
-            Column::Str(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Direct access to integer cells.
-    pub fn as_int_slice(&self) -> Option<&[Option<i64>]> {
-        match self {
-            Column::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Direct access to float cells.
-    pub fn as_float_slice(&self) -> Option<&[Option<f64>]> {
-        match self {
-            Column::Float(v) => Some(v),
-            _ => None,
-        }
     }
 }
 
@@ -177,49 +214,82 @@ impl Column {
 mod tests {
     use super::*;
 
+    fn pushed(dtype: Dtype, cells: &[ValueRef<'_>]) -> Column {
+        let mut c = Column::with_capacity(dtype, cells.len());
+        for &cell in cells {
+            c.check(cell, "c").unwrap();
+            c.push(cell);
+        }
+        c
+    }
+
     #[test]
     fn push_and_get_roundtrip() {
-        let mut c = Column::with_capacity(Dtype::Str, 2);
-        c.push(Value::from("x"), "s").unwrap();
-        c.push(Value::Null, "s").unwrap();
-        assert_eq!(c.len(), 2);
+        let c = pushed(
+            Dtype::Str,
+            &[ValueRef::Str("x"), ValueRef::Null, ValueRef::Str("")],
+        );
+        assert_eq!(c.len(), 3);
         assert_eq!(c.get(0), ValueRef::Str("x"));
         assert!(c.get(1).is_null());
-        assert_eq!(c.null_count(), 1);
+        assert_eq!(c.get(2), ValueRef::Str(""), "empty is not null");
     }
 
     #[test]
     fn type_mismatch_rejected() {
-        let mut c = Column::with_capacity(Dtype::Int, 1);
-        let err = c.push(Value::from("oops"), "n").unwrap_err();
+        let c = Column::with_capacity(Dtype::Int, 1);
+        let err = c.check(ValueRef::Str("oops"), "n").unwrap_err();
         assert!(matches!(err, TableError::TypeMismatch { .. }));
     }
 
     #[test]
     fn int_coerces_into_float_column() {
-        let mut c = Column::with_capacity(Dtype::Float, 1);
-        c.push(Value::Int(3), "f").unwrap();
+        let c = pushed(Dtype::Float, &[ValueRef::Int(3)]);
         assert_eq!(c.get(0), ValueRef::Float(3.0));
     }
 
     #[test]
     fn take_duplicates_and_reorders() {
-        let mut c = Column::with_capacity(Dtype::Int, 3);
-        for i in 0..3 {
-            c.push(Value::Int(i), "n").unwrap();
-        }
-        let t = c.take(&[2, 0, 2]);
-        assert_eq!(t.get(0), ValueRef::Int(2));
-        assert_eq!(t.get(1), ValueRef::Int(0));
-        assert_eq!(t.get(2), ValueRef::Int(2));
+        let cells = [ValueRef::Str("a"), ValueRef::Null, ValueRef::Str("cé")];
+        let c = pushed(Dtype::Str, &cells);
+        let mut t = Column::with_capacity(Dtype::Str, 3);
+        t.extend([2, 0, 2, 1].map(|r| c.get(r)));
+        assert_eq!(t.get(0), cells[2]);
+        assert_eq!(t.get(1), cells[0]);
+        assert_eq!(t.get(2), cells[2]);
+        assert!(t.get(3).is_null());
     }
 
     #[test]
     fn set_overwrites_and_nulls() {
-        let mut c = Column::with_capacity(Dtype::Bool, 1);
-        c.push(Value::Bool(true), "b").unwrap();
-        c.set(0, Value::Null, "b").unwrap();
+        let mut c = pushed(Dtype::Bool, &[ValueRef::Bool(true)]);
+        c.set(0, ValueRef::Null, "b").unwrap();
         assert!(c.get(0).is_null());
-        assert!(c.set(0, Value::Int(1), "b").is_err());
+        assert!(c.set(0, ValueRef::Int(1), "b").is_err());
+    }
+
+    /// Overwrites leave dead bytes behind until they outnumber the live
+    /// ones and the rows; the heap is then rebuilt in row order.
+    #[test]
+    fn overwrites_compact_the_heap() {
+        let mut c = pushed(Dtype::Str, &[ValueRef::Str("ab"); 4]);
+        for i in 0..40 {
+            let cell = format!("v{i}");
+            c.set(i % 4, ValueRef::Str(&cell), "s").unwrap();
+            let Column::Str(s) = &c else { unreachable!() };
+            assert!(
+                s.dead <= (s.heap.len() - s.dead).max(s.len()),
+                "after set {i}"
+            );
+            assert_eq!(c.get(i % 4), ValueRef::Str(&cell));
+        }
+        c.set(1, ValueRef::Null, "s").unwrap();
+        let Column::Str(s) = &c else { unreachable!() };
+        let cells: Vec<_> = (0..4).map(|r| s.get(r)).collect();
+        assert_eq!(cells, [Some("v36"), None, Some("v38"), Some("v39")]);
+        let mut s = s.clone();
+        s.compact();
+        assert_eq!(s.heap, "v36v38v39");
+        assert_eq!((0..4).map(|r| s.get(r)).collect::<Vec<_>>(), cells);
     }
 }

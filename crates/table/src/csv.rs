@@ -8,17 +8,12 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
-use crate::emtbl::ColumnarBuilder;
+use crate::column::Column;
 use crate::error::TableError;
-use crate::schema::Schema;
+use crate::schema::{Field, Schema};
 use crate::table::Table;
-use crate::value::{Dtype, Value};
+use crate::value::{Dtype, ValueRef};
 use crate::Result;
-
-/// Rows staged per columnar batch during streaming ingest. Bounds the
-/// working set of a CSV read to one batch beyond the table's own
-/// columns, independent of file size.
-const CSV_BATCH_ROWS: usize = 8192;
 
 fn csv_error(line: usize, message: impl Into<String>) -> TableError {
     TableError::Csv {
@@ -258,13 +253,11 @@ pub fn read_csv<R: Read>(
         ));
     }
 
-    // Streaming ingest: records are parsed straight into a bounded
-    // columnar batch (one reused row buffer, no per-file row Vec) and
-    // flushed into the table's columns every CSV_BATCH_ROWS rows.
-    let mut table = Table::new(name, schema);
-    let ncols = table.ncols();
-    let mut builder = ColumnarBuilder::new(table.schema().clone(), CSV_BATCH_ROWS);
-    let mut row_buf: Vec<Value> = Vec::with_capacity(ncols);
+    // Each field goes straight into its column: a string cell's bytes are
+    // appended to the column's heap, so no cell is a `String` of its own.
+    let mut columns = columns_for(schema.fields(), 0);
+    let ncols = columns.len();
+    let mut nrows = 0;
     while let Some(line_no) = records.next_record(ncols)? {
         let fields = records.fields()?;
         if fields.len() != ncols {
@@ -276,17 +269,12 @@ pub fn read_csv<R: Read>(
                 ),
             ));
         }
-        row_buf.clear();
-        for (field, decl) in fields.iter().zip(builder.schema().fields()) {
-            row_buf.push(parse_cell(field, decl.dtype, line_no)?);
+        for (field, col) in fields.iter().zip(&mut columns) {
+            push_cell(col, field, line_no)?;
         }
-        builder.push_row(&mut row_buf)?;
-        if builder.is_full() {
-            table.append_batch(builder.take_batch())?;
-        }
+        nrows += 1;
     }
-    table.append_batch(builder.take_batch())?;
-    Ok(table)
+    Ok(Table::from_columns(name, schema, columns, nrows))
 }
 
 /// Read a headered CSV file from disk.
@@ -300,17 +288,26 @@ pub fn read_csv_path(path: impl AsRef<Path>, schema: Schema) -> Result<Table> {
     read_csv(file, name, schema)
 }
 
-fn parse_cell(raw: &str, dtype: Dtype, line_no: usize) -> Result<Value> {
-    if raw.is_empty() {
-        return Ok(Value::Null);
-    }
-    let parsed = match dtype {
-        Dtype::Bool => raw.parse::<bool>().map(Value::Bool).ok(),
-        Dtype::Int => raw.parse::<i64>().map(Value::Int).ok(),
-        Dtype::Float => raw.parse::<f64>().map(Value::Float).ok(),
-        Dtype::Str => Some(Value::Str(raw.to_owned())),
+fn columns_for(fields: &[Field], cap: usize) -> Vec<Column> {
+    fields.iter().map(|f| Column::with_capacity(f.dtype, cap)).collect()
+}
+
+/// Parse `raw` by the column's dtype and append it; empty is null.
+fn push_cell(col: &mut Column, raw: &str, line_no: usize) -> Result<()> {
+    let dtype = col.dtype();
+    let cell = if raw.is_empty() {
+        Some(ValueRef::Null)
+    } else {
+        match dtype {
+            Dtype::Bool => raw.parse().ok().map(ValueRef::Bool),
+            Dtype::Int => raw.parse().ok().map(ValueRef::Int),
+            Dtype::Float => raw.parse().ok().map(ValueRef::Float),
+            Dtype::Str => Some(ValueRef::Str(raw)),
+        }
     };
-    parsed.ok_or_else(|| csv_error(line_no, format!("cannot parse `{raw}` as {dtype}")))
+    let cell = cell.ok_or_else(|| csv_error(line_no, format!("cannot parse `{raw}` as {dtype}")))?;
+    col.push(cell);
+    Ok(())
 }
 
 /// Read a headered CSV and *infer* each column's dtype from its contents:
@@ -360,22 +357,18 @@ pub fn read_csv_infer<R: Read>(reader: R, name: impl Into<String>) -> Result<Tab
             Dtype::Str
         }
     };
-    let fields: Vec<crate::schema::Field> = header
+    let fields: Vec<Field> = header
         .iter()
         .enumerate()
-        .map(|(c, name)| crate::schema::Field::new(name.clone(), infer(c)))
+        .map(|(c, name)| Field::new(name.clone(), infer(c)))
         .collect();
-    let schema = Schema::new(fields)?;
-    let mut table = Table::with_capacity(name, schema, records.len());
-    for (i, rec) in records.into_iter().enumerate() {
-        let row: Vec<Value> = rec
-            .into_iter()
-            .enumerate()
-            .map(|(c, cell)| parse_cell(&cell, table.schema().field(c).dtype, i + 2))
-            .collect::<Result<_>>()?;
-        table.push_row(row)?;
+    let mut columns = columns_for(&fields, records.len());
+    for (i, rec) in records.iter().enumerate() {
+        for (cell, col) in rec.iter().zip(&mut columns) {
+            push_cell(col, cell, i + 2)?;
+        }
     }
-    Ok(table)
+    Ok(Table::from_columns(name, Schema::new(fields)?, columns, records.len()))
 }
 
 /// Quote a field if it contains a delimiter, a quote, or either byte of a
@@ -425,7 +418,7 @@ pub fn write_csv_path(table: &Table, path: impl AsRef<Path>) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::ValueRef;
+    use crate::value::Value;
 
     fn schema() -> Schema {
         Schema::from_pairs(&[("id", Dtype::Str), ("name", Dtype::Str), ("n", Dtype::Int)])
@@ -859,18 +852,36 @@ mod tests {
             b"a,b,c\n1,\"open\n2,\xc3",
             b"\xc0\x80,b,c\n1,2,3\n",
             "a,b,c\n\u{e9}t\u{e9},\"\u{3bb},\u{2603}\",\u{212a}\n".as_bytes(),
+            b"a,b,c\n1,\0,3\n\0,\"\0\",\0\n",
+            b"\xef\xbb\xbfa,b,c\n\xef\xbb\xbf1,2,3\n",
+            b"a,b,c\n1,x\ry,3\n1,\"x\ry\",\r\n",
+            b"a,b,c\n1,2,\"",
+            b"a,b,c\n1,2,3\"",
+            b"a,b,c\n1,2,\"3\"\"",
         ];
         for data in cases {
             assert_matches_oracle(data);
         }
+        // Lines longer than the reader's 8 KiB buffer, plain and quoted
+        // across a line break.
+        let long = "x".repeat(9_000);
+        for data in [
+            format!("a,b,c\n{long},y,z\n1,2,3\n"),
+            format!("a,b,c\n1,\"{long}\n{long}\",3\n"),
+            format!("{long},b,c\n1,2,3"),
+        ] {
+            assert_matches_oracle(data.as_bytes());
+        }
     }
 
     /// The pieces random inputs are assembled from: field text, separators,
-    /// every quote shape, all three terminators, multi-byte characters and
-    /// bytes that are not UTF-8.
+    /// every quote shape, all three terminators, multi-byte characters,
+    /// bytes that are not UTF-8, NUL, a byte-order mark and a run longer
+    /// than the reader's 8 KiB buffer.
     const PIECES: &[&[u8]] = &[
         b"a", b"bc", b" ", b",", b",", b"\"", b"\"", b"\"\"", b"\n", b"\n", b"\r\n", b"\r",
-        "\u{e9}".as_bytes(), "\u{2603}".as_bytes(), b"\xff", b"\xc3",
+        "\u{e9}".as_bytes(), "\u{2603}".as_bytes(), b"\xff", b"\xc3", b"\0", "\u{feff}".as_bytes(),
+        &[b'x'; 9_000],
     ];
 
     use proptest::prelude::*;

@@ -38,8 +38,12 @@
 //! torn write or a flipped byte fails a segment checksum at open time,
 //! and what passes the checksum is still checked before it is sliced:
 //! the row count against the file's length, each payload's size against
-//! the schema, string offsets for monotonicity and every string cell for
-//! UTF-8.
+//! the schema, string offsets for monotonicity, and each string heap for
+//! UTF-8 with every offset on a char boundary (so every cell is UTF-8).
+//!
+//! A string column of an in-RAM [`Table`] has the same layout, with a
+//! `(start, len)` span per row where the file has offsets: writing one
+//! derives the offsets from the spans and copies out of one heap.
 
 use std::fmt;
 use std::fs::File;
@@ -52,7 +56,7 @@ use crate::error::TableError;
 use crate::schema::{Field, Schema};
 use crate::segment::{SegmentReader, SegmentWriter};
 use crate::table::Table;
-use crate::value::{Dtype, Value, ValueRef};
+use crate::value::{Dtype, ValueRef};
 use crate::Result;
 
 /// Format name and version: the file's [`crate::segment`] magic.
@@ -60,11 +64,6 @@ pub const MAGIC: &str = "emtbl v2";
 
 const SEG_SCHEMA: u32 = 1;
 const SEG_COLUMN: u32 = 2;
-
-/// Default row count per ingest batch for [`ColumnarBuilder`] users
-/// (large enough to amortize per-batch work, small enough to bound the
-/// working set of a streaming CSV ingest).
-pub const DEFAULT_BATCH_ROWS: usize = 8192;
 
 fn pad8(n: usize) -> usize {
     n.div_ceil(8) * 8
@@ -122,44 +121,49 @@ pub fn write<W: Write>(table: &Table, w: &mut W) -> Result<()> {
 
     let vbytes = pad8(nrows.div_ceil(8));
     for c in 0..table.ncols() {
-        let col = table.column_at(c);
-        let mut payload = vec![0u8; vbytes];
-        for r in 0..nrows {
-            if !col.get(r).is_null() {
-                set_bit(&mut payload[..vbytes], r);
-            }
-        }
-        match col {
+        let col = table.ram_column(c);
+        let mut payload = Vec::with_capacity(vbytes + 8 * (nrows + 1));
+        payload.resize(vbytes, 0);
+        match &*col {
             Column::Bool(v) => {
-                let start = payload.len();
-                payload.resize(start + vbytes, 0);
+                payload.resize(2 * vbytes, 0);
                 for (r, cell) in v.iter().enumerate() {
-                    if cell == &Some(true) {
-                        set_bit(&mut payload[start..], r);
+                    if let Some(b) = *cell {
+                        set_bit(&mut payload, r);
+                        if b {
+                            set_bit(&mut payload[vbytes..], r);
+                        }
                     }
                 }
             }
             Column::Int(v) => {
-                for cell in v {
+                for (r, cell) in v.iter().enumerate() {
+                    if cell.is_some() {
+                        set_bit(&mut payload, r);
+                    }
                     payload.extend_from_slice(&cell.unwrap_or(0).to_le_bytes());
                 }
             }
             Column::Float(v) => {
-                for cell in v {
+                for (r, cell) in v.iter().enumerate() {
+                    if cell.is_some() {
+                        set_bit(&mut payload, r);
+                    }
                     payload.extend_from_slice(&cell.unwrap_or(0.0).to_le_bytes());
                 }
             }
-            Column::Str(v) => {
+            Column::Str(s) => {
+                payload[..s.validity().len()].copy_from_slice(s.validity());
+                let cells = || (0..nrows).map(|r| s.get(r).unwrap_or(""));
                 let mut off = 0u64;
                 payload.extend_from_slice(&off.to_le_bytes());
-                for cell in v {
-                    off += cell.as_ref().map_or(0, |s| s.len() as u64);
+                for cell in cells() {
+                    off += cell.len() as u64;
                     payload.extend_from_slice(&off.to_le_bytes());
                 }
-                for cell in v {
-                    if let Some(s) = cell {
-                        payload.extend_from_slice(s.as_bytes());
-                    }
+                payload.reserve(off as usize);
+                for cell in cells() {
+                    payload.extend_from_slice(cell.as_bytes());
                 }
             }
         }
@@ -441,14 +445,20 @@ impl MappedTable {
                         f.name
                     )));
                 }
-                // Validate every cell is UTF-8 once, here, so the hot
-                // accessors can slice with from_utf8_unchecked.
+                // One UTF-8 check per heap plus a char-boundary check per
+                // offset: a valid heap cut only at char boundaries gives
+                // valid cells, so `column_slice` can hand the heap out as
+                // `str`. Only a failure scans cell by cell, for the row.
                 let heap_bytes = &b[heap.clone()];
-                for (r, w) in offsets.windows(2).enumerate() {
-                    let s = &heap_bytes[w[0] as usize..w[1] as usize];
-                    if std::str::from_utf8(s).is_err() {
-                        return Err(err(format!("column `{}` row {r} is not UTF-8", f.name)));
-                    }
+                let whole = std::str::from_utf8(heap_bytes).ok();
+                if !whole.is_some_and(|h| offsets.iter().all(|&o| h.is_char_boundary(o as usize))) {
+                    let row = offsets
+                        .windows(2)
+                        .position(|w| {
+                            std::str::from_utf8(&heap_bytes[w[0] as usize..w[1] as usize]).is_err()
+                        })
+                        .expect("UTF-8 cells concatenate to UTF-8 cut at char boundaries");
+                    return Err(err(format!("column `{}` row {row} is not UTF-8", f.name)));
                 }
             }
             cols.push(ColMeta {
@@ -515,7 +525,9 @@ impl MappedTable {
             Dtype::Str => ColumnSlice::Str {
                 validity,
                 offsets: cast_slice(&b[m.data.clone()]),
-                heap: &b[m.heap.clone()],
+                // SAFETY: `parse` checked the heap is UTF-8 and every
+                // offset into it a char boundary.
+                heap: unsafe { std::str::from_utf8_unchecked(&b[m.heap.clone()]) },
             },
         }
     }
@@ -523,21 +535,6 @@ impl MappedTable {
     /// Borrow the cell at (`row`, `col`) zero-copy.
     pub fn value(&self, row: usize, col: usize) -> ValueRef<'_> {
         self.column_slice(col).get(row)
-    }
-
-    /// Copy one column out into an in-RAM [`Column`] (the compatibility
-    /// path for APIs that need `&Column`; hot paths use
-    /// [`MappedTable::column_slice`] instead).
-    pub fn materialize_column(&self, col: usize) -> Column {
-        let _span = magellan_obs::span("emtbl_scan", col as u64);
-        let slice = self.column_slice(col);
-        let mut out = Column::with_capacity(self.cols[col].dtype, self.nrows);
-        let name = &self.schema.field(col).name;
-        for r in 0..self.nrows {
-            out.push(slice.get(r).to_owned(), name)
-                .expect("dtype matches by construction");
-        }
-        out
     }
 }
 
@@ -574,8 +571,8 @@ pub enum ColumnSlice<'a> {
         validity: &'a [u8],
         /// `nrows + 1` byte offsets into `heap`.
         offsets: &'a [u64],
-        /// Concatenated UTF-8 string bytes (validated at open).
-        heap: &'a [u8],
+        /// Concatenated cells (validated at open).
+        heap: &'a str,
     },
 }
 
@@ -626,9 +623,7 @@ impl<'a> ColumnSlice<'a> {
                 heap,
             } => {
                 if bit(validity, row) {
-                    let s = &heap[offsets[row] as usize..offsets[row + 1] as usize];
-                    // SAFETY: every cell was UTF-8-validated at open.
-                    ValueRef::Str(unsafe { std::str::from_utf8_unchecked(s) })
+                    ValueRef::Str(&heap[offsets[row] as usize..offsets[row + 1] as usize])
                 } else {
                     ValueRef::Null
                 }
@@ -660,110 +655,10 @@ pub fn open_table_with(path: impl AsRef<Path>, mode: OpenMode) -> Result<Table> 
     Ok(Table::from_mapped(name, Arc::new(map)))
 }
 
-// ---------------------------------------------------------------------------
-// Columnar batch builder (streaming ingest)
-// ---------------------------------------------------------------------------
-
-/// A bounded, typed, columnar staging buffer for streaming ingest.
-///
-/// Producers (the CSV reader, generators) push validated rows; every
-/// `batch_rows` rows the batch is drained into its destination
-/// ([`Table::append_batch`] or an `emtbl` writer) so ingest never holds
-/// more than one batch of rows beyond the destination's own storage.
-#[derive(Debug)]
-pub struct ColumnarBuilder {
-    schema: Schema,
-    batch: Vec<Column>,
-    rows: usize,
-    batch_rows: usize,
-}
-
-impl ColumnarBuilder {
-    /// A builder staging up to `batch_rows` rows at a time (0 means
-    /// [`DEFAULT_BATCH_ROWS`]).
-    pub fn new(schema: Schema, batch_rows: usize) -> Self {
-        let batch_rows = if batch_rows == 0 {
-            DEFAULT_BATCH_ROWS
-        } else {
-            batch_rows
-        };
-        let batch = schema
-            .fields()
-            .iter()
-            .map(|f| Column::with_capacity(f.dtype, batch_rows))
-            .collect();
-        ColumnarBuilder {
-            schema,
-            batch,
-            rows: 0,
-            batch_rows,
-        }
-    }
-
-    /// The builder's schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Rows currently staged.
-    pub fn staged_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// True once the batch should be drained via [`ColumnarBuilder::take_batch`].
-    pub fn is_full(&self) -> bool {
-        self.rows >= self.batch_rows
-    }
-
-    /// Append one row, draining `row`. All-or-nothing like
-    /// [`Table::push_row`]: on arity or type error nothing is staged.
-    pub fn push_row(&mut self, row: &mut Vec<Value>) -> Result<()> {
-        if row.len() != self.schema.len() {
-            return Err(TableError::RowArity {
-                expected: self.schema.len(),
-                found: row.len(),
-            });
-        }
-        for (value, field) in row.iter().zip(self.schema.fields()) {
-            if let Some(d) = value.dtype() {
-                let ok = d == field.dtype || (d == Dtype::Int && field.dtype == Dtype::Float);
-                if !ok {
-                    return Err(TableError::TypeMismatch {
-                        column: field.name.clone(),
-                        expected: field.dtype,
-                        found: d,
-                    });
-                }
-            }
-        }
-        for ((value, col), field) in row
-            .drain(..)
-            .zip(self.batch.iter_mut())
-            .zip(self.schema.fields())
-        {
-            col.push(value, &field.name)
-                .expect("validated before mutation");
-        }
-        self.rows += 1;
-        Ok(())
-    }
-
-    /// Drain the staged batch (possibly empty) as same-length columns.
-    pub fn take_batch(&mut self) -> Vec<Column> {
-        let fresh = self
-            .schema
-            .fields()
-            .iter()
-            .map(|f| Column::with_capacity(f.dtype, self.batch_rows))
-            .collect();
-        self.rows = 0;
-        std::mem::replace(&mut self.batch, fresh)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn sample() -> Table {
         Table::from_rows(
@@ -866,6 +761,85 @@ mod tests {
         p
     }
 
+    /// 240 rows over every dtype: nulls, empty strings, multi-byte and
+    /// CSV-hostile text, both float signs.
+    fn pinned_table() -> Table {
+        let words = ["", "a", "Dave Smith", "Jöe, \"Wilsön\"", "💡\r\n☃", "λ"];
+        let rows = (0..240u64)
+            .map(|i| {
+                let h = magellan_obs::splitmix64(i);
+                let pick = |k: u32| (h >> k) as usize % 7;
+                let s = |k: u32| match pick(k) {
+                    6 => Value::Null,
+                    w => Value::Str(format!("{}{i}", words[w]).repeat(w % 3)),
+                };
+                let or_null = |k: u32, v: Value| if pick(k) == 0 { Value::Null } else { v };
+                vec![
+                    s(0),
+                    s(8),
+                    or_null(16, Value::Int(h as i64 >> 20)),
+                    or_null(24, Value::Float((h % 1000) as f64 / -8.0)),
+                    or_null(32, Value::Bool(h & 1 == 1)),
+                ]
+            })
+            .collect();
+        Table::from_rows(
+            "P",
+            &[
+                ("id", Dtype::Str),
+                ("name", Dtype::Str),
+                ("n", Dtype::Int),
+                ("x", Dtype::Float),
+                ("ok", Dtype::Bool),
+            ],
+            rows,
+        )
+        .unwrap()
+    }
+
+    /// The bytes `write` gave before string columns moved onto one heap
+    /// per column, pinned by length and digest, and reached by four routes:
+    /// rows pushed in order, cells overwritten out of order, a CSV read,
+    /// and the mapped file itself (before and after it is copied to RAM).
+    #[test]
+    fn v2_bytes_are_pinned() {
+        let encode = |t: &Table| {
+            let mut bytes = Vec::new();
+            write(t, &mut bytes).unwrap();
+            (bytes.len(), magellan_obs::fnv1a(&bytes))
+        };
+        let t = pinned_table();
+        let want = encode(&t);
+        assert_eq!(want, (11_872, 162_629_612_633_246_409));
+
+        let mut rewritten = t.clone();
+        for r in (0..t.nrows()).rev() {
+            for name in ["id", "name"] {
+                let cell = t.value_by_name(r, name).unwrap().to_owned();
+                rewritten.set_value(r, name, "overwritten".into()).unwrap();
+                rewritten.set_value(r, name, cell).unwrap();
+            }
+        }
+        assert_eq!(encode(&rewritten), want, "overwritten cells");
+
+        let mut csv = Vec::new();
+        crate::csv::write_csv(&t, &mut csv).unwrap();
+        let mut read = crate::csv::read_csv(csv.as_slice(), "P", t.schema().clone()).unwrap();
+        for r in 0..t.nrows() {
+            for name in ["id", "name"] {
+                if t.value_by_name(r, name).unwrap() == ValueRef::Str("") {
+                    read.set_value(r, name, Value::from("")).unwrap();
+                }
+            }
+        }
+        assert_eq!(encode(&read), want, "CSV read");
+
+        let mut mapped = roundtrip(&t, OpenMode::Auto);
+        assert_eq!(encode(&mapped), want, "mapped table");
+        mapped.ensure_in_ram();
+        assert_eq!(encode(&mapped), want, "mapped table copied to RAM");
+    }
+
     /// What the segment checksums cannot vouch for: a payload sealed
     /// with a valid checksum must still agree with the schema.
     #[test]
@@ -900,6 +874,19 @@ mod tests {
             let e = parse(&bytes).unwrap_err().to_string();
             assert!(e.contains(want), "expected `{want}`, got `{e}`");
         }
+    }
+
+    /// A heap that is UTF-8 as a whole but cut inside a character is
+    /// refused by the boundary check, naming the row.
+    #[test]
+    fn offsets_inside_a_character_are_refused() {
+        let schema = schema(2, &[("s", 3)]);
+        let words: Vec<u8> = [0b11u64, 0, 1, 2].iter().flat_map(|w| w.to_le_bytes()).collect();
+        let column = [&words[..], "é".as_bytes()].concat();
+        let segs = [(SEG_SCHEMA, &schema[..]), (SEG_COLUMN, &column[..])];
+        let bytes = crate::segment::encode(MAGIC, &segs);
+        let e = parse(&bytes).unwrap_err().to_string();
+        assert!(e.contains("column `s` row 0 is not UTF-8"), "{e}");
     }
 
     /// A valid checksum over a schema claiming 2^61 rows of one `Int`
@@ -960,9 +947,9 @@ mod tests {
         let t = sample();
         let back = roundtrip(&t, OpenMode::Auto);
         assert_eq!(back.storage(), Storage::Mapped);
-        // Read paths stay mapped; &Column materializes lazily.
+        // Read paths stay mapped.
         assert_eq!(back.value(0, 0).as_str(), Some("a1"));
-        assert_eq!(back.column_at(2).len(), 3);
+        assert_eq!(back.col_view(2).len(), 3);
         assert_eq!(back.storage(), Storage::Mapped);
         // Mutation promotes to RAM with identical contents.
         let mut back = back;
@@ -981,23 +968,5 @@ mod tests {
                 assert_eq!(t.value(r, c), back.value(r, c));
             }
         }
-    }
-
-    #[test]
-    fn columnar_builder_batches_and_validates() {
-        let schema = Schema::from_pairs(&[("s", Dtype::Str), ("n", Dtype::Int)]).unwrap();
-        let mut b = ColumnarBuilder::new(schema.clone(), 2);
-        let mut row = vec![Value::from("x"), Value::Int(1)];
-        b.push_row(&mut row).unwrap();
-        assert!(row.is_empty() && !b.is_full());
-        let mut bad = vec![Value::Int(9), Value::Int(1)];
-        assert!(b.push_row(&mut bad).is_err());
-        assert_eq!(b.staged_rows(), 1);
-        let mut row = vec![Value::Null, Value::Int(2)];
-        b.push_row(&mut row).unwrap();
-        assert!(b.is_full());
-        let cols = b.take_batch();
-        assert_eq!(cols[0].len(), 2);
-        assert_eq!(b.staged_rows(), 0);
     }
 }

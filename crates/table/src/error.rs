@@ -27,6 +27,9 @@ pub enum TableError {
         /// Number of cells supplied.
         found: usize,
     },
+    /// Two tables that must share a schema do not; names the first
+    /// difference.
+    SchemaMismatch(String),
     /// Row index out of bounds.
     RowOutOfBounds {
         /// Offending index.
@@ -84,6 +87,7 @@ impl fmt::Display for TableError {
             TableError::RowArity { expected, found } => {
                 write!(f, "row has {found} cells but schema has {expected} columns")
             }
+            TableError::SchemaMismatch(what) => write!(f, "schema mismatch: {what}"),
             TableError::RowOutOfBounds { index, len } => {
                 write!(f, "row index {index} out of bounds for table of {len} rows")
             }

@@ -24,7 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
-pub mod column;
+mod column;
 pub mod csv;
 pub mod emtbl;
 pub mod error;
@@ -35,8 +35,7 @@ pub mod table;
 pub mod value;
 
 pub use catalog::{CandidateMeta, Catalog, TableMeta};
-pub use column::Column;
-pub use emtbl::{ColumnSlice, ColumnarBuilder, MappedTable, OpenMode};
+pub use emtbl::{ColumnSlice, MappedTable, OpenMode};
 pub use error::TableError;
 pub use schema::{Field, Schema};
 pub use table::{ColView, Storage, Table, TableId};

@@ -5,12 +5,12 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::column::Column;
 use crate::emtbl::{ColumnSlice, MappedTable};
 use crate::error::TableError;
-use crate::schema::{Field, Schema};
+use crate::schema::Schema;
 use crate::value::{Dtype, Value, ValueRef};
 use crate::Result;
 
@@ -36,49 +36,39 @@ impl TableId {
 /// Which backing a [`Table`] reads its cells from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Storage {
-    /// Columns live in RAM as [`Column`] vectors (the default).
+    /// Columns live in RAM (the default).
     InRam,
     /// Columns are zero-copy views over an open `emtbl` file
-    /// ([`MappedTable`]); nothing is materialized until an API that
-    /// needs `&Column` or mutation asks for it.
+    /// ([`MappedTable`]); the first mutation copies them into RAM.
     Mapped,
 }
 
-/// The `Storage::Mapped` backing: the open file plus a lazily
-/// materialized per-column cache for the `&Column`-returning
-/// compatibility APIs. Cloned tables share both (`Arc`).
-#[derive(Debug, Clone)]
-struct MappedBacking {
-    map: Arc<MappedTable>,
-    lazy: Arc<Vec<OnceLock<Column>>>,
-}
-
-/// A borrowed view of one column that works over either backing:
-/// in-RAM tables hand out the [`Column`], mapped tables a zero-copy
-/// [`ColumnSlice`] into the file. The hot seam for scans that must not
-/// materialize mapped columns.
+/// A borrowed view of one column that works over either backing: a plain
+/// borrow of an in-RAM column or a zero-copy [`ColumnSlice`] into a mapped
+/// file. The hot seam for scans that must not copy mapped columns.
 #[derive(Debug, Clone, Copy)]
-pub enum ColView<'a> {
-    /// View over an in-RAM column.
+pub struct ColView<'a>(View<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum View<'a> {
     Ram(&'a Column),
-    /// Zero-copy view over a mapped column segment.
     Mapped(ColumnSlice<'a>),
 }
 
 impl<'a> ColView<'a> {
     /// Borrow the cell at `row`.
     pub fn get(&self, row: usize) -> ValueRef<'a> {
-        match self {
-            ColView::Ram(c) => c.get(row),
-            ColView::Mapped(s) => s.get(row),
+        match self.0 {
+            View::Ram(c) => c.get(row),
+            View::Mapped(s) => s.get(row),
         }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match self {
-            ColView::Ram(c) => c.len(),
-            ColView::Mapped(s) => s.len(),
+        match self.0 {
+            View::Ram(c) => c.len(),
+            View::Mapped(s) => s.len(),
         }
     }
 
@@ -96,26 +86,31 @@ pub struct Table {
     name: String,
     schema: Schema,
     columns: Vec<Column>,
-    mapped: Option<MappedBacking>,
+    mapped: Option<Arc<MappedTable>>,
     nrows: usize,
 }
 
 impl Table {
-    /// Create an empty table with the given schema.
-    pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        let columns = schema
-            .fields()
-            .iter()
-            .map(|f| Column::with_capacity(f.dtype, 0))
-            .collect();
+    /// An in-RAM table over columns of `nrows` cells each, one per field.
+    pub(crate) fn from_columns(
+        name: impl Into<String>,
+        schema: Schema,
+        columns: Vec<Column>,
+        nrows: usize,
+    ) -> Self {
         Table {
             id: TableId::fresh(),
             name: name.into(),
             schema,
             columns,
             mapped: None,
-            nrows: 0,
+            nrows,
         }
+    }
+
+    /// Create an empty table with the given schema.
+    pub fn new(name: impl Into<String>, schema: Schema) -> Self {
+        Table::with_capacity(name, schema, 0)
     }
 
     /// Create an empty table, reserving space for `cap` rows.
@@ -125,14 +120,7 @@ impl Table {
             .iter()
             .map(|f| Column::with_capacity(f.dtype, cap))
             .collect();
-        Table {
-            id: TableId::fresh(),
-            name: name.into(),
-            schema,
-            columns,
-            mapped: None,
-            nrows: 0,
-        }
+        Table::from_columns(name, schema, columns, 0)
     }
 
     /// Build a table from `(name, dtype)` pairs and rows of values.
@@ -186,15 +174,9 @@ impl Table {
 
     /// Wrap an open `emtbl` file as a mapped-backing table.
     pub fn from_mapped(name: impl Into<String>, map: Arc<MappedTable>) -> Self {
-        let lazy = Arc::new((0..map.ncols()).map(|_| OnceLock::new()).collect());
-        Table {
-            id: TableId::fresh(),
-            name: name.into(),
-            schema: map.schema().clone(),
-            columns: Vec::new(),
-            nrows: map.nrows(),
-            mapped: Some(MappedBacking { map, lazy }),
-        }
+        let mut t = Table::from_columns(name, map.schema().clone(), Vec::new(), map.nrows());
+        t.mapped = Some(map);
+        t
     }
 
     /// Which backing this table currently reads from.
@@ -208,30 +190,40 @@ impl Table {
 
     /// The open `emtbl` file behind a `Storage::Mapped` table.
     pub fn mapped_table(&self) -> Option<&MappedTable> {
-        self.mapped.as_ref().map(|m| &*m.map)
+        self.mapped.as_deref()
     }
 
     /// A backing-agnostic view of one column by position: zero-copy for
-    /// mapped tables, a plain borrow for in-RAM ones. Scans that must not
-    /// materialize mapped columns go through this instead of
-    /// [`Table::column_at`].
+    /// mapped tables, a plain borrow for in-RAM ones.
     pub fn col_view(&self, idx: usize) -> ColView<'_> {
+        ColView(match &self.mapped {
+            Some(m) => View::Mapped(m.column_slice(idx)),
+            None => View::Ram(&self.columns[idx]),
+        })
+    }
+
+    /// One column in RAM: borrowed, or copied out of the mapped file.
+    pub(crate) fn ram_column(&self, idx: usize) -> Cow<'_, Column> {
         match &self.mapped {
-            Some(m) => ColView::Mapped(m.map.column_slice(idx)),
-            None => ColView::Ram(&self.columns[idx]),
+            Some(m) => Cow::Owned(Column::from_slice(
+                self.schema.field(idx).dtype,
+                m.column_slice(idx),
+            )),
+            None => Cow::Borrowed(&self.columns[idx]),
         }
     }
 
     /// Copy every mapped column into RAM and drop the file backing.
     /// Mutating APIs call this first; a no-op for in-RAM tables.
     pub fn ensure_in_ram(&mut self) {
-        if let Some(m) = self.mapped.take() {
-            self.columns = (0..m.map.ncols())
-                .map(|c| match m.lazy[c].get() {
-                    Some(col) => col.clone(),
-                    None => m.map.materialize_column(c),
+        if self.mapped.is_some() {
+            self.columns = (0..self.ncols())
+                .map(|c| {
+                    let _span = magellan_obs::span("emtbl_scan", c as u64);
+                    self.ram_column(c).into_owned()
                 })
                 .collect();
+            self.mapped = None;
         }
     }
 
@@ -245,27 +237,13 @@ impl Table {
                 found: row.len(),
             });
         }
-        // Validate before mutating so a failed push cannot leave ragged
+        // Check before mutating so a failed push cannot leave ragged
         // columns behind.
-        for (value, field) in row.iter().zip(self.schema.fields()) {
-            if let Some(d) = value.dtype() {
-                let ok = d == field.dtype || (d == Dtype::Int && field.dtype == Dtype::Float);
-                if !ok {
-                    return Err(TableError::TypeMismatch {
-                        column: field.name.clone(),
-                        expected: field.dtype,
-                        found: d,
-                    });
-                }
-            }
+        for ((value, col), field) in row.iter().zip(&self.columns).zip(self.schema.fields()) {
+            col.check(value.as_ref(), &field.name)?;
         }
-        for ((value, col), field) in row
-            .into_iter()
-            .zip(self.columns.iter_mut())
-            .zip(self.schema.fields())
-        {
-            col.push(value, &field.name)
-                .expect("validated before mutation");
+        for (value, col) in row.iter().zip(&mut self.columns) {
+            col.push(value.as_ref());
         }
         self.nrows += 1;
         Ok(())
@@ -275,7 +253,7 @@ impl Table {
     /// both backings.
     pub fn value(&self, row: usize, col: usize) -> ValueRef<'_> {
         match &self.mapped {
-            Some(m) => m.map.value(row, col),
+            Some(m) => m.value(row, col),
             None => self.columns[col].get(row),
         }
     }
@@ -302,24 +280,7 @@ impl Table {
         }
         let idx = self.schema.try_index_of(name)?;
         self.ensure_in_ram();
-        self.columns[idx].set(row, value, name)
-    }
-
-    /// Borrow a whole column by name. For mapped tables this materializes
-    /// (and caches) the column; zero-copy scans use [`Table::col_view`].
-    pub fn column(&self, name: &str) -> Result<&Column> {
-        let idx = self.schema.try_index_of(name)?;
-        Ok(self.column_at(idx))
-    }
-
-    /// Borrow a whole column by position. For mapped tables this
-    /// materializes (and caches) the column; zero-copy scans use
-    /// [`Table::col_view`].
-    pub fn column_at(&self, idx: usize) -> &Column {
-        match &self.mapped {
-            Some(m) => m.lazy[idx].get_or_init(|| m.map.materialize_column(idx)),
-            None => &self.columns[idx],
-        }
+        self.columns[idx].set(row, value.as_ref(), name)
     }
 
     /// Materialize one row as owned values.
@@ -327,61 +288,6 @@ impl Table {
         (0..self.ncols())
             .map(|c| self.value(row, c).to_owned())
             .collect()
-    }
-
-    /// Append columns of equal length to every existing column (the batch
-    /// flush path of [`crate::emtbl::ColumnarBuilder`]). The batch must
-    /// match the schema's arity and dtypes.
-    pub fn append_batch(&mut self, batch: Vec<Column>) -> Result<()> {
-        if batch.len() != self.schema.len() {
-            return Err(TableError::RowArity {
-                expected: self.schema.len(),
-                found: batch.len(),
-            });
-        }
-        let n = batch.first().map_or(0, Column::len);
-        for (col, field) in batch.iter().zip(self.schema.fields()) {
-            if col.dtype() != field.dtype {
-                return Err(TableError::TypeMismatch {
-                    column: field.name.clone(),
-                    expected: field.dtype,
-                    found: col.dtype(),
-                });
-            }
-            if col.len() != n {
-                return Err(TableError::RowArity {
-                    expected: n,
-                    found: col.len(),
-                });
-            }
-        }
-        self.ensure_in_ram();
-        for (dst, src) in self.columns.iter_mut().zip(batch) {
-            dst.append(src);
-        }
-        self.nrows += n;
-        Ok(())
-    }
-
-    /// Append a fully built column. Must match the row count.
-    pub fn add_column(&mut self, field: Field, column: Column) -> Result<()> {
-        self.ensure_in_ram();
-        if column.len() != self.nrows {
-            return Err(TableError::RowArity {
-                expected: self.nrows,
-                found: column.len(),
-            });
-        }
-        if column.dtype() != field.dtype {
-            return Err(TableError::TypeMismatch {
-                column: field.name.clone(),
-                expected: field.dtype,
-                found: column.dtype(),
-            });
-        }
-        self.schema.push(field)?;
-        self.columns.push(column);
-        Ok(())
     }
 
     /// A new table with only the named columns, in the requested order.
@@ -393,30 +299,27 @@ impl Table {
             .iter()
             .map(|n| {
                 let idx = self.schema.try_index_of(n).expect("validated by project");
-                self.column_at(idx).clone()
+                self.ram_column(idx).into_owned()
             })
             .collect();
-        Ok(Table {
-            id: TableId::fresh(),
-            name: self.name.clone(),
-            schema,
-            columns,
-            mapped: None,
-            nrows: self.nrows,
-        })
+        Ok(Table::from_columns(self.name.clone(), schema, columns, self.nrows))
     }
 
     /// A new table containing the rows at `rows` (indices may repeat).
     pub fn take(&self, rows: &[usize]) -> Table {
-        let columns = (0..self.ncols()).map(|c| self.column_at(c).take(rows)).collect();
-        Table {
-            id: TableId::fresh(),
-            name: self.name.clone(),
-            schema: self.schema.clone(),
-            columns,
-            mapped: None,
-            nrows: rows.len(),
-        }
+        let columns = self
+            .schema
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(c, f)| {
+                let view = self.col_view(c);
+                let mut col = Column::with_capacity(f.dtype, rows.len());
+                col.extend(rows.iter().map(|&r| view.get(r)));
+                col
+            })
+            .collect();
+        Table::from_columns(self.name.clone(), self.schema.clone(), columns, rows.len())
     }
 
     /// A new table with the rows for which `pred` returns true.
@@ -433,15 +336,29 @@ impl Table {
 
     /// Vertically concatenate another table with an identical schema.
     pub fn concat(&mut self, other: &Table) -> Result<()> {
-        if self.schema != *other.schema() {
-            return Err(TableError::RowArity {
-                expected: self.schema.len(),
-                found: other.schema().len(),
-            });
+        let (ours, theirs) = (self.schema.fields(), other.schema.fields());
+        if ours != theirs {
+            let (a, b) = (&self.name, &other.name);
+            return Err(TableError::SchemaMismatch(
+                match ours.iter().zip(theirs).position(|(x, y)| x != y) {
+                    Some(i) => format!(
+                        "column {i} is `{}: {}` in `{a}` but `{}: {}` in `{b}`",
+                        ours[i].name, ours[i].dtype, theirs[i].name, theirs[i].dtype
+                    ),
+                    None => format!(
+                        "`{a}` has {} columns but `{b}` has {}",
+                        ours.len(),
+                        theirs.len()
+                    ),
+                },
+            ));
         }
-        for r in 0..other.nrows() {
-            self.push_row(other.row(r))?;
+        self.ensure_in_ram();
+        for (c, col) in self.columns.iter_mut().enumerate() {
+            let view = other.col_view(c);
+            col.extend((0..other.nrows).map(|r| view.get(r)));
         }
+        self.nrows += other.nrows;
         Ok(())
     }
 
@@ -556,7 +473,7 @@ mod tests {
             .is_err());
         assert_eq!(t.nrows(), 3);
         for c in 0..t.ncols() {
-            assert_eq!(t.column_at(c).len(), 3);
+            assert_eq!(t.col_view(c).len(), 3);
         }
     }
 
@@ -629,21 +546,38 @@ mod tests {
         let u = people();
         t.concat(&u).unwrap();
         assert_eq!(t.nrows(), 6);
-        let other = Table::from_rows("B", &[("x", Dtype::Int)], vec![]).unwrap();
-        assert!(t.concat(&other).is_err());
+        assert_eq!(t.row(4), u.row(1));
+
+        // From a mapped table, column by column.
+        let path = std::env::temp_dir().join(format!("concat_{}.emtbl", std::process::id()));
+        crate::emtbl::write_path(&u, &path).unwrap();
+        let mapped = crate::emtbl::open_table(&path).unwrap();
+        t.concat(&mapped).unwrap();
+        assert_eq!(mapped.storage(), Storage::Mapped);
+        for r in 0..3 {
+            assert_eq!(t.row(6 + r), u.row(r));
+        }
+        drop(mapped);
+        let _ = std::fs::remove_file(path);
     }
 
+    /// A schema that differs is named, not reported as a row of the
+    /// wrong length ("row has 3 cells but schema has 3 columns").
     #[test]
-    fn add_column_validates_shape_and_type() {
+    fn concat_names_the_schema_mismatch() {
         let mut t = people();
-        let col = Column::Int(vec![Some(1), Some(2), Some(3)]);
-        t.add_column(Field::new("rank", Dtype::Int), col).unwrap();
-        assert_eq!(t.value_by_name(2, "rank").unwrap().as_int(), Some(3));
-
-        let short = Column::Int(vec![Some(1)]);
-        assert!(t.add_column(Field::new("bad", Dtype::Int), short).is_err());
-        let wrong = Column::Str(vec![None, None, None]);
-        assert!(t.add_column(Field::new("bad2", Dtype::Int), wrong).is_err());
+        let pairs = [("id", Dtype::Str), ("title", Dtype::Str), ("age", Dtype::Int)];
+        let renamed = Table::from_rows("B", &pairs, vec![]).unwrap();
+        let e = t.concat(&renamed).unwrap_err();
+        assert!(matches!(e, TableError::SchemaMismatch(_)), "{e:?}");
+        assert_eq!(
+            e.to_string(),
+            "schema mismatch: column 1 is `name: str` in `A` but `title: str` in `B`"
+        );
+        let narrow = Table::from_rows("C", &[("id", Dtype::Str)], vec![]).unwrap();
+        let e = t.concat(&narrow).unwrap_err().to_string();
+        assert!(e.contains("`A` has 3 columns but `C` has 1"), "{e}");
+        assert_eq!(t.nrows(), 3);
     }
 
     #[test]

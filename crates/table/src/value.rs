@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// The data type of a [`crate::Column`].
+/// The data type of a column of a [`crate::Table`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dtype {
     /// Boolean cells.
@@ -48,13 +48,7 @@ impl Value {
     /// The dtype this value would occupy, or `None` for `Null` (a null fits
     /// any column).
     pub fn dtype(&self) -> Option<Dtype> {
-        match self {
-            Value::Null => None,
-            Value::Bool(_) => Some(Dtype::Bool),
-            Value::Int(_) => Some(Dtype::Int),
-            Value::Float(_) => Some(Dtype::Float),
-            Value::Str(_) => Some(Dtype::Str),
-        }
+        self.as_ref().dtype()
     }
 
     /// True iff the value is `Null`.
@@ -141,6 +135,17 @@ pub enum ValueRef<'a> {
 }
 
 impl<'a> ValueRef<'a> {
+    /// The dtype of the cell, or `None` for `Null`.
+    pub fn dtype(&self) -> Option<Dtype> {
+        match self {
+            ValueRef::Null => None,
+            ValueRef::Bool(_) => Some(Dtype::Bool),
+            ValueRef::Int(_) => Some(Dtype::Int),
+            ValueRef::Float(_) => Some(Dtype::Float),
+            ValueRef::Str(_) => Some(Dtype::Str),
+        }
+    }
+
     /// True iff the value is `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, ValueRef::Null)
