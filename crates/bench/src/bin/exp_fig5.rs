@@ -10,8 +10,8 @@
 use magellan_bench::human_time;
 use magellan_datagen::domains;
 use magellan_datagen::{DirtModel, ScenarioConfig};
-use magellan_falcon::cloud::{Engine, LabelingMode, TaskSpec};
-use magellan_falcon::{CloudMatcher, FalconConfig};
+use magellan_falcon::cloud::{LabelingMode, TaskSpec};
+use magellan_falcon::{CloudMatcher, Engine, FalconConfig};
 
 fn main() {
     // Experiment narration is leveled logging: MAGELLAN_LOG=off silences it.

@@ -23,6 +23,7 @@ use magellan_falcon::service::{
     MatchService, Priority, ServiceConfig, ServiceReport, SyntheticTask, TenantQuota, TenantSpec,
     TenantSubmission, Workload,
 };
+use magellan_falcon::ScheduleRecoveryOptions;
 use magellan_faults::{ArrivalPlan, FaultPlan};
 use magellan_obs::{log, MetricValue, Obs};
 
@@ -69,7 +70,7 @@ fn config(faults: FaultPlan) -> ServiceConfig {
         crowd_slots: 2,
         max_active_tenants: 8,
         max_queue: 16,
-        faults,
+        recovery: ScheduleRecoveryOptions { faults, ..Default::default() },
         ..Default::default()
     }
 }

@@ -21,26 +21,17 @@ use std::time::Instant;
 use magellan_core::evaluate::evaluate_matches;
 use magellan_core::labeling::{Label, Labeler, OracleLabeler};
 use magellan_core::MagellanError;
-use magellan_faults::{FaultPlan, RetryPolicy};
-use magellan_ml::Metrics;
+use magellan_faults::FaultPlan;
 use magellan_obs::EvVal;
 use magellan_table::Table;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
+use crate::schedule::{
+    schedule_fragments, task_chain, Engine, Fragment, ScheduleRecoveryOptions, ScheduleReport,
+};
 use crate::workflow::{run_falcon, FalconConfig, FalconReport};
-
-/// The three CloudMatcher execution engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Engine {
-    /// Interactive labeling by the submitting user.
-    UserInteraction,
-    /// Crowdsourced labeling (Mechanical Turk role).
-    Crowd,
-    /// Batch data processing (Hadoop/Spark role).
-    Batch,
-}
 
 /// Cost and latency model for the simulated deployment.
 #[derive(Debug, Clone, Copy)]
@@ -71,6 +62,32 @@ impl Default for CostModel {
             crowd_latency_s: 90.0,
             user_latency_s: 6.0,
             compute_dollars_per_hour: 0.50,
+        }
+    }
+}
+
+impl CostModel {
+    /// Simulated seconds one question takes on the labeling engine.
+    pub(crate) fn per_question_s(&self, label: Engine) -> f64 {
+        if label == Engine::Crowd {
+            self.crowd_latency_s
+        } else {
+            self.user_latency_s
+        }
+    }
+
+    /// Crowd fees for `questions` questions at full vote redundancy.
+    pub(crate) fn crowd_dollars(&self, questions: f64) -> f64 {
+        questions * self.crowd_votes as f64 * self.crowd_fee_per_vote
+    }
+
+    /// Metered compute dollars for `machine_s` seconds (0 on the free
+    /// local machine).
+    pub(crate) fn compute_dollars(&self, machine_s: f64, on_cloud: bool) -> f64 {
+        if on_cloud {
+            machine_s / 3600.0 * self.compute_dollars_per_hour
+        } else {
+            0.0
         }
     }
 }
@@ -253,100 +270,14 @@ impl Labeler for UserLabeler {
     }
 }
 
-/// One engine-tagged fragment of a task's DAG, with its duration.
-#[derive(Debug, Clone, Copy)]
-pub struct Fragment {
-    /// Engine the fragment runs on.
-    pub engine: Engine,
-    /// Duration in (simulated or measured) seconds.
-    pub duration_s: f64,
-}
-
-/// What the self-healing metamanager did while scheduling: damage
-/// absorbed per recovery mechanism. All zeros for a fault-free schedule.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ScheduleTelemetry {
-    /// Fragment attempts that failed and were retried with backoff.
-    pub fragment_retries: u32,
-    /// Straggler attempts killed at the per-fragment budget and rerun.
-    pub fragments_timed_out: u32,
-    /// Crowd fragments rerouted to the submitting user (degradation).
-    pub fragments_rerouted: u32,
-    /// Speculative backup copies launched for straggler batch fragments.
-    pub speculative_launched: u32,
-    /// Backups that finished before the straggling original.
-    pub speculative_wins: u32,
-    /// Total simulated backoff spent between fragment retries, seconds.
-    pub backoff_s: f64,
-}
-
-impl ScheduleTelemetry {
-    /// Publish the metamanager's recovery counters into the ambient
-    /// [`magellan_obs`] recorder as `magellan_falcon_*` metrics. No-op
-    /// for a fault-free (all-zero) schedule so clean runs export no
-    /// falcon noise.
-    pub fn publish(&self) {
-        if *self == ScheduleTelemetry::default() {
-            return;
-        }
-        magellan_obs::counter_add(
-            "magellan_falcon_fragment_retries_total",
-            u64::from(self.fragment_retries),
-        );
-        magellan_obs::counter_add(
-            "magellan_falcon_fragments_timed_out_total",
-            u64::from(self.fragments_timed_out),
-        );
-        magellan_obs::counter_add(
-            "magellan_falcon_fragments_rerouted_total",
-            u64::from(self.fragments_rerouted),
-        );
-        magellan_obs::counter_add(
-            "magellan_falcon_speculative_launched_total",
-            u64::from(self.speculative_launched),
-        );
-        magellan_obs::counter_add(
-            "magellan_falcon_speculative_wins_total",
-            u64::from(self.speculative_wins),
-        );
-        magellan_obs::gauge_set("magellan_falcon_backoff_seconds", self.backoff_s);
-    }
-}
-
-/// The metamanager's schedule summary.
-#[derive(Debug, Clone)]
-pub struct ScheduleReport {
-    /// Wall-clock of running every task serially (sum of fragments).
-    pub serial_total_s: f64,
-    /// Simulated makespan with fragment interleaving.
-    pub interleaved_makespan_s: f64,
-    /// Busy seconds per engine.
-    pub busy: Vec<(Engine, f64)>,
-    /// Batch-engine worker slots used in the simulation.
-    pub batch_slots: usize,
-    /// Recovery counters (all zeros under [`schedule_fragments`];
-    /// populated by [`schedule_fragments_with_recovery`]).
-    pub telemetry: ScheduleTelemetry,
-}
-
-impl ScheduleReport {
-    /// serial / interleaved speedup.
-    pub fn speedup(&self) -> f64 {
-        if self.interleaved_makespan_s == 0.0 {
-            1.0
-        } else {
-            self.serial_total_s / self.interleaved_makespan_s
-        }
-    }
-}
-
 /// The CloudMatcher service: runs tasks, accounts costs, and schedules
 /// fragments across engines.
 #[derive(Debug, Clone, Copy)]
 pub struct CloudMatcher {
     /// Cost/latency model.
     pub cost_model: CostModel,
-    /// Batch-engine worker slots for the metamanager simulation.
+    /// Batch-engine worker slots for the metamanager simulation (≥ 1;
+    /// [`CloudMatcher::run_tasks`] rejects 0 as a configuration error).
     pub batch_slots: usize,
     /// Seed for the simulated annotators.
     pub seed: u64,
@@ -377,14 +308,42 @@ pub(crate) struct LabelRun {
     pub questions: usize,
     /// Crowd fees paid (0 for single-user labeling).
     pub crowd_cost: f64,
-    /// Simulated per-question round-trip latency.
-    pub per_q_latency_s: f64,
     /// Which engine answered questions.
     pub label_engine: Engine,
     /// Crowd votes that never arrived.
     pub no_shows: usize,
     /// Questions degraded from the crowd to the submitting user.
     pub degraded: usize,
+}
+
+impl LabelRun {
+    /// The task's Table 2 row: matches scored against gold, labeling
+    /// time and dollars from the cost model, for `machine_time_s` of
+    /// compute.
+    pub(crate) fn outcome(
+        &self,
+        spec: &TaskSpec<'_>,
+        machine_time_s: f64,
+        cm: &CostModel,
+    ) -> magellan_table::Result<TaskOutcome> {
+        let (a, b) = (spec.table_a, spec.table_b);
+        let matches = &self.report.matches;
+        let metrics = evaluate_matches(matches, a, b, &spec.a_key, &spec.b_key, spec.gold)?;
+        Ok(TaskOutcome {
+            name: spec.name.clone(),
+            rows: (a.nrows(), b.nrows()),
+            precision: metrics.precision(),
+            recall: metrics.recall(),
+            questions: self.questions,
+            crowd_cost: self.crowd_cost,
+            compute_cost: cm.compute_dollars(machine_time_s, spec.on_cloud),
+            label_time_s: self.questions as f64 * cm.per_question_s(self.label_engine),
+            machine_time_s,
+            n_candidates: self.report.n_candidates,
+            crowd_no_shows: self.no_shows,
+            crowd_degraded_questions: self.degraded,
+        })
+    }
 }
 
 /// Run the Falcon workflow for one task under the given labeling mode.
@@ -398,6 +357,9 @@ pub(crate) fn execute_labeling(
     cm: &CostModel,
 ) -> magellan_table::Result<LabelRun> {
     let oracle = OracleLabeler::new(spec.gold.clone(), &spec.a_key, &spec.b_key);
+    let falcon = |labeler: &mut dyn Labeler| {
+        run_falcon(spec.table_a, spec.table_b, &spec.a_key, &spec.b_key, labeler, &spec.falcon)
+    };
     match spec.labeling {
         LabelingMode::SingleUser { error_rate } => {
             let mut labeler = UserLabeler {
@@ -405,13 +367,10 @@ pub(crate) fn execute_labeling(
                 error_rate,
                 rng: StdRng::seed_from_u64(seed ^ 0x11),
             };
-            let report =
-                run_falcon(spec.table_a, spec.table_b, &spec.a_key, &spec.b_key, &mut labeler, &spec.falcon)?;
             Ok(LabelRun {
+                report: falcon(&mut labeler)?,
                 questions: labeler.questions_asked(),
-                report,
                 crowd_cost: 0.0,
-                per_q_latency_s: cm.user_latency_s,
                 label_engine: Engine::UserInteraction,
                 no_shows: 0,
                 degraded: 0,
@@ -430,39 +389,16 @@ pub(crate) fn execute_labeling(
                 no_shows: 0,
                 degraded: 0,
             };
-            let report =
-                run_falcon(spec.table_a, spec.table_b, &spec.a_key, &spec.b_key, &mut labeler, &spec.falcon)?;
             Ok(LabelRun {
+                report: falcon(&mut labeler)?,
                 questions: labeler.questions_asked(),
                 crowd_cost: labeler.fees,
-                per_q_latency_s: cm.crowd_latency_s,
                 label_engine: Engine::Crowd,
                 no_shows: labeler.no_shows,
                 degraded: labeler.degraded,
-                report,
             })
         }
     }
-}
-
-/// Score a Falcon match set against gold.
-pub(crate) fn score_matches(
-    spec: &TaskSpec<'_>,
-    report: &FalconReport,
-) -> magellan_table::Result<Metrics> {
-    evaluate_matches(
-        &report.matches,
-        spec.table_a,
-        spec.table_b,
-        &spec.a_key,
-        &spec.b_key,
-        spec.gold,
-    )
-}
-
-/// Stable FNV-1a hash of a task name, used to key task spans.
-pub(crate) fn name_key(name: &str) -> u64 {
-    magellan_obs::fnv1a(name.as_bytes())
 }
 
 impl CloudMatcher {
@@ -474,67 +410,32 @@ impl CloudMatcher {
     ) -> magellan_table::Result<(TaskOutcome, Vec<Fragment>)> {
         // Key the task span by a stable hash of the task name so traces
         // of multi-task submissions keep one span per task.
-        let _task_span = magellan_obs::span("falcon_task", name_key(&spec.name));
-        let cm = self.cost_model;
-
+        let _task_span =
+            magellan_obs::span("falcon_task", magellan_obs::fnv1a(spec.name.as_bytes()));
+        let cm = &self.cost_model;
         let t0 = Instant::now();
-        let run = execute_labeling(spec, self.seed, self.faults, &cm)?;
+        let run = execute_labeling(spec, self.seed, self.faults, cm)?;
         let machine_time_s = t0.elapsed().as_secs_f64();
-
-        let label_time_s = run.questions as f64 * run.per_q_latency_s;
-        let compute_cost = if spec.on_cloud {
-            machine_time_s / 3600.0 * cm.compute_dollars_per_hour
-        } else {
-            0.0
-        };
-        let metrics = score_matches(spec, &run.report)?;
-
-        let q_block_time = run.report.questions_blocking as f64 * run.per_q_latency_s;
-        let q_match_time = run.report.questions_matching as f64 * run.per_q_latency_s;
-        let fragments = vec![
-            Fragment {
-                engine: run.label_engine,
-                duration_s: q_block_time,
-            },
-            Fragment {
-                engine: Engine::Batch,
-                duration_s: machine_time_s * 0.5,
-            },
-            Fragment {
-                engine: run.label_engine,
-                duration_s: q_match_time,
-            },
-            Fragment {
-                engine: Engine::Batch,
-                duration_s: machine_time_s * 0.5,
-            },
-        ];
-        let outcome = TaskOutcome {
-            name: spec.name.clone(),
-            rows: (spec.table_a.nrows(), spec.table_b.nrows()),
-            precision: metrics.precision(),
-            recall: metrics.recall(),
-            questions: run.questions,
-            crowd_cost: run.crowd_cost,
-            compute_cost,
-            label_time_s,
+        let outcome = run.outcome(spec, machine_time_s, cm)?;
+        let fragments = task_chain(
+            run.label_engine,
+            cm.per_question_s(run.label_engine),
+            (run.report.questions_blocking, run.report.questions_matching),
             machine_time_s,
-            n_candidates: run.report.n_candidates,
-            crowd_no_shows: run.no_shows,
-            crowd_degraded_questions: run.degraded,
-        };
+        );
         Ok((outcome, fragments))
     }
 
     /// Run several tasks and schedule their fragments — CloudMatcher 1.0's
-    /// metamanager. Fragments within a task are a chain; fragments of
+    /// metamanager ([`schedule_fragments`] under this service's fault
+    /// plan). Fragments within a task are a chain; fragments of
     /// different tasks interleave. User-interaction fragments never
     /// contend (each task has its own user), the crowd is effectively
     /// unbounded, and the batch engine has `batch_slots` workers.
     pub fn run_tasks(
         &self,
         specs: &[TaskSpec<'_>],
-    ) -> magellan_table::Result<(Vec<TaskOutcome>, ScheduleReport)> {
+    ) -> Result<(Vec<TaskOutcome>, ScheduleReport), MagellanError> {
         let mut outcomes = Vec::with_capacity(specs.len());
         let mut chains: Vec<Vec<Fragment>> = Vec::with_capacity(specs.len());
         for spec in specs {
@@ -542,369 +443,16 @@ impl CloudMatcher {
             outcomes.push(outcome);
             chains.push(fragments);
         }
-        let schedule = if self.faults.is_none() {
-            schedule_fragments(&chains, self.batch_slots)
-        } else {
-            schedule_fragments_with_recovery(
-                &chains,
-                self.batch_slots,
-                &ScheduleRecoveryOptions {
-                    faults: self.faults,
-                    ..ScheduleRecoveryOptions::default()
-                },
-            )
-        };
+        let opts = ScheduleRecoveryOptions { faults: self.faults, ..Default::default() };
+        let schedule = schedule_fragments(&chains, self.batch_slots, &opts)?;
         Ok((outcomes, schedule))
     }
-}
-
-/// Simulated seconds → trace nanoseconds (saturating, NaN/∞-safe).
-pub(crate) fn sim_ns(s: f64) -> u64 {
-    if s.is_finite() && s > 0.0 {
-        (s * 1e9).round() as u64
-    } else {
-        0
-    }
-}
-
-/// Static span name for a fragment's engine.
-pub(crate) fn engine_span_name(e: Engine) -> &'static str {
-    match e {
-        Engine::UserInteraction => "frag_user",
-        Engine::Crowd => "frag_crowd",
-        Engine::Batch => "frag_batch",
-    }
-}
-
-/// Event-driven interleaving of task chains across engines.
-///
-/// When a [`magellan_obs`] recorder is installed, the simulated timeline
-/// is mirrored into it: a `schedule` span with one
-/// `frag_user`/`frag_crowd`/`frag_batch` child per placed fragment,
-/// recorded at its simulated start/finish via
-/// [`magellan_obs::record_span_at`] (key = `chain << 32 | index`), plus
-/// `magellan_falcon_schedule_*` gauges on the report totals.
-pub fn schedule_fragments(chains: &[Vec<Fragment>], batch_slots: usize) -> ScheduleReport {
-    // Zero slots is clamped here for backwards compatibility; callers
-    // that want the typed error use [`try_schedule_fragments`].
-    schedule_fragments_impl(chains, batch_slots.max(1))
-}
-
-/// [`schedule_fragments`] with configuration validation instead of
-/// clamping: `batch_slots == 0` is a fatal [`MagellanError::Config`],
-/// never a panic — there is no sensible schedule for a batch engine with
-/// no workers.
-pub fn try_schedule_fragments(
-    chains: &[Vec<Fragment>],
-    batch_slots: usize,
-) -> Result<ScheduleReport, MagellanError> {
-    if batch_slots == 0 {
-        return Err(MagellanError::Config {
-            message: "batch_slots must be >= 1 (the batch engine needs at least one worker)"
-                .into(),
-        });
-    }
-    Ok(schedule_fragments_impl(chains, batch_slots))
-}
-
-fn schedule_fragments_impl(chains: &[Vec<Fragment>], batch_slots: usize) -> ScheduleReport {
-    let sched_span = magellan_obs::span("schedule", 0);
-    debug_assert!(batch_slots >= 1);
-    let mut slot_free = vec![0.0f64; batch_slots];
-    // (next fragment index, ready time) per chain.
-    let mut next = vec![(0usize, 0.0f64); chains.len()];
-    let mut busy: std::collections::HashMap<Engine, f64> = std::collections::HashMap::new();
-    let mut makespan = 0.0f64;
-    let serial_total: f64 = chains
-        .iter()
-        .flat_map(|c| c.iter().map(|f| f.duration_s))
-        .sum();
-
-    loop {
-        // Pick the ready chain whose next fragment can start earliest.
-        let mut best: Option<(f64, usize)> = None; // (start time, chain)
-        for (c, &(i, ready)) in next.iter().enumerate() {
-            if i >= chains[c].len() {
-                continue;
-            }
-            let frag = chains[c][i];
-            let start = match frag.engine {
-                Engine::Batch => {
-                    let earliest = slot_free
-                        .iter()
-                        .cloned()
-                        .fold(f64::INFINITY, f64::min);
-                    ready.max(earliest)
-                }
-                _ => ready,
-            };
-            if best.is_none_or(|(s, _)| start < s) {
-                best = Some((start, c));
-            }
-        }
-        let Some((start, c)) = best else { break };
-        let (i, _) = next[c];
-        let frag = chains[c][i];
-        let finish = start + frag.duration_s;
-        if frag.engine == Engine::Batch {
-            // Occupy the earliest-free slot. A plain index fold — not
-            // `min_by(...).expect(...)` — so an empty slot vector could
-            // never panic even if the validation above were bypassed.
-            let mut slot = 0usize;
-            for (s, &free) in slot_free.iter().enumerate() {
-                if free < slot_free[slot] {
-                    slot = s;
-                }
-            }
-            if let Some(t) = slot_free.get_mut(slot) {
-                *t = finish;
-            }
-        }
-        *busy.entry(frag.engine).or_insert(0.0) += frag.duration_s;
-        magellan_obs::record_span_at(
-            None,
-            engine_span_name(frag.engine),
-            (c as u64) << 32 | i as u64,
-            sim_ns(start),
-            sim_ns(finish),
-        );
-        next[c] = (i + 1, finish);
-        makespan = makespan.max(finish);
-    }
-
-    magellan_obs::gauge_set("magellan_falcon_schedule_serial_seconds", serial_total);
-    magellan_obs::gauge_set("magellan_falcon_schedule_makespan_seconds", makespan);
-    drop(sched_span);
-
-    let mut busy: Vec<(Engine, f64)> = busy.into_iter().collect();
-    busy.sort_by_key(|(e, _)| format!("{e:?}"));
-    ScheduleReport {
-        serial_total_s: serial_total,
-        interleaved_makespan_s: makespan,
-        busy,
-        batch_slots,
-        telemetry: ScheduleTelemetry::default(),
-    }
-}
-
-/// Knobs for [`schedule_fragments_with_recovery`].
-#[derive(Debug, Clone, Copy)]
-pub struct ScheduleRecoveryOptions {
-    /// Seeded fault source; [`FaultPlan::none`] reproduces the plain
-    /// scheduler exactly.
-    pub faults: FaultPlan,
-    /// Backoff schedule for failed fragment attempts.
-    pub retry: RetryPolicy,
-    /// Per-fragment budget in simulated seconds. A straggler-inflated
-    /// attempt that would exceed it is killed at the budget mark and
-    /// rerun at nominal speed (rescheduled off the slow machine).
-    /// Nominal attempts are never killed, so the scheduler always
-    /// converges. `f64::INFINITY` disables timeouts.
-    pub fragment_timeout_s: f64,
-    /// Duration multiplier when a crowd fragment degrades to the
-    /// submitting user (default 1/15: a 6 s user answer vs. a 90 s crowd
-    /// round-trip, per [`CostModel::default`]).
-    pub degrade_factor: f64,
-    /// Launch a speculative backup when an attempt's effective duration
-    /// exceeds `nominal × this` (clamped to ≥ 1). The backup starts at
-    /// `t = nominal` and runs at nominal speed; the fragment finishes
-    /// when either copy does.
-    pub speculate_threshold: f64,
-}
-
-impl Default for ScheduleRecoveryOptions {
-    fn default() -> Self {
-        ScheduleRecoveryOptions {
-            faults: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            fragment_timeout_s: f64::INFINITY,
-            degrade_factor: 1.0 / 15.0,
-            speculate_threshold: 1.5,
-        }
-    }
-}
-
-/// Resolve one fragment's fate under the fault plan: which engine it
-/// ultimately runs on and how long it occupies the schedule, including
-/// failed attempts, backoff, timeouts, degradation, and speculation.
-/// Returns the resolved fragment plus extra batch busy-seconds burned by
-/// a speculative backup copy.
-pub(crate) fn resolve_fragment(
-    task: u64,
-    fid: u64,
-    frag: Fragment,
-    opts: &ScheduleRecoveryOptions,
-    tel: &mut ScheduleTelemetry,
-) -> (Fragment, f64) {
-    let plan = &opts.faults;
-    let mut engine = frag.engine;
-    let mut nominal = frag.duration_s;
-    let mut total = 0.0f64;
-    let mut extra_batch_busy = 0.0f64;
-
-    // Crowd that never picks the fragment up: repost once (backoff), then
-    // hand it to the submitting user at single-user speed.
-    if engine == Engine::Crowd && plan.crowd_no_show(task, fid) {
-        let repost = opts.retry.delay_s(1);
-        total += repost;
-        tel.backoff_s += repost;
-        tel.fragments_rerouted += 1;
-        engine = Engine::UserInteraction;
-        nominal *= opts.degrade_factor;
-        magellan_obs::event(
-            "fragment_degraded",
-            &[
-                ("task", EvVal::U(task)),
-                ("fragment", EvVal::U(fid)),
-                ("to", EvVal::S("user")),
-            ],
-        );
-    }
-
-    let spec_threshold = opts.speculate_threshold.max(1.0);
-    let mut attempt: u32 = 0;
-    loop {
-        // Injected attempt failure: the fragment dies halfway, the
-        // metamanager backs off and retries. Bounded per site, so the
-        // loop always reaches a completing attempt.
-        if plan.fragment_fails(task, fid, attempt) && opts.retry.allows(attempt + 1) {
-            let backoff = opts.retry.delay_s(attempt + 1);
-            tel.fragment_retries += 1;
-            tel.backoff_s += backoff;
-            total += nominal * 0.5 + backoff;
-            attempt += 1;
-            magellan_obs::event(
-                "fragment_retry_scheduled",
-                &[
-                    ("task", EvVal::U(task)),
-                    ("fragment", EvVal::U(fid)),
-                    ("attempt", EvVal::U(u64::from(attempt))),
-                ],
-            );
-            continue;
-        }
-        // This attempt completes. Attempt 0 of a batch fragment may land
-        // on a straggling machine; re-executions run at nominal speed.
-        let dur = if engine == Engine::Batch && attempt == 0 {
-            plan.straggler_duration_s(task, fid, nominal)
-        } else {
-            nominal
-        };
-        if dur > nominal && dur > opts.fragment_timeout_s {
-            // The inflated attempt blows the fragment budget: kill it at
-            // the budget mark and reschedule elsewhere.
-            let backoff = opts.retry.delay_s(attempt + 1);
-            tel.fragments_timed_out += 1;
-            tel.backoff_s += backoff;
-            total += opts.fragment_timeout_s + backoff;
-            attempt += 1;
-            magellan_obs::event(
-                "fragment_timed_out",
-                &[
-                    ("task", EvVal::U(task)),
-                    ("fragment", EvVal::U(fid)),
-                    ("budget_s", EvVal::F(opts.fragment_timeout_s)),
-                ],
-            );
-            continue;
-        }
-        if dur > nominal * spec_threshold {
-            // Straggler within budget: launch a backup at t = nominal
-            // running at nominal speed; take whichever finishes first.
-            tel.speculative_launched += 1;
-            let backup_finish = 2.0 * nominal;
-            let effective = dur.min(backup_finish);
-            if backup_finish < dur {
-                tel.speculative_wins += 1;
-            }
-            magellan_obs::event(
-                "straggler_speculated",
-                &[
-                    ("task", EvVal::U(task)),
-                    ("fragment", EvVal::U(fid)),
-                    ("backup_won", EvVal::U(u64::from(backup_finish < dur))),
-                ],
-            );
-            // The backup occupies a second batch slot from its launch
-            // until the fragment resolves.
-            extra_batch_busy += effective - nominal;
-            total += effective;
-            break;
-        }
-        total += dur;
-        break;
-    }
-    (Fragment { engine, duration_s: total }, extra_batch_busy)
-}
-
-/// [`schedule_fragments`] hardened against a [`FaultPlan`]: fragment
-/// attempts can fail (retried with exponential backoff in simulated
-/// time), batch fragments can straggle (speculatively re-executed or
-/// killed at a per-fragment timeout), and crowd fragments can be
-/// abandoned (rerouted to the submitting user). With
-/// [`FaultPlan::none`] the result is identical to the plain scheduler.
-pub fn schedule_fragments_with_recovery(
-    chains: &[Vec<Fragment>],
-    batch_slots: usize,
-    opts: &ScheduleRecoveryOptions,
-) -> ScheduleReport {
-    schedule_fragments_with_recovery_impl(chains, batch_slots.max(1), opts)
-}
-
-/// [`schedule_fragments_with_recovery`] with `batch_slots` validation
-/// instead of clamping (see [`try_schedule_fragments`]).
-pub fn try_schedule_fragments_with_recovery(
-    chains: &[Vec<Fragment>],
-    batch_slots: usize,
-    opts: &ScheduleRecoveryOptions,
-) -> Result<ScheduleReport, MagellanError> {
-    if batch_slots == 0 {
-        return Err(MagellanError::Config {
-            message: "batch_slots must be >= 1 (the batch engine needs at least one worker)"
-                .into(),
-        });
-    }
-    Ok(schedule_fragments_with_recovery_impl(chains, batch_slots, opts))
-}
-
-fn schedule_fragments_with_recovery_impl(
-    chains: &[Vec<Fragment>],
-    batch_slots: usize,
-    opts: &ScheduleRecoveryOptions,
-) -> ScheduleReport {
-    let mut tel = ScheduleTelemetry::default();
-    let mut extra_batch_busy = 0.0f64;
-    let resolved: Vec<Vec<Fragment>> = chains
-        .iter()
-        .enumerate()
-        .map(|(c, chain)| {
-            chain
-                .iter()
-                .enumerate()
-                .map(|(i, f)| {
-                    let (frag, extra) =
-                        resolve_fragment(c as u64, i as u64, *f, opts, &mut tel);
-                    extra_batch_busy += extra;
-                    frag
-                })
-                .collect()
-        })
-        .collect();
-    let mut rep = schedule_fragments(&resolved, batch_slots);
-    if extra_batch_busy > 0.0 {
-        match rep.busy.iter_mut().find(|(e, _)| *e == Engine::Batch) {
-            Some((_, b)) => *b += extra_batch_busy,
-            None => rep.busy.push((Engine::Batch, extra_batch_busy)),
-        }
-    }
-    tel.publish();
-    rep.telemetry = tel;
-    rep
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::ScheduleTelemetry;
     use magellan_datagen::domains::persons;
     use magellan_datagen::{DirtModel, ScenarioConfig};
 
@@ -913,6 +461,11 @@ mod tests {
             sample_size: 300,
             ..Default::default()
         }
+    }
+
+    /// The fault-free schedule.
+    fn schedule(chains: &[Vec<Fragment>], batch_slots: usize) -> ScheduleReport {
+        schedule_fragments(chains, batch_slots, &ScheduleRecoveryOptions::default()).unwrap()
     }
 
     fn scenario(seed: u64) -> magellan_datagen::EmScenario {
@@ -1000,7 +553,7 @@ mod tests {
                 ]
             })
             .collect();
-        let rep = schedule_fragments(&chains, 3);
+        let rep = schedule(&chains, 3);
         assert_eq!(rep.serial_total_s, 900.0);
         // 6 users label in parallel (100s), then 6 batch fragments over 3
         // slots (2 waves of 50s) => 200s.
@@ -1025,9 +578,9 @@ mod tests {
                 }]
             })
             .collect();
-        let rep = schedule_fragments(&chains, 1);
+        let rep = schedule(&chains, 1);
         assert!((rep.interleaved_makespan_s - 40.0).abs() < 1e-9);
-        let rep = schedule_fragments(&chains, 4);
+        let rep = schedule(&chains, 4);
         assert!((rep.interleaved_makespan_s - 10.0).abs() < 1e-9);
     }
 
@@ -1037,30 +590,18 @@ mod tests {
             engine: Engine::Batch,
             duration_s: 10.0,
         }]];
-        let err = try_schedule_fragments(&chains, 0).unwrap_err();
+        let err = schedule_fragments(&chains, 0, &ScheduleRecoveryOptions::default()).unwrap_err();
         assert!(matches!(err, MagellanError::Config { .. }), "{err}");
         assert!(err.fatal(), "bad configuration is not retryable");
         assert!(err.to_string().contains("batch_slots"), "{err}");
-        let err = try_schedule_fragments_with_recovery(
-            &chains,
-            0,
-            &ScheduleRecoveryOptions::default(),
-        )
-        .unwrap_err();
+        let cm = CloudMatcher { batch_slots: 0, ..CloudMatcher::default() };
+        let err = cm.run_tasks(&[]).unwrap_err();
         assert!(matches!(err, MagellanError::Config { .. }), "{err}");
-        // The clamping legacy entry points still accept 0 and treat it
-        // as one slot.
-        let rep = schedule_fragments(&chains, 0);
-        assert_eq!(rep.batch_slots, 1);
-        assert!((rep.interleaved_makespan_s - 10.0).abs() < 1e-9);
-        // And the validated path agrees with the plain one when valid.
-        let ok = try_schedule_fragments(&chains, 2).unwrap();
-        assert_eq!(ok.interleaved_makespan_s, schedule_fragments(&chains, 2).interleaved_makespan_s);
     }
 
     #[test]
     fn empty_schedule_is_zero() {
-        let rep = schedule_fragments(&[], 2);
+        let rep = schedule(&[], 2);
         assert_eq!(rep.serial_total_s, 0.0);
         assert_eq!(rep.interleaved_makespan_s, 0.0);
         // Zero-denominator convention: an empty schedule speeds nothing
@@ -1090,9 +631,9 @@ mod tests {
     #[test]
     fn recovery_scheduler_without_faults_is_identical() {
         let chains = synthetic_chains();
-        let plain = schedule_fragments(&chains, 3);
-        let rec =
-            schedule_fragments_with_recovery(&chains, 3, &ScheduleRecoveryOptions::default());
+        let plain = schedule(&chains, 3);
+        let none = ScheduleRecoveryOptions { faults: FaultPlan::none(), ..Default::default() };
+        let rec = schedule_fragments(&chains, 3, &none).unwrap();
         assert_eq!(plain.interleaved_makespan_s, rec.interleaved_makespan_s);
         assert_eq!(plain.serial_total_s, rec.serial_total_s);
         assert_eq!(plain.busy, rec.busy);
@@ -1111,13 +652,13 @@ mod tests {
             },
             ..ScheduleRecoveryOptions::default()
         };
-        let rec = schedule_fragments_with_recovery(&chains, 3, &opts);
+        let rec = schedule_fragments(&chains, 3, &opts).unwrap();
         assert!(rec.telemetry.fragment_retries > 0);
         assert!(rec.telemetry.backoff_s > 0.0);
-        let plain = schedule_fragments(&chains, 3);
+        let plain = schedule(&chains, 3);
         assert!(rec.interleaved_makespan_s > plain.interleaved_makespan_s);
         // Deterministic: the same plan yields the same schedule.
-        let again = schedule_fragments_with_recovery(&chains, 3, &opts);
+        let again = schedule_fragments(&chains, 3, &opts).unwrap();
         assert_eq!(rec.interleaved_makespan_s, again.interleaved_makespan_s);
         assert_eq!(rec.telemetry, again.telemetry);
     }
@@ -1135,11 +676,11 @@ mod tests {
             },
             ..ScheduleRecoveryOptions::default()
         };
-        let rec = schedule_fragments_with_recovery(&chains, 3, &opts);
+        let rec = schedule_fragments(&chains, 3, &opts).unwrap();
         assert_eq!(rec.telemetry.speculative_launched, 6);
         assert_eq!(rec.telemetry.speculative_wins, 6, "2x backup beats 4x straggler");
         // Every batch fragment finishes at 2x nominal, not 4x.
-        let plain = schedule_fragments(&chains, 3);
+        let plain = schedule(&chains, 3);
         assert!(rec.interleaved_makespan_s < plain.interleaved_makespan_s * 4.0);
         // The backup copies burn extra batch busy-seconds.
         let batch_busy = rec.busy.iter().find(|(e, _)| *e == Engine::Batch).unwrap().1;
@@ -1164,7 +705,7 @@ mod tests {
             fragment_timeout_s: 30.0,
             ..ScheduleRecoveryOptions::default()
         };
-        let rec = schedule_fragments_with_recovery(&chains, 1, &opts);
+        let rec = schedule_fragments(&chains, 1, &opts).unwrap();
         assert_eq!(rec.telemetry.fragments_timed_out, 1);
         assert_eq!(rec.telemetry.speculative_launched, 0);
         // Cost: 30s killed attempt + backoff + 10s nominal rerun — far
@@ -1185,7 +726,7 @@ mod tests {
             },
             ..ScheduleRecoveryOptions::default()
         };
-        let rec = schedule_fragments_with_recovery(&chains, 3, &opts);
+        let rec = schedule_fragments(&chains, 3, &opts).unwrap();
         assert_eq!(rec.telemetry.fragments_rerouted, 6);
         // The degraded fragments now run on the user engine.
         let user_busy = rec

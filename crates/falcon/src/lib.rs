@@ -16,15 +16,18 @@
 //!   → active-learn matcher on the candidate set → predict at the vote
 //!   threshold α.
 //! * [`cloud`] — CloudMatcher: concurrent EM workflows decomposed into
-//!   engine-tagged fragments (user-interaction / crowd / batch), a
-//!   *metamanager* that interleaves fragments across workflows, and the
+//!   engine-tagged fragments (user-interaction / crowd / batch), and the
 //!   cost/latency accounting behind Table 2's crowd-$, compute-$ and time
 //!   columns.
+//! * [`schedule`] — the one *metamanager* core both [`cloud`] and
+//!   [`service`] place fragments through: fault resolution, per-engine
+//!   slots, and one placement order (earliest start, priority, virtual
+//!   time, lane id).
 //! * [`service`] — the multi-tenant CloudMatcher service core: admission
 //!   control against Table 2 budget currencies, weighted fair-share +
-//!   priority scheduling of DAG fragments across the three engines, and
-//!   policy-driven graceful degradation (shed crowd → disable
-//!   speculation → downgrade priority), all bit-deterministic.
+//!   priority lanes on the [`schedule`] core, and policy-driven graceful
+//!   degradation (shed crowd → disable speculation → downgrade
+//!   priority), all bit-deterministic.
 //! * [`services`] — the Table 4 service registry (basic + composite).
 //! * [`smurf`] — Smurf-lite: learning blocking rules *without* labels via
 //!   confident pseudo-labels, reproducing the §5.3 claim of a 43–76%
@@ -35,21 +38,21 @@
 pub mod active;
 pub mod cloud;
 pub mod rules;
+pub mod schedule;
 pub mod service;
 pub mod services;
 pub mod smurf;
 pub mod workflow;
 
 pub use active::{active_learn, ActiveLearnConfig, ActiveLearnOutcome};
-pub use cloud::{
-    schedule_fragments, schedule_fragments_with_recovery, try_schedule_fragments,
-    try_schedule_fragments_with_recovery, CloudMatcher, CostModel, Engine, Fragment,
-    LabelingMode, ScheduleRecoveryOptions, ScheduleReport, ScheduleTelemetry, TaskOutcome,
-    TaskSpec,
+pub use cloud::{CloudMatcher, CostModel, LabelingMode, TaskOutcome, TaskSpec};
+pub use schedule::{
+    schedule_fragments, Engine, Fragment, Priority, ScheduleRecoveryOptions, ScheduleReport,
+    ScheduleTelemetry,
 };
 pub use service::{
     estimate_workload, Admission, DegradationPolicy, DegradationRule, DegradeAction,
-    DegradeTrigger, MatchService, Priority, RejectReason, ServiceConfig, ServiceCostModel,
+    DegradeTrigger, MatchService, RejectReason, ServiceConfig, ServiceCostModel,
     ServiceReport, ServiceTelemetry, SyntheticTask, TenantQuota, TenantReport, TenantSpec,
     TenantSubmission, Workload, WorkloadEstimate,
 };

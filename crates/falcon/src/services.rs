@@ -26,7 +26,7 @@ pub struct Service {
     /// Basic or composite.
     pub kind: ServiceKind,
     /// Engine the service's work runs on.
-    pub engine: crate::cloud::Engine,
+    pub engine: crate::schedule::Engine,
     /// One-line description.
     pub description: &'static str,
     /// The Rust API implementing it in this reproduction.
@@ -37,7 +37,7 @@ pub struct Service {
 
 /// The standard service registry (Table 4).
 pub fn services() -> Vec<Service> {
-    use crate::cloud::Engine::*;
+    use crate::schedule::Engine::*;
     use ServiceKind::*;
     let s = |name, kind, engine, description, implemented_by, composes| Service {
         name,
@@ -174,7 +174,7 @@ mod tests {
     fn labeling_services_run_on_human_engines() {
         for svc in services() {
             if svc.name.starts_with("label pairs") {
-                assert_ne!(svc.engine, crate::cloud::Engine::Batch, "{}", svc.name);
+                assert_ne!(svc.engine, crate::schedule::Engine::Batch, "{}", svc.name);
             }
         }
     }
