@@ -143,8 +143,9 @@ pub fn assert_build_is_bit_identical<S: AsRef<str>>(
         tokenizer,
         &mut interner,
     );
-    assert_eq!(new.left, old.left, "left records diverged");
-    assert_eq!(new.right, old.right, "right records diverged");
+    let column = |records: &[Vec<u32>]| records.iter().collect::<magellan_simjoin::TokenColumn>();
+    assert_eq!(new.left, column(&old.left), "left records diverged");
+    assert_eq!(new.right, column(&old.right), "right records diverged");
     assert_eq!(new.vocab_size, old.vocab_size, "vocabulary size diverged");
     let interned: Vec<&str> = (0..interner.len() as u32)
         .map(|id| interner.resolve(id))

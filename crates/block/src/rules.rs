@@ -73,7 +73,7 @@ impl TokSpec {
 
     /// [`TokSpec::tokenize_set`] straight into sorted deduplicated token
     /// ids (no `String` per token).
-    fn intern_set(&self, interner: &mut TokenInterner, s: &str) -> Vec<u32> {
+    fn intern_tokens(&self, interner: &mut TokenInterner, s: &str) -> Vec<u32> {
         match self {
             TokSpec::Word => interner.intern_tokens(&AlphanumericTokenizer::as_set(), s),
             TokSpec::Qgram(q) => interner.intern_tokens(&QgramTokenizer::as_set(*q), s),
@@ -512,7 +512,7 @@ impl PreparedRuleEval {
                         };
                         cells[r] = Some(match sh {
                             RulePrep::Lower => RuleCell::Lower(s.trim().to_lowercase()),
-                            RulePrep::Set(ts) => RuleCell::Ids(ts.intern_set(interner, &s)),
+                            RulePrep::Set(ts) => RuleCell::Ids(ts.intern_tokens(interner, &s)),
                         });
                     }
                     cells

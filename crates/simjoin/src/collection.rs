@@ -6,7 +6,8 @@
 //! [`TokenInterner`] (the same substrate the prepared feature cache uses),
 //! count document frequencies over their union, assign join-local ids
 //! rarest-first (ties broken lexicographically for determinism), and store
-//! each record as a sorted `Vec<u32>` of those ids.
+//! each side as one flat [`TokenColumn`]: every record's sorted ids back to
+//! back, plus one offset per record.
 //!
 //! Because interning happens through a caller-suppliable interner
 //! ([`TokenizedCollection::build_with_interner`]), several joins over the
@@ -15,18 +16,126 @@
 //! seen. The rarest-first remap is a pure permutation of interner ids, so
 //! join results are independent of which interner is supplied.
 
+use std::ops::Index;
+
+use magellan_textsim::intern::narrow;
 use magellan_textsim::tokenize::Tokenizer;
 use magellan_textsim::TokenInterner;
+
+/// One side's token-id records in one buffer: record `r` is
+/// `ids[offsets[r]..offsets[r + 1]]`, the layout of the CSR prefix index
+/// and of the `emtbl` string heap. However many records it holds, it is
+/// two heap blocks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TokenColumn {
+    ids: Vec<u32>,
+    /// `len() + 1` entries, the first 0.
+    offsets: Vec<u32>,
+}
+
+impl Default for TokenColumn {
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
+}
+
+impl TokenColumn {
+    /// An empty column with room for `records` records of `ids` ids in all.
+    fn with_capacity(records: usize, ids: usize) -> Self {
+        let mut offsets = Vec::with_capacity(records + 1);
+        offsets.push(0);
+        TokenColumn {
+            ids: Vec::with_capacity(ids),
+            offsets,
+        }
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when the column holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total ids over all records.
+    pub(crate) fn n_ids(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The records in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u32]> + Clone + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.ids[w[0] as usize..w[1] as usize])
+    }
+
+    /// Append a record.
+    ///
+    /// # Panics
+    /// If the column would pass `u32::MAX` ids.
+    fn push(&mut self, record: &[u32]) {
+        self.ids.extend_from_slice(record);
+        self.offsets.push(narrow(self.ids.len()));
+    }
+
+    /// The records `rids` names, in that order, as a column of their own
+    /// (two exact-size allocations).
+    pub(crate) fn gather(&self, rids: &[u32]) -> TokenColumn {
+        let n_ids = rids.iter().map(|&r| self[r as usize].len()).sum();
+        let mut out = TokenColumn::with_capacity(rids.len(), n_ids);
+        for &r in rids {
+            out.push(&self[r as usize]);
+        }
+        out
+    }
+}
+
+impl Index<usize> for TokenColumn {
+    type Output = [u32];
+
+    /// Record `r`'s ids.
+    fn index(&self, r: usize) -> &[u32] {
+        &self.ids[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+}
+
+impl<R: AsRef<[u32]>> FromIterator<R> for TokenColumn {
+    fn from_iter<I: IntoIterator<Item = R>>(records: I) -> Self {
+        let mut out = TokenColumn::default();
+        for rec in records {
+            out.push(rec.as_ref());
+        }
+        out
+    }
+}
 
 /// A pair of string collections tokenized under one shared token order.
 #[derive(Debug, Clone)]
 pub struct TokenizedCollection {
     /// Sorted token-id sets, one per left record (empty for null/empty input).
-    pub left: Vec<Vec<u32>>,
+    pub left: TokenColumn,
     /// Sorted token-id sets, one per right record.
-    pub right: Vec<Vec<u32>>,
+    pub right: TokenColumn,
     /// Number of distinct tokens across both sides.
     pub vocab_size: usize,
+}
+
+/// Records a build tokenizes before it sizes a column's ids for the rest.
+const SAMPLE: usize = 1024;
+
+/// What a build tracks per interner id.
+#[derive(Debug, Clone, Copy, Default)]
+struct TokenTally {
+    /// The last record to hold the token, numbered from 1 across both
+    /// sides (0: none yet): a record's repeats of a token are dropped
+    /// against it.
+    last_record: u32,
+    /// Records holding the token; its rarest-first rank once they are
+    /// all counted.
+    df: u32,
 }
 
 impl TokenizedCollection {
@@ -49,6 +158,11 @@ impl TokenizedCollection {
     /// contents — the join-local ids are a rarest-first permutation keyed
     /// by `(document frequency, token string)`, both independent of
     /// interner id assignment.
+    ///
+    /// One pass over the tokens interns each one, drops a record's repeats
+    /// and counts document frequencies as it goes; the vocabulary is then
+    /// sorted rarest-first once, the ids relabelled in place and each
+    /// record's slice sorted once. Nothing is allocated per record.
     pub fn build_with_interner<S: AsRef<str>>(
         left: &[Option<S>],
         right: &[Option<S>],
@@ -56,49 +170,81 @@ impl TokenizedCollection {
         interner: &mut TokenInterner,
     ) -> Self {
         let _span = magellan_obs::span("tokenize_collection", 0);
-        // Tokenize once per record into sorted deduped interner-id sets.
-        let mut tokenize_side = |side: &[Option<S>]| -> Vec<Vec<u32>> {
-            side.iter()
-                .map(|s| match s {
-                    Some(s) => interner.intern_tokens(tokenizer, s.as_ref()),
-                    None => Vec::new(),
-                })
-                .collect()
+        // Indexed by interner id, grown by doubling as the vocabulary does:
+        // ids a pre-seeded interner holds but no record here uses keep a
+        // count of zero and stay out of the vocabulary.
+        let mut tally = vec![TokenTally::default(); interner.len()];
+        let mut records = 0usize;
+        let mut tokenize_side = |side: &[Option<S>]| -> TokenColumn {
+            // Room for the first `SAMPLE` records at eight ids each, then
+            // for the rest at the mean of those plus an eighth: one growth
+            // to about the final size instead of a doubling series that
+            // can hold twice what the column needs.
+            let mut col = TokenColumn::with_capacity(side.len(), 8 * side.len().min(SAMPLE));
+            for (r, cell) in side.iter().enumerate() {
+                if r == SAMPLE {
+                    let rest = side.len() - SAMPLE;
+                    col.ids.reserve_exact(col.ids.len() * rest / SAMPLE * 9 / 8);
+                }
+                records += 1;
+                let record = narrow(records);
+                if let Some(s) = cell {
+                    tokenizer.for_each_token(s.as_ref(), &mut |t| {
+                        let id = interner.intern(t);
+                        let i = id as usize;
+                        if i >= tally.len() {
+                            let n = (2 * tally.len()).max(i + 1).max(1024);
+                            tally.resize(n, TokenTally::default());
+                        }
+                        let seen = &mut tally[i];
+                        if seen.last_record != record {
+                            seen.last_record = record;
+                            seen.df += 1;
+                            col.ids.push(id);
+                        }
+                    });
+                }
+                col.offsets.push(narrow(col.ids.len()));
+            }
+            col
         };
         let mut left = tokenize_side(left);
         let mut right = tokenize_side(right);
 
-        // Document frequency over the union of both sides. Interner ids are
-        // dense, so the counts (and the ranks below) are plain vectors
-        // indexed by id; ids a pre-seeded interner holds but no record here
-        // uses keep a count of zero and stay out of the vocabulary.
-        let mut df = vec![0u32; interner.len()];
-        for rec in left.iter().chain(&right) {
-            for &t in rec {
-                df[t as usize] += 1;
-            }
-        }
         // Rarest-first, lexicographic tiebreak for determinism. Resolving
         // through the interner recovers the exact ordering the string
         // vocabulary would produce, whatever ids the interner assigned.
-        let mut vocab: Vec<u32> = (0..df.len() as u32)
-            .filter(|&id| df[id as usize] > 0)
-            .collect();
-        vocab.sort_unstable_by(|&a, &b| {
-            df[a as usize]
-                .cmp(&df[b as usize])
+        // Each id is keyed by its count and its token's first eight bytes,
+        // zero-padded and read big-endian so that the key orders as the
+        // bytes do; only ids whose keys tie compare whole strings.
+        let mut vocab = Vec::with_capacity(tally.len());
+        vocab.extend((0..narrow(tally.len())).filter_map(|id| {
+            let df = tally[id as usize].df;
+            (df > 0).then(|| {
+                let text = interner.resolve(id).as_bytes();
+                let mut head = [0u8; 8];
+                let n = text.len().min(8);
+                head[..n].copy_from_slice(&text[..n]);
+                let key = u128::from(df) << 64 | u128::from(u64::from_be_bytes(head));
+                (key, id)
+            })
+        }));
+        vocab.sort_unstable_by(|&(ka, a), &(kb, b)| {
+            ka.cmp(&kb)
                 .then_with(|| interner.resolve(a).cmp(interner.resolve(b)))
         });
-        // The counts have served; the same vector now holds each id's rank.
-        let mut rank = df;
-        for (i, &id) in vocab.iter().enumerate() {
-            rank[id as usize] = i as u32;
+        // The counts have served; the same field now holds each id's rank.
+        for (rank, &(_, id)) in vocab.iter().enumerate() {
+            tally[id as usize].df = rank as u32;
         }
-        for rec in left.iter_mut().chain(&mut right) {
-            for t in rec.iter_mut() {
-                *t = rank[*t as usize];
+        for col in [&mut left, &mut right] {
+            for w in col.offsets.windows(2) {
+                let rec = &mut col.ids[w[0] as usize..w[1] as usize];
+                for t in rec.iter_mut() {
+                    *t = tally[*t as usize].df;
+                }
+                rec.sort_unstable();
             }
-            rec.sort_unstable();
         }
         magellan_obs::span_res_add("interner_vocab_bytes", interner.vocab_bytes() as u64);
         magellan_obs::gauge_max(
@@ -135,7 +281,7 @@ mod tests {
         assert_eq!(c.right.len(), 1);
         // Every record's ids are sorted and deduped.
         for rec in c.left.iter().chain(c.right.iter()) {
-            let mut sorted = rec.clone();
+            let mut sorted = rec.to_vec();
             sorted.sort_unstable();
             sorted.dedup();
             assert_eq!(*rec, sorted);
@@ -198,5 +344,23 @@ mod tests {
         assert_eq!(fresh.vocab_size, seeded.vocab_size);
         // The interner accumulated the join's vocabulary on top of the seed.
         assert!(interner.len() >= fresh.vocab_size);
+    }
+
+    /// A column hands back the records it was built from, by index, in
+    /// order and gathered, empty records included.
+    #[test]
+    fn token_column_holds_records_back_to_back() {
+        let records: [&[u32]; 4] = [&[3, 7], &[], &[1], &[2, 4, 9]];
+        let col: TokenColumn = records.iter().collect();
+        assert_eq!(col.len(), 4);
+        assert_eq!(col.n_ids(), 6);
+        assert!(col.iter().eq(records.iter().copied()));
+        assert_eq!(&col[3], &[2, 4, 9]);
+        assert!(col[1].is_empty());
+        let picked = col.gather(&[3, 1, 0]);
+        assert!(picked.iter().eq([&[2, 4, 9][..], &[], &[3, 7]]));
+        assert_eq!(picked.n_ids(), 5);
+        assert!(TokenColumn::default().is_empty());
+        assert_eq!(TokenColumn::default().iter().len(), 0);
     }
 }

@@ -18,6 +18,8 @@
 //! branch — out-of-window candidates are skipped wholesale without ever
 //! being touched.
 
+use crate::collection::TokenColumn;
+
 /// One prefix posting: a record whose prefix holds the token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
@@ -94,11 +96,31 @@ impl PrefixIndex {
     /// `u32` fields (more than `u32::MAX` records, tokens in a record or
     /// postings in all).
     pub fn build(records: &[Vec<u32>], base: u32, prefix_len_of: impl Fn(usize) -> usize) -> Self {
+        Self::build_from(records.len(), |rid| &records[rid], base, prefix_len_of)
+    }
+
+    /// [`PrefixIndex::build`] over the records of a [`TokenColumn`].
+    pub fn build_column(
+        records: &TokenColumn,
+        base: u32,
+        prefix_len_of: impl Fn(usize) -> usize,
+    ) -> Self {
+        Self::build_from(records.len(), |rid| &records[rid], base, prefix_len_of)
+    }
+
+    /// The build over `n` records, record `rid` being `record(rid)`.
+    fn build_from<'a>(
+        n: usize,
+        record: impl Fn(usize) -> &'a [u32],
+        base: u32,
+        prefix_len_of: impl Fn(usize) -> usize,
+    ) -> Self {
+        let records = || (0..n).map(&record);
         // Pass 0: per-record prefix lengths and the token-id universe.
-        let mut prefix_lens = Vec::with_capacity(records.len());
+        let mut prefix_lens = Vec::with_capacity(n);
         let mut max_token: u32 = base;
         let mut n_postings = 0usize;
-        for rec in records {
+        for rec in records() {
             let plen = prefix_len_of(rec.len()).min(rec.len());
             prefix_lens.push(narrow(plen));
             n_postings += plen;
@@ -117,7 +139,7 @@ impl PrefixIndex {
         // of which exceeds the total.
         narrow(n_postings);
         let mut offsets = vec![0u32; n_tokens + 1];
-        for (rec, &plen) in records.iter().zip(&prefix_lens) {
+        for (rec, &plen) in records().zip(&prefix_lens) {
             for &tok in &rec[..plen as usize] {
                 offsets[(tok - base) as usize + 1] += 1;
             }
@@ -131,15 +153,15 @@ impl PrefixIndex {
         // size window's binary search — a total order, since each record
         // contributes one posting per token. A record's postings go back to
         // front, each carrying the bitmap of what follows it.
-        let mut by_size = vec![0usize; records.iter().map(Vec::len).max().unwrap_or(0) + 2];
-        for rec in records {
+        let mut by_size = vec![0usize; records().map(<[u32]>::len).max().unwrap_or(0) + 2];
+        for rec in records() {
             by_size[rec.len() + 1] += 1;
         }
         for s in 1..by_size.len() {
             by_size[s] += by_size[s - 1];
         }
-        let mut order = vec![0; records.len()];
-        for (rid, rec) in records.iter().enumerate() {
+        let mut order = vec![0; n];
+        for (rid, rec) in records().enumerate() {
             order[by_size[rec.len()]] = rid;
             by_size[rec.len()] += 1;
         }
@@ -154,7 +176,7 @@ impl PrefixIndex {
             n_postings
         ];
         for rid in order {
-            let rec = &records[rid];
+            let rec = record(rid);
             let (rid, size) = (narrow(rid), narrow(rec.len()));
             for_each_rest(rec, prefix_lens[rid as usize] as usize, |pos, tok, rest| {
                 let t = (tok - base) as usize;
@@ -250,12 +272,12 @@ impl PrefixIndex {
 /// for any index. Exact (same arrays, same element counts), not an
 /// estimate of actual RSS.
 pub fn estimate_index_bytes(
-    records: &[Vec<u32>],
+    records: &TokenColumn,
     prefix_len_of: impl Fn(usize) -> usize,
 ) -> usize {
     let mut n_postings = 0usize;
     let mut max_token: u32 = 0;
-    for rec in records {
+    for rec in records.iter() {
         let plen = prefix_len_of(rec.len()).min(rec.len());
         n_postings += plen;
         for &tok in &rec[..plen] {

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use magellan_par::{JoinStats, ParConfig, ParStats};
 use magellan_textsim::tokenize::Tokenizer;
 
-use crate::collection::TokenizedCollection;
+use crate::collection::{TokenColumn, TokenizedCollection};
 use crate::filters;
 use crate::index::{for_each_rest, PrefixIndex};
 use crate::verify::overlap_sorted_bounded;
@@ -137,7 +137,7 @@ impl SetSimMeasure {
             SetSimMeasure::Cosine(t) => SetSimMeasure::Cosine((t + 1.0) / 2.0),
             SetSimMeasure::Dice(t) => SetSimMeasure::Dice((t + 1.0) / 2.0),
             SetSimMeasure::OverlapSize(c) => {
-                let longest = |side: &[Vec<u32>]| side.iter().map(Vec::len).max().unwrap_or(0);
+                let longest = |side: &TokenColumn| side.iter().map(<[u32]>::len).max().unwrap_or(0);
                 let top = longest(&coll.left).min(longest(&coll.right));
                 SetSimMeasure::OverlapSize(c.max((c + top) / 2))
             }
@@ -200,8 +200,8 @@ pub enum ProbeSide {
 
 /// The resolved orientation of one join run.
 pub(crate) struct ProbePlan<'a> {
-    pub(crate) probe: &'a [Vec<u32>],
-    pub(crate) indexed: &'a [Vec<u32>],
+    pub(crate) probe: &'a TokenColumn,
+    pub(crate) indexed: &'a TokenColumn,
     /// `true` when probing with the *right* collection — emitted pairs
     /// then put the indexed rid in `l` and the probe rid in `r`.
     pub(crate) swap: bool,
@@ -213,11 +213,9 @@ impl<'a> ProbePlan<'a> {
             ProbeSide::Left => false,
             ProbeSide::Right => true,
             ProbeSide::Auto => {
-                let lt: usize = coll.left.iter().map(Vec::len).sum();
-                let rt: usize = coll.right.iter().map(Vec::len).sum();
                 // Probe with the larger side (index the smaller); ties
                 // keep the historical probe-left orientation.
-                rt > lt
+                coll.right.n_ids() > coll.left.n_ids()
             }
         };
         if swap {
@@ -365,7 +363,7 @@ pub fn join_tokenized_stats(
 ) -> (Vec<JoinPair>, JoinStats) {
     measure.validate();
     let plan = ProbePlan::choose(coll, side);
-    let index = PrefixIndex::build(plan.indexed, 0, |s| measure.prefix_len(s));
+    let index = PrefixIndex::build_column(plan.indexed, 0, |s| measure.prefix_len(s));
     magellan_obs::span_res_add("csr_index_bytes", index.index_bytes() as u64);
     let target = Packed {
         records: plan.indexed,
@@ -434,7 +432,7 @@ pub(crate) trait ProbeTarget {
 
 /// The batch target: every posting of a packed [`PrefixIndex`] is live.
 pub(crate) struct Packed<'a> {
-    pub(crate) records: &'a [Vec<u32>],
+    pub(crate) records: &'a TokenColumn,
     pub(crate) index: &'a PrefixIndex,
 }
 
@@ -663,7 +661,7 @@ pub fn join_tokenized_par_side(
 ) -> (Vec<JoinPair>, ParStats) {
     measure.validate();
     let plan = ProbePlan::choose(coll, side);
-    let index = PrefixIndex::build(plan.indexed, 0, |s| measure.prefix_len(s));
+    let index = PrefixIndex::build_column(plan.indexed, 0, |s| measure.prefix_len(s));
     magellan_obs::span_res_add("csr_index_bytes", index.index_bytes() as u64);
     let target = Packed {
         records: plan.indexed,

@@ -60,7 +60,7 @@ pub mod shard;
 pub mod topk;
 pub mod verify;
 
-pub use collection::TokenizedCollection;
+pub use collection::{TokenColumn, TokenizedCollection};
 pub use incremental::{IncrementalJoin, PairDelta, RecordMutation, Side};
 pub use join::{
     join_tokenized, join_tokenized_par, join_tokenized_par_side, join_tokenized_stats,

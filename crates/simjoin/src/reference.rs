@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use magellan_textsim::intern::intersect_size_sorted;
 
-use crate::collection::TokenizedCollection;
+use crate::collection::{TokenColumn, TokenizedCollection};
 use crate::join::{JoinPair, SetSimMeasure};
 
 /// HashMap-based prefix index: token id → `(rid, pos)` postings.
@@ -24,7 +24,7 @@ struct HashPrefixIndex {
 }
 
 impl HashPrefixIndex {
-    fn build(records: &[Vec<u32>], prefix_len_of: impl Fn(usize) -> usize) -> Self {
+    fn build(records: &TokenColumn, prefix_len_of: impl Fn(usize) -> usize) -> Self {
         let mut map: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
         for (rid, rec) in records.iter().enumerate() {
             let plen = prefix_len_of(rec.len()).min(rec.len());

@@ -28,7 +28,7 @@
 
 use magellan_par::{JoinStats, ParConfig, ParStats};
 
-use crate::collection::TokenizedCollection;
+use crate::collection::{TokenColumn, TokenizedCollection};
 use crate::index::{estimate_index_bytes, PrefixIndex};
 use crate::join::{
     probe_one, JoinPair, Packed, ProbePlan, ProbeSide, SetSimMeasure, PROBE_SCRATCH, PROBE_STAMPS,
@@ -116,11 +116,11 @@ pub fn shards_for_budget(
 /// Exact per-shard index bytes of the hash partition at `K`, maximized
 /// over shards — the same accounting as [`estimate_index_bytes`], folded
 /// in one pass without materializing the partition.
-fn predicted_peak_bytes(indexed: &[Vec<u32>], measure: SetSimMeasure, k: usize) -> usize {
+fn predicted_peak_bytes(indexed: &TokenColumn, measure: SetSimMeasure, k: usize) -> usize {
     let mut n_postings = vec![0usize; k];
     let mut max_token = vec![0u32; k];
     let mut n_records = vec![0usize; k];
-    for rec in indexed {
+    for rec in indexed.iter() {
         let s = shard_of(rec, k);
         n_records[s] += 1;
         let plen = measure.prefix_len(rec.len()).min(rec.len());
@@ -191,8 +191,8 @@ pub fn join_tokenized_sharded(
         // Materialize the shard's records under local rids 0..m and
         // build its index — the only index alive at this point.
         let build_span = magellan_obs::span("shard_build", s as u64);
-        let local: Vec<Vec<u32>> = rids.iter().map(|&r| plan.indexed[r as usize].clone()).collect();
-        let index = PrefixIndex::build(&local, 0, |sz| measure.prefix_len(sz));
+        let local = plan.indexed.gather(rids);
+        let index = PrefixIndex::build_column(&local, 0, |sz| measure.prefix_len(sz));
         let target = Packed {
             records: &local,
             index: &index,

@@ -85,7 +85,7 @@ pub(crate) fn topk_side(
         return (Vec::new(), stats);
     }
     let plan = ProbePlan::choose(coll, side);
-    let index = PrefixIndex::build(plan.indexed, 0, |s| floor.prefix_len(s));
+    let index = PrefixIndex::build_column(plan.indexed, 0, |s| floor.prefix_len(s));
     magellan_obs::span_res_add("csr_index_bytes", index.index_bytes() as u64);
     let packed = Packed {
         records: plan.indexed,

@@ -26,15 +26,17 @@
 //! with [`TokenHasher`] — one multiply per 8 input bytes — instead of the
 //! standard library's SipHash. Tokens come from outside the program, so
 //! each interner draws its own random seed, and the length is mixed in so
-//! that padding a token cannot steer it into a chosen bucket (the
-//! `hostile_token_families_spread` test pins both on the buckets and tags
-//! `hashbrown` derives). This is a cheaper and weaker guarantee than
-//! SipHash's: it stops accidental and naive collisions, not an adversary
-//! who can observe timing and search for multiplicative collisions.
+//! that padding a token cannot steer it into a chosen slot (the
+//! `hostile_token_families_spread` test pins both on the low bits that
+//! place a slot and on high bits, which its tag is cut from). This is a
+//! cheaper and weaker guarantee than SipHash's: it stops accidental and
+//! naive collisions, not an adversary who can observe timing and search
+//! for multiplicative collisions.
 //!
 //! **Nothing observable depends on the seed or on any hash value**: ids
-//! are handed out in first-intern order, the map is never iterated, and
-//! [`TokenInterner::vocab_bytes`] counts strings, not buckets. Two
+//! are handed out in first-intern order, the slot table is never iterated
+//! (a growth re-places ids but renumbers none), and
+//! [`TokenInterner::vocab_bytes`] counts strings, not slots. Two
 //! interners fed the same tokens in the same order are equal id for id
 //! (`ids_do_not_depend_on_the_seed`).
 //!
@@ -44,7 +46,6 @@
 //! matter (e.g. cosine's `(|A| as f64) * (|B| as f64)` product).
 
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
 use crate::tokenize::Tokenizer;
@@ -108,15 +109,51 @@ impl BuildHasher for TokenHashSeed {
     }
 }
 
+/// `n` as a `u32` token id, arena offset or token-column offset, or a
+/// panic naming the limit. Every narrowing on the token path goes through
+/// here, so a vocabulary, its text or a token column that outgrows `u32`
+/// stops loudly instead of wrapping around onto id 0.
+pub fn narrow(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| {
+        panic!(
+            "a token vocabulary holds at most u32::MAX tokens and bytes of text, \
+             a token column at most u32::MAX ids; got {n}"
+        )
+    })
+}
+
+/// Slots of an interner's first table; it doubles before it passes half
+/// full.
+const MIN_SLOTS: usize = 64;
+
+/// The slot for `id` under `hash`: the hash's high half as a tag, `id + 1`
+/// below it (0 marks an empty slot).
+fn slot_of(hash: u64, id: u32) -> u64 {
+    (hash & !u64::from(u32::MAX)) | (u64::from(id) + 1)
+}
+
 /// A token → dense `u32` id table, append-only.
 ///
 /// Ids are assigned in first-intern order. The interner is the single
 /// shared vocabulary for one prepared workload (both tables of an EM
 /// task), so ids are comparable across sides.
+///
+/// Three buffers hold it, whatever the vocabulary size: one arena with
+/// every token's bytes back to back in id order, one end offset per id,
+/// and an open-addressing slot table (linear probing, never more than
+/// half full) whose occupied slots hold `hash tag << 32 | id + 1`. A probe
+/// compares strings only on a 32-bit tag match, and a new token costs an
+/// append to the arena and the offsets, not two heap strings.
 #[derive(Debug, Clone)]
 pub struct TokenInterner {
-    ids: HashMap<String, u32, TokenHashSeed>,
-    tokens: Vec<String>,
+    /// Every token's text, in id order.
+    arena: String,
+    /// `ends[id]`: where token `id` ends in `arena`; it starts where
+    /// `id − 1` ends.
+    ends: Vec<u32>,
+    /// Power-of-two slot table, empty until the first intern.
+    slots: Vec<u64>,
+    seed: TokenHashSeed,
     /// Reused by [`TokenInterner::intern_tokens`] so a record's ids are
     /// collected without a growth allocation.
     scratch: Vec<u32>,
@@ -138,69 +175,133 @@ impl TokenInterner {
 
     fn with_seed(seed: u64) -> Self {
         TokenInterner {
-            ids: HashMap::with_hasher(TokenHashSeed(seed)),
-            tokens: Vec::new(),
+            arena: String::new(),
+            ends: Vec::new(),
+            slots: Vec::new(),
+            seed: TokenHashSeed(seed),
             scratch: Vec::new(),
         }
     }
 
-    /// Id of `token`, interning it if new.
-    pub fn intern(&mut self, token: &str) -> u32 {
-        if let Some(&id) = self.ids.get(token) {
-            return id;
+    fn hash(&self, token: &str) -> u64 {
+        self.seed.hash_one(token)
+    }
+
+    /// Token `id`'s text.
+    fn text(&self, id: usize) -> &str {
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        &self.arena[start..self.ends[id] as usize]
+    }
+
+    /// `Ok(id)` if `token` is interned, else `Err(slot)`: the empty slot its
+    /// probe ended on. The table must have slots.
+    fn find(&self, token: &str, hash: u64) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                return Err(at);
+            }
+            if (slot ^ hash) >> 32 == 0 {
+                let id = slot as u32 - 1;
+                if self.text(id as usize) == token {
+                    return Ok(id);
+                }
+            }
+            at = (at + 1) & mask;
         }
-        let id = self.tokens.len() as u32;
-        self.ids.insert(token.to_owned(), id);
-        self.tokens.push(token.to_owned());
+    }
+
+    /// Double the slot table (or make the first one) and re-place every id.
+    /// The table holds at most half its slot count in ids, so the offsets
+    /// and — at the mean token length so far — the arena are reserved for
+    /// that many now.
+    fn grow(&mut self) {
+        let n = (self.slots.len() * 2).max(MIN_SLOTS);
+        let mut slots = vec![0u64; n];
+        for id in 0..self.ends.len() {
+            let hash = self.hash(self.text(id));
+            let mut at = hash as usize & (n - 1);
+            while slots[at] != 0 {
+                at = (at + 1) & (n - 1);
+            }
+            slots[at] = slot_of(hash, id as u32);
+        }
+        self.slots = slots;
+        let more = n / 2 - self.ends.len();
+        let mean_len = self.arena.len().div_ceil(self.ends.len().max(1)).max(8);
+        self.ends.reserve_exact(more);
+        self.arena.reserve(more * mean_len);
+    }
+
+    /// Id of `token`, interning it if new.
+    ///
+    /// # Panics
+    /// If the vocabulary would pass `u32::MAX` tokens or bytes of text.
+    pub fn intern(&mut self, token: &str) -> u32 {
+        let hash = self.hash(token);
+        if self.slots.is_empty() {
+            self.grow();
+        }
+        let mut at = match self.find(token, hash) {
+            Ok(id) => return id,
+            Err(at) => at,
+        };
+        // `id + 1` is stored in a slot, so the count after this token must
+        // fit too.
+        let id = narrow(self.ends.len() + 1) - 1;
+        let end = narrow(self.arena.len() + token.len());
+        if 2 * (self.ends.len() + 1) > self.slots.len() {
+            self.grow();
+            at = self.find(token, hash).expect_err("a new token is absent");
+        }
+        self.arena.push_str(token);
+        self.ends.push(end);
+        self.slots[at] = slot_of(hash, id);
         id
     }
 
     /// Id of `token` if already interned.
     pub fn get(&self, token: &str) -> Option<u32> {
-        self.ids.get(token).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.find(token, self.hash(token)).ok()
     }
 
     /// The token string behind an id.
     pub fn resolve(&self, id: u32) -> &str {
-        &self.tokens[id as usize]
+        self.text(id as usize)
     }
 
     /// Number of distinct tokens interned.
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.ends.len()
     }
 
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+        self.ends.is_empty()
     }
 
-    /// Approximate resident bytes of the vocabulary: every token string
-    /// is stored twice (map key + id table) plus fixed per-entry
-    /// overheads. Deterministic — a pure function of the interned
-    /// strings, never of capacity growth — so it is safe to publish as a
-    /// pinned-export resource attribution.
+    /// The vocabulary's resident bytes as resource attributions publish
+    /// them: every token's text twice plus 52 bytes a token on a 64-bit
+    /// target, the footprint of the string map and id table this interner
+    /// was first built on. Pinned exports carry that figure, so it stays
+    /// the published one; the arena layout holds the text once, plus 4
+    /// bytes of offset and at most 16 of slot table a token. Deterministic
+    /// — a pure function of the interned strings, never of capacity growth.
     pub fn vocab_bytes(&self) -> usize {
-        let text: usize = self.tokens.iter().map(String::len).sum();
-        let per_entry =
-            2 * std::mem::size_of::<String>() + std::mem::size_of::<u32>();
-        2 * text + self.tokens.len() * per_entry
+        let per_entry = 2 * std::mem::size_of::<String>() + std::mem::size_of::<u32>();
+        2 * self.arena.len() + self.ends.len() * per_entry
     }
 
-    /// Intern a token bag into its **sorted, deduplicated** id set — the
-    /// representation every `*_ids` kernel below consumes.
-    pub fn intern_set<S: AsRef<str>>(&mut self, tokens: &[S]) -> Vec<u32> {
-        let mut ids: Vec<u32> = tokens.iter().map(|t| self.intern(t.as_ref())).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Tokenize `s` straight into its **sorted, deduplicated** id set:
-    /// `intern_set(&tokenizer.tokenize(s))` without a `String` per token —
-    /// the tokenizer visits, each token is looked up as a borrowed `&str`,
-    /// and the one allocation is the exact-size result. New tokens get
-    /// their ids in visit order, as they would from `intern_set`.
+    /// Tokenize `s` straight into its **sorted, deduplicated** id set —
+    /// the representation every `*_ids` kernel below consumes — without a
+    /// `String` per token: the tokenizer visits, each token is looked up
+    /// as a borrowed `&str`, and the one allocation is the exact-size
+    /// result. New tokens get their ids in visit order.
     ///
     /// ```
     /// use magellan_textsim::tokenize::AlphanumericTokenizer;
@@ -230,7 +331,7 @@ impl TokenInterner {
     /// batches; because the interner is append-only, equal generations
     /// imply the id ↔ token mapping is unchanged, not merely same-sized.
     pub fn generation(&self) -> u64 {
-        self.tokens.len() as u64
+        self.ends.len() as u64
     }
 }
 
@@ -343,9 +444,18 @@ pub fn overlap_size_ids(a: &[u32], b: &[u32]) -> usize {
 mod tests {
     use super::*;
     use crate::setsim;
+    use std::collections::HashMap;
 
     fn toks(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
+    }
+
+    /// A token bag's sorted, deduplicated id set.
+    fn id_set(it: &mut TokenInterner, tokens: &[String]) -> Vec<u32> {
+        let mut ids: Vec<u32> = tokens.iter().map(|t| it.intern(t)).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
     }
 
     #[test]
@@ -363,9 +473,12 @@ mod tests {
     }
 
     #[test]
-    fn intern_set_sorts_and_dedupes() {
+    fn intern_tokens_sorts_and_dedupes() {
         let mut it = TokenInterner::new();
-        let ids = it.intern_set(&toks("b a b c a"));
+        for t in ["c", "b"] {
+            it.intern(t);
+        }
+        let ids = it.intern_tokens(&crate::tokenize::WhitespaceTokenizer::new(), "b a b c a");
         assert_eq!(ids.len(), 3);
         let mut sorted = ids.clone();
         sorted.sort_unstable();
@@ -396,7 +509,7 @@ mod tests {
         for (x, y) in cases {
             let (tx, ty) = (toks(x), toks(y));
             let mut it = TokenInterner::new();
-            let (ix, iy) = (it.intern_set(&tx), it.intern_set(&ty));
+            let (ix, iy) = (id_set(&mut it, &tx), id_set(&mut it, &ty));
             assert!(is_sorted_dedup(&ix));
             assert!(is_sorted_dedup(&iy));
             assert_eq!(
@@ -453,7 +566,7 @@ mod tests {
         );
     }
 
-    /// Regression: `intern_set` upholds the sorted-dedup invariant the
+    /// Regression: an interned set upholds the sorted-dedup invariant the
     /// overlap walk assumes, even for pathological bags (all-duplicate,
     /// reverse-insertion-order, single token), and the overlap agrees
     /// with the string-level measure on those bags.
@@ -470,7 +583,7 @@ mod tests {
             toks("mu"),
             toks("alpha beta mu zeta alpha beta mu zeta"),
         ];
-        let sets: Vec<Vec<u32>> = bags.iter().map(|b| it.intern_set(b)).collect();
+        let sets: Vec<Vec<u32>> = bags.iter().map(|b| id_set(&mut it, b)).collect();
         for s in &sets {
             assert!(is_sorted_dedup(s), "invariant broken: {s:?}");
         }
@@ -573,5 +686,85 @@ mod tests {
         };
         assert_eq!(build(1), build(0xdead_beef_0bad_cafe));
         assert_eq!(build(1), build(0));
+    }
+
+    /// A slot whose tag matches is a hit only if its string matches too:
+    /// `"a"`'s id moved to the slot `"b"` probes first, under `"b"`'s tag.
+    #[test]
+    fn a_tag_match_alone_is_not_a_hit() {
+        let mut it = TokenInterner::with_seed(7);
+        let a = it.intern("a");
+        let b_hash = it.hash("b");
+        let a_slot = it.slots.iter().position(|&s| s != 0).expect("one slot taken");
+        it.slots[a_slot] = 0;
+        let b_first = b_hash as usize & (it.slots.len() - 1);
+        it.slots[b_first] = slot_of(b_hash, a);
+        assert_eq!(it.get("b"), None);
+        assert_eq!(it.intern("b"), 1);
+        assert_eq!((it.resolve(a), it.resolve(1)), ("a", "b"));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX tokens")]
+    fn narrow_panics_one_past_u32_max() {
+        assert_eq!(narrow(u32::MAX as usize), u32::MAX);
+        narrow(u32::MAX as usize + 1);
+    }
+
+    use proptest::prelude::*;
+
+    /// One token of a stream: empty, one byte, 64 and 65 bytes (the
+    /// hasher's eight-byte words, full and with a one-byte tail), non-ASCII
+    /// (U+212A KELVIN SIGN, `é`), or one of 11 000 short ones, so that half
+    /// the streams double the slot table five times, to 2 048 slots.
+    fn token() -> impl Strategy<Value = String> {
+        prop_oneof![
+            1 => Just(String::new()),
+            1 => "[a-c]",
+            1 => "x{62}[ab]{2}",
+            1 => "x{63}[ab]{2}",
+            1 => "[\u{212a}\u{e9}k]{1,3}",
+            4 => "t[0-9]{3,4}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The arena interner against a `HashMap<String, u32>` plus
+        /// `Vec<String>` model, after every token of the stream: the same
+        /// ids, `get`, `resolve`, `len`, `generation` and `vocab_bytes`
+        /// (the model's own two copies of each string plus two `String`
+        /// headers and an id), whatever the seed.
+        #[test]
+        fn arena_interner_matches_hashmap_model(
+            stream in proptest::collection::vec(token(), 0..2400),
+            seed in any::<u64>(),
+        ) {
+            let mut it = TokenInterner::with_seed(seed);
+            let mut ids: HashMap<String, u32> = HashMap::new();
+            let mut tokens: Vec<String> = Vec::new();
+            for t in &stream {
+                prop_assert_eq!(it.get(t), ids.get(t).copied());
+                let want = *ids.entry(t.clone()).or_insert_with(|| {
+                    tokens.push(t.clone());
+                    tokens.len() as u32 - 1
+                });
+                prop_assert_eq!(it.intern(t), want, "{:?}", t);
+                prop_assert_eq!(it.get(t), Some(want));
+                prop_assert_eq!(it.resolve(want), t.as_str());
+                prop_assert_eq!(it.len(), tokens.len());
+                prop_assert_eq!(it.generation(), tokens.len() as u64);
+            }
+            for (id, t) in tokens.iter().enumerate() {
+                prop_assert_eq!(it.resolve(id as u32), t.as_str());
+                prop_assert_eq!(it.get(t), Some(id as u32));
+            }
+            prop_assert_eq!(it.get("absent"), ids.get("absent").copied());
+            let per_entry = 2 * std::mem::size_of::<String>() + std::mem::size_of::<u32>();
+            let text: usize = tokens.iter().map(String::len).sum();
+            prop_assert_eq!(it.vocab_bytes(), 2 * text + tokens.len() * per_entry);
+            prop_assert_eq!(it.is_empty(), tokens.is_empty());
+        }
     }
 }

@@ -164,6 +164,26 @@ impl AlphanumericTokenizer {
     }
 }
 
+/// What the alphanumeric scan needs to know of a byte, one table load
+/// per byte: [`ALNUM`] for a lower-case letter or digit, [`UPPER`] for an
+/// upper-case letter, 0 for anything else.
+const BYTE_CLASS: [u8; 256] = {
+    let mut class = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let byte = b as u8;
+        if byte.is_ascii_uppercase() {
+            class[b] = UPPER;
+        } else if byte.is_ascii_alphanumeric() {
+            class[b] = ALNUM;
+        }
+        b += 1;
+    }
+    class
+};
+const ALNUM: u8 = 1;
+const UPPER: u8 = 2;
+
 impl Tokenizer for AlphanumericTokenizer {
     /// A byte scan: every byte of a multi-byte character is `>= 0x80` and
     /// so never ASCII-alphanumeric, which makes the byte runs exactly the
@@ -172,22 +192,23 @@ impl Tokenizer for AlphanumericTokenizer {
     /// stack buffer (on the heap beyond [`STACK_TOKEN_BYTES`]).
     fn for_each_token(&self, s: &str, f: &mut dyn FnMut(&str)) {
         let bytes = s.as_bytes();
+        let class = |i: usize| BYTE_CLASS[usize::from(bytes[i])];
         let mut buf = [0u8; STACK_TOKEN_BYTES];
         let mut i = 0;
         while i < bytes.len() {
-            if !bytes[i].is_ascii_alphanumeric() {
+            if class(i) == 0 {
                 i += 1;
                 continue;
             }
             let start = i;
-            let mut upper = false;
-            while i < bytes.len() && bytes[i].is_ascii_alphanumeric() {
-                upper |= bytes[i].is_ascii_uppercase();
+            let mut seen = 0;
+            while i < bytes.len() && class(i) != 0 {
+                seen |= class(i);
                 i += 1;
             }
             // Both ends sit next to ASCII bytes, so they are char boundaries.
             let run = &s[start..i];
-            if !upper {
+            if seen & UPPER == 0 {
                 f(run);
             } else if let Some(low) = buf.get_mut(..run.len()) {
                 low.copy_from_slice(run.as_bytes());
