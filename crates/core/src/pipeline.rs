@@ -8,6 +8,7 @@ use magellan_ml::{CvReport, Dataset, Learner, Metrics};
 use magellan_table::Table;
 
 use crate::downsample::down_sample;
+use crate::error::MagellanError;
 use crate::labeling::Labeler;
 use crate::rules::RuleLayer;
 use crate::sample::sample_positions;
@@ -97,6 +98,12 @@ pub struct DevReport {
 /// `blockers` are the candidates the "user experiments with" (the guide's
 /// blockers X and Y); the pipeline picks the one with the best label-free
 /// recall estimate, breaking ties toward the smaller candidate set.
+///
+/// # Errors
+/// A table error from blocking or feature extraction, or a fatal
+/// `training` [`MagellanError::Phase`] when no labelled pair is left to
+/// train on (a down-sample, candidate set or labelled sample too small for
+/// the holdout split).
 pub fn run_development_stage(
     a: &Table,
     b: &Table,
@@ -105,7 +112,7 @@ pub fn run_development_stage(
     learners: &[&dyn Learner],
     labeler: &mut dyn Labeler,
     cfg: &DevConfig,
-) -> magellan_table::Result<(EmWorkflow, DevReport)> {
+) -> Result<(EmWorkflow, DevReport), MagellanError> {
     assert!(!blockers.is_empty(), "need at least one blocker");
     assert!(!learners.is_empty(), "need at least one learner");
 
@@ -217,6 +224,19 @@ pub fn run_development_stage(
     let mut train = Dataset::new(matrix.names.clone());
     for &i in &train_idx {
         train.push(&matrix.rows[i], labels[i]);
+    }
+    if train.is_empty() {
+        return Err(MagellanError::Phase {
+            phase: "training",
+            message: format!(
+                "the labelled training split is empty ({} candidate pairs, {} labelled, \
+                 {} held out): down-sample to more rows or lower holdout_fraction",
+                candidates.len(),
+                labels.len(),
+                hold_idx.len()
+            ),
+            transient: false,
+        });
     }
 
     // Step 6: cross-validate and pick the matcher.
@@ -493,5 +513,49 @@ mod tests {
         assert!(report.cv_reports.is_empty());
         assert_eq!(report.chosen_matcher, "decision_tree");
         assert_eq!(report.label_positive_rate, 0.0);
+    }
+
+    /// A down-sample too small to leave a labelled training pair is a
+    /// typed error naming the cause, not a panic in the learner.
+    #[test]
+    fn empty_training_split_is_an_error_not_a_panic() {
+        let s = persons(&ScenarioConfig {
+            size_a: 300,
+            size_b: 300,
+            n_matches: 100,
+            dirt: DirtModel::light(),
+            seed: 0,
+        });
+        for size in [0, 1] {
+            let features = generate_features(&s.table_a, &s.table_b, &["id"]).unwrap();
+            let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
+            let forest = RandomForestLearner::default();
+            let blocker = magellan_block::SimJoinBlocker {
+                l_attr: "name".into(),
+                r_attr: "name".into(),
+                measure: magellan_simjoin::SetSimMeasure::Jaccard(0.5),
+                qgram: None,
+                shards: 1,
+            };
+            let err = run_development_stage(
+                &s.table_a,
+                &s.table_b,
+                vec![Box::new(blocker)],
+                features,
+                &[&forest],
+                &mut labeler,
+                &DevConfig {
+                    down_sample_to: Some(size),
+                    ..Default::default()
+                },
+            )
+            .map(|_| ())
+            .unwrap_err();
+            assert!(
+                matches!(err, MagellanError::Phase { phase: "training", transient: false, .. }),
+                "down_sample_to {size}: {err}"
+            );
+            assert!(err.to_string().contains("training split is empty"), "{err}");
+        }
     }
 }
