@@ -48,6 +48,7 @@ use std::time::{Duration, Instant};
 use magellan_block::CandidateSet;
 use magellan_faults::{run_with_retry, FaultPlan, RetryPolicy, SimClock};
 use magellan_features::{PreparedPair, Scorer, ScorerCounts};
+use magellan_ml::Classifier;
 use magellan_obs::{EvVal, ObsSnapshot};
 use magellan_par::{ParConfig, ParStats};
 use magellan_table::Table;
@@ -605,17 +606,20 @@ fn match_candidates(
         let mut scorer = Scorer::new(&prepared, &plan);
         let mut matched = Vec::new();
         let mut walked = 0u64;
-        for &(ra, rb) in &pairs[range] {
-            scorer.begin_pair(ra as usize, rb as usize);
-            let mut feat = |j: usize| scorer.feature(j);
-            let predicted =
-                workflow
-                    .matcher
-                    .decide(workflow.threshold, n_features, &mut feat, &mut walked);
-            if rules.apply_lazy(&mut feat, predicted).0 {
-                matched.push((ra, rb));
-            }
-        }
+        let chunk = &pairs[range];
+        decide_pairs(
+            &*workflow.matcher,
+            workflow.threshold,
+            &mut scorer,
+            n_features,
+            chunk,
+            &mut walked,
+            |i, predicted, scorer| {
+                if rules.apply_lazy(|j| scorer.feature(j), predicted).0 {
+                    matched.push(chunk[i]);
+                }
+            },
+        );
         (matched, scorer.computed(), walked, scorer.counts())
     });
 
@@ -637,6 +641,28 @@ fn match_candidates(
     stats.cache = cache;
     stats.publish("score");
     Ok((decisions, stats))
+}
+
+/// Decide each of `pairs` at `threshold` through `scorer`, the matcher
+/// asking only for the features its trees test
+/// ([`Classifier::decide`]), and hand the pair's position and decision to
+/// `then` with the scorer still on that pair, so it can read more of the
+/// same lazily filled row. Shared by the production pass and the
+/// development stage's calibration probe.
+pub(crate) fn decide_pairs<'p>(
+    matcher: &dyn Classifier,
+    threshold: f64,
+    scorer: &mut Scorer<'p>,
+    n_features: usize,
+    pairs: &[(u32, u32)],
+    walked: &mut u64,
+    mut then: impl FnMut(usize, bool, &mut Scorer<'p>),
+) {
+    for (i, &(ra, rb)) in pairs.iter().enumerate() {
+        scorer.begin_pair(ra as usize, rb as usize);
+        let predicted = matcher.decide(threshold, n_features, &mut |j| scorer.feature(j), walked);
+        then(i, predicted, scorer);
+    }
 }
 
 /// Retry a checkpoint-store operation under the policy, charging backoff

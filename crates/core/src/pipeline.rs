@@ -2,13 +2,15 @@
 
 use magellan_block::debugger::estimate_recall;
 use magellan_block::{Blocker, CandidateSet};
-use magellan_features::{extract_feature_matrix, Feature};
+use magellan_features::{extract_with_prepared, Feature, FeaturePlan, PreparedPair, Scorer};
 use magellan_ml::cv::select_matcher;
 use magellan_ml::{CvReport, Dataset, Learner, Metrics};
+use magellan_par::ParConfig;
 use magellan_table::Table;
 
 use crate::downsample::down_sample;
 use crate::error::MagellanError;
+use crate::exec::decide_pairs;
 use crate::labeling::Labeler;
 use crate::rules::RuleLayer;
 use crate::sample::sample_positions;
@@ -50,6 +52,26 @@ impl Default for DevConfig {
             target_precision: 0.9,
             seed: 7,
         }
+    }
+}
+
+impl DevConfig {
+    /// Refuse the knobs the stage cannot run with, naming the field.
+    fn validate(&self) -> Result<(), MagellanError> {
+        if self.cv_folds < 2 {
+            return Err(MagellanError::Config {
+                message: format!("cv_folds must be at least 2, got {}", self.cv_folds),
+            });
+        }
+        if !(self.holdout_fraction > 0.0 && self.holdout_fraction < 1.0) {
+            return Err(MagellanError::Config {
+                message: format!(
+                    "holdout_fraction must lie strictly between 0 and 1, got {}",
+                    self.holdout_fraction
+                ),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -100,10 +122,11 @@ pub struct DevReport {
 /// recall estimate, breaking ties toward the smaller candidate set.
 ///
 /// # Errors
-/// A table error from blocking or feature extraction, or a fatal
-/// `training` [`MagellanError::Phase`] when no labelled pair is left to
-/// train on (a down-sample, candidate set or labelled sample too small for
-/// the holdout split).
+/// [`MagellanError::Config`], before any work, for fewer than two
+/// `cv_folds` or a `holdout_fraction` outside `(0, 1)` (NaN included); a
+/// table error from blocking or feature extraction; or a fatal `training` [`MagellanError::Phase`] when no
+/// labelled pair is left to train on (a down-sample, candidate set or
+/// labelled sample too small for the holdout split).
 pub fn run_development_stage(
     a: &Table,
     b: &Table,
@@ -113,6 +136,7 @@ pub fn run_development_stage(
     labeler: &mut dyn Labeler,
     cfg: &DevConfig,
 ) -> Result<(EmWorkflow, DevReport), MagellanError> {
+    cfg.validate()?;
     assert!(!blockers.is_empty(), "need at least one blocker");
     assert!(!learners.is_empty(), "need at least one learner");
 
@@ -167,52 +191,35 @@ pub fn run_development_stage(
     // candidate set at EM's match densities contains almost no matches and
     // trains a useless matcher, so the sample is plausibility-stratified:
     // a wide uniform pre-sample is scored by a cheap similarity proxy
-    // (mean non-NaN feature), and S mixes the top-scoring third with a
-    // uniform remainder. No gold labels are consulted.
+    // (mean non-NaN feature), and S mixes the top-scoring half with a
+    // uniform remainder. No gold labels are consulted. The pre-sample is
+    // scored as production scores, through one `Scorer` over its
+    // left-sorted pairs, keeping one proxy key per pair and no row.
     let pre_positions = sample_positions(
         &candidates,
-        (cfg.sample_size * 30).max(cfg.sample_size),
+        cfg.sample_size.saturating_mul(30).max(cfg.sample_size),
         cfg.seed ^ 0xA5A5,
     );
     let pre_pairs: Vec<(u32, u32)> = pre_positions
         .iter()
         .map(|&i| candidates.pairs()[i])
         .collect();
-    let pre_matrix = extract_feature_matrix(&pre_pairs, wa, wb, &features)?;
-    let proxy = |row: &[f64]| -> f64 {
-        let (mut s, mut k) = (0.0, 0usize);
-        for &v in row {
-            if !v.is_nan() {
-                s += v;
-                k += 1;
-            }
-        }
-        if k == 0 {
-            0.0
-        } else {
-            s / k as f64
-        }
+    let mut prepared = PreparedPair::new(wa, wb);
+    let plan = prepared.plan(&features)?;
+    let take = cfg.sample_size.min(pre_pairs.len());
+    let sample_pairs: Vec<(u32, u32)> = if take == pre_pairs.len() {
+        pre_pairs // every position is chosen, whatever the proxy order
+    } else {
+        prepared.prepare_for_pairs(&plan, &pre_pairs);
+        let chosen = stratify(&proxy_keys(&prepared, &plan, &pre_pairs), take, cfg.seed);
+        chosen.iter().map(|&i| pre_pairs[i]).collect()
     };
-    let mut by_proxy: Vec<usize> = (0..pre_matrix.len()).collect();
-    by_proxy.sort_by(|&i, &j| {
-        proxy(&pre_matrix.rows[j])
-            .partial_cmp(&proxy(&pre_matrix.rows[i]))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let take = cfg.sample_size.min(pre_matrix.len());
-    let top = take / 2;
-    let mut chosen: Vec<usize> = by_proxy[..top.min(by_proxy.len())].to_vec();
-    {
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
-        let mut rest: Vec<usize> = by_proxy[top.min(by_proxy.len())..].to_vec();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0x7777);
-        rest.shuffle(&mut rng);
-        chosen.extend(rest.into_iter().take(take - chosen.len()));
-    }
-    chosen.sort_unstable();
-    let sample_pairs: Vec<(u32, u32)> = chosen.iter().map(|&i| pre_matrix.pairs[i]).collect();
-    let matrix = pre_matrix.subset(&chosen);
+    let (matrix, _) = extract_with_prepared(
+        &mut prepared,
+        &sample_pairs,
+        &features,
+        &ParConfig::serial(),
+    )?;
     let labels: Vec<bool> = sample_pairs
         .iter()
         .map(|&(ra, rb)| labeler.label(wa, ra as usize, wb, rb as usize).as_bool())
@@ -277,7 +284,9 @@ pub fn run_development_stage(
     let mut threshold = 0.5;
     let mut est_precision = None;
     if cfg.calibration_labels > 0 {
-        // Score a bounded random slice of the candidate set.
+        // Score a bounded random slice of the candidate set, deciding
+        // each pair lazily as production does: only a predicted match gets
+        // its whole row and its probability.
         let probe_positions = sample_positions(
             &candidates,
             50_000.min(candidates.len()),
@@ -287,16 +296,23 @@ pub fn run_development_stage(
             .iter()
             .map(|&i| candidates.pairs()[i])
             .collect();
-        let probe_matrix = extract_feature_matrix(&probe_pairs, wa, wb, &features)?;
-        let mut scored: Vec<(f64, usize)> = probe_matrix
-            .rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, row)| {
-                let p = matcher.predict_proba(row);
-                (p >= 0.5).then_some((p, i))
-            })
-            .collect();
+        prepared.prepare_for_pairs(&plan, &probe_pairs);
+        let mut scorer = Scorer::new(&prepared, &plan);
+        let mut scored: Vec<(f64, usize)> = Vec::new();
+        decide_pairs(
+            &*matcher,
+            0.5,
+            &mut scorer,
+            plan.len(),
+            &probe_pairs,
+            &mut 0,
+            |i, predicted, scorer| {
+                if predicted {
+                    let row: Vec<f64> = (0..plan.len()).map(|j| scorer.feature(j)).collect();
+                    scored.push((matcher.predict_proba(&row), i));
+                }
+            },
+        );
         if !scored.is_empty() {
             // Label a random sample of predicted matches, remembering each
             // one's probability — precision at every threshold >= 0.5 then
@@ -309,7 +325,7 @@ pub fn run_development_stage(
             let labeled_preds: Vec<(f64, bool)> = scored
                 .iter()
                 .map(|&(p, i)| {
-                    let (ra, rb) = probe_matrix.pairs[i];
+                    let (ra, rb) = probe_pairs[i];
                     (p, labeler.label(wa, ra as usize, wb, rb as usize).as_bool())
                 })
                 .collect();
@@ -350,6 +366,52 @@ pub fn run_development_stage(
         threshold,
     };
     Ok((workflow, report))
+}
+
+/// The sampling proxy of every pair: the mean of its non-NaN features (0
+/// when all are NaN), read through one scorer. The pairs' records must be
+/// prepared for `plan`.
+fn proxy_keys(prepared: &PreparedPair<'_>, plan: &FeaturePlan, pairs: &[(u32, u32)]) -> Vec<f64> {
+    let mut scorer = Scorer::new(prepared, plan);
+    pairs
+        .iter()
+        .map(|&(ra, rb)| {
+            scorer.begin_pair(ra as usize, rb as usize);
+            let (mut s, mut k) = (0.0, 0usize);
+            for j in 0..plan.len() {
+                let v = scorer.feature(j);
+                if !v.is_nan() {
+                    s += v;
+                    k += 1;
+                }
+            }
+            if k == 0 {
+                0.0
+            } else {
+                s / k as f64
+            }
+        })
+        .collect()
+}
+
+/// Positions of the stratified sample, ascending: the `take / 2` highest
+/// proxy keys (a stable sort, so ties keep position order), then a seeded
+/// uniform draw from the rest.
+fn stratify(keys: &[f64], take: usize, seed: u64) -> Vec<usize> {
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    let mut chosen: Vec<usize> = (0..keys.len()).collect();
+    chosen.sort_by(|&i, &j| {
+        keys[j]
+            .partial_cmp(&keys[i])
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let mut rest = chosen.split_off(take / 2);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x7777);
+    rest.shuffle(&mut rng);
+    chosen.extend(rest.into_iter().take(take - take / 2));
+    chosen.sort_unstable();
+    chosen
 }
 
 /// Precision of the labeled predicted-matches surviving threshold `t`.
@@ -513,6 +575,95 @@ mod tests {
         assert!(report.cv_reports.is_empty());
         assert_eq!(report.chosen_matcher, "decision_tree");
         assert_eq!(report.label_positive_rate, 0.0);
+    }
+
+    /// The stage over 300 × 300 persons, blocked on one shared name word.
+    fn small_stage(cfg: &DevConfig) -> Result<DevReport, MagellanError> {
+        let s = persons(&ScenarioConfig {
+            size_a: 300,
+            size_b: 300,
+            n_matches: 100,
+            dirt: DirtModel::light(),
+            seed: 0,
+        });
+        let features = generate_features(&s.table_a, &s.table_b, &["id"]).unwrap();
+        let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
+        let tree = DecisionTreeLearner::default();
+        run_development_stage(
+            &s.table_a,
+            &s.table_b,
+            vec![Box::new(OverlapBlocker::words("name", 1))],
+            features,
+            &[&tree],
+            &mut labeler,
+            cfg,
+        )
+        .map(|(_, report)| report)
+    }
+
+    /// The refused configuration's error, which must name `field`.
+    fn config_error(cfg: DevConfig, field: &str) {
+        let err = small_stage(&cfg).unwrap_err();
+        assert!(matches!(err, MagellanError::Config { .. }), "{err}");
+        assert!(err.to_string().contains(field), "{err}");
+    }
+
+    #[test]
+    fn zero_cv_folds_is_a_config_error() {
+        let cfg = DevConfig {
+            cv_folds: 0,
+            ..Default::default()
+        };
+        config_error(cfg, "cv_folds");
+    }
+
+    #[test]
+    fn one_cv_fold_is_a_config_error() {
+        let cfg = DevConfig {
+            cv_folds: 1,
+            ..Default::default()
+        };
+        config_error(cfg, "cv_folds");
+    }
+
+    #[test]
+    fn zero_holdout_fraction_is_a_config_error() {
+        let cfg = DevConfig {
+            holdout_fraction: 0.0,
+            ..Default::default()
+        };
+        config_error(cfg, "holdout_fraction");
+    }
+
+    #[test]
+    fn whole_holdout_fraction_is_a_config_error() {
+        let cfg = DevConfig {
+            holdout_fraction: 1.0,
+            ..Default::default()
+        };
+        config_error(cfg, "holdout_fraction");
+    }
+
+    #[test]
+    fn nan_holdout_fraction_is_a_config_error() {
+        let cfg = DevConfig {
+            holdout_fraction: f64::NAN,
+            ..Default::default()
+        };
+        config_error(cfg, "holdout_fraction");
+    }
+
+    /// A sample size whose thirtyfold pre-sample overflows `usize` labels
+    /// every candidate instead of panicking on the multiply.
+    #[test]
+    fn huge_sample_size_saturates_the_pre_sample() {
+        let cfg = DevConfig {
+            sample_size: usize::MAX,
+            calibration_labels: 0,
+            ..Default::default()
+        };
+        let report = small_stage(&cfg).unwrap();
+        assert_eq!(report.questions, report.n_candidates);
     }
 
     /// A down-sample too small to leave a labelled training pair is a

@@ -1,22 +1,44 @@
-//! Count guard on the down-sampler: how many heap allocations one
-//! `down_sample_indices` call makes, so a `String` per token, a `Vec` per
-//! row or a map per sampled row cannot creep back in unnoticed.
+//! Count guards on the development stage:
 //!
-//! A counting `#[global_allocator]` needs a binary of its own. Counts are
-//! per thread, so the harness's own threads and the other tests do not
-//! disturb them.
+//! * how many heap allocations one `down_sample_indices` call makes, so a
+//!   `String` per token, a `Vec` per row or a map per sampled row cannot
+//!   creep back in unnoticed;
+//! * how high the live heap climbs during `run_development_stage`, so a
+//!   feature row per pre-sampled or probed pair cannot come back.
+//!
+//! A counting `#[global_allocator]` needs a binary of its own. Counts and
+//! live bytes are per thread, so the harness's own threads and the other
+//! tests do not disturb them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use magellan_block::OverlapBlocker;
 use magellan_core::downsample::down_sample_indices;
-use magellan_datagen::domains::products;
+use magellan_core::labeling::OracleLabeler;
+use magellan_core::pipeline::{run_development_stage, DevConfig};
+use magellan_datagen::domains::{persons, products};
 use magellan_datagen::{DirtModel, ScenarioConfig};
+use magellan_features::generate_features;
+use magellan_ml::{DecisionTreeLearner, Learner, RandomForestLearner};
 
 thread_local! {
-    // Const-initialised and without a destructor: touching it from inside
-    // the allocator never allocates.
+    // Const-initialised and without a destructor: touching them from
+    // inside the allocator never allocates.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    // Bytes this thread allocated minus bytes it freed (negative when it
+    // frees what another thread allocated), and their high-water mark.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Move this thread's live bytes by `delta`, raising the high-water mark.
+fn grow(delta: isize) {
+    let live = LIVE.with(|l| {
+        l.set(l.get() + delta);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
 }
 
 struct Counting;
@@ -26,17 +48,20 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        grow(layout.size() as isize);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as isize));
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        grow(new_size as isize - layout.size() as isize);
         // SAFETY: as for `dealloc`, with the caller's `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -50,6 +75,15 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// How far above its starting level this thread's live heap climbed while
+/// running `f`, in bytes.
+fn peak_heap_in<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(start));
+    let out = f();
+    (out, PEAK.with(Cell::get) - start)
 }
 
 /// `block_heavy`'s products tables at a fifth of their size, B
@@ -75,3 +109,54 @@ fn down_sample_allocates_per_buffer_not_per_row() {
     assert_eq!(b_rows.len(), 400);
     assert!(n <= 256, "{n} allocations for one down-sample");
 }
+
+/// `dev_stage_pin`'s pre-sampled shape: 6 334 candidates, a 1 800-pair
+/// pre-sample and a 6 334-pair calibration probe. Scoring the pre-sample
+/// keeps one proxy key per pair and the probe materialises rows only for
+/// predicted matches, so the stage's live heap stays well under what a
+/// feature row per pre-sampled and per probed pair needs.
+#[test]
+fn development_stage_peak_heap_stays_off_the_pre_sample() {
+    let s = persons(&ScenarioConfig {
+        size_a: 400,
+        size_b: 400,
+        n_matches: 120,
+        dirt: DirtModel::light(),
+        seed: 31,
+    });
+    let features = generate_features(&s.table_a, &s.table_b, &["id"]).unwrap();
+    let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
+    let tree = DecisionTreeLearner::default();
+    let forest = RandomForestLearner {
+        n_trees: 8,
+        ..Default::default()
+    };
+    let learners: [&dyn Learner; 2] = [&tree, &forest];
+    let cfg = DevConfig {
+        sample_size: 60,
+        calibration_labels: 40,
+        ..Default::default()
+    };
+    let (out, peak) = peak_heap_in(|| {
+        run_development_stage(
+            &s.table_a,
+            &s.table_b,
+            vec![Box::new(OverlapBlocker::words("name", 1))],
+            features,
+            &learners,
+            &mut labeler,
+            &cfg,
+        )
+    });
+    let (_, report) = out.unwrap();
+    eprintln!(
+        "run_development_stage over {} candidates: peak live heap {peak} B",
+        report.n_candidates
+    );
+    assert_eq!(report.n_candidates, 6_334);
+    assert!(peak <= PEAK_BOUND, "peak live heap {peak} B");
+}
+
+/// Halfway between the stage with a feature row per pre-sampled and probed
+/// pair (2 489 805 B) and the streamed stage (1 099 376 B).
+const PEAK_BOUND: isize = 1_794_000;
