@@ -114,7 +114,7 @@ fn main() {
         flat.n_nodes()
     )
     .unwrap();
-    let cores = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
+    let cores = ParConfig::available().n_workers;
     writeln!(txt, "host exposes {cores} core(s); the w>1 rows measure threading overhead on a 1-core host").unwrap();
     writeln!(txt, "one-time flatten cost: {:.3} ms", flatten_secs * 1e3).unwrap();
     writeln!(txt).unwrap();

@@ -17,6 +17,7 @@ use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, ScenarioConfig};
 use magellan_features::generate_features;
 use magellan_ml::{Learner, RandomForestLearner};
+use magellan_par::ParConfig;
 
 fn main() {
     // Experiment narration is leveled logging: MAGELLAN_LOG=off silences it.
@@ -53,7 +54,7 @@ fn main() {
     )
     .expect("development stage");
 
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = ParConfig::available().n_workers;
     magellan_obs::log!(info, "Production-stage scaling — {} x {} tuples", a.nrows(), b.nrows());
     magellan_obs::log!(info, 
         "host exposes {cores} core(s); near-linear speedup requires a multi-core host —\n\

@@ -438,7 +438,7 @@ fn main() {
     )
     .unwrap();
     writeln!(txt, "{n} x {n} records per side, reps = {reps}, smoke = {smoke}").unwrap();
-    let cores = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
+    let cores = ParConfig::available().n_workers;
     writeln!(txt, "host exposes {cores} core(s); the w>1 rows measure threading overhead on a 1-core host").unwrap();
 
     let mut skewed_speedup_w1 = 0.0;

@@ -9,6 +9,7 @@
 
 use std::fmt::Write as _;
 
+use magellan_par::ParConfig;
 use magellan_table::{Table, ValueRef};
 use magellan_textsim::intern::narrow;
 use magellan_textsim::tokenize::{AlphanumericTokenizer, Tokenizer};
@@ -17,6 +18,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
+
+use crate::pipeline::MAX_STAGE_WORKERS;
 
 /// Visit the alphanumeric tokens of row `r` of `t`: every non-null cell of
 /// an attribute not named in `exclude`, in its display form whatever its
@@ -106,7 +109,8 @@ impl Postings {
 ///
 /// `exclude` lists attributes (typically the keys) left out of the lexical
 /// index. Overlap ties go to the higher A row. The random draws follow the
-/// sampled B rows in ascending order, `y/2` per row.
+/// sampled B rows in ascending order, `y/2` per row. The ranking runs on
+/// the host's cores, at most two; the result does not depend on how many.
 pub fn down_sample_indices(
     a: &Table,
     b: &Table,
@@ -114,6 +118,22 @@ pub fn down_sample_indices(
     y: usize,
     exclude: &[&str],
     seed: u64,
+) -> (Vec<usize>, Vec<usize>) {
+    let par = ParConfig::available().at_most(MAX_STAGE_WORKERS);
+    down_sample_indices_on(a, b, size_b, y, exclude, seed, &par)
+}
+
+/// [`down_sample_indices`] ranking on `par`'s workers: the sampled B rows
+/// are cut into one contiguous range per worker, each ranked with its own
+/// buffers.
+fn down_sample_indices_on(
+    a: &Table,
+    b: &Table,
+    size_b: usize,
+    y: usize,
+    exclude: &[&str],
+    seed: u64,
+    par: &ParConfig,
 ) -> (Vec<usize>, Vec<usize>) {
     assert!(y >= 2, "y must be at least 2");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -125,50 +145,61 @@ pub fn down_sample_indices(
     b_rows.sort_unstable();
 
     let mut interner = TokenInterner::new();
-    let mut buf = String::new();
-    let index = Postings::build(a, exclude, &mut interner, &mut buf);
+    let index = Postings::build(a, exclude, &mut interner, &mut String::new());
 
     let half = (y / 2).max(1);
+    let pool = par.at_most(b_rows.len());
+    let pool = pool.with_chunk_size(b_rows.len().div_ceil(pool.n_workers));
+    let (tops, _) = magellan_par::chunk_map(b_rows.len(), &pool, |range| {
+        let mut buf = String::new();
+        // One overlap count per A row; `touched` lists the non-zero ones.
+        let (mut counts, mut touched) = (vec![0u32; a.nrows()], Vec::new());
+        // The last sampled B row (+ 1) that counted each token.
+        let mut seen = vec![0u32; interner.len()];
+        let mut top: Vec<(u32, u32)> = Vec::with_capacity(half + 1);
+        let mut kept = Vec::with_capacity(range.len() * half);
+        for k in range {
+            let mark = narrow(k + 1);
+            for_each_row_token(b, exclude, b_rows[k], &mut buf, &mut |t| {
+                let Some(id) = interner.get(t) else { return };
+                if std::mem::replace(&mut seen[id as usize], mark) == mark {
+                    return;
+                }
+                for &ra in index.rows(id) {
+                    if counts[ra as usize] == 0 {
+                        touched.push(ra);
+                    }
+                    counts[ra as usize] += 1;
+                }
+            });
+            // Top `half` A rows by (overlap, row), both descending, kept
+            // sorted in one pass over the touched rows, whose counts are
+            // zeroed.
+            top.clear();
+            for &ra in &touched {
+                let key = (std::mem::take(&mut counts[ra as usize]), ra);
+                if top.len() < half || key > top[half - 1] {
+                    top.insert(top.partition_point(|&k| k > key), key);
+                    top.truncate(half);
+                }
+            }
+            touched.clear();
+            kept.extend(top.iter().map(|&(_, ra)| ra));
+        }
+        kept
+    });
+
     let mut keep = vec![0u64; a.nrows().div_ceil(64)];
     let mut keep_row = |r: usize| keep[r / 64] |= 1 << (r % 64);
-    // One overlap count per A row; `touched` lists the non-zero ones.
-    let (mut counts, mut touched) = (vec![0u32; a.nrows()], Vec::new());
-    // The last sampled B row (+ 1) that counted each token.
-    let mut seen = vec![0u32; interner.len()];
-    let mut top: Vec<(u32, u32)> = Vec::with_capacity(half + 1);
-    for (k, &rb) in b_rows.iter().enumerate() {
-        let mark = narrow(k + 1);
-        for_each_row_token(b, exclude, rb, &mut buf, &mut |t| {
-            let Some(id) = interner.get(t) else { return };
-            if std::mem::replace(&mut seen[id as usize], mark) == mark {
-                return;
-            }
-            for &ra in index.rows(id) {
-                if counts[ra as usize] == 0 {
-                    touched.push(ra);
-                }
-                counts[ra as usize] += 1;
-            }
-        });
-        // Top `half` A rows by (overlap, row), both descending, kept sorted
-        // in one pass over the touched rows, whose counts are zeroed.
-        top.clear();
-        for &ra in &touched {
-            let key = (std::mem::take(&mut counts[ra as usize]), ra);
-            if top.len() < half || key > top[half - 1] {
-                top.insert(top.partition_point(|&k| k > key), key);
-                top.truncate(half);
-            }
-        }
-        touched.clear();
-        for &(_, ra) in &top {
-            keep_row(ra as usize);
-        }
-        // Plus `half` random A rows for negative diversity.
-        for _ in 0..half {
-            if a.nrows() > 0 {
-                keep_row(rng.gen_range(0..a.nrows()));
-            }
+    for &ra in tops.iter().flatten() {
+        keep_row(ra as usize);
+    }
+    // Plus `half` random A rows per sampled B row for negative diversity,
+    // drawn in B-row order; `keep` is a set, so they need not interleave
+    // with the ranked rows.
+    if a.nrows() > 0 {
+        for _ in 0..b_rows.len() * half {
+            keep_row(rng.gen_range(0..a.nrows()));
         }
     }
     let a_rows = (0..a.nrows())
@@ -457,9 +488,9 @@ mod tests {
 
         /// The flat down-sampler returns exactly what the `HashMap` one
         /// does: same B sample, same A rows, on hostile little tables, for
-        /// odd and even `y`, every `size_b` from 0 to two past `|B|`, and
+        /// odd and even `y`, every `size_b` from 0 to two past `|B|`,
         /// exclude lists that name the key, a text attribute, nothing, or
-        /// a column neither table has.
+        /// a column neither table has, and one to four ranking workers.
         #[test]
         fn flat_down_sampler_matches_the_reference(
             a in table(),
@@ -474,10 +505,12 @@ mod tests {
                 Just(vec!["x", "nope", "flag"]),
             ],
             seed in any::<u64>(),
+            workers in 1usize..5,
         ) {
             let size_b = size_b % (b.nrows() + 3);
+            let par = ParConfig::workers(workers);
             prop_assert_eq!(
-                down_sample_indices(&a, &b, size_b, y, &exclude, seed),
+                down_sample_indices_on(&a, &b, size_b, y, &exclude, seed, &par),
                 reference::down_sample_indices(&a, &b, size_b, y, &exclude, seed)
             );
         }

@@ -63,6 +63,11 @@ impl DevConfig {
                 message: format!("cv_folds must be at least 2, got {}", self.cv_folds),
             });
         }
+        if self.target_precision.is_nan() {
+            return Err(MagellanError::Config {
+                message: "target_precision must be a number, got NaN".to_owned(),
+            });
+        }
         if !(self.holdout_fraction > 0.0 && self.holdout_fraction < 1.0) {
             return Err(MagellanError::Config {
                 message: format!(
@@ -121,13 +126,42 @@ pub struct DevReport {
 /// blockers X and Y); the pipeline picks the one with the best label-free
 /// recall estimate, breaking ties toward the smaller candidate set.
 ///
+/// The stage's independent work (down-sample ranking, blocking, the
+/// pre-sample's proxy keys, sample extraction, cross-validation folds, the
+/// calibration probe) runs on the host's cores, at most two. The result
+/// does not depend on how many: each step merges its chunks in input
+/// order.
+///
 /// # Errors
 /// [`MagellanError::Config`], before any work, for fewer than two
-/// `cv_folds` or a `holdout_fraction` outside `(0, 1)` (NaN included); a
-/// table error from blocking or feature extraction; or a fatal `training` [`MagellanError::Phase`] when no
+/// `cv_folds`, a `holdout_fraction` outside `(0, 1)` (NaN included) or a
+/// NaN `target_precision`; a table error from blocking or feature
+/// extraction; or a fatal `training` [`MagellanError::Phase`] when no
 /// labelled pair is left to train on (a down-sample, candidate set or
 /// labelled sample too small for the holdout split).
 pub fn run_development_stage(
+    a: &Table,
+    b: &Table,
+    blockers: Vec<Box<dyn Blocker>>,
+    features: Vec<Feature>,
+    learners: &[&dyn Learner],
+    labeler: &mut dyn Labeler,
+    cfg: &DevConfig,
+) -> Result<(EmWorkflow, DevReport), MagellanError> {
+    let par = ParConfig::available().at_most(MAX_STAGE_WORKERS);
+    run_development_stage_on(a, b, blockers, features, learners, labeler, cfg, &par)
+}
+
+/// Most workers the development stage's steps run on, whatever the host
+/// offers. Each worker holds its own scratch (a scorer's stamp arrays, a
+/// ranking range's counts per A row) and, under glibc, its own allocator
+/// arena: on `match_heavy` every worker past two raised peak RSS by
+/// ~1.2–2.3 MB, and no host with more cores has timed the gain yet.
+pub(crate) const MAX_STAGE_WORKERS: usize = 2;
+
+/// [`run_development_stage`] on `par`'s workers.
+#[allow(clippy::too_many_arguments)]
+fn run_development_stage_on(
     a: &Table,
     b: &Table,
     mut blockers: Vec<Box<dyn Blocker>>,
@@ -135,6 +169,7 @@ pub fn run_development_stage(
     learners: &[&dyn Learner],
     labeler: &mut dyn Labeler,
     cfg: &DevConfig,
+    par: &ParConfig,
 ) -> Result<(EmWorkflow, DevReport), MagellanError> {
     cfg.validate()?;
     assert!(!blockers.is_empty(), "need at least one blocker");
@@ -166,7 +201,7 @@ pub fn run_development_stage(
     let mut choices = Vec::with_capacity(blockers.len());
     let mut candidate_sets: Vec<CandidateSet> = Vec::with_capacity(blockers.len());
     for blocker in &blockers {
-        let cands = blocker.block(wa, wb)?;
+        let (cands, _) = blocker.block_par(wa, wb, par)?;
         let est = estimate_recall(&cands, wa, wb, &debug_attrs, 0.65)?;
         choices.push(BlockerChoice {
             name: blocker.name(),
@@ -211,15 +246,14 @@ pub fn run_development_stage(
         pre_pairs // every position is chosen, whatever the proxy order
     } else {
         prepared.prepare_for_pairs(&plan, &pre_pairs);
-        let chosen = stratify(&proxy_keys(&prepared, &plan, &pre_pairs), take, cfg.seed);
+        let chosen = stratify(
+            &proxy_keys(&prepared, &plan, &pre_pairs, par),
+            take,
+            cfg.seed,
+        );
         chosen.iter().map(|&i| pre_pairs[i]).collect()
     };
-    let (matrix, _) = extract_with_prepared(
-        &mut prepared,
-        &sample_pairs,
-        &features,
-        &ParConfig::serial(),
-    )?;
+    let (matrix, _) = extract_with_prepared(&mut prepared, &sample_pairs, &features, par)?;
     let labels: Vec<bool> = sample_pairs
         .iter()
         .map(|&(ra, rb)| labeler.label(wa, ra as usize, wb, rb as usize).as_bool())
@@ -252,7 +286,13 @@ pub fn run_development_stage(
     let cv_reports = if degenerate {
         Vec::new() // single-class sample: CV is meaningless, pick first.
     } else {
-        select_matcher(learners, &train, cfg.cv_folds.min(n_pos.max(2)), cfg.seed)
+        select_matcher(
+            learners,
+            &train,
+            cfg.cv_folds.min(n_pos.max(2)),
+            cfg.seed,
+            par,
+        )
     };
     let chosen_name = cv_reports
         .first()
@@ -286,7 +326,8 @@ pub fn run_development_stage(
     if cfg.calibration_labels > 0 {
         // Score a bounded random slice of the candidate set, deciding
         // each pair lazily as production does: only a predicted match gets
-        // its whole row and its probability.
+        // its whole row and its probability. Chunks keep pair positions
+        // and are joined in order, so `scored` is in probe order.
         let probe_positions = sample_positions(
             &candidates,
             50_000.min(candidates.len()),
@@ -297,22 +338,26 @@ pub fn run_development_stage(
             .map(|&i| candidates.pairs()[i])
             .collect();
         prepared.prepare_for_pairs(&plan, &probe_pairs);
-        let mut scorer = Scorer::new(&prepared, &plan);
-        let mut scored: Vec<(f64, usize)> = Vec::new();
-        decide_pairs(
-            &*matcher,
-            0.5,
-            &mut scorer,
-            plan.len(),
-            &probe_pairs,
-            &mut 0,
-            |i, predicted, scorer| {
-                if predicted {
-                    let row: Vec<f64> = (0..plan.len()).map(|j| scorer.feature(j)).collect();
-                    scored.push((matcher.predict_proba(&row), i));
-                }
-            },
-        );
+        let (chunks, _) = magellan_par::chunk_map(probe_pairs.len(), par, |range| {
+            let mut scorer = Scorer::new(&prepared, &plan);
+            let mut scored: Vec<(f64, usize)> = Vec::new();
+            decide_pairs(
+                &*matcher,
+                0.5,
+                &mut scorer,
+                plan.len(),
+                &probe_pairs[range.clone()],
+                &mut 0,
+                |i, predicted, scorer| {
+                    if predicted {
+                        let row: Vec<f64> = (0..plan.len()).map(|j| scorer.feature(j)).collect();
+                        scored.push((matcher.predict_proba(&row), range.start + i));
+                    }
+                },
+            );
+            scored
+        });
+        let mut scored = chunks.concat();
         if !scored.is_empty() {
             // Label a random sample of predicted matches, remembering each
             // one's probability — precision at every threshold >= 0.5 then
@@ -369,29 +414,38 @@ pub fn run_development_stage(
 }
 
 /// The sampling proxy of every pair: the mean of its non-NaN features (0
-/// when all are NaN), read through one scorer. The pairs' records must be
-/// prepared for `plan`.
-fn proxy_keys(prepared: &PreparedPair<'_>, plan: &FeaturePlan, pairs: &[(u32, u32)]) -> Vec<f64> {
-    let mut scorer = Scorer::new(prepared, plan);
-    pairs
-        .iter()
-        .map(|&(ra, rb)| {
-            scorer.begin_pair(ra as usize, rb as usize);
-            let (mut s, mut k) = (0.0, 0usize);
-            for j in 0..plan.len() {
-                let v = scorer.feature(j);
-                if !v.is_nan() {
-                    s += v;
-                    k += 1;
+/// when all are NaN), read through one scorer per chunk of `par`'s pool
+/// and joined in pair order. The pairs' records must be prepared for
+/// `plan`.
+fn proxy_keys(
+    prepared: &PreparedPair<'_>,
+    plan: &FeaturePlan,
+    pairs: &[(u32, u32)],
+    par: &ParConfig,
+) -> Vec<f64> {
+    let (chunks, _) = magellan_par::chunk_map(pairs.len(), par, |range| {
+        let mut scorer = Scorer::new(prepared, plan);
+        pairs[range]
+            .iter()
+            .map(|&(ra, rb)| {
+                scorer.begin_pair(ra as usize, rb as usize);
+                let (mut s, mut k) = (0.0, 0usize);
+                for j in 0..plan.len() {
+                    let v = scorer.feature(j);
+                    if !v.is_nan() {
+                        s += v;
+                        k += 1;
+                    }
                 }
-            }
-            if k == 0 {
-                0.0
-            } else {
-                s / k as f64
-            }
-        })
-        .collect()
+                if k == 0 {
+                    0.0
+                } else {
+                    s / k as f64
+                }
+            })
+            .collect::<Vec<f64>>()
+    });
+    chunks.concat()
 }
 
 /// Positions of the stratified sample, ascending: the `take / 2` highest
@@ -651,6 +705,143 @@ mod tests {
             ..Default::default()
         };
         config_error(cfg, "holdout_fraction");
+    }
+
+    /// A NaN precision target would never be cleared nor missed: the
+    /// calibration labels would be spent and the threshold left at 0.5.
+    #[test]
+    fn nan_target_precision_is_a_config_error() {
+        let cfg = DevConfig {
+            target_precision: f64::NAN,
+            ..Default::default()
+        };
+        config_error(cfg, "target_precision");
+    }
+
+    /// What one stage run at `workers` returned, bit for bit, plus the
+    /// count and a digest of the matches its workflow finds in production.
+    fn stage_outcome(
+        s: &magellan_datagen::EmScenario,
+        blocker: Box<dyn Blocker>,
+        cfg: &DevConfig,
+        workers: usize,
+    ) -> String {
+        let (a, b) = (&s.table_a, &s.table_b);
+        let features = generate_features(a, b, &["id"]).unwrap();
+        let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
+        let tree = DecisionTreeLearner::default();
+        let forest = RandomForestLearner {
+            n_trees: 8,
+            ..Default::default()
+        };
+        let learners: [&dyn Learner; 2] = [&tree, &forest];
+        let par = ParConfig::workers(workers);
+        let (workflow, r) = run_development_stage_on(
+            a,
+            b,
+            vec![blocker],
+            features,
+            &learners,
+            &mut labeler,
+            cfg,
+            &par,
+        )
+        .unwrap();
+        let matches = crate::exec::ProductionExecutor::new(2)
+            .run(&workflow, a, b)
+            .unwrap()
+            .matches;
+        let bytes: Vec<u8> = matches
+            .pairs()
+            .iter()
+            .flat_map(|&(l, r)| l.to_le_bytes().into_iter().chain(r.to_le_bytes()))
+            .collect();
+        let choices: Vec<(String, usize, u64)> = r
+            .blocker_choices
+            .iter()
+            .map(|c| (c.name.clone(), c.n_candidates, c.est_recall.to_bits()))
+            .collect();
+        let cv: Vec<_> = r
+            .cv_reports
+            .iter()
+            .map(|c| {
+                let folds: Vec<_> = c.folds.iter().map(|m| (m.tp, m.fp, m.tn, m.fn_)).collect();
+                (c.learner.clone(), folds)
+            })
+            .collect();
+        let h = &r.holdout;
+        format!(
+            "{choices:?} {} {} {cv:?} {} {:?} {} {:x} {:x} {:?} {} {:x}",
+            r.chosen_blocker,
+            r.n_candidates,
+            r.chosen_matcher,
+            (h.tp, h.fp, h.tn, h.fn_),
+            r.questions,
+            r.label_positive_rate.to_bits(),
+            r.threshold.to_bits(),
+            r.est_precision.map(f64::to_bits),
+            matches.len(),
+            magellan_obs::fnv1a(&bytes),
+        )
+    }
+
+    /// The stage returns the same report and the same production matches
+    /// at 1, 2, 3 and 5 workers.
+    fn assert_worker_count_invariant(
+        s: &magellan_datagen::EmScenario,
+        blocker: impl Fn() -> Box<dyn Blocker>,
+        sample_size: usize,
+    ) {
+        let cfg = DevConfig {
+            sample_size,
+            calibration_labels: 40,
+            ..Default::default()
+        };
+        let serial = stage_outcome(s, blocker(), &cfg, 1);
+        for workers in [2, 3, 5] {
+            assert_eq!(
+                stage_outcome(s, blocker(), &cfg, workers),
+                serial,
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// `dev_stage_pin`'s pre-sampled scenario: 6 334 candidates, a
+    /// 1 800-pair pre-sample.
+    #[test]
+    fn pre_sampled_stage_is_worker_count_invariant() {
+        let s = persons(&ScenarioConfig {
+            size_a: 400,
+            size_b: 400,
+            n_matches: 120,
+            dirt: DirtModel::light(),
+            seed: 31,
+        });
+        assert_worker_count_invariant(&s, || Box::new(OverlapBlocker::words("name", 1)), 60);
+    }
+
+    /// `dev_stage_pin`'s fully sampled scenario: 151 candidates, all
+    /// labelled.
+    #[test]
+    fn fully_sampled_stage_is_worker_count_invariant() {
+        let s = persons(&ScenarioConfig {
+            size_a: 300,
+            size_b: 300,
+            n_matches: 100,
+            dirt: DirtModel::light(),
+            seed: 0,
+        });
+        let jaccard = || -> Box<dyn Blocker> {
+            Box::new(magellan_block::SimJoinBlocker {
+                l_attr: "name".into(),
+                r_attr: "name".into(),
+                measure: magellan_simjoin::SetSimMeasure::Jaccard(0.5),
+                qgram: None,
+                shards: 1,
+            })
+        };
+        assert_worker_count_invariant(&s, jaccard, 400);
     }
 
     /// A sample size whose thirtyfold pre-sample overflows `usize` labels

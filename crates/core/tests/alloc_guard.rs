@@ -7,11 +7,13 @@
 //!   feature row per pre-sampled or probed pair cannot come back.
 //!
 //! A counting `#[global_allocator]` needs a binary of its own. Counts and
-//! live bytes are per thread, so the harness's own threads and the other
-//! tests do not disturb them.
+//! live bytes are process-wide, so what the pool's worker threads allocate
+//! is counted too; each test holds [`SERIAL`] for its whole body, so the
+//! other test's set-up cannot land in its count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use magellan_block::OverlapBlocker;
 use magellan_core::downsample::down_sample_indices;
@@ -22,32 +24,36 @@ use magellan_datagen::{DirtModel, ScenarioConfig};
 use magellan_features::generate_features;
 use magellan_ml::{DecisionTreeLearner, Learner, RandomForestLearner};
 
-thread_local! {
-    // Const-initialised and without a destructor: touching them from
-    // inside the allocator never allocates.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    // Bytes this thread allocated minus bytes it freed (negative when it
-    // frees what another thread allocated), and their high-water mark.
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
+/// Allocations and reallocations, by every thread.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated minus bytes freed, by every thread, and their
+/// high-water mark.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+/// Held by each test for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Run one test at a time, whether or not another one failed.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Move this thread's live bytes by `delta`, raising the high-water mark.
+/// Move the live bytes by `delta`, raising the high-water mark.
 fn grow(delta: isize) {
-    let live = LIVE.with(|l| {
-        l.set(l.get() + delta);
-        l.get()
-    });
-    PEAK.with(|p| p.set(p.get().max(live)));
+    let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+    PEAK.fetch_max(live, Ordering::Relaxed);
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a thread-local counter bump.
+// `GlobalAlloc` contract; the only addition is an atomic counter bump.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         grow(layout.size() as isize);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
@@ -60,7 +66,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         grow(new_size as isize - layout.size() as isize);
         // SAFETY: as for `dealloc`, with the caller's `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -70,20 +76,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations (and reallocations) this thread makes while running `f`.
+/// Allocations (and reallocations) the process makes while running `f`.
 fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
-/// How far above its starting level this thread's live heap climbed while
+/// How far above its starting level the process's live heap climbed while
 /// running `f`, in bytes.
 fn peak_heap_in<T>(f: impl FnOnce() -> T) -> (T, isize) {
-    let start = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(start));
+    let start = LIVE.load(Ordering::Relaxed);
+    PEAK.store(start, Ordering::Relaxed);
     let out = f();
-    (out, PEAK.with(Cell::get) - start)
+    (out, PEAK.load(Ordering::Relaxed) - start)
 }
 
 /// `block_heavy`'s products tables at a fifth of their size, B
@@ -92,6 +98,7 @@ fn peak_heap_in<T>(f: impl FnOnce() -> T) -> (T, isize) {
 /// number of buffers, not one per row, token or sampled row.
 #[test]
 fn down_sample_allocates_per_buffer_not_per_row() {
+    let _serial = serial();
     let s = products(&ScenarioConfig {
         size_a: 20_000,
         size_b: 1_200,
@@ -117,6 +124,7 @@ fn down_sample_allocates_per_buffer_not_per_row() {
 /// feature row per pre-sampled and per probed pair needs.
 #[test]
 fn development_stage_peak_heap_stays_off_the_pre_sample() {
+    let _serial = serial();
     let s = persons(&ScenarioConfig {
         size_a: 400,
         size_b: 400,

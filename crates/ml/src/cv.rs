@@ -6,6 +6,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use magellan_par::ParConfig;
+
 use crate::dataset::Dataset;
 use crate::metrics::Metrics;
 use crate::model::Learner;
@@ -72,28 +74,50 @@ pub fn stratified_folds(labels: &[bool], k: usize, seed: u64) -> Vec<usize> {
 
 /// k-fold cross-validate a learner; returns per-fold metrics.
 pub fn cross_validate(learner: &dyn Learner, data: &Dataset, k: usize, seed: u64) -> CvReport {
+    cross_validate_all(&[learner], data, k, seed, &ParConfig::serial())
+        .pop()
+        .expect("one report per learner")
+}
+
+/// [`cross_validate`] for each learner, every (learner, fold) model
+/// trained in one region of `par`'s pool, one model per chunk; the reports
+/// come back in learner order, the metrics in fold order.
+fn cross_validate_all(
+    learners: &[&dyn Learner],
+    data: &Dataset,
+    k: usize,
+    seed: u64,
+    par: &ParConfig,
+) -> Vec<CvReport> {
     let folds = stratified_folds(data.labels(), k, seed);
-    let mut fold_metrics = Vec::with_capacity(k);
-    for f in 0..k {
+    let fold_metrics = |f: usize, learner: &dyn Learner| -> Option<Metrics> {
         let train_idx: Vec<usize> = (0..data.len()).filter(|&i| folds[i] != f).collect();
         let test_idx: Vec<usize> = (0..data.len()).filter(|&i| folds[i] == f).collect();
         if train_idx.is_empty() || test_idx.is_empty() {
-            continue;
+            return None;
         }
-        let train = data.subset(&train_idx);
-        let model = learner.fit(&train);
+        let model = learner.fit(&data.subset(&train_idx));
         let predicted: Vec<bool> = test_idx.iter().map(|&i| model.predict(data.row(i))).collect();
         let gold: Vec<bool> = test_idx.iter().map(|&i| data.label(i)).collect();
-        fold_metrics.push(Metrics::from_predictions(&predicted, &gold));
-    }
-    CvReport {
-        learner: learner.name().to_owned(),
-        folds: fold_metrics,
-    }
+        Some(Metrics::from_predictions(&predicted, &gold))
+    };
+    let jobs = learners.len() * k;
+    let pool = par.at_most(jobs).with_chunk_size(1);
+    let (metrics, _) =
+        magellan_par::map_indexed(jobs, &pool, |j| fold_metrics(j % k, learners[j / k]));
+    learners
+        .iter()
+        .zip(metrics.chunks(k))
+        .map(|(l, folds)| CvReport {
+            learner: l.name().to_owned(),
+            folds: folds.iter().flatten().copied().collect(),
+        })
+        .collect()
 }
 
 /// Cross-validate several learners and return the reports sorted by mean
-/// F1, best first — the guide's "select the best matcher" step.
+/// F1, best first — the guide's "select the best matcher" step. Every
+/// fold of every learner trains in one region of `par`'s pool.
 ///
 /// Ties on mean F1 (common on small labeled samples, where every learner
 /// nails the same folds) break toward the larger
@@ -105,11 +129,9 @@ pub fn select_matcher(
     data: &Dataset,
     k: usize,
     seed: u64,
+    par: &ParConfig,
 ) -> Vec<CvReport> {
-    let mut reports: Vec<CvReport> = learners
-        .iter()
-        .map(|l| cross_validate(*l, data, k, seed))
-        .collect();
+    let mut reports = cross_validate_all(learners, data, k, seed, par);
     let ensemble_size = |r: &CvReport| -> usize {
         learners
             .iter()
@@ -211,7 +233,7 @@ mod tests {
             n_trees: 10,
             ..Default::default()
         };
-        let reports = select_matcher(&[&tree, &forest], &data, 5, 7);
+        let reports = select_matcher(&[&tree, &forest], &data, 5, 7, &ParConfig::serial());
         assert_eq!(reports.len(), 2);
         assert!(reports[0].mean_f1() >= reports[1].mean_f1());
     }
@@ -233,6 +255,28 @@ mod tests {
         let r1 = cross_validate(&DecisionTreeLearner::default(), &data, 4, 11);
         let r2 = cross_validate(&DecisionTreeLearner::default(), &data, 4, 11);
         assert_eq!(format!("{:?}", r1.folds), format!("{:?}", r2.folds));
+    }
+
+    /// The folds train on the pool, yet come back the same at any worker
+    /// count, in fold order.
+    #[test]
+    fn cv_is_worker_count_invariant() {
+        let data = blob_data(5, 160, 0.35);
+        let tree = DecisionTreeLearner::default();
+        let forest = RandomForestLearner {
+            n_trees: 6,
+            ..Default::default()
+        };
+        let learners: [&dyn Learner; 2] = [&tree, &forest];
+        let folds = |par: &ParConfig| -> Vec<(String, Vec<Metrics>)> {
+            select_matcher(&learners, &data, 5, 13, par)
+                .into_iter()
+                .map(|r| (r.learner, r.folds))
+                .collect()
+        };
+        let serial = folds(&ParConfig::serial());
+        assert!(serial.iter().all(|(_, f)| f.len() == 5));
+        assert_eq!(folds(&ParConfig::workers(3)), serial);
     }
 
     #[test]

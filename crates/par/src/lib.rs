@@ -33,10 +33,13 @@
 //! * `magellan-block` — per-left-row candidate generation via
 //!   `Blocker::block_par`;
 //! * `magellan-features` — pair chunks in `extract_feature_matrix_par`;
-//! * `magellan-ml` — per-tree forest training and batch `predict_proba`;
+//! * `magellan-ml` — per-tree forest training, batch `predict_proba` and
+//!   cross-validation folds;
 //! * `magellan-falcon` — the example-scoring loop of active learning;
 //! * `magellan-core` — `ProductionExecutor` drives whole workflows and
-//!   surfaces the per-phase [`ParStats`] counters in its report.
+//!   surfaces the per-phase [`ParStats`] counters in its report; the
+//!   development stage and the down-sampler run their independent steps
+//!   on [`ParConfig::available`] capped by [`ParConfig::at_most`].
 //!
 //! ## Panic containment & self-healing
 //!
@@ -131,6 +134,24 @@ impl ParConfig {
         ParConfig {
             n_workers: n.max(1),
             ..ParConfig::serial()
+        }
+    }
+
+    /// One worker per core the host offers
+    /// ([`std::thread::available_parallelism`], 1 when it cannot tell),
+    /// with the default chunk policy. For regions whose output does not
+    /// depend on the worker count, so the count is the code's choice.
+    pub fn available() -> Self {
+        ParConfig::workers(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    }
+
+    /// This pool with at most `n` workers (at least one): for a region of
+    /// `n` chunks, or one whose per-worker scratch must stay bounded
+    /// whatever the host offers.
+    pub fn at_most(&self, n: usize) -> Self {
+        ParConfig {
+            n_workers: self.n_workers.min(n).max(1),
+            ..*self
         }
     }
 
@@ -846,6 +867,22 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn available_has_at_least_one_worker() {
+        let cfg = ParConfig::available();
+        assert!(cfg.n_workers >= 1);
+        assert_eq!(cfg.chunk_size, None);
+    }
+
+    #[test]
+    fn at_most_caps_the_workers_and_keeps_the_rest() {
+        let cfg = ParConfig::workers(8).with_chunk_size(5);
+        assert_eq!(cfg.at_most(0).n_workers, 1);
+        assert_eq!(cfg.at_most(3).n_workers, 3);
+        assert_eq!(cfg.at_most(20).n_workers, 8);
+        assert_eq!(cfg.at_most(3).chunk_size, Some(5));
+    }
 
     #[test]
     fn map_indexed_is_identity_ordered_for_any_worker_count() {
