@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use magellan_block::CandidateSet;
 use magellan_faults::{run_with_retry, FaultPlan, RetryPolicy, SimClock};
-use magellan_features::{PreparedPair, Scorer, ScorerCounts};
+use magellan_features::{FeaturePlan, PreparedPair, Scorer, ScorerCounts};
 use magellan_ml::Classifier;
 use magellan_obs::{EvVal, ObsSnapshot};
 use magellan_par::{ParConfig, ParStats};
@@ -576,10 +576,11 @@ impl ProductionExecutor {
 ///
 /// Each chunk scores through one [`Scorer`], which holds the pair's memo —
 /// [`magellan_ml::Classifier::decide`] asks for the features its trees
-/// test, then the bound rule layer asks for the features its conditions
-/// reach, and a feature asked for twice is computed once — and, the
-/// candidates being sorted by left row, the left record's side of the work
-/// from one pair to the next. Every value is the one
+/// test, the sequence kernels ([`deferral_mask`]) only once the cheap ones
+/// leave the pair open, then the bound rule layer asks for the features
+/// its conditions reach, and a feature asked for twice is computed once —
+/// and, the candidates being sorted by left row, the left record's side of
+/// the work from one pair to the next. Every value is the one
 /// [`PreparedPair::compute_row`] would have put in the eager matrix, so the
 /// decisions equal [`EmWorkflow::execute`]'s. Each chunk's output is a pure
 /// function of its pair range, which keeps the pool's determinism and
@@ -600,6 +601,13 @@ fn match_candidates(
     let names: Vec<&str> = workflow.features.iter().map(|f| f.name.as_str()).collect();
     let rules = workflow.rule_layer.bind(&names);
     let n_features = plan.len();
+    let deferred = deferral_mask(
+        &*workflow.matcher,
+        workflow.threshold,
+        &prepared,
+        &plan,
+        pairs,
+    );
 
     let _region = magellan_obs::span("score", 0);
     let (chunks, mut stats) = magellan_par::chunk_map(pairs.len(), cfg, |range| {
@@ -611,7 +619,7 @@ fn match_candidates(
             &*workflow.matcher,
             workflow.threshold,
             &mut scorer,
-            n_features,
+            &deferred,
             chunk,
             &mut walked,
             |i, predicted, scorer| {
@@ -643,24 +651,78 @@ fn match_candidates(
     Ok((decisions, stats))
 }
 
+/// Pairs a run decides, at most, to choose its [`deferral_mask`].
+const DEFERRAL_PILOT: usize = 256;
+
+/// The `deferred` mask to decide `pairs` with: the plan's sequence kernels
+/// ([`magellan_features::FeaturePlan::deferred`]), unless testing them
+/// last does not pay on these pairs. Deferral saves every kernel of a
+/// pair the cheap features decide, and costs a longer walk — more trees,
+/// more cheap features — on a pair that needs a kernel anyway. So a
+/// strided sample of at most [`DEFERRAL_PILOT`] pairs is decided both
+/// ways; unless the deferred walk asks for no kernel on at least half of
+/// the sampled pairs whose plain walk asks for one, no feature is
+/// deferred. The choice reads only the pairs, the matcher and the
+/// threshold, so it is the same at any worker count, and it cannot change
+/// a decision. The sample's feature work is not counted.
+pub(crate) fn deferral_mask(
+    matcher: &dyn Classifier,
+    threshold: f64,
+    prepared: &PreparedPair<'_>,
+    plan: &FeaturePlan,
+    pairs: &[(u32, u32)],
+) -> Vec<bool> {
+    let deferred = plan.deferred();
+    if !deferred.contains(&true) {
+        return deferred;
+    }
+    let plain = vec![false; deferred.len()];
+    let mut scorer = Scorer::new(prepared, plan);
+    // Kernels a decide under `mask` asks for on the current pair.
+    let kernels = |mask: &[bool], scorer: &mut Scorer<'_>| {
+        let mut asked = 0;
+        let mut feat = |j: usize| {
+            asked += usize::from(deferred[j]);
+            scorer.feature(j)
+        };
+        matcher.decide(threshold, mask, &mut feat, &mut 0);
+        asked
+    };
+    let (mut needing, mut saved) = (0, 0);
+    let stride = pairs.len().div_ceil(DEFERRAL_PILOT).max(1);
+    for &(ra, rb) in pairs.iter().step_by(stride) {
+        scorer.begin_pair(ra as usize, rb as usize);
+        let without = kernels(&plain, &mut scorer);
+        if without > 0 {
+            needing += 1;
+            saved += usize::from(kernels(&deferred, &mut scorer) == 0);
+        }
+    }
+    if saved * 2 >= needing {
+        deferred
+    } else {
+        plain
+    }
+}
+
 /// Decide each of `pairs` at `threshold` through `scorer`, the matcher
-/// asking only for the features its trees test
-/// ([`Classifier::decide`]), and hand the pair's position and decision to
-/// `then` with the scorer still on that pair, so it can read more of the
-/// same lazily filled row. Shared by the production pass and the
-/// development stage's calibration probe.
+/// asking only for the features its trees test, and for the `deferred`
+/// ones last ([`Classifier::decide`]), and hand the pair's position and
+/// decision to `then` with the scorer still on that pair, so it can read
+/// more of the same lazily filled row. Shared by the production pass and
+/// the development stage's calibration probe.
 pub(crate) fn decide_pairs<'p>(
     matcher: &dyn Classifier,
     threshold: f64,
     scorer: &mut Scorer<'p>,
-    n_features: usize,
+    deferred: &[bool],
     pairs: &[(u32, u32)],
     walked: &mut u64,
     mut then: impl FnMut(usize, bool, &mut Scorer<'p>),
 ) {
     for (i, &(ra, rb)) in pairs.iter().enumerate() {
         scorer.begin_pair(ra as usize, rb as usize);
-        let predicted = matcher.decide(threshold, n_features, &mut |j| scorer.feature(j), walked);
+        let predicted = matcher.decide(threshold, deferred, &mut |j| scorer.feature(j), walked);
         then(i, predicted, scorer);
     }
 }

@@ -19,7 +19,7 @@ use magellan_block::{
 };
 use magellan_features::{Feature, FeatureKind, TokSpecF};
 use magellan_ml::persist::{load_forest, save_forest, PersistError};
-use magellan_ml::RandomForestClassifier;
+use magellan_ml::{Node, RandomForestClassifier};
 use magellan_simjoin::SetSimMeasure;
 
 use crate::rules::{Cmp, MatchRule, RuleAction, RuleLayer};
@@ -562,6 +562,23 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
         .expect("just parsed the marker")
         + "matcher forest\n".len();
     let forest = load_forest(&text[forest_start..])?;
+    // The forest is read with the workflow's feature rows: a split on a
+    // feature the workflow does not list would index past the row.
+    for (t, tree) in forest.trees().iter().enumerate() {
+        for node in tree.nodes() {
+            if let Node::Split { feature, .. } = *node {
+                if feature >= features.len() {
+                    return Err(PersistError {
+                        line: 0,
+                        message: format!(
+                            "tree {t} splits on feature {feature}, but the workflow lists {} features",
+                            features.len()
+                        ),
+                    });
+                }
+            }
+        }
+    }
 
     Ok(WorkflowSpec {
         blocker,
@@ -841,5 +858,36 @@ mod tests {
         assert!(load_workflow(truncated).is_err());
         let tampered = text.replacen("blocker attr_equiv", "blocker nonsense", 1);
         assert!(load_workflow(&tampered).is_err());
+    }
+
+    #[test]
+    fn a_forest_splitting_past_the_feature_list_is_rejected() {
+        // A forest trained on three features, saved with a workflow that
+        // lists one: the executor would index its feature row with 2.
+        let d = Dataset::from_rows(
+            &[
+                vec![0.0, 0.0, 0.9],
+                vec![0.0, 0.0, 0.8],
+                vec![0.0, 0.0, 0.1],
+                vec![0.0, 0.0, 0.2],
+            ],
+            &[true, true, false, false],
+        );
+        let forest = RandomForestLearner {
+            n_trees: 2,
+            bootstrap: false,
+            max_features: Some(3),
+            ..Default::default()
+        }
+        .fit_forest(&d);
+        let mut spec = spec_with(BlockerSpec::AttrEquivalence {
+            l_attr: "name".into(),
+            r_attr: "name".into(),
+        });
+        spec.features.truncate(1);
+        spec.rule_layer = RuleLayer::empty();
+        spec.forest = forest;
+        let err = load_workflow(&save_workflow(&spec)).expect_err("feature 2 of 1");
+        assert!(err.message.contains("tree 0 splits on feature 2"), "{err}");
     }
 }

@@ -10,7 +10,7 @@ use magellan_table::Table;
 
 use crate::downsample::down_sample;
 use crate::error::MagellanError;
-use crate::exec::decide_pairs;
+use crate::exec::{decide_pairs, deferral_mask};
 use crate::labeling::Labeler;
 use crate::rules::RuleLayer;
 use crate::sample::sample_positions;
@@ -338,6 +338,7 @@ fn run_development_stage_on(
             .map(|&i| candidates.pairs()[i])
             .collect();
         prepared.prepare_for_pairs(&plan, &probe_pairs);
+        let deferred = deferral_mask(&*matcher, 0.5, &prepared, &plan, &probe_pairs);
         let (chunks, _) = magellan_par::chunk_map(probe_pairs.len(), par, |range| {
             let mut scorer = Scorer::new(&prepared, &plan);
             let mut scored: Vec<(f64, usize)> = Vec::new();
@@ -345,7 +346,7 @@ fn run_development_stage_on(
                 &*matcher,
                 0.5,
                 &mut scorer,
-                plan.len(),
+                &deferred,
                 &probe_pairs[range.clone()],
                 &mut 0,
                 |i, predicted, scorer| {

@@ -93,6 +93,21 @@ impl FeatureKind {
             FeatureKind::RelDiff => "rel_diff".to_owned(),
         }
     }
+
+    /// Does the kind run a character-level sequence kernel (edit
+    /// distance, Jaro, Monge–Elkan)? These are the dear features, the
+    /// ones a forest deciding a pair tests last (the `deferred` mask of
+    /// `magellan_ml`'s `Classifier::decide`). Exact-match, set-overlap and
+    /// numeric kinds are not.
+    pub fn is_sequence_kernel(&self) -> bool {
+        matches!(
+            self,
+            FeatureKind::LevSim
+                | FeatureKind::Jaro
+                | FeatureKind::JaroWinkler
+                | FeatureKind::MongeElkanJw
+        )
+    }
 }
 
 /// One feature: a named similarity over an attribute pair.

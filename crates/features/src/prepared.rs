@@ -525,6 +525,12 @@ impl FeaturePlan {
         self.entries.is_empty()
     }
 
+    /// Per planned feature, whether a deciding model should test it last
+    /// ([`FeatureKind::is_sequence_kernel`]).
+    pub fn deferred(&self) -> Vec<bool> {
+        self.entries.iter().map(|e| e.kind.is_sequence_kernel()).collect()
+    }
+
     /// Tokenizer invocations the scalar path would spend on `n_pairs`
     /// pairs of this plan (two sides per token feature per pair).
     pub fn scalar_tokenize_calls(&self, n_pairs: usize) -> usize {

@@ -9,6 +9,8 @@
 //! * active learning selects the unlabeled examples with the most
 //!   *disagreement* among trees (vote entropy), which again needs raw votes.
 
+use std::cell::Cell;
+
 use magellan_par::ParConfig;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -63,9 +65,24 @@ impl Default for RandomForestLearner {
 #[derive(Debug, Clone)]
 pub struct RandomForestClassifier {
     trees: Vec<DecisionTreeClassifier>,
-    /// Per tree, its smallest and largest leaf probability — the bounds
-    /// [`Classifier::decide`] stops early on.
-    leaf_range: Vec<(f64, f64)>,
+    /// Per tree, its root's leaf range and, summed, the root ranges of the
+    /// trees after it: what [`Classifier::decide`] bounds a tree not yet
+    /// visited by.
+    roots: Vec<RootRange>,
+}
+
+/// A tree's leaf range, and the sum of the leaf ranges of the trees after
+/// it (added right to left, so only an estimate of a left-to-right sum).
+#[derive(Debug, Clone, Copy)]
+struct RootRange {
+    range: (f64, f64),
+    after: (f64, f64),
+}
+
+thread_local! {
+    /// [`Classifier::decide`]'s per-tree cursors, reused from one pair to
+    /// the next so that deciding a pair allocates nothing.
+    static CURSORS: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
 }
 
 impl RandomForestClassifier {
@@ -80,8 +97,21 @@ impl RandomForestClassifier {
     }
 
     fn new(trees: Vec<DecisionTreeClassifier>) -> Self {
-        let leaf_range = trees.iter().map(|t| t.leaf_proba_range()).collect();
-        RandomForestClassifier { trees, leaf_range }
+        let mut after = (0.0, 0.0);
+        let mut roots: Vec<RootRange> = trees
+            .iter()
+            .rev()
+            .map(|tree| {
+                let root = RootRange {
+                    range: tree.leaf_range(0),
+                    after,
+                };
+                after = (after.0 + root.range.0, after.1 + root.range.1);
+                root
+            })
+            .collect();
+        roots.reverse();
+        RandomForestClassifier { trees, roots }
     }
 
     /// The individual trees (Falcon walks these for blocking rules).
@@ -147,46 +177,129 @@ impl Classifier for RandomForestClassifier {
 
     /// Walks trees in order, asking `feat` only for the features on each
     /// tree's path, and stops as soon as the trees still unwalked cannot
-    /// move the decision.
+    /// move the decision. A tree whose next split tests a `deferred`
+    /// feature is *parked* at that split; the parked trees are resumed, in
+    /// tree order, only if no bound has decided the pair after the last
+    /// tree. `walked` counts each tree visited once, parked or not.
     ///
     /// The stop is exact, not approximate. `predict_proba` adds the leaf
-    /// probabilities left to right and divides by the tree count. After
-    /// tree `k` the partial sum `s` is the very float that sum holds at
-    /// that point; `hi` continues it with the same left-to-right additions
-    /// using every remaining tree's *largest* leaf probability, `lo` using
-    /// the smallest. Floating-point addition and division by a positive
-    /// count are monotone in each argument, so by induction over the
-    /// remaining trees `lo ≤ full sum ≤ hi` and
-    /// `lo / n ≤ predict_proba ≤ hi / n` hold bit for bit, whatever leaves
-    /// the remaining trees would reach. After the last tree both bounds
-    /// are the full sum.
+    /// probabilities left to right and divides by the tree count. The
+    /// bound `lo` repeats those additions with, in each tree's place, its
+    /// leaf probability if its walk is finished, else the smallest leaf
+    /// probability of the subtree it stands at (the root's for a tree not
+    /// yet visited); `hi` with the largest. Each stand-in is at most
+    /// (least) the leaf the tree would reach, and floating-point addition
+    /// and division by a positive count are monotone in each argument, so
+    /// `lo / n ≤ predict_proba ≤ hi / n` holds bit for bit. Once every
+    /// walk is finished both bounds are the sum itself. With no feature
+    /// deferred no tree parks, and the walk is the plain in-order one.
     fn decide(
         &self,
         threshold: f64,
-        _n_features: usize,
+        deferred: &[bool],
         feat: &mut dyn FnMut(usize) -> f64,
         walked: &mut u64,
     ) -> bool {
+        let mut cursors = CURSORS.take();
+        cursors.clear();
+        cursors.resize(self.trees.len(), 0);
+        let decided = self.decide_parking(threshold, deferred, feat, walked, &mut cursors);
+        CURSORS.set(cursors);
+        decided
+    }
+}
+
+impl RandomForestClassifier {
+    /// [`Classifier::decide`] with `cursors[t]` (zeroed, one per tree)
+    /// holding the node tree `t` stands at.
+    ///
+    /// The exact bound is added up only when an estimate of it lies within
+    /// `margin` of the threshold. The estimate adds the same at most `n`
+    /// terms of at most 1 as the bound, in another order or through at most
+    /// `4n` updates, so the two differ by less than `margin`, and farther
+    /// out the exact check could not have decided. A wrong estimate could
+    /// only delay a stop: every decision is taken on the exact bound.
+    fn decide_parking(
+        &self,
+        threshold: f64,
+        deferred: &[bool],
+        feat: &mut dyn FnMut(usize) -> f64,
+        walked: &mut u64,
+        cursors: &mut [u32],
+    ) -> bool {
         let n = self.trees.len() as f64;
-        let mut sum = 0.0;
-        for (k, tree) in self.trees.iter().enumerate() {
-            sum += tree.walk(&mut *feat).1;
-            *walked += 1;
-            let (mut lo, mut hi) = (sum, sum);
-            for &(min, max) in &self.leaf_range[k + 1..] {
-                lo += min;
-                hi += max;
-            }
+        let at_threshold = threshold * n;
+        let margin = 16.0 * f64::EPSILON * (n + 1.0) * (n + 1.0);
+        let open = |(lo, hi): (f64, f64)| lo < at_threshold - margin && hi >= at_threshold + margin;
+        let decided = |(lo, hi): (f64, f64)| {
             if lo / n >= threshold {
-                return true;
+                Some(true)
+            } else if hi / n < threshold {
+                Some(false)
+            } else {
+                None
             }
-            if hi / n < threshold {
-                return false;
+        };
+
+        // Every tree in order, each down to its leaf or its first deferred
+        // split. `prefix` adds what the trees so far stand at, left to
+        // right; the trees after stand at their roots.
+        let mut prefix = (0.0, 0.0);
+        for (t, (tree, root)) in self.trees.iter().zip(&self.roots).enumerate() {
+            let (at, (min, max)) = tree.descend(0, deferred, &mut *feat);
+            cursors[t] = at as u32;
+            *walked += 1;
+            prefix = (prefix.0 + min, prefix.1 + max);
+            if open((prefix.0 + root.after.0, prefix.1 + root.after.1)) {
+                continue;
+            }
+            let bound = self.roots[t + 1..].iter().fold(prefix, |(lo, hi), rest| {
+                (lo + rest.range.0, hi + rest.range.1)
+            });
+            if let Some(decided) = decided(bound) {
+                return decided;
             }
         }
-        // After the last tree `lo == hi == sum`, so neither test holding
-        // means the threshold is NaN; answer as the eager comparison does.
-        sum / n >= threshold
+
+        // The parked trees, in order. A subtree whose leaves all agree
+        // already stands for its value. `estimate` follows the bound by
+        // each resumed tree's change in range.
+        let mut estimate = prefix;
+        for t in 0..self.trees.len() {
+            let tree = &self.trees[t];
+            let (from_lo, from_hi) = tree.leaf_range(cursors[t] as usize);
+            if from_lo == from_hi {
+                continue;
+            }
+            let (at, (to_lo, to_hi)) = tree.descend(cursors[t] as usize, &[], &mut *feat);
+            cursors[t] = at as u32;
+            estimate = (
+                estimate.0 + (to_lo - from_lo),
+                estimate.1 + (to_hi - from_hi),
+            );
+            if open(estimate) {
+                continue;
+            }
+            if let Some(decided) = decided(self.bound(cursors)) {
+                return decided;
+            }
+        }
+        // Every walk is finished and `lo == hi` is the sum, so neither test
+        // holding means the threshold is NaN; answer as the eager
+        // comparison does.
+        self.bound(cursors).0 / n >= threshold
+    }
+
+    /// The bound on `predict_proba`'s sum: the ranges of the nodes the
+    /// trees stand at, added in tree order.
+    fn bound(&self, cursors: &[u32]) -> (f64, f64) {
+        self.trees
+            .iter()
+            .zip(cursors)
+            .fold((0.0, 0.0), |(lo, hi), (tree, &at)| {
+                let (min, max) = tree.leaf_range(at as usize);
+                (lo + min, hi + max)
+            })
     }
 }
 
@@ -358,6 +471,51 @@ mod tests {
             .map(|t| format!("{:?}", t.nodes()))
             .collect::<std::collections::HashSet<_>>();
         assert!(distinct.len() > 1, "all trees identical");
+    }
+
+    #[test]
+    fn a_large_forest_decides_exactly_under_a_mixed_mask() {
+        // More trees than a fixed-size park stack would hold, on a label
+        // that needs both features, feature 1 deferred: every decision is
+        // the eager one.
+        let data = |seed: u64, n: usize| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut d = Dataset::with_dims(2);
+            for _ in 0..n {
+                let (x, y) = (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+                d.push(&[x, y], x + y > 0.2 * rng.gen_range(-1.0..1.0));
+            }
+            d
+        };
+        let forest = RandomForestLearner {
+            n_trees: 80,
+            ..Default::default()
+        }
+        .fit_forest(&data(7, 300));
+        let probes = data(8, 200);
+        // Feature 1 is asked for only by a parked tree being resumed.
+        let mut resumed = 0;
+        for i in 0..probes.len() {
+            let row = probes.row(i);
+            let score = forest.predict_proba(row);
+            for threshold in [0.5, score, score.next_up(), score.next_down(), f64::NAN] {
+                let mut asked = Vec::new();
+                let mut walked = 0;
+                let decided = forest.decide(
+                    threshold,
+                    &[false, true],
+                    &mut |j| {
+                        asked.push(j);
+                        row[j]
+                    },
+                    &mut walked,
+                );
+                assert_eq!(decided, score >= threshold, "row {i} at {threshold}");
+                assert!((1..=80).contains(&walked));
+                resumed += u64::from(asked.contains(&1));
+            }
+        }
+        assert!(resumed > 0, "no walk ever resumed a parked tree");
     }
 
     #[test]

@@ -14,21 +14,24 @@ pub trait Classifier: Send + Sync {
 
     /// `self.predict_proba(row) >= threshold` for a row that is read
     /// through `feat` instead of materialised: `feat(i)` is feature `i` of
-    /// the `n_features`-wide row. Models that can decide without the whole
-    /// row (trees, forests) override this to ask only for the features
-    /// they test, so a caller whose `feat` computes on demand pays only for
-    /// those; the decision is the same for every implementation.
+    /// the row, which is `deferred.len()` wide. Models that can decide
+    /// without the whole row (trees, forests) override this to ask only for
+    /// the features they test, so a caller whose `feat` computes on demand
+    /// pays only for those; the decision is the same for every
+    /// implementation. `deferred[i]` marks feature `i` as dear: a model
+    /// that can asks for it only once the cheap features leave the
+    /// decision open.
     ///
     /// `walked` is incremented by the number of committee members
     /// consulted (1 for a single model).
     fn decide(
         &self,
         threshold: f64,
-        n_features: usize,
+        deferred: &[bool],
         feat: &mut dyn FnMut(usize) -> f64,
         walked: &mut u64,
     ) -> bool {
-        let row: Vec<f64> = (0..n_features).map(feat).collect();
+        let row: Vec<f64> = (0..deferred.len()).map(feat).collect();
         *walked += 1;
         self.predict_proba(&row) >= threshold
     }
@@ -86,8 +89,8 @@ mod tests {
             asked.push(i);
             i as f64
         };
-        assert!(c.decide(0.6, 3, &mut feat, &mut walked));
-        assert!(!c.decide(0.7, 3, &mut feat, &mut walked));
+        assert!(c.decide(0.6, &[false; 3], &mut feat, &mut walked));
+        assert!(!c.decide(0.7, &[true, false, true], &mut feat, &mut walked));
         assert_eq!(asked, [0, 1, 2, 0, 1, 2]);
         assert_eq!(walked, 2);
     }

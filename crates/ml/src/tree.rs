@@ -104,6 +104,10 @@ impl Default for DecisionTreeLearner {
 #[derive(Debug, Clone)]
 pub struct DecisionTreeClassifier {
     nodes: Vec<Node>,
+    /// Per node, the smallest and largest leaf probability of its subtree
+    /// (a leaf's range is its own probability twice) — what bounds a
+    /// forest's score while a tree's walk is unfinished.
+    ranges: Vec<(f64, f64)>,
     feature_names: Vec<String>,
 }
 
@@ -128,10 +132,29 @@ impl DecisionTreeClassifier {
                 }
             }
         }
-        Ok(DecisionTreeClassifier {
+        Ok(DecisionTreeClassifier::new(nodes, feature_names))
+    }
+
+    /// A tree over a valid arena (children after their parent).
+    fn new(nodes: Vec<Node>, feature_names: Vec<String>) -> DecisionTreeClassifier {
+        let mut ranges = vec![(0.0, 0.0); nodes.len()];
+        for (i, node) in nodes.iter().enumerate().rev() {
+            ranges[i] = match *node {
+                Node::Leaf { n, n_pos } => {
+                    let p = leaf_proba(n, n_pos);
+                    (p, p)
+                }
+                Node::Split { left, right, .. } => (
+                    ranges[left].0.min(ranges[right].0),
+                    ranges[left].1.max(ranges[right].1),
+                ),
+            };
+        }
+        DecisionTreeClassifier {
             nodes,
+            ranges,
             feature_names,
-        })
+        }
     }
 
     /// The node arena (root at index 0).
@@ -173,17 +196,38 @@ impl DecisionTreeClassifier {
     /// Walk to a leaf reading feature values through `feat` — only the
     /// features on the path are asked for. Returns the leaf's arena index
     /// and its smoothed probability.
-    pub(crate) fn walk(&self, mut feat: impl FnMut(usize) -> f64) -> (usize, f64) {
-        let mut i = 0;
+    pub(crate) fn walk(&self, feat: impl FnMut(usize) -> f64) -> (usize, f64) {
+        let (leaf, (p, _)) = self.descend(0, &[], feat);
+        (leaf, p)
+    }
+
+    /// Walk down from node `from` until a leaf, or until a split tests a
+    /// feature `j` with `deferred[j]` set (indices past the slice are not
+    /// deferred); returns the node reached and its
+    /// [`leaf_range`](Self::leaf_range). Only the features tested on the
+    /// way are asked for.
+    pub(crate) fn descend(
+        &self,
+        from: usize,
+        deferred: &[bool],
+        mut feat: impl FnMut(usize) -> f64,
+    ) -> (usize, (f64, f64)) {
+        let mut i = from;
         loop {
             match &self.nodes[i] {
-                Node::Leaf { n, n_pos } => return (i, leaf_proba(*n, *n_pos)),
+                Node::Leaf { n, n_pos } => {
+                    let p = leaf_proba(*n, *n_pos);
+                    return (i, (p, p));
+                }
                 Node::Split {
                     feature,
                     threshold,
                     left,
                     right,
                 } => {
+                    if deferred.get(*feature) == Some(&true) {
+                        return (i, self.ranges[i]);
+                    }
                     let x = feat(*feature);
                     i = if x.is_nan() || x <= *threshold {
                         *left
@@ -195,18 +239,17 @@ impl DecisionTreeClassifier {
         }
     }
 
-    /// Smallest and largest leaf probability of the tree — what bounds a
-    /// forest's score before the tree is walked.
-    pub(crate) fn leaf_proba_range(&self) -> (f64, f64) {
-        self.nodes
-            .iter()
-            .filter_map(|node| match node {
-                Node::Leaf { n, n_pos } => Some(leaf_proba(*n, *n_pos)),
-                Node::Split { .. } => None,
-            })
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
-                (lo.min(p), hi.max(p))
-            })
+    /// Smallest and largest leaf probability of the subtree under `node`;
+    /// the root's is the tree's, a leaf's is its probability twice.
+    pub(crate) fn leaf_range(&self, node: usize) -> (f64, f64) {
+        match &self.nodes[node] {
+            // From the node itself, which a walk has just read.
+            Node::Leaf { n, n_pos } => {
+                let p = leaf_proba(*n, *n_pos);
+                (p, p)
+            }
+            Node::Split { .. } => self.ranges[node],
+        }
     }
 
     /// Render the tree as an indented rule list (Fig. 4 style).
@@ -259,7 +302,7 @@ impl Classifier for DecisionTreeClassifier {
     fn decide(
         &self,
         threshold: f64,
-        _n_features: usize,
+        _deferred: &[bool],
         feat: &mut dyn FnMut(usize) -> f64,
         walked: &mut u64,
     ) -> bool {
@@ -303,10 +346,7 @@ impl DecisionTreeLearner {
         };
         let indices: Vec<usize> = (0..data.len()).collect();
         build_node(&mut ctx, indices, 0);
-        DecisionTreeClassifier {
-            nodes: ctx.nodes,
-            feature_names: data.feature_names().to_vec(),
-        }
+        DecisionTreeClassifier::new(ctx.nodes, data.feature_names().to_vec())
     }
 }
 
