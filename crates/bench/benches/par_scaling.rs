@@ -12,7 +12,7 @@ use magellan_block::{Blocker, OverlapBlocker};
 use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, ScenarioConfig};
 use magellan_features::{extract_feature_matrix_par, generate_features};
-use magellan_ml::{predict_proba_batch, Dataset, RandomForestLearner};
+use magellan_ml::{Dataset, RandomForestLearner};
 use magellan_par::ParConfig;
 use magellan_simjoin::{join_tokenized_par, SetSimMeasure, TokenizedCollection};
 use magellan_textsim::tokenize::AlphanumericTokenizer;
@@ -155,7 +155,7 @@ fn bench_forest_scaling(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("predict_20k", w), &w, |b, &w| {
             let cfg = ParConfig::workers(w);
-            b.iter(|| black_box(predict_proba_batch(&forest, black_box(&rows), &cfg)));
+            b.iter(|| black_box(forest.predict_proba_batch(black_box(&rows), &cfg)));
         });
     }
     g.finish();

@@ -12,8 +12,8 @@
 //!   live view *is* the session's candidate set;
 //! * [`magellan_features::StreamingPreparedPair`] — per-record cache
 //!   invalidation, so only dirty records re-tokenize;
-//! * [`magellan_ml::FlatForest::rescore_dirty`] — model scores recomputed
-//!   for dirty pairs only.
+//! * [`magellan_ml::FlatForest::predict_proba_batch`] — model scores
+//!   recomputed for the dirty pairs' extracted rows only.
 //!
 //! ## Determinism contract
 //!
@@ -309,14 +309,10 @@ impl StreamSession {
                 .store
                 .extract(&pairs_u32, &self.features, &self.par)
                 .map_err(MagellanError::Table)?;
-            let keyed: Vec<((usize, usize), Vec<f64>)> = dirty
-                .iter()
-                .copied()
-                .zip(matrix.rows)
-                .collect();
+            let probs = self.forest.predict_proba_batch(&matrix.rows, &self.par);
             // `Removed` precedes `Added` in a batch's deltas, so no dirty
             // pair still holds a score.
-            for ((l, r), p) in self.forest.rescore_dirty(&keyed, &self.par) {
+            for (&(l, r), p) in dirty.iter().zip(probs) {
                 self.live_matches += usize::from(p >= self.threshold);
                 self.scores[l].push((r as u32, p));
             }

@@ -18,7 +18,7 @@ use magellan_features::{
     extract_feature_matrix, extract_feature_matrix_par, Feature, FeatureKind, TokSpecF,
 };
 use magellan_ml::model::ConstantClassifier;
-use magellan_ml::{predict_proba_batch, Classifier, Dataset, RandomForestLearner};
+use magellan_ml::{Classifier, Dataset, RandomForestLearner};
 use magellan_simjoin::{set_sim_join, SetSimMeasure};
 use magellan_table::{Dtype, Table, Value};
 use proptest::prelude::*;
@@ -254,7 +254,7 @@ fn forest_training_is_worker_count_invariant() {
         .map(|r| reference.predict_proba(r).to_bits())
         .collect();
     for cfg in configs() {
-        let batch = predict_proba_batch(&reference, &grid, &cfg);
+        let batch = reference.predict_proba_batch(&grid, &cfg);
         let bits: Vec<u64> = batch.iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits, serial, "batch scoring diverged at {cfg:?}");
     }

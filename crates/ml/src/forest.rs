@@ -8,8 +8,10 @@
 //!   ([`RandomForestClassifier::trees`]);
 //! * active learning selects the unlabeled examples with the most
 //!   *disagreement* among trees (vote entropy), which again needs raw votes.
-
-use std::cell::Cell;
+//!
+//! The trees keep their [`Node`](crate::tree::Node) arenas for their
+//! structure; every score, vote and lazy decision walks the one flat
+//! layout ([`FlatForest`]) the forest builds when it is made.
 
 use magellan_par::ParConfig;
 use rand::rngs::StdRng;
@@ -17,6 +19,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use crate::dataset::Dataset;
+use crate::forest_flat::FlatForest;
 use crate::model::{Classifier, Learner};
 use crate::tree::{DecisionTreeClassifier, DecisionTreeLearner, SplitCriterion};
 
@@ -61,28 +64,12 @@ impl Default for RandomForestLearner {
     }
 }
 
-/// A trained random forest.
+/// A trained random forest: its trees, and the flat layout every score,
+/// vote and decision walks (built once, here).
 #[derive(Debug, Clone)]
 pub struct RandomForestClassifier {
     trees: Vec<DecisionTreeClassifier>,
-    /// Per tree, its root's leaf range and, summed, the root ranges of the
-    /// trees after it: what [`Classifier::decide`] bounds a tree not yet
-    /// visited by.
-    roots: Vec<RootRange>,
-}
-
-/// A tree's leaf range, and the sum of the leaf ranges of the trees after
-/// it (added right to left, so only an estimate of a left-to-right sum).
-#[derive(Debug, Clone, Copy)]
-struct RootRange {
-    range: (f64, f64),
-    after: (f64, f64),
-}
-
-thread_local! {
-    /// [`Classifier::decide`]'s per-tree cursors, reused from one pair to
-    /// the next so that deciding a pair allocates nothing.
-    static CURSORS: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+    flat: FlatForest,
 }
 
 impl RandomForestClassifier {
@@ -97,21 +84,8 @@ impl RandomForestClassifier {
     }
 
     fn new(trees: Vec<DecisionTreeClassifier>) -> Self {
-        let mut after = (0.0, 0.0);
-        let mut roots: Vec<RootRange> = trees
-            .iter()
-            .rev()
-            .map(|tree| {
-                let root = RootRange {
-                    range: tree.leaf_range(0),
-                    after,
-                };
-                after = (after.0 + root.range.0, after.1 + root.range.1);
-                root
-            })
-            .collect();
-        roots.reverse();
-        RandomForestClassifier { trees, roots }
+        let flat = FlatForest::new(&trees);
+        RandomForestClassifier { trees, flat }
     }
 
     /// The individual trees (Falcon walks these for blocking rules).
@@ -119,14 +93,14 @@ impl RandomForestClassifier {
         &self.trees
     }
 
+    /// The layout the forest is scored through.
+    pub(crate) fn flat(&self) -> &FlatForest {
+        &self.flat
+    }
+
     /// Fraction of trees voting "match" for the example (Falcon's α test).
     pub fn vote_fraction(&self, row: &[f64]) -> f64 {
-        let votes = self
-            .trees
-            .iter()
-            .filter(|t| t.predict(row))
-            .count();
-        votes as f64 / self.trees.len() as f64
+        self.flat.vote_fraction(row)
     }
 
     /// Hard prediction at a vote-fraction threshold `alpha` (the paper's
@@ -137,16 +111,10 @@ impl RandomForestClassifier {
 
     /// Parallel batch scoring: `out[i] == self.predict_proba(&rows[i])`
     /// bit-identically for any worker count (rows are chunked over the
-    /// `magellan-par` pool and merged in order).
-    ///
-    /// Internally this flattens the forest into the SoA inference layout
-    /// ([`crate::forest_flat::FlatForest`]) and scores through its
-    /// branchless batch traversal; the flatten is a pure re-layout, so
-    /// scores stay bit-identical to the scalar tree walk (the preserved
-    /// [`predict_proba_batch`] free function — the reference the
-    /// invariance suite compares against).
+    /// `magellan-par` pool and merged in order; see
+    /// [`FlatForest::predict_proba_batch`]).
     pub fn predict_proba_batch(&self, rows: &[Vec<f64>], cfg: &ParConfig) -> Vec<f64> {
-        crate::forest_flat::FlatForest::from_forest(self).predict_proba_batch(rows, cfg)
+        self.flat.predict_proba_batch(rows, cfg)
     }
 
     /// Binary vote entropy in bits — the query-by-committee uncertainty
@@ -166,8 +134,7 @@ impl RandomForestClassifier {
 impl Classifier for RandomForestClassifier {
     fn predict_proba(&self, row: &[f64]) -> f64 {
         // Mean of per-tree leaf probabilities (soft voting).
-        let sum: f64 = self.trees.iter().map(|t| t.predict_proba(row)).sum();
-        sum / self.trees.len() as f64
+        self.flat.predict_proba(row)
     }
 
     fn predict(&self, row: &[f64]) -> bool {
@@ -175,24 +142,9 @@ impl Classifier for RandomForestClassifier {
         self.vote_fraction(row) >= 0.5
     }
 
-    /// Walks trees in order, asking `feat` only for the features on each
-    /// tree's path, and stops as soon as the trees still unwalked cannot
-    /// move the decision. A tree whose next split tests a `deferred`
-    /// feature is *parked* at that split; the parked trees are resumed, in
-    /// tree order, only if no bound has decided the pair after the last
-    /// tree. `walked` counts each tree visited once, parked or not.
-    ///
-    /// The stop is exact, not approximate. `predict_proba` adds the leaf
-    /// probabilities left to right and divides by the tree count. The
-    /// bound `lo` repeats those additions with, in each tree's place, its
-    /// leaf probability if its walk is finished, else the smallest leaf
-    /// probability of the subtree it stands at (the root's for a tree not
-    /// yet visited); `hi` with the largest. Each stand-in is at most
-    /// (least) the leaf the tree would reach, and floating-point addition
-    /// and division by a positive count are monotone in each argument, so
-    /// `lo / n ≤ predict_proba ≤ hi / n` holds bit for bit. Once every
-    /// walk is finished both bounds are the sum itself. With no feature
-    /// deferred no tree parks, and the walk is the plain in-order one.
+    /// Asks only for the features on each tree's path, tests the
+    /// `deferred` ones last, and stops exactly once the trees left cannot
+    /// move the decision ([`FlatForest`]'s lazy walk).
     fn decide(
         &self,
         threshold: f64,
@@ -200,106 +152,7 @@ impl Classifier for RandomForestClassifier {
         feat: &mut dyn FnMut(usize) -> f64,
         walked: &mut u64,
     ) -> bool {
-        let mut cursors = CURSORS.take();
-        cursors.clear();
-        cursors.resize(self.trees.len(), 0);
-        let decided = self.decide_parking(threshold, deferred, feat, walked, &mut cursors);
-        CURSORS.set(cursors);
-        decided
-    }
-}
-
-impl RandomForestClassifier {
-    /// [`Classifier::decide`] with `cursors[t]` (zeroed, one per tree)
-    /// holding the node tree `t` stands at.
-    ///
-    /// The exact bound is added up only when an estimate of it lies within
-    /// `margin` of the threshold. The estimate adds the same at most `n`
-    /// terms of at most 1 as the bound, in another order or through at most
-    /// `4n` updates, so the two differ by less than `margin`, and farther
-    /// out the exact check could not have decided. A wrong estimate could
-    /// only delay a stop: every decision is taken on the exact bound.
-    fn decide_parking(
-        &self,
-        threshold: f64,
-        deferred: &[bool],
-        feat: &mut dyn FnMut(usize) -> f64,
-        walked: &mut u64,
-        cursors: &mut [u32],
-    ) -> bool {
-        let n = self.trees.len() as f64;
-        let at_threshold = threshold * n;
-        let margin = 16.0 * f64::EPSILON * (n + 1.0) * (n + 1.0);
-        let open = |(lo, hi): (f64, f64)| lo < at_threshold - margin && hi >= at_threshold + margin;
-        let decided = |(lo, hi): (f64, f64)| {
-            if lo / n >= threshold {
-                Some(true)
-            } else if hi / n < threshold {
-                Some(false)
-            } else {
-                None
-            }
-        };
-
-        // Every tree in order, each down to its leaf or its first deferred
-        // split. `prefix` adds what the trees so far stand at, left to
-        // right; the trees after stand at their roots.
-        let mut prefix = (0.0, 0.0);
-        for (t, (tree, root)) in self.trees.iter().zip(&self.roots).enumerate() {
-            let (at, (min, max)) = tree.descend(0, deferred, &mut *feat);
-            cursors[t] = at as u32;
-            *walked += 1;
-            prefix = (prefix.0 + min, prefix.1 + max);
-            if open((prefix.0 + root.after.0, prefix.1 + root.after.1)) {
-                continue;
-            }
-            let bound = self.roots[t + 1..].iter().fold(prefix, |(lo, hi), rest| {
-                (lo + rest.range.0, hi + rest.range.1)
-            });
-            if let Some(decided) = decided(bound) {
-                return decided;
-            }
-        }
-
-        // The parked trees, in order. A subtree whose leaves all agree
-        // already stands for its value. `estimate` follows the bound by
-        // each resumed tree's change in range.
-        let mut estimate = prefix;
-        for t in 0..self.trees.len() {
-            let tree = &self.trees[t];
-            let (from_lo, from_hi) = tree.leaf_range(cursors[t] as usize);
-            if from_lo == from_hi {
-                continue;
-            }
-            let (at, (to_lo, to_hi)) = tree.descend(cursors[t] as usize, &[], &mut *feat);
-            cursors[t] = at as u32;
-            estimate = (
-                estimate.0 + (to_lo - from_lo),
-                estimate.1 + (to_hi - from_hi),
-            );
-            if open(estimate) {
-                continue;
-            }
-            if let Some(decided) = decided(self.bound(cursors)) {
-                return decided;
-            }
-        }
-        // Every walk is finished and `lo == hi` is the sum, so neither test
-        // holding means the threshold is NaN; answer as the eager
-        // comparison does.
-        self.bound(cursors).0 / n >= threshold
-    }
-
-    /// The bound on `predict_proba`'s sum: the ranges of the nodes the
-    /// trees stand at, added in tree order.
-    fn bound(&self, cursors: &[u32]) -> (f64, f64) {
-        self.trees
-            .iter()
-            .zip(cursors)
-            .fold((0.0, 0.0), |(lo, hi), (tree, &at)| {
-                let (min, max) = tree.leaf_range(at as usize);
-                (lo + min, hi + max)
-            })
+        self.flat.decide(threshold, deferred, feat, walked)
     }
 }
 
@@ -359,16 +212,6 @@ impl RandomForestLearner {
         });
         RandomForestClassifier::new(trees)
     }
-}
-
-/// Batch scoring of any [`Classifier`] over the `magellan-par` pool.
-/// `out[i] == clf.predict_proba(&rows[i])` for every worker count.
-pub fn predict_proba_batch(
-    clf: &dyn Classifier,
-    rows: &[Vec<f64>],
-    cfg: &ParConfig,
-) -> Vec<f64> {
-    magellan_par::map_indexed(rows.len(), cfg, |i| clf.predict_proba(&rows[i])).0
 }
 
 #[cfg(test)]
