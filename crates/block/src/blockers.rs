@@ -6,7 +6,7 @@ use std::hash::{Hash, Hasher};
 
 use magellan_par::{ParConfig, ParStats};
 use magellan_simjoin::collection::TokenizedCollection;
-use magellan_simjoin::{join_tokenized_par, join_tokenized_sharded, ProbeSide, SetSimMeasure};
+use magellan_simjoin::{join_tokenized_pairs, ProbeSide, SetSimMeasure};
 use magellan_table::{Table, TableError};
 use magellan_textsim::tokenize::{AlphanumericTokenizer, Tokenizer};
 
@@ -257,31 +257,15 @@ impl Blocker for OverlapBlocker {
         b: &Table,
         cfg: &ParConfig,
     ) -> magellan_table::Result<(CandidateSet, ParStats)> {
-        let la = a.column_strs(&self.l_attr)?;
-        let rb = b.column_strs(&self.r_attr)?;
-        let tokenizer: Box<dyn Tokenizer> = match self.qgram {
-            Some(q) => Box::new(magellan_textsim::tokenize::QgramTokenizer::as_set(q)),
-            None => Box::new(AlphanumericTokenizer::as_set()),
-        };
-        // Tokenize once (serial), probe left rows over the pool; the join
-        // output is sorted by (l, r), so the pair stream is worker-count
-        // independent.
-        let coll = TokenizedCollection::build(&la, &rb, tokenizer.as_ref());
-        let measure = SetSimMeasure::OverlapSize(self.overlap_size.max(1));
-        let (joined, stats) = if self.shards > 1 {
-            let (j, s, _) =
-                join_tokenized_sharded(&coll, measure, ProbeSide::Auto, self.shards, cfg);
-            (j, s)
-        } else {
-            join_tokenized_par(&coll, measure, cfg)
-        };
-        Ok((
-            joined
-                .into_iter()
-                .map(|p| (p.l as u32, p.r as u32))
-                .collect(),
-            stats,
-        ))
+        // The sim-join blocker under an overlap size: one body for both.
+        SimJoinBlocker {
+            l_attr: self.l_attr.clone(),
+            r_attr: self.r_attr.clone(),
+            measure: SetSimMeasure::OverlapSize(self.overlap_size.max(1)),
+            qgram: self.qgram,
+            shards: self.shards,
+        }
+        .block_par(a, b, cfg)
     }
 }
 
@@ -334,21 +318,12 @@ impl Blocker for SimJoinBlocker {
             Some(q) => Box::new(magellan_textsim::tokenize::QgramTokenizer::as_set(q)),
             None => Box::new(AlphanumericTokenizer::as_set()),
         };
+        // Tokenize once (serial), probe over the pool; the join hands its
+        // pairs over in `(l, r)` order whatever the worker count.
         let coll = TokenizedCollection::build(&la, &rb, tokenizer.as_ref());
-        let (joined, stats) = if self.shards > 1 {
-            let (j, s, _) =
-                join_tokenized_sharded(&coll, self.measure, ProbeSide::Auto, self.shards, cfg);
-            (j, s)
-        } else {
-            join_tokenized_par(&coll, self.measure, cfg)
-        };
-        Ok((
-            joined
-                .into_iter()
-                .map(|p| (p.l as u32, p.r as u32))
-                .collect(),
-            stats,
-        ))
+        let (pairs, stats) =
+            join_tokenized_pairs(&coll, self.measure, ProbeSide::Auto, self.shards, cfg);
+        Ok((CandidateSet::from_sorted(pairs), stats))
     }
 }
 

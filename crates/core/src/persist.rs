@@ -179,10 +179,15 @@ fn tok_label(t: TokSpec) -> String {
     }
 }
 
+/// A q-gram size: at least 1, which the q-gram tokenizers assert.
+fn parse_q(s: &str) -> Option<usize> {
+    s.parse().ok().filter(|&q| q >= 1)
+}
+
 fn parse_tok(s: &str, line: usize) -> Result<TokSpec, PersistError> {
     if s == "word" {
         Ok(TokSpec::Word)
-    } else if let Some(q) = s.strip_prefix('q').and_then(|v| v.parse().ok()) {
+    } else if let Some(q) = s.strip_prefix('q').and_then(parse_q) {
         Ok(TokSpec::Qgram(q))
     } else {
         Err(PersistError {
@@ -202,7 +207,7 @@ fn tokf_label(t: TokSpecF) -> String {
 fn parse_tokf(s: &str, line: usize) -> Result<TokSpecF, PersistError> {
     if s == "word" {
         Ok(TokSpecF::Word)
-    } else if let Some(q) = s.strip_prefix('q').and_then(|v| v.parse().ok()) {
+    } else if let Some(q) = s.strip_prefix('q').and_then(parse_q) {
         Ok(TokSpecF::Qgram(q))
     } else {
         Err(PersistError {
@@ -598,9 +603,13 @@ fn parse_blocker(
         line: ln,
         message: msg.to_owned(),
     };
+    // `-1` for word tokens, else a q-gram size.
     let parse_qgram = |s: &str| -> Option<Option<usize>> {
-        let v: i64 = s.parse().ok()?;
-        Some(if v < 0 { None } else { Some(v as usize) })
+        if s.parse::<i64>().ok()? < 0 {
+            Some(None)
+        } else {
+            parse_q(s).map(Some)
+        }
     };
     if let Some(rest) = body.strip_prefix("attr_equiv\t") {
         let (l, rr) = rest.split_once('\t').ok_or_else(|| bad("attr_equiv needs two attrs"))?;
@@ -616,7 +625,11 @@ fn parse_blocker(
         Ok(BlockerSpec::Hash {
             l_attr: (*l).to_owned(),
             r_attr: (*rr).to_owned(),
-            n_buckets: n.parse().map_err(|_| bad("bad bucket count"))?,
+            n_buckets: n
+                .parse()
+                .ok()
+                .filter(|&n: &usize| n >= 1)
+                .ok_or_else(|| bad("bad bucket count: the hash blocker needs at least one"))?,
         })
     } else if let Some(rest) = body.strip_prefix("overlap\t") {
         let parts: Vec<&str> = rest.split('\t').collect();
@@ -644,6 +657,7 @@ fn parse_blocker(
             }
             _ => return Err(bad("unknown measure")),
         };
+        measure.check().map_err(|why| bad(&why))?;
         Ok(BlockerSpec::SimJoin {
             l_attr: (*l).to_owned(),
             r_attr: (*rr).to_owned(),
@@ -858,6 +872,37 @@ mod tests {
         assert!(load_workflow(truncated).is_err());
         let tampered = text.replacen("blocker attr_equiv", "blocker nonsense", 1);
         assert!(load_workflow(&tampered).is_err());
+    }
+
+    /// Blocker parameters the blocker would reject at run time (a panic
+    /// in the join or the tokenizer, or a hash blocker's error naming the
+    /// table) are rejected at load, naming the line.
+    #[test]
+    fn blocker_parameters_a_blocker_rejects_do_not_load() {
+        let spec = spec_with(BlockerSpec::AttrEquivalence {
+            l_attr: "name".into(),
+            r_attr: "name".into(),
+        });
+        let text = save_workflow(&spec);
+        let blocker = text.lines().position(|l| l.starts_with("blocker ")).unwrap();
+        let bad_lines = [
+            ("simjoin\tname\tname\tjaccard 1.5\t-1", "threshold must be in (0, 1]"),
+            ("simjoin\tname\tname\tcosine 0\t3", "threshold must be in (0, 1]"),
+            ("simjoin\tname\tname\tdice NaN\t-1", "threshold must be in (0, 1]"),
+            ("simjoin\tname\tname\toverlap_size 0\t-1", "overlap size must be at least 1"),
+            ("overlap\tname\tname\t1\t0", "bad qgram"),
+            ("hash\tname\tname\t0", "at least one"),
+        ];
+        for (body, why) in bad_lines {
+            let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+            lines[blocker] = format!("blocker {body}");
+            let err = load_workflow(&(lines.join("\n") + "\n")).expect_err(body);
+            assert_eq!(err.line, blocker + 1, "{body}: {err}");
+            assert!(err.message.contains(why), "{body}: {err}");
+        }
+        // A q-gram size of 0 in a rule predicate's or a feature's tokenizer too.
+        assert!(parse_tok("q0", 1).is_err() && parse_tokf("q0", 1).is_err());
+        assert_eq!(parse_tok("q3", 1).unwrap(), TokSpec::Qgram(3));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //!   `String` per token, a `Vec` per row or a map per sampled row cannot
 //!   creep back in unnoticed;
 //! * how high the live heap climbs during `run_development_stage`, so a
-//!   feature row per pre-sampled or probed pair cannot come back.
+//!   feature row per pre-sampled or probed pair cannot come back;
+//! * how high it climbs during an overlap blocker's `block_par`, so the
+//!   join cannot go back to staging its pairs wider than the candidate set.
 //!
 //! A counting `#[global_allocator]` needs a binary of its own. Counts and
 //! live bytes are process-wide, so what the pool's worker threads allocate
@@ -15,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use magellan_block::OverlapBlocker;
+use magellan_block::{Blocker, OverlapBlocker};
 use magellan_core::downsample::down_sample_indices;
 use magellan_core::labeling::OracleLabeler;
 use magellan_core::pipeline::{run_development_stage, DevConfig};
@@ -23,6 +25,7 @@ use magellan_datagen::domains::{persons, products};
 use magellan_datagen::{DirtModel, ScenarioConfig};
 use magellan_features::generate_features;
 use magellan_ml::{DecisionTreeLearner, Learner, RandomForestLearner};
+use magellan_par::ParConfig;
 
 /// Allocations and reallocations, by every thread.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -168,3 +171,33 @@ fn development_stage_peak_heap_stays_off_the_pre_sample() {
 /// Halfway between the stage with a feature row per pre-sampled and probed
 /// pair (2 489 805 B) and the streamed stage (1 099 376 B).
 const PEAK_BOUND: isize = 1_794_000;
+
+/// `match_heavy`'s blocker on a seeded `persons` scenario at 2 workers:
+/// the word-overlap join of 1 500 × 1 500 names hands over 86 140
+/// candidates, 689 120 B as `(u32, u32)`. Staging them as 24-byte join
+/// pairs, merging the chunks, sorting and copying them into the set
+/// climbed to 3 951 733 B above the start; writing 8-byte pairs and
+/// ordering them in one linear pass climbs to 1 636 757 B: the chunks'
+/// pairs and the ordered set, each once, and the tokenized names.
+#[test]
+fn blocking_peak_heap_stays_near_the_candidate_set() {
+    let _serial = serial();
+    let s = persons(&ScenarioConfig {
+        size_a: 1_500,
+        size_b: 1_500,
+        n_matches: 500,
+        dirt: DirtModel::light(),
+        seed: 77,
+    });
+    let blocker = OverlapBlocker::words("name", 1);
+    let cfg = ParConfig::workers(2);
+    let (out, peak) = peak_heap_in(|| blocker.block_par(&s.table_a, &s.table_b, &cfg));
+    let (cands, _) = out.unwrap();
+    eprintln!("block_par over {} candidates: peak live heap {peak} B", cands.len());
+    assert_eq!(cands.len(), 86_140);
+    assert!(peak <= BLOCKING_PEAK_BOUND, "peak live heap {peak} B");
+}
+
+/// Halfway between the join staging 24-byte pairs (3 951 733 B) and the
+/// one writing 8-byte pairs (1 636 757 B).
+const BLOCKING_PEAK_BOUND: isize = 2_794_000;

@@ -25,7 +25,8 @@ use magellan_textsim::TokenInterner;
 /// One side's token-id records in one buffer: record `r` is
 /// `ids[offsets[r]..offsets[r + 1]]`, the layout of the CSR prefix index
 /// and of the `emtbl` string heap. However many records it holds, it is
-/// two heap blocks.
+/// two heap blocks. It holds at most `u32::MAX` records, checked as it
+/// is built, so the joins emit rids as `u32`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TokenColumn {
     ids: Vec<u32>,
@@ -75,8 +76,9 @@ impl TokenColumn {
     /// Append a record.
     ///
     /// # Panics
-    /// If the column would pass `u32::MAX` ids.
+    /// If the column would pass `u32::MAX` ids or records.
     fn push(&mut self, record: &[u32]) {
+        narrow(self.offsets.len());
         self.ids.extend_from_slice(record);
         self.offsets.push(narrow(self.ids.len()));
     }

@@ -89,7 +89,7 @@ use magellan_textsim::tokenize::Tokenizer;
 
 use crate::index::{for_each_rest, PrefixIndex};
 use crate::join::{
-    probe_one, set_sim_join, JoinPair, ProbeTarget, SetSimMeasure, PROBE_SCRATCH, PROBE_STAMPS,
+    probe_one, set_sim_join, with_scratch, JoinPair, ProbeTarget, SetSimMeasure, PROBE_STAMPS,
 };
 
 /// Which collection a mutation targets.
@@ -783,20 +783,18 @@ fn probe_batch(
     }
     let stamp_base = PROBE_STAMPS.fetch_add(probes.len() as u64, Ordering::Relaxed);
     let (chunks, _) = chunk_map(probes.len(), cfg, |range| {
-        PROBE_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.ensure(standing.state.tokens.len());
-            let mut out = Vec::new();
+        with_scratch(standing.state.tokens.len(), |scratch| {
+            let mut out: Vec<JoinPair> = Vec::new();
             let mut js = JoinStats::default();
             for p in range {
                 probe_one(
-                    probes[p],
+                    probes[p] as u32, // rids fit `u32` (`SideState::push`)
                     stamp_base + p as u64,
                     &probe_state.tokens[probes[p]],
                     standing,
                     standing.measure,
                     !probe_is_left,
-                    &mut scratch,
+                    scratch,
                     &mut out,
                     &mut js,
                 );

@@ -36,6 +36,7 @@
 //! (probe record, index), so they are identical for any worker count.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use magellan_par::{JoinStats, ParConfig, ParStats};
@@ -44,6 +45,7 @@ use magellan_textsim::tokenize::Tokenizer;
 use crate::collection::{TokenColumn, TokenizedCollection};
 use crate::filters;
 use crate::index::{for_each_rest, PrefixIndex};
+use crate::order::{order_pairs, Emitted, Pair};
 use crate::verify::overlap_sorted_bounded;
 
 /// A similarity measure + threshold for a set-similarity join.
@@ -60,17 +62,25 @@ pub enum SetSimMeasure {
 }
 
 impl SetSimMeasure {
+    /// Why a join cannot run under this measure, if it cannot: a threshold
+    /// outside `(0, 1]` (NaN included) or an overlap size of 0. The joins
+    /// panic on what this rejects, so input that names a measure is
+    /// checked here where it enters.
+    pub fn check(&self) -> Result<(), String> {
+        match *self {
+            SetSimMeasure::Jaccard(t) | SetSimMeasure::Cosine(t) | SetSimMeasure::Dice(t)
+                if !(t > 0.0 && t <= 1.0) =>
+            {
+                Err(format!("threshold must be in (0, 1], got {t}"))
+            }
+            SetSimMeasure::OverlapSize(0) => Err("overlap size must be at least 1".to_owned()),
+            _ => Ok(()),
+        }
+    }
+
     pub(crate) fn validate(&self) {
-        match self {
-            SetSimMeasure::Jaccard(t) | SetSimMeasure::Cosine(t) | SetSimMeasure::Dice(t) => {
-                assert!(
-                    *t > 0.0 && *t <= 1.0,
-                    "threshold must be in (0, 1], got {t}"
-                );
-            }
-            SetSimMeasure::OverlapSize(c) => {
-                assert!(*c >= 1, "overlap size must be at least 1");
-            }
+        if let Err(why) = self.check() {
+            panic!("{why}");
         }
     }
 
@@ -199,6 +209,7 @@ pub enum ProbeSide {
 }
 
 /// The resolved orientation of one join run.
+#[derive(Clone, Copy)]
 pub(crate) struct ProbePlan<'a> {
     pub(crate) probe: &'a TokenColumn,
     pub(crate) indexed: &'a TokenColumn,
@@ -208,6 +219,29 @@ pub(crate) struct ProbePlan<'a> {
 }
 
 impl<'a> ProbePlan<'a> {
+    /// Records on the left side.
+    pub(crate) fn n_left(&self) -> usize {
+        if self.swap {
+            self.indexed.len()
+        } else {
+            self.probe.len()
+        }
+    }
+
+    /// The order [`probe_range`]'s output is in, over `n_shards` indexed
+    /// shards probed one after the other: left probes sort each record's
+    /// run, so one shard's output is ordered; right probes come in rising
+    /// `r`, and each left record lives in one shard.
+    pub(crate) fn emitted(&self, n_shards: usize) -> Emitted {
+        if self.swap {
+            Emitted::RisingR
+        } else if n_shards <= 1 {
+            Emitted::Sorted
+        } else {
+            Emitted::Unsorted
+        }
+    }
+
     pub(crate) fn choose(coll: &'a TokenizedCollection, side: ProbeSide) -> Self {
         let swap = match side {
             ProbeSide::Left => false,
@@ -281,7 +315,7 @@ impl Scratch {
     /// Grow (never shrink) to cover `n_indexed` records. Existing slots
     /// keep their stamps — stale entries are unreachable by construction,
     /// so growth is the only maintenance reuse ever needs.
-    pub(crate) fn ensure(&mut self, n_indexed: usize) {
+    fn ensure(&mut self, n_indexed: usize) {
         if self.slots.len() < n_indexed {
             self.slots.resize(
                 n_indexed,
@@ -308,7 +342,7 @@ std::thread_local! {
     /// the worker count, that overhead grew exactly when parallelism was
     /// supposed to help. The thread-local is allocated once per thread
     /// and revalidated purely by stamps.
-    pub(crate) static PROBE_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new(0));
+    static PROBE_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new(0));
 }
 
 /// Join two string collections. `None` / empty-token records never match
@@ -372,24 +406,11 @@ pub fn join_tokenized_stats(
     let stamp_base = PROBE_STAMPS.fetch_add(plan.probe.len() as u64, Ordering::Relaxed);
     let mut out = Vec::new();
     let mut stats = JoinStats::default();
-    PROBE_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        scratch.ensure(plan.indexed.len());
-        for (p, x) in plan.probe.iter().enumerate() {
-            probe_one(
-                p,
-                stamp_base + p as u64,
-                x,
-                &target,
-                measure,
-                plan.swap,
-                &mut scratch,
-                &mut out,
-                &mut stats,
-            );
-        }
+    with_scratch(plan.indexed.len(), |scratch| {
+        let all = 0..plan.probe.len();
+        probe_range(all, stamp_base, &plan, &target, measure, scratch, &mut out, &mut stats);
     });
-    out.sort_unstable_by_key(|a| (a.l, a.r));
+    let out = order_pairs(vec![out], plan.n_left(), plan.emitted(1));
     stats.pairs = out.len();
     stats.probe_swaps = plan.swap as usize;
     // Re-express the cascade counters as `magellan_simjoin_*` registry
@@ -469,17 +490,19 @@ impl ProbeTarget for Packed<'_> {
 /// Probe a single record against a [`ProbeTarget`] through the
 /// size → positional → suffix cascade. Pure in `(probe record, target)`:
 /// emitted pairs and every counter increment are chunking-independent.
+/// Each qualifying pair is pushed onto `out` as a [`JoinPair`] or as bare
+/// `(l, r)` rids, in the order its candidate was first touched.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn probe_one<T: ProbeTarget>(
-    probe_rid: usize,
+pub(crate) fn probe_one<T: ProbeTarget, P: Pair>(
+    probe_rid: u32,
     stamp: u64,
     x: &[u32],
     target: &T,
     measure: SetSimMeasure,
     swap: bool,
     scratch: &mut Scratch,
-    out: &mut Vec<JoinPair>,
+    out: &mut Vec<P>,
     stats: &mut JoinStats,
 ) {
     let sx = x.len();
@@ -572,8 +595,7 @@ pub(crate) fn probe_one<T: ProbeTarget>(
         if st.cnt == DEAD {
             continue;
         }
-        let rid = rid as usize;
-        let (y, plen_y) = target.record(rid);
+        let (y, plen_y) = target.record(rid as usize);
         let sy = y.len();
         let need = st.need as usize;
         let (mut cnt, mut px, mut py) = (st.cnt as usize, st.px as usize, st.py as usize);
@@ -612,11 +634,7 @@ pub(crate) fn probe_one<T: ProbeTarget>(
                 let overlap = cnt + sub;
                 debug_assert!(measure.qualifies(sx, sy, overlap));
                 let (l, r) = if swap { (rid, probe_rid) } else { (probe_rid, rid) };
-                out.push(JoinPair {
-                    l,
-                    r,
-                    sim: measure.similarity(sx, sy, overlap),
-                });
+                out.push(P::emit(l, r, || measure.similarity(sx, sy, overlap)));
             }
         }
     }
@@ -641,7 +659,8 @@ pub fn set_sim_join_parallel<S: AsRef<str> + Sync>(
 /// claimed dynamically by idle workers, and per-chunk outputs are merged in
 /// chunk order — the result is **bit-identical** to [`join_tokenized`] for
 /// any worker count (each probe is a pure function of its record and the
-/// shared index; the final `(l, r)` sort is independent of chunking).
+/// shared index, and the ordering pass puts the chunks' pairs in `(l, r)`
+/// order whatever their chunking; DESIGN.md §7.1).
 /// Returns the region's [`ParStats`], with [`ParStats::join`] filled with
 /// the cascade's kill counters (themselves worker-count invariant).
 pub fn join_tokenized_par(
@@ -659,6 +678,49 @@ pub fn join_tokenized_par_side(
     side: ProbeSide,
     cfg: &ParConfig,
 ) -> (Vec<JoinPair>, ParStats) {
+    par_join(coll, measure, side, cfg)
+}
+
+/// The blockers' join: the `(l, r)` rids of every qualifying pair, in
+/// `(l, r)` order, as 8 bytes each and without their similarities. The
+/// pairs of [`join_tokenized_par_side`] when `n_shards ≤ 1`, of
+/// [`crate::join_tokenized_sharded`] over `n_shards` otherwise, and the
+/// same counters.
+///
+/// ```
+/// use magellan_par::ParConfig;
+/// use magellan_simjoin::{join_tokenized_pairs, ProbeSide, SetSimMeasure, TokenizedCollection};
+/// use magellan_textsim::tokenize::WhitespaceTokenizer;
+///
+/// let left = vec![Some("dave smith"), Some("joe wilson")];
+/// let right = vec![Some("david smith"), Some("dave smith")];
+/// let coll = TokenizedCollection::build(&left, &right, &WhitespaceTokenizer::new());
+/// let measure = SetSimMeasure::OverlapSize(1);
+/// let (pairs, _) = join_tokenized_pairs(&coll, measure, ProbeSide::Auto, 1, &ParConfig::serial());
+/// assert_eq!(pairs, vec![(0, 0), (0, 1)]);
+/// ```
+pub fn join_tokenized_pairs(
+    coll: &TokenizedCollection,
+    measure: SetSimMeasure,
+    side: ProbeSide,
+    n_shards: usize,
+    cfg: &ParConfig,
+) -> (Vec<(u32, u32)>, ParStats) {
+    if n_shards > 1 {
+        let (pairs, stats, _) = crate::shard::sharded_join(coll, measure, side, n_shards, cfg);
+        (pairs, stats)
+    } else {
+        par_join(coll, measure, side, cfg)
+    }
+}
+
+/// The monolithic parallel join, emitting pairs of type `P`.
+fn par_join<P: Pair>(
+    coll: &TokenizedCollection,
+    measure: SetSimMeasure,
+    side: ProbeSide,
+    cfg: &ParConfig,
+) -> (Vec<P>, ParStats) {
     measure.validate();
     let plan = ProbePlan::choose(coll, side);
     let index = PrefixIndex::build_column(plan.indexed, 0, |s| measure.prefix_len(s));
@@ -669,40 +731,27 @@ pub fn join_tokenized_par_side(
     };
     let stamp_base = PROBE_STAMPS.fetch_add(plan.probe.len() as u64, Ordering::Relaxed);
     let (chunks, mut stats) = magellan_par::chunk_map(plan.probe.len(), cfg, |range| {
-        // Reuse the worker's thread-local scratch: stamps make stale
-        // slots (from other chunks, other joins, other probe sides)
-        // unreachable, so no per-chunk allocation or zeroing happens.
-        PROBE_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.ensure(plan.indexed.len());
+        with_scratch(plan.indexed.len(), |scratch| {
             // Nested under the pool's `chunk` span: candidate generation
             // and verification merges are this scope's self-time in profiles.
             let _verify = magellan_obs::span("verify", range.start as u64);
             let mut out = Vec::new();
             let mut js = JoinStats::default();
-            for p in range {
-                probe_one(
-                    p,
-                    stamp_base + p as u64,
-                    &plan.probe[p],
-                    &target,
-                    measure,
-                    plan.swap,
-                    &mut scratch,
-                    &mut out,
-                    &mut js,
-                );
-            }
+            probe_range(range, stamp_base, &plan, &target, measure, scratch, &mut out, &mut js);
+            // The chunk waits for the ordering pass: hold no growth slack.
+            out.shrink_to_fit();
             (out, js)
         })
     });
-    let mut out = Vec::new();
     let mut js = JoinStats::default();
-    for (chunk_pairs, chunk_js) in chunks {
-        out.extend(chunk_pairs);
-        js.merge(&chunk_js);
-    }
-    out.sort_unstable_by_key(|a| (a.l, a.r));
+    let parts = chunks
+        .into_iter()
+        .map(|(pairs, chunk_js)| {
+            js.merge(&chunk_js);
+            pairs
+        })
+        .collect();
+    let out = order_pairs(parts, plan.n_left(), plan.emitted(1));
     js.pairs = out.len();
     js.probe_swaps = plan.swap as usize;
     // Same counters, two surfaces: the merged struct rides along in
@@ -713,6 +762,45 @@ pub fn join_tokenized_par_side(
     js.publish();
     stats.join = js;
     (out, stats)
+}
+
+/// Run `f` on the calling thread's probe scratch, grown to cover
+/// `n_indexed` records. Stamps make slots left by other chunks, joins and
+/// probe sides unreachable, so nothing is allocated or zeroed per chunk.
+pub(crate) fn with_scratch<R>(n_indexed: usize, f: impl FnOnce(&mut Scratch) -> R) -> R {
+    PROBE_SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        scratch.ensure(n_indexed);
+        f(&mut scratch)
+    })
+}
+
+/// Probe records `range` of `plan.probe` against `target` in order, probe
+/// `p` under stamp `stamp_base + p`. Probing the left side, each record's
+/// pairs are sorted by `r` as they come, so the output is in `(l, r)`
+/// order (the first step of the ordering pass, on the pool).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn probe_range<T: ProbeTarget, P: Pair>(
+    range: Range<usize>,
+    stamp_base: u64,
+    plan: &ProbePlan<'_>,
+    target: &T,
+    measure: SetSimMeasure,
+    scratch: &mut Scratch,
+    out: &mut Vec<P>,
+    stats: &mut JoinStats,
+) {
+    for p in range {
+        let run = out.len();
+        // A column holds at most `u32::MAX` records (checked where it
+        // is built), so every rid fits.
+        let rid = p as u32;
+        let x = &plan.probe[p];
+        probe_one(rid, stamp_base + p as u64, x, target, measure, plan.swap, scratch, out, stats);
+        if !plan.swap {
+            out[run..].sort_unstable_by_key(P::r);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -15,10 +15,10 @@
 //! set; [`probe_one`] is a pure function of `(probe record, indexed
 //! record)` — the size/positional/suffix filters are conservative and
 //! verification is exact, so a pair's presence and its f64 similarity
-//! never depend on which other records share the index; and the final
-//! `(l, r)` sort erases both shard order and chunk order. Hence the
-//! merged stream is bit-identical to the monolithic join at any
-//! `(K, worker count)`.
+//! never depend on which other records share the index; and the ordering
+//! pass ([`crate::order`]) puts the shards' outputs in `(l, r)` order,
+//! whatever the shard order and chunk order. Hence the merged stream is
+//! bit-identical to the monolithic join at any `(K, worker count)`.
 //!
 //! Cascade counters ([`magellan_par::JoinStats`]) merge across shards
 //! and remain worker-count invariant at fixed `K`; `probes` scales with
@@ -31,8 +31,10 @@ use magellan_par::{JoinStats, ParConfig, ParStats};
 use crate::collection::{TokenColumn, TokenizedCollection};
 use crate::index::{estimate_index_bytes, PrefixIndex};
 use crate::join::{
-    probe_one, JoinPair, Packed, ProbePlan, ProbeSide, SetSimMeasure, PROBE_SCRATCH, PROBE_STAMPS,
+    probe_range, with_scratch, JoinPair, Packed, ProbePlan, ProbeSide, SetSimMeasure,
+    PROBE_STAMPS,
 };
+use crate::order::{order_pairs, Pair};
 
 /// Memory + partitioning telemetry of one sharded join run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -159,6 +161,17 @@ pub fn join_tokenized_sharded(
     n_shards: usize,
     cfg: &ParConfig,
 ) -> (Vec<JoinPair>, ParStats, ShardStats) {
+    sharded_join(coll, measure, side, n_shards, cfg)
+}
+
+/// [`join_tokenized_sharded`], emitting pairs of type `P`.
+pub(crate) fn sharded_join<P: Pair>(
+    coll: &TokenizedCollection,
+    measure: SetSimMeasure,
+    side: ProbeSide,
+    n_shards: usize,
+    cfg: &ParConfig,
+) -> (Vec<P>, ParStats, ShardStats) {
     measure.validate();
     assert!(n_shards >= 1, "need at least one shard");
     let plan = ProbePlan::choose(coll, side);
@@ -168,6 +181,7 @@ pub fn join_tokenized_sharded(
     // global rid order, so shard builds are deterministic.
     let mut shard_rids: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
     for (rid, rec) in plan.indexed.iter().enumerate() {
+        // A column holds at most `u32::MAX` records.
         shard_rids[shard_of(rec, n_shards)].push(rid as u32);
     }
 
@@ -177,7 +191,7 @@ pub fn join_tokenized_sharded(
     let stamp_base =
         PROBE_STAMPS.fetch_add((n_probe as u64) * (n_shards as u64), std::sync::atomic::Ordering::Relaxed);
 
-    let mut out = Vec::new();
+    let mut parts = Vec::new();
     let mut js = JoinStats::default();
     let mut par = ParStats::default();
     let mut shard_stats = ShardStats {
@@ -209,40 +223,29 @@ pub fn join_tokenized_sharded(
         let mut shard_cfg = cfg.clone();
         shard_cfg.faults.region = shard_cfg.faults.region.wrapping_add(s as u64);
         let shard_stamp_base = stamp_base + (s as u64) * (n_probe as u64);
+        let shard_plan = ProbePlan {
+            indexed: &local,
+            ..plan
+        };
 
         let (chunks, pstats) = magellan_par::chunk_map(n_probe, &shard_cfg, |range| {
-            PROBE_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                scratch.ensure(local.len());
+            with_scratch(local.len(), |scratch| {
                 let _verify = magellan_obs::span("verify", range.start as u64);
-                let mut pairs = Vec::new();
+                let mut pairs: Vec<P> = Vec::new();
                 let mut stats = JoinStats::default();
-                for p in range {
-                    probe_one(
-                        p,
-                        shard_stamp_base + p as u64,
-                        &plan.probe[p],
-                        &target,
-                        measure,
-                        plan.swap,
-                        &mut scratch,
-                        &mut pairs,
-                        &mut stats,
-                    );
+                let (plan, at) = (&shard_plan, shard_stamp_base);
+                probe_range(range, at, plan, &target, measure, scratch, &mut pairs, &mut stats);
+                // Local rids to global ones, in place: local order follows
+                // global order, so each record's run stays sorted.
+                for p in &mut pairs {
+                    p.remap_indexed(plan.swap, |rid| rids[rid]);
                 }
+                pairs.shrink_to_fit();
                 (pairs, stats)
             })
         });
         for (chunk_pairs, chunk_js) in chunks {
-            // Remap the indexed-side component from local to global rid.
-            out.extend(chunk_pairs.into_iter().map(|mut p| {
-                if plan.swap {
-                    p.l = rids[p.l] as usize;
-                } else {
-                    p.r = rids[p.r] as usize;
-                }
-                p
-            }));
+            parts.push(chunk_pairs);
             js.merge(&chunk_js);
         }
         par.merge(&pstats);
@@ -256,7 +259,7 @@ pub fn join_tokenized_sharded(
         drop(drop_span);
     }
 
-    out.sort_unstable_by_key(|a| (a.l, a.r));
+    let out = order_pairs(parts, plan.n_left(), plan.emitted(n_shards));
     js.pairs = out.len();
     js.probe_swaps = plan.swap as usize;
     js.publish();

@@ -25,7 +25,7 @@ use magellan_par::JoinStats;
 use crate::collection::TokenizedCollection;
 use crate::index::PrefixIndex;
 use crate::join::{
-    probe_one, JoinPair, Packed, ProbePlan, ProbeSide, ProbeTarget, SetSimMeasure, PROBE_SCRATCH,
+    probe_one, with_scratch, JoinPair, Packed, ProbePlan, ProbeSide, ProbeTarget, SetSimMeasure,
     PROBE_STAMPS,
 };
 
@@ -110,17 +110,15 @@ pub(crate) fn topk_side(
             };
             // The scratch is borrowed per probe, not around the loop:
             // `keep` is the caller's code and may run a join of its own.
-            PROBE_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                scratch.ensure(plan.indexed.len());
+            with_scratch(plan.indexed.len(), |scratch| {
                 probe_one(
-                    p,
+                    p as u32, // a column holds at most `u32::MAX` records
                     stamp_base + p as u64,
                     x,
                     &target,
                     bound,
                     plan.swap,
-                    &mut scratch,
+                    scratch,
                     &mut found,
                     &mut stats,
                 );
