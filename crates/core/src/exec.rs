@@ -575,10 +575,12 @@ impl ProductionExecutor {
 /// matched pairs in candidate order.
 ///
 /// Each chunk scores through one [`Scorer`], which holds the pair's memo —
-/// [`magellan_ml::Classifier::decide`] asks for the features its trees
-/// test, the sequence kernels ([`deferral_mask`]) only once the cheap ones
-/// leave the pair open, then the bound rule layer asks for the features
-/// its conditions reach, and a feature asked for twice is computed once —
+/// a pair inside the certain-No region ([`Decider::pilot`]) is a No after
+/// reading the region's features, any other pair is decided by
+/// [`magellan_ml::Classifier::decide`], which asks for the features its
+/// trees test, the sequence kernels only once the cheap ones leave the pair
+/// open, then the bound rule layer asks for the features its conditions
+/// reach, and a feature asked for twice is computed once —
 /// and, the candidates being sorted by left row, the left record's side of
 /// the work from one pair to the next. Every value is the one
 /// [`PreparedPair::compute_row`] would have put in the eager matrix, so the
@@ -601,7 +603,7 @@ fn match_candidates(
     let names: Vec<&str> = workflow.features.iter().map(|f| f.name.as_str()).collect();
     let rules = workflow.rule_layer.bind(&names);
     let n_features = plan.len();
-    let deferred = deferral_mask(
+    let decider = Decider::pilot(
         &*workflow.matcher,
         workflow.threshold,
         &prepared,
@@ -613,37 +615,32 @@ fn match_candidates(
     let (chunks, mut stats) = magellan_par::chunk_map(pairs.len(), cfg, |range| {
         let mut scorer = Scorer::new(&prepared, &plan);
         let mut matched = Vec::new();
-        let mut walked = 0u64;
+        let mut counts = DecideCounts::default();
         let chunk = &pairs[range];
-        decide_pairs(
-            &*workflow.matcher,
-            workflow.threshold,
-            &mut scorer,
-            &deferred,
-            chunk,
-            &mut walked,
-            |i, predicted, scorer| {
-                if rules.apply_lazy(|j| scorer.feature(j), predicted).0 {
-                    matched.push(chunk[i]);
-                }
-            },
-        );
-        (matched, scorer.computed(), walked, scorer.counts())
+        decider.decide_pairs(&mut scorer, chunk, &mut counts, |i, predicted, scorer| {
+            if rules.apply_lazy(|j| scorer.feature(j), predicted).0 {
+                matched.push(chunk[i]);
+            }
+        });
+        (matched, scorer.computed(), counts, scorer.counts())
     });
 
     let mut decisions = Vec::new();
-    let (mut demanded, mut walked) = (0u64, 0u64);
+    let mut demanded = 0u64;
+    let mut counts = DecideCounts::default();
     let mut scored = ScorerCounts::default();
-    for (matched, d, w, c) in chunks {
+    for (matched, d, c, s) in chunks {
         decisions.extend(matched);
         demanded += d;
-        walked += w;
-        scored += c;
+        counts.walked += c.walked;
+        counts.in_region += c.in_region;
+        scored += s;
     }
     let possible = (pairs.len() * n_features) as u64;
     magellan_obs::counter_add("magellan_core_features_demanded_total", demanded);
     magellan_obs::counter_add("magellan_core_features_skipped_total", possible - demanded);
-    magellan_obs::counter_add("magellan_core_trees_walked_total", walked);
+    magellan_obs::counter_add("magellan_core_trees_walked_total", counts.walked);
+    magellan_obs::counter_add("magellan_core_region_decided_total", counts.in_region);
     scored.publish();
     cache.publish();
     stats.cache = cache;
@@ -651,80 +648,271 @@ fn match_candidates(
     Ok((decisions, stats))
 }
 
-/// Pairs a run decides, at most, to choose its [`deferral_mask`].
-const DEFERRAL_PILOT: usize = 256;
+/// Pairs a run decides, at most, to choose how it decides the rest
+/// ([`Decider::pilot`]).
+const PILOT: usize = 256;
 
-/// The `deferred` mask to decide `pairs` with: the plan's sequence kernels
-/// ([`magellan_features::FeaturePlan::deferred`]), unless testing them
-/// last does not pay on these pairs. Deferral saves every kernel of a
-/// pair the cheap features decide, and costs a longer walk — more trees,
-/// more cheap features — on a pair that needs a kernel anyway. So a
-/// strided sample of at most [`DEFERRAL_PILOT`] pairs is decided both
-/// ways; unless the deferred walk asks for no kernel on at least half of
-/// the sampled pairs whose plain walk asks for one, no feature is
-/// deferred. The choice reads only the pairs, the matcher and the
-/// threshold, so it is the same at any worker count, and it cannot change
-/// a decision. The sample's feature work is not counted.
-pub(crate) fn deferral_mask(
-    matcher: &dyn Classifier,
+/// How a run decides its pairs: the matcher at its threshold, the features
+/// it tests last, and the matcher's *certain-No region* — a box over the
+/// features it does not defer, inside which the matcher's largest
+/// attainable score is below the threshold, so a pair inside it is a No
+/// with no tree walked.
+pub(crate) struct Decider<'m> {
+    matcher: &'m dyn Classifier,
     threshold: f64,
-    prepared: &PreparedPair<'_>,
-    plan: &FeaturePlan,
-    pairs: &[(u32, u32)],
-) -> Vec<bool> {
-    let deferred = plan.deferred();
-    if !deferred.contains(&true) {
-        return deferred;
-    }
-    let plain = vec![false; deferred.len()];
-    let mut scorer = Scorer::new(prepared, plan);
-    // Kernels a decide under `mask` asks for on the current pair.
-    let kernels = |mask: &[bool], scorer: &mut Scorer<'_>| {
-        let mut asked = 0;
-        let mut feat = |j: usize| {
-            asked += usize::from(deferred[j]);
-            scorer.feature(j)
+    deferred: Vec<bool>,
+    /// `(feature, upper bound)` of the box's constrained features, the
+    /// most asked for first; `None` when the matcher has no box below the
+    /// threshold.
+    region: Option<Vec<(usize, f64)>>,
+}
+
+/// What deciding pairs cost: trees walked, and pairs decided inside the
+/// certain-No region, with none walked.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct DecideCounts {
+    pub(crate) walked: u64,
+    pub(crate) in_region: u64,
+}
+
+impl<'m> Decider<'m> {
+    /// Decide a strided sample of at most [`PILOT`] of `pairs` to choose
+    /// the `deferred` mask and the certain-No region, in one pass.
+    ///
+    /// *The mask* is the plan's sequence kernels
+    /// ([`magellan_features::FeaturePlan::deferred`]), unless testing them
+    /// last does not pay on these pairs. Deferral saves every kernel of a
+    /// pair the cheap features decide, and costs a longer walk — more
+    /// trees, more cheap features — on a pair that needs a kernel anyway.
+    /// So each sampled pair whose plain walk asks for a kernel is decided
+    /// both ways; unless the deferred walk asks for none on at least half
+    /// of them, no feature is deferred.
+    ///
+    /// *The region* ([`negative_box`]) has as dimensions the features the
+    /// chosen walk does not defer and asks for on at least half of the
+    /// sampled pairs, so testing a pair against it mostly computes what the
+    /// walk would have: the cheap features when the kernels are deferred,
+    /// and the kernels too when they are not, the walk then asking for them
+    /// on nearly every pair. Its bounds come from the sampled pairs'
+    /// values. A matcher with no [`Classifier::region_max`] has no region.
+    ///
+    /// Both read only the pairs, the matcher, the threshold and the plan,
+    /// so they are the same at any worker count and chunk size, and
+    /// neither can change a decision. The sample's feature work is not
+    /// counted.
+    pub(crate) fn pilot(
+        matcher: &'m dyn Classifier,
+        threshold: f64,
+        prepared: &PreparedPair<'_>,
+        plan: &FeaturePlan,
+        pairs: &[(u32, u32)],
+    ) -> Self {
+        let kernels = plan.deferred();
+        let defers = kernels.contains(&true);
+        let bounded = matcher.region_max(&[]).is_some();
+        let n = kernels.len();
+        let plain = vec![false; n];
+        let mut decider = Decider {
+            matcher,
+            threshold,
+            deferred: plain.clone(),
+            region: None,
         };
-        matcher.decide(threshold, mask, &mut feat, &mut 0);
-        asked
-    };
-    let (mut needing, mut saved) = (0, 0);
-    let stride = pairs.len().div_ceil(DEFERRAL_PILOT).max(1);
-    for &(ra, rb) in pairs.iter().step_by(stride) {
-        scorer.begin_pair(ra as usize, rb as usize);
-        let without = kernels(&plain, &mut scorer);
-        if without > 0 {
-            needing += 1;
-            saved += usize::from(kernels(&deferred, &mut scorer) == 0);
+        if !defers && !bounded {
+            return decider;
+        }
+        let mut scorer = Scorer::new(prepared, plan);
+        // Per feature, the sampled pairs on which the plain (0) and the
+        // deferred (1) walk asked for it, and its sampled values.
+        let mut asked = [vec![0usize; n], vec![0usize; n]];
+        let mut values = vec![Vec::new(); n];
+        let mut seen = vec![false; n];
+        // Decide the current pair under `mask`, marking what it asks for.
+        let walk = |mask: &[bool], scorer: &mut Scorer<'_>, seen: &mut [bool]| {
+            seen.fill(false);
+            let mut feat = |j: usize| {
+                seen[j] = true;
+                scorer.feature(j)
+            };
+            matcher.decide(threshold, mask, &mut feat, &mut 0);
+        };
+        // Count what a walk asked for; did it ask for a kernel?
+        let tally = |seen: &[bool], asked: &mut [usize]| {
+            let mut kernel = false;
+            for j in (0..n).filter(|&j| seen[j]) {
+                asked[j] += 1;
+                kernel |= kernels[j];
+            }
+            kernel
+        };
+        let (mut sampled, mut needing, mut saved) = (0, 0, 0);
+        let stride = pairs.len().div_ceil(PILOT).max(1);
+        for &(ra, rb) in pairs.iter().step_by(stride) {
+            scorer.begin_pair(ra as usize, rb as usize);
+            sampled += 1;
+            walk(&plain, &mut scorer, &mut seen);
+            let without = tally(&seen, &mut asked[0]);
+            if bounded {
+                // Every cheap feature, and the kernels the walk computed.
+                for j in (0..n).filter(|&j| !kernels[j] || seen[j]) {
+                    values[j].push(scorer.feature(j));
+                }
+            }
+            // A walk that tests no kernel parks no tree, so the deferred
+            // walk is the plain one unless the plain one asked for a kernel.
+            if defers {
+                if without {
+                    walk(&kernels, &mut scorer, &mut seen);
+                    needing += 1;
+                }
+                let with = tally(&seen, &mut asked[1]);
+                saved += usize::from(without && !with);
+            }
+        }
+        let defer = defers && saved * 2 >= needing;
+        if defer {
+            decider.deferred = kernels;
+        }
+        if bounded {
+            let asked = &asked[usize::from(defer)];
+            let mut dims: Vec<usize> = (0..n)
+                .filter(|&j| !decider.deferred[j] && asked[j] * 2 >= sampled)
+                .collect();
+            dims.sort_by_key(|&j| std::cmp::Reverse(asked[j]));
+            decider.region = negative_box(matcher, threshold, n, &dims, &values);
+        }
+        decider
+    }
+
+    /// Decide each of `pairs` through `scorer` and hand the pair's position
+    /// and decision to `then` with the scorer still on that pair, so it can
+    /// read more of the same lazily filled row. A pair inside the
+    /// certain-No region is a No; every other pair is decided by the
+    /// matcher, asking only for the features its trees test, and for the
+    /// `deferred` ones last ([`Classifier::decide`]). Shared by the
+    /// production pass and the development stage's calibration probe.
+    pub(crate) fn decide_pairs<'p>(
+        &self,
+        scorer: &mut Scorer<'p>,
+        pairs: &[(u32, u32)],
+        counts: &mut DecideCounts,
+        mut then: impl FnMut(usize, bool, &mut Scorer<'p>),
+    ) {
+        for (i, &(ra, rb)) in pairs.iter().enumerate() {
+            scorer.begin_pair(ra as usize, rb as usize);
+            let predicted = if self.in_region(scorer) {
+                counts.in_region += 1;
+                false
+            } else {
+                let mut feat = |j| scorer.feature(j);
+                self.matcher.decide(
+                    self.threshold,
+                    &self.deferred,
+                    &mut feat,
+                    &mut counts.walked,
+                )
+            };
+            then(i, predicted, scorer);
         }
     }
-    if saved * 2 >= needing {
-        deferred
-    } else {
-        plain
+
+    /// Does the scorer's pair lie in the certain-No region? Its features
+    /// are read the most asked for first; a NaN or a value above its bound
+    /// leaves the pair to the matcher, with what was read memoised.
+    fn in_region(&self, scorer: &mut Scorer<'_>) -> bool {
+        self.region
+            .as_ref()
+            .is_some_and(|dims| dims.iter().all(|&(j, upper)| scorer.feature(j) <= upper))
     }
 }
 
-/// Decide each of `pairs` at `threshold` through `scorer`, the matcher
-/// asking only for the features its trees test, and for the `deferred`
-/// ones last ([`Classifier::decide`]), and hand the pair's position and
-/// decision to `then` with the scorer still on that pair, so it can read
-/// more of the same lazily filled row. Shared by the production pass and
-/// the development stage's calibration probe.
-pub(crate) fn decide_pairs<'p>(
+/// The certain-No region over `dims` (feature indices, the most asked for
+/// first) of an `n`-feature row: `(feature, bound)` pairs such that the
+/// matcher's [`Classifier::region_max`] under those bounds is below
+/// `threshold`, or `None` if no box built from the sampled `values` is.
+///
+/// Each bound is one of the feature's sampled values. First one common
+/// quantile is binary-searched, the largest at which the box is valid; then
+/// each dimension is widened, the least asked for first, in two rounds: the
+/// first drops every dimension the box stays valid without, the second
+/// binary-searches each remaining one's largest valid value. The validity
+/// test is `region_max < threshold`, `decide`'s own stop (DESIGN §7.3), so
+/// a pair inside the box is a No for the same bits; a NaN threshold never
+/// gives a box.
+fn negative_box(
     matcher: &dyn Classifier,
     threshold: f64,
-    scorer: &mut Scorer<'p>,
-    deferred: &[bool],
-    pairs: &[(u32, u32)],
-    walked: &mut u64,
-    mut then: impl FnMut(usize, bool, &mut Scorer<'p>),
-) {
-    for (i, &(ra, rb)) in pairs.iter().enumerate() {
-        scorer.begin_pair(ra as usize, rb as usize);
-        let predicted = matcher.decide(threshold, deferred, &mut |j| scorer.feature(j), walked);
-        then(i, predicted, scorer);
+    n: usize,
+    dims: &[usize],
+    values: &[Vec<f64>],
+) -> Option<Vec<(usize, f64)>> {
+    let sorted: Vec<Vec<f64>> = dims
+        .iter()
+        .map(|&j| {
+            let mut v: Vec<f64> = values[j].iter().copied().filter(|x| !x.is_nan()).collect();
+            v.sort_by(f64::total_cmp);
+            v.dedup();
+            v
+        })
+        .collect();
+    // Per dimension, the index of its bound in `sorted`; `None` leaves it
+    // unconstrained.
+    let valid = |at: &[Option<usize>]| {
+        let mut upper = vec![None; n];
+        for ((&j, v), i) in dims.iter().zip(&sorted).zip(at) {
+            upper[j] = i.map(|i| v[i]);
+        }
+        matcher
+            .region_max(&upper)
+            .is_some_and(|max| max < threshold)
+    };
+    let quantile = |k: usize| -> Vec<Option<usize>> {
+        sorted
+            .iter()
+            .map(|v| (!v.is_empty()).then(|| k * (v.len() - 1) / PILOT))
+            .collect()
+    };
+    if !valid(&quantile(0)) {
+        return None;
     }
+    let mut at = quantile(last_valid(0, PILOT, |k| valid(&quantile(k))));
+    for d in (0..dims.len()).rev() {
+        let bound = at[d].take();
+        if !valid(&at) {
+            at[d] = bound;
+        }
+    }
+    for d in (0..dims.len()).rev() {
+        if let Some(from) = at[d] {
+            let widest = last_valid(from, sorted[d].len() - 1, |i| {
+                let mut wider = at.clone();
+                wider[d] = Some(i);
+                valid(&wider)
+            });
+            at[d] = Some(widest);
+        }
+    }
+    Some(
+        dims.iter()
+            .zip(&sorted)
+            .zip(&at)
+            .filter_map(|((&j, v), i)| i.map(|i| (j, v[i])))
+            .collect(),
+    )
+}
+
+/// The largest `k` in `lo..=hi` with `valid(k)`, for a `valid` that holds
+/// at `lo` and, once false, stays false.
+fn last_valid(mut lo: usize, mut hi: usize, mut valid: impl FnMut(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        if valid(mid) {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    lo
 }
 
 /// Retry a checkpoint-store operation under the policy, charging backoff

@@ -10,7 +10,7 @@ use magellan_table::Table;
 
 use crate::downsample::down_sample;
 use crate::error::MagellanError;
-use crate::exec::{decide_pairs, deferral_mask};
+use crate::exec::{DecideCounts, Decider};
 use crate::labeling::Labeler;
 use crate::rules::RuleLayer;
 use crate::sample::sample_positions;
@@ -134,11 +134,12 @@ pub struct DevReport {
 ///
 /// # Errors
 /// [`MagellanError::Config`], before any work, for fewer than two
-/// `cv_folds`, a `holdout_fraction` outside `(0, 1)` (NaN included) or a
-/// NaN `target_precision`; a table error from blocking or feature
-/// extraction; or a fatal `training` [`MagellanError::Phase`] when no
-/// labelled pair is left to train on (a down-sample, candidate set or
-/// labelled sample too small for the holdout split).
+/// `cv_folds`, a `holdout_fraction` outside `(0, 1)` (NaN included), a
+/// NaN `target_precision`, or no `blockers` or no `learners`; a table
+/// error from blocking or feature extraction; or a fatal `training`
+/// [`MagellanError::Phase`] when no labelled pair is left to train on (a
+/// down-sample, candidate set or labelled sample too small for the
+/// holdout split).
 pub fn run_development_stage(
     a: &Table,
     b: &Table,
@@ -172,8 +173,16 @@ fn run_development_stage_on(
     par: &ParConfig,
 ) -> Result<(EmWorkflow, DevReport), MagellanError> {
     cfg.validate()?;
-    assert!(!blockers.is_empty(), "need at least one blocker");
-    assert!(!learners.is_empty(), "need at least one learner");
+    for (missing, none) in [
+        ("blockers", blockers.is_empty()),
+        ("learners", learners.is_empty()),
+    ] {
+        if none {
+            return Err(MagellanError::Config {
+                message: format!("the development stage needs at least one of its {missing}"),
+            });
+        }
+    }
 
     // Step 1: down-sample (the guide's A' and B').
     let (a_small, b_small);
@@ -338,17 +347,14 @@ fn run_development_stage_on(
             .map(|&i| candidates.pairs()[i])
             .collect();
         prepared.prepare_for_pairs(&plan, &probe_pairs);
-        let deferred = deferral_mask(&*matcher, 0.5, &prepared, &plan, &probe_pairs);
+        let decider = Decider::pilot(&*matcher, 0.5, &prepared, &plan, &probe_pairs);
         let (chunks, _) = magellan_par::chunk_map(probe_pairs.len(), par, |range| {
             let mut scorer = Scorer::new(&prepared, &plan);
             let mut scored: Vec<(f64, usize)> = Vec::new();
-            decide_pairs(
-                &*matcher,
-                0.5,
+            decider.decide_pairs(
                 &mut scorer,
-                &deferred,
                 &probe_pairs[range.clone()],
-                &mut 0,
+                &mut DecideCounts::default(),
                 |i, predicted, scorer| {
                     if predicted {
                         let row: Vec<f64> = (0..plan.len()).map(|j| scorer.feature(j)).collect();
@@ -679,6 +685,39 @@ mod tests {
             ..Default::default()
         };
         config_error(cfg, "cv_folds");
+    }
+
+    #[test]
+    fn no_blocker_or_no_learner_is_a_config_error() {
+        let s = persons(&ScenarioConfig {
+            size_a: 40,
+            size_b: 40,
+            n_matches: 10,
+            dirt: DirtModel::light(),
+            seed: 0,
+        });
+        let features = generate_features(&s.table_a, &s.table_b, &["id"]).unwrap();
+        let tree = DecisionTreeLearner::default();
+        let refused = |blockers: Vec<Box<dyn Blocker>>, learners: &[&dyn Learner], missing| {
+            let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
+            let err = run_development_stage(
+                &s.table_a,
+                &s.table_b,
+                blockers,
+                features.clone(),
+                learners,
+                &mut labeler,
+                &DevConfig::default(),
+            )
+            .map(|_| ())
+            .unwrap_err();
+            assert!(matches!(err, MagellanError::Config { .. }), "{err}");
+            assert!(err.to_string().contains(missing), "{err}");
+        };
+        refused(Vec::new(), &[&tree], "blockers");
+        let blocker = OverlapBlocker::words("name", 1);
+        refused(vec![Box::new(blocker)], &[], "learners");
+        refused(Vec::new(), &[], "blockers");
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //!   `run_with_recovery` killed after blocking and resumed, under rule
 //!   layers whose rules name features no tree tests;
 //! * per run, that *what is demanded* is pinned: the three demand counters
-//!   equal recorded values ([`PARENT_DEMAND`]) at every worker count.
+//!   equal recorded values ([`PARENT_DEMAND`]) at every worker count, and
+//!   every pair is either walked or decided inside the certain-No region,
+//!   as many inside at every worker count.
 
 use magellan_block::{Blocker, OverlapBlocker};
 use magellan_core::checkpoint::{MemStore, Phase};
@@ -364,20 +366,23 @@ fn rule_layers(features: &[Feature], blind: &[usize]) -> Vec<RuleLayer> {
 /// Monge–Elkan split lets later trees be walked, and their cheap features
 /// be demanded, before any kernel runs, and a parked tree counts once in
 /// `trees walked`. On the 1-tree forest the executor's pilot finds that
-/// deferral does not pay, and the values are those recorded before.
+/// deferral does not pay. Every `trees walked` then fell (1 743 → 156,
+/// 3 729 → 449, 7 565 → 1 233, 12 887 → 1 708) and no `features demanded`
+/// rose when the executor began to answer a pair inside the forest's
+/// certain-No region with no tree walked.
 const PARENT_DEMAND: [(usize, usize, u64, u64, u64); 12] = [
-    (1, 0, 5176, 22712, 1743),
-    (1, 1, 7523, 20365, 1743),
-    (1, 2, 6919, 20969, 1743),
-    (5, 0, 2236, 25652, 3729),
-    (5, 1, 4540, 23348, 3729),
-    (5, 2, 3979, 23909, 3729),
-    (12, 0, 7579, 20309, 7565),
-    (12, 1, 9879, 18009, 7565),
-    (12, 2, 9322, 18566, 7565),
-    (16, 0, 9327, 18561, 12887),
-    (16, 1, 11628, 16260, 12887),
-    (16, 2, 11070, 16818, 12887),
+    (1, 0, 3574, 24314, 156),
+    (1, 1, 5921, 21967, 156),
+    (1, 2, 5317, 22571, 156),
+    (5, 0, 2236, 25652, 449),
+    (5, 1, 4540, 23348, 449),
+    (5, 2, 3979, 23909, 449),
+    (12, 0, 5982, 21906, 1233),
+    (12, 1, 8282, 19606, 1233),
+    (12, 2, 7725, 20163, 1233),
+    (16, 0, 7586, 20302, 1708),
+    (16, 1, 9887, 18001, 1708),
+    (16, 2, 9329, 18559, 1708),
 ];
 
 #[test]
@@ -425,12 +430,14 @@ fn executor_equals_the_eager_oracle() {
                     let demanded = count("magellan_core_features_demanded_total");
                     let skipped = count("magellan_core_features_skipped_total");
                     let walked = count("magellan_core_trees_walked_total");
+                    let in_region = count("magellan_core_region_decided_total");
                     let pairs = rep.n_candidates as u64;
                     assert_eq!(demanded + skipped, pairs * n_features, "{what}");
-                    assert!((pairs..=pairs * n_trees as u64).contains(&walked), "{what}");
+                    assert!(pairs <= walked + in_region, "{what}");
+                    assert!(walked <= pairs * n_trees as u64, "{what}");
                     assert_eq!(
-                        *counts.get_or_insert((demanded, walked)),
-                        (demanded, walked),
+                        *counts.get_or_insert((demanded, walked, in_region)),
+                        (demanded, walked, in_region),
                         "{what}, {workers} workers"
                     );
                     if t == 3 && workers == 1 {

@@ -154,6 +154,12 @@ impl Classifier for RandomForestClassifier {
     ) -> bool {
         self.flat.decide(threshold, deferred, feat, walked)
     }
+
+    /// The largest score a row under `upper` can reach
+    /// ([`FlatForest::region_max`]).
+    fn region_max(&self, upper: &[Option<f64>]) -> Option<f64> {
+        Some(self.flat.region_max(upper))
+    }
 }
 
 impl Learner for RandomForestLearner {

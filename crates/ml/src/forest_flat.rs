@@ -298,6 +298,52 @@ impl FlatForest {
         decided
     }
 
+    /// The largest score [`FlatForest::predict_proba`] gives a row whose
+    /// feature `j` is NaN or at most `upper[j]` wherever that is `Some`
+    /// (indices past the slice, and `None`, are unconstrained): per tree,
+    /// the largest leaf reachable, added in tree order and divided by the
+    /// tree count, as `predict_proba` adds and divides.
+    ///
+    /// At a split on `j` with threshold `t` the left child is always
+    /// reachable — a value at most `t`, or NaN, goes left — and the right
+    /// child only if `j` is unconstrained or `upper[j] > t`, strictly,
+    /// since a row at most `upper[j] <= t` goes left. Each tree's leaf is
+    /// at most its reachable maximum, and float addition and division by a
+    /// positive count are monotone in each argument, so `predict_proba(row)
+    /// <= region_max(upper)` holds bit for bit for every such row
+    /// (`crates/ml/tests/region_bound.rs`). A NaN bound admits no number,
+    /// only NaN, which goes left.
+    pub fn region_max(&self, upper: &[Option<f64>]) -> f64 {
+        let mut stack = Vec::new();
+        let sum: f64 = self
+            .roots
+            .iter()
+            .map(|root| {
+                let mut max = f64::NEG_INFINITY;
+                stack.push(root.slot as usize);
+                while let Some(i) = stack.pop() {
+                    let node = &self.nodes[i];
+                    if node.feat == LEAF {
+                        max = max.max(node.thresh);
+                    } else if self.ranges[i].1 > max {
+                        let left = node.left as usize;
+                        stack.push(left);
+                        if upper
+                            .get(node.feat as usize)
+                            .copied()
+                            .flatten()
+                            .is_none_or(|u| u > node.thresh)
+                        {
+                            stack.push(left + 1);
+                        }
+                    }
+                }
+                max
+            })
+            .sum();
+        sum / self.roots.len() as f64
+    }
+
     /// [`FlatForest::decide`] with `cursors[t]` (one per tree) holding the
     /// slot tree `t` stands at.
     ///

@@ -35,6 +35,18 @@ pub trait Classifier: Send + Sync {
         *walked += 1;
         self.predict_proba(&row) >= threshold
     }
+
+    /// An upper bound on [`Classifier::predict_proba`] over every row whose
+    /// feature `j` is NaN or at most `upper[j]` wherever that is `Some`
+    /// (indices past the slice, and `None`, are unconstrained), or `None`
+    /// when the model cannot bound its score by its features. A bound below
+    /// `threshold` makes every such row's `decide(threshold, ..)` false, so
+    /// a caller can answer it with no walk. A forest bounds its score
+    /// ([`crate::FlatForest::region_max`]); the default answers `None`.
+    fn region_max(&self, upper: &[Option<f64>]) -> Option<f64> {
+        let _ = upper;
+        None
+    }
 }
 
 /// A learning algorithm that produces a [`Classifier`] from data.
