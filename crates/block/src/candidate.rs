@@ -1,23 +1,6 @@
 //! Candidate sets: the output of blocking.
 
-use std::collections::BTreeSet;
-
-use magellan_simjoin::PairDelta;
 use magellan_table::{CandidateMeta, Catalog, Dtype, Schema, Table, Value};
-
-/// What [`CandidateSet::apply_deltas`] actually changed: deltas that were
-/// already reflected in the set (an `Added` pair that was present, a
-/// `Removed` pair that was absent) are counted but not re-applied, so the
-/// caller can audit drift between the blocker and the join's live view.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeltaApplyStats {
-    /// Pairs newly inserted.
-    pub added: usize,
-    /// Pairs actually removed.
-    pub removed: usize,
-    /// Deltas that were already reflected (no-ops).
-    pub redundant: usize,
-}
 
 /// A set of candidate row pairs `(row in A, row in B)`, kept as indices
 /// until materialization. Always sorted and deduplicated.
@@ -92,70 +75,6 @@ impl CandidateSet {
         self.pairs.binary_search(&pair).is_ok()
     }
 
-    /// Apply a batch of signed pair deltas from the incremental join tier
-    /// ([`magellan_simjoin::incremental`]) in **one merge pass** —
-    /// O(|Δ| log |Δ| + |self|) instead of a full re-block — preserving the
-    /// sorted-dedup invariant. Removals win over additions of the same
-    /// pair within one batch (the engine never emits both, but a union of
-    /// delta streams may).
-    pub fn apply_deltas(&mut self, deltas: &[PairDelta]) -> DeltaApplyStats {
-        let mut stats = DeltaApplyStats::default();
-        let mut removed: BTreeSet<(u32, u32)> = BTreeSet::new();
-        let mut added: BTreeSet<(u32, u32)> = BTreeSet::new();
-        for d in deltas {
-            match d {
-                PairDelta::Added(p) => {
-                    added.insert((p.l as u32, p.r as u32));
-                }
-                PairDelta::Removed { l, r } => {
-                    removed.insert((*l as u32, *r as u32));
-                }
-            }
-        }
-        added.retain(|p| !removed.contains(p));
-
-        let old = std::mem::take(&mut self.pairs);
-        self.pairs = Vec::with_capacity(old.len() + added.len());
-        let mut add_iter = added.into_iter().peekable();
-        for p in old {
-            // Flush additions that sort before the next existing pair.
-            while let Some(&a) = add_iter.peek() {
-                if a >= p {
-                    break;
-                }
-                self.pairs.push(a);
-                stats.added += 1;
-                add_iter.next();
-            }
-            if add_iter.peek() == Some(&p) {
-                // Already present: the addition is redundant.
-                stats.redundant += 1;
-                add_iter.next();
-            }
-            if removed.remove(&p) {
-                stats.removed += 1;
-                continue;
-            }
-            self.pairs.push(p);
-        }
-        for a in add_iter {
-            self.pairs.push(a);
-            stats.added += 1;
-        }
-        stats.redundant += removed.len();
-        stats
-    }
-
-    /// Drop every pair referencing left row `ra` (`left = true`) or right
-    /// row `rb` (`left = false`) — the blocking-side reaction to a record
-    /// tombstone before re-blocked pairs arrive as `Added` deltas.
-    pub fn retain_without_record(&mut self, left: bool, rid: u32) -> usize {
-        let before = self.pairs.len();
-        self.pairs
-            .retain(|&(ra, rb)| if left { ra != rid } else { rb != rid });
-        before - self.pairs.len()
-    }
-
     /// Materialize as an `(l_id, r_id)` table and register its FK metadata
     /// in the catalog — §4.1's space-efficiency principle: the candidate
     /// table carries only the keys.
@@ -205,6 +124,8 @@ impl FromIterator<(u32, u32)> for CandidateSet {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn cs(pairs: &[(u32, u32)]) -> CandidateSet {
@@ -257,58 +178,6 @@ mod tests {
                 bx.difference(&by).copied().collect::<Vec<_>>()
             );
         }
-    }
-
-    #[test]
-    fn apply_deltas_merges_in_one_pass() {
-        use magellan_simjoin::JoinPair;
-        let mut c = cs(&[(0, 0), (1, 1), (2, 2), (5, 5)]);
-        let deltas = vec![
-            PairDelta::Added(JoinPair { l: 3, r: 3, sim: 0.9 }),
-            PairDelta::Removed { l: 1, r: 1 },
-            PairDelta::Added(JoinPair { l: 0, r: 7, sim: 0.8 }),
-            // Redundant: already present.
-            PairDelta::Added(JoinPair { l: 2, r: 2, sim: 1.0 }),
-            // Redundant: never present.
-            PairDelta::Removed { l: 9, r: 9 },
-        ];
-        let stats = c.apply_deltas(&deltas);
-        assert_eq!(c.pairs(), &[(0, 0), (0, 7), (2, 2), (3, 3), (5, 5)]);
-        assert_eq!(
-            stats,
-            DeltaApplyStats {
-                added: 2,
-                removed: 1,
-                redundant: 2
-            }
-        );
-        // Invariant: still sorted + deduplicated ⇒ re-normalizing is a
-        // no-op.
-        let renorm = CandidateSet::new(c.pairs().to_vec());
-        assert_eq!(&renorm, &c);
-    }
-
-    #[test]
-    fn apply_deltas_removal_wins_within_a_batch() {
-        use magellan_simjoin::JoinPair;
-        let mut c = cs(&[(4, 4)]);
-        let stats = c.apply_deltas(&[
-            PairDelta::Added(JoinPair { l: 4, r: 4, sim: 1.0 }),
-            PairDelta::Removed { l: 4, r: 4 },
-        ]);
-        assert!(c.is_empty());
-        assert_eq!(stats.removed, 1);
-        assert_eq!(stats.added, 0);
-    }
-
-    #[test]
-    fn retain_without_record_drops_one_side() {
-        let mut c = cs(&[(0, 1), (2, 1), (2, 3), (4, 1)]);
-        assert_eq!(c.retain_without_record(false, 1), 3);
-        assert_eq!(c.pairs(), &[(2, 3)]);
-        let mut c2 = cs(&[(0, 1), (2, 1), (2, 3)]);
-        assert_eq!(c2.retain_without_record(true, 2), 2);
-        assert_eq!(c2.pairs(), &[(0, 1)]);
     }
 
     #[test]

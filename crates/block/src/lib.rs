@@ -44,6 +44,6 @@ pub use blockers::{
     AttrEquivalenceBlocker, BlackBoxBlocker, Blocker, HashBlocker, OverlapBlocker,
     SimJoinBlocker, SortedNeighborhoodBlocker,
 };
-pub use candidate::{CandidateSet, DeltaApplyStats};
+pub use candidate::CandidateSet;
 pub use dedup::dedup_block;
 pub use rules::{BlockingRule, Predicate, RuleBasedBlocker, SimFeature, TokSpec};

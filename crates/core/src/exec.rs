@@ -5,8 +5,8 @@
 //! is that Dask substitute: it runs a captured [`crate::EmWorkflow`] over
 //! the full tables on the `magellan-par` work-stealing pool, and reports
 //! per-phase wall-clock timings (the "Machine" time column of Table 2)
-//! *and* per-phase executor counters — pairs/sec, chunks stolen, and
-//! per-worker busy time ([`PhaseCounters`]).
+//! *and* per-phase executor counters — the [`ParStats`] of each phase
+//! ([`PhaseCounters`]): pairs/sec, chunks stolen, per-worker busy time.
 //!
 //! The executor inherits the pool's determinism contract: a production run
 //! produces **bit-identical matches for any worker count**, which is what
@@ -25,10 +25,12 @@
 //! which stays as the oracle the executor is tested against
 //! (`crates/core/tests/lazy_eager.rs`; DESIGN.md §7.3).
 //!
-//! ## Self-healing runs ([`ProductionExecutor::run_with_recovery`])
+//! ## One pass, with or without a store
 //!
-//! The fault-hardened entry point layers four defenses over the plain
-//! [`ProductionExecutor::run`]:
+//! [`ProductionExecutor::run`] and [`ProductionExecutor::run_with_recovery`]
+//! run one phase sequence; `run` is `run_with_recovery` with no checkpoint
+//! store, no fault plan and the default [`RetryPolicy`]. The sequence holds
+//! four defenses:
 //!
 //! * **panic containment** — each parallel region runs with a seeded
 //!   [`magellan_faults::FaultPlan`]'s chunk faults; contained panics,
@@ -36,12 +38,13 @@
 //!   [`RecoveryTelemetry`];
 //! * **retries with backoff** — transient phase and checkpoint-store
 //!   failures retry under a [`RetryPolicy`] on a simulated clock;
-//! * **phase checkpointing** — the candidate set is durably saved after
-//!   blocking and the match set when done, via any
-//!   [`CheckpointStore`];
+//! * **phase checkpointing** — given a [`CheckpointStore`], the candidate
+//!   set is durably saved after blocking and the match set when done;
+//!   with none, no [`Checkpoint`] is built;
 //! * **resume** — a rerun after a kill picks up from the last durable
 //!   checkpoint and produces a **bit-identical** match set
-//!   (`crates/core/tests/chaos.rs` enforces this across seeds).
+//!   (`crates/core/tests/chaos.rs` enforces this across seeds); a
+//!   checkpoint whose pairs lie past the tables is refused.
 
 use std::time::{Duration, Instant};
 
@@ -50,7 +53,7 @@ use magellan_faults::{run_with_retry, FaultPlan, RetryPolicy, SimClock};
 use magellan_features::{FeaturePlan, PreparedPair, Scorer, ScorerCounts};
 use magellan_ml::Classifier;
 use magellan_obs::{EvVal, ObsSnapshot};
-use magellan_par::{ParConfig, ParStats};
+use magellan_par::{ChunkFaults, ParConfig, ParStats};
 use magellan_table::Table;
 
 use crate::checkpoint::{Checkpoint, CheckpointStore, Phase};
@@ -90,60 +93,6 @@ pub struct PhaseCounters {
     pub matching: ParStats,
 }
 
-impl PhaseCounters {
-    /// Candidate pairs scored per second of matching wall-clock.
-    pub fn pairs_per_sec(&self) -> f64 {
-        self.matching.throughput()
-    }
-
-    /// Chunks executed by a worker other than their static-partition owner,
-    /// across both phases.
-    pub fn chunks_stolen(&self) -> usize {
-        self.blocking.chunks_stolen + self.matching.chunks_stolen
-    }
-
-    /// Per-worker busy time across both phases.
-    pub fn worker_busy(&self) -> Vec<Duration> {
-        let mut total = ParStats::default();
-        total.merge(&self.blocking);
-        total.merge(&self.matching);
-        total.worker_busy
-    }
-
-    /// Prepared-cache counters of the matching phase's record
-    /// preparation: records prepared, tokenize calls spent and saved
-    /// versus the per-pair scalar path, lookups/hits, and the shared
-    /// interner's vocabulary size (see [`magellan_par::CacheStats`]).
-    pub fn feature_cache(&self) -> magellan_par::CacheStats {
-        self.matching.cache
-    }
-
-    /// Tokenizer invocations the prepared cache avoided during matching,
-    /// relative to the per-pair scalar extraction path.
-    pub fn tokenize_calls_saved(&self) -> usize {
-        self.matching.cache.tokenize_calls_saved
-    }
-
-    /// Fraction of prepared-cell lookups served by earlier preparation.
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.matching.cache.hit_rate()
-    }
-
-    /// Pruning-cascade counters of the blocking phase's sim-joins:
-    /// probes, candidates generated, kills per filter stage (size /
-    /// position / suffix), verification attempts and merge steps, and
-    /// emitted pairs (see [`magellan_par::JoinStats`]).
-    pub fn join_stats(&self) -> magellan_par::JoinStats {
-        self.blocking.join
-    }
-
-    /// Fraction of generated candidates abandoned by the accumulating
-    /// positional filter during blocking.
-    pub fn join_position_kill_rate(&self) -> f64 {
-        self.blocking.join.position_kill_rate()
-    }
-}
-
 /// What the self-healing machinery did during a run: how much damage was
 /// absorbed, and what it cost. All zeros for a fault-free run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -174,12 +123,13 @@ impl RecoveryTelemetry {
         self.worker_deaths += s.worker_deaths;
     }
 
-    /// Publish the recovery counters into the ambient [`magellan_obs`]
-    /// recorder. Worker deaths are scheduling-dependent, so they are only
-    /// published on wall-clock recorders (same policy as
-    /// [`ParStats::publish`]) — pinned snapshots stay byte-identical
-    /// across worker counts.
-    fn publish(&self) {
+    /// Note the backoff slept on `clock`, then publish the recovery
+    /// counters into the ambient [`magellan_obs`] recorder. Worker deaths
+    /// are scheduling-dependent, so they are only published on wall-clock
+    /// recorders (same policy as [`ParStats::publish`]) — pinned snapshots
+    /// stay byte-identical across worker counts.
+    fn publish(&mut self, clock: &SimClock) {
+        self.sim_backoff_s = clock.now_s();
         magellan_obs::counter_add(
             "magellan_core_phase_retries_total",
             u64::from(self.phase_retries),
@@ -216,9 +166,8 @@ pub struct ProductionReport {
     pub counters: PhaseCounters,
     /// Worker threads used.
     pub n_workers: usize,
-    /// What the self-healing machinery absorbed (all zeros under
-    /// [`ProductionExecutor::run`], populated by
-    /// [`ProductionExecutor::run_with_recovery`]).
+    /// What the self-healing machinery absorbed (all zeros for a
+    /// fault-free run with no checkpoint store).
     pub recovery: RecoveryTelemetry,
     /// The run's observability snapshot: `run → phase → chunk → retry`
     /// spans, the `magellan_*` metrics registry, and the discrete event
@@ -281,26 +230,12 @@ impl ProductionExecutor {
         self
     }
 
-    /// The pool configuration every phase starts from.
-    fn par_cfg(&self) -> ParConfig {
-        let mut cfg = ParConfig::workers(self.n_workers);
-        if let Some(c) = self.chunk_size {
-            cfg = cfg.with_chunk_size(c);
-        }
-        cfg
-    }
-
-    /// Use the ambient recorder if one is installed; otherwise install a
-    /// private wall-clock recorder for the duration of the run so the
-    /// report always carries a populated snapshot.
-    fn obs_handle(&self) -> (magellan_obs::Obs, Option<magellan_obs::InstallGuard>) {
-        match magellan_obs::current() {
-            Some(obs) => (obs, None),
-            None => {
-                let obs = magellan_obs::Obs::wall();
-                let guard = obs.install();
-                (obs, Some(guard))
-            }
+    /// The pool configuration of a phase that injects `faults`.
+    fn par_cfg(&self, faults: ChunkFaults) -> ParConfig {
+        let cfg = ParConfig::workers(self.n_workers).with_faults(faults);
+        match self.chunk_size {
+            Some(c) => cfg.with_chunk_size(c),
+            None => cfg,
         }
     }
 
@@ -327,65 +262,24 @@ impl ProductionExecutor {
         snap
     }
 
-    /// Run the workflow over full tables.
+    /// Run the workflow over full tables: [`ProductionExecutor::run_with_recovery`]
+    /// with no checkpoint store, no fault plan and the default
+    /// [`RetryPolicy`]. With no store no [`Checkpoint`] is built, so the
+    /// candidates are neither copied nor encoded.
     ///
     /// Every phase runs on the `magellan-par` pool: blocking via
     /// [`magellan_block::Blocker::block_par`], matching via the fused
     /// demand-driven pass (see the module docs). The matches are
     /// identical for any `n_workers` (see
-    /// `crates/core/tests/par_determinism.rs`).
+    /// `crates/core/tests/par_determinism.rs`). A failure is a
+    /// [`MagellanError`]; one that escapes a phase names the phase.
     pub fn run(
         &self,
         workflow: &EmWorkflow,
         a: &Table,
         b: &Table,
-    ) -> magellan_table::Result<ProductionReport> {
-        let cfg = self.par_cfg();
-        let (obs, _own_guard) = self.obs_handle();
-        let run_span = magellan_obs::span("run", 0);
-
-        let t0 = Instant::now();
-        let (candidates, blocking_stats) = {
-            let _phase = magellan_obs::span("blocking", 0);
-            let out = workflow.blocker.block_par(a, b, &cfg)?;
-            out.1.publish("blocking");
-            out
-        };
-        let blocking = t0.elapsed();
-
-        let t1 = Instant::now();
-        let pairs = candidates.pairs();
-        let _phase = magellan_obs::span("matching", 0);
-        let (decisions, matching_stats) = match_candidates(workflow, a, b, pairs, &cfg)?;
-        let matching = t1.elapsed();
-        drop(_phase);
-
-        magellan_obs::counter_add("magellan_core_candidates_total", pairs.len() as u64);
-        magellan_obs::counter_add("magellan_core_matches_total", decisions.len() as u64);
-        if !obs.is_pinned() {
-            obs.hist_record(
-                "magellan_core_phase_us{phase=\"blocking\"}",
-                blocking.as_micros() as u64,
-            );
-            obs.hist_record(
-                "magellan_core_phase_us{phase=\"matching\"}",
-                matching.as_micros() as u64,
-            );
-        }
-        drop(run_span);
-
-        Ok(ProductionReport {
-            matches: CandidateSet::new(decisions),
-            n_candidates: pairs.len(),
-            timings: PhaseTimings { blocking, matching },
-            counters: PhaseCounters {
-                blocking: blocking_stats,
-                matching: matching_stats,
-            },
-            n_workers: self.n_workers,
-            recovery: RecoveryTelemetry::default(),
-            obs: Self::finish_obs(&obs),
-        })
+    ) -> Result<ProductionReport, MagellanError> {
+        self.run_phases(workflow, a, b, None, &RecoveryOptions::default())
     }
 
     /// Run the workflow with the full self-healing stack: fault-injected
@@ -396,7 +290,9 @@ impl ProductionExecutor {
     /// The recovery contract is the determinism contract extended to
     /// chaos: for any fault plan the executor survives (bounded faults),
     /// the match set is **bit-identical** to a fault-free run, and a run
-    /// killed after a phase resumes to an identical final match set.
+    /// killed after a phase resumes to an identical final match set. A
+    /// checkpoint with a pair past either table is a fatal
+    /// [`MagellanError::Checkpoint`] that names the pair.
     pub fn run_with_recovery(
         &self,
         workflow: &EmWorkflow,
@@ -405,9 +301,38 @@ impl ProductionExecutor {
         store: &mut dyn CheckpointStore,
         opts: &RecoveryOptions,
     ) -> Result<ProductionReport, MagellanError> {
-        let (obs, _own_guard) = self.obs_handle();
+        self.run_phases(workflow, a, b, Some(store), opts)
+    }
+
+    /// The one production pass behind both entry points, under the run's
+    /// recorder; a fatal error also dumps the flight recorder.
+    fn run_phases(
+        &self,
+        workflow: &EmWorkflow,
+        a: &Table,
+        b: &Table,
+        store: Option<&mut dyn CheckpointStore>,
+        opts: &RecoveryOptions,
+    ) -> Result<ProductionReport, MagellanError> {
+        // Use the ambient recorder if one is installed; otherwise install a
+        // private wall-clock recorder for the duration of the run so the
+        // report always carries a populated snapshot.
+        let (obs, _own_guard) = match magellan_obs::current() {
+            Some(obs) => (obs, None),
+            None => {
+                let obs = magellan_obs::Obs::wall();
+                let guard = obs.install();
+                (obs, Some(guard))
+            }
+        };
         obs.set_run_context(opts.faults.seed, self.n_workers as u64);
-        let out = self.run_recovery_inner(workflow, a, b, store, opts);
+        let mut rec = Recovery {
+            store,
+            opts,
+            clock: SimClock::new(),
+            tel: RecoveryTelemetry::default(),
+        };
+        let out = self.phases(&obs, workflow, a, b, &mut rec);
         if let Err(e) = &out {
             // Fatal errors escape the report path, so the flight recorder
             // dumps here instead of in `finish_obs`.
@@ -422,151 +347,204 @@ impl ProductionExecutor {
         out
     }
 
-    fn run_recovery_inner(
+    /// Resume from the store's checkpoint, if any; block, unless resuming
+    /// past blocking; match; and checkpoint after each phase.
+    fn phases(
         &self,
+        obs: &magellan_obs::Obs,
         workflow: &EmWorkflow,
         a: &Table,
         b: &Table,
-        store: &mut dyn CheckpointStore,
-        opts: &RecoveryOptions,
+        rec: &mut Recovery<'_, '_>,
     ) -> Result<ProductionReport, MagellanError> {
-        let mut clock = SimClock::new();
-        let mut tel = RecoveryTelemetry::default();
-        let (obs, _own_guard) = self.obs_handle();
         let run_span = magellan_obs::span("run", 0);
-
-        // Pick up where a previous invocation left off, if anywhere.
-        let resume = match retry_store(&opts.retry, &mut clock, &mut tel, || store.load_bytes())? {
-            Some(bytes) => {
-                let ck = Checkpoint::from_bytes(&bytes)?;
-                tel.resumed_from = Some(ck.phase());
-                magellan_obs::event(
-                    "resumed",
-                    &[("phase", EvVal::S(ck.phase().name()))],
-                );
-                Some(ck)
-            }
-            None => None,
-        };
-
-        if let Some(Checkpoint::Done {
-            matches,
-            n_candidates,
-        }) = resume
-        {
-            // The previous run finished; reconstitute its report. Timings
-            // and counters are wall-clock artifacts of the dead process
-            // and come back empty — only the *results* are durable.
-            tel.sim_backoff_s = clock.now_s();
-            tel.publish();
-            drop(run_span);
-            return Ok(ProductionReport {
-                matches: CandidateSet::new(matches),
+        let (candidates, blocking_stats, blocking) = match rec.resume(a, b)? {
+            Some(Checkpoint::Done {
+                matches,
                 n_candidates,
-                timings: PhaseTimings::default(),
-                counters: PhaseCounters::default(),
-                n_workers: self.n_workers,
-                recovery: tel,
-                obs: Self::finish_obs(&obs),
-            });
-        }
-
-        // --- blocking phase (skipped when resuming past it) -------------
-        let (candidates, blocking_stats, blocking) = match resume {
+            }) => {
+                // The previous run finished; reconstitute its report.
+                // Timings and counters are wall-clock artifacts of the dead
+                // process and come back empty — only the *results* are
+                // durable.
+                rec.tel.publish(&rec.clock);
+                drop(run_span);
+                return Ok(ProductionReport {
+                    matches: CandidateSet::new(matches),
+                    n_candidates,
+                    timings: PhaseTimings::default(),
+                    counters: PhaseCounters::default(),
+                    n_workers: self.n_workers,
+                    recovery: rec.tel,
+                    obs: Self::finish_obs(obs),
+                });
+            }
             Some(Checkpoint::Blocked { candidates }) => (
                 CandidateSet::new(candidates),
                 ParStats::default(),
                 Duration::ZERO,
             ),
-            _ => {
+            None => {
                 let _phase = magellan_obs::span("blocking", 0);
-                let cfg = self
-                    .par_cfg()
-                    .with_faults(opts.faults.chunk_faults(REGION_BLOCKING));
+                let cfg = self.par_cfg(rec.opts.faults.chunk_faults(REGION_BLOCKING));
                 let t0 = Instant::now();
-                let (c, stats) =
-                    retry_phase(&opts.retry, &mut clock, &mut tel, Phase::Blocking, || {
-                        workflow.blocker.block_par(a, b, &cfg).map_err(Into::into)
-                    })?;
-                stats.publish("blocking");
-                tel.absorb_stats(&stats);
-                let elapsed = t0.elapsed();
-                retry_store(&opts.retry, &mut clock, &mut tel, || {
-                    store.save_bytes(
-                        &Checkpoint::Blocked {
-                            candidates: c.pairs().to_vec(),
-                        }
-                        .to_bytes(),
-                    )
+                let (c, stats) = rec.phase(Phase::Blocking, || {
+                    workflow.blocker.block_par(a, b, &cfg).map_err(Into::into)
                 })?;
-                tel.checkpoints_written += 1;
-                magellan_obs::event(
-                    "checkpoint_written",
-                    &[("phase", EvVal::S("blocking"))],
-                );
-                if opts.kill_after == Some(Phase::Blocking) {
-                    return Err(MagellanError::Killed {
-                        after_phase: "blocking",
-                    });
-                }
+                stats.publish("blocking");
+                rec.tel.absorb_stats(&stats);
+                let elapsed = t0.elapsed();
+                record_phase_us(obs, Phase::Blocking, elapsed);
+                rec.save(Phase::Blocking, || Checkpoint::Blocked {
+                    candidates: c.pairs().to_vec(),
+                })?;
                 (c, stats, elapsed)
             }
         };
 
-        // --- matching phase ---------------------------------------------
         let matching_span = magellan_obs::span("matching", 0);
-        let cfg = self
-            .par_cfg()
-            .with_faults(opts.faults.chunk_faults(REGION_EXTRACT));
+        let cfg = self.par_cfg(rec.opts.faults.chunk_faults(REGION_EXTRACT));
         let t1 = Instant::now();
         let pairs = candidates.pairs();
-        let (decisions, matching_stats) =
-            retry_phase(&opts.retry, &mut clock, &mut tel, Phase::Matching, || {
-                match_candidates(workflow, a, b, pairs, &cfg).map_err(Into::into)
-            })?;
-        tel.absorb_stats(&matching_stats);
+        let (decisions, matching_stats) = rec.phase(Phase::Matching, || {
+            match_candidates(workflow, a, b, pairs, &cfg).map_err(Into::into)
+        })?;
+        rec.tel.absorb_stats(&matching_stats);
         let matching = t1.elapsed();
         drop(matching_span);
-
-        retry_store(&opts.retry, &mut clock, &mut tel, || {
-            store.save_bytes(
-                &Checkpoint::Done {
-                    matches: decisions.clone(),
-                    n_candidates: pairs.len(),
-                }
-                .to_bytes(),
-            )
+        record_phase_us(obs, Phase::Matching, matching);
+        rec.save(Phase::Matching, || Checkpoint::Done {
+            matches: decisions.clone(),
+            n_candidates: pairs.len(),
         })?;
-        tel.checkpoints_written += 1;
-        magellan_obs::event(
-            "checkpoint_written",
-            &[("phase", EvVal::S("matching"))],
-        );
-        if opts.kill_after == Some(Phase::Matching) {
-            return Err(MagellanError::Killed {
-                after_phase: "matching",
-            });
-        }
 
-        tel.sim_backoff_s = clock.now_s();
-        let n_candidates = pairs.len();
-        magellan_obs::counter_add("magellan_core_candidates_total", n_candidates as u64);
+        magellan_obs::counter_add("magellan_core_candidates_total", pairs.len() as u64);
         magellan_obs::counter_add("magellan_core_matches_total", decisions.len() as u64);
-        tel.publish();
+        rec.tel.publish(&rec.clock);
         drop(run_span);
         Ok(ProductionReport {
             matches: CandidateSet::new(decisions),
-            n_candidates,
+            n_candidates: pairs.len(),
             timings: PhaseTimings { blocking, matching },
             counters: PhaseCounters {
                 blocking: blocking_stats,
                 matching: matching_stats,
             },
             n_workers: self.n_workers,
-            recovery: tel,
-            obs: Self::finish_obs(&obs),
+            recovery: rec.tel,
+            obs: Self::finish_obs(obs),
         })
     }
+}
+
+/// Record a phase's wall-clock, on a wall-clock recorder only: pinned
+/// exports carry no wall-clock.
+fn record_phase_us(obs: &magellan_obs::Obs, phase: Phase, took: Duration) {
+    if !obs.is_pinned() {
+        let name = format!("magellan_core_phase_us{{phase=\"{phase}\"}}");
+        obs.hist_record(&name, took.as_micros() as u64);
+    }
+}
+
+/// What one run recovers with: its checkpoint store, if any, its options,
+/// the simulated clock retries sleep on, and what recovery did so far.
+struct Recovery<'s, 'o> {
+    store: Option<&'s mut dyn CheckpointStore>,
+    opts: &'o RecoveryOptions,
+    clock: SimClock,
+    tel: RecoveryTelemetry,
+}
+
+impl Recovery<'_, '_> {
+    /// The store's checkpoint, if there is a store and it holds one. A
+    /// pair past either table is a fatal [`MagellanError::Checkpoint`]
+    /// that names it.
+    fn resume(&mut self, a: &Table, b: &Table) -> Result<Option<Checkpoint>, MagellanError> {
+        let Some(store) = self.store.as_deref_mut() else {
+            return Ok(None);
+        };
+        let loaded = retry(&self.opts.retry, &mut self.clock, &mut self.tel.store_retries, || {
+            store.load_bytes()
+        })?;
+        let Some(bytes) = loaded else {
+            return Ok(None);
+        };
+        let ck = Checkpoint::from_bytes(&bytes)?;
+        let (Checkpoint::Blocked { candidates: pairs } | Checkpoint::Done { matches: pairs, .. }) =
+            &ck;
+        let (na, nb) = (a.nrows(), b.nrows());
+        if let Some((l, r)) = pairs.iter().find(|&&(l, r)| l as usize >= na || r as usize >= nb) {
+            return Err(MagellanError::Checkpoint {
+                message: format!(
+                    "{} checkpoint pair ({l}, {r}) is past the tables ({na} and {nb} rows)",
+                    ck.phase()
+                ),
+                transient: false,
+            });
+        }
+        self.tel.resumed_from = Some(ck.phase());
+        magellan_obs::event("resumed", &[("phase", EvVal::S(ck.phase().name()))]);
+        Ok(Some(ck))
+    }
+
+    /// Run a whole phase under the retry policy. An error that escapes it
+    /// is tagged with the phase, unless it is already structured.
+    fn phase<T>(
+        &mut self,
+        phase: Phase,
+        f: impl FnMut() -> Result<T, MagellanError>,
+    ) -> Result<T, MagellanError> {
+        retry(&self.opts.retry, &mut self.clock, &mut self.tel.phase_retries, f).map_err(|e| {
+            match e {
+                e @ (MagellanError::Checkpoint { .. }
+                | MagellanError::Killed { .. }
+                | MagellanError::Timeout { .. }
+                | MagellanError::Phase { .. }) => e,
+                other => MagellanError::Phase {
+                    phase: phase.name(),
+                    message: other.to_string(),
+                    transient: other.transient(),
+                },
+            }
+        })
+    }
+
+    /// After `phase`: durably save the checkpoint `ck` builds — with no
+    /// store none is built — then die if `kill_after` names the phase.
+    fn save(&mut self, phase: Phase, ck: impl FnOnce() -> Checkpoint) -> Result<(), MagellanError> {
+        let Some(store) = self.store.as_deref_mut() else {
+            return Ok(());
+        };
+        let bytes = ck().to_bytes();
+        retry(&self.opts.retry, &mut self.clock, &mut self.tel.store_retries, || {
+            store.save_bytes(&bytes)
+        })?;
+        self.tel.checkpoints_written += 1;
+        magellan_obs::event("checkpoint_written", &[("phase", EvVal::S(phase.name()))]);
+        if self.opts.kill_after == Some(phase) {
+            return Err(MagellanError::Killed {
+                after_phase: phase.name(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Run `f` under the retry policy, charging backoff to the simulated clock
+/// and adding the retries it took to `retries`.
+fn retry<T>(
+    policy: &RetryPolicy,
+    clock: &mut SimClock,
+    retries: &mut u32,
+    mut f: impl FnMut() -> Result<T, MagellanError>,
+) -> Result<T, MagellanError> {
+    let mut last = 0;
+    let out = run_with_retry(policy, clock, |attempt| {
+        last = attempt;
+        f()
+    });
+    *retries += last;
+    out
 }
 
 /// The matching phase of both entry points: prepare the records the
@@ -915,53 +893,6 @@ fn last_valid(mut lo: usize, mut hi: usize, mut valid: impl FnMut(usize) -> bool
     lo
 }
 
-/// Retry a checkpoint-store operation under the policy, charging backoff
-/// to the simulated clock and counting retries in the telemetry.
-fn retry_store<T>(
-    policy: &RetryPolicy,
-    clock: &mut SimClock,
-    tel: &mut RecoveryTelemetry,
-    mut f: impl FnMut() -> Result<T, MagellanError>,
-) -> Result<T, MagellanError> {
-    let mut retries = 0u32;
-    let out = run_with_retry(policy, clock, |attempt| {
-        retries = retries.max(attempt);
-        f()
-    });
-    tel.store_retries += retries;
-    out
-}
-
-/// Retry a whole pipeline phase on transient failure, wrapping whatever
-/// error escapes into a phase-tagged [`MagellanError`] context.
-fn retry_phase<T>(
-    policy: &RetryPolicy,
-    clock: &mut SimClock,
-    tel: &mut RecoveryTelemetry,
-    phase: Phase,
-    mut f: impl FnMut() -> Result<T, MagellanError>,
-) -> Result<T, MagellanError> {
-    let mut retries = 0u32;
-    let out = run_with_retry(policy, clock, |attempt| {
-        retries = retries.max(attempt);
-        f()
-    });
-    tel.phase_retries += retries;
-    out.map_err(|e| match e {
-        // Keep structured errors intact; only annotate the phase for
-        // anonymous failures.
-        e @ (MagellanError::Checkpoint { .. }
-        | MagellanError::Killed { .. }
-        | MagellanError::Timeout { .. }
-        | MagellanError::Phase { .. }) => e,
-        other => MagellanError::Phase {
-            phase: phase.name(),
-            message: other.to_string(),
-            transient: other.transient(),
-        },
-    })
-}
-
 /// A general parallel map over row chunks, exposed for workloads that
 /// don't fit the workflow shape (e.g. per-row cleaning in the guide's
 /// pre-processing step). `out[i] == f(i)` for every worker count.
@@ -1003,19 +934,19 @@ mod tests {
         }
     }
 
-    /// Every ratio accessor on an all-zero (never-ran) counter block
-    /// reports 0.0 — never NaN or ∞.
+    /// Every ratio on an all-zero (never-ran) counter block reports 0.0 —
+    /// never NaN or ∞.
     #[test]
     fn zero_denominator_counters_are_finite() {
         let c = PhaseCounters::default();
-        assert_eq!(c.pairs_per_sec(), 0.0);
-        assert_eq!(c.cache_hit_rate(), 0.0);
-        assert_eq!(c.join_position_kill_rate(), 0.0);
-        assert_eq!(c.chunks_stolen(), 0);
+        assert_eq!(c.matching.throughput(), 0.0);
+        assert_eq!(c.matching.cache.hit_rate(), 0.0);
+        assert_eq!(c.blocking.join.position_kill_rate(), 0.0);
+        assert_eq!(c.blocking.chunks_stolen + c.matching.chunks_stolen, 0);
         for v in [
-            c.pairs_per_sec(),
-            c.cache_hit_rate(),
-            c.join_position_kill_rate(),
+            c.matching.throughput(),
+            c.matching.cache.hit_rate(),
+            c.blocking.join.position_kill_rate(),
             c.blocking.throughput(),
             c.blocking.utilization(),
             c.matching.throughput(),
@@ -1061,32 +992,36 @@ mod tests {
         // The fused scoring pass walks every candidate pair once.
         assert_eq!(report.counters.matching.items, report.n_candidates);
         assert_eq!(report.counters.matching.worker_busy.len(), 3);
-        assert!(report.counters.pairs_per_sec() >= 0.0);
-        assert!(report.counters.chunks_stolen() <= report.counters.blocking.chunks_total
-            + report.counters.matching.chunks_total);
-        assert_eq!(report.counters.worker_busy().len(), 3);
+        assert!(report.counters.matching.throughput() >= 0.0);
+        assert!(
+            report.counters.blocking.chunks_stolen + report.counters.matching.chunks_stolen
+                <= report.counters.blocking.chunks_total + report.counters.matching.chunks_total
+        );
+        let mut busy = report.counters.blocking.clone();
+        busy.merge(&report.counters.matching);
+        assert_eq!(busy.worker_busy.len(), 3);
         // Prepared-cache counters of the matching-phase extraction: the
         // workflow has one token feature (word jaccard on name), so
         // records were prepared, tokenize calls were spent (once per
         // referenced record), and — with pairs ≫ records — far more calls
         // were saved versus the per-pair scalar path.
-        let cache = report.counters.feature_cache();
+        let cache = report.counters.matching.cache;
         assert!(cache.records_prepared > 0, "{cache:?}");
         assert!(cache.tokenize_calls > 0, "{cache:?}");
         assert!(cache.interner_tokens > 0, "{cache:?}");
         assert!(
-            report.counters.tokenize_calls_saved() > cache.tokenize_calls,
+            report.counters.matching.cache.tokenize_calls_saved > cache.tokenize_calls,
             "{cache:?}"
         );
         assert!(
-            (0.0..=1.0).contains(&report.counters.cache_hit_rate()),
+            (0.0..=1.0).contains(&report.counters.matching.cache.hit_rate()),
             "{cache:?}"
         );
         // Join-cascade counters of the blocking-phase sim-join: probes
         // ran, candidates were generated, every candidate was either
         // killed by the positional filter or verified, and verification
         // accounts for suffix kills plus emitted pairs.
-        let join = report.counters.join_stats();
+        let join = report.counters.blocking.join;
         assert!(join.probes > 0, "{join:?}");
         assert!(join.candidates > 0, "{join:?}");
         assert_eq!(
@@ -1096,7 +1031,7 @@ mod tests {
         );
         assert_eq!(join.verified, join.killed_by_suffix + join.pairs, "{join:?}");
         assert!(
-            (0.0..=1.0).contains(&report.counters.join_position_kill_rate()),
+            (0.0..=1.0).contains(&report.counters.blocking.join.position_kill_rate()),
             "{join:?}"
         );
     }

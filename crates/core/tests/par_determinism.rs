@@ -296,9 +296,9 @@ fn production_run_is_worker_count_invariant() {
         assert_eq!(report.counters.blocking.items, 120);
         assert_eq!(report.counters.matching.items, report.n_candidates);
         assert_eq!(report.counters.matching.worker_busy.len(), w);
-        assert!(report.counters.pairs_per_sec() >= 0.0);
+        assert!(report.counters.matching.throughput() >= 0.0);
         assert!(
-            report.counters.chunks_stolen()
+            report.counters.blocking.chunks_stolen + report.counters.matching.chunks_stolen
                 <= report.counters.blocking.chunks_total
                     + report.counters.matching.chunks_total
         );
