@@ -121,7 +121,8 @@ impl Checkpoint {
 
     /// Parse `emckpt v3`. Anything else — another magic (older versions
     /// included), a truncated or checksum-failed segment, trailing bytes,
-    /// an unknown phase, an out-of-range pair — is a fatal
+    /// an unknown phase, an out-of-range pair, a `Done` checkpoint with
+    /// more matches than candidates — is a fatal
     /// [`MagellanError::Checkpoint`] carrying the offending byte offset.
     pub fn from_bytes(data: &[u8]) -> Result<Checkpoint, MagellanError> {
         let _span = magellan_obs::span("ckpt_read", 0);
@@ -149,10 +150,19 @@ fn decode(data: &[u8]) -> Result<Checkpoint, SegmentError> {
     let pairs = decode_pairs(pairs)?;
     let ck = match phase.u8()? {
         PHASE_BLOCKED => Checkpoint::Blocked { candidates: pairs },
-        PHASE_DONE => Checkpoint::Done {
-            matches: pairs,
-            n_candidates: phase.u64()? as usize,
-        },
+        PHASE_DONE => {
+            let n_candidates = phase.u64()? as usize;
+            if pairs.len() > n_candidates {
+                return Err(phase.error(format!(
+                    "{} matches out of {n_candidates} candidates",
+                    pairs.len()
+                )));
+            }
+            Checkpoint::Done {
+                matches: pairs,
+                n_candidates,
+            }
+        }
         code => return Err(phase.error(format!("unknown phase code {code:#04x}"))),
     };
     phase.end()?;
@@ -461,6 +471,7 @@ mod tests {
             assert!(err.fatal() && err.to_string().contains(want), "expected `{want}`, got `{err}`");
         };
         let done42 = [&[PHASE_DONE][..], &42u64.to_le_bytes()].concat();
+        let done0 = [&[PHASE_DONE][..], &0u64.to_le_bytes()].concat();
         for (phase, count, varints, want) in [
             (&[0x7f][..], 0u64, &[][..], "unknown phase code 0x7f"),
             (&[PHASE_BLOCKED, 0], 0, &[], "trailing bytes"),
@@ -470,6 +481,7 @@ mod tests {
             (&done42, 2, &[2, 4], "count 2 does not fit"),
             (&done42, 1, &[2, 4, 0], "trailing bytes"),
             (&done42, u64::MAX, &[], "does not fit"),
+            (&done0, 3, &[2, 4, 0, 0, 0, 0], "3 matches out of 0 candidates"),
         ] {
             let pairs = [&count.to_le_bytes()[..], varints].concat();
             fails(&[(SEG_PHASE, phase), (SEG_PAIRS, &pairs)], want);

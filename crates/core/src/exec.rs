@@ -25,6 +25,11 @@
 //! which stays as the oracle the executor is tested against
 //! (`crates/core/tests/lazy_eager.rs`; DESIGN.md §7.3).
 //!
+//! How the matcher decides — which features it tests last, and the box of
+//! pairs it answers No without a walk — is the workflow's [`DecisionPlan`],
+//! derived once by the development stage. A run reads it, checks it once
+//! ([`DecisionPlan::check`]), and samples nothing.
+//!
 //! ## One pass, with or without a store
 //!
 //! [`ProductionExecutor::run`] and [`ProductionExecutor::run_with_recovery`]
@@ -347,8 +352,9 @@ impl ProductionExecutor {
         out
     }
 
-    /// Resume from the store's checkpoint, if any; block, unless resuming
-    /// past blocking; match; and checkpoint after each phase.
+    /// Check the workflow's decision plan; resume from the store's
+    /// checkpoint, if any; block, unless resuming past blocking; match; and
+    /// checkpoint after each phase.
     fn phases(
         &self,
         obs: &magellan_obs::Obs,
@@ -358,6 +364,11 @@ impl ProductionExecutor {
         rec: &mut Recovery<'_, '_>,
     ) -> Result<ProductionReport, MagellanError> {
         let run_span = magellan_obs::span("run", 0);
+        workflow.plan.check(
+            &*workflow.matcher,
+            workflow.threshold,
+            workflow.features.len(),
+        )?;
         let (candidates, blocking_stats, blocking) = match rec.resume(a, b)? {
             Some(Checkpoint::Done {
                 matches,
@@ -366,7 +377,8 @@ impl ProductionExecutor {
                 // The previous run finished; reconstitute its report.
                 // Timings and counters are wall-clock artifacts of the dead
                 // process and come back empty — only the *results* are
-                // durable.
+                // durable, and are published as a fresh run publishes them.
+                publish_totals(n_candidates, matches.len());
                 rec.tel.publish(&rec.clock);
                 drop(run_span);
                 return Ok(ProductionReport {
@@ -418,8 +430,7 @@ impl ProductionExecutor {
             n_candidates: pairs.len(),
         })?;
 
-        magellan_obs::counter_add("magellan_core_candidates_total", pairs.len() as u64);
-        magellan_obs::counter_add("magellan_core_matches_total", decisions.len() as u64);
+        publish_totals(pairs.len(), decisions.len());
         rec.tel.publish(&rec.clock);
         drop(run_span);
         Ok(ProductionReport {
@@ -435,6 +446,12 @@ impl ProductionExecutor {
             obs: Self::finish_obs(obs),
         })
     }
+}
+
+/// Publish a run's candidate and match counts.
+fn publish_totals(candidates: usize, matches: usize) {
+    magellan_obs::counter_add("magellan_core_candidates_total", candidates as u64);
+    magellan_obs::counter_add("magellan_core_matches_total", matches as u64);
 }
 
 /// Record a phase's wall-clock, on a wall-clock recorder only: pinned
@@ -553,8 +570,8 @@ fn retry<T>(
 /// matched pairs in candidate order.
 ///
 /// Each chunk scores through one [`Scorer`], which holds the pair's memo —
-/// a pair inside the certain-No region ([`Decider::pilot`]) is a No after
-/// reading the region's features, any other pair is decided by
+/// a pair inside the workflow's certain-No region ([`DecisionPlan`]) is a
+/// No after reading the region's features, any other pair is decided by
 /// [`magellan_ml::Classifier::decide`], which asks for the features its
 /// trees test, the sequence kernels only once the cheap ones leave the pair
 /// open, then the bound rule layer asks for the features its conditions
@@ -581,13 +598,7 @@ fn match_candidates(
     let names: Vec<&str> = workflow.features.iter().map(|f| f.name.as_str()).collect();
     let rules = workflow.rule_layer.bind(&names);
     let n_features = plan.len();
-    let decider = Decider::pilot(
-        &*workflow.matcher,
-        workflow.threshold,
-        &prepared,
-        &plan,
-        pairs,
-    );
+    let (matcher, threshold) = (&*workflow.matcher, workflow.threshold);
 
     let _region = magellan_obs::span("score", 0);
     let (chunks, mut stats) = magellan_par::chunk_map(pairs.len(), cfg, |range| {
@@ -595,11 +606,12 @@ fn match_candidates(
         let mut matched = Vec::new();
         let mut counts = DecideCounts::default();
         let chunk = &pairs[range];
-        decider.decide_pairs(&mut scorer, chunk, &mut counts, |i, predicted, scorer| {
+        let keep = |i, predicted, scorer: &mut Scorer<'_>| {
             if rules.apply_lazy(|j| scorer.feature(j), predicted).0 {
                 matched.push(chunk[i]);
             }
-        });
+        };
+        workflow.plan.decide_pairs(matcher, threshold, &mut scorer, chunk, &mut counts, keep);
         (matched, scorer.computed(), counts, scorer.counts())
     });
 
@@ -626,23 +638,31 @@ fn match_candidates(
     Ok((decisions, stats))
 }
 
-/// Pairs a run decides, at most, to choose how it decides the rest
-/// ([`Decider::pilot`]).
+/// Pairs a derivation decides, at most, to choose how a workflow decides
+/// the rest ([`DecisionPlan::derive`]).
 const PILOT: usize = 256;
 
-/// How a run decides its pairs: the matcher at its threshold, the features
-/// it tests last, and the matcher's *certain-No region* — a box over the
-/// features it does not defer, inside which the matcher's largest
+/// How a workflow decides its pairs, beside its matcher and threshold: the
+/// features the matcher tests last, and its *certain-No region* — a box
+/// over the features it does not defer, inside which the matcher's largest
 /// attainable score is below the threshold, so a pair inside it is a No
 /// with no tree walked.
-pub(crate) struct Decider<'m> {
-    matcher: &'m dyn Classifier,
-    threshold: f64,
-    deferred: Vec<bool>,
+///
+/// The plan belongs to the trained matcher and its threshold, not to a
+/// run: the development stage derives it once ([`DecisionPlan::derive`]),
+/// `workflow v1` carries it ([`crate::persist`]), and every run reads it.
+/// Neither part can change a decision: the mask only orders a walk, and a
+/// box is used only once [`DecisionPlan::check`] has found it certain-No.
+/// The empty plan (`DecisionPlan::default()`) defers nothing and has no
+/// box; hand-built workflows carry it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DecisionPlan {
+    /// Per feature, whether the matcher tests it last
+    /// ([`Classifier::decide`]); empty when nothing is deferred.
+    pub deferred: Vec<bool>,
     /// `(feature, upper bound)` of the box's constrained features, the
-    /// most asked for first; `None` when the matcher has no box below the
-    /// threshold.
-    region: Option<Vec<(usize, f64)>>,
+    /// most asked for first; `None` when the plan has no box.
+    pub region: Option<Vec<(usize, f64)>>,
 }
 
 /// What deciding pairs cost: trees walked, and pairs decided inside the
@@ -653,9 +673,11 @@ pub(crate) struct DecideCounts {
     pub(crate) in_region: u64,
 }
 
-impl<'m> Decider<'m> {
+impl DecisionPlan {
     /// Decide a strided sample of at most [`PILOT`] of `pairs` to choose
-    /// the `deferred` mask and the certain-No region, in one pass.
+    /// the deferral mask and the certain-No region of `matcher` at
+    /// `threshold`, in one pass. The pairs' records must be prepared for
+    /// `plan`.
     ///
     /// *The mask* is the plan's sequence kernels
     /// ([`magellan_features::FeaturePlan::deferred`]), unless testing them
@@ -674,12 +696,12 @@ impl<'m> Decider<'m> {
     /// on nearly every pair. Its bounds come from the sampled pairs'
     /// values. A matcher with no [`Classifier::region_max`] has no region.
     ///
-    /// Both read only the pairs, the matcher, the threshold and the plan,
-    /// so they are the same at any worker count and chunk size, and
-    /// neither can change a decision. The sample's feature work is not
-    /// counted.
-    pub(crate) fn pilot(
-        matcher: &'m dyn Classifier,
+    /// Both read only the pairs, the matcher, the threshold and the plan.
+    /// The development stage calls this once, over its calibration probe at
+    /// the calibrated threshold; a test that builds a workflow by hand
+    /// calls it over the run's own candidates.
+    pub fn derive(
+        matcher: &dyn Classifier,
         threshold: f64,
         prepared: &PreparedPair<'_>,
         plan: &FeaturePlan,
@@ -688,17 +710,12 @@ impl<'m> Decider<'m> {
         let kernels = plan.deferred();
         let defers = kernels.contains(&true);
         let bounded = matcher.region_max(&[]).is_some();
+        let mut out = DecisionPlan::default();
+        if !defers && !bounded {
+            return out;
+        }
         let n = kernels.len();
         let plain = vec![false; n];
-        let mut decider = Decider {
-            matcher,
-            threshold,
-            deferred: plain.clone(),
-            region: None,
-        };
-        if !defers && !bounded {
-            return decider;
-        }
         let mut scorer = Scorer::new(prepared, plan);
         // Per feature, the sampled pairs on which the plain (0) and the
         // deferred (1) walk asked for it, and its sampled values.
@@ -748,34 +765,90 @@ impl<'m> Decider<'m> {
             }
         }
         let defer = defers && saved * 2 >= needing;
-        if defer {
-            decider.deferred = kernels;
-        }
         if bounded {
             let asked = &asked[usize::from(defer)];
             let mut dims: Vec<usize> = (0..n)
-                .filter(|&j| !decider.deferred[j] && asked[j] * 2 >= sampled)
+                .filter(|&j| !(defer && kernels[j]) && asked[j] * 2 >= sampled)
                 .collect();
             dims.sort_by_key(|&j| std::cmp::Reverse(asked[j]));
-            decider.region = negative_box(matcher, threshold, n, &dims, &values);
+            out.region = negative_box(matcher, threshold, n, &dims, &values);
         }
-        decider
+        if defer {
+            out.deferred = kernels;
+        }
+        out
     }
 
-    /// Decide each of `pairs` through `scorer` and hand the pair's position
-    /// and decision to `then` with the scorer still on that pair, so it can
-    /// read more of the same lazily filled row. A pair inside the
-    /// certain-No region is a No; every other pair is decided by the
-    /// matcher, asking only for the features its trees test, and for the
-    /// `deferred` ones last ([`Classifier::decide`]). Shared by the
-    /// production pass and the development stage's calibration probe.
+    /// Refuse a plan `matcher` at `threshold` cannot run with over
+    /// `n_features` features: a mask neither empty nor as long as the
+    /// feature list, a box on a feature past the list, or a box inside
+    /// which the matcher's [`Classifier::region_max`] is not below the
+    /// threshold (or that a matcher with no bound carries). The executor
+    /// calls this once per run and `load_workflow` once per file, so a
+    /// stale or hand-edited plan can cost time but never a match.
+    ///
+    /// # Errors
+    /// [`MagellanError::Config`] naming what is wrong.
+    pub fn check(
+        &self,
+        matcher: &dyn Classifier,
+        threshold: f64,
+        n_features: usize,
+    ) -> Result<(), MagellanError> {
+        let refuse = |message: String| Err(MagellanError::Config { message });
+        if !self.deferred.is_empty() && self.deferred.len() != n_features {
+            return refuse(format!(
+                "the plan's deferral mask covers {} features, the workflow lists {n_features}",
+                self.deferred.len()
+            ));
+        }
+        let Some(dims) = &self.region else {
+            return Ok(());
+        };
+        let mut upper = vec![None; n_features];
+        for &(j, bound) in dims {
+            let Some(slot) = upper.get_mut(j) else {
+                return refuse(format!(
+                    "the plan's region bounds feature {j}, the workflow lists {n_features}"
+                ));
+            };
+            *slot = Some(bound);
+        }
+        match matcher.region_max(&upper) {
+            Some(max) if max < threshold => Ok(()),
+            Some(max) => refuse(format!(
+                "the plan's region is not certain-No: the matcher scores up to {max} inside it, \
+                 at threshold {threshold}"
+            )),
+            None => refuse("the plan has a region, but the matcher cannot bound its score".into()),
+        }
+    }
+
+    /// Decide each of `pairs` by `matcher` at `threshold` through `scorer`
+    /// and hand the pair's position and decision to `then` with the scorer
+    /// still on that pair, so it can read more of the same lazily filled
+    /// row. A pair inside the certain-No region is a No; every other pair
+    /// is decided by the matcher, asking only for the features its trees
+    /// test, and for the deferred ones last ([`Classifier::decide`]).
+    /// Shared by the production pass and the development stage's
+    /// calibration probe; the plan must have passed
+    /// [`DecisionPlan::check`] for this matcher and threshold.
     pub(crate) fn decide_pairs<'p>(
         &self,
+        matcher: &dyn Classifier,
+        threshold: f64,
         scorer: &mut Scorer<'p>,
         pairs: &[(u32, u32)],
         counts: &mut DecideCounts,
         mut then: impl FnMut(usize, bool, &mut Scorer<'p>),
     ) {
+        let plain;
+        let deferred = if self.deferred.is_empty() {
+            plain = vec![false; scorer.width()];
+            &plain
+        } else {
+            &self.deferred
+        };
         for (i, &(ra, rb)) in pairs.iter().enumerate() {
             scorer.begin_pair(ra as usize, rb as usize);
             let predicted = if self.in_region(scorer) {
@@ -783,12 +856,7 @@ impl<'m> Decider<'m> {
                 false
             } else {
                 let mut feat = |j| scorer.feature(j);
-                self.matcher.decide(
-                    self.threshold,
-                    &self.deferred,
-                    &mut feat,
-                    &mut counts.walked,
-                )
+                matcher.decide(threshold, deferred, &mut feat, &mut counts.walked)
             };
             then(i, predicted, scorer);
         }
@@ -931,6 +999,7 @@ mod tests {
                 )],
             )]),
             threshold: 0.5,
+            plan: DecisionPlan::default(),
         }
     }
 
@@ -1150,6 +1219,53 @@ mod tests {
         );
         assert!(rec.recovery.chunks_recovered >= 1, "contained panics imply recovered chunks");
         assert!(rec.recovery.chunks_recovered <= rec.recovery.panics_contained);
+    }
+
+    /// A plan the workflow's matcher and threshold cannot vouch for is a
+    /// configuration error before any work, through the check
+    /// `load_workflow` runs too; the empty plan runs.
+    #[test]
+    fn a_plan_the_matcher_cannot_vouch_for_is_refused() {
+        use magellan_ml::{Dataset, RandomForestLearner};
+        let s = persons(&ScenarioConfig {
+            size_a: 60,
+            size_b: 60,
+            n_matches: 20,
+            dirt: DirtModel::light(),
+            seed: 3,
+        });
+        let d = Dataset::from_rows(
+            &[vec![0.9, 0.1], vec![0.8, 0.2], vec![0.1, 0.9], vec![0.2, 0.8]],
+            &[true, true, false, false],
+        );
+        let forest = RandomForestLearner {
+            n_trees: 3,
+            ..Default::default()
+        }
+        .fit_forest(&d);
+        let refused = |wf: &EmWorkflow, why: &str| {
+            let err = ProductionExecutor::new(2)
+                .run(wf, &s.table_a, &s.table_b)
+                .unwrap_err();
+            assert!(matches!(err, MagellanError::Config { .. }), "{err}");
+            assert!(err.to_string().contains(why), "{err}");
+        };
+        let mut wf = workflow();
+        wf.plan.deferred = vec![true];
+        refused(&wf, "covers 1 features, the workflow lists 2");
+        wf.plan = DecisionPlan {
+            deferred: Vec::new(),
+            region: Some(Vec::new()),
+        };
+        refused(&wf, "cannot bound its score");
+        wf.matcher = Box::new(forest);
+        wf.plan.region = Some(vec![(2, 0.0)]);
+        refused(&wf, "bounds feature 2");
+        // Unbounded on the first feature: the forest's own maximum.
+        wf.plan.region = Some(vec![(0, f64::INFINITY)]);
+        refused(&wf, "not certain-No");
+        wf.plan = DecisionPlan::default();
+        assert!(ProductionExecutor::new(2).run(&wf, &s.table_a, &s.table_b).is_ok());
     }
 
     #[test]

@@ -4,14 +4,36 @@
 //! §4.1: the development stage's output "is captured as a Python script"
 //! that the production stage executes. The Rust equivalent is a
 //! [`WorkflowSpec`] — pure data describing the blocker, the feature set,
-//! the trained forest, the rule layer, and the threshold — with a
-//! line-oriented, dependency-free text encoding. Only forest matchers are
-//! persistable (they are what Falcon and the pipeline's best-performing
-//! configurations produce); other matcher types must be re-trained from
-//! the labeled data.
+//! the trained forest, the rule layer, the threshold, and the decision
+//! plan — with a line-oriented, dependency-free text encoding. Only forest
+//! matchers are persistable (they are what Falcon and the pipeline's
+//! best-performing configurations produce); other matcher types must be
+//! re-trained from the labeled data.
 //!
 //! Field separators are tabs; attribute and rule names may contain any
 //! character except tab and newline (checked at save time).
+//!
+//! `workflow v1`, line by line:
+//!
+//! ```text
+//! workflow v1
+//! threshold <t>
+//! blocker <kind>\t<fields...>         (rules: `brule`/`bpred` lines follow)
+//! features <n>, then n × feature <kind>\t<l_attr>\t<r_attr>\t<name>
+//! rules <n>, then per rule: rule <action> <k>\t<name>, k × cond <op> <t>\t<feature>
+//! defer\t<feature>                    (decision plan: tested last; any number)
+//! region <bound>\t<feature>           (decision plan: the certain-No box, in reading order)
+//! matcher forest, then the `forest v1` text
+//! ```
+//!
+//! The plan lines ([`DecisionPlan`]) name features by name. A box that
+//! constrains no feature is one bare `region` line. A bound is written in
+//! Rust's shortest round-trip form, so it reads back to the same bits. A
+//! file with no plan lines — every file saved before the plan was part of
+//! the workflow — loads with the empty plan: no deferral and no box, the
+//! same matches. On load the plan is checked against the file's own forest
+//! and threshold ([`DecisionPlan::check`]): a box that forest can score at
+//! or above the threshold inside is refused, naming its first line.
 
 use magellan_block::{
     AttrEquivalenceBlocker, Blocker, BlockingRule, HashBlocker, OverlapBlocker, Predicate,
@@ -22,6 +44,7 @@ use magellan_ml::persist::{load_forest, save_forest, PersistError};
 use magellan_ml::{Node, RandomForestClassifier};
 use magellan_simjoin::SetSimMeasure;
 
+use crate::exec::DecisionPlan;
 use crate::rules::{Cmp, MatchRule, RuleAction, RuleLayer};
 use crate::workflow::EmWorkflow;
 
@@ -149,6 +172,8 @@ pub struct WorkflowSpec {
     pub rule_layer: RuleLayer,
     /// Match threshold.
     pub threshold: f64,
+    /// The decision plan the development stage derived.
+    pub plan: DecisionPlan,
 }
 
 impl WorkflowSpec {
@@ -160,6 +185,7 @@ impl WorkflowSpec {
             matcher: Box::new(self.forest),
             rule_layer: self.rule_layer,
             threshold: self.threshold,
+            plan: self.plan,
         }
     }
 }
@@ -405,6 +431,19 @@ pub fn save_workflow(spec: &WorkflowSpec) -> String {
             writeln!(out, "cond {op} {t}\t{}", check_name(fname)).unwrap();
         }
     }
+    let name = |j: usize| check_name(&spec.features[j].name);
+    for (j, _) in spec.plan.deferred.iter().enumerate().filter(|(_, &d)| d) {
+        writeln!(out, "defer\t{}", name(j)).unwrap();
+    }
+    match &spec.plan.region {
+        Some(dims) if dims.is_empty() => writeln!(out, "region").unwrap(),
+        Some(dims) => {
+            for &(j, bound) in dims {
+                writeln!(out, "region {bound}\t{}", name(j)).unwrap();
+            }
+        }
+        None => {}
+    }
     writeln!(out, "matcher forest").unwrap();
     out.push_str(&save_forest(&spec.forest));
     out
@@ -554,7 +593,44 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
         });
     }
 
-    let (ln, mline) = r.next("matcher")?;
+    // The decision plan's lines, if any, up to the matcher.
+    let feature = |name: &str, ln: usize| {
+        features
+            .iter()
+            .position(|f| f.name == name)
+            .ok_or_else(|| PersistError {
+                line: ln,
+                message: format!("the plan names `{name}`, which is not a feature"),
+            })
+    };
+    let mut plan = DecisionPlan::default();
+    let mut region_line = 0;
+    let (ln, mline) = loop {
+        let (ln, line) = r.next("matcher")?;
+        if let Some(name) = line.strip_prefix("defer\t") {
+            let j = feature(name, ln)?;
+            plan.deferred.resize(features.len(), false);
+            plan.deferred[j] = true;
+        } else if line == "region" || line.starts_with("region ") {
+            let dims = plan.region.get_or_insert_with(Vec::new);
+            if region_line == 0 {
+                region_line = ln;
+            }
+            if let Some(dim) = line.strip_prefix("region ") {
+                let (bound, name) = dim.split_once('\t').ok_or(PersistError {
+                    line: ln,
+                    message: "region needs a bound and a feature".into(),
+                })?;
+                let bound: f64 = bound.parse().map_err(|_| PersistError {
+                    line: ln,
+                    message: format!("bad region bound `{bound}`"),
+                })?;
+                dims.push((feature(name, ln)?, bound));
+            }
+        } else {
+            break (ln, line);
+        }
+    };
     if mline != "matcher forest" {
         return Err(PersistError {
             line: ln,
@@ -585,12 +661,19 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
         }
     }
 
+    plan.check(&forest, threshold, features.len())
+        .map_err(|e| PersistError {
+            line: region_line,
+            message: e.to_string(),
+        })?;
+
     Ok(WorkflowSpec {
         blocker,
         features,
         forest,
         rule_layer: RuleLayer::new(rules),
         threshold,
+        plan,
     })
 }
 
@@ -754,6 +837,7 @@ mod tests {
                 MatchRule::accept("strong age", vec![("abs_diff(A.age, B.age)".into(), Cmp::Ge, 0.95)]),
             ]),
             threshold: 0.5,
+            plan: DecisionPlan::default(),
         }
     }
 
@@ -934,5 +1018,180 @@ mod tests {
         spec.forest = forest;
         let err = load_workflow(&save_workflow(&spec)).expect_err("feature 2 of 1");
         assert!(err.message.contains("tree 0 splits on feature 2"), "{err}");
+    }
+
+    /// Each hostile plan line is refused, naming its line: a feature the
+    /// workflow does not list (in a `defer` and in a `region` line), a
+    /// bound that is not a number, a region line with no feature, and a
+    /// box inside which the file's own forest can reach its threshold.
+    #[test]
+    fn hostile_plan_lines_are_refused_with_their_line() {
+        let spec = spec_with(BlockerSpec::AttrEquivalence {
+            l_attr: "name".into(),
+            r_attr: "name".into(),
+        });
+        let text = save_workflow(&spec);
+        let matcher = text.lines().position(|l| l == "matcher forest").unwrap();
+        let name = &spec.features[0].name;
+        let hostile = [
+            (vec!["defer\tno such feature".to_owned()], 0, "`no such feature`"),
+            (vec!["region 0.5\tno such feature".to_owned()], 0, "`no such feature`"),
+            (vec![format!("region abc\t{name}")], 0, "bad region bound `abc`"),
+            (vec!["region 0.5".to_owned()], 0, "needs a bound and a feature"),
+            // Unbounded on one feature: the forest's own maximum, which
+            // clears 0.5. The box is named by its first line.
+            (
+                vec![format!("defer\t{name}"), format!("region inf\t{name}")],
+                1,
+                "not certain-No",
+            ),
+            (vec!["region".to_owned()], 0, "not certain-No"),
+        ];
+        for (plan_lines, at, why) in hostile {
+            let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+            lines.splice(matcher..matcher, plan_lines.iter().cloned());
+            let err = load_workflow(&(lines.join("\n") + "\n")).expect_err(why);
+            assert_eq!(err.line, matcher + at + 1, "{plan_lines:?}: {err}");
+            assert!(err.message.contains(why), "{plan_lines:?}: {err}");
+        }
+    }
+
+    /// A plan's mask and bounds read back to the same bits; a box that
+    /// constrains no feature is a bare `region` line.
+    #[test]
+    fn plan_lines_round_trip_bit_for_bit() {
+        let mut spec = spec_with(BlockerSpec::AttrEquivalence {
+            l_attr: "name".into(),
+            r_attr: "name".into(),
+        });
+        // Every leaf is below 1, so any box is certain-No at threshold 1.
+        spec.threshold = 1.0;
+        let bounds = [0.1 + 0.2, 5e-324, -0.0, f64::MAX, f64::INFINITY, f64::NAN];
+        for region in [
+            None,
+            Some(Vec::new()),
+            Some(bounds.iter().enumerate().map(|(i, &u)| (1 - i % 2, u)).collect()),
+        ] {
+            for deferred in [Vec::new(), vec![false, true]] {
+                spec.plan = DecisionPlan {
+                    deferred: deferred.clone(),
+                    region: region.clone(),
+                };
+                let back = roundtrip(&spec).plan;
+                assert_eq!(back.deferred, deferred);
+                let bits = |r: &Option<Vec<(usize, f64)>>| {
+                    r.as_ref()
+                        .map(|d| d.iter().map(|&(j, u)| (j, u.to_bits())).collect::<Vec<_>>())
+                };
+                assert_eq!(bits(&back.region), bits(&region));
+            }
+        }
+    }
+
+    /// A learner that keeps a copy of the last forest it fitted: the one
+    /// the development stage chose.
+    struct KeepForest(RandomForestLearner, std::sync::Mutex<Option<RandomForestClassifier>>);
+
+    impl magellan_ml::Learner for KeepForest {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn fit(&self, data: &Dataset) -> Box<dyn magellan_ml::Classifier> {
+            let forest = self.0.fit_forest(data);
+            *self.1.lock().unwrap() = Some(forest.clone());
+            Box::new(forest)
+        }
+
+        fn ensemble_size(&self) -> usize {
+            self.0.n_trees
+        }
+    }
+
+    /// A development-stage workflow saved and loaded again runs exactly as
+    /// the one in memory — the same matches, and the same pairs decided in
+    /// the region, trees walked and features demanded — and the file with
+    /// its plan lines removed gives the same matches with no pair decided
+    /// in a region.
+    #[test]
+    fn a_development_stage_workflow_round_trips_with_its_plan() {
+        use crate::exec::ProductionExecutor;
+        use crate::labeling::OracleLabeler;
+        use crate::pipeline::{run_development_stage, DevConfig};
+        use magellan_block::OverlapBlocker;
+        use magellan_datagen::domains::persons;
+        use magellan_datagen::{DirtModel, ScenarioConfig};
+        use magellan_features::generate_features;
+
+        let s = persons(&ScenarioConfig {
+            size_a: 300,
+            size_b: 300,
+            n_matches: 100,
+            dirt: DirtModel::light(),
+            seed: 31,
+        });
+        let (a, b) = (&s.table_a, &s.table_b);
+        let features = generate_features(a, b, &["id"]).unwrap();
+        let learner = KeepForest(
+            RandomForestLearner {
+                n_trees: 12,
+                ..Default::default()
+            },
+            Default::default(),
+        );
+        let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
+        let cfg = DevConfig {
+            sample_size: 300,
+            ..Default::default()
+        };
+        let (wf, _) = run_development_stage(
+            a,
+            b,
+            vec![Box::new(OverlapBlocker::words("name", 1))],
+            features,
+            &[&learner],
+            &mut labeler,
+            &cfg,
+        )
+        .unwrap();
+        assert!(wf.plan.region.is_some(), "the stage found no box: {:?}", wf.plan);
+        let spec = WorkflowSpec {
+            blocker: BlockerSpec::Overlap {
+                l_attr: "name".into(),
+                r_attr: "name".into(),
+                overlap_size: 1,
+                qgram: None,
+            },
+            features: wf.features.clone(),
+            forest: learner.1.lock().unwrap().take().unwrap(),
+            rule_layer: RuleLayer::empty(),
+            threshold: wf.threshold,
+            plan: wf.plan.clone(),
+        };
+        let text = save_workflow(&spec);
+        let loaded = load_workflow(&text).unwrap();
+        assert_eq!(loaded.plan, wf.plan);
+
+        let exec = ProductionExecutor::new(2);
+        let counts = |wf: &EmWorkflow| {
+            let rep = exec.run(wf, a, b).unwrap();
+            let count = |what: &str| rep.obs.counter(&format!("magellan_core_{what}_total"));
+            let demand = ["region_decided", "trees_walked", "features_demanded"].map(count);
+            (rep.matches, demand)
+        };
+        let (matches, demand) = counts(&wf);
+        assert!(demand[0] > 0, "no pair decided in the region: {demand:?}");
+        assert_eq!(counts(&loaded.build()), (matches.clone(), demand));
+
+        let bare: String = text
+            .lines()
+            .filter(|l| !l.starts_with("defer\t") && !l.starts_with("region"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let old = load_workflow(&bare).unwrap();
+        assert_eq!(old.plan, DecisionPlan::default());
+        let (old_matches, old_demand) = counts(&old.build());
+        assert_eq!(old_matches, matches);
+        assert_eq!(old_demand[0], 0);
     }
 }

@@ -10,7 +10,7 @@ use magellan_table::Table;
 
 use crate::downsample::down_sample;
 use crate::error::MagellanError;
-use crate::exec::{DecideCounts, Decider};
+use crate::exec::{DecideCounts, DecisionPlan};
 use crate::labeling::Labeler;
 use crate::rules::RuleLayer;
 use crate::sample::sample_positions;
@@ -120,7 +120,8 @@ pub struct DevReport {
 
 /// Run the development stage (Fig. 2): down-sample → select blocker →
 /// block → sample → label → cross-validate → select matcher → train →
-/// quality-check. Returns the captured workflow and the report.
+/// quality-check → derive the decision plan. Returns the captured workflow
+/// and the report.
 ///
 /// `blockers` are the candidates the "user experiments with" (the guide's
 /// blockers X and Y); the pipeline picks the one with the best label-free
@@ -330,28 +331,34 @@ fn run_development_stage_on(
     // precision is systematically lower; sampling *predicted matches*,
     // labeling them, and raising the threshold until the estimated
     // precision clears the target corrects for the density shift.
+    //
+    // The probe — a bounded random slice of the candidate set — is also
+    // what the workflow's decision plan is derived over, so it is drawn and
+    // prepared whether or not calibration runs.
+    let probe_positions = sample_positions(
+        &candidates,
+        50_000.min(candidates.len()),
+        cfg.seed ^ 0xCA11,
+    );
+    let probe_pairs: Vec<(u32, u32)> = probe_positions
+        .iter()
+        .map(|&i| candidates.pairs()[i])
+        .collect();
+    prepared.prepare_for_pairs(&plan, &probe_pairs);
+    let probe_plan = DecisionPlan::derive(&*matcher, 0.5, &prepared, &plan, &probe_pairs);
     let mut threshold = 0.5;
     let mut est_precision = None;
     if cfg.calibration_labels > 0 {
-        // Score a bounded random slice of the candidate set, deciding
-        // each pair lazily as production does: only a predicted match gets
-        // its whole row and its probability. Chunks keep pair positions
-        // and are joined in order, so `scored` is in probe order.
-        let probe_positions = sample_positions(
-            &candidates,
-            50_000.min(candidates.len()),
-            cfg.seed ^ 0xCA11,
-        );
-        let probe_pairs: Vec<(u32, u32)> = probe_positions
-            .iter()
-            .map(|&i| candidates.pairs()[i])
-            .collect();
-        prepared.prepare_for_pairs(&plan, &probe_pairs);
-        let decider = Decider::pilot(&*matcher, 0.5, &prepared, &plan, &probe_pairs);
+        // Decide each probe pair lazily as production does: only a
+        // predicted match gets its whole row and its probability. Chunks
+        // keep pair positions and are joined in order, so `scored` is in
+        // probe order.
         let (chunks, _) = magellan_par::chunk_map(probe_pairs.len(), par, |range| {
             let mut scorer = Scorer::new(&prepared, &plan);
             let mut scored: Vec<(f64, usize)> = Vec::new();
-            decider.decide_pairs(
+            probe_plan.decide_pairs(
+                &*matcher,
+                0.5,
                 &mut scorer,
                 &probe_pairs[range.clone()],
                 &mut DecideCounts::default(),
@@ -395,6 +402,13 @@ fn run_development_stage_on(
             est_precision = Some(best.1);
         }
     }
+    // The plan at the final threshold: a box derived at 0.5 stays
+    // certain-No above it, but is narrower than one derived there.
+    let decision_plan = if threshold == 0.5 {
+        probe_plan
+    } else {
+        DecisionPlan::derive(&*matcher, threshold, &prepared, &plan, &probe_pairs)
+    };
 
     let positive_rate =
         labels.iter().filter(|&&l| l).count() as f64 / labels.len().max(1) as f64;
@@ -416,6 +430,7 @@ fn run_development_stage_on(
         matcher,
         rule_layer: RuleLayer::empty(),
         threshold,
+        plan: decision_plan,
     };
     Ok((workflow, report))
 }

@@ -6,9 +6,11 @@ use magellan_features::{extract_feature_matrix, Feature, FeatureMatrix};
 use magellan_ml::Classifier;
 use magellan_table::Table;
 
+use crate::exec::DecisionPlan;
 use crate::rules::RuleLayer;
 
-/// A complete, trained EM workflow: blocker → features → matcher → rules.
+/// A complete, trained EM workflow: blocker → features → matcher → rules,
+/// and the plan the production executor decides its pairs by.
 pub struct EmWorkflow {
     /// The blocking step.
     pub blocker: Box<dyn Blocker>,
@@ -20,6 +22,11 @@ pub struct EmWorkflow {
     pub rule_layer: RuleLayer,
     /// Matcher probability threshold for "match" (default 0.5).
     pub threshold: f64,
+    /// How the executor decides pairs with this matcher at this threshold:
+    /// the features it tests last and its certain-No region. Derived once
+    /// by the development stage; [`DecisionPlan::default`] (no deferral, no
+    /// region) for a hand-built workflow. It cannot change a match.
+    pub plan: DecisionPlan,
 }
 
 /// The output of running a workflow.
@@ -120,6 +127,7 @@ mod tests {
                 )],
             )]),
             threshold: 0.5,
+            plan: DecisionPlan::default(),
         };
         let out = wf.execute(&a, &b).unwrap();
         // Blocking keeps only (a0,b0) (shared tokens).
@@ -138,6 +146,7 @@ mod tests {
             matcher: Box::new(ConstantClassifier { proba: 0.6 }),
             rule_layer: RuleLayer::empty(),
             threshold: 0.7,
+            plan: DecisionPlan::default(),
         };
         let out = wf.execute(&a, &b).unwrap();
         assert_eq!(out.n_matches(), 0);

@@ -69,6 +69,7 @@ fn workflow() -> EmWorkflow {
             )],
         )]),
         threshold: 0.5,
+        plan: Default::default(),
     }
 }
 

@@ -1,9 +1,10 @@
-//! Two guards on the production pass's checkpoints: a resumed checkpoint
-//! must index rows of the tables it is resumed against, and
+//! Three guards on the production pass's checkpoints: a resumed checkpoint
+//! must index rows of the tables it is resumed against, a run resumed from
+//! a finished one publishes the counts a fresh run does, and
 //! [`ProductionExecutor::run`], which has no store, builds no checkpoint.
 
 use magellan_block::OverlapBlocker;
-use magellan_core::checkpoint::{Checkpoint, CheckpointStore, MemStore};
+use magellan_core::checkpoint::{Checkpoint, CheckpointStore, MemStore, Phase};
 use magellan_core::error::MagellanError;
 use magellan_core::exec::{ProductionExecutor, ProductionReport, RecoveryOptions};
 use magellan_core::rules::RuleLayer;
@@ -34,6 +35,7 @@ fn workflow() -> EmWorkflow {
         matcher: Box::new(ConstantClassifier { proba: 1.0 }),
         rule_layer: RuleLayer::empty(),
         threshold: 0.5,
+        plan: Default::default(),
     }
 }
 
@@ -114,5 +116,29 @@ fn run_builds_no_checkpoint() -> Result<(), MagellanError> {
         let bytes = report.obs.counter("magellan_core_checkpoint_bytes_total");
         assert_eq!(bytes > 0, written > 0, "{bytes} checkpoint bytes");
     }
+    Ok(())
+}
+
+/// A run resumed from a `Done` checkpoint publishes the candidate and match
+/// counts of the run that wrote it, so its snapshot agrees with its report.
+#[test]
+fn a_resumed_run_publishes_the_fresh_runs_counts() -> Result<(), MagellanError> {
+    let s = scenario(120, 23);
+    let (a, b, wf) = (&s.table_a, &s.table_b, workflow());
+    let exec = ProductionExecutor::new(2);
+    let mut store = MemStore::new();
+    let opts = RecoveryOptions::default();
+    let fresh = exec.run_with_recovery(&wf, a, b, &mut store, &opts)?;
+    let resumed = exec.run_with_recovery(&wf, a, b, &mut store, &opts)?;
+    assert_eq!(resumed.recovery.resumed_from, Some(Phase::Matching));
+    assert_eq!(resumed.matches, fresh.matches);
+    assert!(!fresh.matches.is_empty());
+    for name in ["magellan_core_candidates_total", "magellan_core_matches_total"] {
+        assert_eq!(resumed.obs.counter(name), fresh.obs.counter(name), "{name}");
+    }
+    assert_eq!(
+        resumed.obs.counter("magellan_core_matches_total"),
+        resumed.matches.len() as u64
+    );
     Ok(())
 }

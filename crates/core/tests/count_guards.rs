@@ -10,9 +10,11 @@
 //! is a No with no tree walked.
 //!
 //! One worker and one chunk, so the executor's scorer sees the candidate
-//! list — sorted by `(l, r)` — whole: every left row is one run. The
-//! counts are read where they are published, in the obs registry
-//! (`magellan_features_scorer_*_total`).
+//! list — sorted by `(l, r)` — whole: every left row is one run. Each run's
+//! workflow carries the decision plan (deferral mask and certain-No
+//! region) that `DecisionPlan::derive` gives over the run's own
+//! candidates. The counts are read where they are published, in the obs
+//! registry (`magellan_features_scorer_*_total`).
 //!
 //! Undone one at a time in `features::prepared`, each saving fails its
 //! assertion: rebuilding the pattern (or restamping) whenever asked reads
@@ -25,7 +27,7 @@
 use std::collections::HashSet;
 
 use magellan_block::{Blocker, OverlapBlocker};
-use magellan_core::exec::{ProductionExecutor, ProductionReport};
+use magellan_core::exec::{DecisionPlan, ProductionExecutor, ProductionReport};
 use magellan_core::rules::RuleLayer;
 use magellan_core::EmWorkflow;
 use magellan_datagen::domains::persons;
@@ -52,14 +54,22 @@ fn blocker() -> OverlapBlocker {
     OverlapBlocker::words("name", 1)
 }
 
-/// One worker, one chunk: the executor's report for `matcher` on the task.
+/// One worker, one chunk: the executor's report for `matcher` on the task,
+/// under the decision plan derived over the run's own candidates.
 fn run(s: &EmScenario, features: &[Feature], matcher: Box<dyn Classifier>) -> ProductionReport {
+    let (a, b) = (&s.table_a, &s.table_b);
+    let candidates = blocker().block(a, b).expect("blocking");
+    let mut prepared = PreparedPair::new(a, b);
+    let feature_plan = prepared.plan(features).expect("plan");
+    prepared.prepare_for_pairs(&feature_plan, candidates.pairs());
+    let plan = DecisionPlan::derive(&*matcher, 0.5, &prepared, &feature_plan, candidates.pairs());
     let wf = EmWorkflow {
         blocker: Box::new(blocker()),
         features: features.to_vec(),
         matcher,
         rule_layer: RuleLayer::empty(),
         threshold: 0.5,
+        plan,
     };
     ProductionExecutor::new(1)
         .with_chunk_size(usize::MAX)

@@ -20,7 +20,9 @@
 //!   before deferral;
 //! * per run, for `ProductionExecutor::run` at 1/2/4/8 workers and
 //!   `run_with_recovery` killed after blocking and resumed, under rule
-//!   layers whose rules name features no tree tests;
+//!   layers whose rules name features no tree tests, each forest and
+//!   threshold under the decision plan `DecisionPlan::derive` gives it over
+//!   the run's own candidates;
 //! * per run, that *what is demanded* is pinned: the three demand counters
 //!   equal recorded values ([`PARENT_DEMAND`]) at every worker count, and
 //!   every pair is either walked or decided inside the certain-No region,
@@ -29,14 +31,16 @@
 use magellan_block::{Blocker, OverlapBlocker};
 use magellan_core::checkpoint::{MemStore, Phase};
 use magellan_core::error::MagellanError;
-use magellan_core::exec::{ProductionExecutor, RecoveryOptions};
+use magellan_core::exec::{DecisionPlan, ProductionExecutor, RecoveryOptions};
 use magellan_core::labeling::OracleLabeler;
 use magellan_core::pipeline::{run_development_stage, DevConfig};
 use magellan_core::rules::{Cmp, MatchRule, RuleLayer};
 use magellan_core::EmWorkflow;
 use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, EmScenario, ScenarioConfig};
-use magellan_features::{extract_feature_matrix, generate_features, Feature, FeatureKind};
+use magellan_features::{
+    extract_feature_matrix, generate_features, Feature, FeatureKind, PreparedPair,
+};
 use magellan_ml::{
     Classifier, Dataset, DecisionTreeClassifier, Learner, LogisticRegressionLearner, Node,
     RandomForestClassifier, RandomForestLearner,
@@ -365,8 +369,8 @@ fn rule_layers(features: &[Feature], blind: &[usize]) -> Vec<RuleLayer> {
 /// test the sequence kernels last: a tree parked at a Levenshtein / Jaro /
 /// Monge–Elkan split lets later trees be walked, and their cheap features
 /// be demanded, before any kernel runs, and a parked tree counts once in
-/// `trees walked`. On the 1-tree forest the executor's pilot finds that
-/// deferral does not pay. Every `trees walked` then fell (1 743 → 156,
+/// `trees walked`. On the 1-tree forest the decision plan, derived over
+/// the run's own candidates, finds that deferral does not pay. Every `trees walked` then fell (1 743 → 156,
 /// 3 729 → 449, 7 565 → 1 233, 12 887 → 1 708) and no `features demanded`
 /// rose when the executor began to answer a pair inside the forest's
 /// certain-No region with no tree walked.
@@ -395,6 +399,12 @@ fn executor_equals_the_eager_oracle() {
     let mut wf = calibrated_workflow(&s, &features);
     let calibrated = wf.threshold;
     let n_features = features.len() as u64;
+    // Each forest and threshold runs under the plan derived over the run's
+    // own candidates.
+    let candidates = blocker().block(a, b).expect("blocking");
+    let mut prepared = PreparedPair::new(a, b);
+    let feature_plan = prepared.plan(&features).expect("plan");
+    prepared.prepare_for_pairs(&feature_plan, candidates.pairs());
 
     let mut rule_overrides = 0;
     let mut demand = Vec::new();
@@ -407,6 +417,13 @@ fn executor_equals_the_eager_oracle() {
             .enumerate()
         {
             wf.threshold = threshold;
+            wf.plan = DecisionPlan::derive(
+                &*wf.matcher,
+                threshold,
+                &prepared,
+                &feature_plan,
+                candidates.pairs(),
+            );
             for (layer, rule_layer) in rule_layers(&features, &blind).into_iter().enumerate() {
                 wf.rule_layer = RuleLayer::empty();
                 let unruled = wf.execute(a, b).expect("oracle").matches();

@@ -38,6 +38,7 @@ fn workflow() -> EmWorkflow {
         matcher: Box::new(ConstantClassifier { proba: 1.0 }),
         rule_layer: RuleLayer::empty(),
         threshold: 0.5,
+        plan: Default::default(),
     }
 }
 

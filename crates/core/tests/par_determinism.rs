@@ -281,6 +281,7 @@ fn production_run_is_worker_count_invariant() {
         matcher: Box::new(ConstantClassifier { proba: 1.0 }),
         rule_layer: RuleLayer::empty(),
         threshold: 0.5,
+        plan: Default::default(),
     };
     let reference = ProductionExecutor::new(1)
         .run(&workflow, &s.table_a, &s.table_b)

@@ -264,6 +264,11 @@ impl<'p> Scorer<'p> {
         (0..self.plan.len()).map(|j| self.feature(j)).collect()
     }
 
+    /// The number of planned features: the width of a row.
+    pub fn width(&self) -> usize {
+        self.plan.len()
+    }
+
     /// Features computed so far — demands that were not repeats.
     pub fn computed(&self) -> u64 {
         self.computed

@@ -105,6 +105,7 @@ fn rule_layer_rescues_a_permissive_matcher() {
         matcher: Box::new(magellan_ml::model::ConstantClassifier { proba: 1.0 }),
         rule_layer: RuleLayer::empty(),
         threshold: 0.5,
+        plan: Default::default(),
     };
     let plain = workflow.execute(&s.table_a, &s.table_b).unwrap().matches();
     let m_plain =
