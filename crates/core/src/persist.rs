@@ -40,7 +40,7 @@ use magellan_block::{
     RuleBasedBlocker, SimFeature, SimJoinBlocker, SortedNeighborhoodBlocker, TokSpec,
 };
 use magellan_features::{Feature, FeatureKind, TokSpecF};
-use magellan_ml::persist::{load_forest, save_forest, PersistError};
+use magellan_ml::persist::{load_forest, save_forest, stated_count, PersistError};
 use magellan_ml::{Node, RandomForestClassifier};
 use magellan_simjoin::SetSimMeasure;
 
@@ -451,9 +451,16 @@ pub fn save_workflow(spec: &WorkflowSpec) -> String {
 
 struct LineReader<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    n_lines: usize,
 }
 
 impl<'a> LineReader<'a> {
+    /// `n` entries of `what`, stated on line `ln`, if the lines after it
+    /// can hold them.
+    fn count(&self, n: usize, ln: usize, what: &str) -> Result<usize, PersistError> {
+        stated_count(n, self.n_lines - ln, ln, what)
+    }
+
     fn next(&mut self, what: &str) -> Result<(usize, &'a str), PersistError> {
         self.lines
             .next()
@@ -476,6 +483,7 @@ fn expect_prefix<'a>(line: &'a str, prefix: &str, ln: usize) -> Result<&'a str, 
 pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
     let mut r = LineReader {
         lines: text.lines().enumerate(),
+        n_lines: text.lines().count(),
     };
     let (ln, header) = r.next("header")?;
     if header != "workflow v1" {
@@ -503,7 +511,7 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
             line: ln,
             message: "bad feature count".into(),
         })?;
-    let mut features = Vec::with_capacity(n_features);
+    let mut features = Vec::with_capacity(r.count(n_features, ln, "features")?);
     for _ in 0..n_features {
         let (ln, line) = r.next("feature")?;
         let body = expect_prefix(line, "feature ", ln)?;
@@ -529,7 +537,7 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
             line: ln,
             message: "bad rule count".into(),
         })?;
-    let mut rules = Vec::with_capacity(n_rules);
+    let mut rules = Vec::with_capacity(r.count(n_rules, ln, "rules")?);
     for _ in 0..n_rules {
         let (ln, line) = r.next("rule")?;
         let body = expect_prefix(line, "rule ", ln)?;
@@ -555,7 +563,7 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
                 line: ln,
                 message: "bad condition count".into(),
             })?;
-        let mut conditions = Vec::with_capacity(n_conds);
+        let mut conditions = Vec::with_capacity(r.count(n_conds, ln, "conditions")?);
         for _ in 0..n_conds {
             let (ln, line) = r.next("cond")?;
             let body = expect_prefix(line, "cond ", ln)?;
@@ -762,7 +770,7 @@ fn parse_blocker(
         if n_rules == 0 {
             return Err(bad("rule blocker needs at least one rule"));
         }
-        let mut rules = Vec::with_capacity(n_rules);
+        let mut rules = Vec::with_capacity(r.count(n_rules, ln, "blocking rules")?);
         for _ in 0..n_rules {
             let (ln, line) = r.next("brule")?;
             let n_preds: usize = expect_prefix(line, "brule ", ln)?
@@ -771,7 +779,7 @@ fn parse_blocker(
                     line: ln,
                     message: "bad predicate count".into(),
                 })?;
-            let mut predicates = Vec::with_capacity(n_preds);
+            let mut predicates = Vec::with_capacity(r.count(n_preds, ln, "predicates")?);
             for _ in 0..n_preds {
                 let (ln, line) = r.next("bpred")?;
                 let body = expect_prefix(line, "bpred ", ln)?;
@@ -1023,7 +1031,9 @@ mod tests {
     /// Each hostile plan line is refused, naming its line: a feature the
     /// workflow does not list (in a `defer` and in a `region` line), a
     /// bound that is not a number, a region line with no feature, and a
-    /// box inside which the file's own forest can reach its threshold.
+    /// box inside which the file's own forest can reach its threshold. So
+    /// is each count no text can back (blocking rules, predicates,
+    /// features, rules, conditions), before anything is allocated for it.
     #[test]
     fn hostile_plan_lines_are_refused_with_their_line() {
         let spec = spec_with(BlockerSpec::AttrEquivalence {
@@ -1053,6 +1063,29 @@ mod tests {
             let err = load_workflow(&(lines.join("\n") + "\n")).expect_err(why);
             assert_eq!(err.line, matcher + at + 1, "{plan_lines:?}: {err}");
             assert!(err.message.contains(why), "{plan_lines:?}: {err}");
+        }
+
+        let text = save_workflow(&spec_with(BlockerSpec::Rules(vec![BlockingRule {
+            predicates: vec![Predicate {
+                l_attr: "name".into(),
+                r_attr: "name".into(),
+                feature: SimFeature::Jaccard(TokSpec::Word),
+                threshold: 0.31,
+            }],
+        }])));
+        for (prefix, hostile) in [
+            ("blocker rules ", "blocker rules 100000000000"),
+            ("brule ", "brule 100000000000"),
+            ("features ", "features 100000000000"),
+            ("rules ", "rules 100000000000"),
+            ("rule reject ", "rule reject 100000000000\tweak name guard"),
+        ] {
+            let mut lines: Vec<&str> = text.lines().collect();
+            let at = lines.iter().position(|l| l.starts_with(prefix)).unwrap();
+            lines[at] = hostile;
+            let err = load_workflow(&(lines.join("\n") + "\n")).expect_err(hostile);
+            assert_eq!(err.line, at + 1, "{hostile}: {err}");
+            assert!(err.message.contains("lines follow"), "{hostile}: {err}");
         }
     }
 

@@ -133,6 +133,12 @@ pub struct DevReport {
 /// does not depend on how many: each step merges its chunks in input
 /// order.
 ///
+/// Under a recorder each step is one span: `dev_down_sample` (when
+/// `down_sample_to` is set), `dev_select_blocker`, `dev_pre_sample`,
+/// `dev_extract` (the sample's features, labels and training split),
+/// `dev_cv`, `dev_fit` (with the holdout check), `dev_probe` (with the plan
+/// at 0.5) and `dev_calibrate` (with the plan at the final threshold).
+///
 /// # Errors
 /// [`MagellanError::Config`], before any work, for fewer than two
 /// `cv_folds`, a `holdout_fraction` outside `(0, 1)` (NaN included), a
@@ -189,6 +195,7 @@ fn run_development_stage_on(
     let (a_small, b_small);
     let (wa, wb): (&Table, &Table) = match cfg.down_sample_to {
         Some(size) => {
+            let _span = magellan_obs::span("dev_down_sample", 0);
             let (x, y) = down_sample(a, b, size, 4, &[], cfg.seed);
             a_small = x;
             b_small = y;
@@ -198,6 +205,7 @@ fn run_development_stage_on(
     };
 
     // Step 2: blocker selection.
+    let span = magellan_obs::span("dev_select_blocker", 0);
     let debug_attrs: Vec<&str> = if cfg.debug_attrs.is_empty() {
         wa.schema()
             .fields()
@@ -231,6 +239,7 @@ fn run_development_stage_on(
         .expect("at least one blocker");
     let chosen_blocker = blockers.remove(best_idx);
     let candidates = candidate_sets.swap_remove(best_idx);
+    drop(span);
 
     // Step 3–4: sample S from C and label it. A uniform sample of a large
     // candidate set at EM's match densities contains almost no matches and
@@ -240,6 +249,7 @@ fn run_development_stage_on(
     // uniform remainder. No gold labels are consulted. The pre-sample is
     // scored as production scores, through one `Scorer` over its
     // left-sorted pairs, keeping one proxy key per pair and no row.
+    let span = magellan_obs::span("dev_pre_sample", 0);
     let pre_positions = sample_positions(
         &candidates,
         cfg.sample_size.saturating_mul(30).max(cfg.sample_size),
@@ -263,6 +273,8 @@ fn run_development_stage_on(
         );
         chosen.iter().map(|&i| pre_pairs[i]).collect()
     };
+    drop(span);
+    let span = magellan_obs::span("dev_extract", 0);
     let (matrix, _) = extract_with_prepared(&mut prepared, &sample_pairs, &features, par)?;
     let labels: Vec<bool> = sample_pairs
         .iter()
@@ -276,6 +288,7 @@ fn run_development_stage_on(
     for &i in &train_idx {
         train.push(&matrix.rows[i], labels[i]);
     }
+    drop(span);
     if train.is_empty() {
         return Err(MagellanError::Phase {
             phase: "training",
@@ -291,6 +304,7 @@ fn run_development_stage_on(
     }
 
     // Step 6: cross-validate and pick the matcher.
+    let span = magellan_obs::span("dev_cv", 0);
     let n_pos = train.n_positive();
     let degenerate = n_pos < 2 || train.len() - n_pos < 2;
     let cv_reports = if degenerate {
@@ -312,8 +326,10 @@ fn run_development_stage_on(
         .iter()
         .find(|l| l.name() == chosen_name)
         .expect("selected learner exists");
+    drop(span);
 
     // Step 7: fit the chosen matcher on the full training labels.
+    let span = magellan_obs::span("dev_fit", 0);
     let matcher = chosen_learner.fit(&train);
 
     // Step 8: quality check on the holdout.
@@ -323,6 +339,7 @@ fn run_development_stage_on(
         .collect();
     let hold_gold: Vec<bool> = hold_idx.iter().map(|&i| labels[i]).collect();
     let holdout = Metrics::from_predictions(&hold_pred, &hold_gold);
+    drop(span);
 
     // Step 8 (second half): Fig. 2's quality check — "examining a sample
     // of the predictions and computing the resulting accuracy". The
@@ -335,6 +352,7 @@ fn run_development_stage_on(
     // The probe — a bounded random slice of the candidate set — is also
     // what the workflow's decision plan is derived over, so it is drawn and
     // prepared whether or not calibration runs.
+    let span = magellan_obs::span("dev_probe", 0);
     let probe_positions = sample_positions(
         &candidates,
         50_000.min(candidates.len()),
@@ -346,6 +364,8 @@ fn run_development_stage_on(
         .collect();
     prepared.prepare_for_pairs(&plan, &probe_pairs);
     let probe_plan = DecisionPlan::derive(&*matcher, 0.5, &prepared, &plan, &probe_pairs);
+    drop(span);
+    let span = magellan_obs::span("dev_calibrate", 0);
     let mut threshold = 0.5;
     let mut est_precision = None;
     if cfg.calibration_labels > 0 {
@@ -409,6 +429,7 @@ fn run_development_stage_on(
     } else {
         DecisionPlan::derive(&*matcher, threshold, &prepared, &plan, &probe_pairs)
     };
+    drop(span);
 
     let positive_rate =
         labels.iter().filter(|&&l| l).count() as f64 / labels.len().max(1) as f64;
@@ -774,7 +795,8 @@ mod tests {
     }
 
     /// What one stage run at `workers` returned, bit for bit, plus the
-    /// count and a digest of the matches its workflow finds in production.
+    /// workflow's decision plan and the count and a digest of the matches
+    /// it finds in production.
     fn stage_outcome(
         s: &magellan_datagen::EmScenario,
         blocker: Box<dyn Blocker>,
@@ -826,7 +848,7 @@ mod tests {
             .collect();
         let h = &r.holdout;
         format!(
-            "{choices:?} {} {} {cv:?} {} {:?} {} {:x} {:x} {:?} {} {:x}",
+            "{choices:?} {} {} {cv:?} {} {:?} {} {:x} {:x} {:?} {:?} {} {:x}",
             r.chosen_blocker,
             r.n_candidates,
             r.chosen_matcher,
@@ -835,6 +857,7 @@ mod tests {
             r.label_positive_rate.to_bits(),
             r.threshold.to_bits(),
             r.est_precision.map(f64::to_bits),
+            workflow.plan,
             matches.len(),
             magellan_obs::fnv1a(&bytes),
         )
@@ -897,6 +920,41 @@ mod tests {
             })
         };
         assert_worker_count_invariant(&s, jaccard, 400);
+    }
+
+    /// Under a pinned recorder each step of the stage is one span, and the
+    /// stage returns the same report and workflow as with no recorder.
+    #[test]
+    fn each_step_is_one_span_and_the_recorder_changes_nothing() {
+        let s = scenario();
+        let cfg = DevConfig {
+            down_sample_to: Some(150),
+            sample_size: 60,
+            calibration_labels: 40,
+            ..Default::default()
+        };
+        let blocker = || Box::new(OverlapBlocker::words("name", 1));
+        let plain = stage_outcome(&s, blocker(), &cfg, 2);
+        let obs = magellan_obs::Obs::pinned();
+        let traced = {
+            let _installed = obs.install();
+            stage_outcome(&s, blocker(), &cfg, 2)
+        };
+        assert_eq!(traced, plain);
+        let snap = obs.snapshot();
+        for step in [
+            "dev_down_sample",
+            "dev_select_blocker",
+            "dev_pre_sample",
+            "dev_extract",
+            "dev_cv",
+            "dev_fit",
+            "dev_probe",
+            "dev_calibrate",
+        ] {
+            assert_eq!(snap.spans_named(step).len(), 1, "{step}");
+        }
+        assert!(snap.counter("magellan_core_downsample_postings_total") > 0);
     }
 
     /// A sample size whose thirtyfold pre-sample overflows `usize` labels

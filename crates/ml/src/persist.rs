@@ -37,6 +37,20 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, PersistError> {
     })
 }
 
+/// `n`, the count of `what` stated on line `line`, if the `left` lines
+/// after it can hold that many (each takes at least one), or an error
+/// naming the line: a stated count bounds a pre-allocation only once the
+/// text can back it.
+pub fn stated_count(n: usize, left: usize, line: usize, what: &str) -> Result<usize, PersistError> {
+    if n > left {
+        return err(
+            line,
+            format!("{n} {what} stated, but only {left} lines follow"),
+        );
+    }
+    Ok(n)
+}
+
 /// Serialize a tree. Feature names are escaped per-line (names never
 /// contain newlines; tabs are rejected at save time).
 pub fn save_tree(tree: &DecisionTreeClassifier) -> String {
@@ -65,6 +79,7 @@ pub fn save_tree(tree: &DecisionTreeClassifier) -> String {
 
 /// Parse a tree saved by [`save_tree`].
 pub fn load_tree(text: &str) -> Result<DecisionTreeClassifier, PersistError> {
+    let n_lines = text.lines().count();
     let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
     let (ln, header) = lines.next().ok_or(PersistError {
         line: 0,
@@ -80,7 +95,7 @@ pub fn load_tree(text: &str) -> Result<DecisionTreeClassifier, PersistError> {
         .strip_prefix("features ")
         .and_then(|v| v.parse().ok())
         .ok_or(PersistError { line: ln, message: "bad `features` line".into() })?;
-    let mut names = Vec::with_capacity(n_features);
+    let mut names = Vec::with_capacity(stated_count(n_features, n_lines - ln, ln, "features")?);
     for _ in 0..n_features {
         let (ln, nline) = lines
             .next()
@@ -100,7 +115,7 @@ pub fn load_tree(text: &str) -> Result<DecisionTreeClassifier, PersistError> {
     if n_nodes == 0 {
         return err(ln, "a tree needs at least one node");
     }
-    let mut nodes = Vec::with_capacity(n_nodes);
+    let mut nodes = Vec::with_capacity(stated_count(n_nodes, n_lines - ln, ln, "nodes")?);
     for i in 0..n_nodes {
         let (ln, nline) = lines
             .next()
@@ -285,6 +300,21 @@ mod tests {
         let e = load_tree(bad).unwrap_err();
         assert_eq!(e.line, 4);
         assert!(e.to_string().contains("more positives"));
+        // Counts no text can back are refused on their own line, before
+        // anything is allocated for them, in a tree and in a forest.
+        for (bad, line) in [
+            ("tree v1\nfeatures 100000000000\n", 2),
+            ("tree v1\nfeatures 2\n\tf0\n", 2),
+            ("tree v1\nfeatures 0\nnodes 100000000000\nleaf 1 0\n", 3),
+        ] {
+            for e in [
+                load_tree(bad).unwrap_err(),
+                load_forest(&format!("forest v1 1\n{bad}")).unwrap_err(),
+            ] {
+                assert_eq!(e.line, line, "{bad:?}: {e}");
+                assert!(e.message.contains("lines follow"), "{bad:?}: {e}");
+            }
+        }
     }
 
     #[test]
