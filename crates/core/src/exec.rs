@@ -5,8 +5,10 @@
 //! is that Dask substitute: it runs a captured [`crate::EmWorkflow`] over
 //! the full tables on the `magellan-par` work-stealing pool, and reports
 //! per-phase wall-clock timings (the "Machine" time column of Table 2)
-//! *and* per-phase executor counters — the [`ParStats`] of each phase
-//! ([`PhaseCounters`]): pairs/sec, chunks stolen, per-worker busy time.
+//! beside the run's observability snapshot ([`ProductionReport::obs`]),
+//! which is the one place the run keeps its counts: each phase's pool
+//! counters (`magellan_par_*_total{phase="blocking"|"score"}`), what the
+//! matcher asked for, and what recovery absorbed.
 //!
 //! The executor inherits the pool's determinism contract: a production run
 //! produces **bit-identical matches for any worker count**, which is what
@@ -39,10 +41,11 @@
 //!
 //! * **panic containment** — each parallel region runs with a seeded
 //!   [`magellan_faults::FaultPlan`]'s chunk faults; contained panics,
-//!   recovered chunks, and worker deaths surface in
-//!   [`RecoveryTelemetry`];
+//!   recovered chunks, and worker deaths are the pool's
+//!   `magellan_par_{panics_contained,chunks_recovered,worker_deaths}_total`;
 //! * **retries with backoff** — transient phase and checkpoint-store
-//!   failures retry under a [`RetryPolicy`] on a simulated clock;
+//!   failures retry under a [`RetryPolicy`] on a simulated clock, counted
+//!   in `magellan_core_{phase,store}_retries_total`;
 //! * **phase checkpointing** — given a [`CheckpointStore`], the candidate
 //!   set is durably saved after blocking and the match set when done;
 //!   with none, no [`Checkpoint`] is built;
@@ -58,7 +61,7 @@ use magellan_faults::{run_with_retry, FaultPlan, RetryPolicy, SimClock};
 use magellan_features::{FeaturePlan, PreparedPair, Scorer, ScorerCounts};
 use magellan_ml::Classifier;
 use magellan_obs::{EvVal, ObsSnapshot};
-use magellan_par::{ChunkFaults, ParConfig, ParStats};
+use magellan_par::{ChunkFaults, ParConfig};
 use magellan_table::Table;
 
 use crate::checkpoint::{Checkpoint, CheckpointStore, Phase};
@@ -88,76 +91,6 @@ impl PhaseTimings {
     }
 }
 
-/// Per-phase executor counters of a production run: the [`ParStats`] of
-/// every parallel region, folded per phase.
-#[derive(Debug, Clone, Default)]
-pub struct PhaseCounters {
-    /// Blocking-phase counters (candidate generation / sim-join probes).
-    pub blocking: ParStats,
-    /// Matching-phase counters (the fused scoring pass).
-    pub matching: ParStats,
-}
-
-/// What the self-healing machinery did during a run: how much damage was
-/// absorbed, and what it cost. All zeros for a fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RecoveryTelemetry {
-    /// Whole-phase retries after a transient failure.
-    pub phase_retries: u32,
-    /// Checkpoint-store operations retried after a transient I/O failure.
-    pub store_retries: u32,
-    /// Chunk panics contained by the parallel pool (injected or genuine).
-    pub panics_contained: usize,
-    /// Chunks whose output was recovered by retry or serial fallback.
-    pub chunks_recovered: usize,
-    /// Workers that died (exhausted in-worker retries) and were routed
-    /// around by the serial fallback.
-    pub worker_deaths: usize,
-    /// Checkpoints durably written this run.
-    pub checkpoints_written: u32,
-    /// The phase whose checkpoint this run resumed from, if any.
-    pub resumed_from: Option<Phase>,
-    /// Total simulated backoff spent sleeping between retries, seconds.
-    pub sim_backoff_s: f64,
-}
-
-impl RecoveryTelemetry {
-    fn absorb_stats(&mut self, s: &ParStats) {
-        self.panics_contained += s.panics_contained;
-        self.chunks_recovered += s.chunks_recovered;
-        self.worker_deaths += s.worker_deaths;
-    }
-
-    /// Note the backoff slept on `clock`, then publish the recovery
-    /// counters into the ambient [`magellan_obs`] recorder. Worker deaths
-    /// are scheduling-dependent, so they are only published on wall-clock
-    /// recorders (same policy as [`ParStats::publish`]) — pinned snapshots
-    /// stay byte-identical across worker counts.
-    fn publish(&mut self, clock: &SimClock) {
-        self.sim_backoff_s = clock.now_s();
-        magellan_obs::counter_add(
-            "magellan_core_phase_retries_total",
-            u64::from(self.phase_retries),
-        );
-        magellan_obs::counter_add(
-            "magellan_core_store_retries_total",
-            u64::from(self.store_retries),
-        );
-        magellan_obs::counter_add(
-            "magellan_core_checkpoints_written_total",
-            u64::from(self.checkpoints_written),
-        );
-        magellan_obs::gauge_set("magellan_core_sim_backoff_seconds", self.sim_backoff_s);
-        let wall = magellan_obs::current().map(|o| !o.is_pinned()).unwrap_or(false);
-        if wall && self.worker_deaths > 0 {
-            magellan_obs::counter_add(
-                "magellan_core_worker_deaths_total",
-                self.worker_deaths as u64,
-            );
-        }
-    }
-}
-
 /// Result of a production run.
 #[derive(Debug)]
 pub struct ProductionReport {
@@ -165,21 +98,26 @@ pub struct ProductionReport {
     pub matches: CandidateSet,
     /// Candidate pairs examined.
     pub n_candidates: usize,
-    /// Wall-clock per phase.
+    /// Wall-clock per phase; zero for a phase the run resumed past.
     pub timings: PhaseTimings,
-    /// Executor counters per phase.
-    pub counters: PhaseCounters,
-    /// Worker threads used.
-    pub n_workers: usize,
-    /// What the self-healing machinery absorbed (all zeros for a
-    /// fault-free run with no checkpoint store).
-    pub recovery: RecoveryTelemetry,
+    /// The phase whose checkpoint this run resumed from, if any.
+    pub resumed_from: Option<Phase>,
     /// The run's observability snapshot: `run → phase → chunk → retry`
     /// spans, the `magellan_*` metrics registry, and the discrete event
     /// log, exportable as Prometheus text or Chrome-trace JSON. Under a
     /// pinned-clock recorder and a fixed chunk size, both exports are
     /// byte-identical across worker counts
     /// (`crates/core/tests/obs_determinism.rs`).
+    ///
+    /// The registry is where the run keeps its counts: the pool's
+    /// `magellan_par_*_total{phase="blocking"|"score"}`, the matcher's
+    /// `magellan_core_*_total` demand counters, and recovery's
+    /// `magellan_core_{phase,store}_retries_total`,
+    /// `magellan_core_checkpoints_written_total` and
+    /// `magellan_core_sim_backoff_seconds`. They are the counts of the
+    /// recorder the run ran under: with none installed the run records
+    /// into its own, and under a caller-installed recorder shared by
+    /// several runs they add up across those runs.
     pub obs: ObsSnapshot,
 }
 
@@ -335,7 +273,6 @@ impl ProductionExecutor {
             store,
             opts,
             clock: SimClock::new(),
-            tel: RecoveryTelemetry::default(),
         };
         let out = self.phases(&obs, workflow, a, b, &mut rec);
         if let Err(e) = &out {
@@ -369,89 +306,72 @@ impl ProductionExecutor {
             workflow.threshold,
             workflow.features.len(),
         )?;
-        let (candidates, blocking_stats, blocking) = match rec.resume(a, b)? {
-            Some(Checkpoint::Done {
-                matches,
-                n_candidates,
-            }) => {
-                // The previous run finished; reconstitute its report.
-                // Timings and counters are wall-clock artifacts of the dead
-                // process and come back empty — only the *results* are
-                // durable, and are published as a fresh run publishes them.
-                publish_totals(n_candidates, matches.len());
-                rec.tel.publish(&rec.clock);
-                drop(run_span);
-                return Ok(ProductionReport {
-                    matches: CandidateSet::new(matches),
+        let resumed = rec.resume(a, b)?;
+        let resumed_from = resumed.as_ref().map(Checkpoint::phase);
+        let (matches, n_candidates, timings) = 'ran: {
+            let (candidates, blocking) = match resumed {
+                // The previous run finished. Only its results are durable:
+                // its timings were the dead process's and come back empty.
+                Some(Checkpoint::Done {
+                    matches,
                     n_candidates,
-                    timings: PhaseTimings::default(),
-                    counters: PhaseCounters::default(),
-                    n_workers: self.n_workers,
-                    recovery: rec.tel,
-                    obs: Self::finish_obs(obs),
-                });
-            }
-            Some(Checkpoint::Blocked { candidates }) => (
-                CandidateSet::new(candidates),
-                ParStats::default(),
-                Duration::ZERO,
-            ),
-            None => {
-                let _phase = magellan_obs::span("blocking", 0);
-                let cfg = self.par_cfg(rec.opts.faults.chunk_faults(REGION_BLOCKING));
-                let t0 = Instant::now();
-                let (c, stats) = rec.phase(Phase::Blocking, || {
-                    workflow.blocker.block_par(a, b, &cfg).map_err(Into::into)
-                })?;
-                stats.publish("blocking");
-                rec.tel.absorb_stats(&stats);
-                let elapsed = t0.elapsed();
-                record_phase_us(obs, Phase::Blocking, elapsed);
-                rec.save(Phase::Blocking, || Checkpoint::Blocked {
-                    candidates: c.pairs().to_vec(),
-                })?;
-                (c, stats, elapsed)
-            }
+                }) => break 'ran (matches, n_candidates, PhaseTimings::default()),
+                Some(Checkpoint::Blocked { candidates }) => {
+                    (CandidateSet::new(candidates), Duration::ZERO)
+                }
+                None => {
+                    let _phase = magellan_obs::span("blocking", 0);
+                    let cfg = self.par_cfg(rec.opts.faults.chunk_faults(REGION_BLOCKING));
+                    let t0 = Instant::now();
+                    let (c, stats) = rec.phase(Phase::Blocking, || {
+                        workflow.blocker.block_par(a, b, &cfg).map_err(Into::into)
+                    })?;
+                    stats.publish("blocking");
+                    let elapsed = t0.elapsed();
+                    record_phase_us(obs, Phase::Blocking, elapsed);
+                    rec.save(Phase::Blocking, || Checkpoint::Blocked {
+                        candidates: c.pairs().to_vec(),
+                    })?;
+                    (c, elapsed)
+                }
+            };
+
+            let matching_span = magellan_obs::span("matching", 0);
+            let cfg = self.par_cfg(rec.opts.faults.chunk_faults(REGION_EXTRACT));
+            let t1 = Instant::now();
+            let pairs = candidates.pairs();
+            let decisions = rec.phase(Phase::Matching, || {
+                match_candidates(workflow, a, b, pairs, &cfg).map_err(Into::into)
+            })?;
+            let matching = t1.elapsed();
+            drop(matching_span);
+            record_phase_us(obs, Phase::Matching, matching);
+            rec.save(Phase::Matching, || Checkpoint::Done {
+                matches: decisions.clone(),
+                n_candidates: pairs.len(),
+            })?;
+            (decisions, pairs.len(), PhaseTimings { blocking, matching })
         };
 
-        let matching_span = magellan_obs::span("matching", 0);
-        let cfg = self.par_cfg(rec.opts.faults.chunk_faults(REGION_EXTRACT));
-        let t1 = Instant::now();
-        let pairs = candidates.pairs();
-        let (decisions, matching_stats) = rec.phase(Phase::Matching, || {
-            match_candidates(workflow, a, b, pairs, &cfg).map_err(Into::into)
-        })?;
-        rec.tel.absorb_stats(&matching_stats);
-        let matching = t1.elapsed();
-        drop(matching_span);
-        record_phase_us(obs, Phase::Matching, matching);
-        rec.save(Phase::Matching, || Checkpoint::Done {
-            matches: decisions.clone(),
-            n_candidates: pairs.len(),
-        })?;
-
-        publish_totals(pairs.len(), decisions.len());
-        rec.tel.publish(&rec.clock);
+        // The one exit: a resumed run publishes what a fresh one does.
+        publish_totals(n_candidates, matches.len(), &rec.clock);
         drop(run_span);
         Ok(ProductionReport {
-            matches: CandidateSet::new(decisions),
-            n_candidates: pairs.len(),
-            timings: PhaseTimings { blocking, matching },
-            counters: PhaseCounters {
-                blocking: blocking_stats,
-                matching: matching_stats,
-            },
-            n_workers: self.n_workers,
-            recovery: rec.tel,
+            matches: CandidateSet::new(matches),
+            n_candidates,
+            timings,
+            resumed_from,
             obs: Self::finish_obs(obs),
         })
     }
 }
 
-/// Publish a run's candidate and match counts.
-fn publish_totals(candidates: usize, matches: usize) {
+/// Publish a run's candidate and match counts, and the simulated backoff
+/// its retries slept on `clock`.
+fn publish_totals(candidates: usize, matches: usize, clock: &SimClock) {
     magellan_obs::counter_add("magellan_core_candidates_total", candidates as u64);
     magellan_obs::counter_add("magellan_core_matches_total", matches as u64);
+    magellan_obs::gauge_set("magellan_core_sim_backoff_seconds", clock.now_s());
 }
 
 /// Record a phase's wall-clock, on a wall-clock recorder only: pinned
@@ -464,12 +384,11 @@ fn record_phase_us(obs: &magellan_obs::Obs, phase: Phase, took: Duration) {
 }
 
 /// What one run recovers with: its checkpoint store, if any, its options,
-/// the simulated clock retries sleep on, and what recovery did so far.
+/// and the simulated clock retries sleep on.
 struct Recovery<'s, 'o> {
     store: Option<&'s mut dyn CheckpointStore>,
     opts: &'o RecoveryOptions,
     clock: SimClock,
-    tel: RecoveryTelemetry,
 }
 
 impl Recovery<'_, '_> {
@@ -480,7 +399,7 @@ impl Recovery<'_, '_> {
         let Some(store) = self.store.as_deref_mut() else {
             return Ok(None);
         };
-        let loaded = retry(&self.opts.retry, &mut self.clock, &mut self.tel.store_retries, || {
+        let loaded = retry(&self.opts.retry, &mut self.clock, STORE_RETRIES, || {
             store.load_bytes()
         })?;
         let Some(bytes) = loaded else {
@@ -499,7 +418,6 @@ impl Recovery<'_, '_> {
                 transient: false,
             });
         }
-        self.tel.resumed_from = Some(ck.phase());
         magellan_obs::event("resumed", &[("phase", EvVal::S(ck.phase().name()))]);
         Ok(Some(ck))
     }
@@ -511,7 +429,7 @@ impl Recovery<'_, '_> {
         phase: Phase,
         f: impl FnMut() -> Result<T, MagellanError>,
     ) -> Result<T, MagellanError> {
-        retry(&self.opts.retry, &mut self.clock, &mut self.tel.phase_retries, f).map_err(|e| {
+        retry(&self.opts.retry, &mut self.clock, PHASE_RETRIES, f).map_err(|e| {
             match e {
                 e @ (MagellanError::Checkpoint { .. }
                 | MagellanError::Killed { .. }
@@ -533,10 +451,10 @@ impl Recovery<'_, '_> {
             return Ok(());
         };
         let bytes = ck().to_bytes();
-        retry(&self.opts.retry, &mut self.clock, &mut self.tel.store_retries, || {
+        retry(&self.opts.retry, &mut self.clock, STORE_RETRIES, || {
             store.save_bytes(&bytes)
         })?;
-        self.tel.checkpoints_written += 1;
+        magellan_obs::counter_add("magellan_core_checkpoints_written_total", 1);
         magellan_obs::event("checkpoint_written", &[("phase", EvVal::S(phase.name()))]);
         if self.opts.kill_after == Some(phase) {
             return Err(MagellanError::Killed {
@@ -547,12 +465,16 @@ impl Recovery<'_, '_> {
     }
 }
 
+/// The counters [`retry`] adds a phase's and a store operation's retries to.
+const PHASE_RETRIES: &str = "magellan_core_phase_retries_total";
+const STORE_RETRIES: &str = "magellan_core_store_retries_total";
+
 /// Run `f` under the retry policy, charging backoff to the simulated clock
-/// and adding the retries it took to `retries`.
+/// and adding the retries it took to the counter `retries`.
 fn retry<T>(
     policy: &RetryPolicy,
     clock: &mut SimClock,
-    retries: &mut u32,
+    retries: &str,
     mut f: impl FnMut() -> Result<T, MagellanError>,
 ) -> Result<T, MagellanError> {
     let mut last = 0;
@@ -560,14 +482,16 @@ fn retry<T>(
         last = attempt;
         f()
     });
-    *retries += last;
+    magellan_obs::counter_add(retries, u64::from(last));
     out
 }
 
 /// The matching phase of both entry points: prepare the records the
 /// candidates reference (serially — interner ids are assigned in first-seen
-/// order), then decide every pair in one parallel region and return the
-/// matched pairs in candidate order.
+/// order; the `prepare` span), then decide every pair in one parallel
+/// region (the `score` span) and return the matched pairs in candidate
+/// order. Region tests, decisions and the rule layer run per pair,
+/// interleaved, so they are counters, not spans.
 ///
 /// Each chunk scores through one [`Scorer`], which holds the pair's memo —
 /// a pair inside the workflow's certain-No region ([`DecisionPlan`]) is a
@@ -591,17 +515,19 @@ fn match_candidates(
     b: &Table,
     pairs: &[(u32, u32)],
     cfg: &ParConfig,
-) -> magellan_table::Result<(Vec<(u32, u32)>, ParStats)> {
+) -> magellan_table::Result<Vec<(u32, u32)>> {
+    let prepare = magellan_obs::span("prepare", 0);
     let mut prepared = PreparedPair::new(a, b);
     let plan = prepared.plan(&workflow.features)?;
     let cache = prepared.prepare_counted(&plan, pairs);
+    drop(prepare);
     let names: Vec<&str> = workflow.features.iter().map(|f| f.name.as_str()).collect();
     let rules = workflow.rule_layer.bind(&names);
     let n_features = plan.len();
     let (matcher, threshold) = (&*workflow.matcher, workflow.threshold);
 
     let _region = magellan_obs::span("score", 0);
-    let (chunks, mut stats) = magellan_par::chunk_map(pairs.len(), cfg, |range| {
+    let (chunks, stats) = magellan_par::chunk_map(pairs.len(), cfg, |range| {
         let mut scorer = Scorer::new(&prepared, &plan);
         let mut matched = Vec::new();
         let mut counts = DecideCounts::default();
@@ -633,9 +559,8 @@ fn match_candidates(
     magellan_obs::counter_add("magellan_core_region_decided_total", counts.in_region);
     scored.publish();
     cache.publish();
-    stats.cache = cache;
     stats.publish("score");
-    Ok((decisions, stats))
+    Ok(decisions)
 }
 
 /// Pairs a derivation decides, at most, to choose how a workflow decides
@@ -981,6 +906,7 @@ mod tests {
     use magellan_datagen::{DirtModel, ScenarioConfig};
     use magellan_features::{Feature, FeatureKind, TokSpecF};
     use magellan_ml::model::ConstantClassifier;
+    use magellan_par::ParStats;
 
     fn workflow() -> EmWorkflow {
         EmWorkflow {
@@ -1007,19 +933,16 @@ mod tests {
     /// never NaN or ∞.
     #[test]
     fn zero_denominator_counters_are_finite() {
-        let c = PhaseCounters::default();
-        assert_eq!(c.matching.throughput(), 0.0);
-        assert_eq!(c.matching.cache.hit_rate(), 0.0);
-        assert_eq!(c.blocking.join.position_kill_rate(), 0.0);
-        assert_eq!(c.blocking.chunks_stolen + c.matching.chunks_stolen, 0);
+        let c = ParStats::default();
+        assert_eq!(c.throughput(), 0.0);
+        assert_eq!(c.cache.hit_rate(), 0.0);
+        assert_eq!(c.join.position_kill_rate(), 0.0);
+        assert_eq!(c.chunks_stolen, 0);
         for v in [
-            c.matching.throughput(),
-            c.matching.cache.hit_rate(),
-            c.blocking.join.position_kill_rate(),
-            c.blocking.throughput(),
-            c.blocking.utilization(),
-            c.matching.throughput(),
-            c.matching.utilization(),
+            c.throughput(),
+            c.cache.hit_rate(),
+            c.join.position_kill_rate(),
+            c.utilization(),
         ] {
             assert!(v.is_finite(), "ratio accessor produced {v}");
         }
@@ -1039,7 +962,7 @@ mod tests {
         let parallel = ProductionExecutor::new(4).run(&wf, &s.table_a, &s.table_b).unwrap();
         assert_eq!(serial.matches, parallel.matches);
         assert_eq!(serial.n_candidates, parallel.n_candidates);
-        assert_eq!(parallel.n_workers, 4);
+        assert_eq!(parallel.obs.gauge("magellan_par_workers{phase=\"score\"}"), 4.0);
         assert!(serial.timings.total() > Duration::ZERO);
     }
 
@@ -1054,55 +977,42 @@ mod tests {
         });
         let wf = workflow();
         let report = ProductionExecutor::new(3).run(&wf, &s.table_a, &s.table_b).unwrap();
+        let count = |name: &str| report.obs.counter(name) as usize;
+        let par = |name: &str, phase: &str| count(&format!("magellan_par_{name}{{phase=\"{phase}\"}}"));
+        let workers = |phase: &str| report.obs.gauge(&format!("magellan_par_workers{{phase=\"{phase}\"}}"));
         // Blocking counters reflect the probe loop over table A's rows.
-        assert_eq!(report.counters.blocking.n_workers, 3);
-        assert_eq!(report.counters.blocking.items, 200);
-        assert!(report.counters.blocking.chunks_total >= 1);
+        assert_eq!(workers("blocking"), 3.0);
+        assert_eq!(par("items_total", "blocking"), 200);
+        assert!(par("chunks_total", "blocking") >= 1);
         // The fused scoring pass walks every candidate pair once.
-        assert_eq!(report.counters.matching.items, report.n_candidates);
-        assert_eq!(report.counters.matching.worker_busy.len(), 3);
-        assert!(report.counters.matching.throughput() >= 0.0);
+        assert_eq!(par("items_total", "score"), report.n_candidates);
+        assert_eq!(workers("score"), 3.0);
+        assert!(report.obs.histogram("magellan_par_elapsed_us{phase=\"score\"}").is_some());
         assert!(
-            report.counters.blocking.chunks_stolen + report.counters.matching.chunks_stolen
-                <= report.counters.blocking.chunks_total + report.counters.matching.chunks_total
+            par("chunks_stolen_total", "blocking") + par("chunks_stolen_total", "score")
+                <= par("chunks_total", "blocking") + par("chunks_total", "score")
         );
-        let mut busy = report.counters.blocking.clone();
-        busy.merge(&report.counters.matching);
-        assert_eq!(busy.worker_busy.len(), 3);
         // Prepared-cache counters of the matching-phase extraction: the
         // workflow has one token feature (word jaccard on name), so
         // records were prepared, tokenize calls were spent (once per
         // referenced record), and — with pairs ≫ records — far more calls
         // were saved versus the per-pair scalar path.
-        let cache = report.counters.matching.cache;
-        assert!(cache.records_prepared > 0, "{cache:?}");
-        assert!(cache.tokenize_calls > 0, "{cache:?}");
-        assert!(cache.interner_tokens > 0, "{cache:?}");
-        assert!(
-            report.counters.matching.cache.tokenize_calls_saved > cache.tokenize_calls,
-            "{cache:?}"
-        );
-        assert!(
-            (0.0..=1.0).contains(&report.counters.matching.cache.hit_rate()),
-            "{cache:?}"
-        );
+        let cache = |name: &str| count(&format!("magellan_features_cache_{name}_total"));
+        let calls = cache("tokenize_calls");
+        assert!(cache("records_prepared") > 0);
+        assert!(calls > 0);
+        assert!(report.obs.gauge("magellan_features_interner_tokens") > 0.0);
+        assert!(cache("tokenize_calls_saved") > calls, "{calls} calls");
+        assert!(cache("hits") <= cache("lookups"));
         // Join-cascade counters of the blocking-phase sim-join: probes
         // ran, candidates were generated, every candidate was either
         // killed by the positional filter or verified, and verification
         // accounts for suffix kills plus emitted pairs.
-        let join = report.counters.blocking.join;
-        assert!(join.probes > 0, "{join:?}");
-        assert!(join.candidates > 0, "{join:?}");
-        assert_eq!(
-            join.candidates,
-            join.killed_by_position + join.verified,
-            "{join:?}"
-        );
-        assert_eq!(join.verified, join.killed_by_suffix + join.pairs, "{join:?}");
-        assert!(
-            (0.0..=1.0).contains(&report.counters.blocking.join.position_kill_rate()),
-            "{join:?}"
-        );
+        let join = |name: &str| count(&format!("magellan_simjoin_{name}_total"));
+        assert!(join("probes") > 0);
+        assert!(join("candidates") > 0);
+        assert_eq!(join("candidates"), join("killed_by_position") + join("verified"));
+        assert_eq!(join("verified"), join("killed_by_suffix") + join("pairs"));
     }
 
     #[test]
@@ -1122,9 +1032,13 @@ mod tests {
             .unwrap();
         assert_eq!(plain.matches, rec.matches);
         assert_eq!(plain.n_candidates, rec.n_candidates);
-        assert_eq!(rec.recovery.panics_contained, 0);
-        assert_eq!(rec.recovery.checkpoints_written, 2);
-        assert_eq!(rec.recovery.resumed_from, None);
+        let count = |name: &str| rec.obs.counter(name);
+        let panics = |phase: &str| {
+            count(&format!("magellan_par_panics_contained_total{{phase=\"{phase}\"}}"))
+        };
+        assert_eq!(panics("blocking") + panics("score"), 0);
+        assert_eq!(count("magellan_core_checkpoints_written_total"), 2);
+        assert_eq!(rec.resumed_from, None);
         // The Done checkpoint is durable and parseable (binary v2).
         let ck = Checkpoint::from_bytes(store.raw_bytes().unwrap()).unwrap();
         assert_eq!(ck.phase(), Phase::Matching);
@@ -1164,11 +1078,11 @@ mod tests {
                 &RecoveryOptions::default(),
             )
             .unwrap();
-        assert_eq!(resumed.recovery.resumed_from, Some(Phase::Blocking));
+        assert_eq!(resumed.resumed_from, Some(Phase::Blocking));
         assert_eq!(resumed.matches, golden.matches);
         assert_eq!(resumed.n_candidates, golden.n_candidates);
         // Blocking was skipped, so its counters are empty.
-        assert_eq!(resumed.counters.blocking.items, 0);
+        assert_eq!(resumed.obs.counter("magellan_par_items_total{phase=\"blocking\"}"), 0);
 
         // A third run resumes from Done and still reports identically.
         let done = exec
@@ -1180,7 +1094,7 @@ mod tests {
                 &RecoveryOptions::default(),
             )
             .unwrap();
-        assert_eq!(done.recovery.resumed_from, Some(Phase::Matching));
+        assert_eq!(done.resumed_from, Some(Phase::Matching));
         assert_eq!(done.matches, golden.matches);
         assert_eq!(done.n_candidates, golden.n_candidates);
     }
@@ -1213,12 +1127,14 @@ mod tests {
             .unwrap();
         assert_eq!(rec.matches, golden.matches, "recovery must be bit-identical");
         assert_eq!(rec.n_candidates, golden.n_candidates);
-        assert!(
-            rec.recovery.panics_contained > 0,
-            "seeded plan should have injected at least one chunk panic"
-        );
-        assert!(rec.recovery.chunks_recovered >= 1, "contained panics imply recovered chunks");
-        assert!(rec.recovery.chunks_recovered <= rec.recovery.panics_contained);
+        let both = |name: &str| {
+            let phase = |p: &str| rec.obs.counter(&format!("magellan_par_{name}_total{{phase=\"{p}\"}}"));
+            phase("blocking") + phase("score")
+        };
+        let (panics, recovered) = (both("panics_contained"), both("chunks_recovered"));
+        assert!(panics > 0, "seeded plan should have injected at least one chunk panic");
+        assert!(recovered >= 1, "contained panics imply recovered chunks");
+        assert!(recovered <= panics);
     }
 
     /// A plan the workflow's matcher and threshold cannot vouch for is a

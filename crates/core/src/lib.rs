@@ -33,8 +33,8 @@
 //! [`par`] (`magellan-par`). Its determinism contract: parallel output is
 //! **bit-identical to serial for any worker count**, enforced end to end
 //! by `crates/core/tests/par_determinism.rs`. [`exec::ProductionExecutor`]
-//! surfaces each phase's [`par::ParStats`] (pairs/sec, chunks stolen,
-//! per-worker busy time) in its [`exec::ProductionReport`].
+//! publishes each phase's [`par::ParStats`] (items, chunks stolen,
+//! utilization) into the registry of its [`exec::ProductionReport`].
 //!
 //! [`registry`] catalogs every user-facing command by guide step and
 //! origin, regenerating the paper's Table 3.

@@ -40,7 +40,7 @@ use magellan_block::{
     RuleBasedBlocker, SimFeature, SimJoinBlocker, SortedNeighborhoodBlocker, TokSpec,
 };
 use magellan_features::{Feature, FeatureKind, TokSpecF};
-use magellan_ml::persist::{load_forest, save_forest, stated_count, PersistError};
+use magellan_ml::persist::{read_forest, save_forest, stated_count, PersistError};
 use magellan_ml::{Node, RandomForestClassifier};
 use magellan_simjoin::SetSimMeasure;
 
@@ -216,10 +216,7 @@ fn parse_tok(s: &str, line: usize) -> Result<TokSpec, PersistError> {
     } else if let Some(q) = s.strip_prefix('q').and_then(parse_q) {
         Ok(TokSpec::Qgram(q))
     } else {
-        Err(PersistError {
-            line,
-            message: format!("bad tokenizer spec `{s}`"),
-        })
+        Err(PersistError::at(line, format!("bad tokenizer spec `{s}`")))
     }
 }
 
@@ -236,10 +233,7 @@ fn parse_tokf(s: &str, line: usize) -> Result<TokSpecF, PersistError> {
     } else if let Some(q) = s.strip_prefix('q').and_then(parse_q) {
         Ok(TokSpecF::Qgram(q))
     } else {
-        Err(PersistError {
-            line,
-            message: format!("bad tokenizer spec `{s}`"),
-        })
+        Err(PersistError::at(line, format!("bad tokenizer spec `{s}`")))
     }
 }
 
@@ -261,10 +255,7 @@ fn kind_label(kind: FeatureKind) -> String {
 }
 
 fn parse_kind(s: &str, line: usize) -> Result<FeatureKind, PersistError> {
-    let bad = || PersistError {
-        line,
-        message: format!("bad feature kind `{s}`"),
-    };
+    let bad = || PersistError::at(line, format!("bad feature kind `{s}`"));
     Ok(match s {
         "exact_match" => FeatureKind::ExactMatch,
         "lev_sim" => FeatureKind::LevSim,
@@ -298,10 +289,7 @@ fn sim_feature_label(f: SimFeature) -> String {
 }
 
 fn parse_sim_feature(s: &str, line: usize) -> Result<SimFeature, PersistError> {
-    let bad = || PersistError {
-        line,
-        message: format!("bad blocking feature `{s}`"),
-    };
+    let bad = || PersistError::at(line, format!("bad blocking feature `{s}`"));
     Ok(match s {
         "exact_match" => SimFeature::ExactMatch,
         _ => {
@@ -465,18 +453,12 @@ impl<'a> LineReader<'a> {
         self.lines
             .next()
             .map(|(i, l)| (i + 1, l))
-            .ok_or_else(|| PersistError {
-                line: 0,
-                message: format!("unexpected end of input (expected {what})"),
-            })
+            .ok_or_else(|| PersistError::at(0, format!("unexpected end of input (expected {what})")))
     }
 }
 
 fn expect_prefix<'a>(line: &'a str, prefix: &str, ln: usize) -> Result<&'a str, PersistError> {
-    line.strip_prefix(prefix).ok_or_else(|| PersistError {
-        line: ln,
-        message: format!("expected `{prefix}...`, got `{line}`"),
-    })
+    line.strip_prefix(prefix).ok_or_else(|| PersistError::at(ln, format!("expected `{prefix}...`, got `{line}`")))
 }
 
 /// Parse a workflow saved by [`save_workflow`].
@@ -487,18 +469,12 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
     };
     let (ln, header) = r.next("header")?;
     if header != "workflow v1" {
-        return Err(PersistError {
-            line: ln,
-            message: format!("expected `workflow v1`, got `{header}`"),
-        });
+        return Err(PersistError::at(ln, format!("expected `workflow v1`, got `{header}`")));
     }
     let (ln, tline) = r.next("threshold")?;
     let threshold: f64 = expect_prefix(tline, "threshold ", ln)?
         .parse()
-        .map_err(|_| PersistError {
-            line: ln,
-            message: "bad threshold".into(),
-        })?;
+        .map_err(|_| PersistError::at(ln, "bad threshold"))?;
 
     let (ln, bline) = r.next("blocker")?;
     let body = expect_prefix(bline, "blocker ", ln)?;
@@ -507,20 +483,14 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
     let (ln, fline) = r.next("features")?;
     let n_features: usize = expect_prefix(fline, "features ", ln)?
         .parse()
-        .map_err(|_| PersistError {
-            line: ln,
-            message: "bad feature count".into(),
-        })?;
+        .map_err(|_| PersistError::at(ln, "bad feature count"))?;
     let mut features = Vec::with_capacity(r.count(n_features, ln, "features")?);
     for _ in 0..n_features {
         let (ln, line) = r.next("feature")?;
         let body = expect_prefix(line, "feature ", ln)?;
         let parts: Vec<&str> = body.splitn(4, '\t').collect();
         let [kind, l_attr, r_attr, name] = parts.as_slice() else {
-            return Err(PersistError {
-                line: ln,
-                message: "feature needs kind, l_attr, r_attr, name".into(),
-            });
+            return Err(PersistError::at(ln, "feature needs kind, l_attr, r_attr, name"));
         };
         features.push(Feature {
             name: (*name).to_owned(),
@@ -533,48 +503,30 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
     let (ln, rline) = r.next("rules")?;
     let n_rules: usize = expect_prefix(rline, "rules ", ln)?
         .parse()
-        .map_err(|_| PersistError {
-            line: ln,
-            message: "bad rule count".into(),
-        })?;
+        .map_err(|_| PersistError::at(ln, "bad rule count"))?;
     let mut rules = Vec::with_capacity(r.count(n_rules, ln, "rules")?);
     for _ in 0..n_rules {
         let (ln, line) = r.next("rule")?;
         let body = expect_prefix(line, "rule ", ln)?;
-        let (head, name) = body.split_once('\t').ok_or(PersistError {
-            line: ln,
-            message: "rule needs a name".into(),
-        })?;
+        let (head, name) = body.split_once('\t').ok_or(PersistError::at(ln, "rule needs a name"))?;
         let mut head_parts = head.split(' ');
         let action = match head_parts.next() {
             Some("accept") => RuleAction::Accept,
             Some("reject") => RuleAction::Reject,
             _ => {
-                return Err(PersistError {
-                    line: ln,
-                    message: "rule action must be accept/reject".into(),
-                })
+                return Err(PersistError::at(ln, "rule action must be accept/reject"))
             }
         };
         let n_conds: usize = head_parts
             .next()
             .and_then(|v| v.parse().ok())
-            .ok_or(PersistError {
-                line: ln,
-                message: "bad condition count".into(),
-            })?;
+            .ok_or(PersistError::at(ln, "bad condition count"))?;
         let mut conditions = Vec::with_capacity(r.count(n_conds, ln, "conditions")?);
         for _ in 0..n_conds {
             let (ln, line) = r.next("cond")?;
             let body = expect_prefix(line, "cond ", ln)?;
-            let (head, fname) = body.split_once('\t').ok_or(PersistError {
-                line: ln,
-                message: "cond needs a feature name".into(),
-            })?;
-            let (op, thr) = head.split_once(' ').ok_or(PersistError {
-                line: ln,
-                message: "cond needs op and threshold".into(),
-            })?;
+            let (head, fname) = body.split_once('\t').ok_or(PersistError::at(ln, "cond needs a feature name"))?;
+            let (op, thr) = head.split_once(' ').ok_or(PersistError::at(ln, "cond needs op and threshold"))?;
             let op = match op {
                 "le" => Cmp::Le,
                 "lt" => Cmp::Lt,
@@ -582,16 +534,10 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
                 "gt" => Cmp::Gt,
                 "eq" => Cmp::Eq,
                 _ => {
-                    return Err(PersistError {
-                        line: ln,
-                        message: format!("bad comparison `{op}`"),
-                    })
+                    return Err(PersistError::at(ln, format!("bad comparison `{op}`")))
                 }
             };
-            let thr: f64 = thr.parse().map_err(|_| PersistError {
-                line: ln,
-                message: "bad condition threshold".into(),
-            })?;
+            let thr: f64 = thr.parse().map_err(|_| PersistError::at(ln, "bad condition threshold"))?;
             conditions.push((fname.to_owned(), op, thr));
         }
         rules.push(MatchRule {
@@ -606,10 +552,7 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
         features
             .iter()
             .position(|f| f.name == name)
-            .ok_or_else(|| PersistError {
-                line: ln,
-                message: format!("the plan names `{name}`, which is not a feature"),
-            })
+            .ok_or_else(|| PersistError::at(ln, format!("the plan names `{name}`, which is not a feature")))
     };
     let mut plan = DecisionPlan::default();
     let mut region_line = 0;
@@ -625,14 +568,8 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
                 region_line = ln;
             }
             if let Some(dim) = line.strip_prefix("region ") {
-                let (bound, name) = dim.split_once('\t').ok_or(PersistError {
-                    line: ln,
-                    message: "region needs a bound and a feature".into(),
-                })?;
-                let bound: f64 = bound.parse().map_err(|_| PersistError {
-                    line: ln,
-                    message: format!("bad region bound `{bound}`"),
-                })?;
+                let (bound, name) = dim.split_once('\t').ok_or(PersistError::at(ln, "region needs a bound and a feature"))?;
+                let bound: f64 = bound.parse().map_err(|_| PersistError::at(ln, format!("bad region bound `{bound}`")))?;
                 dims.push((feature(name, ln)?, bound));
             }
         } else {
@@ -640,40 +577,24 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
         }
     };
     if mline != "matcher forest" {
-        return Err(PersistError {
-            line: ln,
-            message: format!("expected `matcher forest`, got `{mline}`"),
-        });
+        return Err(PersistError::at(ln, format!("expected `matcher forest`, got `{mline}`")));
     }
-    // The rest of the text is the forest.
-    let forest_start = text
-        .find("matcher forest\n")
-        .expect("just parsed the marker")
-        + "matcher forest\n".len();
-    let forest = load_forest(&text[forest_start..])?;
+    // The rest of the file is the forest.
+    let forest = read_forest(&mut (&mut r.lines).map(|(i, l)| (i + 1, l)), r.n_lines)?;
     // The forest is read with the workflow's feature rows: a split on a
     // feature the workflow does not list would index past the row.
     for (t, tree) in forest.trees().iter().enumerate() {
         for node in tree.nodes() {
             if let Node::Split { feature, .. } = *node {
                 if feature >= features.len() {
-                    return Err(PersistError {
-                        line: 0,
-                        message: format!(
-                            "tree {t} splits on feature {feature}, but the workflow lists {} features",
-                            features.len()
-                        ),
-                    });
+                    return Err(PersistError::at(0, format!("tree {t} splits on feature {feature}, but the workflow lists {} features", features.len())));
                 }
             }
         }
     }
 
     plan.check(&forest, threshold, features.len())
-        .map_err(|e| PersistError {
-            line: region_line,
-            message: e.to_string(),
-        })?;
+        .map_err(|e| PersistError::at(region_line, e.to_string()))?;
 
     Ok(WorkflowSpec {
         blocker,
@@ -690,10 +611,7 @@ fn parse_blocker(
     ln: usize,
     r: &mut LineReader<'_>,
 ) -> Result<BlockerSpec, PersistError> {
-    let bad = |msg: &str| PersistError {
-        line: ln,
-        message: msg.to_owned(),
-    };
+    let bad = |msg: &str| PersistError::at(ln, msg);
     // `-1` for word tokens, else a q-gram size.
     let parse_qgram = |s: &str| -> Option<Option<usize>> {
         if s.parse::<i64>().ok()? < 0 {
@@ -775,33 +693,21 @@ fn parse_blocker(
             let (ln, line) = r.next("brule")?;
             let n_preds: usize = expect_prefix(line, "brule ", ln)?
                 .parse()
-                .map_err(|_| PersistError {
-                    line: ln,
-                    message: "bad predicate count".into(),
-                })?;
+                .map_err(|_| PersistError::at(ln, "bad predicate count"))?;
             let mut predicates = Vec::with_capacity(r.count(n_preds, ln, "predicates")?);
             for _ in 0..n_preds {
                 let (ln, line) = r.next("bpred")?;
                 let body = expect_prefix(line, "bpred ", ln)?;
                 let parts: Vec<&str> = body.splitn(3, '\t').collect();
                 let [head, l_attr, r_attr] = parts.as_slice() else {
-                    return Err(PersistError {
-                        line: ln,
-                        message: "bpred needs feature+threshold, l_attr, r_attr".into(),
-                    });
+                    return Err(PersistError::at(ln, "bpred needs feature+threshold, l_attr, r_attr"));
                 };
-                let (feat, thr) = head.split_once(' ').ok_or(PersistError {
-                    line: ln,
-                    message: "bpred needs feature and threshold".into(),
-                })?;
+                let (feat, thr) = head.split_once(' ').ok_or(PersistError::at(ln, "bpred needs feature and threshold"))?;
                 predicates.push(Predicate {
                     l_attr: (*l_attr).to_owned(),
                     r_attr: (*r_attr).to_owned(),
                     feature: parse_sim_feature(feat, ln)?,
-                    threshold: thr.parse().map_err(|_| PersistError {
-                        line: ln,
-                        message: "bad predicate threshold".into(),
-                    })?,
+                    threshold: thr.parse().map_err(|_| PersistError::at(ln, "bad predicate threshold"))?,
                 });
             }
             rules.push(BlockingRule { predicates });
@@ -964,6 +870,35 @@ mod tests {
         assert!(load_workflow(truncated).is_err());
         let tampered = text.replacen("blocker attr_equiv", "blocker nonsense", 1);
         assert!(load_workflow(&tampered).is_err());
+    }
+
+    /// The forest is read from the lines after `matcher forest`, in place:
+    /// a CRLF copy loads to the same spec, an attribute named `matcher
+    /// forest` is only an attribute, and a bad tree line is named by its
+    /// line in the workflow file.
+    #[test]
+    fn the_forest_is_read_from_the_workflows_own_lines() -> Result<(), PersistError> {
+        for attr in ["name", "matcher forest"] {
+            let text = save_workflow(&spec_with(BlockerSpec::AttrEquivalence {
+                l_attr: attr.into(),
+                r_attr: attr.into(),
+            }));
+            assert_eq!(save_workflow(&load_workflow(&text)?), text);
+            assert_eq!(save_workflow(&load_workflow(&text.replace('\n', "\r\n"))?), text);
+        }
+        // The last node of a tree has no children, so the file ends on a leaf.
+        let text = save_workflow(&spec_with(BlockerSpec::AttrEquivalence {
+            l_attr: "name".into(),
+            r_attr: "name".into(),
+        }));
+        let mut lines: Vec<&str> = text.lines().collect();
+        let leaf = lines.len() - 1;
+        assert!(lines[leaf].starts_with("leaf "), "{}", lines[leaf]);
+        lines[leaf] = "leaf 1 2";
+        let err = load_workflow(&(lines.join("\n") + "\n")).expect_err("bad leaf");
+        assert_eq!(err.line, leaf + 1, "{err}");
+        assert!(err.message.contains("more positives"), "{err}");
+        Ok(())
     }
 
     /// Blocker parameters the blocker would reject at run time (a panic

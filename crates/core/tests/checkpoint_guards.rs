@@ -1,19 +1,21 @@
 //! Three guards on the production pass's checkpoints: a resumed checkpoint
-//! must index rows of the tables it is resumed against, a run resumed from
-//! a finished one publishes the counts a fresh run does, and
+//! must index rows of the tables it is resumed against, a resumed run
+//! counts what a fresh run counts, and
 //! [`ProductionExecutor::run`], which has no store, builds no checkpoint.
 
 use magellan_block::OverlapBlocker;
 use magellan_core::checkpoint::{Checkpoint, CheckpointStore, MemStore, Phase};
 use magellan_core::error::MagellanError;
-use magellan_core::exec::{ProductionExecutor, ProductionReport, RecoveryOptions};
+use magellan_core::exec::{DecisionPlan, ProductionExecutor, ProductionReport, RecoveryOptions};
 use magellan_core::rules::RuleLayer;
 use magellan_core::EmWorkflow;
 use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, EmScenario, ScenarioConfig};
-use magellan_features::{Feature, FeatureKind, TokSpecF};
+use magellan_features::{Feature, FeatureKind, PreparedPair, TokSpecF};
 use magellan_ml::model::ConstantClassifier;
+use magellan_ml::{Dataset, RandomForestLearner};
 use magellan_obs::Obs;
+use magellan_table::Table;
 
 fn scenario(n: usize, seed: u64) -> EmScenario {
     persons(&ScenarioConfig {
@@ -112,33 +114,99 @@ fn run_builds_no_checkpoint() -> Result<(), MagellanError> {
     assert_eq!(rec.matches, plain.matches);
     for (report, written) in [(&plain, 0), (&rec, 2)] {
         assert_eq!(report.obs.spans_named("ckpt_write").len(), written);
-        assert_eq!(report.recovery.checkpoints_written as usize, written);
+        let ckpts = report.obs.counter("magellan_core_checkpoints_written_total");
+        assert_eq!(ckpts as usize, written);
         let bytes = report.obs.counter("magellan_core_checkpoint_bytes_total");
         assert_eq!(bytes > 0, written > 0, "{bytes} checkpoint bytes");
     }
     Ok(())
 }
 
-/// A run resumed from a `Done` checkpoint publishes the candidate and match
-/// counts of the run that wrote it, so its snapshot agrees with its report.
-#[test]
-fn a_resumed_run_publishes_the_fresh_runs_counts() -> Result<(), MagellanError> {
-    let s = scenario(120, 23);
-    let (a, b, wf) = (&s.table_a, &s.table_b, workflow());
-    let exec = ProductionExecutor::new(2);
-    let mut store = MemStore::new();
-    let opts = RecoveryOptions::default();
-    let fresh = exec.run_with_recovery(&wf, a, b, &mut store, &opts)?;
-    let resumed = exec.run_with_recovery(&wf, a, b, &mut store, &opts)?;
-    assert_eq!(resumed.recovery.resumed_from, Some(Phase::Matching));
-    assert_eq!(resumed.matches, fresh.matches);
-    assert!(!fresh.matches.is_empty());
-    for name in ["magellan_core_candidates_total", "magellan_core_matches_total"] {
-        assert_eq!(resumed.obs.counter(name), fresh.obs.counter(name), "{name}");
+/// A forest workflow over the two name features whose decision plan is
+/// derived over the run's own candidates, so a run walks trees, decides
+/// pairs inside the certain-No region and asks for features.
+fn forest_workflow(a: &Table, b: &Table) -> EmWorkflow {
+    let mut wf = workflow();
+    let rows = [
+        vec![0.9, 0.95],
+        vec![0.8, 0.9],
+        vec![0.6, 0.93],
+        vec![0.5, 0.7],
+        vec![0.2, 0.8],
+        vec![0.1, 0.5],
+        vec![0.3, 0.6],
+        vec![0.0, 0.4],
+    ];
+    let labels = [true, true, true, false, false, false, false, false];
+    let forest = RandomForestLearner {
+        n_trees: 5,
+        ..Default::default()
     }
-    assert_eq!(
-        resumed.obs.counter("magellan_core_matches_total"),
-        resumed.matches.len() as u64
-    );
+    .fit_forest(&Dataset::from_rows(&rows, &labels));
+    let candidates = wf.blocker.block(a, b).expect("blocking");
+    let mut prepared = PreparedPair::new(a, b);
+    let plan = prepared.plan(&wf.features).expect("feature plan");
+    prepared.prepare_for_pairs(&plan, candidates.pairs());
+    wf.plan = DecisionPlan::derive(&forest, wf.threshold, &prepared, &plan, candidates.pairs());
+    wf.matcher = Box::new(forest);
+    wf
+}
+
+/// A run resumed from a checkpoint publishes what a fresh run does, through
+/// the same exit: resumed from `Blocked`, the run totals, the matcher's
+/// demand counters and every pool counter of the scoring region; resumed
+/// from `Done`, the run totals, so its snapshot agrees with its report.
+/// Each run records into its own pinned recorder at a pinned chunk size.
+#[test]
+fn a_resumed_run_counts_what_a_fresh_run_counts() -> Result<(), MagellanError> {
+    let s = scenario(120, 23);
+    let (a, b) = (&s.table_a, &s.table_b);
+    let wf = forest_workflow(a, b);
+    let exec = ProductionExecutor::new(2).with_chunk_size(16);
+    let mut store = MemStore::new();
+    let run = |store: &mut MemStore, kill_after| {
+        let _g = Obs::pinned().install();
+        let opts = RecoveryOptions {
+            kill_after,
+            ..RecoveryOptions::default()
+        };
+        exec.run_with_recovery(&wf, a, b, store, &opts)
+    };
+    let fresh = run(&mut MemStore::new(), None)?;
+    let killed = run(&mut store, Some(Phase::Blocking));
+    assert!(matches!(killed, Err(MagellanError::Killed { .. })), "{killed:?}");
+    let from_blocked = run(&mut store, None)?;
+    let from_done = run(&mut store, None)?;
+    assert_eq!(fresh.resumed_from, None);
+    assert_eq!(from_blocked.resumed_from, Some(Phase::Blocking));
+    assert_eq!(from_done.resumed_from, Some(Phase::Matching));
+    assert!(!fresh.matches.is_empty());
+
+    let totals = ["magellan_core_candidates_total", "magellan_core_matches_total"];
+    let demand = [
+        "magellan_core_features_demanded_total",
+        "magellan_core_trees_walked_total",
+        "magellan_core_region_decided_total",
+    ];
+    for name in demand {
+        assert!(fresh.obs.counter(name) > 0, "{name} never moved");
+    }
+    let score = |r: &ProductionReport| -> Vec<(String, u64)> {
+        let names = r.obs.metrics.keys();
+        let names = names.filter(|k| k.starts_with("magellan_par_") && k.ends_with("{phase=\"score\"}"));
+        names.map(|k| (k.clone(), r.obs.counter(k))).collect()
+    };
+    assert!(!score(&fresh).is_empty());
+    assert_eq!(score(&from_blocked), score(&fresh));
+    for name in totals.iter().chain(&demand) {
+        assert_eq!(from_blocked.obs.counter(name), fresh.obs.counter(name), "{name}");
+    }
+    for name in totals {
+        assert_eq!(from_done.obs.counter(name), fresh.obs.counter(name), "{name}");
+    }
+    for r in [&from_blocked, &from_done] {
+        assert_eq!(r.matches, fresh.matches);
+        assert_eq!(r.obs.counter("magellan_core_matches_total"), r.matches.len() as u64);
+    }
     Ok(())
 }

@@ -475,7 +475,7 @@ fn executor_equals_the_eager_oracle() {
                 let resumed = exec
                     .run_with_recovery(&wf, a, b, &mut store, &RecoveryOptions::default())
                     .expect("resumed run");
-                assert_eq!(resumed.recovery.resumed_from, Some(Phase::Blocking));
+                assert_eq!(resumed.resumed_from, Some(Phase::Blocking));
                 assert_eq!(resumed.matches, oracle, "{what}, resumed");
             }
         }

@@ -255,7 +255,10 @@ fn run_pinned_faulted(workers: usize, s: &EmScenario) -> (Obs, ObsSnapshot) {
             .with_chunk_size(CHUNK)
             .run_with_recovery(&workflow(), &s.table_a, &s.table_b, &mut store, &opts)
             .expect("recovery run");
-        assert!(report.recovery.panics_contained > 0, "fault plan never fired");
+        let panics = |phase: &str| {
+            report.obs.counter(&format!("magellan_par_panics_contained_total{{phase=\"{phase}\"}}"))
+        };
+        assert!(panics("blocking") + panics("score") > 0, "fault plan never fired");
         obs.snapshot()
     };
     (obs, snap)

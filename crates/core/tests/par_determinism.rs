@@ -292,16 +292,21 @@ fn production_run_is_worker_count_invariant() {
             .unwrap();
         assert_eq!(report.matches, reference.matches, "{w} workers changed matches");
         assert_eq!(report.n_candidates, reference.n_candidates);
-        // Counter surface: phases report their ParStats.
-        assert_eq!(report.counters.blocking.n_workers, w);
-        assert_eq!(report.counters.blocking.items, 120);
-        assert_eq!(report.counters.matching.items, report.n_candidates);
-        assert_eq!(report.counters.matching.worker_busy.len(), w);
-        assert!(report.counters.matching.throughput() >= 0.0);
+        // Counter surface: phases publish their ParStats.
+        let par = |name: &str, phase: &str| {
+            report.obs.counter(&format!("magellan_par_{name}{{phase=\"{phase}\"}}")) as usize
+        };
+        let workers = |phase: &str| {
+            report.obs.gauge(&format!("magellan_par_workers{{phase=\"{phase}\"}}")) as usize
+        };
+        assert_eq!(workers("blocking"), w);
+        assert_eq!(par("items_total", "blocking"), 120);
+        assert_eq!(par("items_total", "score"), report.n_candidates);
+        assert_eq!(workers("score"), w);
+        assert!(report.obs.histogram("magellan_par_elapsed_us{phase=\"score\"}").is_some());
         assert!(
-            report.counters.blocking.chunks_stolen + report.counters.matching.chunks_stolen
-                <= report.counters.blocking.chunks_total
-                    + report.counters.matching.chunks_total
+            par("chunks_stolen_total", "blocking") + par("chunks_stolen_total", "score")
+                <= par("chunks_total", "blocking") + par("chunks_total", "score")
         );
     }
 }

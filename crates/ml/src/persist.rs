@@ -30,11 +30,18 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
+impl PersistError {
+    /// The error `message`, found on line `line`.
+    pub fn at(line: usize, message: impl Into<String>) -> Self {
+        PersistError {
+            line,
+            message: message.into(),
+        }
+    }
+}
+
 fn err<T>(line: usize, message: impl Into<String>) -> Result<T, PersistError> {
-    Err(PersistError {
-        line,
-        message: message.into(),
-    })
+    Err(PersistError::at(line, message))
 }
 
 /// `n`, the count of `what` stated on line `line`, if the `left` lines
@@ -79,39 +86,44 @@ pub fn save_tree(tree: &DecisionTreeClassifier) -> String {
 
 /// Parse a tree saved by [`save_tree`].
 pub fn load_tree(text: &str) -> Result<DecisionTreeClassifier, PersistError> {
-    let n_lines = text.lines().count();
-    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
-    let (ln, header) = lines.next().ok_or(PersistError {
-        line: 0,
-        message: "empty input".into(),
-    })?;
+    read_tree(&mut text.lines().enumerate().map(|(i, l)| (i + 1, l)), text.lines().count())
+}
+
+/// Read one tree from `lines`, `(line number, line)` pairs of a text whose
+/// last line is numbered `n_lines`, leaving the lines after its last node;
+/// an error names a line of that text.
+fn read_tree<'a>(
+    lines: &mut impl Iterator<Item = (usize, &'a str)>,
+    n_lines: usize,
+) -> Result<DecisionTreeClassifier, PersistError> {
+    let (ln, header) = lines.next().ok_or(PersistError::at(0, "expected `tree v1`, got the end of the input"))?;
     if header != "tree v1" {
         return err(ln, format!("expected `tree v1`, got `{header}`"));
     }
     let (ln, fline) = lines
         .next()
-        .ok_or(PersistError { line: 0, message: "missing feature count".into() })?;
+        .ok_or(PersistError::at(0, "missing feature count"))?;
     let n_features: usize = fline
         .strip_prefix("features ")
         .and_then(|v| v.parse().ok())
-        .ok_or(PersistError { line: ln, message: "bad `features` line".into() })?;
+        .ok_or(PersistError::at(ln, "bad `features` line"))?;
     let mut names = Vec::with_capacity(stated_count(n_features, n_lines - ln, ln, "features")?);
     for _ in 0..n_features {
         let (ln, nline) = lines
             .next()
-            .ok_or(PersistError { line: 0, message: "missing feature name".into() })?;
+            .ok_or(PersistError::at(0, "missing feature name"))?;
         let name = nline
             .strip_prefix('\t')
-            .ok_or(PersistError { line: ln, message: "feature name must be tab-prefixed".into() })?;
+            .ok_or(PersistError::at(ln, "feature name must be tab-prefixed"))?;
         names.push(name.to_owned());
     }
     let (ln, cline) = lines
         .next()
-        .ok_or(PersistError { line: 0, message: "missing node count".into() })?;
+        .ok_or(PersistError::at(0, "missing node count"))?;
     let n_nodes: usize = cline
         .strip_prefix("nodes ")
         .and_then(|v| v.parse().ok())
-        .ok_or(PersistError { line: ln, message: "bad `nodes` line".into() })?;
+        .ok_or(PersistError::at(ln, "bad `nodes` line"))?;
     if n_nodes == 0 {
         return err(ln, "a tree needs at least one node");
     }
@@ -119,40 +131,22 @@ pub fn load_tree(text: &str) -> Result<DecisionTreeClassifier, PersistError> {
     for i in 0..n_nodes {
         let (ln, nline) = lines
             .next()
-            .ok_or(PersistError { line: 0, message: format!("missing node {i}") })?;
+            .ok_or(PersistError::at(0, format!("missing node {i}")))?;
         let parts: Vec<&str> = nline.split(' ').collect();
         let node = match parts.as_slice() {
             ["leaf", n, n_pos] => {
-                let n: usize = n.parse().map_err(|_| PersistError {
-                    line: ln,
-                    message: "bad leaf count".into(),
-                })?;
-                let n_pos: usize = n_pos.parse().map_err(|_| PersistError {
-                    line: ln,
-                    message: "bad leaf positive count".into(),
-                })?;
+                let n: usize = n.parse().map_err(|_| PersistError::at(ln, "bad leaf count"))?;
+                let n_pos: usize = n_pos.parse().map_err(|_| PersistError::at(ln, "bad leaf positive count"))?;
                 if n_pos > n {
                     return err(ln, "leaf has more positives than examples");
                 }
                 Node::Leaf { n, n_pos }
             }
             ["split", feature, threshold, left, right] => {
-                let feature: usize = feature.parse().map_err(|_| PersistError {
-                    line: ln,
-                    message: "bad split feature".into(),
-                })?;
-                let threshold: f64 = threshold.parse().map_err(|_| PersistError {
-                    line: ln,
-                    message: "bad split threshold".into(),
-                })?;
-                let left: usize = left.parse().map_err(|_| PersistError {
-                    line: ln,
-                    message: "bad left child".into(),
-                })?;
-                let right: usize = right.parse().map_err(|_| PersistError {
-                    line: ln,
-                    message: "bad right child".into(),
-                })?;
+                let feature: usize = feature.parse().map_err(|_| PersistError::at(ln, "bad split feature"))?;
+                let threshold: f64 = threshold.parse().map_err(|_| PersistError::at(ln, "bad split threshold"))?;
+                let left: usize = left.parse().map_err(|_| PersistError::at(ln, "bad left child"))?;
+                let right: usize = right.parse().map_err(|_| PersistError::at(ln, "bad right child"))?;
                 if feature >= n_features {
                     return err(ln, "split feature out of range");
                 }
@@ -175,10 +169,7 @@ pub fn load_tree(text: &str) -> Result<DecisionTreeClassifier, PersistError> {
         };
         nodes.push(node);
     }
-    DecisionTreeClassifier::from_parts(nodes, names).map_err(|message| PersistError {
-        line: 0,
-        message,
-    })
+    DecisionTreeClassifier::from_parts(nodes, names).map_err(|message| PersistError::at(0, message))
 }
 
 /// Serialize a forest as concatenated trees.
@@ -193,38 +184,33 @@ pub fn save_forest(forest: &RandomForestClassifier) -> String {
 
 /// Parse a forest saved by [`save_forest`].
 pub fn load_forest(text: &str) -> Result<RandomForestClassifier, PersistError> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or(PersistError {
-        line: 0,
-        message: "empty input".into(),
-    })?;
+    read_forest(&mut text.lines().enumerate().map(|(i, l)| (i + 1, l)), text.lines().count())
+}
+
+/// Read a forest — its header, its trees, and nothing after them — from
+/// `lines`, `(line number, line)` pairs of a text whose last line is
+/// numbered `n_lines`, so that a file holding a forest after other records
+/// hands over its remaining lines and an error names a line of that file.
+pub fn read_forest<'a>(
+    lines: &mut impl Iterator<Item = (usize, &'a str)>,
+    n_lines: usize,
+) -> Result<RandomForestClassifier, PersistError> {
+    let (ln, header) = lines.next().ok_or(PersistError::at(0, "empty input"))?;
     let n_trees: usize = header
         .strip_prefix("forest v1 ")
         .and_then(|v| v.parse().ok())
-        .ok_or(PersistError { line: 1, message: "bad forest header".into() })?;
+        .ok_or(PersistError::at(ln, "bad forest header"))?;
     if n_trees == 0 {
-        return err(1, "a forest needs at least one tree");
+        return err(ln, "a forest needs at least one tree");
     }
-    // Re-split the remainder into per-tree chunks on "tree v1" markers.
-    let body: Vec<&str> = text.lines().skip(1).collect();
-    let mut tree_starts: Vec<usize> = body
-        .iter()
-        .enumerate()
-        .filter_map(|(i, l)| (*l == "tree v1").then_some(i))
-        .collect();
-    if tree_starts.len() != n_trees {
-        return err(1, format!("expected {n_trees} trees, found {}", tree_starts.len()));
+    let mut trees = Vec::with_capacity(stated_count(n_trees, n_lines - ln, ln, "trees")?);
+    for _ in 0..n_trees {
+        trees.push(read_tree(lines, n_lines)?);
     }
-    tree_starts.push(body.len());
-    let mut trees = Vec::with_capacity(n_trees);
-    for w in tree_starts.windows(2) {
-        let chunk = body[w[0]..w[1]].join("\n");
-        trees.push(load_tree(&chunk)?);
+    if let Some((ln, line)) = lines.next() {
+        return err(ln, format!("expected {n_trees} trees, got more: `{line}`"));
     }
-    RandomForestClassifier::from_trees(trees).map_err(|message| PersistError {
-        line: 0,
-        message,
-    })
+    RandomForestClassifier::from_trees(trees).map_err(|message| PersistError::at(0, message))
 }
 
 #[cfg(test)]
@@ -266,14 +252,16 @@ mod tests {
     }
 
     #[test]
-    fn forest_roundtrips_exactly() {
+    fn forest_roundtrips_exactly() -> Result<(), PersistError> {
         let forest = RandomForestLearner {
             n_trees: 7,
             ..Default::default()
         }
         .fit_forest(&data(3));
         let text = save_forest(&forest);
-        let back = load_forest(&text).unwrap();
+        // A CRLF copy reads back to the same forest.
+        assert_eq!(save_forest(&load_forest(&text.replace('\n', "\r\n"))?), text);
+        let back = load_forest(&text)?;
         assert_eq!(forest.trees().len(), back.trees().len());
         let probe = data(4);
         for i in 0..probe.len() {
@@ -282,6 +270,7 @@ mod tests {
                 back.vote_fraction(probe.row(i))
             );
         }
+        Ok(())
     }
 
     #[test]
@@ -300,21 +289,29 @@ mod tests {
         let e = load_tree(bad).unwrap_err();
         assert_eq!(e.line, 4);
         assert!(e.to_string().contains("more positives"));
+        // In a forest's second tree it is named by its line in the forest.
+        let good = bad.replace("leaf 2 5", "leaf 2 1");
+        let e = load_forest(&format!("forest v1 2\n{good}{bad}")).unwrap_err();
+        assert_eq!(e.line, 9, "{e}");
         // Counts no text can back are refused on their own line, before
-        // anything is allocated for them, in a tree and in a forest.
+        // anything is allocated for them, in a tree and in a forest, whose
+        // lines are one past the tree's own.
         for (bad, line) in [
             ("tree v1\nfeatures 100000000000\n", 2),
             ("tree v1\nfeatures 2\n\tf0\n", 2),
             ("tree v1\nfeatures 0\nnodes 100000000000\nleaf 1 0\n", 3),
         ] {
-            for e in [
-                load_tree(bad).unwrap_err(),
-                load_forest(&format!("forest v1 1\n{bad}")).unwrap_err(),
+            for (e, line) in [
+                (load_tree(bad).unwrap_err(), line),
+                (load_forest(&format!("forest v1 1\n{bad}")).unwrap_err(), line + 1),
             ] {
                 assert_eq!(e.line, line, "{bad:?}: {e}");
                 assert!(e.message.contains("lines follow"), "{bad:?}: {e}");
             }
         }
+        let e = load_forest("forest v1 100000000000\ntree v1\n").unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
+        assert!(e.message.contains("lines follow"), "{e}");
     }
 
     #[test]
@@ -347,7 +344,9 @@ mod tests {
         }
         .fit_forest(&data(6));
         let text = save_forest(&forest);
-        let lying = text.replacen("forest v1 3", "forest v1 5", 1);
-        assert!(load_forest(&lying).is_err());
+        for lying in ["forest v1 5", "forest v1 2"] {
+            let e = load_forest(&text.replacen("forest v1 3", lying, 1)).unwrap_err();
+            assert!(e.message.contains("tree"), "{lying}: {e}");
+        }
     }
 }

@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let py_metrics = evaluate_matches(&prod.matches, a, b, "id", "id", &scenario.gold)?;
     println!(
         "\nPyMatcher production run ({} workers, {:?} machine time): {py_metrics}",
-        prod.n_workers,
+        exec.n_workers,
         prod.timings.total()
     );
 
