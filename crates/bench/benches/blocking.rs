@@ -25,7 +25,10 @@ fn bench_blockers(c: &mut Criterion) {
     for n in [1000usize, 3000] {
         let s = scenario(n);
         let blockers: Vec<(&str, Box<dyn Blocker>)> = vec![
-            ("attr_equiv_state", Box::new(AttrEquivalenceBlocker::on("state"))),
+            (
+                "attr_equiv_state",
+                Box::new(AttrEquivalenceBlocker::on("state")),
+            ),
             ("overlap_name", Box::new(OverlapBlocker::words("name", 1))),
             (
                 "sorted_neighborhood",
@@ -66,8 +69,7 @@ fn bench_debugger(c: &mut Criterion) {
     g.bench_function("debug_blocker_top20", |b| {
         b.iter(|| {
             black_box(
-                debug_blocker(&cands, &s.table_a, &s.table_b, &["name", "city"], 20, 0.3)
-                    .unwrap(),
+                debug_blocker(&cands, &s.table_a, &s.table_b, &["name", "city"], 20, 0.3).unwrap(),
             )
         })
     });

@@ -123,13 +123,8 @@ fn bench_feature_extraction(c: &mut Criterion) {
                 extract_with_prepared(&mut prepared, &pairs, &features, &cfg).unwrap();
                 b.iter(|| {
                     black_box(
-                        extract_with_prepared(
-                            black_box(&mut prepared),
-                            &pairs,
-                            &features,
-                            &cfg,
-                        )
-                        .unwrap(),
+                        extract_with_prepared(black_box(&mut prepared), &pairs, &features, &cfg)
+                            .unwrap(),
                     )
                 });
             },

@@ -31,14 +31,17 @@ fn bench_feature_extraction(c: &mut Criterion) {
     let cands = OverlapBlocker::words("name", 1)
         .block(&s.table_a, &s.table_b)
         .unwrap();
-    g.bench_function(format!("{}_pairs_x_{}_features", cands.len(), features.len()), |b| {
-        b.iter(|| {
-            black_box(
-                extract_feature_matrix(cands.pairs(), &s.table_a, &s.table_b, &features)
-                    .unwrap(),
-            )
-        })
-    });
+    g.bench_function(
+        format!("{}_pairs_x_{}_features", cands.len(), features.len()),
+        |b| {
+            b.iter(|| {
+                black_box(
+                    extract_feature_matrix(cands.pairs(), &s.table_a, &s.table_b, &features)
+                        .unwrap(),
+                )
+            })
+        },
+    );
     g.finish();
 }
 
@@ -50,8 +53,7 @@ fn bench_active_learning(c: &mut Criterion) {
     let cands = OverlapBlocker::words("name", 1)
         .block(&s.table_a, &s.table_b)
         .unwrap();
-    let matrix =
-        extract_feature_matrix(cands.pairs(), &s.table_a, &s.table_b, &features).unwrap();
+    let matrix = extract_feature_matrix(cands.pairs(), &s.table_a, &s.table_b, &features).unwrap();
     g.bench_function("session_over_candidates", |b| {
         b.iter(|| {
             let mut oracle = OracleLabeler::new(s.gold.clone(), "id", "id");

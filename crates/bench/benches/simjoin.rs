@@ -8,12 +8,12 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use magellan_bench::legacy;
 use magellan_datagen::{domains, DirtModel, ScenarioConfig};
-use magellan_textsim::setsim;
-use magellan_textsim::tokenize::{AlphanumericTokenizer, Tokenizer, WhitespaceTokenizer};
 use magellan_simjoin::{
     join_tokenized, join_tokenized_hashmap, set_sim_join, set_sim_join_parallel, SetSimMeasure,
     TokenizedCollection,
 };
+use magellan_textsim::setsim;
+use magellan_textsim::tokenize::{AlphanumericTokenizer, Tokenizer, WhitespaceTokenizer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -135,9 +135,7 @@ fn bench_engine_grid(c: &mut Criterion) {
             for t in [0.5f64, 0.8] {
                 let id = format!("n{n}/{skew_name}/t{t}");
                 g.bench_with_input(BenchmarkId::new("csr", &id), &coll, |b, coll| {
-                    b.iter(|| {
-                        black_box(join_tokenized(black_box(coll), SetSimMeasure::Jaccard(t)))
-                    })
+                    b.iter(|| black_box(join_tokenized(black_box(coll), SetSimMeasure::Jaccard(t))))
                 });
                 g.bench_with_input(BenchmarkId::new("hashmap", &id), &coll, |b, coll| {
                     b.iter(|| {
@@ -158,7 +156,11 @@ fn bench_engine_grid(c: &mut Criterion) {
 /// against the preserved `String`-per-token, HashMap-ranked build.
 fn bench_tokenize_collection(c: &mut Criterion) {
     let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
-    let (rows_left, rows_right) = if smoke { (8_000, 400) } else { (100_000, 6_000) };
+    let (rows_left, rows_right) = if smoke {
+        (8_000, 400)
+    } else {
+        (100_000, 6_000)
+    };
     let scenario = domains::products(&ScenarioConfig {
         size_a: rows_left,
         size_b: rows_right,
@@ -166,8 +168,14 @@ fn bench_tokenize_collection(c: &mut Criterion) {
         dirt: DirtModel::light(),
         seed: 77,
     });
-    let left = scenario.table_a.column_strs("title").expect("products have titles");
-    let right = scenario.table_b.column_strs("title").expect("products have titles");
+    let left = scenario
+        .table_a
+        .column_strs("title")
+        .expect("products have titles");
+    let right = scenario
+        .table_b
+        .column_strs("title")
+        .expect("products have titles");
     let tok = AlphanumericTokenizer::as_set();
     let coll = legacy::assert_build_is_bit_identical(&left, &right, &tok, &[]);
     let old = legacy::tokenized_collection(&left, &right, &legacy::alphanumeric_set, &[]);

@@ -73,10 +73,22 @@ pub fn registry() -> Vec<MetricSpec> {
     };
     vec![
         // simjoin: CSR prefix join ≥2× over the hashmap join at w=1.
-        m("simjoin", "skewed_speedup_w1", HigherIsBetter, 0.35, Some(2.0)),
+        m(
+            "simjoin",
+            "skewed_speedup_w1",
+            HigherIsBetter,
+            0.35,
+            Some(2.0),
+        ),
         // token path: collection build ≥1.5× over the preserved
         // String-per-token, HashMap-ranked build.
-        m("simjoin", "tokenize_collection.speedup_vs_legacy", HigherIsBetter, 0.35, Some(1.5)),
+        m(
+            "simjoin",
+            "tokenize_collection.speedup_vs_legacy",
+            HigherIsBetter,
+            0.35,
+            Some(1.5),
+        ),
         // top-k join ≥2× over the threshold join + sort + truncate it is
         // defined as (Falcon's pair-sampling query).
         m(
@@ -88,12 +100,30 @@ pub fn registry() -> Vec<MetricSpec> {
         ),
         // position-aware size window: records touched per probe at K = 1,
         // an exact count (214 before the window narrowed).
-        m("simjoin", "short_titles.candidates_per_probe", LowerIsBetter, 0.35, Some(3.0)),
+        m(
+            "simjoin",
+            "short_titles.candidates_per_probe",
+            LowerIsBetter,
+            0.35,
+            Some(3.0),
+        ),
         // remainder bitmaps in the positional filter: records verified per
         // pair, an exact count (67.8 before stage 2 compared them).
-        m("simjoin", "short_titles.verified_per_pair", LowerIsBetter, 0.35, Some(1.1)),
+        m(
+            "simjoin",
+            "short_titles.verified_per_pair",
+            LowerIsBetter,
+            0.35,
+            Some(1.1),
+        ),
         // feature cache: prepared extraction ≥3× over scalar at w=1.
-        m("feature_extraction", "results.0.speedup", HigherIsBetter, 0.35, Some(3.0)),
+        m(
+            "feature_extraction",
+            "results.0.speedup",
+            HigherIsBetter,
+            0.35,
+            Some(3.0),
+        ),
         // run-aware scoring: one `Scorer` over a sorted pair list ≥1.3×
         // over the pairwise reference on the same prepared records.
         m(
@@ -104,19 +134,49 @@ pub fn registry() -> Vec<MetricSpec> {
             Some(1.3),
         ),
         // incremental engine: delta batch ≥10× over full rebuild.
-        m("incremental", "delta_vs_rebuild_speedup", HigherIsBetter, 0.35, Some(10.0)),
+        m(
+            "incremental",
+            "delta_vs_rebuild_speedup",
+            HigherIsBetter,
+            0.35,
+            Some(10.0),
+        ),
         m("incremental", "updates_per_sec", HigherIsBetter, 0.60, None),
         // out-of-core: emtbl scan ≥2× over CSV re-parse.
         m("outofcore", "scan.speedup", HigherIsBetter, 0.35, Some(2.0)),
         // flattened forest: never slower than the arena walker at w=1.
-        m("forest_inference", "speedup_w1", HigherIsBetter, 0.35, Some(1.0)),
+        m(
+            "forest_inference",
+            "speedup_w1",
+            HigherIsBetter,
+            0.35,
+            Some(1.0),
+        ),
         // observability: measured overhead non-negative and under the 50%
         // guard. Two bounds, no relative gate — a clamped noisy percentage
         // has no meaningful "relative regression".
-        m("obs_overhead", "overhead_pct", LowerIsBetter, f64::INFINITY, Some(50.0)),
-        m("obs_overhead", "overhead_pct", HigherIsBetter, f64::INFINITY, Some(0.0)),
+        m(
+            "obs_overhead",
+            "overhead_pct",
+            LowerIsBetter,
+            f64::INFINITY,
+            Some(50.0),
+        ),
+        m(
+            "obs_overhead",
+            "overhead_pct",
+            HigherIsBetter,
+            f64::INFINITY,
+            Some(0.0),
+        ),
         // service layer: admission throughput (loose — pure wall clock).
-        m("service_layer", "tenants_per_sec", HigherIsBetter, 0.60, None),
+        m(
+            "service_layer",
+            "tenants_per_sec",
+            HigherIsBetter,
+            0.60,
+            None,
+        ),
     ]
 }
 
@@ -203,8 +263,7 @@ pub fn compare(baseline: &Json, current: &Json) -> Vec<Violation> {
         return out;
     }
     for spec in registry().iter().filter(|s| s.experiment == exp) {
-        let (Some(base), Some(cur)) =
-            (lookup(baseline, spec.path), lookup(current, spec.path))
+        let (Some(base), Some(cur)) = (lookup(baseline, spec.path), lookup(current, spec.path))
         else {
             continue; // missing-metric case already reported by bounds
         };
@@ -292,7 +351,8 @@ pub fn report(title: &str, violations: &[Violation]) -> String {
 mod tests {
     use super::*;
 
-    const GOOD: &str = r#"{"experiment":"incremental","delta_vs_rebuild_speedup":28.8,"updates_per_sec":77245}"#;
+    const GOOD: &str =
+        r#"{"experiment":"incremental","delta_vs_rebuild_speedup":28.8,"updates_per_sec":77245}"#;
 
     #[test]
     fn lookup_walks_objects_and_arrays() {

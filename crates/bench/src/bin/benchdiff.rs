@@ -18,8 +18,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn load(path: &Path) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     parse_json(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
@@ -61,14 +60,16 @@ fn check_baselines(root: &Path) -> Result<bool, String> {
         ok &= violations.is_empty();
     }
     if seen == 0 {
-        return Err(format!("no BENCH_*.json baselines found under {}", root.display()));
+        return Err(format!(
+            "no BENCH_*.json baselines found under {}",
+            root.display()
+        ));
     }
     Ok(ok)
 }
 
 fn record(bench: &Path, history_dir: &Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(bench)
-        .map_err(|e| format!("{}: {e}", bench.display()))?;
+    let text = std::fs::read_to_string(bench).map_err(|e| format!("{}: {e}", bench.display()))?;
     let path = record_history(history_dir, &text)?;
     println!("benchdiff: recorded {} -> {path}", bench.display());
     Ok(())
@@ -115,11 +116,11 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("check") if args.len() == 3 => {
-            check(Path::new(&args[1]), Path::new(&args[2]))
-        }
+        Some("check") if args.len() == 3 => check(Path::new(&args[1]), Path::new(&args[2])),
         Some("check-baselines") if args.len() <= 2 => {
-            let root = args.get(1).map_or_else(|| PathBuf::from("."), PathBuf::from);
+            let root = args
+                .get(1)
+                .map_or_else(|| PathBuf::from("."), PathBuf::from);
             check_baselines(&root)
         }
         Some("record") if (2..=3).contains(&args.len()) => {
@@ -132,7 +133,9 @@ fn main() -> ExitCode {
             }
         }
         Some("selftest") if args.len() <= 2 => {
-            let root = args.get(1).map_or_else(|| PathBuf::from("."), PathBuf::from);
+            let root = args
+                .get(1)
+                .map_or_else(|| PathBuf::from("."), PathBuf::from);
             selftest(&root)
         }
         _ => return usage(),

@@ -15,7 +15,10 @@ use magellan_simjoin::SetSimMeasure;
 fn main() {
     // Experiment narration is leveled logging: MAGELLAN_LOG=off silences it.
     magellan_obs::init_bin_logging(magellan_obs::Level::Info);
-    magellan_obs::log!(info, "Blocker ablation — recall vs reduction across domains\n");
+    magellan_obs::log!(
+        info,
+        "Blocker ablation — recall vs reduction across domains\n"
+    );
     for (scenario, attr) in [
         ("persons", "name"),
         ("products", "title"),
@@ -33,10 +36,17 @@ fn main() {
             },
         )
         .expect("known scenario");
-        magellan_obs::log!(info, "== {scenario} (attr `{attr}`, moderate dirt, 500 gold) ==");
-        magellan_obs::log!(info, 
+        magellan_obs::log!(
+            info,
+            "== {scenario} (attr `{attr}`, moderate dirt, 500 gold) =="
+        );
+        magellan_obs::log!(
+            info,
             "{:48} {:>10} {:>8} {:>10}",
-            "blocker", "|C|", "recall", "reduction"
+            "blocker",
+            "|C|",
+            "recall",
+            "reduction"
         );
         let blockers: Vec<Box<dyn Blocker>> = vec![
             Box::new(AttrEquivalenceBlocker::on(attr)),
@@ -81,7 +91,8 @@ fn main() {
                 .expect("blocker execution");
             let rep = evaluate_blocking(&c, &s.table_a, &s.table_b, "id", "id", &s.gold)
                 .expect("evaluation");
-            magellan_obs::log!(info, 
+            magellan_obs::log!(
+                info,
                 "{:48} {:>10} {:>8.3} {:>10.4}",
                 blocker.name(),
                 rep.n_candidates,
@@ -91,7 +102,16 @@ fn main() {
         }
         magellan_obs::log!(info, "");
     }
-    magellan_obs::log!(info, "shape: equality blocking collapses under dirt; token-overlap and");
-    magellan_obs::log!(info, "rule-based (low-threshold jaccard) blockers keep recall ≥ ~0.9 while");
-    magellan_obs::log!(info, "cutting the cross product by 2-4 orders of magnitude.");
+    magellan_obs::log!(
+        info,
+        "shape: equality blocking collapses under dirt; token-overlap and"
+    );
+    magellan_obs::log!(
+        info,
+        "rule-based (low-threshold jaccard) blockers keep recall ≥ ~0.9 while"
+    );
+    magellan_obs::log!(
+        info,
+        "cutting the cross product by 2-4 orders of magnitude."
+    );
 }

@@ -41,17 +41,23 @@ fn main() {
     magellan_obs::log!(info, "Vendors (dirty):      {m_dirty}");
 
     // --- The cleaning toolchain. ---
-    let generic = detect_generic_values(&s.table_a, "address", 10, 0.01)
-        .expect("generic-value detection");
+    let generic =
+        detect_generic_values(&s.table_a, "address", 10, 0.01).expect("generic-value detection");
     magellan_obs::log!(info, "\ndetected generic placeholder addresses:");
     for g in &generic {
-        magellan_obs::log!(info, "  `{}` on {} rows ({:.1}% of table A)", g.value, g.count, 100.0 * g.fraction);
+        magellan_obs::log!(
+            info,
+            "  `{}` on {} rows ({:.1}% of table A)",
+            g.value,
+            g.count,
+            100.0 * g.fraction
+        );
     }
-    let (a_clean, a_dirty) =
-        isolate_rows(&s.table_a, "address", &generic).expect("isolate A");
+    let (a_clean, a_dirty) = isolate_rows(&s.table_a, "address", &generic).expect("isolate A");
     let generic_b = detect_generic_values(&s.table_b, "address", 10, 0.01).unwrap();
     let (b_clean, b_dirty) = isolate_rows(&s.table_b, "address", &generic_b).unwrap();
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "isolated: A {} clean / {} dirty; B {} clean / {} dirty",
         a_clean.nrows(),
         a_dirty.nrows(),
@@ -89,11 +95,13 @@ fn main() {
     )
     .expect("score");
     magellan_obs::log!(info, "\nVendors (cleaned):    {m_clean}");
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "\npaper shape: dirty F1 collapses; isolating the generic-address slice\n\
          recovers accuracy (Table 2's `Vendors` -> `Vendors (no Brazil)` rows)."
     );
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "F1: {:.1}% -> {:.1}%  ({} rows routed back to the domain experts)",
         100.0 * m_dirty.f1(),
         100.0 * m_clean.f1(),

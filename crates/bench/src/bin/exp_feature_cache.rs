@@ -63,7 +63,11 @@ fn main() {
         extract_feature_matrix_scalar_par(&pairs, a, b, &features, &ParConfig::serial()).unwrap();
     for (cr, sr) in cached_m.rows.iter().zip(&scalar_m.rows) {
         for (cv, sv) in cr.iter().zip(sr) {
-            assert_eq!(cv.to_bits(), sv.to_bits(), "cached path diverged from scalar");
+            assert_eq!(
+                cv.to_bits(),
+                sv.to_bits(),
+                "cached path diverged from scalar"
+            );
         }
     }
 
@@ -79,7 +83,11 @@ fn main() {
     )
     .unwrap();
     let cores = ParConfig::available().n_workers;
-    writeln!(txt, "host exposes {cores} core(s); the w>1 rows measure threading overhead on a 1-core host").unwrap();
+    writeln!(
+        txt,
+        "host exposes {cores} core(s); the w>1 rows measure threading overhead on a 1-core host"
+    )
+    .unwrap();
     writeln!(
         txt,
         "cache telemetry (serial run): records_prepared={} tokenize_calls={} saved={} interner_tokens={}",

@@ -28,7 +28,12 @@ fn main() {
     });
     let (a, b) = (&s.table_a, &s.table_b);
     magellan_obs::log!(info, "Fig. 2 walkthrough — development stage");
-    magellan_obs::log!(info, "input tables A: {} tuples, B: {} tuples", a.nrows(), b.nrows());
+    magellan_obs::log!(
+        info,
+        "input tables A: {} tuples, B: {} tuples",
+        a.nrows(),
+        b.nrows()
+    );
 
     let features = generate_features(a, b, &["id"]).expect("features");
     let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
@@ -53,24 +58,32 @@ fn main() {
         run_development_stage(a, b, blockers, features, &learners, &mut labeler, &cfg)
             .expect("development stage");
 
-    magellan_obs::log!(info, "\nstep 1  down sample: A' , B' = 2000-tuple working tables");
+    magellan_obs::log!(
+        info,
+        "\nstep 1  down sample: A' , B' = 2000-tuple working tables"
+    );
     magellan_obs::log!(info, "step 2  blocker experiments:");
     for c in &report.blocker_choices {
-        magellan_obs::log!(info, 
+        magellan_obs::log!(
+            info,
             "        {:45} |C| = {:7}, est. recall {:.2}",
-            c.name, c.n_candidates, c.est_recall
+            c.name,
+            c.n_candidates,
+            c.est_recall
         );
     }
     magellan_obs::log!(info, "        selected blocker: {}", report.chosen_blocker);
     magellan_obs::log!(info, "step 3  blocked: |C| = {}", report.n_candidates);
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "step 4  sampled + labeled {} pairs ({:.0}% positive)",
         report.questions,
         100.0 * report.label_positive_rate
     );
     magellan_obs::log!(info, "step 5  cross validation:");
     for cv in &report.cv_reports {
-        magellan_obs::log!(info, 
+        magellan_obs::log!(
+            info,
             "        matcher {:20} F1 = {:.2} (P {:.2} / R {:.2})",
             cv.learner,
             cv.mean_f1(),
@@ -85,11 +98,15 @@ fn main() {
     let exec = magellan_core::exec::ProductionExecutor::new(4);
     let prod = exec.run(&workflow, a, b).expect("production run");
     let m = score(&prod.matches, a, b, &s.gold);
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "\nproduction stage: {} candidates on full tables, {:?} machine time, {}",
         prod.n_candidates,
         prod.timings.total(),
         m
     );
-    magellan_obs::log!(info, "\npaper shape: winning matcher CV F1 in the ~0.9 range; end-to-end P/R high.");
+    magellan_obs::log!(
+        info,
+        "\npaper shape: winning matcher CV F1 in the ~0.9 range; end-to-end P/R high."
+    );
 }

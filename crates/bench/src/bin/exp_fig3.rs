@@ -24,8 +24,13 @@ fn main() {
     let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
     let report = run_falcon(a, b, "id", "id", &mut labeler, &cfg).expect("falcon");
 
-    magellan_obs::log!(info, "step 1  sampled |S| = {} tuple pairs", cfg.sample_size);
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
+        "step 1  sampled |S| = {} tuple pairs",
+        cfg.sample_size
+    );
+    magellan_obs::log!(
+        info,
         "step 2  active learning (blocking stage): {} labels from the lay user",
         report.questions_blocking
     );
@@ -33,7 +38,8 @@ fn main() {
     for r in &report.rules {
         magellan_obs::log!(info, "        {r}");
     }
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "        ({} executable as sim-join plans{})",
         report.n_rules_executable,
         if report.used_fallback_blocker {
@@ -42,23 +48,27 @@ fn main() {
             ""
         }
     );
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "step 4  executed rules on A x B: |C| = {} of {} cross pairs",
         report.n_candidates,
         a.nrows() * b.nrows()
     );
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "step 5  active learning (matching stage): {} more labels",
         report.questions_matching
     );
     let m = score(&report.matches, a, b, &s.gold);
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "step 6  applied forest at alpha = {}: {} predicted matches",
         cfg.alpha,
         report.matches.len()
     );
     magellan_obs::log!(info, "\nresult: {m}");
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "total lay-user questions: {} (paper's Table 2 range: 160-1200)",
         report.total_questions()
     );

@@ -55,7 +55,10 @@ fn main() {
         },
     );
 
-    magellan_obs::log!(info, "Fig. 4 analog — one committee tree and its extracted rules\n");
+    magellan_obs::log!(
+        info,
+        "Fig. 4 analog — one committee tree and its extracted rules\n"
+    );
     magellan_obs::log!(info, "(a) a decision tree learned by Falcon:");
     let tree = &outcome.forest.trees()[0];
     // Print with feature names substituted.
@@ -75,14 +78,16 @@ fn main() {
         6,
     );
     for r in &kept {
-        magellan_obs::log!(info, 
+        magellan_obs::log!(
+            info,
             "  {}   [precision {:.2}, drops {:.0}% of labeled negatives]",
             r.pretty(&matrix.names),
             r.precision,
             100.0 * r.coverage
         );
     }
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "\n{} rules kept, {} executable as sim-join plans",
         kept.len(),
         executable.len()

@@ -18,11 +18,35 @@ fn main() {
     magellan_obs::init_bin_logging(magellan_obs::Level::Info);
     // Five scientists upload five EM tasks at the same time.
     let submissions = [
-        ("limnology lakes", "addresses", LabelingMode::SingleUser { error_rate: 0.0 }),
-        ("ranch registry", "ranches", LabelingMode::SingleUser { error_rate: 0.0 }),
-        ("survey dedup", "persons", LabelingMode::Crowd { worker_error_rate: 0.1 }),
-        ("paper linkage", "citations", LabelingMode::SingleUser { error_rate: 0.0 }),
-        ("menu matching", "restaurants", LabelingMode::Crowd { worker_error_rate: 0.1 }),
+        (
+            "limnology lakes",
+            "addresses",
+            LabelingMode::SingleUser { error_rate: 0.0 },
+        ),
+        (
+            "ranch registry",
+            "ranches",
+            LabelingMode::SingleUser { error_rate: 0.0 },
+        ),
+        (
+            "survey dedup",
+            "persons",
+            LabelingMode::Crowd {
+                worker_error_rate: 0.1,
+            },
+        ),
+        (
+            "paper linkage",
+            "citations",
+            LabelingMode::SingleUser { error_rate: 0.0 },
+        ),
+        (
+            "menu matching",
+            "restaurants",
+            LabelingMode::Crowd {
+                worker_error_rate: 0.1,
+            },
+        ),
     ];
     let scenarios: Vec<_> = submissions
         .iter()
@@ -60,9 +84,13 @@ fn main() {
     let cloud = CloudMatcher::default();
     let (outcomes, schedule) = cloud.run_tasks(&specs).expect("cloudmatcher");
 
-    magellan_obs::log!(info, "Fig. 5 analog — concurrent self-service EM workflows\n");
+    magellan_obs::log!(
+        info,
+        "Fig. 5 analog — concurrent self-service EM workflows\n"
+    );
     for o in &outcomes {
-        magellan_obs::log!(info, 
+        magellan_obs::log!(
+            info,
             "  {:18} P {:5.1}%  R {:5.1}%  {:4} questions  label {:>7}  machine {:>6}",
             o.name,
             100.0 * o.precision,
@@ -73,11 +101,13 @@ fn main() {
         );
     }
     magellan_obs::log!(info, "\nmetamanager schedule:");
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "  one-workflow-at-a-time (CloudMatcher 0.1): {}",
         human_time(schedule.serial_total_s)
     );
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "  interleaved fragments  (CloudMatcher 1.0): {}  -> {:.1}x speedup",
         human_time(schedule.interleaved_makespan_s),
         schedule.speedup()

@@ -78,8 +78,11 @@ fn training_data(seed: u64, n: usize, dims: usize) -> Dataset {
 fn main() {
     magellan_obs::init_bin_logging(magellan_obs::Level::Info);
     let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
-    let (n_rows, n_train, n_trees, reps) =
-        if smoke { (2_000, 300, 15, 2) } else { (40_000, 800, 31, 5) };
+    let (n_rows, n_train, n_trees, reps) = if smoke {
+        (2_000, 300, 15, 2)
+    } else {
+        (40_000, 800, 31, 5)
+    };
     let dims = 8;
 
     let forest = RandomForestLearner {
@@ -114,7 +117,11 @@ fn main() {
     )
     .unwrap();
     let cores = ParConfig::available().n_workers;
-    writeln!(txt, "host exposes {cores} core(s); the w>1 rows measure threading overhead on a 1-core host").unwrap();
+    writeln!(
+        txt,
+        "host exposes {cores} core(s); the w>1 rows measure threading overhead on a 1-core host"
+    )
+    .unwrap();
     writeln!(txt).unwrap();
     writeln!(
         txt,
@@ -138,7 +145,11 @@ fn main() {
         if w == 1 {
             speedup_w1 = speedup;
         }
-        writeln!(txt, "{w:>3}  {rs_arena:>15.0}  {rs_flat:>15.0}  {speedup:>7.2}x").unwrap();
+        writeln!(
+            txt,
+            "{w:>3}  {rs_arena:>15.0}  {rs_flat:>15.0}  {speedup:>7.2}x"
+        )
+        .unwrap();
         if !json_rows.is_empty() {
             json_rows.push_str(",\n");
         }

@@ -70,7 +70,10 @@ fn synth_batch(
                     text: Some(synth_text(plan.text_seed(step), vocab)),
                 },
                 StreamOp::Delete { left, victim } => match pick(left, victim) {
-                    Some(rid) => RecordMutation::Delete { side: side_of(left), rid },
+                    Some(rid) => RecordMutation::Delete {
+                        side: side_of(left),
+                        rid,
+                    },
                     None => RecordMutation::Insert {
                         side: side_of(left),
                         text: Some(synth_text(plan.text_seed(step), vocab)),
@@ -92,11 +95,19 @@ fn synth_batch(
         .collect()
 }
 
-fn assert_view_equals(view: &[magellan_simjoin::JoinPair], rebuilt: &[magellan_simjoin::JoinPair], what: &str) {
+fn assert_view_equals(
+    view: &[magellan_simjoin::JoinPair],
+    rebuilt: &[magellan_simjoin::JoinPair],
+    what: &str,
+) {
     assert_eq!(view.len(), rebuilt.len(), "{what}: cardinality diverged");
     for (a, b) in view.iter().zip(rebuilt) {
         assert_eq!((a.l, a.r), (b.l, b.r), "{what}: pair set diverged");
-        assert_eq!(a.sim.to_bits(), b.sim.to_bits(), "{what}: sim bits diverged");
+        assert_eq!(
+            a.sim.to_bits(),
+            b.sim.to_bits(),
+            "{what}: sim bits diverged"
+        );
     }
 }
 
@@ -121,7 +132,13 @@ fn fixture_forest() -> FlatForest {
     for i in 0..60 {
         let hi = i % 2 == 0;
         let base = if hi { 0.8 } else { 0.15 };
-        d.push(&[base + 0.01 * (i % 7) as f64, base + 0.01 * ((i + 3) % 5) as f64], hi);
+        d.push(
+            &[
+                base + 0.01 * (i % 7) as f64,
+                base + 0.01 * ((i + 3) % 5) as f64,
+            ],
+            hi,
+        );
     }
     FlatForest::from_forest(
         &RandomForestLearner {
@@ -144,7 +161,11 @@ fn main() {
     let plan = StreamPlan::churn(17);
 
     let mut txt = String::new();
-    writeln!(txt, "Incremental EM engine — delta apply vs from-scratch rebuild").unwrap();
+    writeln!(
+        txt,
+        "Incremental EM engine — delta apply vs from-scratch rebuild"
+    )
+    .unwrap();
     writeln!(
         txt,
         "{n} rows/side seed corpus, {batches} batches x {churn} mutations (1% churn), jaccard 0.5, smoke = {smoke}"
@@ -232,7 +253,12 @@ fn main() {
         delta_median * 1e3
     )
     .unwrap();
-    writeln!(txt, "rebuild:      median {:.3}ms/batch", rebuild_median * 1e3).unwrap();
+    writeln!(
+        txt,
+        "rebuild:      median {:.3}ms/batch",
+        rebuild_median * 1e3
+    )
+    .unwrap();
     writeln!(
         txt,
         "delta-vs-rebuild speedup: {speedup:.1}x (acceptance floor: 10x at 1% churn)"
@@ -318,7 +344,11 @@ fn main() {
         !live.is_empty(),
         "stream fixture produced no matches — the oracle check would be vacuous"
     );
-    assert_eq!(live.len(), oracle.len(), "stream matched view diverged from oracle");
+    assert_eq!(
+        live.len(),
+        oracle.len(),
+        "stream matched view diverged from oracle"
+    );
     for ((lk, lp), (ok, op)) in live.iter().zip(&oracle) {
         assert_eq!(lk, ok, "stream matched pair set diverged");
         assert_eq!(lp.to_bits(), op.to_bits(), "stream score bits diverged");

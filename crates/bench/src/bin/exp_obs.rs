@@ -68,8 +68,8 @@ fn time_secs(mut f: impl FnMut()) -> f64 {
 /// `--validate <path>`: parse a `MAGELLAN_TRACE` export and assert the
 /// production span hierarchy made it out intact.
 fn validate(path: &str) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read trace {path:?}: {e}"));
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read trace {path:?}: {e}"));
     let json = magellan_obs::parse_json(&text)
         .unwrap_or_else(|e| panic!("trace {path:?} is not valid JSON: {e}"));
     let events = json
@@ -86,7 +86,10 @@ fn validate(path: &str) {
         };
         if ev.get("ph").and_then(|v| v.as_str()) == Some("X") {
             names.push(name);
-            if let Some(d) = ev.get("args").and_then(|a| a.get("depth")).and_then(|v| v.as_f64())
+            if let Some(d) = ev
+                .get("args")
+                .and_then(|a| a.get("depth"))
+                .and_then(|v| v.as_f64())
             {
                 max_depth = max_depth.max(d as u64);
             }
@@ -124,7 +127,10 @@ fn validate_flight(path: &str) {
         Some(1.0),
         "flight dump {path:?} is missing the version marker"
     );
-    assert!(json.get("seed").is_some(), "flight dump {path:?} is not keyed by seed");
+    assert!(
+        json.get("seed").is_some(),
+        "flight dump {path:?} is not keyed by seed"
+    );
     assert!(
         json.get("workers").is_none(),
         "flight dump {path:?} leaked the worker count into the body"
@@ -133,19 +139,27 @@ fn validate_flight(path: &str) {
         .get("failure_events")
         .and_then(|v| v.as_array())
         .unwrap_or_else(|| panic!("flight dump {path:?} has no failure_events array"));
-    assert!(!failures.is_empty(), "flight dump {path:?} captured no failures");
+    assert!(
+        !failures.is_empty(),
+        "flight dump {path:?} captured no failures"
+    );
     for f in failures {
         assert!(
             f.get("reason").and_then(|v| v.as_str()).is_some(),
             "failure event without a reason in {path:?}"
         );
     }
-    let spans = json.get("spans").and_then(|v| v.as_array()).map_or(0, <[_]>::len);
+    let spans = json
+        .get("spans")
+        .and_then(|v| v.as_array())
+        .map_or(0, <[_]>::len);
     log!(
         info,
         "flight dump {path} OK: {} failure event(s), {spans} recent span(s), seed {}",
         failures.len(),
-        json.get("seed").and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
+        json.get("seed")
+            .and_then(|v| v.as_f64())
+            .unwrap_or(f64::NAN)
     );
 }
 
@@ -183,8 +197,14 @@ fn main() {
     };
     let (prom1, trace1) = pinned_run(1);
     let (prom8, trace8) = pinned_run(8);
-    assert_eq!(prom1, prom8, "pinned Prometheus export diverged across worker counts");
-    assert_eq!(trace1, trace8, "pinned Chrome trace diverged across worker counts");
+    assert_eq!(
+        prom1, prom8,
+        "pinned Prometheus export diverged across worker counts"
+    );
+    assert_eq!(
+        trace1, trace8,
+        "pinned Chrome trace diverged across worker counts"
+    );
 
     // --- overhead: untraced (no recorder) vs. recording wall tracing ---
     // Time the raw phase calls, not the executor: the executor installs
@@ -212,13 +232,13 @@ fn main() {
         std::hint::black_box((matrix.len(), predicted.len()));
     };
     run_phases(&wf); // warm-up: allocator + caches settle before timing
-    // Interleave the two arms (off, on, off, on, ...) so slow machine-wide
-    // drift — thermal throttling, page-cache churn, a neighbour process —
-    // lands on both equally instead of biasing whichever arm ran second,
-    // and take the min of reps: the minimum is the classic noise-floor
-    // estimator (noise only ever adds time). Recording genuinely cannot
-    // make the pipeline faster, so the ratio is clamped at zero — an
-    // unclamped negative figure would just be residual measurement noise.
+                     // Interleave the two arms (off, on, off, on, ...) so slow machine-wide
+                     // drift — thermal throttling, page-cache churn, a neighbour process —
+                     // lands on both equally instead of biasing whichever arm ran second,
+                     // and take the min of reps: the minimum is the classic noise-floor
+                     // estimator (noise only ever adds time). Recording genuinely cannot
+                     // make the pipeline faster, so the ratio is clamped at zero — an
+                     // unclamped negative figure would just be residual measurement noise.
     let obs = Obs::wall();
     let mut t_off = f64::INFINITY;
     let mut t_on = f64::INFINITY;
@@ -230,7 +250,11 @@ fn main() {
             run_phases(&wf);
         }));
     }
-    let overhead = if t_off > 0.0 { (t_on / t_off - 1.0).max(0.0) } else { 0.0 };
+    let overhead = if t_off > 0.0 {
+        (t_on / t_off - 1.0).max(0.0)
+    } else {
+        0.0
+    };
 
     // --- trace volume: one executor run on a fresh recorder -----------
     let vol = Obs::wall();
@@ -258,8 +282,13 @@ fn main() {
     .unwrap();
     writeln!(txt, "untraced run:  {:>9.2} ms (min of reps)", t_off * 1e3).unwrap();
     writeln!(txt, "traced run:    {:>9.2} ms (min of reps)", t_on * 1e3).unwrap();
-    writeln!(txt, "overhead:      {:>8.1}% (guard {:.0}%)", overhead * 100.0, MAX_OVERHEAD * 100.0)
-        .unwrap();
+    writeln!(
+        txt,
+        "overhead:      {:>8.1}% (guard {:.0}%)",
+        overhead * 100.0,
+        MAX_OVERHEAD * 100.0
+    )
+    .unwrap();
     writeln!(
         txt,
         "trace volume:  {} spans, {} events, {} metric families per run",
@@ -268,7 +297,11 @@ fn main() {
         snap.metrics.len()
     )
     .unwrap();
-    writeln!(txt, "pinned determinism: exports byte-identical at 1 and 8 workers").unwrap();
+    writeln!(
+        txt,
+        "pinned determinism: exports byte-identical at 1 and 8 workers"
+    )
+    .unwrap();
     log!(info, "{txt}");
     let _ = std::fs::create_dir_all("results");
     std::fs::write("results/exp_obs.txt", &txt).expect("write results/exp_obs.txt");

@@ -66,13 +66,25 @@ fn main() {
     let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     // The indexed side must dwarf the probe side for the memory story
     // to be the real one: 1M indexed rows non-smoke.
-    let (rows_indexed, rows_probe) = if smoke { (20_000, 1_000) } else { (1_000_000, 50_000) };
+    let (rows_indexed, rows_probe) = if smoke {
+        (20_000, 1_000)
+    } else {
+        (1_000_000, 50_000)
+    };
     let dir = std::env::temp_dir().join(format!("magellan_outofcore_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
 
     let mut txt = String::new();
-    writeln!(txt, "Out-of-core storage tier — emtbl scan, emckpt size, sharded blocking").unwrap();
-    writeln!(txt, "corpus: products {rows_indexed} x {rows_probe}, smoke = {smoke}").unwrap();
+    writeln!(
+        txt,
+        "Out-of-core storage tier — emtbl scan, emckpt size, sharded blocking"
+    )
+    .unwrap();
+    writeln!(
+        txt,
+        "corpus: products {rows_indexed} x {rows_probe}, smoke = {smoke}"
+    )
+    .unwrap();
 
     // -- corpus ------------------------------------------------------------
     let t_gen = Instant::now();

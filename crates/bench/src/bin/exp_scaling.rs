@@ -55,14 +55,25 @@ fn main() {
     .expect("development stage");
 
     let cores = ParConfig::available().n_workers;
-    magellan_obs::log!(info, "Production-stage scaling — {} x {} tuples", a.nrows(), b.nrows());
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
+        "Production-stage scaling — {} x {} tuples",
+        a.nrows(),
+        b.nrows()
+    );
+    magellan_obs::log!(
+        info,
         "host exposes {cores} core(s); near-linear speedup requires a multi-core host —\n\
          on a single core the table below measures pure threading overhead instead"
     );
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "{:>8} {:>12} {:>12} {:>10} {:>8}",
-        "workers", "blocking", "matching", "total", "speedup"
+        "workers",
+        "blocking",
+        "matching",
+        "total",
+        "speedup"
     );
     let mut base = None;
     for workers in [1usize, 2, 4] {
@@ -71,7 +82,8 @@ fn main() {
         let total = rep.timings.total().as_secs_f64();
         let matching = rep.timings.matching.as_secs_f64();
         let speedup = base.get_or_insert(matching).max(1e-9) / matching.max(1e-9);
-        magellan_obs::log!(info, 
+        magellan_obs::log!(
+            info,
             "{:>8} {:>11.2}s {:>11.2}s {:>9.2}s {:>7.2}x",
             workers,
             rep.timings.blocking.as_secs_f64(),
@@ -81,13 +93,21 @@ fn main() {
         );
         if workers == 4 {
             let m = score(&rep.matches, a, b, &s.gold);
-            magellan_obs::log!(info, "\naccuracy at 4 workers (identical at any count): {m}");
+            magellan_obs::log!(
+                info,
+                "\naccuracy at 4 workers (identical at any count): {m}"
+            );
         }
     }
 
     // --- candidate-schema ablation (the (A.id, B.id)-only principle) ---
-    magellan_obs::log!(info, "\nCandidate-schema ablation (§4.1 space-efficiency principle):");
-    let cands = OverlapBlocker::words("name", 1).block(a, b).expect("blocker");
+    magellan_obs::log!(
+        info,
+        "\nCandidate-schema ablation (§4.1 space-efficiency principle):"
+    );
+    let cands = OverlapBlocker::words("name", 1)
+        .block(a, b)
+        .expect("blocker");
     let t0 = Instant::now();
     let id_only_bytes: usize = cands
         .pairs()
@@ -111,12 +131,14 @@ fn main() {
         })
         .sum();
     let materialized_t = t1.elapsed();
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "  |C| = {} pairs;  (l_id, r_id) schema ≈ {:.1} MB ({id_only_t:?});",
         cands.len(),
         id_only_bytes as f64 / 1e6
     );
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "  fully materialized schema ≈ {:.1} MB ({materialized_t:?});  ratio {:.0}x",
         materialized_bytes as f64 / 1e6,
         materialized_bytes as f64 / id_only_bytes.max(1) as f64

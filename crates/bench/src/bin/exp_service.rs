@@ -38,7 +38,10 @@ fn fleet(seed: u64, n_tenants: u32, mean_gap_s: f64) -> Vec<TenantSubmission<'st
             let quota = if i % 7 == 6 {
                 // Every 7th tenant under-budgets its labeling: the
                 // admission controller must bounce it.
-                TenantQuota { label_dollars: 1.0, ..TenantQuota::unlimited() }
+                TenantQuota {
+                    label_dollars: 1.0,
+                    ..TenantQuota::unlimited()
+                }
             } else {
                 TenantQuota::unlimited()
             };
@@ -70,7 +73,10 @@ fn config(faults: FaultPlan) -> ServiceConfig {
         crowd_slots: 2,
         max_active_tenants: 8,
         max_queue: 16,
-        recovery: ScheduleRecoveryOptions { faults, ..Default::default() },
+        recovery: ScheduleRecoveryOptions {
+            faults,
+            ..Default::default()
+        },
         ..Default::default()
     }
 }
@@ -110,7 +116,11 @@ fn main() {
     // --- determinism gate: identical bytes before any timing ----------
     let (r1, p99_a) = run_once(&cfg, &subs);
     let (r2, p99_b) = run_once(&cfg, &subs);
-    assert_eq!(r1.rejection_set(), r2.rejection_set(), "rejection set must replay");
+    assert_eq!(
+        r1.rejection_set(),
+        r2.rejection_set(),
+        "rejection set must replay"
+    );
     assert_eq!(
         r1.makespan_s.to_bits(),
         r2.makespan_s.to_bits(),
@@ -132,7 +142,9 @@ fn main() {
             "an overloaded service must shed by queue_full"
         );
         assert!(
-            r1.rejection_set().iter().any(|(_, r)| r.contains("label_dollars")),
+            r1.rejection_set()
+                .iter()
+                .any(|(_, r)| r.contains("label_dollars")),
             "under-budgeted tenants must be bounced by quota"
         );
         // Accepted tenants keep their solo outcomes even while the
@@ -144,12 +156,15 @@ fn main() {
             one.tenant.arrival_s = 0.0;
             let rep = solo.run(std::slice::from_ref(&one)).expect("solo run");
             assert_eq!(
-                t.outcome,
-                rep.tenants[0].outcome,
+                t.outcome, rep.tenants[0].outcome,
                 "tenant {i}: overload must not leak into outcomes"
             );
         }
-        log!(info, "overload smoke OK: {} rejected of {n_tenants}", r1.rejection_set().len());
+        log!(
+            info,
+            "overload smoke OK: {} rejected of {n_tenants}",
+            r1.rejection_set().len()
+        );
     }
 
     // --- timing: wall-clock throughput of the service simulator -------
@@ -166,7 +181,11 @@ fn main() {
     let wall_s = samples[samples.len() / 2];
 
     let completed = f64::from(r1.telemetry.completed);
-    let tenants_per_sec = if wall_s > 0.0 { completed / wall_s } else { 0.0 };
+    let tenants_per_sec = if wall_s > 0.0 {
+        completed / wall_s
+    } else {
+        0.0
+    };
     let shed_rate = r1.shed_rate();
 
     let mut txt = String::new();
@@ -176,15 +195,28 @@ fn main() {
         cfg.max_active_tenants, cfg.max_queue
     )
     .unwrap();
-    writeln!(txt, "admitted/queued/rejected: {}/{}/{}", r1.telemetry.admitted, r1.telemetry.queued, r1.telemetry.rejected).unwrap();
+    writeln!(
+        txt,
+        "admitted/queued/rejected: {}/{}/{}",
+        r1.telemetry.admitted, r1.telemetry.queued, r1.telemetry.rejected
+    )
+    .unwrap();
     writeln!(txt, "completed:        {:>8}", r1.telemetry.completed).unwrap();
     writeln!(txt, "sim makespan:     {:>11.1} s", r1.makespan_s).unwrap();
-    writeln!(txt, "wall per run:     {:>11.2} ms (median of {reps})", wall_s * 1e3).unwrap();
+    writeln!(
+        txt,
+        "wall per run:     {:>11.2} ms (median of {reps})",
+        wall_s * 1e3
+    )
+    .unwrap();
     writeln!(txt, "tenants/sec:      {:>11.0} (wall)", tenants_per_sec).unwrap();
     writeln!(txt, "p99 frag latency: {:>8} ms (simulated)", p99_a).unwrap();
     writeln!(txt, "crowd shed rate:  {:>11.3}", shed_rate).unwrap();
-    writeln!(txt, "determinism: two runs byte-identical (rejections, outcomes, makespan, p99)")
-        .unwrap();
+    writeln!(
+        txt,
+        "determinism: two runs byte-identical (rejections, outcomes, makespan, p99)"
+    )
+    .unwrap();
     log!(info, "{txt}");
     let _ = std::fs::create_dir_all("results");
     std::fs::write("results/exp_service.txt", &txt).expect("write results/exp_service.txt");

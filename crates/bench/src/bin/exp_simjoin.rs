@@ -180,7 +180,11 @@ fn tokenize_collection_row(
     reps: usize,
     txt: &mut String,
 ) -> (String, TokenizedCollection) {
-    let (rows_left, rows_right) = if smoke { (8_000, 400) } else { (100_000, 6_000) };
+    let (rows_left, rows_right) = if smoke {
+        (8_000, 400)
+    } else {
+        (100_000, 6_000)
+    };
     let scenario = domains::products(&ScenarioConfig {
         size_a: rows_left,
         size_b: rows_right,
@@ -188,8 +192,14 @@ fn tokenize_collection_row(
         dirt: DirtModel::light(),
         seed: 77,
     });
-    let left = scenario.table_a.column_strs("title").expect("products have titles");
-    let right = scenario.table_b.column_strs("title").expect("products have titles");
+    let left = scenario
+        .table_a
+        .column_strs("title")
+        .expect("products have titles");
+    let right = scenario
+        .table_b
+        .column_strs("title")
+        .expect("products have titles");
     let tok = AlphanumericTokenizer::as_set();
     let records = (left.len() + right.len()) as f64;
 
@@ -272,7 +282,11 @@ fn short_titles_row(coll: &TokenizedCollection, reps: usize, txt: &mut String) -
     let join =
         |k| join_tokenized_sharded(coll, SetSimMeasure::Jaccard(0.7), ProbeSide::Auto, k, &cfg);
     let (nl, nr) = (coll.left.len(), coll.right.len());
-    writeln!(txt, "\n[short_titles] products titles {nl} x {nr}, jaccard=0.7, 1 worker").unwrap();
+    writeln!(
+        txt,
+        "\n[short_titles] products titles {nl} x {nr}, jaccard=0.7, 1 worker"
+    )
+    .unwrap();
     let mut shards = Vec::new();
     let (mut per_probe, mut per_pair) = (0.0, 0.0);
     for k in [1usize, 4] {
@@ -415,18 +429,63 @@ fn main() {
     let jaccard: fn(f64) -> SetSimMeasure = SetSimMeasure::Jaccard;
     let overlap: fn(f64) -> SetSimMeasure = |t| SetSimMeasure::OverlapSize(t as usize);
     let grids = [
-        Grid { name: "skewed", skew: 3.0, threshold: 0.7, measure: jaccard, measure_name: "jaccard", vocab: 800, long_right: false, wide: false },
-        Grid { name: "skewed_loose", skew: 3.0, threshold: 0.5, measure: jaccard, measure_name: "jaccard", vocab: 800, long_right: false, wide: false },
-        Grid { name: "uniform", skew: 0.0, threshold: 0.7, measure: jaccard, measure_name: "jaccard", vocab: 800, long_right: false, wide: false },
+        Grid {
+            name: "skewed",
+            skew: 3.0,
+            threshold: 0.7,
+            measure: jaccard,
+            measure_name: "jaccard",
+            vocab: 800,
+            long_right: false,
+            wide: false,
+        },
+        Grid {
+            name: "skewed_loose",
+            skew: 3.0,
+            threshold: 0.5,
+            measure: jaccard,
+            measure_name: "jaccard",
+            vocab: 800,
+            long_right: false,
+            wide: false,
+        },
+        Grid {
+            name: "uniform",
+            skew: 0.0,
+            threshold: 0.7,
+            measure: jaccard,
+            measure_name: "jaccard",
+            vocab: 800,
+            long_right: false,
+            wide: false,
+        },
         // ≥16× record-length skew: 3–8-token probes against 120–167-token
         // indexed records. Regression guard for the verifier's gallop —
         // the symmetric grids above never reach the gallop ratio.
-        Grid { name: "size_skew16", skew: 0.0, threshold: 2.0, measure: overlap, measure_name: "overlap_size", vocab: 4000, long_right: true, wide: false },
+        Grid {
+            name: "size_skew16",
+            skew: 0.0,
+            threshold: 2.0,
+            measure: overlap,
+            measure_name: "overlap_size",
+            vocab: 4000,
+            long_right: true,
+            wide: false,
+        },
         // 150–249-token near-duplicate pairs over a 1M-token vocabulary:
         // nearly every verification succeeds and runs a full
         // multi-hundred-step merge — the shape where the cost of the walk
         // itself shows up undiluted (see `make_wide_pairs`).
-        Grid { name: "wide_sparse", skew: 0.0, threshold: 0.5, measure: jaccard, measure_name: "jaccard", vocab: 1_000_000, long_right: false, wide: true },
+        Grid {
+            name: "wide_sparse",
+            skew: 0.0,
+            threshold: 0.5,
+            measure: jaccard,
+            measure_name: "jaccard",
+            vocab: 1_000_000,
+            long_right: false,
+            wide: true,
+        },
     ];
     let tok = WhitespaceTokenizer::new();
 
@@ -437,9 +496,17 @@ fn main() {
         "Sim-join engine — CSR (flat postings + positional/suffix pruning + bounded verify) vs HashMap seed engine"
     )
     .unwrap();
-    writeln!(txt, "{n} x {n} records per side, reps = {reps}, smoke = {smoke}").unwrap();
+    writeln!(
+        txt,
+        "{n} x {n} records per side, reps = {reps}, smoke = {smoke}"
+    )
+    .unwrap();
     let cores = ParConfig::available().n_workers;
-    writeln!(txt, "host exposes {cores} core(s); the w>1 rows measure threading overhead on a 1-core host").unwrap();
+    writeln!(
+        txt,
+        "host exposes {cores} core(s); the w>1 rows measure threading overhead on a 1-core host"
+    )
+    .unwrap();
 
     let mut skewed_speedup_w1 = 0.0;
     for grid in &grids {
@@ -467,7 +534,11 @@ fn main() {
         assert_eq!(csr_pairs.len(), hash_pairs.len(), "CSR engine diverged");
         for (cp, hp) in csr_pairs.iter().zip(&hash_pairs) {
             assert_eq!((cp.l, cp.r), (hp.l, hp.r), "CSR engine diverged");
-            assert_eq!(cp.sim.to_bits(), hp.sim.to_bits(), "CSR similarity diverged");
+            assert_eq!(
+                cp.sim.to_bits(),
+                hp.sim.to_bits(),
+                "CSR similarity diverged"
+            );
         }
         let n_pairs = csr_pairs.len();
         if grid.long_right {
@@ -504,8 +575,12 @@ fn main() {
         });
         let ps_hash = n_pairs as f64 / t_hash;
 
-        writeln!(txt, "{:>3}  {:>15}  {:>15}  {:>8}", "w", "hashmap p/s", "csr p/s", "speedup")
-            .unwrap();
+        writeln!(
+            txt,
+            "{:>3}  {:>15}  {:>15}  {:>8}",
+            "w", "hashmap p/s", "csr p/s", "speedup"
+        )
+        .unwrap();
 
         let mut json_rows = String::new();
         let mut speedup_w1 = 0.0;
@@ -526,7 +601,11 @@ fn main() {
                 speedup_w1 = speedup;
             }
             let probes_ps = stats.probes as f64 / t_csr;
-            writeln!(txt, "{w:>3}  {ps_hash:>15.0}  {ps_csr:>15.0}  {speedup:>7.2}x").unwrap();
+            writeln!(
+                txt,
+                "{w:>3}  {ps_hash:>15.0}  {ps_csr:>15.0}  {speedup:>7.2}x"
+            )
+            .unwrap();
             if !json_rows.is_empty() {
                 json_rows.push_str(",\n");
             }

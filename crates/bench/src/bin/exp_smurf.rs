@@ -19,12 +19,22 @@ fn main() {
     // Experiment narration is leveled logging: MAGELLAN_LOG=off silences it.
     magellan_obs::init_bin_logging(magellan_obs::Level::Info);
     magellan_obs::log!(info, "Smurf ablation — labeling effort vs Falcon\n");
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "{:14} {:>9} {:>9} {:>9} {:>9} {:>11} {:>9}",
-        "scenario", "falcon Q", "smurf Q", "falcon F1", "smurf F1", "Q reduction", "dF1"
+        "scenario",
+        "falcon Q",
+        "smurf Q",
+        "falcon F1",
+        "smurf F1",
+        "Q reduction",
+        "dF1"
     );
     let mut reductions = Vec::new();
-    for (i, name) in ["persons", "products", "restaurants", "citations"].iter().enumerate() {
+    for (i, name) in ["persons", "products", "restaurants", "citations"]
+        .iter()
+        .enumerate()
+    {
         let s = domains::by_name(
             name,
             &ScenarioConfig {
@@ -39,18 +49,17 @@ fn main() {
         let cfg = FalconConfig::default();
 
         let mut l1 = OracleLabeler::new(s.gold.clone(), "id", "id");
-        let falcon = run_falcon(&s.table_a, &s.table_b, "id", "id", &mut l1, &cfg)
-            .expect("falcon");
+        let falcon = run_falcon(&s.table_a, &s.table_b, "id", "id", &mut l1, &cfg).expect("falcon");
         let mut l2 = OracleLabeler::new(s.gold.clone(), "id", "id");
-        let smurf = run_smurf(&s.table_a, &s.table_b, "id", "id", &mut l2, &cfg)
-            .expect("smurf");
+        let smurf = run_smurf(&s.table_a, &s.table_b, "id", "id", &mut l2, &cfg).expect("smurf");
 
         let mf = score(&falcon.matches, &s.table_a, &s.table_b, &s.gold);
         let ms = score(&smurf.matches, &s.table_a, &s.table_b, &s.gold);
-        let reduction = 1.0
-            - smurf.total_questions() as f64 / falcon.total_questions().max(1) as f64;
+        let reduction =
+            1.0 - smurf.total_questions() as f64 / falcon.total_questions().max(1) as f64;
         reductions.push(reduction);
-        magellan_obs::log!(info, 
+        magellan_obs::log!(
+            info,
             "{:14} {:>9} {:>9} {:>9.3} {:>9.3} {:>10.0}% {:>+9.3}",
             name,
             falcon.total_questions(),
@@ -63,7 +72,8 @@ fn main() {
     }
     let lo = reductions.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = reductions.iter().cloned().fold(0.0, f64::max);
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "\nlabeling reduction range: {:.0}%–{:.0}% (paper: 43%–76%)",
         100.0 * lo,
         100.0 * hi
@@ -99,8 +109,7 @@ fn main() {
         .block(&s.table_a, &s.table_b)
         .unwrap();
     let features = generate_features(&s.table_a, &s.table_b, &["id"]).unwrap();
-    let matrix =
-        extract_feature_matrix(cands.pairs(), &s.table_a, &s.table_b, &features).unwrap();
+    let matrix = extract_feature_matrix(cands.pairs(), &s.table_a, &s.table_b, &features).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     let mut order: Vec<usize> = (0..matrix.len()).collect();
     order.shuffle(&mut rng);
@@ -127,11 +136,13 @@ fn main() {
         .filter_map(|(&p, row)| forest.predict(row).then_some(p))
         .collect();
     let m_random = score(&predicted, &s.table_a, &s.table_b, &s.gold);
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "  active learning: F1 {:.3} with {budget} labels",
         m_active.f1()
     );
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "  random labeling: F1 {:.3} with {budget} labels",
         m_random.f1()
     );

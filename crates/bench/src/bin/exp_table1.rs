@@ -77,10 +77,21 @@ fn main() {
         },
     ];
 
-    magellan_obs::log!(info, "Table 1 analog — PyMatcher vs incumbent production workflow");
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
+        "Table 1 analog — PyMatcher vs incumbent production workflow"
+    );
+    magellan_obs::log!(
+        info,
         "{:24} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} {:>6} | production?",
-        "deployment", "inc P%", "inc R%", "inc F1%", "py P%", "py R%", "py F1%", "quest"
+        "deployment",
+        "inc P%",
+        "inc R%",
+        "inc F1%",
+        "py P%",
+        "py R%",
+        "py F1%",
+        "quest"
     );
     for d in &deployments {
         let cfg = ScenarioConfig {
@@ -129,8 +140,13 @@ fn main() {
         let m_py = score(&out.matches(), a, b, &s.gold);
 
         // The paper's "pushed into production" criterion: clearly better.
-        let production = if m_py.f1() > m_inc.f1() + 0.02 { "yes" } else { "no" };
-        magellan_obs::log!(info, 
+        let production = if m_py.f1() > m_inc.f1() + 0.02 {
+            "yes"
+        } else {
+            "no"
+        };
+        magellan_obs::log!(
+            info,
             "{:24} {:8.1} {:8.1} {:8.1} | {:8.1} {:8.1} {:8.1} {:6} | {}",
             d.paper_row,
             100.0 * m_inc.precision(),
@@ -143,6 +159,12 @@ fn main() {
             production
         );
     }
-    magellan_obs::log!(info, "\npaper shape: PyMatcher beats the incumbent pipeline, chiefly on recall,");
-    magellan_obs::log!(info, "and goes to production in most deployments (6 of 8 in the paper).");
+    magellan_obs::log!(
+        info,
+        "\npaper shape: PyMatcher beats the incumbent pipeline, chiefly on recall,"
+    );
+    magellan_obs::log!(
+        info,
+        "and goes to production in most deployments (6 of 8 in the paper)."
+    );
 }

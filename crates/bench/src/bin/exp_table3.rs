@@ -11,9 +11,14 @@ fn main() {
     // Experiment narration is leveled logging: MAGELLAN_LOG=off silences it.
     magellan_obs::init_bin_logging(magellan_obs::Level::Info);
     magellan_obs::log!(info, "Table 3 analog — tools per guide step");
-    magellan_obs::log!(info, 
+    magellan_obs::log!(
+        info,
         "{:26} {:>9} {:>9} {:>11} {:>9}",
-        "guide step", "substrate", "own code", "pain points", "commands"
+        "guide step",
+        "substrate",
+        "own code",
+        "pain points",
+        "commands"
     );
     let all = commands();
     for (step, count) in commands_per_step() {
@@ -22,7 +27,8 @@ fn main() {
                 .filter(|c| c.step == step && c.origin == origin)
                 .count()
         };
-        magellan_obs::log!(info, 
+        magellan_obs::log!(
+            info,
             "{:26} {:>9} {:>9} {:>11} {:>9}",
             step.to_string(),
             by(CommandOrigin::ExistingPackage),
@@ -33,10 +39,16 @@ fn main() {
     }
     magellan_obs::log!(info, "\ntotal commands: {}", all.len());
     magellan_obs::log!(info, "\npain-point tools (the paper's column D):");
-    for c in all.iter().filter(|c| c.origin == CommandOrigin::PainPointTool) {
+    for c in all
+        .iter()
+        .filter(|c| c.origin == CommandOrigin::PainPointTool)
+    {
         magellan_obs::log!(info, "  [{:26}] {}", c.step.to_string(), c.name);
     }
-    magellan_obs::log!(info, "\nmain packages (the paper lists 6 making up PyMatcher):");
+    magellan_obs::log!(
+        info,
+        "\nmain packages (the paper lists 6 making up PyMatcher):"
+    );
     for p in [
         "magellan-table",
         "magellan-textsim (py_stringmatching)",

@@ -8,7 +8,8 @@ fn main() {
     magellan_obs::init_bin_logging(magellan_obs::Level::Info);
     magellan_obs::log!(info, "Table 4 analog — CloudMatcher services");
     for kind in [ServiceKind::Basic, ServiceKind::Composite] {
-        magellan_obs::log!(info, 
+        magellan_obs::log!(
+            info,
             "\n== {} services ==",
             match kind {
                 ServiceKind::Basic => "basic",
@@ -23,7 +24,13 @@ fn main() {
             }
         }
     }
-    let n_basic = services().iter().filter(|s| s.kind == ServiceKind::Basic).count();
-    let n_comp = services().iter().filter(|s| s.kind == ServiceKind::Composite).count();
+    let n_basic = services()
+        .iter()
+        .filter(|s| s.kind == ServiceKind::Basic)
+        .count();
+    let n_comp = services()
+        .iter()
+        .filter(|s| s.kind == ServiceKind::Composite)
+        .count();
     magellan_obs::log!(info, "\n{n_basic} basic + {n_comp} composite services (paper: 18 basic + composites incl. Falcon)");
 }

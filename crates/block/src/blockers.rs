@@ -85,7 +85,10 @@ impl Blocker for AttrEquivalenceBlocker {
             }
             pairs
         });
-        Ok((CandidateSet::new(chunks.into_iter().flatten().collect()), stats))
+        Ok((
+            CandidateSet::new(chunks.into_iter().flatten().collect()),
+            stats,
+        ))
     }
 }
 
@@ -196,7 +199,10 @@ impl Blocker for HashBlocker {
             }
             pairs
         });
-        Ok((CandidateSet::new(chunks.into_iter().flatten().collect()), stats))
+        Ok((
+            CandidateSet::new(chunks.into_iter().flatten().collect()),
+            stats,
+        ))
     }
 }
 
@@ -390,7 +396,10 @@ impl Blocker for SortedNeighborhoodBlocker {
             }
             pairs
         });
-        Ok((CandidateSet::new(chunks.into_iter().flatten().collect()), stats))
+        Ok((
+            CandidateSet::new(chunks.into_iter().flatten().collect()),
+            stats,
+        ))
     }
 }
 
@@ -452,7 +461,10 @@ impl<F: Fn(&Table, usize, &Table, usize) -> bool + Send + Sync> Blocker for Blac
             }
             pairs
         });
-        Ok((CandidateSet::new(chunks.into_iter().flatten().collect()), stats))
+        Ok((
+            CandidateSet::new(chunks.into_iter().flatten().collect()),
+            stats,
+        ))
     }
 }
 
@@ -464,7 +476,11 @@ mod tests {
     fn tables() -> (Table, Table) {
         let a = Table::from_rows(
             "A",
-            &[("id", Dtype::Str), ("name", Dtype::Str), ("state", Dtype::Str)],
+            &[
+                ("id", Dtype::Str),
+                ("name", Dtype::Str),
+                ("state", Dtype::Str),
+            ],
             vec![
                 vec!["a0".into(), "Dave Smith".into(), "WI".into()],
                 vec!["a1".into(), "Joe Wilson".into(), "CA".into()],
@@ -475,7 +491,11 @@ mod tests {
         .unwrap();
         let b = Table::from_rows(
             "B",
-            &[("id", Dtype::Str), ("name", Dtype::Str), ("state", Dtype::Str)],
+            &[
+                ("id", Dtype::Str),
+                ("name", Dtype::Str),
+                ("state", Dtype::Str),
+            ],
             vec![
                 vec!["b0".into(), "David Smith".into(), "WI".into()],
                 vec!["b1".into(), "Daniel Smith".into(), "wi".into()],

@@ -159,7 +159,11 @@ mod tests {
     fn tables() -> (Table, Table) {
         let a = Table::from_rows(
             "A",
-            &[("id", Dtype::Str), ("name", Dtype::Str), ("city", Dtype::Str)],
+            &[
+                ("id", Dtype::Str),
+                ("name", Dtype::Str),
+                ("city", Dtype::Str),
+            ],
             vec![
                 vec!["a0".into(), "dave smith".into(), "madison".into()],
                 vec!["a1".into(), "joe wilson".into(), "san jose".into()],
@@ -169,7 +173,11 @@ mod tests {
         .unwrap();
         let b = Table::from_rows(
             "B",
-            &[("id", Dtype::Str), ("name", Dtype::Str), ("city", Dtype::Str)],
+            &[
+                ("id", Dtype::Str),
+                ("name", Dtype::Str),
+                ("city", Dtype::Str),
+            ],
             vec![
                 vec!["b0".into(), "dave smith".into(), "madison".into()],
                 vec!["b1".into(), "dan smith".into(), "middleton".into()],

@@ -35,14 +35,14 @@
 
 pub mod blockers;
 pub mod candidate;
-pub mod dedup;
 pub mod debugger;
+pub mod dedup;
 pub mod metrics;
 pub mod rules;
 
 pub use blockers::{
-    AttrEquivalenceBlocker, BlackBoxBlocker, Blocker, HashBlocker, OverlapBlocker,
-    SimJoinBlocker, SortedNeighborhoodBlocker,
+    AttrEquivalenceBlocker, BlackBoxBlocker, Blocker, HashBlocker, OverlapBlocker, SimJoinBlocker,
+    SortedNeighborhoodBlocker,
 };
 pub use candidate::CandidateSet;
 pub use dedup::dedup_block;

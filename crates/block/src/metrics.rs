@@ -106,9 +106,15 @@ mod tests {
     fn empty_gold_is_vacuous_recall() {
         let a = Table::from_rows("A", &[("id", Dtype::Str)], vec![vec!["a0".into()]]).unwrap();
         let b = Table::from_rows("B", &[("id", Dtype::Str)], vec![vec!["b0".into()]]).unwrap();
-        let rep =
-            evaluate_blocking(&CandidateSet::default(), &a, &b, "id", "id", &HashSet::new())
-                .unwrap();
+        let rep = evaluate_blocking(
+            &CandidateSet::default(),
+            &a,
+            &b,
+            "id",
+            "id",
+            &HashSet::new(),
+        )
+        .unwrap();
         assert_eq!(rep.recall(), 1.0);
         assert_eq!(rep.reduction_ratio(), 1.0);
     }

@@ -108,7 +108,9 @@ impl SimFeature {
     /// Missing values score 0 (a missing attribute cannot demonstrate
     /// similarity, so drop-rules fire on it).
     pub fn similarity(&self, a: Option<&str>, b: Option<&str>) -> f64 {
-        let (Some(a), Some(b)) = (a, b) else { return 0.0 };
+        let (Some(a), Some(b)) = (a, b) else {
+            return 0.0;
+        };
         match self {
             SimFeature::ExactMatch => f64::from(a.trim().to_lowercase() == b.trim().to_lowercase()),
             SimFeature::Jaccard(t) | SimFeature::Cosine(t) | SimFeature::Dice(t) => {
@@ -207,7 +209,10 @@ impl RuleBasedBlocker {
     /// Blocker from a rule list. At least one rule is required — zero
     /// rules would mean "keep the entire cross product".
     pub fn new(rules: Vec<BlockingRule>) -> Self {
-        assert!(!rules.is_empty(), "rule-based blocker needs at least one rule");
+        assert!(
+            !rules.is_empty(),
+            "rule-based blocker needs at least one rule"
+        );
         RuleBasedBlocker { rules }
     }
 
@@ -276,7 +281,10 @@ impl Blocker for RuleBasedBlocker {
     /// have run it (a join cannot produce the pairs of similarity 0 that
     /// `sim > t` then admits).
     fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
-        assert!(!self.rules.is_empty(), "rule-based blocker needs at least one rule");
+        assert!(
+            !self.rules.is_empty(),
+            "rule-based blocker needs at least one rule"
+        );
         self.check_attributes(a, b)?;
         let mut rules = self.rules.clone();
         for p in rules.iter_mut().flat_map(|r| &mut r.predicates) {
@@ -461,18 +469,14 @@ impl PreparedRuleEval {
                     .iter()
                     .map(|p| {
                         let sh = shape(p.feature);
-                        let li = *l_index
-                            .entry((p.l_attr.clone(), sh))
-                            .or_insert_with(|| {
-                                l_specs.push((p.l_attr.clone(), sh));
-                                l_specs.len() - 1
-                            });
-                        let ri = *r_index
-                            .entry((p.r_attr.clone(), sh))
-                            .or_insert_with(|| {
-                                r_specs.push((p.r_attr.clone(), sh));
-                                r_specs.len() - 1
-                            });
+                        let li = *l_index.entry((p.l_attr.clone(), sh)).or_insert_with(|| {
+                            l_specs.push((p.l_attr.clone(), sh));
+                            l_specs.len() - 1
+                        });
+                        let ri = *r_index.entry((p.r_attr.clone(), sh)).or_insert_with(|| {
+                            r_specs.push((p.r_attr.clone(), sh));
+                            r_specs.len() - 1
+                        });
                         (li, ri)
                     })
                     .collect()
@@ -490,9 +494,9 @@ impl PreparedRuleEval {
         // One shared interner across both sides and all combinations.
         let mut interner = TokenInterner::new();
         let fill = |table: &Table,
-                        referenced: &[bool],
-                        specs: &[(String, RulePrep)],
-                        interner: &mut TokenInterner|
+                    referenced: &[bool],
+                    specs: &[(String, RulePrep)],
+                    interner: &mut TokenInterner|
          -> Vec<Vec<Option<RuleCell>>> {
             specs
                 .iter()
@@ -878,21 +882,49 @@ mod tests {
     fn tables() -> (Table, Table) {
         let a = Table::from_rows(
             "A",
-            &[("id", Dtype::Str), ("isbn", Dtype::Str), ("title", Dtype::Str)],
+            &[
+                ("id", Dtype::Str),
+                ("isbn", Dtype::Str),
+                ("title", Dtype::Str),
+            ],
             vec![
-                vec!["a0".into(), "978-0262033848".into(), "introduction to algorithms".into()],
-                vec!["a1".into(), "978-1491927083".into(), "programming rust".into()],
+                vec![
+                    "a0".into(),
+                    "978-0262033848".into(),
+                    "introduction to algorithms".into(),
+                ],
+                vec![
+                    "a1".into(),
+                    "978-1491927083".into(),
+                    "programming rust".into(),
+                ],
                 vec!["a2".into(), Value::Null, "mystery book".into()],
             ],
         )
         .unwrap();
         let b = Table::from_rows(
             "B",
-            &[("id", Dtype::Str), ("isbn", Dtype::Str), ("title", Dtype::Str)],
+            &[
+                ("id", Dtype::Str),
+                ("isbn", Dtype::Str),
+                ("title", Dtype::Str),
+            ],
             vec![
-                vec!["b0".into(), "978-0262033848".into(), "intro to algorithms".into()],
-                vec!["b1".into(), "978-3161484100".into(), "unrelated tome".into()],
-                vec!["b2".into(), "978-1491927083".into(), "programming rust 2nd".into()],
+                vec![
+                    "b0".into(),
+                    "978-0262033848".into(),
+                    "intro to algorithms".into(),
+                ],
+                vec![
+                    "b1".into(),
+                    "978-3161484100".into(),
+                    "unrelated tome".into(),
+                ],
+                vec![
+                    "b2".into(),
+                    "978-1491927083".into(),
+                    "programming rust 2nd".into(),
+                ],
             ],
         )
         .unwrap();
@@ -1011,8 +1043,14 @@ mod tests {
         let c = blocker.block(&a, &b).unwrap();
         // Must pass both: equal isbn AND title jaccard > 0.2.
         for &(ra, rb) in c.pairs() {
-            let ia = a.value_by_name(ra as usize, "isbn").unwrap().display_string();
-            let ib = b.value_by_name(rb as usize, "isbn").unwrap().display_string();
+            let ia = a
+                .value_by_name(ra as usize, "isbn")
+                .unwrap()
+                .display_string();
+            let ib = b
+                .value_by_name(rb as usize, "isbn")
+                .unwrap()
+                .display_string();
             assert_eq!(ia, ib);
         }
         assert!(c.contains((1, 2)));
@@ -1047,7 +1085,10 @@ mod tests {
         };
         let s = rule.pretty();
         assert!(s.contains("exact_match(A.isbn, B.isbn) <= 0.500"), "{s}");
-        assert!(s.contains("jaccard(3gram)(A.title, B.title) <= 0.310"), "{s}");
+        assert!(
+            s.contains("jaccard(3gram)(A.title, B.title) <= 0.310"),
+            "{s}"
+        );
         assert!(s.ends_with("-> No"));
     }
 

@@ -441,8 +441,14 @@ mod tests {
         };
         assert_eq!(round_trip(&unsorted), unsorted);
         for (old, version) in [
-            (&b"emckpt v1\nphase blocked\npairs 0\nend\n"[..], "emckpt v1"),
-            (&b"emckpt v2\0\x01\x01\0\0\0\0\x01\x02\x03\x04\x05\x06\x07\x08"[..], "emckpt v2"),
+            (
+                &b"emckpt v1\nphase blocked\npairs 0\nend\n"[..],
+                "emckpt v1",
+            ),
+            (
+                &b"emckpt v2\0\x01\x01\0\0\0\0\x01\x02\x03\x04\x05\x06\x07\x08"[..],
+                "emckpt v2",
+            ),
         ] {
             let err = Checkpoint::from_bytes(old).unwrap_err();
             assert!(err.fatal(), "an old checkpoint must not be retried");
@@ -468,7 +474,10 @@ mod tests {
         }
         let fails = |segs: &[(u32, &[u8])], want: &str| {
             let err = Checkpoint::from_bytes(&segment::encode(MAGIC, segs)).unwrap_err();
-            assert!(err.fatal() && err.to_string().contains(want), "expected `{want}`, got `{err}`");
+            assert!(
+                err.fatal() && err.to_string().contains(want),
+                "expected `{want}`, got `{err}`"
+            );
         };
         let done42 = [&[PHASE_DONE][..], &42u64.to_le_bytes()].concat();
         let done0 = [&[PHASE_DONE][..], &0u64.to_le_bytes()].concat();
@@ -481,12 +490,20 @@ mod tests {
             (&done42, 2, &[2, 4], "count 2 does not fit"),
             (&done42, 1, &[2, 4, 0], "trailing bytes"),
             (&done42, u64::MAX, &[], "does not fit"),
-            (&done0, 3, &[2, 4, 0, 0, 0, 0], "3 matches out of 0 candidates"),
+            (
+                &done0,
+                3,
+                &[2, 4, 0, 0, 0, 0],
+                "3 matches out of 0 candidates",
+            ),
         ] {
             let pairs = [&count.to_le_bytes()[..], varints].concat();
             fails(&[(SEG_PHASE, phase), (SEG_PAIRS, &pairs)], want);
         }
-        fails(&[(SEG_PAIRS, &[0; 8]), (SEG_PHASE, &done42)], "expected segment 1");
+        fails(
+            &[(SEG_PAIRS, &[0; 8]), (SEG_PHASE, &done42)],
+            "expected segment 1",
+        );
     }
 
     #[test]
@@ -504,10 +521,17 @@ mod tests {
             n_candidates: 43,
         }
         .to_bytes();
-        assert_eq!(old.len(), new.len(), "same shape so the splice stays segment-valid");
+        assert_eq!(
+            old.len(),
+            new.len(),
+            "same shape so the splice stays segment-valid"
+        );
         let (phase, pairs) = {
             let mut r = SegmentReader::open(&new, MAGIC).unwrap();
-            (r.expect(SEG_PHASE).unwrap().payload, r.expect(SEG_PAIRS).unwrap())
+            (
+                r.expect(SEG_PHASE).unwrap().payload,
+                r.expect(SEG_PAIRS).unwrap(),
+            )
         };
         // Tear inside the pairs payload: keep the new phase segment and
         // first pair's deltas, splice in the old tail (last deltas, old
@@ -556,10 +580,7 @@ mod tests {
 
     #[test]
     fn file_store_round_trips_and_survives_missing_file() {
-        let dir = std::env::temp_dir().join(format!(
-            "magellan-ckpt-test-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("magellan-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut s = FileStore::new(dir.join("run.emckpt"));
         assert!(s.load_bytes().unwrap().is_none());

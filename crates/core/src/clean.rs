@@ -32,13 +32,10 @@ pub fn normalize(s: &str, ops: &[NormalizeOp]) -> String {
     for op in ops {
         out = match op {
             NormalizeOp::Lowercase => out.to_lowercase(),
-            NormalizeOp::CollapseWhitespace => {
-                out.split_whitespace().collect::<Vec<_>>().join(" ")
+            NormalizeOp::CollapseWhitespace => out.split_whitespace().collect::<Vec<_>>().join(" "),
+            NormalizeOp::StripPunctuation => {
+                out.chars().filter(|c| !c.is_ascii_punctuation()).collect()
             }
-            NormalizeOp::StripPunctuation => out
-                .chars()
-                .filter(|c| !c.is_ascii_punctuation())
-                .collect(),
         };
     }
     out
@@ -135,8 +132,11 @@ pub fn isolate_rows(
             .as_str()
             .map(|s| {
                 flagged.contains(
-                    normalize(s, &[NormalizeOp::Lowercase, NormalizeOp::CollapseWhitespace])
-                        .as_str(),
+                    normalize(
+                        s,
+                        &[NormalizeOp::Lowercase, NormalizeOp::CollapseWhitespace],
+                    )
+                    .as_str(),
                 )
             })
             .unwrap_or(false);
@@ -215,9 +215,13 @@ mod tests {
     fn thresholds_suppress_ordinary_repetition() {
         let t = vendors();
         // min_count above the placeholder's count: nothing flagged.
-        assert!(detect_generic_values(&t, "address", 11, 0.0).unwrap().is_empty());
+        assert!(detect_generic_values(&t, "address", 11, 0.0)
+            .unwrap()
+            .is_empty());
         // fraction bar too high: nothing flagged.
-        assert!(detect_generic_values(&t, "address", 5, 0.5).unwrap().is_empty());
+        assert!(detect_generic_values(&t, "address", 5, 0.5)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -90,7 +90,9 @@ pub fn debug_matches(
     mistakes.sort_by(|a, b| {
         let da = (a.proba - threshold).abs();
         let db = (b.proba - threshold).abs();
-        db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal).then(a.row.cmp(&b.row))
+        db.partial_cmp(&da)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.row.cmp(&b.row))
     });
     mistakes
 }
@@ -103,10 +105,10 @@ mod tests {
         FeatureMatrix {
             names: vec!["name_sim".into(), "price_sim".into()],
             rows: vec![
-                vec![0.9, 0.95],  // true match, predicted match: correct
-                vec![0.85, 0.1],  // predicted match, actually not: FP
+                vec![0.9, 0.95],     // true match, predicted match: correct
+                vec![0.85, 0.1],     // predicted match, actually not: FP
                 vec![0.2, f64::NAN], // predicted no, actually match: FN
-                vec![0.1, 0.1],   // correct reject
+                vec![0.1, 0.1],      // correct reject
             ],
             pairs: vec![(0, 0), (1, 1), (2, 2), (3, 3)],
         }
@@ -119,11 +121,17 @@ mod tests {
         let labels = [true, false, true, false];
         let mistakes = debug_matches(&m, &probas, &labels, 0.5, 2);
         assert_eq!(mistakes.len(), 2);
-        let fp = mistakes.iter().find(|x| x.kind == MistakeKind::FalsePositive).unwrap();
+        let fp = mistakes
+            .iter()
+            .find(|x| x.kind == MistakeKind::FalsePositive)
+            .unwrap();
         assert_eq!(fp.pair, (1, 1));
         // FP evidence leads with the high name similarity that fooled us.
         assert_eq!(fp.evidence[0].0, "name_sim");
-        let fn_ = mistakes.iter().find(|x| x.kind == MistakeKind::FalseNegative).unwrap();
+        let fn_ = mistakes
+            .iter()
+            .find(|x| x.kind == MistakeKind::FalseNegative)
+            .unwrap();
         assert_eq!(fn_.pair, (2, 2));
         // NaN feature must be excluded from evidence.
         assert_eq!(fn_.evidence.len(), 1);

@@ -539,8 +539,7 @@ mod tests {
             dirt: DirtModel::light(),
             seed: 11,
         });
-        let (a_rows, b_rows) =
-            down_sample_indices(&s.table_a, &s.table_b, 150, 4, &["id"], 7);
+        let (a_rows, b_rows) = down_sample_indices(&s.table_a, &s.table_b, 150, 4, &["id"], 7);
         assert_eq!(b_rows.len(), 150);
 
         // Count gold pairs surviving in the sample.

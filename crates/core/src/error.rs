@@ -143,7 +143,10 @@ impl fmt::Display for MagellanError {
                 write!(f, "invalid configuration: {message}")
             }
             MagellanError::Killed { after_phase } => {
-                write!(f, "workflow killed after phase `{after_phase}` (checkpoint saved)")
+                write!(
+                    f,
+                    "workflow killed after phase `{after_phase}` (checkpoint saved)"
+                )
             }
         }
     }
@@ -185,10 +188,7 @@ mod tests {
     fn transience_classification() {
         let e = MagellanError::from(TableError::UnknownColumn("x".into()));
         assert!(e.fatal());
-        let e = MagellanError::from(std::io::Error::new(
-            std::io::ErrorKind::Interrupted,
-            "blip",
-        ));
+        let e = MagellanError::from(std::io::Error::new(std::io::ErrorKind::Interrupted, "blip"));
         assert!(e.transient());
         let e = MagellanError::from(std::io::Error::other("disk on fire"));
         assert!(e.fatal());
@@ -203,7 +203,10 @@ mod tests {
             budget_s: 5.0
         }
         .transient());
-        assert!(MagellanError::Killed { after_phase: "blocking" }.fatal());
+        assert!(MagellanError::Killed {
+            after_phase: "blocking"
+        }
+        .fatal());
         let e = MagellanError::Config {
             message: "batch_slots must be >= 1".into(),
         };
@@ -229,7 +232,9 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("matching") && s.contains("fatal") && s.contains("boom"));
-        let e = MagellanError::Killed { after_phase: "matching" };
+        let e = MagellanError::Killed {
+            after_phase: "matching",
+        };
         assert!(e.to_string().contains("matching"));
     }
 

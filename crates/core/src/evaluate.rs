@@ -80,9 +80,14 @@ mod tests {
     fn bad_key_is_an_error() {
         let a = Table::from_rows("A", &[("id", Dtype::Str)], vec![]).unwrap();
         let b = Table::from_rows("B", &[("id", Dtype::Str)], vec![]).unwrap();
-        assert!(
-            evaluate_matches(&CandidateSet::default(), &a, &b, "zzz", "id", &HashSet::new())
-                .is_err()
-        );
+        assert!(evaluate_matches(
+            &CandidateSet::default(),
+            &a,
+            &b,
+            "zzz",
+            "id",
+            &HashSet::new()
+        )
+        .is_err());
     }
 }

@@ -278,10 +278,7 @@ impl ProductionExecutor {
         if let Err(e) = &out {
             // Fatal errors escape the report path, so the flight recorder
             // dumps here instead of in `finish_obs`.
-            magellan_obs::flight_on_failure(
-                "fatal_error",
-                &[("error", EvVal::S(e.kind_name()))],
-            );
+            magellan_obs::flight_on_failure("fatal_error", &[("error", EvVal::S(e.kind_name()))]);
             if let Some(path) = obs.flight_autodump() {
                 magellan_obs::log!(info, "flight-recorder dump written to {path}");
             }
@@ -409,7 +406,10 @@ impl Recovery<'_, '_> {
         let (Checkpoint::Blocked { candidates: pairs } | Checkpoint::Done { matches: pairs, .. }) =
             &ck;
         let (na, nb) = (a.nrows(), b.nrows());
-        if let Some((l, r)) = pairs.iter().find(|&&(l, r)| l as usize >= na || r as usize >= nb) {
+        if let Some((l, r)) = pairs
+            .iter()
+            .find(|&&(l, r)| l as usize >= na || r as usize >= nb)
+        {
             return Err(MagellanError::Checkpoint {
                 message: format!(
                     "{} checkpoint pair ({l}, {r}) is past the tables ({na} and {nb} rows)",
@@ -429,18 +429,16 @@ impl Recovery<'_, '_> {
         phase: Phase,
         f: impl FnMut() -> Result<T, MagellanError>,
     ) -> Result<T, MagellanError> {
-        retry(&self.opts.retry, &mut self.clock, PHASE_RETRIES, f).map_err(|e| {
-            match e {
-                e @ (MagellanError::Checkpoint { .. }
-                | MagellanError::Killed { .. }
-                | MagellanError::Timeout { .. }
-                | MagellanError::Phase { .. }) => e,
-                other => MagellanError::Phase {
-                    phase: phase.name(),
-                    message: other.to_string(),
-                    transient: other.transient(),
-                },
-            }
+        retry(&self.opts.retry, &mut self.clock, PHASE_RETRIES, f).map_err(|e| match e {
+            e @ (MagellanError::Checkpoint { .. }
+            | MagellanError::Killed { .. }
+            | MagellanError::Timeout { .. }
+            | MagellanError::Phase { .. }) => e,
+            other => MagellanError::Phase {
+                phase: phase.name(),
+                message: other.to_string(),
+                transient: other.transient(),
+            },
         })
     }
 
@@ -537,7 +535,9 @@ fn match_candidates(
                 matched.push(chunk[i]);
             }
         };
-        workflow.plan.decide_pairs(matcher, threshold, &mut scorer, chunk, &mut counts, keep);
+        workflow
+            .plan
+            .decide_pairs(matcher, threshold, &mut scorer, chunk, &mut counts, keep);
         (matched, scorer.computed(), counts, scorer.counts())
     });
 
@@ -889,11 +889,7 @@ fn last_valid(mut lo: usize, mut hi: usize, mut valid: impl FnMut(usize) -> bool
 /// A general parallel map over row chunks, exposed for workloads that
 /// don't fit the workflow shape (e.g. per-row cleaning in the guide's
 /// pre-processing step). `out[i] == f(i)` for every worker count.
-pub fn parallel_map<T: Send, F: Fn(usize) -> T + Sync>(
-    n: usize,
-    n_workers: usize,
-    f: F,
-) -> Vec<T> {
+pub fn parallel_map<T: Send, F: Fn(usize) -> T + Sync>(n: usize, n_workers: usize, f: F) -> Vec<T> {
     magellan_par::map_indexed(n, &ParConfig::workers(n_workers), f).0
 }
 
@@ -958,11 +954,18 @@ mod tests {
             seed: 21,
         });
         let wf = workflow();
-        let serial = ProductionExecutor::new(1).run(&wf, &s.table_a, &s.table_b).unwrap();
-        let parallel = ProductionExecutor::new(4).run(&wf, &s.table_a, &s.table_b).unwrap();
+        let serial = ProductionExecutor::new(1)
+            .run(&wf, &s.table_a, &s.table_b)
+            .unwrap();
+        let parallel = ProductionExecutor::new(4)
+            .run(&wf, &s.table_a, &s.table_b)
+            .unwrap();
         assert_eq!(serial.matches, parallel.matches);
         assert_eq!(serial.n_candidates, parallel.n_candidates);
-        assert_eq!(parallel.obs.gauge("magellan_par_workers{phase=\"score\"}"), 4.0);
+        assert_eq!(
+            parallel.obs.gauge("magellan_par_workers{phase=\"score\"}"),
+            4.0
+        );
         assert!(serial.timings.total() > Duration::ZERO);
     }
 
@@ -976,10 +979,17 @@ mod tests {
             seed: 5,
         });
         let wf = workflow();
-        let report = ProductionExecutor::new(3).run(&wf, &s.table_a, &s.table_b).unwrap();
+        let report = ProductionExecutor::new(3)
+            .run(&wf, &s.table_a, &s.table_b)
+            .unwrap();
         let count = |name: &str| report.obs.counter(name) as usize;
-        let par = |name: &str, phase: &str| count(&format!("magellan_par_{name}{{phase=\"{phase}\"}}"));
-        let workers = |phase: &str| report.obs.gauge(&format!("magellan_par_workers{{phase=\"{phase}\"}}"));
+        let par =
+            |name: &str, phase: &str| count(&format!("magellan_par_{name}{{phase=\"{phase}\"}}"));
+        let workers = |phase: &str| {
+            report
+                .obs
+                .gauge(&format!("magellan_par_workers{{phase=\"{phase}\"}}"))
+        };
         // Blocking counters reflect the probe loop over table A's rows.
         assert_eq!(workers("blocking"), 3.0);
         assert_eq!(par("items_total", "blocking"), 200);
@@ -987,7 +997,10 @@ mod tests {
         // The fused scoring pass walks every candidate pair once.
         assert_eq!(par("items_total", "score"), report.n_candidates);
         assert_eq!(workers("score"), 3.0);
-        assert!(report.obs.histogram("magellan_par_elapsed_us{phase=\"score\"}").is_some());
+        assert!(report
+            .obs
+            .histogram("magellan_par_elapsed_us{phase=\"score\"}")
+            .is_some());
         assert!(
             par("chunks_stolen_total", "blocking") + par("chunks_stolen_total", "score")
                 <= par("chunks_total", "blocking") + par("chunks_total", "score")
@@ -1011,7 +1024,10 @@ mod tests {
         let join = |name: &str| count(&format!("magellan_simjoin_{name}_total"));
         assert!(join("probes") > 0);
         assert!(join("candidates") > 0);
-        assert_eq!(join("candidates"), join("killed_by_position") + join("verified"));
+        assert_eq!(
+            join("candidates"),
+            join("killed_by_position") + join("verified")
+        );
         assert_eq!(join("verified"), join("killed_by_suffix") + join("pairs"));
     }
 
@@ -1025,16 +1041,26 @@ mod tests {
             seed: 11,
         });
         let wf = workflow();
-        let plain = ProductionExecutor::new(2).run(&wf, &s.table_a, &s.table_b).unwrap();
+        let plain = ProductionExecutor::new(2)
+            .run(&wf, &s.table_a, &s.table_b)
+            .unwrap();
         let mut store = crate::checkpoint::MemStore::new();
         let rec = ProductionExecutor::new(2)
-            .run_with_recovery(&wf, &s.table_a, &s.table_b, &mut store, &RecoveryOptions::default())
+            .run_with_recovery(
+                &wf,
+                &s.table_a,
+                &s.table_b,
+                &mut store,
+                &RecoveryOptions::default(),
+            )
             .unwrap();
         assert_eq!(plain.matches, rec.matches);
         assert_eq!(plain.n_candidates, rec.n_candidates);
         let count = |name: &str| rec.obs.counter(name);
         let panics = |phase: &str| {
-            count(&format!("magellan_par_panics_contained_total{{phase=\"{phase}\"}}"))
+            count(&format!(
+                "magellan_par_panics_contained_total{{phase=\"{phase}\"}}"
+            ))
         };
         assert_eq!(panics("blocking") + panics("score"), 0);
         assert_eq!(count("magellan_core_checkpoints_written_total"), 2);
@@ -1065,7 +1091,12 @@ mod tests {
         let err = exec
             .run_with_recovery(&wf, &s.table_a, &s.table_b, &mut store, &opts)
             .unwrap_err();
-        assert!(matches!(err, MagellanError::Killed { after_phase: "blocking" }));
+        assert!(matches!(
+            err,
+            MagellanError::Killed {
+                after_phase: "blocking"
+            }
+        ));
         assert!(err.fatal());
 
         // Rerun with the same store: resumes past blocking, finishes.
@@ -1082,7 +1113,12 @@ mod tests {
         assert_eq!(resumed.matches, golden.matches);
         assert_eq!(resumed.n_candidates, golden.n_candidates);
         // Blocking was skipped, so its counters are empty.
-        assert_eq!(resumed.obs.counter("magellan_par_items_total{phase=\"blocking\"}"), 0);
+        assert_eq!(
+            resumed
+                .obs
+                .counter("magellan_par_items_total{phase=\"blocking\"}"),
+            0
+        );
 
         // A third run resumes from Done and still reports identically.
         let done = exec
@@ -1114,10 +1150,8 @@ mod tests {
         let golden = exec.run(&wf, &s.table_a, &s.table_b).unwrap();
 
         let plan = FaultPlan::seeded(99);
-        let mut store = crate::checkpoint::FlakyStore::new(
-            crate::checkpoint::MemStore::new(),
-            plan,
-        );
+        let mut store =
+            crate::checkpoint::FlakyStore::new(crate::checkpoint::MemStore::new(), plan);
         let opts = RecoveryOptions {
             faults: plan,
             ..RecoveryOptions::default()
@@ -1125,14 +1159,23 @@ mod tests {
         let rec = exec
             .run_with_recovery(&wf, &s.table_a, &s.table_b, &mut store, &opts)
             .unwrap();
-        assert_eq!(rec.matches, golden.matches, "recovery must be bit-identical");
+        assert_eq!(
+            rec.matches, golden.matches,
+            "recovery must be bit-identical"
+        );
         assert_eq!(rec.n_candidates, golden.n_candidates);
         let both = |name: &str| {
-            let phase = |p: &str| rec.obs.counter(&format!("magellan_par_{name}_total{{phase=\"{p}\"}}"));
+            let phase = |p: &str| {
+                rec.obs
+                    .counter(&format!("magellan_par_{name}_total{{phase=\"{p}\"}}"))
+            };
             phase("blocking") + phase("score")
         };
         let (panics, recovered) = (both("panics_contained"), both("chunks_recovered"));
-        assert!(panics > 0, "seeded plan should have injected at least one chunk panic");
+        assert!(
+            panics > 0,
+            "seeded plan should have injected at least one chunk panic"
+        );
         assert!(recovered >= 1, "contained panics imply recovered chunks");
         assert!(recovered <= panics);
     }
@@ -1151,7 +1194,12 @@ mod tests {
             seed: 3,
         });
         let d = Dataset::from_rows(
-            &[vec![0.9, 0.1], vec![0.8, 0.2], vec![0.1, 0.9], vec![0.2, 0.8]],
+            &[
+                vec![0.9, 0.1],
+                vec![0.8, 0.2],
+                vec![0.1, 0.9],
+                vec![0.2, 0.8],
+            ],
             &[true, true, false, false],
         );
         let forest = RandomForestLearner {
@@ -1181,7 +1229,9 @@ mod tests {
         wf.plan.region = Some(vec![(0, f64::INFINITY)]);
         refused(&wf, "not certain-No");
         wf.plan = DecisionPlan::default();
-        assert!(ProductionExecutor::new(2).run(&wf, &s.table_a, &s.table_b).is_ok());
+        assert!(ProductionExecutor::new(2)
+            .run(&wf, &s.table_a, &s.table_b)
+            .is_ok());
     }
 
     #[test]

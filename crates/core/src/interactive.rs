@@ -23,10 +23,7 @@ pub struct InteractiveLabeler<R: BufRead, W: Write> {
 impl InteractiveLabeler<std::io::BufReader<std::io::Stdin>, std::io::Stdout> {
     /// A labeler wired to the process's stdin/stdout.
     pub fn stdio() -> Self {
-        InteractiveLabeler::new(
-            std::io::BufReader::new(std::io::stdin()),
-            std::io::stdout(),
-        )
+        InteractiveLabeler::new(std::io::BufReader::new(std::io::stdin()), std::io::stdout())
     }
 }
 
@@ -63,15 +60,11 @@ impl<R: BufRead, W: Write> Labeler for InteractiveLabeler<R, W> {
             write!(self.output, "match? [y/n] ").expect("labeler output");
             self.output.flush().expect("labeler output");
             let mut line = String::new();
-            let n = self
-                .input
-                .read_line(&mut line)
-                .expect("labeler input");
+            let n = self.input.read_line(&mut line).expect("labeler input");
             if n == 0 {
                 // EOF: the conservative answer is no-match (never invent
                 // positives from a closed stream).
-                writeln!(self.output, "(input closed; assuming no-match)")
-                    .expect("labeler output");
+                writeln!(self.output, "(input closed; assuming no-match)").expect("labeler output");
                 return Label::NoMatch;
             }
             match line.trim().to_lowercase().as_str() {

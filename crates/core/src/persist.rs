@@ -106,12 +106,10 @@ impl BlockerSpec {
     /// Instantiate the blocker.
     pub fn build(&self) -> Box<dyn Blocker> {
         match self {
-            BlockerSpec::AttrEquivalence { l_attr, r_attr } => {
-                Box::new(AttrEquivalenceBlocker {
-                    l_attr: l_attr.clone(),
-                    r_attr: r_attr.clone(),
-                })
-            }
+            BlockerSpec::AttrEquivalence { l_attr, r_attr } => Box::new(AttrEquivalenceBlocker {
+                l_attr: l_attr.clone(),
+                r_attr: r_attr.clone(),
+            }),
             BlockerSpec::Hash {
                 l_attr,
                 r_attr,
@@ -312,14 +310,24 @@ pub fn save_workflow(spec: &WorkflowSpec) -> String {
     writeln!(out, "workflow v1").unwrap();
     writeln!(out, "threshold {}", spec.threshold).unwrap();
     match &spec.blocker {
-        BlockerSpec::AttrEquivalence { l_attr, r_attr } => {
-            writeln!(out, "blocker attr_equiv\t{}\t{}", check_name(l_attr), check_name(r_attr)).unwrap()
-        }
+        BlockerSpec::AttrEquivalence { l_attr, r_attr } => writeln!(
+            out,
+            "blocker attr_equiv\t{}\t{}",
+            check_name(l_attr),
+            check_name(r_attr)
+        )
+        .unwrap(),
         BlockerSpec::Hash {
             l_attr,
             r_attr,
             n_buckets,
-        } => writeln!(out, "blocker hash\t{}\t{}\t{n_buckets}", check_name(l_attr), check_name(r_attr)).unwrap(),
+        } => writeln!(
+            out,
+            "blocker hash\t{}\t{}\t{n_buckets}",
+            check_name(l_attr),
+            check_name(r_attr)
+        )
+        .unwrap(),
         BlockerSpec::Overlap {
             l_attr,
             r_attr,
@@ -450,15 +458,15 @@ impl<'a> LineReader<'a> {
     }
 
     fn next(&mut self, what: &str) -> Result<(usize, &'a str), PersistError> {
-        self.lines
-            .next()
-            .map(|(i, l)| (i + 1, l))
-            .ok_or_else(|| PersistError::at(0, format!("unexpected end of input (expected {what})")))
+        self.lines.next().map(|(i, l)| (i + 1, l)).ok_or_else(|| {
+            PersistError::at(0, format!("unexpected end of input (expected {what})"))
+        })
     }
 }
 
 fn expect_prefix<'a>(line: &'a str, prefix: &str, ln: usize) -> Result<&'a str, PersistError> {
-    line.strip_prefix(prefix).ok_or_else(|| PersistError::at(ln, format!("expected `{prefix}...`, got `{line}`")))
+    line.strip_prefix(prefix)
+        .ok_or_else(|| PersistError::at(ln, format!("expected `{prefix}...`, got `{line}`")))
 }
 
 /// Parse a workflow saved by [`save_workflow`].
@@ -469,7 +477,10 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
     };
     let (ln, header) = r.next("header")?;
     if header != "workflow v1" {
-        return Err(PersistError::at(ln, format!("expected `workflow v1`, got `{header}`")));
+        return Err(PersistError::at(
+            ln,
+            format!("expected `workflow v1`, got `{header}`"),
+        ));
     }
     let (ln, tline) = r.next("threshold")?;
     let threshold: f64 = expect_prefix(tline, "threshold ", ln)?
@@ -490,7 +501,10 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
         let body = expect_prefix(line, "feature ", ln)?;
         let parts: Vec<&str> = body.splitn(4, '\t').collect();
         let [kind, l_attr, r_attr, name] = parts.as_slice() else {
-            return Err(PersistError::at(ln, "feature needs kind, l_attr, r_attr, name"));
+            return Err(PersistError::at(
+                ln,
+                "feature needs kind, l_attr, r_attr, name",
+            ));
         };
         features.push(Feature {
             name: (*name).to_owned(),
@@ -508,14 +522,14 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
     for _ in 0..n_rules {
         let (ln, line) = r.next("rule")?;
         let body = expect_prefix(line, "rule ", ln)?;
-        let (head, name) = body.split_once('\t').ok_or(PersistError::at(ln, "rule needs a name"))?;
+        let (head, name) = body
+            .split_once('\t')
+            .ok_or(PersistError::at(ln, "rule needs a name"))?;
         let mut head_parts = head.split(' ');
         let action = match head_parts.next() {
             Some("accept") => RuleAction::Accept,
             Some("reject") => RuleAction::Reject,
-            _ => {
-                return Err(PersistError::at(ln, "rule action must be accept/reject"))
-            }
+            _ => return Err(PersistError::at(ln, "rule action must be accept/reject")),
         };
         let n_conds: usize = head_parts
             .next()
@@ -525,19 +539,23 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
         for _ in 0..n_conds {
             let (ln, line) = r.next("cond")?;
             let body = expect_prefix(line, "cond ", ln)?;
-            let (head, fname) = body.split_once('\t').ok_or(PersistError::at(ln, "cond needs a feature name"))?;
-            let (op, thr) = head.split_once(' ').ok_or(PersistError::at(ln, "cond needs op and threshold"))?;
+            let (head, fname) = body
+                .split_once('\t')
+                .ok_or(PersistError::at(ln, "cond needs a feature name"))?;
+            let (op, thr) = head
+                .split_once(' ')
+                .ok_or(PersistError::at(ln, "cond needs op and threshold"))?;
             let op = match op {
                 "le" => Cmp::Le,
                 "lt" => Cmp::Lt,
                 "ge" => Cmp::Ge,
                 "gt" => Cmp::Gt,
                 "eq" => Cmp::Eq,
-                _ => {
-                    return Err(PersistError::at(ln, format!("bad comparison `{op}`")))
-                }
+                _ => return Err(PersistError::at(ln, format!("bad comparison `{op}`"))),
             };
-            let thr: f64 = thr.parse().map_err(|_| PersistError::at(ln, "bad condition threshold"))?;
+            let thr: f64 = thr
+                .parse()
+                .map_err(|_| PersistError::at(ln, "bad condition threshold"))?;
             conditions.push((fname.to_owned(), op, thr));
         }
         rules.push(MatchRule {
@@ -549,10 +567,12 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
 
     // The decision plan's lines, if any, up to the matcher.
     let feature = |name: &str, ln: usize| {
-        features
-            .iter()
-            .position(|f| f.name == name)
-            .ok_or_else(|| PersistError::at(ln, format!("the plan names `{name}`, which is not a feature")))
+        features.iter().position(|f| f.name == name).ok_or_else(|| {
+            PersistError::at(
+                ln,
+                format!("the plan names `{name}`, which is not a feature"),
+            )
+        })
     };
     let mut plan = DecisionPlan::default();
     let mut region_line = 0;
@@ -568,8 +588,12 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
                 region_line = ln;
             }
             if let Some(dim) = line.strip_prefix("region ") {
-                let (bound, name) = dim.split_once('\t').ok_or(PersistError::at(ln, "region needs a bound and a feature"))?;
-                let bound: f64 = bound.parse().map_err(|_| PersistError::at(ln, format!("bad region bound `{bound}`")))?;
+                let (bound, name) = dim
+                    .split_once('\t')
+                    .ok_or(PersistError::at(ln, "region needs a bound and a feature"))?;
+                let bound: f64 = bound
+                    .parse()
+                    .map_err(|_| PersistError::at(ln, format!("bad region bound `{bound}`")))?;
                 dims.push((feature(name, ln)?, bound));
             }
         } else {
@@ -577,7 +601,10 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
         }
     };
     if mline != "matcher forest" {
-        return Err(PersistError::at(ln, format!("expected `matcher forest`, got `{mline}`")));
+        return Err(PersistError::at(
+            ln,
+            format!("expected `matcher forest`, got `{mline}`"),
+        ));
     }
     // The rest of the file is the forest.
     let forest = read_forest(&mut (&mut r.lines).map(|(i, l)| (i + 1, l)), r.n_lines)?;
@@ -621,7 +648,9 @@ fn parse_blocker(
         }
     };
     if let Some(rest) = body.strip_prefix("attr_equiv\t") {
-        let (l, rr) = rest.split_once('\t').ok_or_else(|| bad("attr_equiv needs two attrs"))?;
+        let (l, rr) = rest
+            .split_once('\t')
+            .ok_or_else(|| bad("attr_equiv needs two attrs"))?;
         Ok(BlockerSpec::AttrEquivalence {
             l_attr: l.to_owned(),
             r_attr: rr.to_owned(),
@@ -700,14 +729,21 @@ fn parse_blocker(
                 let body = expect_prefix(line, "bpred ", ln)?;
                 let parts: Vec<&str> = body.splitn(3, '\t').collect();
                 let [head, l_attr, r_attr] = parts.as_slice() else {
-                    return Err(PersistError::at(ln, "bpred needs feature+threshold, l_attr, r_attr"));
+                    return Err(PersistError::at(
+                        ln,
+                        "bpred needs feature+threshold, l_attr, r_attr",
+                    ));
                 };
-                let (feat, thr) = head.split_once(' ').ok_or(PersistError::at(ln, "bpred needs feature and threshold"))?;
+                let (feat, thr) = head
+                    .split_once(' ')
+                    .ok_or(PersistError::at(ln, "bpred needs feature and threshold"))?;
                 predicates.push(Predicate {
                     l_attr: (*l_attr).to_owned(),
                     r_attr: (*r_attr).to_owned(),
                     feature: parse_sim_feature(feat, ln)?,
-                    threshold: thr.parse().map_err(|_| PersistError::at(ln, "bad predicate threshold"))?,
+                    threshold: thr
+                        .parse()
+                        .map_err(|_| PersistError::at(ln, "bad predicate threshold"))?,
                 });
             }
             rules.push(BlockingRule { predicates });
@@ -725,7 +761,12 @@ mod tests {
 
     fn forest() -> RandomForestClassifier {
         let d = Dataset::from_rows(
-            &[vec![0.9, 0.1], vec![0.8, 0.2], vec![0.1, 0.9], vec![0.2, 0.8]],
+            &[
+                vec![0.9, 0.1],
+                vec![0.8, 0.2],
+                vec![0.1, 0.9],
+                vec![0.2, 0.8],
+            ],
             &[true, true, false, false],
         );
         RandomForestLearner {
@@ -748,7 +789,10 @@ mod tests {
                     "weak name guard",
                     vec![("jaccard(3gram(A.name), 3gram(B.name))".into(), Cmp::Lt, 0.3)],
                 ),
-                MatchRule::accept("strong age", vec![("abs_diff(A.age, B.age)".into(), Cmp::Ge, 0.95)]),
+                MatchRule::accept(
+                    "strong age",
+                    vec![("abs_diff(A.age, B.age)".into(), Cmp::Ge, 0.95)],
+                ),
             ]),
             threshold: 0.5,
             plan: DecisionPlan::default(),
@@ -818,17 +862,37 @@ mod tests {
         use magellan_table::{Dtype, Table};
         let a = Table::from_rows(
             "A",
-            &[("id", Dtype::Str), ("name", Dtype::Str), ("age", Dtype::Int)],
+            &[
+                ("id", Dtype::Str),
+                ("name", Dtype::Str),
+                ("age", Dtype::Int),
+            ],
             vec![
-                vec!["a0".into(), "dave smith".into(), magellan_table::Value::Int(40)],
-                vec!["a1".into(), "joe wilson".into(), magellan_table::Value::Int(30)],
+                vec![
+                    "a0".into(),
+                    "dave smith".into(),
+                    magellan_table::Value::Int(40),
+                ],
+                vec![
+                    "a1".into(),
+                    "joe wilson".into(),
+                    magellan_table::Value::Int(30),
+                ],
             ],
         )
         .unwrap();
         let b = Table::from_rows(
             "B",
-            &[("id", Dtype::Str), ("name", Dtype::Str), ("age", Dtype::Int)],
-            vec![vec!["b0".into(), "dave smith".into(), magellan_table::Value::Int(41)]],
+            &[
+                ("id", Dtype::Str),
+                ("name", Dtype::Str),
+                ("age", Dtype::Int),
+            ],
+            vec![vec![
+                "b0".into(),
+                "dave smith".into(),
+                magellan_table::Value::Int(41),
+            ]],
         )
         .unwrap();
         let spec = spec_with(BlockerSpec::Overlap {
@@ -884,7 +948,10 @@ mod tests {
                 r_attr: attr.into(),
             }));
             assert_eq!(save_workflow(&load_workflow(&text)?), text);
-            assert_eq!(save_workflow(&load_workflow(&text.replace('\n', "\r\n"))?), text);
+            assert_eq!(
+                save_workflow(&load_workflow(&text.replace('\n', "\r\n"))?),
+                text
+            );
         }
         // The last node of a tree has no children, so the file ends on a leaf.
         let text = save_workflow(&spec_with(BlockerSpec::AttrEquivalence {
@@ -911,12 +978,27 @@ mod tests {
             r_attr: "name".into(),
         });
         let text = save_workflow(&spec);
-        let blocker = text.lines().position(|l| l.starts_with("blocker ")).unwrap();
+        let blocker = text
+            .lines()
+            .position(|l| l.starts_with("blocker "))
+            .unwrap();
         let bad_lines = [
-            ("simjoin\tname\tname\tjaccard 1.5\t-1", "threshold must be in (0, 1]"),
-            ("simjoin\tname\tname\tcosine 0\t3", "threshold must be in (0, 1]"),
-            ("simjoin\tname\tname\tdice NaN\t-1", "threshold must be in (0, 1]"),
-            ("simjoin\tname\tname\toverlap_size 0\t-1", "overlap size must be at least 1"),
+            (
+                "simjoin\tname\tname\tjaccard 1.5\t-1",
+                "threshold must be in (0, 1]",
+            ),
+            (
+                "simjoin\tname\tname\tcosine 0\t3",
+                "threshold must be in (0, 1]",
+            ),
+            (
+                "simjoin\tname\tname\tdice NaN\t-1",
+                "threshold must be in (0, 1]",
+            ),
+            (
+                "simjoin\tname\tname\toverlap_size 0\t-1",
+                "overlap size must be at least 1",
+            ),
             ("overlap\tname\tname\t1\t0", "bad qgram"),
             ("hash\tname\tname\t0", "at least one"),
         ];
@@ -979,10 +1061,26 @@ mod tests {
         let matcher = text.lines().position(|l| l == "matcher forest").unwrap();
         let name = &spec.features[0].name;
         let hostile = [
-            (vec!["defer\tno such feature".to_owned()], 0, "`no such feature`"),
-            (vec!["region 0.5\tno such feature".to_owned()], 0, "`no such feature`"),
-            (vec![format!("region abc\t{name}")], 0, "bad region bound `abc`"),
-            (vec!["region 0.5".to_owned()], 0, "needs a bound and a feature"),
+            (
+                vec!["defer\tno such feature".to_owned()],
+                0,
+                "`no such feature`",
+            ),
+            (
+                vec!["region 0.5\tno such feature".to_owned()],
+                0,
+                "`no such feature`",
+            ),
+            (
+                vec![format!("region abc\t{name}")],
+                0,
+                "bad region bound `abc`",
+            ),
+            (
+                vec!["region 0.5".to_owned()],
+                0,
+                "needs a bound and a feature",
+            ),
             // Unbounded on one feature: the forest's own maximum, which
             // clears 0.5. The box is named by its first line.
             (
@@ -1038,7 +1136,13 @@ mod tests {
         for region in [
             None,
             Some(Vec::new()),
-            Some(bounds.iter().enumerate().map(|(i, &u)| (1 - i % 2, u)).collect()),
+            Some(
+                bounds
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &u)| (1 - i % 2, u))
+                    .collect(),
+            ),
         ] {
             for deferred in [Vec::new(), vec![false, true]] {
                 spec.plan = DecisionPlan {
@@ -1058,7 +1162,10 @@ mod tests {
 
     /// A learner that keeps a copy of the last forest it fitted: the one
     /// the development stage chose.
-    struct KeepForest(RandomForestLearner, std::sync::Mutex<Option<RandomForestClassifier>>);
+    struct KeepForest(
+        RandomForestLearner,
+        std::sync::Mutex<Option<RandomForestClassifier>>,
+    );
 
     impl magellan_ml::Learner for KeepForest {
         fn name(&self) -> &str {
@@ -1122,7 +1229,11 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        assert!(wf.plan.region.is_some(), "the stage found no box: {:?}", wf.plan);
+        assert!(
+            wf.plan.region.is_some(),
+            "the stage found no box: {:?}",
+            wf.plan
+        );
         let spec = WorkflowSpec {
             blocker: BlockerSpec::Overlap {
                 l_attr: "name".into(),

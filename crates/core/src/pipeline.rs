@@ -353,11 +353,8 @@ fn run_development_stage_on(
     // what the workflow's decision plan is derived over, so it is drawn and
     // prepared whether or not calibration runs.
     let span = magellan_obs::span("dev_probe", 0);
-    let probe_positions = sample_positions(
-        &candidates,
-        50_000.min(candidates.len()),
-        cfg.seed ^ 0xCA11,
-    );
+    let probe_positions =
+        sample_positions(&candidates, 50_000.min(candidates.len()), cfg.seed ^ 0xCA11);
     let probe_pairs: Vec<(u32, u32)> = probe_positions
         .iter()
         .map(|&i| candidates.pairs()[i])
@@ -431,8 +428,7 @@ fn run_development_stage_on(
     };
     drop(span);
 
-    let positive_rate =
-        labels.iter().filter(|&&l| l).count() as f64 / labels.len().max(1) as f64;
+    let positive_rate = labels.iter().filter(|&&l| l).count() as f64 / labels.len().max(1) as f64;
     let report = DevReport {
         blocker_choices: choices,
         chosen_blocker: chosen_blocker.name(),
@@ -621,7 +617,11 @@ mod tests {
             &DevConfig::default(),
         )
         .unwrap();
-        assert!(report.chosen_blocker.starts_with("overlap"), "{}", report.chosen_blocker);
+        assert!(
+            report.chosen_blocker.starts_with("overlap"),
+            "{}",
+            report.chosen_blocker
+        );
     }
 
     #[test]
@@ -1007,7 +1007,14 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
             assert!(
-                matches!(err, MagellanError::Phase { phase: "training", transient: false, .. }),
+                matches!(
+                    err,
+                    MagellanError::Phase {
+                        phase: "training",
+                        transient: false,
+                        ..
+                    }
+                ),
                 "down_sample_to {size}: {err}"
             );
             assert!(err.to_string().contains("training split is empty"), "{err}");

@@ -102,22 +102,50 @@ pub fn commands() -> Vec<Command> {
         c("magellan_table::csv::read_csv", ReadWriteData, OwnCode),
         c("magellan_table::csv::read_csv_path", ReadWriteData, OwnCode),
         c("magellan_table::csv::write_csv", ReadWriteData, OwnCode),
-        c("magellan_table::csv::write_csv_path", ReadWriteData, OwnCode),
+        c(
+            "magellan_table::csv::write_csv_path",
+            ReadWriteData,
+            OwnCode,
+        ),
         c("magellan_table::Table::from_rows", ReadWriteData, OwnCode),
         c("magellan_table::Table::project", ReadWriteData, OwnCode),
         // Down sample.
-        c("magellan_core::downsample::down_sample", DownSample, PainPointTool),
-        c("magellan_core::downsample::down_sample_indices", DownSample, PainPointTool),
+        c(
+            "magellan_core::downsample::down_sample",
+            DownSample,
+            PainPointTool,
+        ),
+        c(
+            "magellan_core::downsample::down_sample_indices",
+            DownSample,
+            PainPointTool,
+        ),
         // Data exploration.
-        c("magellan_table::profile::profile_table", DataExploration, ExistingPackage),
-        c("magellan_table::profile::profile_column", DataExploration, ExistingPackage),
-        c("magellan_table::profile::key_candidates", DataExploration, ExistingPackage),
+        c(
+            "magellan_table::profile::profile_table",
+            DataExploration,
+            ExistingPackage,
+        ),
+        c(
+            "magellan_table::profile::profile_column",
+            DataExploration,
+            ExistingPackage,
+        ),
+        c(
+            "magellan_table::profile::key_candidates",
+            DataExploration,
+            ExistingPackage,
+        ),
         // Blocking.
         c("magellan_block::AttrEquivalenceBlocker", Blocking, OwnCode),
         c("magellan_block::HashBlocker", Blocking, OwnCode),
         c("magellan_block::OverlapBlocker", Blocking, OwnCode),
         c("magellan_block::SimJoinBlocker", Blocking, OwnCode),
-        c("magellan_block::SortedNeighborhoodBlocker", Blocking, OwnCode),
+        c(
+            "magellan_block::SortedNeighborhoodBlocker",
+            Blocking,
+            OwnCode,
+        ),
         c("magellan_block::BlackBoxBlocker", Blocking, OwnCode),
         c("magellan_block::RuleBasedBlocker", Blocking, OwnCode),
         c("magellan_block::CandidateSet::union", Blocking, OwnCode),
@@ -125,70 +153,222 @@ pub fn commands() -> Vec<Command> {
         c("magellan_block::CandidateSet::minus", Blocking, OwnCode),
         c("magellan_simjoin::set_sim_join", Blocking, OwnCode),
         c("magellan_simjoin::set_sim_join_parallel", Blocking, OwnCode),
-        c("magellan_simjoin::editjoin::edit_distance_join", Blocking, OwnCode),
-        c("magellan_textsim::tokenize::QgramTokenizer", Blocking, OwnCode),
-        c("magellan_textsim::tokenize::AlphanumericTokenizer", Blocking, OwnCode),
-        c("magellan_textsim::tokenize::WhitespaceTokenizer", Blocking, OwnCode),
-        c("magellan_textsim::tokenize::DelimiterTokenizer", Blocking, OwnCode),
-        c("magellan_block::debugger::debug_blocker", Blocking, PainPointTool),
-        c("magellan_block::debugger::estimate_recall", Blocking, PainPointTool),
-        c("magellan_block::metrics::evaluate_blocking", Blocking, OwnCode),
+        c(
+            "magellan_simjoin::editjoin::edit_distance_join",
+            Blocking,
+            OwnCode,
+        ),
+        c(
+            "magellan_textsim::tokenize::QgramTokenizer",
+            Blocking,
+            OwnCode,
+        ),
+        c(
+            "magellan_textsim::tokenize::AlphanumericTokenizer",
+            Blocking,
+            OwnCode,
+        ),
+        c(
+            "magellan_textsim::tokenize::WhitespaceTokenizer",
+            Blocking,
+            OwnCode,
+        ),
+        c(
+            "magellan_textsim::tokenize::DelimiterTokenizer",
+            Blocking,
+            OwnCode,
+        ),
+        c(
+            "magellan_block::debugger::debug_blocker",
+            Blocking,
+            PainPointTool,
+        ),
+        c(
+            "magellan_block::debugger::estimate_recall",
+            Blocking,
+            PainPointTool,
+        ),
+        c(
+            "magellan_block::metrics::evaluate_blocking",
+            Blocking,
+            OwnCode,
+        ),
         c("magellan_block::CandidateSet::to_table", Blocking, OwnCode),
         c("magellan_block::dedup::dedup_block", Blocking, OwnCode),
-        c("magellan_table::csv::read_csv_infer", ReadWriteData, OwnCode),
+        c(
+            "magellan_table::csv::read_csv_infer",
+            ReadWriteData,
+            OwnCode,
+        ),
         // Sampling.
-        c("magellan_core::sample::sample_pairs", Sampling, ExistingPackage),
-        c("magellan_core::sample::sample_positions", Sampling, ExistingPackage),
+        c(
+            "magellan_core::sample::sample_pairs",
+            Sampling,
+            ExistingPackage,
+        ),
+        c(
+            "magellan_core::sample::sample_positions",
+            Sampling,
+            ExistingPackage,
+        ),
         // Labeling.
         c("magellan_core::labeling::OracleLabeler", Labeling, OwnCode),
         c("magellan_core::labeling::NoisyLabeler", Labeling, OwnCode),
-        c("magellan_core::labeling::RecordingLabeler", Labeling, PainPointTool),
-        c("magellan_core::interactive::InteractiveLabeler", Labeling, PainPointTool),
+        c(
+            "magellan_core::labeling::RecordingLabeler",
+            Labeling,
+            PainPointTool,
+        ),
+        c(
+            "magellan_core::interactive::InteractiveLabeler",
+            Labeling,
+            PainPointTool,
+        ),
         // Creating feature vectors.
-        c("magellan_features::generate_features", CreatingFeatureVectors, PainPointTool),
-        c("magellan_features::Feature::new", CreatingFeatureVectors, PainPointTool),
-        c("magellan_features::extract_feature_matrix", CreatingFeatureVectors, OwnCode),
-        c("magellan_features::infer_attr_type", CreatingFeatureVectors, OwnCode),
+        c(
+            "magellan_features::generate_features",
+            CreatingFeatureVectors,
+            PainPointTool,
+        ),
+        c(
+            "magellan_features::Feature::new",
+            CreatingFeatureVectors,
+            PainPointTool,
+        ),
+        c(
+            "magellan_features::extract_feature_matrix",
+            CreatingFeatureVectors,
+            OwnCode,
+        ),
+        c(
+            "magellan_features::infer_attr_type",
+            CreatingFeatureVectors,
+            OwnCode,
+        ),
         c("magellan_textsim::seqsim", CreatingFeatureVectors, OwnCode),
         c("magellan_textsim::setsim", CreatingFeatureVectors, OwnCode),
-        c("magellan_textsim::corpsim::TfIdfModel", CreatingFeatureVectors, OwnCode),
+        c(
+            "magellan_textsim::corpsim::TfIdfModel",
+            CreatingFeatureVectors,
+            OwnCode,
+        ),
         // Matching.
-        c("magellan_ml::DecisionTreeLearner", Matching, ExistingPackage),
-        c("magellan_ml::RandomForestLearner", Matching, ExistingPackage),
-        c("magellan_ml::LogisticRegressionLearner", Matching, ExistingPackage),
+        c(
+            "magellan_ml::DecisionTreeLearner",
+            Matching,
+            ExistingPackage,
+        ),
+        c(
+            "magellan_ml::RandomForestLearner",
+            Matching,
+            ExistingPackage,
+        ),
+        c(
+            "magellan_ml::LogisticRegressionLearner",
+            Matching,
+            ExistingPackage,
+        ),
         c("magellan_ml::LinearSvmLearner", Matching, ExistingPackage),
-        c("magellan_ml::naive_bayes::GaussianNbLearner", Matching, ExistingPackage),
+        c(
+            "magellan_ml::naive_bayes::GaussianNbLearner",
+            Matching,
+            ExistingPackage,
+        ),
         c("magellan_ml::knn::KnnLearner", Matching, ExistingPackage),
         c("magellan_ml::cv::cross_validate", Matching, ExistingPackage),
         c("magellan_ml::cv::select_matcher", Matching, OwnCode),
-        c("magellan_core::pipeline::run_development_stage", Matching, OwnCode),
+        c(
+            "magellan_core::pipeline::run_development_stage",
+            Matching,
+            OwnCode,
+        ),
         c("magellan_core::exec::ProductionExecutor", Matching, OwnCode),
         c("magellan_core::persist::save_workflow", Matching, OwnCode),
         c("magellan_core::persist::load_workflow", Matching, OwnCode),
         c("magellan_ml::persist::save_forest", Matching, OwnCode),
         c("magellan_ml::persist::load_forest", Matching, OwnCode),
-        c("magellan_core::debug::debug_matches", Matching, PainPointTool),
+        c(
+            "magellan_core::debug::debug_matches",
+            Matching,
+            PainPointTool,
+        ),
         // Computing accuracy.
-        c("magellan_ml::Metrics::from_predictions", ComputingAccuracy, OwnCode),
-        c("magellan_ml::Metrics::from_pair_sets", ComputingAccuracy, OwnCode),
-        c("magellan_core::evaluate::evaluate_matches", ComputingAccuracy, OwnCode),
-        c("magellan_core::evaluate::pairs_to_ids", ComputingAccuracy, OwnCode),
+        c(
+            "magellan_ml::Metrics::from_predictions",
+            ComputingAccuracy,
+            OwnCode,
+        ),
+        c(
+            "magellan_ml::Metrics::from_pair_sets",
+            ComputingAccuracy,
+            OwnCode,
+        ),
+        c(
+            "magellan_core::evaluate::evaluate_matches",
+            ComputingAccuracy,
+            OwnCode,
+        ),
+        c(
+            "magellan_core::evaluate::pairs_to_ids",
+            ComputingAccuracy,
+            OwnCode,
+        ),
         // Adding rules.
-        c("magellan_core::rules::MatchRule::accept", AddingRules, OwnCode),
-        c("magellan_core::rules::MatchRule::reject", AddingRules, OwnCode),
+        c(
+            "magellan_core::rules::MatchRule::accept",
+            AddingRules,
+            OwnCode,
+        ),
+        c(
+            "magellan_core::rules::MatchRule::reject",
+            AddingRules,
+            OwnCode,
+        ),
         c("magellan_core::rules::RuleLayer", AddingRules, OwnCode),
         c("magellan_block::rules::BlockingRule", AddingRules, OwnCode),
         c("magellan_block::rules::Predicate", AddingRules, OwnCode),
         // Data exploration / cleaning (§5.3: detect, isolate, clean).
-        c("magellan_core::clean::normalize_column", DataExploration, PainPointTool),
-        c("magellan_core::clean::detect_generic_values", DataExploration, PainPointTool),
-        c("magellan_core::clean::isolate_rows", DataExploration, PainPointTool),
+        c(
+            "magellan_core::clean::normalize_column",
+            DataExploration,
+            PainPointTool,
+        ),
+        c(
+            "magellan_core::clean::detect_generic_values",
+            DataExploration,
+            PainPointTool,
+        ),
+        c(
+            "magellan_core::clean::isolate_rows",
+            DataExploration,
+            PainPointTool,
+        ),
         // Managing metadata.
-        c("magellan_table::Catalog::set_key", ManagingMetadata, OwnCode),
-        c("magellan_table::Catalog::validate_key", ManagingMetadata, OwnCode),
-        c("magellan_table::Catalog::set_candidate_meta", ManagingMetadata, OwnCode),
-        c("magellan_table::Catalog::validate_candidate", ManagingMetadata, OwnCode),
-        c("magellan_table::Catalog::require_key", ManagingMetadata, OwnCode),
+        c(
+            "magellan_table::Catalog::set_key",
+            ManagingMetadata,
+            OwnCode,
+        ),
+        c(
+            "magellan_table::Catalog::validate_key",
+            ManagingMetadata,
+            OwnCode,
+        ),
+        c(
+            "magellan_table::Catalog::set_candidate_meta",
+            ManagingMetadata,
+            OwnCode,
+        ),
+        c(
+            "magellan_table::Catalog::validate_candidate",
+            ManagingMetadata,
+            OwnCode,
+        ),
+        c(
+            "magellan_table::Catalog::require_key",
+            ManagingMetadata,
+            OwnCode,
+        ),
         c("magellan_table::Catalog::remove", ManagingMetadata, OwnCode),
     ]
 }

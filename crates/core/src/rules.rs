@@ -206,11 +206,7 @@ mod tests {
     fn matrix() -> FeatureMatrix {
         FeatureMatrix {
             names: vec!["name_sim".into(), "price_sim".into()],
-            rows: vec![
-                vec![0.95, 0.1],
-                vec![0.2, 0.9],
-                vec![f64::NAN, 0.05],
-            ],
+            rows: vec![vec![0.95, 0.1], vec![0.2, 0.9], vec![f64::NAN, 0.05]],
             pairs: vec![(0, 0), (1, 1), (2, 2)],
         }
     }

@@ -41,9 +41,7 @@ use magellan_features::{Feature, StreamingPreparedPair};
 use magellan_ml::FlatForest;
 use magellan_obs::splitmix64;
 use magellan_par::ParConfig;
-use magellan_simjoin::{
-    IncrementalJoin, JoinPair, PairDelta, RecordMutation, SetSimMeasure, Side,
-};
+use magellan_simjoin::{IncrementalJoin, JoinPair, PairDelta, RecordMutation, SetSimMeasure, Side};
 use magellan_table::segment::{self, Fields, SegmentError, SegmentReader};
 use magellan_table::{Dtype, Schema, Table, Value};
 use magellan_textsim::tokenize::AlphanumericTokenizer;
@@ -259,7 +257,9 @@ impl StreamSession {
                         Value::Str(format!("{prefix}{rid}")),
                         text.clone().map(Value::Str).unwrap_or(Value::Null),
                     ];
-                    self.store.push_row(left, row).map_err(MagellanError::Table)?;
+                    self.store
+                        .push_row(left, row)
+                        .map_err(MagellanError::Table)?;
                 }
                 RecordMutation::Delete { side, rid } => {
                     self.store
@@ -274,8 +274,14 @@ impl StreamSession {
                 }
             }
         }
-        debug_assert_eq!(self.store.tables().0.nrows(), self.engine.n_records(Side::Left));
-        debug_assert_eq!(self.store.tables().1.nrows(), self.engine.n_records(Side::Right));
+        debug_assert_eq!(
+            self.store.tables().0.nrows(),
+            self.engine.n_records(Side::Left)
+        );
+        debug_assert_eq!(
+            self.store.tables().1.nrows(),
+            self.engine.n_records(Side::Right)
+        );
         drop(mirror_span);
 
         // 3. Retire dead scores (the engine's live view already is the
@@ -423,8 +429,7 @@ impl StreamSession {
         let pairs = self.engine.rebuild_from_scratch(&self.tokenizer);
         let a = text_table("oracle_left", 'l', self.engine.texts(Side::Left))?;
         let b = text_table("oracle_right", 'r', self.engine.texts(Side::Right))?;
-        let pairs_u32: Vec<(u32, u32)> =
-            pairs.iter().map(|p| (p.l as u32, p.r as u32)).collect();
+        let pairs_u32: Vec<(u32, u32)> = pairs.iter().map(|p| (p.l as u32, p.r as u32)).collect();
         let mut cold = StreamingPreparedPair::new(a, b);
         let (matrix, _) = cold
             .extract(&pairs_u32, &self.features, &self.par)
@@ -462,7 +467,10 @@ impl StreamSession {
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         let live = self.engine.live_pairs();
         let scores = self.sorted_scores();
-        debug_assert!(live.iter().map(|p| (p.l, p.r)).eq(scores.iter().map(|&(k, _)| k)));
+        debug_assert!(live
+            .iter()
+            .map(|p| (p.l, p.r))
+            .eq(scores.iter().map(|&(k, _)| k)));
         SavedStream {
             batches: self.batches,
             ops: self.ops,
@@ -626,7 +634,9 @@ impl SavedStream {
         }
         f.end()?;
         let mut f = file.expect(SEG_SCORES)?.fields();
-        let scores = (0..f.count(8)?).map(|_| f.u64()).collect::<Result<_, _>>()?;
+        let scores = (0..f.count(8)?)
+            .map(|_| f.u64())
+            .collect::<Result<_, _>>()?;
         f.end()?;
         file.finish()?;
         Ok(SavedStream {
@@ -658,8 +668,8 @@ fn read_texts(mut f: Fields<'_>) -> Result<Vec<Option<String>>, SegmentError> {
             continue;
         }
         let bytes = f.take(usize::try_from(len).unwrap_or(usize::MAX))?;
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| f.error("checkpointed text is not UTF-8"))?;
+        let text =
+            std::str::from_utf8(bytes).map_err(|_| f.error("checkpointed text is not UTF-8"))?;
         texts.push(Some(text.to_owned()));
     }
     f.end()?;
@@ -755,7 +765,8 @@ mod tests {
         let gen = TextGen::default();
         let mut clock = SimClock::new();
         for _ in 0..batches {
-            s.run_plan_batch(&plan, &gen, batch_size, &mut clock, 1.0).unwrap();
+            s.run_plan_batch(&plan, &gen, batch_size, &mut clock, 1.0)
+                .unwrap();
         }
     }
 
@@ -783,7 +794,10 @@ mod tests {
             }
             saw_match |= !live.is_empty();
         }
-        assert!(saw_match, "stream never produced a match — fixture too sparse");
+        assert!(
+            saw_match,
+            "stream never produced a match — fixture too sparse"
+        );
         assert_eq!(clock.now_s(), 12.0);
     }
 
@@ -866,7 +880,10 @@ mod tests {
             assert_eq!(report.pairs_added, report.dirty_pairs);
             peak = peak.max(report.live_matches);
         }
-        assert!(peak > 0, "stream never produced a match — fixture too sparse");
+        assert!(
+            peak > 0,
+            "stream never produced a match — fixture too sparse"
+        );
         let mut resumed = StreamSession::restore_from_bytes(
             &s.checkpoint_bytes(),
             SetSimMeasure::Jaccard(0.4),
@@ -878,7 +895,9 @@ mod tests {
         .unwrap();
         assert_eq!(resumed.n_matches(), s.n_matches());
         assert_eq!(resumed.n_candidates(), s.n_candidates());
-        let report = resumed.run_plan_batch(&plan, &gen, 6, &mut clock, 1.0).unwrap();
+        let report = resumed
+            .run_plan_batch(&plan, &gen, 6, &mut clock, 1.0)
+            .unwrap();
         assert_eq!(report.live_matches, resumed.n_matches());
         assert_eq!(report.live_candidates, resumed.engine().n_live_pairs());
     }
@@ -889,7 +908,10 @@ mod tests {
     fn match_counter_follows_a_record_out_and_back() {
         let mut s = session(1);
         let text = |t: &str| Some(t.to_owned());
-        let insert = |side, t| RecordMutation::Insert { side, text: text(t) };
+        let insert = |side, t| RecordMutation::Insert {
+            side,
+            text: text(t),
+        };
         let update = |t| RecordMutation::Update {
             side: Side::Left,
             rid: 0,
@@ -901,9 +923,15 @@ mod tests {
             .unwrap();
         assert_eq!((seeded.live_candidates, seeded.live_matches), (1, 1));
         let away = s.ingest(&[update("tok6 tok7 tok8 tok9")]).unwrap();
-        assert_eq!((away.pairs_removed, away.live_candidates, away.live_matches), (1, 0, 0));
+        assert_eq!(
+            (away.pairs_removed, away.live_candidates, away.live_matches),
+            (1, 0, 0)
+        );
         let back = s.ingest(&[update(title)]).unwrap();
-        assert_eq!((back.pairs_added, back.live_candidates, back.live_matches), (1, 1, 1));
+        assert_eq!(
+            (back.pairs_added, back.live_candidates, back.live_matches),
+            (1, 1, 1)
+        );
         assert_eq!(s.matched_pairs().len(), 1);
     }
 
@@ -922,12 +950,22 @@ mod tests {
         }
         let live = s.engine().live_pairs();
         words.push(live.len() as u64);
-        words.extend(live.iter().flat_map(|p| [p.l as u64, p.r as u64, p.sim.to_bits()]));
+        words.extend(
+            live.iter()
+                .flat_map(|p| [p.l as u64, p.r as u64, p.sim.to_bits()]),
+        );
         let scores = s.sorted_scores();
         words.push(scores.len() as u64);
-        words.extend(scores.iter().flat_map(|&((l, r), p)| [l as u64, r as u64, p.to_bits()]));
+        words.extend(
+            scores
+                .iter()
+                .flat_map(|&((l, r), p)| [l as u64, r as u64, p.to_bits()]),
+        );
         let engine = s.engine();
-        let (gl, gr) = (engine.index_generation(Side::Left), engine.index_generation(Side::Right));
+        let (gl, gr) = (
+            engine.index_generation(Side::Left),
+            engine.index_generation(Side::Right),
+        );
         words.extend([gl, gr, engine.vocab_generation(), s.batches(), s.ops()]);
         words.iter().fold(0, |h, &w| splitmix64(h ^ w))
     }
@@ -940,9 +978,9 @@ mod tests {
     fn checkpoint_bytes_are_pinned() {
         let s = churned();
         let bytes = s.checkpoint_bytes();
-        let file_digest = bytes
-            .chunks(8)
-            .fold(0u64, |h, w| splitmix64(h ^ u64::from_le_bytes(w.try_into().unwrap())));
+        let file_digest = bytes.chunks(8).fold(0u64, |h, w| {
+            splitmix64(h ^ u64::from_le_bytes(w.try_into().unwrap()))
+        });
         assert_eq!(
             (s.n_candidates(), s.n_matches(), state_digest(&s)),
             (84, 19, 0x37be_0210_bef3_c2b1)
@@ -1044,8 +1082,13 @@ mod tests {
         let good = s.checkpoint_bytes();
         assert!(restore(&good).is_ok());
         assert!(restore(b"").is_err());
-        let v1 = restore(b"emstream v1\ncursor batches 3 ops 15\n").err().unwrap();
-        assert!(v1.fatal() && v1.to_string().contains("found `emstream v1`"), "{v1}");
+        let v1 = restore(b"emstream v1\ncursor batches 3 ops 15\n")
+            .err()
+            .unwrap();
+        assert!(
+            v1.fatal() && v1.to_string().contains("found `emstream v1`"),
+            "{v1}"
+        );
         assert!(restore(&good[..good.len() / 2]).is_err());
         // The cursor's `batches` word, flipped under its stale checksum.
         let mut tampered = good.clone();
@@ -1062,7 +1105,9 @@ mod tests {
                 .collect();
         segs[1].1 = [words([1, 1]), vec![0xff]].concat();
         let segs: Vec<(u32, &[u8])> = segs.iter().map(|(t, p)| (*t, p.as_slice())).collect();
-        let e = restore(&segment::encode(STREAM_MAGIC, &segs)).err().unwrap();
+        let e = restore(&segment::encode(STREAM_MAGIC, &segs))
+            .err()
+            .unwrap();
         assert!(e.to_string().contains("not UTF-8"), "{e}");
     }
 }

@@ -193,7 +193,10 @@ fn blocking_peak_heap_stays_near_the_candidate_set() {
     let cfg = ParConfig::workers(2);
     let (out, peak) = peak_heap_in(|| blocker.block_par(&s.table_a, &s.table_b, &cfg));
     let (cands, _) = out.unwrap();
-    eprintln!("block_par over {} candidates: peak live heap {peak} B", cands.len());
+    eprintln!(
+        "block_par over {} candidates: peak live heap {peak} B",
+        cands.len()
+    );
     assert_eq!(cands.len(), 86_140);
     assert!(peak <= BLOCKING_PEAK_BOUND, "peak live heap {peak} B");
 }

@@ -62,11 +62,7 @@ fn workflow() -> EmWorkflow {
         matcher: Box::new(ConstantClassifier { proba: 1.0 }),
         rule_layer: RuleLayer::new(vec![MatchRule::reject(
             "weak",
-            vec![(
-                "jaccard(word(A.name), word(B.name))".into(),
-                Cmp::Lt,
-                0.5,
-            )],
+            vec![("jaccard(word(A.name), word(B.name))".into(), Cmp::Lt, 0.5)],
         )]),
         threshold: 0.5,
         plan: Default::default(),
@@ -78,7 +74,11 @@ fn workflow() -> EmWorkflow {
 fn pool_total(report: &ProductionReport, name: &str) -> u64 {
     ["blocking", "score"]
         .iter()
-        .map(|phase| report.obs.counter(&format!("magellan_par_{name}_total{{phase=\"{phase}\"}}")))
+        .map(|phase| {
+            report
+                .obs
+                .counter(&format!("magellan_par_{name}_total{{phase=\"{phase}\"}}"))
+        })
         .sum()
 }
 
@@ -288,7 +288,10 @@ fn service_submissions<'a>(s: &'a EmScenario, n_workers: usize) -> Vec<TenantSub
                 quota: if i == 5 {
                     // The crowd tenant: 250-question sample × 5 votes ×
                     // $0.02 = $25 estimated, capped at $10.
-                    TenantQuota { label_dollars: 10.0, ..TenantQuota::unlimited() }
+                    TenantQuota {
+                        label_dollars: 10.0,
+                        ..TenantQuota::unlimited()
+                    }
                 } else {
                     TenantQuota::unlimited()
                 },
@@ -341,7 +344,10 @@ fn service_config(faults: FaultPlan) -> ServiceConfig {
         crowd_slots: 1,
         max_active_tenants: 3,
         max_queue: 4,
-        recovery: ScheduleRecoveryOptions { faults, ..Default::default() },
+        recovery: ScheduleRecoveryOptions {
+            faults,
+            ..Default::default()
+        },
         ..Default::default()
     }
 }
@@ -358,16 +364,35 @@ fn service_report_digest(r: &magellan_falcon::ServiceReport) -> u64 {
             words.extend([o.rows.0 as u64, o.rows.1 as u64, o.questions as u64]);
             words.extend([o.n_candidates as u64, o.crowd_no_shows as u64]);
             words.push(o.crowd_degraded_questions as u64);
-            for f in [o.precision, o.recall, o.crowd_cost, o.compute_cost, o.label_time_s] {
+            for f in [
+                o.precision,
+                o.recall,
+                o.crowd_cost,
+                o.compute_cost,
+                o.label_time_s,
+            ] {
                 words.push(f.to_bits());
             }
             words.push(o.machine_time_s.to_bits());
         }
-        for f in [t.arrival_s, t.start_s, t.finish_s, t.queue_wait_s, t.machine_spent_s] {
+        for f in [
+            t.arrival_s,
+            t.start_s,
+            t.finish_s,
+            t.queue_wait_s,
+            t.machine_spent_s,
+        ] {
             words.push(f.to_bits());
         }
-        words.extend([t.frag_p50_ms, t.frag_p99_ms, u64::from(t.shed_crowd_fragments)]);
-        words.extend([u64::from(t.speculation_disabled), u64::from(t.priority_downgraded)]);
+        words.extend([
+            t.frag_p50_ms,
+            t.frag_p99_ms,
+            u64::from(t.shed_crowd_fragments),
+        ]);
+        words.extend([
+            u64::from(t.speculation_disabled),
+            u64::from(t.priority_downgraded),
+        ]);
     }
     words.push(r.makespan_s.to_bits());
     for (e, b) in &r.busy {
@@ -428,7 +453,10 @@ fn multi_tenant_overload_is_deterministic_across_workers_and_fault_seeds() {
         .into_iter()
         .map(|sub| {
             let sub = TenantSubmission {
-                tenant: TenantSpec { arrival_s: 0.0, ..sub.tenant },
+                tenant: TenantSpec {
+                    arrival_s: 0.0,
+                    ..sub.tenant
+                },
                 workload: sub.workload,
             };
             let rep = solo.run(std::slice::from_ref(&sub)).expect("solo run");
@@ -454,7 +482,9 @@ fn multi_tenant_overload_is_deterministic_across_workers_and_fault_seeds() {
         // (arrival plan, quotas, capacity) — workers irrelevant.
         let rejections = report.rejection_set();
         assert!(
-            rejections.iter().any(|(i, r)| *i == 5 && r.contains("label_dollars")),
+            rejections
+                .iter()
+                .any(|(i, r)| *i == 5 && r.contains("label_dollars")),
             "the over-quota crowd tenant must be rejected: {rejections:?}"
         );
         assert!(
@@ -504,14 +534,19 @@ fn multi_tenant_overload_is_deterministic_across_workers_and_fault_seeds() {
     for seed in seeds().into_iter().take(4) {
         let subs = service_submissions(&s, 2);
         let svc = MatchService::new(service_config(FaultPlan::seeded(seed))).expect("service");
-        let report = svc.run(&subs).expect("fault-injected service must complete");
+        let report = svc
+            .run(&subs)
+            .expect("fault-injected service must complete");
         assert_eq!(
             report.rejection_set(),
             golden_rejections,
             "seed {seed}: rejection set must be seed-stable"
         );
         for (i, t) in report.accepted() {
-            assert_eq!(t.outcome, goldens[i], "seed {seed}: tenant {i} outcome drifted");
+            assert_eq!(
+                t.outcome, goldens[i],
+                "seed {seed}: tenant {i} outcome drifted"
+            );
         }
     }
 }
@@ -550,7 +585,11 @@ fn service_kill_and_resume_mid_queue_is_bit_identical() {
             .expect("service")
             .run_with_checkpoint(&service_submissions(&s, 2), &mut store)
             .unwrap_or_else(|e| panic!("seed {seed}: resume must complete: {e}"));
-        assert_eq!(resumed.rejection_set(), golden.rejection_set(), "seed {seed}");
+        assert_eq!(
+            resumed.rejection_set(),
+            golden.rejection_set(),
+            "seed {seed}"
+        );
         assert_eq!(
             resumed.makespan_s.to_bits(),
             golden.makespan_s.to_bits(),

@@ -107,14 +107,15 @@ fn run_builds_no_checkpoint() -> Result<(), MagellanError> {
     };
     let mut store = MemStore::new();
     let plain = pinned(&mut || exec.run(&wf, a, b))?;
-    let rec = pinned(&mut || {
-        exec.run_with_recovery(&wf, a, b, &mut store, &RecoveryOptions::default())
-    })?;
+    let rec =
+        pinned(&mut || exec.run_with_recovery(&wf, a, b, &mut store, &RecoveryOptions::default()))?;
     assert!(plain.n_candidates > 0);
     assert_eq!(rec.matches, plain.matches);
     for (report, written) in [(&plain, 0), (&rec, 2)] {
         assert_eq!(report.obs.spans_named("ckpt_write").len(), written);
-        let ckpts = report.obs.counter("magellan_core_checkpoints_written_total");
+        let ckpts = report
+            .obs
+            .counter("magellan_core_checkpoints_written_total");
         assert_eq!(ckpts as usize, written);
         let bytes = report.obs.counter("magellan_core_checkpoint_bytes_total");
         assert_eq!(bytes > 0, written > 0, "{bytes} checkpoint bytes");
@@ -174,7 +175,10 @@ fn a_resumed_run_counts_what_a_fresh_run_counts() -> Result<(), MagellanError> {
     };
     let fresh = run(&mut MemStore::new(), None)?;
     let killed = run(&mut store, Some(Phase::Blocking));
-    assert!(matches!(killed, Err(MagellanError::Killed { .. })), "{killed:?}");
+    assert!(
+        matches!(killed, Err(MagellanError::Killed { .. })),
+        "{killed:?}"
+    );
     let from_blocked = run(&mut store, None)?;
     let from_done = run(&mut store, None)?;
     assert_eq!(fresh.resumed_from, None);
@@ -182,7 +186,10 @@ fn a_resumed_run_counts_what_a_fresh_run_counts() -> Result<(), MagellanError> {
     assert_eq!(from_done.resumed_from, Some(Phase::Matching));
     assert!(!fresh.matches.is_empty());
 
-    let totals = ["magellan_core_candidates_total", "magellan_core_matches_total"];
+    let totals = [
+        "magellan_core_candidates_total",
+        "magellan_core_matches_total",
+    ];
     let demand = [
         "magellan_core_features_demanded_total",
         "magellan_core_trees_walked_total",
@@ -193,20 +200,32 @@ fn a_resumed_run_counts_what_a_fresh_run_counts() -> Result<(), MagellanError> {
     }
     let score = |r: &ProductionReport| -> Vec<(String, u64)> {
         let names = r.obs.metrics.keys();
-        let names = names.filter(|k| k.starts_with("magellan_par_") && k.ends_with("{phase=\"score\"}"));
+        let names =
+            names.filter(|k| k.starts_with("magellan_par_") && k.ends_with("{phase=\"score\"}"));
         names.map(|k| (k.clone(), r.obs.counter(k))).collect()
     };
     assert!(!score(&fresh).is_empty());
     assert_eq!(score(&from_blocked), score(&fresh));
     for name in totals.iter().chain(&demand) {
-        assert_eq!(from_blocked.obs.counter(name), fresh.obs.counter(name), "{name}");
+        assert_eq!(
+            from_blocked.obs.counter(name),
+            fresh.obs.counter(name),
+            "{name}"
+        );
     }
     for name in totals {
-        assert_eq!(from_done.obs.counter(name), fresh.obs.counter(name), "{name}");
+        assert_eq!(
+            from_done.obs.counter(name),
+            fresh.obs.counter(name),
+            "{name}"
+        );
     }
     for r in [&from_blocked, &from_done] {
         assert_eq!(r.matches, fresh.matches);
-        assert_eq!(r.obs.counter("magellan_core_matches_total"), r.matches.len() as u64);
+        assert_eq!(
+            r.obs.counter("magellan_core_matches_total"),
+            r.matches.len() as u64
+        );
     }
     Ok(())
 }

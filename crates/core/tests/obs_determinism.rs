@@ -127,7 +127,9 @@ fn report_snapshot_matches_ambient_recorder() {
         report.matches.len() as u64
     );
     assert_eq!(
-        report.obs.counter("magellan_par_items_total{phase=\"blocking\"}"),
+        report
+            .obs
+            .counter("magellan_par_items_total{phase=\"blocking\"}"),
         s.table_a.nrows() as u64
     );
 }
@@ -172,12 +174,23 @@ fn faulted_pinned_exports_are_byte_identical_and_show_retries() {
 
     // The plan actually fired and healed inside workers.
     let panics = |phase: &str| {
-        r1.obs.counter(&format!("magellan_par_panics_contained_total{{phase=\"{phase}\"}}"))
+        r1.obs.counter(&format!(
+            "magellan_par_panics_contained_total{{phase=\"{phase}\"}}"
+        ))
     };
-    assert!(panics("blocking") + panics("score") > 0, "no panic contained");
+    assert!(
+        panics("blocking") + panics("score") > 0,
+        "no panic contained"
+    );
     // Pinned exports carry no deaths counter; a death is also an event.
-    assert!(snap1.events_named("worker_died").is_empty(), "plan must stay under budget");
-    assert!(!snap1.spans_named("retry").is_empty(), "retry spans missing");
+    assert!(
+        snap1.events_named("worker_died").is_empty(),
+        "plan must stay under budget"
+    );
+    assert!(
+        !snap1.spans_named("retry").is_empty(),
+        "retry spans missing"
+    );
     assert!(!snap1.events_named("fault_injected").is_empty());
     assert!(!snap1.events_named("retry_scheduled").is_empty());
     assert!(!snap1.events_named("checkpoint_written").is_empty());

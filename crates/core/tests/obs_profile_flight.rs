@@ -44,7 +44,13 @@ fn stream_forest() -> FlatForest {
     for i in 0..60 {
         let hi = i % 2 == 0;
         let base = if hi { 0.8 } else { 0.15 };
-        d.push(&[base + 0.01 * (i % 7) as f64, base + 0.01 * ((i + 3) % 5) as f64], hi);
+        d.push(
+            &[
+                base + 0.01 * (i % 7) as f64,
+                base + 0.01 * ((i + 3) % 5) as f64,
+            ],
+            hi,
+        );
     }
     FlatForest::from_forest(
         &RandomForestLearner {
@@ -77,9 +83,14 @@ fn stream_pinned(workers: usize) -> ObsSnapshot {
     };
     let mut clock = SimClock::new();
     for _ in 0..6 {
-        session.run_plan_batch(&plan, &gen, 8, &mut clock, 1.0).expect("stream batch");
+        session
+            .run_plan_batch(&plan, &gen, 8, &mut clock, 1.0)
+            .expect("stream batch");
     }
-    assert!(session.n_candidates() > 0, "fixture too sparse to exercise the stream");
+    assert!(
+        session.n_candidates() > 0,
+        "fixture too sparse to exercise the stream"
+    );
     obs.snapshot()
 }
 
@@ -92,7 +103,12 @@ fn stream_session_pinned_exports_are_byte_identical_across_worker_counts() {
 
     // The new StreamSession phase spans made it into the trace, and the
     // ingest profile attributes self-time to each phase.
-    for name in ["delta_join", "mirror_mutations", "patch_candidates", "rescore_dirty"] {
+    for name in [
+        "delta_join",
+        "mirror_mutations",
+        "patch_candidates",
+        "rescore_dirty",
+    ] {
         assert!(
             !snap1.spans_named(name).is_empty(),
             "missing stream phase span {name:?}"
@@ -101,9 +117,21 @@ fn stream_session_pinned_exports_are_byte_identical_across_worker_counts() {
     }
 
     let snap8 = stream_pinned(8);
-    assert_eq!(snap8.to_prometheus(), prom1, "stream Prometheus diverged at 8 workers");
-    assert_eq!(snap8.to_chrome_trace(), trace1, "stream Chrome trace diverged at 8 workers");
-    assert_eq!(snap8.profile().to_collapsed(), prof1, "stream profile diverged at 8 workers");
+    assert_eq!(
+        snap8.to_prometheus(),
+        prom1,
+        "stream Prometheus diverged at 8 workers"
+    );
+    assert_eq!(
+        snap8.to_chrome_trace(),
+        trace1,
+        "stream Chrome trace diverged at 8 workers"
+    );
+    assert_eq!(
+        snap8.profile().to_collapsed(),
+        prof1,
+        "stream profile diverged at 8 workers"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -170,10 +198,19 @@ fn service_overload_pinned_exports_and_flight_dump_are_byte_identical() {
     let dump1 = obs1.flight_dump_json();
 
     // SLO violations fired and were captured as flight failures.
-    assert!(obs1.failure_count() > 0, "overload fleet produced no SLO violations");
-    assert!(dump1.contains("slo_violation"), "flight dump lost the SLO failures");
+    assert!(
+        obs1.failure_count() > 0,
+        "overload fleet produced no SLO violations"
+    );
+    assert!(
+        dump1.contains("slo_violation"),
+        "flight dump lost the SLO failures"
+    );
     let parsed = magellan_obs::parse_json(&dump1).expect("flight dump parses");
-    assert_eq!(parsed.get("magellan_flight").and_then(|v| v.as_f64()), Some(1.0));
+    assert_eq!(
+        parsed.get("magellan_flight").and_then(|v| v.as_f64()),
+        Some(1.0)
+    );
     assert!(parsed.get("seed").is_some(), "dump must be keyed by seed");
     // Worker count keys the artifact *path*, never the body — the body
     // stays byte-identical across worker counts.
@@ -183,9 +220,21 @@ fn service_overload_pinned_exports_and_flight_dump_are_byte_identical() {
     // reproduces every export byte (the cross-run face of the contract;
     // the service itself holds no real threads to vary).
     let (obs2, snap2) = service_pinned();
-    assert_eq!(snap2.to_prometheus(), prom1, "service Prometheus diverged across runs");
-    assert_eq!(snap2.to_chrome_trace(), trace1, "service Chrome trace diverged across runs");
-    assert_eq!(obs2.flight_dump_json(), dump1, "service flight dump diverged across runs");
+    assert_eq!(
+        snap2.to_prometheus(),
+        prom1,
+        "service Prometheus diverged across runs"
+    );
+    assert_eq!(
+        snap2.to_chrome_trace(),
+        trace1,
+        "service Chrome trace diverged across runs"
+    );
+    assert_eq!(
+        obs2.flight_dump_json(),
+        dump1,
+        "service flight dump diverged across runs"
+    );
 }
 
 /// The service's exported bytes, pinned as `(length, FNV-1a)` per
@@ -256,9 +305,14 @@ fn run_pinned_faulted(workers: usize, s: &EmScenario) -> (Obs, ObsSnapshot) {
             .run_with_recovery(&workflow(), &s.table_a, &s.table_b, &mut store, &opts)
             .expect("recovery run");
         let panics = |phase: &str| {
-            report.obs.counter(&format!("magellan_par_panics_contained_total{{phase=\"{phase}\"}}"))
+            report.obs.counter(&format!(
+                "magellan_par_panics_contained_total{{phase=\"{phase}\"}}"
+            ))
         };
-        assert!(panics("blocking") + panics("score") > 0, "fault plan never fired");
+        assert!(
+            panics("blocking") + panics("score") > 0,
+            "fault plan never fired"
+        );
         obs.snapshot()
     };
     (obs, snap)
@@ -275,7 +329,10 @@ fn profile_and_flight_dump_are_byte_identical_at_1_2_4_8_workers() {
     // coordinates, and the profile attributes the retry level.
     assert!(obs1.failure_count() > 0);
     assert!(dump1.contains("panic_contained"));
-    assert!(folded1.contains("retry"), "profile lost the retry level:\n{folded1}");
+    assert!(
+        folded1.contains("retry"),
+        "profile lost the retry level:\n{folded1}"
+    );
     // Collapsed lines are "path self_ns" and the tree roots at `run`.
     assert!(folded1.lines().all(|l| l.rsplit_once(' ').is_some()));
     assert!(folded1.starts_with("run "));
@@ -307,14 +364,20 @@ fn flight_dump_file_is_keyed_by_seed_and_workers_in_the_path() {
         .write_flight_dump(tmpl.to_str().expect("utf8 temp path"))
         .expect("flight dump writes");
     // The template placeholders resolved to the run context…
-    assert!(path.contains("flight_99_w4.json"), "unexpected artifact path {path}");
+    assert!(
+        path.contains("flight_99_w4.json"),
+        "unexpected artifact path {path}"
+    );
     // …and the artifact body is the canonical dump, parseable as JSON.
     // (No byte-compare against a fresh `flight_dump_json` here: each dump
     // advances the counter-delta baseline, so a second dump legitimately
     // reports zero deltas.)
     let body = std::fs::read_to_string(&path).expect("artifact readable");
     let parsed = magellan_obs::parse_json(&body).expect("artifact parses");
-    assert_eq!(parsed.get("magellan_flight").and_then(|v| v.as_f64()), Some(1.0));
+    assert_eq!(
+        parsed.get("magellan_flight").and_then(|v| v.as_f64()),
+        Some(1.0)
+    );
     assert_eq!(parsed.get("seed").and_then(|v| v.as_f64()), Some(99.0));
     assert!(parsed
         .get("failure_events")

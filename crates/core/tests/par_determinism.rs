@@ -5,8 +5,8 @@
 //! sizes that do not divide the input.
 
 use magellan_block::{
-    AttrEquivalenceBlocker, BlackBoxBlocker, Blocker, HashBlocker, OverlapBlocker,
-    SimJoinBlocker, SortedNeighborhoodBlocker,
+    AttrEquivalenceBlocker, BlackBoxBlocker, Blocker, HashBlocker, OverlapBlocker, SimJoinBlocker,
+    SortedNeighborhoodBlocker,
 };
 use magellan_core::exec::{parallel_map, ProductionExecutor};
 use magellan_core::par::ParConfig;
@@ -55,7 +55,11 @@ fn table(name: &str, rows: &[(Option<String>, Option<String>)]) -> Table {
         .collect();
     Table::from_rows(
         name,
-        &[("id", Dtype::Str), ("name", Dtype::Str), ("state", Dtype::Str)],
+        &[
+            ("id", Dtype::Str),
+            ("name", Dtype::Str),
+            ("state", Dtype::Str),
+        ],
         data,
     )
     .unwrap()
@@ -69,9 +73,12 @@ fn row_strategy() -> impl Strategy<Value = (Option<String>, Option<String>)> {
 }
 
 /// Tables of 0..12 rows — covers empty, 1-row, and odd sizes.
-fn tables_strategy(
-) -> impl Strategy<Value = (Vec<(Option<String>, Option<String>)>, Vec<(Option<String>, Option<String>)>)>
-{
+fn tables_strategy() -> impl Strategy<
+    Value = (
+        Vec<(Option<String>, Option<String>)>,
+        Vec<(Option<String>, Option<String>)>,
+    ),
+> {
     (
         proptest::collection::vec(row_strategy(), 0..12),
         proptest::collection::vec(row_strategy(), 0..12),
@@ -290,20 +297,30 @@ fn production_run_is_worker_count_invariant() {
         let report = ProductionExecutor::new(w)
             .run(&workflow, &s.table_a, &s.table_b)
             .unwrap();
-        assert_eq!(report.matches, reference.matches, "{w} workers changed matches");
+        assert_eq!(
+            report.matches, reference.matches,
+            "{w} workers changed matches"
+        );
         assert_eq!(report.n_candidates, reference.n_candidates);
         // Counter surface: phases publish their ParStats.
         let par = |name: &str, phase: &str| {
-            report.obs.counter(&format!("magellan_par_{name}{{phase=\"{phase}\"}}")) as usize
+            report
+                .obs
+                .counter(&format!("magellan_par_{name}{{phase=\"{phase}\"}}")) as usize
         };
         let workers = |phase: &str| {
-            report.obs.gauge(&format!("magellan_par_workers{{phase=\"{phase}\"}}")) as usize
+            report
+                .obs
+                .gauge(&format!("magellan_par_workers{{phase=\"{phase}\"}}")) as usize
         };
         assert_eq!(workers("blocking"), w);
         assert_eq!(par("items_total", "blocking"), 120);
         assert_eq!(par("items_total", "score"), report.n_candidates);
         assert_eq!(workers("score"), w);
-        assert!(report.obs.histogram("magellan_par_elapsed_us{phase=\"score\"}").is_some());
+        assert!(report
+            .obs
+            .histogram("magellan_par_elapsed_us{phase=\"score\"}")
+            .is_some());
         assert!(
             par("chunks_stolen_total", "blocking") + par("chunks_stolen_total", "score")
                 <= par("chunks_total", "blocking") + par("chunks_total", "score")
@@ -318,7 +335,12 @@ fn degenerate_tables_are_handled() {
     let empty = table("e", &[]);
     let one = table("o", &[(Some("ann smith".into()), Some("aa".into()))]);
     let blocker = OverlapBlocker::words("name", 1);
-    for (x, y) in [(&empty, &empty), (&empty, &one), (&one, &empty), (&one, &one)] {
+    for (x, y) in [
+        (&empty, &empty),
+        (&empty, &one),
+        (&one, &empty),
+        (&one, &one),
+    ] {
         let serial = blocker.block(x, y).unwrap();
         for cfg in configs() {
             let (par, _) = blocker.block_par(x, y, &cfg).unwrap();

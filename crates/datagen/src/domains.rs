@@ -202,9 +202,7 @@ pub fn addresses(cfg: &ScenarioConfig) -> EmScenario {
             vec![
                 str_or_null(dirt.corrupt_string(&street, rng)),
                 str_or_null(dirt.corrupt_string(CITIES[a.city_idx], rng)),
-                str_or_null(
-                    dirt.corrupt_string(STATES[a.city_idx % STATES.len()], rng),
-                ),
+                str_or_null(dirt.corrupt_string(STATES[a.city_idx % STATES.len()], rng)),
                 str_or_null(dirt.corrupt_int(a.zip, rng).map(|z| z.to_string())),
             ]
         },
@@ -370,9 +368,7 @@ pub fn ranches(cfg: &ScenarioConfig) -> EmScenario {
             vec![
                 str_or_null(dirt.corrupt_string(&owner, rng)),
                 str_or_null(dirt.corrupt_string(MUNICIPALITIES[r.muni_idx], rng)),
-                str_or_null(
-                    dirt.corrupt_string(BR_STATES[r.muni_idx % BR_STATES.len()], rng),
-                ),
+                str_or_null(dirt.corrupt_string(BR_STATES[r.muni_idx % BR_STATES.len()], rng)),
                 float_or_null(dirt.corrupt_float(r.area_ha, rng)),
             ]
         },
@@ -447,9 +443,24 @@ pub fn figure1_example() -> EmScenario {
             ("state", Dtype::Str),
         ],
         vec![
-            vec!["a1".into(), "Dave Smith".into(), "Madison".into(), "WI".into()],
-            vec!["a2".into(), "Joe Wilson".into(), "San Jose".into(), "CA".into()],
-            vec!["a3".into(), "Dan Smith".into(), "Middleton".into(), "WI".into()],
+            vec![
+                "a1".into(),
+                "Dave Smith".into(),
+                "Madison".into(),
+                "WI".into(),
+            ],
+            vec![
+                "a2".into(),
+                "Joe Wilson".into(),
+                "San Jose".into(),
+                "CA".into(),
+            ],
+            vec![
+                "a3".into(),
+                "Dan Smith".into(),
+                "Middleton".into(),
+                "WI".into(),
+            ],
         ],
     )
     .expect("static rows");
@@ -462,8 +473,18 @@ pub fn figure1_example() -> EmScenario {
             ("state", Dtype::Str),
         ],
         vec![
-            vec!["b1".into(), "David D. Smith".into(), "Madison".into(), "WI".into()],
-            vec!["b2".into(), "Daniel W. Smith".into(), "Middleton".into(), "WI".into()],
+            vec![
+                "b1".into(),
+                "David D. Smith".into(),
+                "Madison".into(),
+                "WI".into(),
+            ],
+            vec![
+                "b2".into(),
+                "Daniel W. Smith".into(),
+                "Middleton".into(),
+                "WI".into(),
+            ],
         ],
     )
     .expect("static rows");
@@ -551,8 +572,16 @@ mod tests {
         let ak = s.table_a.key_index("id").unwrap();
         let bk = s.table_b.key_index("id").unwrap();
         for (a, b) in s.gold.iter().take(10) {
-            let ca = s.table_a.value_by_name(ak[a], "city").unwrap().display_string();
-            let cb = s.table_b.value_by_name(bk[b], "city").unwrap().display_string();
+            let ca = s
+                .table_a
+                .value_by_name(ak[a], "city")
+                .unwrap()
+                .display_string();
+            let cb = s
+                .table_b
+                .value_by_name(bk[b], "city")
+                .unwrap()
+                .display_string();
             assert_eq!(ca, cb, "clean matched persons share city");
         }
     }
@@ -624,8 +653,16 @@ mod tests {
         let ak = s.table_a.key_index("id").unwrap();
         let bk = s.table_b.key_index("id").unwrap();
         let (a, b) = s.gold.iter().next().unwrap();
-        let oa = s.table_a.value_by_name(ak[a], "owner").unwrap().display_string();
-        let ob = s.table_b.value_by_name(bk[b], "owner").unwrap().display_string();
+        let oa = s
+            .table_a
+            .value_by_name(ak[a], "owner")
+            .unwrap()
+            .display_string();
+        let ob = s
+            .table_b
+            .value_by_name(bk[b], "owner")
+            .unwrap()
+            .display_string();
         let ta: Vec<&str> = oa.split_whitespace().collect();
         let tb: Vec<&str> = ob.split_whitespace().collect();
         assert_eq!(ta[0], tb[1]);

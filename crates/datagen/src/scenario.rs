@@ -65,8 +65,7 @@ pub struct EmScenario {
 impl EmScenario {
     /// Is the given id pair a gold match?
     pub fn is_match(&self, a_id: &str, b_id: &str) -> bool {
-        self.gold
-            .contains(&(a_id.to_owned(), b_id.to_owned()))
+        self.gold.contains(&(a_id.to_owned(), b_id.to_owned()))
     }
 
     /// Fraction of the cross product that matches.
@@ -119,19 +118,24 @@ pub fn build_scenario<E>(
     let mut schema: Vec<(&str, Dtype)> = vec![("id", Dtype::Str)];
     schema.extend_from_slice(columns);
 
-    let build_table = |name: &str, prefix: &str, rows: &[(usize, Vec<Value>)]| -> (Table, Vec<(usize, String)>) {
-        let mut ids = Vec::with_capacity(rows.len());
-        let mut t = Table::with_capacity(name, magellan_table::Schema::from_pairs(&schema).expect("valid schema"), rows.len());
-        for (i, (entity, row)) in rows.iter().enumerate() {
-            let id = format!("{prefix}{i}");
-            ids.push((*entity, id.clone()));
-            let mut full = Vec::with_capacity(row.len() + 1);
-            full.push(Value::Str(id));
-            full.extend(row.iter().cloned());
-            t.push_row(full).expect("generated row matches schema");
-        }
-        (t, ids)
-    };
+    let build_table =
+        |name: &str, prefix: &str, rows: &[(usize, Vec<Value>)]| -> (Table, Vec<(usize, String)>) {
+            let mut ids = Vec::with_capacity(rows.len());
+            let mut t = Table::with_capacity(
+                name,
+                magellan_table::Schema::from_pairs(&schema).expect("valid schema"),
+                rows.len(),
+            );
+            for (i, (entity, row)) in rows.iter().enumerate() {
+                let id = format!("{prefix}{i}");
+                ids.push((*entity, id.clone()));
+                let mut full = Vec::with_capacity(row.len() + 1);
+                full.push(Value::Str(id));
+                full.extend(row.iter().cloned());
+                t.push_row(full).expect("generated row matches schema");
+            }
+            (t, ids)
+        };
     let (table_a, a_ids) = build_table("A", "a", &a_rows);
     let (table_b, b_ids) = build_table("B", "b", &b_rows);
 
@@ -270,8 +274,16 @@ mod tests {
         for (a, b) in &s.gold {
             let ra = a_keys[a];
             let rb = b_keys[b];
-            let na = s.table_a.value_by_name(ra, "name").unwrap().display_string();
-            let nb = s.table_b.value_by_name(rb, "name").unwrap().display_string();
+            let na = s
+                .table_a
+                .value_by_name(ra, "name")
+                .unwrap()
+                .display_string();
+            let nb = s
+                .table_b
+                .value_by_name(rb, "name")
+                .unwrap()
+                .display_string();
             let stem_a: Vec<&str> = na.split_whitespace().take(2).collect();
             let stem_b: Vec<&str> = nb.split_whitespace().take(2).collect();
             assert_eq!(stem_a, stem_b, "{na} vs {nb}");

@@ -2,31 +2,150 @@
 
 /// Common US given names.
 pub const FIRST_NAMES: &[&str] = &[
-    "james", "mary", "john", "patricia", "robert", "jennifer", "michael", "linda", "david",
-    "elizabeth", "william", "barbara", "richard", "susan", "joseph", "jessica", "thomas", "sarah",
-    "charles", "karen", "christopher", "nancy", "daniel", "lisa", "matthew", "betty", "anthony",
-    "margaret", "mark", "sandra", "donald", "ashley", "steven", "kimberly", "paul", "emily",
-    "andrew", "donna", "joshua", "michelle", "kenneth", "dorothy", "kevin", "carol", "brian",
-    "amanda", "george", "melissa", "edward", "deborah",
+    "james",
+    "mary",
+    "john",
+    "patricia",
+    "robert",
+    "jennifer",
+    "michael",
+    "linda",
+    "david",
+    "elizabeth",
+    "william",
+    "barbara",
+    "richard",
+    "susan",
+    "joseph",
+    "jessica",
+    "thomas",
+    "sarah",
+    "charles",
+    "karen",
+    "christopher",
+    "nancy",
+    "daniel",
+    "lisa",
+    "matthew",
+    "betty",
+    "anthony",
+    "margaret",
+    "mark",
+    "sandra",
+    "donald",
+    "ashley",
+    "steven",
+    "kimberly",
+    "paul",
+    "emily",
+    "andrew",
+    "donna",
+    "joshua",
+    "michelle",
+    "kenneth",
+    "dorothy",
+    "kevin",
+    "carol",
+    "brian",
+    "amanda",
+    "george",
+    "melissa",
+    "edward",
+    "deborah",
 ];
 
 /// Common US family names.
 pub const LAST_NAMES: &[&str] = &[
-    "smith", "johnson", "williams", "brown", "jones", "garcia", "miller", "davis", "rodriguez",
-    "martinez", "hernandez", "lopez", "gonzalez", "wilson", "anderson", "thomas", "taylor",
-    "moore", "jackson", "martin", "lee", "perez", "thompson", "white", "harris", "sanchez",
-    "clark", "ramirez", "lewis", "robinson", "walker", "young", "allen", "king", "wright",
-    "scott", "torres", "nguyen", "hill", "flores", "green", "adams", "nelson", "baker", "hall",
-    "rivera", "campbell", "mitchell", "carter", "roberts",
+    "smith",
+    "johnson",
+    "williams",
+    "brown",
+    "jones",
+    "garcia",
+    "miller",
+    "davis",
+    "rodriguez",
+    "martinez",
+    "hernandez",
+    "lopez",
+    "gonzalez",
+    "wilson",
+    "anderson",
+    "thomas",
+    "taylor",
+    "moore",
+    "jackson",
+    "martin",
+    "lee",
+    "perez",
+    "thompson",
+    "white",
+    "harris",
+    "sanchez",
+    "clark",
+    "ramirez",
+    "lewis",
+    "robinson",
+    "walker",
+    "young",
+    "allen",
+    "king",
+    "wright",
+    "scott",
+    "torres",
+    "nguyen",
+    "hill",
+    "flores",
+    "green",
+    "adams",
+    "nelson",
+    "baker",
+    "hall",
+    "rivera",
+    "campbell",
+    "mitchell",
+    "carter",
+    "roberts",
 ];
 
 /// US city names.
 pub const CITIES: &[&str] = &[
-    "madison", "milwaukee", "chicago", "minneapolis", "st paul", "green bay", "rockford",
-    "des moines", "omaha", "kansas city", "st louis", "springfield", "peoria", "dubuque",
-    "la crosse", "eau claire", "appleton", "oshkosh", "racine", "kenosha", "janesville",
-    "waukesha", "middleton", "sun prairie", "fitchburg", "verona", "stoughton", "beloit",
-    "san jose", "austin", "denver", "seattle", "portland", "boston", "atlanta", "phoenix",
+    "madison",
+    "milwaukee",
+    "chicago",
+    "minneapolis",
+    "st paul",
+    "green bay",
+    "rockford",
+    "des moines",
+    "omaha",
+    "kansas city",
+    "st louis",
+    "springfield",
+    "peoria",
+    "dubuque",
+    "la crosse",
+    "eau claire",
+    "appleton",
+    "oshkosh",
+    "racine",
+    "kenosha",
+    "janesville",
+    "waukesha",
+    "middleton",
+    "sun prairie",
+    "fitchburg",
+    "verona",
+    "stoughton",
+    "beloit",
+    "san jose",
+    "austin",
+    "denver",
+    "seattle",
+    "portland",
+    "boston",
+    "atlanta",
+    "phoenix",
 ];
 
 /// US state codes.
@@ -36,40 +155,118 @@ pub const STATES: &[&str] = &[
 
 /// Street-name stems.
 pub const STREETS: &[&str] = &[
-    "main", "oak", "maple", "cedar", "elm", "washington", "lake", "hill", "park", "pine",
-    "walnut", "spring", "north", "ridge", "church", "willow", "mill", "river", "sunset",
-    "highland", "forest", "meadow", "dayton", "johnson", "regent", "monroe", "state",
+    "main",
+    "oak",
+    "maple",
+    "cedar",
+    "elm",
+    "washington",
+    "lake",
+    "hill",
+    "park",
+    "pine",
+    "walnut",
+    "spring",
+    "north",
+    "ridge",
+    "church",
+    "willow",
+    "mill",
+    "river",
+    "sunset",
+    "highland",
+    "forest",
+    "meadow",
+    "dayton",
+    "johnson",
+    "regent",
+    "monroe",
+    "state",
 ];
 
 /// Street-type suffixes (formal / abbreviated pairs share indices with
 /// [`STREET_TYPES_ABBR`]).
-pub const STREET_TYPES: &[&str] = &["street", "avenue", "road", "boulevard", "drive", "lane", "court"];
+pub const STREET_TYPES: &[&str] = &[
+    "street",
+    "avenue",
+    "road",
+    "boulevard",
+    "drive",
+    "lane",
+    "court",
+];
 
 /// Abbreviated street types, index-aligned with [`STREET_TYPES`].
 pub const STREET_TYPES_ABBR: &[&str] = &["st", "ave", "rd", "blvd", "dr", "ln", "ct"];
 
 /// Electronics brands for the product domain.
 pub const BRANDS: &[&str] = &[
-    "sony", "samsung", "panasonic", "toshiba", "canon", "nikon", "logitech", "philips", "hp",
-    "dell", "lenovo", "asus", "acer", "lg", "jvc", "sharp", "sandisk", "kingston", "epson",
+    "sony",
+    "samsung",
+    "panasonic",
+    "toshiba",
+    "canon",
+    "nikon",
+    "logitech",
+    "philips",
+    "hp",
+    "dell",
+    "lenovo",
+    "asus",
+    "acer",
+    "lg",
+    "jvc",
+    "sharp",
+    "sandisk",
+    "kingston",
+    "epson",
     "brother",
 ];
 
 /// Product category nouns.
 pub const PRODUCT_TYPES: &[&str] = &[
-    "laptop", "monitor", "keyboard", "mouse", "camera", "printer", "router", "headphones",
-    "speaker", "tablet", "charger", "projector", "webcam", "microphone", "scanner",
+    "laptop",
+    "monitor",
+    "keyboard",
+    "mouse",
+    "camera",
+    "printer",
+    "router",
+    "headphones",
+    "speaker",
+    "tablet",
+    "charger",
+    "projector",
+    "webcam",
+    "microphone",
+    "scanner",
 ];
 
 /// Marketing adjectives that drift between catalogs.
 pub const PRODUCT_ADJ: &[&str] = &[
-    "wireless", "portable", "compact", "professional", "digital", "hd", "ultra", "premium",
-    "gaming", "slim",
+    "wireless",
+    "portable",
+    "compact",
+    "professional",
+    "digital",
+    "hd",
+    "ultra",
+    "premium",
+    "gaming",
+    "slim",
 ];
 
 /// Vehicle makes, index-aligned with [`VEHICLE_MODELS`].
 pub const VEHICLE_MAKES: &[&str] = &[
-    "toyota", "honda", "ford", "chevrolet", "nissan", "jeep", "subaru", "hyundai", "kia",
+    "toyota",
+    "honda",
+    "ford",
+    "chevrolet",
+    "nissan",
+    "jeep",
+    "subaru",
+    "hyundai",
+    "kia",
     "volkswagen",
 ];
 
@@ -89,23 +286,67 @@ pub const VEHICLE_MODELS: &[&[&str]] = &[
 
 /// Company-name stems for the vendor domain.
 pub const COMPANY_STEMS: &[&str] = &[
-    "acme", "global", "united", "premier", "summit", "pioneer", "atlas", "horizon", "cascade",
-    "evergreen", "keystone", "liberty", "sterling", "vanguard", "beacon", "harbor", "granite",
-    "crystal", "phoenix", "meridian", "apex", "delta", "omega", "zenith", "northstar",
+    "acme",
+    "global",
+    "united",
+    "premier",
+    "summit",
+    "pioneer",
+    "atlas",
+    "horizon",
+    "cascade",
+    "evergreen",
+    "keystone",
+    "liberty",
+    "sterling",
+    "vanguard",
+    "beacon",
+    "harbor",
+    "granite",
+    "crystal",
+    "phoenix",
+    "meridian",
+    "apex",
+    "delta",
+    "omega",
+    "zenith",
+    "northstar",
 ];
 
 /// Company-type suffixes with their abbreviations, index-aligned.
-pub const COMPANY_TYPES: &[&str] = &["corporation", "incorporated", "limited", "company", "industries"];
+pub const COMPANY_TYPES: &[&str] = &[
+    "corporation",
+    "incorporated",
+    "limited",
+    "company",
+    "industries",
+];
 
 /// Abbreviated company types, index-aligned with [`COMPANY_TYPES`].
 pub const COMPANY_TYPES_ABBR: &[&str] = &["corp", "inc", "ltd", "co", "ind"];
 
 /// Brazilian municipality names for the land-use (ranch) domain.
 pub const MUNICIPALITIES: &[&str] = &[
-    "altamira", "maraba", "santarem", "itaituba", "paragominas", "tucurui", "parauapebas",
-    "redencao", "tailandia", "xinguara", "novo progresso", "sao felix do xingu",
-    "ourilandia do norte", "tucuma", "rio maria", "agua azul do norte", "bannach",
-    "cumaru do norte", "pau d arco", "floresta do araguaia",
+    "altamira",
+    "maraba",
+    "santarem",
+    "itaituba",
+    "paragominas",
+    "tucurui",
+    "parauapebas",
+    "redencao",
+    "tailandia",
+    "xinguara",
+    "novo progresso",
+    "sao felix do xingu",
+    "ourilandia do norte",
+    "tucuma",
+    "rio maria",
+    "agua azul do norte",
+    "bannach",
+    "cumaru do norte",
+    "pau d arco",
+    "floresta do araguaia",
 ];
 
 /// Brazilian states for the ranch domain.
@@ -113,22 +354,61 @@ pub const BR_STATES: &[&str] = &["PA", "MT", "RO", "AM", "TO", "MA", "AC"];
 
 /// Restaurant-name stems.
 pub const RESTAURANT_STEMS: &[&str] = &[
-    "golden dragon", "blue plate", "corner bistro", "harvest table", "la cocina", "old mill",
-    "red rooster", "sunset grill", "the copper pot", "green olive", "lucky star", "river cafe",
-    "two brothers", "union house", "village inn", "wild ginger", "brass ring", "cedar grove",
-    "daily grind", "east side diner",
+    "golden dragon",
+    "blue plate",
+    "corner bistro",
+    "harvest table",
+    "la cocina",
+    "old mill",
+    "red rooster",
+    "sunset grill",
+    "the copper pot",
+    "green olive",
+    "lucky star",
+    "river cafe",
+    "two brothers",
+    "union house",
+    "village inn",
+    "wild ginger",
+    "brass ring",
+    "cedar grove",
+    "daily grind",
+    "east side diner",
 ];
 
 /// Research-paper title words for the citation domain.
 pub const PAPER_WORDS: &[&str] = &[
-    "entity", "matching", "data", "integration", "learning", "systems", "scalable", "efficient",
-    "query", "processing", "deep", "neural", "blocking", "record", "linkage", "crowdsourced",
-    "schema", "cleaning", "extraction", "knowledge", "graph", "distributed", "streaming",
-    "approximate", "joins",
+    "entity",
+    "matching",
+    "data",
+    "integration",
+    "learning",
+    "systems",
+    "scalable",
+    "efficient",
+    "query",
+    "processing",
+    "deep",
+    "neural",
+    "blocking",
+    "record",
+    "linkage",
+    "crowdsourced",
+    "schema",
+    "cleaning",
+    "extraction",
+    "knowledge",
+    "graph",
+    "distributed",
+    "streaming",
+    "approximate",
+    "joins",
 ];
 
 /// Venue names for the citation domain.
-pub const VENUES: &[&str] = &["sigmod", "vldb", "icde", "kdd", "www", "cikm", "edbt", "icml"];
+pub const VENUES: &[&str] = &[
+    "sigmod", "vldb", "icde", "kdd", "www", "cikm", "edbt", "icml",
+];
 
 #[cfg(test)]
 mod tests {

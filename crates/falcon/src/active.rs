@@ -173,7 +173,11 @@ pub fn active_learn(
         if scored.is_empty() {
             break;
         }
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1)));
+        scored.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        });
         if !single_class && scored[0].0 < cfg.stop_entropy {
             break; // committee agrees on everything left
         }
@@ -315,7 +319,11 @@ mod tests {
             ..Default::default()
         };
         let outcome = active_learn(&pool, |i| gold[i], &cfg);
-        assert!(outcome.rounds < 50, "no early stop: {} rounds", outcome.rounds);
+        assert!(
+            outcome.rounds < 50,
+            "no early stop: {} rounds",
+            outcome.rounds
+        );
     }
 
     #[test]

@@ -358,7 +358,14 @@ pub(crate) fn execute_labeling(
 ) -> magellan_table::Result<LabelRun> {
     let oracle = OracleLabeler::new(spec.gold.clone(), &spec.a_key, &spec.b_key);
     let falcon = |labeler: &mut dyn Labeler| {
-        run_falcon(spec.table_a, spec.table_b, &spec.a_key, &spec.b_key, labeler, &spec.falcon)
+        run_falcon(
+            spec.table_a,
+            spec.table_b,
+            &spec.a_key,
+            &spec.b_key,
+            labeler,
+            &spec.falcon,
+        )
     };
     match spec.labeling {
         LabelingMode::SingleUser { error_rate } => {
@@ -443,7 +450,10 @@ impl CloudMatcher {
             outcomes.push(outcome);
             chains.push(fragments);
         }
-        let opts = ScheduleRecoveryOptions { faults: self.faults, ..Default::default() };
+        let opts = ScheduleRecoveryOptions {
+            faults: self.faults,
+            ..Default::default()
+        };
         let schedule = schedule_fragments(&chains, self.batch_slots, &opts)?;
         Ok((outcomes, schedule))
     }
@@ -499,9 +509,7 @@ mod tests {
         assert!(outcome.precision > 0.75, "{outcome:?}");
         assert!(outcome.recall > 0.6, "{outcome:?}");
         assert!(outcome.questions > 0);
-        assert!(
-            (outcome.label_time_s - outcome.questions as f64 * 6.0).abs() < 1e-9
-        );
+        assert!((outcome.label_time_s - outcome.questions as f64 * 6.0).abs() < 1e-9);
         assert_eq!(fragments.len(), 4);
         assert!(fragments
             .iter()
@@ -594,7 +602,10 @@ mod tests {
         assert!(matches!(err, MagellanError::Config { .. }), "{err}");
         assert!(err.fatal(), "bad configuration is not retryable");
         assert!(err.to_string().contains("batch_slots"), "{err}");
-        let cm = CloudMatcher { batch_slots: 0, ..CloudMatcher::default() };
+        let cm = CloudMatcher {
+            batch_slots: 0,
+            ..CloudMatcher::default()
+        };
         let err = cm.run_tasks(&[]).unwrap_err();
         assert!(matches!(err, MagellanError::Config { .. }), "{err}");
     }
@@ -632,7 +643,10 @@ mod tests {
     fn recovery_scheduler_without_faults_is_identical() {
         let chains = synthetic_chains();
         let plain = schedule(&chains, 3);
-        let none = ScheduleRecoveryOptions { faults: FaultPlan::none(), ..Default::default() };
+        let none = ScheduleRecoveryOptions {
+            faults: FaultPlan::none(),
+            ..Default::default()
+        };
         let rec = schedule_fragments(&chains, 3, &none).unwrap();
         assert_eq!(plain.interleaved_makespan_s, rec.interleaved_makespan_s);
         assert_eq!(plain.serial_total_s, rec.serial_total_s);
@@ -678,13 +692,26 @@ mod tests {
         };
         let rec = schedule_fragments(&chains, 3, &opts).unwrap();
         assert_eq!(rec.telemetry.speculative_launched, 6);
-        assert_eq!(rec.telemetry.speculative_wins, 6, "2x backup beats 4x straggler");
+        assert_eq!(
+            rec.telemetry.speculative_wins, 6,
+            "2x backup beats 4x straggler"
+        );
         // Every batch fragment finishes at 2x nominal, not 4x.
         let plain = schedule(&chains, 3);
         assert!(rec.interleaved_makespan_s < plain.interleaved_makespan_s * 4.0);
         // The backup copies burn extra batch busy-seconds.
-        let batch_busy = rec.busy.iter().find(|(e, _)| *e == Engine::Batch).unwrap().1;
-        let plain_busy = plain.busy.iter().find(|(e, _)| *e == Engine::Batch).unwrap().1;
+        let batch_busy = rec
+            .busy
+            .iter()
+            .find(|(e, _)| *e == Engine::Batch)
+            .unwrap()
+            .1;
+        let plain_busy = plain
+            .busy
+            .iter()
+            .find(|(e, _)| *e == Engine::Batch)
+            .unwrap()
+            .1;
         assert!(batch_busy > plain_busy);
     }
 
@@ -736,7 +763,10 @@ mod tests {
             .map(|(_, b)| *b)
             .unwrap_or(0.0);
         assert!(user_busy > 0.0);
-        assert!(rec.busy.iter().all(|(e, b)| *e != Engine::Crowd || *b == 0.0));
+        assert!(rec
+            .busy
+            .iter()
+            .all(|(e, b)| *e != Engine::Crowd || *b == 0.0));
     }
 
     #[test]

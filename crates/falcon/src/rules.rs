@@ -147,9 +147,9 @@ pub fn extract_blocking_rules(
     let n_neg = labels.iter().filter(|(_, y)| !*y).count();
     let mut rules: Vec<ExtractedRule> = Vec::new();
     for conditions in paths {
-        let executable = conditions.iter().all(|c| {
-            c.is_le && joinable(features[c.feature].kind).is_some()
-        });
+        let executable = conditions
+            .iter()
+            .all(|c| c.is_le && joinable(features[c.feature].kind).is_some());
         let rule = ExtractedRule {
             conditions,
             executable,
@@ -237,7 +237,12 @@ mod tests {
     use magellan_ml::{Dataset, RandomForestLearner};
 
     /// The Fig. 4 books setting: match iff isbn AND pages agree.
-    fn book_setting() -> (RandomForestClassifier, FeatureMatrix, Vec<(usize, bool)>, Vec<Feature>) {
+    fn book_setting() -> (
+        RandomForestClassifier,
+        FeatureMatrix,
+        Vec<(usize, bool)>,
+        Vec<Feature>,
+    ) {
         let features = vec![
             Feature::new("isbn", "isbn", FeatureKind::ExactMatch),
             Feature::new("pages", "pages", FeatureKind::Jaccard(TokSpecF::Word)),
@@ -292,10 +297,7 @@ mod tests {
         }
         // The canonical Fig. 4 rule shape exists: isbn low -> No.
         assert!(
-            rules.iter().any(|r| r
-                .conditions
-                .iter()
-                .all(|c| c.is_le)),
+            rules.iter().any(|r| r.conditions.iter().all(|c| c.is_le)),
             "no all-<= executable-style rule found"
         );
         assert!(!blocking.is_empty(), "no executable blocking rules");
@@ -332,11 +334,19 @@ mod tests {
     }
 
     #[test]
-    fn pretty_prints_with_names(){
+    fn pretty_prints_with_names() {
         let rule = ExtractedRule {
             conditions: vec![
-                PathCond { feature: 0, is_le: true, threshold: 0.55 },
-                PathCond { feature: 1, is_le: false, threshold: 0.2 },
+                PathCond {
+                    feature: 0,
+                    is_le: true,
+                    threshold: 0.55,
+                },
+                PathCond {
+                    feature: 1,
+                    is_le: false,
+                    threshold: 0.2,
+                },
             ],
             executable: false,
             precision: 1.0,

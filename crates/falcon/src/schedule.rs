@@ -389,7 +389,13 @@ pub(crate) fn resolve_fragment(
         total += dur;
         break;
     }
-    (Fragment { engine, duration_s: total }, extra_batch_busy)
+    (
+        Fragment {
+            engine,
+            duration_s: total,
+        },
+        extra_batch_busy,
+    )
 }
 
 /// One workflow's chain as the scheduler sees it.
@@ -665,13 +671,7 @@ mod tests {
         let mut out = Vec::new();
         for name in ["frag_user", "frag_crowd", "frag_batch"] {
             for s in snap.spans_named(name) {
-                out.push((
-                    name,
-                    s.key >> 32,
-                    s.key & 0xFFFF_FFFF,
-                    s.start_ns,
-                    s.end_ns,
-                ));
+                out.push((name, s.key >> 32, s.key & 0xFFFF_FFFF, s.start_ns, s.end_ns));
             }
         }
         (rep, out)

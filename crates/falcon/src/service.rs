@@ -402,12 +402,30 @@ pub struct ServiceTelemetry {
 impl ServiceTelemetry {
     /// Publish the counters as `magellan_service_*` metrics.
     pub fn publish(&self) {
-        magellan_obs::counter_add("magellan_service_tenants_arrived_total", u64::from(self.arrived));
-        magellan_obs::counter_add("magellan_service_tenants_admitted_total", u64::from(self.admitted));
-        magellan_obs::counter_add("magellan_service_tenants_queued_total", u64::from(self.queued));
-        magellan_obs::counter_add("magellan_service_tenants_rejected_total", u64::from(self.rejected));
-        magellan_obs::counter_add("magellan_service_tenants_completed_total", u64::from(self.completed));
-        magellan_obs::counter_add("magellan_service_crowd_shed_total", u64::from(self.crowd_shed));
+        magellan_obs::counter_add(
+            "magellan_service_tenants_arrived_total",
+            u64::from(self.arrived),
+        );
+        magellan_obs::counter_add(
+            "magellan_service_tenants_admitted_total",
+            u64::from(self.admitted),
+        );
+        magellan_obs::counter_add(
+            "magellan_service_tenants_queued_total",
+            u64::from(self.queued),
+        );
+        magellan_obs::counter_add(
+            "magellan_service_tenants_rejected_total",
+            u64::from(self.rejected),
+        );
+        magellan_obs::counter_add(
+            "magellan_service_tenants_completed_total",
+            u64::from(self.completed),
+        );
+        magellan_obs::counter_add(
+            "magellan_service_crowd_shed_total",
+            u64::from(self.crowd_shed),
+        );
         magellan_obs::counter_add(
             "magellan_service_speculation_disabled_total",
             u64::from(self.speculation_disabled),
@@ -549,7 +567,11 @@ pub fn estimate_workload(sub: &TenantSubmission<'_>, cfg: &ServiceConfig) -> Wor
     };
     let machine_time_s = cfg.svc_cost.machine_s(rows, n_candidates);
     WorkloadEstimate {
-        label_dollars: if crowd { cm.crowd_dollars(questions) } else { 0.0 },
+        label_dollars: if crowd {
+            cm.crowd_dollars(questions)
+        } else {
+            0.0
+        },
         compute_dollars: cm.compute_dollars(machine_time_s, on_cloud),
         machine_time_s,
     }
@@ -565,13 +587,19 @@ fn admit(
     cfg: &ServiceConfig,
 ) -> Result<bool, RejectReason> {
     if est.label_dollars > quota.label_dollars {
-        return Err(RejectReason::Quota { currency: "label_dollars" });
+        return Err(RejectReason::Quota {
+            currency: "label_dollars",
+        });
     }
     if est.compute_dollars > quota.compute_dollars {
-        return Err(RejectReason::Quota { currency: "compute_dollars" });
+        return Err(RejectReason::Quota {
+            currency: "compute_dollars",
+        });
     }
     if est.machine_time_s > quota.machine_time_s {
-        return Err(RejectReason::Quota { currency: "machine_time_s" });
+        return Err(RejectReason::Quota {
+            currency: "machine_time_s",
+        });
     }
     if active_now < cfg.max_active_tenants {
         Ok(true) // activate now
@@ -620,7 +648,11 @@ fn run_workload(
         Workload::Synthetic(s) => {
             let seed = sub.tenant.task_seed;
             let questions = s.questions_blocking + s.questions_matching;
-            let label_engine = if s.crowd { Engine::Crowd } else { Engine::UserInteraction };
+            let label_engine = if s.crowd {
+                Engine::Crowd
+            } else {
+                Engine::UserInteraction
+            };
             let machine_time_s = cfg.svc_cost.machine_s(s.rows, s.n_candidates);
             Ok(WorkloadRun {
                 outcome: TaskOutcome {
@@ -629,7 +661,11 @@ fn run_workload(
                     precision: 0.85 + 0.15 * unit64(seed ^ 0xA11CE),
                     recall: 0.75 + 0.25 * unit64(seed ^ 0xB0B5),
                     questions,
-                    crowd_cost: if s.crowd { cm.crowd_dollars(questions as f64) } else { 0.0 },
+                    crowd_cost: if s.crowd {
+                        cm.crowd_dollars(questions as f64)
+                    } else {
+                        0.0
+                    },
                     compute_cost: cm.compute_dollars(machine_time_s, s.on_cloud),
                     label_time_s: questions as f64 * cm.per_question_s(label_engine),
                     machine_time_s,
@@ -683,7 +719,11 @@ fn runs_to_bytes(runs: &BTreeMap<usize, WorkloadRun>) -> Vec<u8> {
             o.label_time_s,
             o.machine_time_s,
         ];
-        for w in ints.map(|v| v as u64).into_iter().chain(floats.map(f64::to_bits)) {
+        for w in ints
+            .map(|v| v as u64)
+            .into_iter()
+            .chain(floats.map(f64::to_bits))
+        {
             payload.extend_from_slice(&w.to_le_bytes());
         }
     }
@@ -720,7 +760,9 @@ fn runs_from_bytes(
         // silently overwrite a run.
         if let Some((&last, _)) = runs.last_key_value() {
             if idx <= last {
-                return Err(svc_corrupt(format!("run index {idx} does not follow {last}")));
+                return Err(svc_corrupt(format!(
+                    "run index {idx} does not follow {last}"
+                )));
             }
         }
         let ints: Vec<usize> = row[1..9].iter().map(|&w| w as usize).collect();
@@ -755,7 +797,11 @@ fn runs_from_bytes(
                 },
                 questions_blocking: ints[0],
                 questions_matching: ints[1],
-                label_engine: if crowd { Engine::Crowd } else { Engine::UserInteraction },
+                label_engine: if crowd {
+                    Engine::Crowd
+                } else {
+                    Engine::UserInteraction
+                },
             },
         );
     }
@@ -817,7 +863,12 @@ impl<'s> RunLog<'s> {
                 &[("restored_runs", EvVal::U(runs.len() as u64))],
             );
         }
-        Ok(RunLog { runs, store, io_clock, fresh: 0 })
+        Ok(RunLog {
+            runs,
+            store,
+            io_clock,
+            fresh: 0,
+        })
     }
 
     /// Tenant `i`'s run: restored, or run now and checkpointed — and the
@@ -836,12 +887,16 @@ impl<'s> RunLog<'s> {
         self.fresh += 1;
         if let Some(s) = self.store.as_mut() {
             let bytes = runs_to_bytes(&self.runs);
-            run_with_retry(&cfg.recovery.retry, &mut self.io_clock, |_| s.save_bytes(&bytes))?;
+            run_with_retry(&cfg.recovery.retry, &mut self.io_clock, |_| {
+                s.save_bytes(&bytes)
+            })?;
         }
         if cfg.kill_after_tenants == Some(self.fresh) {
             let after = EvVal::U(u64::from(self.fresh));
             magellan_obs::event("service_killed", &[("after_runs", after)]);
-            return Err(MagellanError::Killed { after_phase: "service" });
+            return Err(MagellanError::Killed {
+                after_phase: "service",
+            });
         }
         Ok(r)
     }
@@ -918,7 +973,10 @@ impl MatchService {
             magellan_obs::event_at(
                 sim_ns(t + delay),
                 "tenant_activation_retry",
-                &[("tenant", EvVal::U(i as u64)), ("attempt", EvVal::U(u64::from(attempt)))],
+                &[
+                    ("tenant", EvVal::U(i as u64)),
+                    ("attempt", EvVal::U(u64::from(attempt))),
+                ],
             );
         }
         let t_act = t + delay;
@@ -1004,7 +1062,10 @@ impl MatchService {
             frag.duration_s *= cfg.recovery.degrade_factor;
             tel.crowd_shed += 1;
             report.shed_crowd_fragments += 1;
-            degrade("shed_crowd_to_user", &[("fragment", EvVal::U(a.lane.next as u64))]);
+            degrade(
+                "shed_crowd_to_user",
+                &[("fragment", EvVal::U(a.lane.next as u64))],
+            );
         }
         // Fault resolution (failures, stragglers, timeouts, speculation)
         // — pure in (tenant, fragment, plan).
@@ -1012,8 +1073,10 @@ impl MatchService {
         let opts = if !report.speculation_disabled {
             &cfg.recovery
         } else {
-            no_speculation =
-                ScheduleRecoveryOptions { speculate_threshold: f64::INFINITY, ..cfg.recovery };
+            no_speculation = ScheduleRecoveryOptions {
+                speculate_threshold: f64::INFINITY,
+                ..cfg.recovery
+            };
             &no_speculation
         };
         let (resolved, extra) =
@@ -1099,8 +1162,10 @@ impl MatchService {
                 .iter()
                 .filter(|a| a.next_engine() == Some(Engine::Crowd) && !a.shed_all_crowd)
                 .count();
-            let batch_backlog =
-                active.iter().filter(|a| a.next_engine() == Some(Engine::Batch)).count();
+            let batch_backlog = active
+                .iter()
+                .filter(|a| a.next_engine() == Some(Engine::Batch))
+                .count();
             let mut idxs: Vec<usize> = (0..active.len()).collect();
             idxs.sort_by_key(|&p| active[p].lane.id);
             for p in idxs {
@@ -1209,7 +1274,9 @@ impl MatchService {
             } else if let Some((_, pos)) = placement {
                 let a = &mut active[pos];
                 // `pick` only offers lanes with a pending fragment.
-                let Some((frag, extra)) = a.pending.take() else { continue };
+                let Some((frag, extra)) = a.pending.take() else {
+                    continue;
+                };
                 let ready = a.lane.ready_s;
                 let finish = engines.place(&mut a.lane, frag, extra);
                 if frag.engine == Engine::Crowd {
@@ -1291,7 +1358,12 @@ mod tests {
     use super::*;
     use magellan_core::checkpoint::MemStore;
 
-    fn synth(i: usize, arrival_s: f64, crowd: bool, quota: TenantQuota) -> TenantSubmission<'static> {
+    fn synth(
+        i: usize,
+        arrival_s: f64,
+        crowd: bool,
+        quota: TenantQuota,
+    ) -> TenantSubmission<'static> {
         TenantSubmission {
             tenant: TenantSpec {
                 name: format!("t{i}"),
@@ -1314,13 +1386,19 @@ mod tests {
 
     #[test]
     fn impossible_configurations_are_typed_errors() {
-        let err = MatchService::new(ServiceConfig { batch_slots: 0, ..Default::default() })
-            .err()
-            .expect("zero batch slots must not construct");
+        let err = MatchService::new(ServiceConfig {
+            batch_slots: 0,
+            ..Default::default()
+        })
+        .err()
+        .expect("zero batch slots must not construct");
         assert!(matches!(err, MagellanError::Config { .. }) && err.fatal());
-        let err = MatchService::new(ServiceConfig { max_active_tenants: 0, ..Default::default() })
-            .err()
-            .expect("zero active tenants must not construct");
+        let err = MatchService::new(ServiceConfig {
+            max_active_tenants: 0,
+            ..Default::default()
+        })
+        .err()
+        .expect("zero active tenants must not construct");
         assert!(matches!(err, MagellanError::Config { .. }));
         // Zero-weight tenants are rejected before any simulation.
         let svc = MatchService::new(ServiceConfig::default()).unwrap();
@@ -1332,15 +1410,19 @@ mod tests {
     #[test]
     fn admission_rejects_over_quota_and_overload_deterministically() {
         // Crowd estimate: 100 questions × 5 votes × $0.02 = $10.
-        let tight = TenantQuota { label_dollars: 5.0, ..TenantQuota::unlimited() };
+        let tight = TenantQuota {
+            label_dollars: 5.0,
+            ..TenantQuota::unlimited()
+        };
         let cfg = ServiceConfig {
             max_active_tenants: 2,
             max_queue: 3,
             ..Default::default()
         };
         let svc = MatchService::new(cfg).unwrap();
-        let mut subs: Vec<_> =
-            (0..10).map(|i| synth(i, 0.0, false, TenantQuota::unlimited())).collect();
+        let mut subs: Vec<_> = (0..10)
+            .map(|i| synth(i, 0.0, false, TenantQuota::unlimited()))
+            .collect();
         subs[1] = synth(1, 0.0, true, tight);
         let report = svc.run(&subs).unwrap();
         let rej = report.rejection_set();
@@ -1359,7 +1441,10 @@ mod tests {
         assert_eq!(report.telemetry.queued, 3);
         assert_eq!(report.telemetry.rejected, 5);
         assert_eq!(report.telemetry.completed, 5);
-        assert!(matches!(report.tenants[4].admission, Admission::AdmittedAfterQueue));
+        assert!(matches!(
+            report.tenants[4].admission,
+            Admission::AdmittedAfterQueue
+        ));
         assert!(report.tenants[4].queue_wait_s > 0.0);
         // The same submissions replay to the same decisions and makespan.
         let again = svc.run(&subs).unwrap();
@@ -1440,16 +1525,26 @@ mod tests {
             ..Default::default()
         };
         let svc = MatchService::new(cfg).unwrap();
-        let subs: Vec<_> = (0..4).map(|i| synth(i, 0.0, true, TenantQuota::unlimited())).collect();
+        let subs: Vec<_> = (0..4)
+            .map(|i| synth(i, 0.0, true, TenantQuota::unlimited()))
+            .collect();
         let report = svc.run(&subs).unwrap();
-        assert!(report.telemetry.crowd_shed > 0, "crowd backlog must trigger shedding");
+        assert!(
+            report.telemetry.crowd_shed > 0,
+            "crowd backlog must trigger shedding"
+        );
         assert!(report.telemetry.speculation_disabled > 0);
         assert!(report.shed_rate() > 0.0 && report.shed_rate() <= 1.0);
         assert!(report.tenants.iter().any(|t| t.shed_crowd_fragments > 0));
         // Shedding reroutes schedule fragments, never touches outcomes.
         for (i, t) in report.accepted() {
-            let solo = svc.run(&[synth(i, 0.0, true, TenantQuota::unlimited())]).unwrap();
-            assert_eq!(t.outcome.as_ref().unwrap(), solo.tenants[0].outcome.as_ref().unwrap());
+            let solo = svc
+                .run(&[synth(i, 0.0, true, TenantQuota::unlimited())])
+                .unwrap();
+            assert_eq!(
+                t.outcome.as_ref().unwrap(),
+                solo.tenants[0].outcome.as_ref().unwrap()
+            );
         }
         // No crowd engine at all: every crowd fragment is shed.
         let no_crowd = MatchService::new(ServiceConfig {
@@ -1458,7 +1553,9 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let report = no_crowd.run(&[synth(0, 0.0, true, TenantQuota::unlimited())]).unwrap();
+        let report = no_crowd
+            .run(&[synth(0, 0.0, true, TenantQuota::unlimited())])
+            .unwrap();
         assert_eq!(report.crowd_served, 0);
         assert!(report.telemetry.crowd_shed > 0);
     }
@@ -1466,9 +1563,15 @@ mod tests {
     #[test]
     fn kill_and_resume_is_bit_identical_to_an_uninterrupted_run() {
         let subs = |n: usize| -> Vec<TenantSubmission<'static>> {
-            (0..n).map(|i| synth(i, i as f64, i % 2 == 1, TenantQuota::unlimited())).collect()
+            (0..n)
+                .map(|i| synth(i, i as f64, i % 2 == 1, TenantQuota::unlimited()))
+                .collect()
         };
-        let base = ServiceConfig { max_active_tenants: 2, max_queue: 8, ..Default::default() };
+        let base = ServiceConfig {
+            max_active_tenants: 2,
+            max_queue: 8,
+            ..Default::default()
+        };
         let golden = MatchService::new(base.clone())
             .unwrap()
             .run(&subs(5))
@@ -1480,8 +1583,15 @@ mod tests {
             ..base.clone()
         })
         .unwrap();
-        let err = killer.run_with_checkpoint(&subs(5), &mut store).unwrap_err();
-        assert!(matches!(err, MagellanError::Killed { after_phase: "service" }));
+        let err = killer
+            .run_with_checkpoint(&subs(5), &mut store)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            MagellanError::Killed {
+                after_phase: "service"
+            }
+        ));
 
         let resumed = MatchService::new(base)
             .unwrap()
@@ -1519,26 +1629,36 @@ mod tests {
         let mut tampered = good.clone();
         tampered[16 + 16 + 8] = 9;
         let err = resume(&tampered);
-        assert!(err.fatal() && err.to_string().contains("checksum mismatch"), "{err}");
+        assert!(
+            err.fatal() && err.to_string().contains("checksum mismatch"),
+            "{err}"
+        );
 
         // Re-sealed, the same edit reaches the range check.
         let payload = &good[16 + 16..good.len() - 24 - 8];
         let mut edited = payload.to_vec();
         edited[8] = 9;
         let err = resume(&segment::encode(SVC_MAGIC, &[(SEG_RUNS, &edited)]));
-        assert!(err.to_string().contains("run index 9 out of range"), "{err}");
+        assert!(
+            err.to_string().contains("run index 9 out of range"),
+            "{err}"
+        );
 
         // Bad magic is diagnosed as such, naming what was found.
         let err = resume(b"emckpt v1\n");
         assert!(err.to_string().contains("bad magic"), "{err}");
         let err = resume(b"emsvc v1\nruns 0\nend\n");
-        assert!(err.fatal() && err.to_string().contains("found `emsvc v1`"), "{err}");
+        assert!(
+            err.fatal() && err.to_string().contains("found `emsvc v1`"),
+            "{err}"
+        );
     }
 
     #[test]
     fn emsvc_restore_rejects_a_repeated_or_decreasing_run_index() {
-        let subs: Vec<_> =
-            (0..2).map(|i| synth(i, 0.0, false, TenantQuota::unlimited())).collect();
+        let subs: Vec<_> = (0..2)
+            .map(|i| synth(i, 0.0, false, TenantQuota::unlimited()))
+            .collect();
         let cfg = ServiceConfig::default();
         let mut runs = BTreeMap::new();
         for (i, sub) in subs.iter().enumerate() {
@@ -1564,7 +1684,9 @@ mod tests {
 
     #[test]
     fn service_checkpoints_roundtrip_float_bits_exactly() {
-        let subs: Vec<_> = (0..3).map(|i| synth(i, 0.0, i == 1, TenantQuota::unlimited())).collect();
+        let subs: Vec<_> = (0..3)
+            .map(|i| synth(i, 0.0, i == 1, TenantQuota::unlimited()))
+            .collect();
         let cfg = ServiceConfig::default();
         let mut runs = BTreeMap::new();
         for (i, sub) in subs.iter().enumerate() {
@@ -1584,14 +1706,19 @@ mod tests {
 
     #[test]
     fn emsvc_bytes_are_pinned() {
-        let subs: Vec<_> = (0..5).map(|i| synth(i, 0.0, i % 2 == 1, TenantQuota::unlimited())).collect();
+        let subs: Vec<_> = (0..5)
+            .map(|i| synth(i, 0.0, i % 2 == 1, TenantQuota::unlimited()))
+            .collect();
         let cfg = ServiceConfig::default();
         let mut runs = BTreeMap::new();
         for i in [0, 1, 3, 4] {
             runs.insert(i, run_workload(&subs[i], &cfg).unwrap());
         }
         let bytes = runs_to_bytes(&runs);
-        assert_eq!((bytes.len(), magellan_obs::fnv1a(&bytes)), (552, 13993758644846044057));
+        assert_eq!(
+            (bytes.len(), magellan_obs::fnv1a(&bytes)),
+            (552, 13993758644846044057)
+        );
     }
 
     #[test]

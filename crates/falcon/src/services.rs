@@ -49,55 +49,190 @@ pub fn services() -> Vec<Service> {
     };
     vec![
         // --- basic services ---
-        s("upload dataset", Basic, Batch, "ingest a CSV table",
-          "magellan_table::csv::read_csv_path", &[]),
-        s("profile dataset", Basic, Batch, "per-column statistics",
-          "magellan_table::profile::profile_table", &[]),
-        s("edit metadata", Basic, Batch, "set/validate key metadata",
-          "magellan_table::Catalog::set_key", &[]),
-        s("browse dataset", Basic, Batch, "paginated table view",
-          "magellan_table::Table::head", &[]),
-        s("down sample", Basic, Batch, "index-guided table shrinking",
-          "magellan_core::downsample::down_sample", &[]),
-        s("sample pairs", Basic, Batch, "draw candidate pairs for labeling",
-          "magellan_falcon::workflow (sampler)", &[]),
-        s("generate features", Basic, Batch, "type-driven feature grid",
-          "magellan_features::generate_features", &[]),
-        s("extract feature vectors", Basic, Batch, "evaluate features over pairs",
-          "magellan_features::extract_feature_matrix", &[]),
-        s("label pairs (user)", Basic, UserInteraction, "interactive match/no-match answers",
-          "magellan_core::labeling::OracleLabeler", &[]),
-        s("label pairs (crowd)", Basic, Crowd, "majority vote of paid annotators",
-          "magellan_falcon::cloud (CrowdLabeler)", &[]),
-        s("train classifier", Basic, Batch, "fit a random forest",
-          "magellan_ml::RandomForestLearner::fit_forest", &[]),
-        s("apply classifier", Basic, Batch, "predict over a candidate set",
-          "magellan_ml::RandomForestClassifier", &[]),
-        s("learn blocking rules", Basic, Batch, "extract tree paths as rules",
-          "magellan_falcon::rules::extract_blocking_rules", &[]),
-        s("evaluate blocking rules", Basic, Batch, "precision/coverage of each rule",
-          "magellan_falcon::rules (precision eval)", &[]),
-        s("execute blocking rules", Basic, Batch, "rules as sim-join plans",
-          "magellan_block::RuleBasedBlocker::block", &[]),
-        s("compute accuracy", Basic, Batch, "P/R/F1 against labeled pairs",
-          "magellan_core::evaluate::evaluate_matches", &[]),
-        s("export results", Basic, Batch, "write matches as CSV",
-          "magellan_table::csv::write_csv_path", &[]),
-        s("estimate cost", Basic, Batch, "predict crowd $ and latency",
-          "magellan_falcon::cloud::CostModel", &[]),
+        s(
+            "upload dataset",
+            Basic,
+            Batch,
+            "ingest a CSV table",
+            "magellan_table::csv::read_csv_path",
+            &[],
+        ),
+        s(
+            "profile dataset",
+            Basic,
+            Batch,
+            "per-column statistics",
+            "magellan_table::profile::profile_table",
+            &[],
+        ),
+        s(
+            "edit metadata",
+            Basic,
+            Batch,
+            "set/validate key metadata",
+            "magellan_table::Catalog::set_key",
+            &[],
+        ),
+        s(
+            "browse dataset",
+            Basic,
+            Batch,
+            "paginated table view",
+            "magellan_table::Table::head",
+            &[],
+        ),
+        s(
+            "down sample",
+            Basic,
+            Batch,
+            "index-guided table shrinking",
+            "magellan_core::downsample::down_sample",
+            &[],
+        ),
+        s(
+            "sample pairs",
+            Basic,
+            Batch,
+            "draw candidate pairs for labeling",
+            "magellan_falcon::workflow (sampler)",
+            &[],
+        ),
+        s(
+            "generate features",
+            Basic,
+            Batch,
+            "type-driven feature grid",
+            "magellan_features::generate_features",
+            &[],
+        ),
+        s(
+            "extract feature vectors",
+            Basic,
+            Batch,
+            "evaluate features over pairs",
+            "magellan_features::extract_feature_matrix",
+            &[],
+        ),
+        s(
+            "label pairs (user)",
+            Basic,
+            UserInteraction,
+            "interactive match/no-match answers",
+            "magellan_core::labeling::OracleLabeler",
+            &[],
+        ),
+        s(
+            "label pairs (crowd)",
+            Basic,
+            Crowd,
+            "majority vote of paid annotators",
+            "magellan_falcon::cloud (CrowdLabeler)",
+            &[],
+        ),
+        s(
+            "train classifier",
+            Basic,
+            Batch,
+            "fit a random forest",
+            "magellan_ml::RandomForestLearner::fit_forest",
+            &[],
+        ),
+        s(
+            "apply classifier",
+            Basic,
+            Batch,
+            "predict over a candidate set",
+            "magellan_ml::RandomForestClassifier",
+            &[],
+        ),
+        s(
+            "learn blocking rules",
+            Basic,
+            Batch,
+            "extract tree paths as rules",
+            "magellan_falcon::rules::extract_blocking_rules",
+            &[],
+        ),
+        s(
+            "evaluate blocking rules",
+            Basic,
+            Batch,
+            "precision/coverage of each rule",
+            "magellan_falcon::rules (precision eval)",
+            &[],
+        ),
+        s(
+            "execute blocking rules",
+            Basic,
+            Batch,
+            "rules as sim-join plans",
+            "magellan_block::RuleBasedBlocker::block",
+            &[],
+        ),
+        s(
+            "compute accuracy",
+            Basic,
+            Batch,
+            "P/R/F1 against labeled pairs",
+            "magellan_core::evaluate::evaluate_matches",
+            &[],
+        ),
+        s(
+            "export results",
+            Basic,
+            Batch,
+            "write matches as CSV",
+            "magellan_table::csv::write_csv_path",
+            &[],
+        ),
+        s(
+            "estimate cost",
+            Basic,
+            Batch,
+            "predict crowd $ and latency",
+            "magellan_falcon::cloud::CostModel",
+            &[],
+        ),
         // --- composite services ---
-        s("active learning", Composite, UserInteraction,
-          "iteratively label the most uncertain pairs",
-          "magellan_falcon::active::active_learn",
-          &["sample pairs", "extract feature vectors", "label pairs (user)", "train classifier"]),
-        s("get blocking rules", Composite, Batch,
-          "suggest precise blocking rules to the user",
-          "magellan_falcon::rules::extract_blocking_rules",
-          &["active learning", "learn blocking rules", "evaluate blocking rules"]),
-        s("falcon", Composite, Batch,
-          "the end-to-end self-service EM workflow",
-          "magellan_falcon::workflow::run_falcon",
-          &["get blocking rules", "execute blocking rules", "active learning", "apply classifier", "compute accuracy"]),
+        s(
+            "active learning",
+            Composite,
+            UserInteraction,
+            "iteratively label the most uncertain pairs",
+            "magellan_falcon::active::active_learn",
+            &[
+                "sample pairs",
+                "extract feature vectors",
+                "label pairs (user)",
+                "train classifier",
+            ],
+        ),
+        s(
+            "get blocking rules",
+            Composite,
+            Batch,
+            "suggest precise blocking rules to the user",
+            "magellan_falcon::rules::extract_blocking_rules",
+            &[
+                "active learning",
+                "learn blocking rules",
+                "evaluate blocking rules",
+            ],
+        ),
+        s(
+            "falcon",
+            Composite,
+            Batch,
+            "the end-to-end self-service EM workflow",
+            "magellan_falcon::workflow::run_falcon",
+            &[
+                "get blocking rules",
+                "execute blocking rules",
+                "active learning",
+                "apply classifier",
+                "compute accuracy",
+            ],
+        ),
     ]
 }
 
@@ -108,8 +243,13 @@ pub fn ecosystem_summary() -> String {
     out.push_str("Magellan-rs ecosystem\n");
     out.push_str("== on-premise packages (PyData role) ==\n");
     for p in [
-        "magellan-table", "magellan-textsim", "magellan-simjoin", "magellan-ml",
-        "magellan-block", "magellan-features", "magellan-core (PyMatcher)",
+        "magellan-table",
+        "magellan-textsim",
+        "magellan-simjoin",
+        "magellan-ml",
+        "magellan-block",
+        "magellan-features",
+        "magellan-core (PyMatcher)",
         "magellan-datagen",
     ] {
         out.push_str("  ");
@@ -127,7 +267,10 @@ pub fn ecosystem_summary() -> String {
             svc.name, svc.engine, svc.implemented_by
         ));
         if !svc.composes.is_empty() {
-            out.push_str(&format!("             composes: {}\n", svc.composes.join(", ")));
+            out.push_str(&format!(
+                "             composes: {}\n",
+                svc.composes.join(", ")
+            ));
         }
     }
     out
@@ -141,7 +284,10 @@ mod tests {
     fn registry_matches_table4_shape() {
         let all = services();
         let basic = all.iter().filter(|s| s.kind == ServiceKind::Basic).count();
-        let composite = all.iter().filter(|s| s.kind == ServiceKind::Composite).count();
+        let composite = all
+            .iter()
+            .filter(|s| s.kind == ServiceKind::Composite)
+            .count();
         // The paper: "CloudMatcher provides 18 basic services and 2
         // composite services" (Appendix D) plus the falcon composite.
         assert_eq!(basic, 18);

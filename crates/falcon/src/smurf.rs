@@ -112,8 +112,7 @@ pub fn run_smurf(
         // that dwarfs the rule survivors would balloon |C|, inflate the
         // matching-stage label budget, and erase the labeling savings
         // Smurf exists for.
-        let guard_is_proportionate =
-            guard.len() <= 100_000.max(survivors.len().saturating_mul(10));
+        let guard_is_proportionate = guard.len() <= 100_000.max(survivors.len().saturating_mul(10));
         if guard_is_proportionate {
             (survivors.union(&guard), false)
         } else {
@@ -203,11 +202,18 @@ mod tests {
         let cfg = FalconConfig::default();
 
         let mut falcon_labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
-        let falcon = run_falcon(&s.table_a, &s.table_b, "id", "id", &mut falcon_labeler, &cfg)
-            .unwrap();
+        let falcon = run_falcon(
+            &s.table_a,
+            &s.table_b,
+            "id",
+            "id",
+            &mut falcon_labeler,
+            &cfg,
+        )
+        .unwrap();
         let mut smurf_labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
-        let smurf = run_smurf(&s.table_a, &s.table_b, "id", "id", &mut smurf_labeler, &cfg)
-            .unwrap();
+        let smurf =
+            run_smurf(&s.table_a, &s.table_b, "id", "id", &mut smurf_labeler, &cfg).unwrap();
 
         assert_eq!(smurf.questions_blocking, 0);
         assert!(
@@ -217,10 +223,10 @@ mod tests {
             falcon.total_questions()
         );
 
-        let mf = evaluate_matches(&falcon.matches, &s.table_a, &s.table_b, "id", "id", &s.gold)
-            .unwrap();
-        let ms = evaluate_matches(&smurf.matches, &s.table_a, &s.table_b, "id", "id", &s.gold)
-            .unwrap();
+        let mf =
+            evaluate_matches(&falcon.matches, &s.table_a, &s.table_b, "id", "id", &s.gold).unwrap();
+        let ms =
+            evaluate_matches(&smurf.matches, &s.table_a, &s.table_b, "id", "id", &s.gold).unwrap();
         // "yet achieving the same accuracy" — allow a modest margin.
         assert!(
             ms.f1() > mf.f1() - 0.12,
@@ -253,8 +259,8 @@ mod tests {
         let ak = s.table_a.key_index("id").unwrap();
         let _ = ak;
         assert!(report.n_candidates > 0);
-        let m = evaluate_matches(&report.matches, &s.table_a, &s.table_b, "id", "id", &s.gold)
-            .unwrap();
+        let m =
+            evaluate_matches(&report.matches, &s.table_a, &s.table_b, "id", "id", &s.gold).unwrap();
         assert!(m.recall() > 0.5, "{m}");
     }
 }

@@ -181,7 +181,11 @@ pub fn biased_pool(
 }
 
 /// Feature kinds whose drop-direction rules execute as joins.
-pub fn blocking_features(a: &Table, b: &Table, exclude: &[&str]) -> magellan_table::Result<Vec<Feature>> {
+pub fn blocking_features(
+    a: &Table,
+    b: &Table,
+    exclude: &[&str],
+) -> magellan_table::Result<Vec<Feature>> {
     Ok(generate_features(a, b, exclude)?
         .into_iter()
         .filter(|f| {
@@ -304,10 +308,7 @@ pub fn run_falcon(
             .find(|f| f.name != a_key && f.dtype == magellan_table::Dtype::Str)
             .map(|f| f.name.clone())
             .unwrap_or_else(|| a_key.to_owned());
-        (
-            OverlapBlocker::words(&first_str_attr, 1).block(a, b)?,
-            true,
-        )
+        (OverlapBlocker::words(&first_str_attr, 1).block(a, b)?, true)
     } else {
         (RuleBasedBlocker::new(blocking_rules).block(a, b)?, false)
     };
@@ -369,12 +370,7 @@ pub fn run_falcon(
         .pairs
         .iter()
         .zip(&c_matrix.rows)
-        .filter_map(|(&p, row)| {
-            match_outcome
-                .forest
-                .predict_at(row, cfg.alpha)
-                .then_some(p)
-        })
+        .filter_map(|(&p, row)| match_outcome.forest.predict_at(row, cfg.alpha).then_some(p))
         .collect();
 
     Ok(FalconReport {
@@ -422,8 +418,8 @@ mod tests {
             "question budget blown: {}",
             report.total_questions()
         );
-        let m = evaluate_matches(&report.matches, &s.table_a, &s.table_b, "id", "id", &s.gold)
-            .unwrap();
+        let m =
+            evaluate_matches(&report.matches, &s.table_a, &s.table_b, "id", "id", &s.gold).unwrap();
         assert!(m.precision() > 0.8, "{m}");
         assert!(m.recall() > 0.7, "{m}");
     }

@@ -196,7 +196,10 @@ impl FaultPlan {
     pub fn crowd_no_show(&self, question: u64, vote: u64) -> bool {
         self.crowd_no_show_per_mille > 0
             && unit(mix(
-                self.seed ^ FaultKind::CrowdNoShow.tag().wrapping_mul(0xA24BAED4963EE407),
+                self.seed
+                    ^ FaultKind::CrowdNoShow
+                        .tag()
+                        .wrapping_mul(0xA24BAED4963EE407),
                 &[question, vote],
             )) < self.crowd_no_show_per_mille as f64 / 1000.0
     }
@@ -211,7 +214,10 @@ impl FaultPlan {
             return nominal_s;
         }
         let h = mix(
-            self.seed ^ FaultKind::StragglerDelay.tag().wrapping_mul(0xA24BAED4963EE407),
+            self.seed
+                ^ FaultKind::StragglerDelay
+                    .tag()
+                    .wrapping_mul(0xA24BAED4963EE407),
             &[task, frag],
         );
         if unit(h) < self.straggler_per_mille as f64 / 1000.0 {
@@ -442,7 +448,9 @@ impl RetryPolicy {
 
     /// The full backoff schedule: delays before retries `1..max_attempts`.
     pub fn schedule(&self) -> Vec<f64> {
-        (1..self.max_attempts.max(1)).map(|a| self.delay_s(a)).collect()
+        (1..self.max_attempts.max(1))
+            .map(|a| self.delay_s(a))
+            .collect()
     }
 
     /// Worst-case total simulated time spent backing off.
@@ -663,10 +671,14 @@ impl StreamPlan {
     /// The `step`-th mutation of the stream (0-based), decided purely
     /// from `(seed, step)`.
     pub fn op(&self, step: u64) -> StreamOp {
-        let left = unit(mix(self.seed ^ STREAM_SIDE_TAG.wrapping_mul(0xA24BAED4963EE407), &[step]))
-            < self.left_per_mille as f64 / 1000.0;
-        let kind =
-            unit(mix(self.seed ^ STREAM_KIND_TAG.wrapping_mul(0xA24BAED4963EE407), &[step]));
+        let left = unit(mix(
+            self.seed ^ STREAM_SIDE_TAG.wrapping_mul(0xA24BAED4963EE407),
+            &[step],
+        )) < self.left_per_mille as f64 / 1000.0;
+        let kind = unit(mix(
+            self.seed ^ STREAM_KIND_TAG.wrapping_mul(0xA24BAED4963EE407),
+            &[step],
+        ));
         let insert_p = self.insert_per_mille as f64 / 1000.0;
         let delete_p = self.delete_per_mille as f64 / 1000.0;
         if kind < insert_p {
@@ -687,12 +699,18 @@ impl StreamPlan {
     /// The raw victim-selector word for `step` (callers reduce modulo the
     /// alive population at apply time).
     pub fn victim_word(&self, step: u64) -> u64 {
-        mix(self.seed ^ STREAM_VICTIM_TAG.wrapping_mul(0xA24BAED4963EE407), &[step])
+        mix(
+            self.seed ^ STREAM_VICTIM_TAG.wrapping_mul(0xA24BAED4963EE407),
+            &[step],
+        )
     }
 
     /// A per-step seed for generating the inserted/updated record text.
     pub fn text_seed(&self, step: u64) -> u64 {
-        mix(self.seed ^ STREAM_TEXT_TAG.wrapping_mul(0xA24BAED4963EE407), &[step])
+        mix(
+            self.seed ^ STREAM_TEXT_TAG.wrapping_mul(0xA24BAED4963EE407),
+            &[step],
+        )
     }
 }
 
@@ -804,7 +822,10 @@ mod tests {
         let cf = p.chunk_faults(5);
         for chunk in 0..300u64 {
             for attempt in 0..4 {
-                assert_eq!(cf.injects(chunk, attempt), p.chunk_panics(5, chunk, attempt));
+                assert_eq!(
+                    cf.injects(chunk, attempt),
+                    p.chunk_panics(5, chunk, attempt)
+                );
             }
         }
         assert!(!ChunkFaults::none().injects(0, 0));
@@ -900,19 +921,30 @@ mod tests {
         // Each delay is within ±25% of the nominal exponential step.
         for (i, d) in s1.iter().enumerate() {
             let nominal = 2f64.powi(i as i32);
-            assert!(*d >= nominal * 0.75 - 1e-12 && *d <= nominal * 1.25 + 1e-12, "delay {i} = {d}");
+            assert!(
+                *d >= nominal * 0.75 - 1e-12 && *d <= nominal * 1.25 + 1e-12,
+                "delay {i} = {d}"
+            );
         }
         // A different seed produces a different jitter stream.
         let other = RetryPolicy { seed: 43, ..p }.schedule();
         assert_ne!(s1, other);
         // Zero jitter gives the exact exponential schedule, clamped.
-        let exact = RetryPolicy { jitter: 0.0, max_delay_s: 3.0, ..p }.schedule();
+        let exact = RetryPolicy {
+            jitter: 0.0,
+            max_delay_s: 3.0,
+            ..p
+        }
+        .schedule();
         assert_eq!(exact, vec![1.0, 2.0, 3.0, 3.0]);
     }
 
     #[test]
     fn retry_policy_caps_attempts() {
-        let p = RetryPolicy { max_attempts: 3, ..Default::default() };
+        let p = RetryPolicy {
+            max_attempts: 3,
+            ..Default::default()
+        };
         assert!(p.allows(0) && p.allows(2) && !p.allows(3));
         assert!(RetryPolicy::no_retry().allows(0));
         assert!(!RetryPolicy::no_retry().allows(1));
@@ -952,7 +984,10 @@ mod tests {
 
     #[test]
     fn run_with_retry_stops_on_fatal_and_exhaustion() {
-        let policy = RetryPolicy { max_attempts: 3, ..Default::default() };
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            ..Default::default()
+        };
         let mut clock = SimClock::new();
         let mut calls = 0;
         let r: Result<(), TestErr> = run_with_retry(&policy, &mut clock, |_| {

@@ -181,7 +181,10 @@ mod tests {
             coarser(AttrType::Numeric, AttrType::ShortString),
             AttrType::ShortString
         );
-        assert_eq!(coarser(AttrType::Numeric, AttrType::Numeric), AttrType::Numeric);
+        assert_eq!(
+            coarser(AttrType::Numeric, AttrType::Numeric),
+            AttrType::Numeric
+        );
     }
 
     #[test]

@@ -263,12 +263,16 @@ mod tests {
     #[test]
     fn numeric_feature_on_strings_is_nan() {
         let f = Feature::new("n", "n", FeatureKind::AbsDiff);
-        assert!(f.compute(ValueRef::Str("abc"), ValueRef::Str("abd")).is_nan());
+        assert!(f
+            .compute(ValueRef::Str("abc"), ValueRef::Str("abd"))
+            .is_nan());
     }
 
     #[test]
     fn empty_tokenization_is_nan() {
         let f = Feature::new("n", "n", FeatureKind::Jaccard(TokSpecF::Word));
-        assert!(f.compute(ValueRef::Str("!!!"), ValueRef::Str("abc")).is_nan());
+        assert!(f
+            .compute(ValueRef::Str("!!!"), ValueRef::Str("abc"))
+            .is_nan());
     }
 }

@@ -134,7 +134,11 @@ mod tests {
     fn setup() -> (Table, Table, Vec<Feature>) {
         let a = Table::from_rows(
             "A",
-            &[("id", Dtype::Str), ("name", Dtype::Str), ("age", Dtype::Int)],
+            &[
+                ("id", Dtype::Str),
+                ("name", Dtype::Str),
+                ("age", Dtype::Int),
+            ],
             vec![
                 vec!["a0".into(), "dave smith".into(), Value::Int(40)],
                 vec!["a1".into(), Value::Null, Value::Int(31)],
@@ -143,7 +147,11 @@ mod tests {
         .unwrap();
         let b = Table::from_rows(
             "B",
-            &[("id", Dtype::Str), ("name", Dtype::Str), ("age", Dtype::Int)],
+            &[
+                ("id", Dtype::Str),
+                ("name", Dtype::Str),
+                ("age", Dtype::Int),
+            ],
             vec![vec!["b0".into(), "dave smith".into(), Value::Int(41)]],
         )
         .unwrap();

@@ -528,7 +528,10 @@ impl FeaturePlan {
     /// Per planned feature, whether a deciding model should test it last
     /// ([`FeatureKind::is_sequence_kernel`]).
     pub fn deferred(&self) -> Vec<bool> {
-        self.entries.iter().map(|e| e.kind.is_sequence_kernel()).collect()
+        self.entries
+            .iter()
+            .map(|e| e.kind.is_sequence_kernel())
+            .collect()
     }
 
     /// Tokenizer invocations the scalar path would spend on `n_pairs`
@@ -973,9 +976,19 @@ mod tests {
                 ("age", Dtype::Int),
             ],
             vec![
-                vec!["a0".into(), "Dave  Smith".into(), "Madison".into(), Value::Int(40)],
+                vec![
+                    "a0".into(),
+                    "Dave  Smith".into(),
+                    "Madison".into(),
+                    Value::Int(40),
+                ],
                 vec!["a1".into(), Value::Null, "Chicago!!".into(), Value::Int(31)],
-                vec!["a2".into(), "O'Brien, J.R.".into(), Value::Null, Value::Null],
+                vec![
+                    "a2".into(),
+                    "O'Brien, J.R.".into(),
+                    Value::Null,
+                    Value::Null,
+                ],
                 vec!["a3".into(), "!!!".into(), "  ".into(), Value::Int(7)],
             ],
         )
@@ -989,8 +1002,18 @@ mod tests {
                 ("age", Dtype::Int),
             ],
             vec![
-                vec!["b0".into(), "dave smith".into(), "madison".into(), Value::Int(41)],
-                vec!["b1".into(), "J R O Brien".into(), "chicago".into(), Value::Null],
+                vec![
+                    "b0".into(),
+                    "dave smith".into(),
+                    "madison".into(),
+                    Value::Int(41),
+                ],
+                vec![
+                    "b1".into(),
+                    "J R O Brien".into(),
+                    "chicago".into(),
+                    Value::Null,
+                ],
             ],
         )
         .unwrap();
@@ -1033,8 +1056,7 @@ mod tests {
         let scalar = extract_feature_matrix_scalar(&pairs, &a, &b, &features).unwrap();
         let mut prepared = PreparedPair::new(&a, &b);
         let (cached, stats) =
-            extract_with_prepared(&mut prepared, &pairs, &features, &ParConfig::serial())
-                .unwrap();
+            extract_with_prepared(&mut prepared, &pairs, &features, &ParConfig::serial()).unwrap();
         assert_eq!(cached.names, scalar.names);
         assert_eq!(cached.pairs, scalar.pairs);
         for (i, (cr, sr)) in cached.rows.iter().zip(&scalar.rows).enumerate() {
@@ -1074,12 +1096,22 @@ mod tests {
         let table = |tag: &str| {
             Table::from_rows(
                 tag,
-                &[("id", Dtype::Str), ("name", Dtype::Str), ("city", Dtype::Str), ("age", Dtype::Int)],
+                &[
+                    ("id", Dtype::Str),
+                    ("name", Dtype::Str),
+                    ("city", Dtype::Str),
+                    ("age", Dtype::Int),
+                ],
                 names
                     .iter()
                     .enumerate()
                     .map(|(i, n)| {
-                        vec![format!("{tag}{i}").into(), (*n).into(), (*n).into(), Value::Int(i as i64)]
+                        vec![
+                            format!("{tag}{i}").into(),
+                            (*n).into(),
+                            (*n).into(),
+                            Value::Int(i as i64),
+                        ]
                     })
                     .collect(),
             )
@@ -1129,13 +1161,9 @@ mod tests {
         let features = all_kind_features();
         let pairs = all_pairs(&a, &b);
         let mut reference_prep = PreparedPair::new(&a, &b);
-        let (reference, _) = extract_with_prepared(
-            &mut reference_prep,
-            &pairs,
-            &features,
-            &ParConfig::serial(),
-        )
-        .unwrap();
+        let (reference, _) =
+            extract_with_prepared(&mut reference_prep, &pairs, &features, &ParConfig::serial())
+                .unwrap();
         for w in [2, 3, 8] {
             let mut prep = PreparedPair::new(&a, &b);
             let (m, _) =
@@ -1157,7 +1185,11 @@ mod tests {
         let (a, b) = tables();
         let pairs = all_pairs(&a, &b);
         let mut prepared = PreparedPair::new(&a, &b);
-        let stage1 = vec![Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word))];
+        let stage1 = vec![Feature::new(
+            "name",
+            "name",
+            FeatureKind::Jaccard(TokSpecF::Word),
+        )];
         let (_, s1) =
             extract_with_prepared(&mut prepared, &pairs, &stage1, &ParConfig::serial()).unwrap();
         assert_eq!(s1.cache.hits, 0);
@@ -1192,7 +1224,9 @@ mod tests {
         let features = all_kind_features();
         let pairs = all_pairs(&a, &b);
         let mut store = StreamingPreparedPair::new(a.clone(), b.clone());
-        let (_, s1) = store.extract(&pairs, &features, &ParConfig::serial()).unwrap();
+        let (_, s1) = store
+            .extract(&pairs, &features, &ParConfig::serial())
+            .unwrap();
         assert!(s1.cache.records_prepared > 0);
 
         // Rewrite one left record's name; only its cells go dirty.
@@ -1200,7 +1234,9 @@ mod tests {
             .set_value(true, 0, "name", Value::Str("David Smith Jr".into()))
             .unwrap();
         assert!(store.cells_invalidated() > 0);
-        let (m2, s2) = store.extract(&pairs, &features, &ParConfig::serial()).unwrap();
+        let (m2, s2) = store
+            .extract(&pairs, &features, &ParConfig::serial())
+            .unwrap();
         // Exactly the dirty record re-prepared: its (col, shape) cells for
         // the name column, nothing from rows 1..3 or the right table.
         let name_shapes = 6; // LowerStr, WordBag, WordSet, QgramSet(3) on name + none elsewhere
@@ -1213,7 +1249,8 @@ mod tests {
 
         // Bit-identity with a cold extraction over the mutated tables.
         let mut a2 = a.clone();
-        a2.set_value(0, "name", Value::Str("David Smith Jr".into())).unwrap();
+        a2.set_value(0, "name", Value::Str("David Smith Jr".into()))
+            .unwrap();
         let cold = extract_feature_matrix_scalar(&pairs, &a2, &b, &features).unwrap();
         for (cr, sr) in m2.rows.iter().zip(&cold.rows) {
             for (cv, sv) in cr.iter().zip(sr) {
@@ -1233,12 +1270,19 @@ mod tests {
         ];
         let pairs = all_pairs(&a, &b);
         let mut store = StreamingPreparedPair::new(a.clone(), b.clone());
-        store.extract(&pairs, &features, &ParConfig::serial()).unwrap();
+        store
+            .extract(&pairs, &features, &ParConfig::serial())
+            .unwrap();
 
         let rid = store
             .push_row(
                 false,
-                vec!["b2".into(), "dave smith jr".into(), "madison wi".into(), Value::Int(40)],
+                vec![
+                    "b2".into(),
+                    "dave smith jr".into(),
+                    "madison wi".into(),
+                    Value::Int(40),
+                ],
             )
             .unwrap();
         assert_eq!(rid, b.nrows());
@@ -1246,7 +1290,9 @@ mod tests {
 
         let mut pairs2 = pairs.clone();
         pairs2.extend((0..a.nrows() as u32).map(|ra| (ra, rid as u32)));
-        let (m, s) = store.extract(&pairs2, &features, &ParConfig::workers(4)).unwrap();
+        let (m, s) = store
+            .extract(&pairs2, &features, &ParConfig::workers(4))
+            .unwrap();
         assert!(s.cache.hits > 0);
 
         let mut b2 = b.clone();
@@ -1295,8 +1341,14 @@ mod tests {
         let few: Vec<(u32, u32)> = vec![(250, 3), (7, 199), (250, 40), (8, 3), (0, 0), (7, 3)];
         // The same pairs listed often enough to count as batch-sized.
         let many: Vec<(u32, u32)> = few.iter().cycle().take(few.len() * 20).copied().collect();
-        assert!(few.len() * SPARSE_ROWS_PER_PAIR < b.nrows(), "`few` must take the sorted route");
-        assert!(many.len() * SPARSE_ROWS_PER_PAIR >= a.nrows(), "`many` must take the bitmap route");
+        assert!(
+            few.len() * SPARSE_ROWS_PER_PAIR < b.nrows(),
+            "`few` must take the sorted route"
+        );
+        assert!(
+            many.len() * SPARSE_ROWS_PER_PAIR >= a.nrows(),
+            "`many` must take the bitmap route"
+        );
         for side in [0, 1] {
             let ids = |pairs: &[(u32, u32)]| -> Vec<u32> {
                 pairs.iter().map(|p| [p.0, p.1][side]).collect()
@@ -1314,7 +1366,11 @@ mod tests {
         let (md, sd) = extract_with_prepared(&mut dense, &many, &features, &cfg).unwrap();
         let counted = |c: &CacheStats| (c.lookups, c.hits, c.records_prepared, c.tokenize_calls);
         assert_eq!(counted(&ss.cache), counted(&sd.cache));
-        assert_eq!(ss.cache.lookups, 2 * (4 + 4), "two slots over 4 + 4 distinct rows");
+        assert_eq!(
+            ss.cache.lookups,
+            2 * (4 + 4),
+            "two slots over 4 + 4 distinct rows"
+        );
         assert_eq!(sparse.interner_len(), dense.interner_len());
         for (rs, rd) in ms.rows.iter().zip(&md.rows) {
             for (vs, vd) in rs.iter().zip(rd) {
@@ -1343,7 +1399,10 @@ mod tests {
         col.put(3, PrepValue::Num(2.0));
         assert!(matches!(col.get(999), Some(PrepValue::Num(x)) if *x == 1.0));
         assert!(matches!(col.get(3), Some(PrepValue::Num(x)) if *x == 2.0));
-        assert!(!col.invalidate(4) && !col.invalidate(5_000), "never prepared");
+        assert!(
+            !col.invalidate(4) && !col.invalidate(5_000),
+            "never prepared"
+        );
         for round in 0..50 {
             assert!(col.invalidate(999));
             assert!(col.get(999).is_none());
@@ -1371,7 +1430,11 @@ mod tests {
     fn empty_pairs_prepare_nothing() {
         let (a, b) = tables();
         let mut prepared = PreparedPair::new(&a, &b);
-        let features = vec![Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word))];
+        let features = vec![Feature::new(
+            "name",
+            "name",
+            FeatureKind::Jaccard(TokSpecF::Word),
+        )];
         let (m, stats) =
             extract_with_prepared(&mut prepared, &[], &features, &ParConfig::serial()).unwrap();
         assert!(m.is_empty());

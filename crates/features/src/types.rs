@@ -72,7 +72,11 @@ mod tests {
     fn string_length_classes() {
         let t = Table::from_rows(
             "T",
-            &[("code", Dtype::Str), ("name", Dtype::Str), ("desc", Dtype::Str)],
+            &[
+                ("code", Dtype::Str),
+                ("name", Dtype::Str),
+                ("desc", Dtype::Str),
+            ],
             vec![
                 vec![
                     "WI".into(),

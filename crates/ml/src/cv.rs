@@ -97,7 +97,10 @@ fn cross_validate_all(
             return None;
         }
         let model = learner.fit(&data.subset(&train_idx));
-        let predicted: Vec<bool> = test_idx.iter().map(|&i| model.predict(data.row(i))).collect();
+        let predicted: Vec<bool> = test_idx
+            .iter()
+            .map(|&i| model.predict(data.row(i)))
+            .collect();
         let gold: Vec<bool> = test_idx.iter().map(|&i| data.label(i)).collect();
         Some(Metrics::from_predictions(&predicted, &gold))
     };

@@ -42,11 +42,7 @@ impl Dataset {
 
     /// Append one labeled example.
     pub fn push(&mut self, row: &[f64], label: bool) {
-        assert_eq!(
-            row.len(),
-            self.n_features,
-            "feature vector has wrong arity"
-        );
+        assert_eq!(row.len(), self.n_features, "feature vector has wrong arity");
         self.features.extend_from_slice(row);
         self.labels.push(label);
     }
@@ -132,10 +128,7 @@ mod tests {
 
     #[test]
     fn subset_with_repeats() {
-        let d = Dataset::from_rows(
-            &[vec![0.0], vec![1.0], vec![2.0]],
-            &[false, true, false],
-        );
+        let d = Dataset::from_rows(&[vec![0.0], vec![1.0], vec![2.0]], &[false, true, false]);
         let s = d.subset(&[1, 1, 2]);
         assert_eq!(s.len(), 3);
         assert_eq!(s.row(0), &[1.0]);

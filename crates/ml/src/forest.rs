@@ -212,7 +212,10 @@ impl RandomForestLearner {
                 min_samples_split: self.min_samples_split,
                 min_samples_leaf: self.min_samples_leaf,
                 max_features: Some(max_features),
-                seed: self.seed.wrapping_add(t as u64).wrapping_mul(0x9E3779B97F4A7C15),
+                seed: self
+                    .seed
+                    .wrapping_add(t as u64)
+                    .wrapping_mul(0x9E3779B97F4A7C15),
             };
             learner.fit_tree(&bag)
         });
@@ -297,10 +300,7 @@ mod tests {
         };
         let (f1, f2) = (mk(), mk());
         for i in 0..d.len() {
-            assert_eq!(
-                f1.predict_proba(d.row(i)),
-                f2.predict_proba(d.row(i))
-            );
+            assert_eq!(f1.predict_proba(d.row(i)), f2.predict_proba(d.row(i)));
         }
     }
 

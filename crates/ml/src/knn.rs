@@ -59,7 +59,11 @@ impl Learner for KnnLearner {
             }
         }
         for (s, &c) in stds.iter_mut().zip(&counts) {
-            *s = if c == 0 { 1.0 } else { (*s / c as f64).sqrt().max(1e-12) };
+            *s = if c == 0 {
+                1.0
+            } else {
+                (*s / c as f64).sqrt().max(1e-12)
+            };
         }
         Box::new(KnnClassifier {
             k: self.k,
@@ -76,8 +80,16 @@ impl KnnClassifier {
             .zip(b)
             .enumerate()
             .map(|(j, (&x, &y))| {
-                let xs = if x.is_nan() { 0.0 } else { (x - self.means[j]) / self.stds[j] };
-                let ys = if y.is_nan() { 0.0 } else { (y - self.means[j]) / self.stds[j] };
+                let xs = if x.is_nan() {
+                    0.0
+                } else {
+                    (x - self.means[j]) / self.stds[j]
+                };
+                let ys = if y.is_nan() {
+                    0.0
+                } else {
+                    (y - self.means[j]) / self.stds[j]
+                };
                 (xs - ys).powi(2)
             })
             .sum()

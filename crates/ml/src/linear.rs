@@ -91,13 +91,7 @@ impl LinearClassifier {
     pub fn decision(&self, row: &[f64]) -> f64 {
         let mut z = Vec::with_capacity(row.len());
         self.scaler.transform_into(row, &mut z);
-        self.bias
-            + self
-                .weights
-                .iter()
-                .zip(&z)
-                .map(|(w, x)| w * x)
-                .sum::<f64>()
+        self.bias + self.weights.iter().zip(&z).map(|(w, x)| w * x).sum::<f64>()
     }
 
     /// Learned weights (standardized space).
@@ -316,7 +310,12 @@ mod tests {
     #[test]
     fn constant_feature_does_not_blow_up() {
         let d = Dataset::from_rows(
-            &[vec![5.0, 0.1], vec![5.0, 0.9], vec![5.0, 0.2], vec![5.0, 0.8]],
+            &[
+                vec![5.0, 0.1],
+                vec![5.0, 0.9],
+                vec![5.0, 0.2],
+                vec![5.0, 0.8],
+            ],
             &[false, true, false, true],
         );
         let c = LogisticRegressionLearner::default().fit(&d);

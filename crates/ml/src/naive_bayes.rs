@@ -281,7 +281,12 @@ mod tests {
     #[test]
     fn zero_variance_feature_is_floored() {
         let d = Dataset::from_rows(
-            &[vec![1.0, 0.2], vec![1.0, 0.8], vec![1.0, 0.1], vec![1.0, 0.9]],
+            &[
+                vec![1.0, 0.2],
+                vec![1.0, 0.8],
+                vec![1.0, 0.1],
+                vec![1.0, 0.9],
+            ],
             &[false, true, false, true],
         );
         let c = GaussianNbLearner.fit(&d);

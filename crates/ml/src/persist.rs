@@ -24,7 +24,11 @@ pub struct PersistError {
 
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "model parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "model parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
@@ -77,8 +81,7 @@ pub fn save_tree(tree: &DecisionTreeClassifier) -> String {
                 threshold,
                 left,
                 right,
-            } => writeln!(out, "split {feature} {threshold} {left} {right}")
-                .expect("string write"),
+            } => writeln!(out, "split {feature} {threshold} {left} {right}").expect("string write"),
         }
     }
     out
@@ -86,7 +89,10 @@ pub fn save_tree(tree: &DecisionTreeClassifier) -> String {
 
 /// Parse a tree saved by [`save_tree`].
 pub fn load_tree(text: &str) -> Result<DecisionTreeClassifier, PersistError> {
-    read_tree(&mut text.lines().enumerate().map(|(i, l)| (i + 1, l)), text.lines().count())
+    read_tree(
+        &mut text.lines().enumerate().map(|(i, l)| (i + 1, l)),
+        text.lines().count(),
+    )
 }
 
 /// Read one tree from `lines`, `(line number, line)` pairs of a text whose
@@ -96,7 +102,10 @@ fn read_tree<'a>(
     lines: &mut impl Iterator<Item = (usize, &'a str)>,
     n_lines: usize,
 ) -> Result<DecisionTreeClassifier, PersistError> {
-    let (ln, header) = lines.next().ok_or(PersistError::at(0, "expected `tree v1`, got the end of the input"))?;
+    let (ln, header) = lines.next().ok_or(PersistError::at(
+        0,
+        "expected `tree v1`, got the end of the input",
+    ))?;
     if header != "tree v1" {
         return err(ln, format!("expected `tree v1`, got `{header}`"));
     }
@@ -135,18 +144,30 @@ fn read_tree<'a>(
         let parts: Vec<&str> = nline.split(' ').collect();
         let node = match parts.as_slice() {
             ["leaf", n, n_pos] => {
-                let n: usize = n.parse().map_err(|_| PersistError::at(ln, "bad leaf count"))?;
-                let n_pos: usize = n_pos.parse().map_err(|_| PersistError::at(ln, "bad leaf positive count"))?;
+                let n: usize = n
+                    .parse()
+                    .map_err(|_| PersistError::at(ln, "bad leaf count"))?;
+                let n_pos: usize = n_pos
+                    .parse()
+                    .map_err(|_| PersistError::at(ln, "bad leaf positive count"))?;
                 if n_pos > n {
                     return err(ln, "leaf has more positives than examples");
                 }
                 Node::Leaf { n, n_pos }
             }
             ["split", feature, threshold, left, right] => {
-                let feature: usize = feature.parse().map_err(|_| PersistError::at(ln, "bad split feature"))?;
-                let threshold: f64 = threshold.parse().map_err(|_| PersistError::at(ln, "bad split threshold"))?;
-                let left: usize = left.parse().map_err(|_| PersistError::at(ln, "bad left child"))?;
-                let right: usize = right.parse().map_err(|_| PersistError::at(ln, "bad right child"))?;
+                let feature: usize = feature
+                    .parse()
+                    .map_err(|_| PersistError::at(ln, "bad split feature"))?;
+                let threshold: f64 = threshold
+                    .parse()
+                    .map_err(|_| PersistError::at(ln, "bad split threshold"))?;
+                let left: usize = left
+                    .parse()
+                    .map_err(|_| PersistError::at(ln, "bad left child"))?;
+                let right: usize = right
+                    .parse()
+                    .map_err(|_| PersistError::at(ln, "bad right child"))?;
                 if feature >= n_features {
                     return err(ln, "split feature out of range");
                 }
@@ -184,7 +205,10 @@ pub fn save_forest(forest: &RandomForestClassifier) -> String {
 
 /// Parse a forest saved by [`save_forest`].
 pub fn load_forest(text: &str) -> Result<RandomForestClassifier, PersistError> {
-    read_forest(&mut text.lines().enumerate().map(|(i, l)| (i + 1, l)), text.lines().count())
+    read_forest(
+        &mut text.lines().enumerate().map(|(i, l)| (i + 1, l)),
+        text.lines().count(),
+    )
 }
 
 /// Read a forest — its header, its trees, and nothing after them — from
@@ -247,7 +271,10 @@ mod tests {
         // Thresholds round-trip bit-exactly -> identical predictions.
         let probe = data(2);
         for i in 0..probe.len() {
-            assert_eq!(tree.predict_proba(probe.row(i)), back.predict_proba(probe.row(i)));
+            assert_eq!(
+                tree.predict_proba(probe.row(i)),
+                back.predict_proba(probe.row(i))
+            );
         }
     }
 
@@ -260,7 +287,10 @@ mod tests {
         .fit_forest(&data(3));
         let text = save_forest(&forest);
         // A CRLF copy reads back to the same forest.
-        assert_eq!(save_forest(&load_forest(&text.replace('\n', "\r\n"))?), text);
+        assert_eq!(
+            save_forest(&load_forest(&text.replace('\n', "\r\n"))?),
+            text
+        );
         let back = load_forest(&text)?;
         assert_eq!(forest.trees().len(), back.trees().len());
         let probe = data(4);
@@ -303,7 +333,10 @@ mod tests {
         ] {
             for (e, line) in [
                 (load_tree(bad).unwrap_err(), line),
-                (load_forest(&format!("forest v1 1\n{bad}")).unwrap_err(), line + 1),
+                (
+                    load_forest(&format!("forest v1 1\n{bad}")).unwrap_err(),
+                    line + 1,
+                ),
             ] {
                 assert_eq!(e.line, line, "{bad:?}: {e}");
                 assert!(e.message.contains("lines follow"), "{bad:?}: {e}");

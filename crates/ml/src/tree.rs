@@ -324,10 +324,7 @@ fn build_node(ctx: &mut BuildCtx<'_>, indices: Vec<usize>, depth: usize) -> usiz
         ctx.nodes.push(Node::Leaf { n, n_pos });
         ctx.nodes.len() - 1
     };
-    if n_pos == 0
-        || n_pos == n
-        || depth >= ctx.params.max_depth
-        || n < ctx.params.min_samples_split
+    if n_pos == 0 || n_pos == n || depth >= ctx.params.max_depth || n < ctx.params.min_samples_split
     {
         return make_leaf(ctx);
     }

@@ -5,25 +5,19 @@ use magellan_ml::cv::stratified_folds;
 use magellan_ml::naive_bayes::{BernoulliNbLearner, GaussianNbLearner};
 use magellan_ml::persist::{load_forest, save_forest};
 use magellan_ml::{
-    Dataset, DecisionTreeLearner, Learner, LogisticRegressionLearner, Metrics,
-    RandomForestLearner,
+    Dataset, DecisionTreeLearner, Learner, LogisticRegressionLearner, Metrics, RandomForestLearner,
 };
 use proptest::prelude::*;
 
 /// Random small dataset with at least one example of each class.
 fn dataset() -> impl Strategy<Value = Dataset> {
-    (
-        proptest::collection::vec(
-            (
-                proptest::collection::vec(
-                    prop_oneof![4 => 0.0f64..1.0, 1 => Just(f64::NAN)],
-                    3,
-                ),
-                any::<bool>(),
-            ),
-            8..40,
+    (proptest::collection::vec(
+        (
+            proptest::collection::vec(prop_oneof![4 => 0.0f64..1.0, 1 => Just(f64::NAN)], 3),
+            any::<bool>(),
         ),
-    )
+        8..40,
+    ),)
         .prop_map(|(mut rows,)| {
             // Force both classes to be present.
             rows[0].1 = true;

@@ -186,9 +186,7 @@ impl Obs {
 
 #[cfg(test)]
 mod tests {
-    use crate::{
-        event, flight_on_failure, span, span_res_add, EvVal, Obs,
-    };
+    use crate::{event, flight_on_failure, span, span_res_add, EvVal, Obs};
 
     #[test]
     fn dump_carries_failures_spans_and_counter_deltas() {
@@ -259,10 +257,7 @@ mod tests {
         let obs = Obs::pinned();
         obs.set_run_context(7, 4);
         obs.note_failure();
-        let dir = std::env::temp_dir().join(format!(
-            "magellan_flight_test_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("magellan_flight_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let tmpl = dir.join("flight_s{seed}_w{workers}.json");
         let path = obs.write_flight_dump(tmpl.to_str().unwrap()).unwrap();

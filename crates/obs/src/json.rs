@@ -83,7 +83,10 @@ impl Json {
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(s: &str) -> Result<Json, String> {
-    let mut p = Parser { b: s.as_bytes(), i: 0 };
+    let mut p = Parser {
+        b: s.as_bytes(),
+        i: 0,
+    };
     p.ws();
     let v = p.value(0)?;
     p.ws();
@@ -221,14 +224,38 @@ impl<'a> Parser<'a> {
                 Some(b'\\') => {
                     self.i += 1;
                     match self.peek() {
-                        Some(b'"') => { out.push('"'); self.i += 1; }
-                        Some(b'\\') => { out.push('\\'); self.i += 1; }
-                        Some(b'/') => { out.push('/'); self.i += 1; }
-                        Some(b'b') => { out.push('\u{8}'); self.i += 1; }
-                        Some(b'f') => { out.push('\u{c}'); self.i += 1; }
-                        Some(b'n') => { out.push('\n'); self.i += 1; }
-                        Some(b'r') => { out.push('\r'); self.i += 1; }
-                        Some(b't') => { out.push('\t'); self.i += 1; }
+                        Some(b'"') => {
+                            out.push('"');
+                            self.i += 1;
+                        }
+                        Some(b'\\') => {
+                            out.push('\\');
+                            self.i += 1;
+                        }
+                        Some(b'/') => {
+                            out.push('/');
+                            self.i += 1;
+                        }
+                        Some(b'b') => {
+                            out.push('\u{8}');
+                            self.i += 1;
+                        }
+                        Some(b'f') => {
+                            out.push('\u{c}');
+                            self.i += 1;
+                        }
+                        Some(b'n') => {
+                            out.push('\n');
+                            self.i += 1;
+                        }
+                        Some(b'r') => {
+                            out.push('\r');
+                            self.i += 1;
+                        }
+                        Some(b't') => {
+                            out.push('\t');
+                            self.i += 1;
+                        }
                         Some(b'u') => {
                             self.i += 1;
                             let hi = self.hex4()?;

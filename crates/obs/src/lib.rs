@@ -64,9 +64,9 @@ mod span;
 pub use event::{EvVal, EventRec};
 pub use flight::{FLIGHT_EVENTS, FLIGHT_FAILURES, FLIGHT_SPANS};
 pub use json::{parse as parse_json, Json};
-pub use logging::{init_bin_logging, log_enabled, log_level, set_log_level, Level};
 #[doc(hidden)]
 pub use logging::__log_emit;
+pub use logging::{init_bin_logging, log_enabled, log_level, set_log_level, Level};
 pub use metrics::{Histogram, MetricValue, N_BUCKETS};
 pub use profile::{ObsProfile, ProfileNode};
 pub use snapshot::ObsSnapshot;
@@ -321,7 +321,9 @@ impl Obs {
                 open_res: Vec::new(),
             })
         });
-        InstallGuard { obs_id: self.inner.id }
+        InstallGuard {
+            obs_id: self.inner.id,
+        }
     }
 
     /// Record the run context used to key flight-recorder artifacts:
@@ -428,7 +430,14 @@ impl Obs {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone();
-        ObsSnapshot::build(self.inner.mode, spans, events, metrics, dropped_spans, dropped_events)
+        ObsSnapshot::build(
+            self.inner.mode,
+            spans,
+            events,
+            metrics,
+            dropped_spans,
+            dropped_events,
+        )
     }
 }
 
@@ -459,7 +468,10 @@ impl Drop for InstallGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| {
             let mut stack = c.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|ctx| ctx.obs.inner.id == self.obs_id) {
+            if let Some(pos) = stack
+                .iter()
+                .rposition(|ctx| ctx.obs.inner.id == self.obs_id)
+            {
                 stack.remove(pos);
             }
         });
@@ -740,13 +752,15 @@ mod tests {
         gauge_max("magellan_simjoin_shard_peak_index_bytes", 4096.0);
         gauge_max("magellan_simjoin_shard_peak_index_bytes", 512.0);
         assert_eq!(
-            obs.snapshot().gauge("magellan_simjoin_shard_peak_index_bytes"),
+            obs.snapshot()
+                .gauge("magellan_simjoin_shard_peak_index_bytes"),
             4096.0
         );
         gauge_max("magellan_simjoin_shard_peak_index_bytes", 8192.0);
         gauge_max("magellan_simjoin_shard_peak_index_bytes", f64::NAN);
         assert_eq!(
-            obs.snapshot().gauge("magellan_simjoin_shard_peak_index_bytes"),
+            obs.snapshot()
+                .gauge("magellan_simjoin_shard_peak_index_bytes"),
             8192.0,
             "NaN never wins"
         );

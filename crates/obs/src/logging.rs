@@ -154,7 +154,11 @@ mod tests {
         });
         assert!(!evaluated, "format args evaluated while disabled");
         set_log_level(Some(Level::Trace));
-        crate::log!(trace, "trace message {} (to stderr, expected in test output)", 42);
+        crate::log!(
+            trace,
+            "trace message {} (to stderr, expected in test output)",
+            42
+        );
         set_log_level(None);
     }
 

@@ -317,10 +317,7 @@ mod tests {
         let prof = sample().profile();
         let txt = prof.to_json();
         let parsed = crate::parse_json(&txt).expect("valid JSON");
-        assert_eq!(
-            parsed.get("clock").and_then(|c| c.as_str()),
-            Some("pinned")
-        );
+        assert_eq!(parsed.get("clock").and_then(|c| c.as_str()), Some("pinned"));
         let roots = parsed.get("roots").and_then(|r| r.as_array()).unwrap();
         assert_eq!(roots.len(), 1);
         let total = roots[0].get("total_ns").and_then(|v| v.as_f64()).unwrap();

@@ -220,14 +220,9 @@ impl ObsSnapshot {
                         }
                         cum += n;
                         let le = Histogram::bucket_le(k);
-                        let _ =
-                            writeln!(out, "{base}_bucket{{{labels}{sep}le=\"{le}\"}} {cum}");
+                        let _ = writeln!(out, "{base}_bucket{{{labels}{sep}le=\"{le}\"}} {cum}");
                     }
-                    let _ = writeln!(
-                        out,
-                        "{base}_bucket{{{labels}{sep}le=\"+Inf\"}} {}",
-                        h.count
-                    );
+                    let _ = writeln!(out, "{base}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", h.count);
                     let _ = writeln!(out, "{base}_sum{{{labels}}} {}", h.sum);
                     let _ = writeln!(out, "{base}_count{{{labels}}} {}", h.count);
                 }
@@ -354,7 +349,11 @@ fn fmt_f64(v: f64) -> String {
     if v.is_nan() {
         "NaN".to_owned()
     } else if v.is_infinite() {
-        if v > 0.0 { "+Inf".to_owned() } else { "-Inf".to_owned() }
+        if v > 0.0 {
+            "+Inf".to_owned()
+        } else {
+            "-Inf".to_owned()
+        }
     } else {
         format!("{v}")
     }
@@ -455,7 +454,11 @@ mod tests {
             0,
         );
         assert_eq!(snap.spans.len(), 3, "no span is silently lost");
-        assert_eq!(snap.max_depth(), 1, "cycle members are grafted as flat roots");
+        assert_eq!(
+            snap.max_depth(),
+            1,
+            "cycle members are grafted as flat roots"
+        );
         assert_eq!(snap.spans_named("lost").len(), 1);
     }
 
@@ -475,9 +478,11 @@ mod tests {
         h.record(0);
         h.record(3);
         h.record(3);
-        m.insert("magellan_par_chunk_items".to_owned(), MetricValue::Histogram(h));
-        let snap =
-            ObsSnapshot::build(ClockMode::Pinned, vec![], vec![], m, 0, 0);
+        m.insert(
+            "magellan_par_chunk_items".to_owned(),
+            MetricValue::Histogram(h),
+        );
+        let snap = ObsSnapshot::build(ClockMode::Pinned, vec![], vec![], m, 0, 0);
         let txt = snap.to_prometheus();
         let expect = "\
 # TYPE magellan_core_recall gauge

@@ -380,7 +380,10 @@ impl JoinStats {
         };
         obs.counter_add("magellan_simjoin_probes_total", self.probes as u64);
         obs.counter_add("magellan_simjoin_candidates_total", self.candidates as u64);
-        obs.counter_add("magellan_simjoin_killed_by_size_total", self.killed_by_size as u64);
+        obs.counter_add(
+            "magellan_simjoin_killed_by_size_total",
+            self.killed_by_size as u64,
+        );
         obs.counter_add(
             "magellan_simjoin_killed_by_position_total",
             self.killed_by_position as u64,
@@ -390,9 +393,15 @@ impl JoinStats {
             self.killed_by_suffix as u64,
         );
         obs.counter_add("magellan_simjoin_verified_total", self.verified as u64);
-        obs.counter_add("magellan_simjoin_verify_steps_total", self.verify_steps as u64);
+        obs.counter_add(
+            "magellan_simjoin_verify_steps_total",
+            self.verify_steps as u64,
+        );
         obs.counter_add("magellan_simjoin_pairs_total", self.pairs as u64);
-        obs.counter_add("magellan_simjoin_probe_swaps_total", self.probe_swaps as u64);
+        obs.counter_add(
+            "magellan_simjoin_probe_swaps_total",
+            self.probe_swaps as u64,
+        );
         obs.counter_add(
             "magellan_simjoin_killed_by_qgram_sig_total",
             self.killed_by_qgram_sig as u64,
@@ -401,7 +410,10 @@ impl JoinStats {
             "magellan_simjoin_qgram_sig_checked_total",
             self.qgram_sig_checked as u64,
         );
-        obs.counter_add("magellan_simjoin_delta_probes_total", self.delta_probes as u64);
+        obs.counter_add(
+            "magellan_simjoin_delta_probes_total",
+            self.delta_probes as u64,
+        );
         obs.counter_add(
             "magellan_simjoin_delta_pairs_added_total",
             self.delta_pairs_added as u64,
@@ -418,7 +430,10 @@ impl JoinStats {
             "magellan_simjoin_tail_postings_scanned_total",
             self.tail_postings_scanned as u64,
         );
-        obs.counter_add("magellan_simjoin_compactions_total", self.compactions as u64);
+        obs.counter_add(
+            "magellan_simjoin_compactions_total",
+            self.compactions as u64,
+        );
     }
 
     /// Fold another region's join counters into this one (all sums).
@@ -541,7 +556,8 @@ impl ParStats {
         self.chunks_recovered += other.chunks_recovered;
         self.worker_deaths += other.worker_deaths;
         if self.worker_busy.len() < other.worker_busy.len() {
-            self.worker_busy.resize(other.worker_busy.len(), Duration::ZERO);
+            self.worker_busy
+                .resize(other.worker_busy.len(), Duration::ZERO);
         }
         for (mine, theirs) in self.worker_busy.iter_mut().zip(&other.worker_busy) {
             *mine += *theirs;
@@ -643,8 +659,8 @@ where
             let completed = loop {
                 // Attempts after the first get their own nested span, so
                 // the trace shows chunk → retry scopes.
-                let retry_span = (attempt > 0)
-                    .then(|| magellan_obs::span("retry", u64::from(attempt)));
+                let retry_span =
+                    (attempt > 0).then(|| magellan_obs::span("retry", u64::from(attempt)));
                 match run_attempt(c, attempt, lo..hi) {
                     Ok(out) => {
                         drop(retry_span);
@@ -668,7 +684,11 @@ where
                         log.contained += 1;
                         let injected = payload.downcast_ref::<InjectedFault>().is_some();
                         magellan_obs::event(
-                            if injected { "fault_injected" } else { "panic_contained" },
+                            if injected {
+                                "fault_injected"
+                            } else {
+                                "panic_contained"
+                            },
                             &[
                                 ("chunk", EvVal::U(c as u64)),
                                 ("attempt", EvVal::U(u64::from(attempt))),
@@ -706,7 +726,10 @@ where
                 log.died = true;
                 magellan_obs::event(
                     "worker_died",
-                    &[("worker", EvVal::U(w as u64)), ("chunk", EvVal::U(c as u64))],
+                    &[
+                        ("worker", EvVal::U(w as u64)),
+                        ("chunk", EvVal::U(c as u64)),
+                    ],
                 );
                 break;
             }
@@ -785,10 +808,7 @@ where
                         stats.chunks_recovered += 1;
                         magellan_obs::event(
                             "chunk_recovered",
-                            &[
-                                ("chunk", EvVal::U(c as u64)),
-                                ("fallback", EvVal::U(1)),
-                            ],
+                            &[("chunk", EvVal::U(c as u64)), ("fallback", EvVal::U(1))],
                         );
                         if let Ok(mut slot) = slots[c].lock() {
                             *slot = Some(out);
@@ -800,7 +820,11 @@ where
                         stats.panics_contained += 1;
                         let injected = payload.downcast_ref::<InjectedFault>().is_some();
                         magellan_obs::event(
-                            if injected { "fault_injected" } else { "panic_contained" },
+                            if injected {
+                                "fault_injected"
+                            } else {
+                                "panic_contained"
+                            },
                             &[
                                 ("chunk", EvVal::U(c as u64)),
                                 ("attempt", EvVal::U(u64::from(attempt))),
@@ -843,11 +867,7 @@ where
 }
 
 /// Fallible ordered parallel map: first error (by index order) wins.
-pub fn try_map_indexed<T, E, F>(
-    len: usize,
-    cfg: &ParConfig,
-    f: F,
-) -> Result<(Vec<T>, ParStats), E>
+pub fn try_map_indexed<T, E, F>(len: usize, cfg: &ParConfig, f: F) -> Result<(Vec<T>, ParStats), E>
 where
     T: Send,
     E: Send,
@@ -924,11 +944,15 @@ mod tests {
     #[test]
     fn try_map_propagates_first_error() {
         let cfg = ParConfig::workers(4).with_chunk_size(2);
-        let r: Result<(Vec<usize>, ParStats), String> =
-            try_map_indexed(50, &cfg, |i| if i == 33 { Err(format!("boom {i}")) } else { Ok(i) });
+        let r: Result<(Vec<usize>, ParStats), String> = try_map_indexed(50, &cfg, |i| {
+            if i == 33 {
+                Err(format!("boom {i}"))
+            } else {
+                Ok(i)
+            }
+        });
         assert_eq!(r.err(), Some("boom 33".to_owned()));
-        let ok: Result<(Vec<usize>, ParStats), String> =
-            try_map_indexed(10, &cfg, Ok);
+        let ok: Result<(Vec<usize>, ParStats), String> = try_map_indexed(10, &cfg, Ok);
         assert_eq!(ok.unwrap().0, (0..10).collect::<Vec<_>>());
     }
 
@@ -1155,7 +1179,10 @@ mod tests {
         let (out, stats) = chunk_map(100, &cfg, |range| {
             let c = range.start / 2;
             if first_try[c].fetch_add(1, Ordering::Relaxed) == 0 {
-                std::panic::panic_any(InjectedFault { chunk: c, attempt: 0 });
+                std::panic::panic_any(InjectedFault {
+                    chunk: c,
+                    attempt: 0,
+                });
             }
             range.sum::<usize>()
         });

@@ -273,11 +273,7 @@ mod tests {
     #[test]
     fn shared_vocabulary_across_sides() {
         let tok = WhitespaceTokenizer::new();
-        let c = TokenizedCollection::build(
-            &some(&["a b", "b c"]),
-            &some(&["c d"]),
-            &tok,
-        );
+        let c = TokenizedCollection::build(&some(&["a b", "b c"]), &some(&["c d"]), &tok);
         assert_eq!(c.vocab_size, 4);
         assert_eq!(c.left.len(), 2);
         assert_eq!(c.right.len(), 1);
@@ -294,11 +290,8 @@ mod tests {
     fn rare_tokens_get_small_ids() {
         let tok = WhitespaceTokenizer::new();
         // "common" appears in 3 records, "rare" in 1.
-        let c = TokenizedCollection::build(
-            &some(&["common rare", "common"]),
-            &some(&["common"]),
-            &tok,
-        );
+        let c =
+            TokenizedCollection::build(&some(&["common rare", "common"]), &some(&["common"]), &tok);
         // The record with both tokens: the rare token id must come first in
         // sorted order, i.e. have the smaller id.
         let both = &c.left[0];
@@ -339,8 +332,7 @@ mod tests {
         for t in ["zebra", "mouse", "case", "aardvark", "sony"] {
             interner.intern(t);
         }
-        let seeded =
-            TokenizedCollection::build_with_interner(&left, &right, &tok, &mut interner);
+        let seeded = TokenizedCollection::build_with_interner(&left, &right, &tok, &mut interner);
         assert_eq!(fresh.left, seeded.left);
         assert_eq!(fresh.right, seeded.right);
         assert_eq!(fresh.vocab_size, seeded.vocab_size);

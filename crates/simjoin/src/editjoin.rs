@@ -293,9 +293,7 @@ pub fn edit_distance_join_q_stats<S: AsRef<str>>(
         // Bucket scan for partner lengths where the count filter is
         // powerless (req(m) <= 0): these must all be verified.
         for m in lo..=hi {
-            let req = x_grams
-                .max(m.saturating_sub(q - 1))
-                .saturating_sub(q * d);
+            let req = x_grams.max(m.saturating_sub(q - 1)).saturating_sub(q * d);
             if req >= 1 {
                 continue; // covered by the count-filter path
             }
@@ -339,7 +337,15 @@ mod tests {
 
     #[test]
     fn banded_levenshtein_agrees_with_full() {
-        let words = ["", "a", "ab", "kitten", "sitting", "mississippi", "misisipi"];
+        let words = [
+            "",
+            "a",
+            "ab",
+            "kitten",
+            "sitting",
+            "mississippi",
+            "misisipi",
+        ];
         for a in words {
             for b in words {
                 let full = levenshtein(a, b);
@@ -371,8 +377,12 @@ mod tests {
         for trial in 0..400 {
             let la = next() % 14;
             let lb = next() % 14;
-            let a: String = (0..la).map(|_| (b'a' + (next() % 3) as u8) as char).collect();
-            let b: String = (0..lb).map(|_| (b'a' + (next() % 3) as u8) as char).collect();
+            let a: String = (0..la)
+                .map(|_| (b'a' + (next() % 3) as u8) as char)
+                .collect();
+            let b: String = (0..lb)
+                .map(|_| (b'a' + (next() % 3) as u8) as char)
+                .collect();
             let full = levenshtein(&a, &b);
             for d in 0..=10 {
                 let banded = levenshtein_within(&a, &b, d);
@@ -426,7 +436,11 @@ mod tests {
             (0..80)
                 .map(|_| {
                     let n = next() % 8;
-                    Some((0..n).map(|_| (b'a' + (next() % 4) as u8) as char).collect())
+                    Some(
+                        (0..n)
+                            .map(|_| (b'a' + (next() % 4) as u8) as char)
+                            .collect(),
+                    )
                 })
                 .collect()
         };

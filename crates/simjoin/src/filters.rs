@@ -31,7 +31,10 @@ pub fn jaccard_min_overlap(sx: usize, sy: usize, t: f64) -> usize {
 /// Size bounds `[lo, hi]` for the partner of a set of size `s` under
 /// Jaccard ≥ t: `⌈t·s⌉ ≤ |y| ≤ ⌊s/t⌋`.
 pub fn jaccard_size_bounds(s: usize, t: f64) -> (usize, usize) {
-    (safe_ceil(t * s as f64), (s as f64 / t + 1e-9).floor() as usize)
+    (
+        safe_ceil(t * s as f64),
+        (s as f64 / t + 1e-9).floor() as usize,
+    )
 }
 
 /// Minimum overlap for cosine ≥ t: `⌈ t·√(sx·sy) ⌉`.

@@ -625,8 +625,8 @@ impl IncrementalJoin {
                 let old_plen = self.measure.prefix_len(old.len()).min(old.len());
                 index.dead_tail_postings += old_plen;
             }
-            state.n_alive =
-                state.n_alive + usize::from(text.is_some()) - usize::from(state.texts[rid].is_some());
+            state.n_alive = state.n_alive + usize::from(text.is_some())
+                - usize::from(state.texts[rid].is_some());
             state.texts[rid] = text;
             state.tokens[rid] = tokens;
             state.gens[rid] = state.gens[rid].wrapping_add(1);
@@ -721,8 +721,8 @@ impl IncrementalJoin {
         .into_iter()
         .enumerate()
         {
-            let tail_outgrew =
-                index.n_tail_postings > TAIL_COMPACT_FLOOR && index.n_tail_postings > index.csr.n_postings();
+            let tail_outgrew = index.n_tail_postings > TAIL_COMPACT_FLOOR
+                && index.n_tail_postings > index.csr.n_postings();
             if index.dead_fraction() > self.compaction_threshold || tail_outgrew {
                 let span = magellan_obs::span("compaction", side as u64);
                 let t0 = Instant::now();
@@ -861,19 +861,45 @@ mod tests {
             let mut eng = IncrementalJoin::new(measure);
             let cfg = ParConfig::serial();
             eng.apply_batch(&seed_batch(40, 11), &tok, &cfg);
-            assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok), "{measure:?} seed");
+            assert_eq!(
+                eng.live_pairs(),
+                eng.rebuild_from_scratch(&tok),
+                "{measure:?} seed"
+            );
             // Deletes, updates, more inserts, a null update.
             let batch = vec![
-                RecordMutation::Delete { side: Side::Left, rid: 3 },
-                RecordMutation::Delete { side: Side::Right, rid: 7 },
-                RecordMutation::Update { side: Side::Left, rid: 0, text: Some("t1 t2 t3".into()) },
-                RecordMutation::Update { side: Side::Right, rid: 1, text: Some("t1 t2 t3".into()) },
-                RecordMutation::Update { side: Side::Right, rid: 2, text: None },
+                RecordMutation::Delete {
+                    side: Side::Left,
+                    rid: 3,
+                },
+                RecordMutation::Delete {
+                    side: Side::Right,
+                    rid: 7,
+                },
+                RecordMutation::Update {
+                    side: Side::Left,
+                    rid: 0,
+                    text: Some("t1 t2 t3".into()),
+                },
+                RecordMutation::Update {
+                    side: Side::Right,
+                    rid: 1,
+                    text: Some("t1 t2 t3".into()),
+                },
+                RecordMutation::Update {
+                    side: Side::Right,
+                    rid: 2,
+                    text: None,
+                },
                 ins(Side::Left, "t1 t2 t3 t4"),
                 ins(Side::Right, "t1 t2 t3 t4"),
             ];
             eng.apply_batch(&batch, &tok, &cfg);
-            assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok), "{measure:?} mixed");
+            assert_eq!(
+                eng.live_pairs(),
+                eng.rebuild_from_scratch(&tok),
+                "{measure:?} mixed"
+            );
             // The alive counter agrees with a scan (nulls and deletes both
             // leave `None`).
             for side in [Side::Left, Side::Right] {
@@ -996,7 +1022,10 @@ mod tests {
         assert!(deltas.is_empty(), "{deltas:?}");
         assert_eq!((stats.delta_pairs_added, stats.delta_pairs_removed), (0, 0));
         assert_eq!(eng.n_live_pairs(), 1);
-        assert_eq!((eng.n_records(Side::Right), eng.n_alive(Side::Right)), (2, 1));
+        assert_eq!(
+            (eng.n_records(Side::Right), eng.n_alive(Side::Right)),
+            (2, 1)
+        );
         assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok));
     }
 
@@ -1008,8 +1037,8 @@ mod tests {
     fn fresh_tokens_lead_the_prefix_and_still_join() {
         let tok = WhitespaceTokenizer::new();
         let cfg = ParConfig::serial();
-        let mut eng = IncrementalJoin::new(SetSimMeasure::Jaccard(0.5))
-            .with_compaction_threshold(1e-9);
+        let mut eng =
+            IncrementalJoin::new(SetSimMeasure::Jaccard(0.5)).with_compaction_threshold(1e-9);
         eng.apply_batch(
             &[ins(Side::Left, "a b c d"), ins(Side::Right, "a b c d")],
             &tok,
@@ -1019,15 +1048,28 @@ mod tests {
         // Re-write left 0 (which packs the left side), then bring in new
         // tokens.
         eng.apply_batch(
-            &[RecordMutation::Update { side: Side::Left, rid: 0, text: Some("a b c d".into()) }],
+            &[RecordMutation::Update {
+                side: Side::Left,
+                rid: 0,
+                text: Some("a b c d".into()),
+            }],
             &tok,
             &cfg,
         );
-        assert!(eng.index_generation(Side::Left) > 0, "the seed must be packed");
+        assert!(
+            eng.index_generation(Side::Left) > 0,
+            "the seed must be packed"
+        );
         eng.apply_batch(&[ins(Side::Left, "a b x y")], &tok, &cfg);
-        assert_eq!(eng.left.tokens[0], before, "vocabulary growth moved a stored set");
+        assert_eq!(
+            eng.left.tokens[0], before,
+            "vocabulary growth moved a stored set"
+        );
         let newest = &eng.left.tokens[1];
-        assert!(newest[1] < before[0], "x and y must sort before a..d: {newest:?}");
+        assert!(
+            newest[1] < before[0],
+            "x and y must sort before a..d: {newest:?}"
+        );
         let (deltas, _) = eng.apply_batch(&[ins(Side::Right, "b x y")], &tok, &cfg);
         assert_eq!(deltas.len(), 1, "{deltas:?}");
         assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok));
@@ -1041,11 +1083,21 @@ mod tests {
         let mut eng = IncrementalJoin::new(SetSimMeasure::Jaccard(0.4));
         let cfg = ParConfig::serial();
         eng.apply_batch(&seed_batch(30, 5), &tok, &cfg);
-        let mut view: BTreeMap<(usize, usize), f64> =
-            eng.live_pairs().iter().map(|p| ((p.l, p.r), p.sim)).collect();
+        let mut view: BTreeMap<(usize, usize), f64> = eng
+            .live_pairs()
+            .iter()
+            .map(|p| ((p.l, p.r), p.sim))
+            .collect();
         let batch = vec![
-            RecordMutation::Delete { side: Side::Left, rid: 1 },
-            RecordMutation::Update { side: Side::Right, rid: 4, text: Some("t3 t4".into()) },
+            RecordMutation::Delete {
+                side: Side::Left,
+                rid: 1,
+            },
+            RecordMutation::Update {
+                side: Side::Right,
+                rid: 4,
+                text: Some("t3 t4".into()),
+            },
             ins(Side::Left, "t3 t4 t5"),
         ];
         let (deltas, stats) = eng.apply_batch(&batch, &tok, &cfg);
@@ -1064,7 +1116,10 @@ mod tests {
             .map(|(&(l, r), &sim)| JoinPair { l, r, sim })
             .collect();
         assert_eq!(replayed, eng.live_pairs());
-        assert_eq!(stats.delta_pairs_added + stats.delta_pairs_removed, deltas.len());
+        assert_eq!(
+            stats.delta_pairs_added + stats.delta_pairs_removed,
+            deltas.len()
+        );
     }
 
     /// The compaction threshold is a pure performance knob: eager and
@@ -1073,18 +1128,28 @@ mod tests {
     fn compaction_never_changes_the_view() {
         let tok = WhitespaceTokenizer::new();
         let cfg = ParConfig::serial();
-        let mut eager = IncrementalJoin::new(SetSimMeasure::Jaccard(0.5))
-            .with_compaction_threshold(1e-9);
-        let mut lazy = IncrementalJoin::new(SetSimMeasure::Jaccard(0.5))
-            .with_compaction_threshold(1e9);
+        let mut eager =
+            IncrementalJoin::new(SetSimMeasure::Jaccard(0.5)).with_compaction_threshold(1e-9);
+        let mut lazy =
+            IncrementalJoin::new(SetSimMeasure::Jaccard(0.5)).with_compaction_threshold(1e9);
         let mut batches = vec![seed_batch(25, 3)];
         batches.push(vec![
-            RecordMutation::Delete { side: Side::Left, rid: 2 },
-            RecordMutation::Update { side: Side::Right, rid: 3, text: Some("t5 t6 t7".into()) },
+            RecordMutation::Delete {
+                side: Side::Left,
+                rid: 2,
+            },
+            RecordMutation::Update {
+                side: Side::Right,
+                rid: 3,
+                text: Some("t5 t6 t7".into()),
+            },
             ins(Side::Right, "t5 t6"),
         ]);
         batches.push(vec![
-            RecordMutation::Delete { side: Side::Right, rid: 3 },
+            RecordMutation::Delete {
+                side: Side::Right,
+                rid: 3,
+            },
             ins(Side::Left, "t5 t6 t7"),
         ]);
         for batch in &batches {
@@ -1109,7 +1174,11 @@ mod tests {
         let mut engines: Vec<IncrementalJoin> = (0..3)
             .map(|_| IncrementalJoin::new(SetSimMeasure::Dice(0.55)))
             .collect();
-        let cfgs = [ParConfig::serial(), ParConfig::workers(4), ParConfig::workers(8)];
+        let cfgs = [
+            ParConfig::serial(),
+            ParConfig::workers(4),
+            ParConfig::workers(8),
+        ];
         for (batch_seed, n) in [(21u64, 30), (22, 10), (23, 20)] {
             let batch = seed_batch(n, batch_seed);
             let mut results = Vec::new();
@@ -1132,8 +1201,8 @@ mod tests {
     fn tombstones_are_skipped_then_compacted_away() {
         let tok = WhitespaceTokenizer::new();
         let cfg = ParConfig::serial();
-        let mut eng = IncrementalJoin::new(SetSimMeasure::Jaccard(0.5))
-            .with_compaction_threshold(1e9); // never compact on its own
+        let mut eng =
+            IncrementalJoin::new(SetSimMeasure::Jaccard(0.5)).with_compaction_threshold(1e9); // never compact on its own
         eng.apply_batch(
             &[
                 ins(Side::Left, "a b c"),
@@ -1146,7 +1215,10 @@ mod tests {
         // Force both sides into a packed CSR so the delete tombstones a
         // CSR posting rather than a tail posting.
         let (_, s0) = eng.apply_batch(
-            &[RecordMutation::Delete { side: Side::Right, rid: 0 }],
+            &[RecordMutation::Delete {
+                side: Side::Right,
+                rid: 0,
+            }],
             &tok,
             &cfg,
         );
@@ -1167,7 +1239,10 @@ mod tests {
         let mut a = IncrementalJoin::new(SetSimMeasure::Cosine(0.6));
         a.apply_batch(&seed_batch(20, 9), &tok, &cfg);
         a.apply_batch(
-            &[RecordMutation::Delete { side: Side::Left, rid: 5 }],
+            &[RecordMutation::Delete {
+                side: Side::Left,
+                rid: 5,
+            }],
             &tok,
             &cfg,
         );
@@ -1181,7 +1256,10 @@ mod tests {
             a.index_generation(Side::Right),
         );
         assert_eq!(a.live_pairs(), b.live_pairs());
-        assert_eq!(a.index_generation(Side::Left), b.index_generation(Side::Left));
+        assert_eq!(
+            a.index_generation(Side::Left),
+            b.index_generation(Side::Left)
+        );
         let batch = seed_batch(10, 13);
         let (da, _) = a.apply_batch(&batch, &tok, &cfg);
         let (db, _) = b.apply_batch(&batch, &tok, &cfg);

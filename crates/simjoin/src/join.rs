@@ -408,7 +408,9 @@ pub fn join_tokenized_stats(
     let mut stats = JoinStats::default();
     with_scratch(plan.indexed.len(), |scratch| {
         let all = 0..plan.probe.len();
-        probe_range(all, stamp_base, &plan, &target, measure, scratch, &mut out, &mut stats);
+        probe_range(
+            all, stamp_base, &plan, &target, measure, scratch, &mut out, &mut stats,
+        );
     });
     let out = order_pairs(vec![out], plan.n_left(), plan.emitted(1));
     stats.pairs = out.len();
@@ -633,7 +635,11 @@ pub(crate) fn probe_one<T: ProbeTarget, P: Pair>(
             Some(sub) => {
                 let overlap = cnt + sub;
                 debug_assert!(measure.qualifies(sx, sy, overlap));
-                let (l, r) = if swap { (rid, probe_rid) } else { (probe_rid, rid) };
+                let (l, r) = if swap {
+                    (rid, probe_rid)
+                } else {
+                    (probe_rid, rid)
+                };
                 out.push(P::emit(l, r, || measure.similarity(sx, sy, overlap)));
             }
         }
@@ -737,7 +743,9 @@ fn par_join<P: Pair>(
             let _verify = magellan_obs::span("verify", range.start as u64);
             let mut out = Vec::new();
             let mut js = JoinStats::default();
-            probe_range(range, stamp_base, &plan, &target, measure, scratch, &mut out, &mut js);
+            probe_range(
+                range, stamp_base, &plan, &target, measure, scratch, &mut out, &mut js,
+            );
             // The chunk waits for the ordering pass: hold no growth slack.
             out.shrink_to_fit();
             (out, js)
@@ -796,7 +804,17 @@ pub(crate) fn probe_range<T: ProbeTarget, P: Pair>(
         // is built), so every rid fits.
         let rid = p as u32;
         let x = &plan.probe[p];
-        probe_one(rid, stamp_base + p as u64, x, target, measure, plan.swap, scratch, out, stats);
+        probe_one(
+            rid,
+            stamp_base + p as u64,
+            x,
+            target,
+            measure,
+            plan.swap,
+            scratch,
+            out,
+            stats,
+        );
         if !plan.swap {
             out[run..].sort_unstable_by_key(P::r);
         }
@@ -1037,8 +1055,7 @@ mod tests {
             (3543, 3087, 0, 456, 324, 456)
         );
         for workers in [1, 4] {
-            let (pout, pstats) =
-                join_tokenized_par(&coll, measure, &ParConfig::workers(workers));
+            let (pout, pstats) = join_tokenized_par(&coll, measure, &ParConfig::workers(workers));
             assert_eq!(pout, out, "workers={workers}");
             let pj = pstats.join;
             assert_eq!(

@@ -29,9 +29,7 @@ impl HashPrefixIndex {
         for (rid, rec) in records.iter().enumerate() {
             let plen = prefix_len_of(rec.len()).min(rec.len());
             for (pos, &tok) in rec[..plen].iter().enumerate() {
-                map.entry(tok)
-                    .or_default()
-                    .push((rid as u32, pos as u32));
+                map.entry(tok).or_default().push((rid as u32, pos as u32));
             }
         }
         HashPrefixIndex { map }
@@ -46,10 +44,7 @@ impl HashPrefixIndex {
 /// first-collision position filter, unbounded verification. Returns
 /// pairs sorted by `(l, r)` — the exact output contract of
 /// [`crate::join_tokenized`].
-pub fn join_tokenized_hashmap(
-    coll: &TokenizedCollection,
-    measure: SetSimMeasure,
-) -> Vec<JoinPair> {
+pub fn join_tokenized_hashmap(coll: &TokenizedCollection, measure: SetSimMeasure) -> Vec<JoinPair> {
     measure.validate();
     let index = HashPrefixIndex::build(&coll.right, |s| measure.prefix_len(s));
     let mut out = Vec::new();

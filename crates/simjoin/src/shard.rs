@@ -31,8 +31,7 @@ use magellan_par::{JoinStats, ParConfig, ParStats};
 use crate::collection::{TokenColumn, TokenizedCollection};
 use crate::index::{estimate_index_bytes, PrefixIndex};
 use crate::join::{
-    probe_range, with_scratch, JoinPair, Packed, ProbePlan, ProbeSide, SetSimMeasure,
-    PROBE_STAMPS,
+    probe_range, with_scratch, JoinPair, Packed, ProbePlan, ProbeSide, SetSimMeasure, PROBE_STAMPS,
 };
 use crate::order::{order_pairs, Pair};
 
@@ -188,8 +187,10 @@ pub(crate) fn sharded_join<P: Pair>(
     // One stamp block covers the whole run: probe p against shard s gets
     // stamp base + s·|probe| + p, unique across shards, joins, chunks.
     let n_probe = plan.probe.len();
-    let stamp_base =
-        PROBE_STAMPS.fetch_add((n_probe as u64) * (n_shards as u64), std::sync::atomic::Ordering::Relaxed);
+    let stamp_base = PROBE_STAMPS.fetch_add(
+        (n_probe as u64) * (n_shards as u64),
+        std::sync::atomic::Ordering::Relaxed,
+    );
 
     let mut parts = Vec::new();
     let mut js = JoinStats::default();
@@ -234,7 +235,9 @@ pub(crate) fn sharded_join<P: Pair>(
                 let mut pairs: Vec<P> = Vec::new();
                 let mut stats = JoinStats::default();
                 let (plan, at) = (&shard_plan, shard_stamp_base);
-                probe_range(range, at, plan, &target, measure, scratch, &mut pairs, &mut stats);
+                probe_range(
+                    range, at, plan, &target, measure, scratch, &mut pairs, &mut stats,
+                );
                 // Local rids to global ones, in place: local order follows
                 // global order, so each record's run stays sorted.
                 for p in &mut pairs {
@@ -388,8 +391,13 @@ mod tests {
         // All-null collections produce no pairs and no postings.
         let nulls: Vec<Option<String>> = vec![None; 6];
         let empty_coll = TokenizedCollection::build(&nulls, &nulls, &tok);
-        let (pairs, _, sstats) =
-            join_tokenized_sharded(&empty_coll, measure, ProbeSide::Auto, 4, &ParConfig::serial());
+        let (pairs, _, sstats) = join_tokenized_sharded(
+            &empty_coll,
+            measure,
+            ProbeSide::Auto,
+            4,
+            &ParConfig::serial(),
+        );
         assert!(pairs.is_empty());
         assert_eq!(sstats.shard_records[0], 6, "empty records park in shard 0");
     }
@@ -401,17 +409,15 @@ mod tests {
         let right = soup(32, 150, 5, 30);
         let coll = TokenizedCollection::build(&left, &right, &tok);
         let measure = SetSimMeasure::Jaccard(0.5);
-        let (clean, _) = join_tokenized_par_side(
-            &coll,
-            measure,
-            ProbeSide::Auto,
-            &ParConfig::workers(4),
-        );
+        let (clean, _) =
+            join_tokenized_par_side(&coll, measure, ProbeSide::Auto, &ParConfig::workers(4));
         let plan = magellan_faults::FaultPlan::seeded(11);
         let cfg = ParConfig::workers(4).with_faults(plan.chunk_faults(0xb10c));
-        let (faulted, pstats, _) =
-            join_tokenized_sharded(&coll, measure, ProbeSide::Auto, 4, &cfg);
-        assert_eq!(faulted, clean, "chunk faults must not change the pair stream");
+        let (faulted, pstats, _) = join_tokenized_sharded(&coll, measure, ProbeSide::Auto, 4, &cfg);
+        assert_eq!(
+            faulted, clean,
+            "chunk faults must not change the pair stream"
+        );
         assert!(
             pstats.panics_contained > 0,
             "seeded plan should inject at least one chunk panic across 4 shards"

@@ -49,7 +49,12 @@ fn skewed<'a>(a: &'a [u32], b: &'a [u32]) -> Option<(&'a [u32], &'a [u32])> {
 /// `need == 0` trivially succeeds but still computes the exact overlap
 /// (callers report similarities from it).
 #[inline]
-pub fn overlap_sorted_bounded(a: &[u32], b: &[u32], need: usize, steps: &mut usize) -> Option<usize> {
+pub fn overlap_sorted_bounded(
+    a: &[u32],
+    b: &[u32],
+    need: usize,
+    steps: &mut usize,
+) -> Option<usize> {
     // Gallop when one side dwarfs the other; the bound logic is the same.
     if let Some((short, long)) = skewed(a, b) {
         return gallop_overlap(short, long, need, steps);
@@ -203,7 +208,11 @@ mod tests {
         assert_eq!(exact, 5); // 3, 9, 3000, 9000, 9597 are multiples of 3 in range
         for need in 0..=exact {
             assert_eq!(bounded(&short, &long, need), Some(exact), "need={need}");
-            assert_eq!(bounded(&long, &short, need), Some(exact), "swapped need={need}");
+            assert_eq!(
+                bounded(&long, &short, need),
+                Some(exact),
+                "swapped need={need}"
+            );
         }
         assert_eq!(bounded(&short, &long, exact + 1), None);
     }
@@ -235,7 +244,11 @@ mod tests {
             for need in 0..=exact + 1 {
                 let want = (need <= exact).then_some(exact);
                 assert_eq!(bounded(&a, &b, need), want, "trial={trial} need={need}");
-                assert_eq!(bounded(&b, &a, need), want, "swapped trial={trial} need={need}");
+                assert_eq!(
+                    bounded(&b, &a, need),
+                    want,
+                    "swapped trial={trial} need={need}"
+                );
             }
         }
     }

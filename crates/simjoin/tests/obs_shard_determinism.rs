@@ -15,8 +15,8 @@ const N_SHARDS: usize = 4;
 /// every shard gets both build and probe work.
 fn records(n: usize, salt: u64) -> Vec<Option<String>> {
     const VOCAB: [&str; 14] = [
-        "sony", "wireless", "mouse", "apple", "pencil", "case", "usb", "cable", "hub",
-        "charger", "stand", "dock", "mini", "pro",
+        "sony", "wireless", "mouse", "apple", "pencil", "case", "usb", "cable", "hub", "charger",
+        "stand", "dock", "mini", "pro",
     ];
     (0..n)
         .map(|i| {
@@ -24,7 +24,9 @@ fn records(n: usize, salt: u64) -> Vec<Option<String>> {
             let len = 3 + (x % 4) as usize;
             let words: Vec<&str> = (0..len)
                 .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     VOCAB[(x >> 33) as usize % VOCAB.len()]
                 })
                 .collect();
@@ -67,13 +69,28 @@ fn sharded_join_pinned_exports_are_byte_identical_across_worker_counts() {
         );
     }
     // The kernel-verify level shows up under the probe's chunk spans.
-    assert!(!snap1.spans_named("verify").is_empty(), "verify spans missing");
+    assert!(
+        !snap1.spans_named("verify").is_empty(),
+        "verify spans missing"
+    );
 
     let (pairs8, snap8) = run_pinned(8);
     assert_eq!(pairs8, pairs1, "8 workers changed the join result");
-    assert_eq!(snap8.to_prometheus(), prom1, "Prometheus diverged at 8 workers");
-    assert_eq!(snap8.to_chrome_trace(), trace1, "Chrome trace diverged at 8 workers");
-    assert_eq!(snap8.profile().to_collapsed(), prof1, "profile diverged at 8 workers");
+    assert_eq!(
+        snap8.to_prometheus(),
+        prom1,
+        "Prometheus diverged at 8 workers"
+    );
+    assert_eq!(
+        snap8.to_chrome_trace(),
+        trace1,
+        "Chrome trace diverged at 8 workers"
+    );
+    assert_eq!(
+        snap8.profile().to_collapsed(),
+        prof1,
+        "profile diverged at 8 workers"
+    );
 }
 
 #[test]
@@ -94,5 +111,8 @@ fn shard_build_spans_carry_index_byte_attribution() {
     // the per-shard sum attributed to the build spans.
     let peak = snap.gauge("magellan_simjoin_shard_peak_index_bytes");
     assert!(peak > 0.0);
-    assert!(peak as u64 <= bytes, "peak {peak} exceeds summed shard bytes {bytes}");
+    assert!(
+        peak as u64 <= bytes,
+        "peak {peak} exceeds summed shard bytes {bytes}"
+    );
 }

@@ -10,9 +10,7 @@
 
 use magellan_par::ParConfig;
 use magellan_simjoin::collection::TokenizedCollection;
-use magellan_simjoin::{
-    join_tokenized_par_side, join_tokenized_sharded, ProbeSide, SetSimMeasure,
-};
+use magellan_simjoin::{join_tokenized_par_side, join_tokenized_sharded, ProbeSide, SetSimMeasure};
 use magellan_textsim::tokenize::WhitespaceTokenizer;
 use proptest::prelude::*;
 

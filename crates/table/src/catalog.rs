@@ -59,8 +59,12 @@ impl Catalog {
     /// non-nullness first.
     pub fn set_key(&mut self, table: &Table, attr: &str) -> Result<()> {
         validate_key_constraint(table, attr)?;
-        self.keys
-            .insert(table.id(), TableMeta { key: attr.to_owned() });
+        self.keys.insert(
+            table.id(),
+            TableMeta {
+                key: attr.to_owned(),
+            },
+        );
         Ok(())
     }
 
@@ -342,8 +346,8 @@ mod tests {
         cat.set_candidate_meta(&c, meta(&a, &b), &a, &b).unwrap();
 
         let shrunk = a.filter(|r| r != 2); // drop a3
-        // `shrunk` is a new table; validating against it as the left table
-        // reports the base-table identity mismatch...
+                                           // `shrunk` is a new table; validating against it as the left table
+                                           // reports the base-table identity mismatch...
         assert!(cat.validate_candidate(&c, &shrunk, &b).is_err());
         // ...and rebinding the metadata to the shrunk table reports the
         // dangling FK value itself.
@@ -351,9 +355,7 @@ mod tests {
             ltable: shrunk.id(),
             ..meta(&a, &b)
         };
-        let err = cat
-            .set_candidate_meta(&c, m, &shrunk, &b)
-            .unwrap_err();
+        let err = cat.set_candidate_meta(&c, m, &shrunk, &b).unwrap_err();
         assert!(matches!(err, TableError::ForeignKeyViolation { .. }));
         assert!(err.to_string().contains("a3"));
     }
@@ -390,7 +392,9 @@ mod tests {
         let b = base("B", &["b1"]);
         let mut c = cand(&[("a1", "b1")]);
         c.push_row(vec![Value::Null, Value::from("b1")]).unwrap();
-        let err = cat.set_candidate_meta(&c, meta(&a, &b), &a, &b).unwrap_err();
+        let err = cat
+            .set_candidate_meta(&c, meta(&a, &b), &a, &b)
+            .unwrap_err();
         assert!(err.to_string().contains("null foreign key"));
     }
 }

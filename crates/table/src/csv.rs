@@ -238,11 +238,7 @@ impl<R: Read> CsvRecords<R> {
 
 /// Read a headered CSV into a table, parsing every cell according to the
 /// provided schema. Empty cells become nulls.
-pub fn read_csv<R: Read>(
-    reader: R,
-    name: impl Into<String>,
-    schema: Schema,
-) -> Result<Table> {
+pub fn read_csv<R: Read>(reader: R, name: impl Into<String>, schema: Schema) -> Result<Table> {
     let mut records = CsvRecords::new(reader);
     let header: Vec<&str> = records.header()?.iter().collect();
     let expected: Vec<&str> = schema.names();
@@ -289,7 +285,10 @@ pub fn read_csv_path(path: impl AsRef<Path>, schema: Schema) -> Result<Table> {
 }
 
 fn columns_for(fields: &[Field], cap: usize) -> Vec<Column> {
-    fields.iter().map(|f| Column::with_capacity(f.dtype, cap)).collect()
+    fields
+        .iter()
+        .map(|f| Column::with_capacity(f.dtype, cap))
+        .collect()
 }
 
 /// Parse `raw` by the column's dtype and append it; empty is null.
@@ -305,7 +304,8 @@ fn push_cell(col: &mut Column, raw: &str, line_no: usize) -> Result<()> {
             Dtype::Str => Some(ValueRef::Str(raw)),
         }
     };
-    let cell = cell.ok_or_else(|| csv_error(line_no, format!("cannot parse `{raw}` as {dtype}")))?;
+    let cell =
+        cell.ok_or_else(|| csv_error(line_no, format!("cannot parse `{raw}` as {dtype}")))?;
     col.push(cell);
     Ok(())
 }
@@ -336,7 +336,10 @@ pub fn read_csv_infer<R: Read>(reader: R, name: impl Into<String>) -> Result<Tab
     }
 
     let infer = |col: usize| -> Dtype {
-        let cells = records.iter().map(|r| r[col].as_str()).filter(|c| !c.is_empty());
+        let cells = records
+            .iter()
+            .map(|r| r[col].as_str())
+            .filter(|c| !c.is_empty());
         let mut any = false;
         let (mut int_ok, mut float_ok, mut bool_ok) = (true, true, true);
         for c in cells {
@@ -368,7 +371,12 @@ pub fn read_csv_infer<R: Read>(reader: R, name: impl Into<String>) -> Result<Tab
             push_cell(col, cell, i + 2)?;
         }
     }
-    Ok(Table::from_columns(name, Schema::new(fields)?, columns, records.len()))
+    Ok(Table::from_columns(
+        name,
+        Schema::new(fields)?,
+        columns,
+        records.len(),
+    ))
 }
 
 /// Quote a field if it contains a delimiter, a quote, or either byte of a
@@ -393,12 +401,7 @@ fn escape(field: &str) -> String {
 
 /// Write a table as headered CSV. Nulls are written as empty cells.
 pub fn write_csv<W: Write>(table: &Table, mut writer: W) -> Result<()> {
-    let header: Vec<String> = table
-        .schema()
-        .names()
-        .iter()
-        .map(|n| escape(n))
-        .collect();
+    let header: Vec<String> = table.schema().names().iter().map(|n| escape(n)).collect();
     writeln!(writer, "{}", header.join(","))?;
     for r in table.rows() {
         let cells: Vec<String> = (0..table.ncols())
@@ -421,8 +424,7 @@ mod tests {
     use crate::value::Value;
 
     fn schema() -> Schema {
-        Schema::from_pairs(&[("id", Dtype::Str), ("name", Dtype::Str), ("n", Dtype::Int)])
-            .unwrap()
+        Schema::from_pairs(&[("id", Dtype::Str), ("name", Dtype::Str), ("n", Dtype::Int)]).unwrap()
     }
 
     #[test]
@@ -510,7 +512,10 @@ mod tests {
         let err = read_csv(data.as_slice(), "T", schema()).unwrap_err();
         assert!(matches!(err, TableError::Csv { line: 3, .. }), "{err:?}");
         let msg = err.to_string();
-        assert!(msg.contains("invalid UTF-8") && msg.contains("line 3"), "{msg}");
+        assert!(
+            msg.contains("invalid UTF-8") && msg.contains("line 3"),
+            "{msg}"
+        );
 
         // Same contract for the inferring reader.
         let err = read_csv_infer(data.as_slice(), "T").unwrap_err();
@@ -550,7 +555,13 @@ mod tests {
         let types: Vec<Dtype> = t.schema().fields().iter().map(|f| f.dtype).collect();
         assert_eq!(
             types,
-            vec![Dtype::Str, Dtype::Str, Dtype::Int, Dtype::Float, Dtype::Bool]
+            vec![
+                Dtype::Str,
+                Dtype::Str,
+                Dtype::Int,
+                Dtype::Float,
+                Dtype::Bool
+            ]
         );
         assert_eq!(t.value_by_name(0, "age").unwrap().as_int(), Some(40));
         assert!(t.value_by_name(1, "age").unwrap().is_null());
@@ -787,7 +798,10 @@ mod tests {
             if fields.len() != ncols {
                 return Err(csv_error(
                     line_no,
-                    format!("record has {} fields, schema has {ncols} columns", fields.len()),
+                    format!(
+                        "record has {} fields, schema has {ncols} columns",
+                        fields.len()
+                    ),
                 ));
             }
             rows.push(
@@ -879,8 +893,24 @@ mod tests {
     /// bytes that are not UTF-8, NUL, a byte-order mark and a run longer
     /// than the reader's 8 KiB buffer.
     const PIECES: &[&[u8]] = &[
-        b"a", b"bc", b" ", b",", b",", b"\"", b"\"", b"\"\"", b"\n", b"\n", b"\r\n", b"\r",
-        "\u{e9}".as_bytes(), "\u{2603}".as_bytes(), b"\xff", b"\xc3", b"\0", "\u{feff}".as_bytes(),
+        b"a",
+        b"bc",
+        b" ",
+        b",",
+        b",",
+        b"\"",
+        b"\"",
+        b"\"\"",
+        b"\n",
+        b"\n",
+        b"\r\n",
+        b"\r",
+        "\u{e9}".as_bytes(),
+        "\u{2603}".as_bytes(),
+        b"\xff",
+        b"\xc3",
+        b"\0",
+        "\u{feff}".as_bytes(),
         &[b'x'; 9_000],
     ];
 

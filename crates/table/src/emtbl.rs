@@ -341,7 +341,10 @@ fn cast_slice<T: Copy>(bytes: &[u8]) -> &[T] {
     // page- or Vec<u64>-aligned), and T ∈ {i64, f64, u64} has no validity
     // constraints on any bit pattern.
     let (pre, mid, post) = unsafe { bytes.align_to::<T>() };
-    debug_assert!(pre.is_empty() && post.is_empty(), "misaligned emtbl section");
+    debug_assert!(
+        pre.is_empty() && post.is_empty(),
+        "misaligned emtbl section"
+    );
     mid
 }
 
@@ -398,7 +401,11 @@ impl MappedTable {
         // computed from it.
         let nrows = usize::try_from(nrows)
             .ok()
-            .filter(|&n| n.div_ceil(8).checked_mul(ncols).is_some_and(|need| need <= b.len()))
+            .filter(|&n| {
+                n.div_ceil(8)
+                    .checked_mul(ncols)
+                    .is_some_and(|need| need <= b.len())
+            })
             .ok_or_else(|| {
                 err(format!(
                     "{nrows} rows of {ncols} columns cannot fit a {}-byte file",
@@ -432,11 +439,17 @@ impl MappedTable {
             if is_str {
                 let offsets: &[u64] = cast_slice(&b[data.clone()]);
                 if offsets[0] != 0 {
-                    return Err(err(format!("column `{}` offsets do not start at 0", f.name)));
+                    return Err(err(format!(
+                        "column `{}` offsets do not start at 0",
+                        f.name
+                    )));
                 }
                 for w in offsets.windows(2) {
                     if w[1] < w[0] {
-                        return Err(err(format!("column `{}` offsets are not monotonic", f.name)));
+                        return Err(err(format!(
+                            "column `{}` offsets are not monotonic",
+                            f.name
+                        )));
                     }
                 }
                 if offsets[nrows] != heap.len() as u64 {
@@ -848,7 +861,10 @@ mod tests {
         write(&sample(), &mut bytes).unwrap();
         parse(&bytes).unwrap();
         for cut in 0..bytes.len() {
-            assert!(parse(&bytes[..cut]).is_err(), "prefix of {cut} bytes parsed");
+            assert!(
+                parse(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes parsed"
+            );
         }
         // Sound framing, wrong contents: each case is sealed by the codec,
         // so only the structural checks can refuse it.
@@ -865,11 +881,26 @@ mod tests {
         for (bytes, want) in [
             (file(1, &[("x", 9)], None), "unknown dtype code 9"),
             (file(0, &[("a", 1), ("a", 1)], None), "duplicate"),
-            (file(0, &[("a", 1)], None), "expected segment 2, found segment 0"),
-            (file(1, &[("x", 1)], Some((&[1], b""))), "wrong segment size"),
-            (file(2, &[("s", 3)], Some((&[3, 0, 2, 1], b""))), "not monotonic"),
-            (file(1, &[("s", 3)], Some((&[1, 0, 5], b""))), "heap length disagrees"),
-            (file(1, &[("s", 3)], Some((&[1, 0, 2], &[0xc3, 0x28]))), "row 0 is not UTF-8"),
+            (
+                file(0, &[("a", 1)], None),
+                "expected segment 2, found segment 0",
+            ),
+            (
+                file(1, &[("x", 1)], Some((&[1], b""))),
+                "wrong segment size",
+            ),
+            (
+                file(2, &[("s", 3)], Some((&[3, 0, 2, 1], b""))),
+                "not monotonic",
+            ),
+            (
+                file(1, &[("s", 3)], Some((&[1, 0, 5], b""))),
+                "heap length disagrees",
+            ),
+            (
+                file(1, &[("s", 3)], Some((&[1, 0, 2], &[0xc3, 0x28]))),
+                "row 0 is not UTF-8",
+            ),
         ] {
             let e = parse(&bytes).unwrap_err().to_string();
             assert!(e.contains(want), "expected `{want}`, got `{e}`");
@@ -881,7 +912,10 @@ mod tests {
     #[test]
     fn offsets_inside_a_character_are_refused() {
         let schema = schema(2, &[("s", 3)]);
-        let words: Vec<u8> = [0b11u64, 0, 1, 2].iter().flat_map(|w| w.to_le_bytes()).collect();
+        let words: Vec<u8> = [0b11u64, 0, 1, 2]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
         let column = [&words[..], "é".as_bytes()].concat();
         let segs = [(SEG_SCHEMA, &schema[..]), (SEG_COLUMN, &column[..])];
         let bytes = crate::segment::encode(MAGIC, &segs);
@@ -894,7 +928,8 @@ mod tests {
     /// (which overflowed, and panicked in debug builds).
     #[test]
     fn hostile_row_count_is_a_format_error() {
-        let file = |nrows| crate::segment::encode(MAGIC, &[(SEG_SCHEMA, &schema(nrows, &[("x", 1)]))]);
+        let file =
+            |nrows| crate::segment::encode(MAGIC, &[(SEG_SCHEMA, &schema(nrows, &[("x", 1)]))]);
         match parse(&file(1 << 61)) {
             Err(TableError::Format(m)) => assert!(m.contains("cannot fit"), "{m}"),
             other => panic!("expected a format error, got {other:?}"),
@@ -909,14 +944,16 @@ mod tests {
     fn v1_files_are_refused_by_version() {
         let v1 = [&b"emtbl v1"[..], &3u64.to_le_bytes(), &[0; 12]].concat();
         let e = parse(&v1).unwrap_err().to_string();
-        assert!(e.contains("bad magic") && e.contains("found `emtbl v1`"), "{e}");
+        assert!(
+            e.contains("bad magic") && e.contains("found `emtbl v1`"),
+            "{e}"
+        );
     }
 
     fn to_buf(bytes: &[u8]) -> Buf {
         let mut words = vec![0u64; bytes.len().div_ceil(8)];
-        let dst = unsafe {
-            std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), bytes.len())
-        };
+        let dst =
+            unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), bytes.len()) };
         dst.copy_from_slice(bytes);
         Buf::Owned {
             words,

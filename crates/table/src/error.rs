@@ -94,14 +94,24 @@ impl fmt::Display for TableError {
             TableError::NoMetadata(table) => {
                 write!(f, "catalog holds no metadata for table `{table}`")
             }
-            TableError::KeyViolation { table, attr, reason } => {
+            TableError::KeyViolation {
+                table,
+                attr,
+                reason,
+            } => {
                 write!(f, "key `{attr}` of table `{table}` is invalid: {reason}")
             }
-            TableError::ForeignKeyViolation { table, attr, reason } => write!(
+            TableError::ForeignKeyViolation {
+                table,
+                attr,
+                reason,
+            } => write!(
                 f,
                 "foreign key `{attr}` of candidate set `{table}` is invalid: {reason}"
             ),
-            TableError::Csv { line, message } => write!(f, "CSV parse error at line {line}: {message}"),
+            TableError::Csv { line, message } => {
+                write!(f, "CSV parse error at line {line}: {message}")
+            }
             TableError::Format(message) => write!(f, "emtbl format error: {message}"),
             TableError::Io(e) => write!(f, "I/O error: {e}"),
         }

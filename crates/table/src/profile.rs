@@ -127,7 +127,11 @@ mod tests {
     fn t() -> Table {
         Table::from_rows(
             "A",
-            &[("id", Dtype::Str), ("city", Dtype::Str), ("age", Dtype::Int)],
+            &[
+                ("id", Dtype::Str),
+                ("city", Dtype::Str),
+                ("age", Dtype::Int),
+            ],
             vec![
                 vec!["a1".into(), "Madison".into(), Value::Int(40)],
                 vec!["a2".into(), "Madison".into(), Value::Null],

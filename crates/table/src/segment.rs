@@ -87,7 +87,9 @@ fn checksum(header: &[u8], payload: &[u8]) -> u64 {
     let mut last = [0u8; 8];
     let whole = payload.len() / 8 * 8;
     last[..payload.len() - whole].copy_from_slice(&payload[whole..]);
-    let words = header.chunks_exact(8).chain(payload[..whole].chunks_exact(8));
+    let words = header
+        .chunks_exact(8)
+        .chain(payload[..whole].chunks_exact(8));
     let tail = (whole < payload.len()).then_some(&last[..]);
     let h = words.chain(tail).fold(0x9e37_79b9_7f4a_7c15u64, |h, w| {
         (h.rotate_left(23) ^ u64::from_le_bytes(w.try_into().expect("8 bytes")))
@@ -120,7 +122,8 @@ impl<W: Write> SegmentWriter<W> {
         self.out.write_all(&header)?;
         self.out.write_all(payload)?;
         self.out.write_all(&[0u8; 8][..pad])?;
-        self.out.write_all(&checksum(&header, payload).to_le_bytes())
+        self.out
+            .write_all(&checksum(&header, payload).to_le_bytes())
     }
 
     /// Close the file with END and hand back the sink.
@@ -179,7 +182,10 @@ impl<'a> SegmentReader<'a> {
     pub fn open(data: &'a [u8], name: &str) -> Result<Self, SegmentError> {
         if data.len() < MAGIC_LEN || data[..MAGIC_LEN] != magic(name) {
             let found = found_magic(data);
-            return Err(err(0, format!("bad magic: expected `{name}`, found {found}")));
+            return Err(err(
+                0,
+                format!("bad magic: expected `{name}`, found {found}"),
+            ));
         }
         Ok(SegmentReader {
             data,
@@ -228,10 +234,16 @@ impl<'a> SegmentReader<'a> {
             ));
         }
         if reserved != 0 || body[len..].iter().any(|&b| b != 0) {
-            return Err(err(at, format!("segment {found} has non-zero reserved or pad bytes")));
+            return Err(err(
+                at,
+                format!("segment {found} has non-zero reserved or pad bytes"),
+            ));
         }
         if found != tag {
-            return Err(err(at, format!("expected segment {tag}, found segment {found}")));
+            return Err(err(
+                at,
+                format!("expected segment {tag}, found segment {found}"),
+            ));
         }
         self.pos = at + HEADER + padded + 8;
         Ok(Segment {
@@ -267,7 +279,9 @@ impl<'a> Fields<'a> {
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], SegmentError> {
         if n > self.remaining() {
             let short = n - self.remaining();
-            return Err(self.error(format!("payload ends {short} bytes short of a {n}-byte field")));
+            return Err(self.error(format!(
+                "payload ends {short} bytes short of a {n}-byte field"
+            )));
         }
         self.pos += n;
         Ok(&self.bytes[self.pos - n..self.pos])
@@ -280,12 +294,16 @@ impl<'a> Fields<'a> {
 
     /// The next `u32`.
     pub fn u32(&mut self) -> Result<u32, SegmentError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     /// The next `u64`.
     pub fn u64(&mut self) -> Result<u64, SegmentError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// The next `u64` as an element count, rejected unless the rest of
@@ -296,7 +314,11 @@ impl<'a> Fields<'a> {
         usize::try_from(n)
             .ok()
             .filter(|&n| n.checked_mul(min_each).is_some_and(|need| need <= left))
-            .ok_or_else(|| self.error(format!("count {n} does not fit the {left} payload bytes left")))
+            .ok_or_else(|| {
+                self.error(format!(
+                    "count {n} does not fit the {left} payload bytes left"
+                ))
+            })
     }
 
     /// Payload bytes not read yet.
@@ -379,8 +401,14 @@ mod tests {
         }
         // An unexpected tag, and END where a segment is due, in files
         // that are otherwise sound.
-        fails(&encode(NAME, &[SEGS[0], SEGS[2], SEGS[1]]), "expected segment 2, found segment 3");
-        fails(&encode(NAME, &SEGS[..1]), "expected segment 2, found segment 0");
+        fails(
+            &encode(NAME, &[SEGS[0], SEGS[2], SEGS[1]]),
+            "expected segment 2, found segment 3",
+        );
+        fails(
+            &encode(NAME, &SEGS[..1]),
+            "expected segment 2, found segment 0",
+        );
         // A flipped payload byte leaves the walk intact: the checksum
         // catches it. Non-zero pad under a recomputed checksum is refused.
         let mut bad = data.clone();
@@ -398,12 +426,18 @@ mod tests {
     fn wrong_magic_names_what_it_found() {
         let e = |data: &[u8]| SegmentReader::open(data, "emckpt v3").unwrap_err().message;
         let v1 = e(b"emckpt v1\nphase blocked\n");
-        assert!(v1.contains("bad magic: expected `emckpt v3`, found `emckpt v1`"), "{v1}");
+        assert!(
+            v1.contains("bad magic: expected `emckpt v3`, found `emckpt v1`"),
+            "{v1}"
+        );
         assert!(e(b"emckpt v2\0\x01\x05\0\0\0").contains("found `emckpt v2`"));
         assert!(e(b"emtbl v1\x03\0\0\0\0\0\0\0").contains("found `emtbl v1`"));
         assert!(e(&encode("emckpt v4", &[])).contains("found `emckpt v4`"));
         assert!(e(b"").contains("found no magic") && e(&[0xff; 32]).contains("found no magic"));
-        assert!(e(b"emckpt v3").contains("bad magic"), "a bare name is not the padded magic");
+        assert!(
+            e(b"emckpt v3").contains("bad magic"),
+            "a bare name is not the padded magic"
+        );
     }
 
     #[test]
@@ -413,9 +447,17 @@ mod tests {
         let mut r = SegmentReader::open(&data, NAME).unwrap();
         let seg = r.expect(1).unwrap();
         let mut f = seg.fields();
-        assert_eq!((f.count(1).unwrap(), f.u32().unwrap(), f.u8().unwrap()), (2, 7, 9));
+        assert_eq!(
+            (f.count(1).unwrap(), f.u32().unwrap(), f.u8().unwrap()),
+            (2, 7, 9)
+        );
         assert_eq!(f.take(2).unwrap(), b"ab");
-        assert!(f.clone().u8().unwrap_err().message.contains("1 bytes short"));
+        assert!(f
+            .clone()
+            .u8()
+            .unwrap_err()
+            .message
+            .contains("1 bytes short"));
         f.end().unwrap();
         let e = seg.fields().count(8).unwrap_err();
         assert!(e.message.contains("count 2 does not fit the 7"), "{e}");
@@ -423,7 +465,10 @@ mod tests {
         let mut f = seg.fields();
         f.u64().unwrap();
         assert!(f.end().unwrap_err().message.contains("7 trailing bytes"));
-        assert!(r.expect(2).unwrap().fields().count(1).is_err(), "a count of u64::MAX");
+        assert!(
+            r.expect(2).unwrap().fields().count(1).is_err(),
+            "a count of u64::MAX"
+        );
         r.finish().unwrap();
     }
 }

@@ -302,7 +302,12 @@ impl Table {
                 self.ram_column(idx).into_owned()
             })
             .collect();
-        Ok(Table::from_columns(self.name.clone(), schema, columns, self.nrows))
+        Ok(Table::from_columns(
+            self.name.clone(),
+            schema,
+            columns,
+            self.nrows,
+        ))
     }
 
     /// A new table containing the rows at `rows` (indices may repeat).
@@ -440,7 +445,11 @@ mod tests {
     fn people() -> Table {
         Table::from_rows(
             "A",
-            &[("id", Dtype::Str), ("name", Dtype::Str), ("age", Dtype::Int)],
+            &[
+                ("id", Dtype::Str),
+                ("name", Dtype::Str),
+                ("age", Dtype::Int),
+            ],
             vec![
                 vec!["a1".into(), "Dave Smith".into(), Value::Int(40)],
                 vec!["a2".into(), "Joe Wilson".into(), Value::Null],
@@ -455,7 +464,10 @@ mod tests {
         let t = people();
         assert_eq!(t.nrows(), 3);
         assert_eq!(t.ncols(), 3);
-        assert_eq!(t.value_by_name(0, "name").unwrap().as_str(), Some("Dave Smith"));
+        assert_eq!(
+            t.value_by_name(0, "name").unwrap().as_str(),
+            Some("Dave Smith")
+        );
         assert!(t.value_by_name(1, "age").unwrap().is_null());
         assert!(t.value_by_name(9, "age").is_err());
         assert!(t.value_by_name(0, "zzz").is_err());
@@ -505,7 +517,8 @@ mod tests {
     #[test]
     fn key_index_skips_nulls() {
         let mut t = people();
-        t.push_row(vec![Value::Null, "Ghost".into(), Value::Null]).unwrap();
+        t.push_row(vec![Value::Null, "Ghost".into(), Value::Null])
+            .unwrap();
         let idx = t.key_index("id").unwrap();
         assert_eq!(idx.len(), 3);
         assert_eq!(idx["a2"], 1);
@@ -535,7 +548,11 @@ mod tests {
             .unwrap()
             .iter()
             .all(|n| matches!(n, Some(Cow::Borrowed(_)))));
-        assert_eq!(mapped.storage(), Storage::Mapped, "nothing was materialized");
+        assert_eq!(
+            mapped.storage(),
+            Storage::Mapped,
+            "nothing was materialized"
+        );
         drop(mapped);
         let _ = std::fs::remove_file(path);
     }
@@ -566,7 +583,11 @@ mod tests {
     #[test]
     fn concat_names_the_schema_mismatch() {
         let mut t = people();
-        let pairs = [("id", Dtype::Str), ("title", Dtype::Str), ("age", Dtype::Int)];
+        let pairs = [
+            ("id", Dtype::Str),
+            ("title", Dtype::Str),
+            ("age", Dtype::Int),
+        ];
         let renamed = Table::from_rows("B", &pairs, vec![]).unwrap();
         let e = t.concat(&renamed).unwrap_err();
         assert!(matches!(e, TableError::SchemaMismatch(_)), "{e:?}");

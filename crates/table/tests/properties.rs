@@ -7,8 +7,12 @@ use proptest::prelude::*;
 /// Arbitrary cell for a column of the given dtype (with nulls).
 fn cell(dtype: Dtype) -> BoxedStrategy<Value> {
     match dtype {
-        Dtype::Int => prop_oneof![4 => any::<i64>().prop_map(Value::Int), 1 => Just(Value::Null)].boxed(),
-        Dtype::Bool => prop_oneof![4 => any::<bool>().prop_map(Value::Bool), 1 => Just(Value::Null)].boxed(),
+        Dtype::Int => {
+            prop_oneof![4 => any::<i64>().prop_map(Value::Int), 1 => Just(Value::Null)].boxed()
+        }
+        Dtype::Bool => {
+            prop_oneof![4 => any::<bool>().prop_map(Value::Bool), 1 => Just(Value::Null)].boxed()
+        }
         Dtype::Float => prop_oneof![
             4 => (-1e9f64..1e9).prop_map(Value::Float),
             1 => Just(Value::Null)
@@ -38,10 +42,7 @@ fn table() -> impl Strategy<Value = Table> {
         1..5,
     );
     dtypes.prop_flat_map(|dts| {
-        let row = dts
-            .iter()
-            .map(|&d| cell(d))
-            .collect::<Vec<_>>();
+        let row = dts.iter().map(|&d| cell(d)).collect::<Vec<_>>();
         let schema_dts = dts.clone();
         proptest::collection::vec(row, 0..15).prop_map(move |rows| {
             let pairs: Vec<(String, Dtype)> = schema_dts

@@ -71,7 +71,11 @@ impl TfIdfModel {
         }
         let va = self.tfidf_vector(a);
         let vb = self.tfidf_vector(b);
-        let (small, large) = if va.len() <= vb.len() { (&va, &vb) } else { (&vb, &va) };
+        let (small, large) = if va.len() <= vb.len() {
+            (&va, &vb)
+        } else {
+            (&vb, &va)
+        };
         let dot: f64 = small
             .iter()
             .filter_map(|(t, w)| large.get(t).map(|w2| w * w2))

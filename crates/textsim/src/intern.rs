@@ -648,11 +648,23 @@ mod tests {
         // of the 2^16 buckets occupied and puts N/128 ≈ 781 in each tag.
         let uniform_buckets = 51_287;
         let uniform_tag = N / 128;
-        for (family, tokens) in [("shared prefix", &shared_prefix), ("NUL padded", &nul_padded)] {
+        for (family, tokens) in [
+            ("shared prefix", &shared_prefix),
+            ("NUL padded", &nul_padded),
+        ] {
             let (buckets, min_tag, max_tag) = spread(tokens, |t| hash_of(0x5eed, t));
-            assert!(buckets * 2 >= uniform_buckets, "{family}: {buckets} buckets");
-            assert!(min_tag * 2 >= uniform_tag, "{family}: smallest tag class {min_tag}");
-            assert!(max_tag <= uniform_tag * 2, "{family}: largest tag class {max_tag}");
+            assert!(
+                buckets * 2 >= uniform_buckets,
+                "{family}: {buckets} buckets"
+            );
+            assert!(
+                min_tag * 2 >= uniform_tag,
+                "{family}: smallest tag class {min_tag}"
+            );
+            assert!(
+                max_tag <= uniform_tag * 2,
+                "{family}: largest tag class {max_tag}"
+            );
         }
 
         // The fold this hasher would be without the length (FxHash's shape).
@@ -666,7 +678,10 @@ mod tests {
             h
         };
         let (buckets, _, _) = spread(&nul_padded, plain_fold);
-        assert!(buckets * 2 < uniform_buckets, "the plain fold kept {buckets} buckets apart");
+        assert!(
+            buckets * 2 < uniform_buckets,
+            "the plain fold kept {buckets} buckets apart"
+        );
     }
 
     /// Ids, id sets and `vocab_bytes` are functions of the tokens and
@@ -681,7 +696,9 @@ mod tests {
             let mut it = TokenInterner::with_seed(seed);
             let tok = AlphanumericTokenizer::as_set();
             let sets: Vec<Vec<u32>> = titles.iter().map(|t| it.intern_tokens(&tok, t)).collect();
-            let vocab: Vec<String> = (0..it.len() as u32).map(|id| it.resolve(id).to_owned()).collect();
+            let vocab: Vec<String> = (0..it.len() as u32)
+                .map(|id| it.resolve(id).to_owned())
+                .collect();
             (sets, vocab, it.vocab_bytes())
         };
         assert_eq!(build(1), build(0xdead_beef_0bad_cafe));
@@ -695,7 +712,11 @@ mod tests {
         let mut it = TokenInterner::with_seed(7);
         let a = it.intern("a");
         let b_hash = it.hash("b");
-        let a_slot = it.slots.iter().position(|&s| s != 0).expect("one slot taken");
+        let a_slot = it
+            .slots
+            .iter()
+            .position(|&s| s != 0)
+            .expect("one slot taken");
         it.slots[a_slot] = 0;
         let b_first = b_hash as usize & (it.slots.len() - 1);
         it.slots[b_first] = slot_of(b_hash, a);

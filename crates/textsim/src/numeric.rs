@@ -26,7 +26,11 @@ pub fn rel_diff_sim(a: f64, b: f64) -> f64 {
 /// is 1.0 iff the shorter decimal rendering prefixes the longer.
 pub fn decimal_prefix_match(a: i64, b: i64) -> f64 {
     let (sa, sb) = (a.to_string(), b.to_string());
-    let (short, long) = if sa.len() <= sb.len() { (&sa, &sb) } else { (&sb, &sa) };
+    let (short, long) = if sa.len() <= sb.len() {
+        (&sa, &sb)
+    } else {
+        (&sb, &sa)
+    };
     f64::from(long.starts_with(short.as_str()))
 }
 

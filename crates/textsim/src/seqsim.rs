@@ -273,8 +273,15 @@ fn jaro_matches_vecs(a: &[char], b: &[char]) -> (usize, usize) {
             }
         }
     }
-    let matches_b = b.iter().zip(&b_used).filter_map(|(c, used)| used.then_some(c));
-    let out_of_order = matches_a.iter().zip(matches_b).filter(|(x, y)| x != y).count();
+    let matches_b = b
+        .iter()
+        .zip(&b_used)
+        .filter_map(|(c, used)| used.then_some(c));
+    let out_of_order = matches_a
+        .iter()
+        .zip(matches_b)
+        .filter(|(x, y)| x != y)
+        .count();
     (matches_a.len(), out_of_order / 2)
 }
 
@@ -298,12 +305,7 @@ pub fn jaro_winkler_with(a: &str, b: &str, prefix_scale: f64) -> f64 {
 fn jaro_winkler_chars_with(a: &[char], b: &[char], prefix_scale: f64) -> f64 {
     debug_assert!((0.0..=0.25).contains(&prefix_scale));
     let j = jaro_chars(a, b);
-    let prefix = a
-        .iter()
-        .zip(b)
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count();
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count();
     j + prefix as f64 * prefix_scale * (1.0 - j)
 }
 
@@ -319,7 +321,11 @@ pub fn hamming(a: &str, b: &str) -> Option<usize> {
 pub fn hamming_sim(a: &str, b: &str) -> Option<f64> {
     let n = a.chars().count();
     let d = hamming(a, b)?;
-    Some(if n == 0 { 1.0 } else { 1.0 - d as f64 / n as f64 })
+    Some(if n == 0 {
+        1.0
+    } else {
+        1.0 - d as f64 / n as f64
+    })
 }
 
 /// Needleman–Wunsch global alignment score with match = +1,
@@ -344,7 +350,12 @@ pub fn needleman_wunsch_with(
     for (i, ca) in a.iter().enumerate() {
         cur[0] = (i + 1) as f64 * gap_cost;
         for (j, cb) in b.iter().enumerate() {
-            let diag = prev[j] + if ca == cb { match_score } else { mismatch_score };
+            let diag = prev[j]
+                + if ca == cb {
+                    match_score
+                } else {
+                    mismatch_score
+                };
             cur[j + 1] = diag.max(prev[j + 1] + gap_cost).max(cur[j] + gap_cost);
         }
         std::mem::swap(&mut prev, &mut cur);
@@ -373,8 +384,16 @@ pub fn smith_waterman_with(
     let mut best = 0.0f64;
     for ca in &a {
         for (j, cb) in b.iter().enumerate() {
-            let diag = prev[j] + if ca == cb { match_score } else { mismatch_score };
-            let v = diag.max(prev[j + 1] + gap_cost).max(cur[j] + gap_cost).max(0.0);
+            let diag = prev[j]
+                + if ca == cb {
+                    match_score
+                } else {
+                    mismatch_score
+                };
+            let v = diag
+                .max(prev[j + 1] + gap_cost)
+                .max(cur[j] + gap_cost)
+                .max(0.0);
             cur[j + 1] = v;
             best = best.max(v);
         }
@@ -419,7 +438,11 @@ pub fn affine_gap_with(
         y_cur[0] = neg;
         x_cur[0] = gap_open + i as f64 * gap_extend;
         for (j, cb) in b.iter().enumerate() {
-            let s = if ca == cb { match_score } else { mismatch_score };
+            let s = if ca == cb {
+                match_score
+            } else {
+                mismatch_score
+            };
             m_cur[j + 1] = s + m_prev[j].max(x_prev[j]).max(y_prev[j]);
             x_cur[j + 1] = (m_prev[j + 1] + gap_open).max(x_prev[j + 1] + gap_extend);
             y_cur[j + 1] = (m_cur[j] + gap_open).max(y_cur[j] + gap_extend);
@@ -453,7 +476,11 @@ mod reference {
     pub fn levenshtein(a: &str, b: &str) -> usize {
         let a: Vec<char> = a.chars().collect();
         let b: Vec<char> = b.chars().collect();
-        let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
+        let (short, long) = if a.len() <= b.len() {
+            (&a, &b)
+        } else {
+            (&b, &a)
+        };
         if short.is_empty() {
             return long.len();
         }
@@ -615,9 +642,17 @@ mod tests {
     /// where both apply.
     #[test]
     fn long_pattern_dp_agrees_with_bitparallel() {
-        let a: Vec<char> = "the quick brown fox jumps over the lazy dog".chars().collect();
-        let b: Vec<char> = "a quick brown dog jumps over the lazy fox!".chars().collect();
-        let (p, t) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
+        let a: Vec<char> = "the quick brown fox jumps over the lazy dog"
+            .chars()
+            .collect();
+        let b: Vec<char> = "a quick brown dog jumps over the lazy fox!"
+            .chars()
+            .collect();
+        let (p, t) = if a.len() <= b.len() {
+            (&a, &b)
+        } else {
+            (&b, &a)
+        };
         assert_eq!(
             levenshtein_dp(p, t, &mut Vec::new()),
             levenshtein_bitparallel(p, t)

@@ -94,11 +94,7 @@ pub fn overlap_size<S: AsRef<str>>(a: &[S], b: &[S]) -> usize {
 /// Monge–Elkan similarity: for each token of `a`, the best secondary
 /// similarity against any token of `b`, averaged. Asymmetric by design;
 /// `py_stringmatching` defaults the secondary measure to Jaro–Winkler.
-pub fn monge_elkan<S: AsRef<str>>(
-    a: &[S],
-    b: &[S],
-    secondary: impl Fn(&str, &str) -> f64,
-) -> f64 {
+pub fn monge_elkan<S: AsRef<str>>(a: &[S], b: &[S], secondary: impl Fn(&str, &str) -> f64) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -268,7 +264,10 @@ mod tests {
                 overlap_coefficient(&a, &b),
                 monge_elkan_jw(&a, &b),
             ] {
-                assert!((0.0..=1.0).contains(&v), "{v} out of bounds for {x:?}/{y:?}");
+                assert!(
+                    (0.0..=1.0).contains(&v),
+                    "{v} out of bounds for {x:?}/{y:?}"
+                );
             }
         }
     }

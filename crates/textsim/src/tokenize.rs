@@ -357,10 +357,7 @@ mod tests {
     #[test]
     fn qgram_padded() {
         let t = QgramTokenizer::new(3);
-        assert_eq!(
-            t.tokenize("ab"),
-            vec!["##a", "#ab", "ab$", "b$$"]
-        );
+        assert_eq!(t.tokenize("ab"), vec!["##a", "#ab", "ab$", "b$$"]);
         assert_eq!(t.name(), "3gram");
     }
 

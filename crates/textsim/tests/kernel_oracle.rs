@@ -79,25 +79,41 @@ fn draw_pair(shape: Shape, rng: &mut TestRng) -> (Vec<u32>, Vec<u32>) {
         }
         Shape::Singleton => {
             let x = rng.below(1 << 20) as u32;
-            let y = if rng.below(2) == 0 { x } else { x.wrapping_add(1 + rng.below(100) as u32) };
+            let y = if rng.below(2) == 0 {
+                x
+            } else {
+                x.wrapping_add(1 + rng.below(100) as u32)
+            };
             (vec![x], vec![y])
         }
         Shape::FullOverlap => {
             let a = sorted_dedup(
-                (0..1 + rng.below(300)).map(|_| rng.below(1 << 16) as u32).collect(),
+                (0..1 + rng.below(300))
+                    .map(|_| rng.below(1 << 16) as u32)
+                    .collect(),
             );
             (a.clone(), a)
         }
         Shape::Disjoint => {
             let split = 1_000_000 + rng.below(1 << 20) as u32;
-            let a = sorted_dedup((0..1 + rng.below(200)).map(|_| rng.below(split as u64) as u32).collect());
+            let a = sorted_dedup(
+                (0..1 + rng.below(200))
+                    .map(|_| rng.below(split as u64) as u32)
+                    .collect(),
+            );
             let b = sorted_dedup(
-                (0..1 + rng.below(200)).map(|_| split + rng.below(1 << 20) as u32).collect(),
+                (0..1 + rng.below(200))
+                    .map(|_| split + rng.below(1 << 20) as u32)
+                    .collect(),
             );
             (a, b)
         }
         Shape::Skew16x => {
-            let long = sorted_dedup((0..800 + rng.below(800)).map(|_| rng.below(1 << 18) as u32).collect());
+            let long = sorted_dedup(
+                (0..800 + rng.below(800))
+                    .map(|_| rng.below(1 << 18) as u32)
+                    .collect(),
+            );
             let short_len = 1 + rng.below((long.len() / 16).max(1) as u64) as usize;
             // Half the probes sampled from the long side (hits), half random.
             let short = sorted_dedup(
@@ -124,10 +140,14 @@ fn draw_pair(shape: Shape, rng: &mut TestRng) -> (Vec<u32>, Vec<u32>) {
         }
         Shape::SparseRandom => {
             let a = sorted_dedup(
-                (0..rng.below(400)).map(|_| (rng.below(1 << 24)) as u32).collect(),
+                (0..rng.below(400))
+                    .map(|_| (rng.below(1 << 24)) as u32)
+                    .collect(),
             );
             let b = sorted_dedup(
-                (0..rng.below(400)).map(|_| (rng.below(1 << 24)) as u32).collect(),
+                (0..rng.below(400))
+                    .map(|_| (rng.below(1 << 24)) as u32)
+                    .collect(),
             );
             (a, b)
         }
@@ -146,12 +166,27 @@ fn check_pair(a: &[u32], b: &[u32]) {
     assert!(intern::is_sorted_dedup(a) && intern::is_sorted_dedup(b));
     let (ta, tb) = (as_tokens(a), as_tokens(b));
     let want = setsim::overlap_size(&ta, &tb);
-    assert_eq!(intern::intersect_size_sorted(a, b), want, "|a|={} |b|={}", a.len(), b.len());
+    assert_eq!(
+        intern::intersect_size_sorted(a, b),
+        want,
+        "|a|={} |b|={}",
+        a.len(),
+        b.len()
+    );
     assert_eq!(intern::intersect_size_sorted(b, a), want, "not symmetric");
     assert_eq!(intern::overlap_size_ids(a, b), want);
-    assert_eq!(intern::jaccard_ids(a, b).to_bits(), setsim::jaccard(&ta, &tb).to_bits());
-    assert_eq!(intern::dice_ids(a, b).to_bits(), setsim::dice(&ta, &tb).to_bits());
-    assert_eq!(intern::cosine_ids(a, b).to_bits(), setsim::cosine(&ta, &tb).to_bits());
+    assert_eq!(
+        intern::jaccard_ids(a, b).to_bits(),
+        setsim::jaccard(&ta, &tb).to_bits()
+    );
+    assert_eq!(
+        intern::dice_ids(a, b).to_bits(),
+        setsim::dice(&ta, &tb).to_bits()
+    );
+    assert_eq!(
+        intern::cosine_ids(a, b).to_bits(),
+        setsim::cosine(&ta, &tb).to_bits()
+    );
     assert_eq!(
         intern::overlap_coefficient_ids(a, b).to_bits(),
         setsim::overlap_coefficient(&ta, &tb).to_bits()

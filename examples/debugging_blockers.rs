@@ -64,7 +64,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         r2.reduction_ratio()
     );
 
-    assert!(r2.recall() > r1.recall() + 0.3, "loosening must recover recall");
+    assert!(
+        r2.recall() > r1.recall() + 0.3,
+        "loosening must recover recall"
+    );
     assert!(!dropped.is_empty(), "debugger must surface killed pairs");
     Ok(())
 }

@@ -84,11 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("  chose blocker: {}", report.chosen_blocker);
     for cv in &report.cv_reports {
-        println!(
-            "  matcher {:22} CV F1 = {:.3}",
-            cv.learner,
-            cv.mean_f1()
-        );
+        println!("  matcher {:22} CV F1 = {:.3}", cv.learner, cv.mean_f1());
     }
     println!(
         "  chose matcher: {} (labeled {} pairs; holdout {})",

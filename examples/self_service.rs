@@ -45,7 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let (outcomes, schedule) = cloud.run_tasks(&[
-        mk_spec("restaurants (single user)", LabelingMode::SingleUser { error_rate: 0.0 }),
+        mk_spec(
+            "restaurants (single user)",
+            LabelingMode::SingleUser { error_rate: 0.0 },
+        ),
         mk_spec(
             "restaurants (crowd)",
             LabelingMode::Crowd {

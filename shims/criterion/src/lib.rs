@@ -91,11 +91,7 @@ impl BenchmarkGroup<'_> {
         name: impl Display,
         mut f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
-        run_one(
-            &format!("{}/{}", self.name, name),
-            self.sample_size,
-            &mut f,
-        );
+        run_one(&format!("{}/{}", self.name, name), self.sample_size, &mut f);
         self
     }
 

@@ -477,7 +477,10 @@ pub mod string {
     #[derive(Debug, Clone)]
     enum Node {
         Lit(char),
-        Class { members: Vec<(char, char)>, negated: bool },
+        Class {
+            members: Vec<(char, char)>,
+            negated: bool,
+        },
         Group(Vec<(Node, (u32, u32))>),
     }
 
@@ -582,7 +585,9 @@ pub mod string {
                     Node::Lit(unescape(chars.next().expect("escape")))
                 }
                 '|' | '*' | '+' | '?' | '.' | '$' | '^' => {
-                    panic!("regex feature {c:?} in {pattern:?} is not supported by the proptest shim")
+                    panic!(
+                        "regex feature {c:?} in {pattern:?} is not supported by the proptest shim"
+                    )
                 }
                 lit => {
                     chars.next();
@@ -609,7 +614,10 @@ pub mod string {
                         }
                     }
                 } else {
-                    let total: u64 = members.iter().map(|&(lo, hi)| hi as u64 - lo as u64 + 1).sum();
+                    let total: u64 = members
+                        .iter()
+                        .map(|&(lo, hi)| hi as u64 - lo as u64 + 1)
+                        .sum();
                     let mut pick = rng.below(total);
                     for &(lo, hi) in members {
                         let span = hi as u64 - lo as u64 + 1;
@@ -710,7 +718,9 @@ macro_rules! prop_assert_ne {
         $crate::prop_assert!(
             *a != *b,
             "assertion failed: {} != {}\n  both: {:?}",
-            stringify!($a), stringify!($b), a
+            stringify!($a),
+            stringify!($b),
+            a
         );
     }};
 }
@@ -779,7 +789,11 @@ mod tests {
 
             let q = crate::string::generate("[a-z ,\"\n]{0,12}", &mut rng);
             assert!(q.chars().count() <= 12);
-            assert!(q.chars().all(|c| c.is_ascii_lowercase() || " ,\"\n".contains(c)), "{q:?}");
+            assert!(
+                q.chars()
+                    .all(|c| c.is_ascii_lowercase() || " ,\"\n".contains(c)),
+                "{q:?}"
+            );
         }
     }
 

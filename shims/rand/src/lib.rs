@@ -154,10 +154,7 @@ pub mod rngs {
 
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
-            let out = self.s[1]
-                .wrapping_mul(5)
-                .rotate_left(7)
-                .wrapping_mul(9);
+            let out = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
             let t = self.s[1] << 17;
             self.s[2] ^= self.s[0];
             self.s[3] ^= self.s[1];
@@ -204,7 +201,9 @@ mod tests {
             assert_eq!(a.gen_range(0usize..1000), b.gen_range(0usize..1000));
         }
         let mut c = StdRng::seed_from_u64(43);
-        let same = (0..64).filter(|_| a.gen_range(0u64..1 << 60) == c.gen_range(0u64..1 << 60)).count();
+        let same = (0..64)
+            .filter(|_| a.gen_range(0u64..1 << 60) == c.gen_range(0u64..1 << 60))
+            .count();
         assert!(same < 4, "independent seeds should diverge");
     }
 

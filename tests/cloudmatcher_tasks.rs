@@ -74,7 +74,11 @@ fn erring_expert_on_heavy_vehicles_degrades_accuracy() {
     let s = domains::by_name("vehicles", &cfg(DirtModel::heavy(), 13)).unwrap();
     let careless = run(&s, LabelingMode::SingleUser { error_rate: 0.2 }, false);
     let careful_s = domains::by_name("persons", &cfg(DirtModel::light(), 13)).unwrap();
-    let careful = run(&careful_s, LabelingMode::SingleUser { error_rate: 0.0 }, false);
+    let careful = run(
+        &careful_s,
+        LabelingMode::SingleUser { error_rate: 0.0 },
+        false,
+    );
     // The AmFam story: heavy missingness + labeling mistakes -> visibly
     // worse than a clean task.
     let f1 = |o: &magellan_falcon::TaskOutcome| {
@@ -95,7 +99,13 @@ fn erring_expert_on_heavy_vehicles_degrades_accuracy() {
 #[test]
 fn crowd_accounting_scales_with_questions() {
     let s = domains::by_name("restaurants", &cfg(DirtModel::light(), 14)).unwrap();
-    let o = run(&s, LabelingMode::Crowd { worker_error_rate: 0.1 }, true);
+    let o = run(
+        &s,
+        LabelingMode::Crowd {
+            worker_error_rate: 0.1,
+        },
+        true,
+    );
     let model = CloudMatcher::default().cost_model;
     let expected = o.questions as f64 * model.crowd_votes as f64 * model.crowd_fee_per_vote;
     assert!((o.crowd_cost - expected).abs() < 1e-9);
@@ -107,7 +117,13 @@ fn crowd_accounting_scales_with_questions() {
 fn single_user_is_much_faster_than_crowd_at_same_task() {
     let s = domains::by_name("citations", &cfg(DirtModel::light(), 15)).unwrap();
     let user = run(&s, LabelingMode::SingleUser { error_rate: 0.0 }, false);
-    let crowd = run(&s, LabelingMode::Crowd { worker_error_rate: 0.05 }, false);
+    let crowd = run(
+        &s,
+        LabelingMode::Crowd {
+            worker_error_rate: 0.05,
+        },
+        false,
+    );
     // Per-question latency dominates: Table 2's 9m–2h vs 22h–36h split.
     assert!(crowd.label_time_s > 5.0 * user.label_time_s);
 }

@@ -55,8 +55,7 @@ fn pymatcher_end_to_end_on_products() {
     assert!(report.questions <= 400 + 60); // sample + calibration labels
 
     let out = workflow.execute(&s.table_a, &s.table_b).unwrap();
-    let m = evaluate_matches(&out.matches(), &s.table_a, &s.table_b, "id", "id", &s.gold)
-        .unwrap();
+    let m = evaluate_matches(&out.matches(), &s.table_a, &s.table_b, "id", "id", &s.gold).unwrap();
     assert!(m.f1() > 0.75, "products end-to-end F1 {m}");
 }
 
@@ -86,7 +85,10 @@ fn production_executor_matches_workflow_execute() {
         let prod = ProductionExecutor::new(workers)
             .run(&workflow, &s.table_a, &s.table_b)
             .unwrap();
-        assert_eq!(prod.matches, direct, "worker count {workers} changed results");
+        assert_eq!(
+            prod.matches, direct,
+            "worker count {workers} changed results"
+        );
     }
 }
 
@@ -108,20 +110,14 @@ fn rule_layer_rescues_a_permissive_matcher() {
         plan: Default::default(),
     };
     let plain = workflow.execute(&s.table_a, &s.table_b).unwrap().matches();
-    let m_plain =
-        evaluate_matches(&plain, &s.table_a, &s.table_b, "id", "id", &s.gold).unwrap();
+    let m_plain = evaluate_matches(&plain, &s.table_a, &s.table_b, "id", "id", &s.gold).unwrap();
 
     workflow.rule_layer = RuleLayer::new(vec![MatchRule::reject(
         "weak name guard",
-        vec![(
-            "jaccard(word(A.name), word(B.name))".into(),
-            Cmp::Lt,
-            0.4,
-        )],
+        vec![("jaccard(word(A.name), word(B.name))".into(), Cmp::Lt, 0.4)],
     )]);
     let ruled = workflow.execute(&s.table_a, &s.table_b).unwrap().matches();
-    let m_ruled =
-        evaluate_matches(&ruled, &s.table_a, &s.table_b, "id", "id", &s.gold).unwrap();
+    let m_ruled = evaluate_matches(&ruled, &s.table_a, &s.table_b, "id", "id", &s.gold).unwrap();
 
     assert!(
         m_ruled.precision() > m_plain.precision() + 0.1,
@@ -147,8 +143,7 @@ fn falcon_end_to_end_on_restaurants() {
         &FalconConfig::default(),
     )
     .unwrap();
-    let m = evaluate_matches(&report.matches, &s.table_a, &s.table_b, "id", "id", &s.gold)
-        .unwrap();
+    let m = evaluate_matches(&report.matches, &s.table_a, &s.table_b, "id", "id", &s.gold).unwrap();
     assert!(m.f1() > 0.7, "falcon restaurants F1 {m}");
     assert!(report.total_questions() <= 1200, "paper's question ceiling");
 }
@@ -252,8 +247,8 @@ fn golden_pymatcher_products_run_is_pinned() {
             .unwrap();
         assert_eq!(prod.n_candidates, 43_353, "{workers} workers");
         assert_eq!(prod.matches.len(), 152, "{workers} workers");
-        let m = evaluate_matches(&prod.matches, &s.table_a, &s.table_b, "id", "id", &s.gold)
-            .unwrap();
+        let m =
+            evaluate_matches(&prod.matches, &s.table_a, &s.table_b, "id", "id", &s.gold).unwrap();
         assert_eq!((m.tp, m.fp, m.fn_), (152, 0, 8), "{workers} workers");
         assert_eq!(m.precision(), 1.0);
         assert_eq!(m.recall(), 0.95);

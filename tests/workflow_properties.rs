@@ -1,10 +1,10 @@
 //! Property-based cross-crate invariants on randomly generated scenarios.
 
+use magellan_block::metrics::evaluate_blocking;
 use magellan_block::{
     AttrEquivalenceBlocker, Blocker, BlockingRule, CandidateSet, OverlapBlocker, Predicate,
     RuleBasedBlocker, SimFeature, TokSpec,
 };
-use magellan_block::metrics::evaluate_blocking;
 use magellan_datagen::domains;
 use magellan_datagen::{DirtModel, ScenarioConfig};
 use proptest::prelude::*;
