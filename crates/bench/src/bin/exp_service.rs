@@ -25,7 +25,7 @@ use magellan_falcon::service::{
 };
 use magellan_falcon::ScheduleRecoveryOptions;
 use magellan_faults::{ArrivalPlan, FaultPlan};
-use magellan_obs::{log, MetricValue, Obs};
+use magellan_obs::{log, MetricValue, Obs, ObsSnapshot};
 
 /// Build a seeded synthetic tenant fleet. Every number is derived from
 /// the arrival plan's seed, so the fleet (and therefore the whole run)
@@ -82,9 +82,8 @@ fn config(faults: FaultPlan) -> ServiceConfig {
 }
 
 /// Run the fleet under a pinned-clock recorder; returns the report plus
-/// the service-wide p99 fragment latency (ms) from the exported
-/// histogram.
-fn run_once(cfg: &ServiceConfig, subs: &[TenantSubmission<'_>]) -> (ServiceReport, u64) {
+/// the recorder's snapshot.
+fn run_once(cfg: &ServiceConfig, subs: &[TenantSubmission<'_>]) -> (ServiceReport, ObsSnapshot) {
     let obs = Obs::pinned();
     let report = {
         let _g = obs.install();
@@ -93,12 +92,16 @@ fn run_once(cfg: &ServiceConfig, subs: &[TenantSubmission<'_>]) -> (ServiceRepor
             .run(subs)
             .expect("service run")
     };
-    let snap = obs.snapshot();
-    let p99 = match snap.metrics.get("magellan_service_fragment_latency_ms") {
+    (report, obs.snapshot())
+}
+
+/// The service-wide p99 fragment latency (ms) from the exported
+/// histogram.
+fn p99_ms(snap: &ObsSnapshot) -> u64 {
+    match snap.metrics.get("magellan_service_fragment_latency_ms") {
         Some(MetricValue::Histogram(h)) => h.quantile(0.99),
         _ => 0,
-    };
-    (report, p99)
+    }
 }
 
 fn main() {
@@ -114,8 +117,9 @@ fn main() {
     let subs = fleet(17, n_tenants, mean_gap_s);
 
     // --- determinism gate: identical bytes before any timing ----------
-    let (r1, p99_a) = run_once(&cfg, &subs);
-    let (r2, p99_b) = run_once(&cfg, &subs);
+    let (r1, snap) = run_once(&cfg, &subs);
+    let (r2, snap_b) = run_once(&cfg, &subs);
+    let (p99_a, p99_b) = (p99_ms(&snap), p99_ms(&snap_b));
     assert_eq!(
         r1.rejection_set(),
         r2.rejection_set(),
@@ -180,9 +184,15 @@ fn main() {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let wall_s = samples[samples.len() / 2];
 
-    let completed = f64::from(r1.telemetry.completed);
+    let tenants = |what: &str| snap.counter(&format!("magellan_service_tenants_{what}_total"));
+    let (admitted, queued, rejected, completed) = (
+        tenants("admitted"),
+        tenants("queued"),
+        tenants("rejected"),
+        tenants("completed"),
+    );
     let tenants_per_sec = if wall_s > 0.0 {
-        completed / wall_s
+        completed as f64 / wall_s
     } else {
         0.0
     };
@@ -197,11 +207,10 @@ fn main() {
     .unwrap();
     writeln!(
         txt,
-        "admitted/queued/rejected: {}/{}/{}",
-        r1.telemetry.admitted, r1.telemetry.queued, r1.telemetry.rejected
+        "admitted/queued/rejected: {admitted}/{queued}/{rejected}"
     )
     .unwrap();
-    writeln!(txt, "completed:        {:>8}", r1.telemetry.completed).unwrap();
+    writeln!(txt, "completed:        {completed:>8}").unwrap();
     writeln!(txt, "sim makespan:     {:>11.1} s", r1.makespan_s).unwrap();
     writeln!(
         txt,
@@ -227,10 +236,10 @@ fn main() {
         cfg.crowd_slots,
         cfg.max_active_tenants,
         cfg.max_queue,
-        r1.telemetry.admitted,
-        r1.telemetry.queued,
-        r1.telemetry.rejected,
-        r1.telemetry.completed,
+        admitted,
+        queued,
+        rejected,
+        completed,
         r1.makespan_s,
         wall_s * 1e3,
         tenants_per_sec,

@@ -40,13 +40,6 @@ pub enum MagellanError {
         /// transient; a corrupt checkpoint is not).
         transient: bool,
     },
-    /// An operation exceeded its (simulated or wall-clock) budget.
-    Timeout {
-        /// What timed out.
-        what: String,
-        /// Budget that was exceeded, seconds.
-        budget_s: f64,
-    },
     /// The caller asked for an impossible configuration (zero scheduler
     /// slots, zero-weight tenant, ...). Always fatal: retrying the same
     /// configuration cannot succeed.
@@ -72,7 +65,6 @@ impl MagellanError {
             MagellanError::Persist(_) => false,
             MagellanError::Phase { transient, .. } => *transient,
             MagellanError::Checkpoint { transient, .. } => *transient,
-            MagellanError::Timeout { .. } => true,
             MagellanError::Config { .. } => false,
             MagellanError::Killed { .. } => false,
         }
@@ -91,7 +83,6 @@ impl MagellanError {
             MagellanError::Persist(_) => "persist",
             MagellanError::Phase { .. } => "phase",
             MagellanError::Checkpoint { .. } => "checkpoint",
-            MagellanError::Timeout { .. } => "timeout",
             MagellanError::Config { .. } => "config",
             MagellanError::Killed { .. } => "killed",
         }
@@ -135,9 +126,6 @@ impl fmt::Display for MagellanError {
             ),
             MagellanError::Checkpoint { message, .. } => {
                 write!(f, "checkpoint error: {message}")
-            }
-            MagellanError::Timeout { what, budget_s } => {
-                write!(f, "{what} exceeded its {budget_s}s budget")
             }
             MagellanError::Config { message } => {
                 write!(f, "invalid configuration: {message}")
@@ -198,11 +186,6 @@ mod tests {
             transient: true,
         };
         assert!(e.transient());
-        assert!(MagellanError::Timeout {
-            what: "fragment".into(),
-            budget_s: 5.0
-        }
-        .transient());
         assert!(MagellanError::Killed {
             after_phase: "blocking"
         }
@@ -240,10 +223,13 @@ mod tests {
 
     #[test]
     fn transience_trait_matches_inherent_method() {
-        let e = MagellanError::Timeout {
-            what: "x".into(),
-            budget_s: 1.0,
-        };
-        assert_eq!(Transience::transient(&e), e.transient());
+        for transient in [true, false] {
+            let e = MagellanError::Phase {
+                phase: "matching",
+                message: "x".into(),
+                transient,
+            };
+            assert_eq!(Transience::transient(&e), e.transient());
+        }
     }
 }

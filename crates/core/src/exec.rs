@@ -432,7 +432,6 @@ impl Recovery<'_, '_> {
         retry(&self.opts.retry, &mut self.clock, PHASE_RETRIES, f).map_err(|e| match e {
             e @ (MagellanError::Checkpoint { .. }
             | MagellanError::Killed { .. }
-            | MagellanError::Timeout { .. }
             | MagellanError::Phase { .. }) => e,
             other => MagellanError::Phase {
                 phase: phase.name(),

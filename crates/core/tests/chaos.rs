@@ -352,9 +352,13 @@ fn service_config(faults: FaultPlan) -> ServiceConfig {
     }
 }
 
-/// Every field of a [`ServiceReport`] folded into one FNV-1a digest,
-/// floats as their bit patterns.
-fn service_report_digest(r: &magellan_falcon::ServiceReport) -> u64 {
+/// Every field of a [`ServiceReport`] and the service's counters and
+/// backoff gauge from the recorder it ran under, folded into one FNV-1a
+/// digest, floats as their bit patterns.
+fn service_report_digest(
+    r: &magellan_falcon::ServiceReport,
+    snap: &magellan_obs::ObsSnapshot,
+) -> u64 {
     let mut words: Vec<u64> = Vec::new();
     let mut text = String::new();
     for t in &r.tenants {
@@ -400,27 +404,26 @@ fn service_report_digest(r: &magellan_falcon::ServiceReport) -> u64 {
         words.push(b.to_bits());
     }
     words.push(u64::from(r.crowd_served));
-    let t = &r.telemetry;
     words.extend(
         [
-            t.arrived,
-            t.admitted,
-            t.queued,
-            t.rejected,
-            t.completed,
-            t.crowd_shed,
-            t.speculation_disabled,
-            t.priority_downgrades,
-            t.tenant_retries,
-            t.schedule.fragment_retries,
-            t.schedule.fragments_timed_out,
-            t.schedule.fragments_rerouted,
-            t.schedule.speculative_launched,
-            t.schedule.speculative_wins,
+            "magellan_service_tenants_arrived_total",
+            "magellan_service_tenants_admitted_total",
+            "magellan_service_tenants_queued_total",
+            "magellan_service_tenants_rejected_total",
+            "magellan_service_tenants_completed_total",
+            "magellan_service_crowd_shed_total",
+            "magellan_service_speculation_disabled_total",
+            "magellan_service_priority_downgrades_total",
+            "magellan_service_tenant_retries_total",
+            "magellan_falcon_fragment_retries_total",
+            "magellan_falcon_fragments_timed_out_total",
+            "magellan_falcon_fragments_rerouted_total",
+            "magellan_falcon_speculative_launched_total",
+            "magellan_falcon_speculative_wins_total",
         ]
-        .map(u64::from),
+        .map(|name| snap.counter(name)),
     );
-    words.push(t.schedule.backoff_s.to_bits());
+    words.push(snap.gauge("magellan_falcon_backoff_seconds").to_bits());
     let mut bytes = text.into_bytes();
     for w in words {
         bytes.extend_from_slice(&w.to_le_bytes());
@@ -432,11 +435,18 @@ fn service_report_digest(r: &magellan_falcon::ServiceReport) -> u64 {
 fn service_report_under_seeded_faults_is_pinned() {
     magellan_core::par::silence_contained_panics();
     let s = scenario(25);
-    let report = MatchService::new(service_config(FaultPlan::seeded(4242)))
-        .expect("service")
-        .run(&service_submissions(&s, 1))
-        .expect("service run");
-    assert_eq!(service_report_digest(&report), 10257891631220348599);
+    let obs = magellan_obs::Obs::pinned();
+    let report = {
+        let _g = obs.install();
+        MatchService::new(service_config(FaultPlan::seeded(4242)))
+            .expect("service")
+            .run(&service_submissions(&s, 1))
+            .expect("service run")
+    };
+    assert_eq!(
+        service_report_digest(&report, &obs.snapshot()),
+        10257891631220348599
+    );
 }
 
 #[test]
@@ -504,7 +514,9 @@ fn multi_tenant_overload_is_deterministic_across_workers_and_fault_seeds() {
             );
         }
         assert_eq!(
-            report.telemetry.arrived, 10,
+            obs.snapshot()
+                .counter("magellan_service_tenants_arrived_total"),
+            10,
             "every submission must be seen"
         );
 

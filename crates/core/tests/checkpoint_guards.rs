@@ -1,9 +1,14 @@
-//! Three guards on the production pass's checkpoints: a resumed checkpoint
+//! Four guards on the production pass's recovery: a resumed checkpoint
 //! must index rows of the tables it is resumed against, a resumed run
-//! counts what a fresh run counts, and
-//! [`ProductionExecutor::run`], which has no store, builds no checkpoint.
+//! counts what a fresh run counts,
+//! [`ProductionExecutor::run`], which has no store, builds no checkpoint,
+//! and a transient error retries its whole phase while a fatal one does
+//! not.
 
-use magellan_block::OverlapBlocker;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+
+use magellan_block::{Blocker, CandidateSet, OverlapBlocker};
 use magellan_core::checkpoint::{Checkpoint, CheckpointStore, MemStore, Phase};
 use magellan_core::error::MagellanError;
 use magellan_core::exec::{DecisionPlan, ProductionExecutor, ProductionReport, RecoveryOptions};
@@ -11,11 +16,13 @@ use magellan_core::rules::RuleLayer;
 use magellan_core::EmWorkflow;
 use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, EmScenario, ScenarioConfig};
+use magellan_faults::RetryPolicy;
 use magellan_features::{Feature, FeatureKind, PreparedPair, TokSpecF};
 use magellan_ml::model::ConstantClassifier;
 use magellan_ml::{Dataset, RandomForestLearner};
 use magellan_obs::Obs;
-use magellan_table::Table;
+use magellan_par::{ParConfig, ParStats};
+use magellan_table::{Table, TableError};
 
 fn scenario(n: usize, seed: u64) -> EmScenario {
     persons(&ScenarioConfig {
@@ -227,5 +234,101 @@ fn a_resumed_run_counts_what_a_fresh_run_counts() -> Result<(), MagellanError> {
             r.matches.len() as u64
         );
     }
+    Ok(())
+}
+
+/// A user blocker whose `block_par` fails with `error()` on its first
+/// `fail_first` calls, then blocks as `OverlapBlocker::words("name", 1)`.
+struct FlakyBlocker {
+    calls: Arc<AtomicU32>,
+    fail_first: u32,
+    error: fn() -> TableError,
+}
+
+impl Blocker for FlakyBlocker {
+    fn name(&self) -> String {
+        "flaky".into()
+    }
+
+    fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
+        OverlapBlocker::words("name", 1).block(a, b)
+    }
+
+    fn block_par(
+        &self,
+        a: &Table,
+        b: &Table,
+        cfg: &ParConfig,
+    ) -> magellan_table::Result<(CandidateSet, ParStats)> {
+        if self.calls.fetch_add(1, Ordering::Relaxed) < self.fail_first {
+            return Err((self.error)());
+        }
+        OverlapBlocker::words("name", 1).block_par(a, b, cfg)
+    }
+}
+
+/// No fault kind reaches the whole-phase retry, but a user blocker can
+/// fail with a retryable I/O kind. One `Interrupted` failure is retried
+/// once, sleeping the policy's first delay, to a fault-free run's
+/// matches; a key violation is not retried and fails the phase as fatal.
+#[test]
+fn a_transient_blocker_error_retries_the_whole_phase() -> Result<(), MagellanError> {
+    let s = scenario(120, 23);
+    let (a, b) = (&s.table_a, &s.table_b);
+    let exec = ProductionExecutor::new(2);
+    let flaky = |fail_first, error| {
+        let calls = Arc::new(AtomicU32::new(0));
+        let blocker = FlakyBlocker {
+            calls: Arc::clone(&calls),
+            fail_first,
+            error,
+        };
+        let wf = EmWorkflow {
+            blocker: Box::new(blocker),
+            ..workflow()
+        };
+        (wf, calls)
+    };
+    let clean = exec.run(&workflow(), a, b)?;
+    assert!(!clean.matches.is_empty());
+
+    let interrupted = || std::io::Error::new(std::io::ErrorKind::Interrupted, "blip").into();
+    let (wf, calls) = flaky(1, interrupted);
+    let retried = exec.run(&wf, a, b)?;
+    assert_eq!(calls.load(Ordering::Relaxed), 2);
+    assert_eq!(retried.matches, clean.matches);
+    assert_eq!(retried.obs.counter("magellan_core_phase_retries_total"), 1);
+    assert_eq!(
+        retried.obs.gauge("magellan_core_sim_backoff_seconds"),
+        RetryPolicy::default().delay_s(1)
+    );
+
+    let key_violation = || TableError::KeyViolation {
+        table: "a".into(),
+        attr: "id".into(),
+        reason: "duplicate value".into(),
+    };
+    let (wf, calls) = flaky(u32::MAX, key_violation);
+    let obs = Obs::pinned();
+    let failed = {
+        let _g = obs.install();
+        exec.run(&wf, a, b)
+    };
+    assert!(
+        matches!(
+            failed,
+            Err(MagellanError::Phase {
+                phase: "blocking",
+                transient: false,
+                ..
+            })
+        ),
+        "{failed:?}"
+    );
+    assert_eq!(calls.load(Ordering::Relaxed), 1);
+    assert_eq!(
+        obs.snapshot().counter("magellan_core_phase_retries_total"),
+        0
+    );
     Ok(())
 }

@@ -252,9 +252,9 @@ fn service_overload_export_digests_are_pinned() {
     assert_eq!(
         got,
         [
-            (16612, 13706505008999654319),
+            (16206, 3281857041731947473),
             (43646, 4238898477438466989),
-            (37514, 1321562135057017652),
+            (37249, 6406289599008415321),
         ]
     );
 }

@@ -462,7 +462,6 @@ impl CloudMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::ScheduleTelemetry;
     use magellan_datagen::domains::persons;
     use magellan_datagen::{DirtModel, ScenarioConfig};
 
@@ -476,6 +475,32 @@ mod tests {
     /// The fault-free schedule.
     fn schedule(chains: &[Vec<Fragment>], batch_slots: usize) -> ScheduleReport {
         schedule_fragments(chains, batch_slots, &ScheduleRecoveryOptions::default()).unwrap()
+    }
+
+    /// A schedule under a pinned recorder, and what it counted.
+    fn counted(
+        chains: &[Vec<Fragment>],
+        batch_slots: usize,
+        opts: &ScheduleRecoveryOptions,
+    ) -> (ScheduleReport, magellan_obs::ObsSnapshot) {
+        let obs = magellan_obs::Obs::pinned();
+        let rep = {
+            let _g = obs.install();
+            schedule_fragments(chains, batch_slots, opts).unwrap()
+        };
+        (rep, obs.snapshot())
+    }
+
+    /// The `magellan_falcon_*` counters a snapshot holds.
+    fn falcon_counters(snap: &magellan_obs::ObsSnapshot) -> Vec<&str> {
+        snap.metrics
+            .iter()
+            .filter(|(k, v)| {
+                k.starts_with("magellan_falcon_")
+                    && matches!(v, magellan_obs::MetricValue::Counter(_))
+            })
+            .map(|(k, _)| k.as_str())
+            .collect()
     }
 
     fn scenario(seed: u64) -> magellan_datagen::EmScenario {
@@ -612,14 +637,14 @@ mod tests {
 
     #[test]
     fn empty_schedule_is_zero() {
-        let rep = schedule(&[], 2);
+        let (rep, snap) = counted(&[], 2, &ScheduleRecoveryOptions::default());
         assert_eq!(rep.serial_total_s, 0.0);
         assert_eq!(rep.interleaved_makespan_s, 0.0);
         // Zero-denominator convention: an empty schedule speeds nothing
         // up, so the ratio is the neutral 1.0 — finite, never NaN/∞.
         assert_eq!(rep.speedup(), 1.0);
         assert!(rep.speedup().is_finite());
-        assert_eq!(rep.telemetry, ScheduleTelemetry::default());
+        assert_eq!(falcon_counters(&snap), Vec::<&str>::new());
     }
 
     fn synthetic_chains() -> Vec<Vec<Fragment>> {
@@ -647,11 +672,12 @@ mod tests {
             faults: FaultPlan::none(),
             ..Default::default()
         };
-        let rec = schedule_fragments(&chains, 3, &none).unwrap();
+        let (rec, snap) = counted(&chains, 3, &none);
         assert_eq!(plain.interleaved_makespan_s, rec.interleaved_makespan_s);
         assert_eq!(plain.serial_total_s, rec.serial_total_s);
         assert_eq!(plain.busy, rec.busy);
-        assert_eq!(rec.telemetry, ScheduleTelemetry::default());
+        assert_eq!(falcon_counters(&snap), Vec::<&str>::new());
+        assert_eq!(snap.gauge("magellan_falcon_backoff_seconds"), 0.0);
     }
 
     #[test]
@@ -666,15 +692,15 @@ mod tests {
             },
             ..ScheduleRecoveryOptions::default()
         };
-        let rec = schedule_fragments(&chains, 3, &opts).unwrap();
-        assert!(rec.telemetry.fragment_retries > 0);
-        assert!(rec.telemetry.backoff_s > 0.0);
+        let (rec, snap) = counted(&chains, 3, &opts);
+        assert!(snap.counter("magellan_falcon_fragment_retries_total") > 0);
+        assert!(snap.gauge("magellan_falcon_backoff_seconds") > 0.0);
         let plain = schedule(&chains, 3);
         assert!(rec.interleaved_makespan_s > plain.interleaved_makespan_s);
-        // Deterministic: the same plan yields the same schedule.
-        let again = schedule_fragments(&chains, 3, &opts).unwrap();
+        // Deterministic: the same plan yields the same schedule and counts.
+        let (again, again_snap) = counted(&chains, 3, &opts);
         assert_eq!(rec.interleaved_makespan_s, again.interleaved_makespan_s);
-        assert_eq!(rec.telemetry, again.telemetry);
+        assert_eq!(snap.to_prometheus(), again_snap.to_prometheus());
     }
 
     #[test]
@@ -690,10 +716,14 @@ mod tests {
             },
             ..ScheduleRecoveryOptions::default()
         };
-        let rec = schedule_fragments(&chains, 3, &opts).unwrap();
-        assert_eq!(rec.telemetry.speculative_launched, 6);
+        let (rec, snap) = counted(&chains, 3, &opts);
         assert_eq!(
-            rec.telemetry.speculative_wins, 6,
+            snap.counter("magellan_falcon_speculative_launched_total"),
+            6
+        );
+        assert_eq!(
+            snap.counter("magellan_falcon_speculative_wins_total"),
+            6,
             "2x backup beats 4x straggler"
         );
         // Every batch fragment finishes at 2x nominal, not 4x.
@@ -732,9 +762,12 @@ mod tests {
             fragment_timeout_s: 30.0,
             ..ScheduleRecoveryOptions::default()
         };
-        let rec = schedule_fragments(&chains, 1, &opts).unwrap();
-        assert_eq!(rec.telemetry.fragments_timed_out, 1);
-        assert_eq!(rec.telemetry.speculative_launched, 0);
+        let (rec, snap) = counted(&chains, 1, &opts);
+        assert_eq!(snap.counter("magellan_falcon_fragments_timed_out_total"), 1);
+        assert_eq!(
+            snap.counter("magellan_falcon_speculative_launched_total"),
+            0
+        );
         // Cost: 30s killed attempt + backoff + 10s nominal rerun — far
         // below the 1000s the straggler would have taken.
         assert!(rec.interleaved_makespan_s < 100.0, "{rec:?}");
@@ -753,8 +786,8 @@ mod tests {
             },
             ..ScheduleRecoveryOptions::default()
         };
-        let rec = schedule_fragments(&chains, 3, &opts).unwrap();
-        assert_eq!(rec.telemetry.fragments_rerouted, 6);
+        let (rec, snap) = counted(&chains, 3, &opts);
+        assert_eq!(snap.counter("magellan_falcon_fragments_rerouted_total"), 6);
         // The degraded fragments now run on the user engine.
         let user_busy = rec
             .busy

@@ -49,12 +49,11 @@ pub use cloud::{CloudMatcher, CostModel, LabelingMode, TaskOutcome, TaskSpec};
 pub use rules::{extract_blocking_rules, ExtractedRule};
 pub use schedule::{
     schedule_fragments, Engine, Fragment, Priority, ScheduleRecoveryOptions, ScheduleReport,
-    ScheduleTelemetry,
 };
 pub use service::{
     estimate_workload, Admission, DegradationPolicy, DegradationRule, DegradeAction,
     DegradeTrigger, MatchService, RejectReason, ServiceConfig, ServiceCostModel, ServiceReport,
-    ServiceTelemetry, SyntheticTask, TenantQuota, TenantReport, TenantSpec, TenantSubmission,
-    Workload, WorkloadEstimate,
+    SyntheticTask, TenantQuota, TenantReport, TenantSpec, TenantSubmission, Workload,
+    WorkloadEstimate,
 };
 pub use workflow::{run_falcon, FalconConfig, FalconReport};

@@ -121,57 +121,6 @@ impl Priority {
     }
 }
 
-/// What the self-healing metamanager did while scheduling: damage
-/// absorbed per recovery mechanism. All zeros for a fault-free schedule.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ScheduleTelemetry {
-    /// Fragment attempts that failed and were retried with backoff.
-    pub fragment_retries: u32,
-    /// Straggler attempts killed at the per-fragment budget and rerun.
-    pub fragments_timed_out: u32,
-    /// Crowd fragments rerouted to the submitting user (degradation).
-    pub fragments_rerouted: u32,
-    /// Speculative backup copies launched for straggler batch fragments.
-    pub speculative_launched: u32,
-    /// Backups that finished before the straggling original.
-    pub speculative_wins: u32,
-    /// Total simulated backoff spent between fragment retries, seconds.
-    pub backoff_s: f64,
-}
-
-impl ScheduleTelemetry {
-    /// Publish the metamanager's recovery counters into the ambient
-    /// [`magellan_obs`] recorder as `magellan_falcon_*` metrics. No-op
-    /// for a fault-free (all-zero) schedule so clean runs export no
-    /// falcon noise.
-    pub fn publish(&self) {
-        if *self == ScheduleTelemetry::default() {
-            return;
-        }
-        magellan_obs::counter_add(
-            "magellan_falcon_fragment_retries_total",
-            u64::from(self.fragment_retries),
-        );
-        magellan_obs::counter_add(
-            "magellan_falcon_fragments_timed_out_total",
-            u64::from(self.fragments_timed_out),
-        );
-        magellan_obs::counter_add(
-            "magellan_falcon_fragments_rerouted_total",
-            u64::from(self.fragments_rerouted),
-        );
-        magellan_obs::counter_add(
-            "magellan_falcon_speculative_launched_total",
-            u64::from(self.speculative_launched),
-        );
-        magellan_obs::counter_add(
-            "magellan_falcon_speculative_wins_total",
-            u64::from(self.speculative_wins),
-        );
-        magellan_obs::gauge_set("magellan_falcon_backoff_seconds", self.backoff_s);
-    }
-}
-
 /// The metamanager's schedule summary.
 #[derive(Debug, Clone)]
 pub struct ScheduleReport {
@@ -183,8 +132,6 @@ pub struct ScheduleReport {
     pub busy: Vec<(Engine, f64)>,
     /// Batch-engine worker slots used in the simulation.
     pub batch_slots: usize,
-    /// Recovery counters (all zeros under [`FaultPlan::none`]).
-    pub telemetry: ScheduleTelemetry,
 }
 
 impl ScheduleReport {
@@ -283,13 +230,15 @@ pub(crate) fn sim_ns(s: f64) -> u64 {
 /// ultimately runs on and how long it occupies the schedule, including
 /// failed attempts, backoff, timeouts, degradation, and speculation.
 /// Returns the resolved fragment plus extra batch busy-seconds burned by
-/// a speculative backup copy.
+/// a speculative backup copy. Each recovery is added to its
+/// `magellan_falcon_*_total` counter as it happens, and each simulated
+/// backoff to `backoff_s`, in call order.
 pub(crate) fn resolve_fragment(
     task: u64,
     fid: u64,
     frag: Fragment,
     opts: &ScheduleRecoveryOptions,
-    tel: &mut ScheduleTelemetry,
+    backoff_s: &mut f64,
 ) -> (Fragment, f64) {
     let plan = &opts.faults;
     let mut engine = frag.engine;
@@ -302,8 +251,8 @@ pub(crate) fn resolve_fragment(
     if engine == Engine::Crowd && plan.crowd_no_show(task, fid) {
         let repost = opts.retry.delay_s(1);
         total += repost;
-        tel.backoff_s += repost;
-        tel.fragments_rerouted += 1;
+        *backoff_s += repost;
+        magellan_obs::counter_add("magellan_falcon_fragments_rerouted_total", 1);
         engine = Engine::UserInteraction;
         nominal *= opts.degrade_factor;
         magellan_obs::event(
@@ -324,8 +273,8 @@ pub(crate) fn resolve_fragment(
         // loop always reaches a completing attempt.
         if plan.fragment_fails(task, fid, attempt) && opts.retry.allows(attempt + 1) {
             let backoff = opts.retry.delay_s(attempt + 1);
-            tel.fragment_retries += 1;
-            tel.backoff_s += backoff;
+            magellan_obs::counter_add("magellan_falcon_fragment_retries_total", 1);
+            *backoff_s += backoff;
             total += nominal * 0.5 + backoff;
             attempt += 1;
             magellan_obs::event(
@@ -349,8 +298,8 @@ pub(crate) fn resolve_fragment(
             // The inflated attempt blows the fragment budget: kill it at
             // the budget mark and reschedule elsewhere.
             let backoff = opts.retry.delay_s(attempt + 1);
-            tel.fragments_timed_out += 1;
-            tel.backoff_s += backoff;
+            magellan_obs::counter_add("magellan_falcon_fragments_timed_out_total", 1);
+            *backoff_s += backoff;
             total += opts.fragment_timeout_s + backoff;
             attempt += 1;
             magellan_obs::event(
@@ -366,11 +315,11 @@ pub(crate) fn resolve_fragment(
         if dur > nominal * spec_threshold {
             // Straggler within budget: launch a backup at t = nominal
             // running at nominal speed; take whichever finishes first.
-            tel.speculative_launched += 1;
+            magellan_obs::counter_add("magellan_falcon_speculative_launched_total", 1);
             let backup_finish = 2.0 * nominal;
             let effective = dur.min(backup_finish);
             if backup_finish < dur {
-                tel.speculative_wins += 1;
+                magellan_obs::counter_add("magellan_falcon_speculative_wins_total", 1);
             }
             magellan_obs::event(
                 "straggler_speculated",
@@ -396,6 +345,14 @@ pub(crate) fn resolve_fragment(
         },
         extra_batch_busy,
     )
+}
+
+/// Set the `magellan_falcon_backoff_seconds` gauge to a run's summed
+/// simulated backoff, only when there was any.
+pub(crate) fn set_backoff_gauge(backoff_s: f64) {
+    if backoff_s > 0.0 {
+        magellan_obs::gauge_set("magellan_falcon_backoff_seconds", backoff_s);
+    }
 }
 
 /// One workflow's chain as the scheduler sees it.
@@ -556,7 +513,13 @@ impl Engines {
 /// `frag_user`/`frag_crowd`/`frag_batch` child per placed fragment,
 /// recorded at its simulated start/finish via
 /// [`magellan_obs::record_span_at`] (key = `chain << 32 | index`), plus
-/// `magellan_falcon_schedule_*` gauges on the report totals.
+/// `magellan_falcon_schedule_*` gauges on the report totals. Recoveries
+/// are counted as they happen, each only when it happens (a fault-free
+/// schedule adds no counter): `magellan_falcon_fragment_retries_total`,
+/// `_fragments_timed_out_total`, `_fragments_rerouted_total`,
+/// `_speculative_launched_total` and `_speculative_wins_total`. The
+/// simulated backoff they cost is summed and set once on the
+/// `magellan_falcon_backoff_seconds` gauge when it is non-zero.
 pub fn schedule_fragments(
     chains: &[Vec<Fragment>],
     batch_slots: usize,
@@ -564,7 +527,7 @@ pub fn schedule_fragments(
 ) -> Result<ScheduleReport, MagellanError> {
     check_batch_slots(batch_slots)?;
     opts.validate()?;
-    let mut tel = ScheduleTelemetry::default();
+    let mut backoff_s = 0.0f64;
     let resolved: Vec<Vec<(Fragment, f64)>> = chains
         .iter()
         .enumerate()
@@ -572,7 +535,7 @@ pub fn schedule_fragments(
             chain
                 .iter()
                 .enumerate()
-                .map(|(i, f)| resolve_fragment(c as u64, i as u64, *f, opts, &mut tel))
+                .map(|(i, f)| resolve_fragment(c as u64, i as u64, *f, opts, &mut backoff_s))
                 .collect()
         })
         .collect();
@@ -603,13 +566,12 @@ pub fn schedule_fragments(
     magellan_obs::gauge_set("magellan_falcon_schedule_makespan_seconds", makespan);
     drop(sched_span);
 
-    tel.publish();
+    set_backoff_gauge(backoff_s);
     Ok(ScheduleReport {
         serial_total_s: serial_total,
         interleaved_makespan_s: makespan,
         busy: engines.into_busy(),
         batch_slots,
-        telemetry: tel,
     })
 }
 
@@ -656,12 +618,12 @@ mod tests {
     type Placed = (&'static str, u64, u64, u64, u64);
 
     /// A schedule's placements, recovered from the `frag_*` spans it
-    /// records.
+    /// records, and the names of the counters it added.
     fn placements(
         chains: &[Vec<Fragment>],
         slots: usize,
         opts: &ScheduleRecoveryOptions,
-    ) -> (ScheduleReport, Vec<Placed>) {
+    ) -> (ScheduleReport, Vec<Placed>, Vec<String>) {
         let obs = magellan_obs::Obs::pinned();
         let rep = {
             let _g = obs.install();
@@ -674,7 +636,13 @@ mod tests {
                 out.push((name, s.key >> 32, s.key & 0xFFFF_FFFF, s.start_ns, s.end_ns));
             }
         }
-        (rep, out)
+        let counters = snap
+            .metrics
+            .iter()
+            .filter(|(_, v)| matches!(v, magellan_obs::MetricValue::Counter(_)))
+            .map(|(k, _)| k.clone())
+            .collect();
+        (rep, out, counters)
     }
 
     proptest! {
@@ -690,7 +658,7 @@ mod tests {
             let slots = rng.gen_range(1..4usize);
             let faults = random_faults(&mut rng);
             let opts = ScheduleRecoveryOptions { faults, ..Default::default() };
-            let (rep, spans) = placements(&chains, slots, &opts);
+            let (rep, spans, _) = placements(&chains, slots, &opts);
 
             // No engine runs more fragments at once than it has slots.
             for (name, cap) in [("frag_batch", slots), ("frag_crowd", chains.len())] {
@@ -710,7 +678,7 @@ mod tests {
             // Makespan bounds: the longest chain and batch busy / slots on
             // the fault-free schedule; under faults, the batch seconds
             // actually placed (backups run beside, not on, the slots).
-            let (fault_free, _) = placements(&chains, slots, &ScheduleRecoveryOptions::default());
+            let (fault_free, _, _) = placements(&chains, slots, &ScheduleRecoveryOptions::default());
             let longest = chains
                 .iter()
                 .map(|c| c.iter().map(|f| f.duration_s).sum::<f64>())
@@ -727,13 +695,13 @@ mod tests {
 
             // Default options are exactly `FaultPlan::none()`.
             let none = ScheduleRecoveryOptions { faults: FaultPlan::none(), ..Default::default() };
-            let (explicit, explicit_spans) = placements(&chains, slots, &none);
-            let (_, default_spans) =
+            let (explicit, explicit_spans, explicit_counters) = placements(&chains, slots, &none);
+            let (_, default_spans, _) =
                 placements(&chains, slots, &ScheduleRecoveryOptions::default());
             let bits = |r: &ScheduleReport| r.interleaved_makespan_s.to_bits();
             prop_assert_eq!(bits(&explicit), bits(&fault_free));
             prop_assert_eq!(explicit.busy, fault_free.busy);
-            prop_assert_eq!(explicit.telemetry, ScheduleTelemetry::default());
+            prop_assert!(explicit_counters.is_empty(), "fault-free counters: {:?}", explicit_counters);
             prop_assert_eq!(explicit_spans, default_spans);
         }
     }
@@ -755,7 +723,7 @@ mod tests {
             ],
             vec![frag(Engine::Batch, 15.0)],
         ];
-        let (rep, spans) = placements(&chains, 1, &ScheduleRecoveryOptions::default());
+        let (rep, spans, _) = placements(&chains, 1, &ScheduleRecoveryOptions::default());
         let batch_start = |chain: u64| {
             spans
                 .iter()

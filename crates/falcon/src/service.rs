@@ -25,7 +25,7 @@
 //!   fallback of PR 2 generalized into ordered, declarative
 //!   [`DegradationRule`]s: shed crowd work first, then disable
 //!   speculative re-execution, then downgrade priority. Every decision is
-//!   recorded as an obs event and counted in [`ServiceTelemetry`].
+//!   recorded as an obs event and counted in the obs registry.
 //!
 //! **Bit-identity contract.** An accepted tenant's [`TaskOutcome`] is
 //! byte-identical to running that tenant alone, at any worker count,
@@ -47,8 +47,8 @@ use magellan_table::segment::{self, SegmentError, SegmentReader};
 use crate::cloud::{execute_labeling, CostModel, TaskOutcome, TaskSpec};
 pub use crate::schedule::Priority;
 use crate::schedule::{
-    check_batch_slots, resolve_fragment, sim_ns, task_chain, Engine, Engines, Fragment, Lane,
-    ScheduleRecoveryOptions, ScheduleTelemetry,
+    check_batch_slots, resolve_fragment, set_backoff_gauge, sim_ns, task_chain, Engine, Engines,
+    Fragment, Lane, ScheduleRecoveryOptions,
 };
 
 /// Per-tenant quotas in the currencies of Table 2. `f64::INFINITY`
@@ -373,75 +373,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Per-tenant service counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ServiceTelemetry {
-    /// Submissions seen.
-    pub arrived: u32,
-    /// Activated on arrival.
-    pub admitted: u32,
-    /// Held in the queue before activation.
-    pub queued: u32,
-    /// Rejected at admission.
-    pub rejected: u32,
-    /// Completed workflows.
-    pub completed: u32,
-    /// Crowd fragments shed to the submitting user by policy.
-    pub crowd_shed: u32,
-    /// Tenants whose speculation was disabled by policy.
-    pub speculation_disabled: u32,
-    /// Tenants downgraded to low priority by policy.
-    pub priority_downgrades: u32,
-    /// Transient tenant-activation failures retried.
-    pub tenant_retries: u32,
-    /// Fragment-level recovery counters (shared vocabulary with the
-    /// single-workflow metamanager).
-    pub schedule: ScheduleTelemetry,
-}
-
-impl ServiceTelemetry {
-    /// Publish the counters as `magellan_service_*` metrics.
-    pub fn publish(&self) {
-        magellan_obs::counter_add(
-            "magellan_service_tenants_arrived_total",
-            u64::from(self.arrived),
-        );
-        magellan_obs::counter_add(
-            "magellan_service_tenants_admitted_total",
-            u64::from(self.admitted),
-        );
-        magellan_obs::counter_add(
-            "magellan_service_tenants_queued_total",
-            u64::from(self.queued),
-        );
-        magellan_obs::counter_add(
-            "magellan_service_tenants_rejected_total",
-            u64::from(self.rejected),
-        );
-        magellan_obs::counter_add(
-            "magellan_service_tenants_completed_total",
-            u64::from(self.completed),
-        );
-        magellan_obs::counter_add(
-            "magellan_service_crowd_shed_total",
-            u64::from(self.crowd_shed),
-        );
-        magellan_obs::counter_add(
-            "magellan_service_speculation_disabled_total",
-            u64::from(self.speculation_disabled),
-        );
-        magellan_obs::counter_add(
-            "magellan_service_priority_downgrades_total",
-            u64::from(self.priority_downgrades),
-        );
-        magellan_obs::counter_add(
-            "magellan_service_tenant_retries_total",
-            u64::from(self.tenant_retries),
-        );
-        self.schedule.publish();
-    }
-}
-
 /// What happened to one tenant.
 #[derive(Debug, Clone)]
 pub struct TenantReport {
@@ -492,8 +423,9 @@ pub struct ServiceReport {
     pub busy: Vec<(Engine, f64)>,
     /// Crowd fragments that actually ran on the crowd engine.
     pub crowd_served: u32,
-    /// Service counters.
-    pub telemetry: ServiceTelemetry,
+    /// Crowd fragments shed to the submitting user by policy (no-show
+    /// reroutes are not counted here).
+    pub crowd_shed: u32,
 }
 
 impl ServiceReport {
@@ -521,7 +453,7 @@ impl ServiceReport {
     /// Fraction of crowd-bound fragments shed to users (0 when no crowd
     /// work was submitted).
     pub fn shed_rate(&self) -> f64 {
-        let shed = f64::from(self.telemetry.crowd_shed);
+        let shed = f64::from(self.crowd_shed);
         let total = shed + f64::from(self.crowd_served);
         if total == 0.0 {
             0.0
@@ -954,7 +886,6 @@ impl MatchService {
         i: usize,
         t: f64,
         log: &mut RunLog<'_>,
-        tel: &mut ServiceTelemetry,
         report: &mut TenantReport,
     ) -> Result<Active, MagellanError> {
         let cfg = &self.config;
@@ -968,7 +899,7 @@ impl MatchService {
         let mut attempt = 0u32;
         while cfg.recovery.faults.tenant_fails(i as u64, attempt) && retry.allows(attempt + 1) {
             delay += retry.delay_s(attempt + 1);
-            tel.tenant_retries += 1;
+            magellan_obs::counter_add("magellan_service_tenant_retries_total", 1);
             attempt += 1;
             magellan_obs::event_at(
                 sim_ns(t + delay),
@@ -1007,13 +938,16 @@ impl MatchService {
     /// Apply the degradation policy to `a`'s next fragment, then resolve
     /// it under the fault plan into `a.pending`. `backlog` is the
     /// `(crowd, batch)` count of ready fragments; `report` carries which
-    /// one-shot actions already fired for this tenant.
+    /// one-shot actions already fired for this tenant. A policy shed adds
+    /// 1 to `crowd_shed`, and the fault resolution's backoff is added to
+    /// `backoff_s`.
     fn prepare(
         &self,
         a: &mut Active,
         mut frag: Fragment,
         backlog: (usize, usize),
-        tel: &mut ServiceTelemetry,
+        crowd_shed: &mut u32,
+        backoff_s: &mut f64,
         report: &mut TenantReport,
     ) {
         let cfg = &self.config;
@@ -1042,13 +976,13 @@ impl MatchService {
             match rule.action {
                 DegradeAction::ShedCrowdToUser => a.shed_all_crowd = true,
                 DegradeAction::DisableSpeculation if !report.speculation_disabled => {
-                    tel.speculation_disabled += 1;
+                    magellan_obs::counter_add("magellan_service_speculation_disabled_total", 1);
                     report.speculation_disabled = true;
                     degrade("disable_speculation", &[]);
                 }
                 DegradeAction::DowngradePriority if !report.priority_downgraded => {
                     a.lane.priority = Priority::Low;
-                    tel.priority_downgrades += 1;
+                    magellan_obs::counter_add("magellan_service_priority_downgrades_total", 1);
                     report.priority_downgraded = true;
                     degrade("downgrade_priority", &[]);
                 }
@@ -1060,7 +994,8 @@ impl MatchService {
         if frag.engine == Engine::Crowd && (a.shed_all_crowd || cfg.crowd_slots == 0) {
             frag.engine = Engine::UserInteraction;
             frag.duration_s *= cfg.recovery.degrade_factor;
-            tel.crowd_shed += 1;
+            *crowd_shed += 1;
+            magellan_obs::counter_add("magellan_service_crowd_shed_total", 1);
             report.shed_crowd_fragments += 1;
             degrade(
                 "shed_crowd_to_user",
@@ -1080,7 +1015,7 @@ impl MatchService {
             &no_speculation
         };
         let (resolved, extra) =
-            resolve_fragment(i as u64, a.lane.next as u64, frag, opts, &mut tel.schedule);
+            resolve_fragment(i as u64, a.lane.next as u64, frag, opts, backoff_s);
         if frag.engine == Engine::Crowd && resolved.engine != Engine::Crowd {
             // resolve_fragment's own no-show rerouting.
             report.shed_crowd_fragments += 1;
@@ -1147,11 +1082,12 @@ impl MatchService {
             })
             .collect();
 
-        let mut tel = ServiceTelemetry::default();
         let mut active: Vec<Active> = Vec::new();
         let mut queue: Vec<usize> = Vec::new();
         let mut engines = Engines::new(cfg.crowd_slots, cfg.batch_slots);
         let mut crowd_served: u32 = 0;
+        let mut crowd_shed: u32 = 0;
+        let mut backoff_s = 0.0f64;
         let mut makespan = 0.0f64;
 
         loop {
@@ -1175,7 +1111,8 @@ impl MatchService {
                 }
                 if let Some(&frag) = a.chain.get(a.lane.next) {
                     let report = &mut reports[a.lane.id];
-                    self.prepare(a, frag, (crowd_backlog, batch_backlog), &mut tel, report);
+                    let backlog = (crowd_backlog, batch_backlog);
+                    self.prepare(a, frag, backlog, &mut crowd_shed, &mut backoff_s, report);
                 }
             }
 
@@ -1216,7 +1153,7 @@ impl MatchService {
                 rep.frag_p50_ms = a.hist.quantile(0.50);
                 rep.frag_p99_ms = a.hist.quantile(0.99);
                 rep.machine_spent_s = a.machine.spent_s;
-                tel.completed += 1;
+                magellan_obs::counter_add("magellan_service_tenants_completed_total", 1);
                 makespan = makespan.max(tc);
                 magellan_obs::event_at(
                     sim_ns(tc),
@@ -1230,12 +1167,12 @@ impl MatchService {
                         .min_by_key(|&q| (Reverse(subs[queue[q]].tenant.priority), q))
                         .unwrap_or(0);
                     let i = queue.remove(qpos);
-                    let a = self.activate(subs, i, tc, &mut log, &mut tel, &mut reports[i])?;
+                    let a = self.activate(subs, i, tc, &mut log, &mut reports[i])?;
                     active.push(a);
                 }
             } else if let Some((t, i)) = arrival.filter(|&(ta, _)| ta <= tp) {
                 arr_idx += 1;
-                tel.arrived += 1;
+                magellan_obs::counter_add("magellan_service_tenants_arrived_total", 1);
                 makespan = makespan.max(t);
                 let tenant_ev = [("tenant", EvVal::U(i as u64))];
                 magellan_obs::event_at(sim_ns(t), "tenant_arrived", &tenant_ev);
@@ -1243,13 +1180,13 @@ impl MatchService {
                 match admit(&est, &subs[i].tenant.quota, active.len(), queue.len(), cfg) {
                     Ok(true) => {
                         reports[i].admission = Admission::Admitted;
-                        tel.admitted += 1;
-                        let a = self.activate(subs, i, t, &mut log, &mut tel, &mut reports[i])?;
+                        magellan_obs::counter_add("magellan_service_tenants_admitted_total", 1);
+                        let a = self.activate(subs, i, t, &mut log, &mut reports[i])?;
                         active.push(a);
                     }
                     Ok(false) => {
                         reports[i].admission = Admission::AdmittedAfterQueue;
-                        tel.queued += 1;
+                        magellan_obs::counter_add("magellan_service_tenants_queued_total", 1);
                         queue.push(i);
                         magellan_obs::event_at(
                             sim_ns(t),
@@ -1268,7 +1205,7 @@ impl MatchService {
                             &[("tenant", EvVal::U(i as u64)), ("reason", EvVal::S(why))],
                         );
                         reports[i].admission = Admission::Rejected(reason);
-                        tel.rejected += 1;
+                        magellan_obs::counter_add("magellan_service_tenants_rejected_total", 1);
                     }
                 }
             } else if let Some((_, pos)) = placement {
@@ -1303,7 +1240,7 @@ impl MatchService {
 
         debug_assert!(queue.is_empty(), "every queued tenant eventually activates");
 
-        // Publish per-tenant SLO gauges and service-wide counters.
+        // Publish per-tenant SLO gauges and the service-wide backoff.
         for (i, rep) in reports.iter().enumerate() {
             if !rep.admission.accepted() {
                 continue;
@@ -1338,7 +1275,7 @@ impl MatchService {
             }
         }
         magellan_obs::gauge_set("magellan_service_makespan_seconds", makespan);
-        tel.publish();
+        set_backoff_gauge(backoff_s);
         if let Some(path) = magellan_obs::flight_autodump() {
             magellan_obs::log!(info, "flight-recorder dump written to {path}");
         }
@@ -1348,7 +1285,7 @@ impl MatchService {
             makespan_s: makespan,
             busy: engines.into_busy(),
             crowd_served,
-            telemetry: tel,
+            crowd_shed,
         })
     }
 }
@@ -1357,6 +1294,17 @@ impl MatchService {
 mod tests {
     use super::*;
     use magellan_core::checkpoint::MemStore;
+    use magellan_obs::{Obs, ObsSnapshot};
+
+    /// Run `f` under a pinned recorder: its result and what it counted.
+    fn counted<T>(f: impl FnOnce() -> T) -> (T, ObsSnapshot) {
+        let obs = Obs::pinned();
+        let out = {
+            let _g = obs.install();
+            f()
+        };
+        (out, obs.snapshot())
+    }
 
     fn synth(
         i: usize,
@@ -1424,7 +1372,7 @@ mod tests {
             .map(|i| synth(i, 0.0, false, TenantQuota::unlimited()))
             .collect();
         subs[1] = synth(1, 0.0, true, tight);
-        let report = svc.run(&subs).unwrap();
+        let (report, snap) = counted(|| svc.run(&subs).unwrap());
         let rej = report.rejection_set();
         // Tenant 1 is over quota; 0,2 activate; 3,4,5 queue; 6–9 shed.
         assert_eq!(
@@ -1437,10 +1385,11 @@ mod tests {
                 (9, "queue_full".to_string()),
             ]
         );
-        assert_eq!(report.telemetry.admitted, 2);
-        assert_eq!(report.telemetry.queued, 3);
-        assert_eq!(report.telemetry.rejected, 5);
-        assert_eq!(report.telemetry.completed, 5);
+        let tenants = |what: &str| snap.counter(&format!("magellan_service_tenants_{what}_total"));
+        assert_eq!(tenants("admitted"), 2);
+        assert_eq!(tenants("queued"), 3);
+        assert_eq!(tenants("rejected"), 5);
+        assert_eq!(tenants("completed"), 5);
         assert!(matches!(
             report.tenants[4].admission,
             Admission::AdmittedAfterQueue
@@ -1528,12 +1477,13 @@ mod tests {
         let subs: Vec<_> = (0..4)
             .map(|i| synth(i, 0.0, true, TenantQuota::unlimited()))
             .collect();
-        let report = svc.run(&subs).unwrap();
-        assert!(
-            report.telemetry.crowd_shed > 0,
-            "crowd backlog must trigger shedding"
+        let (report, snap) = counted(|| svc.run(&subs).unwrap());
+        assert!(report.crowd_shed > 0, "crowd backlog must trigger shedding");
+        assert_eq!(
+            snap.counter("magellan_service_crowd_shed_total"),
+            u64::from(report.crowd_shed)
         );
-        assert!(report.telemetry.speculation_disabled > 0);
+        assert!(snap.counter("magellan_service_speculation_disabled_total") > 0);
         assert!(report.shed_rate() > 0.0 && report.shed_rate() <= 1.0);
         assert!(report.tenants.iter().any(|t| t.shed_crowd_fragments > 0));
         // Shedding reroutes schedule fragments, never touches outcomes.
@@ -1557,7 +1507,7 @@ mod tests {
             .run(&[synth(0, 0.0, true, TenantQuota::unlimited())])
             .unwrap();
         assert_eq!(report.crowd_served, 0);
-        assert!(report.telemetry.crowd_shed > 0);
+        assert!(report.crowd_shed > 0);
     }
 
     #[test]
@@ -1583,15 +1533,26 @@ mod tests {
             ..base.clone()
         })
         .unwrap();
-        let err = killer
-            .run_with_checkpoint(&subs(5), &mut store)
-            .unwrap_err();
+        let (err, killed) = counted(|| {
+            killer
+                .run_with_checkpoint(&subs(5), &mut store)
+                .unwrap_err()
+        });
         assert!(matches!(
             err,
             MagellanError::Killed {
                 after_phase: "service"
             }
         ));
+        // Counts are added as they happen, so the killed run leaves the
+        // two arrivals it saw (tenants 0 and 1, killed after the second
+        // workload ran) in its recorder.
+        assert_eq!(killed.counter("magellan_service_tenants_arrived_total"), 2);
+        assert_eq!(killed.counter("magellan_service_tenants_admitted_total"), 2);
+        assert_eq!(
+            killed.counter("magellan_service_tenants_completed_total"),
+            0
+        );
 
         let resumed = MatchService::new(base)
             .unwrap()
