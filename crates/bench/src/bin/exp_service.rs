@@ -8,7 +8,8 @@
 //!   (admission control, fair-share scheduling, degradation policy),
 //!   asserts the run is byte-deterministic before timing, and writes
 //!   `results/exp_service.txt` plus `BENCH_service.json` at the repo
-//!   root.
+//!   root (the baseline only from a full run: not under `BENCH_SMOKE=1`
+//!   or `--overload-smoke`).
 //! * **`--overload-smoke`** — CI's service-chaos gate: concurrent
 //!   demand is pinned at ≥ 2× service capacity, and the run must shed
 //!   load deterministically (stable rejection set, solo-identical
@@ -227,8 +228,12 @@ fn main() {
     )
     .unwrap();
     log!(info, "{txt}");
+    // Best-effort writes (CI smoke may run from a read-only checkout).
     let _ = std::fs::create_dir_all("results");
-    std::fs::write("results/exp_service.txt", &txt).expect("write results/exp_service.txt");
+    let _ = std::fs::write("results/exp_service.txt", &txt);
+    if smoke || overload {
+        return;
+    }
 
     let json = format!(
         "{{\n  \"experiment\": \"service_layer\",\n  \"workload\": {{\"n_tenants\": {n_tenants}, \"mean_gap_s\": {mean_gap_s}, \"overload\": {overload}, \"smoke\": {smoke}}},\n  \"capacity\": {{\"batch_slots\": {}, \"crowd_slots\": {}, \"max_active_tenants\": {}, \"max_queue\": {}}},\n  \"admitted\": {},\n  \"queued\": {},\n  \"rejected\": {},\n  \"completed\": {},\n  \"sim_makespan_s\": {:.3},\n  \"wall_ms_median\": {:.3},\n  \"tenants_per_sec\": {:.1},\n  \"p99_fragment_latency_ms\": {},\n  \"shed_rate\": {:.4}\n}}\n",
@@ -246,6 +251,6 @@ fn main() {
         p99_a,
         shed_rate,
     );
-    std::fs::write("BENCH_service.json", json).expect("write BENCH_service.json");
+    let _ = std::fs::write("BENCH_service.json", json);
     log!(info, "wrote results/exp_service.txt and BENCH_service.json");
 }

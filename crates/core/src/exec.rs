@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use magellan_block::CandidateSet;
 use magellan_faults::{run_with_retry, FaultPlan, RetryPolicy, SimClock};
-use magellan_features::{FeaturePlan, PreparedPair, Scorer, ScorerCounts};
+use magellan_features::{FeatureBox, FeaturePlan, PreparedPair, Scorer, ScorerCounts};
 use magellan_ml::Classifier;
 use magellan_obs::{EvVal, ObsSnapshot};
 use magellan_par::{ChunkFaults, ParConfig};
@@ -522,6 +522,7 @@ fn match_candidates(
     let rules = workflow.rule_layer.bind(&names);
     let n_features = plan.len();
     let (matcher, threshold) = (&*workflow.matcher, workflow.threshold);
+    let region = workflow.plan.region.as_deref().map(|d| plan.compile_box(d));
 
     let _region = magellan_obs::span("score", 0);
     let (chunks, stats) = magellan_par::chunk_map(pairs.len(), cfg, |range| {
@@ -534,9 +535,15 @@ fn match_candidates(
                 matched.push(chunk[i]);
             }
         };
-        workflow
-            .plan
-            .decide_pairs(matcher, threshold, &mut scorer, chunk, &mut counts, keep);
+        workflow.plan.decide_pairs(
+            region.as_ref(),
+            matcher,
+            threshold,
+            &mut scorer,
+            chunk,
+            &mut counts,
+            keep,
+        );
         (matched, scorer.computed(), counts, scorer.counts())
     });
 
@@ -751,14 +758,17 @@ impl DecisionPlan {
     /// Decide each of `pairs` by `matcher` at `threshold` through `scorer`
     /// and hand the pair's position and decision to `then` with the scorer
     /// still on that pair, so it can read more of the same lazily filled
-    /// row. A pair inside the certain-No region is a No; every other pair
+    /// row. A pair inside the certain-No region (`region`, this plan's box
+    /// compiled against the scorer's feature plan) is a No; every other pair
     /// is decided by the matcher, asking only for the features its trees
     /// test, and for the deferred ones last ([`Classifier::decide`]).
     /// Shared by the production pass and the development stage's
     /// calibration probe; the plan must have passed
     /// [`DecisionPlan::check`] for this matcher and threshold.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn decide_pairs<'p>(
         &self,
+        region: Option<&FeatureBox>,
         matcher: &dyn Classifier,
         threshold: f64,
         scorer: &mut Scorer<'p>,
@@ -775,7 +785,10 @@ impl DecisionPlan {
         };
         for (i, &(ra, rb)) in pairs.iter().enumerate() {
             scorer.begin_pair(ra as usize, rb as usize);
-            let predicted = if self.in_region(scorer) {
+            // The box's features the most asked for first; a NaN or a value
+            // above its bound leaves the pair to the matcher, with what was
+            // read memoised.
+            let predicted = if region.is_some_and(|r| scorer.in_box(r)) {
                 counts.in_region += 1;
                 false
             } else {
@@ -784,15 +797,6 @@ impl DecisionPlan {
             };
             then(i, predicted, scorer);
         }
-    }
-
-    /// Does the scorer's pair lie in the certain-No region? Its features
-    /// are read the most asked for first; a NaN or a value above its bound
-    /// leaves the pair to the matcher, with what was read memoised.
-    fn in_region(&self, scorer: &mut Scorer<'_>) -> bool {
-        self.region
-            .as_ref()
-            .is_some_and(|dims| dims.iter().all(|&(j, upper)| scorer.feature(j) <= upper))
     }
 }
 

@@ -370,10 +370,12 @@ fn run_development_stage_on(
         // predicted match gets its whole row and its probability. Chunks
         // keep pair positions and are joined in order, so `scored` is in
         // probe order.
+        let region = probe_plan.region.as_deref().map(|d| plan.compile_box(d));
         let (chunks, _) = magellan_par::chunk_map(probe_pairs.len(), par, |range| {
             let mut scorer = Scorer::new(&prepared, &plan);
             let mut scored: Vec<(f64, usize)> = Vec::new();
             probe_plan.decide_pairs(
+                region.as_ref(),
                 &*matcher,
                 0.5,
                 &mut scorer,

@@ -45,6 +45,7 @@ pub use fvtable::{
     extract_feature_matrix_scalar_par, FeatureMatrix,
 };
 pub use prepared::{
-    extract_with_prepared, FeaturePlan, PreparedPair, Scorer, ScorerCounts, StreamingPreparedPair,
+    extract_with_prepared, FeatureBox, FeaturePlan, PreparedPair, Scorer, ScorerCounts,
+    StreamingPreparedPair,
 };
 pub use types::{infer_attr_type, AttrType};

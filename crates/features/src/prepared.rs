@@ -23,6 +23,14 @@
 //!   [`TokenInterner`] across both tables) for the set measures;
 //! * parsed floats for the numeric measures.
 //!
+//! Each `(attribute, shape)` keeps its cells flat: a number column is one
+//! `f64` per prepared record (a NaN with its own payload when the value
+//! is null or not a number), a string, bag or set column is one buffer of
+//! `char`s or ids with a `(start, end)` span per record. A
+//! zero-initialised row index leads from a row to its cell, so the rows
+//! no pair references cost nothing but untouched pages, and invalidating
+//! a record gives its cell up for the next one.
+//!
 //! ## Two ways to evaluate a pair
 //!
 //! [`PreparedPair::compute_row`] / [`PreparedPair::compute_feature`] are
@@ -37,8 +45,11 @@
 //! consecutive pairs share their left record; the scorer keeps that
 //! record's side of each measure (stamped id sets, an edit-distance
 //! pattern) while it repeats, and a memo in front of Jaro–Winkler for the
-//! token pairs Monge–Elkan keeps meeting. Every value has the reference's
-//! bits for any pair order (DESIGN.md §7.7; `tests/scorer_oracle.rs`).
+//! token pairs Monge–Elkan keeps meeting. A box over the plan's features
+//! ([`FeaturePlan::compile_box`], once per run) is tested against the
+//! current pair by [`Scorer::in_box`], straight from the numeric and set
+//! stores, filling the same memo. Every value has the reference's bits for
+//! any pair order (DESIGN.md §7.7; `tests/scorer_oracle.rs`).
 //!
 //! ## Bit-identity with the scalar path
 //!
@@ -110,26 +121,104 @@ impl PrepSpec {
     }
 }
 
-/// One prepared cell: an attribute value in one shape. Boxed slices, not
-/// `Vec`s: a cell is written once, and three words instead of four keep a
-/// cell plus its row index below the four words of the dense
-/// `Option<PrepValue>` layout this replaced, on tables where every row is
-/// referenced.
-#[derive(Debug, Clone)]
-enum PrepValue {
-    /// The value was null (every measure yields `NaN`).
+/// One prepared cell: an attribute value in one shape, as its column lends
+/// it out.
+#[derive(Debug, Clone, Copy)]
+enum PrepValue<'c> {
+    /// The value was null, or a number column's value is not a number
+    /// (every measure yields `NaN`).
     Null,
     /// Trimmed lowercased string, decoded.
-    Str(Box<[char]>),
+    Str(&'c [char]),
     /// Ordered bag of interned token ids (duplicates kept); the tokens'
     /// characters are in [`TokenChars`].
-    Bag(Box<[u32]>),
+    Bag(&'c [u32]),
     /// Sorted deduplicated interned token set.
-    Set(Box<[u32]>),
+    Set(&'c [u32]),
     /// Parsed float.
     Num(f64),
-    /// Non-null but not parseable as a number (numeric measures → `NaN`).
-    NotNum,
+}
+
+/// What a number column holds for a value that is null or not a number:
+/// a quiet NaN whose payload spells "null". Parsing gives the canonical
+/// NaN and arithmetic its negative, so no cell value reaches this pattern
+/// but one built bit by bit, which would read as null.
+const NO_NUMBER: u64 = 0x7ff8_0000_6e75_6c6c;
+
+/// A number column's cell as a [`PrepValue`].
+fn number_cell(x: f64) -> PrepValue<'static> {
+    if x.to_bits() == NO_NUMBER {
+        PrepValue::Null
+    } else {
+        PrepValue::Num(x)
+    }
+}
+
+/// A null cell's span in an [`Arena`]: it starts after it ends.
+const NULL_SPAN: (u32, u32) = (u32::MAX, 0);
+
+/// The variable-length cells of one column back to back in one buffer, a
+/// `(start, end)` span per cell: a column's cells are read in row order
+/// and lie in it in preparation order, which is row order, and a cell is
+/// no allocation of its own.
+#[derive(Debug, Default)]
+struct Arena<T> {
+    spans: Vec<(u32, u32)>,
+    items: Vec<T>,
+    /// Items of invalidated cells, which no span covers any more. Once they
+    /// are half of `items`, the live cells are copied into a new buffer, so
+    /// a long stream of updates does not grow it.
+    dead: usize,
+}
+
+impl<T: Copy> Arena<T> {
+    /// Cell `at`; `None` if it is null.
+    #[inline]
+    fn get(&self, at: usize) -> Option<&[T]> {
+        let (start, end) = self.spans[at];
+        (start <= end).then(|| &self.items[start as usize..end as usize])
+    }
+
+    /// Make `at` (an existing cell or the next one) the items pushed since
+    /// `start`, or null.
+    fn close(&mut self, at: usize, start: Option<usize>) {
+        let span = start.map_or(NULL_SPAN, |s| {
+            (intern::narrow(s), intern::narrow(self.items.len()))
+        });
+        match self.spans.get_mut(at) {
+            Some(old) => *old = span,
+            None => self.spans.push(span),
+        }
+    }
+
+    /// Make cell `at` null, giving its items up.
+    fn clear(&mut self, at: usize) {
+        let (start, end) = std::mem::replace(&mut self.spans[at], NULL_SPAN);
+        if start <= end {
+            self.dead += (end - start) as usize;
+        }
+        if self.dead * 2 > self.items.len() {
+            let mut items = Vec::with_capacity(self.items.len() - self.dead);
+            for span in self.spans.iter_mut().filter(|s| s.0 <= s.1) {
+                let start = intern::narrow(items.len());
+                items.extend_from_slice(&self.items[span.0 as usize..span.1 as usize]);
+                *span = (start, intern::narrow(items.len()));
+            }
+            self.items = items;
+            self.dead = 0;
+        }
+    }
+}
+
+/// One column's prepared cells, by shape.
+#[derive(Debug)]
+enum Store {
+    /// `Num`: the parsed float, or [`NO_NUMBER`].
+    Num(Vec<f64>),
+    /// `LowerStr`: the decoded characters.
+    Chars(Arena<char>),
+    /// `WordBag`, `WordSet` and `QgramSet`: the interned ids.
+    Ids(Arena<u32>),
 }
 
 /// The decoded characters of every token that occurs in a bag, by interner
@@ -167,42 +256,112 @@ impl TokenChars {
 ///
 /// Sparse: blocking leaves a few thousand of a long table's rows in the
 /// candidate set, so the per-row part is a zero-initialised `u32` index
-/// (untouched pages of it are never faulted in) over a compact vector of
+/// (untouched pages of it are never faulted in) over a compact store of
 /// the cells actually prepared.
 #[derive(Debug)]
 struct PrepColumn {
     col: usize,
     spec: PrepSpec,
-    /// Per row: `0` = not prepared, else `1 +` its index into `values`.
+    /// Per row: `0` = not prepared, else `1 +` its cell's index in `store`.
     slot_of: Vec<u32>,
     /// The prepared cells, each prepared exactly once.
-    values: Vec<PrepValue>,
-    /// Indexes of `values` given up by [`PrepColumn::invalidate`], reused
-    /// first so a long stream of updates does not grow the vector.
+    store: Store,
+    /// Cell indexes given up by [`PrepColumn::invalidate`], reused first
+    /// so a long stream of updates does not grow the store.
     free: Vec<u32>,
 }
 
 impl PrepColumn {
-    fn get(&self, row: usize) -> Option<&PrepValue> {
-        match self.slot_of[row] {
-            0 => None,
-            slot => Some(&self.values[slot as usize - 1]),
+    fn new(col: usize, spec: PrepSpec, nrows: usize) -> Self {
+        let store = match spec {
+            PrepSpec::Num => Store::Num(Vec::new()),
+            PrepSpec::LowerStr => Store::Chars(Arena::default()),
+            PrepSpec::WordBag | PrepSpec::WordSet | PrepSpec::QgramSet(_) => {
+                Store::Ids(Arena::default())
+            }
+        };
+        PrepColumn {
+            col,
+            spec,
+            slot_of: vec![0; nrows],
+            store,
+            free: Vec::new(),
         }
     }
 
-    fn put(&mut self, row: usize, value: PrepValue) {
+    /// The row's cell index, if it was prepared.
+    #[inline]
+    fn at(&self, row: usize) -> Option<usize> {
+        match self.slot_of[row] {
+            0 => None,
+            slot => Some(slot as usize - 1),
+        }
+    }
+
+    /// [`PrepColumn::at`] of a row a plan's pair reads.
+    #[inline]
+    fn prepared(&self, row: usize, side: &str) -> usize {
+        match self.at(row) {
+            Some(at) => at,
+            None => panic!("{side} record {row} was not prepared for this plan"),
+        }
+    }
+
+    fn get(&self, row: usize) -> Option<PrepValue<'_>> {
+        let at = self.at(row)?;
+        Some(match &self.store {
+            Store::Num(values) => number_cell(values[at]),
+            Store::Chars(arena) => arena.get(at).map_or(PrepValue::Null, PrepValue::Str),
+            Store::Ids(arena) => match arena.get(at) {
+                None => PrepValue::Null,
+                Some(ids) if self.spec == PrepSpec::WordBag => PrepValue::Bag(ids),
+                Some(ids) => PrepValue::Set(ids),
+            },
+        })
+    }
+
+    /// The row's cell, which a plan's pair reads.
+    fn cell(&self, row: usize, side: &str) -> PrepValue<'_> {
+        match self.get(row) {
+            Some(v) => v,
+            None => panic!("{side} record {row} was not prepared for this plan"),
+        }
+    }
+
+    /// A number column's cell as stored: the float, or [`NO_NUMBER`].
+    #[inline]
+    fn number(&self, row: usize, side: &str) -> f64 {
+        let at = self.prepared(row, side);
+        match &self.store {
+            Store::Num(values) => values[at],
+            _ => f64::from_bits(NO_NUMBER),
+        }
+    }
+
+    /// An id column's cell; `None` if it is null.
+    #[inline]
+    fn ids(&self, row: usize, side: &str) -> Option<&[u32]> {
+        let at = self.prepared(row, side);
+        match &self.store {
+            Store::Ids(arena) => arena.get(at),
+            _ => None,
+        }
+    }
+
+    /// The index the row's new cell goes to, a given-up one first. The
+    /// caller fills it.
+    fn claim(&mut self, row: usize) -> usize {
         debug_assert_eq!(self.slot_of[row], 0, "a cell is prepared once");
         let at = match self.free.pop() {
-            Some(at) => {
-                self.values[at as usize] = value;
-                at
-            }
-            None => {
-                self.values.push(value);
-                self.values.len() as u32 - 1
-            }
+            Some(at) => at as usize,
+            None => match &self.store {
+                Store::Num(values) => values.len(),
+                Store::Chars(arena) => arena.spans.len(),
+                Store::Ids(arena) => arena.spans.len(),
+            },
         };
-        self.slot_of[row] = at + 1;
+        self.slot_of[row] = intern::narrow(at + 1);
+        at
     }
 
     /// Forget the row's cell (rows past the index were never prepared).
@@ -212,7 +371,11 @@ impl PrepColumn {
             return false;
         };
         let at = std::mem::take(slot) - 1;
-        self.values[at as usize] = PrepValue::Null;
+        match &mut self.store {
+            Store::Num(values) => values[at as usize] = f64::from_bits(NO_NUMBER),
+            Store::Chars(arena) => arena.clear(at as usize),
+            Store::Ids(arena) => arena.clear(at as usize),
+        }
         self.free.push(at);
         true
     }
@@ -228,13 +391,7 @@ struct PreparedSide {
 impl PreparedSide {
     fn slot(&mut self, col: usize, spec: PrepSpec, nrows: usize) -> usize {
         *self.index.entry((col, spec)).or_insert_with(|| {
-            self.cols.push(PrepColumn {
-                col,
-                spec,
-                slot_of: vec![0; nrows],
-                values: Vec::new(),
-                free: Vec::new(),
-            });
+            self.cols.push(PrepColumn::new(col, spec, nrows));
             self.cols.len() - 1
         })
     }
@@ -257,14 +414,6 @@ impl PreparedSide {
             .iter_mut()
             .map(|c| usize::from(c.invalidate(rid)))
             .sum()
-    }
-
-    /// The record's cell in one combination.
-    fn cell(&self, slot: usize, row: usize, side: &str) -> &PrepValue {
-        match self.cols[slot].get(row) {
-            Some(v) => v,
-            None => panic!("{side} record {row} was not prepared for this plan"),
-        }
     }
 }
 
@@ -539,6 +688,39 @@ impl FeaturePlan {
     pub fn scalar_tokenize_calls(&self, n_pairs: usize) -> usize {
         2 * n_pairs * self.n_token_features
     }
+
+    /// Compile a box of `(feature, upper bound)` dimensions against the
+    /// plan, for [`Scorer::in_box`]: once per run, not per pair. The box
+    /// keeps the dimensions' order.
+    ///
+    /// # Panics
+    /// If a dimension is not a feature of the plan.
+    pub fn compile_box(&self, dims: &[(usize, f64)]) -> FeatureBox {
+        FeatureBox {
+            dims: dims
+                .iter()
+                .map(|&(feature, upper)| BoxDim {
+                    feature,
+                    upper,
+                    entry: self.entries[feature],
+                })
+                .collect(),
+        }
+    }
+}
+
+/// A box over a plan's features, `f₁ ≤ u₁ ∧ … ∧ f_k ≤ u_k`, with each
+/// dimension's columns resolved ([`FeaturePlan::compile_box`]).
+#[derive(Debug, Clone)]
+pub struct FeatureBox {
+    dims: Vec<BoxDim>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct BoxDim {
+    feature: usize,
+    upper: f64,
+    entry: PlanEntry,
 }
 
 /// The shared record-preparation cache over one `(A, B)` table pair.
@@ -623,8 +805,8 @@ impl<'t> PreparedPair<'t> {
         rows: &mut Vec<usize>,
     ) -> f64 {
         let e = &plan.entries[j];
-        let va = self.cells.left.cell(e.l_slot, ra, "left");
-        let vb = self.cells.right.cell(e.r_slot, rb, "right");
+        let va = self.cells.left.cols[e.l_slot].cell(ra, "left");
+        let vb = self.cells.right.cols[e.r_slot].cell(rb, "right");
         compute_prepared(e.kind, va, vb, &self.cells.tokens, rows)
     }
 
@@ -781,44 +963,54 @@ fn prepare_column(
     for &r in rows {
         let r = r as usize;
         stats.lookups += 1;
-        if column.get(r).is_some() {
+        if column.at(r).is_some() {
             stats.hits += 1;
             continue;
         }
         let v = table.value(r, column.col);
-        let cell = if v.is_null() {
-            PrepValue::Null
-        } else {
-            match column.spec {
-                PrepSpec::Num => v
-                    .as_float()
-                    .map(PrepValue::Num)
-                    .unwrap_or(PrepValue::NotNum),
-                PrepSpec::LowerStr => PrepValue::Str(lower_trimmed(v).chars().collect()),
-                PrepSpec::WordBag => {
-                    stats.tokenize_calls += 1;
-                    let mut bag: Vec<u32> = Vec::new();
-                    AlphanumericTokenizer::new().for_each_token(&lower_trimmed(v), &mut |t| {
-                        let id = interner.intern(t);
-                        tokens.note(id, t);
-                        bag.push(id);
-                    });
-                    PrepValue::Bag(bag.into())
-                }
-                PrepSpec::WordSet | PrepSpec::QgramSet(_) => {
-                    stats.tokenize_calls += 1;
-                    let text = lower_trimmed(v);
-                    let set = match column.spec {
-                        PrepSpec::QgramSet(q) => {
-                            interner.intern_tokens(&QgramTokenizer::as_set(q), &text)
-                        }
-                        _ => interner.intern_tokens(&AlphanumericTokenizer::as_set(), &text),
-                    };
-                    PrepValue::Set(set.into())
+        let at = column.claim(r);
+        match &mut column.store {
+            Store::Num(values) => {
+                let x = v.as_float().unwrap_or(f64::from_bits(NO_NUMBER));
+                match values.get_mut(at) {
+                    Some(old) => *old = x,
+                    None => values.push(x),
                 }
             }
-        };
-        column.put(r, cell);
+            Store::Chars(arena) => {
+                let start = (!v.is_null()).then_some(arena.items.len());
+                if start.is_some() {
+                    arena.items.extend(lower_trimmed(v).chars());
+                }
+                arena.close(at, start);
+            }
+            Store::Ids(arena) => {
+                let start = (!v.is_null()).then_some(arena.items.len());
+                if start.is_some() {
+                    stats.tokenize_calls += 1;
+                    let text = lower_trimmed(v);
+                    let ids = &mut arena.items;
+                    match column.spec {
+                        PrepSpec::WordBag => {
+                            AlphanumericTokenizer::new().for_each_token(&text, &mut |t| {
+                                let id = interner.intern(t);
+                                tokens.note(id, t);
+                                ids.push(id);
+                            });
+                        }
+                        PrepSpec::QgramSet(q) => {
+                            interner.intern_tokens_into(&QgramTokenizer::as_set(q), &text, ids)
+                        }
+                        _ => interner.intern_tokens_into(
+                            &AlphanumericTokenizer::as_set(),
+                            &text,
+                            ids,
+                        ),
+                    }
+                }
+                arena.close(at, start);
+            }
+        }
         stats.records_prepared += 1;
     }
 }
@@ -827,17 +1019,13 @@ fn prepare_column(
 /// measures, exact match and the two Jaro forms (whose greedy matching has
 /// no side that can be prepared ahead). One body for the reference and the
 /// scorer; `None` for the kinds each evaluates its own way.
-fn compute_stateless(kind: FeatureKind, va: &PrepValue, vb: &PrepValue) -> Option<f64> {
+fn compute_stateless(kind: FeatureKind, va: PrepValue<'_>, vb: PrepValue<'_>) -> Option<f64> {
     Some(match kind {
         FeatureKind::ExactNum | FeatureKind::AbsDiff | FeatureKind::RelDiff => {
             let (PrepValue::Num(x), PrepValue::Num(y)) = (va, vb) else {
                 return Some(f64::NAN);
             };
-            match kind {
-                FeatureKind::ExactNum => numeric::exact_match_num(*x, *y),
-                FeatureKind::AbsDiff => numeric::abs_diff_sim(*x, *y),
-                _ => numeric::rel_diff_sim(*x, *y),
-            }
+            numeric_measure(kind, x, y)
         }
         FeatureKind::ExactMatch | FeatureKind::Jaro | FeatureKind::JaroWinkler => {
             let (sa, sb) = str_cells(va, vb)?;
@@ -851,9 +1039,18 @@ fn compute_stateless(kind: FeatureKind, va: &PrepValue, vb: &PrepValue) -> Optio
     })
 }
 
+/// A numeric kind over two numbers, neither of them [`NO_NUMBER`].
+fn numeric_measure(kind: FeatureKind, x: f64, y: f64) -> f64 {
+    match kind {
+        FeatureKind::ExactNum => numeric::exact_match_num(x, y),
+        FeatureKind::AbsDiff => numeric::abs_diff_sim(x, y),
+        _ => numeric::rel_diff_sim(x, y),
+    }
+}
+
 /// Both cells of a string feature. `None` (callers answer `NaN`) would be
 /// a bug: a plan reads each feature from the slot of its own shape.
-fn str_cells<'c>(va: &'c PrepValue, vb: &'c PrepValue) -> Option<(&'c [char], &'c [char])> {
+fn str_cells<'c>(va: PrepValue<'c>, vb: PrepValue<'c>) -> Option<(&'c [char], &'c [char])> {
     match (va, vb) {
         (PrepValue::Str(sa), PrepValue::Str(sb)) => Some((sa, sb)),
         _ => {
@@ -864,7 +1061,7 @@ fn str_cells<'c>(va: &'c PrepValue, vb: &'c PrepValue) -> Option<(&'c [char], &'
 }
 
 /// Both cells of a Monge–Elkan feature (see [`str_cells`] on `None`).
-fn bag_cells<'c>(va: &'c PrepValue, vb: &'c PrepValue) -> Option<(&'c [u32], &'c [u32])> {
+fn bag_cells<'c>(va: PrepValue<'c>, vb: PrepValue<'c>) -> Option<(&'c [u32], &'c [u32])> {
     match (va, vb) {
         (PrepValue::Bag(ba), PrepValue::Bag(bb)) => Some((ba, bb)),
         _ => {
@@ -876,10 +1073,10 @@ fn bag_cells<'c>(va: &'c PrepValue, vb: &'c PrepValue) -> Option<(&'c [u32], &'c
 
 /// Both cells of a set feature — `None` also when either tokenization is
 /// empty: the scalar path returns `NaN` there, preserved exactly.
-fn set_cells<'c>(va: &'c PrepValue, vb: &'c PrepValue) -> Option<(&'c [u32], &'c [u32])> {
+fn set_cells<'c>(va: PrepValue<'c>, vb: PrepValue<'c>) -> Option<(&'c [u32], &'c [u32])> {
     match (va, vb) {
         (PrepValue::Set(ia), PrepValue::Set(ib)) => {
-            (!ia.is_empty() && !ib.is_empty()).then_some((&**ia, &**ib))
+            (!ia.is_empty() && !ib.is_empty()).then_some((ia, ib))
         }
         _ => {
             debug_assert!(false, "set feature over non-set prep");
@@ -893,8 +1090,8 @@ fn set_cells<'c>(va: &'c PrepValue, vb: &'c PrepValue) -> Option<(&'c [u32], &'c
 /// bit-identical. Reached only through [`PreparedPair::compute_feature`].
 fn compute_prepared(
     kind: FeatureKind,
-    va: &PrepValue,
-    vb: &PrepValue,
+    va: PrepValue<'_>,
+    vb: PrepValue<'_>,
     tokens: &TokenChars,
     rows: &mut Vec<usize>,
 ) -> f64 {
@@ -1384,35 +1581,57 @@ mod tests {
         assert_eq!(ss2.cache.hits, ss2.cache.lookups);
     }
 
-    /// The sparse cell store: one compact value per prepared row, rows past
-    /// the index read as unprepared, and an invalidated slot is the next
-    /// one filled — a stream of updates does not grow the store.
+    /// The sparse cell store: cells for the prepared rows only, rows past
+    /// the index read as unprepared, and an invalidated cell's index is the
+    /// next one filled — a stream of updates grows neither the store nor,
+    /// once half of it is given up, an id column's buffer.
     #[test]
     fn sparse_cells_reuse_invalidated_slots() {
-        // A cell and its row index fit in the old dense layout's cell.
-        assert!(std::mem::size_of::<PrepValue>() + 4 <= 4 * std::mem::size_of::<usize>());
+        let t = Table::from_rows(
+            "t",
+            &[("name", Dtype::Str), ("n", Dtype::Int)],
+            (0..1_000)
+                .map(|i| vec![format!("w{} x", i % 7).into(), Value::Int(i)])
+                .collect(),
+        )
+        .unwrap();
         let mut side = PreparedSide::default();
-        let slot = side.slot(0, PrepSpec::Num, 1_000);
-        let col = &mut side.cols[slot];
-        assert!(col.get(999).is_none() && col.values.is_empty());
-        col.put(999, PrepValue::Num(1.0));
-        col.put(3, PrepValue::Num(2.0));
-        assert!(matches!(col.get(999), Some(PrepValue::Num(x)) if *x == 1.0));
-        assert!(matches!(col.get(3), Some(PrepValue::Num(x)) if *x == 2.0));
-        assert!(
-            !col.invalidate(4) && !col.invalidate(5_000),
-            "never prepared"
-        );
-        for round in 0..50 {
-            assert!(col.invalidate(999));
+        let (mut interner, mut tokens) = (TokenInterner::new(), TokenChars::default());
+        let mut stats = CacheStats::default();
+        let num = side.slot(1, PrepSpec::Num, t.nrows());
+        let set = side.slot(0, PrepSpec::WordSet, t.nrows());
+        let mut prepare = |col: &mut PrepColumn, rows: &[u32]| {
+            prepare_column(col, &t, rows, &mut interner, &mut tokens, &mut stats);
+        };
+        for slot in [num, set] {
+            let col = &mut side.cols[slot];
             assert!(col.get(999).is_none());
-            col.put(999, PrepValue::Num(f64::from(round)));
+            prepare(col, &[3, 999]);
+            assert!(
+                !col.invalidate(4) && !col.invalidate(5_000),
+                "never prepared"
+            );
+            for _ in 0..50 {
+                assert!(col.invalidate(999));
+                assert!(col.get(999).is_none());
+                prepare(col, &[999]);
+            }
         }
-        assert_eq!(col.values.len(), 2);
-        assert!(matches!(col.get(3), Some(PrepValue::Num(x)) if *x == 2.0));
+        let col = &side.cols[num];
+        assert!(matches!(col.get(999), Some(PrepValue::Num(x)) if x == 999.0));
+        assert!(matches!(col.get(3), Some(PrepValue::Num(x)) if x == 3.0));
+        assert!(matches!(&col.store, Store::Num(v) if v.len() == 2));
+        let col = &side.cols[set];
+        assert!(matches!(col.get(3), Some(PrepValue::Set(ids)) if ids.len() == 2));
+        assert!(matches!(col.get(999), Some(PrepValue::Set(ids)) if ids.len() == 2));
+        let Store::Ids(arena) = &col.store else {
+            panic!("a set column keeps ids");
+        };
+        assert_eq!(arena.spans.len(), 2);
+        assert!(arena.items.len() <= 2 * 4, "{} items", arena.items.len());
         side.ensure_rows(2_000);
-        assert!(side.cols[slot].get(1_999).is_none());
-        assert_eq!(side.invalidate(3), 1);
+        assert!(side.cols[num].get(1_999).is_none());
+        assert_eq!(side.invalidate(3), 2);
     }
 
     #[test]

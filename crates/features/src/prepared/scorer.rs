@@ -9,8 +9,8 @@ use magellan_textsim::seqsim::{self, LevPattern};
 use magellan_textsim::setsim;
 
 use super::{
-    bag_cells, compute_stateless, set_cells, str_cells, Cells, FeaturePlan, PlanEntry, PrepValue,
-    PreparedPair,
+    bag_cells, compute_stateless, numeric_measure, str_cells, Cells, FeatureBox, FeaturePlan,
+    PlanEntry, PrepValue, PreparedPair, NO_NUMBER,
 };
 use crate::feature::FeatureKind;
 
@@ -74,36 +74,37 @@ impl ScorerCounts {
 }
 
 /// One left set slot's ids, stamped into a table over interner ids: a
-/// right id is in the left set iff its tag is the current epoch, so
-/// `|A ∩ B|` is a count over `B` with no merge walk and nothing to clear
-/// between left records.
+/// right id is in the left set iff its flag is 1, so `|A ∩ B|` is the sum
+/// of `B`'s flags, with no merge walk and no compare. Moving on to the next
+/// left record clears the flags of the ids stamped before, which it keeps,
+/// so nothing vocabulary-sized is cleared between records.
 #[derive(Debug, Default)]
 struct Stamps {
-    /// Per interner id.
-    tags: Vec<u32>,
-    /// The tag of the ids stamped last; 0 = nothing stamped yet.
-    epoch: u32,
+    /// Per interner id, 1 if stamped, else 0.
+    flags: Vec<u8>,
+    /// The ids whose flags are set.
+    ids: Vec<u32>,
     /// The scorer run those ids belong to; 0 = none.
     run: u64,
 }
 
 impl Stamps {
     fn stamp(&mut self, ids: &[u32], run: u64) {
-        if self.epoch == u32::MAX {
-            self.tags.fill(0);
-            self.epoch = 0;
+        for &id in &self.ids {
+            self.flags[id as usize] = 0;
         }
-        self.epoch += 1;
+        self.ids.clear();
+        self.ids.extend_from_slice(ids);
         for &id in ids {
-            self.tags[id as usize] = self.epoch;
+            self.flags[id as usize] = 1;
         }
         self.run = run;
     }
 
     fn count(&self, ids: &[u32]) -> usize {
         ids.iter()
-            .filter(|&&id| self.tags[id as usize] == self.epoch)
-            .count()
+            .map(|&id| usize::from(self.flags[id as usize]))
+            .sum()
     }
 }
 
@@ -139,8 +140,8 @@ pub(super) struct Scratch {
 impl Scratch {
     /// Shape the buffers for `plan` over `vocab` interner ids and forget
     /// what the previous scorer knew: its runs are numbered from 1 like
-    /// the next one's, and its memo decided what it counted. Stamp tags
-    /// stay — they are older than any epoch to come.
+    /// the next one's, and its memo decided what it counted. Stamped flags
+    /// stay, with the ids that clear them.
     fn reset(&mut self, plan: &FeaturePlan, vocab: usize) {
         self.values.resize(plan.len(), 0.0);
         self.inters.resize(plan.n_set_pairs, 0);
@@ -149,8 +150,8 @@ impl Scratch {
         self.sets.resize_with(plan.n_set_slots, Stamps::default);
         for set in &mut self.sets {
             set.run = 0;
-            if set.tags.len() < vocab {
-                set.tags.resize(vocab, 0);
+            if set.flags.len() < vocab {
+                set.flags.resize(vocab, 0);
             }
         }
         self.patterns
@@ -181,7 +182,7 @@ const JW_MEMO_BITS: u32 = 14;
 /// computed at most once per pair) or for all of them ([`Scorer::row`]).
 /// For the left row it saw last it keeps, built on a slot's first demand:
 ///
-/// * per set slot, the id set stamped into an epoch-tagged table
+/// * per set slot, the id set stamped into a flag table over interner ids
 ///   ([`Stamps`]), and per pair **one** intersection count per
 ///   `(left slot, right slot)` that Jaccard, cosine, Dice and the overlap
 ///   coefficient all read;
@@ -241,7 +242,12 @@ impl<'p> Scorer<'p> {
             self.run += 1;
         }
         (self.ra, self.rb) = (ra, rb);
-        self.buf.known.fill(0);
+        // A plan of up to 64 features and counts clears one word here, not
+        // through a `memset` call per pair.
+        match &mut self.buf.known[..] {
+            [word] => *word = 0,
+            known => known.fill(0),
+        }
     }
 
     /// Planned feature `j` of the current pair, computed on first demand.
@@ -251,11 +257,25 @@ impl<'p> Scorer<'p> {
     /// or `j` is not a feature of the plan.
     pub fn feature(&mut self, j: usize) -> f64 {
         assert!(self.run > 0, "begin_pair before feature");
-        if !self.mark_known(j) {
-            self.computed += 1;
-            self.buf.values[j] = self.compute(j);
-        }
-        self.buf.values[j]
+        let e = self.plan.entries[j];
+        self.value(j, &e)
+    }
+
+    /// Does the current pair lie in `region`: is each dimension's feature
+    /// at most its bound? The dimensions are read in the box's order and
+    /// the first that is NaN or above its bound answers no. Each value read
+    /// is the one [`Scorer::feature`] gives, goes into the pair's memo and
+    /// counts in [`Scorer::computed`] once, so a walk after a no reuses it.
+    ///
+    /// # Panics
+    /// As [`Scorer::feature`]; `region` must be compiled from this
+    /// scorer's plan.
+    pub fn in_box(&mut self, region: &FeatureBox) -> bool {
+        assert!(self.run > 0, "begin_pair before in_box");
+        region
+            .dims
+            .iter()
+            .all(|d| self.value(d.feature, &d.entry) <= d.upper)
     }
 
     /// The whole feature row of `(ra, rb)`.
@@ -287,34 +307,47 @@ impl<'p> Scorer<'p> {
         was
     }
 
-    fn compute(&mut self, j: usize) -> f64 {
-        let (cells, e) = (self.cells, self.plan.entries[j]);
-        let va = cells.left.cell(e.l_slot, self.ra, "left");
-        let vb = cells.right.cell(e.r_slot, self.rb, "right");
-        if matches!(va, PrepValue::Null) || matches!(vb, PrepValue::Null) {
-            return f64::NAN;
+    /// Feature `j` (planned as `e`) of the current pair, from the memo or
+    /// computed and memoised.
+    #[inline]
+    fn value(&mut self, j: usize, e: &PlanEntry) -> f64 {
+        if !self.mark_known(j) {
+            self.computed += 1;
+            self.buf.values[j] = self.compute(e);
         }
-        if let Some(v) = compute_stateless(e.kind, va, vb) {
-            return v;
-        }
+        self.buf.values[j]
+    }
+
+    /// The numeric and set kinds read their columns' stores directly and
+    /// are inlined into [`Scorer::in_box`] through `value`; the rest read
+    /// whole cells, out of line.
+    #[inline]
+    fn compute(&mut self, e: &PlanEntry) -> f64 {
         match e.kind {
-            FeatureKind::LevSim => {
-                let Some((sa, sb)) = str_cells(va, vb) else {
+            FeatureKind::ExactNum | FeatureKind::AbsDiff | FeatureKind::RelDiff => {
+                let cells = self.cells;
+                let x = cells.left.cols[e.l_slot].number(self.ra, "left");
+                let y = cells.right.cols[e.r_slot].number(self.rb, "right");
+                if x.to_bits() == NO_NUMBER || y.to_bits() == NO_NUMBER {
                     return f64::NAN;
-                };
-                self.lev_sim(e.l_state, sa, sb)
+                }
+                numeric_measure(e.kind, x, y)
             }
-            FeatureKind::MongeElkanJw => {
-                let Some((ba, bb)) = bag_cells(va, vb) else {
+            FeatureKind::Jaccard(_)
+            | FeatureKind::Cosine(_)
+            | FeatureKind::Dice(_)
+            | FeatureKind::OverlapCoeff(_) => {
+                let cells = self.cells;
+                let ia = cells.left.cols[e.l_slot].ids(self.ra, "left");
+                let ib = cells.right.cols[e.r_slot].ids(self.rb, "right");
+                // Null or empty: the scalar path's NaN, preserved exactly.
+                let (Some(ia), Some(ib)) = (ia, ib) else {
                     return f64::NAN;
                 };
-                self.monge_elkan(ba, bb)
-            }
-            _ => {
-                let Some((ia, ib)) = set_cells(va, vb) else {
+                if ia.is_empty() || ib.is_empty() {
                     return f64::NAN;
-                };
-                let inter = self.intersection(&e, ia, ib);
+                }
+                let inter = self.intersection(e, ia, ib);
                 match e.kind {
                     FeatureKind::Jaccard(_) => intern::jaccard_counts(ia.len(), ib.len(), inter),
                     FeatureKind::Cosine(_) => intern::cosine_counts(ia.len(), ib.len(), inter),
@@ -322,10 +355,36 @@ impl<'p> Scorer<'p> {
                     _ => intern::overlap_coefficient_counts(ia.len(), ib.len(), inter),
                 }
             }
+            _ => self.compute_cells(e),
         }
     }
 
+    /// [`Scorer::compute`] of the string, bag and edit-distance kinds.
+    #[inline(never)]
+    fn compute_cells(&mut self, e: &PlanEntry) -> f64 {
+        let cells = self.cells;
+        let va = cells.left.cols[e.l_slot].cell(self.ra, "left");
+        let vb = cells.right.cols[e.r_slot].cell(self.rb, "right");
+        if matches!(va, PrepValue::Null) || matches!(vb, PrepValue::Null) {
+            return f64::NAN;
+        }
+        if let Some(v) = compute_stateless(e.kind, va, vb) {
+            return v;
+        }
+        if e.kind == FeatureKind::LevSim {
+            let Some((sa, sb)) = str_cells(va, vb) else {
+                return f64::NAN;
+            };
+            return self.lev_sim(e.l_state, sa, sb);
+        }
+        let Some((ba, bb)) = bag_cells(va, vb) else {
+            return f64::NAN;
+        };
+        self.monge_elkan(ba, bb)
+    }
+
     /// `|ia ∩ ib|`, counted once per pair and set-slot pair.
+    #[inline]
     fn intersection(&mut self, e: &PlanEntry, ia: &[u32], ib: &[u32]) -> usize {
         if !self.mark_known(self.plan.len() + e.inter) {
             let set = &mut self.buf.sets[e.l_state];

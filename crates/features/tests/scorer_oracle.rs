@@ -17,8 +17,8 @@
 //! `scorer_equals_reference_and_scalar_on_any_pair_order` fail, and was
 //! reverted:
 //!
-//! * no epoch bump on a new left record (`Stamps::stamp` keeps the epoch):
-//!   the previous left set's ids still count as members;
+//! * the previous left record's flags left set on a new one
+//!   (`Stamps::stamp` clears nothing): its ids still count as members;
 //! * a stale mask table after the left row changes (`lev_sim` rebuilds
 //!   only when `p.run == 0`): the first left string of a chunk stays the
 //!   pattern;
@@ -35,6 +35,12 @@
 //! the same bits in both argument orders. Nothing proves that in general,
 //! so the key stays ordered, and `memo_key_is_the_ordered_pair` pins it by
 //! count instead: the two orders of one token pair are two evaluations.
+//!
+//! `box_test_equals_the_per_feature_loop` holds [`Scorer::in_box`] to the
+//! per-feature loop it replaced, over nulls, empty and non-numeric
+//! strings and infinities, with bounds on sampled values. Reading a null
+//! number as 0 (`NO_NUMBER` taken for 0.0 in `Scorer::compute`) fails it,
+//! and so does reading NaN as inside (`!(value > upper)` in `in_box`).
 
 use magellan_features::{
     extract_feature_matrix_scalar, extract_with_prepared, Feature, FeatureKind, PreparedPair,
@@ -311,6 +317,149 @@ proptest! {
             store.set_value(true, l, "text", old_l).unwrap();
             b.set_value(r, "other", old_r.clone()).unwrap();
             store.set_value(false, r, "other", old_r).unwrap();
+        }
+    }
+}
+
+/// Box dimensions of every kind a box can bound: the set kinds over words
+/// and 3-grams, the numeric kinds over a number column and over a string
+/// column (every value of which is not a number), and the kernels.
+fn box_features() -> Vec<Feature> {
+    use FeatureKind::*;
+    let mut out = Vec::new();
+    for tok in [TokSpecF::Word, TokSpecF::Qgram(3)] {
+        for kind in [Jaccard(tok), Cosine(tok), Dice(tok), OverlapCoeff(tok)] {
+            out.push(Feature::new("text", "text", kind));
+        }
+    }
+    for kind in [LevSim, JaroWinkler, MongeElkanJw] {
+        out.push(Feature::new("text", "text", kind));
+    }
+    for (l, r) in [("num", "num"), ("num", "code"), ("code", "num")] {
+        for kind in [ExactNum, AbsDiff, RelDiff] {
+            out.push(Feature::new(l, r, kind));
+        }
+    }
+    out
+}
+
+/// A number cell: null, an infinity, a zero of either sign or a small
+/// integer.
+fn num_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        1 => Just(Value::Null),
+        1 => prop_oneof![
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0),
+            Just(0.0)
+        ]
+        .prop_map(Value::Float),
+        3 => (-3i64..4).prop_map(|i| Value::Float(i as f64)),
+    ]
+}
+
+/// A string cell in a number's place: null, empty, or text that looks
+/// like a number and is not one.
+fn code_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        prop_oneof![Just(""), Just("7"), Just("n/a"), Just("-inf")]
+            .prop_map(|s| Value::Str(s.to_owned())),
+    ]
+}
+
+fn box_table(tag: &str, rows: &[(Option<String>, Value, Value)]) -> Table {
+    Table::from_rows(
+        tag,
+        &[
+            ("id", Dtype::Str),
+            ("text", Dtype::Str),
+            ("num", Dtype::Float),
+            ("code", Dtype::Str),
+        ],
+        rows.iter()
+            .enumerate()
+            .map(|(i, (t, n, c))| {
+                let text = t.clone().map_or(Value::Null, Value::Str);
+                vec![format!("{tag}{i}").into(), text, n.clone(), c.clone()]
+            })
+            .collect(),
+    )
+    .expect("table")
+}
+
+fn box_rows() -> impl Strategy<Value = Vec<(Option<String>, Value, Value)>> {
+    proptest::collection::vec((cell(), num_cell(), code_cell()), 2..7)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `Scorer::in_box` answers what the loop over `Scorer::feature` it
+    /// replaced answers on a fresh scorer, leaves in the memo the values
+    /// that loop computed (the scalar path's bits) and counts each once.
+    #[test]
+    fn box_test_equals_the_per_feature_loop(
+        left in box_rows(),
+        right in box_rows(),
+        boxes in proptest::collection::vec(
+            proptest::collection::vec((any::<u64>(), any::<u64>()), 1..6),
+            4..8,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let (a, b) = (box_table("a", &left), box_table("b", &right));
+        let features = box_features();
+        for (order, pairs) in pair_orders(a.nrows() as u32, b.nrows() as u32, seed)
+            .into_iter()
+            .take(2)
+        {
+            let scalar = extract_feature_matrix_scalar(&pairs, &a, &b, &features).unwrap().rows;
+            let mut prepared = PreparedPair::new(&a, &b);
+            let plan = prepared.plan(&features).unwrap();
+            prepared.prepare_for_pairs(&plan, &pairs);
+            for picks in &boxes {
+                // Each bound is a value some pair has: NaN, an infinity or
+                // a measure's value sits exactly on it.
+                let dims: Vec<(usize, f64)> = picks
+                    .iter()
+                    .map(|&(f, p)| {
+                        let j = (f % features.len() as u64) as usize;
+                        (j, scalar[(p % pairs.len() as u64) as usize][j])
+                    })
+                    .collect();
+                let region = plan.compile_box(&dims);
+                let mut scorer = Scorer::new(&prepared, &plan);
+                for (p, &(ra, rb)) in pairs.iter().enumerate() {
+                    scorer.begin_pair(ra as usize, rb as usize);
+                    let before = scorer.computed();
+                    let inside = scorer.in_box(&region);
+                    let computed = scorer.computed() - before;
+
+                    let mut fresh = Scorer::new(&prepared, &plan);
+                    fresh.begin_pair(ra as usize, rb as usize);
+                    let want = dims.iter().all(|&(j, u)| fresh.feature(j) <= u);
+                    let what = format!("{order}: pair {:?} box {dims:?}", (ra, rb));
+                    prop_assert_eq!(inside, want, "{}", what);
+                    prop_assert_eq!(computed, fresh.computed(), "{}", what);
+                    // What the loop read is memoised, with the scalar bits.
+                    let read = dims
+                        .iter()
+                        .position(|&(j, u)| {
+                            !matches!(scalar[p][j].partial_cmp(&u), Some(o) if o.is_le())
+                        })
+                        .map_or(dims.len(), |k| k + 1);
+                    for &(j, _) in &dims[..read] {
+                        prop_assert_eq!(
+                            scorer.feature(j).to_bits(),
+                            scalar[p][j].to_bits(),
+                            "{}: {}", what, &features[j].name
+                        );
+                    }
+                    prop_assert_eq!(scorer.computed() - before, computed, "{}: memoised", order);
+                }
+            }
         }
     }
 }

@@ -316,12 +316,33 @@ impl TokenInterner {
     pub fn intern_tokens<T: Tokenizer + ?Sized>(&mut self, tokenizer: &T, s: &str) -> Vec<u32> {
         let mut ids = std::mem::take(&mut self.scratch);
         ids.clear();
-        tokenizer.for_each_token(s, &mut |t| ids.push(self.intern(t)));
-        ids.sort_unstable();
-        ids.dedup();
+        self.intern_tokens_into(tokenizer, s, &mut ids);
         let set = ids.as_slice().to_vec();
         self.scratch = ids;
         set
+    }
+
+    /// [`TokenInterner::intern_tokens`], appending the set to `out`: the
+    /// ids after `out`'s old end are sorted and deduplicated, what was
+    /// there before is left alone. For callers that keep many sets in one
+    /// buffer.
+    pub fn intern_tokens_into<T: Tokenizer + ?Sized>(
+        &mut self,
+        tokenizer: &T,
+        s: &str,
+        out: &mut Vec<u32>,
+    ) {
+        let start = out.len();
+        tokenizer.for_each_token(s, &mut |t| out.push(self.intern(t)));
+        out[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..out.len() {
+            if kept == start || out[i] != out[kept - 1] {
+                out[kept] = out[i];
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
     }
 
     /// Vocabulary generation: advances by exactly one per *new* token
