@@ -3,8 +3,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use magellan_block::debugger::debug_blocker;
 use magellan_block::{
-    AttrEquivalenceBlocker, Blocker, BlockingRule, OverlapBlocker, Predicate, RuleBasedBlocker,
-    SimFeature, SortedNeighborhoodBlocker, TokSpec,
+    AttrEquivalenceBlocker, Blocker, BlockingRule, FeatureKind, OverlapBlocker, Predicate,
+    RuleBasedBlocker, SortedNeighborhoodBlocker, TokSpec,
 };
 use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, ScenarioConfig};
@@ -44,7 +44,7 @@ fn bench_blockers(c: &mut Criterion) {
                     predicates: vec![Predicate {
                         l_attr: "name".into(),
                         r_attr: "name".into(),
-                        feature: SimFeature::Jaccard(TokSpec::Word),
+                        kind: FeatureKind::Jaccard(TokSpec::Word),
                         threshold: 0.3,
                     }],
                 }])),

@@ -5,8 +5,8 @@
 
 use magellan_block::metrics::evaluate_blocking;
 use magellan_block::{
-    AttrEquivalenceBlocker, Blocker, BlockingRule, HashBlocker, OverlapBlocker, Predicate,
-    RuleBasedBlocker, SimFeature, SimJoinBlocker, SortedNeighborhoodBlocker, TokSpec,
+    AttrEquivalenceBlocker, Blocker, BlockingRule, FeatureKind, HashBlocker, OverlapBlocker,
+    Predicate, RuleBasedBlocker, SimJoinBlocker, SortedNeighborhoodBlocker, TokSpec,
 };
 use magellan_datagen::domains;
 use magellan_datagen::{DirtModel, ScenarioConfig};
@@ -80,7 +80,7 @@ fn main() {
                 predicates: vec![Predicate {
                     l_attr: attr.into(),
                     r_attr: attr.into(),
-                    feature: SimFeature::Jaccard(TokSpec::Word),
+                    kind: FeatureKind::Jaccard(TokSpec::Word),
                     threshold: 0.3,
                 }],
             }])),

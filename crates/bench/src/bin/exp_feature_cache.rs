@@ -8,7 +8,8 @@
 //! `BENCH_feature_extraction.json` at the repo root (the ISSUE's
 //! before/after record; "before" = the scalar path, byte-for-byte the
 //! seed implementation, still compiled in as
-//! `extract_feature_matrix_scalar_par`).
+//! `extract_feature_matrix_scalar_par`). A `BENCH_SMOKE=1` run writes
+//! neither.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -217,10 +218,11 @@ fn main() {
         n_pairs as f64 / left_rows.max(1) as f64,
     );
 
-    // Best-effort writes (CI smoke may run from a read-only checkout).
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/exp_feature_cache.txt", &txt);
+    // Best-effort writes (a read-only checkout is fine); a smoke run's
+    // figures are not the checked-in results, so it writes neither file.
     if !smoke {
+        let _ = std::fs::create_dir_all("results");
+        let _ = std::fs::write("results/exp_feature_cache.txt", &txt);
         let _ = std::fs::write("BENCH_feature_extraction.json", &json);
     }
 }

@@ -7,7 +7,8 @@
 //! Writes `results/exp_forest_inference.txt` (human-readable table) and
 //! `BENCH_forest_inference.json` at the repo root (the before/after
 //! record; "before" = the arena walk, asserted bit-identical to the flat
-//! scores before anything is timed).
+//! scores before anything is timed). A `BENCH_SMOKE=1` run writes
+//! neither.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -168,10 +169,11 @@ fn main() {
         flat.n_nodes(),
     );
 
-    // Best-effort writes (CI smoke may run from a read-only checkout).
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/exp_forest_inference.txt", &txt);
+    // Best-effort writes (a read-only checkout is fine); a smoke run's
+    // figures are not the checked-in results, so it writes neither file.
     if !smoke {
+        let _ = std::fs::create_dir_all("results");
+        let _ = std::fs::write("results/exp_forest_inference.txt", &txt);
         let _ = std::fs::write("BENCH_forest_inference.json", &json);
     }
 }

@@ -14,14 +14,14 @@
 //!
 //! Writes `results/exp_incremental.txt` and `BENCH_incremental.json`
 //! (updates/sec, delta-vs-rebuild speedup — acceptance floor 10x — and
-//! compaction pause p99).
+//! compaction pause p99); a `BENCH_SMOKE=1` run writes neither.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use magellan_core::{StreamSession, TextGen};
 use magellan_faults::{SimClock, StreamOp, StreamPlan};
-use magellan_features::{Feature, FeatureKind, TokSpecF};
+use magellan_features::{Feature, FeatureKind, TokSpec};
 use magellan_ml::{Dataset, FlatForest, RandomForestLearner};
 use magellan_obs::splitmix64;
 use magellan_par::{JoinStats, ParConfig};
@@ -308,8 +308,8 @@ fn main() {
     let stream_n = (n / 8).max(40);
     let stream_batches = if smoke { 4 } else { 12 };
     let features = vec![
-        Feature::new("text", "text", FeatureKind::Jaccard(TokSpecF::Word)),
-        Feature::new("text", "text", FeatureKind::Dice(TokSpecF::Word)),
+        Feature::new("text", "text", FeatureKind::Jaccard(TokSpec::Word)),
+        Feature::new("text", "text", FeatureKind::Dice(TokSpec::Word)),
     ];
     let mut session = StreamSession::new(
         measure,
@@ -378,10 +378,11 @@ fn main() {
         live.len(),
     );
 
-    // Best-effort writes (CI smoke may run from a read-only checkout).
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/exp_incremental.txt", &txt);
+    // Best-effort writes (a read-only checkout is fine); a smoke run's
+    // figures are not the checked-in results, so it writes neither file.
     if !smoke {
+        let _ = std::fs::create_dir_all("results");
+        let _ = std::fs::write("results/exp_incremental.txt", &txt);
         let _ = std::fs::write("BENCH_incremental.json", &json);
     }
 }

@@ -7,7 +7,7 @@
 //!   with a wall recorder installed and recording, verifies the
 //!   pinned-clock byte-identity contract at 1 and 8 workers, guards the
 //!   recording overhead, and writes `results/exp_obs.txt` plus
-//!   `BENCH_obs.json` at the repo root.
+//!   `BENCH_obs.json` at the repo root (not under `BENCH_SMOKE=1`).
 //! * **`--validate <trace.json>`** — parses a Chrome trace exported via
 //!   `MAGELLAN_TRACE` and asserts it carries the expected nested phase
 //!   spans (CI's trace gate). Exits non-zero on any violation.
@@ -22,7 +22,7 @@ use magellan_core::rules::RuleLayer;
 use magellan_core::EmWorkflow;
 use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, EmScenario, ScenarioConfig};
-use magellan_features::{Feature, FeatureKind, TokSpecF};
+use magellan_features::{Feature, FeatureKind, TokSpec};
 use magellan_ml::model::ConstantClassifier;
 use magellan_obs::{log, Obs};
 
@@ -48,7 +48,7 @@ fn workflow() -> EmWorkflow {
     EmWorkflow {
         blocker: Box::new(OverlapBlocker::words("name", 1)),
         features: vec![
-            Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word)),
+            Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Word)),
             Feature::new("name", "name", FeatureKind::JaroWinkler),
             Feature::new("city", "city", FeatureKind::ExactMatch),
         ],
@@ -303,10 +303,11 @@ fn main() {
     )
     .unwrap();
     log!(info, "{txt}");
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write("results/exp_obs.txt", &txt).expect("write results/exp_obs.txt");
 
+    // A smoke run's figures are not the checked-in results.
     if !smoke {
+        let _ = std::fs::create_dir_all("results");
+        std::fs::write("results/exp_obs.txt", &txt).expect("write results/exp_obs.txt");
         let json = format!(
             "{{\n  \"experiment\": \"obs_overhead\",\n  \"workload\": {{\"rows_a\": {n}, \"rows_b\": {n}, \"workers\": 4, \"reps\": {reps}, \"smoke\": {smoke}, \"n_candidates\": {}}},\n  \"untraced_ms\": {:.3},\n  \"traced_ms\": {:.3},\n  \"overhead_pct\": {:.2},\n  \"guard_pct\": {:.0},\n  \"trace\": {{\"spans\": {}, \"events\": {}, \"metric_families\": {}, \"max_span_depth\": {}}},\n  \"pinned_byte_identical_workers\": [1, 8]\n}}\n",
             report.n_candidates,
@@ -322,6 +323,6 @@ fn main() {
         std::fs::write("BENCH_obs.json", json).expect("write BENCH_obs.json");
         log!(info, "wrote results/exp_obs.txt and BENCH_obs.json");
     } else {
-        log!(info, "smoke mode: wrote results/exp_obs.txt only");
+        log!(info, "smoke mode: wrote no results");
     }
 }

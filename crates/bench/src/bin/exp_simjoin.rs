@@ -23,7 +23,8 @@
 //! Writes `results/exp_simjoin.txt` (human-readable table) and
 //! `BENCH_simjoin.json` at the repo root (the ISSUE's before/after
 //! record; "before" = `join_tokenized_hashmap`, byte-for-byte the seed
-//! engine, still compiled in as the oracle baseline).
+//! engine, still compiled in as the oracle baseline). A `BENCH_SMOKE=1`
+//! run writes neither.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -669,10 +670,11 @@ fn main() {
         "{{\n  \"experiment\": \"simjoin\",\n  \"workload\": {{\"rows_per_side\": {n}, \"vocab\": 800, \"reps\": {reps}, \"smoke\": {smoke}}},\n  \"skewed_speedup_w1\": {skewed_speedup_w1:.2},\n  \"tokenize_collection\": {tokenize_collection},\n  \"short_titles\": {short_titles},\n  \"topk\": {topk},\n  \"grids\": [\n{json_grids}\n  ]\n}}\n"
     );
 
-    // Best-effort writes (CI smoke may run from a read-only checkout).
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/exp_simjoin.txt", &txt);
+    // Best-effort writes (a read-only checkout is fine); a smoke run's
+    // figures are not the checked-in results, so it writes neither file.
     if !smoke {
+        let _ = std::fs::create_dir_all("results");
+        let _ = std::fs::write("results/exp_simjoin.txt", &txt);
         let _ = std::fs::write("BENCH_simjoin.json", &json);
     }
 }

@@ -8,7 +8,7 @@ use magellan_par::{ParConfig, ParStats};
 use magellan_simjoin::collection::TokenizedCollection;
 use magellan_simjoin::{join_tokenized_pairs, ProbeSide, SetSimMeasure};
 use magellan_table::{Table, TableError};
-use magellan_textsim::tokenize::{AlphanumericTokenizer, Tokenizer};
+use magellan_textsim::TokSpec;
 
 use crate::candidate::CandidateSet;
 
@@ -93,29 +93,26 @@ impl Blocker for AttrEquivalenceBlocker {
 }
 
 /// The equi-join behind [`AttrEquivalenceBlocker`] and the rule blocker's
-/// exact-match predicates: right rows bucketed by their key after
-/// `trim().to_lowercase()`, left keys normalized the same way at lookup.
-/// Cells are read in their display form; nulls have no partners.
+/// exact-match predicates: both sides' keys are read through
+/// [`Table::column_lower`] (the display form, trimmed and lowercased),
+/// right rows bucketed by theirs. Nulls have no partners.
 pub(crate) struct EqualityJoin<'a> {
     l_keys: Vec<Option<Cow<'a, str>>>,
-    buckets: HashMap<String, Vec<u32>>,
+    buckets: HashMap<Cow<'a, str>, Vec<u32>>,
 }
 
 impl<'a> EqualityJoin<'a> {
     pub(crate) fn build(
         a: &'a Table,
         l_attr: &str,
-        b: &Table,
+        b: &'a Table,
         r_attr: &str,
     ) -> magellan_table::Result<Self> {
-        let l_keys = a.column_strs(l_attr)?;
-        let mut buckets: HashMap<String, Vec<u32>> = HashMap::new();
-        for (r, v) in b.column_strs(r_attr)?.iter().enumerate() {
+        let l_keys = a.column_lower(l_attr)?;
+        let mut buckets: HashMap<Cow<'a, str>, Vec<u32>> = HashMap::new();
+        for (r, v) in b.column_lower(r_attr)?.into_iter().enumerate() {
             if let Some(v) = v {
-                buckets
-                    .entry(v.trim().to_lowercase())
-                    .or_default()
-                    .push(r as u32);
+                buckets.entry(v).or_default().push(r as u32);
             }
         }
         Ok(EqualityJoin { l_keys, buckets })
@@ -130,7 +127,7 @@ impl<'a> EqualityJoin<'a> {
     pub(crate) fn partners(&self, l: usize) -> &[u32] {
         self.l_keys[l]
             .as_ref()
-            .and_then(|v| self.buckets.get(&v.trim().to_lowercase()))
+            .and_then(|v| self.buckets.get(v))
             .map_or(&[], Vec::as_slice)
     }
 }
@@ -149,9 +146,10 @@ pub struct HashBlocker {
     pub n_buckets: usize,
 }
 
+/// The bucket of a key already normalized by [`Table::column_lower`].
 fn bucket_of(v: &str, n: usize) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    v.trim().to_lowercase().hash(&mut h);
+    v.hash(&mut h);
     h.finish() % n as u64
 }
 
@@ -177,8 +175,8 @@ impl Blocker for HashBlocker {
                 reason: "hash blocker needs at least one bucket".to_owned(),
             });
         }
-        let la = a.column_strs(&self.l_attr)?;
-        let rb = b.column_strs(&self.r_attr)?;
+        let la = a.column_lower(&self.l_attr)?;
+        let rb = b.column_lower(&self.r_attr)?;
         let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
         for (r, v) in rb.iter().enumerate() {
             if let Some(v) = v {
@@ -246,7 +244,7 @@ impl OverlapBlocker {
 
 impl Blocker for OverlapBlocker {
     fn name(&self) -> String {
-        let tok = self.qgram.map_or("word".to_owned(), |q| format!("{q}gram"));
+        let tok = self.qgram.map_or(TokSpec::Word, TokSpec::Qgram).label();
         format!(
             "overlap({}, {}, {tok}, {})",
             self.l_attr, self.r_attr, self.overlap_size
@@ -320,10 +318,7 @@ impl Blocker for SimJoinBlocker {
     ) -> magellan_table::Result<(CandidateSet, ParStats)> {
         let la = a.column_strs(&self.l_attr)?;
         let rb = b.column_strs(&self.r_attr)?;
-        let tokenizer: Box<dyn Tokenizer> = match self.qgram {
-            Some(q) => Box::new(magellan_textsim::tokenize::QgramTokenizer::as_set(q)),
-            None => Box::new(AlphanumericTokenizer::as_set()),
-        };
+        let tokenizer = self.qgram.map_or(TokSpec::Word, TokSpec::Qgram).tokenizer();
         // Tokenize once (serial), probe over the pool; the join hands its
         // pairs over in `(l, r)` order whatever the worker count.
         let coll = TokenizedCollection::build(&la, &rb, tokenizer.as_ref());
@@ -364,18 +359,15 @@ impl Blocker for SortedNeighborhoodBlocker {
         b: &Table,
         cfg: &ParConfig,
     ) -> magellan_table::Result<(CandidateSet, ParStats)> {
-        let la = a.column_strs(&self.l_attr)?;
-        let rb = b.column_strs(&self.r_attr)?;
+        let la = a.column_lower(&self.l_attr)?;
+        let rb = b.column_lower(&self.r_attr)?;
         // (key, side, row): side 0 = A, 1 = B. Nulls are skipped.
-        let mut entries: Vec<(String, u8, u32)> = Vec::with_capacity(la.len() + rb.len());
-        for (r, v) in la.iter().enumerate() {
-            if let Some(v) = v {
-                entries.push((v.trim().to_lowercase(), 0, r as u32));
-            }
-        }
-        for (r, v) in rb.iter().enumerate() {
-            if let Some(v) = v {
-                entries.push((v.trim().to_lowercase(), 1, r as u32));
+        let mut entries: Vec<(Cow<str>, u8, u32)> = Vec::with_capacity(la.len() + rb.len());
+        for (side, keys) in [(0, la), (1, rb)] {
+            for (r, v) in keys.into_iter().enumerate() {
+                if let Some(v) = v {
+                    entries.push((v, side, r as u32));
+                }
             }
         }
         entries.sort();

@@ -46,4 +46,5 @@ pub use blockers::{
 };
 pub use candidate::CandidateSet;
 pub use dedup::dedup_block;
-pub use rules::{BlockingRule, Predicate, RuleBasedBlocker, SimFeature, TokSpec};
+pub use magellan_textsim::{FeatureKind, TokSpec};
+pub use rules::{joinable, BlockingRule, Predicate, RuleBasedBlocker};

@@ -8,12 +8,21 @@
 //! jaccard(3gram(A.isbn), 3gram(B.isbn)) <= 0.55 -> No
 //! ```
 //!
+//! A predicate names a feature — a [`FeatureKind`] over an attribute pair,
+//! the vocabulary `magellan-features` computes — and fires when that
+//! feature's value `x` has `x.is_nan() || x <= t`: the value
+//! `Feature::compute` gives (cells trimmed and lowercased by
+//! [`ValueRef::lower_trimmed`](magellan_table::ValueRef::lower_trimmed);
+//! NaN for a null or an empty token set), routed as the tree the rule came
+//! from routes it. So a rule drops exactly the pairs it was verified on.
+//!
 //! A pair *survives* a rule by violating at least one predicate, and
 //! survives blocking by surviving **every** rule. Because the complement
-//! of each predicate (`sim > t`) is a similarity join, a rule's survivor
-//! set is a union of sim-joins and the overall candidate set an
-//! intersection across rules — so rule blocking scales without touching
-//! the cross product.
+//! of each predicate (`x > t`) is a join — a set-similarity join for
+//! Jaccard, cosine and Dice, an equi-join for exact match; the kinds
+//! [`joinable`] accepts — a rule's survivor set is a union of joins and
+//! the overall candidate set an intersection across rules, so rule
+//! blocking scales without touching the cross product.
 //!
 //! [`RuleBasedBlocker::block`] does not run every rule as joins, though:
 //! one rule (the *seed*) is joined, and the others are evaluated pairwise
@@ -23,153 +32,83 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use magellan_simjoin::{join_tokenized, SetSimMeasure, TokenizedCollection};
-use magellan_table::{Table, ValueRef};
-use magellan_textsim::tokenize::{AlphanumericTokenizer, QgramTokenizer, Tokenizer};
-use magellan_textsim::{intern, setsim, TokenInterner};
+use magellan_table::{Table, TableError};
+use magellan_textsim::{intern, FeatureKind, TokSpec, TokenInterner};
 
 use crate::blockers::{Blocker, EqualityJoin};
 use crate::candidate::CandidateSet;
 
-/// The one cell reader of rule evaluation, joined or pairwise: a cell's
-/// display form (an `Int` 53703 is the string `"53703"`, as
-/// [`Table::column_strs`] renders it), `None` for nulls.
-fn cell_str(v: ValueRef<'_>) -> Option<Cow<'_, str>> {
-    match v {
-        ValueRef::Null => None,
-        ValueRef::Str(s) => Some(Cow::Borrowed(s)),
-        v => Some(Cow::Owned(v.display_string())),
+/// How a predicate's complement runs as a join.
+#[derive(Debug, Clone, Copy)]
+enum Join {
+    /// Exact match: an equi-join on the normalized cells.
+    Equal,
+    /// A set measure: a set-similarity join over `tok`, whose pairwise
+    /// score on interned id sets is `ids`.
+    Set {
+        tok: TokSpec,
+        measure: fn(f64) -> SetSimMeasure,
+        ids: fn(&[u32], &[u32]) -> f64,
+    },
+}
+
+fn join_of(kind: FeatureKind) -> Option<Join> {
+    let set = |tok, measure, ids| Some(Join::Set { tok, measure, ids });
+    match kind {
+        FeatureKind::ExactMatch => Some(Join::Equal),
+        FeatureKind::Jaccard(t) => set(t, SetSimMeasure::Jaccard, intern::jaccard_ids),
+        FeatureKind::Cosine(t) => set(t, SetSimMeasure::Cosine, intern::cosine_ids),
+        FeatureKind::Dice(t) => set(t, SetSimMeasure::Dice, intern::dice_ids),
+        _ => None,
     }
 }
 
-/// Tokenization spec for a rule feature (kept as plain data so rules are
-/// cloneable and printable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TokSpec {
-    /// Lowercased alphanumeric word tokens.
-    Word,
-    /// Padded character q-grams (set semantics).
-    Qgram(usize),
+/// Can a predicate on `kind` run as a join? Jaccard, cosine and Dice over
+/// words or q-grams, and exact match. A rule on any other kind is refused
+/// by [`RuleBasedBlocker::block`] and [`RuleBasedBlocker::refine`].
+pub fn joinable(kind: FeatureKind) -> bool {
+    join_of(kind).is_some()
 }
 
-impl TokSpec {
-    /// Materialize the tokenizer as a boxed trait object (for callers
-    /// that need dynamic dispatch, e.g. the sim-join builder).
-    pub fn tokenizer(&self) -> Box<dyn Tokenizer> {
-        match self {
-            TokSpec::Word => Box::new(AlphanumericTokenizer::as_set()),
-            TokSpec::Qgram(q) => Box::new(QgramTokenizer::as_set(*q)),
-        }
-    }
-
-    /// Set-semantics tokenization via a stack-constructed concrete
-    /// tokenizer — no `Box<dyn Tokenizer>` allocation, so this is safe to
-    /// call inside pair loops.
-    pub fn tokenize_set(&self, s: &str) -> Vec<String> {
-        match self {
-            TokSpec::Word => AlphanumericTokenizer::as_set().tokenize(s),
-            TokSpec::Qgram(q) => QgramTokenizer::as_set(*q).tokenize(s),
-        }
-    }
-
-    /// [`TokSpec::tokenize_set`] straight into sorted deduplicated token
-    /// ids (no `String` per token).
-    fn intern_tokens(&self, interner: &mut TokenInterner, s: &str) -> Vec<u32> {
-        match self {
-            TokSpec::Word => interner.intern_tokens(&AlphanumericTokenizer::as_set(), s),
-            TokSpec::Qgram(q) => interner.intern_tokens(&QgramTokenizer::as_set(*q), s),
-        }
-    }
-
-    /// Display name used in printed rules (`word`, `3gram`).
-    pub fn label(&self) -> String {
-        match self {
-            TokSpec::Word => "word".to_owned(),
-            TokSpec::Qgram(q) => format!("{q}gram"),
-        }
-    }
-}
-
-/// The similarity feature a predicate thresholds on. Every variant's
-/// complement is executable as a join.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SimFeature {
-    /// Jaccard over the tokenization.
-    Jaccard(TokSpec),
-    /// Cosine over the tokenization.
-    Cosine(TokSpec),
-    /// Dice over the tokenization.
-    Dice(TokSpec),
-    /// Exact string equality (sim ∈ {0, 1}).
-    ExactMatch,
-}
-
-impl SimFeature {
-    /// Compute the similarity for one pair of (possibly missing) values.
-    /// Missing values score 0 (a missing attribute cannot demonstrate
-    /// similarity, so drop-rules fire on it).
-    pub fn similarity(&self, a: Option<&str>, b: Option<&str>) -> f64 {
-        let (Some(a), Some(b)) = (a, b) else {
-            return 0.0;
-        };
-        match self {
-            SimFeature::ExactMatch => f64::from(a.trim().to_lowercase() == b.trim().to_lowercase()),
-            SimFeature::Jaccard(t) | SimFeature::Cosine(t) | SimFeature::Dice(t) => {
-                // Stack-dispatched tokenization: no per-pair boxing.
-                let ta = t.tokenize_set(a);
-                let tb = t.tokenize_set(b);
-                if ta.is_empty() || tb.is_empty() {
-                    return 0.0;
-                }
-                match self {
-                    SimFeature::Jaccard(_) => setsim::jaccard(&ta, &tb),
-                    SimFeature::Cosine(_) => setsim::cosine(&ta, &tb),
-                    SimFeature::Dice(_) => setsim::dice(&ta, &tb),
-                    SimFeature::ExactMatch => unreachable!(),
-                }
-            }
-        }
-    }
-
-    /// Display label (`jaccard(3gram(·))`).
-    pub fn label(&self) -> String {
-        match self {
-            SimFeature::Jaccard(t) => format!("jaccard({})", t.label()),
-            SimFeature::Cosine(t) => format!("cosine({})", t.label()),
-            SimFeature::Dice(t) => format!("dice({})", t.label()),
-            SimFeature::ExactMatch => "exact_match".to_owned(),
-        }
-    }
-}
-
-/// One predicate: fires (votes to drop) when
-/// `sim(l_attr, r_attr) <= threshold`.
+/// One predicate: fires (votes to drop) when the feature
+/// `kind(l_attr, r_attr)` is NaN or `<= threshold`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     /// Attribute of the left table.
     pub l_attr: String,
     /// Attribute of the right table.
     pub r_attr: String,
-    /// The similarity feature.
-    pub feature: SimFeature,
-    /// Fires when similarity ≤ this value.
+    /// What the feature computes; a [`joinable`] kind.
+    pub kind: FeatureKind,
+    /// Fires when the feature is NaN or ≤ this value.
     pub threshold: f64,
 }
 
 impl Predicate {
-    /// Does the predicate fire (drop-vote) on this value pair?
-    pub fn fires(&self, a: Option<&str>, b: Option<&str>) -> bool {
-        self.feature.similarity(a, b) <= self.threshold + 1e-12
+    /// The threshold both execution paths run: a negative one as 0, as a
+    /// join runs it (a join cannot produce the pairs of similarity 0 that
+    /// `x > t` would then admit).
+    fn cutoff(&self) -> f64 {
+        self.threshold.max(0.0)
     }
 
-    /// Render like the paper's Fig. 4 rules.
+    /// How the predicate runs, or the error every path reports for it: an
+    /// attribute its table lacks, or a kind with no join.
+    fn join(&self, a: &Table, b: &Table) -> magellan_table::Result<Join> {
+        a.schema().try_index_of(&self.l_attr)?;
+        b.schema().try_index_of(&self.r_attr)?;
+        join_of(self.kind).ok_or_else(|| TableError::KeyViolation {
+            table: a.name().to_owned(),
+            attr: self.l_attr.clone(),
+            reason: format!("`{}` has no join to run a blocking rule on", self.pretty()),
+        })
+    }
+
+    /// Render like the paper's Fig. 4 rules:
+    /// `jaccard(3gram(A.title), 3gram(B.title)) <= 0.310`.
     pub fn pretty(&self) -> String {
-        format!(
-            "{}(A.{}, B.{}) <= {:.3}",
-            self.feature.label(),
-            self.l_attr,
-            self.r_attr,
-            self.threshold
-        )
+        let feature = self.kind.render(&self.l_attr, &self.r_attr);
+        format!("{feature} <= {:.3}", self.threshold)
     }
 }
 
@@ -182,15 +121,6 @@ pub struct BlockingRule {
 }
 
 impl BlockingRule {
-    /// Does the rule drop this pair?
-    pub fn fires(&self, a: &Table, ra: usize, b: &Table, rb: usize) -> bool {
-        self.predicates.iter().all(|p| {
-            let va = a.value_by_name(ra, &p.l_attr).ok().and_then(cell_str);
-            let vb = b.value_by_name(rb, &p.r_attr).ok().and_then(cell_str);
-            p.fires(va.as_deref(), vb.as_deref())
-        })
-    }
-
     /// Render like Fig. 4: `p1 AND p2 -> No`.
     pub fn pretty(&self) -> String {
         let parts: Vec<String> = self.predicates.iter().map(Predicate::pretty).collect();
@@ -217,10 +147,17 @@ impl RuleBasedBlocker {
     }
 
     /// Apply the rules to an existing candidate set (exact, pairwise
-    /// semantics — identical to evaluating [`BlockingRule::fires`] per
-    /// pair, but each referenced record's attribute is tokenized and
-    /// interned **once** instead of once per pair it appears in).
-    pub fn refine(&self, cands: &CandidateSet, a: &Table, b: &Table) -> CandidateSet {
+    /// semantics — the pairs on which no rule fires, with each referenced
+    /// record's attribute normalized, tokenized and interned **once**
+    /// instead of once per pair it appears in). Fails as
+    /// [`Blocker::block`] does.
+    pub fn refine(
+        &self,
+        cands: &CandidateSet,
+        a: &Table,
+        b: &Table,
+    ) -> magellan_table::Result<CandidateSet> {
+        check(&self.rules, a, b)?;
         refine_by(&self.rules.iter().collect::<Vec<_>>(), cands, a, b)
     }
 
@@ -232,37 +169,33 @@ impl RuleBasedBlocker {
             .collect::<Vec<_>>()
             .join("\n")
     }
+}
 
-    /// Fail on an unknown attribute before anything is planned, and on
-    /// the one an executor that runs every rule as joins meets first: it
-    /// tokenizes every set predicate's columns before any rule runs, and
-    /// reads an exact-match predicate's columns only if the predicate can
-    /// have violators at all. (Pairwise evaluation scores an unknown
-    /// attribute 0.0 instead, so the plan must not decide which it is.)
-    fn check_attributes(&self, a: &Table, b: &Table) -> magellan_table::Result<()> {
-        let preds = || self.rules.iter().flat_map(|r| &r.predicates);
-        let is_exact = |p: &&Predicate| p.feature == SimFeature::ExactMatch;
-        let sets = preds().filter(|p| !is_exact(p));
-        let exacts = preds().filter(is_exact).filter(|p| p.threshold < 1.0);
-        for p in sets.chain(exacts) {
-            a.schema().try_index_of(&p.l_attr)?;
-            b.schema().try_index_of(&p.r_attr)?;
-        }
-        Ok(())
+/// Fail before anything runs, at the first predicate in rule order that
+/// names an unknown attribute or a kind with no join.
+fn check(rules: &[BlockingRule], a: &Table, b: &Table) -> magellan_table::Result<()> {
+    for p in rules.iter().flat_map(|r| &r.predicates) {
+        p.join(a, b)?;
     }
+    Ok(())
 }
 
 /// The pairs of `cands` that no rule of `rules` drops.
-fn refine_by(rules: &[&BlockingRule], cands: &CandidateSet, a: &Table, b: &Table) -> CandidateSet {
-    let prep = PreparedRuleEval::build(rules, cands, a, b);
-    cands
+fn refine_by(
+    rules: &[&BlockingRule],
+    cands: &CandidateSet,
+    a: &Table,
+    b: &Table,
+) -> magellan_table::Result<CandidateSet> {
+    let prep = PreparedRuleEval::build(rules, cands, a, b)?;
+    Ok(cands
         .pairs()
         .iter()
         .copied()
         .filter(|&(ra, rb)| {
             !(0..rules.len()).any(|i| prep.rule_fires(rules[i], i, ra as usize, rb as usize))
         })
-        .collect()
+        .collect())
 }
 
 impl Blocker for RuleBasedBlocker {
@@ -276,32 +209,25 @@ impl Blocker for RuleBasedBlocker {
     /// every other rule is evaluated pairwise over the seed's survivors —
     /// unless those still outnumber the records a join would tokenize
     /// (`|S| > |A| + |B|`), in which case it is joined and intersected too.
-    ///
-    /// A negative threshold is executed as 0 on both paths, as joins always
-    /// have run it (a join cannot produce the pairs of similarity 0 that
-    /// `sim > t` then admits).
     fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
         assert!(
             !self.rules.is_empty(),
             "rule-based blocker needs at least one rule"
         );
-        self.check_attributes(a, b)?;
-        let mut rules = self.rules.clone();
-        for p in rules.iter_mut().flat_map(|r| &mut r.predicates) {
-            p.threshold = p.threshold.max(0.0);
-        }
+        check(&self.rules, a, b)?;
         let mut joins = RuleJoins::new(a, b);
-        let costs = rules
+        let costs = self
+            .rules
             .iter()
             .map(|rule| joins.cost(rule))
             .collect::<magellan_table::Result<Vec<usize>>>()?;
         // The first of the cheapest.
-        let seed = (0..rules.len())
+        let seed = (0..self.rules.len())
             .min_by_key(|&i| costs[i])
             .expect("at least one rule");
-        let mut survivors = joins.survivors(&rules[seed])?;
+        let mut survivors = joins.survivors(&self.rules[seed])?;
         let mut pairwise = Vec::new();
-        for (i, rule) in rules.iter().enumerate() {
+        for (i, rule) in self.rules.iter().enumerate() {
             if i == seed {
                 continue;
             }
@@ -314,7 +240,7 @@ impl Blocker for RuleBasedBlocker {
         if pairwise.is_empty() {
             return Ok(survivors);
         }
-        Ok(refine_by(&pairwise, &survivors, a, b))
+        refine_by(&pairwise, &survivors, a, b)
     }
 }
 
@@ -357,54 +283,51 @@ impl<'a> RuleJoins<'a> {
     /// predicate nothing can violate (`threshold >= 1`) is free.
     fn cost(&mut self, rule: &BlockingRule) -> magellan_table::Result<usize> {
         let mut cost = 0;
-        for pred in rule.predicates.iter().filter(|p| p.threshold < 1.0) {
-            cost += match pred.feature {
-                SimFeature::ExactMatch => {
+        for pred in rule.predicates.iter().filter(|p| p.cutoff() < 1.0) {
+            cost += match pred.join(self.a, self.b)? {
+                Join::Equal => {
                     let eq = self.equality(pred)?;
                     (0..eq.n_left()).map(|l| eq.partners(l).len()).sum()
                 }
-                _ => self.a.nrows() + self.b.nrows(),
+                Join::Set { .. } => self.a.nrows() + self.b.nrows(),
             };
         }
         Ok(cost)
     }
 
     /// The pairs `rule` keeps — the union of its predicates' violators
-    /// (`sim > threshold`), each a join.
+    /// (`x > threshold`), each a join over the normalized cells.
     fn survivors(&mut self, rule: &BlockingRule) -> magellan_table::Result<CandidateSet> {
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        // `sim > t` has no solutions at `t >= 1`.
-        for pred in rule.predicates.iter().filter(|p| p.threshold < 1.0) {
-            let (ts, measure): (TokSpec, fn(f64) -> SetSimMeasure) = match pred.feature {
-                SimFeature::ExactMatch => {
-                    let eq = self.equality(pred)?;
-                    for l in 0..eq.n_left() {
-                        pairs.extend(eq.partners(l).iter().map(|&r| (l as u32, r)));
-                    }
-                    continue;
+        // `x > t` has no solutions at `t >= 1`.
+        for pred in rule.predicates.iter().filter(|p| p.cutoff() < 1.0) {
+            let Join::Set { tok, measure, .. } = pred.join(self.a, self.b)? else {
+                let eq = self.equality(pred)?;
+                for l in 0..eq.n_left() {
+                    pairs.extend(eq.partners(l).iter().map(|&r| (l as u32, r)));
                 }
-                SimFeature::Jaccard(ts) => (ts, SetSimMeasure::Jaccard),
-                SimFeature::Cosine(ts) => (ts, SetSimMeasure::Cosine),
-                SimFeature::Dice(ts) => (ts, SetSimMeasure::Dice),
+                continue;
             };
-            let key = (pred.l_attr.clone(), pred.r_attr.clone(), ts);
+            let key = (pred.l_attr.clone(), pred.r_attr.clone(), tok);
             if !self.collections.contains_key(&key) {
-                let la = self.a.column_strs(&pred.l_attr)?;
-                let rb = self.b.column_strs(&pred.r_attr)?;
+                let la = self.a.column_lower(&pred.l_attr)?;
+                let rb = self.b.column_lower(&pred.r_attr)?;
                 let coll = TokenizedCollection::build_with_interner(
                     &la,
                     &rb,
-                    ts.tokenizer().as_ref(),
+                    tok.tokenizer().as_ref(),
                     &mut self.interner,
                 );
                 self.collections.insert(key.clone(), coll);
             }
-            // The join returns sim >= threshold; the complement needs the
-            // strict sim > threshold.
+            // The join returns sim >= its threshold; the complement needs
+            // the strict sim > t. A null or an empty token set is in no
+            // join pair: its feature is NaN, and NaN fires.
+            let t = pred.cutoff();
             pairs.extend(
-                join_tokenized(&self.collections[&key], measure(pred.threshold.max(1e-6)))
+                join_tokenized(&self.collections[&key], measure(t.max(1e-6)))
                     .into_iter()
-                    .filter(|p| p.sim > pred.threshold + 1e-12)
+                    .filter(|p| p.sim > t)
                     .map(|p| (p.l as u32, p.r as u32)),
             );
         }
@@ -412,76 +335,65 @@ impl<'a> RuleJoins<'a> {
     }
 }
 
-/// The shape a predicate needs an attribute prepared into for pairwise
-/// refinement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum RulePrep {
-    /// Trimmed lowercased string (exact-match predicates).
-    Lower,
-    /// Sorted deduplicated interned id set of the **raw** string's tokens
-    /// — [`SimFeature::similarity`] tokenizes the un-normalized value, so
-    /// the prepared path must too.
-    Set(TokSpec),
-}
-
-/// One prepared refinement cell, of the value's display form
-/// ([`cell_str`]). `None` at the record level means the value was null,
-/// which scores 0.0 exactly like the per-pair path.
-#[derive(Debug, Clone)]
-enum RuleCell {
-    Lower(String),
+/// One prepared refinement cell: the normalized value (exact-match
+/// predicates) or the sorted deduplicated interned id set of its tokens.
+/// `None` at the record level means the value was null, which makes the
+/// feature NaN exactly like the per-pair path (or that no candidate pair
+/// reads the record).
+#[derive(Debug)]
+enum RuleCell<'a> {
+    Lower(Cow<'a, str>),
     Ids(Vec<u32>),
 }
 
 /// Tokenize-once-per-record state for [`RuleBasedBlocker::refine`]: each
-/// distinct `(side, attribute, shape)` combination referenced by any
-/// predicate is prepared once per candidate record, and set predicates
-/// then evaluate as interned merge intersections
-/// ([`magellan_textsim::intern`]) — bit-identical to
-/// [`SimFeature::similarity`] on the same values.
-struct PreparedRuleEval {
-    l_cols: Vec<Vec<Option<RuleCell>>>,
-    r_cols: Vec<Vec<Option<RuleCell>>>,
-    /// `slots[rule][pred] = (index into l_cols, index into r_cols)`.
-    slots: Vec<Vec<(usize, usize)>>,
+/// distinct `(side, attribute, tokenization)` combination referenced by
+/// any predicate is prepared once per candidate record (`None` for exact
+/// match's plain normalized value), and set predicates then evaluate as
+/// interned merge intersections ([`magellan_textsim::intern`]) —
+/// bit-identical to the feature's value on the same cells.
+struct PreparedRuleEval<'a> {
+    l_cols: Vec<Vec<Option<RuleCell<'a>>>>,
+    r_cols: Vec<Vec<Option<RuleCell<'a>>>>,
+    /// `slots[rule][pred] = (index into l_cols, index into r_cols, join)`.
+    slots: Vec<Vec<(usize, usize, Join)>>,
 }
 
-impl PreparedRuleEval {
-    fn build(rules: &[&BlockingRule], cands: &CandidateSet, a: &Table, b: &Table) -> Self {
-        fn shape(f: SimFeature) -> RulePrep {
-            match f {
-                SimFeature::ExactMatch => RulePrep::Lower,
-                SimFeature::Jaccard(t) | SimFeature::Cosine(t) | SimFeature::Dice(t) => {
-                    RulePrep::Set(t)
-                }
-            }
-        }
+impl<'a> PreparedRuleEval<'a> {
+    fn build(
+        rules: &[&BlockingRule],
+        cands: &CandidateSet,
+        a: &'a Table,
+        b: &'a Table,
+    ) -> magellan_table::Result<Self> {
         // Resolve each predicate to a (left slot, right slot) pair,
-        // deduplicating (attr, shape) combinations per side.
-        let mut l_index: HashMap<(String, RulePrep), usize> = HashMap::new();
-        let mut r_index: HashMap<(String, RulePrep), usize> = HashMap::new();
-        let mut l_specs: Vec<(String, RulePrep)> = Vec::new();
-        let mut r_specs: Vec<(String, RulePrep)> = Vec::new();
-        let slots: Vec<Vec<(usize, usize)>> = rules
-            .iter()
-            .map(|rule| {
-                rule.predicates
-                    .iter()
-                    .map(|p| {
-                        let sh = shape(p.feature);
-                        let li = *l_index.entry((p.l_attr.clone(), sh)).or_insert_with(|| {
-                            l_specs.push((p.l_attr.clone(), sh));
-                            l_specs.len() - 1
-                        });
-                        let ri = *r_index.entry((p.r_attr.clone(), sh)).or_insert_with(|| {
-                            r_specs.push((p.r_attr.clone(), sh));
-                            r_specs.len() - 1
-                        });
-                        (li, ri)
+        // deduplicating (attr, tokenization) combinations per side.
+        type Spec = (String, Option<TokSpec>);
+        let mut l_index: HashMap<Spec, usize> = HashMap::new();
+        let mut r_index: HashMap<Spec, usize> = HashMap::new();
+        let mut l_specs: Vec<Spec> = Vec::new();
+        let mut r_specs: Vec<Spec> = Vec::new();
+        let mut slots = Vec::with_capacity(rules.len());
+        for rule in rules {
+            let mut rule_slots = Vec::with_capacity(rule.predicates.len());
+            for p in &rule.predicates {
+                let join = p.join(a, b)?;
+                let tok = match join {
+                    Join::Equal => None,
+                    Join::Set { tok, .. } => Some(tok),
+                };
+                let slot = |index: &mut HashMap<Spec, usize>, specs: &mut Vec<Spec>, attr| {
+                    *index.entry((attr, tok)).or_insert_with_key(|k| {
+                        specs.push(k.clone());
+                        specs.len() - 1
                     })
-                    .collect()
-            })
-            .collect();
+                };
+                let li = slot(&mut l_index, &mut l_specs, p.l_attr.clone());
+                let ri = slot(&mut r_index, &mut r_specs, p.r_attr.clone());
+                rule_slots.push((li, ri, join));
+            }
+            slots.push(rule_slots);
+        }
 
         // Which records do the candidates reference?
         let mut l_ref = vec![false; a.nrows()];
@@ -493,156 +405,109 @@ impl PreparedRuleEval {
 
         // One shared interner across both sides and all combinations.
         let mut interner = TokenInterner::new();
-        let fill = |table: &Table,
+        let fill = |table: &'a Table,
                     referenced: &[bool],
-                    specs: &[(String, RulePrep)],
+                    specs: &[Spec],
                     interner: &mut TokenInterner|
-         -> Vec<Vec<Option<RuleCell>>> {
+         -> magellan_table::Result<Vec<Vec<Option<RuleCell<'a>>>>> {
             specs
                 .iter()
-                .map(|(attr, sh)| {
-                    let mut cells: Vec<Option<RuleCell>> = vec![None; table.nrows()];
-                    // Unknown attribute ⇒ every value is absent ⇒ sim 0.0,
-                    // exactly like the `value_by_name(..).ok()` per-pair path.
-                    let Ok(idx) = table.schema().try_index_of(attr) else {
-                        return cells;
-                    };
-                    for (r, &wanted) in referenced.iter().enumerate() {
-                        if !wanted {
-                            continue;
-                        }
-                        let Some(s) = cell_str(table.value(r, idx)) else {
-                            continue;
-                        };
-                        cells[r] = Some(match sh {
-                            RulePrep::Lower => RuleCell::Lower(s.trim().to_lowercase()),
-                            RulePrep::Set(ts) => RuleCell::Ids(ts.intern_tokens(interner, &s)),
-                        });
-                    }
-                    cells
+                .map(|(attr, tok)| {
+                    let view = table.col_view(table.schema().try_index_of(attr)?);
+                    Ok((0..table.nrows())
+                        .map(|r| {
+                            let v = referenced[r].then(|| view.get(r));
+                            let s = v.filter(|v| !v.is_null())?.lower_trimmed();
+                            Some(match tok {
+                                None => RuleCell::Lower(s),
+                                Some(t) => RuleCell::Ids(t.intern_tokens(interner, &s)),
+                            })
+                        })
+                        .collect())
                 })
                 .collect()
         };
-        let l_cols = fill(a, &l_ref, &l_specs, &mut interner);
-        let r_cols = fill(b, &r_ref, &r_specs, &mut interner);
-        PreparedRuleEval {
+        let l_cols = fill(a, &l_ref, &l_specs, &mut interner)?;
+        let r_cols = fill(b, &r_ref, &r_specs, &mut interner)?;
+        Ok(PreparedRuleEval {
             l_cols,
             r_cols,
             slots,
-        }
+        })
     }
 
-    /// Does this rule drop the pair? Mirrors [`BlockingRule::fires`] /
-    /// [`Predicate::fires`] exactly (same thresholding epsilon, same
-    /// missing-value and empty-tokenization conventions).
+    /// Does this rule drop the pair? Every predicate's feature is NaN
+    /// (a null, or an empty token set) or at most its cutoff.
     fn rule_fires(&self, rule: &BlockingRule, rule_idx: usize, ra: usize, rb: usize) -> bool {
         rule.predicates.iter().enumerate().all(|(j, p)| {
-            let (li, ri) = self.slots[rule_idx][j];
-            let sim = match (&self.l_cols[li][ra], &self.r_cols[ri][rb]) {
-                (Some(RuleCell::Lower(sa)), Some(RuleCell::Lower(sb))) => f64::from(sa == sb),
-                (Some(RuleCell::Ids(ia)), Some(RuleCell::Ids(ib))) => {
-                    if ia.is_empty() || ib.is_empty() {
-                        0.0
-                    } else {
-                        match p.feature {
-                            SimFeature::Jaccard(_) => intern::jaccard_ids(ia, ib),
-                            SimFeature::Cosine(_) => intern::cosine_ids(ia, ib),
-                            SimFeature::Dice(_) => intern::dice_ids(ia, ib),
-                            SimFeature::ExactMatch => unreachable!(),
-                        }
-                    }
+            let (li, ri, join) = self.slots[rule_idx][j];
+            let x = match (join, &self.l_cols[li][ra], &self.r_cols[ri][rb]) {
+                (_, Some(RuleCell::Lower(sa)), Some(RuleCell::Lower(sb))) => f64::from(sa == sb),
+                (Join::Set { ids, .. }, Some(RuleCell::Ids(ia)), Some(RuleCell::Ids(ib)))
+                    if !ia.is_empty() && !ib.is_empty() =>
+                {
+                    ids(ia, ib)
                 }
-                // Either side missing ⇒ 0.0 (drop-rules fire).
-                _ => 0.0,
+                _ => f64::NAN,
             };
-            sim <= p.threshold + 1e-12
+            x.is_nan() || x <= p.cutoff()
         })
     }
 }
 
 /// The executor [`RuleBasedBlocker::block`] had before it planned: every
-/// rule run as joins over collections built up front, survivors
-/// intersected. Kept as the oracle the plan is tested against.
+/// rule run as joins, survivors intersected. Kept apart from [`RuleJoins`]
+/// — its own attribute checks, kind-to-join table, collections, equality
+/// blocker and `sim > t` filter — as the oracle the plan is tested against.
 #[cfg(test)]
 mod oracle {
     use super::*;
     use crate::blockers::AttrEquivalenceBlocker;
 
-    type Collections = HashMap<(String, String, TokSpec), TokenizedCollection>;
-
-    fn build_collections(
-        rules: &[BlockingRule],
-        a: &Table,
-        b: &Table,
-    ) -> magellan_table::Result<Collections> {
-        let mut interner = TokenInterner::new();
-        let mut collections = HashMap::new();
-        for pred in rules.iter().flat_map(|r| &r.predicates) {
-            let (SimFeature::Jaccard(ts) | SimFeature::Cosine(ts) | SimFeature::Dice(ts)) =
-                pred.feature
-            else {
-                continue;
-            };
-            let key = (pred.l_attr.clone(), pred.r_attr.clone(), ts);
-            if collections.contains_key(&key) {
-                continue;
+    /// The pairs whose feature is above the threshold (a negative one read
+    /// as 0); a null or an empty token set, NaN, is in no join pair.
+    fn violators(pred: &Predicate, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
+        let t = pred.threshold.max(0.0);
+        let (tok, measure) = match pred.kind {
+            _ if t >= 1.0 => return Ok(CandidateSet::default()),
+            FeatureKind::ExactMatch => {
+                let (l_attr, r_attr) = (pred.l_attr.clone(), pred.r_attr.clone());
+                return AttrEquivalenceBlocker { l_attr, r_attr }.block(a, b);
             }
-            let la = a.column_strs(&pred.l_attr)?;
-            let rb = b.column_strs(&pred.r_attr)?;
-            let tok = ts.tokenizer();
-            collections.insert(
-                key,
-                TokenizedCollection::build_with_interner(&la, &rb, tok.as_ref(), &mut interner),
-            );
-        }
-        Ok(collections)
-    }
-
-    fn violators(
-        pred: &Predicate,
-        a: &Table,
-        b: &Table,
-        collections: &Collections,
-    ) -> magellan_table::Result<CandidateSet> {
-        if pred.threshold >= 1.0 {
-            return Ok(CandidateSet::default());
-        }
-        let (ts, measure) = match pred.feature {
-            SimFeature::ExactMatch => {
-                return AttrEquivalenceBlocker {
-                    l_attr: pred.l_attr.clone(),
-                    r_attr: pred.r_attr.clone(),
-                }
-                .block(a, b);
-            }
-            SimFeature::Jaccard(ts) => (ts, SetSimMeasure::Jaccard(pred.threshold.max(1e-6))),
-            SimFeature::Cosine(ts) => (ts, SetSimMeasure::Cosine(pred.threshold.max(1e-6))),
-            SimFeature::Dice(ts) => (ts, SetSimMeasure::Dice(pred.threshold.max(1e-6))),
+            FeatureKind::Jaccard(tok) => (tok, SetSimMeasure::Jaccard(t.max(1e-6))),
+            FeatureKind::Cosine(tok) => (tok, SetSimMeasure::Cosine(t.max(1e-6))),
+            FeatureKind::Dice(tok) => (tok, SetSimMeasure::Dice(t.max(1e-6))),
+            kind => panic!("the oracle runs joinable kinds only, not {kind:?}"),
         };
-        let coll = &collections[&(pred.l_attr.clone(), pred.r_attr.clone(), ts)];
-        Ok(join_tokenized(coll, measure)
+        let (la, rb) = (a.column_lower(&pred.l_attr)?, b.column_lower(&pred.r_attr)?);
+        let coll = TokenizedCollection::build(&la, &rb, tok.tokenizer().as_ref());
+        Ok(join_tokenized(&coll, measure)
             .into_iter()
-            .filter(|p| p.sim > pred.threshold + 1e-12)
+            .filter(|p| p.sim > t)
             .map(|p| (p.l as u32, p.r as u32))
             .collect())
     }
 
-    /// Survivors = ∩_rules ∪_predicates violators(predicate).
+    /// Survivors = ∩_rules ∪_predicates violators(predicate); the first
+    /// unknown attribute in rule order is the error.
     pub(super) fn block_by_joins(
         rules: &[BlockingRule],
         a: &Table,
         b: &Table,
     ) -> magellan_table::Result<CandidateSet> {
-        let collections = build_collections(rules, a, b)?;
+        for pred in rules.iter().flat_map(|r| &r.predicates) {
+            a.schema().try_index_of(&pred.l_attr)?;
+            b.schema().try_index_of(&pred.r_attr)?;
+        }
         let mut result: Option<CandidateSet> = None;
         for rule in rules {
-            let mut rule_survivors = CandidateSet::default();
+            let mut kept = CandidateSet::default();
             for pred in &rule.predicates {
-                rule_survivors = rule_survivors.union(&violators(pred, a, b, &collections)?);
+                kept = kept.union(&violators(pred, a, b)?);
             }
             result = Some(match result {
-                None => rule_survivors,
-                Some(acc) => acc.intersect(&rule_survivors),
+                None => kept,
+                Some(acc) => acc.intersect(&kept),
             });
         }
         Ok(result.unwrap_or_default())
@@ -653,6 +518,7 @@ mod oracle {
 mod tests {
     use super::oracle::block_by_joins;
     use super::*;
+    use magellan_features::Feature;
     use magellan_table::{Dtype, Value};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -668,9 +534,21 @@ mod tests {
 
     /// A table of `n` rows over [`TYPED_SCHEMA`]: few distinct values per
     /// column (so equalities and token overlaps are common), nulls in
-    /// every column, and blank or padded strings.
+    /// every column, blank or padded strings, upper case, and letters
+    /// whose lowercase is ASCII (U+212A KELVIN SIGN → `k`) or longer
+    /// (U+0130 `İ` → `i` + U+0307).
     fn typed_table(name: &str, n: usize, rng: &mut StdRng) -> Table {
-        const WORDS: [&str; 6] = ["oak", "elm", "st", "ave", "Main", "5th"];
+        const WORDS: [&str; 9] = [
+            "oak",
+            "elm",
+            "st",
+            "ave",
+            "Main",
+            "5th",
+            "OAK",
+            "\u{212A}ing",
+            "\u{130}zmir",
+        ];
         let rows = (0..n)
             .map(|i| {
                 let cell = |rng: &mut StdRng, v: Value| {
@@ -680,9 +558,10 @@ mod tests {
                         v
                     }
                 };
-                let name = match rng.gen_range(0..8) {
+                let name = match rng.gen_range(0..9) {
                     0 => "   ".to_owned(),
                     1 => " Oak  ST ".to_owned(),
+                    2 => ["WI", "Wi", " wi"][rng.gen_range(0..3)].to_owned(),
                     _ => (0..rng.gen_range(1..4))
                         .map(|_| WORDS[rng.gen_range(0..WORDS.len())])
                         .collect::<Vec<_>>()
@@ -712,9 +591,16 @@ mod tests {
         )
     }
 
-    /// 1–4 rules of 1–3 predicates over [`TYPED_SCHEMA`] (and, with
-    /// `unknown_attrs`, now and then a column neither table has).
-    fn random_rules(rng: &mut StdRng, unknown_attrs: bool) -> Vec<BlockingRule> {
+    /// A predicate of `kind` on a random column pair of [`TYPED_SCHEMA`]
+    /// (with `unknown_attrs`, now and then a column neither table has). Half
+    /// the time its threshold is the feature's own value on a random pair,
+    /// so that pairs sit exactly at it.
+    fn random_predicate(
+        rng: &mut StdRng,
+        (a, b): (&Table, &Table),
+        kind: FeatureKind,
+        unknown_attrs: bool,
+    ) -> Predicate {
         const ATTRS: [&str; 4] = ["name", "zip", "score", "flag"];
         const THRESHOLDS: [f64; 7] = [0.0, 0.0, 0.2, 0.5, 0.8, 1.0, 1.5];
         let attr = |rng: &mut StdRng| {
@@ -725,34 +611,45 @@ mod tests {
                 ATTRS[rng.gen_range(0..ATTRS.len())].to_owned()
             }
         };
+        let l_attr = attr(rng);
+        // Mostly the same column on both sides, as learned rules have it;
+        // sometimes a cross-typed pair.
+        let r_attr = if rng.gen_bool(0.8) {
+            l_attr.clone()
+        } else {
+            attr(rng)
+        };
+        let mut threshold = THRESHOLDS[rng.gen_range(0..THRESHOLDS.len())];
+        if rng.gen_bool(0.5) && a.nrows() > 0 && b.nrows() > 0 {
+            let (ra, rb) = (rng.gen_range(0..a.nrows()), rng.gen_range(0..b.nrows()));
+            if let (Ok(va), Ok(vb)) = (a.value_by_name(ra, &l_attr), b.value_by_name(rb, &r_attr)) {
+                let x = Feature::new(&l_attr, &r_attr, kind).compute(va, vb);
+                if !x.is_nan() {
+                    threshold = x;
+                }
+            }
+        }
+        Predicate {
+            l_attr,
+            r_attr,
+            kind,
+            threshold,
+        }
+    }
+
+    /// 1–4 rules of 1–3 [`random_predicate`]s, exact match as often as
+    /// every set kind together.
+    fn random_rules(rng: &mut StdRng, ab: (&Table, &Table), unknown: bool) -> Vec<BlockingRule> {
         (0..rng.gen_range(1..5))
             .map(|_| BlockingRule {
                 predicates: (0..rng.gen_range(1..4))
                     .map(|_| {
-                        let l_attr = attr(rng);
-                        // Mostly the same column on both sides, as learned
-                        // rules have it; sometimes a cross-typed pair.
-                        let r_attr = if rng.gen_bool(0.8) {
-                            l_attr.clone()
+                        let kind = JOINABLE[if rng.gen_bool(0.4) {
+                            0
                         } else {
-                            attr(rng)
-                        };
-                        let ts = if rng.gen_bool(0.5) {
-                            TokSpec::Word
-                        } else {
-                            TokSpec::Qgram(3)
-                        };
-                        Predicate {
-                            l_attr,
-                            r_attr,
-                            feature: match rng.gen_range(0..5) {
-                                0 | 1 => SimFeature::ExactMatch,
-                                2 => SimFeature::Jaccard(ts),
-                                3 => SimFeature::Cosine(ts),
-                                _ => SimFeature::Dice(ts),
-                            },
-                            threshold: THRESHOLDS[rng.gen_range(0..THRESHOLDS.len())],
-                        }
+                            rng.gen_range(1..JOINABLE.len())
+                        }];
+                        random_predicate(rng, ab, kind, unknown)
                     })
                     .collect(),
             })
@@ -765,7 +662,20 @@ mod tests {
             .collect()
     }
 
-    /// Per-pair [`BlockingRule::fires`] over the cross product.
+    /// The per-pair reference: does `rule` drop pair `(ra, rb)`? Every
+    /// predicate's feature, as `Feature::compute` gives it, is NaN or at
+    /// most the threshold (a negative one runs as 0).
+    fn fires(rule: &BlockingRule, a: &Table, ra: usize, b: &Table, rb: usize) -> bool {
+        rule.predicates.iter().all(|p| {
+            let x = Feature::new(&p.l_attr, &p.r_attr, p.kind).compute(
+                a.value_by_name(ra, &p.l_attr).unwrap(),
+                b.value_by_name(rb, &p.r_attr).unwrap(),
+            );
+            x.is_nan() || x <= p.threshold.max(0.0)
+        })
+    }
+
+    /// The pairs of the cross product on which no rule [`fires`].
     fn survivors_by_fires(rules: &[BlockingRule], a: &Table, b: &Table) -> CandidateSet {
         cross(a, b)
             .pairs()
@@ -774,40 +684,91 @@ mod tests {
             .filter(|&(ra, rb)| {
                 !rules
                     .iter()
-                    .any(|r| r.fires(a, ra as usize, b, rb as usize))
+                    .any(|r| fires(r, a, ra as usize, b, rb as usize))
             })
             .collect()
+    }
+
+    /// Every kind a predicate can run.
+    const JOINABLE: [FeatureKind; 10] = [
+        FeatureKind::ExactMatch,
+        FeatureKind::Jaccard(TokSpec::Word),
+        FeatureKind::Cosine(TokSpec::Word),
+        FeatureKind::Dice(TokSpec::Word),
+        FeatureKind::Jaccard(TokSpec::Qgram(2)),
+        FeatureKind::Cosine(TokSpec::Qgram(2)),
+        FeatureKind::Dice(TokSpec::Qgram(2)),
+        FeatureKind::Jaccard(TokSpec::Qgram(3)),
+        FeatureKind::Cosine(TokSpec::Qgram(3)),
+        FeatureKind::Dice(TokSpec::Qgram(3)),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// A rule computes the feature it was learned on: for every
+        /// joinable kind, alone and in random conjunctions, `block`,
+        /// `refine` over the cross product and the per-pair reference keep
+        /// exactly the pairs on which no rule fires — on cased, padded,
+        /// blank, null, typed and non-ASCII cells, at thresholds equal to
+        /// feature values.
+        #[test]
+        fn block_and_refine_keep_what_the_features_keep(seed in any::<u64>()) {
+            let (a, b) = typed_tables(seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xFEA7);
+            let mut rule_sets: Vec<Vec<BlockingRule>> = JOINABLE
+                .iter()
+                .map(|&kind| {
+                    let p = random_predicate(&mut rng, (&a, &b), kind, false);
+                    vec![BlockingRule { predicates: vec![p] }]
+                })
+                .collect();
+            rule_sets.push(random_rules(&mut rng, (&a, &b), false));
+            for rules in rule_sets {
+                let want = survivors_by_fires(&rules, &a, &b);
+                let blocker = RuleBasedBlocker::new(rules);
+                prop_assert_eq!(&blocker.block(&a, &b).unwrap(), &want, "{}", blocker.pretty());
+                prop_assert_eq!(
+                    &blocker.refine(&cross(&a, &b), &a, &b).unwrap(),
+                    &want,
+                    "{}",
+                    blocker.pretty()
+                );
+            }
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
         /// The plan, the all-joins executor, prepared refinement of the
-        /// cross product and per-pair `fires` are one function — and fail
-        /// alike on an attribute neither table has.
+        /// cross product and the per-pair reference are one function — and
+        /// the three executors fail alike, at the first unknown attribute
+        /// in rule order.
         #[test]
         fn planned_block_equals_the_join_oracle_and_refinement(seed in any::<u64>()) {
             let (a, b) = typed_tables(seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xB10C);
-            let blocker = RuleBasedBlocker::new(random_rules(&mut rng, true));
+            let blocker = RuleBasedBlocker::new(random_rules(&mut rng, (&a, &b), true));
             let planned = blocker.block(&a, &b);
             let joined = block_by_joins(&blocker.rules, &a, &b);
             match (planned, joined) {
                 (Ok(planned), Ok(joined)) => {
                     prop_assert_eq!(&planned, &joined, "{}", blocker.pretty());
-                    let known = |p: &Predicate| {
-                        a.schema().try_index_of(&p.l_attr).is_ok()
-                            && b.schema().try_index_of(&p.r_attr).is_ok()
-                    };
-                    // An unknown attribute no join reads is an error to
-                    // neither executor, but scores 0.0 pairwise.
-                    if blocker.rules.iter().flat_map(|r| &r.predicates).all(known) {
-                        prop_assert_eq!(&planned, &blocker.refine(&cross(&a, &b), &a, &b));
-                        prop_assert_eq!(&planned, &survivors_by_fires(&blocker.rules, &a, &b));
-                    }
+                    prop_assert_eq!(&planned, &blocker.refine(&cross(&a, &b), &a, &b).unwrap());
+                    prop_assert_eq!(&planned, &survivors_by_fires(&blocker.rules, &a, &b));
                 }
                 (Err(planned), Err(joined)) => {
                     prop_assert_eq!(planned.to_string(), joined.to_string());
+                    let refined = blocker.refine(&cross(&a, &b), &a, &b).unwrap_err();
+                    prop_assert_eq!(planned.to_string(), refined.to_string());
+                    let first_unknown = blocker
+                        .rules
+                        .iter()
+                        .flat_map(|r| &r.predicates)
+                        .flat_map(|p| [(&a, &p.l_attr), (&b, &p.r_attr)])
+                        .find_map(|(t, attr)| t.schema().try_index_of(attr).err());
+                    prop_assert_eq!(planned.to_string(), first_unknown.unwrap().to_string());
                 }
                 (planned, joined) => {
                     prop_assert!(false, "{planned:?} vs {joined:?}\n{}", blocker.pretty());
@@ -824,7 +785,7 @@ mod tests {
         for seed in 0..60 {
             let (a, b) = typed_tables(seed);
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut rules = random_rules(&mut rng, false);
+            let mut rules = random_rules(&mut rng, (&a, &b), false);
             let want = block_by_joins(&rules, &a, &b).unwrap();
             for _ in 0..rules.len() {
                 rules.rotate_left(1);
@@ -846,99 +807,99 @@ mod tests {
         let a = zips("A", &[Some(53703), Some(94301), None]);
         let b = zips("B", &[Some(94301), Some(53703), Some(10001)]);
         let rule = BlockingRule {
-            predicates: vec![Predicate {
-                l_attr: "zip".into(),
-                r_attr: "zip".into(),
-                feature: SimFeature::ExactMatch,
-                threshold: 0.5,
-            }],
+            predicates: vec![pred("zip", FeatureKind::ExactMatch, 0.5)],
         };
-        assert!(!rule.fires(&a, 0, &b, 1), "equal zips must not be dropped");
-        assert!(rule.fires(&a, 0, &b, 0));
-        assert!(rule.fires(&a, 2, &b, 2), "a null zip shows no similarity");
+        assert!(
+            !fires(&rule, &a, 0, &b, 1),
+            "equal zips must not be dropped"
+        );
+        assert!(fires(&rule, &a, 0, &b, 0));
+        assert!(fires(&rule, &a, 2, &b, 2), "a null zip shows no similarity");
         let blocker = RuleBasedBlocker::new(vec![rule]);
         let kept = CandidateSet::new(vec![(0, 1), (1, 0)]);
         assert_eq!(blocker.block(&a, &b).unwrap(), kept);
-        assert_eq!(blocker.refine(&cross(&a, &b), &a, &b), kept);
+        assert_eq!(blocker.refine(&cross(&a, &b), &a, &b).unwrap(), kept);
     }
 
-    /// A negative threshold runs as 0, as the join executor ran it.
+    /// A negative threshold runs as 0 on every path, as the join executor
+    /// ran it: `refine` keeps no pair of similarity 0 that `block` drops.
     #[test]
     fn negative_thresholds_block_as_zero() {
         for seed in 0..40 {
             let (a, b) = typed_tables(seed);
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut rules = random_rules(&mut rng, false);
+            let mut rules = random_rules(&mut rng, (&a, &b), false);
             for p in rules.iter_mut().flat_map(|r| &mut r.predicates) {
                 if p.threshold == 0.0 {
                     p.threshold = -0.5;
                 }
             }
-            let got = RuleBasedBlocker::new(rules.clone()).block(&a, &b).unwrap();
+            let blocker = RuleBasedBlocker::new(rules.clone());
+            let got = blocker.block(&a, &b).unwrap();
             assert_eq!(got, block_by_joins(&rules, &a, &b).unwrap(), "seed {seed}");
+            let refined = blocker.refine(&cross(&a, &b), &a, &b).unwrap();
+            assert_eq!(got, refined, "seed {seed}");
         }
     }
 
+    /// Two small book tables; a2's isbn is null.
     fn tables() -> (Table, Table) {
-        let a = Table::from_rows(
+        let table = |name: &str, rows: [[Option<&str>; 3]; 3]| {
+            let schema = [
+                ("id", Dtype::Str),
+                ("isbn", Dtype::Str),
+                ("title", Dtype::Str),
+            ];
+            let rows = rows
+                .iter()
+                .map(|r| r.iter().map(|&c| Value::from(c)).collect())
+                .collect();
+            Table::from_rows(name, &schema, rows).unwrap()
+        };
+        let a = table(
             "A",
-            &[
-                ("id", Dtype::Str),
-                ("isbn", Dtype::Str),
-                ("title", Dtype::Str),
-            ],
-            vec![
-                vec![
-                    "a0".into(),
-                    "978-0262033848".into(),
-                    "introduction to algorithms".into(),
+            [
+                [
+                    Some("a0"),
+                    Some("978-0262033848"),
+                    Some("introduction to algorithms"),
                 ],
-                vec![
-                    "a1".into(),
-                    "978-1491927083".into(),
-                    "programming rust".into(),
-                ],
-                vec!["a2".into(), Value::Null, "mystery book".into()],
+                [Some("a1"), Some("978-1491927083"), Some("programming rust")],
+                [Some("a2"), None, Some("mystery book")],
             ],
-        )
-        .unwrap();
-        let b = Table::from_rows(
+        );
+        let b = table(
             "B",
-            &[
-                ("id", Dtype::Str),
-                ("isbn", Dtype::Str),
-                ("title", Dtype::Str),
-            ],
-            vec![
-                vec![
-                    "b0".into(),
-                    "978-0262033848".into(),
-                    "intro to algorithms".into(),
+            [
+                [
+                    Some("b0"),
+                    Some("978-0262033848"),
+                    Some("intro to algorithms"),
                 ],
-                vec![
-                    "b1".into(),
-                    "978-3161484100".into(),
-                    "unrelated tome".into(),
-                ],
-                vec![
-                    "b2".into(),
-                    "978-1491927083".into(),
-                    "programming rust 2nd".into(),
+                [Some("b1"), Some("978-3161484100"), Some("unrelated tome")],
+                [
+                    Some("b2"),
+                    Some("978-1491927083"),
+                    Some("programming rust 2nd"),
                 ],
             ],
-        )
-        .unwrap();
+        );
         (a, b)
+    }
+
+    /// A predicate on the same attribute of both tables.
+    fn pred(attr: &str, kind: FeatureKind, threshold: f64) -> Predicate {
+        Predicate {
+            l_attr: attr.into(),
+            r_attr: attr.into(),
+            kind,
+            threshold,
+        }
     }
 
     fn isbn_rule() -> BlockingRule {
         BlockingRule {
-            predicates: vec![Predicate {
-                l_attr: "isbn".into(),
-                r_attr: "isbn".into(),
-                feature: SimFeature::ExactMatch,
-                threshold: 0.5,
-            }],
+            predicates: vec![pred("isbn", FeatureKind::ExactMatch, 0.5)],
         }
     }
 
@@ -954,18 +915,13 @@ mod tests {
     fn join_execution_equals_pairwise_refinement() {
         let (a, b) = tables();
         let rule = BlockingRule {
-            predicates: vec![Predicate {
-                l_attr: "title".into(),
-                r_attr: "title".into(),
-                feature: SimFeature::Jaccard(TokSpec::Word),
-                threshold: 0.3,
-            }],
+            predicates: vec![pred("title", FeatureKind::Jaccard(TokSpec::Word), 0.3)],
         };
         let blocker = RuleBasedBlocker::new(vec![rule]);
         let via_join = blocker.block(&a, &b).unwrap();
         // Reference: cross product refined pairwise.
         let all = cross(&a, &b);
-        let via_refine = blocker.refine(&all, &a, &b);
+        let via_refine = blocker.refine(&all, &a, &b).unwrap();
         assert_eq!(via_join, via_refine);
         assert!(via_join.contains((1, 2)), "programming rust pair survives");
 
@@ -973,24 +929,19 @@ mod tests {
         // column and feature family.
         for seed in 0..20 {
             let (a, b) = typed_tables(seed);
-            for (attr, feature, threshold) in [
-                ("zip", SimFeature::ExactMatch, 0.5),
-                ("zip", SimFeature::Jaccard(TokSpec::Qgram(3)), 0.4),
-                ("score", SimFeature::Dice(TokSpec::Word), 0.0),
-                ("flag", SimFeature::Cosine(TokSpec::Qgram(3)), 0.3),
-                ("name", SimFeature::Jaccard(TokSpec::Word), 0.3),
+            for (attr, kind, threshold) in [
+                ("zip", FeatureKind::ExactMatch, 0.5),
+                ("zip", FeatureKind::Jaccard(TokSpec::Qgram(3)), 0.4),
+                ("score", FeatureKind::Dice(TokSpec::Word), 0.0),
+                ("flag", FeatureKind::Cosine(TokSpec::Qgram(3)), 0.3),
+                ("name", FeatureKind::Jaccard(TokSpec::Word), 0.3),
             ] {
                 let blocker = RuleBasedBlocker::new(vec![BlockingRule {
-                    predicates: vec![Predicate {
-                        l_attr: attr.into(),
-                        r_attr: attr.into(),
-                        feature,
-                        threshold,
-                    }],
+                    predicates: vec![pred(attr, kind, threshold)],
                 }]);
                 assert_eq!(
                     blocker.block(&a, &b).unwrap(),
-                    blocker.refine(&cross(&a, &b), &a, &b),
+                    blocker.refine(&cross(&a, &b), &a, &b).unwrap(),
                     "seed {seed}: {}",
                     blocker.pretty()
                 );
@@ -1005,18 +956,8 @@ mod tests {
         // anything with equal isbn OR similar title.
         let rule = BlockingRule {
             predicates: vec![
-                Predicate {
-                    l_attr: "isbn".into(),
-                    r_attr: "isbn".into(),
-                    feature: SimFeature::ExactMatch,
-                    threshold: 0.5,
-                },
-                Predicate {
-                    l_attr: "title".into(),
-                    r_attr: "title".into(),
-                    feature: SimFeature::Jaccard(TokSpec::Word),
-                    threshold: 0.3,
-                },
+                pred("isbn", FeatureKind::ExactMatch, 0.5),
+                pred("title", FeatureKind::Jaccard(TokSpec::Word), 0.3),
             ],
         };
         let blocker = RuleBasedBlocker::new(vec![rule]);
@@ -1032,12 +973,7 @@ mod tests {
     fn multiple_rules_intersect() {
         let (a, b) = tables();
         let title_rule = BlockingRule {
-            predicates: vec![Predicate {
-                l_attr: "title".into(),
-                r_attr: "title".into(),
-                feature: SimFeature::Jaccard(TokSpec::Word),
-                threshold: 0.2,
-            }],
+            predicates: vec![pred("title", FeatureKind::Jaccard(TokSpec::Word), 0.2)],
         };
         let blocker = RuleBasedBlocker::new(vec![isbn_rule(), title_rule]);
         let c = blocker.block(&a, &b).unwrap();
@@ -1069,27 +1005,37 @@ mod tests {
     fn pretty_renders_fig4_style() {
         let rule = BlockingRule {
             predicates: vec![
-                Predicate {
-                    l_attr: "isbn".into(),
-                    r_attr: "isbn".into(),
-                    feature: SimFeature::ExactMatch,
-                    threshold: 0.5,
-                },
-                Predicate {
-                    l_attr: "title".into(),
-                    r_attr: "title".into(),
-                    feature: SimFeature::Jaccard(TokSpec::Qgram(3)),
-                    threshold: 0.31,
-                },
+                pred("isbn", FeatureKind::ExactMatch, 0.5),
+                pred("title", FeatureKind::Jaccard(TokSpec::Qgram(3)), 0.31),
             ],
         };
         let s = rule.pretty();
         assert!(s.contains("exact_match(A.isbn, B.isbn) <= 0.500"), "{s}");
         assert!(
-            s.contains("jaccard(3gram)(A.title, B.title) <= 0.310"),
+            s.contains("jaccard(3gram(A.title), 3gram(B.title)) <= 0.310"),
             "{s}"
         );
         assert!(s.ends_with("-> No"));
+    }
+
+    /// A kind with no join is refused by both executors, before any pair.
+    #[test]
+    fn a_kind_with_no_join_is_refused() {
+        let (a, b) = tables();
+        assert!(JOINABLE.iter().all(|&k| joinable(k)));
+        for kind in [
+            FeatureKind::LevSim,
+            FeatureKind::OverlapCoeff(TokSpec::Word),
+        ] {
+            assert!(!joinable(kind));
+            let mut rule = isbn_rule();
+            rule.predicates[0].kind = kind;
+            let blocker = RuleBasedBlocker::new(vec![rule]);
+            let err = blocker.block(&a, &b).unwrap_err().to_string();
+            assert!(err.contains("has no join"), "{err}");
+            let refined = blocker.refine(&cross(&a, &b), &a, &b).unwrap_err();
+            assert_eq!(refined.to_string(), err);
+        }
     }
 
     #[test]
@@ -1099,70 +1045,47 @@ mod tests {
     }
 
     /// The interned prepared refine path is exactly the per-pair
-    /// [`BlockingRule::fires`] evaluation, including null / non-string
-    /// values, unknown attributes, and empty tokenizations.
+    /// reference [`fires`], including null / non-string values and empty
+    /// tokenizations; an unknown attribute is an error to both executors.
     #[test]
     fn prepared_refine_matches_per_pair_fires() {
         let (a, b) = tables();
         let rules = vec![
             BlockingRule {
                 predicates: vec![
-                    Predicate {
-                        l_attr: "isbn".into(),
-                        r_attr: "isbn".into(),
-                        feature: SimFeature::ExactMatch,
-                        threshold: 0.5,
-                    },
-                    Predicate {
-                        l_attr: "title".into(),
-                        r_attr: "title".into(),
-                        feature: SimFeature::Jaccard(TokSpec::Word),
-                        threshold: 0.3,
-                    },
+                    pred("isbn", FeatureKind::ExactMatch, 0.5),
+                    pred("title", FeatureKind::Jaccard(TokSpec::Word), 0.3),
                 ],
             },
             BlockingRule {
                 predicates: vec![
+                    pred("title", FeatureKind::Cosine(TokSpec::Qgram(3)), 0.25),
                     Predicate {
-                        l_attr: "title".into(),
+                        l_attr: "isbn".into(),
                         r_attr: "title".into(),
-                        feature: SimFeature::Cosine(TokSpec::Qgram(3)),
-                        threshold: 0.25,
-                    },
-                    Predicate {
-                        // Unknown attribute: always scores 0.0.
-                        l_attr: "nope".into(),
-                        r_attr: "title".into(),
-                        feature: SimFeature::Dice(TokSpec::Word),
+                        kind: FeatureKind::Dice(TokSpec::Word),
                         threshold: 0.9,
                     },
                 ],
             },
         ];
-        let blocker = RuleBasedBlocker::new(rules);
+        let mut blocker = RuleBasedBlocker::new(rules);
         let all = cross(&a, &b);
-        let prepared = blocker.refine(&all, &a, &b);
-        // Reference: direct per-pair rule evaluation.
-        let reference: CandidateSet = all
-            .pairs()
-            .iter()
-            .copied()
-            .filter(|&(ra, rb)| {
-                !blocker
-                    .rules
-                    .iter()
-                    .any(|rule| rule.fires(&a, ra as usize, &b, rb as usize))
-            })
-            .collect();
-        assert_eq!(prepared, reference);
+        let prepared = blocker.refine(&all, &a, &b).unwrap();
+        assert_eq!(prepared, survivors_by_fires(&blocker.rules, &a, &b));
+
+        blocker.rules[1].predicates[1].l_attr = "nope".into();
+        let err = blocker.refine(&all, &a, &b).unwrap_err().to_string();
+        assert!(err.contains("nope"), "{err}");
+        assert_eq!(err, blocker.block(&a, &b).unwrap_err().to_string());
 
         // Typed and null cells: both read the display form.
         for seed in 0..40 {
             let (a, b) = typed_tables(seed);
             let mut rng = StdRng::seed_from_u64(seed);
-            let blocker = RuleBasedBlocker::new(random_rules(&mut rng, true));
+            let blocker = RuleBasedBlocker::new(random_rules(&mut rng, (&a, &b), false));
             assert_eq!(
-                blocker.refine(&cross(&a, &b), &a, &b),
+                blocker.refine(&cross(&a, &b), &a, &b).unwrap(),
                 survivors_by_fires(&blocker.rules, &a, &b),
                 "seed {seed}: {}",
                 blocker.pretty()
@@ -1178,30 +1101,20 @@ mod tests {
         // Two rules both thresholding word-jaccard on title (one shared
         // collection) at different cutoffs, plus a qgram predicate.
         let rule = |thr: f64| BlockingRule {
-            predicates: vec![Predicate {
-                l_attr: "title".into(),
-                r_attr: "title".into(),
-                feature: SimFeature::Jaccard(TokSpec::Word),
-                threshold: thr,
-            }],
+            predicates: vec![pred("title", FeatureKind::Jaccard(TokSpec::Word), thr)],
         };
         let blocker = RuleBasedBlocker::new(vec![rule(0.2), rule(0.4)]);
         let c = blocker.block(&a, &b).unwrap();
         // Reference: cross product refined pairwise.
         let all = cross(&a, &b);
-        assert_eq!(c, blocker.refine(&all, &a, &b));
+        assert_eq!(c, blocker.refine(&all, &a, &b).unwrap());
     }
 
     #[test]
     fn threshold_at_one_drops_everything() {
         let (a, b) = tables();
         let rule = BlockingRule {
-            predicates: vec![Predicate {
-                l_attr: "isbn".into(),
-                r_attr: "isbn".into(),
-                feature: SimFeature::ExactMatch,
-                threshold: 1.0,
-            }],
+            predicates: vec![pred("isbn", FeatureKind::ExactMatch, 1.0)],
         };
         let c = RuleBasedBlocker::new(vec![rule]).block(&a, &b).unwrap();
         assert!(c.is_empty());

@@ -903,7 +903,7 @@ mod tests {
     use magellan_block::OverlapBlocker;
     use magellan_datagen::domains::persons;
     use magellan_datagen::{DirtModel, ScenarioConfig};
-    use magellan_features::{Feature, FeatureKind, TokSpecF};
+    use magellan_features::{Feature, FeatureKind, TokSpec};
     use magellan_ml::model::ConstantClassifier;
     use magellan_par::ParStats;
 
@@ -911,7 +911,7 @@ mod tests {
         EmWorkflow {
             blocker: Box::new(OverlapBlocker::words("name", 1)),
             features: vec![
-                Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word)),
+                Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Word)),
                 Feature::new("name", "name", FeatureKind::JaroWinkler),
             ],
             matcher: Box::new(ConstantClassifier { proba: 1.0 }),

@@ -36,10 +36,10 @@
 //! or above the threshold inside is refused, naming its first line.
 
 use magellan_block::{
-    AttrEquivalenceBlocker, Blocker, BlockingRule, HashBlocker, OverlapBlocker, Predicate,
-    RuleBasedBlocker, SimFeature, SimJoinBlocker, SortedNeighborhoodBlocker, TokSpec,
+    joinable, AttrEquivalenceBlocker, Blocker, BlockingRule, HashBlocker, OverlapBlocker,
+    Predicate, RuleBasedBlocker, SimJoinBlocker, SortedNeighborhoodBlocker,
 };
-use magellan_features::{Feature, FeatureKind, TokSpecF};
+use magellan_features::{Feature, FeatureKind, TokSpec};
 use magellan_ml::persist::{read_forest, save_forest, stated_count, PersistError};
 use magellan_ml::{Node, RandomForestClassifier};
 use magellan_simjoin::SetSimMeasure;
@@ -218,89 +218,30 @@ fn parse_tok(s: &str, line: usize) -> Result<TokSpec, PersistError> {
     }
 }
 
-fn tokf_label(t: TokSpecF) -> String {
-    match t {
-        TokSpecF::Word => "word".to_owned(),
-        TokSpecF::Qgram(q) => format!("q{q}"),
-    }
-}
-
-fn parse_tokf(s: &str, line: usize) -> Result<TokSpecF, PersistError> {
-    if s == "word" {
-        Ok(TokSpecF::Word)
-    } else if let Some(q) = s.strip_prefix('q').and_then(parse_q) {
-        Ok(TokSpecF::Qgram(q))
-    } else {
-        Err(PersistError::at(line, format!("bad tokenizer spec `{s}`")))
-    }
-}
-
+/// A kind as a `feature` or `bpred` line writes it: `jaccard:q3`,
+/// `lev_sim`.
 fn kind_label(kind: FeatureKind) -> String {
-    match kind {
-        FeatureKind::ExactMatch => "exact_match".into(),
-        FeatureKind::LevSim => "lev_sim".into(),
-        FeatureKind::Jaro => "jaro".into(),
-        FeatureKind::JaroWinkler => "jaro_winkler".into(),
-        FeatureKind::MongeElkanJw => "monge_elkan".into(),
-        FeatureKind::Jaccard(t) => format!("jaccard:{}", tokf_label(t)),
-        FeatureKind::Cosine(t) => format!("cosine:{}", tokf_label(t)),
-        FeatureKind::Dice(t) => format!("dice:{}", tokf_label(t)),
-        FeatureKind::OverlapCoeff(t) => format!("overlap_coeff:{}", tokf_label(t)),
-        FeatureKind::ExactNum => "exact_num".into(),
-        FeatureKind::AbsDiff => "abs_diff".into(),
-        FeatureKind::RelDiff => "rel_diff".into(),
+    match kind.tok() {
+        Some(t) => format!("{}:{}", kind.measure(), tok_label(t)),
+        None => kind.measure().to_owned(),
     }
 }
 
-fn parse_kind(s: &str, line: usize) -> Result<FeatureKind, PersistError> {
-    let bad = || PersistError::at(line, format!("bad feature kind `{s}`"));
-    Ok(match s {
-        "exact_match" => FeatureKind::ExactMatch,
-        "lev_sim" => FeatureKind::LevSim,
-        "jaro" => FeatureKind::Jaro,
-        "jaro_winkler" => FeatureKind::JaroWinkler,
-        "monge_elkan" => FeatureKind::MongeElkanJw,
-        "exact_num" => FeatureKind::ExactNum,
-        "abs_diff" => FeatureKind::AbsDiff,
-        "rel_diff" => FeatureKind::RelDiff,
-        _ => {
-            let (outer, tok) = s.split_once(':').ok_or_else(bad)?;
-            let t = parse_tokf(tok, line)?;
-            match outer {
-                "jaccard" => FeatureKind::Jaccard(t),
-                "cosine" => FeatureKind::Cosine(t),
-                "dice" => FeatureKind::Dice(t),
-                "overlap_coeff" => FeatureKind::OverlapCoeff(t),
-                _ => return Err(bad()),
-            }
-        }
-    })
-}
-
-fn sim_feature_label(f: SimFeature) -> String {
-    match f {
-        SimFeature::ExactMatch => "exact_match".into(),
-        SimFeature::Jaccard(t) => format!("jaccard:{}", tok_label(t)),
-        SimFeature::Cosine(t) => format!("cosine:{}", tok_label(t)),
-        SimFeature::Dice(t) => format!("dice:{}", tok_label(t)),
-    }
-}
-
-fn parse_sim_feature(s: &str, line: usize) -> Result<SimFeature, PersistError> {
-    let bad = || PersistError::at(line, format!("bad blocking feature `{s}`"));
-    Ok(match s {
-        "exact_match" => SimFeature::ExactMatch,
-        _ => {
-            let (outer, tok) = s.split_once(':').ok_or_else(bad)?;
-            let t = parse_tok(tok, line)?;
-            match outer {
-                "jaccard" => SimFeature::Jaccard(t),
-                "cosine" => SimFeature::Cosine(t),
-                "dice" => SimFeature::Dice(t),
-                _ => return Err(bad()),
-            }
-        }
-    })
+/// The kind [`kind_label`] wrote as `s`, if `accept` takes it; anything
+/// else is a bad `what`.
+fn parse_kind(
+    s: &str,
+    line: usize,
+    what: &str,
+    accept: fn(FeatureKind) -> bool,
+) -> Result<FeatureKind, PersistError> {
+    let (measure, tok) = match s.split_once(':') {
+        Some((measure, tok)) => (measure, Some(parse_tok(tok, line)?)),
+        None => (s, None),
+    };
+    FeatureKind::from_parts(measure, tok)
+        .filter(|&kind| accept(kind))
+        .ok_or_else(|| PersistError::at(line, format!("bad {what} `{s}`")))
 }
 
 /// Serialize a workflow spec.
@@ -381,7 +322,7 @@ pub fn save_workflow(spec: &WorkflowSpec) -> String {
                     writeln!(
                         out,
                         "bpred {} {}\t{}\t{}",
-                        sim_feature_label(p.feature),
+                        kind_label(p.kind),
                         p.threshold,
                         check_name(&p.l_attr),
                         check_name(&p.r_attr)
@@ -510,7 +451,7 @@ pub fn load_workflow(text: &str) -> Result<WorkflowSpec, PersistError> {
             name: (*name).to_owned(),
             l_attr: (*l_attr).to_owned(),
             r_attr: (*r_attr).to_owned(),
-            kind: parse_kind(kind, ln)?,
+            kind: parse_kind(kind, ln, "feature kind", |_| true)?,
         });
     }
 
@@ -740,7 +681,7 @@ fn parse_blocker(
                 predicates.push(Predicate {
                     l_attr: (*l_attr).to_owned(),
                     r_attr: (*r_attr).to_owned(),
-                    feature: parse_sim_feature(feat, ln)?,
+                    kind: parse_kind(feat, ln, "blocking feature", joinable)?,
                     threshold: thr
                         .parse()
                         .map_err(|_| PersistError::at(ln, "bad predicate threshold"))?,
@@ -780,7 +721,7 @@ mod tests {
         WorkflowSpec {
             blocker,
             features: vec![
-                Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Qgram(3))),
+                Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Qgram(3))),
                 Feature::new("age", "age", FeatureKind::AbsDiff),
             ],
             forest: forest(),
@@ -842,7 +783,7 @@ mod tests {
                 predicates: vec![Predicate {
                     l_attr: "name".into(),
                     r_attr: "name".into(),
-                    feature: SimFeature::Jaccard(TokSpec::Word),
+                    kind: FeatureKind::Jaccard(TokSpec::Word),
                     threshold: 0.31,
                 }],
             }]),
@@ -1010,7 +951,7 @@ mod tests {
             assert!(err.message.contains(why), "{body}: {err}");
         }
         // A q-gram size of 0 in a rule predicate's or a feature's tokenizer too.
-        assert!(parse_tok("q0", 1).is_err() && parse_tokf("q0", 1).is_err());
+        assert!(parse_tok("q0", 1).is_err());
         assert_eq!(parse_tok("q3", 1).unwrap(), TokSpec::Qgram(3));
     }
 
@@ -1102,7 +1043,7 @@ mod tests {
             predicates: vec![Predicate {
                 l_attr: "name".into(),
                 r_attr: "name".into(),
-                feature: SimFeature::Jaccard(TokSpec::Word),
+                kind: FeatureKind::Jaccard(TokSpec::Word),
                 threshold: 0.31,
             }],
         }])));
@@ -1272,5 +1213,75 @@ mod tests {
         let (old_matches, old_demand) = counts(&old.build());
         assert_eq!(old_matches, matches);
         assert_eq!(old_demand[0], 0);
+    }
+
+    /// A rule-based `workflow v1` file reads and writes the `bpred` lines
+    /// the rule predicates' own vocabulary wrote before rules and features
+    /// shared one, byte for byte, and refuses each bad kind with the
+    /// message it had then.
+    #[test]
+    fn rule_lines_keep_their_bytes_and_errors() {
+        let pred = |attr: &str, kind, threshold| Predicate {
+            l_attr: attr.into(),
+            r_attr: attr.into(),
+            kind,
+            threshold,
+        };
+        let text = save_workflow(&spec_with(BlockerSpec::Rules(vec![
+            BlockingRule {
+                predicates: vec![
+                    pred(
+                        "name",
+                        FeatureKind::Jaccard(TokSpec::Qgram(3)),
+                        0.34615384615384615,
+                    ),
+                    pred("city", FeatureKind::ExactMatch, 0.5),
+                ],
+            },
+            BlockingRule {
+                predicates: vec![
+                    pred(
+                        "name",
+                        FeatureKind::Cosine(TokSpec::Word),
+                        0.5393598899705937,
+                    ),
+                    pred("state", FeatureKind::Dice(TokSpec::Qgram(2)), -0.0),
+                    pred("name", FeatureKind::Jaccard(TokSpec::Word), 1.0),
+                ],
+            },
+        ])));
+        assert!(text.starts_with(concat!(
+            "workflow v1\nthreshold 0.5\nblocker rules 2\nbrule 2\n",
+            "bpred jaccard:q3 0.34615384615384615\tname\tname\n",
+            "bpred exact_match 0.5\tcity\tcity\nbrule 3\n",
+            "bpred cosine:word 0.5393598899705937\tname\tname\n",
+            "bpred dice:q2 -0\tstate\tstate\n",
+            "bpred jaccard:word 1\tname\tname\nfeatures 2\n",
+        )));
+        assert_eq!(save_workflow(&load_workflow(&text).unwrap()), text);
+        let at = text.lines().position(|l| l.starts_with("bpred ")).unwrap();
+        for (kind, want) in [
+            ("cosine:q12", None),
+            ("jaccard:q0", Some("bad tokenizer spec `q0`")),
+            ("a:b:c", Some("bad tokenizer spec `b:c`")),
+            ("foo:zz", Some("bad tokenizer spec `zz`")),
+            ("jaccard", Some("bad blocking feature `jaccard`")),
+            (
+                "overlap_coeff:word",
+                Some("bad blocking feature `overlap_coeff:word`"),
+            ),
+            ("lev_sim", Some("bad blocking feature `lev_sim`")),
+            ("foo:word", Some("bad blocking feature `foo:word`")),
+            (
+                "exact_match:word",
+                Some("bad blocking feature `exact_match:word`"),
+            ),
+        ] {
+            let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+            lines[at] = format!("bpred {kind} 0.5\tname\tname");
+            let got = load_workflow(&(lines.join("\n") + "\n")).err();
+            assert_eq!(got.as_ref().map(|e| e.line), want.map(|_| at + 1), "{kind}");
+            assert_eq!(got.map(|e| e.message), want.map(str::to_owned), "{kind}");
+        }
     }
 }

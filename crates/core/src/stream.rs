@@ -715,7 +715,7 @@ fn stream_corrupt(msg: impl std::fmt::Display) -> MagellanError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magellan_features::{FeatureKind, TokSpecF};
+    use magellan_features::{FeatureKind, TokSpec};
     use magellan_ml::{Dataset, RandomForestLearner};
 
     fn fixture_forest(n_features: usize) -> FlatForest {
@@ -740,8 +740,8 @@ mod tests {
 
     fn stream_features() -> Vec<Feature> {
         vec![
-            Feature::new("text", "text", FeatureKind::Jaccard(TokSpecF::Word)),
-            Feature::new("text", "text", FeatureKind::Dice(TokSpecF::Word)),
+            Feature::new("text", "text", FeatureKind::Jaccard(TokSpec::Word)),
+            Feature::new("text", "text", FeatureKind::Dice(TokSpec::Word)),
             Feature::new("text", "text", FeatureKind::JaroWinkler),
         ]
     }

@@ -81,7 +81,7 @@ impl EmWorkflow {
 mod tests {
     use super::*;
     use magellan_block::OverlapBlocker;
-    use magellan_features::{FeatureKind, TokSpecF};
+    use magellan_features::{FeatureKind, TokSpec};
     use magellan_ml::model::ConstantClassifier;
     use magellan_table::Dtype;
 
@@ -115,7 +115,7 @@ mod tests {
             features: vec![Feature::new(
                 "name",
                 "name",
-                FeatureKind::Jaccard(TokSpecF::Word),
+                FeatureKind::Jaccard(TokSpec::Word),
             )],
             matcher: Box::new(ConstantClassifier { proba: 1.0 }),
             rule_layer: RuleLayer::new(vec![crate::rules::MatchRule::reject(

@@ -29,7 +29,7 @@ use magellan_core::EmWorkflow;
 use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, EmScenario, ScenarioConfig};
 use magellan_faults::{FaultPlan, RetryPolicy};
-use magellan_features::{Feature, FeatureKind, TokSpecF};
+use magellan_features::{Feature, FeatureKind, TokSpec};
 use magellan_ml::model::ConstantClassifier;
 
 /// Fault seeds exercised per test: `CHAOS_SEEDS` (count) or 8.
@@ -55,7 +55,7 @@ fn workflow() -> EmWorkflow {
     EmWorkflow {
         blocker: Box::new(OverlapBlocker::words("name", 1)),
         features: vec![
-            Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word)),
+            Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Word)),
             Feature::new("name", "name", FeatureKind::JaroWinkler),
             Feature::new("city", "city", FeatureKind::ExactMatch),
         ],
@@ -445,7 +445,7 @@ fn service_report_under_seeded_faults_is_pinned() {
     };
     assert_eq!(
         service_report_digest(&report, &obs.snapshot()),
-        10257891631220348599
+        11625021822470382211
     );
 }
 

@@ -17,7 +17,7 @@ use magellan_core::EmWorkflow;
 use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, EmScenario, ScenarioConfig};
 use magellan_faults::RetryPolicy;
-use magellan_features::{Feature, FeatureKind, PreparedPair, TokSpecF};
+use magellan_features::{Feature, FeatureKind, PreparedPair, TokSpec};
 use magellan_ml::model::ConstantClassifier;
 use magellan_ml::{Dataset, RandomForestLearner};
 use magellan_obs::Obs;
@@ -38,7 +38,7 @@ fn workflow() -> EmWorkflow {
     EmWorkflow {
         blocker: Box::new(OverlapBlocker::words("name", 1)),
         features: vec![
-            Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word)),
+            Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Word)),
             Feature::new("name", "name", FeatureKind::JaroWinkler),
         ],
         matcher: Box::new(ConstantClassifier { proba: 1.0 }),

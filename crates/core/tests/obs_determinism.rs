@@ -14,7 +14,7 @@ use magellan_core::EmWorkflow;
 use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, EmScenario, ScenarioConfig};
 use magellan_faults::FaultPlan;
-use magellan_features::{Feature, FeatureKind, TokSpecF};
+use magellan_features::{Feature, FeatureKind, TokSpec};
 use magellan_ml::model::ConstantClassifier;
 use magellan_obs::{Obs, ObsSnapshot};
 
@@ -32,7 +32,7 @@ fn workflow() -> EmWorkflow {
     EmWorkflow {
         blocker: Box::new(OverlapBlocker::words("name", 1)),
         features: vec![
-            Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word)),
+            Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Word)),
             Feature::new("name", "name", FeatureKind::JaroWinkler),
         ],
         matcher: Box::new(ConstantClassifier { proba: 1.0 }),

@@ -18,7 +18,7 @@ use magellan_falcon::service::{
 };
 use magellan_falcon::ScheduleRecoveryOptions;
 use magellan_faults::{ArrivalPlan, FaultPlan, SimClock, StreamPlan};
-use magellan_features::{Feature, FeatureKind, TokSpecF};
+use magellan_features::{Feature, FeatureKind, TokSpec};
 use magellan_ml::model::ConstantClassifier;
 use magellan_ml::{Dataset, FlatForest, RandomForestLearner};
 use magellan_obs::{Obs, ObsSnapshot};
@@ -68,8 +68,8 @@ fn stream_pinned(workers: usize) -> ObsSnapshot {
     let mut session = StreamSession::new(
         SetSimMeasure::Jaccard(0.4),
         vec![
-            Feature::new("text", "text", FeatureKind::Jaccard(TokSpecF::Word)),
-            Feature::new("text", "text", FeatureKind::Dice(TokSpecF::Word)),
+            Feature::new("text", "text", FeatureKind::Jaccard(TokSpec::Word)),
+            Feature::new("text", "text", FeatureKind::Dice(TokSpec::Word)),
         ],
         stream_forest(),
         0.5,
@@ -277,7 +277,7 @@ fn workflow() -> EmWorkflow {
     EmWorkflow {
         blocker: Box::new(OverlapBlocker::words("name", 1)),
         features: vec![
-            Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word)),
+            Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Word)),
             Feature::new("name", "name", FeatureKind::JaroWinkler),
         ],
         matcher: Box::new(ConstantClassifier { proba: 1.0 }),

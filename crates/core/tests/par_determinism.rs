@@ -15,7 +15,7 @@ use magellan_core::EmWorkflow;
 use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, ScenarioConfig};
 use magellan_features::{
-    extract_feature_matrix, extract_feature_matrix_par, Feature, FeatureKind, TokSpecF,
+    extract_feature_matrix, extract_feature_matrix_par, Feature, FeatureKind, TokSpec,
 };
 use magellan_ml::model::ConstantClassifier;
 use magellan_ml::{Classifier, Dataset, RandomForestLearner};
@@ -189,7 +189,7 @@ proptest! {
         let a = table("a", &ra);
         let b = table("b", &rb);
         let features = vec![
-            Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word)),
+            Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Word)),
             Feature::new("name", "name", FeatureKind::JaroWinkler),
             Feature::new("state", "state", FeatureKind::ExactMatch),
         ];
@@ -282,7 +282,7 @@ fn production_run_is_worker_count_invariant() {
     let workflow = EmWorkflow {
         blocker: Box::new(OverlapBlocker::words("name", 1)),
         features: vec![
-            Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word)),
+            Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Word)),
             Feature::new("name", "name", FeatureKind::JaroWinkler),
         ],
         matcher: Box::new(ConstantClassifier { proba: 1.0 }),

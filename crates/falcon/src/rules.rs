@@ -9,8 +9,8 @@
 //! similarity features translate directly into a
 //! [`magellan_block::RuleBasedBlocker`].
 
-use magellan_block::{BlockingRule, Predicate, SimFeature, TokSpec};
-use magellan_features::{Feature, FeatureKind, FeatureMatrix, TokSpecF};
+use magellan_block::{joinable, BlockingRule, Predicate};
+use magellan_features::{Feature, FeatureMatrix};
 use magellan_ml::{Node, RandomForestClassifier};
 
 /// One path condition: `feature ≤ threshold` (`is_le`) or `feature >
@@ -108,21 +108,6 @@ pub fn candidate_paths(forest: &RandomForestClassifier) -> Vec<Vec<PathCond>> {
     out
 }
 
-/// Map a feature to a join-executable [`SimFeature`], when possible.
-fn joinable(kind: FeatureKind) -> Option<SimFeature> {
-    let tok = |t: TokSpecF| match t {
-        TokSpecF::Word => TokSpec::Word,
-        TokSpecF::Qgram(q) => TokSpec::Qgram(q),
-    };
-    match kind {
-        FeatureKind::Jaccard(t) => Some(SimFeature::Jaccard(tok(t))),
-        FeatureKind::Cosine(t) => Some(SimFeature::Cosine(tok(t))),
-        FeatureKind::Dice(t) => Some(SimFeature::Dice(tok(t))),
-        FeatureKind::ExactMatch => Some(SimFeature::ExactMatch),
-        _ => None,
-    }
-}
-
 /// Extract, evaluate, and select blocking rules.
 ///
 /// * `forest` — the committee from the blocking-stage active learning;
@@ -149,7 +134,7 @@ pub fn extract_blocking_rules(
     for conditions in paths {
         let executable = conditions
             .iter()
-            .all(|c| c.is_le && joinable(features[c.feature].kind).is_some());
+            .all(|c| c.is_le && joinable(features[c.feature].kind));
         let rule = ExtractedRule {
             conditions,
             executable,
@@ -223,7 +208,7 @@ pub fn to_blocking_rule(rule: &ExtractedRule, features: &[Feature]) -> Option<Bl
                 Predicate {
                     l_attr: f.l_attr.clone(),
                     r_attr: f.r_attr.clone(),
-                    feature: joinable(f.kind).expect("checked executable"),
+                    kind: f.kind,
                     threshold: c.threshold,
                 }
             })
@@ -234,6 +219,7 @@ pub fn to_blocking_rule(rule: &ExtractedRule, features: &[Feature]) -> Option<Bl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use magellan_features::{FeatureKind, TokSpec};
     use magellan_ml::{Dataset, RandomForestLearner};
 
     /// The Fig. 4 books setting: match iff isbn AND pages agree.
@@ -245,7 +231,7 @@ mod tests {
     ) {
         let features = vec![
             Feature::new("isbn", "isbn", FeatureKind::ExactMatch),
-            Feature::new("pages", "pages", FeatureKind::Jaccard(TokSpecF::Word)),
+            Feature::new("pages", "pages", FeatureKind::Jaccard(TokSpec::Word)),
         ];
         let mut rows = Vec::new();
         let mut labels = Vec::new();

@@ -1,11 +1,9 @@
 //! The end-to-end Falcon workflow (Fig. 3 of the paper).
 
 use magellan_block::debugger::concat_columns;
-use magellan_block::{Blocker, CandidateSet, OverlapBlocker, RuleBasedBlocker};
+use magellan_block::{joinable, Blocker, CandidateSet, OverlapBlocker, RuleBasedBlocker};
 use magellan_core::labeling::Labeler;
-use magellan_features::{
-    extract_with_prepared, generate_features, Feature, FeatureKind, PreparedPair,
-};
+use magellan_features::{extract_with_prepared, generate_features, Feature, PreparedPair};
 use magellan_par::ParConfig;
 use magellan_simjoin::{join_tokenized_topk, SetSimMeasure, TokenizedCollection};
 use magellan_table::Table;
@@ -188,15 +186,7 @@ pub fn blocking_features(
 ) -> magellan_table::Result<Vec<Feature>> {
     Ok(generate_features(a, b, exclude)?
         .into_iter()
-        .filter(|f| {
-            matches!(
-                f.kind,
-                FeatureKind::Jaccard(_)
-                    | FeatureKind::Cosine(_)
-                    | FeatureKind::Dice(_)
-                    | FeatureKind::ExactMatch
-            )
-        })
+        .filter(|f| joinable(f.kind))
         .collect())
 }
 

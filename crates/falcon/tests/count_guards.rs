@@ -5,7 +5,7 @@
 //! blocked for the join work of one of its rules.
 
 use magellan_block::debugger::concat_columns;
-use magellan_block::{Blocker, BlockingRule, Predicate, RuleBasedBlocker, SimFeature, TokSpec};
+use magellan_block::{Blocker, BlockingRule, FeatureKind, Predicate, RuleBasedBlocker, TokSpec};
 use magellan_datagen::domains::addresses;
 use magellan_datagen::{DirtModel, EmScenario, ScenarioConfig};
 use magellan_obs::Obs;
@@ -58,12 +58,12 @@ fn topk_sampling_verifies_a_fraction_of_the_threshold_join() {
     assert!(stats.pairs >= top.len() && stats.pairs < joined.len());
 }
 
-fn rule(attr: &str, feature: SimFeature, threshold: f64) -> BlockingRule {
+fn rule(attr: &str, kind: FeatureKind, threshold: f64) -> BlockingRule {
     BlockingRule {
         predicates: vec![Predicate {
             l_attr: attr.into(),
             r_attr: attr.into(),
-            feature,
+            kind,
             threshold,
         }],
     }
@@ -86,15 +86,15 @@ fn probes(rules: &[BlockingRule], s: &EmScenario) -> (u64, usize) {
 fn a_rule_set_is_blocked_for_the_probes_of_one_rule() {
     let s = task();
     let street = [
-        rule("street", SimFeature::Jaccard(TokSpec::Word), 0.375),
-        rule("street", SimFeature::Cosine(TokSpec::Word), 0.537),
-        rule("street", SimFeature::Dice(TokSpec::Word), 0.5),
+        rule("street", FeatureKind::Jaccard(TokSpec::Word), 0.375),
+        rule("street", FeatureKind::Cosine(TokSpec::Word), 0.537),
+        rule("street", FeatureKind::Dice(TokSpec::Word), 0.5),
     ];
     // What Falcon learns on `addresses`: street joins and a zip rule, the
     // latter as an equality or as a 3-gram join.
     for zip in [
-        rule("zip", SimFeature::ExactMatch, 0.5),
-        rule("zip", SimFeature::Jaccard(TokSpec::Qgram(3)), 0.583),
+        rule("zip", FeatureKind::ExactMatch, 0.5),
+        rule("zip", FeatureKind::Jaccard(TokSpec::Qgram(3)), 0.583),
     ] {
         let mut rules = street.to_vec();
         rules.push(zip);

@@ -2,7 +2,7 @@
 
 use magellan_table::Table;
 
-use crate::feature::{Feature, FeatureKind, TokSpecF};
+use crate::feature::{Feature, FeatureKind, TokSpec};
 use crate::types::{infer_attr_type, AttrType};
 
 /// The feature kinds instantiated for each attribute type. This is the
@@ -20,20 +20,20 @@ pub fn kinds_for(attr_type: AttrType) -> Vec<FeatureKind> {
             FeatureKind::ExactMatch,
             FeatureKind::LevSim,
             FeatureKind::JaroWinkler,
-            FeatureKind::Jaccard(TokSpecF::Qgram(3)),
+            FeatureKind::Jaccard(TokSpec::Qgram(3)),
         ],
         AttrType::MediumString => vec![
-            FeatureKind::Jaccard(TokSpecF::Word),
-            FeatureKind::Cosine(TokSpecF::Word),
-            FeatureKind::Jaccard(TokSpecF::Qgram(3)),
+            FeatureKind::Jaccard(TokSpec::Word),
+            FeatureKind::Cosine(TokSpec::Word),
+            FeatureKind::Jaccard(TokSpec::Qgram(3)),
             FeatureKind::MongeElkanJw,
             FeatureKind::LevSim,
         ],
         AttrType::LongString => vec![
-            FeatureKind::Jaccard(TokSpecF::Word),
-            FeatureKind::Cosine(TokSpecF::Word),
-            FeatureKind::Dice(TokSpecF::Word),
-            FeatureKind::OverlapCoeff(TokSpecF::Word),
+            FeatureKind::Jaccard(TokSpec::Word),
+            FeatureKind::Cosine(TokSpec::Word),
+            FeatureKind::Dice(TokSpec::Word),
+            FeatureKind::OverlapCoeff(TokSpec::Word),
         ],
     }
 }

@@ -2,113 +2,15 @@
 //! pair, named the way the paper prints features.
 
 use magellan_table::ValueRef;
-use magellan_textsim::tokenize::{AlphanumericTokenizer, QgramTokenizer, Tokenizer};
+use magellan_textsim::tokenize::{AlphanumericTokenizer, Tokenizer};
 use magellan_textsim::{numeric, seqsim, setsim};
 
-/// Tokenization spec used inside token-based feature kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokSpecF {
-    /// Lowercased alphanumeric word tokens.
-    Word,
-    /// Padded character q-grams.
-    Qgram(usize),
-}
+pub use magellan_textsim::{FeatureKind, TokSpec};
 
-impl TokSpecF {
-    /// Boxed trait-object tokenizer — for callers that need dynamic
-    /// dispatch (e.g. handing a tokenizer to the sim-join builder). The
-    /// per-pair scalar path uses [`TokSpecF::tokenize_set`] instead so no
-    /// heap allocation happens inside pair loops.
-    pub fn tokenizer(&self) -> Box<dyn Tokenizer> {
-        match self {
-            TokSpecF::Word => Box::new(AlphanumericTokenizer::as_set()),
-            TokSpecF::Qgram(q) => Box::new(QgramTokenizer::as_set(*q)),
-        }
-    }
-
-    /// Set-semantics tokenization without constructing a boxed tokenizer:
-    /// the concrete tokenizers are zero/trivially-sized stack values, so
-    /// this is allocation-free apart from the token vector itself.
-    pub fn tokenize_set(&self, s: &str) -> Vec<String> {
-        match self {
-            TokSpecF::Word => AlphanumericTokenizer::as_set().tokenize(s),
-            TokSpecF::Qgram(q) => QgramTokenizer::as_set(*q).tokenize(s),
-        }
-    }
-
-    /// Label used in generated feature names (`word`, `3gram`).
-    pub fn label(&self) -> String {
-        match self {
-            TokSpecF::Word => "word".to_owned(),
-            TokSpecF::Qgram(q) => format!("{q}gram"),
-        }
-    }
-}
-
-/// The similarity computation a feature performs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FeatureKind {
-    /// Case-insensitive exact match of display strings.
-    ExactMatch,
-    /// Normalized Levenshtein similarity.
-    LevSim,
-    /// Jaro similarity.
-    Jaro,
-    /// Jaro–Winkler similarity.
-    JaroWinkler,
-    /// Monge–Elkan with Jaro–Winkler secondary over word tokens.
-    MongeElkanJw,
-    /// Jaccard over a tokenization.
-    Jaccard(TokSpecF),
-    /// Cosine over a tokenization.
-    Cosine(TokSpecF),
-    /// Dice over a tokenization.
-    Dice(TokSpecF),
-    /// Overlap coefficient over a tokenization.
-    OverlapCoeff(TokSpecF),
-    /// Numeric exact equality.
-    ExactNum,
-    /// `1 / (1 + |a − b|)`.
-    AbsDiff,
-    /// `1 − |a−b| / max(|a|,|b|)`.
-    RelDiff,
-}
-
-impl FeatureKind {
-    /// Label used in generated names (`jaccard(3gram(·))` renders as
-    /// `jaccard_3gram` inside [`Feature::standard_name`]).
-    pub fn label(&self) -> String {
-        match self {
-            FeatureKind::ExactMatch => "exact_match".to_owned(),
-            FeatureKind::LevSim => "lev_sim".to_owned(),
-            FeatureKind::Jaro => "jaro".to_owned(),
-            FeatureKind::JaroWinkler => "jaro_winkler".to_owned(),
-            FeatureKind::MongeElkanJw => "monge_elkan".to_owned(),
-            FeatureKind::Jaccard(t) => format!("jaccard({})", t.label()),
-            FeatureKind::Cosine(t) => format!("cosine({})", t.label()),
-            FeatureKind::Dice(t) => format!("dice({})", t.label()),
-            FeatureKind::OverlapCoeff(t) => format!("overlap_coeff({})", t.label()),
-            FeatureKind::ExactNum => "exact_num".to_owned(),
-            FeatureKind::AbsDiff => "abs_diff".to_owned(),
-            FeatureKind::RelDiff => "rel_diff".to_owned(),
-        }
-    }
-
-    /// Does the kind run a character-level sequence kernel (edit
-    /// distance, Jaro, Monge–Elkan)? These are the dear features, the
-    /// ones a forest deciding a pair tests last (the `deferred` mask of
-    /// `magellan_ml`'s `Classifier::decide`). Exact-match, set-overlap and
-    /// numeric kinds are not.
-    pub fn is_sequence_kernel(&self) -> bool {
-        matches!(
-            self,
-            FeatureKind::LevSim
-                | FeatureKind::Jaro
-                | FeatureKind::JaroWinkler
-                | FeatureKind::MongeElkanJw
-        )
-    }
-}
+/// The name [`TokSpec`] had while features kept their own copy. Only the
+/// `benchmark/` package still imports it; drop the alias with the change
+/// that updates that package.
+pub type TokSpecF = TokSpec;
 
 /// One feature: a named similarity over an attribute pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,30 +26,11 @@ pub struct Feature {
 }
 
 impl Feature {
-    /// Build with the standard paper-style name.
+    /// Build with the standard paper-style name
+    /// ([`FeatureKind::render`]).
     pub fn new(l_attr: &str, r_attr: &str, kind: FeatureKind) -> Self {
-        let name = match kind {
-            FeatureKind::Jaccard(t)
-            | FeatureKind::Cosine(t)
-            | FeatureKind::Dice(t)
-            | FeatureKind::OverlapCoeff(t) => {
-                let outer = match kind {
-                    FeatureKind::Jaccard(_) => "jaccard",
-                    FeatureKind::Cosine(_) => "cosine",
-                    FeatureKind::Dice(_) => "dice",
-                    FeatureKind::OverlapCoeff(_) => "overlap_coeff",
-                    _ => unreachable!(),
-                };
-                format!(
-                    "{outer}({}(A.{l_attr}), {}(B.{r_attr}))",
-                    t.label(),
-                    t.label()
-                )
-            }
-            _ => format!("{}(A.{l_attr}, B.{r_attr})", kind.label()),
-        };
         Feature {
-            name,
+            name: kind.render(l_attr, r_attr),
             l_attr: l_attr.to_owned(),
             r_attr: r_attr.to_owned(),
             kind,
@@ -190,9 +73,7 @@ impl Feature {
                     | FeatureKind::Cosine(t)
                     | FeatureKind::Dice(t)
                     | FeatureKind::OverlapCoeff(t) => {
-                        // `tokenize_set` dispatches to a concrete stack
-                        // tokenizer — the old per-pair `Box<dyn Tokenizer>`
-                        // construction is hoisted away entirely.
+                        // A stack tokenizer: no per-pair boxing.
                         let ta = t.tokenize_set(&sa);
                         let tb = t.tokenize_set(&sb);
                         if ta.is_empty() || tb.is_empty() {
@@ -219,7 +100,7 @@ mod tests {
 
     #[test]
     fn standard_names_match_paper_style() {
-        let f = Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Qgram(3)));
+        let f = Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Qgram(3)));
         assert_eq!(f.name, "jaccard(3gram(A.name), 3gram(B.name))");
         let f = Feature::new("age", "age", FeatureKind::AbsDiff);
         assert_eq!(f.name, "abs_diff(A.age, B.age)");
@@ -236,7 +117,7 @@ mod tests {
 
     #[test]
     fn jaccard_word_feature() {
-        let f = Feature::new("t", "t", FeatureKind::Jaccard(TokSpecF::Word));
+        let f = Feature::new("t", "t", FeatureKind::Jaccard(TokSpec::Word));
         let v = f.compute(
             ValueRef::Str("sony wireless mouse"),
             ValueRef::Str("sony mouse"),
@@ -270,7 +151,7 @@ mod tests {
 
     #[test]
     fn empty_tokenization_is_nan() {
-        let f = Feature::new("n", "n", FeatureKind::Jaccard(TokSpecF::Word));
+        let f = Feature::new("n", "n", FeatureKind::Jaccard(TokSpec::Word));
         assert!(f
             .compute(ValueRef::Str("!!!"), ValueRef::Str("abc"))
             .is_nan());

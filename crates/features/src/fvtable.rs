@@ -128,7 +128,7 @@ pub fn extract_feature_matrix_scalar_par(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feature::{FeatureKind, TokSpecF};
+    use crate::feature::{FeatureKind, TokSpec};
     use magellan_table::{Dtype, Value};
 
     fn setup() -> (Table, Table, Vec<Feature>) {
@@ -156,7 +156,7 @@ mod tests {
         )
         .unwrap();
         let features = vec![
-            Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word)),
+            Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Word)),
             Feature::new("age", "age", FeatureKind::AbsDiff),
         ];
         (a, b, features)

@@ -39,7 +39,7 @@ pub mod prepared;
 pub mod types;
 
 pub use autogen::generate_features;
-pub use feature::{Feature, FeatureKind, TokSpecF};
+pub use feature::{Feature, FeatureKind, TokSpec, TokSpecF};
 pub use fvtable::{
     extract_feature_matrix, extract_feature_matrix_par, extract_feature_matrix_scalar,
     extract_feature_matrix_scalar_par, FeatureMatrix,

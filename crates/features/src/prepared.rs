@@ -60,17 +60,16 @@
 //! are unchanged). `fvtable` pins this with a bitwise equivalence test,
 //! and the golden e2e + chaos suites pin it end to end.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use magellan_par::{CacheStats, ParConfig, ParStats};
-use magellan_table::{Table, Value, ValueRef};
+use magellan_table::{Table, Value};
 use magellan_textsim::intern::{self, TokenInterner};
 use magellan_textsim::tokenize::{AlphanumericTokenizer, QgramTokenizer, Tokenizer};
 use magellan_textsim::{numeric, seqsim, setsim};
 
-use crate::feature::{Feature, FeatureKind, TokSpecF};
+use crate::feature::{Feature, FeatureKind, TokSpec};
 use crate::fvtable::FeatureMatrix;
 
 mod scorer;
@@ -105,8 +104,8 @@ impl PrepSpec {
             | FeatureKind::Cosine(t)
             | FeatureKind::Dice(t)
             | FeatureKind::OverlapCoeff(t) => match t {
-                TokSpecF::Word => PrepSpec::WordSet,
-                TokSpecF::Qgram(q) => PrepSpec::QgramSet(q),
+                TokSpec::Word => PrepSpec::WordSet,
+                TokSpec::Qgram(q) => PrepSpec::QgramSet(q),
             },
             FeatureKind::ExactNum | FeatureKind::AbsDiff | FeatureKind::RelDiff => PrepSpec::Num,
         }
@@ -930,26 +929,6 @@ impl StreamingPreparedPair {
     }
 }
 
-/// `v.display_string().trim().to_lowercase()` — the normalization the
-/// scalar path applies before every string measure — borrowing the cell
-/// when it is a string that is already in that form.
-///
-/// Only an ASCII value is recognised as such. Unicode lowercasing can
-/// *produce* ASCII (U+212A KELVIN SIGN → `k`, U+0130 `İ` → `i` + U+0307),
-/// so any other value goes through `str::to_lowercase` before a tokenizer
-/// sees it, exactly as before.
-fn lower_trimmed(v: ValueRef<'_>) -> Cow<'_, str> {
-    let ValueRef::Str(s) = v else {
-        return Cow::Owned(v.display_string().trim().to_lowercase());
-    };
-    let s = s.trim();
-    if s.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
-        Cow::Borrowed(s)
-    } else {
-        Cow::Owned(s.to_lowercase())
-    }
-}
-
 /// Fill one combination's cells for every referenced, still-unprepared
 /// record (`rows` ascending: interner ids are assigned in visit order).
 fn prepare_column(
@@ -980,7 +959,7 @@ fn prepare_column(
             Store::Chars(arena) => {
                 let start = (!v.is_null()).then_some(arena.items.len());
                 if start.is_some() {
-                    arena.items.extend(lower_trimmed(v).chars());
+                    arena.items.extend(v.lower_trimmed().chars());
                 }
                 arena.close(at, start);
             }
@@ -988,7 +967,7 @@ fn prepare_column(
                 let start = (!v.is_null()).then_some(arena.items.len());
                 if start.is_some() {
                     stats.tokenize_calls += 1;
-                    let text = lower_trimmed(v);
+                    let text = v.lower_trimmed();
                     let ids = &mut arena.items;
                     match column.spec {
                         PrepSpec::WordBag => {
@@ -1159,7 +1138,7 @@ pub fn extract_with_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feature::{Feature, FeatureKind, TokSpecF};
+    use crate::feature::{Feature, FeatureKind, TokSpec};
     use crate::fvtable::extract_feature_matrix_scalar;
     use magellan_table::{Dtype, Value};
 
@@ -1224,12 +1203,12 @@ mod tests {
             Feature::new("name", "name", FeatureKind::Jaro),
             Feature::new("name", "name", FeatureKind::JaroWinkler),
             Feature::new("name", "name", FeatureKind::MongeElkanJw),
-            Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word)),
-            Feature::new("name", "name", FeatureKind::Cosine(TokSpecF::Word)),
-            Feature::new("name", "name", FeatureKind::Dice(TokSpecF::Word)),
-            Feature::new("name", "name", FeatureKind::OverlapCoeff(TokSpecF::Word)),
-            Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Qgram(3))),
-            Feature::new("city", "city", FeatureKind::Cosine(TokSpecF::Qgram(2))),
+            Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Word)),
+            Feature::new("name", "name", FeatureKind::Cosine(TokSpec::Word)),
+            Feature::new("name", "name", FeatureKind::Dice(TokSpec::Word)),
+            Feature::new("name", "name", FeatureKind::OverlapCoeff(TokSpec::Word)),
+            Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Qgram(3))),
+            Feature::new("city", "city", FeatureKind::Cosine(TokSpec::Qgram(2))),
             Feature::new("age", "age", FeatureKind::ExactNum),
             Feature::new("age", "age", FeatureKind::AbsDiff),
             Feature::new("age", "age", FeatureKind::RelDiff),
@@ -1385,7 +1364,7 @@ mod tests {
         let stage1 = vec![Feature::new(
             "name",
             "name",
-            FeatureKind::Jaccard(TokSpecF::Word),
+            FeatureKind::Jaccard(TokSpec::Word),
         )];
         let (_, s1) =
             extract_with_prepared(&mut prepared, &pairs, &stage1, &ParConfig::serial()).unwrap();
@@ -1394,9 +1373,9 @@ mod tests {
 
         // Stage 2 shares the word-set combination and adds a new one.
         let stage2 = vec![
-            Feature::new("name", "name", FeatureKind::Cosine(TokSpecF::Word)),
-            Feature::new("name", "name", FeatureKind::Dice(TokSpecF::Word)),
-            Feature::new("city", "city", FeatureKind::Jaccard(TokSpecF::Word)),
+            Feature::new("name", "name", FeatureKind::Cosine(TokSpec::Word)),
+            Feature::new("name", "name", FeatureKind::Dice(TokSpec::Word)),
+            Feature::new("city", "city", FeatureKind::Jaccard(TokSpec::Word)),
         ];
         let (_, s2) =
             extract_with_prepared(&mut prepared, &pairs, &stage2, &ParConfig::serial()).unwrap();
@@ -1462,7 +1441,7 @@ mod tests {
     fn streaming_store_grows_with_pushed_rows() {
         let (a, b) = tables();
         let features = vec![
-            Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word)),
+            Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Word)),
             Feature::new("name", "name", FeatureKind::JaroWinkler),
         ];
         let pairs = all_pairs(&a, &b);
@@ -1531,7 +1510,7 @@ mod tests {
         };
         let (a, b) = (rows(300, "a"), rows(200, "b"));
         let features = vec![
-            Feature::new("name", "name", FeatureKind::Jaccard(TokSpecF::Word)),
+            Feature::new("name", "name", FeatureKind::Jaccard(TokSpec::Word)),
             Feature::new("name", "name", FeatureKind::JaroWinkler),
         ];
         // Unsorted, with repeated rows on both sides.
@@ -1652,7 +1631,7 @@ mod tests {
         let features = vec![Feature::new(
             "name",
             "name",
-            FeatureKind::Jaccard(TokSpecF::Word),
+            FeatureKind::Jaccard(TokSpec::Word),
         )];
         let (m, stats) =
             extract_with_prepared(&mut prepared, &[], &features, &ParConfig::serial()).unwrap();

@@ -44,7 +44,7 @@
 
 use magellan_features::{
     extract_feature_matrix_scalar, extract_with_prepared, Feature, FeatureKind, PreparedPair,
-    Scorer, StreamingPreparedPair, TokSpecF,
+    Scorer, StreamingPreparedPair, TokSpec,
 };
 use magellan_obs::Obs;
 use magellan_par::ParConfig;
@@ -56,7 +56,7 @@ use proptest::prelude::*;
 /// slot pair (one intersection count feeds them) and on different ones.
 fn features() -> Vec<Feature> {
     use FeatureKind::*;
-    let word = TokSpecF::Word;
+    let word = TokSpec::Word;
     let mut out = Vec::new();
     for (l, r) in [("text", "text"), ("text", "other"), ("other", "text")] {
         for kind in [
@@ -64,10 +64,10 @@ fn features() -> Vec<Feature> {
             LevSim,
             Cosine(word),
             MongeElkanJw,
-            Jaccard(TokSpecF::Qgram(3)),
+            Jaccard(TokSpec::Qgram(3)),
             Dice(word),
             OverlapCoeff(word),
-            Cosine(TokSpecF::Qgram(2)),
+            Cosine(TokSpec::Qgram(2)),
             ExactMatch,
             Jaro,
             JaroWinkler,
@@ -327,7 +327,7 @@ proptest! {
 fn box_features() -> Vec<Feature> {
     use FeatureKind::*;
     let mut out = Vec::new();
-    for tok in [TokSpecF::Word, TokSpecF::Qgram(3)] {
+    for tok in [TokSpec::Word, TokSpec::Qgram(3)] {
         for kind in [Jaccard(tok), Cosine(tok), Dice(tok), OverlapCoeff(tok)] {
             out.push(Feature::new("text", "text", kind));
         }

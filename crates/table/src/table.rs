@@ -398,6 +398,19 @@ impl Table {
             .collect())
     }
 
+    /// Attribute `attr`'s cells under [`ValueRef::lower_trimmed`], `None`
+    /// for nulls — the form equality keys and blocking rules read. Cells
+    /// already in that form are borrowed from the column.
+    pub fn column_lower(&self, attr: &str) -> Result<Vec<Option<Cow<'_, str>>>> {
+        let view = self.col_view(self.schema.try_index_of(attr)?);
+        Ok((0..self.nrows)
+            .map(|r| {
+                let v = view.get(r);
+                (!v.is_null()).then(|| v.lower_trimmed())
+            })
+            .collect())
+    }
+
     /// Iterate row indices.
     pub fn rows(&self) -> impl Iterator<Item = usize> {
         0..self.nrows

@@ -1,5 +1,6 @@
 //! Cell values and data types.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// The data type of a column of a [`crate::Table`].
@@ -200,6 +201,25 @@ impl<'a> ValueRef<'a> {
     /// the empty string.
     pub fn display_string(&self) -> String {
         self.to_string()
+    }
+
+    /// `self.display_string().trim().to_lowercase()` — the one cell
+    /// normalization every string measure, blocking key and blocking rule
+    /// reads — borrowing the cell when it is a string already in that form.
+    ///
+    /// Only an ASCII value is recognised as such. Unicode lowercasing can
+    /// *produce* ASCII (U+212A KELVIN SIGN → `k`, U+0130 `İ` → `i` +
+    /// U+0307), so any other value goes through `str::to_lowercase`.
+    pub fn lower_trimmed(&self) -> Cow<'a, str> {
+        let ValueRef::Str(s) = *self else {
+            return Cow::Owned(self.display_string().trim().to_lowercase());
+        };
+        let s = s.trim();
+        if s.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
+            Cow::Borrowed(s)
+        } else {
+            Cow::Owned(s.to_lowercase())
+        }
     }
 }
 

@@ -28,6 +28,7 @@
 
 pub mod corpsim;
 pub mod intern;
+pub mod kind;
 pub mod numeric;
 pub mod seqsim;
 pub mod setsim;
@@ -35,6 +36,7 @@ pub mod tokenize;
 
 pub use corpsim::TfIdfModel;
 pub use intern::TokenInterner;
+pub use kind::{FeatureKind, TokSpec};
 pub use tokenize::{
     AlphanumericTokenizer, DelimiterTokenizer, QgramTokenizer, Tokenizer, WhitespaceTokenizer,
 };

@@ -2,8 +2,8 @@
 
 use magellan_block::metrics::evaluate_blocking;
 use magellan_block::{
-    AttrEquivalenceBlocker, Blocker, BlockingRule, CandidateSet, OverlapBlocker, Predicate,
-    RuleBasedBlocker, SimFeature, TokSpec,
+    AttrEquivalenceBlocker, Blocker, BlockingRule, CandidateSet, FeatureKind, OverlapBlocker,
+    Predicate, RuleBasedBlocker, TokSpec,
 };
 use magellan_datagen::domains;
 use magellan_datagen::{DirtModel, ScenarioConfig};
@@ -96,13 +96,13 @@ proptest! {
             predicates: vec![Predicate {
                 l_attr: first_attr.clone(),
                 r_attr: first_attr,
-                feature: SimFeature::Jaccard(TokSpec::Word),
+                kind: FeatureKind::Jaccard(TokSpec::Word),
                 threshold: 0.4,
             }],
         };
         let blocker = RuleBasedBlocker::new(vec![rule]);
         let via_join = blocker.block(&s.table_a, &s.table_b).unwrap();
-        let via_refine = blocker.refine(&cross(&s), &s.table_a, &s.table_b);
+        let via_refine = blocker.refine(&cross(&s), &s.table_a, &s.table_b).unwrap();
         prop_assert_eq!(via_join, via_refine);
     }
 
