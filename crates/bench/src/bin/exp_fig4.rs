@@ -34,10 +34,13 @@ fn main() {
     for i in 0..400u32 {
         pairs.push((i % a.nrows() as u32, (i * 7 + 3) % b.nrows() as u32));
     }
-    // Ensure the sample contains true matches.
+    // Ensure the sample contains true matches: 120 gold pairs in key order
+    // (a `HashSet` iterates in a different order on every run).
     let ak = a.key_index("id").expect("key");
     let bk = b.key_index("id").expect("key");
-    for (x, y) in s.gold.iter().take(120) {
+    let mut gold: Vec<&(String, String)> = s.gold.iter().collect();
+    gold.sort();
+    for (x, y) in gold.into_iter().take(120) {
         pairs.push((ak[x] as u32, bk[y] as u32));
     }
     let matrix = extract_feature_matrix(&pairs, a, b, &bfeatures).expect("matrix");

@@ -13,7 +13,7 @@ use crate::error::MagellanError;
 use crate::exec::{DecideCounts, DecisionPlan};
 use crate::labeling::Labeler;
 use crate::rules::RuleLayer;
-use crate::sample::sample_positions;
+use crate::sample::{proxy, sample_positions, stratify};
 use crate::workflow::EmWorkflow;
 
 /// Knobs for the development stage.
@@ -241,36 +241,26 @@ fn run_development_stage_on(
     let candidates = candidate_sets.swap_remove(best_idx);
     drop(span);
 
-    // Step 3–4: sample S from C and label it. A uniform sample of a large
-    // candidate set at EM's match densities contains almost no matches and
-    // trains a useless matcher, so the sample is plausibility-stratified:
-    // a wide uniform pre-sample is scored by a cheap similarity proxy
-    // (mean non-NaN feature), and S mixes the top-scoring half with a
-    // uniform remainder. No gold labels are consulted. The pre-sample is
-    // scored as production scores, through one `Scorer` over its
-    // left-sorted pairs, keeping one proxy key per pair and no row.
+    // Step 3–4: sample S from C and label it. S is plausibility-stratified
+    // (module `sample`): a wide uniform pre-sample is scored by the
+    // label-free proxy, and S mixes the top-scoring half with a uniform
+    // remainder. The pre-sample is scored as production scores, through
+    // one `Scorer` over its left-sorted pairs, keeping one proxy key per
+    // pair and no row.
     let span = magellan_obs::span("dev_pre_sample", 0);
-    let pre_positions = sample_positions(
+    let pre_pairs = crate::sample::sample_pairs(
         &candidates,
         cfg.sample_size.saturating_mul(30).max(cfg.sample_size),
         cfg.seed ^ 0xA5A5,
     );
-    let pre_pairs: Vec<(u32, u32)> = pre_positions
-        .iter()
-        .map(|&i| candidates.pairs()[i])
-        .collect();
     let mut prepared = PreparedPair::new(wa, wb);
     let plan = prepared.plan(&features)?;
-    let take = cfg.sample_size.min(pre_pairs.len());
-    let sample_pairs: Vec<(u32, u32)> = if take == pre_pairs.len() {
-        pre_pairs // every position is chosen, whatever the proxy order
+    let sample_pairs: Vec<(u32, u32)> = if cfg.sample_size >= pre_pairs.len() {
+        pre_pairs // every position is chosen: no pair needs scoring
     } else {
         prepared.prepare_for_pairs(&plan, &pre_pairs);
-        let chosen = stratify(
-            &proxy_keys(&prepared, &plan, &pre_pairs, par),
-            take,
-            cfg.seed,
-        );
+        let keys = proxy_keys(&prepared, &plan, &pre_pairs, par);
+        let chosen = stratify(&keys, cfg.sample_size, cfg.seed ^ 0x7777);
         chosen.iter().map(|&i| pre_pairs[i]).collect()
     };
     drop(span);
@@ -454,10 +444,9 @@ fn run_development_stage_on(
     Ok((workflow, report))
 }
 
-/// The sampling proxy of every pair: the mean of its non-NaN features (0
-/// when all are NaN), read through one scorer per chunk of `par`'s pool
-/// and joined in pair order. The pairs' records must be prepared for
-/// `plan`.
+/// The sampling [`proxy`] of every pair, read through one scorer per chunk
+/// of `par`'s pool and joined in pair order. The pairs' records must be
+/// prepared for `plan`.
 fn proxy_keys(
     prepared: &PreparedPair<'_>,
     plan: &FeaturePlan,
@@ -470,43 +459,11 @@ fn proxy_keys(
             .iter()
             .map(|&(ra, rb)| {
                 scorer.begin_pair(ra as usize, rb as usize);
-                let (mut s, mut k) = (0.0, 0usize);
-                for j in 0..plan.len() {
-                    let v = scorer.feature(j);
-                    if !v.is_nan() {
-                        s += v;
-                        k += 1;
-                    }
-                }
-                if k == 0 {
-                    0.0
-                } else {
-                    s / k as f64
-                }
+                proxy((0..plan.len()).map(|j| scorer.feature(j)))
             })
             .collect::<Vec<f64>>()
     });
     chunks.concat()
-}
-
-/// Positions of the stratified sample, ascending: the `take / 2` highest
-/// proxy keys (a stable sort, so ties keep position order), then a seeded
-/// uniform draw from the rest.
-fn stratify(keys: &[f64], take: usize, seed: u64) -> Vec<usize> {
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    let mut chosen: Vec<usize> = (0..keys.len()).collect();
-    chosen.sort_by(|&i, &j| {
-        keys[j]
-            .partial_cmp(&keys[i])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut rest = chosen.split_off(take / 2);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x7777);
-    rest.shuffle(&mut rng);
-    chosen.extend(rest.into_iter().take(take - take / 2));
-    chosen.sort_unstable();
-    chosen
 }
 
 /// Precision of the labeled predicted-matches surviving threshold `t`.

@@ -1,5 +1,10 @@
 //! Sampling candidate pairs for labeling (Fig. 2: "take a sample S from
 //! C, and label the pairs in S").
+//!
+//! A uniform sample of a large candidate set at EM's match densities holds
+//! almost no matches, so both the development stage's S and Falcon's
+//! active-learning pool are drawn by [`stratify`] over the label-free
+//! plausibility [`proxy`].
 
 use magellan_block::CandidateSet;
 use rand::rngs::StdRng;
@@ -24,6 +29,46 @@ pub fn sample_pairs(candidates: &CandidateSet, n: usize, seed: u64) -> Vec<(u32,
         .into_iter()
         .map(|i| candidates.pairs()[i])
         .collect()
+}
+
+/// The label-free plausibility proxy of a pair: the mean of its non-NaN
+/// feature values, 0 when every value is NaN.
+pub fn proxy(features: impl IntoIterator<Item = f64>) -> f64 {
+    let values = features.into_iter().filter(|v| !v.is_nan());
+    let (sum, n) = values.fold((0.0, 0usize), |(sum, n), v| (sum + v, n + 1));
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+/// Positions by descending key. The sort is stable: ties keep position
+/// order.
+pub fn rank(keys: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by(|&i, &j| {
+        keys[j]
+            .partial_cmp(&keys[i])
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    order
+}
+
+/// Positions of a plausibility-stratified sample of `take` out of
+/// `keys.len()`, ascending: the `take / 2` highest keys (a stable sort, so
+/// ties keep position order), then a uniform draw seeded by `seed` from the
+/// rest. With `take >= keys.len()` every position is chosen.
+pub fn stratify(keys: &[f64], take: usize, seed: u64) -> Vec<usize> {
+    if take >= keys.len() {
+        return (0..keys.len()).collect();
+    }
+    let mut chosen = rank(keys);
+    let mut rest = chosen.split_off(take / 2);
+    rest.shuffle(&mut StdRng::seed_from_u64(seed));
+    chosen.extend(rest.into_iter().take(take - take / 2));
+    chosen.sort_unstable();
+    chosen
 }
 
 #[cfg(test)]
@@ -57,6 +102,31 @@ mod tests {
         let c = cands(50);
         assert_eq!(sample_positions(&c, 10, 7), sample_positions(&c, 10, 7));
         assert_ne!(sample_positions(&c, 10, 7), sample_positions(&c, 10, 8));
+    }
+
+    #[test]
+    fn proxy_is_the_mean_of_the_non_nan_values() {
+        assert_eq!(proxy([0.5, f64::NAN, 1.0]), 0.75);
+        assert_eq!(proxy([f64::NAN]), 0.0);
+    }
+
+    /// Asked for all, every position; otherwise the highest keys first,
+    /// ties in position order (1 and 3 of the three 0.9s), and the draw
+    /// ascending and a function of the seed alone.
+    #[test]
+    fn stratify_takes_the_top_half_then_a_seeded_draw() {
+        let keys = [0.2, 0.9, 0.5, 0.9, 0.9, 0.1, 0.0, 0.4];
+        for take in [8, 9, usize::MAX] {
+            assert_eq!(stratify(&keys, take, 5), (0..8).collect::<Vec<_>>());
+        }
+        for seed in 0..20 {
+            let draw = stratify(&keys, 4, seed);
+            assert!(draw.contains(&1) && draw.contains(&3), "{draw:?}");
+            assert!(draw.len() == 4 && draw.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(draw, stratify(&keys, 4, seed));
+        }
+        let keys: Vec<f64> = (0..200).map(|i| f64::from((i * 37) % 101)).collect();
+        assert_ne!(stratify(&keys, 40, 11), stratify(&keys, 40, 12));
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Query-by-committee active learning over a random forest (the learning
 //! core of Falcon's Steps 2 and 5).
 //!
-//! The pool matrices scored here are extracted through the shared
-//! tokenize-once-per-record cache
-//! ([`magellan_features::PreparedPair`]) by `run_falcon`/`run_smurf`, so
-//! both stages' pools reuse one interned vocabulary and per-record token
-//! sets; this module itself only ever touches the dense `f64` rows.
+//! The pool matrices scored here are extracted by the Falcon pipeline
+//! through one record-preparation cache
+//! ([`magellan_features::PreparedPair`]), so both stages' pools reuse one
+//! interned vocabulary; this module itself only ever touches the dense
+//! `f64` rows. Seeding ranks the pool by the plausibility proxy the
+//! development stage samples by ([`magellan_core::sample::proxy`]).
 
+use magellan_core::sample::{proxy, rank};
 use magellan_features::FeatureMatrix;
 use magellan_ml::{Dataset, RandomForestClassifier, RandomForestLearner};
 use magellan_par::ParConfig;
@@ -64,22 +66,6 @@ pub struct ActiveLearnOutcome {
     pub rounds: usize,
 }
 
-/// Cheap similarity proxy for seeding: mean of the non-NaN features.
-fn proxy_score(row: &[f64]) -> f64 {
-    let (mut sum, mut n) = (0.0, 0usize);
-    for &v in row {
-        if !v.is_nan() {
-            sum += v;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
 /// Run active learning over a feature-matrix pool. `label_fn` is called
 /// once per chosen pool position and must answer match (true) / no-match.
 pub fn active_learn(
@@ -95,12 +81,8 @@ pub fn active_learn(
 
     // Seeding: top third by similarity proxy (hunting positives), bottom
     // third (confident negatives), and a random third.
-    let mut by_proxy: Vec<usize> = (0..n).collect();
-    by_proxy.sort_by(|&i, &j| {
-        proxy_score(&pool.rows[j])
-            .partial_cmp(&proxy_score(&pool.rows[i]))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    let keys: Vec<f64> = pool.rows.iter().map(|r| proxy(r.iter().copied())).collect();
+    let by_proxy = rank(&keys);
     let seed_size = cfg.seed_size.min(n).max(2);
     let third = seed_size.div_ceil(3);
     let mut seed_positions: Vec<usize> = Vec::with_capacity(seed_size);
@@ -160,9 +142,9 @@ pub fn active_learn(
             }
             let score = if single_class {
                 if n_pos < min_class {
-                    proxy_score(&pool.rows[i])
+                    keys[i]
                 } else {
-                    -proxy_score(&pool.rows[i])
+                    -keys[i]
                 }
             } else {
                 forest.vote_entropy(&pool.rows[i])

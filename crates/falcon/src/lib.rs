@@ -14,7 +14,8 @@
 //! * [`workflow`] — the end-to-end Falcon workflow (Fig. 3): sample →
 //!   active-learn forest → extract + verify blocking rules → execute rules
 //!   → active-learn matcher on the candidate set → predict at the vote
-//!   threshold α.
+//!   threshold α. Its sample and matching stage are one pipeline that
+//!   [`smurf`] reuses, with one `falcon_*` span per step.
 //! * [`cloud`] — CloudMatcher: concurrent EM workflows decomposed into
 //!   engine-tagged fragments (user-interaction / crowd / batch), and the
 //!   cost/latency accounting behind Table 2's crowd-$, compute-$ and time
@@ -29,9 +30,10 @@
 //!   degradation (shed crowd → disable speculation → downgrade
 //!   priority), all bit-deterministic.
 //! * [`services`] — the Table 4 service registry (basic + composite).
-//! * [`smurf`] — Smurf-lite: learning blocking rules *without* labels via
-//!   confident pseudo-labels, reproducing the §5.3 claim of a 43–76%
-//!   labeling-effort reduction at equal accuracy.
+//! * [`smurf`] — Smurf-lite: Falcon with one step swapped, learning
+//!   blocking rules *without* labels via confident pseudo-labels,
+//!   reproducing the §5.3 claim of a 43–76% labeling-effort reduction at
+//!   equal accuracy.
 
 #![warn(missing_docs)]
 

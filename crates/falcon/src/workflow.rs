@@ -1,19 +1,24 @@
 //! The end-to-end Falcon workflow (Fig. 3 of the paper).
 
+use std::collections::{HashMap, HashSet};
+
 use magellan_block::debugger::concat_columns;
 use magellan_block::{joinable, Blocker, CandidateSet, OverlapBlocker, RuleBasedBlocker};
 use magellan_core::labeling::Labeler;
-use magellan_features::{extract_with_prepared, generate_features, Feature, PreparedPair};
+use magellan_core::sample::{proxy, stratify};
+use magellan_features::{
+    extract_with_prepared, generate_features, Feature, FeatureMatrix, PreparedPair,
+};
 use magellan_par::ParConfig;
 use magellan_simjoin::{join_tokenized_topk, SetSimMeasure, TokenizedCollection};
-use magellan_table::Table;
+use magellan_table::{Dtype, Table};
 use magellan_textsim::tokenize::AlphanumericTokenizer;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
 use crate::active::{active_learn, ActiveLearnConfig};
-use crate::rules::extract_blocking_rules;
+use crate::rules::{extract_blocking_rules, to_blocking_rule, ExtractedRule};
 
 /// Falcon knobs.
 #[derive(Debug, Clone)]
@@ -34,8 +39,10 @@ pub struct FalconConfig {
     /// precision (Fig. 3 step 3: "Falcon enlists the lay user to evaluate
     /// the extracted blocking rules"). Smurf skips this entirely.
     pub rule_verify_questions: usize,
-    /// Cap on the matching-stage active-learning pool (prediction still
-    /// covers the whole candidate set).
+    /// Cap on the matching-stage active-learning pool, drawn by
+    /// [`biased_pool`]; doubled above 100 000 candidates, where the rounds
+    /// of `matching_al` also grow to `2 * max_rounds + 10`. Prediction
+    /// still covers the whole candidate set.
     pub max_matching_pool: usize,
     /// Master seed.
     pub seed: u64,
@@ -99,10 +106,9 @@ pub fn sample_pairs(
     seed: u64,
 ) -> Vec<(u32, u32)> {
     let non_key = |t: &Table, key: &str| -> Vec<usize> {
-        let fields = t.schema().fields().iter().enumerate();
-        fields
-            .filter(|(_, f)| f.name != key)
-            .map(|(i, _)| i)
+        let fields = t.schema().fields();
+        (0..fields.len())
+            .filter(|&i| fields[i].name != key)
             .collect()
     };
     let la = concat_columns(a, &non_key(a, a_key));
@@ -115,7 +121,7 @@ pub fn sample_pairs(
         return pairs;
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen: std::collections::HashSet<(u32, u32)> = pairs.iter().copied().collect();
+    let mut seen: HashSet<(u32, u32)> = pairs.iter().copied().collect();
     let mut guard = 0;
     while pairs.len() < n && guard < 20 * n {
         guard += 1;
@@ -130,52 +136,18 @@ pub fn sample_pairs(
     pairs
 }
 
-/// Mean of a row's non-NaN features: the label-free similarity proxy
-/// behind [`biased_pool`] and Smurf's pseudo-labels.
-pub(crate) fn proxy(row: &[f64]) -> f64 {
-    let (mut s, mut k) = (0.0, 0usize);
-    for &v in row {
-        if !v.is_nan() {
-            s += v;
-            k += 1;
-        }
-    }
-    if k == 0 {
-        0.0
-    } else {
-        s / k as f64
-    }
-}
-
 /// Bound an active-learning pool to `cap` rows: half the slots go to the
 /// highest-proxy (most plausibly matching) pairs, half to a uniform random
-/// sample. A uniform-only subsample of a large candidate set at EM's match
-/// densities would hand the learner a pool with almost no positives.
-pub fn biased_pool(
-    matrix: &magellan_features::FeatureMatrix,
-    cap: usize,
-    seed: u64,
-) -> magellan_features::FeatureMatrix {
-    if matrix.len() <= cap {
-        return matrix.clone();
-    }
-    // One key per row; the sort is stable, so equal keys keep row order.
-    let keys: Vec<f64> = matrix.rows.iter().map(|r| proxy(r)).collect();
-    let mut by_proxy: Vec<usize> = (0..matrix.len()).collect();
-    by_proxy.sort_by(|&i, &j| {
-        keys[j]
-            .partial_cmp(&keys[i])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let top = cap / 2;
-    let mut positions: Vec<usize> = by_proxy[..top].to_vec();
-    let mut rest: Vec<usize> = by_proxy[top..].to_vec();
-    let mut rng = StdRng::seed_from_u64(seed);
-    use rand::seq::SliceRandom;
-    rest.shuffle(&mut rng);
-    positions.extend(rest.into_iter().take(cap - top));
-    positions.sort_unstable();
-    matrix.subset(&positions)
+/// sample ([`stratify`] over [`proxy`]). A uniform-only subsample of a
+/// large candidate set at EM's match densities would hand the learner a
+/// pool with almost no positives.
+pub fn biased_pool(matrix: &FeatureMatrix, cap: usize, seed: u64) -> FeatureMatrix {
+    let keys: Vec<f64> = matrix
+        .rows
+        .iter()
+        .map(|r| proxy(r.iter().copied()))
+        .collect();
+    matrix.subset(&stratify(&keys, cap, seed))
 }
 
 /// Feature kinds whose drop-direction rules execute as joins.
@@ -190,8 +162,126 @@ pub fn blocking_features(
         .collect())
 }
 
+/// The Falcon pipeline (Fig. 3) that [`run_falcon`] and
+/// [`crate::smurf::run_smurf`] share. Step 1 opens a run; step 4's
+/// overlap blocker and steps 5–6 run on it. The two differ only in how
+/// they learn blocking rules from the sample S in between.
+pub(crate) struct FalconRun<'t> {
+    a: &'t Table,
+    b: &'t Table,
+    keys: [&'t str; 2],
+    /// One record-preparation cache spans both stages: the sample matrix
+    /// and the candidate matrix share most (attribute, tokenizer)
+    /// combinations, so records in both are normalized, tokenized and
+    /// interned once.
+    prepared: PreparedPair<'t>,
+    /// The join-executable features S is extracted over.
+    pub(crate) bfeatures: Vec<Feature>,
+    /// S's blocking-feature matrix.
+    pub(crate) sample: FeatureMatrix,
+}
+
+impl<'t> FalconRun<'t> {
+    /// Step 1: sample S and extract its blocking features.
+    pub(crate) fn sample(
+        a: &'t Table,
+        b: &'t Table,
+        a_key: &'t str,
+        b_key: &'t str,
+        cfg: &FalconConfig,
+    ) -> magellan_table::Result<Self> {
+        let _span = magellan_obs::span("falcon_sample", 0);
+        let mut prepared = PreparedPair::new(a, b);
+        let pairs = sample_pairs(a, b, a_key, b_key, cfg.sample_size, cfg.seed);
+        let bfeatures = blocking_features(a, b, &[a_key, b_key])?;
+        let (sample, _) =
+            extract_with_prepared(&mut prepared, &pairs, &bfeatures, &ParConfig::serial())?;
+        Ok(FalconRun {
+            a,
+            b,
+            keys: [a_key, b_key],
+            prepared,
+            bfeatures,
+            sample,
+        })
+    }
+
+    /// A word-overlap blocker needing `overlap` shared tokens on A's first
+    /// text attribute that is not its key (the key when there is none):
+    /// Falcon's fallback when no rule executes, Smurf's recall guard.
+    pub(crate) fn overlap_blocker(&self, overlap: usize) -> OverlapBlocker {
+        let fields = self.a.schema().fields();
+        let attr = fields
+            .iter()
+            .find(|f| f.name != self.keys[0] && f.dtype == Dtype::Str)
+            .map_or(self.keys[0], |f| f.name.as_str());
+        OverlapBlocker::words(attr, overlap)
+    }
+
+    /// Steps 5–6 from the candidate set C: extract C's matching features
+    /// through the blocking stage's prepared records, active-learn a
+    /// matcher on a [`biased_pool`] of C, and apply it to all of C at α.
+    /// Returns the questions asked and the matches.
+    pub(crate) fn match_candidates(
+        &mut self,
+        candidates: &CandidateSet,
+        labeler: &mut dyn Labeler,
+        cfg: &FalconConfig,
+    ) -> magellan_table::Result<(usize, CandidateSet)> {
+        let (a, b) = (self.a, self.b);
+        let c_matrix = {
+            let _span = magellan_obs::span("falcon_extract", 0);
+            let mfeatures = generate_features(a, b, &self.keys)?;
+            let pairs = candidates.pairs();
+            extract_with_prepared(&mut self.prepared, pairs, &mfeatures, &ParConfig::serial())?.0
+        };
+        if c_matrix.is_empty() {
+            return Ok((0, CandidateSet::default()));
+        }
+
+        // Very large candidate sets dilute the match density so far that
+        // the default label budget cannot control the false-positive rate
+        // at prediction time; scale the budget and pool with |C| (Table 2's
+        // bigger tasks spend up to 1200 questions for the same reason).
+        let mut matching_al = cfg.matching_al;
+        let mut pool_cap = cfg.max_matching_pool;
+        if candidates.len() > 100_000 {
+            matching_al.max_rounds = matching_al.max_rounds * 2 + 10;
+            pool_cap *= 2;
+        }
+        let q0 = labeler.questions_asked();
+        let outcome = {
+            let _span = magellan_obs::span("falcon_al_matching", 0);
+            let pool = biased_pool(&c_matrix, pool_cap, cfg.seed ^ 0xC0FFEE);
+            active_learn(
+                &pool,
+                |i| {
+                    let (ra, rb) = pool.pairs[i];
+                    labeler.label(a, ra as usize, b, rb as usize).as_bool()
+                },
+                &matching_al,
+            )
+        };
+        let questions = labeler.questions_asked() - q0;
+
+        let _span = magellan_obs::span("falcon_predict", 0);
+        let matches = c_matrix
+            .pairs
+            .iter()
+            .zip(&c_matrix.rows)
+            .filter_map(|(&p, row)| outcome.forest.predict_at(row, cfg.alpha).then_some(p))
+            .collect();
+        Ok((questions, matches))
+    }
+}
+
 /// Run Falcon end to end (Fig. 3): sample → active-learn forest → extract
 /// + verify blocking rules → execute → active-learn matcher → predict at α.
+///
+/// Under a recorder each step is one span: `falcon_sample`,
+/// `falcon_al_blocking`, `falcon_rule_verify`, `falcon_block`,
+/// `falcon_extract`, `falcon_al_matching` and `falcon_predict` (the last
+/// two only when blocking leaves a candidate).
 pub fn run_falcon(
     a: &Table,
     b: &Table,
@@ -200,239 +290,164 @@ pub fn run_falcon(
     labeler: &mut dyn Labeler,
     cfg: &FalconConfig,
 ) -> magellan_table::Result<FalconReport> {
-    // One record-preparation cache spans both Falcon stages: the
-    // blocking-stage sample matrix and the matching-stage candidate
-    // matrix share most (attribute, tokenizer) combinations, so records
-    // appearing in both the sample and the candidate set are normalized,
-    // tokenized, and interned exactly once.
-    let mut prepared = PreparedPair::new(a, b);
-
     // ---- Blocking stage (Fig. 3a) ----
-    let s_pairs = sample_pairs(a, b, a_key, b_key, cfg.sample_size, cfg.seed);
-    let bfeatures = blocking_features(a, b, &[a_key, b_key])?;
-    let (s_matrix, _) =
-        extract_with_prepared(&mut prepared, &s_pairs, &bfeatures, &ParConfig::serial())?;
-
+    let mut run = FalconRun::sample(a, b, a_key, b_key, cfg)?;
+    let s_matrix = &run.sample;
     let q0 = labeler.questions_asked();
-    let outcome = active_learn(
-        &s_matrix,
-        |i| {
-            let (ra, rb) = s_matrix.pairs[i];
-            labeler.label(a, ra as usize, b, rb as usize).as_bool()
-        },
-        &cfg.blocking_al,
-    );
+    let outcome = {
+        let _span = magellan_obs::span("falcon_al_blocking", 0);
+        active_learn(
+            s_matrix,
+            |i| {
+                let (ra, rb) = s_matrix.pairs[i];
+                labeler.label(a, ra as usize, b, rb as usize).as_bool()
+            },
+            &cfg.blocking_al,
+        )
+    };
 
-    // Step 3: extract + verify rules.
-    let (kept, blocking_rules) = extract_blocking_rules(
+    // Step 3: extract rules, then the lay user evaluates each candidate
+    // rule on fresh pairs the rule would drop. A rule that drops even one
+    // labeled match is rejected — this is where Falcon spends extra
+    // questions that Smurf saves.
+    let span = magellan_obs::span("falcon_rule_verify", 0);
+    let (kept, _) = extract_blocking_rules(
         &outcome.forest,
-        &s_matrix,
+        s_matrix,
         &outcome.labeled,
-        &bfeatures,
+        &run.bfeatures,
         cfg.min_rule_precision,
         // Verify a wider candidate slate than will be kept: the user
         // evaluates each candidate rule (the expensive part), then the
         // best survivors are retained.
         cfg.max_rules * 4,
     );
-    let _ = blocking_rules; // rebuilt below from the user-verified rules
-
-    // Step 3 (second half): the lay user evaluates each candidate rule on
-    // fresh pairs the rule would drop. A rule that drops even one labeled
-    // match is rejected — this is where Falcon spends extra questions that
-    // Smurf saves.
-    let mut verified: Vec<crate::rules::ExtractedRule> = Vec::with_capacity(kept.len());
-    let labeled_set: std::collections::HashSet<usize> =
-        outcome.labeled.iter().map(|&(i, _)| i).collect();
-    let mut verify_cache: std::collections::HashMap<usize, bool> =
-        outcome.labeled.iter().copied().collect();
-    for rule in kept {
-        let mut dropped_matches = 0usize;
-        let mut asked = 0usize;
-        for i in 0..s_matrix.len() {
-            if asked >= cfg.rule_verify_questions {
-                break;
-            }
-            if labeled_set.contains(&i) && verify_cache.get(&i).copied() == Some(false) {
-                continue; // known negative adds no information here
-            }
-            if !rule.fires(&s_matrix.rows[i]) {
-                continue;
-            }
-            let y = *verify_cache.entry(i).or_insert_with(|| {
-                let (ra, rb) = s_matrix.pairs[i];
-                labeler.label(a, ra as usize, b, rb as usize).as_bool()
-            });
-            asked += 1;
-            if y {
-                dropped_matches += 1;
-                // A second dropped match condemns the rule; a single one
-                // may be annotator noise (crowd answers flip a few percent
-                // of the time), which must not veto a good rule.
-                if dropped_matches >= 2 {
+    let known_negative: HashSet<usize> = outcome
+        .labeled
+        .iter()
+        .filter_map(|&(i, y)| (!y).then_some(i))
+        .collect();
+    let mut verify_cache: HashMap<usize, bool> = outcome.labeled.iter().copied().collect();
+    let mut verified: Vec<ExtractedRule> = kept
+        .into_iter()
+        .filter(|rule| {
+            let (mut dropped_matches, mut asked) = (0, 0);
+            // A second dropped match condemns the rule; a single one may
+            // be annotator noise (crowd answers flip a few percent of the
+            // time), which must not veto a good rule.
+            for i in 0..s_matrix.len() {
+                if asked >= cfg.rule_verify_questions || dropped_matches >= 2 {
                     break;
                 }
+                // A known negative adds no information here.
+                if known_negative.contains(&i) || !rule.fires(&s_matrix.rows[i]) {
+                    continue;
+                }
+                let y = *verify_cache.entry(i).or_insert_with(|| {
+                    let (ra, rb) = s_matrix.pairs[i];
+                    labeler.label(a, ra as usize, b, rb as usize).as_bool()
+                });
+                asked += 1;
+                dropped_matches += usize::from(y);
             }
-        }
-        if dropped_matches < 2 {
-            verified.push(rule);
-        }
-    }
+            dropped_matches < 2
+        })
+        .collect();
     verified.truncate(cfg.max_rules);
+    drop(span);
+    let questions_blocking = labeler.questions_asked() - q0;
+    let rules: Vec<String> = verified.iter().map(|r| r.pretty(&s_matrix.names)).collect();
     let blocking_rules: Vec<magellan_block::BlockingRule> = verified
         .iter()
-        .filter_map(|r| crate::rules::to_blocking_rule(r, &bfeatures))
+        .filter_map(|r| to_blocking_rule(r, &run.bfeatures))
         .collect();
-    let kept = verified;
-    let questions_blocking = labeler.questions_asked() - q0;
-
     let n_rules_executable = blocking_rules.len();
-    let rules_pretty: Vec<String> = kept.iter().map(|r| r.pretty(&s_matrix.names)).collect();
 
     // Step 4: execute the rules (or fall back when none are executable).
-    let (candidates, used_fallback) = if blocking_rules.is_empty() {
-        let first_str_attr = a
-            .schema()
-            .fields()
-            .iter()
-            .find(|f| f.name != a_key && f.dtype == magellan_table::Dtype::Str)
-            .map(|f| f.name.clone())
-            .unwrap_or_else(|| a_key.to_owned());
-        (OverlapBlocker::words(&first_str_attr, 1).block(a, b)?, true)
-    } else {
-        (RuleBasedBlocker::new(blocking_rules).block(a, b)?, false)
+    let (candidates, used_fallback_blocker) = {
+        let _span = magellan_obs::span("falcon_block", 0);
+        if blocking_rules.is_empty() {
+            (run.overlap_blocker(1).block(a, b)?, true)
+        } else {
+            (RuleBasedBlocker::new(blocking_rules).block(a, b)?, false)
+        }
     };
 
     // ---- Matching stage (Fig. 3b) ----
-    // Reuses the blocking stage's prepared records and interner: only
-    // combinations new to the matching feature set (and records new to
-    // the candidate set) are tokenized here.
-    let mfeatures = generate_features(a, b, &[a_key, b_key])?;
-    let (c_matrix, _) = extract_with_prepared(
-        &mut prepared,
-        candidates.pairs(),
-        &mfeatures,
-        &ParConfig::serial(),
-    )?;
-    if c_matrix.is_empty() {
-        return Ok(FalconReport {
-            questions_blocking,
-            questions_matching: 0,
-            rules: rules_pretty,
-            n_rules_executable,
-            used_fallback_blocker: used_fallback,
-            n_candidates: 0,
-            matches: CandidateSet::default(),
-        });
-    }
-
-    // Bound the AL pool; prediction still covers everything.
-    // Very large candidate sets dilute the match density so far that the
-    // default label budget cannot control the false-positive rate at
-    // prediction time; scale the budget and pool with |C| (Table 2's
-    // bigger tasks spend up to 1200 questions for the same reason).
-    let mut matching_al = cfg.matching_al;
-    let mut pool_cap = cfg.max_matching_pool;
-    if candidates.len() > 100_000 {
-        matching_al.max_rounds = matching_al.max_rounds * 2 + 10;
-        pool_cap *= 2;
-    }
-    let pool_matrix;
-    let pool_ref = if c_matrix.len() > pool_cap {
-        pool_matrix = biased_pool(&c_matrix, pool_cap, cfg.seed ^ 0xC0FFEE);
-        &pool_matrix
-    } else {
-        &c_matrix
-    };
-    let q1 = labeler.questions_asked();
-    let match_outcome = active_learn(
-        pool_ref,
-        |i| {
-            let (ra, rb) = pool_ref.pairs[i];
-            labeler.label(a, ra as usize, b, rb as usize).as_bool()
-        },
-        &matching_al,
-    );
-    let questions_matching = labeler.questions_asked() - q1;
-
-    // Step 6: apply the forest to all of C at threshold α.
-    let matches: CandidateSet = c_matrix
-        .pairs
-        .iter()
-        .zip(&c_matrix.rows)
-        .filter_map(|(&p, row)| match_outcome.forest.predict_at(row, cfg.alpha).then_some(p))
-        .collect();
-
+    let (questions_matching, matches) = run.match_candidates(&candidates, labeler, cfg)?;
     Ok(FalconReport {
         questions_blocking,
         questions_matching,
-        rules: rules_pretty,
+        rules,
         n_rules_executable,
-        used_fallback_blocker: used_fallback,
+        used_fallback_blocker,
         n_candidates: candidates.len(),
         matches,
     })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use magellan_core::evaluate::evaluate_matches;
     use magellan_core::labeling::OracleLabeler;
     use magellan_datagen::domains::{persons, products};
-    use magellan_datagen::{DirtModel, ScenarioConfig};
+    use magellan_datagen::{DirtModel, EmScenario, ScenarioConfig};
+    use magellan_ml::Metrics;
+
+    /// [`run_falcon`] or [`crate::smurf::run_smurf`].
+    pub(crate) type Run = fn(
+        &Table,
+        &Table,
+        &str,
+        &str,
+        &mut dyn Labeler,
+        &FalconConfig,
+    ) -> magellan_table::Result<FalconReport>;
+
+    /// A lightly dirty `size` × `size` scenario of `domain`.
+    pub(crate) fn scenario(
+        domain: fn(&ScenarioConfig) -> EmScenario,
+        size: usize,
+        n_matches: usize,
+        seed: u64,
+    ) -> EmScenario {
+        domain(&ScenarioConfig {
+            size_a: size,
+            size_b: size,
+            n_matches,
+            dirt: DirtModel::light(),
+            seed,
+        })
+    }
+
+    /// `f` over `s` with a perfect user, and the quality of its matches.
+    pub(crate) fn run(f: Run, s: &EmScenario, cfg: &FalconConfig) -> (FalconReport, Metrics) {
+        let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
+        let (a, b) = (&s.table_a, &s.table_b);
+        let report = f(a, b, "id", "id", &mut labeler, cfg).unwrap();
+        let m = evaluate_matches(&report.matches, a, b, "id", "id", &s.gold).unwrap();
+        (report, m)
+    }
 
     #[test]
     fn falcon_matches_persons_with_high_accuracy_and_few_questions() {
-        let s = persons(&ScenarioConfig {
-            size_a: 400,
-            size_b: 400,
-            n_matches: 130,
-            dirt: DirtModel::light(),
-            seed: 51,
-        });
-        let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
-        let report = run_falcon(
-            &s.table_a,
-            &s.table_b,
-            "id",
-            "id",
-            &mut labeler,
-            &FalconConfig::default(),
-        )
-        .unwrap();
-
+        let s = scenario(persons, 400, 130, 51);
+        let (report, m) = run(run_falcon, &s, &FalconConfig::default());
         assert!(report.n_candidates > 0);
         assert!(
             report.total_questions() <= 1200,
             "question budget blown: {}",
             report.total_questions()
         );
-        let m =
-            evaluate_matches(&report.matches, &s.table_a, &s.table_b, "id", "id", &s.gold).unwrap();
         assert!(m.precision() > 0.8, "{m}");
         assert!(m.recall() > 0.7, "{m}");
     }
 
     #[test]
     fn blocking_rules_shrink_the_cross_product() {
-        let s = products(&ScenarioConfig {
-            size_a: 300,
-            size_b: 300,
-            n_matches: 100,
-            dirt: DirtModel::light(),
-            seed: 52,
-        });
-        let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
-        let report = run_falcon(
-            &s.table_a,
-            &s.table_b,
-            "id",
-            "id",
-            &mut labeler,
-            &FalconConfig::default(),
-        )
-        .unwrap();
+        let s = scenario(products, 300, 100, 52);
+        let (report, _) = run(run_falcon, &s, &FalconConfig::default());
         let cross = s.table_a.nrows() * s.table_b.nrows();
         assert!(
             report.n_candidates * 4 < cross,
@@ -447,35 +462,50 @@ mod tests {
 
     #[test]
     fn alpha_one_is_stricter_than_alpha_half() {
-        let s = persons(&ScenarioConfig {
-            size_a: 200,
-            size_b: 200,
-            n_matches: 70,
-            dirt: DirtModel::light(),
-            seed: 53,
-        });
-        let run = |alpha: f64| {
-            let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
-            run_falcon(
-                &s.table_a,
-                &s.table_b,
-                "id",
-                "id",
-                &mut labeler,
-                &FalconConfig {
-                    alpha,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
+        let s = scenario(persons, 200, 70, 53);
+        let at = |alpha| {
+            let cfg = FalconConfig {
+                alpha,
+                ..Default::default()
+            };
+            run(run_falcon, &s, &cfg).0.matches
         };
-        let loose = run(0.5);
-        let strict = run(1.0);
+        let (loose, strict) = (at(0.5), at(1.0));
         assert!(
-            strict.matches.len() <= loose.matches.len(),
+            strict.len() <= loose.len(),
             "unanimity produced more matches ({} > {})",
-            strict.matches.len(),
-            loose.matches.len()
+            strict.len(),
+            loose.len()
         );
+    }
+
+    /// Under a pinned recorder each step of a Falcon run is one span, a
+    /// Smurf run opens neither the AL-blocking nor the rule-verify span,
+    /// and the recorder changes no match.
+    #[test]
+    fn each_step_is_one_span() {
+        let s = scenario(persons, 200, 70, 54);
+        let cfg = FalconConfig::default();
+        for (f, asks_in_blocking) in [(run_falcon as Run, true), (crate::smurf::run_smurf, false)] {
+            let obs = magellan_obs::Obs::pinned();
+            let traced = {
+                let _installed = obs.install();
+                run(f, &s, &cfg).0
+            };
+            assert_eq!(traced.matches, run(f, &s, &cfg).0.matches);
+            let snap = obs.snapshot();
+            for (step, labelled) in [
+                ("falcon_sample", false),
+                ("falcon_al_blocking", true),
+                ("falcon_rule_verify", true),
+                ("falcon_block", false),
+                ("falcon_extract", false),
+                ("falcon_al_matching", false),
+                ("falcon_predict", false),
+            ] {
+                let want = usize::from(asks_in_blocking || !labelled);
+                assert_eq!(snap.spans_named(step).len(), want, "{step}");
+            }
+        }
     }
 }
