@@ -28,11 +28,10 @@
 //! one rule (the *seed*) is joined, and the others are evaluated pairwise
 //! over its survivors — the same set, for the price of the cheapest join.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use magellan_simjoin::{join_tokenized, SetSimMeasure, TokenizedCollection};
-use magellan_table::{Table, TableError};
+use magellan_table::{ColView, Table, TableError};
 use magellan_textsim::{intern, FeatureKind, TokSpec, TokenInterner};
 
 use crate::blockers::{Blocker, EqualityJoin};
@@ -121,6 +120,13 @@ pub struct BlockingRule {
 }
 
 impl BlockingRule {
+    /// The predicates a pair can violate. One at `threshold >= 1` fires on
+    /// every pair (no feature exceeds 1), so a rule's conjunction, its
+    /// joins and its pairwise test all leave it out.
+    fn violable(&self) -> impl Iterator<Item = &Predicate> {
+        self.predicates.iter().filter(|p| p.cutoff() < 1.0)
+    }
+
     /// Render like Fig. 4: `p1 AND p2 -> No`.
     pub fn pretty(&self) -> String {
         let parts: Vec<String> = self.predicates.iter().map(Predicate::pretty).collect();
@@ -146,10 +152,10 @@ impl RuleBasedBlocker {
         RuleBasedBlocker { rules }
     }
 
-    /// Apply the rules to an existing candidate set (exact, pairwise
-    /// semantics — the pairs on which no rule fires, with each referenced
-    /// record's attribute normalized, tokenized and interned **once**
-    /// instead of once per pair it appears in). Fails as
+    /// Apply the rules to an existing candidate set: the pairs on which
+    /// no rule fires, each predicate's feature computed pairwise — a set
+    /// predicate over its shape's [`TokenizedCollection`], tokenized once
+    /// over only the records `cands` references. Fails as
     /// [`Blocker::block`] does.
     pub fn refine(
         &self,
@@ -158,7 +164,7 @@ impl RuleBasedBlocker {
         b: &Table,
     ) -> magellan_table::Result<CandidateSet> {
         check(&self.rules, a, b)?;
-        refine_by(&self.rules.iter().collect::<Vec<_>>(), cands, a, b)
+        RuleJoins::new(a, b).refine(&self.rules.iter().collect::<Vec<_>>(), cands)
     }
 
     /// Render all rules.
@@ -178,24 +184,6 @@ fn check(rules: &[BlockingRule], a: &Table, b: &Table) -> magellan_table::Result
         p.join(a, b)?;
     }
     Ok(())
-}
-
-/// The pairs of `cands` that no rule of `rules` drops.
-fn refine_by(
-    rules: &[&BlockingRule],
-    cands: &CandidateSet,
-    a: &Table,
-    b: &Table,
-) -> magellan_table::Result<CandidateSet> {
-    let prep = PreparedRuleEval::build(rules, cands, a, b)?;
-    Ok(cands
-        .pairs()
-        .iter()
-        .copied()
-        .filter(|&(ra, rb)| {
-            !(0..rules.len()).any(|i| prep.rule_fires(rules[i], i, ra as usize, rb as usize))
-        })
-        .collect())
 }
 
 impl Blocker for RuleBasedBlocker {
@@ -240,14 +228,15 @@ impl Blocker for RuleBasedBlocker {
         if pairwise.is_empty() {
             return Ok(survivors);
         }
-        refine_by(&pairwise, &survivors, a, b)
+        joins.refine(&pairwise, &survivors)
     }
 }
 
-/// Rules run as joins over one pair of tables. Each distinct
-/// `(l_attr, r_attr, tokenization)` is tokenized once, on first use,
-/// through one shared [`TokenInterner`]; each distinct exact-match column
-/// pair is bucketed once.
+/// Rules run over one pair of tables, as joins and then pairwise. Each
+/// set shape — `(l_attr, r_attr, tokenization)` — is tokenized once, on
+/// first use, into one [`TokenizedCollection`] through one shared
+/// [`TokenInterner`]; each distinct exact-match column pair is bucketed
+/// once.
 struct RuleJoins<'a> {
     a: &'a Table,
     b: &'a Table,
@@ -276,6 +265,38 @@ impl<'a> RuleJoins<'a> {
         Ok(&self.equalities[&key])
     }
 
+    /// The collection of `pred`'s shape under `tok`, built on first use
+    /// over the rows `rows` marks on each side (every row when `None`);
+    /// any other row reads as null, an empty token set.
+    fn collection(
+        &mut self,
+        pred: &Predicate,
+        tok: TokSpec,
+        rows: Option<[&[bool]; 2]>,
+    ) -> magellan_table::Result<&TokenizedCollection> {
+        let key = (pred.l_attr.clone(), pred.r_attr.clone(), tok);
+        if !self.collections.contains_key(&key) {
+            let cells = |t: &'a Table, attr: &str, keep: Option<&[bool]>| {
+                let view = t.col_view(t.schema().try_index_of(attr)?);
+                let cell = |r| {
+                    let v = view.get(r);
+                    (!v.is_null() && keep.is_none_or(|k| k[r])).then(|| v.lower_trimmed())
+                };
+                Ok::<_, TableError>((0..t.nrows()).map(cell).collect::<Vec<_>>())
+            };
+            let la = cells(self.a, &pred.l_attr, rows.map(|[l, _]| l))?;
+            let rb = cells(self.b, &pred.r_attr, rows.map(|[_, r]| r))?;
+            let coll = TokenizedCollection::build_with_interner(
+                &la,
+                &rb,
+                tok.tokenizer().as_ref(),
+                &mut self.interner,
+            );
+            self.collections.insert(key.clone(), coll);
+        }
+        Ok(&self.collections[&key])
+    }
+
     /// What running `rule` as joins costs, in the one currency of pairs
     /// materialized and records tokenized: an exact-match predicate's
     /// violators are counted off its buckets, exactly, before a pair
@@ -283,7 +304,7 @@ impl<'a> RuleJoins<'a> {
     /// predicate nothing can violate (`threshold >= 1`) is free.
     fn cost(&mut self, rule: &BlockingRule) -> magellan_table::Result<usize> {
         let mut cost = 0;
-        for pred in rule.predicates.iter().filter(|p| p.cutoff() < 1.0) {
+        for pred in rule.violable() {
             cost += match pred.join(self.a, self.b)? {
                 Join::Equal => {
                     let eq = self.equality(pred)?;
@@ -299,8 +320,7 @@ impl<'a> RuleJoins<'a> {
     /// (`x > threshold`), each a join over the normalized cells.
     fn survivors(&mut self, rule: &BlockingRule) -> magellan_table::Result<CandidateSet> {
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        // `x > t` has no solutions at `t >= 1`.
-        for pred in rule.predicates.iter().filter(|p| p.cutoff() < 1.0) {
+        for pred in rule.violable() {
             let Join::Set { tok, measure, .. } = pred.join(self.a, self.b)? else {
                 let eq = self.equality(pred)?;
                 for l in 0..eq.n_left() {
@@ -308,24 +328,13 @@ impl<'a> RuleJoins<'a> {
                 }
                 continue;
             };
-            let key = (pred.l_attr.clone(), pred.r_attr.clone(), tok);
-            if !self.collections.contains_key(&key) {
-                let la = self.a.column_lower(&pred.l_attr)?;
-                let rb = self.b.column_lower(&pred.r_attr)?;
-                let coll = TokenizedCollection::build_with_interner(
-                    &la,
-                    &rb,
-                    tok.tokenizer().as_ref(),
-                    &mut self.interner,
-                );
-                self.collections.insert(key.clone(), coll);
-            }
             // The join returns sim >= its threshold; the complement needs
             // the strict sim > t. A null or an empty token set is in no
             // join pair: its feature is NaN, and NaN fires.
             let t = pred.cutoff();
+            let coll = self.collection(pred, tok, None)?;
             pairs.extend(
-                join_tokenized(&self.collections[&key], measure(t.max(1e-6)))
+                join_tokenized(coll, measure(t.max(1e-6)))
                     .into_iter()
                     .filter(|p| p.sim > t)
                     .map(|p| (p.l as u32, p.r as u32)),
@@ -333,125 +342,88 @@ impl<'a> RuleJoins<'a> {
         }
         Ok(CandidateSet::new(pairs))
     }
-}
 
-/// One prepared refinement cell: the normalized value (exact-match
-/// predicates) or the sorted deduplicated interned id set of its tokens.
-/// `None` at the record level means the value was null, which makes the
-/// feature NaN exactly like the per-pair path (or that no candidate pair
-/// reads the record).
-#[derive(Debug)]
-enum RuleCell<'a> {
-    Lower(Cow<'a, str>),
-    Ids(Vec<u32>),
-}
-
-/// Tokenize-once-per-record state for [`RuleBasedBlocker::refine`]: each
-/// distinct `(side, attribute, tokenization)` combination referenced by
-/// any predicate is prepared once per candidate record (`None` for exact
-/// match's plain normalized value), and set predicates then evaluate as
-/// interned merge intersections ([`magellan_textsim::intern`]) —
-/// bit-identical to the feature's value on the same cells.
-struct PreparedRuleEval<'a> {
-    l_cols: Vec<Vec<Option<RuleCell<'a>>>>,
-    r_cols: Vec<Vec<Option<RuleCell<'a>>>>,
-    /// `slots[rule][pred] = (index into l_cols, index into r_cols, join)`.
-    slots: Vec<Vec<(usize, usize, Join)>>,
-}
-
-impl<'a> PreparedRuleEval<'a> {
-    fn build(
+    /// The pairs of `cands` that no rule of `rules` drops, each predicate
+    /// resolved once to a [`Slot`]. A set shape reads the collection a join
+    /// of this call built, or else one built over only the records `cands`
+    /// references. It is the last use of the joins: a collection built
+    /// here holds no other record, so no join may read it.
+    fn refine(
+        mut self,
         rules: &[&BlockingRule],
         cands: &CandidateSet,
-        a: &'a Table,
-        b: &'a Table,
-    ) -> magellan_table::Result<Self> {
-        // Resolve each predicate to a (left slot, right slot) pair,
-        // deduplicating (attr, tokenization) combinations per side.
-        type Spec = (String, Option<TokSpec>);
-        let mut l_index: HashMap<Spec, usize> = HashMap::new();
-        let mut r_index: HashMap<Spec, usize> = HashMap::new();
-        let mut l_specs: Vec<Spec> = Vec::new();
-        let mut r_specs: Vec<Spec> = Vec::new();
-        let mut slots = Vec::with_capacity(rules.len());
-        for rule in rules {
-            let mut rule_slots = Vec::with_capacity(rule.predicates.len());
-            for p in &rule.predicates {
-                let join = p.join(a, b)?;
-                let tok = match join {
-                    Join::Equal => None,
-                    Join::Set { tok, .. } => Some(tok),
-                };
-                let slot = |index: &mut HashMap<Spec, usize>, specs: &mut Vec<Spec>, attr| {
-                    *index.entry((attr, tok)).or_insert_with_key(|k| {
-                        specs.push(k.clone());
-                        specs.len() - 1
-                    })
-                };
-                let li = slot(&mut l_index, &mut l_specs, p.l_attr.clone());
-                let ri = slot(&mut r_index, &mut r_specs, p.r_attr.clone());
-                rule_slots.push((li, ri, join));
-            }
-            slots.push(rule_slots);
-        }
-
-        // Which records do the candidates reference?
-        let mut l_ref = vec![false; a.nrows()];
-        let mut r_ref = vec![false; b.nrows()];
+    ) -> magellan_table::Result<CandidateSet> {
+        let mut referenced = [vec![false; self.a.nrows()], vec![false; self.b.nrows()]];
         for &(ra, rb) in cands.pairs() {
-            l_ref[ra as usize] = true;
-            r_ref[rb as usize] = true;
+            referenced[0][ra as usize] = true;
+            referenced[1][rb as usize] = true;
         }
-
-        // One shared interner across both sides and all combinations.
-        let mut interner = TokenInterner::new();
-        let fill = |table: &'a Table,
-                    referenced: &[bool],
-                    specs: &[Spec],
-                    interner: &mut TokenInterner|
-         -> magellan_table::Result<Vec<Vec<Option<RuleCell<'a>>>>> {
-            specs
-                .iter()
-                .map(|(attr, tok)| {
-                    let view = table.col_view(table.schema().try_index_of(attr)?);
-                    Ok((0..table.nrows())
-                        .map(|r| {
-                            let v = referenced[r].then(|| view.get(r));
-                            let s = v.filter(|v| !v.is_null())?.lower_trimmed();
-                            Some(match tok {
-                                None => RuleCell::Lower(s),
-                                Some(t) => RuleCell::Ids(t.intern_tokens(interner, &s)),
-                            })
-                        })
-                        .collect())
-                })
-                .collect()
-        };
-        let l_cols = fill(a, &l_ref, &l_specs, &mut interner)?;
-        let r_cols = fill(b, &r_ref, &r_specs, &mut interner)?;
-        Ok(PreparedRuleEval {
-            l_cols,
-            r_cols,
-            slots,
-        })
+        for pred in rules.iter().flat_map(|r| r.violable()) {
+            if let Join::Set { tok, .. } = pred.join(self.a, self.b)? {
+                self.collection(pred, tok, Some([&referenced[0], &referenced[1]]))?;
+            }
+        }
+        let slots = rules
+            .iter()
+            .map(|r| r.violable().map(|p| self.slot(p)).collect())
+            .collect::<magellan_table::Result<Vec<Vec<_>>>>()?;
+        Ok(cands
+            .pairs()
+            .iter()
+            .copied()
+            .filter(|&(ra, rb)| {
+                let (ra, rb) = (ra as usize, rb as usize);
+                !slots
+                    .iter()
+                    .any(|rule| rule.iter().all(|(slot, t)| slot.fires(ra, rb, *t)))
+            })
+            .collect())
     }
 
-    /// Does this rule drop the pair? Every predicate's feature is NaN
-    /// (a null, or an empty token set) or at most its cutoff.
-    fn rule_fires(&self, rule: &BlockingRule, rule_idx: usize, ra: usize, rb: usize) -> bool {
-        rule.predicates.iter().enumerate().all(|(j, p)| {
-            let (li, ri, join) = self.slots[rule_idx][j];
-            let x = match (join, &self.l_cols[li][ra], &self.r_cols[ri][rb]) {
-                (_, Some(RuleCell::Lower(sa)), Some(RuleCell::Lower(sb))) => f64::from(sa == sb),
-                (Join::Set { ids, .. }, Some(RuleCell::Ids(ia)), Some(RuleCell::Ids(ib)))
-                    if !ia.is_empty() && !ib.is_empty() =>
-                {
-                    ids(ia, ib)
-                }
-                _ => f64::NAN,
-            };
-            x.is_nan() || x <= p.cutoff()
-        })
+    /// `pred` resolved for pairwise evaluation, with its cutoff; a set
+    /// shape's collection must already be built.
+    fn slot(&self, pred: &Predicate) -> magellan_table::Result<(Slot<'_>, f64)> {
+        let (a, b) = (self.a, self.b);
+        let slot = match pred.join(a, b)? {
+            Join::Equal => Slot::Equal(
+                a.col_view(a.schema().try_index_of(&pred.l_attr)?),
+                b.col_view(b.schema().try_index_of(&pred.r_attr)?),
+            ),
+            Join::Set { tok, ids, .. } => {
+                let key = (pred.l_attr.clone(), pred.r_attr.clone(), tok);
+                Slot::Set(&self.collections[&key], ids)
+            }
+        };
+        Ok((slot, pred.cutoff()))
+    }
+}
+
+/// A predicate as refinement computes its feature on one pair.
+enum Slot<'r> {
+    /// Exact match of the two normalized cells.
+    Equal(ColView<'r>, ColView<'r>),
+    /// A set measure over the shape's collection, on its rarest-first ids:
+    /// a bijection of interner ids, so every set and intersection size,
+    /// and the value, is the one the interned sets give.
+    Set(&'r TokenizedCollection, fn(&[u32], &[u32]) -> f64),
+}
+
+impl Slot<'_> {
+    /// Does the predicate fire on pair `(ra, rb)` at cutoff `t`: is its
+    /// feature NaN (a null, or an empty token set, as `Feature::compute`
+    /// gives it) or at most `t`?
+    fn fires(&self, ra: usize, rb: usize, t: f64) -> bool {
+        let x = match *self {
+            Slot::Equal(l, r) => match (l.get(ra), r.get(rb)) {
+                (va, vb) if va.is_null() || vb.is_null() => f64::NAN,
+                (va, vb) => f64::from(va.lower_trimmed() == vb.lower_trimmed()),
+            },
+            Slot::Set(coll, ids) => match (&coll.left[ra], &coll.right[rb]) {
+                (sa, sb) if sa.is_empty() || sb.is_empty() => f64::NAN,
+                (sa, sb) => ids(sa, sb),
+            },
+        };
+        x.is_nan() || x <= t
     }
 }
 
@@ -1044,9 +1016,11 @@ mod tests {
         RuleBasedBlocker::new(vec![]);
     }
 
-    /// The interned prepared refine path is exactly the per-pair
-    /// reference [`fires`], including null / non-string values and empty
-    /// tokenizations; an unknown attribute is an error to both executors.
+    /// Refinement is exactly the per-pair reference [`fires`], including
+    /// null / non-string values and empty tokenizations, over the cross
+    /// product and over random parts of it (whose unreferenced records its
+    /// collections hold as null); an unknown attribute is an error to both
+    /// executors.
     #[test]
     fn prepared_refine_matches_per_pair_fires() {
         let (a, b) = tables();
@@ -1084,12 +1058,23 @@ mod tests {
             let (a, b) = typed_tables(seed);
             let mut rng = StdRng::seed_from_u64(seed);
             let blocker = RuleBasedBlocker::new(random_rules(&mut rng, (&a, &b), false));
+            let all = cross(&a, &b);
+            let refined = blocker.refine(&all, &a, &b).unwrap();
             assert_eq!(
-                blocker.refine(&cross(&a, &b), &a, &b).unwrap(),
+                refined,
                 survivors_by_fires(&blocker.rules, &a, &b),
                 "seed {seed}: {}",
                 blocker.pretty()
             );
+            // A part S of the cross product: `refine(S)` is the reference
+            // on S, which `refined ∩ S` is, pair by pair.
+            for share in [0.05, 0.2, 0.5] {
+                let mut part = all.pairs().to_vec();
+                part.retain(|_| rng.gen_bool(share));
+                let part = CandidateSet::new(part);
+                let got = blocker.refine(&part, &a, &b).ok();
+                assert_eq!(got, Some(refined.intersect(&part)), "seed {seed}: {share}");
+            }
         }
     }
 

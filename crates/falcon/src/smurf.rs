@@ -33,7 +33,9 @@ pub fn run_smurf(
     cfg: &FalconConfig,
 ) -> magellan_table::Result<FalconReport> {
     // ---- Blocking stage, zero questions ----
-    let mut run = FalconRun::sample(a, b, a_key, b_key, cfg)?;
+    let Some(mut run) = FalconRun::sample(a, b, a_key, b_key, cfg)? else {
+        return Ok(FalconReport::default());
+    };
     let s_matrix = &run.sample;
 
     // Pseudo-labels from the proxy-score extremes.
@@ -45,14 +47,16 @@ pub fn run_smurf(
     let ranked = rank(&keys);
     let n = ranked.len();
     // Confident positives: the top few percent, and only while the proxy
-    // stays clearly high — pseudo-label noise here poisons every rule.
+    // stays clearly high — pseudo-label noise here poisons every rule. At
+    // least two, unless the sample is smaller.
     let n_pos_cap = (n / 12).max(2).min(n / 2);
     let n_pos = ranked
         .iter()
         .take(n_pos_cap)
         .take_while(|&&i| keys[i] >= 0.45)
         .count()
-        .max(2);
+        .max(2)
+        .min(n);
     let n_neg = (n / 2).max(2).min(n - n_pos); // bottom half = negatives
     let mut pseudo: Vec<(usize, bool)> = Vec::with_capacity(n_pos + n_neg);
     pseudo.extend(ranked.iter().take(n_pos).map(|&i| (i, true)));

@@ -67,7 +67,9 @@ impl Default for FalconConfig {
     }
 }
 
-/// What Falcon did and found.
+/// What Falcon did and found. The default is the report of a task with
+/// nothing to sample: no question, no rule, no candidate, no match.
+#[derive(Default)]
 pub struct FalconReport {
     /// Questions asked in the blocking stage.
     pub questions_blocking: usize,
@@ -182,28 +184,30 @@ pub(crate) struct FalconRun<'t> {
 }
 
 impl<'t> FalconRun<'t> {
-    /// Step 1: sample S and extract its blocking features.
+    /// Step 1: sample S and extract its blocking features. `None` when S
+    /// is empty (an empty table, or a zero sample size): there is nothing
+    /// to learn from, and the run's report is [`FalconReport::default`].
     pub(crate) fn sample(
         a: &'t Table,
         b: &'t Table,
         a_key: &'t str,
         b_key: &'t str,
         cfg: &FalconConfig,
-    ) -> magellan_table::Result<Self> {
+    ) -> magellan_table::Result<Option<Self>> {
         let _span = magellan_obs::span("falcon_sample", 0);
         let mut prepared = PreparedPair::new(a, b);
         let pairs = sample_pairs(a, b, a_key, b_key, cfg.sample_size, cfg.seed);
         let bfeatures = blocking_features(a, b, &[a_key, b_key])?;
         let (sample, _) =
             extract_with_prepared(&mut prepared, &pairs, &bfeatures, &ParConfig::serial())?;
-        Ok(FalconRun {
+        Ok((!sample.is_empty()).then_some(FalconRun {
             a,
             b,
             keys: [a_key, b_key],
             prepared,
             bfeatures,
             sample,
-        })
+        }))
     }
 
     /// A word-overlap blocker needing `overlap` shared tokens on A's first
@@ -281,7 +285,8 @@ impl<'t> FalconRun<'t> {
 /// Under a recorder each step is one span: `falcon_sample`,
 /// `falcon_al_blocking`, `falcon_rule_verify`, `falcon_block`,
 /// `falcon_extract`, `falcon_al_matching` and `falcon_predict` (the last
-/// two only when blocking leaves a candidate).
+/// two only when blocking leaves a candidate). With an empty table there is
+/// no sample S: the run stops after `falcon_sample` with an empty report.
 pub fn run_falcon(
     a: &Table,
     b: &Table,
@@ -291,7 +296,9 @@ pub fn run_falcon(
     cfg: &FalconConfig,
 ) -> magellan_table::Result<FalconReport> {
     // ---- Blocking stage (Fig. 3a) ----
-    let mut run = FalconRun::sample(a, b, a_key, b_key, cfg)?;
+    let Some(mut run) = FalconRun::sample(a, b, a_key, b_key, cfg)? else {
+        return Ok(FalconReport::default());
+    };
     let s_matrix = &run.sample;
     let q0 = labeler.questions_asked();
     let outcome = {

@@ -111,3 +111,46 @@ fn a_rule_set_is_blocked_for_the_probes_of_one_rule() {
         );
     }
 }
+
+/// `tokenize_collection` spans opened by blocking `rules` over `s`.
+fn tokenizations(rules: Vec<BlockingRule>, s: &EmScenario) -> usize {
+    let obs = Obs::pinned();
+    let _installed = obs.install();
+    RuleBasedBlocker::new(rules)
+        .block(&s.table_a, &s.table_b)
+        .unwrap();
+    obs.snapshot().spans_named("tokenize_collection").len()
+}
+
+/// A rule set tokenizes each set shape (column pair and tokenization)
+/// whose cutoff is below 1 once per `block`: the seed's join and the
+/// pairwise refinement of the other rules read one collection per shape.
+#[test]
+fn each_set_shape_is_tokenized_once_per_block() {
+    let s = task();
+    let street = rule("street", FeatureKind::Jaccard(TokSpec::Word), 0.375);
+    // The seed is the first set rule; the others are refined over its
+    // survivors only while those number at most |A| + |B|.
+    let seeded = RuleBasedBlocker::new(vec![street.clone()])
+        .block(&s.table_a, &s.table_b)
+        .unwrap();
+    assert!(seeded.len() <= s.table_a.nrows() + s.table_b.nrows());
+    let same_shape = rule("street", FeatureKind::Cosine(TokSpec::Word), 0.537);
+    let zip = rule("zip", FeatureKind::Jaccard(TokSpec::Qgram(3)), 0.583);
+    // A predicate at threshold 1 fires on every pair: nothing to tokenize.
+    let mut with_city = zip.clone();
+    with_city.predicates.push(Predicate {
+        l_attr: "city".into(),
+        r_attr: "city".into(),
+        kind: FeatureKind::Dice(TokSpec::Word),
+        threshold: 1.0,
+    });
+    for (rules, shapes) in [
+        (vec![street.clone(), same_shape.clone()], 1),
+        (vec![street.clone(), zip.clone()], 2),
+        (vec![street.clone(), same_shape, zip, with_city], 2),
+    ] {
+        let pretty = RuleBasedBlocker::new(rules.clone()).pretty();
+        assert_eq!(tokenizations(rules, &s), shapes, "{pretty}");
+    }
+}

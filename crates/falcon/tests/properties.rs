@@ -6,7 +6,9 @@ use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, ScenarioConfig};
 use magellan_falcon::active::{active_learn, ActiveLearnConfig};
 use magellan_falcon::rules::{candidate_paths, extract_blocking_rules};
+use magellan_falcon::smurf::run_smurf;
 use magellan_falcon::workflow::{blocking_features, sample_pairs};
+use magellan_falcon::{run_falcon, FalconConfig};
 use magellan_features::extract_feature_matrix;
 use magellan_ml::{Classifier, Dataset, RandomForestLearner};
 use proptest::prelude::*;
@@ -145,5 +147,42 @@ fn sample_pairs_handles_tiny_requests_and_empty_tables() {
         assert!(sample_pairs(&none, b, "id", "id", n, 3).is_empty());
         assert!(sample_pairs(a, &none, "id", "id", n, 3).is_empty());
         assert!(sample_pairs(&none, &none, "id", "id", n, 3).is_empty());
+    }
+}
+
+/// An empty table gives Falcon and Smurf an empty sample and an empty
+/// report; a 1 × 1 task a one-pair sample (regression: the first asserted
+/// in active learning, the second underflowed Smurf's pseudo-label count).
+#[test]
+fn falcon_and_smurf_run_empty_and_one_pair_tasks() {
+    let s = persons(&ScenarioConfig {
+        size_a: 40,
+        size_b: 30,
+        n_matches: 10,
+        dirt: DirtModel::light(),
+        seed: 9,
+    });
+    let (a, b) = (&s.table_a, &s.table_b);
+    let (none_a, none_b) = (a.take(&[]), b.take(&[]));
+    let (ga, gb) = s.gold.iter().min().unwrap();
+    let row = |t: &magellan_table::Table, id: &str| t.take(&[t.key_index("id").unwrap()[id]]);
+    let one = (row(a, ga), row(b, gb));
+    for run in [run_falcon, run_smurf] {
+        for (a, b) in [(&none_a, b), (a, &none_b), (&one.0, &one.1)] {
+            let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
+            let report = run(a, b, "id", "id", &mut labeler, &FalconConfig::default()).unwrap();
+            let empty = a.is_empty() || b.is_empty();
+            assert!(report.n_candidates <= usize::from(!empty));
+            assert!(report
+                .matches
+                .pairs()
+                .iter()
+                .all(|&p| !empty && p == (0, 0)));
+            if empty {
+                assert_eq!(report.total_questions(), 0);
+                assert!(report.rules.is_empty() && report.n_rules_executable == 0);
+                assert!(!report.used_fallback_blocker);
+            }
+        }
     }
 }
