@@ -32,6 +32,11 @@
 //! derived once by the development stage. A run reads it, checks it once
 //! ([`DecisionPlan::check`]), and samples nothing.
 //!
+//! A caller that blocked its candidates itself, and holds records prepared
+//! over the same tables, runs this pass alone through
+//! [`ProductionExecutor::match_blocked`]: Falcon's last step does, on the
+//! store its active-learning stages filled.
+//!
 //! ## One pass, with or without a store
 //!
 //! [`ProductionExecutor::run`] and [`ProductionExecutor::run_with_recovery`]
@@ -247,6 +252,40 @@ impl ProductionExecutor {
         self.run_phases(workflow, a, b, Some(store), opts)
     }
 
+    /// The matching phase alone, over `candidates` the caller blocked: the
+    /// workflow's blocker does not run. `prepared` is the caller's record
+    /// store over the tables the candidates index; records it already holds
+    /// for other features are reused, and the ones the workflow's features
+    /// still need are prepared into it. Returns the matched pairs: for the
+    /// candidates the workflow's blocker gives, the matches
+    /// [`ProductionExecutor::run`] returns, which runs this same pass after
+    /// blocking, on a fresh store.
+    ///
+    /// The pass checks the plan, then opens the `prepare` and `score`
+    /// spans and adds the matcher's demand counters to the installed
+    /// recorder, if any. It builds no report, writes no checkpoint and
+    /// injects no fault.
+    ///
+    /// # Errors
+    /// [`MagellanError::Config`] for a plan the matcher cannot vouch for
+    /// ([`DecisionPlan::check`]); a feature naming an attribute the tables
+    /// lack.
+    pub fn match_blocked(
+        &self,
+        workflow: &EmWorkflow,
+        prepared: &mut PreparedPair<'_>,
+        candidates: &CandidateSet,
+    ) -> Result<CandidateSet, MagellanError> {
+        workflow.plan.check(
+            &*workflow.matcher,
+            workflow.threshold,
+            workflow.features.len(),
+        )?;
+        let cfg = self.par_cfg(ChunkFaults::none());
+        let matches = match_candidates(workflow, prepared, candidates.pairs(), &cfg)?;
+        Ok(CandidateSet::new(matches))
+    }
+
     /// The one production pass behind both entry points, under the run's
     /// recorder; a fatal error also dumps the flight recorder.
     fn run_phases(
@@ -338,7 +377,8 @@ impl ProductionExecutor {
             let t1 = Instant::now();
             let pairs = candidates.pairs();
             let decisions = rec.phase(Phase::Matching, || {
-                match_candidates(workflow, a, b, pairs, &cfg).map_err(Into::into)
+                let mut prepared = PreparedPair::new(a, b);
+                match_candidates(workflow, &mut prepared, pairs, &cfg).map_err(Into::into)
             })?;
             let matching = t1.elapsed();
             drop(matching_span);
@@ -483,11 +523,13 @@ fn retry<T>(
     out
 }
 
-/// The matching phase of both entry points: prepare the records the
-/// candidates reference (serially — interner ids are assigned in first-seen
-/// order; the `prepare` span), then decide every pair in one parallel
-/// region (the `score` span) and return the matched pairs in candidate
-/// order. Region tests, decisions and the rule layer run per pair,
+/// The matching phase of [`ProductionExecutor::run`],
+/// [`ProductionExecutor::run_with_recovery`] and
+/// [`ProductionExecutor::match_blocked`]: prepare into `prepared` the
+/// records the candidates reference (serially — interner ids are assigned
+/// in first-seen order; the `prepare` span), then decide every pair in one
+/// parallel region (the `score` span) and return the matched pairs in
+/// candidate order. Region tests, decisions and the rule layer run per pair,
 /// interleaved, so they are counters, not spans.
 ///
 /// Each chunk scores through one [`Scorer`], which holds the pair's memo —
@@ -508,13 +550,11 @@ fn retry<T>(
 /// chunk size.
 fn match_candidates(
     workflow: &EmWorkflow,
-    a: &Table,
-    b: &Table,
+    prepared: &mut PreparedPair<'_>,
     pairs: &[(u32, u32)],
     cfg: &ParConfig,
 ) -> magellan_table::Result<Vec<(u32, u32)>> {
     let prepare = magellan_obs::span("prepare", 0);
-    let mut prepared = PreparedPair::new(a, b);
     let plan = prepared.plan(&workflow.features)?;
     let cache = prepared.prepare_counted(&plan, pairs);
     drop(prepare);
@@ -526,7 +566,7 @@ fn match_candidates(
 
     let _region = magellan_obs::span("score", 0);
     let (chunks, stats) = magellan_par::chunk_map(pairs.len(), cfg, |range| {
-        let mut scorer = Scorer::new(&prepared, &plan);
+        let mut scorer = Scorer::new(prepared, &plan);
         let mut matched = Vec::new();
         let mut counts = DecideCounts::default();
         let chunk = &pairs[range];
@@ -889,13 +929,6 @@ fn last_valid(mut lo: usize, mut hi: usize, mut valid: impl FnMut(usize) -> bool
     lo
 }
 
-/// A general parallel map over row chunks, exposed for workloads that
-/// don't fit the workflow shape (e.g. per-row cleaning in the guide's
-/// pre-processing step). `out[i] == f(i)` for every worker count.
-pub fn parallel_map<T: Send, F: Fn(usize) -> T + Sync>(n: usize, n_workers: usize, f: F) -> Vec<T> {
-    magellan_par::map_indexed(n, &ParConfig::workers(n_workers), f).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1235,15 +1268,5 @@ mod tests {
         assert!(ProductionExecutor::new(2)
             .run(&wf, &s.table_a, &s.table_b)
             .is_ok());
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(100, 4, |i| i * 2);
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-        let out = parallel_map(3, 8, |i| i);
-        assert_eq!(out, vec![0, 1, 2]);
-        let empty: Vec<usize> = parallel_map(0, 4, |i| i);
-        assert!(empty.is_empty());
     }
 }

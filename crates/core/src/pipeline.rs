@@ -2,7 +2,7 @@
 
 use magellan_block::debugger::estimate_recall;
 use magellan_block::{Blocker, CandidateSet};
-use magellan_features::{extract_with_prepared, Feature, FeaturePlan, PreparedPair, Scorer};
+use magellan_features::{extract_with_prepared, Feature, PreparedPair, Scorer};
 use magellan_ml::cv::select_matcher;
 use magellan_ml::{CvReport, Dataset, Learner, Metrics};
 use magellan_par::ParConfig;
@@ -13,7 +13,7 @@ use crate::error::MagellanError;
 use crate::exec::{DecideCounts, DecisionPlan};
 use crate::labeling::Labeler;
 use crate::rules::RuleLayer;
-use crate::sample::{proxy, sample_positions, stratify};
+use crate::sample::{proxy_keys, sample_positions, stratify};
 use crate::workflow::EmWorkflow;
 
 /// Knobs for the development stage.
@@ -442,28 +442,6 @@ fn run_development_stage_on(
         plan: decision_plan,
     };
     Ok((workflow, report))
-}
-
-/// The sampling [`proxy`] of every pair, read through one scorer per chunk
-/// of `par`'s pool and joined in pair order. The pairs' records must be
-/// prepared for `plan`.
-fn proxy_keys(
-    prepared: &PreparedPair<'_>,
-    plan: &FeaturePlan,
-    pairs: &[(u32, u32)],
-    par: &ParConfig,
-) -> Vec<f64> {
-    let (chunks, _) = magellan_par::chunk_map(pairs.len(), par, |range| {
-        let mut scorer = Scorer::new(prepared, plan);
-        pairs[range]
-            .iter()
-            .map(|&(ra, rb)| {
-                scorer.begin_pair(ra as usize, rb as usize);
-                proxy((0..plan.len()).map(|j| scorer.feature(j)))
-            })
-            .collect::<Vec<f64>>()
-    });
-    chunks.concat()
 }
 
 /// Precision of the labeled predicted-matches surviving threshold `t`.

@@ -4,9 +4,12 @@
 //! A uniform sample of a large candidate set at EM's match densities holds
 //! almost no matches, so both the development stage's S and Falcon's
 //! active-learning pool are drawn by [`stratify`] over the label-free
-//! plausibility [`proxy`].
+//! plausibility [`proxy`], whose keys [`proxy_keys`] reads as production
+//! scores: through a [`Scorer`], one key per pair and no feature row.
 
 use magellan_block::CandidateSet;
+use magellan_features::{FeaturePlan, PreparedPair, Scorer};
+use magellan_par::ParConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -41,6 +44,28 @@ pub fn proxy(features: impl IntoIterator<Item = f64>) -> f64 {
     } else {
         sum / n as f64
     }
+}
+
+/// The [`proxy`] of every pair over every feature of `plan`, read through
+/// one [`Scorer`] per chunk of `par`'s pool and joined in pair order. The
+/// pairs' records must be prepared for `plan`.
+pub fn proxy_keys(
+    prepared: &PreparedPair<'_>,
+    plan: &FeaturePlan,
+    pairs: &[(u32, u32)],
+    par: &ParConfig,
+) -> Vec<f64> {
+    let (chunks, _) = magellan_par::chunk_map(pairs.len(), par, |range| {
+        let mut scorer = Scorer::new(prepared, plan);
+        pairs[range]
+            .iter()
+            .map(|&(ra, rb)| {
+                scorer.begin_pair(ra as usize, rb as usize);
+                proxy((0..plan.len()).map(|j| scorer.feature(j)))
+            })
+            .collect::<Vec<f64>>()
+    });
+    chunks.concat()
 }
 
 /// Positions by descending key. The sort is stable: ties keep position

@@ -8,7 +8,7 @@ use magellan_block::{
     AttrEquivalenceBlocker, BlackBoxBlocker, Blocker, HashBlocker, OverlapBlocker, SimJoinBlocker,
     SortedNeighborhoodBlocker,
 };
-use magellan_core::exec::{parallel_map, ProductionExecutor};
+use magellan_core::exec::ProductionExecutor;
 use magellan_core::par::ParConfig;
 use magellan_core::rules::RuleLayer;
 use magellan_core::EmWorkflow;
@@ -213,10 +213,10 @@ proptest! {
         }
     }
 
-    /// `parallel_map` preserves index order for awkward lengths.
+    /// The pool's indexed map preserves index order for awkward lengths.
     #[test]
     fn parallel_map_is_ordered(n in 0usize..200, w in 1usize..17) {
-        let out = parallel_map(n, w, |i| i * 31 + 7);
+        let out = magellan_core::par::map_indexed(n, &ParConfig::workers(w), |i| i * 31 + 7).0;
         prop_assert_eq!(out, (0..n).map(|i| i * 31 + 7).collect::<Vec<_>>());
     }
 }

@@ -12,7 +12,7 @@
 //! same matching stage (the only one that asks the user), so Smurf opens
 //! no `falcon_al_blocking` or `falcon_rule_verify` span.
 
-use magellan_block::{Blocker, RuleBasedBlocker};
+use magellan_block::{Blocker, CandidateSet, OverlapBlocker, RuleBasedBlocker};
 use magellan_core::labeling::Labeler;
 use magellan_core::sample::{proxy, rank};
 use magellan_ml::{Dataset, RandomForestLearner};
@@ -88,42 +88,59 @@ pub fn run_smurf(
 
     // Label-free rules were never user-verified (that is the point of
     // Smurf), so they can over-fire on dirt the pseudo-positives never
-    // exhibited. Guard recall by unioning the rule survivors with a
-    // permissive overlap blocker on the first textual attribute: the
-    // blocking stage then errs toward candidates, and the (still
-    // actively-learned) matching stage restores precision.
-    let (candidates, used_fallback_blocker) = {
-        let _span = magellan_obs::span("falcon_block", 0);
-        // Two shared tokens: loose enough to catch matches the unverified
-        // rules would wrongly drop, tight enough not to balloon |C| (which
-        // would inflate the matching-stage label budget and erase the very
-        // labeling savings Smurf exists for).
-        let guard = run.overlap_blocker(2).block(a, b)?;
-        if blocking_rules.is_empty() {
-            (guard, true)
-        } else {
-            let survivors = RuleBasedBlocker::new(blocking_rules).block(a, b)?;
-            // Only union the guard in when it stays proportionate to the
-            // rule survivors, for the same reason.
-            if guard.len() <= 100_000.max(survivors.len().saturating_mul(10)) {
-                (survivors.union(&guard), false)
-            } else {
-                (survivors, false)
-            }
-        }
+    // exhibited. Guard recall with a permissive overlap blocker on the
+    // first textual attribute: the blocking stage then errs toward
+    // candidates, and the (still actively-learned) matching stage restores
+    // precision. Two shared tokens: loose enough to catch matches the
+    // unverified rules would wrongly drop, tight enough not to balloon |C|
+    // (which would inflate the matching-stage label budget and erase the
+    // very labeling savings Smurf exists for).
+    let guard = run.overlap_blocker(2);
+    let used_fallback_blocker = blocking_rules.is_empty();
+    let blocker: Box<dyn Blocker> = if used_fallback_blocker {
+        Box::new(guard)
+    } else {
+        Box::new(GuardedRules {
+            rules: RuleBasedBlocker::new(blocking_rules),
+            guard,
+        })
     };
 
     // ---- Matching stage: unchanged Falcon (labels still needed) ----
-    let (questions_matching, matches) = run.match_candidates(&candidates, labeler, cfg)?;
     Ok(FalconReport {
         questions_blocking: 0,
-        questions_matching,
         rules,
         n_rules_executable,
         used_fallback_blocker,
-        n_candidates: candidates.len(),
-        matches,
+        ..run.match_candidates(blocker, labeler, cfg)?
     })
+}
+
+/// Smurf's blocker when it has rules: their survivors, unioned with the
+/// overlap guard's candidates while the guard stays proportionate to them
+/// (at most 100 000 pairs, or ten times the survivors), else the
+/// survivors alone.
+struct GuardedRules {
+    rules: RuleBasedBlocker,
+    guard: OverlapBlocker,
+}
+
+impl Blocker for GuardedRules {
+    fn name(&self) -> String {
+        format!("guarded({}, {})", self.rules.name(), self.guard.name())
+    }
+
+    fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
+        let guard = self.guard.block(a, b)?;
+        let survivors = self.rules.block(a, b)?;
+        Ok(
+            if guard.len() <= 100_000.max(survivors.len().saturating_mul(10)) {
+                survivors.union(&guard)
+            } else {
+                survivors
+            },
+        )
+    }
 }
 
 #[cfg(test)]

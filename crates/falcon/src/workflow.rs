@@ -1,11 +1,23 @@
 //! The end-to-end Falcon workflow (Fig. 3 of the paper).
+//!
+//! Its last step is a production run. Once the matching forest is learned
+//! on a pool drawn from the candidate set C, the run captures what it
+//! found as an [`EmWorkflow`] — the blocker that produced C, the matching
+//! features, the forest's vote layout at α — and hands it with C to the
+//! production executor's matching pass
+//! ([`ProductionExecutor::match_blocked`]). The pass decides each pair
+//! lazily, so no candidate outside the pool has its full feature row
+//! computed, and the report returns the workflow.
 
 use std::collections::{HashMap, HashSet};
 
 use magellan_block::debugger::concat_columns;
 use magellan_block::{joinable, Blocker, CandidateSet, OverlapBlocker, RuleBasedBlocker};
+use magellan_core::exec::{DecisionPlan, ProductionExecutor};
 use magellan_core::labeling::Labeler;
-use magellan_core::sample::{proxy, stratify};
+use magellan_core::rules::RuleLayer;
+use magellan_core::sample::{proxy, proxy_keys, stratify};
+use magellan_core::EmWorkflow;
 use magellan_features::{
     extract_with_prepared, generate_features, Feature, FeatureMatrix, PreparedPair,
 };
@@ -39,10 +51,12 @@ pub struct FalconConfig {
     /// precision (Fig. 3 step 3: "Falcon enlists the lay user to evaluate
     /// the extracted blocking rules"). Smurf skips this entirely.
     pub rule_verify_questions: usize,
-    /// Cap on the matching-stage active-learning pool, drawn by
-    /// [`biased_pool`]; doubled above 100 000 candidates, where the rounds
-    /// of `matching_al` also grow to `2 * max_rounds + 10`. Prediction
-    /// still covers the whole candidate set.
+    /// Cap on the matching-stage active-learning pool, drawn as
+    /// [`biased_pool`] draws; doubled above 100 000 candidates, where the
+    /// rounds of `matching_al` also grow to `2 * max_rounds + 10`. Only the
+    /// pool's pairs are extracted. Prediction still covers the whole
+    /// candidate set, lazily: the executor computes a pair's features only
+    /// as the forest's trees ask for them.
     pub max_matching_pool: usize,
     /// Master seed.
     pub seed: u64,
@@ -68,7 +82,8 @@ impl Default for FalconConfig {
 }
 
 /// What Falcon did and found. The default is the report of a task with
-/// nothing to sample: no question, no rule, no candidate, no match.
+/// nothing to sample: no question, no rule, no candidate, no match, no
+/// workflow.
 #[derive(Default)]
 pub struct FalconReport {
     /// Questions asked in the blocking stage.
@@ -85,6 +100,13 @@ pub struct FalconReport {
     pub n_candidates: usize,
     /// Predicted matches.
     pub matches: CandidateSet,
+    /// The captured workflow: the blocker that produced the candidate set,
+    /// the matching features, the matching forest's vote layout at α, no
+    /// match rules and the empty decision plan. Run on the same tables,
+    /// [`ProductionExecutor::run`] returns `n_candidates` candidates and
+    /// `matches`. `None` when the run learned no matcher: the sample or
+    /// the candidate set was empty.
+    pub workflow: Option<EmWorkflow>,
 }
 
 impl FalconReport {
@@ -142,7 +164,8 @@ pub fn sample_pairs(
 /// highest-proxy (most plausibly matching) pairs, half to a uniform random
 /// sample ([`stratify`] over [`proxy`]). A uniform-only subsample of a
 /// large candidate set at EM's match densities would hand the learner a
-/// pool with almost no positives.
+/// pool with almost no positives. Falcon draws the same pool without the
+/// full matrix (`FalconRun::matching_pool`); this is its reference.
 pub fn biased_pool(matrix: &FeatureMatrix, cap: usize, seed: u64) -> FeatureMatrix {
     let keys: Vec<f64> = matrix
         .rows
@@ -165,17 +188,18 @@ pub fn blocking_features(
 }
 
 /// The Falcon pipeline (Fig. 3) that [`run_falcon`] and
-/// [`crate::smurf::run_smurf`] share. Step 1 opens a run; step 4's
-/// overlap blocker and steps 5–6 run on it. The two differ only in how
-/// they learn blocking rules from the sample S in between.
+/// [`crate::smurf::run_smurf`] share. Step 1 opens a run, and steps 4–6
+/// run on it with the blocker each builds from its rules (and from
+/// [`FalconRun::overlap_blocker`]). The two differ only in how they learn
+/// blocking rules from the sample S in between.
 pub(crate) struct FalconRun<'t> {
     a: &'t Table,
     b: &'t Table,
     keys: [&'t str; 2],
-    /// One record-preparation cache spans both stages: the sample matrix
-    /// and the candidate matrix share most (attribute, tokenizer)
-    /// combinations, so records in both are normalized, tokenized and
-    /// interned once.
+    /// One record-preparation cache spans both stages and the production
+    /// pass: the sample matrix, the pool's matrix and the matching pass
+    /// share most (attribute, tokenizer) combinations, so records in all
+    /// of them are normalized, tokenized and interned once.
     prepared: PreparedPair<'t>,
     /// The join-executable features S is extracted over.
     pub(crate) bfeatures: Vec<Feature>,
@@ -222,27 +246,23 @@ impl<'t> FalconRun<'t> {
         OverlapBlocker::words(attr, overlap)
     }
 
-    /// Steps 5–6 from the candidate set C: extract C's matching features
-    /// through the blocking stage's prepared records, active-learn a
-    /// matcher on a [`biased_pool`] of C, and apply it to all of C at α.
-    /// Returns the questions asked and the matches.
+    /// Steps 4–6: block with `blocker` into the candidate set C, draw and
+    /// extract an active-learning pool of C ([`FalconRun::matching_pool`]),
+    /// active-learn a matching forest on it, and decide all of C through
+    /// the production executor's matching pass at α, on one worker, over
+    /// the run's prepared records. Returns the matching stage's report:
+    /// `questions_matching`, `n_candidates`, `matches` and `workflow`.
     pub(crate) fn match_candidates(
         &mut self,
-        candidates: &CandidateSet,
+        blocker: Box<dyn Blocker>,
         labeler: &mut dyn Labeler,
         cfg: &FalconConfig,
-    ) -> magellan_table::Result<(usize, CandidateSet)> {
+    ) -> magellan_table::Result<FalconReport> {
         let (a, b) = (self.a, self.b);
-        let c_matrix = {
-            let _span = magellan_obs::span("falcon_extract", 0);
-            let mfeatures = generate_features(a, b, &self.keys)?;
-            let pairs = candidates.pairs();
-            extract_with_prepared(&mut self.prepared, pairs, &mfeatures, &ParConfig::serial())?.0
+        let candidates = {
+            let _span = magellan_obs::span("falcon_block", 0);
+            blocker.block(a, b)?
         };
-        if c_matrix.is_empty() {
-            return Ok((0, CandidateSet::default()));
-        }
-
         // Very large candidate sets dilute the match density so far that
         // the default label budget cannot control the false-positive rate
         // at prediction time; scale the budget and pool with |C| (Table 2's
@@ -253,10 +273,19 @@ impl<'t> FalconRun<'t> {
             matching_al.max_rounds = matching_al.max_rounds * 2 + 10;
             pool_cap *= 2;
         }
+        let (features, pool) = {
+            let _span = magellan_obs::span("falcon_extract", 0);
+            let features = generate_features(a, b, &self.keys)?;
+            let pool = self.matching_pool(&features, &candidates, pool_cap, cfg.seed ^ 0xC0FFEE)?;
+            (features, pool)
+        };
+        if pool.is_empty() {
+            return Ok(FalconReport::default());
+        }
+
         let q0 = labeler.questions_asked();
         let outcome = {
             let _span = magellan_obs::span("falcon_al_matching", 0);
-            let pool = biased_pool(&c_matrix, pool_cap, cfg.seed ^ 0xC0FFEE);
             active_learn(
                 &pool,
                 |i| {
@@ -266,16 +295,56 @@ impl<'t> FalconRun<'t> {
                 &matching_al,
             )
         };
-        let questions = labeler.questions_asked() - q0;
+        let questions_matching = labeler.questions_asked() - q0;
 
-        let _span = magellan_obs::span("falcon_predict", 0);
-        let matches = c_matrix
-            .pairs
-            .iter()
-            .zip(&c_matrix.rows)
-            .filter_map(|(&p, row)| outcome.forest.predict_at(row, cfg.alpha).then_some(p))
-            .collect();
-        Ok((questions, matches))
+        let workflow = EmWorkflow {
+            blocker,
+            features,
+            matcher: Box::new(outcome.forest.vote_layout().clone()),
+            rule_layer: RuleLayer::empty(),
+            threshold: cfg.alpha,
+            plan: DecisionPlan::default(),
+        };
+        let matches = {
+            let _span = magellan_obs::span("falcon_predict", 0);
+            ProductionExecutor::new(1)
+                .match_blocked(&workflow, &mut self.prepared, &candidates)
+                .expect("the matching features plan on these tables, and the empty plan is valid")
+        };
+        Ok(FalconReport {
+            questions_matching,
+            n_candidates: candidates.len(),
+            matches,
+            workflow: Some(workflow),
+            ..FalconReport::default()
+        })
+    }
+
+    /// Step 5's pool: the pairs of `candidates` that [`biased_pool`] keeps
+    /// of C's full matrix at `cap` and `seed`, with their rows over
+    /// `features`. The draw's keys are read through the executor's scorer
+    /// ([`proxy_keys`], one key per pair and no row), and only when C holds
+    /// more than `cap` pairs; only the pool's rows are extracted.
+    fn matching_pool(
+        &mut self,
+        features: &[Feature],
+        candidates: &CandidateSet,
+        cap: usize,
+        seed: u64,
+    ) -> magellan_table::Result<FeatureMatrix> {
+        let pairs = candidates.pairs();
+        let pool: Vec<(u32, u32)> = if pairs.len() <= cap {
+            pairs.to_vec()
+        } else {
+            let plan = self.prepared.plan(features)?;
+            self.prepared.prepare_for_pairs(&plan, pairs);
+            let keys = proxy_keys(&self.prepared, &plan, pairs, &ParConfig::serial());
+            stratify(&keys, cap, seed)
+                .iter()
+                .map(|&i| pairs[i])
+                .collect()
+        };
+        Ok(extract_with_prepared(&mut self.prepared, &pool, features, &ParConfig::serial())?.0)
     }
 }
 
@@ -284,9 +353,11 @@ impl<'t> FalconRun<'t> {
 ///
 /// Under a recorder each step is one span: `falcon_sample`,
 /// `falcon_al_blocking`, `falcon_rule_verify`, `falcon_block`,
-/// `falcon_extract`, `falcon_al_matching` and `falcon_predict` (the last
-/// two only when blocking leaves a candidate). With an empty table there is
-/// no sample S: the run stops after `falcon_sample` with an empty report.
+/// `falcon_extract` (the pool's draw and rows), `falcon_al_matching` and
+/// `falcon_predict` (the last two only when blocking leaves a candidate).
+/// `falcon_predict` wraps the production executor's `prepare` and `score`
+/// spans. With an empty table there is no sample S: the run stops after
+/// `falcon_sample` with an empty report.
 pub fn run_falcon(
     a: &Table,
     b: &Table,
@@ -370,26 +441,20 @@ pub fn run_falcon(
         .collect();
     let n_rules_executable = blocking_rules.len();
 
-    // Step 4: execute the rules (or fall back when none are executable).
-    let (candidates, used_fallback_blocker) = {
-        let _span = magellan_obs::span("falcon_block", 0);
-        if blocking_rules.is_empty() {
-            (run.overlap_blocker(1).block(a, b)?, true)
-        } else {
-            (RuleBasedBlocker::new(blocking_rules).block(a, b)?, false)
-        }
+    // Step 4 executes the rules (or falls back when none are executable);
+    // then the matching stage (Fig. 3b).
+    let used_fallback_blocker = blocking_rules.is_empty();
+    let blocker: Box<dyn Blocker> = if used_fallback_blocker {
+        Box::new(run.overlap_blocker(1))
+    } else {
+        Box::new(RuleBasedBlocker::new(blocking_rules))
     };
-
-    // ---- Matching stage (Fig. 3b) ----
-    let (questions_matching, matches) = run.match_candidates(&candidates, labeler, cfg)?;
     Ok(FalconReport {
         questions_blocking,
-        questions_matching,
         rules,
         n_rules_executable,
         used_fallback_blocker,
-        n_candidates: candidates.len(),
-        matches,
+        ..run.match_candidates(blocker, labeler, cfg)?
     })
 }
 
@@ -484,6 +549,45 @@ pub(crate) mod tests {
             strict.len(),
             loose.len()
         );
+    }
+
+    /// The pool Falcon extracts is the pool [`biased_pool`] draws from C's
+    /// full matrix, the same pairs with the same row bits, whether C holds
+    /// more pairs than the cap or not; the run's store, already holding S's
+    /// records, is shared by every draw.
+    #[test]
+    fn the_pool_is_the_biased_pool_of_the_full_matrix() {
+        let s = scenario(persons, 200, 70, 55);
+        let (a, b) = (&s.table_a, &s.table_b);
+        let cfg = FalconConfig::default();
+        let mut run = FalconRun::sample(a, b, "id", "id", &cfg).unwrap().unwrap();
+        let candidates = run.overlap_blocker(1).block(a, b).unwrap();
+        let features = generate_features(a, b, &["id", "id"]).unwrap();
+        let serial = ParConfig::serial();
+        let full = extract_with_prepared(
+            &mut PreparedPair::new(a, b),
+            candidates.pairs(),
+            &features,
+            &serial,
+        )
+        .unwrap()
+        .0;
+        let bits = |m: &FeatureMatrix| -> Vec<Vec<u64>> {
+            let row = |r: &Vec<f64>| r.iter().map(|v| v.to_bits()).collect();
+            m.rows.iter().map(row).collect()
+        };
+        let n = candidates.len();
+        assert!(n > 100, "{n} candidates");
+        let seed = cfg.seed ^ 0xC0FFEE;
+        for cap in [n / 10, n - 1, n, n + 7] {
+            let want = biased_pool(&full, cap, seed);
+            let got = run
+                .matching_pool(&features, &candidates, cap, seed)
+                .unwrap();
+            assert_eq!(got.names, want.names);
+            assert_eq!(got.pairs, want.pairs, "cap {cap} of {n}");
+            assert_eq!(bits(&got), bits(&want), "cap {cap} of {n}");
+        }
     }
 
     /// Under a pinned recorder each step of a Falcon run is one span, a

@@ -1,13 +1,17 @@
-//! Count guards for the two savings Falcon's pass rests on — exact
-//! counters on one fixed task, no timing — so that neither can be undone
-//! without a test saying so: pair sampling is a top-k join that verifies a
-//! small fraction of what the threshold join verifies, and a rule set is
-//! blocked for the join work of one of its rules.
+//! Count guards for the savings Falcon's pass rests on — exact counters
+//! on one fixed task, no timing — so that none can be undone without a
+//! test saying so: pair sampling is a top-k join that verifies a small
+//! fraction of what the threshold join verifies, a rule set is blocked for
+//! the join work of one of its rules, and the last step decides the
+//! candidate set lazily, walking fewer trees and computing fewer features
+//! than scoring every candidate's full row would.
 
 use magellan_block::debugger::concat_columns;
 use magellan_block::{Blocker, BlockingRule, FeatureKind, Predicate, RuleBasedBlocker, TokSpec};
+use magellan_core::labeling::OracleLabeler;
 use magellan_datagen::domains::addresses;
 use magellan_datagen::{DirtModel, EmScenario, ScenarioConfig};
+use magellan_falcon::{run_falcon, FalconConfig};
 use magellan_obs::Obs;
 use magellan_simjoin::{
     join_tokenized_stats, join_tokenized_topk, ProbeSide, SetSimMeasure, TokenizedCollection,
@@ -153,4 +157,35 @@ fn each_set_shape_is_tokenized_once_per_block() {
         let pretty = RuleBasedBlocker::new(rules.clone()).pretty();
         assert_eq!(tokenizations(rules, &s), shapes, "{pretty}");
     }
+}
+
+/// Falcon's last step is the production executor's lazy pass over the
+/// candidate set C: under a pinned recorder it walks some trees and
+/// computes some features, and fewer than |C| × the trees and |C| × the
+/// matching features that predicting every full row costs.
+#[test]
+fn the_last_step_decides_the_candidates_lazily() {
+    let s = task();
+    let cfg = FalconConfig::default();
+    let obs = Obs::pinned();
+    let report = {
+        let _installed = obs.install();
+        let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
+        run_falcon(&s.table_a, &s.table_b, "id", "id", &mut labeler, &cfg).unwrap()
+    };
+    let snap = obs.snapshot();
+    let c = report.n_candidates as u64;
+    let features = report.workflow.as_ref().map_or(0, |w| w.features.len()) as u64;
+    let walked = snap.counter("magellan_core_trees_walked_total");
+    let demanded = snap.counter("magellan_core_features_demanded_total");
+    assert!(c > 0 && features > 0, "{c} candidates, {features} features");
+    let trees = cfg.matching_al.n_trees as u64;
+    assert!(
+        walked > 0 && walked < c * trees,
+        "{walked} trees walked over {c} candidates of {trees} trees"
+    );
+    assert!(
+        demanded > 0 && demanded < c * features,
+        "{demanded} features over {c} candidates of {features}"
+    );
 }

@@ -2,8 +2,10 @@
 //! for a plan; what they report must be what the sort-and-take sampler and
 //! the all-joins rule executor gave. The sampler is pinned against a
 //! test-local copy of the old one, the reports against digests recorded
-//! with it in place (commit c701fa6).
+//! with it in place (commit c701fa6). Each report's workflow reproduces
+//! its run through the production executor and the eager oracle.
 
+use magellan_core::exec::ProductionExecutor;
 use magellan_core::labeling::OracleLabeler;
 use magellan_datagen::domains::{addresses, persons, products};
 use magellan_datagen::{DirtModel, EmScenario, ScenarioConfig};
@@ -136,5 +138,31 @@ fn falcon_and_smurf_reports_are_unchanged() {
         let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
         let got = digest(&run_smurf(a, b, "id", "id", &mut labeler, &cfg).unwrap());
         assert_eq!(got, smurf, "run_smurf on {name}");
+    }
+}
+
+/// The workflow a report returns is what its run did: on the same tables,
+/// the production executor at 1 and 2 workers and the eager
+/// `EmWorkflow::execute` each give the report's candidate count and
+/// matches, for Falcon's rule blocker and Smurf's guarded one alike.
+#[test]
+fn the_reports_workflow_reproduces_its_run() {
+    for (name, s) in scenarios() {
+        let (a, b) = (&s.table_a, &s.table_b);
+        for run in [run_falcon, run_smurf] {
+            let mut labeler = OracleLabeler::new(s.gold.clone(), "id", "id");
+            let report = run(a, b, "id", "id", &mut labeler, &FalconConfig::default()).unwrap();
+            let workflow = report.workflow.as_ref().expect("a run with candidates");
+            for workers in [1, 2] {
+                let got = ProductionExecutor::new(workers)
+                    .run(workflow, a, b)
+                    .unwrap();
+                assert_eq!(got.n_candidates, report.n_candidates, "{name}, {workers}");
+                assert_eq!(got.matches, report.matches, "{name}, {workers} workers");
+            }
+            let eager = workflow.execute(a, b).unwrap();
+            assert_eq!(eager.candidates.len(), report.n_candidates, "{name}");
+            assert_eq!(eager.matches(), report.matches, "{name}, eager");
+        }
     }
 }

@@ -3,15 +3,17 @@
 //! Falcon (§5.1 of the paper) needs more from a forest than `predict`:
 //!
 //! * the forest declares a pair a match when at least `α·n` trees vote
-//!   match ([`RandomForestClassifier::vote_fraction`] exposes the raw vote);
+//!   match ([`RandomForestClassifier::vote_fraction`] exposes the raw vote,
+//!   and [`RandomForestClassifier::vote_layout`] decides it lazily);
 //! * the trees themselves are walked to extract candidate blocking rules
 //!   ([`RandomForestClassifier::trees`]);
 //! * active learning selects the unlabeled examples with the most
 //!   *disagreement* among trees (vote entropy), which again needs raw votes.
 //!
 //! The trees keep their [`Node`](crate::tree::Node) arenas for their
-//! structure; every score, vote and lazy decision walks the one flat
-//! layout ([`FlatForest`]) the forest builds when it is made.
+//! structure; every score, vote and lazy decision walks one of the two
+//! flat layouts ([`FlatForest`]) the forest builds when it is made: one
+//! whose leaves hold probabilities, one whose leaves hold votes.
 
 use magellan_par::ParConfig;
 use rand::rngs::StdRng;
@@ -21,7 +23,7 @@ use rand::SeedableRng;
 use crate::dataset::Dataset;
 use crate::forest_flat::FlatForest;
 use crate::model::{Classifier, Learner};
-use crate::tree::{DecisionTreeClassifier, DecisionTreeLearner, SplitCriterion};
+use crate::tree::{leaf_proba, DecisionTreeClassifier, DecisionTreeLearner, SplitCriterion};
 
 /// Random-forest hyper-parameters; [`Learner`] implementation.
 #[derive(Debug, Clone)]
@@ -64,12 +66,23 @@ impl Default for RandomForestLearner {
     }
 }
 
-/// A trained random forest: its trees, and the flat layout every score,
-/// vote and decision walks (built once, here).
+/// A trained random forest: its trees, and the two flat layouts every
+/// score, vote and decision walks (built once, here).
 #[derive(Debug, Clone)]
 pub struct RandomForestClassifier {
     trees: Vec<DecisionTreeClassifier>,
     flat: FlatForest,
+    votes: FlatForest,
+}
+
+/// A tree's vote at a leaf with `n_pos` positives among `n`: 1.0 when its
+/// Laplace-smoothed probability is at least 0.5, else 0.0.
+fn leaf_vote(n: usize, n_pos: usize) -> f64 {
+    if leaf_proba(n, n_pos) >= 0.5 {
+        1.0
+    } else {
+        0.0
+    }
 }
 
 impl RandomForestClassifier {
@@ -84,8 +97,9 @@ impl RandomForestClassifier {
     }
 
     fn new(trees: Vec<DecisionTreeClassifier>) -> Self {
-        let flat = FlatForest::new(&trees);
-        RandomForestClassifier { trees, flat }
+        let flat = FlatForest::new(&trees, leaf_proba);
+        let votes = FlatForest::new(&trees, leaf_vote);
+        RandomForestClassifier { trees, flat, votes }
     }
 
     /// The individual trees (Falcon walks these for blocking rules).
@@ -98,9 +112,18 @@ impl RandomForestClassifier {
         &self.flat
     }
 
+    /// The vote layout: the same trees, each leaf holding its tree's vote.
+    /// Its score is [`RandomForestClassifier::vote_fraction`] bit for bit,
+    /// so as a [`Classifier`] at threshold α it decides
+    /// [`RandomForestClassifier::predict_at`] lazily, and bounds the vote
+    /// over a box ([`FlatForest::region_max`]).
+    pub fn vote_layout(&self) -> &FlatForest {
+        &self.votes
+    }
+
     /// Fraction of trees voting "match" for the example (Falcon's α test).
     pub fn vote_fraction(&self, row: &[f64]) -> f64 {
-        self.flat.vote_fraction(row)
+        self.votes.predict_proba(row)
     }
 
     /// Hard prediction at a vote-fraction threshold `alpha` (the paper's
@@ -152,7 +175,7 @@ impl Classifier for RandomForestClassifier {
         feat: &mut dyn FnMut(usize) -> f64,
         walked: &mut u64,
     ) -> bool {
-        self.flat.decide(threshold, deferred, feat, walked)
+        Classifier::decide(&self.flat, threshold, deferred, feat, walked)
     }
 
     /// The largest score a row under `upper` can reach

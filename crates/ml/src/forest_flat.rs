@@ -11,14 +11,24 @@
 //! shared by every tree in the forest; node `i` holds
 //!
 //! * `feat` — the feature index it tests, or [`LEAF`] for a leaf;
-//! * `thresh` — the split threshold, or (for a leaf) the node's
-//!   **precomputed Laplace-smoothed probability** `(n_pos+1)/(n+2)`;
+//! * `thresh` — the split threshold, or (for a leaf) the leaf's
+//!   **precomputed value**;
 //! * `left` — the slot of its left child; the right child is **always
 //!   `left + 1`**, because sibling slots are allocated together.
 //!
+//! A forest keeps two layouts of the same trees, which differ only in
+//! their leaf values. The *probability layout* holds each leaf's
+//! Laplace-smoothed probability `(n_pos+1)/(n+2)`. The *vote layout* holds
+//! its tree's vote: 1.0 when that probability is at least 0.5, else 0.0.
+//! A layout's score is its leaves added in tree order over the tree
+//! count, so the vote layout's score is the fraction of trees voting
+//! match (Falcon's α test) bit for bit — its sums are small integers,
+//! which floating-point addition keeps exact — and every walk below
+//! serves both.
+//!
 //! Beside the nodes, `ranges[i]` holds the smallest and largest leaf
-//! probability of the subtree under node `i` (a leaf's is its probability
-//! twice), read only when a lazy walk parks, resumes or adds up its bound.
+//! value of the subtree under node `i` (a leaf's is its value twice),
+//! read only when a lazy walk parks, resumes or adds up its bound.
 //! Each tree is laid out depth first, a split's two children side by
 //! side, so a path that keeps going left reads slots two apart.
 //!
@@ -31,11 +41,13 @@
 //! branchless step cost `match_heavy` about 5 % of `cpu_s` (EXPERIMENTS
 //! §A26).
 //!
-//! The layout is built once, when the forest is constructed, and it is
-//! the only one the forest is scored through: [`FlatForest::predict_proba`],
-//! [`FlatForest::vote_fraction`], [`FlatForest::predict_proba_batch`] and
-//! the forest's lazy [`Classifier::decide`](crate::model::Classifier::decide)
-//! all walk it with one `descend`. The digests in
+//! Both layouts are built once, when the forest is constructed, and they
+//! are the only ones the forest is scored through:
+//! [`FlatForest::predict_proba`], [`FlatForest::predict_proba_batch`],
+//! [`FlatForest::region_max`] and the lazy
+//! [`Classifier::decide`](crate::model::Classifier::decide) all walk a
+//! layout with one `descend`, and a layout is itself a [`Classifier`] —
+//! the vote layout at threshold α is Falcon's matcher. The digests in
 //! `crates/ml/tests/forest_flat_invariance.rs` pin what they answer, and
 //! the suite compares every score with a walk over the arena.
 
@@ -44,7 +56,8 @@ use std::cell::Cell;
 use magellan_par::ParConfig;
 
 use crate::forest::RandomForestClassifier;
-use crate::tree::{leaf_proba, DecisionTreeClassifier, Node};
+use crate::model::Classifier;
+use crate::tree::{DecisionTreeClassifier, Node};
 
 /// Sentinel in `feat` marking a leaf slot.
 pub const LEAF: u32 = u32::MAX;
@@ -54,7 +67,7 @@ pub const LEAF: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct FlatForest {
     nodes: Vec<FlatNode>,
-    /// Per node, the smallest and largest leaf probability of its subtree.
+    /// Per node, the smallest and largest leaf value of its subtree.
     ranges: Vec<(f64, f64)>,
     /// Per tree, in forest order.
     roots: Vec<Root>,
@@ -63,7 +76,7 @@ pub struct FlatForest {
 /// One node of the layout.
 #[derive(Debug, Clone, Copy)]
 struct FlatNode {
-    /// Split threshold; a leaf's Laplace-smoothed probability.
+    /// Split threshold; a leaf's value.
     thresh: f64,
     /// Tested feature; [`LEAF`] for a leaf.
     feat: u32,
@@ -82,29 +95,35 @@ struct Root {
 }
 
 thread_local! {
-    /// [`FlatForest::decide`]'s per-tree cursors, reused from one pair to
+    /// [`Classifier::decide`]'s per-tree cursors, reused from one pair to
     /// the next so that deciding a pair allocates nothing.
     static CURSORS: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
 }
 
 impl FlatForest {
-    /// The forest's own layout (a copy of what the forest is scored
-    /// through).
+    /// The forest's own probability layout (a copy of what the forest is
+    /// scored through).
     pub fn from_forest(forest: &RandomForestClassifier) -> FlatForest {
         forest.flat().clone()
     }
 
-    /// Lay out `trees` in order. No value is recomputed except the
-    /// per-leaf Laplace probability, evaluated with the expression the
-    /// arena's own walk uses.
-    pub(crate) fn new(trees: &[DecisionTreeClassifier]) -> FlatForest {
+    /// Lay out `trees` in order, each leaf holding `leaf(n, n_pos)` of its
+    /// arena leaf: `leaf_proba` for the probability layout, `leaf_vote`
+    /// for the vote layout, the expressions the arena's own walk uses.
+    pub(crate) fn new(
+        trees: &[DecisionTreeClassifier],
+        leaf: fn(usize, usize) -> f64,
+    ) -> FlatForest {
         let total: usize = trees.iter().map(|t| t.nodes().len()).sum();
         let mut flat = FlatForest {
             nodes: Vec::with_capacity(total),
             ranges: vec![(0.0, 0.0); total],
             roots: Vec::with_capacity(trees.len()),
         };
-        let slots: Vec<usize> = trees.iter().map(|tree| flat.push_tree(tree)).collect();
+        let slots: Vec<usize> = trees
+            .iter()
+            .map(|tree| flat.push_tree(tree, leaf))
+            .collect();
         // Children come after their parent, so one backward pass sees
         // both children of a split before the split.
         for i in (0..total).rev() {
@@ -135,13 +154,13 @@ impl FlatForest {
     /// its root slot. Sibling slots are allocated together, which is what
     /// makes `right == left + 1` a structural invariant rather than a
     /// convention.
-    fn push_tree(&mut self, tree: &DecisionTreeClassifier) -> usize {
+    fn push_tree(&mut self, tree: &DecisionTreeClassifier, leaf: fn(usize, usize) -> f64) -> usize {
         let nodes = tree.nodes();
         let root = self.alloc();
         let mut stack = vec![(0usize, root)];
         while let Some((arena, slot)) = stack.pop() {
             match nodes[arena] {
-                Node::Leaf { n, n_pos } => self.nodes[slot].thresh = leaf_proba(n, n_pos),
+                Node::Leaf { n, n_pos } => self.nodes[slot].thresh = leaf(n, n_pos),
                 Node::Split {
                     feature,
                     threshold,
@@ -214,30 +233,19 @@ impl FlatForest {
         }
     }
 
-    /// Tree `t`'s leaf probability for `row`.
+    /// Tree `t`'s leaf value for `row`.
     #[inline]
     fn leaf(&self, t: &Root, row: &[f64]) -> f64 {
         let (_, (p, _)) = self.descend(t.slot as usize, &[], |j| row[j]);
         p
     }
 
-    /// Mean of the per-tree Laplace-smoothed leaf probabilities (soft
-    /// voting), summed in tree order.
+    /// Mean of the per-tree leaf values, summed in tree order: soft voting
+    /// over the Laplace-smoothed probabilities in the probability layout,
+    /// the fraction of trees voting match in the vote layout.
     pub fn predict_proba(&self, row: &[f64]) -> f64 {
         let sum: f64 = self.roots.iter().map(|t| self.leaf(t, row)).sum();
         sum / self.roots.len() as f64
-    }
-
-    /// Fraction of trees voting "match" (Falcon's α test): a tree votes
-    /// match when its leaf's probability is at least 0.5, i.e. when
-    /// `2·n_pos ≥ n`.
-    pub fn vote_fraction(&self, row: &[f64]) -> f64 {
-        let votes = self
-            .roots
-            .iter()
-            .filter(|t| self.leaf(t, row) >= 0.5)
-            .count();
-        votes as f64 / self.roots.len() as f64
     }
 
     /// Batch scoring over the `magellan-par` pool:
@@ -262,40 +270,6 @@ impl FlatForest {
             acc
         });
         chunks.into_iter().flatten().collect()
-    }
-
-    /// `self.predict_proba(row) >= threshold`, reading the row through
-    /// `feat`: walks trees in order, asking only for the features on each
-    /// tree's path, and stops as soon as the trees still unwalked cannot
-    /// move the decision. A tree whose next split tests a `deferred`
-    /// feature is *parked* at that split; the parked trees are resumed, in
-    /// tree order, only if no bound has decided the pair after the last
-    /// tree. `walked` counts each tree visited once, parked or not.
-    ///
-    /// The stop is exact, not approximate. `predict_proba` adds the leaf
-    /// probabilities left to right and divides by the tree count. The
-    /// bound `lo` repeats those additions with, in each tree's place, its
-    /// leaf probability if its walk is finished, else the smallest leaf
-    /// probability of the subtree it stands at (the root's for a tree not
-    /// yet visited); `hi` with the largest. Each stand-in is at most
-    /// (least) the leaf the tree would reach, and floating-point addition
-    /// and division by a positive count are monotone in each argument, so
-    /// `lo / n ≤ predict_proba ≤ hi / n` holds bit for bit. Once every
-    /// walk is finished both bounds are the sum itself. With no feature
-    /// deferred no tree parks, and the walk is the plain in-order one.
-    pub(crate) fn decide(
-        &self,
-        threshold: f64,
-        deferred: &[bool],
-        feat: &mut dyn FnMut(usize) -> f64,
-        walked: &mut u64,
-    ) -> bool {
-        let mut cursors = CURSORS.take();
-        cursors.clear();
-        cursors.resize(self.roots.len(), 0);
-        let decided = self.decide_parking(threshold, deferred, feat, walked, &mut cursors);
-        CURSORS.set(cursors);
-        decided
     }
 
     /// The largest score [`FlatForest::predict_proba`] gives a row whose
@@ -344,7 +318,7 @@ impl FlatForest {
         sum / self.roots.len() as f64
     }
 
-    /// [`FlatForest::decide`] with `cursors[t]` (one per tree) holding the
+    /// [`Classifier::decide`] with `cursors[t]` (one per tree) holding the
     /// slot tree `t` stands at.
     ///
     /// The exact bound is added up only when an estimate of it lies within
@@ -441,6 +415,52 @@ impl FlatForest {
         } else {
             self.ranges[at]
         }
+    }
+}
+
+impl Classifier for FlatForest {
+    fn predict_proba(&self, row: &[f64]) -> f64 {
+        FlatForest::predict_proba(self, row)
+    }
+
+    /// [`FlatForest::predict_proba`]` >= threshold`, reading the row through
+    /// `feat`: walks trees in order, asking only for the features on each
+    /// tree's path, and stops as soon as the trees still unwalked cannot
+    /// move the decision. A tree whose next split tests a `deferred`
+    /// feature is *parked* at that split; the parked trees are resumed, in
+    /// tree order, only if no bound has decided the pair after the last
+    /// tree. `walked` counts each tree visited once, parked or not.
+    ///
+    /// The stop is exact, not approximate. `predict_proba` adds the leaf
+    /// values left to right and divides by the tree count. The bound `lo`
+    /// repeats those additions with, in each tree's place, its leaf value
+    /// if its walk is finished, else the smallest leaf value of the
+    /// subtree it stands at (the root's for a tree not yet visited); `hi`
+    /// with the largest. Each stand-in is at most
+    /// (least) the leaf the tree would reach, and floating-point addition
+    /// and division by a positive count are monotone in each argument, so
+    /// `lo / n ≤ predict_proba ≤ hi / n` holds bit for bit. Once every
+    /// walk is finished both bounds are the sum itself. With no feature
+    /// deferred no tree parks, and the walk is the plain in-order one.
+    fn decide(
+        &self,
+        threshold: f64,
+        deferred: &[bool],
+        feat: &mut dyn FnMut(usize) -> f64,
+        walked: &mut u64,
+    ) -> bool {
+        let mut cursors = CURSORS.take();
+        cursors.clear();
+        cursors.resize(self.roots.len(), 0);
+        let decided = self.decide_parking(threshold, deferred, feat, walked, &mut cursors);
+        CURSORS.set(cursors);
+        decided
+    }
+
+    /// The largest score a row under `upper` can reach
+    /// ([`FlatForest::region_max`]).
+    fn region_max(&self, upper: &[Option<f64>]) -> Option<f64> {
+        Some(FlatForest::region_max(self, upper))
     }
 }
 

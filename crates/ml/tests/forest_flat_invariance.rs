@@ -98,8 +98,9 @@ fn forest(seed: u64) -> RandomForestClassifier {
     .fit_forest(&training_data(seed, 240, 5))
 }
 
-/// Per-pair bit-identity: the forest's and its layout's scores and
-/// votes vs the arena walk on every row, including NaN-bearing ones.
+/// Per-pair bit-identity: the forest's and its layouts' scores and
+/// votes vs the arena walk on every row, including NaN-bearing ones; the
+/// vote layout's score is the vote fraction.
 #[test]
 fn flat_matches_scalar_per_pair() {
     for seed in [1u64, 2, 3] {
@@ -114,10 +115,42 @@ fn flat_matches_scalar_per_pair() {
                     "proba diverged (seed {seed})"
                 );
             }
-            for got in [f.vote_fraction(&row), flat.vote_fraction(&row)] {
+            for got in [f.vote_fraction(&row), f.vote_layout().predict_proba(&row)] {
                 assert_eq!(got.to_bits(), vote.to_bits(), "vote diverged (seed {seed})");
             }
             assert_eq!(f.predict(&row), vote >= 0.5);
+        }
+    }
+}
+
+/// The vote layout decides Falcon's α test lazily: `decide(α, deferred,
+/// ..)` equals `predict_at(row, α)` at α = 0, at every attainable fraction
+/// k/n and the floats on either side of it, and at 1, under random
+/// deferral masks, over rows with NaN features.
+#[test]
+fn the_vote_layout_decides_as_predict_at() {
+    let mut rng = StdRng::seed_from_u64(0x00F0_7E5);
+    for seed in [1u64, 2, 3] {
+        let f = forest(seed);
+        let votes = f.vote_layout();
+        let n = f.trees().len();
+        let mut alphas = vec![0.0, 1.0];
+        for k in 0..=n {
+            let at = k as f64 / n as f64;
+            alphas.extend([at, at.next_up(), at.next_down()]);
+        }
+        for row in rows(seed * 10 + 2, 200, 5) {
+            let mask: Vec<bool> = (0..5).map(|_| rng.gen_bool(0.4)).collect();
+            for &alpha in &alphas {
+                let mut walked = 0;
+                let decided = votes.decide(alpha, &mask, &mut |j| row[j], &mut walked);
+                assert_eq!(
+                    decided,
+                    f.predict_at(&row, alpha),
+                    "seed {seed}, α {alpha}, mask {mask:?}, row {row:?}"
+                );
+                assert!(walked as usize <= n);
+            }
         }
     }
 }

@@ -8,7 +8,9 @@
 //! reachable (a row at most the threshold goes left), and with no
 //! constraint the bound is the roots' largest leaves added up over `n`.
 //! Reading the right child as reachable at `upper == threshold` fails
-//! `the_bound_is_the_arena_walks_reachable_maximum`.
+//! `the_bound_is_the_arena_walks_reachable_maximum`. Each property holds
+//! at vote semantics too, for the forest's vote layout, whose score is the
+//! fraction of trees voting match: Falcon's matcher is that layout at α.
 
 use magellan_ml::dataset::Dataset;
 use magellan_ml::forest::RandomForestLearner;
@@ -24,15 +26,24 @@ fn leaf_proba(n: usize, n_pos: usize) -> f64 {
     (n_pos as f64 + 1.0) / (n as f64 + 2.0)
 }
 
-/// The largest leaf of `tree` a row under `upper` reaches, walked over
-/// its arena: the left child always, the right one iff unconstrained or
-/// `upper > threshold`.
-fn arena_reachable_max(tree: &DecisionTreeClassifier, upper: &[Option<f64>]) -> f64 {
+/// A tree's vote at a leaf: 1 when its probability is at least 0.5.
+fn leaf_vote(n: usize, n_pos: usize) -> f64 {
+    f64::from(u8::from(leaf_proba(n, n_pos) >= 0.5))
+}
+
+/// The largest leaf value (`leaf`) of `tree` a row under `upper` reaches,
+/// walked over its arena: the left child always, the right one iff
+/// unconstrained or `upper > threshold`.
+fn arena_reachable_max(
+    tree: &DecisionTreeClassifier,
+    upper: &[Option<f64>],
+    leaf: fn(usize, usize) -> f64,
+) -> f64 {
     let mut max = f64::NEG_INFINITY;
     let mut stack = vec![0];
     while let Some(i) = stack.pop() {
         match tree.nodes()[i] {
-            Node::Leaf { n, n_pos } => max = max.max(leaf_proba(n, n_pos)),
+            Node::Leaf { n, n_pos } => max = max.max(leaf(n, n_pos)),
             Node::Split {
                 feature,
                 threshold,
@@ -49,12 +60,16 @@ fn arena_reachable_max(tree: &DecisionTreeClassifier, upper: &[Option<f64>]) -> 
     max
 }
 
-/// Per-tree maxima added in tree order, over the tree count.
-fn arena_region_max(forest: &RandomForestClassifier, upper: &[Option<f64>]) -> f64 {
+/// Per-tree maxima of `leaf` added in tree order, over the tree count.
+fn arena_region_max(
+    forest: &RandomForestClassifier,
+    upper: &[Option<f64>],
+    leaf: fn(usize, usize) -> f64,
+) -> f64 {
     let sum: f64 = forest
         .trees()
         .iter()
-        .map(|t| arena_reachable_max(t, upper))
+        .map(|t| arena_reachable_max(t, upper, leaf))
         .sum();
     sum / forest.trees().len() as f64
 }
@@ -151,10 +166,16 @@ fn no_row_inside_a_box_scores_above_its_bound() {
             let bound = forest
                 .region_max(&upper)
                 .expect("a forest bounds its score");
+            let vote_bound = forest.vote_layout().region_max(&upper);
             for _ in 0..40 {
                 let row = row_inside(&mut rng, &upper);
                 let p = forest.predict_proba(&row);
                 assert!(p <= bound, "{p:?} > {bound:?} for {row:?} under {upper:?}");
+                let v = forest.vote_fraction(&row);
+                assert!(
+                    v <= vote_bound,
+                    "vote {v:?} > {vote_bound:?} for {row:?} under {upper:?}"
+                );
                 on_threshold += usize::from(
                     (0..DIMS)
                         .any(|j| upper[j].is_some_and(|u| row[j] == u && splits[j].contains(&u))),
@@ -182,8 +203,13 @@ fn the_bound_is_the_arena_walks_reachable_maximum() {
             let bound = flat.region_max(&upper);
             assert_eq!(
                 bound.to_bits(),
-                arena_region_max(&forest, &upper).to_bits(),
+                arena_region_max(&forest, &upper, leaf_proba).to_bits(),
                 "under {upper:?}"
+            );
+            assert_eq!(
+                forest.vote_layout().region_max(&upper).to_bits(),
+                arena_region_max(&forest, &upper, leaf_vote).to_bits(),
+                "votes under {upper:?}"
             );
             tightened += usize::from(bound < flat.region_max(&none));
         }
