@@ -10,8 +10,8 @@
 //! computed, and the report returns the workflow.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
 
-use magellan_block::debugger::concat_columns;
 use magellan_block::{joinable, Blocker, CandidateSet, OverlapBlocker, RuleBasedBlocker};
 use magellan_core::exec::{DecisionPlan, ProductionExecutor};
 use magellan_core::labeling::Labeler;
@@ -22,9 +22,10 @@ use magellan_features::{
     extract_with_prepared, generate_features, Feature, FeatureMatrix, PreparedPair,
 };
 use magellan_par::ParConfig;
-use magellan_simjoin::{join_tokenized_topk, SetSimMeasure, TokenizedCollection};
-use magellan_table::{Dtype, Table};
+use magellan_simjoin::{join_tokenized_topk, SetSimMeasure, Side, TokenizedCollection};
+use magellan_table::{ColView, Dtype, Table, ValueRef};
 use magellan_textsim::tokenize::AlphanumericTokenizer;
+use magellan_textsim::TokenInterner;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -129,15 +130,7 @@ pub fn sample_pairs(
     n: usize,
     seed: u64,
 ) -> Vec<(u32, u32)> {
-    let non_key = |t: &Table, key: &str| -> Vec<usize> {
-        let fields = t.schema().fields();
-        (0..fields.len())
-            .filter(|&i| fields[i].name != key)
-            .collect()
-    };
-    let la = concat_columns(a, &non_key(a, a_key));
-    let rb = concat_columns(b, &non_key(b, b_key));
-    let coll = TokenizedCollection::build(&la, &rb, &AlphanumericTokenizer::as_set());
+    let coll = sample_collection(a, b, a_key, b_key);
     let (plausible, _) =
         join_tokenized_topk(&coll, SetSimMeasure::Jaccard(0.2), n / 2, |_, _| true);
     let mut pairs: Vec<(u32, u32)> = plausible.iter().map(|p| (p.l as u32, p.r as u32)).collect();
@@ -158,6 +151,42 @@ pub fn sample_pairs(
         }
     }
     pairs
+}
+
+/// The word sets [`sample_pairs`] joins: each record's non-key cells
+/// tokenized alphanumerically straight into its set, nulls skipped. The
+/// tokenizer never emits a token across a space, so this is
+/// [`TokenizedCollection::build`] over the rows as
+/// [`magellan_block::debugger::concat_columns`] formats them, without
+/// formatting them.
+fn sample_collection(a: &Table, b: &Table, a_key: &str, b_key: &str) -> TokenizedCollection {
+    fn non_key<'t>(t: &'t Table, key: &str) -> Vec<ColView<'t>> {
+        let fields = t.schema().fields();
+        (0..fields.len())
+            .filter(|&i| fields[i].name != key)
+            .map(|i| t.col_view(i))
+            .collect()
+    }
+    let cols = [non_key(a, a_key), non_key(b, b_key)];
+    let mut text = String::new();
+    TokenizedCollection::build_from_cells(
+        [a.nrows(), b.nrows()],
+        |side, r, cell| {
+            for col in &cols[usize::from(side == Side::Right)] {
+                match col.get(r) {
+                    ValueRef::Null => {}
+                    ValueRef::Str(s) => cell(s),
+                    v => {
+                        text.clear();
+                        write!(text, "{v}").expect("writing to a String cannot fail");
+                        cell(&text);
+                    }
+                }
+            }
+        },
+        &AlphanumericTokenizer::as_set(),
+        &mut TokenInterner::new(),
+    )
 }
 
 /// Bound an active-learning pool to `cap` rows: half the slots go to the
@@ -201,7 +230,10 @@ pub(crate) struct FalconRun<'t> {
     /// share most (attribute, tokenizer) combinations, so records in all
     /// of them are normalized, tokenized and interned once.
     prepared: PreparedPair<'t>,
-    /// The join-executable features S is extracted over.
+    /// Every feature the tables' non-key attributes generate: the matching
+    /// stage's features.
+    features: Vec<Feature>,
+    /// The join-executable ones, which S is extracted over.
     pub(crate) bfeatures: Vec<Feature>,
     /// S's blocking-feature matrix.
     pub(crate) sample: FeatureMatrix,
@@ -221,7 +253,12 @@ impl<'t> FalconRun<'t> {
         let _span = magellan_obs::span("falcon_sample", 0);
         let mut prepared = PreparedPair::new(a, b);
         let pairs = sample_pairs(a, b, a_key, b_key, cfg.sample_size, cfg.seed);
-        let bfeatures = blocking_features(a, b, &[a_key, b_key])?;
+        let features = generate_features(a, b, &[a_key, b_key])?;
+        let bfeatures: Vec<Feature> = features
+            .iter()
+            .filter(|f| joinable(f.kind))
+            .cloned()
+            .collect();
         let (sample, _) =
             extract_with_prepared(&mut prepared, &pairs, &bfeatures, &ParConfig::serial())?;
         Ok((!sample.is_empty()).then_some(FalconRun {
@@ -229,6 +266,7 @@ impl<'t> FalconRun<'t> {
             b,
             keys: [a_key, b_key],
             prepared,
+            features,
             bfeatures,
             sample,
         }))
@@ -273,11 +311,10 @@ impl<'t> FalconRun<'t> {
             matching_al.max_rounds = matching_al.max_rounds * 2 + 10;
             pool_cap *= 2;
         }
-        let (features, pool) = {
+        let features = self.features.clone();
+        let pool = {
             let _span = magellan_obs::span("falcon_extract", 0);
-            let features = generate_features(a, b, &self.keys)?;
-            let pool = self.matching_pool(&features, &candidates, pool_cap, cfg.seed ^ 0xC0FFEE)?;
-            (features, pool)
+            self.matching_pool(&features, &candidates, pool_cap, cfg.seed ^ 0xC0FFEE)?
         };
         if pool.is_empty() {
             return Ok(FalconReport::default());
@@ -466,6 +503,7 @@ pub(crate) mod tests {
     use magellan_datagen::domains::{persons, products};
     use magellan_datagen::{DirtModel, EmScenario, ScenarioConfig};
     use magellan_ml::Metrics;
+    use magellan_table::Value;
 
     /// [`run_falcon`] or [`crate::smurf::run_smurf`].
     pub(crate) type Run = fn(
@@ -587,6 +625,102 @@ pub(crate) mod tests {
             assert_eq!(got.names, want.names);
             assert_eq!(got.pairs, want.pairs, "cap {cap} of {n}");
             assert_eq!(bits(&got), bits(&want), "cap {cap} of {n}");
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// A text cell: null, empty, words with punctuation, or non-ASCII
+    /// words (`é`, `ß`, U+212A KELVIN SIGN, U+0130 dotted capital I).
+    fn text() -> impl Strategy<Value = Value> {
+        proptest::option::weighted(
+            0.8,
+            prop_oneof![
+                1 => Just(String::new()),
+                3 => "[a-zA-Z0-9 ,.'/&-]{0,14}",
+                2 => "[a-z\u{e9}\u{df}\u{212a}\u{130} ]{1,9}",
+            ],
+        )
+        .prop_map(|t| t.map_or(Value::Null, Value::Str))
+    }
+
+    fn nullable<T: Into<Value>>(v: impl Strategy<Value = T>) -> impl Strategy<Value = Value> {
+        proptest::option::weighted(0.8, v).prop_map(|v| v.map_or(Value::Null, Into::into))
+    }
+
+    /// A float cell: any finite value, or one whose display is unusual.
+    fn float() -> impl Strategy<Value = Value> {
+        nullable(prop_oneof![
+            3 => any::<f64>(),
+            1 => Just(-0.0),
+            1 => Just(1e21),
+            1 => Just(2.5e-7),
+            1 => Just(f64::NAN),
+            1 => Just(f64::NEG_INFINITY),
+        ])
+    }
+
+    /// A row of every cell type around the key `id`.
+    fn row() -> impl Strategy<Value = Vec<Value>> {
+        (
+            text(),
+            float(),
+            nullable(-50i64..50),
+            nullable(any::<bool>()),
+            text(),
+        )
+            .prop_map(|(name, price, qty, flag, note)| vec![name, price, qty, flag, note])
+    }
+
+    /// A table keyed `key` at column `key_at`, holding `rows`.
+    fn table(key: &str, key_at: usize, rows: Vec<Vec<Value>>) -> Table {
+        let mut cols = vec![
+            ("name", Dtype::Str),
+            ("price", Dtype::Float),
+            ("qty", Dtype::Int),
+            ("flag", Dtype::Bool),
+            ("note", Dtype::Str),
+        ];
+        cols.insert(key_at, (key, Dtype::Int));
+        let rows = rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut r)| {
+                r.insert(key_at, Value::Int(i as i64));
+                r
+            })
+            .collect();
+        Table::from_rows(key, &cols, rows).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Step 1's word sets, built from the cells, equal the build over
+        /// each row's non-key cells formatted and joined by spaces
+        /// (`concat_columns`, the reference): the same records, document
+        /// frequencies and rarest-first ids, on nulls, empty strings,
+        /// numbers, booleans, punctuation and non-ASCII text, whichever
+        /// column the key is.
+        #[test]
+        fn the_sample_collection_is_built_from_the_cells(
+            rows_a in proptest::collection::vec(row(), 0..14),
+            rows_b in proptest::collection::vec(row(), 0..14),
+            key_at in 0usize..6,
+        ) {
+            use magellan_block::debugger::concat_columns;
+            let a = table("id", 0, rows_a);
+            let b = table("rid", key_at, rows_b);
+            let got = sample_collection(&a, &b, "id", "rid");
+            let b_cols: Vec<usize> = (0..6).filter(|&i| i != key_at).collect();
+            let want = TokenizedCollection::build(
+                &concat_columns(&a, &[1, 2, 3, 4, 5]),
+                &concat_columns(&b, &b_cols),
+                &AlphanumericTokenizer::as_set(),
+            );
+            prop_assert_eq!(&got.left, &want.left);
+            prop_assert_eq!(&got.right, &want.right);
+            prop_assert_eq!(got.vocab_size, want.vocab_size);
         }
     }
 

@@ -22,6 +22,8 @@ use magellan_textsim::intern::narrow;
 use magellan_textsim::tokenize::Tokenizer;
 use magellan_textsim::TokenInterner;
 
+use crate::incremental::Side;
+
 /// One side's token-id records in one buffer: record `r` is
 /// `ids[offsets[r]..offsets[r + 1]]`, the layout of the CSR prefix index
 /// and of the `emtbl` string heap. However many records it holds, it is
@@ -160,14 +162,40 @@ impl TokenizedCollection {
     /// contents — the join-local ids are a rarest-first permutation keyed
     /// by `(document frequency, token string)`, both independent of
     /// interner id assignment.
+    pub fn build_with_interner<S: AsRef<str>>(
+        left: &[Option<S>],
+        right: &[Option<S>],
+        tokenizer: &dyn Tokenizer,
+        interner: &mut TokenInterner,
+    ) -> Self {
+        Self::build_from_cells(
+            [left.len(), right.len()],
+            |side, r, cell| {
+                let records = if side == Side::Left { left } else { right };
+                if let Some(s) = &records[r] {
+                    cell(s.as_ref());
+                }
+            },
+            tokenizer,
+            interner,
+        )
+    }
+
+    /// The one build: `lens` records a side, where `cells(side, r, cell)`
+    /// hands each text cell of record `r` to `cell`, and a record's token
+    /// set is the union of its cells' sets. It equals
+    /// [`TokenizedCollection::build_with_interner`] over each record's
+    /// cells joined by a separator whenever `tokenizer` never emits a token
+    /// across that separator (the alphanumeric tokenizer and `' '`, say),
+    /// with no joined string formatted.
     ///
     /// One pass over the tokens interns each one, drops a record's repeats
     /// and counts document frequencies as it goes; the vocabulary is then
     /// sorted rarest-first once, the ids relabelled in place and each
     /// record's slice sorted once. Nothing is allocated per record.
-    pub fn build_with_interner<S: AsRef<str>>(
-        left: &[Option<S>],
-        right: &[Option<S>],
+    pub fn build_from_cells(
+        lens: [usize; 2],
+        mut cells: impl FnMut(Side, usize, &mut dyn FnMut(&str)),
         tokenizer: &dyn Tokenizer,
         interner: &mut TokenInterner,
     ) -> Self {
@@ -177,21 +205,21 @@ impl TokenizedCollection {
         // count of zero and stay out of the vocabulary.
         let mut tally = vec![TokenTally::default(); interner.len()];
         let mut records = 0usize;
-        let mut tokenize_side = |side: &[Option<S>]| -> TokenColumn {
+        let mut tokenize_side = |side: Side, len: usize| -> TokenColumn {
             // Room for the first `SAMPLE` records at eight ids each, then
             // for the rest at the mean of those plus an eighth: one growth
             // to about the final size instead of a doubling series that
             // can hold twice what the column needs.
-            let mut col = TokenColumn::with_capacity(side.len(), 8 * side.len().min(SAMPLE));
-            for (r, cell) in side.iter().enumerate() {
+            let mut col = TokenColumn::with_capacity(len, 8 * len.min(SAMPLE));
+            for r in 0..len {
                 if r == SAMPLE {
-                    let rest = side.len() - SAMPLE;
+                    let rest = len - SAMPLE;
                     col.ids.reserve_exact(col.ids.len() * rest / SAMPLE * 9 / 8);
                 }
                 records += 1;
                 let record = narrow(records);
-                if let Some(s) = cell {
-                    tokenizer.for_each_token(s.as_ref(), &mut |t| {
+                cells(side, r, &mut |cell| {
+                    tokenizer.for_each_token(cell, &mut |t| {
                         let id = interner.intern(t);
                         let i = id as usize;
                         if i >= tally.len() {
@@ -205,13 +233,13 @@ impl TokenizedCollection {
                             col.ids.push(id);
                         }
                     });
-                }
+                });
                 col.offsets.push(narrow(col.ids.len()));
             }
             col
         };
-        let mut left = tokenize_side(left);
-        let mut right = tokenize_side(right);
+        let mut left = tokenize_side(Side::Left, lens[0]);
+        let mut right = tokenize_side(Side::Right, lens[1]);
 
         // Rarest-first, lexicographic tiebreak for determinism. Resolving
         // through the interner recovers the exact ordering the string

@@ -506,11 +506,6 @@ impl MappedTable {
         self.cols.len()
     }
 
-    /// Total mapped file bytes.
-    pub fn file_bytes(&self) -> usize {
-        self.buf.bytes().len()
-    }
-
     /// Backing mode: `"mmap"` or `"read"`.
     pub fn mode(&self) -> &'static str {
         self.mode
@@ -642,12 +637,6 @@ impl<'a> ColumnSlice<'a> {
                 }
             }
         }
-    }
-
-    /// Borrow the string cell at `row` (`None` for nulls and non-string
-    /// columns) without constructing a `ValueRef`.
-    pub fn str_at(&self, row: usize) -> Option<&'a str> {
-        self.get(row).as_str()
     }
 }
 

@@ -147,11 +147,6 @@ impl Table {
         &self.name
     }
 
-    /// Rename the table.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// The table schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -186,11 +181,6 @@ impl Table {
         } else {
             Storage::InRam
         }
-    }
-
-    /// The open `emtbl` file behind a `Storage::Mapped` table.
-    pub fn mapped_table(&self) -> Option<&MappedTable> {
-        self.mapped.as_deref()
     }
 
     /// A backing-agnostic view of one column by position: zero-copy for

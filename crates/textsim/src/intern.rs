@@ -33,9 +33,23 @@
 //! naive collisions, not an adversary who can observe timing and search
 //! for multiplicative collisions.
 //!
+//! Tokens of 1 to 8 bytes skip the hasher: their bytes, padded with
+//! `0xFF`, are one word, and the packed table hashes that word with the
+//! same two seeded folded multiplies. The word is the whole token, so a
+//! probe that finds it is a hit with no string compare, and two tokens
+//! share a slot only through the hash, never through the key. The hash
+//! defends against what the string hasher defends against: tokens that
+//! differ only in their high bytes or only in their length (the padding)
+//! still spread over the slots (`hostile_packed_families_spread`), where
+//! the unmixed key, whose low bits are a token's first two bytes, would
+//! pile them up. It does not stop an adversary who can time probes and
+//! search for keys that collide under one seed; a collision costs a
+//! longer probe, never a wrong id.
+//!
 //! **Nothing observable depends on the seed or on any hash value**: ids
-//! are handed out in first-intern order, the slot table is never iterated
-//! (a growth re-places ids but renumbers none), and
+//! are handed out in first-intern order, a slot table is walked in slot
+//! order only to re-place its entries when it grows (which renumbers
+//! none), and
 //! [`TokenInterner::vocab_bytes`] counts strings, not slots. Two
 //! interners fed the same tokens in the same order are equal id for id
 //! (`ids_do_not_depend_on_the_seed`).
@@ -122,8 +136,8 @@ pub fn narrow(n: usize) -> u32 {
     })
 }
 
-/// Slots of an interner's first table; it doubles before it passes half
-/// full.
+/// Slots of an interner's first table of either kind; each doubles before
+/// it passes half full.
 const MIN_SLOTS: usize = 64;
 
 /// The slot for `id` under `hash`: the hash's high half as a tag, `id + 1`
@@ -132,17 +146,59 @@ fn slot_of(hash: u64, id: u32) -> u64 {
     (hash & !u64::from(u32::MAX)) | (u64::from(id) + 1)
 }
 
+/// The key of an empty packed slot: the packing of no token (see [`pack`]).
+const NO_KEY: u64 = u64::MAX;
+
+/// `token`'s bytes in one word, little-endian, padded with `0xFF`, when it
+/// holds 1 to 8 bytes. No UTF-8 string holds the byte
+/// `0xFF`, so the key is injective — a shorter token differs from a longer
+/// one at its first padding byte — and never [`NO_KEY`].
+#[inline]
+fn pack(token: &str) -> Option<u64> {
+    let b = token.as_bytes();
+    let n = b.len();
+    // Two loads of `k` bytes, `[0, k)` and `[n − k, n)`, overlapping when
+    // `n < 2k`, cover every length without a variable-length copy: `k` is
+    // 2 for 2 or 3 bytes and 4 for 4 to 8.
+    let word4 = |at: usize| u64::from(u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]));
+    let word = match n {
+        0 => return None,
+        1 => u64::from(b[0]),
+        2 | 3 => {
+            let lo = u64::from(u16::from_le_bytes([b[0], b[1]]));
+            lo | u64::from(u16::from_le_bytes([b[n - 2], b[n - 1]])) << (8 * (n - 2))
+        }
+        4..=7 => word4(0) | word4(n - 4) << (8 * (n - 4)),
+        8 => return Some(word4(0) | word4(4) << 32),
+        _ => return None,
+    };
+    Some(word | u64::MAX << (8 * n))
+}
+
+/// One slot of the packed table: a key and its id, or [`NO_KEY`].
+#[derive(Debug, Clone, Copy)]
+struct PackedSlot {
+    key: u64,
+    id: u32,
+}
+
+const EMPTY_PACKED: PackedSlot = PackedSlot { key: NO_KEY, id: 0 };
+
 /// A token → dense `u32` id table, append-only.
 ///
 /// Ids are assigned in first-intern order. The interner is the single
 /// shared vocabulary for one prepared workload (both tables of an EM
 /// task), so ids are comparable across sides.
 ///
-/// Three buffers hold it, whatever the vocabulary size: one arena with
+/// Four buffers hold it, whatever the vocabulary size: one arena with
 /// every token's bytes back to back in id order, one end offset per id,
-/// and an open-addressing slot table (linear probing, never more than
-/// half full) whose occupied slots hold `hash tag << 32 | id + 1`. A probe
-/// compares strings only on a 32-bit tag match, and a new token costs an
+/// and two open-addressing tables (linear probing, each never more than
+/// half full). Tokens of 1 to 8 bytes — most words and every q-gram of a
+/// title — live in the packed table, whose slots hold the token's bytes
+/// as one word beside its id ([`pack`]): a probe compares that word and
+/// nothing else. Longer tokens and the empty token live in the string
+/// table, whose occupied slots hold `hash tag << 32 | id + 1`; a probe
+/// compares strings only on a 32-bit tag match. A new token costs an
 /// append to the arena and the offsets, not two heap strings.
 #[derive(Debug, Clone)]
 pub struct TokenInterner {
@@ -151,8 +207,13 @@ pub struct TokenInterner {
     /// `ends[id]`: where token `id` ends in `arena`; it starts where
     /// `id − 1` ends.
     ends: Vec<u32>,
-    /// Power-of-two slot table, empty until the first intern.
+    /// Power-of-two table of the tokens [`pack`] keys, empty until the
+    /// first one.
+    packed: Vec<PackedSlot>,
+    /// Power-of-two table of the other tokens, empty until the first one.
     slots: Vec<u64>,
+    /// Ids `slots` holds; the packed table holds the rest.
+    in_slots: usize,
     seed: TokenHashSeed,
     /// Reused by [`TokenInterner::intern_tokens`] so a record's ids are
     /// collected without a growth allocation.
@@ -177,7 +238,9 @@ impl TokenInterner {
         TokenInterner {
             arena: String::new(),
             ends: Vec::new(),
+            packed: Vec::new(),
             slots: Vec::new(),
+            in_slots: 0,
             seed: TokenHashSeed(seed),
             scratch: Vec::new(),
         }
@@ -187,14 +250,21 @@ impl TokenInterner {
         self.seed.hash_one(token)
     }
 
+    /// The packed table's hash of `key`: the string hasher's two folded
+    /// multiplies, seeded the same way, on the one word.
+    #[inline]
+    fn packed_hash(&self, key: u64) -> u64 {
+        folded_multiply(folded_multiply(key ^ self.seed.0, MIX_WORD), MIX_FINISH)
+    }
+
     /// Token `id`'s text.
     fn text(&self, id: usize) -> &str {
         let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
         &self.arena[start..self.ends[id] as usize]
     }
 
-    /// `Ok(id)` if `token` is interned, else `Err(slot)`: the empty slot its
-    /// probe ended on. The table must have slots.
+    /// `Ok(id)` if `token` is in the string table, else `Err(slot)`: the
+    /// empty slot its probe ended on. The table must have slots.
     fn find(&self, token: &str, hash: u64) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let mut at = hash as usize & mask;
@@ -213,33 +283,113 @@ impl TokenInterner {
         }
     }
 
-    /// Double the slot table (or make the first one) and re-place every id.
-    /// The table holds at most half its slot count in ids, so the offsets
-    /// and — at the mean token length so far — the arena are reserved for
-    /// that many now.
+    /// [`TokenInterner::find`] in the packed table: one load and one
+    /// compare a slot.
+    #[inline]
+    fn find_packed(&self, key: u64, hash: u64) -> Result<u32, usize> {
+        let mask = self.packed.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let slot = self.packed[at];
+            if slot.key == key {
+                return Ok(slot.id);
+            }
+            if slot.key == NO_KEY {
+                return Err(at);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Double the string table (or make the first one) and re-place its
+    /// ids.
     fn grow(&mut self) {
         let n = (self.slots.len() * 2).max(MIN_SLOTS);
         let mut slots = vec![0u64; n];
-        for id in 0..self.ends.len() {
-            let hash = self.hash(self.text(id));
+        for &old in self.slots.iter().filter(|&&s| s != 0) {
+            let id = old as u32 - 1;
+            let hash = self.hash(self.text(id as usize));
             let mut at = hash as usize & (n - 1);
             while slots[at] != 0 {
                 at = (at + 1) & (n - 1);
             }
-            slots[at] = slot_of(hash, id as u32);
+            slots[at] = slot_of(hash, id);
         }
         self.slots = slots;
-        let more = n / 2 - self.ends.len();
+        self.reserve_for_tables();
+    }
+
+    /// Double the packed table (or make the first one) and re-place its
+    /// keys.
+    fn grow_packed(&mut self) {
+        let n = (self.packed.len() * 2).max(MIN_SLOTS);
+        let mut packed = vec![EMPTY_PACKED; n];
+        for &old in self.packed.iter().filter(|s| s.key != NO_KEY) {
+            let mut at = self.packed_hash(old.key) as usize & (n - 1);
+            while packed[at].key != NO_KEY {
+                at = (at + 1) & (n - 1);
+            }
+            packed[at] = old;
+        }
+        self.packed = packed;
+        self.reserve_for_tables();
+    }
+
+    /// The two tables hold at most half their slot counts in ids, so the
+    /// offsets and — at the mean token length so far — the arena are
+    /// reserved for that many now: nothing else grows them.
+    fn reserve_for_tables(&mut self) {
+        let more = (self.packed.len() + self.slots.len()) / 2 - self.ends.len();
         let mean_len = self.arena.len().div_ceil(self.ends.len().max(1)).max(8);
         self.ends.reserve_exact(more);
         self.arena.reserve(more * mean_len);
+    }
+
+    /// Append `token` as the next id. `id + 1` is stored in a string
+    /// slot, so the count after this token must fit too.
+    fn push(&mut self, token: &str) -> u32 {
+        let id = narrow(self.ends.len() + 1) - 1;
+        let end = narrow(self.arena.len() + token.len());
+        self.arena.push_str(token);
+        self.ends.push(end);
+        id
     }
 
     /// Id of `token`, interning it if new.
     ///
     /// # Panics
     /// If the vocabulary would pass `u32::MAX` tokens or bytes of text.
+    #[inline]
     pub fn intern(&mut self, token: &str) -> u32 {
+        match pack(token) {
+            Some(key) => self.intern_packed(token, key),
+            None => self.intern_string(token),
+        }
+    }
+
+    #[inline]
+    fn intern_packed(&mut self, token: &str, key: u64) -> u32 {
+        if self.packed.is_empty() {
+            self.grow_packed();
+        }
+        let hash = self.packed_hash(key);
+        let mut at = match self.find_packed(key, hash) {
+            Ok(id) => return id,
+            Err(at) => at,
+        };
+        let in_packed = self.ends.len() - self.in_slots;
+        if 2 * (in_packed + 1) > self.packed.len() {
+            self.grow_packed();
+            at = self
+                .find_packed(key, hash)
+                .expect_err("a new token is absent");
+        }
+        let id = self.push(token);
+        self.packed[at] = PackedSlot { key, id };
+        id
+    }
+
+    fn intern_string(&mut self, token: &str) -> u32 {
         let hash = self.hash(token);
         if self.slots.is_empty() {
             self.grow();
@@ -248,26 +398,24 @@ impl TokenInterner {
             Ok(id) => return id,
             Err(at) => at,
         };
-        // `id + 1` is stored in a slot, so the count after this token must
-        // fit too.
-        let id = narrow(self.ends.len() + 1) - 1;
-        let end = narrow(self.arena.len() + token.len());
-        if 2 * (self.ends.len() + 1) > self.slots.len() {
+        if 2 * (self.in_slots + 1) > self.slots.len() {
             self.grow();
             at = self.find(token, hash).expect_err("a new token is absent");
         }
-        self.arena.push_str(token);
-        self.ends.push(end);
+        let id = self.push(token);
         self.slots[at] = slot_of(hash, id);
+        self.in_slots += 1;
         id
     }
 
     /// Id of `token` if already interned.
     pub fn get(&self, token: &str) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
+        match pack(token) {
+            Some(_) if self.packed.is_empty() => None,
+            Some(key) => self.find_packed(key, self.packed_hash(key)).ok(),
+            None if self.slots.is_empty() => None,
+            None => self.find(token, self.hash(token)).ok(),
         }
-        self.find(token, self.hash(token)).ok()
     }
 
     /// The token string behind an id.
@@ -290,7 +438,7 @@ impl TokenInterner {
     /// target, the footprint of the string map and id table this interner
     /// was first built on. Pinned exports carry that figure, so it stays
     /// the published one; the arena layout holds the text once, plus 4
-    /// bytes of offset and at most 16 of slot table a token. Deterministic
+    /// bytes of offset and at most 32 of slot table a token. Deterministic
     /// — a pure function of the interned strings, never of capacity growth.
     pub fn vocab_bytes(&self) -> usize {
         let per_entry = 2 * std::mem::size_of::<String>() + std::mem::size_of::<u32>();
@@ -705,45 +853,175 @@ mod tests {
         );
     }
 
+    /// The packed table's twin of `hostile_token_families_spread`, on
+    /// tokens of at most 8 bytes: 100 000 sharing their first three bytes
+    /// (so their keys differ only in the high five), 100 000 over a
+    /// four-byte prefix (the high half alone), and 99 996 that differ only
+    /// in trailing NUL padding (the key's `0xFF` padding bytes become
+    /// `0x00`) land within 2× of a uniform draw on the slot bits and on
+    /// high bits. The unmixed key, whose low 16 bits are a token's first
+    /// two bytes, fails the first family, which is why keys are hashed.
+    #[test]
+    fn hostile_packed_families_spread() {
+        const N: usize = 100_000;
+        let base36 = |mut i: usize, width: usize| -> String {
+            let digits = b"0123456789abcdefghijklmnopqrstuvwxyz";
+            (0..width)
+                .map(|_| {
+                    let d = digits[i % 36] as char;
+                    i /= 36;
+                    d
+                })
+                .collect()
+        };
+        let shared_prefix: Vec<Vec<u8>> = (0..N).map(|i| format!("pf_{i}").into_bytes()).collect();
+        let high_half: Vec<Vec<u8>> = (0..N)
+            .map(|i| format!("tokn{}", base36(i, 4)).into_bytes())
+            .collect();
+        let nul_padded: Vec<Vec<u8>> = (0..N - N % 6)
+            .map(|i| {
+                let mut t = base36(i / 6, 3).into_bytes();
+                t.resize(t.len() + i % 6, 0);
+                t
+            })
+            .collect();
+        let it = TokenInterner::with_seed(0x5eed);
+        let key = |t: &[u8]| pack(std::str::from_utf8(t).unwrap()).expect("at most 8 bytes");
+        let uniform_buckets = 51_287;
+        for (family, tokens) in [
+            ("shared prefix", &shared_prefix),
+            ("high half", &high_half),
+            ("NUL padded", &nul_padded),
+        ] {
+            let uniform_tag = tokens.len() / 128;
+            let (buckets, min_tag, max_tag) = spread(tokens, |t| it.packed_hash(key(t)));
+            assert!(
+                buckets * 2 >= uniform_buckets,
+                "{family}: {buckets} buckets"
+            );
+            assert!(
+                min_tag * 2 >= uniform_tag,
+                "{family}: smallest tag class {min_tag}"
+            );
+            assert!(
+                max_tag <= uniform_tag * 2,
+                "{family}: largest tag class {max_tag}"
+            );
+        }
+        let (buckets, _, _) = spread(&shared_prefix, key);
+        assert!(
+            buckets * 2 < uniform_buckets,
+            "the unmixed key kept {buckets} buckets apart"
+        );
+    }
+
     /// Ids, id sets and `vocab_bytes` are functions of the tokens and
-    /// their order alone — never of the seed.
+    /// their order alone — never of the seed — over streams that mix the
+    /// two tables: short words and long ones, tokens of 7, 8 and 9 bytes,
+    /// and the empty token, interned whole and as a title's tokens.
     #[test]
     fn ids_do_not_depend_on_the_seed() {
         use crate::tokenize::AlphanumericTokenizer;
         let titles: Vec<String> = (0..500)
-            .map(|i| format!("Brand{} model {} {} edition", i % 7, i % 31, i * 37 % 101))
+            .map(|i| {
+                format!(
+                    "Brand{} model {} {} edition{} limitededition{} x{:07} y{:08}",
+                    i % 7,
+                    i % 31,
+                    i * 37 % 101,
+                    i % 5,
+                    i % 13,
+                    i % 17,
+                    i % 19
+                )
+            })
+            .collect();
+        let loose: Vec<String> = (0..300)
+            .map(|i| match i % 4 {
+                0 => String::new(),
+                1 => format!("{i:08}"),
+                2 => format!("{i:09}"),
+                _ => format!("w{}", i % 40),
+            })
             .collect();
         let build = |seed: u64| {
             let mut it = TokenInterner::with_seed(seed);
             let tok = AlphanumericTokenizer::as_set();
-            let sets: Vec<Vec<u32>> = titles.iter().map(|t| it.intern_tokens(&tok, t)).collect();
+            let mut sets: Vec<Vec<u32>> = Vec::new();
+            for (title, token) in titles.iter().zip(loose.iter().cycle()) {
+                sets.push(it.intern_tokens(&tok, title));
+                sets.push(vec![it.intern(token)]);
+            }
             let vocab: Vec<String> = (0..it.len() as u32)
                 .map(|id| it.resolve(id).to_owned())
                 .collect();
             (sets, vocab, it.vocab_bytes())
         };
+        let (sets, vocab, _) = build(1);
+        let count = |lens: std::ops::RangeInclusive<usize>| {
+            vocab.iter().filter(|t| lens.contains(&t.len())).count()
+        };
+        assert_eq!(count(0..=0), 1, "the empty token");
+        assert!(
+            count(1..=8) > 100 && count(9..=64) > 100,
+            "both tables fill"
+        );
+        assert!(sets.iter().all(|s| is_sorted_dedup(s)));
         assert_eq!(build(1), build(0xdead_beef_0bad_cafe));
         assert_eq!(build(1), build(0));
     }
 
-    /// A slot whose tag matches is a hit only if its string matches too:
-    /// `"a"`'s id moved to the slot `"b"` probes first, under `"b"`'s tag.
+    /// A string slot whose tag matches is a hit only if its string matches
+    /// too: `"alpha_long"`'s id moved to the slot `"bravo_long"` probes
+    /// first, under `"bravo_long"`'s tag. Both are longer than 8 bytes, so
+    /// both live in the string table.
     #[test]
     fn a_tag_match_alone_is_not_a_hit() {
         let mut it = TokenInterner::with_seed(7);
-        let a = it.intern("a");
-        let b_hash = it.hash("b");
+        let a = it.intern("alpha_long");
+        let b_hash = it.hash("bravo_long");
         let a_slot = it
             .slots
             .iter()
             .position(|&s| s != 0)
             .expect("one slot taken");
+        assert!(it.packed.is_empty(), "no short token was interned");
         it.slots[a_slot] = 0;
         let b_first = b_hash as usize & (it.slots.len() - 1);
         it.slots[b_first] = slot_of(b_hash, a);
-        assert_eq!(it.get("b"), None);
-        assert_eq!(it.intern("b"), 1);
-        assert_eq!((it.resolve(a), it.resolve(1)), ("a", "b"));
+        assert_eq!(it.get("bravo_long"), None);
+        assert_eq!(it.intern("bravo_long"), 1);
+        assert_eq!((it.resolve(a), it.resolve(1)), ("alpha_long", "bravo_long"));
+    }
+
+    /// The packed twin: three short tokens whose keys start their probe
+    /// on one slot each take their own slot in probe order, each finds its
+    /// own id, and a fourth on that start is absent until interned.
+    #[test]
+    fn packed_keys_on_one_probe_start_stay_apart() {
+        let mut it = TokenInterner::with_seed(7);
+        it.intern("seed");
+        let start = |it: &TokenInterner, t: &str| {
+            it.packed_hash(pack(t).unwrap()) as usize & (it.packed.len() - 1)
+        };
+        let target = start(&it, "k0");
+        let same: Vec<String> = (0..100_000)
+            .map(|i| format!("k{i}"))
+            .filter(|t| start(&it, t) == target)
+            .take(4)
+            .collect();
+        assert_eq!(same.len(), 4, "four keys on slot {target}");
+        let ids: Vec<u32> = same[..3].iter().map(|t| it.intern(t)).collect();
+        assert_eq!(ids, [1, 2, 3]);
+        let mask = it.packed.len() - 1;
+        for (k, t) in same[..3].iter().enumerate() {
+            let slot = it.packed[(target + k) & mask];
+            assert_eq!((slot.key, slot.id), (pack(t).unwrap(), ids[k]), "{t}");
+            assert_eq!(it.get(t), Some(ids[k]));
+        }
+        assert_eq!(it.get(&same[3]), None);
+        assert_eq!(it.intern(&same[3]), 4);
+        assert_eq!(it.resolve(4), same[3]);
     }
 
     #[test]
@@ -755,14 +1033,24 @@ mod tests {
 
     use proptest::prelude::*;
 
-    /// One token of a stream: empty, one byte, 64 and 65 bytes (the
-    /// hasher's eight-byte words, full and with a one-byte tail), non-ASCII
-    /// (U+212A KELVIN SIGN, `é`), or one of 11 000 short ones, so that half
-    /// the streams double the slot table five times, to 2 048 slots.
+    /// One token of a stream: empty, one byte, 7, 8 and 9 bytes (the
+    /// packed table's bound, either side of it), 8 and 9 bytes with NUL
+    /// bytes, a two-byte character straddling byte 8 (`é` at bytes 7–8 of
+    /// a 9-byte token) or ending on it, 64 and 65 bytes (the hasher's
+    /// eight-byte words, full and with a one-byte tail), non-ASCII (U+212A
+    /// KELVIN SIGN, `é`), or one of 11 000 short ones, so that half the
+    /// streams double the slot table five times, to 2 048 slots.
     fn token() -> impl Strategy<Value = String> {
         prop_oneof![
             1 => Just(String::new()),
             1 => "[a-c]",
+            1 => "[ab]{7}",
+            1 => "[ab]{8}",
+            1 => "[ab]{9}",
+            1 => "[a\0]{8}",
+            1 => "[a\0]{9}",
+            1 => "[ab\0]{6}\u{e9}",
+            1 => "[ab\0]{7}\u{e9}",
             1 => "x{62}[ab]{2}",
             1 => "x{63}[ab]{2}",
             1 => "[\u{212a}\u{e9}k]{1,3}",
@@ -777,7 +1065,8 @@ mod tests {
         /// `Vec<String>` model, after every token of the stream: the same
         /// ids, `get`, `resolve`, `len`, `generation` and `vocab_bytes`
         /// (the model's own two copies of each string plus two `String`
-        /// headers and an id), whatever the seed.
+        /// headers and an id), whatever the seed and whichever table each
+        /// token lives in.
         #[test]
         fn arena_interner_matches_hashmap_model(
             stream in proptest::collection::vec(token(), 0..2400),
