@@ -388,19 +388,17 @@ fn top_rows(
         Some(interner.intern(t))
     });
     let n_a = a.nrows();
-    let ranges = |len: usize| {
-        let pool = par.at_most(len);
-        pool.with_chunk_size(len.div_ceil(pool.n_workers))
-    };
-    let (chunks, _) = magellan_par::chunk_map(n_a, &ranges(n_a), |range| {
+    let (chunks, _) = magellan_par::chunk_map(n_a, &par.one_chunk_per_worker(n_a), |range| {
         Column::build(a, exclude, range, |t| interner.get(t))
     });
     let index = Index::build(&chunks, n_a, interner.len());
     drop(chunks);
 
-    let (tops, _) = magellan_par::chunk_map(b_rows.len(), &ranges(b_rows.len()), |range| {
-        rank(&index, &sampled, range, n_a, half)
-    });
+    let (tops, _) = magellan_par::chunk_map(
+        b_rows.len(),
+        &par.one_chunk_per_worker(b_rows.len()),
+        |range| rank(&index, &sampled, range, n_a, half),
+    );
     let mut cost = RankCounts::default();
     let mut rows = Vec::with_capacity(b_rows.len() * half);
     for (kept, c) in tops {

@@ -12,8 +12,16 @@
 //!   live view *is* the session's candidate set;
 //! * [`magellan_features::StreamingPreparedPair`] — per-record cache
 //!   invalidation, so only dirty records re-tokenize;
-//! * [`magellan_ml::FlatForest::predict_proba_batch`] — model scores
-//!   recomputed for the dirty pairs' extracted rows only.
+//! * [`magellan_ml::FlatForest::predict_proba`] — model scores
+//!   recomputed for the dirty pairs only, each row handed from the
+//!   feature scorer's buffer straight to the forest
+//!   ([`StreamingPreparedPair::score`]), with no feature matrix built.
+//!
+//! A tick's regions — the two delta-probe regions and the rescore — run
+//! one chunk per worker ([`ParConfig::one_chunk_per_worker`]) unless the
+//! session's pool sets a chunk size: a few dozen probes and pairs leave
+//! nothing to steal, and each chunk pays a fixed setup. Their pool
+//! counters are published under `phase="stream"`.
 //!
 //! ## Determinism contract
 //!
@@ -126,10 +134,79 @@ pub struct StreamSession {
     /// Scores at or above `threshold`, kept in step with every insert
     /// and removal so a tick never walks `scores` to count them.
     live_matches: usize,
+    /// Each side's rids with a text (left, right), kept in step with
+    /// every mutation so a tick never walks the records to pick its
+    /// victims.
+    alive: [AliveSet; 2],
     threshold: f64,
     par: ParConfig,
     batches: u64,
     ops: u64,
+}
+
+/// The rids of one side that hold a text, as an order-statistics set
+/// over the dense rids: a Fenwick tree of alive flags, so marking a rid,
+/// appending one and finding the `k`-th alive rid in ascending order
+/// each cost O(log records).
+#[derive(Debug, Default)]
+struct AliveSet {
+    alive: Vec<bool>,
+    /// `tree[i - 1]`: alive rids in `(i − lowbit(i), i]`, 1-based.
+    tree: Vec<u32>,
+    len: usize,
+}
+
+impl AliveSet {
+    /// Alive rids.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Mark `rid` alive or not, growing the set through `rid` (new rids
+    /// start not alive).
+    fn set(&mut self, rid: usize, alive: bool) {
+        while self.alive.len() <= rid {
+            // A new node covers `(i − lowbit(i), i − 1]` plus itself.
+            let i = self.alive.len() + 1;
+            let below = self.prefix(i - 1) - self.prefix(i - (i & i.wrapping_neg()));
+            self.alive.push(false);
+            self.tree.push(below);
+        }
+        if self.alive[rid] == alive {
+            return;
+        }
+        self.alive[rid] = alive;
+        self.len = self.len + usize::from(alive) - usize::from(!alive);
+        let mut i = rid + 1;
+        while i <= self.tree.len() {
+            self.tree[i - 1] = self.tree[i - 1] + u32::from(alive) - u32::from(!alive);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Alive rids among the first `n`.
+    fn prefix(&self, mut n: usize) -> u32 {
+        let mut sum = 0;
+        while n > 0 {
+            sum += self.tree[n - 1];
+            n &= n - 1;
+        }
+        sum
+    }
+
+    /// The `k`-th alive rid in ascending order (`k < len`).
+    fn nth(&self, k: usize) -> usize {
+        let (mut pos, mut rest) = (0, k as u32 + 1);
+        let mut step = self.tree.len().next_power_of_two();
+        while step > 0 {
+            if pos + step <= self.tree.len() && self.tree[pos + step - 1] < rest {
+                pos += step;
+                rest -= self.tree[pos - 1];
+            }
+            step >>= 1;
+        }
+        pos
+    }
 }
 
 fn stream_schema() -> Schema {
@@ -172,6 +249,7 @@ impl StreamSession {
             forest,
             scores: Vec::new(),
             live_matches: 0,
+            alive: [AliveSet::default(), AliveSet::default()],
             threshold,
             par,
             batches: 0,
@@ -230,9 +308,9 @@ impl StreamSession {
     }
 
     /// Apply one mutation batch through the whole incremental pipeline:
-    /// delta join → score retirement → dirty-pair featurization →
-    /// dirty-pair rescore. Cost is O(batch × affected neighborhoods), never
-    /// O(corpus) or O(live view).
+    /// delta join → score retirement → dirty-pair featurization and
+    /// rescore, one fused pass. Cost is O(batch × affected
+    /// neighborhoods), never O(corpus) or O(live view).
     pub fn ingest(&mut self, batch: &[RecordMutation]) -> Result<StreamBatchReport, MagellanError> {
         self.batches += 1;
         let _span = magellan_obs::span("stream_batch", self.batches);
@@ -247,7 +325,7 @@ impl StreamSession {
         //    ids line up by construction.
         let mirror_span = magellan_obs::span("mirror_mutations", 0);
         for op in batch {
-            match op {
+            let (side, rid, text) = match op {
                 RecordMutation::Insert { side, text } => {
                     let left = matches!(side, Side::Left);
                     let rid = self.store.tables().0.nrows() * usize::from(left)
@@ -260,19 +338,23 @@ impl StreamSession {
                     self.store
                         .push_row(left, row)
                         .map_err(MagellanError::Table)?;
+                    (side, rid, text)
                 }
                 RecordMutation::Delete { side, rid } => {
                     self.store
                         .set_value(matches!(side, Side::Left), *rid, "text", Value::Null)
                         .map_err(MagellanError::Table)?;
+                    (side, *rid, &None)
                 }
                 RecordMutation::Update { side, rid, text } => {
                     let v = text.clone().map(Value::Str).unwrap_or(Value::Null);
                     self.store
                         .set_value(matches!(side, Side::Left), *rid, "text", v)
                         .map_err(MagellanError::Table)?;
+                    (side, *rid, text)
                 }
-            }
+            };
+            self.alive[usize::from(matches!(side, Side::Right))].set(rid, text.is_some());
         }
         debug_assert_eq!(
             self.store.tables().0.nrows(),
@@ -289,7 +371,7 @@ impl StreamSession {
         let patch_span = magellan_obs::span("patch_candidates", 0);
         self.scores
             .resize_with(self.engine.n_records(Side::Left), Vec::new);
-        let mut dirty: Vec<(usize, usize)> = Vec::new();
+        let mut dirty: Vec<(u32, u32)> = Vec::new();
         let mut pairs_removed = 0;
         for d in &deltas {
             match *d {
@@ -301,26 +383,32 @@ impl StreamSession {
                         self.live_matches -= usize::from(p >= self.threshold);
                     }
                 }
-                PairDelta::Added(p) => dirty.push((p.l, p.r)),
+                // Rids fit `u32`: the engine numbers its records in one.
+                PairDelta::Added(p) => dirty.push((p.l as u32, p.r as u32)),
             }
         }
         drop(patch_span);
 
-        // 4. Featurize + rescore exactly the dirty pairs.
+        // 4. Featurize + rescore exactly the dirty pairs, in place: each
+        //    row goes from its chunk's scorer straight to the forest.
         let rescore_span = magellan_obs::span("rescore_dirty", 0);
         if !dirty.is_empty() {
-            let pairs_u32: Vec<(u32, u32)> =
-                dirty.iter().map(|&(l, r)| (l as u32, r as u32)).collect();
-            let (matrix, _fstats) = self
+            let forest = &self.forest;
+            let (probs, par) = self
                 .store
-                .extract(&pairs_u32, &self.features, &self.par)
+                .score(
+                    &dirty,
+                    &self.features,
+                    &self.par.one_chunk_per_worker(dirty.len()),
+                    |row| forest.predict_proba(row),
+                )
                 .map_err(MagellanError::Table)?;
-            let probs = self.forest.predict_proba_batch(&matrix.rows, &self.par);
+            par.publish("stream");
             // `Removed` precedes `Added` in a batch's deltas, so no dirty
             // pair still holds a score.
             for (&(l, r), p) in dirty.iter().zip(probs) {
                 self.live_matches += usize::from(p >= self.threshold);
-                self.scores[l].push((r as u32, p));
+                self.scores[l as usize].push((r, p));
             }
         }
         drop(rescore_span);
@@ -349,26 +437,19 @@ impl StreamSession {
 
     /// Materialize the next `n` stream-plan steps into concrete mutations
     /// against the current alive populations. Victim selectors reduce
-    /// modulo the pre-batch alive set (deterministic across kill/resume —
-    /// the checkpoint restores the same population); an op against an
-    /// empty side degrades to an insert.
+    /// modulo the pre-batch alive set, ascending by rid (deterministic
+    /// across kill/resume — the checkpoint restores the same population);
+    /// an op against an empty side degrades to an insert. O(n): the alive
+    /// sets are kept across ticks, not collected from the records.
     pub fn synth_batch(&self, plan: &StreamPlan, gen: &TextGen, n: usize) -> Vec<RecordMutation> {
-        let alive = |side: Side| -> Vec<usize> {
-            self.engine
-                .texts(side)
-                .iter()
-                .enumerate()
-                .filter_map(|(rid, t)| t.as_ref().map(|_| rid))
-                .collect()
-        };
-        let (alive_l, alive_r) = (alive(Side::Left), alive(Side::Right));
+        let [alive_l, alive_r] = &self.alive;
         let mut out = Vec::with_capacity(n);
         for step in self.ops..self.ops + n as u64 {
             let op = plan.op(step);
             let side_of = |left: bool| if left { Side::Left } else { Side::Right };
             let pick = |left: bool, victim: u64| -> Option<usize> {
-                let pool = if left { &alive_l } else { &alive_r };
-                (!pool.is_empty()).then(|| pool[(victim % pool.len() as u64) as usize])
+                let pool = if left { alive_l } else { alive_r };
+                (pool.len() > 0).then(|| pool.nth((victim % pool.len() as u64) as usize))
             };
             let text = || Some(gen.text(plan.text_seed(step)));
             out.push(match op {
@@ -509,6 +590,13 @@ impl StreamSession {
                 saved.live.len()
             )));
         }
+        let alive = [&saved.left, &saved.right].map(|texts| {
+            let mut set = AliveSet::default();
+            for (rid, t) in texts.iter().enumerate() {
+                set.set(rid, t.is_some());
+            }
+            set
+        });
         let mut scores = vec![Vec::new(); saved.left.len()];
         let mut live_matches = 0;
         for (p, &bits) in saved.live.iter().zip(&saved.scores) {
@@ -538,6 +626,7 @@ impl StreamSession {
             forest,
             scores,
             live_matches,
+            alive,
             threshold,
             par,
             batches: saved.batches,
@@ -817,6 +906,63 @@ mod tests {
         assert_eq!(a.n_candidates(), b.n_candidates());
     }
 
+    /// A tick's regions run one chunk per worker when the pool sets no
+    /// chunk size, and the pool counters under `phase="stream"` count
+    /// exactly the chunks the trace shows: one 20-mutation tick under a
+    /// pinned recorder, after 30 seeded ticks, at 1 and 2 workers.
+    #[test]
+    fn a_tick_runs_one_chunk_per_worker_per_region() {
+        for workers in [1, 2] {
+            let mut s = session(workers);
+            let plan = StreamPlan::churn(19);
+            let gen = TextGen {
+                vocab: 16,
+                min_tokens: 4,
+                max_tokens: 7,
+            };
+            let mut clock = SimClock::new();
+            for _ in 0..30 {
+                s.run_plan_batch(&plan, &gen, 20, &mut clock, 1.0).unwrap();
+            }
+            let obs = magellan_obs::Obs::pinned();
+            let guard = obs.install();
+            s.run_plan_batch(&plan, &gen, 20, &mut clock, 1.0).unwrap();
+            drop(guard);
+            let snap = obs.snapshot();
+            // The tick must hand each region more items than workers, or
+            // one chunk per item would pass too.
+            assert!(
+                snap.counter("magellan_simjoin_delta_probes_total") >= 8
+                    && snap.counter("magellan_stream_dirty_pairs_total") >= 4,
+                "fixture too sparse at {workers} workers: {}",
+                snap.to_prometheus()
+            );
+            // Chunk spans by the region (span) they ran under.
+            let mut per_region: Vec<(u64, usize)> = Vec::new();
+            for chunk in snap.spans_named("chunk") {
+                match per_region.iter_mut().find(|(r, _)| *r == chunk.parent) {
+                    Some((_, n)) => *n += 1,
+                    None => per_region.push((chunk.parent, 1)),
+                }
+            }
+            let mut regions: Vec<&str> = per_region
+                .iter()
+                .filter_map(|&(id, _)| snap.spans.iter().find(|sp| sp.id == id))
+                .map(|sp| sp.name)
+                .collect();
+            regions.sort_unstable();
+            assert_eq!(regions, ["delta_probe", "delta_probe", "rescore_dirty"]);
+            for &(_, n) in &per_region {
+                assert!(n <= workers, "{per_region:?} at {workers} workers");
+            }
+            let chunks: usize = per_region.iter().map(|&(_, n)| n).sum();
+            assert_eq!(
+                snap.counter("magellan_par_chunks_total{phase=\"stream\"}"),
+                chunks as u64
+            );
+        }
+    }
+
     /// Kill the daemon mid-stream, restore from the checkpoint, replay the
     /// remaining plan suffix: the final view is identical to the unkilled
     /// run, and index generations stay pinned across the crash.
@@ -933,6 +1079,29 @@ mod tests {
             (1, 1, 1)
         );
         assert_eq!(s.matched_pairs().len(), 1);
+    }
+
+    /// The alive set answers as the ascending list of alive rids it
+    /// replaces, under seeded marks that grow it, revive and kill rids.
+    #[test]
+    fn alive_set_is_the_ascending_alive_list() {
+        let mut set = AliveSet::default();
+        let mut model: Vec<bool> = Vec::new();
+        for step in 0..3_000u64 {
+            let r = splitmix64(step);
+            let rid = (r % (model.len() as u64 + 3)) as usize;
+            let alive = r >> 40 & 3 != 0;
+            if model.len() <= rid {
+                model.resize(rid + 1, false);
+            }
+            model[rid] = alive;
+            set.set(rid, alive);
+            let list: Vec<usize> = (0..model.len()).filter(|&i| model[i]).collect();
+            assert_eq!(set.len(), list.len());
+            for (k, &rid) in list.iter().enumerate().step_by(7) {
+                assert_eq!(set.nth(k), rid, "k = {k} after {step} marks");
+            }
+        }
     }
 
     /// A digest of the session's state that does not depend on any file

@@ -6,7 +6,9 @@
 //! * how high the live heap climbs during `run_development_stage`, so a
 //!   feature row per pre-sampled or probed pair cannot come back;
 //! * how high it climbs during an overlap blocker's `block_par`, so the
-//!   join cannot go back to staging its pairs wider than the candidate set.
+//!   join cannot go back to staging its pairs wider than the candidate set;
+//! * how many allocations a stream tick makes, so a chunk per probe or a
+//!   feature row per dirty pair cannot come back.
 //!
 //! A counting `#[global_allocator]` needs a binary of its own. Counts and
 //! live bytes are process-wide, so what the pool's worker threads allocate
@@ -21,11 +23,13 @@ use magellan_block::{Blocker, OverlapBlocker};
 use magellan_core::downsample::down_sample_indices;
 use magellan_core::labeling::OracleLabeler;
 use magellan_core::pipeline::{run_development_stage, DevConfig};
+use magellan_core::StreamSession;
 use magellan_datagen::domains::{persons, products};
 use magellan_datagen::{DirtModel, ScenarioConfig};
-use magellan_features::generate_features;
-use magellan_ml::{DecisionTreeLearner, Learner, RandomForestLearner};
+use magellan_features::{generate_features, Feature, FeatureKind, TokSpec};
+use magellan_ml::{Dataset, DecisionTreeLearner, FlatForest, Learner, RandomForestLearner};
 use magellan_par::ParConfig;
+use magellan_simjoin::{RecordMutation, SetSimMeasure, Side};
 
 /// Allocations and reallocations, by every thread.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -204,3 +208,122 @@ fn blocking_peak_heap_stays_near_the_candidate_set() {
 /// Halfway between the join staging 24-byte pairs (3 951 733 B) and the
 /// one writing 8-byte pairs (1 636 757 B).
 const BLOCKING_PEAK_BOUND: isize = 2_794_000;
+
+/// Eight distinct tokens per title over a vocabulary of about 2 600, so
+/// titles 300 apart share six of them (a product catalogue's shape).
+fn title(i: usize) -> String {
+    format!(
+        "Brand{} kind{} Alpha{} beta{} gamma{} DELTA{} eps{} {}",
+        i % 50,
+        i % 37,
+        i * 7 % 300,
+        i * 11 % 300,
+        i * 13 % 300,
+        i * 17 % 300,
+        i * 19 % 300,
+        i % 1000,
+    )
+}
+
+/// `stream_churn`'s tick at one worker: after 4 000 seeded titles and 50
+/// warm-up ticks, 200 ticks of 20 mutations (a quarter inserts, a quarter
+/// deletes, half re-writes) through `StreamSession::ingest`, counted
+/// together and bounded per tick.
+#[test]
+fn stream_tick_allocates_per_mutation_not_per_chunk() {
+    const SEEDED: usize = 4_000;
+    const TITLES: usize = 2_000;
+    const WARM_UP: usize = 50;
+    const TICKS: usize = 200;
+    const PER_TICK: usize = 20;
+    let _serial = serial();
+    let mut train = Dataset::with_dims(2);
+    for i in 0..60 {
+        let base = if i % 2 == 0 { 0.8 } else { 0.15 };
+        train.push(&[base + 0.01 * (i % 7) as f64, base], i % 2 == 0);
+    }
+    let forest = RandomForestLearner {
+        n_trees: 12,
+        ..Default::default()
+    }
+    .fit_forest(&train);
+    let mut s = StreamSession::new(
+        SetSimMeasure::Jaccard(0.6),
+        vec![
+            Feature::new("text", "text", FeatureKind::Jaccard(TokSpec::Word)),
+            Feature::new("text", "text", FeatureKind::Dice(TokSpec::Word)),
+        ],
+        FlatForest::from_forest(&forest),
+        0.5,
+        ParConfig::workers(1),
+    );
+    let side = |i: usize| if i % 2 == 0 { Side::Left } else { Side::Right };
+    let seed: Vec<RecordMutation> = (0..SEEDED)
+        .map(|i| RecordMutation::Insert {
+            side: side(i),
+            text: Some(title(i / 2 % TITLES)),
+        })
+        .collect();
+    s.ingest(&seed).unwrap();
+    let mut state = 4_177u64;
+    let mut next = move |n: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize % n
+    };
+    let mut records = [SEEDED / 2; 2];
+    let ticks: Vec<Vec<RecordMutation>> = (0..WARM_UP + TICKS)
+        .map(|_| {
+            (0..PER_TICK)
+                .map(|_| {
+                    let k = next(2);
+                    let (side, text) = (side(k), Some(title(next(TITLES))));
+                    match next(4) {
+                        0 => {
+                            records[k] += 1;
+                            RecordMutation::Insert { side, text }
+                        }
+                        1 => RecordMutation::Delete {
+                            side,
+                            rid: next(records[k]),
+                        },
+                        _ => RecordMutation::Update {
+                            side,
+                            rid: next(records[k]),
+                            text,
+                        },
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    for batch in &ticks[..WARM_UP] {
+        s.ingest(batch).unwrap();
+    }
+    let (dirty, n) = allocations_in(|| {
+        ticks[WARM_UP..]
+            .iter()
+            .map(|batch| s.ingest(batch).unwrap().dirty_pairs)
+            .sum::<usize>()
+    });
+    let per_tick = n as f64 / TICKS as f64;
+    eprintln!(
+        "StreamSession::ingest: {per_tick:.1} allocations per 20-mutation tick, {:.1} dirty pairs",
+        dirty as f64 / TICKS as f64
+    );
+    assert!(
+        dirty >= 2 * TICKS * PER_TICK,
+        "{dirty} dirty pairs: the churn must rescore pairs for the bound to mean anything"
+    );
+    assert!(
+        n <= STREAM_TICK_BOUND * TICKS as u64,
+        "{per_tick:.1} allocations per tick (limit {STREAM_TICK_BOUND})"
+    );
+}
+
+/// Allocations per tick: 346.1 with a chunk per probe and a feature row
+/// (and a chunk per few rows) per dirty pair, 188.3 with one chunk per
+/// worker per region and each row scored in the scorer's buffer; the
+/// bound is halfway.
+const STREAM_TICK_BOUND: u64 = 267;

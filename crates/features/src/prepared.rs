@@ -557,10 +557,7 @@ impl Cells {
     }
 
     /// Plan the features, prepare the records the pairs reference, then
-    /// compute one feature row per pair on the pool, a [`Scorer`] per
-    /// chunk. The scorers' counts and this call's cache delta are
-    /// published once the region is over (no-ops without a recorder); the
-    /// delta also rides along in the returned [`ParStats`].
+    /// compute one feature row per pair on the pool.
     fn extract(
         &mut self,
         a: &Table,
@@ -569,26 +566,8 @@ impl Cells {
         features: &[Feature],
         cfg: &ParConfig,
     ) -> magellan_table::Result<(FeatureMatrix, ParStats)> {
-        let plan = self.plan(a, b, features)?;
-        let cache = self.prepare_counted(a, b, &plan, pairs);
-        let cells = &*self;
-        let (chunks, mut stats) = magellan_par::chunk_map(pairs.len(), cfg, |range| {
-            let mut scorer = Scorer::over(cells, &plan);
-            let rows: Vec<Vec<f64>> = pairs[range]
-                .iter()
-                .map(|&(ra, rb)| scorer.row(ra as usize, rb as usize))
-                .collect();
-            (rows, scorer.counts())
-        });
-        let mut rows = Vec::with_capacity(pairs.len());
-        let mut counts = ScorerCounts::default();
-        for (chunk, c) in chunks {
-            rows.extend(chunk);
-            counts += c;
-        }
-        counts.publish();
-        cache.publish();
-        stats.cache = cache;
+        let (plan, rows, stats) =
+            self.map_pairs(a, b, pairs, features, cfg, |s, ra, rb| s.row(ra, rb))?;
         Ok((
             FeatureMatrix {
                 names: plan.names,
@@ -597,6 +576,44 @@ impl Cells {
             },
             stats,
         ))
+    }
+
+    /// Plan the features, prepare the records the pairs reference, then
+    /// map every pair through `each` on the pool, a [`Scorer`] per chunk,
+    /// and return the outputs in pair order. The scorers' counts and this
+    /// call's cache delta are published once the region is over (no-ops
+    /// without a recorder); the delta also rides along in the returned
+    /// [`ParStats`].
+    fn map_pairs<R: Send>(
+        &mut self,
+        a: &Table,
+        b: &Table,
+        pairs: &[(u32, u32)],
+        features: &[Feature],
+        cfg: &ParConfig,
+        each: impl Fn(&mut Scorer<'_>, usize, usize) -> R + Sync,
+    ) -> magellan_table::Result<(FeaturePlan, Vec<R>, ParStats)> {
+        let plan = self.plan(a, b, features)?;
+        let cache = self.prepare_counted(a, b, &plan, pairs);
+        let cells = &*self;
+        let (chunks, mut stats) = magellan_par::chunk_map(pairs.len(), cfg, |range| {
+            let mut scorer = Scorer::over(cells, &plan);
+            let out: Vec<R> = pairs[range]
+                .iter()
+                .map(|&(ra, rb)| each(&mut scorer, ra as usize, rb as usize))
+                .collect();
+            (out, scorer.counts())
+        });
+        let mut out = Vec::with_capacity(pairs.len());
+        let mut counts = ScorerCounts::default();
+        for (chunk, c) in chunks {
+            out.extend(chunk);
+            counts += c;
+        }
+        counts.publish();
+        cache.publish();
+        stats.cache = cache;
+        Ok((plan, out, stats))
     }
 
     /// The scorer buffers not in use. A push or a pop leaves the pool valid
@@ -926,6 +943,25 @@ impl StreamingPreparedPair {
         cfg: &ParConfig,
     ) -> magellan_table::Result<(FeatureMatrix, ParStats)> {
         self.cells.extract(&self.a, &self.b, pairs, features, cfg)
+    }
+
+    /// `score` of each pair's feature row, in pair order: the rows
+    /// [`StreamingPreparedPair::extract`] would return, each read from its
+    /// chunk scorer's own buffer, so no row or matrix is allocated. Same
+    /// preparation, same published counters.
+    pub fn score(
+        &mut self,
+        pairs: &[(u32, u32)],
+        features: &[Feature],
+        cfg: &ParConfig,
+        score: impl Fn(&[f64]) -> f64 + Sync,
+    ) -> magellan_table::Result<(Vec<f64>, ParStats)> {
+        let (_, scores, stats) =
+            self.cells
+                .map_pairs(&self.a, &self.b, pairs, features, cfg, |s, ra, rb| {
+                    score(s.row_slice(ra, rb))
+                })?;
+        Ok((scores, stats))
     }
 }
 

@@ -280,8 +280,17 @@ impl<'p> Scorer<'p> {
 
     /// The whole feature row of `(ra, rb)`.
     pub fn row(&mut self, ra: usize, rb: usize) -> Vec<f64> {
+        self.row_slice(ra, rb).to_vec()
+    }
+
+    /// [`Scorer::row`] without the allocation: the row in the scorer's
+    /// per-pair memo, valid until the next pair begins.
+    pub fn row_slice(&mut self, ra: usize, rb: usize) -> &[f64] {
         self.begin_pair(ra, rb);
-        (0..self.plan.len()).map(|j| self.feature(j)).collect()
+        for j in 0..self.plan.len() {
+            self.feature(j);
+        }
+        &self.buf.values[..self.plan.len()]
     }
 
     /// The number of planned features: the width of a row.

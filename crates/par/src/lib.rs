@@ -155,6 +155,20 @@ impl ParConfig {
         }
     }
 
+    /// This pool for a region of `len` items too short to steal in, such
+    /// as a stream tick's few dozen probes: unless a chunk size was set,
+    /// at most `len` workers, each given one chunk of
+    /// `len.div_ceil(n_workers)` items. An explicit chunk size is kept.
+    pub fn one_chunk_per_worker(&self, len: usize) -> Self {
+        match self.chunk_size {
+            Some(_) => *self,
+            None => {
+                let pool = self.at_most(len);
+                pool.with_chunk_size(len.div_ceil(pool.n_workers))
+            }
+        }
+    }
+
     /// Override the chunk size.
     pub fn with_chunk_size(mut self, chunk: usize) -> Self {
         self.chunk_size = Some(chunk.max(1));
@@ -902,6 +916,24 @@ mod tests {
         assert_eq!(cfg.at_most(3).n_workers, 3);
         assert_eq!(cfg.at_most(20).n_workers, 8);
         assert_eq!(cfg.at_most(3).chunk_size, Some(5));
+    }
+
+    #[test]
+    fn one_chunk_per_worker_unless_a_size_is_set() {
+        let chunks = |cfg: ParConfig, len: usize| {
+            let pool = cfg.one_chunk_per_worker(len);
+            (
+                pool.n_workers,
+                map_indexed(len, &pool, |i| i).1.chunks_total,
+            )
+        };
+        assert_eq!(chunks(ParConfig::workers(4), 10), (4, 4));
+        assert_eq!(chunks(ParConfig::workers(4), 13), (4, 4));
+        assert_eq!(chunks(ParConfig::workers(4), 2), (2, 2));
+        assert_eq!(chunks(ParConfig::serial(), 15), (1, 1));
+        assert_eq!(chunks(ParConfig::workers(4), 0), (1, 0));
+        let pinned = ParConfig::workers(8).with_chunk_size(3);
+        assert_eq!(pinned.one_chunk_per_worker(10), pinned);
     }
 
     #[test]

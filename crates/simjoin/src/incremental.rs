@@ -64,6 +64,15 @@
 //! current version in exactly one of the two, so it contributes at most
 //! one posting per token, which is all the cascade's counters rely on.
 //!
+//! A batch's probes run as two regions on the pool, left probes then
+//! right (`delta_probe` spans), each cut one chunk per worker unless the
+//! caller's [`ParConfig`] sets a chunk size
+//! ([`ParConfig::one_chunk_per_worker`]): a stream tick has a dozen or so
+//! probes, nothing to steal, and the pool's default of eight chunks per
+//! worker gave each probe its own chunk, whose setup (panic containment,
+//! timers, an output slot, the scratch) cost more than many a probe. The
+//! regions' pool counters are published under `phase="stream"`.
+//!
 //! ## Live view
 //!
 //! Rids are dense and never reused, so the view needs no map: it is one
@@ -766,10 +775,14 @@ fn unlink<T>(list: &mut Vec<T>, is_it: impl Fn(&T) -> bool) {
 }
 
 /// Probe a list of new/changed records against the opposing standing
-/// index on the work-stealing pool. Each probe is a pure function of
-/// (record, standing state), so chunk order is irrelevant; per-chunk
-/// outputs are merged in chunk order and the caller sorts by `(l, r)` —
-/// bit-identical at any worker count.
+/// index on the work-stealing pool, one chunk per worker unless `cfg`
+/// sets a chunk size: a tick's few dozen probes leave nothing to steal,
+/// and a chunk per probe paid its setup per probe. Each probe is a pure
+/// function of (record, standing state), so chunk order is irrelevant;
+/// per-chunk outputs are merged in chunk order and the caller sorts by
+/// `(l, r)` — bit-identical at any worker count. The region is a
+/// `delta_probe` span (key 0 left probes, 1 right) and publishes its pool
+/// counters under `phase="stream"`.
 fn probe_batch(
     probes: &[usize],
     probe_is_left: bool,
@@ -781,8 +794,10 @@ fn probe_batch(
     if probes.is_empty() {
         return Vec::new();
     }
+    let _span = magellan_obs::span("delta_probe", u64::from(!probe_is_left));
     let stamp_base = PROBE_STAMPS.fetch_add(probes.len() as u64, Ordering::Relaxed);
-    let (chunks, _) = chunk_map(probes.len(), cfg, |range| {
+    let pool = cfg.one_chunk_per_worker(probes.len());
+    let (chunks, par) = chunk_map(probes.len(), &pool, |range| {
         with_scratch(standing.state.tokens.len(), |scratch| {
             let mut out: Vec<JoinPair> = Vec::new();
             let mut js = JoinStats::default();
@@ -802,6 +817,7 @@ fn probe_batch(
             (out, js)
         })
     });
+    par.publish("stream");
     let mut out = Vec::new();
     for (pairs, js) in chunks {
         out.extend(pairs);

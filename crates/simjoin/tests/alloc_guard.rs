@@ -193,9 +193,11 @@ fn churn_tick_allocates_per_mutation_not_per_pair() {
     );
     // A record's text and key set, its prefix postings' tail lists, the
     // tick's own vectors over 20 mutations, and partner lists outgrowing
-    // their capacity: 8.2 a mutation. It was 11.7 with the live view in a
-    // `BTreeMap` and the adjacencies in `HashMap<usize, BTreeSet>`s, whose
-    // nodes come and go with the ~20 pair deltas each mutation moves here.
+    // their capacity: 6.15 a mutation (8.2 while each probe ran as a chunk
+    // of its own, with an output slot and vectors). It was 11.7 with the
+    // live view in a `BTreeMap` and the adjacencies in
+    // `HashMap<usize, BTreeSet>`s, whose nodes come and go with the ~20
+    // pair deltas each mutation moves here.
     assert!(
         allocations <= 10 * mutations,
         "{allocations} allocations for {mutations} mutations ({per_mutation:.2} each, limit 10)"

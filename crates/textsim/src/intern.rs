@@ -175,28 +175,19 @@ fn pack(token: &str) -> Option<u64> {
     Some(word | u64::MAX << (8 * n))
 }
 
-/// One slot of the packed table: a key and its id, or [`NO_KEY`].
-#[derive(Debug, Clone, Copy)]
-struct PackedSlot {
-    key: u64,
-    id: u32,
-}
-
-const EMPTY_PACKED: PackedSlot = PackedSlot { key: NO_KEY, id: 0 };
-
 /// A token → dense `u32` id table, append-only.
 ///
 /// Ids are assigned in first-intern order. The interner is the single
 /// shared vocabulary for one prepared workload (both tables of an EM
 /// task), so ids are comparable across sides.
 ///
-/// Four buffers hold it, whatever the vocabulary size: one arena with
+/// Five buffers hold it, whatever the vocabulary size: one arena with
 /// every token's bytes back to back in id order, one end offset per id,
 /// and two open-addressing tables (linear probing, each never more than
 /// half full). Tokens of 1 to 8 bytes — most words and every q-gram of a
 /// title — live in the packed table, whose slots hold the token's bytes
-/// as one word beside its id ([`pack`]): a probe compares that word and
-/// nothing else. Longer tokens and the empty token live in the string
+/// as one word ([`pack`]), with the ids in a parallel array: a probe
+/// compares that word and nothing else. Longer tokens and the empty token live in the string
 /// table, whose occupied slots hold `hash tag << 32 | id + 1`; a probe
 /// compares strings only on a 32-bit tag match. A new token costs an
 /// append to the arena and the offsets, not two heap strings.
@@ -208,8 +199,11 @@ pub struct TokenInterner {
     /// `id − 1` ends.
     ends: Vec<u32>,
     /// Power-of-two table of the tokens [`pack`] keys, empty until the
-    /// first one.
-    packed: Vec<PackedSlot>,
+    /// first one: slot `i` holds key `packed[i]` ([`NO_KEY`] if empty)
+    /// with id `packed_ids[i]`, two arrays rather than one of padded
+    /// 16-byte pairs.
+    packed: Vec<u64>,
+    packed_ids: Vec<u32>,
     /// Power-of-two table of the other tokens, empty until the first one.
     slots: Vec<u64>,
     /// Ids `slots` holds; the packed table holds the rest.
@@ -239,6 +233,7 @@ impl TokenInterner {
             arena: String::new(),
             ends: Vec::new(),
             packed: Vec::new(),
+            packed_ids: Vec::new(),
             slots: Vec::new(),
             in_slots: 0,
             seed: TokenHashSeed(seed),
@@ -291,10 +286,10 @@ impl TokenInterner {
         let mut at = hash as usize & mask;
         loop {
             let slot = self.packed[at];
-            if slot.key == key {
-                return Ok(slot.id);
+            if slot == key {
+                return Ok(self.packed_ids[at]);
             }
-            if slot.key == NO_KEY {
+            if slot == NO_KEY {
                 return Err(at);
             }
             at = (at + 1) & mask;
@@ -323,15 +318,19 @@ impl TokenInterner {
     /// keys.
     fn grow_packed(&mut self) {
         let n = (self.packed.len() * 2).max(MIN_SLOTS);
-        let mut packed = vec![EMPTY_PACKED; n];
-        for &old in self.packed.iter().filter(|s| s.key != NO_KEY) {
-            let mut at = self.packed_hash(old.key) as usize & (n - 1);
-            while packed[at].key != NO_KEY {
+        let mut packed = vec![NO_KEY; n];
+        let mut ids = vec![0; n];
+        for (&key, &id) in self.packed.iter().zip(&self.packed_ids) {
+            if key == NO_KEY {
+                continue;
+            }
+            let mut at = self.packed_hash(key) as usize & (n - 1);
+            while packed[at] != NO_KEY {
                 at = (at + 1) & (n - 1);
             }
-            packed[at] = old;
+            (packed[at], ids[at]) = (key, id);
         }
-        self.packed = packed;
+        (self.packed, self.packed_ids) = (packed, ids);
         self.reserve_for_tables();
     }
 
@@ -385,7 +384,7 @@ impl TokenInterner {
                 .expect_err("a new token is absent");
         }
         let id = self.push(token);
-        self.packed[at] = PackedSlot { key, id };
+        (self.packed[at], self.packed_ids[at]) = (key, id);
         id
     }
 
@@ -438,7 +437,7 @@ impl TokenInterner {
     /// target, the footprint of the string map and id table this interner
     /// was first built on. Pinned exports carry that figure, so it stays
     /// the published one; the arena layout holds the text once, plus 4
-    /// bytes of offset and at most 32 of slot table a token. Deterministic
+    /// bytes of offset and at most 24 of slot table a token. Deterministic
     /// — a pure function of the interned strings, never of capacity growth.
     pub fn vocab_bytes(&self) -> usize {
         let per_entry = 2 * std::mem::size_of::<String>() + std::mem::size_of::<u32>();
@@ -1015,8 +1014,12 @@ mod tests {
         assert_eq!(ids, [1, 2, 3]);
         let mask = it.packed.len() - 1;
         for (k, t) in same[..3].iter().enumerate() {
-            let slot = it.packed[(target + k) & mask];
-            assert_eq!((slot.key, slot.id), (pack(t).unwrap(), ids[k]), "{t}");
+            let at = (target + k) & mask;
+            assert_eq!(
+                (it.packed[at], it.packed_ids[at]),
+                (pack(t).unwrap(), ids[k]),
+                "{t}"
+            );
             assert_eq!(it.get(t), Some(ids[k]));
         }
         assert_eq!(it.get(&same[3]), None);
