@@ -5,21 +5,20 @@
 //! records (`run_scoring`).
 //!
 //! Writes `results/exp_feature_cache.txt` (human-readable table) and
-//! `BENCH_feature_extraction.json` at the repo root (the ISSUE's
-//! before/after record; "before" = the scalar path, byte-for-byte the
-//! seed implementation, still compiled in as
-//! `extract_feature_matrix_scalar_par`). A `BENCH_SMOKE=1` run writes
-//! neither.
+//! `BENCH_feature_extraction.json` at the repo root (the before/after
+//! record; "before" = the scalar path, byte-for-byte the seed
+//! implementation, kept as `magellan_bench::legacy::extract_feature_matrix_scalar_par`).
+//! A `BENCH_SMOKE=1` run writes neither.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use magellan_bench::legacy::extract_feature_matrix_scalar_par;
 use magellan_block::{Blocker, OverlapBlocker};
 use magellan_datagen::domains::persons;
 use magellan_datagen::{DirtModel, ScenarioConfig};
 use magellan_features::{
-    extract_feature_matrix_par, extract_feature_matrix_scalar_par, extract_with_prepared,
-    generate_features, PreparedPair, Scorer,
+    extract_feature_matrix_par, extract_with_prepared, generate_features, PreparedPair, Scorer,
 };
 use magellan_par::ParConfig;
 

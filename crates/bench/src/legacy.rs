@@ -2,13 +2,16 @@
 //! new ones are held to.
 //!
 //! The token path, before it stopped allocating per token: bit-identity
-//! in the tests below, a ≥ 1.5× floor in `exp_simjoin`'s
-//! `tokenize_collection` row and the `tokenize_collection` Criterion
-//! group. Everything a record went through is kept as it was: a `String`
-//! per token, a `HashSet` to deduplicate them, a SipHash
-//! `HashMap<String, u32>` interner, document frequencies and ranks in two
-//! `HashMap<u32, u32>`s, and every record allocated a second time for the
-//! remap.
+//! in the tests below and a ≥ 1.5× floor in `exp_simjoin`'s
+//! `tokenize_collection` row. Everything a record went through is kept as
+//! it was: a `String` per token, a `HashSet` to deduplicate them, a
+//! SipHash `HashMap<String, u32>` interner, document frequencies and
+//! ranks in two `HashMap<u32, u32>`s, and every record allocated a second
+//! time for the remap.
+//!
+//! Feature extraction before the prepared cache
+//! ([`extract_feature_matrix_scalar_par`]): `exp_feature_cache`'s
+//! "scalar" column, asserted bit-identical to the prepared path first.
 //!
 //! The forest's batch scoring over its trees' `Node` arenas
 //! ([`arena_forest_batch`]), before every score walked the flat layout:
@@ -17,8 +20,10 @@
 
 use std::collections::{HashMap, HashSet};
 
+use magellan_features::{Feature, FeatureMatrix};
 use magellan_ml::{Classifier, RandomForestClassifier};
-use magellan_par::ParConfig;
+use magellan_par::{ParConfig, ParStats};
+use magellan_table::Table;
 
 /// The set-mode alphanumeric tokenizer, `char` by `char`.
 pub fn alphanumeric_set(s: &str) -> Vec<String> {
@@ -162,6 +167,44 @@ pub fn assert_build_is_bit_identical<S: AsRef<str>>(
         .collect();
     assert_eq!(interned, old.interner_tokens, "interner ids diverged");
     new
+}
+
+/// The per-pair scalar extraction the prepared cache replaced: every
+/// pair re-normalizes and re-tokenizes both attribute values through
+/// [`Feature::compute`], rows mapped on the pool in pair order.
+pub fn extract_feature_matrix_scalar_par(
+    pairs: &[(u32, u32)],
+    a: &Table,
+    b: &Table,
+    features: &[Feature],
+    cfg: &ParConfig,
+) -> magellan_table::Result<(FeatureMatrix, ParStats)> {
+    let l_idx: Vec<usize> = features
+        .iter()
+        .map(|f| a.schema().try_index_of(&f.l_attr))
+        .collect::<magellan_table::Result<_>>()?;
+    let r_idx: Vec<usize> = features
+        .iter()
+        .map(|f| b.schema().try_index_of(&f.r_attr))
+        .collect::<magellan_table::Result<_>>()?;
+    let (rows, stats) = magellan_par::map_indexed(pairs.len(), cfg, |p| {
+        let (ra, rb) = pairs[p];
+        let mut row = Vec::with_capacity(features.len());
+        for ((f, &li), &ri) in features.iter().zip(&l_idx).zip(&r_idx) {
+            let va = a.value(ra as usize, li);
+            let vb = b.value(rb as usize, ri);
+            row.push(f.compute(va, vb));
+        }
+        row
+    });
+    Ok((
+        FeatureMatrix {
+            names: features.iter().map(|f| f.name.clone()).collect(),
+            rows,
+            pairs: pairs.to_vec(),
+        },
+        stats,
+    ))
 }
 
 /// Score every row on the pool, each tree walked over its `Node` arena

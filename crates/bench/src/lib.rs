@@ -1,8 +1,10 @@
 //! # magellan-bench
 //!
 //! The experiment harness: one `exp_*` binary per table/figure of the
-//! paper (see DESIGN.md's experiment index), plus Criterion micro-benches
-//! in `benches/`. Shared harness helpers live here.
+//! paper (see DESIGN.md's experiment index) and the gated performance
+//! experiments whose `BENCH_*.json` records `benchdiff` checks. Shared
+//! harness helpers live here; [`legacy`] keeps the paths those
+//! experiments time as their "before" side.
 
 pub mod benchdiff;
 pub mod legacy;

@@ -119,7 +119,7 @@ pub struct StreamBatchReport {
 /// A live, incrementally-maintained EM pipeline over two record streams.
 ///
 /// Owns the delta join engine, the streaming feature store (two
-/// single-attribute `(id, text)` tables), a flattened random forest, and
+/// single-column `text` tables), a flattened random forest, and
 /// the candidates' scores. See the module docs for the determinism contract.
 pub struct StreamSession {
     engine: IncrementalJoin,
@@ -210,17 +210,18 @@ impl AliveSet {
 }
 
 fn stream_schema() -> Schema {
-    Schema::from_pairs(&[("id", Dtype::Str), ("text", Dtype::Str)])
-        .expect("static stream schema is valid")
+    Schema::from_pairs(&[("text", Dtype::Str)]).expect("static stream schema is valid")
 }
 
-/// One side's records as an `(id, text)` table, row `rid` named
-/// `{prefix}{rid}` like the rows `ingest` mirrors.
-fn text_table(name: &str, prefix: char, texts: &[Option<String>]) -> Result<Table, MagellanError> {
+fn text_cell(text: &Option<String>) -> Value {
+    text.clone().map(Value::Str).unwrap_or(Value::Null)
+}
+
+/// One side's records as a `text` table, row `rid` holding record `rid`.
+fn text_table(name: &str, texts: &[Option<String>]) -> Result<Table, MagellanError> {
     let mut t = Table::with_capacity(name, stream_schema(), texts.len());
-    for (rid, text) in texts.iter().enumerate() {
-        let text = text.clone().map(Value::Str).unwrap_or(Value::Null);
-        t.push_row(vec![Value::Str(format!("{prefix}{rid}")), text])
+    for text in texts {
+        t.push_row(vec![text_cell(text)])
             .map_err(MagellanError::Table)?;
     }
     Ok(t)
@@ -327,16 +328,9 @@ impl StreamSession {
         for op in batch {
             let (side, rid, text) = match op {
                 RecordMutation::Insert { side, text } => {
-                    let left = matches!(side, Side::Left);
-                    let rid = self.store.tables().0.nrows() * usize::from(left)
-                        + self.store.tables().1.nrows() * usize::from(!left);
-                    let prefix = if left { 'l' } else { 'r' };
-                    let row = vec![
-                        Value::Str(format!("{prefix}{rid}")),
-                        text.clone().map(Value::Str).unwrap_or(Value::Null),
-                    ];
-                    self.store
-                        .push_row(left, row)
+                    let rid = self
+                        .store
+                        .push_row(matches!(side, Side::Left), vec![text_cell(text)])
                         .map_err(MagellanError::Table)?;
                     (side, rid, text)
                 }
@@ -347,9 +341,8 @@ impl StreamSession {
                     (side, *rid, &None)
                 }
                 RecordMutation::Update { side, rid, text } => {
-                    let v = text.clone().map(Value::Str).unwrap_or(Value::Null);
                     self.store
-                        .set_value(matches!(side, Side::Left), *rid, "text", v)
+                        .set_value(matches!(side, Side::Left), *rid, "text", text_cell(text))
                         .map_err(MagellanError::Table)?;
                     (side, *rid, text)
                 }
@@ -508,8 +501,8 @@ impl StreamSession {
     /// the live view right, not to serve queries.
     pub fn rebuild_oracle(&self) -> Result<Vec<((usize, usize), f64)>, MagellanError> {
         let pairs = self.engine.rebuild_from_scratch(&self.tokenizer);
-        let a = text_table("oracle_left", 'l', self.engine.texts(Side::Left))?;
-        let b = text_table("oracle_right", 'r', self.engine.texts(Side::Right))?;
+        let a = text_table("oracle_left", self.engine.texts(Side::Left))?;
+        let b = text_table("oracle_right", self.engine.texts(Side::Right))?;
         let pairs_u32: Vec<(u32, u32)> = pairs.iter().map(|p| (p.l as u32, p.r as u32)).collect();
         let mut cold = StreamingPreparedPair::new(a, b);
         let (matrix, _) = cold
@@ -605,8 +598,8 @@ impl StreamSession {
             scores[p.l].push((p.r as u32, prob));
         }
         let store = StreamingPreparedPair::new(
-            text_table("stream_left", 'l', &saved.left)?,
-            text_table("stream_right", 'r', &saved.right)?,
+            text_table("stream_left", &saved.left)?,
+            text_table("stream_right", &saved.right)?,
         );
         let tokenizer = AlphanumericTokenizer::as_set();
         let engine = IncrementalJoin::restore(

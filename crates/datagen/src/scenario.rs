@@ -67,11 +67,6 @@ impl EmScenario {
     pub fn is_match(&self, a_id: &str, b_id: &str) -> bool {
         self.gold.contains(&(a_id.to_owned(), b_id.to_owned()))
     }
-
-    /// Fraction of the cross product that matches.
-    pub fn match_density(&self) -> f64 {
-        self.gold.len() as f64 / (self.table_a.nrows() * self.table_b.nrows()) as f64
-    }
 }
 
 /// Build a scenario from a domain's entity generator and renderer.
@@ -311,7 +306,7 @@ mod tests {
             seed: 4,
         };
         let s = toy(&cfg);
-        assert!((s.match_density() - 0.05).abs() < 1e-12);
+        assert_eq!(s.gold.len(), 5);
         let (a, b) = s.gold.iter().next().unwrap();
         assert!(s.is_match(a, b));
         assert!(!s.is_match("a999", "b999"));

@@ -417,14 +417,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn no_retry() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..Default::default()
-        }
-    }
-
     /// May attempt number `attempt` (0-based) run at all?
     pub fn allows(&self, attempt: u32) -> bool {
         attempt < self.max_attempts.max(1)
@@ -451,11 +443,6 @@ impl RetryPolicy {
         (1..self.max_attempts.max(1))
             .map(|a| self.delay_s(a))
             .collect()
-    }
-
-    /// Worst-case total simulated time spent backing off.
-    pub fn total_backoff_s(&self) -> f64 {
-        self.schedule().iter().sum()
     }
 }
 
@@ -657,17 +644,6 @@ impl StreamPlan {
         }
     }
 
-    /// An insert-only plan (pure growth — no tombstones, no compaction
-    /// pressure); useful as the streaming baseline.
-    pub fn insert_only(seed: u64) -> Self {
-        StreamPlan {
-            seed,
-            insert_per_mille: 1000,
-            delete_per_mille: 0,
-            left_per_mille: 500,
-        }
-    }
-
     /// The `step`-th mutation of the stream (0-based), decided purely
     /// from `(seed, step)`.
     pub fn op(&self, step: u64) -> StreamOp {
@@ -757,7 +733,12 @@ mod tests {
 
     #[test]
     fn insert_only_never_deletes_and_text_seeds_differ() {
-        let p = StreamPlan::insert_only(7);
+        let p = StreamPlan {
+            seed: 7,
+            insert_per_mille: 1000,
+            delete_per_mille: 0,
+            left_per_mille: 500,
+        };
         for t in 0..200 {
             assert!(matches!(p.op(t), StreamOp::Insert { .. }));
         }
@@ -946,9 +927,12 @@ mod tests {
             ..Default::default()
         };
         assert!(p.allows(0) && p.allows(2) && !p.allows(3));
-        assert!(RetryPolicy::no_retry().allows(0));
-        assert!(!RetryPolicy::no_retry().allows(1));
-        assert!(p.total_backoff_s() > 0.0);
+        let once = RetryPolicy {
+            max_attempts: 1,
+            ..p
+        };
+        assert!(once.allows(0) && !once.allows(1));
+        assert!(p.schedule().iter().sum::<f64>() > 0.0);
     }
 
     #[derive(Debug)]

@@ -43,9 +43,8 @@ impl FeatureMatrix {
 /// ([`crate::prepared::PreparedPair`]): each referenced record's attribute
 /// is normalized and tokenized once per distinct `(attribute, tokenizer)`
 /// combination, and set measures run as interned-`u32` merge
-/// intersections. Bit-identical to the per-pair scalar path
-/// ([`extract_feature_matrix_scalar`]) — pinned by test and by the golden
-/// e2e suite.
+/// intersections. Bit-identical to [`Feature::compute`] on each pair's
+/// cells — pinned by test and by the golden e2e suite.
 pub fn extract_feature_matrix(
     pairs: &[(u32, u32)],
     a: &Table,
@@ -72,57 +71,6 @@ pub fn extract_feature_matrix_par(
 ) -> magellan_table::Result<(FeatureMatrix, ParStats)> {
     let mut prepared = crate::prepared::PreparedPair::new(a, b);
     crate::prepared::extract_with_prepared(&mut prepared, pairs, features, cfg)
-}
-
-/// The reference per-pair scalar path: every pair re-normalizes and
-/// re-tokenizes both attribute values through [`Feature::compute`].
-///
-/// Kept (a) as the pinned bit-identity reference for the prepared cache
-/// and (b) as the baseline side of the `feature_extraction` benchmark.
-pub fn extract_feature_matrix_scalar(
-    pairs: &[(u32, u32)],
-    a: &Table,
-    b: &Table,
-    features: &[Feature],
-) -> magellan_table::Result<FeatureMatrix> {
-    extract_feature_matrix_scalar_par(pairs, a, b, features, &ParConfig::serial()).map(|(m, _)| m)
-}
-
-/// Parallel [`extract_feature_matrix_scalar`] (the pre-cache
-/// implementation of [`extract_feature_matrix_par`], unchanged).
-pub fn extract_feature_matrix_scalar_par(
-    pairs: &[(u32, u32)],
-    a: &Table,
-    b: &Table,
-    features: &[Feature],
-    cfg: &ParConfig,
-) -> magellan_table::Result<(FeatureMatrix, ParStats)> {
-    let l_idx: Vec<usize> = features
-        .iter()
-        .map(|f| a.schema().try_index_of(&f.l_attr))
-        .collect::<magellan_table::Result<_>>()?;
-    let r_idx: Vec<usize> = features
-        .iter()
-        .map(|f| b.schema().try_index_of(&f.r_attr))
-        .collect::<magellan_table::Result<_>>()?;
-    let (rows, stats) = magellan_par::map_indexed(pairs.len(), cfg, |p| {
-        let (ra, rb) = pairs[p];
-        let mut row = Vec::with_capacity(features.len());
-        for ((f, &li), &ri) in features.iter().zip(&l_idx).zip(&r_idx) {
-            let va = a.value(ra as usize, li);
-            let vb = b.value(rb as usize, ri);
-            row.push(f.compute(va, vb));
-        }
-        row
-    });
-    Ok((
-        FeatureMatrix {
-            names: features.iter().map(|f| f.name.clone()).collect(),
-            rows,
-            pairs: pairs.to_vec(),
-        },
-        stats,
-    ))
 }
 
 #[cfg(test)]

@@ -26,9 +26,8 @@
 //! **once** per distinct `(attribute, tokenizer)` combination, interning
 //! tokens into dense `u32` ids, and a [`prepared::Scorer`] per chunk of
 //! the pair list keeps the left record's side of each measure while
-//! consecutive pairs share it — bit-identical to the per-pair scalar path,
-//! which is kept as [`fvtable::extract_feature_matrix_scalar`] for
-//! reference and benchmarking.
+//! consecutive pairs share it — bit-identical to [`feature::Feature::compute`]
+//! on each pair's cells, the reference the tests hold it to.
 
 #![warn(missing_docs)]
 
@@ -40,10 +39,7 @@ pub mod types;
 
 pub use autogen::generate_features;
 pub use feature::{Feature, FeatureKind, TokSpec, TokSpecF};
-pub use fvtable::{
-    extract_feature_matrix, extract_feature_matrix_par, extract_feature_matrix_scalar,
-    extract_feature_matrix_scalar_par, FeatureMatrix,
-};
+pub use fvtable::{extract_feature_matrix, extract_feature_matrix_par, FeatureMatrix};
 pub use prepared::{
     extract_with_prepared, FeatureBox, FeaturePlan, PreparedPair, Scorer, ScorerCounts,
     StreamingPreparedPair,

@@ -1153,7 +1153,7 @@ fn compute_prepared(
 /// Extract a feature matrix through a shared [`PreparedPair`] cache: plan
 /// the features, prepare the referenced records once each, then evaluate
 /// pair rows on the `magellan-par` pool, one [`Scorer`] per chunk
-/// (bit-identical to [`crate::extract_feature_matrix_scalar`] for any
+/// (bit-identical to [`Feature::compute`] on each pair's cells, for any
 /// worker count).
 ///
 /// The returned [`ParStats`] carries this call's [`CacheStats`] delta —
@@ -1175,8 +1175,18 @@ pub fn extract_with_prepared(
 mod tests {
     use super::*;
     use crate::feature::{Feature, FeatureKind, TokSpec};
-    use crate::fvtable::extract_feature_matrix_scalar;
     use magellan_table::{Dtype, Value};
+
+    /// [`Feature::compute`] on each pair's raw cells: the scalar reference
+    /// every prepared row is held to.
+    fn scalar_rows(pairs: &[(u32, u32)], a: &Table, b: &Table, fs: &[Feature]) -> Vec<Vec<f64>> {
+        let cells = |f: &Feature, ra: u32, rb: u32| {
+            let va = a.value_by_name(ra as usize, &f.l_attr).unwrap();
+            f.compute(va, b.value_by_name(rb as usize, &f.r_attr).unwrap())
+        };
+        let row = |&(ra, rb): &(u32, u32)| fs.iter().map(|f| cells(f, ra, rb)).collect();
+        pairs.iter().map(row).collect()
+    }
 
     fn tables() -> (Table, Table) {
         let a = Table::from_rows(
@@ -1265,13 +1275,15 @@ mod tests {
         let (a, b) = tables();
         let features = all_kind_features();
         let pairs = all_pairs(&a, &b);
-        let scalar = extract_feature_matrix_scalar(&pairs, &a, &b, &features).unwrap();
+        let scalar = scalar_rows(&pairs, &a, &b, &features);
         let mut prepared = PreparedPair::new(&a, &b);
         let (cached, stats) =
             extract_with_prepared(&mut prepared, &pairs, &features, &ParConfig::serial()).unwrap();
-        assert_eq!(cached.names, scalar.names);
-        assert_eq!(cached.pairs, scalar.pairs);
-        for (i, (cr, sr)) in cached.rows.iter().zip(&scalar.rows).enumerate() {
+        let names: Vec<&str> = features.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(cached.names, names);
+        assert_eq!(cached.pairs, pairs);
+        assert_eq!(cached.rows.len(), scalar.len());
+        for (i, (cr, sr)) in cached.rows.iter().zip(&scalar).enumerate() {
             for (j, (cv, sv)) in cr.iter().zip(sr).enumerate() {
                 assert_eq!(
                     cv.to_bits(),
@@ -1332,11 +1344,11 @@ mod tests {
         let (a, b) = (table("a"), table("b"));
         let features = all_kind_features();
         let pairs = all_pairs(&a, &b);
-        let scalar = extract_feature_matrix_scalar(&pairs, &a, &b, &features).unwrap();
+        let scalar = scalar_rows(&pairs, &a, &b, &features);
         let mut prepared = PreparedPair::new(&a, &b);
         let (cached, _) =
             extract_with_prepared(&mut prepared, &pairs, &features, &ParConfig::serial()).unwrap();
-        for (i, (cr, sr)) in cached.rows.iter().zip(&scalar.rows).enumerate() {
+        for (i, (cr, sr)) in cached.rows.iter().zip(&scalar).enumerate() {
             for (j, (cv, sv)) in cr.iter().zip(sr).enumerate() {
                 assert_eq!(
                     cv.to_bits(),
@@ -1463,8 +1475,8 @@ mod tests {
         let mut a2 = a.clone();
         a2.set_value(0, "name", Value::Str("David Smith Jr".into()))
             .unwrap();
-        let cold = extract_feature_matrix_scalar(&pairs, &a2, &b, &features).unwrap();
-        for (cr, sr) in m2.rows.iter().zip(&cold.rows) {
+        let cold = scalar_rows(&pairs, &a2, &b, &features);
+        for (cr, sr) in m2.rows.iter().zip(&cold) {
             for (cv, sv) in cr.iter().zip(sr) {
                 assert_eq!(cv.to_bits(), sv.to_bits(), "streaming extract diverged");
             }
@@ -1515,8 +1527,8 @@ mod tests {
             Value::Int(40),
         ])
         .unwrap();
-        let cold = extract_feature_matrix_scalar(&pairs2, &a, &b2, &features).unwrap();
-        for (cr, sr) in m.rows.iter().zip(&cold.rows) {
+        let cold = scalar_rows(&pairs2, &a, &b2, &features);
+        for (cr, sr) in m.rows.iter().zip(&cold) {
             for (cv, sv) in cr.iter().zip(sr) {
                 assert_eq!(cv.to_bits(), sv.to_bits(), "grown extract diverged");
             }

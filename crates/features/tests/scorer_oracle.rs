@@ -43,8 +43,8 @@
 //! and so does reading NaN as inside (`!(value > upper)` in `in_box`).
 
 use magellan_features::{
-    extract_feature_matrix_scalar, extract_with_prepared, Feature, FeatureKind, PreparedPair,
-    Scorer, StreamingPreparedPair, TokSpec,
+    extract_with_prepared, Feature, FeatureKind, PreparedPair, Scorer, StreamingPreparedPair,
+    TokSpec,
 };
 use magellan_obs::Obs;
 use magellan_par::ParConfig;
@@ -187,6 +187,16 @@ fn pair_orders(n_l: u32, n_r: u32, seed: u64) -> Vec<(&'static str, Vec<(u32, u3
     ]
 }
 
+/// The scalar path: [`Feature::compute`] on each pair's raw cells.
+fn scalar_rows(pairs: &[(u32, u32)], a: &Table, b: &Table, fs: &[Feature]) -> Vec<Vec<f64>> {
+    let cells = |f: &Feature, ra: u32, rb: u32| {
+        let va = a.value_by_name(ra as usize, &f.l_attr).unwrap();
+        f.compute(va, b.value_by_name(rb as usize, &f.r_attr).unwrap())
+    };
+    let row = |&(ra, rb): &(u32, u32)| fs.iter().map(|f| cells(f, ra, rb)).collect();
+    pairs.iter().map(row).collect()
+}
+
 fn assert_rows_equal(
     what: &str,
     got: &[Vec<f64>],
@@ -226,7 +236,7 @@ proptest! {
         let features = features();
         let names: Vec<String> = features.iter().map(|f| f.name.clone()).collect();
         for (order, pairs) in pair_orders(a.nrows() as u32, b.nrows() as u32, seed) {
-            let scalar = extract_feature_matrix_scalar(&pairs, &a, &b, &features).unwrap().rows;
+            let scalar = scalar_rows(&pairs, &a, &b, &features);
 
             let mut prepared = PreparedPair::new(&a, &b);
             let plan = prepared.plan(&features).unwrap();
@@ -294,7 +304,7 @@ proptest! {
         let text = |c: &Option<String>| c.clone().map_or(Value::Null, Value::Str);
         for (order, pairs) in pair_orders(a.nrows() as u32, b.nrows() as u32, seed) {
             let (m, _) = store.extract(&pairs, &features, &cfg).unwrap();
-            let scalar = extract_feature_matrix_scalar(&pairs, &a, &b, &features).unwrap().rows;
+            let scalar = scalar_rows(&pairs, &a, &b, &features);
             assert_rows_equal(&format!("{order}: before"), &m.rows, &scalar, &pairs, &names)?;
 
             // Rewrite the first pair's left record and the last one's right
@@ -310,7 +320,7 @@ proptest! {
                 store.set_value(left_side, rid, attr, v).unwrap();
             }
             let (m, _) = store.extract(&pairs, &features, &cfg).unwrap();
-            let scalar = extract_feature_matrix_scalar(&pairs, &a, &b, &features).unwrap().rows;
+            let scalar = scalar_rows(&pairs, &a, &b, &features);
             assert_rows_equal(&format!("{order}: after"), &m.rows, &scalar, &pairs, &names)?;
 
             a.set_value(l, "text", old_l.clone()).unwrap();
@@ -415,7 +425,7 @@ proptest! {
             .into_iter()
             .take(2)
         {
-            let scalar = extract_feature_matrix_scalar(&pairs, &a, &b, &features).unwrap().rows;
+            let scalar = scalar_rows(&pairs, &a, &b, &features);
             let mut prepared = PreparedPair::new(&a, &b);
             let plan = prepared.plan(&features).unwrap();
             prepared.prepare_for_pairs(&plan, &pairs);

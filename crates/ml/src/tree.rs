@@ -165,14 +165,6 @@ impl DecisionTreeClassifier {
         &self.feature_names
     }
 
-    /// Number of leaves.
-    pub fn n_leaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
-    }
-
     /// Maximum depth of any leaf.
     pub fn depth(&self) -> usize {
         fn depth_of(nodes: &[Node], i: usize) -> usize {
@@ -474,7 +466,11 @@ mod tests {
         assert!(!tree.predict(&[0.0, 1.0]));
         assert!(!tree.predict(&[0.0, 0.0]));
         // Structure: two splits, three leaves (pure conjunction).
-        assert_eq!(tree.n_leaves(), 3);
+        let leaves = tree
+            .nodes()
+            .iter()
+            .filter(|n| matches!(n, Node::Leaf { .. }));
+        assert_eq!(leaves.count(), 3);
         assert_eq!(tree.depth(), 2);
     }
 

@@ -483,18 +483,6 @@ impl JoinStats {
     pub fn suffix_kill_rate(&self) -> f64 {
         ratio(self.killed_by_suffix, self.candidates)
     }
-
-    /// Fraction of generated candidates that survived to a full exact
-    /// verification.
-    pub fn verify_rate(&self) -> f64 {
-        ratio(self.verified, self.candidates)
-    }
-
-    /// Fraction of signature-checked edit-join candidates the q-gram
-    /// signature prefilter killed before any banded-DP work.
-    pub fn qgram_sig_kill_rate(&self) -> f64 {
-        ratio(self.killed_by_qgram_sig, self.qgram_sig_checked)
-    }
 }
 
 fn ratio(num: usize, den: usize) -> f64 {
@@ -880,23 +868,6 @@ where
     (chunks.into_iter().flatten().collect(), stats)
 }
 
-/// Fallible ordered parallel map: first error (by index order) wins.
-pub fn try_map_indexed<T, E, F>(len: usize, cfg: &ParConfig, f: F) -> Result<(Vec<T>, ParStats), E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    let (chunks, stats) = chunk_map(len, cfg, |range| {
-        range.map(&f).collect::<Result<Vec<T>, E>>()
-    });
-    let mut out = Vec::with_capacity(len);
-    for chunk in chunks {
-        out.extend(chunk?);
-    }
-    Ok((out, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -971,21 +942,6 @@ mod tests {
         let cfg = ParConfig::workers(8).with_chunk_size(3);
         let (_, _) = map_indexed(500, &cfg, |i| hits[i].fetch_add(1, Ordering::Relaxed));
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn try_map_propagates_first_error() {
-        let cfg = ParConfig::workers(4).with_chunk_size(2);
-        let r: Result<(Vec<usize>, ParStats), String> = try_map_indexed(50, &cfg, |i| {
-            if i == 33 {
-                Err(format!("boom {i}"))
-            } else {
-                Ok(i)
-            }
-        });
-        assert_eq!(r.err(), Some("boom 33".to_owned()));
-        let ok: Result<(Vec<usize>, ParStats), String> = try_map_indexed(10, &cfg, Ok);
-        assert_eq!(ok.unwrap().0, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1115,10 +1071,8 @@ mod tests {
         assert_eq!(a.join.tombstones_skipped, 10);
         assert_eq!(a.join.tail_postings_scanned, 10);
         assert_eq!(a.join.compactions, 2);
-        assert!((a.join.qgram_sig_kill_rate() - 0.5).abs() < 1e-12);
         assert!((a.join.position_kill_rate() - 50.0 / 150.0).abs() < 1e-12);
         assert!((a.join.suffix_kill_rate() - 0.2).abs() < 1e-12);
-        assert!((a.join.verify_rate() - 70.0 / 150.0).abs() < 1e-12);
         assert_eq!(JoinStats::default().position_kill_rate(), 0.0);
     }
 

@@ -774,10 +774,22 @@ fn unlink<T>(list: &mut Vec<T>, is_it: impl Fn(&T) -> bool) {
     list.swap_remove(at);
 }
 
+/// Probes a worker must exceed, at two or more workers, before a region
+/// keeps the pool's default chunking (about eight stealable chunks a
+/// worker) instead of one chunk per worker. Measured on a 2-core host at
+/// two workers (median of 31 `apply_batch` calls of fresh 3–8-token
+/// inserts, Jaccard 0.5): into an 8 000-record index the default chunking
+/// took 0.87–0.90× the time of one chunk per worker from 32 probes a
+/// worker up; into an empty one it was even from 64 up and 1.04–1.11×
+/// slower at 16–32. A 20-mutation tick probes at most 10 a worker.
+const BULK_PROBES_PER_WORKER: usize = 64;
+
 /// Probe a list of new/changed records against the opposing standing
-/// index on the work-stealing pool, one chunk per worker unless `cfg`
-/// sets a chunk size: a tick's few dozen probes leave nothing to steal,
-/// and a chunk per probe paid its setup per probe. Each probe is a pure
+/// index on the work-stealing pool. Unless `cfg` sets a chunk size, a
+/// region of at most [`BULK_PROBES_PER_WORKER`] probes a worker runs one
+/// chunk per worker: a tick's few dozen probes leave nothing to steal.
+/// A bulk batch (a seed corpus) keeps the default chunking, so a worker
+/// that finishes early steals from a slow one. Each probe is a pure
 /// function of (record, standing state), so chunk order is irrelevant;
 /// per-chunk outputs are merged in chunk order and the caller sorts by
 /// `(l, r)` — bit-identical at any worker count. The region is a
@@ -796,7 +808,12 @@ fn probe_batch(
     }
     let _span = magellan_obs::span("delta_probe", u64::from(!probe_is_left));
     let stamp_base = PROBE_STAMPS.fetch_add(probes.len() as u64, Ordering::Relaxed);
-    let pool = cfg.one_chunk_per_worker(probes.len());
+    let bulk = cfg.n_workers >= 2 && probes.len() > BULK_PROBES_PER_WORKER * cfg.n_workers;
+    let pool = if bulk {
+        *cfg
+    } else {
+        cfg.one_chunk_per_worker(probes.len())
+    };
     let (chunks, par) = chunk_map(probes.len(), &pool, |range| {
         with_scratch(standing.state.tokens.len(), |scratch| {
             let mut out: Vec<JoinPair> = Vec::new();
@@ -1208,6 +1225,26 @@ mod tests {
             for eng in &engines[1..] {
                 assert_eq!(eng.live_pairs(), engines[0].live_pairs());
             }
+        }
+    }
+
+    /// A bulk batch (a seed corpus) keeps the pool's default chunking, so
+    /// a worker that finishes its probes early can steal.
+    #[test]
+    fn a_bulk_batch_runs_more_chunks_than_workers() {
+        let tok = WhitespaceTokenizer::new();
+        let mut eng = IncrementalJoin::new(SetSimMeasure::Jaccard(0.5));
+        let batch = seed_batch(400, 31);
+        let obs = magellan_obs::Obs::pinned();
+        let guard = obs.install();
+        eng.apply_batch(&batch, &tok, &ParConfig::workers(2));
+        drop(guard);
+        let snap = obs.snapshot();
+        let (regions, chunks) = (snap.spans_named("delta_probe"), snap.spans_named("chunk"));
+        assert!(!regions.is_empty());
+        for region in regions {
+            let n = chunks.iter().filter(|c| c.parent == region.id).count();
+            assert!(n > 2, "{n} chunks under a bulk delta_probe at 2 workers");
         }
     }
 

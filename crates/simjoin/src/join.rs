@@ -367,19 +367,7 @@ pub fn set_sim_join<S: AsRef<str>>(
     tokenizer: &dyn Tokenizer,
     measure: SetSimMeasure,
 ) -> Vec<JoinPair> {
-    set_sim_join_stats(left, right, tokenizer, measure).0
-}
-
-/// [`set_sim_join`] also returning the pruning-cascade telemetry.
-pub fn set_sim_join_stats<S: AsRef<str>>(
-    left: &[Option<S>],
-    right: &[Option<S>],
-    tokenizer: &dyn Tokenizer,
-    measure: SetSimMeasure,
-) -> (Vec<JoinPair>, JoinStats) {
-    measure.validate();
-    let coll = TokenizedCollection::build(left, right, tokenizer);
-    join_tokenized_stats(&coll, measure, ProbeSide::Auto)
+    join_tokenized(&TokenizedCollection::build(left, right, tokenizer), measure)
 }
 
 /// Join a pre-tokenized collection (lets callers reuse tokenization).

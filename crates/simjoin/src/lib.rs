@@ -67,8 +67,7 @@ pub use collection::{TokenColumn, TokenizedCollection};
 pub use incremental::{IncrementalJoin, PairDelta, RecordMutation, Side};
 pub use join::{
     join_tokenized, join_tokenized_pairs, join_tokenized_par, join_tokenized_par_side,
-    join_tokenized_stats, set_sim_join, set_sim_join_parallel, set_sim_join_stats, JoinPair,
-    ProbeSide, SetSimMeasure,
+    join_tokenized_stats, set_sim_join, set_sim_join_parallel, JoinPair, ProbeSide, SetSimMeasure,
 };
 pub use magellan_par::JoinStats;
 pub use reference::join_tokenized_hashmap;

@@ -6,8 +6,8 @@
 //! kept (not dead-coded) for two jobs:
 //!
 //! * the **oracle tests** pin the CSR engine bit-identical to it, and
-//! * the **benches** (`benches/simjoin.rs`, `exp_simjoin`) measure the
-//!   CSR engine's speedup against it on the same tokenized inputs.
+//! * `exp_simjoin` measures the CSR engine's speedup against it on the
+//!   same tokenized inputs (`BENCH_simjoin.json`, floor 2×).
 //!
 //! Do not route production callers here — use [`crate::join_tokenized`].
 

@@ -16,7 +16,8 @@ use std::collections::BTreeMap;
 
 use magellan_par::{JoinStats, ParConfig};
 use magellan_simjoin::{
-    set_sim_join_stats, IncrementalJoin, JoinPair, PairDelta, RecordMutation, SetSimMeasure, Side,
+    join_tokenized_stats, IncrementalJoin, JoinPair, PairDelta, ProbeSide, RecordMutation,
+    SetSimMeasure, Side, TokenizedCollection,
 };
 use magellan_textsim::tokenize::WhitespaceTokenizer;
 use proptest::prelude::*;
@@ -423,8 +424,8 @@ fn delta_probe_is_as_selective_as_the_batch_engine() {
     let catalog: Vec<String> = (0..2_400).map(|_| product(&mut rng, 0)).collect();
     let (eng, churn) = product_stream(&catalog, &mut Lcg(11), 4_000, 10, |_| {});
 
-    let (_, batch) =
-        set_sim_join_stats(eng.texts(Side::Left), eng.texts(Side::Right), &tok, measure);
+    let coll = TokenizedCollection::build(eng.texts(Side::Left), eng.texts(Side::Right), &tok);
+    let (_, batch) = join_tokenized_stats(&coll, measure, ProbeSide::Auto);
     let per_delta_probe = churn.candidates as f64 / churn.delta_probes as f64;
     let per_batch_probe = batch.candidates as f64 / batch.probes as f64;
     assert!(
