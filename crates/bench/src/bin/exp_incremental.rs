@@ -13,8 +13,8 @@
 //! from-scratch oracle.
 //!
 //! Writes `results/exp_incremental.txt` and `BENCH_incremental.json`
-//! (updates/sec, delta-vs-rebuild speedup — acceptance floor 10x — and
-//! compaction pause p99); a `BENCH_SMOKE=1` run writes neither.
+//! (updates/sec and the delta-vs-rebuild speedup — acceptance floor 10x);
+//! a `BENCH_SMOKE=1` run writes neither.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -109,14 +109,6 @@ fn assert_view_equals(
             "{what}: sim bits diverged"
         );
     }
-}
-
-fn percentile_ms(sorted_s: &[f64], p: f64) -> f64 {
-    if sorted_s.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_s.len() as f64 * p).ceil() as usize).min(sorted_s.len()) - 1;
-    sorted_s[idx] * 1e3
 }
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -237,14 +229,6 @@ fn main() {
     let speedup = rebuild_median / delta_median;
     let total_delta_s: f64 = t_delta.iter().sum();
     let updates_per_sec = total_ops as f64 / total_delta_s;
-    let mut pauses: Vec<f64> = engines[0]
-        .1
-        .compaction_pauses()
-        .iter()
-        .map(|d| d.as_secs_f64())
-        .collect();
-    pauses.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pause_p99_ms = percentile_ms(&pauses, 0.99);
 
     writeln!(txt).unwrap();
     writeln!(
@@ -278,14 +262,6 @@ fn main() {
         cascade.killed_by_position,
         cascade.verified as f64 / cascade.pairs.max(1) as f64,
         cascade.verify_steps as f64 / cascade.verified.max(1) as f64,
-    )
-    .unwrap();
-    writeln!(
-        txt,
-        "compactions: {} (pause p99 {pause_p99_ms:.3}ms); index generations l={} r={}",
-        pauses.len(),
-        engines[0].1.index_generation(Side::Left),
-        engines[0].1.index_generation(Side::Right),
     )
     .unwrap();
     writeln!(
@@ -370,11 +346,10 @@ fn main() {
     magellan_obs::log!(info, "{txt}");
 
     let json = format!(
-        "{{\n  \"experiment\": \"incremental\",\n  \"workload\": {{\"rows_per_side\": {n}, \"churn_per_batch\": {churn}, \"batches\": {batches}, \"measure\": \"jaccard\", \"threshold\": 0.5, \"smoke\": {smoke}}},\n  \"updates_per_sec\": {updates_per_sec:.0},\n  \"delta_batch_median_ms\": {:.4},\n  \"rebuild_median_ms\": {:.4},\n  \"delta_vs_rebuild_speedup\": {speedup:.1},\n  \"pairs_added\": {pairs_added},\n  \"pairs_removed\": {pairs_removed},\n  \"live_pairs\": {},\n  \"compactions\": {{\"count\": {}, \"pause_p99_ms\": {pause_p99_ms:.4}}},\n  \"workers_bit_identical\": [1, 2, 4, 8],\n  \"stream\": {{\"updates_per_sec\": {stream_ups:.0}, \"matches\": {}, \"oracle_equal\": true}}\n}}\n",
+        "{{\n  \"experiment\": \"incremental\",\n  \"workload\": {{\"rows_per_side\": {n}, \"churn_per_batch\": {churn}, \"batches\": {batches}, \"measure\": \"jaccard\", \"threshold\": 0.5, \"smoke\": {smoke}}},\n  \"updates_per_sec\": {updates_per_sec:.0},\n  \"delta_batch_median_ms\": {:.4},\n  \"rebuild_median_ms\": {:.4},\n  \"delta_vs_rebuild_speedup\": {speedup:.1},\n  \"pairs_added\": {pairs_added},\n  \"pairs_removed\": {pairs_removed},\n  \"live_pairs\": {},\n  \"workers_bit_identical\": [1, 2, 4, 8],\n  \"stream\": {{\"updates_per_sec\": {stream_ups:.0}, \"matches\": {}, \"oracle_equal\": true}}\n}}\n",
         delta_median * 1e3,
         rebuild_median * 1e3,
         engines[0].1.n_live_pairs(),
-        pauses.len(),
         live.len(),
     );
 

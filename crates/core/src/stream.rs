@@ -8,7 +8,7 @@
 //! incremental tiers grown underneath it:
 //!
 //! * [`magellan_simjoin::IncrementalJoin`] — delta-maintained candidate
-//!   generation (tombstoned CSR + tail overlay, signed pair deltas); its
+//!   generation (one postings list per token, signed pair deltas); its
 //!   live view *is* the session's candidate set;
 //! * [`magellan_features::StreamingPreparedPair`] — per-record cache
 //!   invalidation, so only dirty records re-tokenize;
@@ -37,9 +37,9 @@
 //! ## Durability
 //!
 //! [`StreamSession::checkpoint_bytes`] serializes the session as
-//! `emstream v2`, a [`magellan_table::segment`] file — record texts, the
+//! `emstream v3`, a [`magellan_table::segment`] file — record texts, the
 //! live candidate view (similarity bits), each live pair's model score
-//! (probability bits), per-side index generations, and the stream cursor.
+//! (probability bits), and the stream cursor.
 //! A daemon killed mid-stream resumes via
 //! [`StreamSession::restore_from_bytes`] and replays the remaining
 //! [`magellan_faults::StreamPlan`] suffix to the identical view.
@@ -108,7 +108,8 @@ pub struct StreamBatchReport {
     pub pairs_removed: usize,
     /// Pairs re-featurized and re-scored (== `pairs_added`).
     pub dirty_pairs: usize,
-    /// Index compactions triggered by this batch.
+    /// Always 0: the join edits its index in place and never compacts it.
+    /// Kept for the report's readers.
     pub compactions: u64,
     /// Live candidate pairs after the batch.
     pub live_candidates: usize,
@@ -303,7 +304,7 @@ impl StreamSession {
         out
     }
 
-    /// The underlying delta join engine (generations, pause telemetry).
+    /// The underlying delta join engine.
     pub fn engine(&self) -> &IncrementalJoin {
         &self.engine
     }
@@ -312,13 +313,22 @@ impl StreamSession {
     /// delta join → score retirement → dirty-pair featurization and
     /// rescore, one fused pass. Cost is O(batch × affected
     /// neighborhoods), never O(corpus) or O(live view).
+    ///
+    /// A batch that deletes or updates a rid its side does not have (the
+    /// batch's own inserts count) is a [`MagellanError::Config`], returned
+    /// before anything changes.
     pub fn ingest(&mut self, batch: &[RecordMutation]) -> Result<StreamBatchReport, MagellanError> {
+        self.engine
+            .check_batch(batch)
+            .map_err(|why| MagellanError::Config {
+                message: format!("stream batch refused: {why}"),
+            })?;
         self.batches += 1;
         let _span = magellan_obs::span("stream_batch", self.batches);
 
         // 1. Delta join: signed candidate-pair deltas.
         let delta_span = magellan_obs::span("delta_join", 0);
-        let (deltas, stats) = self.engine.apply_batch(batch, &self.tokenizer, &self.par);
+        let (deltas, _) = self.engine.apply_batch(batch, &self.tokenizer, &self.par);
         drop(delta_span);
 
         // 2. Mirror the mutations into the feature store's tables —
@@ -413,7 +423,7 @@ impl StreamSession {
             pairs_added: dirty.len(),
             pairs_removed,
             dirty_pairs: dirty.len(),
-            compactions: stats.compactions as u64,
+            compactions: 0,
             live_candidates: self.engine.n_live_pairs(),
             live_matches: self.live_matches,
         };
@@ -520,14 +530,14 @@ impl StreamSession {
     }
 
     // -----------------------------------------------------------------
-    // Checkpointing (`emstream v2`)
+    // Checkpointing (`emstream v3`)
     // -----------------------------------------------------------------
 
-    /// Serialize the session as `emstream v2`:
+    /// Serialize the session as `emstream v3`:
     ///
     /// ```text
-    /// magic     "emstream v2"
-    /// 1 cursor  batches, ops, left gen, right gen, vocab gen   (u64 each)
+    /// magic     "emstream v3"
+    /// 1 cursor  batches, ops   (u64 each)
     /// 2 ltexts  count:u64, per record len:u64 + UTF-8 bytes (len u64::MAX = null)
     /// 3 rtexts  the same for the right side
     /// 4 live    count:u64, per pair l:u64, r:u64, sim bits:u64, (l, r)-ascending
@@ -548,9 +558,6 @@ impl StreamSession {
         SavedStream {
             batches: self.batches,
             ops: self.ops,
-            left_gen: self.engine.index_generation(Side::Left),
-            right_gen: self.engine.index_generation(Side::Right),
-            vocab_gen: self.engine.vocab_generation(),
             left: self.engine.texts(Side::Left).to_vec(),
             right: self.engine.texts(Side::Right).to_vec(),
             live,
@@ -559,10 +566,10 @@ impl StreamSession {
         .encode()
     }
 
-    /// Restore a session from `emstream v2` bytes plus the (identical)
-    /// configuration it was created with. Index generations are pinned to
-    /// the stored values, so generation monotonicity survives the crash;
-    /// the live view and all score bits restore exactly.
+    /// Restore a session from `emstream v3` bytes plus the (identical)
+    /// configuration it was created with. The live view and all score
+    /// bits restore exactly; the join's index is rebuilt from the texts.
+    /// An `emstream v1` or `v2` file is refused by name.
     pub fn restore_from_bytes(
         data: &[u8],
         measure: SetSimMeasure,
@@ -602,15 +609,8 @@ impl StreamSession {
             text_table("stream_right", &saved.right)?,
         );
         let tokenizer = AlphanumericTokenizer::as_set();
-        let engine = IncrementalJoin::restore(
-            measure,
-            &tokenizer,
-            saved.left,
-            saved.right,
-            saved.live,
-            saved.left_gen,
-            saved.right_gen,
-        );
+        let engine =
+            IncrementalJoin::restore(measure, &tokenizer, saved.left, saved.right, saved.live);
         Ok(StreamSession {
             engine,
             tokenizer,
@@ -628,7 +628,7 @@ impl StreamSession {
     }
 }
 
-const STREAM_MAGIC: &str = "emstream v2";
+const STREAM_MAGIC: &str = "emstream v3";
 
 const SEG_CURSOR: u32 = 1;
 const SEG_LTEXTS: u32 = 2;
@@ -636,15 +636,11 @@ const SEG_RTEXTS: u32 = 3;
 const SEG_LIVE: u32 = 4;
 const SEG_SCORES: u32 = 5;
 
-/// The contents of an `emstream v2` file. Decoding checks each segment
+/// The contents of an `emstream v3` file. Decoding checks each segment
 /// on its own; how the segments agree is the restore's to check.
 struct SavedStream {
     batches: u64,
     ops: u64,
-    left_gen: u64,
-    right_gen: u64,
-    /// Written for the record; the interner is rebuilt on restore.
-    vocab_gen: u64,
     left: Vec<Option<String>>,
     right: Vec<Option<String>>,
     live: Vec<JoinPair>,
@@ -654,13 +650,7 @@ struct SavedStream {
 
 impl SavedStream {
     fn encode(&self) -> Vec<u8> {
-        let cursor = words([
-            self.batches,
-            self.ops,
-            self.left_gen,
-            self.right_gen,
-            self.vocab_gen,
-        ]);
+        let cursor = words([self.batches, self.ops]);
         let texts = |texts: &[Option<String>]| {
             let mut out = (texts.len() as u64).to_le_bytes().to_vec();
             for t in texts {
@@ -699,7 +689,6 @@ impl SavedStream {
         let mut file = SegmentReader::open(data, STREAM_MAGIC)?;
         let mut cursor = file.expect(SEG_CURSOR)?.fields();
         let (batches, ops) = (cursor.u64()?, cursor.u64()?);
-        let (left_gen, right_gen, vocab_gen) = (cursor.u64()?, cursor.u64()?, cursor.u64()?);
         cursor.end()?;
         let left = read_texts(file.expect(SEG_LTEXTS)?.fields())?;
         let right = read_texts(file.expect(SEG_RTEXTS)?.fields())?;
@@ -724,9 +713,6 @@ impl SavedStream {
         Ok(SavedStream {
             batches,
             ops,
-            left_gen,
-            right_gen,
-            vocab_gen,
             left,
             right,
             live,
@@ -958,7 +944,7 @@ mod tests {
 
     /// Kill the daemon mid-stream, restore from the checkpoint, replay the
     /// remaining plan suffix: the final view is identical to the unkilled
-    /// run, and index generations stay pinned across the crash.
+    /// run.
     #[test]
     fn checkpoint_resume_replays_identically() {
         // Unkilled reference: 14 batches straight through.
@@ -969,8 +955,6 @@ mod tests {
         let mut first = session(1);
         drive(&mut first, 23, 6, 7);
         let ckpt = first.checkpoint_bytes();
-        let gen_l = first.engine().index_generation(Side::Left);
-        let gen_r = first.engine().index_generation(Side::Right);
         drop(first);
         let mut resumed = StreamSession::restore_from_bytes(
             &ckpt,
@@ -983,8 +967,6 @@ mod tests {
         .unwrap();
         assert_eq!(resumed.batches(), 6);
         assert_eq!(resumed.ops(), 42);
-        assert_eq!(resumed.engine().index_generation(Side::Left), gen_l);
-        assert_eq!(resumed.engine().index_generation(Side::Right), gen_r);
         drive(&mut resumed, 23, 8, 7);
 
         let (vw, vr) = (whole.matched_pairs(), resumed.matched_pairs());
@@ -1099,7 +1081,7 @@ mod tests {
 
     /// A digest of the session's state that does not depend on any file
     /// format: both sides' texts, the live view with sim bits, every
-    /// score's bits, the index and vocab generations, and the cursors.
+    /// score's bits, and the cursors.
     fn state_digest(s: &StreamSession) -> u64 {
         let mut words = Vec::new();
         for side in [Side::Left, Side::Right] {
@@ -1123,19 +1105,15 @@ mod tests {
                 .iter()
                 .flat_map(|&((l, r), p)| [l as u64, r as u64, p.to_bits()]),
         );
-        let engine = s.engine();
-        let (gl, gr) = (
-            engine.index_generation(Side::Left),
-            engine.index_generation(Side::Right),
-        );
-        words.extend([gl, gr, engine.vocab_generation(), s.batches(), s.ops()]);
+        words.extend([s.batches(), s.ops()]);
         words.iter().fold(0, |h, &w| splitmix64(h ^ w))
     }
 
     /// The state a checkpoint carries is pinned twice. The state digest
-    /// was recorded at bcdb0e1 over the `emstream v1` text restore and
-    /// holds before and after an `emstream v2` round trip; the file's
-    /// length and digest pin the v2 bytes themselves.
+    /// was recorded at 4e8dac4, the last `emstream v2` writer, with the
+    /// index and vocab generations it then carried left out, and holds
+    /// before and after an `emstream v3` round trip; the file's length and
+    /// digest pin the v3 bytes themselves.
     #[test]
     fn checkpoint_bytes_are_pinned() {
         let s = churned();
@@ -1145,12 +1123,47 @@ mod tests {
         });
         assert_eq!(
             (s.n_candidates(), s.n_matches(), state_digest(&s)),
-            (84, 19, 0x37be_0210_bef3_c2b1)
+            (84, 19, 0xe547_58c3_0ef9_998b)
         );
-        assert_eq!((bytes.len(), file_digest), (5_240, 0xbb86_b98a_a62f_d608));
+        assert_eq!((bytes.len(), file_digest), (5_216, 0x5bb2_f72d_e0bc_64ae));
         let back = restore(&bytes).unwrap();
-        assert_eq!(state_digest(&back), 0x37be_0210_bef3_c2b1);
+        assert_eq!(state_digest(&back), 0xe547_58c3_0ef9_998b);
         assert_eq!(back.checkpoint_bytes(), bytes);
+    }
+
+    /// A batch that deletes a rid its side does not have is refused
+    /// before anything changes: the session checkpoints to the same bytes
+    /// and its next batch still lands on the oracle.
+    #[test]
+    fn a_batch_naming_an_unknown_rid_leaves_the_session_untouched() {
+        let mut s = churned();
+        let before = s.checkpoint_bytes();
+        let right = s.engine().n_records(Side::Right);
+        let refused = [
+            RecordMutation::Insert {
+                side: Side::Left,
+                text: Some("tok1 tok2 tok3".to_owned()),
+            },
+            RecordMutation::Delete {
+                side: Side::Right,
+                rid: right,
+            },
+        ];
+        match s.ingest(&refused) {
+            Err(MagellanError::Config { message }) => {
+                assert!(message.contains(&format!("Right rid {right}")), "{message}");
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
+        assert_eq!(s.checkpoint_bytes(), before);
+        s.ingest(&refused[..1]).unwrap();
+        assert_eq!(s.batches(), 41);
+        drive(&mut s, 41, 3, 8);
+        let (live, oracle) = (s.matched_pairs(), s.rebuild_oracle().unwrap());
+        assert_eq!(live.len(), oracle.len());
+        for ((lk, lp), (ok, op)) in live.iter().zip(&oracle) {
+            assert_eq!((lk, lp.to_bits()), (ok, op.to_bits()));
+        }
     }
 
     /// 40 batches of 8 over a 14-word vocabulary: dozens of live pairs.
@@ -1236,7 +1249,8 @@ mod tests {
     }
 
     /// Corruption in any checkpoint section is a fatal, precise error, and
-    /// an `emstream v1` text checkpoint is refused by name.
+    /// an `emstream v1` text checkpoint or an `emstream v2` file (index
+    /// generations in its cursor) is refused by name.
     #[test]
     fn corrupt_checkpoints_are_fatal() {
         let mut s = session(1);
@@ -1250,6 +1264,14 @@ mod tests {
         assert!(
             v1.fatal() && v1.to_string().contains("found `emstream v1`"),
             "{v1}"
+        );
+        let v2 = segment::encode("emstream v2", &[(SEG_CURSOR, &words([3, 15, 1, 1, 9]))]);
+        let v2 = restore(&v2).err().unwrap();
+        assert!(
+            matches!(v2, MagellanError::Checkpoint { .. })
+                && v2.fatal()
+                && v2.to_string().contains("found `emstream v2`"),
+            "{v2}"
         );
         assert!(restore(&good[..good.len() / 2]).is_err());
         // The cursor's `batches` word, flipped under its stale checksum.

@@ -584,7 +584,7 @@ pub enum StreamOp {
         /// Target the left collection (else right).
         left: bool,
     },
-    /// Tombstone an existing record; `victim` is a raw selector word the
+    /// Delete an existing record; `victim` is a raw selector word the
     /// caller reduces modulo its alive count.
     Delete {
         /// Target the left collection (else right).

@@ -368,15 +368,6 @@ pub struct JoinStats {
     pub delta_pairs_added: usize,
     /// Signed pair deltas emitted with polarity `Removed`.
     pub delta_pairs_removed: usize,
-    /// Stale postings skipped at probe time because their record was
-    /// tombstoned (deleted or superseded) after the posting was packed.
-    pub tombstones_skipped: usize,
-    /// Postings scanned in the uncompacted tail overlay (records added
-    /// since the last CSR compaction).
-    pub tail_postings_scanned: usize,
-    /// CSR compactions: tombstone density crossed the threshold and the
-    /// postings buffer was re-packed over the live records.
-    pub compactions: usize,
 }
 
 impl JoinStats {
@@ -436,18 +427,6 @@ impl JoinStats {
             "magellan_simjoin_delta_pairs_removed_total",
             self.delta_pairs_removed as u64,
         );
-        obs.counter_add(
-            "magellan_simjoin_tombstones_skipped_total",
-            self.tombstones_skipped as u64,
-        );
-        obs.counter_add(
-            "magellan_simjoin_tail_postings_scanned_total",
-            self.tail_postings_scanned as u64,
-        );
-        obs.counter_add(
-            "magellan_simjoin_compactions_total",
-            self.compactions as u64,
-        );
     }
 
     /// Fold another region's join counters into this one (all sums).
@@ -466,9 +445,6 @@ impl JoinStats {
         self.delta_probes += other.delta_probes;
         self.delta_pairs_added += other.delta_pairs_added;
         self.delta_pairs_removed += other.delta_pairs_removed;
-        self.tombstones_skipped += other.tombstones_skipped;
-        self.tail_postings_scanned += other.tail_postings_scanned;
-        self.compactions += other.compactions;
     }
 
     /// Fraction of *touched* candidates killed by the positional filter:
@@ -993,9 +969,6 @@ mod tests {
                 delta_probes: 4,
                 delta_pairs_added: 3,
                 delta_pairs_removed: 2,
-                tombstones_skipped: 7,
-                tail_postings_scanned: 9,
-                compactions: 1,
             },
         };
         let b = ParStats {
@@ -1031,9 +1004,6 @@ mod tests {
                 delta_probes: 1,
                 delta_pairs_added: 1,
                 delta_pairs_removed: 1,
-                tombstones_skipped: 3,
-                tail_postings_scanned: 1,
-                compactions: 1,
             },
         };
         a.merge(&b);
@@ -1068,9 +1038,6 @@ mod tests {
         assert_eq!(a.join.delta_probes, 5);
         assert_eq!(a.join.delta_pairs_added, 4);
         assert_eq!(a.join.delta_pairs_removed, 3);
-        assert_eq!(a.join.tombstones_skipped, 10);
-        assert_eq!(a.join.tail_postings_scanned, 10);
-        assert_eq!(a.join.compactions, 2);
         assert!((a.join.position_kill_rate() - 50.0 / 150.0).abs() < 1e-12);
         assert!((a.join.suffix_kill_rate() - 0.2).abs() < 1e-12);
         assert_eq!(JoinStats::default().position_kill_rate(), 0.0);

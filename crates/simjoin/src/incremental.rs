@@ -11,23 +11,14 @@
 //!
 //! ## Index structure
 //!
-//! Each side keeps a two-level index:
-//!
-//! * a **standing CSR prefix index** ([`PrefixIndex`]) packed at the last
-//!   compaction, with a per-record staleness bitmap — a delete or update
-//!   *tombstones* the record's CSR postings in place (they are skipped at
-//!   probe time, never eagerly unlinked);
-//! * a **tail overlay** (token → postings map) holding records inserted or
-//!   re-written since the compaction. Tail postings carry the record's
-//!   *mutation generation*; a posting whose generation lags the record's
-//!   current one is a tombstone too.
-//!
-//! When the tombstoned fraction of all postings crosses the compaction
-//! threshold (or the tail outgrows the CSR), the index is **re-packed**:
-//! one CSR build over the live records, tail cleared, staleness reset,
-//! and the side's *index generation* bumped. Compaction never changes any
-//! emitted pair — it is a pure layout event (asserted in tests) — so the
-//! threshold is a performance knob, not a correctness knob.
+//! Each side keeps one postings list per token, indexed by interner id:
+//! the [`Posting`]s of the side's records whose prefix holds the token,
+//! `(size, rid)`-sorted like the batch engine's lists, and edited in
+//! place. A batch removes each touched record's pre-batch postings once,
+//! before its texts are applied, and inserts each surviving record's final
+//! version after them; either is a binary search and a shift within one
+//! token's list. The lists hold exactly the prefixes of the live records,
+//! so a probe skips nothing and nothing is ever compacted.
 //!
 //! ## Token order and determinism
 //!
@@ -44,25 +35,23 @@
 //! prefix or posting ever changes under vocabulary growth; and because a
 //! token's first sighting comes early in proportion to how common it is
 //! (Zipf/Heaps), old means frequent and the prefix leans rare without a
-//! frequency table, an epoch or a re-sort at compaction. A stream that
-//! introduces its frequent tokens late only loses filter selectivity —
-//! speed, never correctness: every measure's similarity is a pure
-//! symmetric function of `(|x|, |y|, |x ∩ y|)`, the filters are
-//! conservative under any shared order and verification computes the exact
-//! overlap, so the live view is **bit-identical** — same pair set, same
-//! `f64` bits — to a from-scratch [`crate::join::set_sim_join`] over the
-//! surviving records, after any batch, at any worker count, regardless of
-//! compaction timing.
+//! frequency table, an epoch or a re-sort. A stream that introduces its
+//! frequent tokens late only loses filter selectivity — speed, never
+//! correctness: every measure's similarity is a pure symmetric function of
+//! `(|x|, |y|, |x ∩ y|)`, the filters are conservative under any shared
+//! order and verification computes the exact overlap, so the live view is
+//! **bit-identical** — same pair set, same `f64` bits — to a from-scratch
+//! [`crate::join::set_sim_join`] over the surviving records, after any
+//! batch, at any worker count.
 //!
 //! ## Probing
 //!
 //! A delta probe runs the batch engine's own cascade (`join::probe_one`:
 //! size window → accumulating positional filter → suffix-resumed bounded
-//! verification). The tier only supplies what is live (`Standing`, a
-//! `join::ProbeTarget`): a token's CSR window minus stale records,
-//! then its tail list minus generation mismatches. A live record has its
-//! current version in exactly one of the two, so it contributes at most
-//! one posting per token, which is all the cascade's counters rely on.
+//! verification) over the opposing side's lists (`Standing`, a
+//! `join::ProbeTarget`). Touched right records are indexed before the
+//! left probes and touched left records only after the right probes, so a
+//! pair of two touched records is found once, by its left end.
 //!
 //! A batch's probes run as two regions on the pool, left probes then
 //! right (`delta_probe` spans), each cut one chunk per worker unless the
@@ -88,15 +77,13 @@
 //! sorts each on read — the cold path of checkpoints and oracles, never a
 //! tick.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
 
 use magellan_par::{chunk_map, JoinStats, ParConfig};
 use magellan_textsim::intern::TokenInterner;
 use magellan_textsim::tokenize::Tokenizer;
 
-use crate::index::{for_each_rest, PrefixIndex};
+use crate::index::{for_each_rest, size_window, Posting};
 use crate::join::{
     probe_one, set_sim_join, with_scratch, JoinPair, ProbeTarget, SetSimMeasure, PROBE_STAMPS,
 };
@@ -111,8 +98,8 @@ pub enum Side {
 }
 
 /// One record-level mutation. Record ids are assigned densely per side in
-/// insertion order and are **never reused**: a delete tombstones the id, an
-/// update re-writes it in place.
+/// insertion order and are **never reused**: a delete leaves the id
+/// behind with no text, an update re-writes it in place.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecordMutation {
     /// Append a record (gets the next rid on its side). `None` behaves
@@ -123,7 +110,7 @@ pub enum RecordMutation {
         /// Record text (`None` = null).
         text: Option<String>,
     },
-    /// Tombstone an existing record.
+    /// Delete an existing record (its rid stays, with no text).
     Delete {
         /// Target collection.
         side: Side,
@@ -157,34 +144,23 @@ pub enum PairDelta {
     },
 }
 
-/// One tail-overlay posting: like [`crate::index::Posting`] plus the
-/// record generation it was packed under (stale ⇔ generation lags).
-#[derive(Debug, Clone, Copy)]
-struct TailPosting {
-    rid: u32,
-    pos: u32,
-    size: u32,
-    rest: u32,
-    gen: u32,
-}
-
-/// Mutable record store for one side.
+/// One side's records and its standing index.
 #[derive(Debug, Default)]
 struct SideState {
-    /// Live text per rid (`None` = null or tombstoned).
+    /// Live text per rid (`None` = null or deleted).
     texts: Vec<Option<String>>,
     /// Ascending deduplicated key set per rid (key = `u32::MAX` − interner
     /// id, see the module docs; empty ⇔ never matches; deletes clear it).
     tokens: Vec<Vec<u32>>,
-    /// Mutation generation per rid: bumped on every delete/update, pinned
-    /// into tail postings so stale ones are skipped without unlinking.
-    gens: Vec<u32>,
     /// Number of `Some`s in `texts`.
     n_alive: usize,
+    /// Interner id → the `(size, rid)`-sorted prefix postings of the
+    /// records whose prefix holds that token.
+    lists: Vec<Vec<Posting>>,
 }
 
 impl SideState {
-    /// Append a record and return its rid.
+    /// Append a record (not yet indexed) and return its rid.
     fn push(&mut self, text: Option<String>, tokens: Vec<u32>) -> usize {
         assert!(
             self.texts.len() < u32::MAX as usize,
@@ -193,8 +169,59 @@ impl SideState {
         self.n_alive += usize::from(text.is_some());
         self.texts.push(text);
         self.tokens.push(tokens);
-        self.gens.push(0);
         self.texts.len() - 1
+    }
+
+    /// Re-write record `rid` (its postings must already be removed).
+    fn set(&mut self, rid: usize, text: Option<String>, tokens: Vec<u32>) {
+        self.n_alive =
+            self.n_alive + usize::from(text.is_some()) - usize::from(self.texts[rid].is_some());
+        self.texts[rid] = text;
+        self.tokens[rid] = tokens;
+    }
+
+    /// The postings list of key `tok` (empty if no prefix holds it).
+    #[inline]
+    fn list(&self, tok: u32) -> &[Posting] {
+        self.lists.get(!tok as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// Insert (`add`) or remove record `rid`'s prefix postings under its
+    /// current key set, keeping every list `(size, rid)`-sorted.
+    fn post(&mut self, rid: usize, measure: SetSimMeasure, add: bool) {
+        let set = &self.tokens[rid];
+        let plen = measure.prefix_len(set.len()).min(set.len());
+        let (rid, size) = (rid as u32, set.len() as u32);
+        let lists = &mut self.lists;
+        for_each_rest(set, plen, |pos, tok, rest| {
+            let t = !tok as usize;
+            if lists.len() <= t {
+                lists.resize_with(t + 1, Vec::new);
+            }
+            let list = &mut lists[t];
+            let at = list.partition_point(|p| (p.size, p.rid) < (size, rid));
+            if add {
+                // Grow by a quarter, not by doubling from four: most lists
+                // hold one or two postings, and the default growth left
+                // 2.5 slots a posting on `stream_churn`, half of it unused.
+                if list.len() == list.capacity() {
+                    list.reserve_exact(list.len() / 4 + 1);
+                }
+                let pos = pos as u32;
+                list.insert(
+                    at,
+                    Posting {
+                        rid,
+                        pos,
+                        size,
+                        rest,
+                    },
+                );
+            } else {
+                assert_eq!(list[at].rid, rid, "a removed posting must be indexed");
+                list.remove(at);
+            }
+        });
     }
 }
 
@@ -209,90 +236,10 @@ fn key_set(interner: &mut TokenInterner, tokenizer: &dyn Tokenizer, text: &str) 
     set
 }
 
-/// The two-level standing index for one side.
-#[derive(Debug, Default)]
-struct SideIndex {
-    /// CSR prefix index packed at the last compaction.
-    csr: PrefixIndex,
-    /// Number of rids the CSR covers (rids ≥ this live only in the tail).
-    csr_len: usize,
-    /// Per-CSR-rid staleness: `true` ⇔ deleted or re-written since the
-    /// pack, so every CSR posting of that rid is a tombstone.
-    csr_stale: Vec<bool>,
-    /// Tombstoned postings still packed in the CSR.
-    dead_csr_postings: usize,
-    /// Tombstoned postings still held in the tail overlay.
-    dead_tail_postings: usize,
-    /// Tail overlay: token id → postings added since the compaction.
-    tail: HashMap<u32, Vec<TailPosting>>,
-    /// Total tail postings (live + tombstoned).
-    n_tail_postings: usize,
-    /// Index generation: bumped once per compaction.
-    generation: u64,
-}
-
-impl SideIndex {
-    /// Tombstoned fraction of all postings (CSR + tail).
-    fn dead_fraction(&self) -> f64 {
-        let total = self.csr.n_postings() + self.n_tail_postings;
-        if total == 0 {
-            0.0
-        } else {
-            (self.dead_csr_postings + self.dead_tail_postings) as f64 / total as f64
-        }
-    }
-
-    /// Re-pack: one CSR build over the live records, tail cleared,
-    /// staleness reset, generation bumped. Pure layout — no probe output
-    /// changes across a compaction.
-    fn compact(&mut self, state: &SideState, measure: SetSimMeasure) {
-        // Keys crowd the top of the `u32` range; basing the CSR at the
-        // smallest one in use keeps its offsets vocabulary-sized.
-        let base = state
-            .tokens
-            .iter()
-            .filter_map(|set| set.first().copied())
-            .min()
-            .unwrap_or(0);
-        self.csr = PrefixIndex::build(&state.tokens, base, |s| measure.prefix_len(s));
-        self.csr_len = state.tokens.len();
-        self.csr_stale.clear();
-        self.csr_stale.resize(self.csr_len, false);
-        self.dead_csr_postings = 0;
-        self.dead_tail_postings = 0;
-        self.tail.clear();
-        self.n_tail_postings = 0;
-        self.generation += 1;
-    }
-
-    /// Add the current version of `rid` to the tail overlay.
-    fn push_tail(&mut self, rid: usize, state: &SideState, measure: SetSimMeasure) {
-        let set = &state.tokens[rid];
-        let plen = measure.prefix_len(set.len()).min(set.len());
-        for_each_rest(set, plen, |pos, tok, rest| {
-            self.tail.entry(tok).or_default().push(TailPosting {
-                rid: rid as u32,
-                pos: pos as u32,
-                size: set.len() as u32,
-                rest,
-                gen: state.gens[rid],
-            });
-        });
-        self.n_tail_postings += plen;
-    }
-}
-
-/// One side's standing index as a probe target: what is live under a
-/// token is its CSR window minus stale records, then its tail list minus
-/// superseded versions.
+/// One side's standing lists as a probe target.
 struct Standing<'a> {
     state: &'a SideState,
-    index: &'a SideIndex,
     measure: SetSimMeasure,
-    /// Sorted rids never offered as partners (the other direction's probe
-    /// emits those pairs). Every one was mutated this batch, so its live
-    /// version sits in the tail and only the tail scan consults this.
-    skip: &'a [usize],
 }
 
 impl ProbeTarget for Standing<'_> {
@@ -305,35 +252,9 @@ impl ProbeTarget for Standing<'_> {
         stats: &mut JoinStats,
         mut f: impl FnMut(u32, u32, u32, u32),
     ) {
-        let (win, outside) = self.index.csr.size_window(tok, lo, hi);
+        let (win, outside) = size_window(self.state.list(tok), lo, hi);
         stats.killed_by_size += outside;
         for p in win {
-            if self.index.csr_stale[p.rid as usize] {
-                stats.tombstones_skipped += 1;
-                continue;
-            }
-            f(p.rid, p.pos, p.size, p.rest);
-        }
-        // Tail overlay: small, unsorted, scanned with per-posting
-        // generation and size checks.
-        let Some(list) = self.index.tail.get(&tok) else {
-            return;
-        };
-        stats.tail_postings_scanned += list.len();
-        for p in list {
-            let rid = p.rid as usize;
-            if p.gen != self.state.gens[rid] {
-                stats.tombstones_skipped += 1;
-                continue;
-            }
-            let size = p.size as usize;
-            if size < lo || size > hi {
-                stats.killed_by_size += 1;
-                continue;
-            }
-            if self.skip.binary_search(&rid).is_ok() {
-                continue;
-            }
             f(p.rid, p.pos, p.size, p.rest);
         }
     }
@@ -343,13 +264,12 @@ impl ProbeTarget for Standing<'_> {
         let y = &self.state.tokens[rid];
         (y, self.measure.prefix_len(y.len()).min(y.len()))
     }
+
+    #[inline]
+    fn may_hold(&self, tok: u32) -> bool {
+        !self.state.list(tok).is_empty()
+    }
 }
-
-/// Default tombstoned-postings fraction that triggers a compaction.
-pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.25;
-
-/// Tail postings below this never trigger the tail-outgrew-CSR repack.
-const TAIL_COMPACT_FLOOR: usize = 64;
 
 /// A delta-maintained set-similarity join over two evolving collections.
 ///
@@ -381,14 +301,10 @@ const TAIL_COMPACT_FLOOR: usize = 64;
 pub struct IncrementalJoin {
     measure: SetSimMeasure,
     interner: TokenInterner,
+    /// The left records, indexed for the touched right records' probes.
     left: SideState,
+    /// The right records, indexed for the touched left records' probes.
     right: SideState,
-    /// Standing index over the **left** records (probed by new/changed
-    /// right records).
-    left_index: SideIndex,
-    /// Standing index over the **right** records (probed by new/changed
-    /// left records).
-    right_index: SideIndex,
     /// The live view, left-major: left rid → `(right partner, exact
     /// similarity)` for every qualifying pair, in no particular order.
     by_left: Vec<Vec<(u32, f64)>>,
@@ -397,13 +313,10 @@ pub struct IncrementalJoin {
     by_right: Vec<Vec<u32>>,
     /// Number of pairs in the live view.
     n_live: usize,
-    compaction_threshold: f64,
-    /// Wall-clock pause of every compaction so far (bench: pause p99).
-    compaction_pauses: Vec<Duration>,
 }
 
 impl IncrementalJoin {
-    /// Empty engine for a measure, with the default compaction threshold.
+    /// Empty engine for a measure.
     pub fn new(measure: SetSimMeasure) -> Self {
         measure.validate();
         IncrementalJoin {
@@ -411,22 +324,10 @@ impl IncrementalJoin {
             interner: TokenInterner::new(),
             left: SideState::default(),
             right: SideState::default(),
-            left_index: SideIndex::default(),
-            right_index: SideIndex::default(),
             by_left: Vec::new(),
             by_right: Vec::new(),
             n_live: 0,
-            compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
-            compaction_pauses: Vec::new(),
         }
-    }
-
-    /// Override the tombstoned-postings fraction that triggers compaction
-    /// (a pure performance knob — the view is compaction-invariant).
-    pub fn with_compaction_threshold(mut self, threshold: f64) -> Self {
-        assert!(threshold > 0.0, "compaction threshold must be positive");
-        self.compaction_threshold = threshold;
-        self
     }
 
     /// The engine's measure.
@@ -434,42 +335,43 @@ impl IncrementalJoin {
         self.measure
     }
 
-    /// Record texts of a side, tombstones as `None`, rid-addressed.
-    pub fn texts(&self, side: Side) -> &[Option<String>] {
+    fn side(&self, side: Side) -> &SideState {
         match side {
-            Side::Left => &self.left.texts,
-            Side::Right => &self.right.texts,
+            Side::Left => &self.left,
+            Side::Right => &self.right,
         }
     }
 
-    /// Records ever inserted on a side (tombstones included — rids are
+    /// Record texts of a side, deleted records as `None`, rid-addressed.
+    pub fn texts(&self, side: Side) -> &[Option<String>] {
+        &self.side(side).texts
+    }
+
+    /// Records ever inserted on a side (deleted ones included — rids are
     /// never reused).
     pub fn n_records(&self, side: Side) -> usize {
-        match side {
-            Side::Left => self.left.texts.len(),
-            Side::Right => self.right.texts.len(),
-        }
+        self.side(side).texts.len()
     }
 
-    /// Live (non-tombstoned) records on a side.
+    /// Live (non-deleted, non-null) records on a side.
     pub fn n_alive(&self, side: Side) -> usize {
-        match side {
-            Side::Left => self.left.n_alive,
-            Side::Right => self.right.n_alive,
-        }
+        self.side(side).n_alive
     }
 
-    /// Index generation of a side: bumped once per compaction.
-    pub fn index_generation(&self, side: Side) -> u64 {
-        match side {
-            Side::Left => self.left_index.generation,
-            Side::Right => self.right_index.generation,
-        }
+    /// Record `rid`'s token keys on a side, ascending (the tier's order,
+    /// see the module docs).
+    pub fn key_set(&self, side: Side, rid: usize) -> &[u32] {
+        &self.side(side).tokens[rid]
     }
 
-    /// Vocabulary generation of the shared interner.
-    pub fn vocab_generation(&self) -> u64 {
-        self.interner.generation()
+    /// A side's standing index as `(token key, posting)` pairs, each
+    /// token's list in its stored order: what the oracle suite holds to
+    /// the live records' prefixes.
+    pub fn prefix_postings(&self, side: Side) -> Vec<(u32, Posting)> {
+        let lists = self.side(side).lists.iter().enumerate();
+        lists
+            .flat_map(|(id, list)| list.iter().map(move |&p| (!(id as u32), p)))
+            .collect()
     }
 
     /// The live view as `(l, r)`-sorted pairs — the same shape (and, by
@@ -495,11 +397,6 @@ impl IncrementalJoin {
         self.n_live
     }
 
-    /// Wall-clock pauses of all compactions so far, in event order.
-    pub fn compaction_pauses(&self) -> &[Duration] {
-        &self.compaction_pauses
-    }
-
     /// From-scratch oracle: a full batch join over the current record
     /// texts. O(corpus) — exists to *prove* the delta path right (and to
     /// measure what it saves), not to serve queries.
@@ -507,10 +404,10 @@ impl IncrementalJoin {
         set_sim_join(&self.left.texts, &self.right.texts, tokenizer, self.measure)
     }
 
-    /// Restore an engine from checkpointed state: record texts, the live
-    /// view (exact `f64` bits), and the per-side index generations. The
-    /// indexes are re-packed from the records (layout is not part of the
-    /// contract); the generations are pinned to the stored values.
+    /// Restore an engine from checkpointed state: record texts and the
+    /// live view (exact `f64` bits). The indexes are rebuilt from the
+    /// records (a fresh interner may number the tokens differently; no
+    /// emitted pair depends on it).
     ///
     /// # Panics
     ///
@@ -523,16 +420,18 @@ impl IncrementalJoin {
         left_texts: Vec<Option<String>>,
         right_texts: Vec<Option<String>>,
         live: Vec<JoinPair>,
-        left_generation: u64,
-        right_generation: u64,
     ) -> Self {
         let mut eng = IncrementalJoin::new(measure);
-        eng.left = Self::restore_side(&mut eng.interner, tokenizer, left_texts);
-        eng.right = Self::restore_side(&mut eng.interner, tokenizer, right_texts);
-        eng.left_index.compact(&eng.left, measure);
-        eng.right_index.compact(&eng.right, measure);
-        eng.left_index.generation = left_generation;
-        eng.right_index.generation = right_generation;
+        for (state, texts) in [(&mut eng.left, left_texts), (&mut eng.right, right_texts)] {
+            for text in texts {
+                let tokens = match &text {
+                    Some(t) => key_set(&mut eng.interner, tokenizer, t),
+                    None => Vec::new(),
+                };
+                let rid = state.push(text, tokens);
+                state.post(rid, measure, true);
+            }
+        }
         eng.grow_view();
         for (i, p) in live.iter().enumerate() {
             assert!(
@@ -567,20 +466,42 @@ impl IncrementalJoin {
         self.n_live += 1;
     }
 
-    fn restore_side(
-        interner: &mut TokenInterner,
-        tokenizer: &dyn Tokenizer,
-        texts: Vec<Option<String>>,
-    ) -> SideState {
-        let mut state = SideState::default();
-        for text in texts {
-            let tokens = match &text {
-                Some(t) => key_set(interner, tokenizer, t),
-                None => Vec::new(),
+    /// The rids a batch touches, per side (left, right), sorted and
+    /// deduplicated, or the first mutation naming a rid its side does not
+    /// have by then (the batch's own earlier inserts count).
+    fn touched(&self, batch: &[RecordMutation]) -> Result<[Vec<usize>; 2], String> {
+        let mut n = [self.left.texts.len(), self.right.texts.len()];
+        let mut touched = [Vec::new(), Vec::new()];
+        for (i, op) in batch.iter().enumerate() {
+            let (s, rid) = match *op {
+                RecordMutation::Insert { side, .. } => {
+                    n[side as usize] += 1;
+                    (side as usize, n[side as usize] - 1)
+                }
+                RecordMutation::Delete { side, rid } | RecordMutation::Update { side, rid, .. } => {
+                    if rid >= n[side as usize] {
+                        return Err(format!(
+                            "mutation {i} names {side:?} rid {rid}, but that side has {} records",
+                            n[side as usize]
+                        ));
+                    }
+                    (side as usize, rid)
+                }
             };
-            state.push(text, tokens);
+            touched[s].push(rid);
         }
-        state
+        for t in &mut touched {
+            t.sort_unstable();
+            t.dedup();
+        }
+        Ok(touched)
+    }
+
+    /// `Err` naming the first mutation of `batch` that deletes or updates
+    /// a rid its side does not have by then (the batch's own earlier
+    /// inserts count); [`IncrementalJoin::apply_batch`] panics on it.
+    pub fn check_batch(&self, batch: &[RecordMutation]) -> Result<(), String> {
+        self.touched(batch).map(drop)
     }
 
     /// Apply one mutation batch and return the signed pair deltas
@@ -588,65 +509,52 @@ impl IncrementalJoin {
     /// delta-phase counters. Work is O(batch × affected neighborhoods):
     /// only new/changed records are probed — in **both directions**, since
     /// the standing side's index answers "which standing records pair
-    /// with this new one" and the probe covers "which new records pair
-    /// with each other" by construction.
+    /// with this new one" and the right side's touched records are indexed
+    /// before the left ones probe, so new pairs with new.
+    ///
+    /// # Panics
+    ///
+    /// Before changing anything, if [`IncrementalJoin::check_batch`]
+    /// refuses the batch.
     pub fn apply_batch(
         &mut self,
         batch: &[RecordMutation],
         tokenizer: &dyn Tokenizer,
         cfg: &ParConfig,
     ) -> (Vec<PairDelta>, JoinStats) {
+        let [touched_left, touched_right] = self.touched(batch).unwrap_or_else(|e| panic!("{e}"));
         let mut stats = JoinStats::default();
+        let measure = self.measure;
 
-        // Phase 1: apply the record mutations, tombstoning superseded
-        // postings and pushing the new versions into the tail overlays.
-        let mut touched_left: Vec<usize> = Vec::new();
-        let mut touched_right: Vec<usize> = Vec::new();
+        // Phase 1: take every touched record's pre-batch postings out of
+        // its side's lists, then apply the record mutations in batch order.
+        for (state, touched) in [
+            (&mut self.left, &touched_left),
+            (&mut self.right, &touched_right),
+        ] {
+            let n = state.texts.len();
+            for &rid in touched.iter().take_while(|&&rid| rid < n) {
+                state.post(rid, measure, false);
+            }
+        }
         for op in batch {
-            let (side, rid, text, is_insert) = match op {
-                RecordMutation::Insert { side, text } => (*side, usize::MAX, text.clone(), true),
-                RecordMutation::Delete { side, rid } => (*side, *rid, None, false),
-                RecordMutation::Update { side, rid, text } => (*side, *rid, text.clone(), false),
+            let (side, rid, text) = match op {
+                RecordMutation::Insert { side, text } => (*side, None, text.clone()),
+                RecordMutation::Delete { side, rid } => (*side, Some(*rid), None),
+                RecordMutation::Update { side, rid, text } => (*side, Some(*rid), text.clone()),
             };
             let tokens = match &text {
                 Some(t) => key_set(&mut self.interner, tokenizer, t),
                 None => Vec::new(),
             };
-            let (state, index, touched) = match side {
-                Side::Left => (&mut self.left, &mut self.left_index, &mut touched_left),
-                Side::Right => (&mut self.right, &mut self.right_index, &mut touched_right),
+            let state = match side {
+                Side::Left => &mut self.left,
+                Side::Right => &mut self.right,
             };
-            let rid = if is_insert {
-                state.push(None, Vec::new())
-            } else {
-                assert!(rid < state.texts.len(), "mutation of unknown rid {rid}");
-                rid
-            };
-            // Tombstone the superseded version's postings in place.
-            if rid < index.csr_len && !index.csr_stale[rid] {
-                index.csr_stale[rid] = true;
-                index.dead_csr_postings += index.csr.prefix_len(rid);
-            } else if !is_insert {
-                // The superseded version (possibly an earlier op of this
-                // very batch) lives in the tail; its postings go stale via
-                // the generation bump below.
-                let old = &state.tokens[rid];
-                let old_plen = self.measure.prefix_len(old.len()).min(old.len());
-                index.dead_tail_postings += old_plen;
+            match rid {
+                None => drop(state.push(text, tokens)),
+                Some(rid) => state.set(rid, text, tokens),
             }
-            state.n_alive = state.n_alive + usize::from(text.is_some())
-                - usize::from(state.texts[rid].is_some());
-            state.texts[rid] = text;
-            state.tokens[rid] = tokens;
-            state.gens[rid] = state.gens[rid].wrapping_add(1);
-            if !state.tokens[rid].is_empty() {
-                index.push_tail(rid, state, self.measure);
-            }
-            touched.push(rid);
-        }
-        for touched in [&mut touched_left, &mut touched_right] {
-            touched.sort_unstable();
-            touched.dedup();
         }
         self.grow_view();
 
@@ -670,33 +578,24 @@ impl IncrementalJoin {
         removed.sort_unstable();
         self.n_live -= removed.len();
 
-        // Phase 3: `Added` deltas — probe the surviving touched records
-        // against the opposing standing index (CSR + tail). Touched-right
-        // probes skip touched-left partners: the touched-left probes
-        // already see them through the tail, so each new×new pair is
-        // emitted exactly once. (Touched-left records left with no tokens
-        // have no postings to skip.)
-        let probe_left: Vec<usize> = touched_left
-            .iter()
-            .copied()
-            .filter(|&rid| !self.left.tokens[rid].is_empty())
-            .collect();
-        let probe_right: Vec<usize> = touched_right
-            .iter()
-            .copied()
-            .filter(|&rid| !self.right.tokens[rid].is_empty())
-            .collect();
-
-        let measure = self.measure;
+        // Phase 3: `Added` deltas. The touched right records go into the
+        // right lists, the touched left records probe them (finding new
+        // partners old and new), the touched right records probe the left
+        // lists (old partners only), and the touched left records go in
+        // last: each pair of two touched records is emitted exactly once.
+        let (mut probe_left, mut probe_right) = (touched_left, touched_right);
+        probe_left.retain(|&rid| !self.left.tokens[rid].is_empty());
+        probe_right.retain(|&rid| !self.right.tokens[rid].is_empty());
+        for &rid in &probe_right {
+            self.right.post(rid, measure, true);
+        }
         let mut added = probe_batch(
             &probe_left,
             true,
             &self.left,
             &Standing {
                 state: &self.right,
-                index: &self.right_index,
                 measure,
-                skip: &[],
             },
             cfg,
             &mut stats,
@@ -707,47 +606,17 @@ impl IncrementalJoin {
             &self.right,
             &Standing {
                 state: &self.left,
-                index: &self.left_index,
                 measure,
-                skip: &probe_left,
             },
             cfg,
             &mut stats,
         ));
+        for &rid in &probe_left {
+            self.left.post(rid, measure, true);
+        }
         added.sort_unstable_by_key(|p| (p.l, p.r));
-
         for p in &added {
             self.link(p);
-        }
-
-        // Phase 4: compaction check. Compaction is a pure layout event —
-        // it happens after the deltas are computed and changes nothing
-        // observable except generation counters and probe cost.
-        for (side, (state, index)) in [
-            (&self.left, &mut self.left_index),
-            (&self.right, &mut self.right_index),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let tail_outgrew = index.n_tail_postings > TAIL_COMPACT_FLOOR
-                && index.n_tail_postings > index.csr.n_postings();
-            if index.dead_fraction() > self.compaction_threshold || tail_outgrew {
-                let span = magellan_obs::span("compaction", side as u64);
-                let t0 = Instant::now();
-                index.compact(state, measure);
-                let pause = t0.elapsed();
-                magellan_obs::span_res_add("csr_index_bytes", index.csr.index_bytes() as u64);
-                drop(span);
-                if !magellan_obs::current().is_some_and(|o| o.is_pinned()) {
-                    magellan_obs::hist_record(
-                        "magellan_simjoin_compaction_pause_us",
-                        pause.as_micros() as u64,
-                    );
-                }
-                self.compaction_pauses.push(pause);
-                stats.compactions += 1;
-            }
         }
 
         stats.delta_pairs_added = added.len();
@@ -1064,35 +933,19 @@ mod tests {
 
     /// Latest-first-seen first: a never-seen token sorts before every
     /// stored one, so it leads its record's prefix, moves no stored set,
-    /// and probes cleanly past a CSR packed before it existed (its key is
-    /// below the pack's base).
+    /// and joins through lists that did not exist when the seed was
+    /// indexed.
     #[test]
     fn fresh_tokens_lead_the_prefix_and_still_join() {
         let tok = WhitespaceTokenizer::new();
         let cfg = ParConfig::serial();
-        let mut eng =
-            IncrementalJoin::new(SetSimMeasure::Jaccard(0.5)).with_compaction_threshold(1e-9);
+        let mut eng = IncrementalJoin::new(SetSimMeasure::Jaccard(0.5));
         eng.apply_batch(
             &[ins(Side::Left, "a b c d"), ins(Side::Right, "a b c d")],
             &tok,
             &cfg,
         );
         let before = eng.left.tokens[0].clone();
-        // Re-write left 0 (which packs the left side), then bring in new
-        // tokens.
-        eng.apply_batch(
-            &[RecordMutation::Update {
-                side: Side::Left,
-                rid: 0,
-                text: Some("a b c d".into()),
-            }],
-            &tok,
-            &cfg,
-        );
-        assert!(
-            eng.index_generation(Side::Left) > 0,
-            "the seed must be packed"
-        );
         eng.apply_batch(&[ins(Side::Left, "a b x y")], &tok, &cfg);
         assert_eq!(
             eng.left.tokens[0], before,
@@ -1155,49 +1008,29 @@ mod tests {
         );
     }
 
-    /// The compaction threshold is a pure performance knob: eager and
-    /// lazy engines agree on every view and every delta.
+    /// A batch that deletes or updates a rid its side does not have is
+    /// refused before anything changes; the batch's own inserts count.
     #[test]
-    fn compaction_never_changes_the_view() {
+    fn a_batch_naming_an_unknown_rid_is_refused_whole() {
         let tok = WhitespaceTokenizer::new();
-        let cfg = ParConfig::serial();
-        let mut eager =
-            IncrementalJoin::new(SetSimMeasure::Jaccard(0.5)).with_compaction_threshold(1e-9);
-        let mut lazy =
-            IncrementalJoin::new(SetSimMeasure::Jaccard(0.5)).with_compaction_threshold(1e9);
-        let mut batches = vec![seed_batch(25, 3)];
-        batches.push(vec![
-            RecordMutation::Delete {
-                side: Side::Left,
-                rid: 2,
-            },
-            RecordMutation::Update {
-                side: Side::Right,
-                rid: 3,
-                text: Some("t5 t6 t7".into()),
-            },
-            ins(Side::Right, "t5 t6"),
-        ]);
-        batches.push(vec![
-            RecordMutation::Delete {
-                side: Side::Right,
-                rid: 3,
-            },
-            ins(Side::Left, "t5 t6 t7"),
-        ]);
-        for batch in &batches {
-            let (de, se) = eager.apply_batch(batch, &tok, &cfg);
-            let (dl, sl) = lazy.apply_batch(batch, &tok, &cfg);
-            assert_eq!(de, dl);
-            assert_eq!(eager.live_pairs(), lazy.live_pairs());
-            assert_eq!(
-                (se.delta_pairs_added, se.delta_pairs_removed),
-                (sl.delta_pairs_added, sl.delta_pairs_removed)
-            );
-        }
-        assert!(eager.index_generation(Side::Left) > lazy.index_generation(Side::Left));
-        assert!(!eager.compaction_pauses().is_empty());
-        assert!(eager.compaction_pauses().len() >= eager.index_generation(Side::Left) as usize);
+        let mut eng = IncrementalJoin::new(SetSimMeasure::Jaccard(0.5));
+        let delete = |rid| RecordMutation::Delete {
+            side: Side::Right,
+            rid,
+        };
+        let batch = [ins(Side::Left, "a b"), ins(Side::Right, "a b"), delete(1)];
+        let err = eng.check_batch(&batch).unwrap_err();
+        assert!(err.contains("mutation 2 names Right rid 1"), "{err}");
+        assert_eq!(eng.check_batch(&batch[..2]), Ok(()));
+        eng.apply_batch(&batch[..2], &tok, &ParConfig::serial());
+        let grow = [
+            ins(Side::Right, "a b"),
+            delete(1),
+            update(Side::Left, 0, "a"),
+        ];
+        assert_eq!(eng.check_batch(&grow), Ok(()));
+        assert!(eng.check_batch(&[update(Side::Left, 1, "a")]).is_err());
+        assert_eq!(eng.n_records(Side::Right), 1);
     }
 
     /// Worker count never changes deltas, stats, or the view.
@@ -1248,42 +1081,6 @@ mod tests {
         }
     }
 
-    /// Tombstoned postings are skipped (and counted) until compaction
-    /// reclaims them.
-    #[test]
-    fn tombstones_are_skipped_then_compacted_away() {
-        let tok = WhitespaceTokenizer::new();
-        let cfg = ParConfig::serial();
-        let mut eng =
-            IncrementalJoin::new(SetSimMeasure::Jaccard(0.5)).with_compaction_threshold(1e9); // never compact on its own
-        eng.apply_batch(
-            &[
-                ins(Side::Left, "a b c"),
-                ins(Side::Right, "a b c"),
-                ins(Side::Right, "a b d"),
-            ],
-            &tok,
-            &cfg,
-        );
-        // Force both sides into a packed CSR so the delete tombstones a
-        // CSR posting rather than a tail posting.
-        let (_, s0) = eng.apply_batch(
-            &[RecordMutation::Delete {
-                side: Side::Right,
-                rid: 0,
-            }],
-            &tok,
-            &cfg,
-        );
-        assert_eq!(s0.delta_pairs_removed, 1);
-        // A new left record probes past the dead right-0 postings.
-        let (_, s1) = eng.apply_batch(&[ins(Side::Left, "a b c d")], &tok, &cfg);
-        assert!(s1.tombstones_skipped > 0, "stale postings must be counted");
-        assert_eq!(eng.live_pairs(), eng.rebuild_from_scratch(&tok));
-        assert_eq!(eng.n_alive(Side::Right), 1);
-        assert_eq!(eng.n_records(Side::Right), 2);
-    }
-
     /// Restore rebuilds a bit-identical engine that keeps streaming.
     #[test]
     fn restore_roundtrip_continues_identically() {
@@ -1305,14 +1102,8 @@ mod tests {
             a.texts(Side::Left).to_vec(),
             a.texts(Side::Right).to_vec(),
             a.live_pairs(),
-            a.index_generation(Side::Left),
-            a.index_generation(Side::Right),
         );
         assert_eq!(a.live_pairs(), b.live_pairs());
-        assert_eq!(
-            a.index_generation(Side::Left),
-            b.index_generation(Side::Left)
-        );
         let batch = seed_batch(10, 13);
         let (da, _) = a.apply_batch(&batch, &tok, &cfg);
         let (db, _) = b.apply_batch(&batch, &tok, &cfg);

@@ -385,7 +385,7 @@ pub fn join_tokenized_stats(
 ) -> (Vec<JoinPair>, JoinStats) {
     measure.validate();
     let plan = ProbePlan::choose(coll, side);
-    let index = PrefixIndex::build_column(plan.indexed, 0, |s| measure.prefix_len(s));
+    let index = PrefixIndex::build_column(plan.indexed, |s| measure.prefix_len(s));
     magellan_obs::span_res_add("csr_index_bytes", index.index_bytes() as u64);
     let target = Packed {
         records: plan.indexed,
@@ -411,13 +411,13 @@ pub fn join_tokenized_stats(
 }
 
 /// Where a probe's postings and candidate records come from: one packed
-/// index for the batch and sharded joins, CSR + staleness bitmap + tail
-/// overlay for the incremental tier. [`probe_one`] is the only cascade;
-/// the target only says what is live.
+/// index for the batch and sharded joins, one postings list per token
+/// edited in place for the incremental tier. [`probe_one`] is the only
+/// cascade; the target only says what is indexed.
 pub(crate) trait ProbeTarget {
-    /// Feed `f` the `(rid, pos, size, rest)` of every **live** posting of
-    /// `tok` whose record size lies in `[lo, hi]`, counting what was
-    /// skipped into `stats`. A record contributes at most one posting per
+    /// Feed `f` the `(rid, pos, size, rest)` of every posting of `tok`
+    /// whose record size lies in `[lo, hi]`, counting what was skipped
+    /// into `stats`. A record contributes at most one posting per
     /// token, which is what lets the cascade's collision counter stand for
     /// `|x-prefix ∩ y-prefix|`; `rest` is the bitmap of its tokens after
     /// `pos` ([`crate::index::Posting::rest`]).
@@ -434,11 +434,9 @@ pub(crate) trait ProbeTarget {
     /// length (already clamped to the set size).
     fn record(&self, rid: usize) -> (&[u32], usize);
 
-    /// `false` only if `tok` has no posting at all, live or not: the
-    /// probe then skips working out the token's window.
-    fn may_hold(&self, _tok: u32) -> bool {
-        true
-    }
+    /// `false` only if `tok` has no posting at all: the probe then skips
+    /// working out the token's window.
+    fn may_hold(&self, tok: u32) -> bool;
 }
 
 /// The batch target: every posting of a packed [`PrefixIndex`] is live.
@@ -717,7 +715,7 @@ fn par_join<P: Pair>(
 ) -> (Vec<P>, ParStats) {
     measure.validate();
     let plan = ProbePlan::choose(coll, side);
-    let index = PrefixIndex::build_column(plan.indexed, 0, |s| measure.prefix_len(s));
+    let index = PrefixIndex::build_column(plan.indexed, |s| measure.prefix_len(s));
     magellan_obs::span_res_add("csr_index_bytes", index.index_bytes() as u64);
     let target = Packed {
         records: plan.indexed,

@@ -37,8 +37,8 @@
 //! ([`join::join_tokenized_pairs`]) emits them as bare `(u32, u32)` rids.
 //!
 //! The **incremental tier** ([`incremental`]) maintains the same join
-//! under record insert/delete/update: tombstoned CSR postings + a tail
-//! overlay, periodic compaction, and delta probes — the batch engine's own
+//! under record insert/delete/update: one size-sorted postings list per
+//! token, edited in place, and delta probes — the batch engine's own
 //! filter cascade, under a latest-first-seen token order — that emit signed
 //! [`incremental::PairDelta`]s in O(delta) — with the live view held
 //! bit-identical to a from-scratch batch join after every batch.

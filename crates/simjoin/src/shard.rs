@@ -207,7 +207,7 @@ pub(crate) fn sharded_join<P: Pair>(
         // build its index — the only index alive at this point.
         let build_span = magellan_obs::span("shard_build", s as u64);
         let local = plan.indexed.gather(rids);
-        let index = PrefixIndex::build_column(&local, 0, |sz| measure.prefix_len(sz));
+        let index = PrefixIndex::build_column(&local, |sz| measure.prefix_len(sz));
         let target = Packed {
             records: &local,
             index: &index,

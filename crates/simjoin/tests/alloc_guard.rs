@@ -191,10 +191,12 @@ fn churn_tick_allocates_per_mutation_not_per_pair() {
         deltas >= 2 * TICKS * PER_TICK,
         "{deltas} deltas: the churn must move pairs for the bound to mean anything"
     );
-    // A record's text and key set, its prefix postings' tail lists, the
-    // tick's own vectors over 20 mutations, and partner lists outgrowing
-    // their capacity: 6.15 a mutation (8.2 while each probe ran as a chunk
-    // of its own, with an output slot and vectors). It was 11.7 with the
+    // A record's text and key set, the tick's own vectors over 20
+    // mutations, and postings and partner lists outgrowing their
+    // capacity: 5.24 a mutation (4.96 with postings lists doubling their
+    // capacity, 6.15 with a tail overlay of postings
+    // beside a packed snapshot, 8.2 while each probe ran as a chunk of its
+    // own, with an output slot and vectors). It was 11.7 with the
     // live view in a `BTreeMap` and the adjacencies in
     // `HashMap<usize, BTreeSet>`s, whose nodes come and go with the ~20
     // pair deltas each mutation moves here.

@@ -6,15 +6,19 @@
 //! records, and the signed deltas must replay to the same view.
 //!
 //! The delta probe runs the batch engine's size → positional → suffix
-//! cascade over CSR + tail, so the generated texts are shaped to reach it:
-//! sets of up to 12 tokens over a 12-token vocabulary (prefixes collide
-//! many times per pair), the same rid re-written twice in a batch, updates
-//! to never-seen tokens whose partner arrives a batch later, compaction
-//! policies from "every batch" to "never", and a kill/restore mid-stream.
+//! cascade over the standing postings lists, so the generated texts are
+//! shaped to reach it: sets of up to 12 tokens over a 12-token vocabulary
+//! (prefixes collide many times per pair), the same rid re-written twice
+//! in a batch, updates to never-seen tokens whose partner arrives a batch
+//! later, and a kill/restore mid-stream. After every batch each side's
+//! lists must hold exactly its live records' prefix postings.
 
 use std::collections::BTreeMap;
 
 use magellan_par::{JoinStats, ParConfig};
+use magellan_simjoin::filters::{
+    cosine_prefix_len, dice_prefix_len, jaccard_prefix_len, overlap_prefix_len,
+};
 use magellan_simjoin::{
     join_tokenized_stats, IncrementalJoin, JoinPair, PairDelta, ProbeSide, RecordMutation,
     SetSimMeasure, Side, TokenizedCollection,
@@ -33,11 +37,10 @@ enum Op {
     UpdateTwice(bool, u16, Option<String>, Option<String>),
     /// Re-write a record to a text of never-seen tokens; the same text
     /// arrives on the other side at the head of the *next* batch, so the
-    /// pair must join through tokens younger than every packed index.
+    /// pair must join through lists younger than the rest of the index.
     Fresh(bool, u16),
-    /// Kill the engine and restore it from texts + view + generations (a
-    /// fresh interner assigns different ids, a fresh pack a different
-    /// layout).
+    /// Kill the engine and restore it from texts + view (a fresh interner
+    /// assigns different ids).
     Restore,
 }
 
@@ -140,39 +143,64 @@ fn materialize(engine: &IncrementalJoin, ops: &[Op], feed: &mut Feed) -> Vec<Rec
     out
 }
 
-fn restored(
-    engine: &IncrementalJoin,
-    tok: &WhitespaceTokenizer,
-    threshold: f64,
-) -> IncrementalJoin {
+fn restored(engine: &IncrementalJoin, tok: &WhitespaceTokenizer) -> IncrementalJoin {
     IncrementalJoin::restore(
         engine.measure(),
         tok,
         engine.texts(Side::Left).to_vec(),
         engine.texts(Side::Right).to_vec(),
         engine.live_pairs(),
-        engine.index_generation(Side::Left),
-        engine.index_generation(Side::Right),
     )
-    .with_compaction_threshold(threshold)
 }
 
 fn bits(pairs: &[JoinPair]) -> Vec<(usize, usize, u64)> {
     pairs.iter().map(|p| (p.l, p.r, p.sim.to_bits())).collect()
 }
 
-/// The cascade counters that depend on the live records alone, not on
-/// where their postings sit (CSR or tail) or in what order they are met.
-fn layout_free(s: &JoinStats) -> [usize; 7] {
-    [
-        s.probes,
-        s.candidates,
-        s.killed_by_position,
-        s.killed_by_suffix,
-        s.verified,
-        s.verify_steps,
-        s.pairs,
-    ]
+/// Why each side's standing lists are not exactly the prefix postings of
+/// its live records — `(key, rid, pos, size, rest)` for each of a record's
+/// first `prefix_len` keys — each list `(size, rid)`-sorted, if they are
+/// not. A superseded or deleted version's posting left behind fails it.
+fn index_mismatch(eng: &IncrementalJoin) -> Option<String> {
+    let bit = |t: u32| 1u32 << (t.wrapping_mul(0x9E37_79B9) >> 27);
+    for side in [Side::Left, Side::Right] {
+        let lists = eng.prefix_postings(side);
+        for w in lists.windows(2) {
+            let ((ka, a), (kb, b)) = (w[0], w[1]);
+            if ka == kb && (a.size, a.rid) >= (b.size, b.rid) {
+                return Some(format!(
+                    "{side:?} list of key {ka} is not (size, rid)-sorted"
+                ));
+            }
+        }
+        let mut got: Vec<_> = lists
+            .iter()
+            .map(|&(k, p)| (k, p.rid, p.pos, p.size, p.rest))
+            .collect();
+        let mut want = Vec::new();
+        for rid in 0..eng.n_records(side) {
+            let keys = eng.key_set(side, rid);
+            let n = keys.len();
+            let plen = match eng.measure() {
+                SetSimMeasure::Jaccard(t) => jaccard_prefix_len(n, t),
+                SetSimMeasure::Cosine(t) => cosine_prefix_len(n, t),
+                SetSimMeasure::Dice(t) => dice_prefix_len(n, t),
+                SetSimMeasure::OverlapSize(c) => overlap_prefix_len(n, c),
+            };
+            for (pos, &k) in keys[..plen.min(n)].iter().enumerate() {
+                let rest = keys[pos + 1..].iter().fold(0, |m, &t| m | bit(t));
+                want.push((k, rid as u32, pos as u32, n as u32, rest));
+            }
+        }
+        got.sort_unstable();
+        want.sort_unstable();
+        if got != want {
+            return Some(format!(
+                "{side:?} lists hold {got:?}, its live prefixes are {want:?}"
+            ));
+        }
+    }
+    None
 }
 
 const MEASURES: [SetSimMeasure; 4] = [
@@ -185,34 +213,33 @@ const MEASURES: [SetSimMeasure; 4] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random mutation sequences × 4 measures × worker counts {1, 4}
-    /// × a compaction policy: after **every** batch the live view equals
-    /// the from-scratch rebuild bit-for-bit, the deltas replay to the
-    /// live view, the worker count changes neither the deltas nor one
-    /// counter, and an engine killed and restored along the way emits the
-    /// same deltas as the one that never stopped.
+    /// Random mutation sequences × 4 measures × worker counts {1, 4}:
+    /// after **every** batch each side's lists hold exactly its live
+    /// records' prefix postings, the live view equals the from-scratch
+    /// rebuild bit-for-bit, the deltas replay to the live view, the worker
+    /// count changes neither the deltas nor one counter, and an engine
+    /// killed and restored along the way emits the same deltas as the one
+    /// that never stopped.
     #[test]
-    fn live_view_always_equals_from_scratch_rebuild(
-        op_seq in ops(),
-        policy in 0usize..3,
-    ) {
+    fn live_view_always_equals_from_scratch_rebuild(op_seq in ops()) {
         let tok = WhitespaceTokenizer::new();
-        // Compact after any batch that killed a posting / the default /
-        // only when the tail outgrows the CSR.
-        let threshold = [1e-9, 0.25, 1e9][policy];
         for measure in MEASURES {
-            let fresh = || IncrementalJoin::new(measure).with_compaction_threshold(threshold);
+            let fresh = || IncrementalJoin::new(measure);
             let (mut serial, mut par, mut resumed) = (fresh(), fresh(), fresh());
             let mut feed = Feed::default();
             let mut replayed: BTreeMap<(usize, usize), u64> = BTreeMap::new();
             for chunk in op_seq.chunks(7) {
                 let batch = materialize(&serial, chunk, &mut feed);
                 if chunk.iter().any(|op| matches!(op, Op::Restore)) {
-                    resumed = restored(&resumed, &tok, threshold);
+                    resumed = restored(&resumed, &tok);
                 }
                 let (deltas, stats) = serial.apply_batch(&batch, &tok, &ParConfig::serial());
                 let (deltas_par, stats_par) = par.apply_batch(&batch, &tok, &ParConfig::workers(4));
                 let (deltas_resumed, _) = resumed.apply_batch(&batch, &tok, &ParConfig::serial());
+                for eng in [&serial, &resumed] {
+                    let mismatch = index_mismatch(eng);
+                    prop_assert!(mismatch.is_none(), "{:?}: {}", measure, mismatch.unwrap());
+                }
                 prop_assert_eq!(&deltas, &deltas_par,
                     "worker count changed the deltas for {:?}", measure);
                 prop_assert_eq!(&stats, &stats_par,
@@ -248,28 +275,6 @@ proptest! {
                     replayed.iter().map(|(&(l, r), &b)| (l, r, b)).collect();
                 prop_assert_eq!(&replayed_view, &live);
             }
-        }
-    }
-
-    /// Eager compaction (threshold ~0) and lazy compaction (threshold ∞)
-    /// agree with each other under the same mutations: every view, every
-    /// delta, and every cascade counter that is not about layout — a
-    /// candidate is collected, killed or verified the same whether its
-    /// posting sits in the CSR or in the tail.
-    #[test]
-    fn compaction_policy_never_changes_the_view(op_seq in ops()) {
-        let tok = WhitespaceTokenizer::new();
-        let measure = SetSimMeasure::Jaccard(0.4);
-        let mut eager = IncrementalJoin::new(measure).with_compaction_threshold(1e-9);
-        let mut lazy = IncrementalJoin::new(measure).with_compaction_threshold(1e9);
-        let mut feed = Feed::default();
-        for chunk in op_seq.chunks(5) {
-            let batch = materialize(&eager, chunk, &mut feed);
-            let (de, se) = eager.apply_batch(&batch, &tok, &ParConfig::serial());
-            let (dl, sl) = lazy.apply_batch(&batch, &tok, &ParConfig::serial());
-            prop_assert_eq!(&de, &dl);
-            prop_assert_eq!(layout_free(&se), layout_free(&sl));
-            prop_assert_eq!(bits(&eager.live_pairs()), bits(&lazy.live_pairs()));
         }
     }
 }
@@ -359,8 +364,8 @@ fn product_stream(
 }
 
 /// The oracle's text shape does reach every stage it is there to cover:
-/// positional kills, abandoned and completed suffix merges, stale postings
-/// in both levels, tail scans and compactions all occur on a fixed stream.
+/// positional kills and abandoned and completed suffix merges all occur on
+/// a fixed stream.
 /// Its records draw up to 48 words from 40, so remainders fill most of the
 /// 32-bit bitmaps stage 2 compares and candidates still reach the merge
 /// (over 12 words, as at 0a37532, the bitmaps settle every one of them).
@@ -400,9 +405,6 @@ fn oracle_shape_reaches_every_cascade_stage() {
         ("positional kills", sum.killed_by_position),
         ("abandoned suffix merges", sum.killed_by_suffix),
         ("pairs", sum.pairs),
-        ("tombstones skipped", sum.tombstones_skipped),
-        ("tail postings scanned", sum.tail_postings_scanned),
-        ("compactions", sum.compactions),
     ] {
         assert!(n > 0, "the fixed stream produced no {what}: {sum:?}");
     }
@@ -448,9 +450,11 @@ fn delta_probe_is_as_selective_as_the_batch_engine() {
 /// Jaccard 0.6 (two-token prefixes, so a record sharing either of a probe's
 /// two rarest tokens is a candidate), 6 000 seeded, then 400 mutations in
 /// ticks of 20 — a quarter inserts, a quarter deletes, half re-writes.
-/// `candidates`, `killed_by_size` and `pairs` are the literals recorded at
-/// 0a37532, where the churn verified 8 880 records for those 171 pairs
-/// (52 per pair). With the remainders' bitmaps in stage 2 it verifies 198.
+/// `candidates` and `pairs` are the literals recorded at 0a37532, where
+/// the churn verified 8 880 records for those 171 pairs (52 per pair).
+/// With the remainders' bitmaps in stage 2 it verifies 198.
+/// `killed_by_size` read 5 394 while superseded postings sat in the index
+/// until a compaction, those outside the size window counted as kills.
 #[test]
 fn stream_churn_shape_verifies_about_what_it_pairs() {
     let mut rng = Lcg(2501);
@@ -460,7 +464,7 @@ fn stream_churn_shape_verifies_about_what_it_pairs() {
     assert_eq!(churn.verified, churn.killed_by_suffix + churn.pairs);
     assert_eq!(
         (churn.candidates, churn.killed_by_size, churn.pairs),
-        (12_016, 5_394, 171)
+        (12_016, 5_266, 171)
     );
     assert!(
         2 * churn.verified <= 3 * churn.pairs,
@@ -472,10 +476,12 @@ fn stream_churn_shape_verifies_about_what_it_pairs() {
 
 /// The delta stream itself is pinned, not only its counts: 1 000 ticks of
 /// the `stream_churn` shape, every tick's `PairDelta`s (kind, position,
-/// pair, similarity bits) and then every field of the summed `JoinStats`
-/// folded into one FNV-1a digest. The literals were recorded at 5a5d677,
-/// where the live view was a `BTreeMap` beside two `HashMap<usize,
-/// BTreeSet>` adjacencies; how the view is stored must not move them.
+/// pair, similarity bits) folded into one FNV-1a digest, and the summed
+/// `JoinStats` beside it. The digest was recorded at 4e8dac4, whose
+/// index kept a packed snapshot, a tail overlay and tombstones; how the
+/// view and the index are stored must not move it. The counters are that
+/// commit's too, except `killed_by_size` (348 267 there, where superseded
+/// postings outside the size window counted as kills).
 #[test]
 fn churn_delta_stream_digest_is_pinned() {
     let mut rng = Lcg(2611);
@@ -498,54 +504,28 @@ fn churn_delta_stream_digest_is_pinned() {
             }
         }
     });
-    let JoinStats {
-        probes,
-        candidates,
-        killed_by_size,
-        killed_by_position,
-        killed_by_suffix,
-        verified,
-        verify_steps,
-        pairs,
-        probe_swaps,
-        killed_by_qgram_sig,
-        qgram_sig_checked,
-        delta_probes,
-        delta_pairs_added,
-        delta_pairs_removed,
-        tombstones_skipped,
-        tail_postings_scanned,
-        compactions,
-    } = churn;
-    for x in [
-        probes,
-        candidates,
-        killed_by_size,
-        killed_by_position,
-        killed_by_suffix,
-        verified,
-        verify_steps,
-        pairs,
-        probe_swaps,
-        killed_by_qgram_sig,
-        qgram_sig_checked,
-        delta_probes,
-        delta_pairs_added,
-        delta_pairs_removed,
-        tombstones_skipped,
-        tail_postings_scanned,
-        compactions,
-    ] {
-        word(x as u64, &mut bytes);
-    }
     assert_eq!(removed, churn.delta_pairs_removed);
     assert_eq!(
-        (
-            churn.delta_pairs_added,
-            removed,
-            eng.n_live_pairs(),
-            magellan_obs::fnv1a(&bytes)
-        ),
-        (9_541, 7_879, 3_291, 0x186f_1e7e_28b1_85ff)
+        (eng.n_live_pairs(), magellan_obs::fnv1a(&bytes)),
+        (3_291, 0xd4e2_b782_3112_051a)
+    );
+    assert_eq!(
+        churn,
+        JoinStats {
+            probes: 14_958,
+            candidates: 716_010,
+            killed_by_size: 304_726,
+            killed_by_position: 704_470,
+            killed_by_suffix: 1_999,
+            verified: 11_540,
+            verify_steps: 20_158,
+            pairs: 9_541,
+            probe_swaps: 0,
+            killed_by_qgram_sig: 0,
+            qgram_sig_checked: 0,
+            delta_probes: 14_958,
+            delta_pairs_added: 9_541,
+            delta_pairs_removed: 7_879,
+        }
     );
 }

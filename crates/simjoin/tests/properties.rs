@@ -385,13 +385,35 @@ fn id_set(class: u8, raw: &[u32]) -> Vec<u32> {
     set
 }
 
-/// Each position's remainder bitmap, as an index over the set stores it.
-fn rests(set: &[u32]) -> Vec<u32> {
-    let Some(&base) = set.first() else {
-        return Vec::new();
-    };
-    let idx = PrefixIndex::build(&[set.to_vec()], base, |n| n);
-    set.iter().map(|&t| idx.postings(t)[0].rest).collect()
+/// Each position's remainder bitmap, as an index over the set stores it:
+/// the batch engine's [`PrefixIndex`] for classes 0–2, the incremental
+/// tier's lists for its `u32::MAX − id` keys (class 3).
+fn rests(class: u8, set: &[u32]) -> Vec<u32> {
+    if class != 3 {
+        let idx = PrefixIndex::build_column(&[set].into_iter().collect(), |n| n);
+        return set.iter().map(|&t| idx.postings(t)[0].rest).collect();
+    }
+    // Interning `w0 … w63` first gives `wN` the key `u32::MAX − N`; an
+    // overlap-1 join indexes every position.
+    let words = |ids: Vec<u32>| ids.iter().map(|i| format!("w{i}")).collect::<Vec<_>>();
+    let batch = [
+        (0..64).collect(),
+        set.iter().map(|&k| u32::MAX - k).collect(),
+    ]
+    .map(|ids| RecordMutation::Insert {
+        side: Side::Left,
+        text: Some(words(ids).join(" ")),
+    });
+    let mut eng = IncrementalJoin::new(SetSimMeasure::OverlapSize(1));
+    eng.apply_batch(&batch, &WhitespaceTokenizer::new(), &ParConfig::serial());
+    assert_eq!(eng.key_set(Side::Left, 1), set);
+    let mut rest = vec![0; set.len()];
+    for (_, p) in eng.prefix_postings(Side::Left) {
+        if p.rid == 1 {
+            rest[p.pos as usize] = p.rest;
+        }
+    }
+    rest
 }
 
 proptest! {
@@ -409,7 +431,7 @@ proptest! {
         b in proptest::collection::vec(0u32..64, 0..48),
     ) {
         let (x, y) = (id_set(class, &a), id_set(class, &b));
-        let (bx, by) = (rests(&x), rests(&y));
+        let (bx, by) = (rests(class, &x), rests(class, &y));
         for (set, rest) in [(&x, &bx), (&y, &by)] {
             for (p, &r) in rest.iter().enumerate() {
                 prop_assert_eq!(r, set[p + 1..].iter().fold(0, |m, &t| m | bit(t)));

@@ -493,11 +493,9 @@ impl TokenInterner {
     }
 
     /// Vocabulary generation: advances by exactly one per *new* token
-    /// interned and never otherwise (currently `== len()`). Streaming
-    /// consumers (the incremental join, `StreamSession` checkpoints) pin
-    /// this number to detect and audit vocabulary growth across mutation
-    /// batches; because the interner is append-only, equal generations
-    /// imply the id ↔ token mapping is unchanged, not merely same-sized.
+    /// interned and never otherwise (currently `== len()`). Because the
+    /// interner is append-only, equal generations imply the id ↔ token
+    /// mapping is unchanged, not merely same-sized.
     pub fn generation(&self) -> u64 {
         self.ends.len() as u64
     }
