@@ -5,7 +5,7 @@
 //! Two modes:
 //!
 //! * **default** — drives a synthetic tenant fleet through the service
-//!   (admission control, fair-share scheduling, degradation policy),
+//!   (admission control, fair-share scheduling, degradation),
 //!   asserts the run is byte-deterministic before timing, and writes
 //!   `results/exp_service.txt` plus `BENCH_service.json` at the repo
 //!   root (only from a full run: not under `BENCH_SMOKE=1` or

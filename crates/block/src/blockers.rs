@@ -17,27 +17,25 @@ pub trait Blocker: Send + Sync {
     /// Display name for guide output / blocker selection reports.
     fn name(&self) -> String;
 
-    /// Compute the candidate set.
-    fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet>;
+    /// Compute the candidate set serially: [`Blocker::block_par`] on one
+    /// worker, without its counters.
+    fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
+        Ok(self.block_par(a, b, &ParConfig::serial())?.0)
+    }
 
     /// Compute the candidate set on the `magellan-par` work-stealing pool,
     /// returning the region's [`ParStats`] counters alongside the set.
     ///
     /// The contract (enforced by `par_determinism`): the returned set is
-    /// **identical to [`Blocker::block`] for any worker count** — a
-    /// [`CandidateSet`] is sorted + deduplicated, so per-left-row candidate
-    /// generation can be chunked freely. The default implementation runs
-    /// serially (and reports empty counters); the built-in blockers
-    /// override it.
+    /// **identical for any worker count** — a [`CandidateSet`] is sorted +
+    /// deduplicated, so per-left-row candidate generation can be chunked
+    /// freely.
     fn block_par(
         &self,
         a: &Table,
         b: &Table,
         cfg: &ParConfig,
-    ) -> magellan_table::Result<(CandidateSet, ParStats)> {
-        let _ = cfg;
-        Ok((self.block(a, b)?, ParStats::default()))
-    }
+    ) -> magellan_table::Result<(CandidateSet, ParStats)>;
 }
 
 /// Equality on `(l_attr, r_attr)` after lowercasing and trimming. Nulls
@@ -63,10 +61,6 @@ impl AttrEquivalenceBlocker {
 impl Blocker for AttrEquivalenceBlocker {
     fn name(&self) -> String {
         format!("attr_equiv({}, {})", self.l_attr, self.r_attr)
-    }
-
-    fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
-        Ok(self.block_par(a, b, &ParConfig::serial())?.0)
     }
 
     fn block_par(
@@ -158,10 +152,6 @@ impl Blocker for HashBlocker {
         format!("hash({}, {}, {})", self.l_attr, self.r_attr, self.n_buckets)
     }
 
-    fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
-        Ok(self.block_par(a, b, &ParConfig::serial())?.0)
-    }
-
     fn block_par(
         &self,
         a: &Table,
@@ -251,10 +241,6 @@ impl Blocker for OverlapBlocker {
         )
     }
 
-    fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
-        Ok(self.block_par(a, b, &ParConfig::serial())?.0)
-    }
-
     fn block_par(
         &self,
         a: &Table,
@@ -306,10 +292,6 @@ impl Blocker for SimJoinBlocker {
         )
     }
 
-    fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
-        Ok(self.block_par(a, b, &ParConfig::serial())?.0)
-    }
-
     fn block_par(
         &self,
         a: &Table,
@@ -347,10 +329,6 @@ impl Blocker for SortedNeighborhoodBlocker {
             "sorted_neighborhood({}, {}, w={})",
             self.l_attr, self.r_attr, self.window
         )
-    }
-
-    fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
-        Ok(self.block_par(a, b, &ParConfig::serial())?.0)
     }
 
     fn block_par(
@@ -429,10 +407,6 @@ impl<F: Fn(&Table, usize, &Table, usize) -> bool + Send + Sync> BlackBoxBlocker<
 impl<F: Fn(&Table, usize, &Table, usize) -> bool + Send + Sync> Blocker for BlackBoxBlocker<F> {
     fn name(&self) -> String {
         format!("black_box({})", self.label)
-    }
-
-    fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
-        Ok(self.block_par(a, b, &ParConfig::serial())?.0)
     }
 
     fn block_par(

@@ -30,6 +30,7 @@
 
 use std::collections::HashMap;
 
+use magellan_par::{ParConfig, ParStats};
 use magellan_simjoin::{join_tokenized, SetSimMeasure, TokenizedCollection};
 use magellan_table::{ColView, Table, TableError};
 use magellan_textsim::{intern, FeatureKind, TokSpec, TokenInterner};
@@ -193,11 +194,17 @@ impl Blocker for RuleBasedBlocker {
 
     /// Survivors = ∩_rules ∪_predicates violators(predicate), computed by
     /// a plan that is a pure function of the rules and the tables: the
-    /// rule cheapest to run as joins ([`RuleJoins::cost`]) is the *seed*;
+    /// rule cheapest to run as joins (`RuleJoins::cost`) is the *seed*;
     /// every other rule is evaluated pairwise over the seed's survivors —
     /// unless those still outnumber the records a join would tokenize
     /// (`|S| > |A| + |B|`), in which case it is joined and intersected too.
-    fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
+    /// The plan runs serially whatever `cfg` asks, with empty counters.
+    fn block_par(
+        &self,
+        a: &Table,
+        b: &Table,
+        _cfg: &ParConfig,
+    ) -> magellan_table::Result<(CandidateSet, ParStats)> {
         assert!(
             !self.rules.is_empty(),
             "rule-based blocker needs at least one rule"
@@ -225,10 +232,10 @@ impl Blocker for RuleBasedBlocker {
                 pairwise.push(rule);
             }
         }
-        if pairwise.is_empty() {
-            return Ok(survivors);
+        if !pairwise.is_empty() {
+            survivors = joins.refine(&pairwise, &survivors)?;
         }
-        joins.refine(&pairwise, &survivors)
+        Ok((survivors, ParStats::default()))
     }
 }
 

@@ -102,11 +102,10 @@ pub struct StreamBatchReport {
     pub batch: u64,
     /// Mutations applied.
     pub mutations: usize,
-    /// Candidate pairs that newly qualified.
-    pub pairs_added: usize,
     /// Candidate pairs that stopped qualifying.
     pub pairs_removed: usize,
-    /// Pairs re-featurized and re-scored (== `pairs_added`).
+    /// Candidate pairs that newly qualified: each is re-featurized and
+    /// re-scored.
     pub dirty_pairs: usize,
     /// Always 0: the join edits its index in place and never compacts it.
     /// Kept for the report's readers.
@@ -420,7 +419,6 @@ impl StreamSession {
         let report = StreamBatchReport {
             batch: self.batches,
             mutations: batch.len(),
-            pairs_added: dirty.len(),
             pairs_removed,
             dirty_pairs: dirty.len(),
             compactions: 0,
@@ -998,7 +996,6 @@ mod tests {
             assert_eq!(report.live_matches, s.n_matches());
             assert_eq!(report.live_candidates, s.n_candidates());
             assert_eq!(s.n_candidates(), s.engine().n_live_pairs());
-            assert_eq!(report.pairs_added, report.dirty_pairs);
             peak = peak.max(report.live_matches);
         }
         assert!(
@@ -1050,7 +1047,7 @@ mod tests {
         );
         let back = s.ingest(&[update(title)]).unwrap();
         assert_eq!(
-            (back.pairs_added, back.live_candidates, back.live_matches),
+            (back.dirty_pairs, back.live_candidates, back.live_matches),
             (1, 1, 1)
         );
         assert_eq!(s.matched_pairs().len(), 1);

@@ -250,10 +250,6 @@ impl Blocker for FlakyBlocker {
         "flaky".into()
     }
 
-    fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
-        OverlapBlocker::words("name", 1).block(a, b)
-    }
-
     fn block_par(
         &self,
         a: &Table,

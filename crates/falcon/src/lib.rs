@@ -26,9 +26,10 @@
 //!   time, lane id).
 //! * [`service`] — the multi-tenant CloudMatcher service core: admission
 //!   control against Table 2 budget currencies, weighted fair-share +
-//!   priority lanes on the [`schedule`] core, and policy-driven graceful
-//!   degradation (shed crowd → disable speculation → downgrade
-//!   priority), all bit-deterministic.
+//!   priority lanes on the [`schedule`] core, graceful degradation in a
+//!   fixed order (shed crowd → disable speculation → downgrade
+//!   priority), and an `emsvc` run log for kill/resume, all
+//!   bit-deterministic.
 //! * [`services`] — the Table 4 service registry (basic + composite).
 //! * [`smurf`] — Smurf-lite: Falcon with one step swapped, learning
 //!   blocking rules *without* labels via confident pseudo-labels,
@@ -53,9 +54,8 @@ pub use schedule::{
     schedule_fragments, Engine, Fragment, Priority, ScheduleRecoveryOptions, ScheduleReport,
 };
 pub use service::{
-    estimate_workload, Admission, DegradationPolicy, DegradationRule, DegradeAction,
-    DegradeTrigger, MatchService, RejectReason, ServiceConfig, ServiceCostModel, ServiceReport,
-    SyntheticTask, TenantQuota, TenantReport, TenantSpec, TenantSubmission, Workload,
-    WorkloadEstimate,
+    estimate_workload, Admission, MatchService, RejectReason, ServiceConfig, ServiceCostModel,
+    ServiceReport, SyntheticTask, TenantQuota, TenantReport, TenantSpec, TenantSubmission,
+    Workload, WorkloadEstimate,
 };
 pub use workflow::{run_falcon, FalconConfig, FalconReport};

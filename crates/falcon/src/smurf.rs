@@ -16,6 +16,7 @@ use magellan_block::{Blocker, CandidateSet, OverlapBlocker, RuleBasedBlocker};
 use magellan_core::labeling::Labeler;
 use magellan_core::sample::{proxy, rank};
 use magellan_ml::{Dataset, RandomForestLearner};
+use magellan_par::{ParConfig, ParStats};
 use magellan_table::Table;
 
 use crate::rules::extract_blocking_rules;
@@ -130,16 +131,21 @@ impl Blocker for GuardedRules {
         format!("guarded({}, {})", self.rules.name(), self.guard.name())
     }
 
-    fn block(&self, a: &Table, b: &Table) -> magellan_table::Result<CandidateSet> {
-        let guard = self.guard.block(a, b)?;
-        let survivors = self.rules.block(a, b)?;
-        Ok(
-            if guard.len() <= 100_000.max(survivors.len().saturating_mul(10)) {
-                survivors.union(&guard)
-            } else {
-                survivors
-            },
-        )
+    fn block_par(
+        &self,
+        a: &Table,
+        b: &Table,
+        cfg: &ParConfig,
+    ) -> magellan_table::Result<(CandidateSet, ParStats)> {
+        let (guard, mut stats) = self.guard.block_par(a, b, cfg)?;
+        let (survivors, rule_stats) = self.rules.block_par(a, b, cfg)?;
+        stats.merge(&rule_stats);
+        let out = if guard.len() <= 100_000.max(survivors.len().saturating_mul(10)) {
+            survivors.union(&guard)
+        } else {
+            survivors
+        };
+        Ok((out, stats))
     }
 }
 

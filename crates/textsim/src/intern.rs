@@ -491,14 +491,6 @@ impl TokenInterner {
         }
         out.truncate(kept);
     }
-
-    /// Vocabulary generation: advances by exactly one per *new* token
-    /// interned and never otherwise (currently `== len()`). Because the
-    /// interner is append-only, equal generations imply the id ↔ token
-    /// mapping is unchanged, not merely same-sized.
-    pub fn generation(&self) -> u64 {
-        self.ends.len() as u64
-    }
 }
 
 /// True when `s` is sorted ascending with no duplicates — the input
@@ -1064,7 +1056,7 @@ mod tests {
 
         /// The arena interner against a `HashMap<String, u32>` plus
         /// `Vec<String>` model, after every token of the stream: the same
-        /// ids, `get`, `resolve`, `len`, `generation` and `vocab_bytes`
+        /// ids, `get`, `resolve`, `len` and `vocab_bytes`
         /// (the model's own two copies of each string plus two `String`
         /// headers and an id), whatever the seed and whichever table each
         /// token lives in.
@@ -1086,7 +1078,6 @@ mod tests {
                 prop_assert_eq!(it.get(t), Some(want));
                 prop_assert_eq!(it.resolve(want), t.as_str());
                 prop_assert_eq!(it.len(), tokens.len());
-                prop_assert_eq!(it.generation(), tokens.len() as u64);
             }
             for (id, t) in tokens.iter().enumerate() {
                 prop_assert_eq!(it.resolve(id as u32), t.as_str());
